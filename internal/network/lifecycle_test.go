@@ -1,0 +1,272 @@
+package network
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"runtime"
+	"testing"
+
+	"ripple/internal/fault"
+	"ripple/internal/forward"
+	"ripple/internal/pkt"
+	"ripple/internal/radio"
+	"ripple/internal/sim"
+	"ripple/internal/topology"
+)
+
+// allKinds is every SchemeKind the station lifecycle must hold for.
+var allKinds = []SchemeKind{DCF, AFR, PreExOR, MCExOR, Ripple, RippleNoAgg}
+
+// silentMAC is a station that only ever transmits what the test hands the
+// medium (the jammer of the recover-on-busy case).
+type silentMAC struct{}
+
+func (silentMAC) TxDone(*pkt.Frame)                { /* nothing to follow up */ }
+func (silentMAC) FrameReceived(*pkt.Frame, []bool) { /* never a receiver */ }
+func (silentMAC) FrameCorrupted()                  { /* no contender to tell */ }
+func (silentMAC) ChannelBusy()                     { /* no contender to tell */ }
+func (silentMAC) ChannelIdle()                     { /* no contender to tell */ }
+
+// lifecycleRig is a 3-hop-capable line (stations 0..2 run the scheme under
+// test through newScheme, station 3 is a silent jammer) on an ideal radio,
+// with packets drawn from a real pool so custody is countable. It reaches
+// the schemes only through forward.Scheme, so it holds for any station
+// implementation behind newScheme.
+type lifecycleRig struct {
+	eng      *sim.Engine
+	med      *radio.Medium
+	pool     *pkt.Pool
+	schemes  []forward.Scheme
+	counters []forward.Counters
+	uid      uint64
+}
+
+const lifecycleJammer = 3
+
+func newLifecycleRig(kind SchemeKind) *lifecycleRig {
+	top, path := topology.Line(3)
+	cfg := Config{Scheme: kind, Radio: noLossRadio()}
+	cfg.Normalize()
+	r := &lifecycleRig{eng: sim.NewEngine(), pool: &pkt.Pool{}}
+	r.med = radio.NewMedium(r.eng, cfg.Radio, cfg.Phy, top.Positions, sim.NewRNG(1, 1))
+	routes := forward.NewRouteBook(cfg.MaxForwarders)
+	routes.Add(1, path[:3])
+	r.schemes = make([]forward.Scheme, 3)
+	r.counters = make([]forward.Counters, 3)
+	for i := range r.schemes {
+		r.schemes[i] = newScheme(cfg, forward.Env{
+			Eng: r.eng, Med: r.med, P: cfg.Phy, ID: pkt.NodeID(i),
+			RNG: sim.NewRNG(7, 100+uint64(i)), Routes: routes, C: &r.counters[i],
+			Deliver: func(p *pkt.Packet) { p.MarkDelivered() },
+		})
+		r.med.Attach(pkt.NodeID(i), r.schemes[i])
+	}
+	r.med.Attach(lifecycleJammer, silentMAC{})
+	return r
+}
+
+// packet draws one flow-1 packet (0 → 2) from the pool.
+func (r *lifecycleRig) packet() *pkt.Packet {
+	r.uid++
+	p := r.pool.Get()
+	p.UID, p.FlowID, p.Seq = 1<<32|r.uid, 1, int64(r.uid)
+	p.Bytes, p.Src, p.Dst, p.Created = 1000, 0, 2, r.eng.Now()
+	return p
+}
+
+func forEachKind(t *testing.T, fn func(t *testing.T, kind SchemeKind)) {
+	for _, kind := range allKinds {
+		t.Run(kind.String(), func(t *testing.T) { fn(t, kind) })
+	}
+}
+
+// Send on a crashed station is a terminal drop: false, one CrashDrop, the
+// caller's reference returned to the pool. Crash and Recover are
+// idempotent, and a twice-recovered station still carries traffic.
+func TestLifecycleSendWhileDownAndIdempotence(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind SchemeKind) {
+		r := newLifecycleRig(kind)
+		src := r.schemes[0]
+		for i := 0; i < 3; i++ {
+			if !src.Send(r.packet()) {
+				t.Fatal("Send on a live station with an empty queue failed")
+			}
+		}
+		src.Crash()
+		if got := r.counters[0].CrashDrops; got != 3 {
+			t.Fatalf("CrashDrops = %d after crashing with 3 queued, want 3", got)
+		}
+		src.Crash() // idempotent: nothing left to release, nothing recounted
+		if got := r.counters[0].CrashDrops; got != 3 {
+			t.Fatalf("second Crash moved CrashDrops to %d", got)
+		}
+		if src.QueueLen() != 0 || r.pool.InUse() != 0 {
+			t.Fatalf("crashed station still holds packets: QueueLen %d, pool InUse %d",
+				src.QueueLen(), r.pool.InUse())
+		}
+		if src.Send(r.packet()) {
+			t.Fatal("Send on a down station reported success")
+		}
+		if got := r.counters[0].CrashDrops; got != 4 {
+			t.Fatalf("CrashDrops = %d after Send on a down station, want 4", got)
+		}
+		if r.pool.InUse() != 0 {
+			t.Fatalf("Send on a down station kept the packet: pool InUse %d", r.pool.InUse())
+		}
+		r.eng.Run(5 * sim.Millisecond)
+		if got := r.counters[0].TxFrames; got != 0 {
+			t.Fatalf("down station transmitted %d frames", got)
+		}
+		src.Recover()
+		src.Recover()
+		src.Send(r.packet())
+		r.eng.Run(50 * sim.Millisecond)
+		_, delivered, _ := r.pool.Counters()
+		if delivered != 1 || r.pool.InUse() != 0 {
+			t.Fatalf("after Recover: %d packets delivered (want 1), pool InUse %d",
+				delivered, r.pool.InUse())
+		}
+	})
+}
+
+// Crash mid-exchange: the source holds a queue plus an in-service batch and
+// the forwarder holds the overheard frame in relay / pending-ACK custody
+// (its queue, for the store-and-forward kinds). Every station's CrashDrops
+// equals exactly what it held, and once the air drains the pool is empty.
+func TestLifecycleCrashMidExchangeReleasesAllCustody(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind SchemeKind) {
+		r := newLifecycleRig(kind)
+		const injected = 20
+		for i := 0; i < injected; i++ {
+			r.schemes[0].Send(r.packet())
+		}
+		opportunistic := kind != DCF && kind != AFR
+		crashed := false
+		r.med.Trace = func(_ sim.Time, ev string, node pkt.NodeID, f *pkt.Frame) {
+			if crashed || ev != "rx" || node != 1 || f.Kind != pkt.Data {
+				return
+			}
+			crashed = true
+			// Same instant, after the reception upcall: the forwarder has the
+			// frame, and no relay, ACK or custody decision has fired yet.
+			r.eng.After(0, func() {
+				held := []int{r.schemes[0].QueueLen(), r.schemes[1].QueueLen(), r.schemes[2].QueueLen()}
+				if held[0] != injected {
+					t.Errorf("source holds %d before its first ACK, want %d", held[0], injected)
+				}
+				if opportunistic {
+					held[1] += len(f.Packets) // armed relay / pending-ACK custody
+				}
+				if held[1] == 0 {
+					t.Error("forwarder holds nothing: the crash would not be mid-custody")
+				}
+				for i, s := range r.schemes {
+					s.Crash()
+					if got := r.counters[i].CrashDrops; got != uint64(held[i]) {
+						t.Errorf("station %d: CrashDrops = %d, held %d", i, got, held[i])
+					}
+				}
+			})
+		}
+		r.eng.Run(100 * sim.Millisecond)
+		if !crashed {
+			t.Fatal("the forwarder never decoded a data frame")
+		}
+		if r.pool.InUse() != 0 {
+			t.Fatalf("pool InUse = %d after every station crashed and the air drained", r.pool.InUse())
+		}
+		gets, delivered, dropped := r.pool.Counters()
+		if gets != injected || delivered+dropped != injected {
+			t.Fatalf("conservation broken: %d gets, %d delivered + %d dropped", gets, delivered, dropped)
+		}
+	})
+}
+
+// Carrier transitions during an outage are lost to the down guards, so
+// Recover must resynchronise with the medium: a station that reboots into a
+// busy channel stays frozen until the channel goes idle.
+func TestLifecycleRecoverOnBusyMediumStaysFrozen(t *testing.T) {
+	forEachKind(t, func(t *testing.T, kind SchemeKind) {
+		r := newLifecycleRig(kind)
+		src := r.schemes[0]
+		src.Crash()
+		const jamStart, jamLen = 10 * sim.Microsecond, 3 * sim.Millisecond
+		r.eng.At(jamStart, func() {
+			r.med.Transmit(&pkt.Frame{Kind: pkt.Data, Tx: lifecycleJammer, Rx: pkt.Broadcast,
+				Origin: lifecycleJammer, FinalDst: pkt.Broadcast, Duration: jamLen})
+		})
+		r.eng.At(100*sim.Microsecond, func() {
+			if !r.med.CarrierBusy(0) {
+				t.Error("precondition: the jammer is not sensed at station 0")
+			}
+			src.Recover()
+			src.Send(r.packet())
+		})
+		// Longer than DIFS plus the largest initial backoff: a contender that
+		// believed the channel idle would have transmitted by now.
+		r.eng.Run(jamStart + jamLen - sim.Microsecond)
+		if got := r.counters[0].TxFrames; got != 0 {
+			t.Fatalf("station transmitted %d frames into a busy channel after Recover", got)
+		}
+		r.eng.Run(jamStart + jamLen + 5*sim.Millisecond)
+		if r.counters[0].TxFrames == 0 {
+			t.Fatal("station never transmitted after the channel went idle")
+		}
+	})
+}
+
+// churnResultDigests pins one whole churn run per kind — sha256 of the
+// Result's JSON, recorded at commit 91f4da3 (before the station chassis) —
+// so a refactor of the crash paths is held to identity, not to "no panic".
+var churnResultDigests = map[SchemeKind]string{
+	DCF:         "5ba91ab2a0c6462687475983f05556e7c3375ccf4d0fcde059463dcb54769939",
+	AFR:         "2dec528f359693907173be68cb2ccd816f868dd8926a7ca7a4cf4783455f5f32",
+	PreExOR:     "7166b6cfec1ac29c7be5f5b1e5a8afa54cba9f4a0155d171f0d19180e6bbfdc3",
+	MCExOR:      "8c6a19b62321099852884dc1b9634c7fc566f79ebd172a8c95a739f02f684342",
+	Ripple:      "aa5bb5c9d7eeff6fb575d3b43a9ecf5bd1522d19073a373711d71a1fc26863c6",
+	RippleNoAgg: "797aa27f5553633a906ff400f356463024fce4696ff175bd67fc5c0415e58610",
+}
+
+func TestLifecycleChurnRunPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests are amd64 values: other targets may fuse float operations differently")
+	}
+	forEachKind(t, func(t *testing.T, kind SchemeKind) {
+		top, path := topology.Line(5)
+		back := make([]pkt.NodeID, len(path))
+		for i, n := range path {
+			back[len(path)-1-i] = n
+		}
+		rc := radio.DefaultConfig()
+		rc.ShadowSigmaDB = 3
+		rc.RXThreshDBm = rc.MeanRxPowerDBm(150)
+		rc.CSThreshDBm = rc.RXThreshDBm - 13
+		res, err := Run(Config{
+			Positions: top.Positions,
+			Radio:     rc,
+			Scheme:    kind,
+			Flows: []FlowSpec{
+				{ID: 1, Path: path, Kind: FTP},
+				{ID: 2, Path: back, Kind: CBRTraffic, CBRInterval: 4 * sim.Millisecond, CBRPacketBytes: 500},
+			},
+			Faults:   fault.Spec{MTBF: 150 * sim.Millisecond, MTTR: 50 * sim.Millisecond, Epoch: 100 * sim.Millisecond},
+			Duration: 4 * sim.Second,
+			Seed:     5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MAC.CrashDrops == 0 {
+			t.Fatal("churn never caught a station holding packets: the crash path is not exercised")
+		}
+		blob, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(blob)
+		if got := hex.EncodeToString(sum[:]); got != churnResultDigests[kind] {
+			t.Fatalf("Result digest %s, pinned %s\n%s", got, churnResultDigests[kind], blob)
+		}
+	})
+}
