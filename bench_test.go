@@ -309,17 +309,6 @@ func BenchmarkCampaignSuitePooled(b *testing.B) {
 	benchCampaignSuite(b, runtime.GOMAXPROCS(0))
 }
 
-// BenchmarkCampaignSuiteSeedFanout approximates the seed repo's schedule
-// for comparison: RunSeeds fanned out one goroutine per seed inside each
-// cell but cells ran strictly one after another, so concurrency never
-// exceeded the seed count. A seed-count-wide pool reproduces that width
-// (though not the per-cell barriers, which idled cores at every cell
-// boundary — so this baseline is, if anything, faster than the true old
-// schedule and the comparison understates the pooled engine's gain).
-func BenchmarkCampaignSuiteSeedFanout(b *testing.B) {
-	benchCampaignSuite(b, 3) // = len(Seeds), the old per-call fan-out width
-}
-
 // worldConfig builds a routing-active scenario over n stations laid out on
 // a line at relay spacing, so BuildWorld exercises both the O(N²) radio
 // link plan and the ETX table + per-flow Dijkstra.

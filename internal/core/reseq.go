@@ -36,7 +36,7 @@ func (r *Ripple) newReseq() *reseq {
 // deliver routes a received packet through Rq (when enabled) to transport.
 func (r *Ripple) deliver(p *pkt.Packet) {
 	if !r.opt.RqEnabled {
-		r.env.Deliver(p)
+		r.Deliver(p)
 		return
 	}
 	key := streamKey{flow: p.FlowID, src: p.Src}
@@ -47,15 +47,15 @@ func (r *Ripple) deliver(p *pkt.Packet) {
 	}
 	switch {
 	case p.MacSeq < q.expected:
-		r.env.C.Duplicates++
+		r.C.Duplicates++
 		return
 	case p.MacSeq == q.expected:
 		q.expected++
-		r.env.Deliver(p)
+		r.Deliver(p)
 		r.drain(q)
 	default: // gap: buffer and wait for the end-to-end retransmission
 		if _, dup := q.buf[p.MacSeq]; dup {
-			r.env.C.Duplicates++
+			r.C.Duplicates++
 			return
 		}
 		if len(q.buf) >= r.opt.RqCap {
@@ -76,11 +76,11 @@ func (r *Ripple) drain(q *reseq) {
 		}
 		delete(q.buf, q.expected)
 		q.expected++
-		r.env.Deliver(p)
+		r.Deliver(p)
 		p.Release() // delivered in order: the buffer's reference ends
 	}
 	if len(q.buf) == 0 {
-		r.env.Eng.Cancel(q.holdEv)
+		r.Eng.Cancel(q.holdEv)
 		q.holdArmed = false
 	} else {
 		r.rearmHold(q)
@@ -96,9 +96,9 @@ func (r *Ripple) armHold(q *reseq) {
 
 func (r *Ripple) rearmHold(q *reseq) {
 	if q.holdEv == nil {
-		q.holdEv = r.env.Eng.After(r.opt.RqHold, q.holdFn)
+		q.holdEv = r.Eng.After(r.opt.RqHold, q.holdFn)
 	} else {
-		r.env.Eng.Reschedule(q.holdEv, r.env.Eng.Now()+r.opt.RqHold)
+		r.Eng.Reschedule(q.holdEv, r.Eng.Now()+r.opt.RqHold)
 	}
 	q.holdArmed = true
 }

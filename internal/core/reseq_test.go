@@ -88,7 +88,7 @@ func TestRqCapOverflowSkips(t *testing.T) {
 
 func TestRqDropsDuplicates(t *testing.T) {
 	eng, r, got := newRqHarness(t, DefaultOptions())
-	c := r.env.C
+	c := r.C
 	r.deliver(rqPkt(0))
 	r.deliver(rqPkt(0)) // dup of delivered
 	r.deliver(rqPkt(2))

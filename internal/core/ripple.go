@@ -21,7 +21,6 @@ package core
 
 import (
 	"ripple/internal/forward"
-	"ripple/internal/mac"
 	"ripple/internal/phys"
 	"ripple/internal/pkt"
 	"ripple/internal/sim"
@@ -77,23 +76,11 @@ func DefaultOptions() Options {
 	}
 }
 
-// Ripple is the per-station RIPPLE agent.
+// Ripple is the per-station RIPPLE agent: the mTXOP protocol on the shared
+// station chassis (one outstanding mTXOP per station; Station.Queue is Sq).
 type Ripple struct {
-	env forward.Env
+	forward.Station
 	opt Options
-
-	queue *mac.Queue // Sq: pending packets not yet in service
-	cont  *mac.Contender
-
-	// Source-side exchange state (one outstanding mTXOP per station).
-	inService  []*pkt.Packet
-	svcFlow    int
-	svcDst     pkt.NodeID
-	exchanging bool
-	curTxop    uint64
-	txopSeq    uint64
-	attempts   int
-	ackTimer   *sim.Event
 
 	// Forwarder relay state: armed idle-timers (paused and resumed around
 	// busy periods in deferral mode). Kept as an ordered slice — map
@@ -115,14 +102,9 @@ type Ripple struct {
 	// Hot-path scratch and free lists: okScratch collects the decoded
 	// sub-packets of one reception (valid only within the handler),
 	// freeRelays recycles pendingRelay structs (each keeps its event and
-	// packet buffer), freeTx recycles the SIFS-delayed transmit actions.
+	// packet buffer).
 	okScratch  []*pkt.Packet
 	freeRelays []*pendingRelay
-	freeTx     *delayedTx
-
-	// down marks the station crashed (fault injection): every MAC upcall
-	// and local send is ignored until Recover.
-	down bool
 }
 
 type streamKey struct {
@@ -138,134 +120,83 @@ func New(env forward.Env, opt Options) *Ripple {
 		opt.MaxAgg = 1
 	}
 	r := &Ripple{
-		env:      env,
 		opt:      opt,
-		queue:    env.NewQueue(env.P.QueueLimit),
 		seenData: make(map[uint64]bool),
 		seenAck:  make(map[uint64]bool),
 		rq:       make(map[streamKey]*reseq),
 		macSeq:   make(map[streamKey]int64),
 		piggy:    make(map[uint64][]*pkt.Packet),
 	}
-	r.cont = env.NewContender(r.onGrant)
+	r.Init(env, r)
 	return r
 }
 
-// Send implements forward.Scheme: a locally originated packet enters Sq
-// and is stamped with its MAC-stream sequence number (what Rq orders by).
+// Send implements forward.Scheme: a locally originated packet that entered
+// Sq is stamped with its MAC-stream sequence number (what Rq orders by).
 func (r *Ripple) Send(p *pkt.Packet) bool {
-	if r.down {
-		r.env.C.CrashDrops++
-		p.Release() // station is crashed: terminal drop point
+	if !r.Station.Send(p) {
 		return false
 	}
-	if r.env.Routes.Unreachable(p.FlowID) {
-		// The destination is known unreachable this epoch: drop at the
-		// source instead of burning airtime on doomed retries.
-		r.env.C.Unreachable++
-		r.env.Routes.NoteUnreachableDrop(p.FlowID)
-		p.Release()
-		return false
-	}
-	p.EnqueuedAt = r.env.Eng.Now()
 	key := streamKey{flow: p.FlowID, src: p.Src}
-	if !r.queue.Push(p) {
-		r.env.C.QueueDrops++
-		p.Release() // queue full: terminal drop point for the sender's ref
-		return false
-	}
 	p.MacSeq = r.macSeq[key]
 	r.macSeq[key]++
-	r.maybeRequest()
 	return true
 }
 
-// QueueLen implements forward.Scheme.
-func (r *Ripple) QueueLen() int { return r.queue.Len() + len(r.inService) }
-
-func (r *Ripple) maybeRequest() {
-	if r.exchanging {
-		return
-	}
-	if len(r.inService) == 0 && r.queue.Len() == 0 {
-		return
-	}
-	r.cont.Request()
-}
-
-// onGrant: the station won a DCF transmission opportunity — launch an mTXOP.
-func (r *Ripple) onGrant() {
-	if len(r.inService) > 0 {
+// Grant implements forward.Protocol: the station won a DCF transmission
+// opportunity — launch an mTXOP.
+func (r *Ripple) Grant() {
+	if len(r.InService) > 0 {
 		// Retransmitting: top up the batch with fresh packets of the same
 		// stream ("when the source (re)transmits, we allow multiple
 		// packets to be aggregated in the (re)transmitted frame").
-		if len(r.inService) < r.opt.MaxAgg {
-			r.inService = r.queue.PopNWhereInto(r.inService,
-				r.opt.MaxAgg-len(r.inService), func(p *pkt.Packet) bool {
-					return p.FlowID == r.svcFlow && p.Dst == r.svcDst
+		if len(r.InService) < r.opt.MaxAgg {
+			r.InService = r.Queue.PopNWhereInto(r.InService,
+				r.opt.MaxAgg-len(r.InService), func(p *pkt.Packet) bool {
+					return p.FlowID == r.SvcFlow && p.Dst == r.SvcDst
 				})
 		}
 	} else {
-		head := r.queue.Peek()
+		head := r.Queue.Peek()
 		if head == nil {
 			return
 		}
-		r.svcFlow = head.FlowID
-		r.svcDst = head.Dst
-		r.inService = r.queue.PopNWhereInto(r.inService[:0], r.opt.MaxAgg, func(p *pkt.Packet) bool {
+		r.SvcFlow = head.FlowID
+		r.SvcDst = head.Dst
+		r.InService = r.Queue.PopNWhereInto(r.InService[:0], r.opt.MaxAgg, func(p *pkt.Packet) bool {
 			return p.FlowID == head.FlowID && p.Dst == head.Dst
 		})
 	}
-	if len(r.inService) == 0 {
+	if len(r.InService) == 0 {
 		return
 	}
-	fwd := r.env.Routes.FwdList(r.svcFlow, r.env.ID, r.svcDst)
+	fwd := r.Routes.FwdList(r.SvcFlow, r.ID, r.SvcDst)
 	if len(fwd) == 0 {
-		if r.env.Routes.Unreachable(r.svcFlow) {
-			r.env.C.Unreachable += uint64(len(r.inService))
-			for _, p := range r.inService {
-				r.env.Routes.NoteUnreachableDrop(r.svcFlow)
-				p.Release()
-			}
-		} else {
-			r.env.C.MACDrops += uint64(len(r.inService))
-			for _, p := range r.inService {
-				p.Release()
-			}
+		for _, p := range r.InService {
+			r.DropNoRoute(p)
 		}
-		r.inService = r.inService[:0]
-		r.maybeRequest()
+		r.InService = r.InService[:0]
+		r.MaybeRequest()
 		return
 	}
-	r.txopSeq++
-	r.curTxop = uint64(r.env.ID)<<32 | r.txopSeq
+	txop := r.StartExchange()
 	f := &pkt.Frame{
 		Kind:     pkt.Data,
-		Tx:       r.env.ID,
+		Tx:       r.ID,
 		Rx:       pkt.Broadcast,
-		Origin:   r.env.ID,
-		FinalDst: r.svcDst,
+		Origin:   r.ID,
+		FinalDst: r.SvcDst,
 		FwdList:  fwd, // RouteBook-owned, immutable until the next route update
-		TxopID:   r.curTxop,
-		Packets:  append([]*pkt.Packet(nil), r.inService...),
-		FlowID:   r.svcFlow,
+		TxopID:   txop,
+		Packets:  append([]*pkt.Packet(nil), r.InService...),
+		FlowID:   r.SvcFlow,
 		// Multi-rate extension: pick the rate for the most probable first
 		// hop (the forwarder nearest the source); farther forwarders and
 		// the destination may then decode opportunistically or not.
-		RateBps: r.env.Rate(fwd[len(fwd)-1]),
+		RateBps: r.Rate(fwd[len(fwd)-1]),
 	}
 	f.Duration = r.dataDuration(f)
-	for _, p := range f.Packets {
-		p.Retries++
-	}
-	r.exchanging = true
-	r.env.C.TxFrames++
-	r.env.C.TxData++
-	r.env.C.TxPackets += uint64(len(f.Packets))
-	if r.attempts > 0 {
-		r.env.C.Retries++
-	}
-	r.env.Med.Transmit(f)
+	r.TransmitData(f)
 }
 
 func (r *Ripple) dataDuration(f *pkt.Frame) sim.Time {
@@ -274,74 +205,34 @@ func (r *Ripple) dataDuration(f *pkt.Frame) sim.Time {
 		perPkt = 0
 	}
 	payload := f.PayloadBytes(phys.MACHeaderBytes, perPkt, phys.ForwarderEntryBytes)
-	return r.env.P.DataTimeAt(payload, f.RateBps)
+	return r.P.DataTimeAt(payload, f.RateBps)
 }
 
 func (r *Ripple) ackDuration(fwdEntries int) sim.Time {
 	bytes := phys.ACKFrameBytes + phys.BitmapACKBytes + fwdEntries*phys.ForwarderEntryBytes
-	return r.env.P.PHYHdr + sim.Time(float64(bytes*8)/r.env.P.BasicBps*1e9)
+	return r.P.PHYHdr + sim.Time(float64(bytes*8)/r.P.BasicBps*1e9)
 }
 
-// TxDone implements radio.MAC: after the source's own data frame ends, arm
-// the end-to-end ACK timeout covering the worst-case mTXOP duration.
-func (r *Ripple) TxDone(f *pkt.Frame) {
-	if r.down || f.Kind != pkt.Data || f.Origin != r.env.ID || f.TxopID != r.curTxop || !r.exchanging {
-		return
-	}
+// Sent implements forward.Protocol: the source's own data frame ended (a
+// relayed frame carries its source's txop, never ours) — arm the end-to-end
+// ACK timeout covering the worst-case mTXOP duration.
+func (r *Ripple) Sent(f *pkt.Frame) {
 	m := len(f.FwdList) - 1 // forwarders (list includes the destination)
-	hopGap := r.env.P.SIFS + sim.Time(m)*r.env.P.Slot
+	hopGap := r.P.SIFS + sim.Time(m)*r.P.Slot
 	dataPath := sim.Time(m) * (hopGap + f.Duration)
 	ackPath := sim.Time(m+1) * (hopGap + r.ackDuration(len(f.FwdList)))
-	timeout := dataPath + ackPath + 4*sim.Microsecond
-	r.ackTimer = r.env.Eng.After(timeout, r.onAckTimeout)
+	r.AwaitReply(dataPath + ackPath + 4*sim.Microsecond)
 }
 
-func (r *Ripple) onAckTimeout() {
-	if !r.exchanging {
-		return
-	}
-	r.exchanging = false
-	r.attempts++
-	r.env.C.AckTimeouts++
-	if r.dropExpired() {
-		// Failure detection (fault injection): only abandoned packets —
-		// retry budget exhausted, not single mTXOP timeouts, which are
-		// routine on a lossy channel — feed forwarder blacklisting. No-op
-		// unless RouteBook.EnableFailureDetection was called.
-		r.env.Routes.NoteTxFailure(r.svcFlow, r.env.ID, r.svcDst)
-	}
-	if len(r.inService) == 0 {
-		r.attempts = 0
-		r.cont.Success()
-	} else {
-		r.cont.Failure()
-	}
-	r.maybeRequest()
+// Timeout implements forward.Protocol: no end-to-end ACK. Retransmission is
+// end to end, so each packet carries its own budget: those transmitted more
+// than RetryLimit times are abandoned, the rest retry.
+func (r *Ripple) Timeout() {
+	r.FailExchange(func(p *pkt.Packet) bool { return p.Retries > r.P.RetryLimit })
 }
 
-// dropExpired discards in-service packets past the retry limit and
-// reports whether any packet was abandoned.
-func (r *Ripple) dropExpired() bool {
-	kept := r.inService[:0]
-	dropped := false
-	for _, p := range r.inService {
-		if p.Retries > r.env.P.RetryLimit {
-			r.env.C.MACDrops++
-			dropped = true
-			p.Release() // abandoned by the source: terminal drop point
-			continue
-		}
-		kept = append(kept, p)
-	}
-	r.inService = kept
-	return dropped
-}
-
-// FrameReceived implements radio.MAC.
-func (r *Ripple) FrameReceived(f *pkt.Frame, pktOK []bool) {
-	if r.down {
-		return // reception completed after the crash: the station is gone
-	}
+// Receive implements forward.Protocol.
+func (r *Ripple) Receive(f *pkt.Frame, pktOK []bool) {
 	switch f.Kind {
 	case pkt.Ack:
 		r.handleAck(f)
@@ -370,10 +261,10 @@ func (r *Ripple) handleAck(f *pkt.Frame) {
 			r.piggy[f.TxopID] = kept
 		}
 	}
-	if r.exchanging && f.Origin == r.env.ID {
-		matched := f.TxopID == r.curTxop
-		kept := r.inService[:0]
-		for _, p := range r.inService {
+	if r.Exchanging() && f.Origin == r.ID {
+		matched := r.Open(f.TxopID)
+		kept := r.InService[:0]
+		for _, p := range r.InService {
 			if forward.Acked(f.AckedUIDs, p.UID) {
 				matched = true
 				p.Release() // acknowledged end to end: the source's ref ends
@@ -381,22 +272,17 @@ func (r *Ripple) handleAck(f *pkt.Frame) {
 			}
 			kept = append(kept, p)
 		}
-		r.inService = kept
+		r.InService = kept
 		if matched {
-			r.env.Eng.Cancel(r.ackTimer)
-			r.exchanging = false
-			r.attempts = 0
-			r.env.Routes.NoteTxSuccess(r.svcFlow, r.env.ID)
-			r.cont.Success()
-			r.maybeRequest()
+			r.Succeed()
 		}
 		return
 	}
 
 	// Forwarder: relay the MAC ACK toward the source after (i−1)·Slot+SIFS
 	// idle, where i ranks stations by proximity to the source.
-	myData := f.RankOf(r.env.ID)
-	if myData < 0 || f.Origin == r.env.ID {
+	myData := f.RankOf(r.ID)
+	if myData < 0 || f.Origin == r.ID {
 		return
 	}
 	n := len(f.FwdList)
@@ -414,7 +300,7 @@ func (r *Ripple) handleAck(f *pkt.Frame) {
 		return
 	}
 	r.armRelay(f.TxopID, f.TxopID, false, myAck,
-		sim.Time(myAck-1)*r.env.P.Slot+r.env.P.SIFS, f, nil)
+		sim.Time(myAck-1)*r.P.Slot+r.P.SIFS, f, nil)
 }
 
 // fireAckRelay relays a decoded MAC ACK toward the source.
@@ -422,18 +308,18 @@ func (r *Ripple) fireAckRelay(p *pendingRelay) {
 	f := p.frame
 	r.seenAck[f.TxopID] = true
 	relay := f.Clone()
-	relay.Tx = r.env.ID
+	relay.Tx = r.ID
 	relay.Duration = r.ackDuration(len(relay.FwdList))
-	r.env.C.TxFrames++
-	r.env.C.Relays++
-	r.env.Med.Transmit(relay)
+	r.C.TxFrames++
+	r.C.Relays++
+	r.Med.Transmit(relay)
 }
 
 // handleData covers the destination (ACK + deliver) and forwarder (relay)
 // roles for an opportunistic data frame.
 func (r *Ripple) handleData(f *pkt.Frame, pktOK []bool) {
-	myRank := f.RankOf(r.env.ID)
-	if myRank < 0 || f.Origin == r.env.ID {
+	myRank := f.RankOf(r.ID)
+	if myRank < 0 || f.Origin == r.ID {
 		return
 	}
 	// okScratch is valid only within this handler; anything retained
@@ -448,32 +334,32 @@ func (r *Ripple) handleData(f *pkt.Frame, pktOK []bool) {
 	if len(okPkts) == 0 {
 		// Header decodable but every sub-packet corrupted: stay silent so
 		// a forwarder that fared better can relay; EIFS applies.
-		r.cont.NoteCorrupted()
+		r.Cont.NoteCorrupted()
 		return
 	}
 
 	if myRank == 0 {
 		// Destination: bitmap-ACK after SIFS, deliver through Rq.
-		r.env.C.RxData++
+		r.C.RxData++
 		okUIDs := make([]uint64, len(okPkts))
 		for i, p := range okPkts {
 			okUIDs[i] = p.UID
 		}
 		ack := &pkt.Frame{
 			Kind:      pkt.Ack,
-			Tx:        r.env.ID,
+			Tx:        r.ID,
 			Rx:        f.Origin,
 			Origin:    f.Origin,
 			FinalDst:  f.Origin,
 			FwdList:   f.FwdList, // immutable once transmitted
 			TxopID:    f.TxopID,
 			AckedUIDs: okUIDs,
-			Acker:     r.env.ID,
+			Acker:     r.ID,
 			AckerRank: 0,
 			FlowID:    f.FlowID,
 		}
 		ack.Duration = r.ackDuration(len(ack.FwdList))
-		r.delayTx(r.env.P.SIFS, ack)
+		r.TransmitAfter(r.P.SIFS, ack)
 		for _, p := range okPkts {
 			r.deliver(p)
 		}
@@ -494,7 +380,7 @@ func (r *Ripple) handleData(f *pkt.Frame, pktOK []bool) {
 		return
 	}
 	r.armRelay(f.TxopID^dataRelayTag, f.TxopID, true, myRank,
-		sim.Time(myRank)*r.env.P.Slot+r.env.P.SIFS, f, okPkts)
+		sim.Time(myRank)*r.P.Slot+r.P.SIFS, f, okPkts)
 }
 
 // fireDataRelay relays the decoded sub-packets of an overheard data frame.
@@ -502,7 +388,7 @@ func (r *Ripple) fireDataRelay(p *pendingRelay) {
 	f := p.frame
 	r.seenData[f.TxopID] = true
 	relay := f.Clone()
-	relay.Tx = r.env.ID
+	relay.Tx = r.ID
 	// The relay frame outlives the pooled pendingRelay, so it gets its own
 	// copy of the packet set.
 	relay.Packets = append([]*pkt.Packet(nil), p.pkts...)
@@ -510,16 +396,16 @@ func (r *Ripple) fireDataRelay(p *pendingRelay) {
 		r.piggyback(relay)
 	}
 	relay.Duration = r.dataDuration(relay)
-	r.env.C.TxFrames++
-	r.env.C.Relays++
-	r.env.Med.Transmit(relay)
+	r.C.TxFrames++
+	r.C.Relays++
+	r.Med.Transmit(relay)
 }
 
 // piggyback tops a relayed frame up with local packets bound for the same
 // destination (Remark 3). They are reclaimed on ACK or timeout.
 func (r *Ripple) piggyback(relay *pkt.Frame) {
 	room := r.opt.MaxAgg - len(relay.Packets)
-	local := r.queue.PopNWhere(room, func(p *pkt.Packet) bool {
+	local := r.Queue.PopNWhere(room, func(p *pkt.Packet) bool {
 		return p.Dst == relay.FinalDst
 	})
 	if len(local) == 0 {
@@ -529,8 +415,8 @@ func (r *Ripple) piggyback(relay *pkt.Frame) {
 	r.piggy[relay.TxopID] = append(r.piggy[relay.TxopID], local...)
 	// If the mTXOP's ACK never comes back through us, reclaim the packets
 	// so they are retransmitted in our own transmission opportunity.
-	deadline := 4 * (r.env.P.SIFS + 5*r.env.P.Slot + r.dataDuration(relay))
-	r.env.Eng.After(deadline, func() { r.reclaimPiggy(relay.TxopID) })
+	deadline := 4 * (r.P.SIFS + 5*r.P.Slot + r.dataDuration(relay))
+	r.Eng.After(deadline, func() { r.reclaimPiggy(relay.TxopID) })
 }
 
 // reclaimPiggy returns unacknowledged piggybacked packets to the queue.
@@ -541,9 +427,9 @@ func (r *Ripple) reclaimPiggy(txop uint64) {
 	}
 	delete(r.piggy, txop)
 	for i := len(pending) - 1; i >= 0; i-- {
-		r.queue.PushFront(pending[i])
+		r.Queue.PushFront(pending[i])
 	}
-	r.maybeRequest()
+	r.MaybeRequest()
 }
 
 // dataRelayTag disambiguates data-relay timers from ACK-relay timers for
@@ -592,7 +478,7 @@ func (r *Ripple) newRelay() *pendingRelay {
 // its next life is armed during a busy period, and the relay would never
 // be scheduled.
 func (r *Ripple) releaseRelay(p *pendingRelay) {
-	r.env.Eng.Cancel(p.ev)
+	r.Eng.Cancel(p.ev)
 	for i, pk := range p.pkts {
 		pk.Release()
 		p.pkts[i] = nil
@@ -600,41 +486,6 @@ func (r *Ripple) releaseRelay(p *pendingRelay) {
 	p.pkts = p.pkts[:0]
 	p.frame = nil
 	r.freeRelays = append(r.freeRelays, p)
-}
-
-// delayedTx transmits a frame after a fixed delay unless the station is
-// mid-transmission by then (the SIFS-spaced ACK rule). Pooled so the
-// per-reception ACK schedule allocates nothing.
-type delayedTx struct {
-	r    *Ripple
-	f    *pkt.Frame
-	next *delayedTx
-}
-
-func (a *delayedTx) Run() {
-	r, f := a.r, a.f
-	a.f = nil
-	a.next = r.freeTx
-	r.freeTx = a
-	if r.down || r.env.Med.Transmitting(r.env.ID) {
-		return
-	}
-	r.env.C.TxFrames++
-	r.env.Med.Transmit(f)
-}
-
-// delayTx schedules f for transmission after d, skipping it if the
-// station is transmitting at that instant (matching the inline ACK rule).
-func (r *Ripple) delayTx(d sim.Time, f *pkt.Frame) {
-	a := r.freeTx
-	if a != nil {
-		r.freeTx = a.next
-		a.next = nil
-	} else {
-		a = &delayedTx{r: r}
-	}
-	a.f = f
-	r.env.Eng.Do(r.env.Eng.Now()+d, a)
 }
 
 // findRelay returns the pending relay with the given key, or nil.
@@ -665,20 +516,20 @@ func (r *Ripple) dropRelay(p *pendingRelay) {
 // relay's own buffer with a reference per packet.
 func (r *Ripple) armRelay(key, txop uint64, isData bool, rank int, wait sim.Time,
 	f *pkt.Frame, okPkts []*pkt.Packet) {
-	busy := r.env.Med.CarrierBusy(r.env.ID)
+	busy := r.Med.CarrierBusy(r.ID)
 	if busy && !r.opt.RelayDefer {
-		r.env.C.RelayCancels++
+		r.C.RelayCancels++
 		return
 	}
 	if old := r.findRelay(key); old != nil {
-		r.env.Eng.Cancel(old.ev)
+		r.Eng.Cancel(old.ev)
 		r.dropRelay(old)
 		r.releaseRelay(old)
 	}
 	p := r.newRelay()
 	p.key, p.txop, p.isData, p.rank = key, txop, isData, rank
 	p.wait = wait
-	p.deadline = r.env.Eng.Now() + r.opt.RelayDeferLimit
+	p.deadline = r.Eng.Now() + r.opt.RelayDeferLimit
 	p.frame = f
 	p.pkts = append(p.pkts, okPkts...)
 	for _, pk := range p.pkts {
@@ -695,20 +546,20 @@ func (r *Ripple) schedule(p *pendingRelay) {
 	// it a fresh insertion sequence, so ordering matches a newly created
 	// event exactly.
 	if p.ev == nil {
-		p.ev = r.env.Eng.After(p.wait, p.run)
+		p.ev = r.Eng.After(p.wait, p.run)
 		return
 	}
-	r.env.Eng.Reschedule(p.ev, r.env.Eng.Now()+p.wait)
+	r.Eng.Reschedule(p.ev, r.Eng.Now()+p.wait)
 }
 
 // relayTimer is the relay's idle-wait callback.
 func (r *Ripple) relayTimer(p *pendingRelay) {
-	if r.env.Med.CarrierBusy(r.env.ID) || r.env.Med.Transmitting(r.env.ID) {
+	if r.Med.CarrierBusy(r.ID) || r.Med.Transmitting(r.ID) {
 		// Raced with a carrier transition in the same instant; the
 		// busy handler keeps or discards the pending state.
 		if !r.opt.RelayDefer {
 			r.dropRelay(p)
-			r.env.C.RelayCancels++
+			r.C.RelayCancels++
 			r.releaseRelay(p)
 		}
 		return
@@ -726,8 +577,8 @@ func (r *Ripple) relayTimer(p *pendingRelay) {
 func (r *Ripple) onCarrierBusy() {
 	if !r.opt.RelayDefer {
 		for _, p := range r.relays {
-			r.env.Eng.Cancel(p.ev)
-			r.env.C.RelayCancels++
+			r.Eng.Cancel(p.ev)
+			r.C.RelayCancels++
 			r.releaseRelay(p)
 		}
 		r.relays = r.relays[:0]
@@ -736,7 +587,7 @@ func (r *Ripple) onCarrierBusy() {
 	for _, p := range r.relays {
 		// Cancel pauses the wait; the event struct stays with the relay
 		// and is revived by schedule at the next idle.
-		r.env.Eng.Cancel(p.ev)
+		r.Eng.Cancel(p.ev)
 	}
 }
 
@@ -746,7 +597,7 @@ func (r *Ripple) onCarrierIdle() {
 	if !r.opt.RelayDefer {
 		return
 	}
-	now := r.env.Eng.Now()
+	now := r.Eng.Now()
 	kept := r.relays[:0]
 	for _, p := range r.relays {
 		if p.ev != nil && !p.ev.Canceled() {
@@ -754,7 +605,7 @@ func (r *Ripple) onCarrierIdle() {
 			continue
 		}
 		if now >= p.deadline {
-			r.env.C.RelayCancels++
+			r.C.RelayCancels++
 			r.releaseRelay(p)
 			continue
 		}
@@ -772,73 +623,32 @@ func (r *Ripple) suppressRelay(key uint64, coveringRank int) {
 		return
 	}
 	if coveringRank < p.rank {
-		r.env.Eng.Cancel(p.ev)
+		r.Eng.Cancel(p.ev)
 		r.dropRelay(p)
-		r.env.C.RelayCancels++
+		r.C.RelayCancels++
 		r.releaseRelay(p)
 	}
 }
 
-// FrameCorrupted implements radio.MAC.
-func (r *Ripple) FrameCorrupted() {
-	if r.down {
-		return
+// Carrier implements forward.Protocol: carrier pauses (or, in strict mode,
+// discards) pending relays; idle restarts the deferred waits.
+func (r *Ripple) Carrier(busy bool) bool {
+	if busy {
+		r.onCarrierBusy()
+	} else {
+		r.onCarrierIdle()
 	}
-	r.cont.NoteCorrupted()
+	return true
 }
 
-// ChannelBusy implements radio.MAC: carrier pauses (or, in strict mode,
-// discards) pending relays and freezes the contender.
-func (r *Ripple) ChannelBusy() {
-	if r.down {
-		return
-	}
-	r.onCarrierBusy()
-	r.cont.OnBusy()
-}
-
-// ChannelIdle implements radio.MAC: deferred relays restart their wait.
-func (r *Ripple) ChannelIdle() {
-	if r.down {
-		return
-	}
-	r.onCarrierIdle()
-	r.cont.OnIdle()
-}
-
-// Crash implements forward.Scheme: the station dies. Every packet it holds
-// custody of — the in-service batch, the send queue, armed relay buffers,
-// piggybacked packets awaiting a bitmap ACK and the resequencing buffers —
-// is released back to the pool so the pool-balance invariant survives the
-// crash, and all pending timers are withdrawn. Receptions the medium
-// already scheduled still run their bookkeeping but the down guards ignore
-// them. macSeq deliberately survives: restarting stream sequence numbers
-// at zero would make the destination's resequencer treat every
+// ReleaseCustody implements forward.Protocol: a crash releases every packet
+// held beyond Sq and the in-service batch — armed relay buffers, piggybacked
+// packets awaiting a bitmap ACK and the resequencing buffers — and withdraws
+// their timers. macSeq deliberately survives: restarting stream sequence
+// numbers at zero would make the destination's resequencer treat every
 // post-recovery packet as a stale duplicate.
-func (r *Ripple) Crash() {
-	if r.down {
-		return
-	}
-	r.down = true
+func (r *Ripple) ReleaseCustody() uint64 {
 	var dropped uint64
-	// Source-side exchange state.
-	r.env.Eng.Cancel(r.ackTimer)
-	r.exchanging = false
-	r.attempts = 0
-	for _, p := range r.inService {
-		dropped++
-		p.Release()
-	}
-	r.inService = r.inService[:0]
-	// Send queue.
-	for {
-		p := r.queue.Pop()
-		if p == nil {
-			break
-		}
-		dropped++
-		p.Release()
-	}
 	// Armed relays: releaseRelay cancels each timer and drops the packet
 	// references.
 	for _, p := range r.relays {
@@ -856,7 +666,7 @@ func (r *Ripple) Crash() {
 	}
 	// Destination-side resequencing buffers.
 	for key, q := range r.rq {
-		r.env.Eng.Cancel(q.holdEv)
+		r.Eng.Cancel(q.holdEv)
 		for seq, p := range q.buf {
 			dropped++
 			p.Release()
@@ -867,22 +677,5 @@ func (r *Ripple) Crash() {
 	// Duplicate-suppression memory dies with the station.
 	clear(r.seenData)
 	clear(r.seenAck)
-	r.cont.Cancel()
-	r.env.C.CrashDrops += dropped
-}
-
-// Recover implements forward.Scheme: the station reboots with empty MAC
-// state. Carrier transitions during the outage were dropped by the down
-// guards, so the contender is realigned with the medium's current view.
-func (r *Ripple) Recover() {
-	if !r.down {
-		return
-	}
-	r.down = false
-	if r.env.Med.CarrierBusy(r.env.ID) {
-		r.cont.OnBusy()
-	} else {
-		r.cont.OnIdle()
-	}
-	r.maybeRequest()
+	return dropped
 }

@@ -1,14 +1,17 @@
-// Package forward implements the packet-forwarding schemes the paper
-// compares RIPPLE against: predetermined unicast routing over plain DCF
-// ("D"), direct single-hop SPR ("S"), the AFR single-hop aggregation scheme
-// ("A"), and the opportunistic preExOR and MCExOR schemes from §II. The
-// RIPPLE scheme itself lives in internal/core and shares this package's
-// plumbing.
+// Package forward implements the 802.11 station every forwarding scheme is
+// built on, and the schemes the paper compares RIPPLE against. Station
+// (station.go) is the chassis: interface queue, DCF contender, exchange
+// bookkeeping, crash/recover and every MAC upcall guard, written once. A
+// scheme is a Protocol plugged into it and holds only its frame exchange:
+// Unicast is predetermined routing over plain DCF ("D"; direct single-hop
+// SPR "S") or with AFR aggregation ("A"), ExOR is the opportunistic preExOR
+// and MCExOR pair of §II, which differ only in their ACK schedule. RIPPLE
+// itself lives in internal/core on the same chassis. RouteBook answers the
+// schemes' routing questions.
 package forward
 
 import (
 	"ripple/internal/audit"
-	"ripple/internal/mac"
 	"ripple/internal/phys"
 	"ripple/internal/pkt"
 	"ripple/internal/radio"
@@ -18,7 +21,8 @@ import (
 
 // Scheme is one station's forwarding agent: it owns the station's MAC
 // behaviour (it is the radio.MAC upcall target) and accepts locally
-// originated packets from the transport layer.
+// originated packets from the transport layer. Station implements all of
+// it; a scheme gets it by embedding one.
 type Scheme interface {
 	radio.MAC
 	// Send hands a locally originated packet to the MAC send queue;
@@ -53,6 +57,24 @@ type Counters struct {
 	Duplicates   uint64 // duplicate receptions suppressed
 	Unreachable  uint64 // packets dropped because the flow's destination is unreachable
 	CrashDrops   uint64 // packets released from custody by a station crash
+}
+
+// Add sums b into c field by field (per-station tallies into a run total).
+// TestCountersAddCoversEveryField fails when a new field is left out.
+func (c *Counters) Add(b Counters) {
+	c.TxFrames += b.TxFrames
+	c.TxData += b.TxData
+	c.TxPackets += b.TxPackets
+	c.RxData += b.RxData
+	c.AckTimeouts += b.AckTimeouts
+	c.Retries += b.Retries
+	c.MACDrops += b.MACDrops
+	c.QueueDrops += b.QueueDrops
+	c.Relays += b.Relays
+	c.RelayCancels += b.RelayCancels
+	c.Duplicates += b.Duplicates
+	c.Unreachable += b.Unreachable
+	c.CrashDrops += b.CrashDrops
 }
 
 // RouteBook holds the per-flow routes for a run and answers the two
@@ -344,17 +366,8 @@ type Env struct {
 	// the PHY data rate to use toward a receiver (paper §V future work).
 	RateFor func(to pkt.NodeID) float64
 	// Audit is the deep-audit plane's auditor, nil unless the run enabled
-	// deep auditing. Schemes create their MAC queues through NewQueue so
-	// the queue is tapped when an auditor is present.
+	// deep auditing; Station.Init taps the station's MAC queue with it.
 	Audit *audit.Auditor
-}
-
-// NewQueue builds this station's MAC send queue, registering it with the
-// deep-audit plane when one is active (Audit nil-checks internally).
-func (e *Env) NewQueue(limit int) *mac.Queue {
-	q := mac.NewQueue(limit)
-	q.SetAudit(e.Audit.RegisterQueue(int(e.ID), limit, q.Len))
-	return q
 }
 
 // Rate returns the PHY rate toward `to`, or 0 (base rate) when the
@@ -364,12 +377,6 @@ func (e *Env) Rate(to pkt.NodeID) float64 {
 		return 0
 	}
 	return e.RateFor(to)
-}
-
-// NewContender builds the DCF contender for this station, routing grants to
-// the given callback.
-func (e *Env) NewContender(grant func()) *mac.Contender {
-	return mac.NewContender(e.Eng, e.P, e.RNG, grant)
 }
 
 // Acked reports whether uid appears in a frame's acknowledged-UID list.

@@ -1,6 +1,7 @@
 package forward
 
 import (
+	"reflect"
 	"testing"
 
 	"ripple/internal/phys"
@@ -248,5 +249,24 @@ func TestDedupe(t *testing.T) {
 	d.Seen(4) // evicts 1
 	if d.Seen(1) {
 		t.Fatal("evicted id should read as fresh again")
+	}
+}
+
+// Counters.Add hand-lists the fields; a counter added to the struct but not
+// to Add would silently vanish from Result.MAC. Every field gets a distinct
+// value on both sides, and every field of the sum must show both.
+func TestCountersAddCoversEveryField(t *testing.T) {
+	var a, b Counters
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetUint(uint64(i + 1))
+		bv.Field(i).SetUint(uint64(1000 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := av.Field(i).Uint(), uint64(1001*(i+1)); got != want {
+			t.Errorf("Counters.Add misses field %s: sum %d, want %d",
+				av.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -1,0 +1,356 @@
+package forward
+
+import (
+	"ripple/internal/mac"
+	"ripple/internal/pkt"
+	"ripple/internal/sim"
+)
+
+// Protocol is the part of a station that differs between schemes: the frame
+// exchange it runs once the station has won the channel, and what it does
+// with the frames it hears. A Station calls it only while the station is up.
+type Protocol interface {
+	// Grant: the contender won a transmission opportunity.
+	Grant()
+	// Sent: a frame of the station's own open exchange left the air.
+	Sent(f *pkt.Frame)
+	// Receive: a frame was decoded; pktOK flags its intact sub-packets and
+	// must not be retained.
+	Receive(f *pkt.Frame, pktOK []bool)
+	// Carrier: sensed carrier turned busy or idle. It runs before the
+	// contender hears of it and reports whether the contender should (a set
+	// NAV holds the contender frozen through a physical idle).
+	Carrier(busy bool) bool
+	// Timeout: the timer armed by AwaitReply ran out with the exchange open.
+	Timeout()
+	// ReleaseCustody: the station crashed. Release every packet reference
+	// and timer the protocol holds beyond the queue and the in-service batch,
+	// and return the number of references released.
+	ReleaseCustody() uint64
+}
+
+// Station is the 802.11 station every scheme is built on — the chassis. It
+// owns, once, everything that is not exchange protocol: the interface queue
+// and DCF contender, the bookkeeping of the one exchange a station may have
+// open (in-service batch, attempt count, txop numbering, reply timer), the
+// crashed state with every guard that goes with it, and a pool of delayed
+// transmissions. A scheme embeds a Station by value, calls Init with itself
+// as the Protocol, and thereby implements Scheme; a concern that cuts across
+// schemes (a counter, a lifecycle stamp, an audit tap) belongs here.
+type Station struct {
+	Env
+	Queue *mac.Queue // packets accepted but not yet in service
+	Cont  *mac.Contender
+	proto Protocol
+
+	// The open (or next) exchange. InService is the batch being transmitted
+	// until acknowledged or abandoned; SvcFlow and SvcDst name the flow and
+	// end-to-end direction its failures and successes are attributed to;
+	// Attempts counts its consecutive failures.
+	InService  []*pkt.Packet
+	SvcFlow    int
+	SvcDst     pkt.NodeID
+	Attempts   int
+	exchanging bool
+	curTxop    uint64
+	txopSeq    uint64
+	timer      *sim.Event
+	expireFn   func() // bound once, so arming the timer allocates no closure
+
+	freeTx *delayedTx
+
+	// down marks the station crashed (fault injection): every MAC upcall
+	// and local send is ignored until Recover.
+	down bool
+}
+
+// Init wires the chassis for one station running protocol p.
+func (s *Station) Init(env Env, p Protocol) {
+	s.Env = env
+	s.proto = p
+	s.Queue = mac.NewQueue(env.P.QueueLimit)
+	// Audit nil-checks internally: the queue is tapped only under deep audit.
+	s.Queue.SetAudit(env.Audit.RegisterQueue(int(env.ID), env.P.QueueLimit, s.Queue.Len))
+	s.Cont = mac.NewContender(env.Eng, env.P, env.RNG, p.Grant)
+	s.expireFn = s.expire
+}
+
+// Send implements Scheme.
+func (s *Station) Send(p *pkt.Packet) bool {
+	if s.down {
+		s.C.CrashDrops++
+		p.Release() // station is crashed: terminal drop point
+		return false
+	}
+	if s.Routes.Unreachable(p.FlowID) {
+		// The destination is known unreachable this epoch: drop at the
+		// source instead of burning airtime on doomed retries.
+		s.DropNoRoute(p)
+		return false
+	}
+	if !s.Enqueue(p) {
+		p.Release() // queue full: terminal drop point for the sender's ref
+		return false
+	}
+	s.MaybeRequest()
+	return true
+}
+
+// Enqueue stamps p and appends it to the interface queue, counting the drop
+// when the queue is full. The caller owns the reference either way.
+func (s *Station) Enqueue(p *pkt.Packet) bool {
+	p.EnqueuedAt = s.Eng.Now()
+	if !s.Queue.Push(p) {
+		s.C.QueueDrops++
+		return false
+	}
+	return true
+}
+
+// DropNoRoute is the terminal drop of a packet the route book has no way
+// forward for: typed unreachable when faults cut the destination off, a
+// plain MAC drop otherwise (a route update left the packet stranded here).
+func (s *Station) DropNoRoute(p *pkt.Packet) {
+	if s.Routes.Unreachable(p.FlowID) {
+		s.C.Unreachable++
+		s.Routes.NoteUnreachableDrop(p.FlowID)
+	} else {
+		s.C.MACDrops++
+	}
+	p.Release()
+}
+
+// QueueLen implements Scheme.
+func (s *Station) QueueLen() int { return s.Queue.Len() + len(s.InService) }
+
+// MaybeRequest asks for a transmission opportunity when there is something
+// to send and no exchange is open.
+func (s *Station) MaybeRequest() {
+	if s.exchanging || (len(s.InService) == 0 && s.Queue.Len() == 0) {
+		return
+	}
+	s.Cont.Request()
+}
+
+// Exchanging reports whether an exchange is open.
+func (s *Station) Exchanging() bool { return s.exchanging }
+
+// Open reports whether txop names the station's open exchange.
+func (s *Station) Open(txop uint64) bool { return s.exchanging && txop == s.curTxop }
+
+// StartExchange opens an exchange over the in-service batch and returns its
+// txop id: every packet is charged one transmission, and a retransmission
+// counts as a retry.
+func (s *Station) StartExchange() uint64 {
+	s.txopSeq++
+	s.curTxop = uint64(s.ID)<<32 | s.txopSeq
+	s.exchanging = true
+	for _, p := range s.InService {
+		p.Retries++
+	}
+	if s.Attempts > 0 {
+		s.C.Retries++
+	}
+	return s.curTxop
+}
+
+// TransmitData puts a data frame on the air and counts it.
+func (s *Station) TransmitData(f *pkt.Frame) {
+	s.C.TxFrames++
+	s.C.TxData++
+	s.C.TxPackets += uint64(len(f.Packets))
+	s.Med.Transmit(f)
+}
+
+// AwaitReply arms the exchange's reply timer: Protocol.Timeout runs after d
+// unless CancelReply, Succeed or a crash comes first.
+func (s *Station) AwaitReply(d sim.Time) { s.timer = s.Eng.After(d, s.expireFn) }
+
+// CancelReply withdraws the reply timer (the awaited frame arrived).
+func (s *Station) CancelReply() { s.Eng.Cancel(s.timer) }
+
+func (s *Station) expire() {
+	if s.exchanging {
+		s.proto.Timeout()
+	}
+}
+
+// Succeed closes the exchange as acknowledged. The protocol has already
+// released the acknowledged packets from InService; what remains, if
+// anything, goes out in the next exchange with a fresh retry budget.
+func (s *Station) Succeed() {
+	s.Eng.Cancel(s.timer)
+	s.exchanging = false
+	s.Attempts = 0
+	s.Routes.NoteTxSuccess(s.SvcFlow, s.ID)
+	s.Cont.Success()
+	s.MaybeRequest()
+}
+
+// FailExchange closes the exchange as failed: in-service packets the
+// protocol's rule declares expired are abandoned, the rest back off and
+// retry. Only abandonment — never a single timeout, which is routine on a
+// lossy channel (relays often carry the packet even when the sender hears
+// no ACK) — feeds forwarder blacklisting, because a dead preferred
+// forwarder exhausts the retry budget on every packet. NoteTxFailure is a
+// no-op unless RouteBook.EnableFailureDetection was called.
+func (s *Station) FailExchange(expired func(*pkt.Packet) bool) {
+	s.exchanging = false
+	s.Attempts++
+	s.C.AckTimeouts++
+	kept := s.InService[:0]
+	for _, p := range s.InService {
+		if expired(p) {
+			s.C.MACDrops++
+			p.Release() // abandoned by the sender: terminal drop point
+			continue
+		}
+		kept = append(kept, p)
+	}
+	if len(kept) < len(s.InService) {
+		s.Routes.NoteTxFailure(s.SvcFlow, s.ID, s.SvcDst)
+	}
+	s.InService = kept
+	if len(kept) == 0 {
+		s.Attempts = 0
+		s.Cont.Success() // CW resets after a drop per 802.11
+	} else {
+		s.Cont.Failure()
+	}
+	s.MaybeRequest()
+}
+
+// BudgetSpent is the expiry rule of per-hop exchanges: the whole batch is
+// abandoned once the exchange has failed more than RetryLimit times.
+func (s *Station) BudgetSpent(*pkt.Packet) bool { return s.Attempts > s.P.RetryLimit }
+
+// delayedTx transmits a frame after a fixed delay unless the station is
+// down or mid-transmission by then (pathological overlap: skip, the peer
+// times out). A data frame belongs to the station's own exchange — the
+// post-CTS data of an RTS handshake — and is also skipped when that
+// exchange was abandoned meanwhile. Pooled per station so SIFS-spaced ACK
+// and RTS/CTS schedules allocate nothing.
+type delayedTx struct {
+	s    *Station
+	f    *pkt.Frame
+	next *delayedTx
+}
+
+func (a *delayedTx) Run() {
+	s, f := a.s, a.f
+	a.f = nil
+	a.next = s.freeTx
+	s.freeTx = a
+	if s.down || s.Med.Transmitting(s.ID) {
+		return
+	}
+	if f.Kind == pkt.Data {
+		if s.exchanging {
+			s.TransmitData(f)
+		}
+		return
+	}
+	s.C.TxFrames++
+	s.Med.Transmit(f)
+}
+
+// TransmitAfter schedules f for transmission after d under delayedTx's rules.
+func (s *Station) TransmitAfter(d sim.Time, f *pkt.Frame) {
+	a := s.freeTx
+	if a != nil {
+		s.freeTx = a.next
+		a.next = nil
+	} else {
+		a = &delayedTx{s: s}
+	}
+	a.f = f
+	s.Eng.Do(s.Eng.Now()+d, a)
+}
+
+// TxDone implements radio.MAC: only the end of a frame of the open exchange
+// needs a follow-up (frames sent on a peer's behalf carry the peer's txop).
+func (s *Station) TxDone(f *pkt.Frame) {
+	if s.down || !s.Open(f.TxopID) {
+		return
+	}
+	s.proto.Sent(f)
+}
+
+// FrameReceived implements radio.MAC.
+func (s *Station) FrameReceived(f *pkt.Frame, pktOK []bool) {
+	if s.down {
+		return // reception completed after the crash: the station is gone
+	}
+	s.proto.Receive(f, pktOK)
+}
+
+// FrameCorrupted implements radio.MAC.
+func (s *Station) FrameCorrupted() {
+	if s.down {
+		return
+	}
+	s.Cont.NoteCorrupted()
+}
+
+// ChannelBusy implements radio.MAC.
+func (s *Station) ChannelBusy() {
+	if s.down {
+		return
+	}
+	if s.proto.Carrier(true) {
+		s.Cont.OnBusy()
+	}
+}
+
+// ChannelIdle implements radio.MAC.
+func (s *Station) ChannelIdle() {
+	if s.down {
+		return
+	}
+	if s.proto.Carrier(false) {
+		s.Cont.OnIdle()
+	}
+}
+
+// Crash implements Scheme: the station dies. The in-service batch, the
+// send queue and whatever the protocol holds privately release their
+// packet references so the pool-balance invariant survives the crash, and
+// pending timers are withdrawn. Receptions the medium already scheduled
+// still run their bookkeeping but the down guards ignore them.
+func (s *Station) Crash() {
+	if s.down {
+		return
+	}
+	s.down = true
+	s.Eng.Cancel(s.timer)
+	s.exchanging = false
+	s.Attempts = 0
+	dropped := uint64(len(s.InService))
+	for _, p := range s.InService {
+		p.Release()
+	}
+	s.InService = s.InService[:0]
+	for p := s.Queue.Pop(); p != nil; p = s.Queue.Pop() {
+		dropped++
+		p.Release()
+	}
+	dropped += s.proto.ReleaseCustody()
+	s.Cont.Cancel()
+	s.C.CrashDrops += dropped
+}
+
+// Recover implements Scheme: reboot with empty MAC state and realign the
+// contender with the medium's current carrier view (busy transitions
+// during the outage were dropped by the down guards).
+func (s *Station) Recover() {
+	if !s.down {
+		return
+	}
+	s.down = false
+	if s.Med.CarrierBusy(s.ID) {
+		s.Cont.OnBusy()
+	} else {
+		s.Cont.OnIdle()
+	}
+	s.MaybeRequest()
+}

@@ -1,7 +1,6 @@
 package forward
 
 import (
-	"ripple/internal/mac"
 	"ripple/internal/phys"
 	"ripple/internal/pkt"
 	"ripple/internal/sim"
@@ -16,82 +15,19 @@ import (
 //     one frame, each protected by its own CRC, with a bitmap ACK and
 //     partial (per-packet) retransmission.
 type Unicast struct {
-	env       Env
+	Station
 	maxAgg    int
 	rtsThresh int // payload bytes above which RTS/CTS protects the exchange; 0 = off
 
-	queue *mac.Queue
-	cont  *mac.Contender
-
-	// exchange in progress
-	inService  []*pkt.Packet
-	svcNext    pkt.NodeID // next hop of the in-service batch
-	svcFlow    int
-	svcDst     pkt.NodeID // end-to-end direction endpoint of the batch
-	exchanging bool
-	awaitCTS   bool
-	dataFrame  *pkt.Frame // built at grant; sent after CTS when RTS/CTS is on
-	attempts   int
-	curTxop    uint64
-	txopSeq    uint64
-	ackTimer   *sim.Event
-	ctsTimer   *sim.Event
+	svcNext   pkt.NodeID // next hop of the in-service batch
+	awaitCTS  bool
+	dataFrame *pkt.Frame // built at grant; sent after CTS when RTS/CTS is on
 
 	// NAV: virtual carrier sense set by overheard RTS/CTS.
 	navUntil sim.Time
 	navBusy  bool
 
 	rxSeen *dedupe
-	// freeTx recycles the SIFS-delayed transmit actions.
-	freeTx *uniDelayedTx
-
-	// down marks the station crashed (fault injection): every MAC upcall
-	// and local send is ignored until Recover.
-	down bool
-}
-
-// uniDelayedTx transmits a frame after SIFS unless the station is
-// mid-transmission (and, for the post-CTS data frame, unless the exchange
-// was abandoned meanwhile). Pooled per scheme so the per-reception ACK and
-// RTS/CTS schedules allocate nothing.
-type uniDelayedTx struct {
-	u            *Unicast
-	f            *pkt.Frame
-	needExchange bool // post-CTS data: require the exchange still open
-	next         *uniDelayedTx
-}
-
-func (a *uniDelayedTx) Run() {
-	u, f, need := a.u, a.f, a.needExchange
-	a.f = nil
-	a.next = u.freeTx
-	u.freeTx = a
-	if u.down || (need && !u.exchanging) {
-		return
-	}
-	if u.env.Med.Transmitting(u.env.ID) {
-		return // pathological overlap: skip, the peer times out
-	}
-	if f.Kind == pkt.Data {
-		u.transmitData(f)
-		return
-	}
-	u.env.C.TxFrames++
-	u.env.Med.Transmit(f)
-}
-
-// delayTx schedules f for transmission after d under uniDelayedTx's rules.
-func (u *Unicast) delayTx(d sim.Time, f *pkt.Frame, needExchange bool) {
-	a := u.freeTx
-	if a != nil {
-		u.freeTx = a.next
-		a.next = nil
-	} else {
-		a = &uniDelayedTx{u: u}
-	}
-	a.f = f
-	a.needExchange = needExchange
-	u.env.Eng.Do(u.env.Eng.Now()+d, a)
 }
 
 var _ Scheme = (*Unicast)(nil)
@@ -109,61 +45,17 @@ func NewUnicastRTS(env Env, maxAgg, rtsThreshold int) *Unicast {
 	if maxAgg < 1 {
 		maxAgg = 1
 	}
-	u := &Unicast{
-		env:       env,
-		maxAgg:    maxAgg,
-		rtsThresh: rtsThreshold,
-		queue:     env.NewQueue(env.P.QueueLimit),
-		rxSeen:    newDedupe(4096),
-	}
-	u.cont = env.NewContender(u.onGrant)
+	u := &Unicast{maxAgg: maxAgg, rtsThresh: rtsThreshold, rxSeen: newDedupe(4096)}
+	u.Init(env, u)
 	return u
 }
 
-// Send implements Scheme.
-func (u *Unicast) Send(p *pkt.Packet) bool {
-	if u.down {
-		u.env.C.CrashDrops++
-		p.Release() // station is crashed: terminal drop point
-		return false
-	}
-	if u.env.Routes.Unreachable(p.FlowID) {
-		// The destination is known unreachable this epoch: drop at the
-		// source instead of burning airtime on doomed retries.
-		u.env.C.Unreachable++
-		u.env.Routes.NoteUnreachableDrop(p.FlowID)
-		p.Release()
-		return false
-	}
-	p.EnqueuedAt = u.env.Eng.Now()
-	if !u.queue.Push(p) {
-		u.env.C.QueueDrops++
-		p.Release() // queue full: terminal drop point for the sender's ref
-		return false
-	}
-	u.maybeRequest()
-	return true
-}
-
-// QueueLen implements Scheme.
-func (u *Unicast) QueueLen() int { return u.queue.Len() + len(u.inService) }
-
-func (u *Unicast) maybeRequest() {
-	if u.exchanging {
-		return
-	}
-	if len(u.inService) == 0 && u.queue.Len() == 0 {
-		return
-	}
-	u.cont.Request()
-}
-
-// onGrant fires when the contender wins a transmission opportunity.
-func (u *Unicast) onGrant() {
-	if len(u.inService) == 0 {
+// Grant implements Protocol: the contender won a transmission opportunity.
+func (u *Unicast) Grant() {
+	if len(u.InService) == 0 {
 		u.buildBatch()
 	}
-	if len(u.inService) == 0 {
+	if len(u.InService) == 0 {
 		return // everything expired while contending
 	}
 	u.transmitBatch()
@@ -172,28 +64,22 @@ func (u *Unicast) onGrant() {
 // buildBatch pops up to maxAgg packets sharing the head packet's next hop.
 func (u *Unicast) buildBatch() {
 	for {
-		head := u.queue.Peek()
+		head := u.Queue.Peek()
 		if head == nil {
 			return
 		}
-		next, ok := u.env.Routes.NextHop(head.FlowID, u.env.ID, head.Dst)
+		next, ok := u.Routes.NextHop(head.FlowID, u.ID, head.Dst)
 		if !ok {
 			// No route from here: drop and try the next packet.
-			u.queue.Pop()
-			if u.env.Routes.Unreachable(head.FlowID) {
-				u.env.C.Unreachable++
-				u.env.Routes.NoteUnreachableDrop(head.FlowID)
-			} else {
-				u.env.C.MACDrops++
-			}
-			head.Release()
+			u.Queue.Pop()
+			u.DropNoRoute(head)
 			continue
 		}
 		u.svcNext = next
-		u.svcFlow = head.FlowID
-		u.svcDst = head.Dst
-		u.inService = u.queue.PopNWhereInto(u.inService[:0], u.maxAgg, func(p *pkt.Packet) bool {
-			nh, ok := u.env.Routes.NextHop(p.FlowID, u.env.ID, p.Dst)
+		u.SvcFlow = head.FlowID
+		u.SvcDst = head.Dst
+		u.InService = u.Queue.PopNWhereInto(u.InService[:0], u.maxAgg, func(p *pkt.Packet) bool {
+			nh, ok := u.Routes.NextHop(p.FlowID, u.ID, p.Dst)
 			return ok && nh == next
 		})
 		return
@@ -201,141 +87,83 @@ func (u *Unicast) buildBatch() {
 }
 
 func (u *Unicast) transmitBatch() {
-	u.txopSeq++
-	u.curTxop = uint64(u.env.ID)<<32 | u.txopSeq
+	txop := u.StartExchange()
 	perPkt := 0
 	if u.maxAgg > 1 {
 		perPkt = phys.PerPacketCRCBytes
 	}
 	f := &pkt.Frame{
 		Kind:     pkt.Data,
-		Tx:       u.env.ID,
+		Tx:       u.ID,
 		Rx:       u.svcNext,
-		Origin:   u.env.ID,
+		Origin:   u.ID,
 		FinalDst: u.svcNext,
-		TxopID:   u.curTxop,
-		Packets:  append([]*pkt.Packet(nil), u.inService...),
-		FlowID:   u.svcFlow,
-		RateBps:  u.env.Rate(u.svcNext),
+		TxopID:   txop,
+		Packets:  append([]*pkt.Packet(nil), u.InService...),
+		FlowID:   u.SvcFlow,
+		RateBps:  u.Rate(u.svcNext),
 	}
 	payload := f.PayloadBytes(phys.MACHeaderBytes, perPkt, 0)
-	f.Duration = u.env.P.DataTimeAt(payload, f.RateBps)
-	for _, p := range f.Packets {
-		p.Retries++
-	}
-	u.exchanging = true
-	if u.attempts > 0 {
-		u.env.C.Retries++
-	}
+	f.Duration = u.P.DataTimeAt(payload, f.RateBps)
 	if u.rtsThresh > 0 && payload >= u.rtsThresh {
 		u.dataFrame = f
 		u.sendRTS(f)
 		return
 	}
-	u.transmitData(f)
+	u.TransmitData(f)
 }
 
 // sendRTS opens the protected exchange: RTS, then CTS from the peer, then
 // the data frame. The RTS announces the remaining exchange duration so
 // overhearing stations set their NAV.
 func (u *Unicast) sendRTS(data *pkt.Frame) {
-	p := u.env.P
+	p := u.P
 	rts := &pkt.Frame{
 		Kind:     pkt.Rts,
-		Tx:       u.env.ID,
+		Tx:       u.ID,
 		Rx:       u.svcNext,
-		Origin:   u.env.ID,
+		Origin:   u.ID,
 		FinalDst: u.svcNext,
-		TxopID:   u.curTxop,
-		FlowID:   u.svcFlow,
+		TxopID:   data.TxopID,
+		FlowID:   u.SvcFlow,
 		Duration: p.RTSTime(),
 		NavDur:   p.SIFS + p.CTSTime() + p.SIFS + data.Duration + p.SIFS + u.ackDuration(),
 	}
 	u.awaitCTS = true
-	u.env.C.TxFrames++
-	u.env.Med.Transmit(rts)
+	u.C.TxFrames++
+	u.Med.Transmit(rts)
 }
 
-func (u *Unicast) transmitData(f *pkt.Frame) {
-	u.env.C.TxFrames++
-	u.env.C.TxData++
-	u.env.C.TxPackets += uint64(len(f.Packets))
-	u.env.Med.Transmit(f)
-}
-
-// TxDone implements radio.MAC: arm the CTS timeout after our RTS, or the
-// ACK timeout after our data frame; other transmissions need no follow-up.
-func (u *Unicast) TxDone(f *pkt.Frame) {
-	if u.down || f.TxopID != u.curTxop || !u.exchanging {
-		return
-	}
+// Sent implements Protocol: arm the CTS timeout after our RTS, or the ACK
+// timeout after our data frame.
+func (u *Unicast) Sent(f *pkt.Frame) {
 	switch f.Kind {
 	case pkt.Rts:
 		if u.awaitCTS {
-			timeout := u.env.P.SIFS + u.env.P.Slot + u.env.P.CTSTime() + 2*sim.Microsecond
-			u.ctsTimer = u.env.Eng.After(timeout, u.onCtsTimeout)
+			u.AwaitReply(u.P.SIFS + u.P.Slot + u.P.CTSTime() + 2*sim.Microsecond)
 		}
 	case pkt.Data:
-		timeout := u.env.P.SIFS + u.env.P.Slot + u.ackDuration() + 2*sim.Microsecond
-		u.ackTimer = u.env.Eng.After(timeout, u.onAckTimeout)
+		u.AwaitReply(u.P.SIFS + u.P.Slot + u.ackDuration() + 2*sim.Microsecond)
 	}
-}
-
-func (u *Unicast) onCtsTimeout() {
-	if !u.awaitCTS || !u.exchanging {
-		return
-	}
-	u.awaitCTS = false
-	u.dataFrame = nil
-	u.failExchange()
 }
 
 func (u *Unicast) ackDuration() sim.Time {
 	if u.maxAgg > 1 {
-		return u.env.P.BitmapACKTime()
+		return u.P.BitmapACKTime()
 	}
-	return u.env.P.ACKTime()
+	return u.P.ACKTime()
 }
 
-func (u *Unicast) onAckTimeout() {
-	if !u.exchanging {
-		return
-	}
-	u.failExchange()
+// Timeout implements Protocol: no CTS, or no ACK. Back off and retry, or
+// drop the whole batch past the retry limit.
+func (u *Unicast) Timeout() {
+	u.awaitCTS = false
+	u.dataFrame = nil
+	u.FailExchange(u.BudgetSpent)
 }
 
-// failExchange ends the current exchange in failure: back off and retry, or
-// drop the batch past the retry limit.
-func (u *Unicast) failExchange() {
-	u.exchanging = false
-	u.attempts++
-	u.env.C.AckTimeouts++
-	if u.attempts > u.env.P.RetryLimit {
-		// Failure detection (fault injection): a streak of abandoned
-		// batches blacklists the suspected-dead next hop. Terminal drops,
-		// not single ACK timeouts, feed the streak — see the MCExOR
-		// collectDone comment. No-op unless
-		// RouteBook.EnableFailureDetection was called.
-		u.env.Routes.NoteTxFailure(u.svcFlow, u.env.ID, u.svcDst)
-		// Retry limit exceeded: drop the whole batch, reset the window.
-		u.env.C.MACDrops += uint64(len(u.inService))
-		for _, p := range u.inService {
-			p.Release()
-		}
-		u.inService = u.inService[:0]
-		u.attempts = 0
-		u.cont.Success() // CW resets after a drop per 802.11
-	} else {
-		u.cont.Failure()
-	}
-	u.maybeRequest()
-}
-
-// FrameReceived implements radio.MAC.
-func (u *Unicast) FrameReceived(f *pkt.Frame, pktOK []bool) {
-	if u.down {
-		return // reception completed after the crash: the station is gone
-	}
+// Receive implements Protocol.
+func (u *Unicast) Receive(f *pkt.Frame, pktOK []bool) {
 	switch f.Kind {
 	case pkt.Ack:
 		u.handleAck(f)
@@ -349,42 +177,42 @@ func (u *Unicast) FrameReceived(f *pkt.Frame, pktOK []bool) {
 }
 
 func (u *Unicast) handleRts(f *pkt.Frame) {
-	if f.Rx != u.env.ID {
+	if f.Rx != u.ID {
 		// Overheard: honour the announced exchange duration.
-		u.setNAV(u.env.Eng.Now() + f.NavDur)
+		u.setNAV(u.Eng.Now() + f.NavDur)
 		return
 	}
 	if u.navBusy {
 		return // our own NAV forbids responding (802.11 §9.2.5.7)
 	}
-	p := u.env.P
+	p := u.P
 	cts := &pkt.Frame{
 		Kind:     pkt.Cts,
-		Tx:       u.env.ID,
+		Tx:       u.ID,
 		Rx:       f.Tx,
-		Origin:   u.env.ID,
+		Origin:   u.ID,
 		FinalDst: f.Tx,
 		TxopID:   f.TxopID,
 		FlowID:   f.FlowID,
 		Duration: p.CTSTime(),
 		NavDur:   f.NavDur - p.SIFS - p.CTSTime(),
 	}
-	u.delayTx(p.SIFS, cts, false)
+	u.TransmitAfter(p.SIFS, cts)
 }
 
 func (u *Unicast) handleCts(f *pkt.Frame) {
-	if f.Rx != u.env.ID {
-		u.setNAV(u.env.Eng.Now() + f.NavDur)
+	if f.Rx != u.ID {
+		u.setNAV(u.Eng.Now() + f.NavDur)
 		return
 	}
-	if !u.awaitCTS || !u.exchanging || f.TxopID != u.curTxop {
+	if !u.awaitCTS || !u.Open(f.TxopID) {
 		return
 	}
-	u.env.Eng.Cancel(u.ctsTimer)
+	u.CancelReply()
 	u.awaitCTS = false
 	data := u.dataFrame
 	u.dataFrame = nil
-	u.delayTx(u.env.P.SIFS, data, true)
+	u.TransmitAfter(u.P.SIFS, data)
 }
 
 // setNAV extends the virtual carrier sense; the contender treats the NAV
@@ -396,56 +224,55 @@ func (u *Unicast) setNAV(until sim.Time) {
 	u.navUntil = until
 	if !u.navBusy {
 		u.navBusy = true
-		u.cont.OnBusy()
+		u.Cont.OnBusy()
 	}
-	u.env.Eng.At(until, u.navExpire)
+	u.Eng.At(until, u.navExpire)
 }
 
 func (u *Unicast) navExpire() {
-	if !u.navBusy || u.env.Eng.Now() < u.navUntil {
+	if !u.navBusy || u.Eng.Now() < u.navUntil {
 		return
 	}
 	u.navBusy = false
-	if !u.env.Med.CarrierBusy(u.env.ID) {
-		u.cont.OnIdle()
+	if !u.Med.CarrierBusy(u.ID) {
+		u.Cont.OnIdle()
 	}
 }
 
+// Carrier implements Protocol: a set NAV keeps the contender frozen even
+// when the physical channel goes quiet.
+func (u *Unicast) Carrier(busy bool) bool { return busy || !u.navBusy }
+
 func (u *Unicast) handleAck(f *pkt.Frame) {
-	if f.Rx != u.env.ID || !u.exchanging || f.TxopID != u.curTxop {
+	if f.Rx != u.ID || !u.Open(f.TxopID) {
 		return
 	}
-	u.env.Eng.Cancel(u.ackTimer)
-	u.exchanging = false
-	remaining := u.inService[:0]
-	for _, p := range u.inService {
+	remaining := u.InService[:0]
+	for _, p := range u.InService {
 		if Acked(f.AckedUIDs, p.UID) {
 			p.Release() // the next hop (or endpoint) holds it now
 			continue
 		}
-		if p.Retries > u.env.P.RetryLimit {
-			u.env.C.MACDrops++
+		if p.Retries > u.P.RetryLimit {
+			u.C.MACDrops++
 			p.Release()
 			continue
 		}
 		remaining = append(remaining, p)
 	}
-	u.inService = remaining
-	u.attempts = 0
-	u.env.Routes.NoteTxSuccess(u.svcFlow, u.env.ID)
-	u.cont.Success()
-	u.maybeRequest()
+	u.InService = remaining
+	u.Succeed()
 }
 
 func (u *Unicast) handleData(f *pkt.Frame, pktOK []bool) {
-	if f.Rx != u.env.ID {
+	if f.Rx != u.ID {
 		return
 	}
-	u.env.C.RxData++
+	u.C.RxData++
 	if u.maxAgg == 1 && (len(pktOK) == 0 || !pktOK[0]) {
 		// Plain DCF: the FCS covers the whole frame; a corrupted body is a
 		// corrupted frame — no ACK, and EIFS applies.
-		u.cont.NoteCorrupted()
+		u.Cont.NoteCorrupted()
 		return
 	}
 	// Acknowledge after SIFS. The bitmap lists packets that passed CRC;
@@ -465,115 +292,48 @@ func (u *Unicast) handleData(f *pkt.Frame, pktOK []bool) {
 	}
 	ack := &pkt.Frame{
 		Kind:      pkt.Ack,
-		Tx:        u.env.ID,
+		Tx:        u.ID,
 		Rx:        f.Tx,
-		Origin:    u.env.ID,
+		Origin:    u.ID,
 		FinalDst:  f.Tx,
 		TxopID:    f.TxopID,
 		AckedUIDs: ackUIDs,
 		FlowID:    f.FlowID,
 		Duration:  u.ackDuration(),
 	}
-	u.delayTx(u.env.P.SIFS, ack, false)
+	u.TransmitAfter(u.P.SIFS, ack)
 	// Process the successfully received packets.
 	for i, p := range f.Packets {
 		if i >= len(pktOK) || !pktOK[i] {
 			continue
 		}
 		if u.rxSeen.Seen(p.UID) {
-			u.env.C.Duplicates++
+			u.C.Duplicates++
 			continue
 		}
-		if p.Dst == u.env.ID {
-			u.env.Deliver(p)
+		if p.Dst == u.ID {
+			u.Deliver(p)
 			continue
 		}
 		// Relay toward the destination via our own queue, taking our own
 		// reference: the previous hop releases its hold when it processes
 		// our ACK.
-		p.EnqueuedAt = u.env.Eng.Now()
-		if u.queue.Push(p) {
+		if u.Enqueue(p) {
 			p.Ref()
-		} else {
-			u.env.C.QueueDrops++
 		}
 	}
-	u.maybeRequest()
+	u.MaybeRequest()
 }
 
-// FrameCorrupted implements radio.MAC.
-func (u *Unicast) FrameCorrupted() {
-	if u.down {
-		return
-	}
-	u.cont.NoteCorrupted()
-}
-
-// ChannelBusy implements radio.MAC.
-func (u *Unicast) ChannelBusy() {
-	if u.down {
-		return
-	}
-	u.cont.OnBusy()
-}
-
-// ChannelIdle implements radio.MAC: a set NAV keeps the contender frozen
-// even when the physical channel goes quiet.
-func (u *Unicast) ChannelIdle() {
-	if u.down || u.navBusy {
-		return
-	}
-	u.cont.OnIdle()
-}
-
-// Crash implements Scheme: the station dies. The in-service batch, the
-// send queue and the pending post-CTS data frame release their packet
-// references, timers are withdrawn and the NAV is forgotten. rxSeen
-// deliberately survives: forgetting delivered UIDs would let a hop-by-hop
-// retransmission duplicate packets into the upper layer after recovery.
-func (u *Unicast) Crash() {
-	if u.down {
-		return
-	}
-	u.down = true
-	var dropped uint64
-	u.env.Eng.Cancel(u.ackTimer)
-	u.env.Eng.Cancel(u.ctsTimer)
-	u.exchanging = false
+// ReleaseCustody implements Protocol: a crash abandons the handshake and
+// forgets the NAV; the pending post-CTS data frame shares the in-service
+// packets and holds no references of its own. rxSeen deliberately survives:
+// forgetting delivered UIDs would let a hop-by-hop retransmission duplicate
+// packets into the upper layer after recovery.
+func (u *Unicast) ReleaseCustody() uint64 {
 	u.awaitCTS = false
-	u.dataFrame = nil // shares the in-service packets, no refs of its own
-	u.attempts = 0
-	for _, p := range u.inService {
-		dropped++
-		p.Release()
-	}
-	u.inService = u.inService[:0]
-	for {
-		p := u.queue.Pop()
-		if p == nil {
-			break
-		}
-		dropped++
-		p.Release()
-	}
+	u.dataFrame = nil
 	u.navBusy = false
 	u.navUntil = 0
-	u.cont.Cancel()
-	u.env.C.CrashDrops += dropped
-}
-
-// Recover implements Scheme: reboot with empty MAC state and realign the
-// contender with the medium's current carrier view (busy transitions
-// during the outage were dropped by the down guards).
-func (u *Unicast) Recover() {
-	if !u.down {
-		return
-	}
-	u.down = false
-	if u.env.Med.CarrierBusy(u.env.ID) {
-		u.cont.OnBusy()
-	} else {
-		u.cont.OnIdle()
-	}
-	u.maybeRequest()
+	return 0
 }

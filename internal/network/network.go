@@ -718,7 +718,7 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{Duration: cfg.Duration, Events: eng.Processed(),
 		PendingAtEnd: eng.Pending(), Medium: medium.Counters}
 	for i := range counters {
-		res.MAC = addCounters(res.MAC, counters[i])
+		res.MAC.Add(counters[i])
 	}
 	res.RouteStale = routeStale
 	res.Unreachable = res.MAC.Unreachable
@@ -806,21 +806,4 @@ func newScheme(cfg Config, env forward.Env) forward.Scheme {
 		// validate() runs first; reaching this is a programming error.
 		panic(fmt.Sprintf("network: unknown scheme %d", int(cfg.Scheme)))
 	}
-}
-
-func addCounters(a, b forward.Counters) forward.Counters {
-	a.TxFrames += b.TxFrames
-	a.TxData += b.TxData
-	a.TxPackets += b.TxPackets
-	a.RxData += b.RxData
-	a.AckTimeouts += b.AckTimeouts
-	a.Retries += b.Retries
-	a.MACDrops += b.MACDrops
-	a.QueueDrops += b.QueueDrops
-	a.Relays += b.Relays
-	a.RelayCancels += b.RelayCancels
-	a.Duplicates += b.Duplicates
-	a.Unreachable += b.Unreachable
-	a.CrashDrops += b.CrashDrops
-	return a
 }
