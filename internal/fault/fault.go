@@ -170,11 +170,20 @@ type Schedule struct {
 	threshold       int
 	stationToggles  [][]sim.Time // per station: even index down, odd up
 	flapToggles     [][]sim.Time // per flapped link: even index down, odd up
-	flapIndex       map[[2]pkt.NodeID]int
+	flapPeers       [][]flapPeer // per station: its flapped links (nil without flaps)
 	bursts          []Burst
 	partAt, partEnd sim.Time
 	side            []bool // partition side per station (x above median)
 	events          []Event
+}
+
+// flapPeer is one flapped link seen from one of its endpoints: the other
+// endpoint and the link's row in flapToggles. A station has at most a
+// handful, and all but 2·FlapLinks stations have none, so the link veto is
+// a slice-length check for nearly every pair and never hashes.
+type flapPeer struct {
+	peer pkt.NodeID
+	row  int32
 }
 
 // Build materialises the schedule for a run of the given duration.
@@ -204,10 +213,11 @@ func Build(spec Spec, duration sim.Time, positions []radio.Pos, exempt []bool, l
 		down := orDefault(spec.FlapDown, DefaultFlapDown)
 		rng := sim.NewRNG(seed, 2)
 		picked := pickLinks(rng, links, spec.FlapLinks)
-		s.flapIndex = make(map[[2]pkt.NodeID]int, len(picked))
+		s.flapPeers = make([][]flapPeer, len(positions))
 		s.flapToggles = make([][]sim.Time, len(picked))
 		for k, l := range picked {
-			s.flapIndex[l] = k
+			s.flapPeers[l[0]] = append(s.flapPeers[l[0]], flapPeer{l[1], int32(k)})
+			s.flapPeers[l[1]] = append(s.flapPeers[l[1]], flapPeer{l[0], int32(k)})
 			lr := sim.NewRNG(seed, 2_000_000+uint64(k))
 			s.flapToggles[k] = toggleTimes(lr, up, down, duration)
 		}
@@ -331,7 +341,7 @@ func splitSides(positions []radio.Pos) []bool {
 
 // buildEvents flattens station and noise toggles into one (time, kind,
 // subject)-sorted list. Link flaps and the partition deliberately emit no
-// events — the medium queries LinkBlocked per transmission instead.
+// events — the medium queries BlocksFrom per transmission instead.
 func (s *Schedule) buildEvents(duration sim.Time) {
 	for i, ts := range s.stationToggles {
 		for k, t := range ts {
@@ -397,25 +407,35 @@ func (s *Schedule) StationDownAt(i pkt.NodeID, t sim.Time) bool {
 // flapped link in its down phase, or a partition-crossing link during the
 // partition window. Symmetric in a and b.
 func (s *Schedule) LinkBlockedAt(a, b pkt.NodeID, t sim.Time) bool {
-	if s.flapIndex != nil {
-		key := [2]pkt.NodeID{a, b}
-		if a > b {
-			key = [2]pkt.NodeID{b, a}
-		}
-		if k, ok := s.flapIndex[key]; ok && stateAt(s.flapToggles[k], t) {
-			return true
+	if s.flapPeers != nil {
+		for _, p := range s.flapPeers[a] {
+			if p.peer == b {
+				if stateAt(s.flapToggles[p.row], t) {
+					return true
+				}
+				break
+			}
 		}
 	}
-	if s.side != nil && t >= s.partAt && t < s.partEnd && s.side[a] != s.side[b] {
-		return true
-	}
-	return false
+	return s.partitionedAt(t) && s.side[a] != s.side[b]
+}
+
+func (s *Schedule) partitionedAt(t sim.Time) bool {
+	return s.side != nil && t >= s.partAt && t < s.partEnd
+}
+
+// BlocksFrom reports whether LinkBlockedAt(a, b, t) can be true for any b:
+// station a has a flapping link, or the partition window is open. The
+// medium asks it once per transmission and skips the per-receiver query
+// when the answer is no.
+func (s *Schedule) BlocksFrom(a pkt.NodeID, t sim.Time) bool {
+	return (s.flapPeers != nil && len(s.flapPeers[a]) > 0) || s.partitionedAt(t)
 }
 
 // BlocksLinks reports whether any link-level fault process exists (flaps
-// or partition); when false the medium skips installing the per-receiver
-// blocked-link hook entirely.
-func (s *Schedule) BlocksLinks() bool { return s.flapIndex != nil || s.side != nil }
+// or partition); when false the medium skips installing the link veto
+// entirely.
+func (s *Schedule) BlocksLinks() bool { return s.flapPeers != nil || s.side != nil }
 
 // NoiseDBAt returns the cumulative SNR penalty in dB applied to
 // receptions at station i at time t.
@@ -456,7 +476,7 @@ func (s *Schedule) MaskedAt(t sim.Time) bool {
 			return true
 		}
 	}
-	return s.side != nil && t >= s.partAt && t < s.partEnd
+	return s.partitionedAt(t)
 }
 
 // ToggleCounts appends, for every fault process in a fixed order, the

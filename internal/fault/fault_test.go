@@ -247,3 +247,139 @@ func TestDowntimeMonotoneInChurnRate(t *testing.T) {
 		t.Fatal("no downtime at MTBF 5 s over 60 s")
 	}
 }
+
+// refLinkBlocked is LinkBlockedAt written the slow way, for the property
+// test: scan the picked links for the pair, count the toggles of its row
+// that have happened by t, then test the partition window by side.
+func refLinkBlocked(s *Schedule, picked [][2]pkt.NodeID, a, b pkt.NodeID, t sim.Time) bool {
+	for k, l := range picked {
+		if (l[0] == a && l[1] == b) || (l[0] == b && l[1] == a) {
+			happened := 0
+			for _, at := range s.flapToggles[k] {
+				if at <= t {
+					happened++
+				}
+			}
+			if happened%2 == 1 {
+				return true
+			}
+		}
+	}
+	return s.side != nil && s.partAt <= t && t < s.partEnd && s.side[a] != s.side[b]
+}
+
+// The per-station flap index must answer exactly like a scan of the picked
+// links, for every pair of a small world at every instant an answer can
+// change (each toggle and partition edge, ±1 ns); the answer is symmetric;
+// and BlocksFrom — the medium's once-per-transmission pre-check — is never
+// false for a station with a blocked link, nor true for one that has no
+// flapping link while the partition is closed.
+func TestLinkVetoIndexMatchesBruteForce(t *testing.T) {
+	const n = 14
+	dur := 6 * sim.Second
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := sim.NewRNG(seed, 77)
+		pos := make([]radio.Pos, n)
+		for i := range pos {
+			pos[i] = radio.Pos{X: rng.Float64() * 500, Y: rng.Float64() * 500}
+		}
+		var links [][2]pkt.NodeID
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				if rng.IntN(3) > 0 {
+					links = append(links, [2]pkt.NodeID{pkt.NodeID(a), pkt.NodeID(b)})
+				}
+			}
+		}
+		spec := Spec{
+			Seed:      seed,
+			FlapLinks: rng.IntN(12),
+			FlapUp:    sim.Time(1+rng.IntN(900)) * sim.Millisecond,
+			FlapDown:  sim.Time(1+rng.IntN(400)) * sim.Millisecond,
+		}
+		if rng.IntN(3) > 0 {
+			spec.PartitionAt = sim.Time(rng.IntN(4000)) * sim.Millisecond
+			spec.PartitionDur = sim.Time(1+rng.IntN(3000)) * sim.Millisecond
+		}
+		s := Build(spec, dur, pos, nil, links)
+		var picked [][2]pkt.NodeID
+		if spec.FlapLinks > 0 {
+			picked = pickLinks(sim.NewRNG(spec.seed(), 2), links, spec.FlapLinks)
+		}
+		flapping := make([]bool, n)
+		for _, l := range picked {
+			flapping[l[0]], flapping[l[1]] = true, true
+		}
+
+		times := []sim.Time{0, dur}
+		for _, row := range s.flapToggles {
+			times = append(times, row...)
+		}
+		if spec.PartitionDur > 0 {
+			times = append(times, s.partAt, s.partEnd)
+		}
+		for _, edge := range times {
+			for _, at := range []sim.Time{edge - 1, edge, edge + 1} {
+				partitioned := spec.PartitionDur > 0 && s.partAt <= at && at < s.partEnd
+				for a := pkt.NodeID(0); a < n; a++ {
+					from := s.BlocksFrom(a, at)
+					if !flapping[a] && !partitioned && from {
+						t.Fatalf("seed %d: BlocksFrom(%d, %v) true with no flapping link and the partition closed", seed, a, at)
+					}
+					for b := pkt.NodeID(0); b < n; b++ {
+						if a == b {
+							continue
+						}
+						got, want := s.LinkBlockedAt(a, b, at), refLinkBlocked(s, picked, a, b, at)
+						if got != want {
+							t.Fatalf("seed %d: LinkBlockedAt(%d, %d, %v) = %v, brute force says %v", seed, a, b, at, got, want)
+						}
+						if rev := s.LinkBlockedAt(b, a, at); rev != got {
+							t.Fatalf("seed %d: LinkBlockedAt asymmetric on (%d, %d) at %v", seed, a, b, at)
+						}
+						if got && !from {
+							t.Fatalf("seed %d: link (%d, %d) blocked at %v but BlocksFrom(%d) is false", seed, a, b, at, a)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+var sinkBlocked int
+
+// BenchmarkLinkBlockedAt is the medium's per-receiver veto query at city
+// scale: 20 flapping links among the ~230 k links of a 2000-station world
+// with mean degree ~230, asked about random links at random instants.
+func BenchmarkLinkBlockedAt(b *testing.B) {
+	const n, reach = 2000, 116
+	var links [][2]pkt.NodeID
+	for a := 0; a < n; a++ {
+		for c := a + 1; c <= a+reach && c < n; c++ {
+			links = append(links, [2]pkt.NodeID{pkt.NodeID(a), pkt.NodeID(c)})
+		}
+	}
+	dur := 5 * sim.Second
+	s := Build(Spec{Seed: 3, FlapLinks: 20}, dur, linePositions(n), nil, links)
+	rng := sim.NewRNG(1, 9)
+	type query struct {
+		a, b pkt.NodeID
+		at   sim.Time
+	}
+	qs := make([]query, 1<<12)
+	for i := range qs {
+		l := links[rng.IntN(len(links))]
+		qs[i] = query{l[0], l[1], sim.Time(rng.Float64() * float64(dur))}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	blocked := 0
+	for i := 0; i < b.N; i++ {
+		q := qs[i&(len(qs)-1)]
+		if s.LinkBlockedAt(q.a, q.b, q.at) {
+			blocked++
+		}
+	}
+	sinkBlocked = blocked
+}

@@ -597,14 +597,13 @@ func Run(cfg Config) (*Result, error) {
 		// In-engine fault events: crashes and recoveries flip the medium's
 		// down mask and the scheme's state at their scheduled instants; noise
 		// bursts accumulate per-station SNR penalties. Link flaps and the
-		// partition have no events — the medium consults the schedule's
-		// time-indexed query per transmission. Everything runs inside the
-		// engine's single-threaded loop, so results stay bit-identical at any
-		// pool parallelism.
+		// partition have no events — the medium asks the schedule once per
+		// transmission whether the transmitter can be blocked at that instant,
+		// and per candidate receiver only when it can. Everything runs inside
+		// the engine's single-threaded loop, so results stay bit-identical at
+		// any pool parallelism.
 		if fs.BlocksLinks() {
-			medium.SetLinkBlocked(func(tx, rx pkt.NodeID) bool {
-				return fs.LinkBlockedAt(tx, rx, eng.Now())
-			})
+			medium.SetLinkBlocked(fs)
 		}
 		noiseNow := make([]float64, len(cfg.Positions))
 		bursts := fs.Bursts()

@@ -51,9 +51,9 @@ type inflight struct {
 	dst      *station
 	frame    *pkt.Frame
 	powerDBm float64
-	// powerMW is the same received power in linear milliwatts, converted
-	// once at transmit time so the O(overlap²) interference loop in
-	// beginReception never calls math.Pow.
+	// powerMW is the same received power in linear milliwatts, or 0 until
+	// mw converts it: only a reception that overlaps another at its
+	// receiver ever needs the linear value, and most never do.
 	powerMW   float64
 	decodable bool
 	blocked   bool // receiver transmitted during the frame
@@ -79,6 +79,16 @@ func (a *beginReception) Run() { a.inf.m.beginReception(a.inf.dst, a.inf) }
 type endReception struct{ inf *inflight }
 
 func (a *endReception) Run() { a.inf.m.endReception(a.inf.dst, a.inf) }
+
+// mw returns the reception's power in linear milliwatts, converting on
+// first use, so the interference loop in beginReception costs at most one
+// math.Pow per reception and a reception nothing overlaps costs none.
+func (i *inflight) mw() float64 {
+	if i.powerMW == 0 {
+		i.powerMW = dbmToMW(i.powerDBm)
+	}
+	return i.powerMW
+}
 
 func (i *inflight) corrupted(captureDB float64) bool {
 	if i.interfMW <= 0 {
@@ -113,6 +123,9 @@ type station struct {
 	sensed  int  // external frames currently above CS threshold
 	txing   bool // transmitting right now
 	current []*inflight
+	// addressedBy is the serial of the last transmission that named this
+	// station as a forwarder or as its unicast receiver (see Transmit).
+	addressedBy uint64
 }
 
 func (s *station) busyRefs() int {
@@ -156,6 +169,11 @@ type Medium struct {
 	// and the transmitter for tx events.
 	Trace func(at sim.Time, event string, node pkt.NodeID, f *pkt.Frame)
 
+	// txSerial numbers transmissions; Transmit stamps it on the stations
+	// the frame addresses, so the receiver loop tests "addressed?" with one
+	// compare instead of scanning the forwarder list.
+	txSerial uint64
+
 	// Fault-injection state, all inert by default: down stations receive
 	// no frames (and transmitting while down is a scheme bug), noiseDB is
 	// a per-receiver SNR penalty, and linkBlocked (when non-nil) vetoes
@@ -164,7 +182,19 @@ type Medium struct {
 	// untouched — bit-identical to a medium predating the hooks.
 	down        []bool
 	noiseDB     []float64
-	linkBlocked func(tx, rx pkt.NodeID) bool
+	linkBlocked LinkBlocker
+}
+
+// LinkBlocker is the delivery veto a fault schedule supplies (link flaps
+// and partitions). Both answers must depend only on their arguments.
+type LinkBlocker interface {
+	// BlocksFrom reports whether any delivery from tx can be blocked at
+	// time t. It may say true for a station none of whose links is blocked
+	// right now, never false for one that has a blocked link.
+	BlocksFrom(tx pkt.NodeID, t sim.Time) bool
+	// LinkBlockedAt reports whether a frame from tx must not reach rx at
+	// time t.
+	LinkBlockedAt(tx, rx pkt.NodeID, t sim.Time) bool
 }
 
 // NewMedium creates a medium over the given station positions, building a
@@ -310,18 +340,13 @@ func (m *Medium) SetNoiseDB(id pkt.NodeID, db float64) {
 	m.noiseDB[id] = db
 }
 
-// SetLinkBlocked installs a per-delivery veto: a transmission from tx is
-// not scheduled at rx while the hook returns true (link flaps and
-// partitions). The hook runs inside Transmit for every candidate
-// receiver, so it must be cheap and must depend only on engine time.
-func (m *Medium) SetLinkBlocked(fn func(tx, rx pkt.NodeID) bool) { m.linkBlocked = fn }
-
-// intended reports whether dst is an addressed receiver of f — a
-// forwarder-list member or the unicast receiver — for shadowing-loss
-// accounting.
-func intended(f *pkt.Frame, dst pkt.NodeID) bool {
-	return f.RankOf(dst) >= 0 || f.Rx == dst
-}
+// SetLinkBlocked installs the delivery veto: a transmission from tx is not
+// scheduled at rx while b.LinkBlockedAt(tx, rx, now) holds. Transmit asks
+// b.BlocksFrom(tx, now) once per transmission and consults the
+// per-receiver predicate only when it says yes, so a transmitter with no
+// flapping link outside a partition window pays one call, not one per
+// candidate receiver.
+func (m *Medium) SetLinkBlocked(b LinkBlocker) { m.linkBlocked = b }
 
 // Transmit emits a frame from f.Tx. f.Duration must be set. The call
 // returns the transmission end time. Transmitting while already
@@ -342,10 +367,10 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 		panic("radio: frame duration not set")
 	}
 	m.Counters.FramesSent++
-	if m.Trace != nil {
-		m.Trace(m.eng.Now(), "tx", f.Tx, f)
-	}
 	now := m.eng.Now()
+	if m.Trace != nil {
+		m.Trace(now, "tx", f.Tx, f)
+	}
 	end := now + f.Duration
 
 	src.txing = true
@@ -368,6 +393,24 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 		// Multi-rate extension: faster rates need more SNR.
 		rxThresh += rateadapt.ThresholdDeltaDB(f.RateBps, m.phy.DataBps)
 	}
+	// Stamp the addressed receivers — forwarder-list members and the
+	// unicast receiver — for the shadowing-loss accounting below.
+	m.txSerial++
+	serial := m.txSerial
+	for _, id := range f.FwdList {
+		if uint(id) < uint(len(m.stations)) {
+			m.stations[id].addressedBy = serial
+		}
+	}
+	if uint(f.Rx) < uint(len(m.stations)) {
+		m.stations[f.Rx].addressedBy = serial
+	}
+	// The link veto is asked once whether this transmitter can be blocked
+	// at all right now; only then is it consulted per receiver.
+	veto := m.linkBlocked
+	if veto != nil && !veto.BlocksFrom(f.Tx, now) {
+		veto = nil
+	}
 	receivers := 0
 	nbrIDs, nbrDBm, nbrPD := plan.row(int(f.Tx))
 	for k, j := range nbrIDs {
@@ -378,7 +421,7 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 		if m.down != nil && m.down[j] {
 			continue // crashed receiver: off the air entirely
 		}
-		if m.linkBlocked != nil && m.linkBlocked(f.Tx, dst.id) {
+		if veto != nil && veto.LinkBlockedAt(f.Tx, dst.id, now) {
 			continue // flapped or partitioned link
 		}
 		power := nbrDBm[k]
@@ -391,7 +434,7 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 		if power < m.cfg.CSThreshDBm {
 			// Too weak even to sense: invisible at this receiver. If the
 			// receiver was in the forwarder list, record the shadowing loss.
-			if intended(f, dst.id) {
+			if dst.addressedBy == serial {
 				m.Counters.FramesShadowed++
 			}
 			continue
@@ -400,11 +443,11 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 		inf.frame = f
 		inf.dst = dst
 		inf.powerDBm = power
-		inf.powerMW = dbmToMW(power)
+		inf.powerMW = 0
 		inf.decodable = power >= rxThresh
 		inf.blocked = false
 		inf.interfMW = 0
-		if !inf.decodable && intended(f, dst.id) {
+		if !inf.decodable && dst.addressedBy == serial {
 			m.Counters.FramesShadowed++
 		}
 		delay := nbrPD[k]
@@ -437,10 +480,16 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 
 func (m *Medium) beginReception(dst *station, inf *inflight) {
 	// Interference accumulates both ways: every overlapping frame adds its
-	// linear power to the other's interference budget.
+	// linear power to the other's interference budget. Only a decodable
+	// reception's budget is ever read (see decode), so a pure-carrier one
+	// is not charged, and two overlapping carriers convert nothing.
 	for _, other := range dst.current {
-		other.interfMW += inf.powerMW
-		inf.interfMW += other.powerMW
+		if other.decodable {
+			other.interfMW += inf.mw()
+		}
+		if inf.decodable {
+			inf.interfMW += other.mw()
+		}
 	}
 	if dst.txing {
 		inf.blocked = true
@@ -466,17 +515,21 @@ func (m *Medium) endReception(dst *station, inf *inflight) {
 		}
 	}
 	dst.sensed--
-	defer func() {
-		if dst.busyRefs() == 0 {
-			dst.mac.ChannelIdle()
-		}
-	}()
-	defer inf.frame.AirDone()
-	defer m.recycleInflight(inf)
-
-	if !inf.decodable {
-		return // pure carrier: sensed energy only, no decode attempt
+	f := inf.frame
+	if inf.decodable { // otherwise pure carrier: sensed energy, no decode attempt
+		m.decode(dst, inf)
 	}
+	m.recycleInflight(inf)
+	f.AirDone()
+	if dst.busyRefs() == 0 {
+		dst.mac.ChannelIdle()
+	}
+}
+
+// decode ends a decodable reception: the frame is lost to half-duplex
+// overlap, capture or header bit errors, or reaches the MAC with its
+// per-packet survival bitmap.
+func (m *Medium) decode(dst *station, inf *inflight) {
 	f := inf.frame
 	switch {
 	case inf.blocked:
