@@ -85,6 +85,20 @@ var fanoutResultDigests = map[string]string{
 	"hidden":      "daeead7b6015f0a6edf73f2c1dd7aaf29066eec3d574711eedf403fc092c23d3",
 }
 
+// checkResultDigest fails the test unless the sha256 of res's JSON is the
+// pinned value.
+func checkResultDigest(t *testing.T, res *Result, pinned string) {
+	t.Helper()
+	blob, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	if got := hex.EncodeToString(sum[:]); got != pinned {
+		t.Fatalf("Result digest %s, pinned %s\n%s", got, pinned, blob)
+	}
+}
+
 func TestFanoutRunsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests are amd64 values: other targets may fuse float operations differently")
@@ -109,14 +123,7 @@ func TestFanoutRunsPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.check(t, c.cfg, res)
-			blob, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(blob)
-			if got := hex.EncodeToString(sum[:]); got != fanoutResultDigests[c.name] {
-				t.Fatalf("Result digest %s, pinned %s\n%s", got, fanoutResultDigests[c.name], blob)
-			}
+			checkResultDigest(t, res, fanoutResultDigests[c.name])
 		})
 	}
 }

@@ -1,9 +1,6 @@
 package network
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"runtime"
 	"testing"
 
@@ -260,13 +257,6 @@ func TestLifecycleChurnRunPinned(t *testing.T) {
 		if res.MAC.CrashDrops == 0 {
 			t.Fatal("churn never caught a station holding packets: the crash path is not exercised")
 		}
-		blob, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(blob)
-		if got := hex.EncodeToString(sum[:]); got != churnResultDigests[kind] {
-			t.Fatalf("Result digest %s, pinned %s\n%s", got, churnResultDigests[kind], blob)
-		}
+		checkResultDigest(t, res, churnResultDigests[kind])
 	})
 }

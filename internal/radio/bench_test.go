@@ -14,8 +14,8 @@ import (
 // candidate and false makes it pay the pre-check alone.
 type stubVeto struct{ from bool }
 
-func (v stubVeto) BlocksFrom(pkt.NodeID, sim.Time) bool           { return v.from }
-func (stubVeto) LinkBlockedAt(tx, rx pkt.NodeID, _ sim.Time) bool { return tx == rx }
+func (v stubVeto) BlocksFrom(pkt.NodeID, sim.Time) bool              { return v.from }
+func (stubVeto) LinkBlockedAt(pkt.NodeID, pkt.NodeID, sim.Time) bool { return false }
 
 // BenchmarkTransmit is one Transmit plus the drain of the reception events
 // it schedules, on the default shadowed radio, by transmitter degree: deg+1

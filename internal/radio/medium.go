@@ -398,11 +398,9 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 	m.txSerial++
 	serial := m.txSerial
 	for _, id := range f.FwdList {
-		if uint(id) < uint(len(m.stations)) {
-			m.stations[id].addressedBy = serial
-		}
+		m.stations[id].addressedBy = serial
 	}
-	if uint(f.Rx) < uint(len(m.stations)) {
+	if f.Rx >= 0 { // not Broadcast
 		m.stations[f.Rx].addressedBy = serial
 	}
 	// The link veto is asked once whether this transmitter can be blocked
