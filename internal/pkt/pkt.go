@@ -38,9 +38,9 @@ type Packet struct {
 	Src, Dst NodeID
 	// Created is when the packet entered the sender's queue (for delay).
 	Created sim.Time
-	// Transport carries the protocol header as a typed value (e.g.
-	// *transport.Segment); the simulator never serialises it.
-	Transport any
+	// TCP is the transport header of a TCP packet; datagram packets (VoIP,
+	// CBR) leave it zero.
+	TCP TCPHeader
 	// EnqueuedAt records when the packet most recently entered a MAC
 	// queue, for queueing-delay statistics.
 	EnqueuedAt sim.Time
@@ -56,6 +56,14 @@ type Packet struct {
 	// delivered marks a packet that reached its endpoint, so the final
 	// Release can classify it for the pool's conservation counters.
 	delivered bool
+}
+
+// TCPHeader is what a TCP packet carries besides Seq, its data sequence
+// number: whether it is an acknowledgement and, if so, the cumulative
+// acknowledgement number (the next sequence number the receiver expects).
+type TCPHeader struct {
+	IsAck bool
+	Ack   int64
 }
 
 // MarkDelivered flags the packet as having reached its endpoint. The

@@ -8,7 +8,7 @@ func TestPoolRecyclesAndResets(t *testing.T) {
 	p.UID = 7
 	p.FlowID = 3
 	p.Bytes = 1000
-	p.Transport = "header"
+	p.TCP = TCPHeader{IsAck: true, Ack: 9}
 	p.Release()
 	if pl.Free() != 1 {
 		t.Fatalf("Free = %d, want 1", pl.Free())
@@ -17,7 +17,7 @@ func TestPoolRecyclesAndResets(t *testing.T) {
 	if q != p {
 		t.Fatal("Get should reuse the released packet")
 	}
-	if q.UID != 0 || q.FlowID != 0 || q.Bytes != 0 || q.Transport != nil {
+	if q.UID != 0 || q.FlowID != 0 || q.Bytes != 0 || q.TCP != (TCPHeader{}) {
 		t.Fatalf("recycled packet not reset: %+v", q)
 	}
 	if pl.Free() != 0 {

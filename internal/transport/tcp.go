@@ -6,17 +6,12 @@
 package transport
 
 import (
+	"fmt"
+
 	"ripple/internal/pkt"
 	"ripple/internal/sim"
 	"ripple/internal/stats"
 )
-
-// Segment is the TCP header carried in Packet.Transport.
-type Segment struct {
-	IsAck bool
-	Seq   int64 // data: packet-granularity sequence number
-	Ack   int64 // cumulative: next expected sequence number
-}
 
 // SendFunc injects a packet into a node's MAC send queue; it reports false
 // when the interface queue was full and the packet was dropped.
@@ -79,15 +74,15 @@ type TCP struct {
 	rto        sim.Time
 	rttValid   bool
 	rtoEv      *sim.Event
-	txTime     map[int64]sim.Time
-	limit      int64 // packets in the current transfer; -1 = unbounded
+	txTime     []txStamp // send-time ring, see NewTCP
+	limit      int64     // packets in the current transfer; -1 = unbounded
 	done       bool
 	onDone     func()
 
 	// Receiver state.
 	rcvExpected int64
-	rcvBuf      map[int64]bool
-	ackEmit     int64 // ack-stream sequence counter (for Rq ordering)
+	rcvBuf      []int64 // out-of-order ring of sequence-number tags, see NewTCP
+	ackEmit     int64   // ack-stream sequence counter (for Rq ordering)
 
 	uidData uint64
 	uidAck  uint64
@@ -98,17 +93,43 @@ type TCP struct {
 	rtoFn func()
 }
 
+// txStamp is one slot of the send-time ring: segment seq was sent, once, at
+// time at.
+type txStamp struct {
+	seq int64
+	at  sim.Time
+}
+
+// noSeq tags an empty ring slot.
+const noSeq = -1
+
 // NewTCP creates a connection for the given flow between src and dst.
 // sendSrc/sendDst inject packets at the two endpoint nodes; fs receives
 // receiver-side statistics.
+//
+// Both halves of the window live in rings of the next power of two above
+// MaxCwnd, indexed by seq&mask, each slot tagged with the sequence number it
+// holds; a slot whose tag is not the number asked for is absent. The segments
+// whose send time matters are the outstanding ones, [seqUna, seqNext), and
+// the ones buffered out of order lie in (rcvExpected, rcvExpected+MaxCwnd):
+// both spans are narrower than the ring, so two live entries never share a
+// slot, and an entry the window has moved past is never asked for again — it
+// needs no removal, the slot's next tenant overwrites it.
 func NewTCP(eng *sim.Engine, cfg TCPConfig, flow int, src, dst pkt.NodeID,
 	sendSrc, sendDst SendFunc, fs *stats.Flow) *TCP {
+	size := 1
+	for size <= int(cfg.MaxCwnd) {
+		size <<= 1
+	}
 	t := &TCP{
 		eng: eng, cfg: cfg, flow: flow, src: src, dst: dst,
 		sendSrc: sendSrc, sendDst: sendDst, fs: fs,
-		txTime: make(map[int64]sim.Time),
-		rcvBuf: make(map[int64]bool),
+		txTime: make([]txStamp, size),
+		rcvBuf: make([]int64, size),
 		limit:  -1,
+	}
+	for i := range t.rcvBuf {
+		t.rcvBuf[i] = noSeq
 	}
 	t.rtoFn = t.onRTO
 	t.resetConnection()
@@ -142,7 +163,9 @@ func (t *TCP) resetConnection() {
 	t.rttValid = false
 	t.rto = t.cfg.RTOInit
 	t.done = false
-	clear(t.txTime)
+	for i := range t.txTime {
+		t.txTime[i].seq = noSeq
+	}
 }
 
 // Start begins an unbounded (FTP-style) transfer.
@@ -159,16 +182,12 @@ func (t *TCP) StartTransfer(n int64, onDone func()) {
 
 // Receive dispatches a packet arriving at one of the connection endpoints.
 func (t *TCP) Receive(at pkt.NodeID, p *pkt.Packet) {
-	seg, ok := p.Transport.(Segment)
-	if !ok {
+	if p.TCP.IsAck && at == t.src {
+		t.onAck(p.TCP.Ack)
 		return
 	}
-	if seg.IsAck && at == t.src {
-		t.onAck(seg.Ack)
-		return
-	}
-	if !seg.IsAck && at == t.dst {
-		t.onData(p, seg)
+	if !p.TCP.IsAck && at == t.dst {
+		t.onData(p)
 	}
 }
 
@@ -207,11 +226,11 @@ func (t *TCP) emitData(seq int64, fresh bool) {
 	p.Src = t.src
 	p.Dst = t.dst
 	p.Created = t.eng.Now()
-	p.Transport = Segment{Seq: seq}
+	slot := &t.txTime[seq&int64(len(t.txTime)-1)]
 	if fresh {
-		t.txTime[seq] = t.eng.Now()
-	} else {
-		delete(t.txTime, seq) // Karn: never sample a retransmitted segment
+		*slot = txStamp{seq: seq, at: t.eng.Now()}
+	} else if slot.seq == seq {
+		slot.seq = noSeq // Karn: never sample a retransmitted segment
 	}
 	t.sendSrc(p)
 }
@@ -252,11 +271,6 @@ func (t *TCP) onAck(ack int64) {
 				t.cwnd = t.cfg.MaxCwnd
 			}
 		}
-		for seq := range t.txTime {
-			if seq < ack {
-				delete(t.txTime, seq)
-			}
-		}
 		if t.limit >= 0 && t.seqUna >= t.limit {
 			t.finish()
 			return
@@ -280,12 +294,15 @@ func (t *TCP) onAck(ack int64) {
 	}
 }
 
+// sampleRTT feeds the estimator with segment seq's round trip, if seq was
+// sent exactly once. seq is the last segment a new cumulative ACK covers, so
+// it lies in the outstanding window.
 func (t *TCP) sampleRTT(seq int64) {
-	sent, ok := t.txTime[seq]
-	if !ok {
+	stamp := t.txTime[seq&int64(len(t.txTime)-1)]
+	if stamp.seq != seq {
 		return
 	}
-	m := t.eng.Now() - sent
+	m := t.eng.Now() - stamp.at
 	if !t.rttValid {
 		t.srtt = m
 		t.rttvar = m / 2
@@ -354,19 +371,27 @@ func (t *TCP) finish() {
 
 // --- receiver ---
 
-func (t *TCP) onData(p *pkt.Packet, seg Segment) {
-	t.fs.NoteArrival(seg.Seq, t.eng.Now()-p.Created)
+func (t *TCP) onData(p *pkt.Packet) {
+	seq := p.Seq
+	t.fs.NoteArrival(seq, t.eng.Now()-p.Created)
+	mask := int64(len(t.rcvBuf) - 1)
 	switch {
-	case seg.Seq == t.rcvExpected:
+	case seq == t.rcvExpected:
 		t.rcvExpected++
 		t.fs.AppBytes += int64(t.cfg.MSS)
-		for t.rcvBuf[t.rcvExpected] {
-			delete(t.rcvBuf, t.rcvExpected)
+		for t.rcvBuf[t.rcvExpected&mask] == t.rcvExpected {
+			t.rcvBuf[t.rcvExpected&mask] = noSeq
 			t.rcvExpected++
 			t.fs.AppBytes += int64(t.cfg.MSS)
 		}
-	case seg.Seq > t.rcvExpected:
-		t.rcvBuf[seg.Seq] = true
+	case seq > t.rcvExpected:
+		if seq-t.rcvExpected > mask {
+			// The sender never runs more than MaxCwnd ahead of what it has
+			// seen acknowledged; beyond the ring the slot would alias.
+			panic(fmt.Sprintf("transport: flow %d segment %d is %d ahead of the next expected %d, past the %d-segment receive window",
+				t.flow, seq, seq-t.rcvExpected, t.rcvExpected, len(t.rcvBuf)))
+		}
+		t.rcvBuf[seq&mask] = seq
 	default:
 		t.fs.Duplicates++
 	}
@@ -384,7 +409,7 @@ func (t *TCP) emitAck() {
 	p.Src = t.dst
 	p.Dst = t.src
 	p.Created = t.eng.Now()
-	p.Transport = Segment{IsAck: true, Ack: t.rcvExpected}
+	p.TCP = pkt.TCPHeader{IsAck: true, Ack: t.rcvExpected}
 	t.sendDst(p)
 }
 

@@ -18,15 +18,18 @@ import (
 // ACK (Karn's rule deletes a retransmitted one, a new transfer clears it),
 // rcvBuf the segments received above the next expected one.
 
-// tcpHeader reads the transport header off a packet of the connection.
+// tcpHeader reads the transport header off a packet of the connection: a
+// data segment's sequence number, or an acknowledgement's cumulative number.
 func tcpHeader(p *pkt.Packet) (isAck bool, seq, ack int64) {
-	seg := p.Transport.(Segment)
-	return seg.IsAck, seg.Seq, seg.Ack
+	if p.TCP.IsAck {
+		return true, 0, p.TCP.Ack
+	}
+	return false, p.Seq, 0
 }
 
 // tcpPacket builds what the connection under test would emit.
 func tcpPacket(now sim.Time, src, dst pkt.NodeID, isAck bool, seq, ack int64) *pkt.Packet {
-	return &pkt.Packet{Src: src, Dst: dst, Created: now, Transport: Segment{IsAck: isAck, Seq: seq, Ack: ack}}
+	return &pkt.Packet{Src: src, Dst: dst, Created: now, Seq: seq, TCP: pkt.TCPHeader{IsAck: isAck, Ack: ack}}
 }
 
 // tcpState is everything the two implementations must agree on.

@@ -76,7 +76,7 @@ func TestTCPNeverExceedsWindowProperty(t *testing.T) {
 		inFlight := 0
 		maxSeen := 0
 		pp.drop = func(p *pkt.Packet) bool {
-			if seg, ok := p.Transport.(Segment); ok && !seg.IsAck {
+			if !p.TCP.IsAck {
 				inFlight++
 				if inFlight > maxSeen {
 					maxSeen = inFlight

@@ -73,8 +73,7 @@ func TestTCPSlowStartDoublesWindow(t *testing.T) {
 func TestTCPFastRetransmitOnTripleDupack(t *testing.T) {
 	dropped := false
 	drop := func(p *pkt.Packet) bool {
-		seg, ok := p.Transport.(Segment)
-		if ok && !seg.IsAck && seg.Seq == 10 && !dropped {
+		if !p.TCP.IsAck && p.Seq == 10 && !dropped {
 			dropped = true
 			return true
 		}
@@ -135,8 +134,7 @@ func TestTCPReorderingTriggersDupacksNotLoss(t *testing.T) {
 	fs := &stats.Flow{ID: 1}
 	pp := &pipe{eng: eng, delay: sim.Millisecond}
 	pp.drop = func(p *pkt.Packet) bool {
-		seg, ok := p.Transport.(Segment)
-		if ok && !seg.IsAck && seg.Seq == 5 && held == nil {
+		if !p.TCP.IsAck && p.Seq == 5 && held == nil {
 			held = p
 			pp.eng.After(5*sim.Millisecond, func() { pp.conn.Receive(p.Dst, p) })
 			return true
@@ -204,8 +202,7 @@ func TestTCPDuplicateDataCounted(t *testing.T) {
 	fs := &stats.Flow{ID: 1}
 	pp := &pipe{eng: eng, delay: sim.Millisecond}
 	pp.drop = func(p *pkt.Packet) bool {
-		seg, ok := p.Transport.(Segment)
-		if ok && !seg.IsAck && seg.Seq == 3 {
+		if !p.TCP.IsAck && p.Seq == 3 {
 			dup := *p
 			pp.eng.After(2*sim.Millisecond, func() { pp.conn.Receive(dup.Dst, &dup) })
 		}
@@ -221,4 +218,17 @@ func TestTCPDuplicateDataCounted(t *testing.T) {
 	if fs.AppBytes != 10*1000 {
 		t.Fatalf("AppBytes = %d (duplicates must not double-count)", fs.AppBytes)
 	}
+}
+
+// A segment further ahead than the receive window would alias another
+// slot of the out-of-order ring; it can only come from a bug, and must fail
+// loudly.
+func TestTCPSegmentBeyondReceiveWindowPanics(t *testing.T) {
+	_, conn, _, _ := newPipeTCP(t, DefaultTCPConfig(), nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a segment 64 ahead of the next expected one was accepted")
+		}
+	}()
+	conn.Receive(1, &pkt.Packet{Seq: 64, Src: 0, Dst: 1})
 }

@@ -108,6 +108,7 @@ func TestToConfigRejectsInvalidTrafficParams(t *testing.T) {
 		{"negative voip rate", VoIP{BitrateKbps: -96}, "VoIP parameter"},
 		{"negative tcp mss", FTP{TCP: TCPParams{MSS: -1}}, "TCP parameter"},
 		{"negative tcp rto", FTP{TCP: TCPParams{MSS: 1000, RTOMin: -Second}}, "TCP parameter"},
+		{"huge tcp window", FTP{TCP: TCPParams{MaxCwnd: 1e12}}, "TCP parameter MaxCwnd"},
 	}
 	for _, c := range cases {
 		s := validScenario()

@@ -33,6 +33,11 @@ type TCPParams struct {
 	RTOMax      Time
 }
 
+// maxTCPWindow bounds TCPParams.MaxCwnd: a connection sizes its window
+// bookkeeping from it up front (65535 is TCP's unscaled window field, here
+// in packets; the 50-packet interface queue drops far earlier).
+const maxTCPWindow = 1<<16 - 1
+
 // toInternal resolves the params against the paper defaults, or returns
 // nil when every field is zero (use the scenario-wide default config).
 func (p TCPParams) toInternal() (*transport.TCPConfig, error) {
@@ -43,6 +48,9 @@ func (p TCPParams) toInternal() (*transport.TCPConfig, error) {
 		p.SSThresh < 0 || p.DupThresh < 0 ||
 		p.RTOMin < 0 || p.RTOInit < 0 || p.RTOMax < 0 {
 		return nil, fmt.Errorf("negative TCP parameter: %+v", p)
+	}
+	if p.MaxCwnd > maxTCPWindow {
+		return nil, fmt.Errorf("TCP parameter MaxCwnd %g exceeds %d packets", p.MaxCwnd, maxTCPWindow)
 	}
 	c := transport.DefaultTCPConfig()
 	if p.MSS > 0 {
