@@ -54,8 +54,7 @@ type Station struct {
 	exchanging bool
 	curTxop    uint64
 	txopSeq    uint64
-	timer      *sim.Event
-	expireFn   func() // bound once, so arming the timer allocates no closure
+	timer      *sim.Event // the reply timer: one event, revived by AwaitReply
 
 	freeTx *delayedTx
 
@@ -72,7 +71,6 @@ func (s *Station) Init(env Env, p Protocol) {
 	// Audit nil-checks internally: the queue is tapped only under deep audit.
 	s.Queue.SetAudit(env.Audit.RegisterQueue(int(env.ID), env.P.QueueLimit, s.Queue.Len))
 	s.Cont = mac.NewContender(env.Eng, env.P, env.RNG, p.Grant)
-	s.expireFn = s.expire
 }
 
 // Send implements Scheme.
@@ -163,8 +161,20 @@ func (s *Station) TransmitData(f *pkt.Frame) {
 }
 
 // AwaitReply arms the exchange's reply timer: Protocol.Timeout runs after d
-// unless CancelReply, Succeed or a crash comes first.
-func (s *Station) AwaitReply(d sim.Time) { s.timer = s.Eng.After(d, s.expireFn) }
+// unless CancelReply, Succeed or a crash comes first. The station's one timer
+// event is revived in place — Reschedule hands it the fresh insertion
+// sequence a new event would get — so it must have fired or been cancelled:
+// an exchange never waits for two replies at once.
+func (s *Station) AwaitReply(d sim.Time) {
+	if s.timer == nil {
+		s.timer = s.Eng.After(d, s.expire)
+		return
+	}
+	if s.timer.Pending() {
+		panic("forward: reply timer re-armed while still pending")
+	}
+	s.Eng.Reschedule(s.timer, s.Eng.Now()+d)
+}
 
 // CancelReply withdraws the reply timer (the awaited frame arrived).
 func (s *Station) CancelReply() { s.Eng.Cancel(s.timer) }

@@ -29,6 +29,10 @@ type Event struct {
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e == nil || e.canceled }
 
+// Pending reports whether the event is scheduled and has neither fired nor
+// been cancelled since.
+func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
+
 // When returns the simulated time the event is scheduled for.
 func (e *Event) When() Time { return e.at }
 

@@ -115,6 +115,30 @@ func TestEngineRescheduleRearmsFiredEvent(t *testing.T) {
 	}
 }
 
+func TestEventPendingFollowsTheHeap(t *testing.T) {
+	e := NewEngine()
+	var nilEv *Event
+	if nilEv.Pending() {
+		t.Fatal("nil event reports pending")
+	}
+	ev := e.At(10, func() {})
+	if !ev.Pending() {
+		t.Fatal("scheduled event not pending")
+	}
+	e.Cancel(ev)
+	if ev.Pending() {
+		t.Fatal("cancelled event still pending")
+	}
+	e.Reschedule(ev, 20)
+	if !ev.Pending() {
+		t.Fatal("rescheduled event not pending")
+	}
+	e.Run(Second)
+	if ev.Pending() {
+		t.Fatal("fired event still pending")
+	}
+}
+
 func TestEngineRunStopsAtUntil(t *testing.T) {
 	e := NewEngine()
 	fired := false

@@ -45,11 +45,24 @@ type VoIP struct {
 	fs   *stats.Flow
 	rng  *sim.RNG
 
-	seq  int64
-	uid  uint64
-	on   bool
-	stop bool
-	pool *pkt.Pool
+	seq   int64
+	uid   uint64
+	on    bool
+	onEnd sim.Time   // when the current on period ends
+	timer *sim.Event // the stream's one timer, see arm
+	stop  bool
+	pool  *pkt.Pool
+}
+
+// again re-arms a source's one timer event d from now. Reschedule hands the
+// event the fresh insertion sequence a new one would get, so event order is
+// untouched; the event must have fired, since a pending one would have been
+// a second timer.
+func again(eng *sim.Engine, ev *sim.Event, d sim.Time) {
+	if ev.Pending() {
+		panic("transport: source timer re-armed while still pending")
+	}
+	eng.Reschedule(ev, eng.Now()+d)
 }
 
 // NewVoIP creates a voice stream; call Start to begin the first on period.
@@ -74,22 +87,41 @@ func (v *VoIP) beginOn() {
 	}
 	v.on = true
 	dur := sim.Time(v.rng.Exp(float64(v.cfg.OnMean)))
-	end := v.eng.Now() + dur
-	v.eng.After(0, func() { v.tick(end) })
+	v.onEnd = v.eng.Now() + dur
+	v.arm(0)
 }
 
-func (v *VoIP) tick(onEnd sim.Time) {
+// arm schedules wake d from now on the stream's one timer event.
+func (v *VoIP) arm(d sim.Time) {
+	if v.timer == nil {
+		v.timer = v.eng.After(d, v.wake)
+		return
+	}
+	again(v.eng, v.timer, d)
+}
+
+// wake is the timer's callback: the next packet of an on period, or the end
+// of an off period.
+func (v *VoIP) wake() {
+	if v.on {
+		v.tick()
+	} else {
+		v.beginOn()
+	}
+}
+
+func (v *VoIP) tick() {
 	if v.stop {
 		return
 	}
-	if v.eng.Now() >= onEnd {
+	if v.eng.Now() >= v.onEnd {
 		v.on = false
 		off := sim.Time(v.rng.Exp(float64(v.cfg.OffMean)))
-		v.eng.After(off, v.beginOn)
+		v.arm(off)
 		return
 	}
 	v.emit()
-	v.eng.After(v.cfg.PacketInterval, func() { v.tick(onEnd) })
+	v.arm(v.cfg.PacketInterval)
 }
 
 func (v *VoIP) emit() {
@@ -140,10 +172,11 @@ type CBR struct {
 	send     SendFunc
 	fs       *stats.Flow
 
-	seq  int64
-	uid  uint64
-	stop bool
-	pool *pkt.Pool
+	seq   int64
+	uid   uint64
+	timer *sim.Event // the source's one timer, see arm
+	stop  bool
+	pool  *pkt.Pool
 }
 
 // backlogRefill is the refill period of backlogged mode.
@@ -175,6 +208,20 @@ func (c *CBR) Start() {
 	c.tick()
 }
 
+// arm schedules the next tick (or refill, in backlogged mode) d from now on
+// the source's one timer event.
+func (c *CBR) arm(d sim.Time) {
+	if c.timer == nil {
+		fn := c.tick
+		if c.interval == 0 {
+			fn = c.refill
+		}
+		c.timer = c.eng.After(d, fn)
+		return
+	}
+	again(c.eng, c.timer, d)
+}
+
 // Stop halts emission.
 func (c *CBR) Stop() { c.stop = true }
 
@@ -183,7 +230,7 @@ func (c *CBR) tick() {
 		return
 	}
 	c.send(c.packet())
-	c.eng.After(c.interval, c.tick)
+	c.arm(c.interval)
 }
 
 func (c *CBR) refill() {
@@ -195,7 +242,7 @@ func (c *CBR) refill() {
 			break // queue full: the MAC is saturated
 		}
 	}
-	c.eng.After(backlogRefill, c.refill)
+	c.arm(backlogRefill)
 }
 
 func (c *CBR) packet() *pkt.Packet {
