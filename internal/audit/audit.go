@@ -10,7 +10,8 @@
 //     nearly free: pkt.Pool counts allocations and classifies every final
 //     release as delivered or dropped, and network.Run verifies the
 //     conservation identity (allocated = delivered + dropped + in-flight)
-//     after every drain via CheckPoolConservation.
+//     after every drain via CheckPoolConservation; pkt.FramePool's
+//     counters get the same check from CheckFramePool.
 //
 //   - Deep mode (ripple.Scenario.Audit, `ripplesim -audit`, or the
 //     RIPPLE_AUDIT environment variable) attaches an Auditor: MAC queues
@@ -171,4 +172,16 @@ func CheckPoolConservation(gets, delivered, dropped, inUse int) {
 		"audit: invariant violated: packet conservation\n"+
 			"  detail: allocated %d != delivered %d + dropped %d + in-flight %d (= %d)",
 		gets, delivered, dropped, inUse, delivered+dropped+inUse))
+}
+
+// CheckFramePool verifies the frame pool's identity — every frame handed
+// out has been recycled or is still held — the same way, and as always-on.
+func CheckFramePool(gets, recycled, inUse int) {
+	if gets == recycled+inUse {
+		return
+	}
+	panic(fmt.Sprintf(
+		"audit: invariant violated: frame conservation\n"+
+			"  detail: handed out %d != recycled %d + in use %d (= %d)",
+		gets, recycled, inUse, recycled+inUse))
 }

@@ -123,3 +123,10 @@ func TestCheckPoolConservation(t *testing.T) {
 	mustViolate(t, "packet conservation", func() { CheckPoolConservation(10, 4, 3, 2) })
 	mustViolate(t, "packet conservation", func() { CheckPoolConservation(10, 4, 3, 4) })
 }
+
+func TestCheckFramePool(t *testing.T) {
+	CheckFramePool(0, 0, 0)
+	CheckFramePool(10, 7, 3)
+	mustViolate(t, "frame conservation", func() { CheckFramePool(10, 7, 2) })
+	mustViolate(t, "frame conservation", func() { CheckFramePool(10, 7, 4) })
+}

@@ -180,21 +180,18 @@ func (r *Ripple) Grant() {
 		return
 	}
 	txop := r.StartExchange()
-	f := &pkt.Frame{
-		Kind:     pkt.Data,
-		Tx:       r.ID,
-		Rx:       pkt.Broadcast,
-		Origin:   r.ID,
-		FinalDst: r.SvcDst,
-		FwdList:  fwd, // RouteBook-owned, immutable until the next route update
-		TxopID:   txop,
-		Packets:  append([]*pkt.Packet(nil), r.InService...),
-		FlowID:   r.SvcFlow,
-		// Multi-rate extension: pick the rate for the most probable first
-		// hop (the forwarder nearest the source); farther forwarders and
-		// the destination may then decode opportunistically or not.
-		RateBps: r.Rate(fwd[len(fwd)-1]),
-	}
+	f := r.Med.NewFrame()
+	f.Kind = pkt.Data
+	f.Tx, f.Rx = r.ID, pkt.Broadcast
+	f.Origin, f.FinalDst = r.ID, r.SvcDst
+	f.FwdList = fwd // RouteBook-owned, immutable until the next route update
+	f.TxopID = txop
+	f.Packets = append(f.Packets, r.InService...)
+	f.FlowID = r.SvcFlow
+	// Multi-rate extension: pick the rate for the most probable first hop
+	// (the forwarder nearest the source); farther forwarders and the
+	// destination may then decode opportunistically or not.
+	f.RateBps = r.Rate(fwd[len(fwd)-1])
 	f.Duration = r.dataDuration(f)
 	r.TransmitData(f)
 }
@@ -341,23 +338,17 @@ func (r *Ripple) handleData(f *pkt.Frame, pktOK []bool) {
 	if myRank == 0 {
 		// Destination: bitmap-ACK after SIFS, deliver through Rq.
 		r.C.RxData++
-		okUIDs := make([]uint64, len(okPkts))
-		for i, p := range okPkts {
-			okUIDs[i] = p.UID
+		ack := r.Med.NewFrame()
+		ack.Kind = pkt.Ack
+		ack.Tx, ack.Rx = r.ID, f.Origin
+		ack.Origin, ack.FinalDst = f.Origin, f.Origin
+		ack.FwdList = f.FwdList // RouteBook-owned, never rewritten
+		ack.TxopID = f.TxopID
+		for _, p := range okPkts {
+			ack.AckedUIDs = append(ack.AckedUIDs, p.UID)
 		}
-		ack := &pkt.Frame{
-			Kind:      pkt.Ack,
-			Tx:        r.ID,
-			Rx:        f.Origin,
-			Origin:    f.Origin,
-			FinalDst:  f.Origin,
-			FwdList:   f.FwdList, // immutable once transmitted
-			TxopID:    f.TxopID,
-			AckedUIDs: okUIDs,
-			Acker:     r.ID,
-			AckerRank: 0,
-			FlowID:    f.FlowID,
-		}
+		ack.Acker, ack.AckerRank = r.ID, 0
+		ack.FlowID = f.FlowID
 		ack.Duration = r.ackDuration(len(ack.FwdList))
 		r.TransmitAfter(r.P.SIFS, ack)
 		for _, p := range okPkts {
@@ -389,9 +380,9 @@ func (r *Ripple) fireDataRelay(p *pendingRelay) {
 	r.seenData[f.TxopID] = true
 	relay := f.Clone()
 	relay.Tx = r.ID
-	// The relay frame outlives the pooled pendingRelay, so it gets its own
-	// copy of the packet set.
-	relay.Packets = append([]*pkt.Packet(nil), p.pkts...)
+	// The relay carries the sub-packets decoded here, in its own list: the
+	// relay frame outlives the pooled pendingRelay.
+	relay.Packets = append(relay.Packets[:0], p.pkts...)
 	if r.opt.LocalAggOnRelay && len(relay.Packets) < r.opt.MaxAgg {
 		r.piggyback(relay)
 	}
@@ -416,7 +407,8 @@ func (r *Ripple) piggyback(relay *pkt.Frame) {
 	// If the mTXOP's ACK never comes back through us, reclaim the packets
 	// so they are retransmitted in our own transmission opportunity.
 	deadline := 4 * (r.P.SIFS + 5*r.P.Slot + r.dataDuration(relay))
-	r.Eng.After(deadline, func() { r.reclaimPiggy(relay.TxopID) })
+	txop := relay.TxopID // the relay frame is recycled long before the deadline
+	r.Eng.After(deadline, func() { r.reclaimPiggy(txop) })
 }
 
 // reclaimPiggy returns unacknowledged piggybacked packets to the queue.
@@ -442,7 +434,9 @@ const dataRelayTag = 0x8000000000000000
 // arming a relay allocates nothing after warm-up. pkts holds a reference
 // on every retained packet (released when the relay fires or is
 // discarded), which keeps the packets alive even if the source abandons
-// them while the relay is deferred.
+// them while the relay is deferred; frame is held the same way, from
+// armRelay to releaseRelay, since the overheard frame leaves the air — and
+// would be recycled — before the relay fires.
 type pendingRelay struct {
 	key      uint64
 	txop     uint64
@@ -470,8 +464,8 @@ func (r *Ripple) newRelay() *pendingRelay {
 	return p
 }
 
-// releaseRelay drops the relay's packet references and recycles the
-// struct. The caller must already have cancelled/consumed its timer and
+// releaseRelay drops the relay's packet and frame references and recycles
+// the struct. The caller must already have cancelled/consumed its timer and
 // removed it from r.relays. The timer event is explicitly marked cancelled
 // here: a recycled struct whose previous life's event merely *fired* would
 // otherwise look "still armed" to onCarrierIdle's !Canceled() check when
@@ -484,6 +478,7 @@ func (r *Ripple) releaseRelay(p *pendingRelay) {
 		p.pkts[i] = nil
 	}
 	p.pkts = p.pkts[:0]
+	p.frame.Release()
 	p.frame = nil
 	r.freeRelays = append(r.freeRelays, p)
 }
@@ -531,6 +526,7 @@ func (r *Ripple) armRelay(key, txop uint64, isData bool, rank int, wait sim.Time
 	p.wait = wait
 	p.deadline = r.Eng.Now() + r.opt.RelayDeferLimit
 	p.frame = f
+	f.Hold()
 	p.pkts = append(p.pkts, okPkts...)
 	for _, pk := range p.pkts {
 		pk.Ref()
@@ -554,6 +550,7 @@ func (r *Ripple) schedule(p *pendingRelay) {
 
 // relayTimer is the relay's idle-wait callback.
 func (r *Ripple) relayTimer(p *pendingRelay) {
+	p.frame.AssertLive("core: relay timer")
 	if r.Med.CarrierBusy(r.ID) || r.Med.Transmitting(r.ID) {
 		// Raced with a carrier transition in the same instant; the
 		// busy handler keeps or discards the pending state.

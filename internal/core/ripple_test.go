@@ -18,7 +18,7 @@ type harness struct {
 	agents    []*Ripple
 	counters  []forward.Counters
 	delivered [][]*pkt.Packet
-	frames    []*pkt.Frame // all transmissions, via medium trace
+	frames    []pkt.Frame // all transmissions, copied out of the medium trace
 }
 
 func idealRadio() radio.Config {
@@ -35,7 +35,11 @@ func newHarness(t *testing.T, positions []radio.Pos, rc radio.Config,
 	h.med = radio.NewMedium(h.eng, rc, phys.Default(), positions, sim.NewRNG(1, 1))
 	h.med.Trace = func(_ sim.Time, ev string, node pkt.NodeID, f *pkt.Frame) {
 		if ev == "tx" {
-			h.frames = append(h.frames, f)
+			// The frame is valid only during the call: it is recycled once
+			// it has left the air.
+			c := *f
+			c.Packets = append([]*pkt.Packet(nil), f.Packets...)
+			h.frames = append(h.frames, c)
 		}
 	}
 	routes := forward.NewRouteBook(5)
@@ -298,6 +302,40 @@ func TestRippleMacSeqAssignedOnAccept(t *testing.T) {
 	for i, p := range h.delivered[1] {
 		if p.MacSeq != int64(i) {
 			t.Fatalf("MacSeq hole at %d: got %d", i, p.MacSeq)
+		}
+	}
+}
+
+// Every frame an mTXOP draws from the medium's pool — source data, relays
+// held while their timers run, bitmap ACKs and their relays, piggybacking
+// relays — is back in it once the air drains, under loss, suppressed relays
+// and both relay modes.
+func TestRippleFramesReturnToPool(t *testing.T) {
+	for _, deferRelays := range []bool{true, false} {
+		opt := DefaultOptions()
+		opt.RelayDefer = deferRelays
+		opt.LocalAggOnRelay = true
+		rc := idealRadio()
+		rc.BitErrorRate = 2e-5
+		paths := map[int]routing.Path{1: {0, 1, 2, 3}, 2: {3, 2, 1, 0}, 3: {1, 2, 3}}
+		h := newHarness(t, linePositions(4), rc, paths, opt)
+		h.inject(0, 1, 48, 3)
+		h.inject(3, 2, 48, 0)
+		h.inject(1, 3, 16, 3)
+		h.eng.Run(2 * sim.Second)
+		if len(h.delivered[3]) == 0 || len(h.delivered[0]) == 0 {
+			t.Fatalf("delivered %d and %d packets", len(h.delivered[3]), len(h.delivered[0]))
+		}
+		var cancels uint64
+		for _, c := range h.counters {
+			cancels += c.RelayCancels
+		}
+		if cancels == 0 {
+			t.Fatal("no relay was ever discarded: the release path is not exercised")
+		}
+		gets, recycled := h.med.Frames().Counters()
+		if inUse := h.med.Frames().InUse(); gets == 0 || inUse != 0 || recycled != gets {
+			t.Fatalf("RelayDefer=%v: %d of %d frames never returned to the pool", deferRelays, inUse, gets)
 		}
 	}
 }

@@ -34,9 +34,14 @@ type ackSchedule interface {
 	carrier(x *ExOR)
 }
 
-// exorRx is one decoded data frame at a forwarder-list member.
+// exorRx is one decoded data frame at a forwarder-list member: what its ACK
+// and custody decision need of the frame, copied out of it — the frame has
+// left the air and been recycled by the time they run.
 type exorRx struct {
-	frame  *pkt.Frame
+	txop   uint64
+	tx     pkt.NodeID // the frame's transmitter, whom the ACK answers
+	flow   int
+	nFwd   int // length of the frame's forwarder list
 	packet *pkt.Packet
 	rank   int
 	// covered: a higher-priority station acknowledged (or, under the
@@ -86,17 +91,14 @@ func (x *ExOR) Grant() {
 	}
 	x.heard = false
 	txop := x.StartExchange()
-	f := &pkt.Frame{
-		Kind:     pkt.Data,
-		Tx:       x.ID,
-		Rx:       pkt.Broadcast,
-		Origin:   x.ID,
-		FinalDst: cur.Dst,
-		FwdList:  fwd, // RouteBook-owned, immutable until the next route update
-		TxopID:   txop,
-		Packets:  []*pkt.Packet{cur},
-		FlowID:   cur.FlowID,
-	}
+	f := x.Med.NewFrame()
+	f.Kind = pkt.Data
+	f.Tx, f.Rx = x.ID, pkt.Broadcast
+	f.Origin, f.FinalDst = x.ID, cur.Dst
+	f.FwdList = fwd // RouteBook-owned, immutable until the next route update
+	f.TxopID = txop
+	f.Packets = append(f.Packets, cur)
+	f.FlowID = cur.FlowID
 	f.Duration = x.P.DataTime(f.PayloadBytes(phys.MACHeaderBytes, 0, phys.ForwarderEntryBytes))
 	x.TransmitData(f)
 }
@@ -139,7 +141,8 @@ func (x *ExOR) Receive(f *pkt.Frame, pktOK []bool) {
 			return
 		}
 		x.C.RxData++
-		x.acks.receive(x, &exorRx{frame: f, packet: f.Packets[0], rank: rank})
+		x.acks.receive(x, &exorRx{txop: f.TxopID, tx: f.Tx, flow: f.FlowID, nFwd: len(f.FwdList),
+			packet: f.Packets[0], rank: rank})
 	}
 }
 
@@ -153,36 +156,32 @@ func (x *ExOR) Carrier(busy bool) bool {
 
 // ack builds the MAC ACK for a reception.
 func (x *ExOR) ack(rx *exorRx) *pkt.Frame {
-	f := rx.frame
-	return &pkt.Frame{
-		Kind:      pkt.Ack,
-		Tx:        x.ID,
-		Rx:        f.Tx,
-		Origin:    x.ID,
-		FinalDst:  f.Tx,
-		TxopID:    f.TxopID,
-		AckedUIDs: []uint64{rx.packet.UID},
-		Acker:     x.ID,
-		AckerRank: rx.rank,
-		FlowID:    f.FlowID,
-		Duration:  x.P.ACKTime(),
-	}
+	f := x.Med.NewFrame()
+	f.Kind = pkt.Ack
+	f.Tx, f.Rx = x.ID, rx.tx
+	f.Origin, f.FinalDst = x.ID, rx.tx
+	f.TxopID = rx.txop
+	f.AckedUIDs = append(f.AckedUIDs, rx.packet.UID)
+	f.Acker, f.AckerRank = x.ID, rx.rank
+	f.FlowID = rx.flow
+	f.Duration = x.P.ACKTime()
+	return f
 }
 
 // hold parks a reception until its custody decision, with its own
 // reference on the packet (the source may abandon it meanwhile).
 func (x *ExOR) hold(rx *exorRx) {
-	x.pend[rx.frame.TxopID] = rx
+	x.pend[rx.txop] = rx
 	rx.packet.Ref()
 }
 
 // unhold ends the wait. It reports false when a crash released the hold
 // already: decision events cannot be cancelled, so they check identity.
 func (x *ExOR) unhold(rx *exorRx) bool {
-	if x.pend[rx.frame.TxopID] != rx {
+	if x.pend[rx.txop] != rx {
 		return false
 	}
-	delete(x.pend, rx.frame.TxopID)
+	delete(x.pend, rx.txop)
 	return true
 }
 
@@ -244,7 +243,7 @@ func (a sequentialAcks) receive(x *ExOR, rx *exorRx) {
 	}
 	// Forwarder: custody is decided when the whole schedule has played out.
 	x.hold(rx)
-	x.Eng.After(a.collect(x.P, len(rx.frame.FwdList)), func() {
+	x.Eng.After(a.collect(x.P, rx.nFwd), func() {
 		if !x.unhold(rx) {
 			return
 		}

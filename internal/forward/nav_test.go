@@ -59,19 +59,21 @@ func TestCTSNavDurCoversRest(t *testing.T) {
 	h := newHarness(t, linePositions(2), idealRadio(), paths, func(e Env) Scheme {
 		return NewUnicastRTS(e, 1, 1)
 	})
+	// Copies: a traced frame is valid only during the call.
 	var rts, cts *pkt.Frame
 	h.med.Trace = func(_ sim.Time, ev string, _ pkt.NodeID, f *pkt.Frame) {
 		if ev != "tx" {
 			return
 		}
+		c := *f
 		switch f.Kind {
 		case pkt.Rts:
 			if rts == nil {
-				rts = f
+				rts = &c
 			}
 		case pkt.Cts:
 			if cts == nil {
-				cts = f
+				cts = &c
 			}
 		}
 	}

@@ -152,7 +152,8 @@ func (s *Station) StartExchange() uint64 {
 	return s.curTxop
 }
 
-// TransmitData puts a data frame on the air and counts it.
+// TransmitData puts a data frame on the air — which takes over the caller's
+// reference on it — and counts it.
 func (s *Station) TransmitData(f *pkt.Frame) {
 	s.C.TxFrames++
 	s.C.TxData++
@@ -238,8 +239,9 @@ func (s *Station) BudgetSpent(*pkt.Packet) bool { return s.Attempts > s.P.RetryL
 // down or mid-transmission by then (pathological overlap: skip, the peer
 // times out). A data frame belongs to the station's own exchange — the
 // post-CTS data of an RTS handshake — and is also skipped when that
-// exchange was abandoned meanwhile. Pooled per station so SIFS-spaced ACK
-// and RTS/CTS schedules allocate nothing.
+// exchange was abandoned meanwhile. It owns the creator's reference on its
+// frame: transmitting passes it to the medium, skipping releases it. Pooled
+// per station so SIFS-spaced ACK and RTS/CTS schedules allocate nothing.
 type delayedTx struct {
 	s    *Station
 	f    *pkt.Frame
@@ -251,20 +253,21 @@ func (a *delayedTx) Run() {
 	a.f = nil
 	a.next = s.freeTx
 	s.freeTx = a
-	if s.down || s.Med.Transmitting(s.ID) {
-		return
+	switch {
+	case s.down || s.Med.Transmitting(s.ID):
+		f.Release()
+	case f.Kind != pkt.Data:
+		s.C.TxFrames++
+		s.Med.Transmit(f)
+	case s.exchanging:
+		s.TransmitData(f)
+	default:
+		f.Release()
 	}
-	if f.Kind == pkt.Data {
-		if s.exchanging {
-			s.TransmitData(f)
-		}
-		return
-	}
-	s.C.TxFrames++
-	s.Med.Transmit(f)
 }
 
-// TransmitAfter schedules f for transmission after d under delayedTx's rules.
+// TransmitAfter schedules f for transmission after d under delayedTx's
+// rules, taking over the caller's reference on it.
 func (s *Station) TransmitAfter(d sim.Time, f *pkt.Frame) {
 	a := s.freeTx
 	if a != nil {

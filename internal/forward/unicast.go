@@ -21,7 +21,9 @@ type Unicast struct {
 
 	svcNext   pkt.NodeID // next hop of the in-service batch
 	awaitCTS  bool
-	dataFrame *pkt.Frame // built at grant; sent after CTS when RTS/CTS is on
+	// dataFrame is the data frame of an RTS/CTS exchange, built at grant and
+	// parked here, with its creator's reference, until the CTS arrives.
+	dataFrame *pkt.Frame
 
 	// NAV: virtual carrier sense set by overheard RTS/CTS.
 	navUntil sim.Time
@@ -92,17 +94,14 @@ func (u *Unicast) transmitBatch() {
 	if u.maxAgg > 1 {
 		perPkt = phys.PerPacketCRCBytes
 	}
-	f := &pkt.Frame{
-		Kind:     pkt.Data,
-		Tx:       u.ID,
-		Rx:       u.svcNext,
-		Origin:   u.ID,
-		FinalDst: u.svcNext,
-		TxopID:   txop,
-		Packets:  append([]*pkt.Packet(nil), u.InService...),
-		FlowID:   u.SvcFlow,
-		RateBps:  u.Rate(u.svcNext),
-	}
+	f := u.Med.NewFrame()
+	f.Kind = pkt.Data
+	f.Tx, f.Rx = u.ID, u.svcNext
+	f.Origin, f.FinalDst = u.ID, u.svcNext
+	f.TxopID = txop
+	f.Packets = append(f.Packets, u.InService...)
+	f.FlowID = u.SvcFlow
+	f.RateBps = u.Rate(u.svcNext)
 	payload := f.PayloadBytes(phys.MACHeaderBytes, perPkt, 0)
 	f.Duration = u.P.DataTimeAt(payload, f.RateBps)
 	if u.rtsThresh > 0 && payload >= u.rtsThresh {
@@ -118,17 +117,14 @@ func (u *Unicast) transmitBatch() {
 // overhearing stations set their NAV.
 func (u *Unicast) sendRTS(data *pkt.Frame) {
 	p := u.P
-	rts := &pkt.Frame{
-		Kind:     pkt.Rts,
-		Tx:       u.ID,
-		Rx:       u.svcNext,
-		Origin:   u.ID,
-		FinalDst: u.svcNext,
-		TxopID:   data.TxopID,
-		FlowID:   u.SvcFlow,
-		Duration: p.RTSTime(),
-		NavDur:   p.SIFS + p.CTSTime() + p.SIFS + data.Duration + p.SIFS + u.ackDuration(),
-	}
+	rts := u.Med.NewFrame()
+	rts.Kind = pkt.Rts
+	rts.Tx, rts.Rx = u.ID, u.svcNext
+	rts.Origin, rts.FinalDst = u.ID, u.svcNext
+	rts.TxopID = data.TxopID
+	rts.FlowID = u.SvcFlow
+	rts.Duration = p.RTSTime()
+	rts.NavDur = p.SIFS + p.CTSTime() + p.SIFS + data.Duration + p.SIFS + u.ackDuration()
 	u.awaitCTS = true
 	u.C.TxFrames++
 	u.Med.Transmit(rts)
@@ -158,8 +154,16 @@ func (u *Unicast) ackDuration() sim.Time {
 // drop the whole batch past the retry limit.
 func (u *Unicast) Timeout() {
 	u.awaitCTS = false
-	u.dataFrame = nil
+	u.dropDataFrame()
 	u.FailExchange(u.BudgetSpent)
+}
+
+// dropDataFrame gives up on the parked post-CTS data frame, if there is one.
+func (u *Unicast) dropDataFrame() {
+	if u.dataFrame != nil {
+		u.dataFrame.Release()
+		u.dataFrame = nil
+	}
 }
 
 // Receive implements Protocol.
@@ -186,17 +190,14 @@ func (u *Unicast) handleRts(f *pkt.Frame) {
 		return // our own NAV forbids responding (802.11 §9.2.5.7)
 	}
 	p := u.P
-	cts := &pkt.Frame{
-		Kind:     pkt.Cts,
-		Tx:       u.ID,
-		Rx:       f.Tx,
-		Origin:   u.ID,
-		FinalDst: f.Tx,
-		TxopID:   f.TxopID,
-		FlowID:   f.FlowID,
-		Duration: p.CTSTime(),
-		NavDur:   f.NavDur - p.SIFS - p.CTSTime(),
-	}
+	cts := u.Med.NewFrame()
+	cts.Kind = pkt.Cts
+	cts.Tx, cts.Rx = u.ID, f.Tx
+	cts.Origin, cts.FinalDst = u.ID, f.Tx
+	cts.TxopID = f.TxopID
+	cts.FlowID = f.FlowID
+	cts.Duration = p.CTSTime()
+	cts.NavDur = f.NavDur - p.SIFS - p.CTSTime()
 	u.TransmitAfter(p.SIFS, cts)
 }
 
@@ -275,32 +276,19 @@ func (u *Unicast) handleData(f *pkt.Frame, pktOK []bool) {
 		u.Cont.NoteCorrupted()
 		return
 	}
-	// Acknowledge after SIFS. The bitmap lists packets that passed CRC;
-	// counting first sizes the retained slice exactly (one allocation, no
-	// append growth).
-	nOK := 0
-	for i := range f.Packets {
-		if i < len(pktOK) && pktOK[i] {
-			nOK++
-		}
-	}
-	ackUIDs := make([]uint64, 0, nOK)
+	// Acknowledge after SIFS. The bitmap lists packets that passed CRC.
+	ack := u.Med.NewFrame()
+	ack.Kind = pkt.Ack
+	ack.Tx, ack.Rx = u.ID, f.Tx
+	ack.Origin, ack.FinalDst = u.ID, f.Tx
+	ack.TxopID = f.TxopID
 	for i, p := range f.Packets {
 		if i < len(pktOK) && pktOK[i] {
-			ackUIDs = append(ackUIDs, p.UID)
+			ack.AckedUIDs = append(ack.AckedUIDs, p.UID)
 		}
 	}
-	ack := &pkt.Frame{
-		Kind:      pkt.Ack,
-		Tx:        u.ID,
-		Rx:        f.Tx,
-		Origin:    u.ID,
-		FinalDst:  f.Tx,
-		TxopID:    f.TxopID,
-		AckedUIDs: ackUIDs,
-		FlowID:    f.FlowID,
-		Duration:  u.ackDuration(),
-	}
+	ack.FlowID = f.FlowID
+	ack.Duration = u.ackDuration()
 	u.TransmitAfter(u.P.SIFS, ack)
 	// Process the successfully received packets.
 	for i, p := range f.Packets {
@@ -326,13 +314,13 @@ func (u *Unicast) handleData(f *pkt.Frame, pktOK []bool) {
 }
 
 // ReleaseCustody implements Protocol: a crash abandons the handshake and
-// forgets the NAV; the pending post-CTS data frame shares the in-service
-// packets and holds no references of its own. rxSeen deliberately survives:
+// forgets the NAV; the parked post-CTS data frame shares the in-service
+// packets and holds no references on them. rxSeen deliberately survives:
 // forgetting delivered UIDs would let a hop-by-hop retransmission duplicate
 // packets into the upper layer after recovery.
 func (u *Unicast) ReleaseCustody() uint64 {
 	u.awaitCTS = false
-	u.dataFrame = nil
+	u.dropDataFrame()
 	u.navBusy = false
 	u.navUntil = 0
 	return 0

@@ -145,6 +145,7 @@ func TestLifecycleCrashMidExchangeReleasesAllCustody(t *testing.T) {
 				return
 			}
 			crashed = true
+			carried := len(f.Packets) // f itself is valid only during this call
 			// Same instant, after the reception upcall: the forwarder has the
 			// frame, and no relay, ACK or custody decision has fired yet.
 			r.eng.After(0, func() {
@@ -153,7 +154,7 @@ func TestLifecycleCrashMidExchangeReleasesAllCustody(t *testing.T) {
 					t.Errorf("source holds %d before its first ACK, want %d", held[0], injected)
 				}
 				if opportunistic {
-					held[1] += len(f.Packets) // armed relay / pending-ACK custody
+					held[1] += carried // armed relay / pending-ACK custody
 				}
 				if held[1] == 0 {
 					t.Error("forwarder holds nothing: the crash would not be mid-custody")

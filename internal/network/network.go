@@ -136,7 +136,8 @@ type Config struct {
 	// Trace, when non-nil, receives low-level medium events with their
 	// simulation time (tests, debugging, trace.Recorder). When tracing a
 	// multi-seed run, install it on a single-seed Run: seeds execute
-	// concurrently and the hook is not synchronised.
+	// concurrently and the hook is not synchronised. The frame is valid only
+	// during the call (see radio.Medium.Trace).
 	Trace func(at sim.Time, event string, node pkt.NodeID, f *pkt.Frame)
 	// World, when non-nil, is the prebuilt seed-independent snapshot this
 	// run executes on (see BuildWorld). It must have been built from a
@@ -440,6 +441,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Audit || auditEnv() {
 		aud = audit.New()
 		eng.SetCheck(func() { aud.Event(int64(eng.Now())) })
+		// A released frame is never reissued, so a holder that forgot its
+		// Hold trips the liveness assertions within one event.
+		medium.Frames().Quarantine()
 	}
 
 	endpoints := make(map[endpointKey]receiver)
@@ -708,11 +712,14 @@ func Run(cfg Config) (*Result, error) {
 	eng.Run(cfg.Duration)
 
 	// End-of-run audit: the deep catalogue once more at quiescence, and
-	// the always-on packet conservation identity — every allocation must
-	// be delivered, dropped, or still held by a live reference.
+	// the always-on conservation identities — every packet allocated must
+	// be delivered, dropped, or still held by a live reference, and every
+	// frame handed out recycled or still held.
 	aud.AtDrain()
 	gets, delivered, dropped := pktPool.Counters()
 	audit.CheckPoolConservation(gets, delivered, dropped, pktPool.InUse())
+	frameGets, frameRecycled := medium.Frames().Counters()
+	audit.CheckFramePool(frameGets, frameRecycled, medium.Frames().InUse())
 
 	res := &Result{Duration: cfg.Duration, Events: eng.Processed(),
 		PendingAtEnd: eng.Pending(), Medium: medium.Counters}

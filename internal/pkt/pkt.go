@@ -138,9 +138,6 @@ type Frame struct {
 
 	// Packets are the aggregated upper-layer packets in a Data frame.
 	Packets []*Packet
-	// PktOK, set by the PHY on reception, records which sub-packets
-	// survived the bit-error process. len == len(Packets).
-	PktOK []bool
 
 	// AckedUIDs lists the packet UIDs acknowledged by a bitmap Ack frame.
 	AckedUIDs []uint64
@@ -168,9 +165,15 @@ type Frame struct {
 	NavDur sim.Time
 
 	// air counts the frame's pending PHY completions while it is on the
-	// medium (see BeginAir/AirDone): the airtime reference that keeps
-	// pooled packets alive until every receiver has processed the frame.
+	// medium (see BeginAir/AirDone): the airtime reference that keeps the
+	// frame and its pooled packets alive until every receiver has processed
+	// it.
 	air int32
+
+	// pool and refs implement per-run recycling (see FramePool). Both are
+	// zero for a frame built as a literal, which makes Hold/Release no-ops.
+	pool *FramePool
+	refs int32
 }
 
 // PayloadBytes returns the MAC payload size of a data frame: MAC header,
@@ -187,16 +190,6 @@ func (f *Frame) PayloadBytes(macHeader, perPktHdr, fwdEntry int) int {
 	return n
 }
 
-// AllOK reports whether every sub-packet survived reception.
-func (f *Frame) AllOK() bool {
-	for _, ok := range f.PktOK {
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // RankOf returns the position of node in the forwarder list (0 = final
 // destination, 1 = forwarder closest to it, ...), or -1 if absent.
 func (f *Frame) RankOf(node NodeID) int {
@@ -208,15 +201,22 @@ func (f *Frame) RankOf(node NodeID) int {
 	return -1
 }
 
-// Clone returns a shallow copy suitable for relaying. FwdList, AckedUIDs
-// and the packet pointers are shared with the original: all three are
-// immutable once a frame has been transmitted, and relays either keep them
-// verbatim (ACK relays) or replace the Packets slice wholesale with the
-// sub-packets they actually decoded (data relays). Per-reception state
-// (PktOK, the airtime hold) is reset.
+// Clone returns a copy suitable for relaying, with the caller holding its
+// one reference: drawn from the original's pool, or allocated when the
+// original is a literal. The copy owns its Packets and AckedUIDs lists — the
+// original may be recycled and refilled while the copy is still on the air —
+// and shares FwdList, which belongs to the route book and is never rewritten.
+// It is not on the air.
 func (f *Frame) Clone() *Frame {
-	g := *f
-	g.PktOK = nil
-	g.air = 0
-	return &g
+	g := &Frame{}
+	if f.pool != nil {
+		g = f.pool.Get()
+	}
+	packets, acked := g.Packets, g.AckedUIDs
+	pool, refs := g.pool, g.refs
+	*g = *f
+	g.pool, g.refs, g.air = pool, refs, 0
+	g.Packets = append(packets[:0], f.Packets...)
+	g.AckedUIDs = append(acked[:0], f.AckedUIDs...)
+	return g
 }

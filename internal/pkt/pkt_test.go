@@ -51,37 +51,32 @@ func TestRankOf(t *testing.T) {
 	}
 }
 
-func TestAllOK(t *testing.T) {
-	f := &Frame{PktOK: []bool{true, true, true}}
-	if !f.AllOK() {
-		t.Fatal("AllOK should be true")
-	}
-	f.PktOK[1] = false
-	if f.AllOK() {
-		t.Fatal("AllOK should be false with a corrupted sub-packet")
-	}
-}
-
-func TestCloneSharesImmutableResetsPerReception(t *testing.T) {
+// A clone shares what is immutable (the route book's forwarder list, the
+// packets themselves) and owns the two lists a recycled original would have
+// rewritten under it.
+func TestCloneOwnsPacketAndAckLists(t *testing.T) {
 	f := &Frame{
 		Kind:      Data,
 		FwdList:   []NodeID{3, 2, 1},
 		Packets:   []*Packet{{UID: 1}, {UID: 2}},
 		AckedUIDs: []uint64{7},
-		PktOK:     []bool{true, false},
 	}
 	f.BeginAir(2)
 	g := f.Clone()
-	// Transmitted frames are immutable, so the clone shares the forwarder
-	// list, ACK bitmap and packet pointers with the original.
-	if &g.FwdList[0] != &f.FwdList[0] || &g.AckedUIDs[0] != &f.AckedUIDs[0] {
-		t.Fatal("Clone should share the immutable slices")
+	if &g.FwdList[0] != &f.FwdList[0] {
+		t.Fatal("Clone should share the forwarder list")
 	}
-	if g.Packets[0] != f.Packets[0] {
-		t.Fatal("Clone should share packet pointers")
+	if len(g.Packets) != 2 || g.Packets[0] != f.Packets[0] || g.Packets[1] != f.Packets[1] {
+		t.Fatal("Clone should carry the same packets")
 	}
-	if g.PktOK != nil || g.air != 0 {
-		t.Fatal("Clone must reset per-reception state")
+	if &g.Packets[0] == &f.Packets[0] || &g.AckedUIDs[0] == &f.AckedUIDs[0] {
+		t.Fatal("Clone must own its Packets and AckedUIDs lists")
+	}
+	if g.AckedUIDs[0] != 7 || g.Kind != Data {
+		t.Fatalf("Clone lost fields: %+v", g)
+	}
+	if g.air != 0 {
+		t.Fatal("a clone is not on the air")
 	}
 }
 

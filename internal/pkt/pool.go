@@ -109,18 +109,109 @@ func (pl *Pool) Counters() (gets, delivered, dropped int) {
 	return pl.gets, pl.recDelivered, pl.recDropped
 }
 
-// BeginAir marks a data frame as in flight with n pending PHY completions
-// (the transmitter's own tx-done plus one reception end per scheduled
-// receiver) and takes one reference on every aggregated packet for the
-// frame's airtime. The radio medium calls it at transmit time so packets
-// stay alive for late duplicate receptions even after the source abandons
-// them; each completion calls AirDone and the last one releases the hold.
-// Frames without packets (ACK/RTS/CTS) take no hold and AirDone ignores
-// them.
-func (f *Frame) BeginAir(n int) {
-	if len(f.Packets) == 0 || n <= 0 {
+// FramePool is a per-run free list of Frames, under the packet pool's rules:
+// a simulation builds one Frame per transmission, and the frame is dead once
+// it has left the air at every receiver, so a steady-state run allocates no
+// frames. A recycled frame keeps the capacity of its Packets and AckedUIDs
+// lists; refilling them with append allocates nothing either.
+//
+// Get hands the creator one reference, and putting the frame on the air
+// spends it: the last AirDone releases the frame. A frame that is never
+// transmitted must be released by whoever gives up on it. Code that keeps a
+// frame it was merely shown — a received frame, past the reception callback —
+// takes its own reference with Hold and drops it with Release.
+//
+// Like a Pool, a FramePool belongs to one run on one goroutine, and a frame
+// built as a literal (&Frame{...}) ignores Hold and Release.
+type FramePool struct {
+	free []*Frame
+	// gets counts frames handed out, recycled those fully released, and
+	// outstanding the difference, kept separately: gets == recycled +
+	// outstanding at every instant (audit.CheckFramePool).
+	gets        int
+	recycled    int
+	outstanding int
+	quarantine  bool
+}
+
+// Quarantine makes the pool never reissue a released frame, so that a holder
+// that forgot its Hold finds the frame dead (AssertLive) whenever it looks,
+// not only until the next Get. The deep-audit plane turns it on.
+func (pl *FramePool) Quarantine() { pl.quarantine = true }
+
+// Get returns a frame with every field zeroed (Packets and AckedUIDs empty,
+// with whatever capacity they had) and one reference held by the caller.
+func (pl *FramePool) Get() *Frame {
+	var f *Frame
+	if n := len(pl.free); n > 0 {
+		f = pl.free[n-1]
+		pl.free[n-1] = nil
+		pl.free = pl.free[:n-1]
+	} else {
+		f = &Frame{pool: pl}
+	}
+	f.refs = 1
+	pl.outstanding++
+	pl.gets++
+	return f
+}
+
+// InUse reports how many frames are out of the pool.
+func (pl *FramePool) InUse() int { return pl.outstanding }
+
+// Counters returns how many frames the pool has handed out and how many
+// have been fully released.
+func (pl *FramePool) Counters() (gets, recycled int) { return pl.gets, pl.recycled }
+
+// Hold notes an additional holder of the frame. A no-op for a literal frame.
+func (f *Frame) Hold() {
+	if f.pool == nil {
 		return
 	}
+	f.AssertLive("Hold")
+	f.refs++
+}
+
+// Release drops one reference; the last one resets the frame and returns it
+// to its pool. A no-op for a literal frame.
+func (f *Frame) Release() {
+	if f.pool == nil {
+		return
+	}
+	f.AssertLive("Release")
+	f.refs--
+	if f.refs > 0 {
+		return
+	}
+	pl := f.pool
+	clear(f.Packets)
+	*f = Frame{Packets: f.Packets[:0], AckedUIDs: f.AckedUIDs[:0], pool: pl}
+	pl.recycled++
+	pl.outstanding--
+	if !pl.quarantine {
+		pl.free = append(pl.free, f)
+	}
+}
+
+// AssertLive panics if the frame has been released to its pool: whoever
+// still uses it kept it past a callback without Hold, or released it twice.
+// Until the pool reissues the frame the check is certain; under Quarantine
+// it stays so.
+func (f *Frame) AssertLive(where string) {
+	if f.pool != nil && f.refs <= 0 {
+		panic("audit: invariant violated: frame liveness\n" +
+			"  detail: " + where + " on a frame already released to its pool")
+	}
+}
+
+// BeginAir marks a frame as in flight with n pending PHY completions (the
+// transmitter's own tx-done plus one reception end per scheduled receiver)
+// and takes one reference on every aggregated packet for the frame's
+// airtime. The radio medium calls it at transmit time so packets stay alive
+// for late duplicate receptions even after the source abandons them; each
+// completion calls AirDone and the last one releases the hold — and the
+// frame itself, whose creator's reference the air has taken over.
+func (f *Frame) BeginAir(n int) {
 	f.air = int32(n)
 	for _, p := range f.Packets {
 		p.Ref()
@@ -128,7 +219,7 @@ func (f *Frame) BeginAir(n int) {
 }
 
 // AirDone retires one pending PHY completion of the frame; the last one
-// releases the airtime hold on the frame's packets.
+// releases the airtime hold on the frame's packets, then the frame.
 func (f *Frame) AirDone() {
 	if f.air == 0 {
 		return
@@ -140,4 +231,5 @@ func (f *Frame) AirDone() {
 	for _, p := range f.Packets {
 		p.Release()
 	}
+	f.Release()
 }

@@ -137,3 +137,156 @@ func TestMarkDeliveredPoolLessNoop(t *testing.T) {
 	p.MarkDelivered() // must not panic or set state on a pool-less packet
 	p.Release()
 }
+
+func TestFramePoolHoldReleaseBalance(t *testing.T) {
+	var pl FramePool
+	check := func(wantGets, wantRecycled, wantUse int) {
+		t.Helper()
+		gets, recycled := pl.Counters()
+		if gets != wantGets || recycled != wantRecycled || pl.InUse() != wantUse {
+			t.Fatalf("counters = (gets %d, recycled %d, in use %d), want (%d, %d, %d)",
+				gets, recycled, pl.InUse(), wantGets, wantRecycled, wantUse)
+		}
+	}
+	f := pl.Get()
+	f.Hold() // a receiver keeps it past its callback
+	check(1, 0, 1)
+	f.Release()
+	check(1, 0, 1)
+	f.AssertLive("test")
+	f.Release()
+	check(1, 1, 0)
+	if g := pl.Get(); g != f {
+		t.Fatal("Get should reuse the released frame")
+	}
+	check(2, 1, 1)
+}
+
+func TestFramePoolDoubleReleasePanics(t *testing.T) {
+	var pl FramePool
+	f := pl.Get()
+	f.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("releasing a recycled frame should panic")
+		}
+	}()
+	f.Release()
+}
+
+func TestFramePoolHoldAfterReleasePanics(t *testing.T) {
+	var pl FramePool
+	f := pl.Get()
+	f.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("holding a recycled frame should panic")
+		}
+	}()
+	f.Hold()
+}
+
+func TestFramePoolRecyclesZeroWithCapacity(t *testing.T) {
+	var pl FramePool
+	f := pl.Get()
+	f.Kind, f.Tx, f.TxopID, f.Duration = Data, 3, 9, 100
+	f.FwdList = []NodeID{2, 1}
+	for i := 0; i < 16; i++ {
+		f.Packets = append(f.Packets, &Packet{UID: uint64(i)})
+		f.AckedUIDs = append(f.AckedUIDs, uint64(i))
+	}
+	f.Release()
+	g := pl.Get()
+	if g != f {
+		t.Fatal("Get should reuse the released frame")
+	}
+	if g.Kind != 0 || g.Tx != 0 || g.TxopID != 0 || g.Duration != 0 || g.FwdList != nil ||
+		len(g.Packets) != 0 || len(g.AckedUIDs) != 0 {
+		t.Fatalf("recycled frame not reset: %+v", g)
+	}
+	if cap(g.Packets) < 16 || cap(g.AckedUIDs) < 16 {
+		t.Fatalf("recycled frame lost its capacity: %d packets, %d uids", cap(g.Packets), cap(g.AckedUIDs))
+	}
+	for _, p := range g.Packets[:16] {
+		if p != nil {
+			t.Fatal("recycled frame still points at its old packets")
+		}
+	}
+}
+
+// The AckedUIDs trap: a relay's clone is still on the air when the frame it
+// was cloned from is recycled and refilled for another exchange.
+func TestFrameCloneSurvivesRecycledOriginal(t *testing.T) {
+	var pl FramePool
+	a, b := &Packet{UID: 1}, &Packet{UID: 2}
+	f := pl.Get()
+	f.Kind = Ack
+	f.Packets = append(f.Packets, a, b)
+	f.AckedUIDs = append(f.AckedUIDs, 1, 2)
+	g := f.Clone()
+	f.Release()
+	h := pl.Get() // f again, refilled
+	if h != f {
+		t.Fatal("the original was not reissued: the test proves nothing")
+	}
+	h.Packets = append(h.Packets, &Packet{UID: 8}, &Packet{UID: 9})
+	h.AckedUIDs = append(h.AckedUIDs, 8, 9)
+	if g.Packets[0] != a || g.Packets[1] != b || g.AckedUIDs[0] != 1 || g.AckedUIDs[1] != 2 {
+		t.Fatalf("clone changed under a recycled original: packets %v, uids %v", g.Packets, g.AckedUIDs)
+	}
+	g.Release()
+	h.Release()
+	if pl.InUse() != 0 {
+		t.Fatalf("InUse = %d after every release", pl.InUse())
+	}
+}
+
+func TestFramePoolQuarantineKeepsReleasedFramesDead(t *testing.T) {
+	var pl FramePool
+	pl.Quarantine()
+	f := pl.Get()
+	f.Kind = Data
+	f.Release()
+	if g := pl.Get(); g == f {
+		t.Fatal("a quarantined pool reissued a released frame")
+	}
+	if f.Kind != 0 {
+		t.Fatal("released frame not poisoned")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AssertLive passed a released frame")
+		}
+	}()
+	f.AssertLive("test")
+}
+
+func TestLiteralFramesIgnoreHolds(t *testing.T) {
+	f := &Frame{Kind: Data, Packets: []*Packet{{UID: 1}}}
+	f.Hold()
+	f.Release()
+	f.Release() // no pool: all no-ops, never panics
+	f.AssertLive("test")
+	f.BeginAir(1)
+	f.AirDone() // the last completion releases the frame: still a no-op
+	if f.Kind != Data || len(f.Packets) != 1 {
+		t.Fatal("a literal frame must not be reset")
+	}
+}
+
+// The air spends the creator's reference: the last completion recycles a
+// pooled frame of any kind, packets or none.
+func TestFrameAirReleasesPooledFrame(t *testing.T) {
+	var pl FramePool
+	f := pl.Get()
+	f.Kind = Ack
+	f.BeginAir(2)
+	f.AirDone()
+	if pl.InUse() != 1 {
+		t.Fatal("frame recycled before its last PHY completion")
+	}
+	f.AirDone()
+	if pl.InUse() != 0 {
+		t.Fatal("the last PHY completion should recycle the frame")
+	}
+}

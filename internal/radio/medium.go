@@ -21,14 +21,16 @@ type MAC interface {
 	// FrameReceived delivers a successfully decoded frame. pktOK flags
 	// which aggregated sub-packets survived the bit-error process (nil for
 	// ACK frames). The *Frame is shared between receivers: treat as
-	// read-only. pktOK is a scratch buffer valid only for the duration of
-	// the call — copy what outlives it.
+	// read-only, and Hold it to keep it past the call — it is recycled once
+	// it has left the air everywhere. pktOK is a scratch buffer valid only
+	// for the duration of the call — copy what outlives it.
 	FrameReceived(f *pkt.Frame, pktOK []bool)
 	// FrameCorrupted fires when a decodable frame ended but could not be
 	// understood (collision, capture loss, half-duplex overlap or header
 	// bit errors). 802.11 stations apply EIFS after this.
 	FrameCorrupted()
-	// TxDone fires at the station's own transmission end.
+	// TxDone fires at the station's own transmission end. The frame is the
+	// medium's by then (see Transmit): valid during the call.
 	TxDone(f *pkt.Frame)
 }
 
@@ -107,6 +109,7 @@ type txDone struct {
 func (a *txDone) Run() {
 	src, f, m := a.src, a.frame, a.m
 	m.recycleTxDone(a)
+	f.AssertLive("radio: transmission end")
 	src.txing = false
 	if src.busyRefs() == 0 {
 		src.mac.ChannelIdle()
@@ -163,10 +166,15 @@ type Medium struct {
 	pOKByBits map[int]float64
 	pktOKBuf  []bool
 
+	// frames is the run's frame pool (see NewFrame).
+	frames pkt.FramePool
+
 	// Trace, when non-nil, receives low-level medium events ("tx", "rx",
 	// "corrupt") with their simulation time, for debugging, tests and the
 	// trace.Recorder. node is the receiving station for rx/corrupt events
-	// and the transmitter for tx events.
+	// and the transmitter for tx events. The frame is valid only during the
+	// call, as FrameReceived's pktOK is: it is recycled after it leaves the
+	// air, so a hook that keeps anything copies it.
 	Trace func(at sim.Time, event string, node pkt.NodeID, f *pkt.Frame)
 
 	// txSerial numbers transmissions; Transmit stamps it on the stations
@@ -257,6 +265,14 @@ func (m *Medium) recycleTxDone(t *txDone) {
 	t.frame = nil
 	m.freeTx = append(m.freeTx, t)
 }
+
+// NewFrame returns a zeroed frame from the run's pool, its one reference
+// held by the caller. Transmit takes that reference over; a frame that is
+// never transmitted is released by whoever gives up on it.
+func (m *Medium) NewFrame() *pkt.Frame { return m.frames.Get() }
+
+// Frames returns the run's frame pool (the audit plane reads its counters).
+func (m *Medium) Frames() *pkt.FramePool { return &m.frames }
 
 // Attach registers the MAC upcall handler for a station.
 func (m *Medium) Attach(id pkt.NodeID, mac MAC) { m.stations[id].mac = mac }
@@ -349,7 +365,10 @@ func (m *Medium) SetNoiseDB(id pkt.NodeID, db float64) {
 func (m *Medium) SetLinkBlocked(b LinkBlocker) { m.linkBlocked = b }
 
 // Transmit emits a frame from f.Tx. f.Duration must be set. The call
-// returns the transmission end time. Transmitting while already
+// returns the transmission end time. The caller's reference on a pooled
+// frame passes to the medium, which releases it when the frame has left the
+// air at the transmitter and at every receiver; after Transmit the caller
+// sees the frame again only in TxDone. Transmitting while already
 // transmitting is a MAC bug and panics: it would silently corrupt the
 // simulation's accounting.
 func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
@@ -453,10 +472,10 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 		m.eng.Do(end+delay, &inf.end)
 		receivers++
 	}
-	// Hold the frame's packets for its airtime: the tx-done event plus one
-	// reception end per scheduled receiver each retire one completion, and
-	// the last retires the hold. This keeps pooled packets alive for late
-	// duplicate deliveries even after the source has abandoned them.
+	// Hold the frame and its packets for its airtime: the tx-done event plus
+	// one reception end per scheduled receiver each retire one completion,
+	// and the last retires the hold. This keeps pooled packets alive for
+	// late duplicate deliveries even after the source has abandoned them.
 	f.BeginAir(receivers + 1)
 	if plan.pruned {
 		// Pruned stations never drew a shadowing sample, but an addressed
@@ -514,6 +533,7 @@ func (m *Medium) endReception(dst *station, inf *inflight) {
 	}
 	dst.sensed--
 	f := inf.frame
+	f.AssertLive("radio: reception end")
 	if inf.decodable { // otherwise pure carrier: sensed energy, no decode attempt
 		m.decode(dst, inf)
 	}

@@ -223,3 +223,96 @@ func TestMediumTransmitWhileTransmittingPanics(t *testing.T) {
 	m.Transmit(dataFrame(0, 1, 100*sim.Microsecond))
 	eng.Run(sim.Second)
 }
+
+// pooledFrame is dataFrame drawn from the medium's pool.
+func pooledFrame(m *Medium, tx, rx pkt.NodeID, dur sim.Time) *pkt.Frame {
+	f := m.NewFrame()
+	f.Kind, f.Tx, f.Rx, f.Origin, f.FinalDst = pkt.Data, tx, rx, tx, rx
+	f.Packets = append(f.Packets, &pkt.Packet{UID: 1, Bytes: 1000, Src: tx, Dst: rx})
+	f.Duration = dur
+	return f
+}
+
+// Transmit takes over the creator's reference: the frame returns to the
+// pool when it has left the air at the transmitter and both receivers, and
+// is reissued for the next transmission — control frames included.
+func TestMediumRecyclesFrameAfterLastCompletion(t *testing.T) {
+	eng, m, _ := testMedium(t, idealConfig(), []Pos{{0, 0}, {100, 0}, {200, 0}})
+	first := pooledFrame(m, 0, 1, 100*sim.Microsecond)
+	m.Transmit(first)
+	eng.Run(50 * sim.Microsecond)
+	if m.Frames().InUse() != 1 {
+		t.Fatalf("InUse = %d with the frame on the air, want 1", m.Frames().InUse())
+	}
+	eng.Run(sim.Second)
+	if m.Frames().InUse() != 0 {
+		t.Fatalf("InUse = %d after the frame left the air, want 0", m.Frames().InUse())
+	}
+	ack := m.NewFrame()
+	if ack != first {
+		t.Fatal("the next frame should reuse the recycled one")
+	}
+	ack.Kind, ack.Tx, ack.Rx, ack.Duration = pkt.Ack, 1, 0, 30*sim.Microsecond
+	m.Transmit(ack)
+	eng.Run(2 * sim.Second)
+	if gets, recycled := m.Frames().Counters(); gets != 2 || recycled != 2 || m.Frames().InUse() != 0 {
+		t.Fatalf("gets %d, recycled %d, in use %d after two transmissions, want 2, 2, 0",
+			gets, recycled, m.Frames().InUse())
+	}
+}
+
+// holdingMAC keeps the first frame it receives past the callback, with or
+// without the reference that entitles it to.
+type holdingMAC struct {
+	recorderMAC
+	hold bool
+	kept *pkt.Frame
+}
+
+func (h *holdingMAC) FrameReceived(f *pkt.Frame, ok []bool) {
+	if h.kept == nil {
+		h.kept = f
+		if h.hold {
+			f.Hold()
+		}
+	}
+}
+
+func TestMediumHeldFrameOutlivesTheAir(t *testing.T) {
+	eng, m, _ := testMedium(t, idealConfig(), []Pos{{0, 0}, {100, 0}})
+	rx := &holdingMAC{hold: true}
+	m.Attach(1, rx)
+	m.Transmit(pooledFrame(m, 0, 1, 100*sim.Microsecond))
+	eng.Run(sim.Second)
+	if rx.kept == nil || m.Frames().InUse() != 1 {
+		t.Fatalf("held frame recycled: kept %v, InUse %d", rx.kept, m.Frames().InUse())
+	}
+	rx.kept.AssertLive("test")
+	if rx.kept.Kind != pkt.Data || len(rx.kept.Packets) != 1 {
+		t.Fatalf("held frame was reset: %+v", rx.kept)
+	}
+	rx.kept.Release()
+	if m.Frames().InUse() != 0 {
+		t.Fatalf("InUse = %d after the holder released, want 0", m.Frames().InUse())
+	}
+}
+
+// A receiver that keeps a frame without Hold and puts it back on the air is
+// caught at the next PHY completion, not left to corrupt a later exchange.
+func TestMediumUseAfterRecyclePanics(t *testing.T) {
+	eng, m, _ := testMedium(t, idealConfig(), []Pos{{0, 0}, {100, 0}})
+	m.Frames().Quarantine()
+	rx := &holdingMAC{}
+	m.Attach(1, rx)
+	m.Transmit(pooledFrame(m, 0, 1, 100*sim.Microsecond))
+	eng.Run(sim.Second)
+	stale := rx.kept
+	stale.Tx, stale.Duration = 1, 100*sim.Microsecond // what a relay would set
+	m.Transmit(stale)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a recycled frame went through the air unnoticed")
+		}
+	}()
+	eng.Run(2 * sim.Second)
+}
