@@ -19,8 +19,8 @@ type Unicast struct {
 	maxAgg    int
 	rtsThresh int // payload bytes above which RTS/CTS protects the exchange; 0 = off
 
-	svcNext   pkt.NodeID // next hop of the in-service batch
-	awaitCTS  bool
+	svcNext  pkt.NodeID // next hop of the in-service batch
+	awaitCTS bool
 	// dataFrame is the data frame of an RTS/CTS exchange, built at grant and
 	// parked here, with its creator's reference, until the CTS arrives.
 	dataFrame *pkt.Frame
