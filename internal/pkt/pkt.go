@@ -208,9 +208,11 @@ func (f *Frame) RankOf(node NodeID) int {
 // and shares FwdList, which belongs to the route book and is never rewritten.
 // It is not on the air.
 func (f *Frame) Clone() *Frame {
-	g := &Frame{}
+	var g *Frame
 	if f.pool != nil {
 		g = f.pool.Get()
+	} else {
+		g = &Frame{}
 	}
 	packets, acked := g.Packets, g.AckedUIDs
 	pool, refs := g.pool, g.refs
