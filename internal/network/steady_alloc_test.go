@@ -21,6 +21,9 @@ func TestSteadyStateAllocatesNothingPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two five-second runs")
 	}
+	if auditEnv() {
+		t.Skip("the deep audit quarantines released frames instead of reusing them")
+	}
 	line, path := topology.Line(3)
 	voipRadio := radio.DefaultConfig()
 	voipRadio.BitErrorRate = 1e-6

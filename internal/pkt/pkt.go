@@ -214,10 +214,9 @@ func (f *Frame) Clone() *Frame {
 	} else {
 		g = &Frame{}
 	}
-	packets, acked := g.Packets, g.AckedUIDs
-	pool, refs := g.pool, g.refs
-	*g = *f
-	g.pool, g.refs, g.air = pool, refs, 0
+	packets, acked, refs := g.Packets, g.AckedUIDs, g.refs
+	*g = *f // the pool included: the clone's own
+	g.refs, g.air = refs, 0
 	g.Packets = append(packets[:0], f.Packets...)
 	g.AckedUIDs = append(acked[:0], f.AckedUIDs...)
 	return g
