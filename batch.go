@@ -2,8 +2,8 @@ package ripple
 
 import (
 	"fmt"
-	"sync"
 
+	"ripple/internal/campaign"
 	"ripple/internal/campaign/pool"
 	"ripple/internal/network"
 	"ripple/internal/trace"
@@ -19,8 +19,10 @@ type Campaign struct {
 	// Parallel caps concurrently executing runs. 0 selects the shared
 	// GOMAXPROCS-sized pool; 1 forces serial execution.
 	Parallel int
-	// Progress, when non-nil, is called after each completed run with the
-	// number of finished runs and the total. Calls are serialized.
+	// Progress, when non-nil, is called after each completed (scenario ×
+	// seed) run with the number of finished runs and the total. Calls are
+	// serialized. The extra trace pass of a scenario that sets TraceJSONL
+	// is not a run of the campaign and is not counted.
 	Progress func(done, total int)
 }
 
@@ -28,99 +30,111 @@ type Campaign struct {
 // results in scenario order. Scenarios that set TraceJSONL must each use
 // their own writer: traced runs execute concurrently.
 func RunBatch(c Campaign) ([]*Result, error) {
-	n := len(c.Scenarios)
-	if n == 0 {
-		return nil, nil
+	// One cell per scenario: all of a scenario's seeds share one world.
+	plan, cfgs, err := c.plan(false)
+	if plan == nil {
+		return nil, err
 	}
-	cfgs := make([]*network.Config, n)
-	seedLists := make([][]uint64, n)
-	recs := make([]*trace.Recorder, n)
-	// A leaf is one simulation run: a seed of a scenario, or a scenario's
-	// dedicated trace run (the recorder hook is not synchronised, so it
-	// traces a separate first-seed run, as Run always has).
-	type leaf struct {
-		sc, seed int
-		trace    bool
+	res, err := plan.Run(c.pool(), c.Progress)
+	if err != nil {
+		return nil, err
 	}
-	var leaves []leaf
-	// Single-scenario batches (ripple.Run) keep their errors unprefixed.
-	wrapErr := func(i int, err error) error {
-		if n == 1 {
-			return err
-		}
-		return fmt.Errorf("scenario %d: %w", i, err)
+	return c.fold(cfgs, res)
+}
+
+// pool returns the pool Parallel selects.
+func (c Campaign) pool() *pool.Pool {
+	if c.Parallel > 0 {
+		return pool.New(c.Parallel)
 	}
+	return pool.Shared()
+}
+
+// scenarioErr names the failing scenario; single-scenario campaigns
+// (ripple.Run) keep their errors unprefixed.
+func (c Campaign) scenarioErr(i int, err error) error {
+	if len(c.Scenarios) == 1 {
+		return err
+	}
+	return fmt.Errorf("scenario %d: %w", i, err)
+}
+
+// seedList returns the seeds the scenario runs under (default: seed 1).
+func (s Scenario) seedList() []uint64 {
+	if len(s.Seeds) == 0 {
+		return []uint64{1}
+	}
+	return s.Seeds
+}
+
+// plan resolves every scenario and compiles the campaign into the one
+// thing that executes: a campaign.Plan, scenario-major. With perSeed each
+// (scenario, seed) is a cell of its own — the distributed lease unit —
+// otherwise each scenario is one cell. An empty campaign has no plan.
+func (c Campaign) plan(perSeed bool) (*campaign.Plan, []*network.Config, error) {
+	if len(c.Scenarios) == 0 {
+		return nil, nil, nil
+	}
+	cfgs := make([]*network.Config, len(c.Scenarios))
+	var cells []campaign.CellSpec
 	for i, s := range c.Scenarios {
 		cfg, err := s.toConfig()
 		if err != nil {
-			return nil, wrapErr(i, err)
+			return nil, nil, c.scenarioErr(i, err)
 		}
 		cfgs[i] = cfg
-		seeds := s.Seeds
-		if len(seeds) == 0 {
-			seeds = []uint64{1}
+		cell := campaign.CellSpec{Label: fmt.Sprintf("scenario %d", i), Config: *cfg, Seeds: s.seedList()}
+		if !perSeed {
+			cells = append(cells, cell)
+			continue
 		}
-		seedLists[i] = seeds
-		if s.TraceJSONL != nil {
-			recs[i] = &trace.Recorder{W: s.TraceJSONL}
-			leaves = append(leaves, leaf{sc: i, trace: true})
-		}
-		for j := range seeds {
-			leaves = append(leaves, leaf{sc: i, seed: j})
+		for j := range cell.Seeds {
+			one := cell
+			one.Seeds = cell.Seeds[j : j+1]
+			cells = append(cells, one)
 		}
 	}
-	perSeed := make([][]*network.Result, n)
-	for i := range perSeed {
-		perSeed[i] = make([]*network.Result, len(seedLists[i]))
-	}
+	plan, err := campaign.NewPlan("batch", cells)
+	return plan, cfgs, err
+}
 
-	p := pool.Shared()
-	if c.Parallel > 0 {
-		p = pool.New(c.Parallel)
-	}
-	done := 0
-	var progressMu sync.Mutex
-	var progress func()
-	if c.Progress != nil {
-		progress = func() {
-			done++
-			c.Progress(done, len(leaves))
+// fold turns a completed plan (either cell layout: its per-seed results
+// are scenario-major, seed-minor in both) into the public per-scenario
+// Results, after running the trace passes. The recorder hook is not
+// synchronised, so a scenario that sets TraceJSONL traces a dedicated
+// extra run of its first seed, in this process, that contributes nothing
+// but the trace and the airtime accounting.
+func (c Campaign) fold(cfgs []*network.Config, res *campaign.Result) ([]*Result, error) {
+	recs := make([]*trace.Recorder, len(c.Scenarios))
+	err := c.pool().Do(len(c.Scenarios), func(i int) error {
+		s := c.Scenarios[i]
+		if s.TraceJSONL == nil {
+			return nil
 		}
-	}
-	err := p.Do(len(leaves), func(u int) error {
-		l := leaves[u]
-		cfg := *cfgs[l.sc]
-		if l.trace {
-			cfg.Seed = seedLists[l.sc][0]
-			cfg.Trace = recs[l.sc].Hook()
-			if _, err := network.Run(cfg); err != nil {
-				return wrapErr(l.sc, err)
-			}
-			if err := recs[l.sc].Err(); err != nil {
-				return wrapErr(l.sc, fmt.Errorf("ripple: trace write: %w", err))
-			}
-		} else {
-			cfg.Seed = seedLists[l.sc][l.seed]
-			res, err := network.Run(cfg)
-			if err != nil {
-				return wrapErr(l.sc, err)
-			}
-			perSeed[l.sc][l.seed] = res
+		recs[i] = &trace.Recorder{W: s.TraceJSONL}
+		cfg := *cfgs[i]
+		cfg.Seed = s.seedList()[0]
+		cfg.Trace = recs[i].Hook()
+		if _, err := network.Run(cfg); err != nil {
+			return c.scenarioErr(i, err)
 		}
-		if progress != nil {
-			progressMu.Lock()
-			progress()
-			progressMu.Unlock()
+		if err := recs[i].Err(); err != nil {
+			return c.scenarioErr(i, fmt.Errorf("ripple: trace write: %w", err))
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	out := make([]*Result, n)
-	for i := range out {
-		out[i] = foldResult(cfgs[i], perSeed[i], recs[i])
+	var perSeed []*network.Result
+	for _, cell := range res.Cells {
+		perSeed = append(perSeed, cell.Seeds...)
+	}
+	out := make([]*Result, len(c.Scenarios))
+	for i, s := range c.Scenarios {
+		n := len(s.seedList())
+		out[i] = foldResult(perSeed[:n], recs[i])
+		perSeed = perSeed[n:]
 	}
 	return out, nil
 }
@@ -129,7 +143,7 @@ func RunBatch(c Campaign) ([]*Result, error) {
 // the fold is deterministic) into the public Result: every metric streams
 // through a Welford accumulator, so each carries its seed mean, 95%
 // confidence half-width, min, max and sample count.
-func foldResult(cfg *network.Config, results []*network.Result, rec *trace.Recorder) *Result {
+func foldResult(results []*network.Result, rec *trace.Recorder) *Result {
 	out := &Result{
 		Total:       foldMetric(results, func(r *network.Result) float64 { return r.TotalMbps }),
 		Fairness:    foldMetric(results, func(r *network.Result) float64 { return r.Fairness }),
@@ -138,11 +152,7 @@ func foldResult(cfg *network.Config, results []*network.Result, rec *trace.Recor
 		Unreachable: foldMetric(results, func(r *network.Result) float64 { return float64(r.Unreachable) }),
 	}
 	if rec != nil {
-		dur := cfg.Duration
-		if dur == 0 {
-			dur = 10 * Second
-		}
-		out.BusyFraction = rec.BusyFraction(dur)
+		out.BusyFraction = rec.BusyFraction(results[0].Duration)
 		out.AirtimePerNode = make(map[NodeID]Time)
 		for id, t := range rec.Airtime() {
 			out.AirtimePerNode[int(id)] = t

@@ -1,18 +1,12 @@
 package ripple
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"time"
 
-	"ripple/internal/campaign/pool"
 	"ripple/internal/dist"
-	"ripple/internal/network"
-	"ripple/internal/stats"
-	"ripple/internal/trace"
 )
 
 // WorkerEnv marks a process as a spawned campaign worker. Distribute
@@ -58,15 +52,14 @@ type DistributeOptions struct {
 // set TraceJSONL run their trace pass locally in the coordinator, so
 // trace output needs no cross-process plumbing.
 func (c Campaign) Distribute(opt DistributeOptions) ([]*Result, error) {
-	if len(c.Scenarios) == 0 {
-		return nil, nil
-	}
-	cells, err := newBatchCells(c)
-	if err != nil {
+	// One cell per (scenario, seed), so a lease is one run and a single
+	// many-seed scenario still spreads over every worker.
+	plan, cfgs, err := c.plan(true)
+	if plan == nil {
 		return nil, err
 	}
 	if os.Getenv(WorkerEnv) != "" {
-		serveBatchWorker(cells)
+		serveBatchWorker(dist.GridCells{Plan: plan})
 	}
 	if opt.Workers < 1 {
 		return nil, fmt.Errorf("ripple: Distribute: Workers = %d, need at least 1", opt.Workers)
@@ -95,12 +88,7 @@ func (c Campaign) Distribute(opt DistributeOptions) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := coord.RunGrid(dist.GridSpec{
-		Fingerprint: cells.fp,
-		NumCells:    len(cells.units),
-		RunsPerCell: 1,
-		Progress:    c.Progress,
-	})
+	res, err := dist.ExecutePlan(coord, plan, c.Progress)
 	coord.Close()
 	if werr := ws.Wait(); werr != nil && err == nil && opt.Logf != nil {
 		opt.Logf("ripple: %v", werr)
@@ -108,12 +96,12 @@ func (c Campaign) Distribute(opt DistributeOptions) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cells.fold(c, out)
+	return c.fold(cfgs, res)
 }
 
 // serveBatchWorker is the worker side of the re-exec contract: serve
 // leased runs on stdin/stdout, then exit the process.
-func serveBatchWorker(cells *batchCells) {
+func serveBatchWorker(cells dist.GridCells) {
 	rw := struct {
 		io.Reader
 		io.Writer
@@ -127,116 +115,4 @@ func serveBatchWorker(cells *batchCells) {
 		os.Exit(1)
 	}
 	os.Exit(0)
-}
-
-// batchUnit is one leased run: a seed of a scenario.
-type batchUnit struct{ sc, seed int }
-
-// batchCells adapts a Campaign to the distributed execution layer: the
-// flat cell index enumerates (scenario, seed) pairs, a cell's payload is
-// its single run's network.Result (every field round-trips JSON
-// exactly), and both sides derive the same fingerprint from the
-// campaign's shape.
-type batchCells struct {
-	cfgs  []*network.Config
-	seeds [][]uint64
-	units []batchUnit
-	fp    string
-}
-
-func newBatchCells(c Campaign) (*batchCells, error) {
-	b := &batchCells{}
-	h := sha256.New()
-	fmt.Fprintf(h, "campaign %d\n", len(c.Scenarios))
-	for i, s := range c.Scenarios {
-		cfg, err := s.toConfig()
-		if err != nil {
-			if len(c.Scenarios) == 1 {
-				return nil, err
-			}
-			return nil, fmt.Errorf("scenario %d: %w", i, err)
-		}
-		seeds := s.Seeds
-		if len(seeds) == 0 {
-			seeds = []uint64{1}
-		}
-		b.cfgs = append(b.cfgs, cfg)
-		b.seeds = append(b.seeds, seeds)
-		for j := range seeds {
-			b.units = append(b.units, batchUnit{i, j})
-		}
-		fmt.Fprintf(h, "scenario %d stations %d scheme %d flows %d dur %d seeds %v\n",
-			i, len(cfg.Positions), cfg.Scheme, len(cfg.Flows), cfg.Duration, seeds)
-	}
-	b.fp = fmt.Sprintf("%x", h.Sum(nil)[:16])
-	return b, nil
-}
-
-// Fingerprint implements dist.CellSet.
-func (b *batchCells) Fingerprint() string { return b.fp }
-
-// NumCells implements dist.CellSet.
-func (b *batchCells) NumCells() int { return len(b.units) }
-
-// RunsPerCell implements dist.CellSet.
-func (b *batchCells) RunsPerCell() int { return 1 }
-
-// RunCell implements dist.CellSet: one seed of one scenario.
-func (b *batchCells) RunCell(i int) (any, map[string]stats.State, error) {
-	u := b.units[i]
-	cfg := *b.cfgs[u.sc]
-	cfg.Seed = b.seeds[u.sc][u.seed]
-	res, err := network.Run(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, dist.ResultStats([]*network.Result{res}), nil
-}
-
-// fold decodes the distributed payloads back into per-scenario per-seed
-// results, runs any trace passes locally, and folds exactly as RunBatch
-// does.
-func (b *batchCells) fold(c Campaign, out *dist.GridOutput) ([]*Result, error) {
-	perSeed := make([][]*network.Result, len(b.cfgs))
-	for i := range perSeed {
-		perSeed[i] = make([]*network.Result, len(b.seeds[i]))
-	}
-	for i, raw := range out.Payloads {
-		u := b.units[i]
-		if err := json.Unmarshal(raw, &perSeed[u.sc][u.seed]); err != nil {
-			return nil, fmt.Errorf("ripple: distributed run %d payload: %w", i, err)
-		}
-	}
-	// Trace passes stay local: the recorder hook writes to this process's
-	// io.Writer, exactly as RunBatch's dedicated trace leaves do.
-	recs := make([]*trace.Recorder, len(c.Scenarios))
-	p := pool.Shared()
-	if c.Parallel > 0 {
-		p = pool.New(c.Parallel)
-	}
-	err := p.Do(len(c.Scenarios), func(i int) error {
-		s := c.Scenarios[i]
-		if s.TraceJSONL == nil {
-			return nil
-		}
-		recs[i] = &trace.Recorder{W: s.TraceJSONL}
-		cfg := *b.cfgs[i]
-		cfg.Seed = b.seeds[i][0]
-		cfg.Trace = recs[i].Hook()
-		if _, err := network.Run(cfg); err != nil {
-			return fmt.Errorf("scenario %d: %w", i, err)
-		}
-		if err := recs[i].Err(); err != nil {
-			return fmt.Errorf("scenario %d: ripple: trace write: %w", i, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*Result, len(b.cfgs))
-	for i := range results {
-		results[i] = foldResult(b.cfgs[i], perSeed[i], recs[i])
-	}
-	return results, nil
 }

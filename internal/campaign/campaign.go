@@ -16,6 +16,7 @@ package campaign
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -135,18 +136,20 @@ func (r *Result) Cell(idx ...int) *Cell {
 	return &r.Cells[flat]
 }
 
-// Plan is a validated, fully expanded grid: every cell's point and
-// scenario config built up front, in cell order, with no worlds
-// constructed yet. A Plan is the unit the distributed execution layer
-// (internal/dist) shards: a coordinator and its workers each expand the
-// same Grid declaration into the same Plan, identified by Fingerprint,
-// and cells are then executable independently with RunCell and
-// reassembled with Assemble.
+// Plan is the unit of execution: cells of (point, scenario config, seed
+// list), validated and in cell order, with no worlds constructed yet. A
+// Grid expands into one with Plan (every cell under the grid's seeds);
+// NewPlan builds one from explicit cells, each with its own seed list. A
+// Plan is immutable, so cells may run concurrently, in any order, in any
+// process: the distributed layer (internal/dist) has a coordinator and its
+// workers each build the same Plan, identified by Fingerprint, run cells
+// with RunCell and reassemble them with Assemble.
 type Plan struct {
-	grid   *Grid
+	name   string
+	axes   []Axis
 	points []Point
 	cfgs   []network.Config
-	seeds  []uint64
+	seeds  [][]uint64
 }
 
 // Plan validates the grid and expands it into its cell set. Build is
@@ -169,7 +172,8 @@ func (g *Grid) Plan() (*Plan, error) {
 	if len(seeds) == 0 {
 		seeds = []uint64{1}
 	}
-	p := &Plan{grid: g, seeds: seeds, points: make([]Point, cells), cfgs: make([]network.Config, cells)}
+	p := &Plan{name: g.Name, axes: g.Axes, points: make([]Point, cells),
+		cfgs: make([]network.Config, cells), seeds: make([][]uint64, cells)}
 	for c := 0; c < cells; c++ {
 		p.points[c] = g.point(c)
 		cfg, err := g.Build(p.points[c])
@@ -180,6 +184,37 @@ func (g *Grid) Plan() (*Plan, error) {
 			cfg.Duration = g.Duration
 		}
 		p.cfgs[c] = cfg
+		p.seeds[c] = seeds
+	}
+	return p, nil
+}
+
+// CellSpec is one cell of a plan built with NewPlan.
+type CellSpec struct {
+	// Label names the cell in errors and in its Point.
+	Label  string
+	Config network.Config
+	// Seeds runs the cell once per seed; at least one is required.
+	Seeds []uint64
+}
+
+// NewPlan builds a plan from explicit cells (at least one) along a single
+// "cell" axis.
+func NewPlan(name string, cells []CellSpec) (*Plan, error) {
+	if len(cells) == 0 {
+		return nil, fmt.Errorf("campaign %s: no cells", name)
+	}
+	axis := Axis{Name: "cell", Labels: make([]string, len(cells))}
+	p := &Plan{name: name, axes: []Axis{axis}, points: make([]Point, len(cells)),
+		cfgs: make([]network.Config, len(cells)), seeds: make([][]uint64, len(cells))}
+	for c, cell := range cells {
+		if len(cell.Seeds) == 0 {
+			return nil, fmt.Errorf("campaign %s [%s]: no seeds", name, cell.Label)
+		}
+		axis.Labels[c] = cell.Label
+		p.points[c] = Point{axes: p.axes, idx: []int{c}}
+		p.cfgs[c] = cell.Config
+		p.seeds[c] = cell.Seeds
 	}
 	return p, nil
 }
@@ -187,62 +222,108 @@ func (g *Grid) Plan() (*Plan, error) {
 // NumCells returns the number of cells in the plan.
 func (p *Plan) NumCells() int { return len(p.cfgs) }
 
-// Seeds returns the seed list every cell runs under.
-func (p *Plan) Seeds() []uint64 { return p.seeds }
+// Seeds returns the seed list of one cell.
+func (p *Plan) Seeds(c int) []uint64 { return p.seeds[c] }
 
-// Point returns the grid point of one cell.
-func (p *Plan) Point(c int) Point { return p.points[c] }
-
-// Fingerprint identifies the plan across processes: a coordinator only
-// accepts cell results from workers whose plan hashes identically. The
-// hash covers the grid's name, axes, seeds, duration and every cell's
-// scenario shape (station count, scheme, flow count) — Build functions
-// cannot be hashed, so two processes running different code behind the
-// same declaration shape are not detected; same-binary spawning makes
-// that configuration unreachable in practice.
+// Fingerprint identifies the plan across processes and across a
+// checkpoint's lifetime: a coordinator only accepts cell results from
+// workers — and only restores cells from a checkpoint — whose plan hashes
+// identically. The hash covers the name, the axes, and for every cell its
+// seed list and its whole scenario config in canonical (JSON) form, minus
+// what is not part of the scenario: Seed (the seed list stands for it),
+// World and Trace. A custom Routing.Policy is an interface value and
+// enters by its type name only; Build functions cannot be hashed at all,
+// but whatever they compute is in the configs.
 func (p *Plan) Fingerprint() string {
 	h := sha256.New()
-	g := p.grid
-	fmt.Fprintf(h, "grid %q dur %d seeds %v\n", g.Name, int64(g.Duration), p.seeds)
-	for _, a := range g.Axes {
+	enc := json.NewEncoder(h)
+	fmt.Fprintf(h, "plan %q\n", p.name)
+	for _, a := range p.axes {
 		fmt.Fprintf(h, "axis %q %q\n", a.Name, a.Labels)
 	}
-	for c := range p.cfgs {
-		cfg := &p.cfgs[c]
-		fmt.Fprintf(h, "cell %d pos %d scheme %d flows %d dur %d\n",
-			c, len(cfg.Positions), int(cfg.Scheme), len(cfg.Flows), int64(cfg.Duration))
+	for c, cfg := range p.cfgs {
+		fmt.Fprintf(h, "cell %d seeds %v policy %T\n", c, p.seeds[c], cfg.Routing.Policy)
+		cfg.Seed, cfg.World, cfg.Trace, cfg.Routing.Policy = 0, nil, nil, nil
+		if err := enc.Encode(&cfg); err != nil {
+			// Only a NaN or infinite parameter is unencodable; both sides
+			// of a campaign then hash the same error text.
+			fmt.Fprintf(h, "unencodable: %v\n", err)
+		}
 	}
 	return fmt.Sprintf("%x", h.Sum(nil)[:16])
 }
 
-// RunCell executes one cell: its world snapshot is built once, every seed
-// runs on the pool (nil = the shared pool) sharing it read-only, and the
-// snapshot is released before returning. Results are indexed by seed
-// position and bit-identical to the same cell of a full Run.
-func (p *Plan) RunCell(c int, pl *pool.Pool) ([]*network.Result, error) {
-	if c < 0 || c >= len(p.cfgs) {
-		return nil, fmt.Errorf("campaign %s: cell %d out of range [0,%d)", p.grid.Name, c, len(p.cfgs))
-	}
+// run is the one scheduler every campaign goes through. It executes cells
+// [lo, hi) on the pool (nil = the shared pool) and returns their per-seed
+// results, cell-indexed from lo, seed order within each cell.
+//
+// Each cell gets its seed-independent world snapshot (radio link plan,
+// routing table, resolved routes) built exactly once: the cell's seed-runs
+// share it read-only, so the O(N²) setup cost is paid per cell, not per
+// run. The builds themselves fan out across the pool — for single-seed
+// grids over large topologies they are the dominant setup cost — and
+// pool.Do reports the lowest-indexed failure, so a broken cell still
+// surfaces deterministically before any run. The flat (cell × seed) units
+// then share the pool, so a plan with few cells and many seeds, or many
+// cells and one seed, keeps every worker busy alike.
+func (p *Plan) run(lo, hi int, pl *pool.Pool, progress func(done, total int)) ([][]*network.Result, error) {
 	if pl == nil {
 		pl = pool.Shared()
 	}
-	cfg := p.cfgs[c] // copy: the world must not outlive this cell
-	if cfg.World == nil {
-		w, err := network.BuildWorld(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("campaign %s [%s]: %w", p.grid.Name, p.points[c], err)
+	n := hi - lo
+	worlds := make([]*network.World, n)
+	if err := pl.Do(n, func(i int) error {
+		w := p.cfgs[lo+i].World // a config may bring its own snapshot
+		if w == nil {
+			var err error
+			if w, err = network.BuildWorld(p.cfgs[lo+i]); err != nil {
+				return fmt.Errorf("campaign %s [%s]: %w", p.name, p.points[lo+i], err)
+			}
 		}
-		cfg.World = w
+		worlds[i] = w
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	results := make([]*network.Result, len(p.seeds))
-	err := pl.Do(len(p.seeds), func(s int) error {
-		run := cfg
-		run.Seed = p.seeds[s]
-		res, err := network.Run(run)
-		if err != nil {
-			return fmt.Errorf("campaign %s [%s] seed %d: %w", p.grid.Name, p.points[c], p.seeds[s], err)
+	type unit struct{ cell, seed int }
+	var units []unit
+	results := make([][]*network.Result, n)
+	// remaining counts each cell's unfinished seed-runs so the last
+	// finisher can drop the cell's world: without this a wide plan would
+	// pin O(cells × N²) of link-plan matrices until run returns, where each
+	// snapshot is only needed while its cell's seeds execute. Every unit
+	// reads worlds[cell] before running and decrements after, so the atomic
+	// counter orders the nil store strictly after every sibling's read.
+	remaining := make([]atomic.Int32, n)
+	for i := range results {
+		seeds := p.seeds[lo+i]
+		results[i] = make([]*network.Result, len(seeds))
+		remaining[i].Store(int32(len(seeds)))
+		for s := range seeds {
+			units = append(units, unit{i, s})
 		}
-		results[s] = res
+	}
+	var done int
+	var progressMu sync.Mutex
+	err := pl.Do(len(units), func(u int) error {
+		i, s := units[u].cell, units[u].seed
+		cfg := p.cfgs[lo+i]
+		cfg.World = worlds[i]
+		cfg.Seed = p.seeds[lo+i][s]
+		res, err := network.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("campaign %s [%s] seed %d: %w", p.name, p.points[lo+i], cfg.Seed, err)
+		}
+		results[i][s] = res
+		if remaining[i].Add(-1) == 0 {
+			worlds[i] = nil
+		}
+		if progress != nil {
+			progressMu.Lock()
+			done++
+			progress(done, len(units))
+			progressMu.Unlock()
+		}
 		return nil
 	})
 	if err != nil {
@@ -251,37 +332,47 @@ func (p *Plan) RunCell(c int, pl *pool.Pool) ([]*network.Result, error) {
 	return results, nil
 }
 
+// Run executes every cell and folds the results. progress, when non-nil,
+// is called after each completed run with the number of finished runs and
+// the total; calls are serialized.
+func (p *Plan) Run(pl *pool.Pool, progress func(done, total int)) (*Result, error) {
+	perCell, err := p.run(0, len(p.cfgs), pl, progress)
+	if err != nil {
+		return nil, err
+	}
+	return p.Assemble(perCell)
+}
+
+// RunCell executes one cell and returns its results in seed order,
+// bit-identical to the same cell of a full Run.
+func (p *Plan) RunCell(c int, pl *pool.Pool) ([]*network.Result, error) {
+	if c < 0 || c >= len(p.cfgs) {
+		return nil, fmt.Errorf("campaign %s: cell %d out of range [0,%d)", p.name, c, len(p.cfgs))
+	}
+	perCell, err := p.run(c, c+1, pl, nil)
+	if err != nil {
+		return nil, err
+	}
+	return perCell[0], nil
+}
+
 // Assemble folds per-cell seed results (cell-indexed, seed order within
-// each cell) into the grid Result. The fold is the one Run performs, so a
+// each cell) into the Result. The fold is the one Run performs, so a
 // Result assembled from cells executed elsewhere — other processes, other
 // machines, a resumed checkpoint — is identical to an uninterrupted
 // in-process Run.
 func (p *Plan) Assemble(perCell [][]*network.Result) (*Result, error) {
 	if len(perCell) != len(p.cfgs) {
-		return nil, fmt.Errorf("campaign %s: assembling %d cells, plan has %d", p.grid.Name, len(perCell), len(p.cfgs))
+		return nil, fmt.Errorf("campaign %s: assembling %d cells, plan has %d", p.name, len(perCell), len(p.cfgs))
 	}
-	flat := make([]*network.Result, 0, len(p.cfgs)*len(p.seeds))
+	out := &Result{Axes: p.axes, Cells: make([]Cell, len(p.cfgs))}
 	for c, seeds := range perCell {
-		if len(seeds) != len(p.seeds) {
-			return nil, fmt.Errorf("campaign %s: cell %d has %d seed results, plan wants %d", p.grid.Name, c, len(seeds), len(p.seeds))
+		if len(seeds) != len(p.seeds[c]) {
+			return nil, fmt.Errorf("campaign %s: cell %d has %d seed results, plan wants %d", p.name, c, len(seeds), len(p.seeds[c]))
 		}
-		flat = append(flat, seeds...)
+		out.Cells[c] = Cell{Point: p.points[c], Seeds: seeds, Mean: network.Average(seeds)}
 	}
-	return p.assembleFlat(flat), nil
-}
-
-// assembleFlat folds the flat (cell-major, seed-minor) result slice.
-func (p *Plan) assembleFlat(results []*network.Result) *Result {
-	out := &Result{Axes: p.grid.Axes, Cells: make([]Cell, len(p.cfgs))}
-	for c := range p.cfgs {
-		perSeed := results[c*len(p.seeds) : (c+1)*len(p.seeds)]
-		out.Cells[c] = Cell{
-			Point: p.points[c],
-			Seeds: perSeed,
-			Mean:  network.Average(perSeed),
-		}
-	}
-	return out
+	return out, nil
 }
 
 // Run expands the grid and executes every (cell × seed) unit on the pool.
@@ -290,74 +381,7 @@ func (g *Grid) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells := len(plan.cfgs)
-	seeds := plan.seeds
-	points, cfgs := plan.points, plan.cfgs
-
-	p := g.Pool
-	if p == nil {
-		p = pool.Shared()
-	}
-
-	// Each cell gets its seed-independent world snapshot (radio link plan,
-	// routing table, resolved routes) built exactly once: the cell's S
-	// seed-runs share it read-only, so the O(N²) setup cost is paid per
-	// cell, not per run. The builds themselves fan out across the pool —
-	// for single-seed grids over large topologies they are the dominant
-	// setup cost — and pool.Do reports the lowest-indexed failure, so a
-	// broken cell still surfaces deterministically before any run.
-	if err := p.Do(cells, func(c int) error {
-		if cfgs[c].World != nil {
-			return nil
-		}
-		w, err := network.BuildWorld(cfgs[c])
-		if err != nil {
-			return fmt.Errorf("campaign %s [%s]: %w", g.Name, points[c], err)
-		}
-		cfgs[c].World = w
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	total := cells * len(seeds)
-	results := make([]*network.Result, total)
-	// remaining counts each cell's unfinished seed-runs so the last
-	// finisher can drop the cell's World reference: without this a wide
-	// grid would pin O(cells × N²) of link-plan matrices until Run
-	// returns, where each snapshot is only needed while its cell's seeds
-	// execute. Every unit copies cfgs[cell] before running and decrements
-	// after, so the atomic counter orders the nil store strictly after
-	// every sibling's read.
-	remaining := make([]atomic.Int32, cells)
-	for c := range remaining {
-		remaining[c].Store(int32(len(seeds)))
-	}
-	var done int
-	var progressMu sync.Mutex
-	err = p.Do(total, func(u int) error {
-		cell, s := u/len(seeds), u%len(seeds)
-		cfg := cfgs[cell]
-		cfg.Seed = seeds[s]
-		res, err := network.Run(cfg)
-		if err != nil {
-			return fmt.Errorf("campaign %s [%s] seed %d: %w", g.Name, points[cell], seeds[s], err)
-		}
-		results[u] = res
-		if remaining[cell].Add(-1) == 0 {
-			cfgs[cell].World = nil
-		}
-		if g.Progress != nil {
-			progressMu.Lock()
-			done++
-			g.Progress(done, total)
-			progressMu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return plan.assembleFlat(results), nil
+	return plan.Run(g.Pool, g.Progress)
 }
 
 // point converts a flat cell index into per-axis indices (last axis

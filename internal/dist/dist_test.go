@@ -485,7 +485,6 @@ type fakeCells struct {
 
 func (f fakeCells) Fingerprint() string { return f.fp }
 func (f fakeCells) NumCells() int       { return f.n }
-func (f fakeCells) RunsPerCell() int    { return 1 }
 func (f fakeCells) RunCell(c int) (any, map[string]stats.State, error) {
 	if c == f.fail {
 		return nil, nil, fmt.Errorf("cell %d exploded", c)

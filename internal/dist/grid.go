@@ -26,9 +26,6 @@ func (g GridCells) Fingerprint() string { return g.Plan.Fingerprint() }
 // NumCells implements CellSet.
 func (g GridCells) NumCells() int { return g.Plan.NumCells() }
 
-// RunsPerCell implements CellSet.
-func (g GridCells) RunsPerCell() int { return len(g.Plan.Seeds()) }
-
 // RunCell implements CellSet: all seeds of one cell, plus the metric
 // summary states the coordinator merges across cells.
 func (g GridCells) RunCell(c int) (any, map[string]stats.State, error) {
@@ -86,17 +83,27 @@ func WorkerRunGrid(w GridServer, pl *pool.Pool) func(*campaign.Grid) (*campaign.
 
 // ExecuteGrid runs one campaign grid on the coordinator's workers and
 // assembles the result a single-process g.Run() would have produced.
-// This is the coordinator-side counterpart of ServeGrid(GridCells{...}).
 func ExecuteGrid(c *Coordinator, g *campaign.Grid) (*campaign.Result, error) {
 	plan, err := g.Plan()
 	if err != nil {
 		return nil, err
 	}
+	return ExecutePlan(c, plan, g.Progress)
+}
+
+// ExecutePlan runs one plan on the coordinator's workers and assembles
+// the result plan.Run would have produced in-process. This is the
+// coordinator-side counterpart of ServeGrid(GridCells{...}). progress
+// counts runs as cells × the first cell's seed count, which is exact for
+// the plans the tree builds (a grid's cells share one seed list; a
+// distributed batch has one seed per cell).
+func ExecutePlan(c *Coordinator, plan *campaign.Plan, progress func(done, total int)) (*campaign.Result, error) {
+	fp := plan.Fingerprint()
 	out, err := c.RunGrid(GridSpec{
-		Fingerprint: plan.Fingerprint(),
+		Fingerprint: fp,
 		NumCells:    plan.NumCells(),
-		RunsPerCell: len(plan.Seeds()),
-		Progress:    g.Progress,
+		RunsPerCell: len(plan.Seeds(0)),
+		Progress:    progress,
 	})
 	if err != nil {
 		return nil, err
@@ -104,7 +111,7 @@ func ExecuteGrid(c *Coordinator, g *campaign.Grid) (*campaign.Result, error) {
 	perCell := make([][]*network.Result, plan.NumCells())
 	for i, raw := range out.Payloads {
 		if err := json.Unmarshal(raw, &perCell[i]); err != nil {
-			return nil, fmt.Errorf("dist: grid %s cell %d payload: %w", plan.Fingerprint(), i, err)
+			return nil, fmt.Errorf("dist: grid %s cell %d payload: %w", fp, i, err)
 		}
 	}
 	return plan.Assemble(perCell)

@@ -12,8 +12,8 @@ import (
 )
 
 // CellSet is the worker-side view of one grid: a deterministic, shardable
-// batch of cells. campaign.Plan satisfies it through GridCells; the
-// public API wraps batch scenarios the same way.
+// batch of cells. campaign.Plan satisfies it through GridCells, the one
+// production implementation.
 type CellSet interface {
 	// Fingerprint identifies the grid across processes; coordinator and
 	// worker must compute identical fingerprints from identical
@@ -21,8 +21,6 @@ type CellSet interface {
 	Fingerprint() string
 	// NumCells is the flat cell count.
 	NumCells() int
-	// RunsPerCell is how many runs one cell represents (for progress).
-	RunsPerCell() int
 	// RunCell executes one cell, returning its payload (marshalled and
 	// shipped verbatim to the coordinator) and per-metric Welford states.
 	RunCell(c int) (payload any, st map[string]stats.State, err error)

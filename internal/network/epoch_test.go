@@ -170,11 +170,11 @@ func TestEpochWorldDeterministicAcrossPools(t *testing.T) {
 		}
 		shared := cfg
 		shared.World = w
-		narrow, _, err := RunSeedsOn(pool.New(1), shared, seeds)
+		narrow, _, err := runSeedsOn(pool.New(1), shared, seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wide, _, err := RunSeedsOn(pool.New(8), shared, seeds)
+		wide, _, err := runSeedsOn(pool.New(8), shared, seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func TestSharedEpochWorldRace(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = uint64(i + 1)
 	}
-	if _, _, err := RunSeedsOn(pool.New(8), cfg, seeds); err != nil {
+	if _, _, err := runSeedsOn(pool.New(8), cfg, seeds); err != nil {
 		t.Fatal(err)
 	}
 }

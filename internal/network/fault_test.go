@@ -142,11 +142,11 @@ func TestCrashReleasesCustody(t *testing.T) {
 // checks the overlay is truly read-only.
 func TestFaultPoolWidthEquality(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4}
-	serial, savg, err := RunSeedsOn(pool.New(1), lineChurnConfig(0), seeds)
+	serial, savg, err := runSeedsOn(pool.New(1), lineChurnConfig(0), seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, wavg, err := RunSeedsOn(pool.New(8), lineChurnConfig(0), seeds)
+	wide, wavg, err := runSeedsOn(pool.New(8), lineChurnConfig(0), seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,13 +137,13 @@ type Config struct {
 	// simulation time (tests, debugging, trace.Recorder). When tracing a
 	// multi-seed run, install it on a single-seed Run: seeds execute
 	// concurrently and the hook is not synchronised. The frame is valid only
-	// during the call (see radio.Medium.Trace).
-	Trace func(at sim.Time, event string, node pkt.NodeID, f *pkt.Frame)
+	// during the call (see radio.Medium.Trace). Not part of a Config's
+	// canonical JSON form (campaign.Plan.Fingerprint): a func has none.
+	Trace func(at sim.Time, event string, node pkt.NodeID, f *pkt.Frame) `json:"-"`
 	// World, when non-nil, is the prebuilt seed-independent snapshot this
 	// run executes on (see BuildWorld). It must have been built from a
-	// Config whose non-seed fields equal this one's; RunSeeds and the
-	// campaign engine set it automatically so all seed-runs of a scenario
-	// share one snapshot. Nil makes Run build a private snapshot — the
+	// Config whose non-seed fields equal this one's; the campaign engine
+	// sets it automatically so all seed-runs of a cell share one snapshot. Nil makes Run build a private snapshot — the
 	// results are bit-identical either way.
 	World *World
 	// Audit enables the deep invariant-audit plane (internal/audit): the

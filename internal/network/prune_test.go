@@ -70,11 +70,11 @@ func TestSeedFanoutDeterministicWithPooling(t *testing.T) {
 	cfg.Radio = radio.DefaultConfig() // default PruneSigma: pruning on
 	cfg.Duration = 500 * sim.Millisecond
 	seeds := []uint64{1, 2, 3, 4, 5, 6}
-	serialRuns, serialAvg, err := RunSeedsOn(pool.New(1), cfg, seeds)
+	serialRuns, serialAvg, err := runSeedsOn(pool.New(1), cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wideRuns, wideAvg, err := RunSeedsOn(pool.New(8), cfg, seeds)
+	wideRuns, wideAvg, err := runSeedsOn(pool.New(8), cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

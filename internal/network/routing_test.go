@@ -90,11 +90,11 @@ func TestCongestionEpochDeterministicAcrossPools(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4}
 	cfg := hotspotConfig(RouteCongestion, 0)
 	cfg.Routing.Epoch = 100 * sim.Millisecond
-	_, serial, err := RunSeedsOn(pool.New(1), cfg, seeds)
+	_, serial, err := runSeedsOn(pool.New(1), cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wide, err := RunSeedsOn(pool.New(8), cfg, seeds)
+	_, wide, err := runSeedsOn(pool.New(8), cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,50 +1,10 @@
 package network
 
 import (
-	"fmt"
 	"math"
 
-	"ripple/internal/campaign/pool"
 	"ripple/internal/sim"
 )
-
-// RunSeeds executes the same scenario under several seeds and returns the
-// per-seed results plus the seed-averaged summary, which is how the paper
-// reports every figure ("All results presented are averages over multiple
-// runs"). Runs are scheduled on the shared bounded worker pool, so a large
-// seed list cannot spawn an unbounded number of goroutines; results are
-// indexed by seed position and therefore identical for any pool size.
-func RunSeeds(cfg Config, seeds []uint64) ([]*Result, *Result, error) {
-	return RunSeedsOn(pool.Shared(), cfg, seeds)
-}
-
-// RunSeedsOn is RunSeeds scheduled on a specific pool. The seed-independent
-// world snapshot (link plan, routing table, initial routes) is built once
-// and shared read-only by every seed-run on the pool.
-func RunSeedsOn(p *pool.Pool, cfg Config, seeds []uint64) ([]*Result, *Result, error) {
-	if len(seeds) == 0 {
-		return nil, nil, fmt.Errorf("network: no seeds")
-	}
-	if cfg.World == nil {
-		w, err := BuildWorld(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.World = w
-	}
-	results := make([]*Result, len(seeds))
-	err := p.Do(len(seeds), func(i int) error {
-		c := cfg
-		c.Seed = seeds[i]
-		var err error
-		results[i], err = Run(c)
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return results, Average(results), nil
-}
 
 // Average combines per-seed results into the per-seed mean of every field,
 // per flow and in total. All fields — including the Events, PktsDelivered

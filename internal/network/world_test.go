@@ -54,7 +54,7 @@ func TestSharedWorldSeedRunsBitIdentical(t *testing.T) {
 	}
 	shared := cfg
 	shared.World = w
-	results, _, err := RunSeedsOn(pool.New(8), shared, seeds)
+	results, _, err := runSeedsOn(pool.New(8), shared, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,16 +70,16 @@ func TestSharedWorldSeedRunsBitIdentical(t *testing.T) {
 func TestRunSeedsPoolWidthInvariantWithSharedWorld(t *testing.T) {
 	cfg := worldTestConfig()
 	seeds := []uint64{5, 6, 7}
-	narrow, _, err := RunSeedsOn(pool.New(1), cfg, seeds)
+	narrow, _, err := runSeedsOn(pool.New(1), cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, _, err := RunSeedsOn(pool.New(len(seeds)), cfg, seeds)
+	wide, _, err := runSeedsOn(pool.New(len(seeds)), cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(narrow, wide) {
-		t.Fatal("RunSeeds results depend on pool width")
+		t.Fatal("seed-run results depend on pool width")
 	}
 }
 
@@ -98,7 +98,7 @@ func TestSharedWorldRace(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = uint64(i + 1)
 	}
-	if _, _, err := RunSeedsOn(pool.New(8), cfg, seeds); err != nil {
+	if _, _, err := runSeedsOn(pool.New(8), cfg, seeds); err != nil {
 		t.Fatal(err)
 	}
 }
