@@ -1,9 +1,12 @@
 package ripple_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"ripple"
@@ -15,18 +18,29 @@ import (
 func distCampaign() ripple.Campaign {
 	mk := func(scheme ripple.Scheme) ripple.Scenario {
 		top, path := ripple.LineTopology(3)
-		return ripple.Scenario{
+		sc := ripple.Scenario{
 			Topology: top,
 			Scheme:   scheme,
 			Flows:    []ripple.Flow{{ID: 1, Path: path, Traffic: ripple.FTP{}}},
 			Seeds:    []uint64{1, 2},
 			Duration: 300 * ripple.Millisecond,
 		}
+		// The noisy variant has the same shape — stations, flows, scheme,
+		// duration, seeds — and differs in one parameter only. Workers
+		// inherit the variable, so they build the same variant.
+		if os.Getenv(noisyEnv) != "" {
+			sc.Radio = ripple.DefaultRadio().WithBER(1e-4)
+		}
+		return sc
 	}
 	return ripple.Campaign{Scenarios: []ripple.Scenario{
 		mk(ripple.SchemeDCF), mk(ripple.SchemeRIPPLE),
 	}}
 }
+
+// noisyEnv selects distCampaign's noisy variant in a test and the worker
+// processes it spawns.
+const noisyEnv = "RIPPLE_TEST_NOISY"
 
 // TestDistributeWorkerHelper is not a test: it is the program the
 // spawned workers run (the standard re-exec helper pattern). With
@@ -96,6 +110,54 @@ func TestDistributeCheckpointRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resumed, want) {
 		t.Error("resumed run differs from RunBatch")
+	}
+}
+
+// TestDistributeResumeIgnoresForeignCheckpoint: a checkpoint written by a
+// campaign of the same shape under another parameter (here the BER) must
+// not be restored into this one. The fingerprint covers the parameters,
+// so the resumed run finds nothing of its own in the file, runs every
+// cell, and returns its own results — not the file's, and not a mix.
+func TestDistributeResumeIgnoresForeignCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	opts := ripple.DistributeOptions{
+		Workers:    1,
+		WorkerArgs: []string{"-test.run=TestDistributeWorkerHelper"},
+		Checkpoint: filepath.Join(t.TempDir(), "ckpt.json"),
+	}
+	clear, err := distCampaign().Distribute(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv(noisyEnv, "1")
+	want, err := ripple.RunBatch(distCampaign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(want, clear) {
+		t.Fatal("the noisy variant does not change the results; the test shows nothing")
+	}
+	opts.Resume = true
+	var mu sync.Mutex
+	var log strings.Builder
+	opts.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(&log, format+"\n", args...)
+	}
+	got, err := distCampaign().Distribute(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed over a foreign checkpoint:\ngot  %+v\nwant %+v", got, want)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !strings.Contains(log.String(), "not among the 1 grids of checkpoint") {
+		t.Errorf("the unmatched checkpoint went unreported:\n%s", log.String())
 	}
 }
 

@@ -99,6 +99,13 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // Path returns the checkpoint's file path.
 func (ck *Checkpoint) Path() string { return ck.path }
 
+// numGrids returns how many grids the checkpoint holds.
+func (ck *Checkpoint) numGrids() int {
+	ck.mu.Lock()
+	defer ck.mu.Unlock()
+	return len(ck.doc.Grids)
+}
+
 // restore returns the completed cells recorded for grid fp, validating
 // internal consistency: the bitmap, cell-record keys and declared cell
 // count must agree, and every index must be in range. numCells is the

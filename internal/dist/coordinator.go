@@ -210,6 +210,12 @@ func (c *Coordinator) RunGrid(spec GridSpec) (*GridOutput, error) {
 		if gr.doneCount > 0 {
 			c.logf("dist: grid %s: restored %d/%d cells from checkpoint",
 				spec.Fingerprint, gr.doneCount, spec.NumCells)
+		} else if n := c.opt.Checkpoint.numGrids(); done == nil && n > 0 {
+			// Either the campaign had not reached this grid when the file
+			// was written, or the file belongs to another campaign (other
+			// flags, another version): say so rather than rerun silently.
+			c.logf("dist: grid %s: not among the %d grids of checkpoint %s, running all %d cells",
+				spec.Fingerprint, n, c.opt.Checkpoint.Path(), spec.NumCells)
 		}
 	}
 	if c.opt.WAL != nil {
