@@ -77,15 +77,15 @@ func run() int {
 		RTSThreshold: *rts,
 		Audit:        *auditOn,
 	}
-	pol := strings.ToLower(*routing)
-	switch pol {
+	// Flags map one to one onto the public builders. An option the selected
+	// policy, model or fault set would ignore is not checked here: the
+	// scenario carries it to sc.Validate below, the one place that knows.
+	switch strings.ToLower(*routing) {
 	case "static", "":
-		pol = "static"
 		sc.Routing = ripple.StaticRouting()
 	case "etx":
 		sc.Routing = ripple.ETXRouting()
 	case "congestion", "orcd":
-		pol = "congestion"
 		sc.Routing = ripple.CongestionRouting()
 	case "geo":
 		sc.Routing = ripple.GeoRouting()
@@ -93,20 +93,10 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "unknown routing policy %q\n", *routing)
 		return 2
 	}
-	// Reject option/policy combinations that would silently do nothing, so
-	// the printed routing label never claims an inert knob was in force.
 	if *alpha > 0 {
-		if pol != "congestion" {
-			fmt.Fprintf(os.Stderr, "-alpha only applies to -routing congestion (got %s)\n", pol)
-			return 2
-		}
 		sc.Routing = sc.Routing.WithAlpha(*alpha)
 	}
 	if *epochMs > 0 {
-		if pol != "congestion" {
-			fmt.Fprintf(os.Stderr, "-epoch only applies to dynamic policies (-routing congestion, got %s)\n", pol)
-			return 2
-		}
 		sc.Routing = sc.Routing.WithEpoch(ripple.Time(*epochMs * float64(ripple.Millisecond)))
 	}
 	if *kRelays > 0 {
@@ -114,24 +104,16 @@ func run() int {
 	}
 	switch strings.ToLower(*priority) {
 	case "spaced", "":
-	case "neardst", "nearsrc":
-		if *kRelays <= 0 {
-			fmt.Fprintf(os.Stderr, "-priority only applies together with -k\n")
-			return 2
-		}
-		if strings.ToLower(*priority) == "neardst" {
-			sc.Routing = sc.Routing.WithPriority(ripple.PriorityNearDst)
-		} else {
-			sc.Routing = sc.Routing.WithPriority(ripple.PriorityNearSrc)
-		}
+	case "neardst":
+		sc.Routing = sc.Routing.WithPriority(ripple.PriorityNearDst)
+	case "nearsrc":
+		sc.Routing = sc.Routing.WithPriority(ripple.PriorityNearSrc)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown sizing priority %q\n", *priority)
 		return 2
 	}
-	mob := strings.ToLower(*mobility)
-	switch mob {
+	switch strings.ToLower(*mobility) {
 	case "static", "":
-		mob = "static"
 	case "waypoint":
 		sc.Mobility = ripple.WaypointMobility()
 	case "markov":
@@ -140,46 +122,24 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "unknown mobility model %q\n", *mobility)
 		return 2
 	}
-	// Same inert-knob discipline as the routing options: a knob that the
-	// selected model would ignore is an error, not a silent no-op.
 	if *maxSpeed > 0 {
-		if mob != "waypoint" {
-			fmt.Fprintf(os.Stderr, "-maxspeed only applies to -mobility waypoint (got %s)\n", mob)
-			return 2
-		}
 		sc.Mobility = sc.Mobility.WithSpeed(0, *maxSpeed)
 	}
 	if *stay > 0 {
-		if mob != "markov" {
-			fmt.Fprintf(os.Stderr, "-stay only applies to -mobility markov (got %s)\n", mob)
-			return 2
-		}
 		sc.Mobility = sc.Mobility.WithStay(*stay)
 	}
 	if *mobEpoch > 0 {
-		if mob == "static" {
-			fmt.Fprintf(os.Stderr, "-mobepoch needs a mobility model (-mobility waypoint|markov)\n")
-			return 2
-		}
 		sc.Mobility = sc.Mobility.WithEpoch(ripple.Time(*mobEpoch * float64(ripple.Millisecond)))
 	}
 	if *mobSeed > 0 {
-		if mob == "static" {
-			fmt.Fprintf(os.Stderr, "-mobseed needs a mobility model (-mobility waypoint|markov)\n")
-			return 2
-		}
 		sc.Mobility = sc.Mobility.WithSeed(*mobSeed)
 	}
 	// Fault injection: -mtbf enables station churn; -faults adds link
-	// flaps, noise bursts and a partition window. Inert-knob discipline as
-	// above: a fault option without a fault process is an error.
-	if *mtbf > 0 {
+	// flaps, noise bursts and a partition window.
+	if *mtbf > 0 || *mttr > 0 {
 		sc.Faults = sc.Faults.WithStationMTBF(
 			ripple.Time(*mtbf*float64(ripple.Second)),
 			ripple.Time(*mttr*float64(ripple.Second)))
-	} else if *mttr > 0 {
-		fmt.Fprintf(os.Stderr, "-mttr only applies together with -mtbf\n")
-		return 2
 	}
 	if *faults != "" {
 		for _, part := range strings.Split(*faults, ",") {
@@ -213,25 +173,11 @@ func run() int {
 		}
 	}
 	if *faultSeed > 0 {
-		if !sc.Faults.Active() {
-			fmt.Fprintf(os.Stderr, "-faultseed needs a fault process (-mtbf or -faults)\n")
-			return 2
-		}
 		sc.Faults = sc.Faults.WithSeed(*faultSeed)
 	}
 	for s := 1; s <= *seeds; s++ {
 		sc.Seeds = append(sc.Seeds, uint64(s))
 	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer f.Close()
-		sc.TraceJSONL = f
-	}
-
 	switch strings.ToLower(*scheme) {
 	case "dcf", "d", "spr", "s":
 		sc.Scheme = ripple.SchemeDCF
@@ -341,6 +287,19 @@ func run() int {
 		rad = rad.WithLowRatePHY()
 	}
 	sc.Radio = rad
+	if err := sc.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	if *traceOut != "" {
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		defer f.Close()
+		sc.TraceJSONL = f
+	}
 
 	campaign := ripple.Campaign{Scenarios: []ripple.Scenario{sc}, Parallel: *parallel}
 	if *progress {

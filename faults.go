@@ -180,6 +180,17 @@ func (f Faults) String() string {
 	return "faults(" + strings.Join(opts, ",") + ")"
 }
 
+// validate rejects an option no configured fault process would read.
+func (f Faults) validate() error {
+	switch {
+	case !f.Active() && f != (Faults{}):
+		return fmt.Errorf("ripple: Faults options need a fault process (station churn, link flaps, noise bursts or a partition)")
+	case f.mttr != 0 && f.mtbf == 0:
+		return fmt.Errorf("ripple: Faults: a repair time (MTTR) only applies together with an MTBF")
+	}
+	return nil
+}
+
 // spec resolves the public options into the simulator's fault spec.
 func (f Faults) spec() fault.Spec {
 	return fault.Spec{

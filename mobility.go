@@ -71,28 +71,28 @@ func (m Mobility) WithSeed(seed uint64) Mobility {
 }
 
 // WithSpeed returns a copy with the waypoint leg-speed range set, in m/s.
-// Only meaningful for WaypointMobility.
+// Only valid for WaypointMobility.
 func (m Mobility) WithSpeed(min, max float64) Mobility {
 	m.minSpeed, m.maxSpeed = min, max
 	return m
 }
 
 // WithPause returns a copy with the waypoint post-arrival pause set. Only
-// meaningful for WaypointMobility.
+// valid for WaypointMobility.
 func (m Mobility) WithPause(pause Time) Mobility {
 	m.pause = pause
 	return m
 }
 
 // WithPlaces returns a copy with the Markov place count set. Only
-// meaningful for MarkovMobility.
+// valid for MarkovMobility.
 func (m Mobility) WithPlaces(n int) Mobility {
 	m.places = n
 	return m
 }
 
 // WithStay returns a copy with the Markov per-epoch stay probability set
-// (0 < stay < 1). Only meaningful for MarkovMobility.
+// (0 < stay < 1). Only valid for MarkovMobility.
 func (m Mobility) WithStay(stay float64) Mobility {
 	m.stay = stay
 	return m
@@ -128,6 +128,19 @@ func (m Mobility) String() string {
 		return name
 	}
 	return name + "(" + strings.Join(opts, ",") + ")"
+}
+
+// validate rejects an option the selected model would silently ignore.
+func (m Mobility) validate() error {
+	switch {
+	case !m.Active() && m != (Mobility{}):
+		return fmt.Errorf("ripple: Mobility options need a mobility model (WaypointMobility or MarkovMobility)")
+	case (m.minSpeed != 0 || m.maxSpeed != 0 || m.pause != 0) && m.kind != network.MobilityWaypoint:
+		return fmt.Errorf("ripple: Mobility.WithSpeed and WithPause only apply to WaypointMobility (got %s)", m.kind)
+	case (m.places != 0 || m.stay != 0) && m.kind != network.MobilityMarkov:
+		return fmt.Errorf("ripple: Mobility.WithPlaces and WithStay only apply to MarkovMobility (got %s)", m.kind)
+	}
+	return nil
 }
 
 // spec resolves the public options into the simulator's mobility spec.

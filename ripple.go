@@ -19,6 +19,7 @@
 package ripple
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -252,6 +253,16 @@ func kindOf(k Scheme) network.SchemeKind {
 	}
 }
 
+// Validate reports what would make the scenario fail before its first
+// event: an unknown scheme, an invalid radio or traffic parameter, a flow
+// without a route — and any Routing, Mobility or Faults option that the
+// selected policy, model or fault set would silently ignore. Run,
+// RunBatch and Distribute return the same error.
+func (s Scenario) Validate() error {
+	_, err := s.toConfig()
+	return err
+}
+
 func (s Scenario) toConfig() (*network.Config, error) {
 	kind := kindOf(s.Scheme)
 	if kind == 0 {
@@ -259,6 +270,9 @@ func (s Scenario) toConfig() (*network.Config, error) {
 	}
 	rc, err := s.Radio.config()
 	if err != nil {
+		return nil, err
+	}
+	if err := errors.Join(s.Routing.validate(), s.Mobility.validate(), s.Faults.validate()); err != nil {
 		return nil, err
 	}
 	cfg := &network.Config{

@@ -71,15 +71,17 @@ func CongestionRouting() Routing { return Routing{kind: network.RouteCongestion}
 func GeoRouting() Routing { return Routing{kind: network.RouteGeo} }
 
 // WithAlpha returns a copy with the congestion backlog weight set, in ETX
-// units per queued packet (default 0.25). Only meaningful for
-// CongestionRouting.
+// units per queued packet (default 0.25). Only valid for
+// CongestionRouting; a scenario that sets it on another policy is
+// rejected.
 func (r Routing) WithAlpha(alpha float64) Routing {
 	r.alpha = alpha
 	return r
 }
 
 // WithEpoch returns a copy with the dynamic-policy recompute interval set
-// (default 500 ms). Only meaningful for policies that react to load.
+// (default 500 ms). Only valid for policies that react to load
+// (CongestionRouting).
 func (r Routing) WithEpoch(epoch Time) Routing {
 	r.epoch = epoch
 	return r
@@ -98,7 +100,7 @@ func (r Routing) WithForwarders(k int) Routing {
 }
 
 // WithPriority returns a copy with the relay-sizing priority rule set
-// (default PrioritySpaced). Only meaningful together with WithForwarders.
+// (default PrioritySpaced). Only valid together with WithForwarders.
 func (r Routing) WithPriority(p Priority) Routing {
 	switch p {
 	case PriorityNearDst:
@@ -133,6 +135,21 @@ func (r Routing) String() string {
 		return name
 	}
 	return name + "(" + strings.Join(opts, ",") + ")"
+}
+
+// validate rejects an option the selected policy would silently ignore,
+// so a label like "etx(alpha=0.5)" can never claim an inert knob was in
+// force. Scenario.Validate and every run report it.
+func (r Routing) validate() error {
+	switch {
+	case r.alpha != 0 && r.kind != network.RouteCongestion:
+		return fmt.Errorf("ripple: Routing.WithAlpha only applies to CongestionRouting (got %s)", r.kind)
+	case r.epoch != 0 && r.kind != network.RouteCongestion:
+		return fmt.Errorf("ripple: Routing.WithEpoch only applies to policies that react to load (CongestionRouting; got %s)", r.kind)
+	case r.rule != routing.SizeSpaced && r.k <= 0:
+		return fmt.Errorf("ripple: Routing.WithPriority only applies together with WithForwarders")
+	}
+	return nil
 }
 
 // spec resolves the public options into the simulator's routing spec.

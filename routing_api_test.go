@@ -1,6 +1,7 @@
 package ripple
 
 import (
+	"strings"
 	"testing"
 
 	"ripple/internal/network"
@@ -82,5 +83,68 @@ func TestScenarioRoutingRuns(t *testing.T) {
 		if res.Total.Mean <= 0 {
 			t.Fatalf("%v: no throughput", r)
 		}
+	}
+}
+
+// TestValidateRejectsInertOptions covers every option/selection rule that
+// cmd/ripplesim used to check on its own flags: an option the selected
+// route policy, mobility model or fault set would silently ignore fails
+// the scenario, in any chaining order, and the valid counterpart passes.
+func TestValidateRejectsInertOptions(t *testing.T) {
+	top, path := LineTopology(2)
+	base := Scenario{Topology: top, Scheme: SchemeRIPPLE, Flows: []Flow{{Path: path, Traffic: FTP{}}}}
+	cases := []struct {
+		name    string
+		set     func(*Scenario)
+		errPart string // "" = valid
+	}{
+		{"-alpha without congestion", func(s *Scenario) { s.Routing = ETXRouting().WithAlpha(0.5) }, "WithAlpha"},
+		{"-alpha on static", func(s *Scenario) { s.Routing = StaticRouting().WithAlpha(0.5) }, "WithAlpha"},
+		{"-alpha with congestion", func(s *Scenario) { s.Routing = CongestionRouting().WithAlpha(0.5) }, ""},
+		{"-epoch without congestion", func(s *Scenario) { s.Routing = GeoRouting().WithEpoch(Second) }, "WithEpoch"},
+		{"-epoch with congestion", func(s *Scenario) { s.Routing = CongestionRouting().WithEpoch(Second) }, ""},
+		{"-priority without -k", func(s *Scenario) { s.Routing = StaticRouting().WithPriority(PriorityNearDst) }, "WithPriority"},
+		{"-priority before -k", func(s *Scenario) { s.Routing = ETXRouting().WithPriority(PriorityNearSrc).WithForwarders(1) }, ""},
+		{"-priority spaced without -k", func(s *Scenario) { s.Routing = ETXRouting().WithPriority(PrioritySpaced) }, ""},
+		{"-maxspeed without waypoint", func(s *Scenario) { s.Mobility = MarkovMobility().WithSpeed(0, 3) }, "WithSpeed"},
+		{"pause without waypoint", func(s *Scenario) { s.Mobility = MarkovMobility().WithPause(Second) }, "WithPause"},
+		{"-maxspeed with waypoint", func(s *Scenario) { s.Mobility = WaypointMobility().WithSpeed(0, 3).WithPause(Second) }, ""},
+		{"-stay without markov", func(s *Scenario) { s.Mobility = WaypointMobility().WithStay(0.5) }, "WithStay"},
+		{"places without markov", func(s *Scenario) { s.Mobility = WaypointMobility().WithPlaces(4) }, "WithPlaces"},
+		{"-stay with markov", func(s *Scenario) { s.Mobility = MarkovMobility().WithStay(0.5).WithPlaces(4) }, ""},
+		{"-mobepoch without a model", func(s *Scenario) { s.Mobility = StaticMobility().WithEpoch(Second) }, "need a mobility model"},
+		{"-mobseed without a model", func(s *Scenario) { s.Mobility = StaticMobility().WithSeed(3) }, "need a mobility model"},
+		{"-mobepoch -mobseed with a model", func(s *Scenario) { s.Mobility = MarkovMobility().WithEpoch(Second).WithSeed(3) }, ""},
+		{"-mttr without -mtbf", func(s *Scenario) { s.Faults = NoFaults().WithStationMTBF(0, Second) }, "need a fault process"},
+		{"-mttr without -mtbf beside flaps", func(s *Scenario) { s.Faults = LinkFlaps(1).WithStationMTBF(0, Second) }, "MTTR"},
+		{"-faultseed without a process", func(s *Scenario) { s.Faults = Faults{}.WithSeed(7) }, "need a fault process"},
+		{"threshold without a process", func(s *Scenario) { s.Faults = NoFaults().WithThreshold(2) }, "need a fault process"},
+		{"-faultseed with a process", func(s *Scenario) { s.Faults = LinkFlaps(1).WithSeed(7).WithThreshold(2) }, ""},
+		{"-mtbf -mttr", func(s *Scenario) { s.Faults = StationChurn(Second, Second) }, ""},
+	}
+	for _, c := range cases {
+		sc := base
+		c.set(&sc)
+		err := sc.Validate()
+		switch {
+		case c.errPart == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.errPart != "" && (err == nil || !strings.Contains(err.Error(), c.errPart)):
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.errPart)
+		}
+		if err != nil {
+			// A run reports what Validate does, before simulating anything.
+			if _, rerr := Run(sc); rerr == nil || rerr.Error() != err.Error() {
+				t.Errorf("%s: Run err = %v, Validate err = %v", c.name, rerr, err)
+			}
+		}
+	}
+	// Two inert options are both reported.
+	sc := base
+	sc.Routing = ETXRouting().WithAlpha(1)
+	sc.Faults = NoFaults().WithSeed(2)
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "WithAlpha") ||
+		!strings.Contains(err.Error(), "fault process") {
+		t.Errorf("two inert options: err = %v", err)
 	}
 }
