@@ -1,11 +1,13 @@
 package network
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"ripple/internal/campaign/pool"
 	"ripple/internal/radio"
+	"ripple/internal/routing"
 	"ripple/internal/sim"
 	"ripple/internal/topology"
 )
@@ -213,11 +215,11 @@ func TestSharedEpochWorldRace(t *testing.T) {
 	}
 }
 
-// TestEpochTablesStaySparseCity guards the epoch rebuild against the dense
-// fallback: on a pruned city-scale world every epoch's link table must keep
-// the sparse layout (a dense slip at N=1000 is an 8 MB-per-epoch
-// regression; the alloc gate on BenchmarkEpochRebuildCity enforces the
-// byte budget, this pins the layout).
+// TestEpochTablesStaySparseCity guards world construction against the dense
+// fallback: on a pruned city-scale world the base snapshot and every
+// epoch's rebuild must keep the sparse layouts and store only in-range
+// links — a dense link plan holds all n·(n−1) ordered pairs (36 MB at
+// N=1000, per epoch) and a dense table 8 MB more.
 func TestEpochTablesStaySparseCity(t *testing.T) {
 	top, _ := topology.CityN(1000, 3)
 	cfg := Config{
@@ -235,19 +237,23 @@ func TestEpochTablesStaySparseCity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.plan.Pruned() || !w.table.Sparse() {
-		t.Fatal("city base world is not sparse — case set up wrong")
-	}
 	if w.Epochs() == 0 {
 		t.Fatal("mobile city built no epoch worlds")
 	}
+	n := len(cfg.Positions)
+	check := func(name string, plan *radio.LinkPlan, table *routing.Table) {
+		t.Helper()
+		if !plan.Pruned() || plan.Links() > n*(n-1)/2 {
+			t.Errorf("%s: link plan is dense: pruned=%v, %d of %d ordered pairs stored",
+				name, plan.Pruned(), plan.Links(), n*(n-1))
+		}
+		if !table.Sparse() {
+			t.Errorf("%s: link table fell back to the dense layout", name)
+		}
+	}
+	check("base world", w.plan, w.table)
 	for e, ew := range w.epochs {
-		if !ew.plan.Pruned() {
-			t.Fatalf("epoch %d: rebuilt plan lost pruning", e)
-		}
-		if !ew.table.Sparse() {
-			t.Fatalf("epoch %d: rebuilt table fell back to the dense layout", e)
-		}
+		check(fmt.Sprintf("epoch %d", e), ew.plan, ew.table)
 	}
 }
 
