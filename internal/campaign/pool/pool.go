@@ -1,9 +1,9 @@
 // Package pool provides the bounded worker pool every batch layer of the
-// simulator schedules on. Campaign grids, network.RunSeeds and the public
-// batch API all share one GOMAXPROCS-sized pool by default, so peak
-// concurrency stays bounded no matter how many scenario cells a sweep
-// expands to — unlike the seed implementation, which spawned one goroutine
-// per seed with no cap.
+// simulator schedules on. Campaign grids and the public batch API run on
+// one scheduler (campaign.Plan) over one GOMAXPROCS-sized pool by default,
+// so peak concurrency stays bounded no matter how many scenario cells a
+// sweep expands to — unlike the seed implementation, which spawned one
+// goroutine per seed with no cap.
 //
 // The pool uses work donation: a caller's own goroutine always executes
 // jobs, and up to Workers()-1 helper goroutines are borrowed from a shared
