@@ -40,7 +40,7 @@ func distCampaign() ripple.Campaign {
 
 // noisyEnv selects distCampaign's noisy variant in a test and the worker
 // processes it spawns.
-const noisyEnv = "RIPPLE_TEST_NOISY"
+const noisyEnv = "DIST_TEST_NOISY_VARIANT"
 
 // TestDistributeWorkerHelper is not a test: it is the program the
 // spawned workers run (the standard re-exec helper pattern). With

@@ -1,17 +1,20 @@
-// Package campaign is the simulator's batch execution engine. A Grid
-// declares the axes of a scenario sweep (scheme, topology, flow count,
-// BER, radio profile — any labelled dimension) and a Build function that
-// maps one grid point to a network.Config; Run expands the cartesian
-// product into (point × seed) units, schedules every unit on the shared
-// bounded worker pool, and folds each cell's per-seed results into a mean
-// plus Welford-accumulated variance so every cell can report mean ± 95%
-// CI. The paper's evaluation is exactly this shape — every figure averages
-// "multiple runs" over a (scheme × topology × load × channel) grid — and
-// the figure drivers in internal/experiments are declared as Grids.
+// Package campaign is the simulator's batch execution engine. What it
+// executes is a Plan: cells of (point, network.Config, seed list). A Grid
+// declares one as the axes of a scenario sweep (scheme, topology, flow
+// count, BER, radio profile — any labelled dimension) and a Build function
+// that maps one grid point to a network.Config; NewPlan takes explicit
+// cells, which is how the public batch API arrives. One scheduler runs the
+// plan's (cell × seed) units on the shared bounded worker pool — all of
+// it, or a range of cells for a distributed worker — and each cell's
+// per-seed results fold into a mean plus Welford-accumulated variance so
+// every cell can report mean ± 95% CI. The paper's evaluation is exactly
+// this shape — every figure averages "multiple runs" over a (scheme ×
+// topology × load × channel) grid — and the figure drivers in
+// internal/experiments are declared as Grids.
 //
-// Execution is deterministic: units are indexed by (point, seed) and
-// results are folded in that fixed order, so a grid produces bit-identical
-// numbers whether it runs on one worker or many.
+// Execution is deterministic: units are indexed by (cell, seed) and
+// results are folded in that fixed order, so a plan produces bit-identical
+// numbers whether it runs on one worker or many, in one process or several.
 package campaign
 
 import (
