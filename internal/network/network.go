@@ -443,7 +443,7 @@ func Run(cfg Config) (*Result, error) {
 		eng.SetCheck(func() { aud.Event(int64(eng.Now())) })
 		// A released frame is never reissued, so a holder that forgot its
 		// Hold trips the liveness assertions within one event.
-		medium.Frames().Quarantine()
+		medium.Quarantine()
 	}
 
 	endpoints := make(map[endpointKey]receiver)

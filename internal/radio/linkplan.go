@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"cmp"
 	"slices"
 
 	"ripple/internal/sim"
@@ -51,6 +52,13 @@ type LinkPlan struct {
 	lookID   []int32
 	lookSlot []int32
 
+	// delayOrd[i], when non-nil, is row i's positions sorted by
+	// (propagation delay, position): the order in which a transmission from
+	// i reaches its receivers. A row already in that order has none — every
+	// pruned row but the odd one whose sub-metre neighbours tie in clamped
+	// power — and a plan with no such row has no slice at all.
+	delayOrd [][]int32
+
 	// pruned reports whether neighbor pruning is active; pruneCutoff is
 	// the mean-power floor (dBm) below which a pair is pruned, so
 	// MeanDBm(a, b) >= pruneCutoff ⇔ b ∈ neighbors(a).
@@ -73,7 +81,49 @@ func NewLinkPlan(cfg Config, positions []Pos) *LinkPlan {
 	} else {
 		pl.buildFull()
 	}
+	pl.indexDelayOrder()
 	return pl
+}
+
+// indexDelayOrder finishes a build: it finds the rows whose propagation
+// delays do not ascend along the row and stores their delay order, in one
+// backing array. Mean power falls with distance and delay rises with it,
+// so a pruned row is out of order only where clamped or rounded powers
+// tie; an unpruned row is in ID order and nearly always is.
+func (pl *LinkPlan) indexDelayOrder() {
+	total := 0
+	for i := 0; i < pl.n; i++ {
+		if pd := pl.nbrPD[pl.off[i]:pl.off[i+1]]; !slices.IsSorted(pd) {
+			total += len(pd)
+		}
+	}
+	if total == 0 {
+		return
+	}
+	pl.delayOrd = make([][]int32, pl.n)
+	flat := make([]int32, total)
+	for i := 0; i < pl.n; i++ {
+		pd := pl.nbrPD[pl.off[i]:pl.off[i+1]]
+		if slices.IsSorted(pd) {
+			continue
+		}
+		ord := flat[:len(pd):len(pd)]
+		flat = flat[len(pd):]
+		for k := range ord {
+			ord[k] = int32(k)
+		}
+		slices.SortStableFunc(ord, func(a, b int32) int { return cmp.Compare(pd[a], pd[b]) })
+		pl.delayOrd[i] = ord
+	}
+}
+
+// delayOrder returns row i's positions in (propagation delay, position)
+// order, or nil when the row is in that order as stored.
+func (pl *LinkPlan) delayOrder(i int) []int32 {
+	if pl.delayOrd == nil {
+		return nil
+	}
+	return pl.delayOrd[i]
 }
 
 // buildFull keeps every ordered pair, rows in ascending ID order. Slots

@@ -44,21 +44,15 @@ type Counters struct {
 	HalfDuplexLost  uint64 // decodable frames lost because receiver was transmitting
 }
 
-// inflight tracks one frame as seen by one receiver. Inflights are pooled
-// per medium (see Medium.newInflight): the embedded begin/end actions are
-// wired to the struct once at allocation, so scheduling a reception costs
-// no heap allocations after warm-up.
-type inflight struct {
-	m        *Medium
+// reception is one frame as sensed by one receiver: an entry of its
+// transmission's slab, never allocated or scheduled on its own.
+type reception struct {
 	dst      *station
-	frame    *pkt.Frame
 	powerDBm float64
 	// powerMW is the same received power in linear milliwatts, or 0 until
 	// mw converts it: only a reception that overlaps another at its
 	// receiver ever needs the linear value, and most never do.
-	powerMW   float64
-	decodable bool
-	blocked   bool // receiver transmitted during the frame
+	powerMW float64
 	// interfMW accumulates the linear power (mW) of every frame that
 	// overlapped this reception. The frame survives if its own power
 	// exceeds the accumulated interference by the capture margin —
@@ -66,37 +60,103 @@ type inflight struct {
 	// can still jointly corrupt a reception (the aggregate hidden-terminal
 	// effect of Fig. 6(b)).
 	interfMW float64
-
-	begin beginReception
-	end   endReception
+	delay    sim.Time // propagation delay, as the plan had it at transmit time
+	row      int32    // position in the transmitter's plan row
+	// decodable is false for pure carrier; blocked is set when the receiver
+	// transmitted during the frame.
+	decodable bool
+	blocked   bool
 }
-
-// beginReception and endReception are the inflight's two scheduled phases,
-// embedded so &inf.begin / &inf.end convert to sim.Action without
-// allocating.
-type beginReception struct{ inf *inflight }
-
-func (a *beginReception) Run() { a.inf.m.beginReception(a.inf.dst, a.inf) }
-
-type endReception struct{ inf *inflight }
-
-func (a *endReception) Run() { a.inf.m.endReception(a.inf.dst, a.inf) }
 
 // mw returns the reception's power in linear milliwatts, converting on
 // first use, so the interference loop in beginReception costs at most one
 // math.Pow per reception and a reception nothing overlaps costs none.
-func (i *inflight) mw() float64 {
-	if i.powerMW == 0 {
-		i.powerMW = dbmToMW(i.powerDBm)
+func (r *reception) mw() float64 {
+	if r.powerMW == 0 {
+		r.powerMW = dbmToMW(r.powerDBm)
 	}
-	return i.powerMW
+	return r.powerMW
 }
 
-func (i *inflight) corrupted(captureDB float64) bool {
-	if i.interfMW <= 0 {
+func (r *reception) corrupted(captureDB float64) bool {
+	if r.interfMW <= 0 {
 		return false
 	}
-	return i.powerDBm-10*math.Log10(i.interfMW) < captureDB
+	return r.powerDBm-10*math.Log10(r.interfMW) < captureDB
+}
+
+// transmission is the pooled record of one frame on the air. rx is the slab
+// of its scheduled receptions, in the transmitter's row order — the order
+// the shadowing samples are drawn in. Reception i begins at start+delay
+// with sequence number base+2i and ends at end+delay with base+2i+1: the
+// keys two engine events per receiver, scheduled in row order, would have
+// had. The engine holds two entries for all of them, the begin and the end
+// cursor, each walking the slab in (delay, index) order — which is
+// ascending key order, since the sequence numbers ascend with the index.
+//
+// The medium owns the record from Transmit until the end cursor has fired
+// its last reception; station.current points into the slab only between a
+// reception's begin and its end, so by then nothing does, and the record
+// goes back to the pool with its slab's capacity.
+type transmission struct {
+	m          *Medium
+	frame      *pkt.Frame
+	start, end sim.Time
+	base       uint64
+	rx         []reception
+	// order is the slab indices in (delay, index) order, or nil when the
+	// slab is already in that order (every row the plan has no delay
+	// permutation for: pruned rows, sorted by mean power). orderBuf keeps
+	// its capacity across the record's uses.
+	order, orderBuf []int32
+	begin           beginCursor
+	done            endCursor
+}
+
+// at returns the slab index of the pos-th reception in firing order.
+func (t *transmission) at(pos int) int {
+	if t.order != nil {
+		return int(t.order[pos])
+	}
+	return pos
+}
+
+// beginCursor and endCursor are a transmission's two reception phases as
+// sim.Series, embedded so that &t.begin / &t.done convert to the interface
+// without allocating.
+type beginCursor struct {
+	t   *transmission
+	pos int
+}
+
+func (c *beginCursor) Fire() (sim.Time, uint64, bool) {
+	t := c.t
+	r := &t.rx[t.at(c.pos)]
+	t.m.beginReception(r.dst, r)
+	c.pos++
+	if c.pos == len(t.rx) {
+		return 0, 0, false
+	}
+	i := t.at(c.pos)
+	return t.start + t.rx[i].delay, t.base + 2*uint64(i), true
+}
+
+type endCursor struct {
+	t   *transmission
+	pos int
+}
+
+func (c *endCursor) Fire() (sim.Time, uint64, bool) {
+	t := c.t
+	r := &t.rx[t.at(c.pos)]
+	t.m.endReception(r.dst, r, t.frame)
+	c.pos++
+	if c.pos == len(t.rx) {
+		t.m.recycleTransmission(t)
+		return 0, 0, false
+	}
+	i := t.at(c.pos)
+	return t.end + t.rx[i].delay, t.base + 2*uint64(i) + 1, true
 }
 
 // txDone is the pooled end-of-own-transmission event.
@@ -125,7 +185,7 @@ type station struct {
 	mac     MAC
 	sensed  int  // external frames currently above CS threshold
 	txing   bool // transmitting right now
-	current []*inflight
+	current []*reception
 	// addressedBy is the serial of the last transmission that named this
 	// station as a forwarder or as its unicast receiver (see Transmit).
 	addressedBy uint64
@@ -157,14 +217,21 @@ type Medium struct {
 	plan *LinkPlan
 	n    int
 
-	// freeInf recycles inflight structs; pOKByBits memoizes the
-	// bitsSurvive survival probability per distinct bit length (the BER is
-	// fixed for the run); pktOKBuf is the per-reception sub-packet CRC
+	// freeTx and freeAir recycle tx-done events and transmission records;
+	// onAir counts the records out of the pool. slabOf is Transmit's
+	// scratch map from plan-row position to slab index. pOKByBits memoizes
+	// the bitsSurvive survival probability per distinct bit length (the BER
+	// is fixed for the run); pktOKBuf is the per-reception sub-packet CRC
 	// scratch handed to MAC.FrameReceived (valid only during the upcall).
-	freeInf   []*inflight
 	freeTx    []*txDone
+	freeAir   []*transmission
+	onAir     int
+	slabOf    []int32
 	pOKByBits map[int]float64
 	pktOKBuf  []bool
+	// quarantine is the deep audit's setting: released frames and reception
+	// slabs are poisoned and never reissued (see Quarantine).
+	quarantine bool
 
 	// frames is the run's frame pool (see NewFrame).
 	frames pkt.FramePool
@@ -228,25 +295,51 @@ func NewMediumOn(eng *sim.Engine, plan *LinkPlan, p phys.Params, rng *sim.RNG) *
 	return m
 }
 
-// newInflight pops a recycled inflight or allocates one with its begin/end
-// actions wired. The caller must set every reception field.
-func (m *Medium) newInflight() *inflight {
-	if n := len(m.freeInf); n > 0 {
-		inf := m.freeInf[n-1]
-		m.freeInf[n-1] = nil
-		m.freeInf = m.freeInf[:n-1]
-		return inf
+// newTransmission pops a recycled transmission record, its slab empty, or
+// allocates one with its cursors wired.
+func (m *Medium) newTransmission() *transmission {
+	m.onAir++
+	if n := len(m.freeAir); n > 0 {
+		t := m.freeAir[n-1]
+		m.freeAir[n-1] = nil
+		m.freeAir = m.freeAir[:n-1]
+		return t
 	}
-	inf := &inflight{m: m}
-	inf.begin.inf = inf
-	inf.end.inf = inf
-	return inf
+	t := &transmission{m: m}
+	t.begin.t = t
+	t.done.t = t
+	return t
 }
 
-func (m *Medium) recycleInflight(inf *inflight) {
-	inf.frame = nil
-	inf.dst = nil
-	m.freeInf = append(m.freeInf, inf)
+// recycleTransmission takes back a record none of whose receptions is in
+// progress any more. The slab keeps its capacity and its stale entries:
+// Transmit overwrites every field of the entries it appends. Under
+// quarantine the entries lose their receiver instead and the record is
+// dropped, so a station.current that still points into the slab is found
+// by assertCurrent whenever it is next walked, not only until reuse.
+func (m *Medium) recycleTransmission(t *transmission) {
+	m.onAir--
+	t.frame = nil
+	if m.quarantine {
+		for i := range t.rx {
+			t.rx[i].dst = nil
+		}
+		return
+	}
+	t.rx = t.rx[:0]
+	t.begin.pos, t.done.pos = 0, 0
+	m.freeAir = append(m.freeAir, t)
+}
+
+// assertCurrent panics if a reception in progress at dst is not dst's: its
+// slab went back to the pool, or to another transmission, under it.
+func (m *Medium) assertCurrent(dst *station) {
+	for _, r := range dst.current {
+		if r.dst != dst {
+			panic(fmt.Sprintf("audit: invariant violated: reception liveness\n"+
+				"  detail: station %d holds a reception whose slab was released", dst.id))
+		}
+	}
 }
 
 func (m *Medium) newTxDone(src *station, f *pkt.Frame) *txDone {
@@ -273,6 +366,19 @@ func (m *Medium) NewFrame() *pkt.Frame { return m.frames.Get() }
 
 // Frames returns the run's frame pool (the audit plane reads its counters).
 func (m *Medium) Frames() *pkt.FramePool { return &m.frames }
+
+// OnAir reports how many transmissions still have receptions to end: the
+// records out of the medium's pool. Zero once the air has drained.
+func (m *Medium) OnAir() int { return m.onAir }
+
+// Quarantine makes the medium never reuse what it recycles — frames
+// (pkt.FramePool.Quarantine) and reception slabs — and check on every
+// reception that the receiver's in-progress list holds none of them. The
+// deep-audit plane turns it on.
+func (m *Medium) Quarantine() {
+	m.quarantine = true
+	m.frames.Quarantine()
+}
 
 // Attach registers the MAC upcall handler for a station.
 func (m *Medium) Attach(id pkt.NodeID, mac MAC) { m.stations[id].mac = mac }
@@ -398,9 +504,12 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 	}
 	// A station cannot decode anything while transmitting: mark every
 	// in-progress reception at the transmitter as blocked.
-	for _, inf := range src.current {
-		if inf.decodable && !inf.blocked {
-			inf.blocked = true
+	if m.quarantine {
+		m.assertCurrent(src)
+	}
+	for _, r := range src.current {
+		if r.decodable && !r.blocked {
+			r.blocked = true
 		}
 	}
 	m.eng.Do(end, m.newTxDone(src, f))
@@ -428,7 +537,8 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 	if veto != nil && !veto.BlocksFrom(f.Tx, now) {
 		veto = nil
 	}
-	receivers := 0
+	t := m.newTransmission()
+	rx := t.rx
 	nbrIDs, nbrDBm, nbrPD := plan.row(int(f.Tx))
 	for k, j := range nbrIDs {
 		dst := m.stations[j]
@@ -456,27 +566,24 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 			}
 			continue
 		}
-		inf := m.newInflight()
-		inf.frame = f
-		inf.dst = dst
-		inf.powerDBm = power
-		inf.powerMW = 0
-		inf.decodable = power >= rxThresh
-		inf.blocked = false
-		inf.interfMW = 0
-		if !inf.decodable && dst.addressedBy == serial {
+		decodable := power >= rxThresh
+		if !decodable && dst.addressedBy == serial {
 			m.Counters.FramesShadowed++
 		}
-		delay := nbrPD[k]
-		m.eng.Do(now+delay, &inf.begin)
-		m.eng.Do(end+delay, &inf.end)
-		receivers++
+		rx = append(rx, reception{dst: dst, powerDBm: power, delay: nbrPD[k],
+			row: int32(k), decodable: decodable})
 	}
 	// Hold the frame and its packets for its airtime: the tx-done event plus
 	// one reception end per scheduled receiver each retire one completion,
 	// and the last retires the hold. This keeps pooled packets alive for
 	// late duplicate deliveries even after the source has abandoned them.
-	f.BeginAir(receivers + 1)
+	f.BeginAir(len(rx) + 1)
+	t.rx = rx
+	if len(rx) == 0 {
+		m.recycleTransmission(t)
+	} else {
+		m.schedule(t, f, now, end, plan.delayOrder(int(f.Tx)))
+	}
 	if plan.pruned {
 		// Pruned stations never drew a shadowing sample, but an addressed
 		// receiver that was pruned is still a shadowing loss — keep the
@@ -495,23 +602,64 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 	return end
 }
 
-func (m *Medium) beginReception(dst *station, inf *inflight) {
+// schedule puts t's slab on the engine: the block of sequence numbers its
+// receptions would have taken as two events each, and the two cursors,
+// keyed to the nearest receiver. perm is the plan's delay order of the
+// transmitter's row, nil when the row — and so the slab, a subsequence of
+// it — is in delay order as it stands.
+func (m *Medium) schedule(t *transmission, f *pkt.Frame, now, end sim.Time, perm []int32) {
+	t.frame, t.start, t.end = f, now, end
+	n := len(t.rx)
+	t.base = m.eng.Reserve(2 * n)
+	if perm != nil {
+		// Row position → slab index, then the slab indices in the order the
+		// plan sorted the row positions in.
+		if cap(m.slabOf) < len(perm) {
+			m.slabOf = make([]int32, len(perm))
+		}
+		slabOf := m.slabOf[:len(perm)]
+		for k := range slabOf {
+			slabOf[k] = -1
+		}
+		for i := range t.rx {
+			slabOf[t.rx[i].row] = int32(i)
+		}
+		order := t.orderBuf[:0]
+		for _, k := range perm {
+			if i := slabOf[k]; i >= 0 {
+				order = append(order, i)
+			}
+		}
+		t.order, t.orderBuf = order, order
+	} else {
+		t.order = nil
+	}
+	first := t.at(0)
+	delay := t.rx[first].delay
+	m.eng.DoSeries(now+delay, t.base+2*uint64(first), n, &t.begin)
+	m.eng.DoSeries(end+delay, t.base+2*uint64(first)+1, n, &t.done)
+}
+
+func (m *Medium) beginReception(dst *station, r *reception) {
+	if m.quarantine {
+		m.assertCurrent(dst)
+	}
 	// Interference accumulates both ways: every overlapping frame adds its
 	// linear power to the other's interference budget. Only a decodable
 	// reception's budget is ever read (see decode), so a pure-carrier one
 	// is not charged, and two overlapping carriers convert nothing.
 	for _, other := range dst.current {
 		if other.decodable {
-			other.interfMW += inf.mw()
+			other.interfMW += r.mw()
 		}
-		if inf.decodable {
-			inf.interfMW += other.mw()
+		if r.decodable {
+			r.interfMW += other.mw()
 		}
 	}
 	if dst.txing {
-		inf.blocked = true
+		r.blocked = true
 	}
-	dst.current = append(dst.current, inf)
+	dst.current = append(dst.current, r)
 	dst.sensed++
 	if dst.busyRefs() == 1 {
 		dst.mac.ChannelBusy()
@@ -523,21 +671,22 @@ func (m *Medium) beginReception(dst *station, inf *inflight) {
 // comparisons must stay bit-identical across refactors.)
 func dbmToMW(dbm float64) float64 { return math.Pow(10, dbm/10) }
 
-func (m *Medium) endReception(dst *station, inf *inflight) {
+func (m *Medium) endReception(dst *station, r *reception, f *pkt.Frame) {
+	if m.quarantine {
+		m.assertCurrent(dst)
+	}
 	// Remove from the active set.
 	for i, other := range dst.current {
-		if other == inf {
+		if other == r {
 			dst.current = append(dst.current[:i], dst.current[i+1:]...)
 			break
 		}
 	}
 	dst.sensed--
-	f := inf.frame
 	f.AssertLive("radio: reception end")
-	if inf.decodable { // otherwise pure carrier: sensed energy, no decode attempt
-		m.decode(dst, inf)
+	if r.decodable { // otherwise pure carrier: sensed energy, no decode attempt
+		m.decode(dst, r, f)
 	}
-	m.recycleInflight(inf)
 	f.AirDone()
 	if dst.busyRefs() == 0 {
 		dst.mac.ChannelIdle()
@@ -547,17 +696,16 @@ func (m *Medium) endReception(dst *station, inf *inflight) {
 // decode ends a decodable reception: the frame is lost to half-duplex
 // overlap, capture or header bit errors, or reaches the MAC with its
 // per-packet survival bitmap.
-func (m *Medium) decode(dst *station, inf *inflight) {
-	f := inf.frame
+func (m *Medium) decode(dst *station, r *reception, f *pkt.Frame) {
 	switch {
-	case inf.blocked:
+	case r.blocked:
 		m.Counters.HalfDuplexLost++
 		if m.Trace != nil {
 			m.Trace(m.eng.Now(), "corrupt", dst.id, f)
 		}
 		dst.mac.FrameCorrupted()
 		return
-	case inf.corrupted(m.cfg.CaptureDB):
+	case r.corrupted(m.cfg.CaptureDB):
 		m.Counters.FramesCollided++
 		if m.Trace != nil {
 			m.Trace(m.eng.Now(), "corrupt", dst.id, f)

@@ -117,6 +117,7 @@ func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
 		}
 		np.appendPatchedRow(i, pl, moved, dirty, &s)
 	}
+	np.indexDelayOrder()
 	return np
 }
 

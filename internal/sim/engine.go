@@ -6,6 +6,21 @@ package sim
 // implementations in pooled structs and schedule them with Engine.Do.
 type Action interface{ Run() }
 
+// Series is a run of logical events that share one heap entry: the fan-out
+// of one transmission's reception phase is a few hundred events microseconds
+// apart, and keeping them all queued is what makes the heap deep. The
+// series keeps its events itself, in ascending (time, sequence) order, and
+// the engine keeps only the key of the next one.
+//
+// Fire runs the logical event the entry is currently keyed to, then returns
+// the key of the series' next logical event, or ok == false when that was
+// its last. The sequence numbers come from Engine.Reserve, taken when the
+// events would otherwise have been scheduled one by one, so every logical
+// event fires exactly where an individually scheduled one would have.
+type Series interface {
+	Fire() (at Time, seq uint64, ok bool)
+}
+
 // Event is a scheduled callback. Events are ordered by time, with insertion
 // sequence breaking ties so that two events scheduled for the same instant
 // fire in the order they were scheduled. An Event doubles as a cancellable
@@ -16,12 +31,14 @@ type Action interface{ Run() }
 // any point — including long after they fired. Events scheduled with Do
 // carry an Action instead of a closure and are recycled through the
 // engine's free list the moment they fire; that is safe precisely because
-// Do returns no handle, so no caller can touch a recycled Event.
+// Do returns no handle, so no caller can touch a recycled Event. A
+// DoSeries entry is pooled the same way, recycled when its series ends.
 type Event struct {
 	at       Time
 	seq      uint64
 	fn       func()
 	act      Action // non-nil for pooled (Do-scheduled) events
+	ser      Series // non-nil for a pooled series entry (DoSeries)
 	index    int    // heap index; -1 once popped or cancelled
 	canceled bool
 }
@@ -160,8 +177,13 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	stopped bool
-	// processed counts events that have fired, for tests and sanity limits.
+	// processed counts logical events that have fired, for tests and sanity
+	// limits: a series entry counts once per Fire.
 	processed uint64
+	// extra is the number of logical events queued behind series entries
+	// beyond the one each entry is keyed to, so Pending counts what an
+	// engine without series would hold.
+	extra int
 	// free holds recycled Do-scheduled events. Only events whose handle
 	// never escaped (Do returns nothing) are pushed here; see Event.
 	free []*Event
@@ -169,7 +191,7 @@ type Engine struct {
 	check func()
 }
 
-// SetCheck installs a hook invoked after every event fires, with the
+// SetCheck installs a hook invoked after every logical event fires, with the
 // clock at that event's time. The deep-audit plane uses it to re-validate
 // invariants per event; nil (the default) costs one branch per event.
 func (e *Engine) SetCheck(fn func()) { e.check = fn }
@@ -180,7 +202,8 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Processed returns the number of events fired so far.
+// Processed returns the number of logical events fired so far: callbacks,
+// actions, and every event of a series, however few heap entries held them.
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is a
@@ -210,20 +233,51 @@ func (e *Engine) Do(t Time, act Action) {
 	if t < e.now {
 		t = e.now
 	}
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = &Event{}
-	}
+	ev := e.pooled()
 	ev.at = t
 	ev.seq = e.seq
-	ev.fn = nil
 	ev.act = act
-	ev.canceled = false
 	e.seq++
+	e.heap.push(ev)
+}
+
+// pooled pops a recycled event or allocates one. Every pooled event is put
+// back with only at, seq and index set, so the caller sets act or ser.
+func (e *Engine) pooled() *Event {
+	if n := len(e.free); n > 0 {
+		ev := e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		return ev
+	}
+	return &Event{}
+}
+
+// Reserve takes n consecutive insertion sequence numbers, exactly those n
+// successive Do calls would take now, and returns the first. The caller
+// hands them out to the logical events of its series.
+func (e *Engine) Reserve(n int) uint64 {
+	base := e.seq
+	e.seq += uint64(n)
+	return base
+}
+
+// DoSeries schedules the n logical events of s behind one pooled heap
+// entry. (t, seq) is the key of the first; each Fire returns the next,
+// which must sort after it, and the n-th Fire must report the end. The
+// entry is re-keyed in place after each logical event, so the heap holds
+// one node for the series however long it is, while Processed, Pending,
+// the check hook and the fire order are those of n separate Do events with
+// the same keys.
+func (e *Engine) DoSeries(t Time, seq uint64, n int, s Series) {
+	if t < e.now {
+		panic("sim: series scheduled in the past")
+	}
+	ev := e.pooled()
+	ev.at = t
+	ev.seq = seq
+	ev.ser = s
+	e.extra += n - 1
 	e.heap.push(ev)
 }
 
@@ -262,8 +316,10 @@ func (e *Engine) Reschedule(ev *Event, t Time) {
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Run executes events in order until the queue is empty or the next event is
-// scheduled after `until`. The clock is left at min(until, last event time).
+// Run executes events in order until the queue is empty, the next event is
+// scheduled after `until`, or an event calls Stop. The clock is left at
+// `until`, except after Stop: events before `until` may still be queued
+// then, so it stays at the last one fired and a later Run resumes there.
 func (e *Engine) Run(until Time) {
 	e.stopped = false
 	for len(e.heap) > 0 && !e.stopped {
@@ -271,27 +327,56 @@ func (e *Engine) Run(until Time) {
 		if next.at > until {
 			break
 		}
-		e.heap.popMin()
 		e.now = next.at
 		e.processed++
-		if next.act != nil {
+		switch {
+		case next.ser != nil:
+			e.fireSeries(next)
+		case next.act != nil:
+			e.heap.popMin()
 			// Recycle before running: the action may schedule more Do
 			// events, which can then reuse this very struct.
 			act := next.act
 			next.act = nil
 			e.free = append(e.free, next)
 			act.Run()
-		} else {
+		default:
+			e.heap.popMin()
 			next.fn()
 		}
 		if e.check != nil {
 			e.check()
 		}
 	}
-	if e.now < until {
+	if e.now < until && !e.stopped {
 		e.now = until
 	}
 }
 
-// Pending returns the number of events still queued.
-func (e *Engine) Pending() int { return len(e.heap) }
+// fireSeries fires one logical event of the series entry at the root and
+// re-keys the entry to the next, or retires it after the last. The entry
+// stays at the root while its event runs: whatever the event schedules is
+// at or after now with a fresh sequence number, so it sorts after the key
+// being fired. Afterwards the entry sinks from the root to where its new
+// key belongs — nowhere, in the common case of a fan-out whose receptions
+// are nanoseconds apart and everything else a slot time away.
+func (e *Engine) fireSeries(ev *Event) {
+	e.extra-- // the event being fired is no longer pending
+	at, seq, more := ev.ser.Fire()
+	if !more {
+		e.extra++ // ... and was the entry itself, not one behind it
+		e.heap.remove(ev.index)
+		ev.ser = nil
+		e.free = append(e.free, ev)
+		return
+	}
+	if at < ev.at || (at == ev.at && seq <= ev.seq) {
+		panic("sim: series keys out of order")
+	}
+	ev.at, ev.seq = at, seq
+	e.heap.siftDown(ev.index)
+}
+
+// Pending returns the number of logical events still queued: every heap
+// entry, plus what each series holds behind the event it is keyed to.
+func (e *Engine) Pending() int { return len(e.heap) + e.extra }
