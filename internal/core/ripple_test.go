@@ -311,10 +311,17 @@ func TestRippleMacSeqAssignedOnAccept(t *testing.T) {
 // relays — is back in it once the air drains, under loss, suppressed relays
 // and both relay modes.
 func TestRippleFramesReturnToPool(t *testing.T) {
-	for _, deferRelays := range []bool{true, false} {
+	for _, c := range []struct {
+		deferRelays bool
+		maxAgg      int // 1 is RIPPLE-noagg
+	}{{true, 0}, {false, 0}, {true, 1}} {
+		deferRelays := c.deferRelays
 		opt := DefaultOptions()
 		opt.RelayDefer = deferRelays
 		opt.LocalAggOnRelay = true
+		if c.maxAgg > 0 {
+			opt.MaxAgg = c.maxAgg
+		}
 		rc := idealRadio()
 		rc.BitErrorRate = 2e-5
 		paths := map[int]routing.Path{1: {0, 1, 2, 3}, 2: {3, 2, 1, 0}, 3: {1, 2, 3}}
@@ -336,6 +343,10 @@ func TestRippleFramesReturnToPool(t *testing.T) {
 		gets, recycled := h.med.Frames().Counters()
 		if inUse := h.med.Frames().InUse(); gets == 0 || inUse != 0 || recycled != gets {
 			t.Fatalf("RelayDefer=%v: %d of %d frames never returned to the pool", deferRelays, inUse, gets)
+		}
+		if onAir := h.med.OnAir(); onAir != 0 {
+			t.Fatalf("RelayDefer=%v MaxAgg=%d: %d transmission records never returned to the medium's pool",
+				deferRelays, opt.MaxAgg, onAir)
 		}
 	}
 }

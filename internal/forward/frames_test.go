@@ -9,8 +9,9 @@ import (
 )
 
 // drained fails the test unless every frame the run drew from the medium's
-// pool has come back: each creation site hands its frame to the air or
-// releases it, and nobody keeps one.
+// pool has come back — each creation site hands its frame to the air or
+// releases it, and nobody keeps one — and with them every transmission
+// record: no reception is left to end.
 func (h *harness) drained(t *testing.T) {
 	t.Helper()
 	gets, recycled := h.med.Frames().Counters()
@@ -19,6 +20,9 @@ func (h *harness) drained(t *testing.T) {
 	}
 	if inUse := h.med.Frames().InUse(); inUse != 0 || recycled != gets {
 		t.Fatalf("%d of %d frames never returned to the pool (%d recycled)", inUse, gets, recycled)
+	}
+	if onAir := h.med.OnAir(); onAir != 0 {
+		t.Fatalf("%d transmission records never returned to the medium's pool", onAir)
 	}
 }
 

@@ -40,6 +40,9 @@ func plansEqual(t *testing.T, want, got *LinkPlan) {
 	if !slices.Equal(want.lookSlot, got.lookSlot) {
 		t.Fatal("lookup slots differ")
 	}
+	if !slices.EqualFunc(want.delayOrd, got.delayOrd, func(a, b []int32) bool { return slices.Equal(a, b) }) {
+		t.Fatal("delay orders differ")
+	}
 }
 
 // mobileCity builds a pruned scattered layout and a deterministic sequence
