@@ -1,11 +1,13 @@
 package dist
 
 import (
+	"bufio"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -51,10 +53,22 @@ type checkpointDoc struct {
 // document to a temp file and renames it into place, so the file on disk
 // is always a complete, parseable snapshot — a coordinator killed
 // mid-save leaves the previous snapshot intact.
+//
+// The file is json.Marshal of the document, byte for byte, but a save does
+// not marshal the document: it streams it, grid by grid, and a grid is
+// encoded once. A complete grid (a record for every cell) can never change
+// again, so its encoding is kept and copied into every later save; only
+// the grid in progress is encoded afresh. A campaign of many grids thus
+// pays for each cell's bytes once per save of its own grid, not once per
+// save of every grid after it.
 type Checkpoint struct {
 	path string
 	mu   sync.Mutex
 	doc  checkpointDoc
+	// enc holds the encodings of complete grids by fingerprint; bw is the
+	// one buffered writer every save streams through.
+	enc map[string][]byte
+	bw  *bufio.Writer
 }
 
 // NewCheckpoint starts a fresh checkpoint at path. Nothing is written
@@ -205,22 +219,28 @@ func (ck *Checkpoint) save(fp string, numCells int, done []bool, cells []cellRec
 		}
 	}
 	ck.doc.Grids[fp] = g
+	delete(ck.enc, fp)
 	return ck.writeLocked()
 }
 
-// writeLocked serializes the document to a sibling temp file and renames
-// it over the checkpoint path. Caller holds ck.mu.
+// writeLocked streams the document to a sibling temp file and renames it
+// over the checkpoint path. Caller holds ck.mu.
 func (ck *Checkpoint) writeLocked() error {
-	data, err := json.Marshal(&ck.doc)
-	if err != nil {
-		return fmt.Errorf("dist: checkpoint: %w", err)
-	}
 	dir := filepath.Dir(ck.path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(ck.path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("dist: checkpoint: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
+	if ck.bw == nil {
+		ck.bw = bufio.NewWriterSize(tmp, 64<<10)
+	} else {
+		ck.bw.Reset(tmp)
+	}
+	err = ck.encodeTo(ck.bw)
+	if err == nil {
+		err = ck.bw.Flush()
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("dist: checkpoint: %w", err)
@@ -234,4 +254,60 @@ func (ck *Checkpoint) writeLocked() error {
 		return fmt.Errorf("dist: checkpoint: %w", err)
 	}
 	return nil
+}
+
+// encodeTo writes exactly json.Marshal(&ck.doc): the header, then the grids
+// in the sorted-key order encoding/json gives a map, each key escaped as it
+// escapes one.
+func (ck *Checkpoint) encodeTo(w *bufio.Writer) error {
+	fmt.Fprintf(w, `{"version":%d,"grids":`, ck.doc.Version)
+	if ck.doc.Grids == nil {
+		w.WriteString("null")
+	} else {
+		fps := make([]string, 0, len(ck.doc.Grids))
+		for fp := range ck.doc.Grids {
+			fps = append(fps, fp)
+		}
+		slices.Sort(fps)
+		w.WriteByte('{')
+		for i, fp := range fps {
+			if i > 0 {
+				w.WriteByte(',')
+			}
+			key, err := json.Marshal(fp)
+			if err != nil {
+				return err
+			}
+			w.Write(key)
+			w.WriteByte(':')
+			grid, err := ck.encodedGrid(fp)
+			if err != nil {
+				return err
+			}
+			w.Write(grid)
+		}
+		w.WriteByte('}')
+	}
+	// A bufio.Writer keeps its first error and returns it from Flush.
+	return w.WriteByte('}')
+}
+
+// encodedGrid returns grid fp's JSON, from the cache when the grid is
+// complete and has been encoded before.
+func (ck *Checkpoint) encodedGrid(fp string) ([]byte, error) {
+	if data, ok := ck.enc[fp]; ok {
+		return data, nil
+	}
+	g := ck.doc.Grids[fp]
+	data, err := json.Marshal(g)
+	if err != nil {
+		return nil, err
+	}
+	if g != nil && len(g.Cells) == g.NumCells {
+		if ck.enc == nil {
+			ck.enc = map[string][]byte{}
+		}
+		ck.enc[fp] = data
+	}
+	return data, nil
 }

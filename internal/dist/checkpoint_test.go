@@ -1,0 +1,110 @@
+package dist
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"ripple/internal/stats"
+)
+
+// A save streams the document and reuses the encodings of complete grids;
+// what reaches the disk must still be json.Marshal of the document, byte for
+// byte, after every save: partial grids, grids completing, a complete grid
+// saved again with other contents, payloads with whitespace and characters
+// encoding/json escapes, and a fingerprint that needs escaping as a key and
+// sorts between the others.
+func TestCheckpointSaveStreamsExactlyTheMarshalledDocument(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	ck := NewCheckpoint(path)
+	check := func(what string) {
+		t.Helper()
+		want, err := json.Marshal(&ck.doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			at := 0
+			for at < len(got) && at < len(want) && got[at] == want[at] {
+				at++
+			}
+			t.Fatalf("%s: file (%d bytes) differs from json.Marshal of the document (%d bytes) at byte %d:\n got  …%.80s\n want …%.80s",
+				what, len(got), len(want), at, got[at:], want[at:])
+		}
+		if _, err := LoadCheckpoint(path); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	var w stats.Welford
+	w.Add(1.5)
+	w.Add(-2)
+	record := func(fp string, i int) cellRecord {
+		return cellRecord{
+			Payload: json.RawMessage(fmt.Sprintf("{ \"cell\" : %d,\n\t\"grid\": %q, \"html\": \"<&>\\u2028\" }", i, fp)),
+			Stats:   map[string]stats.State{"tput": w.State(), "delay<ms>": w.State()},
+		}
+	}
+	grids := []struct {
+		fp string
+		n  int
+	}{{"fp-b", 5}, {"fp-\"a\"< >\\", 3}, {"fp-a", 9}, {"fp-c", 1}, {"fp-empty", 0}}
+	for _, g := range grids {
+		done := make([]bool, g.n)
+		cells := make([]cellRecord, g.n)
+		if g.n == 0 {
+			if err := ck.save(g.fp, 0, done, cells); err != nil {
+				t.Fatal(err)
+			}
+			check(g.fp + " empty")
+		}
+		// Cells arrive out of order, one save each: every grid is saved
+		// partial several times and complete once.
+		for k := 0; k < g.n; k++ {
+			i := (k*2 + 1) % g.n
+			for done[i] {
+				i = (i + 1) % g.n
+			}
+			done[i], cells[i] = true, record(g.fp, i)
+			if err := ck.save(g.fp, g.n, done, cells); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s after %d of %d cells", g.fp, k+1, g.n))
+		}
+		if _, ok := ck.enc[g.fp]; !ok {
+			t.Fatalf("complete grid %q has no cached encoding", g.fp)
+		}
+	}
+	if len(ck.enc) != len(grids) {
+		t.Fatalf("%d cached encodings for %d complete grids", len(ck.enc), len(grids))
+	}
+
+	// A complete grid saved again, with different bytes: the cached
+	// encoding must not survive it.
+	done := []bool{true}
+	if err := ck.save("fp-c", 1, done, []cellRecord{record("other", 7)}); err != nil {
+		t.Fatal(err)
+	}
+	check("fp-c rewritten")
+
+	// A resumed checkpoint has no cache: its first save encodes every grid
+	// it loaded, and the file is again the marshalled document.
+	loaded, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck = loaded
+	if err := ck.save("fp-d", 2, []bool{false, true}, []cellRecord{{}, record("fp-d", 1)}); err != nil {
+		t.Fatal(err)
+	}
+	check("resumed")
+	if _, ok := ck.enc["fp-d"]; ok || len(ck.enc) != len(grids) {
+		t.Fatalf("after resume: %d cached encodings, partial grid cached: %v", len(ck.enc), ok)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ripple/internal/fault"
 	"ripple/internal/phys"
 	"ripple/internal/radio"
 	"ripple/internal/routing"
@@ -19,7 +20,7 @@ import (
 // 0.1–0.6 objects per event and fails here, not only in the benchmark.
 func TestSteadyStateAllocatesNothingPerEvent(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two five-second runs")
+		t.Skip("three five-second runs")
 	}
 	if auditEnv() {
 		t.Skip("the deep audit quarantines released frames instead of reusing them")
@@ -34,6 +35,16 @@ func TestSteadyStateAllocatesNothingPerEvent(t *testing.T) {
 				Start: sim.Time(k) * 30 * sim.Millisecond})
 		}
 	}
+	// The pinned fan-out city with the benchmark's milder faults and mobility
+	// and busier flows, so that traffic, not churn or the 200 stations'
+	// set-up, is what the run consists of.
+	city := fanoutCityConfig(Ripple)
+	city.Duration = 5 * sim.Second
+	city.Mobility.Epoch, city.Mobility.Stay = 500*sim.Millisecond, 0.95
+	city.Faults = fault.Spec{Seed: 7, MTBF: 20 * sim.Second, MTTR: 2 * sim.Second, FlapLinks: 20}
+	for i := range city.Flows {
+		city.Flows[i].CBRInterval = 2 * sim.Millisecond
+	}
 	for _, c := range []struct {
 		name string
 		cfg  Config
@@ -43,6 +54,10 @@ func TestSteadyStateAllocatesNothingPerEvent(t *testing.T) {
 			Flows: []FlowSpec{{ID: 1, Path: path, Kind: FTP}}, Duration: 5 * sim.Second}},
 		{"voip_fig1", Config{Positions: topology.Fig1().Positions, Radio: voipRadio, Phy: phys.LowRate(),
 			Scheme: Ripple, Flows: calls, Duration: 5 * sim.Second}},
+		// city_mobile_faulty in miniature: a pruned 200-station city, every
+		// frame sensed by some fifty stations. A reception is a slab entry of
+		// its transmission's pooled record, so the fan-out allocates nothing.
+		{"city200", city},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			world, err := BuildWorld(c.cfg)
