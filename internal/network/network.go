@@ -338,9 +338,12 @@ type Result struct {
 	TotalMbps float64
 	Medium    radio.Counters
 	MAC       forward.Counters
-	// Events is the number of simulation events processed; PendingAtEnd is
-	// the number still queued when the clock ran out (0 means the network
-	// went fully quiescent, which for backlogged traffic indicates a stall).
+	// Events is the number of logical simulation events processed and
+	// PendingAtEnd the number still queued when the clock ran out (0 means
+	// the network went fully quiescent, which for backlogged traffic
+	// indicates a stall). Logical: every reception begin and end counts as
+	// one, although a transmission's whole fan-out sits behind two heap
+	// entries (sim.Series).
 	Events       uint64
 	PendingAtEnd int
 	Duration     sim.Time

@@ -180,7 +180,9 @@ type Result struct {
 	Total Metric
 	// Fairness is Jain's index over per-flow throughputs (1 = equal).
 	Fairness Metric
-	// Events counts simulation events processed per run.
+	// Events counts logical simulation events processed per run (every
+	// timer, transmission end and reception begin/end, however the engine
+	// queues them).
 	Events Metric
 	// RouteStale counts epoch boundaries at which a flow kept a stale
 	// route because its recompute failed; Unreachable counts packets
