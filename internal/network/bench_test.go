@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"ripple/internal/fault"
-	"ripple/internal/pkt"
-	"ripple/internal/routing"
 	"ripple/internal/sim"
 	"ripple/internal/topology"
 )
@@ -20,16 +18,9 @@ func BenchmarkCityRun(b *testing.B) {
 	if testing.Short() {
 		n, nFlows = 200, 4
 	}
-	top, p := topology.CityN(n, 11)
-	const span = 5
-	flows := make([]FlowSpec, nFlows)
-	for i := range flows {
-		src := pkt.NodeID((i*p.Rows)/nFlows*p.Cols + (i*3)%(p.Cols-span))
-		flows[i] = FlowSpec{ID: i + 1, Path: routing.Path{src, src + span}, Kind: CBRTraffic,
-			CBRInterval: 20 * sim.Millisecond, CBRPacketBytes: 1000}
-	}
+	positions, flows := cityWithFlows(n, nFlows, 20*sim.Millisecond)
 	cfg := Config{
-		Positions: top.Positions,
+		Positions: positions,
 		Radio:     topology.CityRadio(),
 		Scheme:    Ripple,
 		Flows:     flows,

@@ -9,10 +9,31 @@ import (
 
 	"ripple/internal/fault"
 	"ripple/internal/pkt"
+	"ripple/internal/radio"
 	"ripple/internal/routing"
 	"ripple/internal/sim"
 	"ripple/internal/topology"
 )
+
+// cityWithFlows is an n-station CityN layout (layout seed 11) tiled, as the
+// benchmark's city is, with nFlows five-block 1000-byte CBR flows: sources
+// on distinct grid rows, columns staggered, ETX routes from the endpoints.
+func cityWithFlows(n, nFlows int, interval sim.Time) ([]radio.Pos, []FlowSpec) {
+	top, p := topology.CityN(n, 11)
+	const span = 5
+	flows := make([]FlowSpec, nFlows)
+	for i := range flows {
+		src := pkt.NodeID((i*p.Rows)/nFlows*p.Cols + (i*3)%(p.Cols-span))
+		flows[i] = FlowSpec{
+			ID:             i + 1,
+			Path:           routing.Path{src, src + span},
+			Kind:           CBRTraffic,
+			CBRInterval:    interval,
+			CBRPacketBytes: 1000,
+		}
+	}
+	return top.Positions, flows
+}
 
 // fanoutCityConfig is the benchmark's city in miniature with every fault
 // process on: a pruned ~200-station CityN world under Markov mobility,
@@ -21,21 +42,9 @@ import (
 // fan-out therefore passes through the medium's link veto, and every
 // masked epoch world through LinkBlockedAt.
 func fanoutCityConfig(kind SchemeKind) Config {
-	top, p := topology.CityN(200, 11)
-	const nFlows, span = 4, 5
-	flows := make([]FlowSpec, nFlows)
-	for i := range flows {
-		src := pkt.NodeID((i*p.Rows)/nFlows*p.Cols + (i*3)%(p.Cols-span))
-		flows[i] = FlowSpec{
-			ID:             i + 1,
-			Path:           routing.Path{src, src + span},
-			Kind:           CBRTraffic,
-			CBRInterval:    10 * sim.Millisecond,
-			CBRPacketBytes: 1000,
-		}
-	}
+	positions, flows := cityWithFlows(200, 4, 10*sim.Millisecond)
 	return Config{
-		Positions: top.Positions,
+		Positions: positions,
 		Radio:     topology.CityRadio(),
 		Scheme:    kind,
 		Flows:     flows,

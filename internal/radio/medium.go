@@ -104,18 +104,17 @@ type transmission struct {
 	start, end sim.Time
 	base       uint64
 	rx         []reception
-	// order is the slab indices in (delay, index) order, or nil when the
+	// order is the slab indices in (delay, index) order, or empty when the
 	// slab is already in that order (every row the plan has no delay
-	// permutation for: pruned rows, sorted by mean power). orderBuf keeps
-	// its capacity across the record's uses.
-	order, orderBuf []int32
-	begin           beginCursor
-	done            endCursor
+	// permutation for: pruned rows, sorted by mean power).
+	order []int32
+	begin beginCursor
+	done  endCursor
 }
 
 // at returns the slab index of the pos-th reception in firing order.
 func (t *transmission) at(pos int) int {
-	if t.order != nil {
+	if len(t.order) > 0 {
 		return int(t.order[pos])
 	}
 	return pos
@@ -314,19 +313,20 @@ func (m *Medium) newTransmission() *transmission {
 // recycleTransmission takes back a record none of whose receptions is in
 // progress any more. The slab keeps its capacity and its stale entries:
 // Transmit overwrites every field of the entries it appends. Under
-// quarantine the entries lose their receiver instead and the record is
-// dropped, so a station.current that still points into the slab is found
-// by assertCurrent whenever it is next walked, not only until reuse.
+// quarantine a slab that was used loses its receivers instead and the
+// record is dropped, so a station.current that still points into the slab
+// is found by assertCurrent whenever it is next walked, not only until
+// reuse.
 func (m *Medium) recycleTransmission(t *transmission) {
 	m.onAir--
 	t.frame = nil
-	if m.quarantine {
+	if m.quarantine && len(t.rx) > 0 {
 		for i := range t.rx {
 			t.rx[i].dst = nil
 		}
 		return
 	}
-	t.rx = t.rx[:0]
+	t.rx, t.order = t.rx[:0], t.order[:0]
 	t.begin.pos, t.done.pos = 0, 0
 	m.freeAir = append(m.freeAir, t)
 }
@@ -624,15 +624,11 @@ func (m *Medium) schedule(t *transmission, f *pkt.Frame, now, end sim.Time, perm
 		for i := range t.rx {
 			slabOf[t.rx[i].row] = int32(i)
 		}
-		order := t.orderBuf[:0]
 		for _, k := range perm {
 			if i := slabOf[k]; i >= 0 {
-				order = append(order, i)
+				t.order = append(t.order, i)
 			}
 		}
-		t.order, t.orderBuf = order, order
-	} else {
-		t.order = nil
 	}
 	first := t.at(0)
 	delay := t.rx[first].delay
