@@ -30,35 +30,27 @@ func ETX(df, dr float64) float64 {
 	return 1 / (df * dr)
 }
 
-// Table holds the ETX link table for n stations, in one of two layouts.
-// NewTable builds the dense all-pairs form: flat n×n metric/probability
-// matrices, O(N²) memory, with Dijkstra scanning every destination per
-// pop. NewSparseTable builds the adjacency-list form over a candidate
-// neighbor graph: only usable links are stored (CSR rows in ascending
-// neighbor order), memory is O(N·k), and Dijkstra iterates adjacency
-// rows. Both layouts answer the same queries; absent pairs in the sparse
-// form have ETX +Inf, exactly like sub-minProb pairs in the dense form.
+// Table holds the ETX link table for n stations as a CSR adjacency: only
+// usable links are stored — both directions at or above the builder's
+// minProb — and station a's occupy slots off[a]..off[a+1] in ascending
+// neighbor order, so memory is O(N·k) in the usable degree k and Dijkstra
+// walks adjacency rows. A pair that is not stored has ETX +Inf. Tables are
+// immutable once built.
 type Table struct {
-	n int
-
-	// Dense layout (NewTable); nil in sparse mode.
-	etx  []float64 // n*n, Inf = unusable
-	prob []float64 // n*n forward delivery probability
-
-	// Sparse layout (NewSparseTable): usable links of station a occupy
-	// slots off[a]..off[a+1], sorted by ascending neighbor ID.
-	sparse  bool
-	off     []int64
-	adjID   []int32
-	adjETX  []float64
-	adjProb []float64
+	n      int
+	off    []int64
+	adjID  []int32
+	adjETX []float64
 }
 
-// NewTable builds the link table. Links with delivery probability below
-// minProb (typically 0.1: a ≥90%-loss link is not a link) are excluded, so
-// Dijkstra cannot "use" hopeless links with astronomic ETX.
+// NewTable builds the link table by probing all N² ordered pairs. Links
+// with delivery probability below minProb in either direction (typically
+// 0.1: a ≥90%-loss link is not a link) are excluded, so Dijkstra cannot
+// "use" hopeless links with astronomic ETX. It accepts any link model,
+// asymmetric ones included, which makes it the reference the candidate-graph
+// builders (NewSparseTableSym, RebuildSparseTableSym) are tested against.
 func NewTable(n int, prob LinkProbFunc, minProb float64) *Table {
-	t := &Table{n: n, etx: make([]float64, n*n), prob: make([]float64, n*n)}
+	t := &Table{n: n, off: make([]int64, n+1)}
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			if a == b {
@@ -66,24 +58,20 @@ func NewTable(n int, prob LinkProbFunc, minProb float64) *Table {
 			}
 			df := prob(pkt.NodeID(a), pkt.NodeID(b))
 			dr := prob(pkt.NodeID(b), pkt.NodeID(a))
-			t.prob[a*n+b] = df
 			if df < minProb || dr < minProb {
-				t.etx[a*n+b] = math.Inf(1)
 				continue
 			}
-			t.etx[a*n+b] = ETX(df, dr)
+			t.adjID = append(t.adjID, int32(b))
+			t.adjETX = append(t.adjETX, ETX(df, dr))
 		}
+		t.off[a+1] = int64(len(t.adjID))
 	}
 	return t
 }
 
-// LinkETX returns the ETX of the a→b link (Inf if unusable). In sparse
-// mode a pair absent from the adjacency is unusable; the diagonal is 0 in
-// both layouts.
+// LinkETX returns the ETX of the a→b link: +Inf for a pair the table does
+// not store, 0 on the diagonal.
 func (t *Table) LinkETX(a, b pkt.NodeID) float64 {
-	if !t.sparse {
-		return t.etx[int(a)*t.n+int(b)]
-	}
 	if a == b {
 		return 0
 	}
@@ -93,20 +81,7 @@ func (t *Table) LinkETX(a, b pkt.NodeID) float64 {
 	return math.Inf(1)
 }
 
-// LinkProb returns the forward delivery probability of a→b. The sparse
-// layout stores probabilities for usable links only and reports 0 for
-// absent pairs (their true probability is below minProb by construction).
-func (t *Table) LinkProb(a, b pkt.NodeID) float64 {
-	if !t.sparse {
-		return t.prob[int(a)*t.n+int(b)]
-	}
-	if s := t.adjSlot(a, b); s >= 0 {
-		return t.adjProb[s]
-	}
-	return 0
-}
-
-// adjSlot binary-searches row a of the sparse adjacency for neighbor b,
+// adjSlot binary-searches row a of the adjacency for neighbor b,
 // returning its slot or -1.
 func (t *Table) adjSlot(a, b pkt.NodeID) int {
 	lo, hi := int(t.off[a]), int(t.off[a+1])
@@ -140,15 +115,14 @@ func (t *Table) PathETX(p Path) float64 {
 type pqItem struct {
 	node pkt.NodeID
 	dist float64
-	idx  int
 }
 
 type pq []*pqItem
 
 func (q pq) Len() int           { return len(q) }
 func (q pq) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i]; q[i].idx = i; q[j].idx = j }
-func (q *pq) Push(x any)        { it := x.(*pqItem); it.idx = len(*q); *q = append(*q, it) }
+func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *pq) Push(x any)        { *q = append(*q, x.(*pqItem)) }
 func (q *pq) Pop() any {
 	old := *q
 	n := len(old)
@@ -204,11 +178,9 @@ func (t *Table) Distances(src pkt.NodeID, cost LinkCostFunc) []float64 {
 }
 
 // dijkstra computes single-source minimum-cost distances and predecessors
-// over the usable links of the table. Both layouts relax a popped node's
-// usable neighbors in ascending ID order — the dense scan skips +Inf
-// entries, the sparse walk iterates the adjacency row — so the two
-// layouts built over the same usable link set produce identical distances,
-// predecessors and therefore paths.
+// over the stored links. A popped node's neighbors are relaxed in ascending
+// ID order, which fixes the tie order among equal distances and hence the
+// paths: two tables holding the same links route identically.
 func (t *Table) dijkstra(src pkt.NodeID, cost LinkCostFunc) ([]float64, []pkt.NodeID) {
 	dist := make([]float64, t.n)
 	prev := make([]pkt.NodeID, t.n)
@@ -226,34 +198,14 @@ func (t *Table) dijkstra(src pkt.NodeID, cost LinkCostFunc) ([]float64, []pkt.No
 			continue
 		}
 		done[u] = true
-		if t.sparse {
-			for s := int(t.off[u]); s < int(t.off[u+1]); s++ {
-				v := pkt.NodeID(t.adjID[s])
-				if done[v] {
-					continue
-				}
-				w := t.adjETX[s]
-				if cost != nil {
-					w = cost(u, v, w)
-					if math.IsInf(w, 1) {
-						continue
-					}
-				}
-				if nd := dist[u] + w; nd < dist[v] {
-					dist[v] = nd
-					prev[v] = u
-					heap.Push(q, &pqItem{node: v, dist: nd})
-				}
-			}
-			continue
-		}
-		for v := 0; v < t.n; v++ {
-			w := t.etx[int(u)*t.n+v]
-			if math.IsInf(w, 1) || done[v] {
+		for s := int(t.off[u]); s < int(t.off[u+1]); s++ {
+			v := pkt.NodeID(t.adjID[s])
+			if done[v] {
 				continue
 			}
+			w := t.adjETX[s]
 			if cost != nil {
-				w = cost(u, pkt.NodeID(v), w)
+				w = cost(u, v, w)
 				if math.IsInf(w, 1) {
 					continue
 				}
@@ -261,7 +213,7 @@ func (t *Table) dijkstra(src pkt.NodeID, cost LinkCostFunc) ([]float64, []pkt.No
 			if nd := dist[u] + w; nd < dist[v] {
 				dist[v] = nd
 				prev[v] = u
-				heap.Push(q, &pqItem{node: pkt.NodeID(v), dist: nd})
+				heap.Push(q, &pqItem{node: v, dist: nd})
 			}
 		}
 	}
@@ -270,3 +222,14 @@ func (t *Table) dijkstra(src pkt.NodeID, cost LinkCostFunc) ([]float64, []pkt.No
 
 // Stations returns the number of stations the table was built over.
 func (t *Table) Stations() int { return t.n }
+
+// Links returns the number of usable directed links the table stores.
+func (t *Table) Links() int { return len(t.adjID) }
+
+// EachNeighbor calls yield for every usable neighbor of a in ascending ID
+// order with the link's ETX. Policies use it for local forwarder selection.
+func (t *Table) EachNeighbor(a pkt.NodeID, yield func(b pkt.NodeID, etx float64)) {
+	for s := int(t.off[a]); s < int(t.off[a+1]); s++ {
+		yield(pkt.NodeID(t.adjID[s]), t.adjETX[s])
+	}
+}

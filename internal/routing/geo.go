@@ -1,8 +1,6 @@
 package routing
 
 import (
-	"math"
-
 	"ripple/internal/pkt"
 	"ripple/internal/radio"
 )
@@ -87,25 +85,4 @@ func (p *GeoPolicy) recover(prefix Path, cur, dst pkt.NodeID) (Path, error) {
 		return out, nil
 	}
 	return p.t.ShortestPath(prefix.Src(), dst)
-}
-
-// EachNeighbor calls yield for every usable neighbor of a in ascending ID
-// order with the link's ETX. The dense layout scans its row skipping
-// unusable pairs; the sparse layout walks its adjacency row. Policies use
-// it for local forwarder selection without caring which layout backs the
-// table.
-func (t *Table) EachNeighbor(a pkt.NodeID, yield func(b pkt.NodeID, etx float64)) {
-	if t.sparse {
-		for s := int(t.off[a]); s < int(t.off[a+1]); s++ {
-			yield(pkt.NodeID(t.adjID[s]), t.adjETX[s])
-		}
-		return
-	}
-	row := t.etx[int(a)*t.n : (int(a)+1)*t.n]
-	for b, etx := range row {
-		if pkt.NodeID(b) == a || math.IsInf(etx, 1) {
-			continue
-		}
-		yield(pkt.NodeID(b), etx)
-	}
 }

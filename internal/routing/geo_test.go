@@ -10,7 +10,7 @@ import (
 	"ripple/internal/radio"
 )
 
-// lineTable builds a dense table over n stations on a line with usable
+// geoLineTable builds the table over n stations on a line with usable
 // links between stations at most reach apart (prob 0.9 within reach).
 func geoLineTable(n int, spacing, reach float64) (*Table, []radio.Pos) {
 	pos := make([]radio.Pos, n)
@@ -110,23 +110,17 @@ func TestGeoVoidRecovery(t *testing.T) {
 	}
 }
 
-// TestEachNeighborLayoutsAgree: dense and sparse tables over the same
-// usable link set enumerate identical (neighbor, ETX) sequences.
-func TestEachNeighborLayoutsAgree(t *testing.T) {
+// TestEachNeighborBuildersAgree: the all-pairs table and the
+// candidate-graph table over the same usable link set enumerate identical
+// (neighbor, ETX) sequences.
+func TestEachNeighborBuildersAgree(t *testing.T) {
 	tab, pos := geoLineTable(9, 100, 250)
-	sparse := NewSparseTable(9, func(a pkt.NodeID) []int32 {
-		ids := make([]int32, 0, 8)
+	sparse := NewSparseTableSym(9, func(a pkt.NodeID, yield func(b int32, p float64)) {
 		for b := 0; b < 9; b++ {
-			if pkt.NodeID(b) != a {
-				ids = append(ids, int32(b))
+			if radio.Dist(pos[a], pos[b]) <= 250 {
+				yield(int32(b), 0.9)
 			}
 		}
-		return ids
-	}, func(a, b pkt.NodeID) float64 {
-		if radio.Dist(pos[a], pos[b]) <= 250 {
-			return 0.9
-		}
-		return 0
 	}, 0.1)
 	for a := 0; a < 9; a++ {
 		type link struct {
@@ -136,8 +130,8 @@ func TestEachNeighborLayoutsAgree(t *testing.T) {
 		var dl, sl []link
 		tab.EachNeighbor(pkt.NodeID(a), func(b pkt.NodeID, e float64) { dl = append(dl, link{b, e}) })
 		sparse.EachNeighbor(pkt.NodeID(a), func(b pkt.NodeID, e float64) { sl = append(sl, link{b, e}) })
-		if !slices.Equal(dl, sl) {
-			t.Fatalf("station %d: dense neighbors %v != sparse neighbors %v", a, dl, sl)
+		if len(dl) == 0 || !slices.Equal(dl, sl) {
+			t.Fatalf("station %d: all-pairs neighbors %v != candidate-graph neighbors %v", a, dl, sl)
 		}
 	}
 }

@@ -4,69 +4,29 @@ import (
 	"ripple/internal/pkt"
 )
 
-// NeighborsFunc returns the candidate neighbor station IDs of a, in
-// ascending order. The returned slice is only read during the call, so
-// implementations may alias internal storage (radio.LinkPlan.AscNeighbors
-// does). Station IDs use int32 to match the link plan's CSR storage and
-// avoid a per-row conversion copy on city-scale graphs.
-type NeighborsFunc func(a pkt.NodeID) []int32
-
-// NewSparseTable builds the link table over a candidate neighbor graph
-// instead of probing all N² ordered pairs: only pairs the neighbor
-// function offers are evaluated, and only usable links (both directions at
-// or above minProb) are stored, so construction time and memory are
-// O(N·k) in the average candidate degree k.
+// NewSparseTableSym builds the link table over a candidate neighbor graph
+// instead of probing all N² ordered pairs, for symmetric link models, where
+// the forward and reverse delivery probabilities of every pair are equal
+// (true of any model that is a pure function of distance, like the radio
+// package's analytic shadowing model, and of that model under a symmetric
+// fault mask). links must call yield for each candidate neighbor of a in
+// ascending ID order with the link probability, and the candidate graph
+// must be symmetric (b offered for a ⇔ a offered for b); each link
+// probability is evaluated once per row end, and construction time and
+// memory are O(N·k) in the average candidate degree k.
 //
-// A pair absent from the candidate graph is treated as unusable (ETX
-// +Inf), exactly as the dense NewTable treats sub-minProb pairs. When the
-// candidate graph comes from a pruned radio link plan this is not an
-// approximation but an identity: a pruned pair's mean power is at least
-// PruneSigma shadowing deviations below the carrier-sense threshold, so
-// its delivery probability is far below any sensible minProb and the
-// dense table would exclude it too — the two layouts then hold exactly
-// the same usable link set and route identically (see Table.dijkstra).
-//
-// The candidate graph must be symmetric (b listed for a ⇔ a listed for
-// b), which geometric neighbor pruning guarantees; the reverse
-// probability of an offered pair is always evaluated directly.
-func NewSparseTable(n int, neighbors NeighborsFunc, prob LinkProbFunc, minProb float64) *Table {
-	t := &Table{n: n, sparse: true, off: make([]int64, n+1)}
+// A pair absent from the candidate graph is unusable (ETX +Inf), exactly as
+// NewTable treats sub-minProb pairs. When the candidate graph comes from a
+// pruned radio link plan this is not an approximation but an identity: a
+// pruned pair's mean power is at least PruneSigma shadowing deviations below
+// the carrier-sense threshold, so its delivery probability is far below any
+// sensible minProb and NewTable would exclude it too. The stored values are
+// NewTable's with prob(a,b) == prob(b,a): ETX(p, p) == 1/(p·p) bit for bit.
+func NewSparseTableSym(n int, links func(a pkt.NodeID, yield func(b int32, p float64)), minProb float64) *Table {
+	t := &Table{n: n, off: make([]int64, n+1)}
 	// Usable degree is typically far below candidate degree (decode range
 	// vs pruning range), so rows grow by append instead of reserving the
 	// full candidate count.
-	for a := 0; a < n; a++ {
-		na := pkt.NodeID(a)
-		for _, j := range neighbors(na) {
-			if int(j) == a {
-				continue
-			}
-			nb := pkt.NodeID(j)
-			df := prob(na, nb)
-			dr := prob(nb, na)
-			if df < minProb || dr < minProb {
-				continue
-			}
-			t.adjID = append(t.adjID, j)
-			t.adjETX = append(t.adjETX, ETX(df, dr))
-			t.adjProb = append(t.adjProb, df)
-		}
-		t.off[a+1] = int64(len(t.adjID))
-	}
-	return t
-}
-
-// NewSparseTableSym is NewSparseTable for symmetric link models, where the
-// forward and reverse delivery probabilities of every pair are equal (true
-// of any model that is a pure function of distance, like the radio
-// package's analytic shadowing model). links must call yield for each
-// candidate neighbor of a in ascending ID order with the link probability;
-// each link probability is evaluated once instead of the generic
-// constructor's four (df and dr from both row ends) — on city-scale worlds
-// that is most of the table build. The stored values are identical to
-// NewSparseTable's with prob(a,b) == prob(b,a): ETX(p, p) == 1/(p·p) bit
-// for bit.
-func NewSparseTableSym(n int, links func(a pkt.NodeID, yield func(b int32, p float64)), minProb float64) *Table {
-	t := &Table{n: n, sparse: true, off: make([]int64, n+1)}
 	for a := 0; a < n; a++ {
 		links(pkt.NodeID(a), func(b int32, p float64) {
 			if int(b) == a || p < minProb {
@@ -74,15 +34,14 @@ func NewSparseTableSym(n int, links func(a pkt.NodeID, yield func(b int32, p flo
 			}
 			t.adjID = append(t.adjID, b)
 			t.adjETX = append(t.adjETX, ETX(p, p))
-			t.adjProb = append(t.adjProb, p)
 		})
 		t.off[a+1] = int64(len(t.adjID))
 	}
 	return t
 }
 
-// RebuildSparseTableSym derives the sparse symmetric table of a changed
-// world from its predecessor — the epoch step of a time-varying world.
+// RebuildSparseTableSym derives the symmetric table of a changed world
+// from its predecessor — the epoch step of a time-varying world.
 // moved flags the stations whose position changed since prev was built;
 // links must enumerate the NEW candidate graph (ascending ID order, link
 // distance attached, e.g. the rebuilt radio plan's EachAscNeighbor), and
@@ -100,20 +59,15 @@ func NewSparseTableSym(n int, links func(a pkt.NodeID, yield func(b int32, p flo
 // equivalence test enforces it); prev is read-only throughout, so runs
 // still executing on the previous epoch are undisturbed.
 func RebuildSparseTableSym(prev *Table, moved, unchanged []bool, links func(a pkt.NodeID, yield func(b int32, d float64)), prob func(d float64) float64, minProb float64) *Table {
-	if !prev.sparse {
-		panic("routing: RebuildSparseTableSym needs a sparse predecessor")
-	}
 	n := prev.n
-	t := &Table{n: n, sparse: true, off: make([]int64, n+1)}
+	t := &Table{n: n, off: make([]int64, n+1)}
 	t.adjID = make([]int32, 0, len(prev.adjID)+64)
 	t.adjETX = make([]float64, 0, len(prev.adjID)+64)
-	t.adjProb = make([]float64, 0, len(prev.adjID)+64)
 	for a := 0; a < n; a++ {
 		if unchanged != nil && unchanged[a] && !moved[a] {
 			lo, hi := prev.off[a], prev.off[a+1]
 			t.adjID = append(t.adjID, prev.adjID[lo:hi]...)
 			t.adjETX = append(t.adjETX, prev.adjETX[lo:hi]...)
-			t.adjProb = append(t.adjProb, prev.adjProb[lo:hi]...)
 			t.off[a+1] = int64(len(t.adjID))
 			continue
 		}
@@ -129,7 +83,6 @@ func RebuildSparseTableSym(prev *Table, moved, unchanged []bool, links func(a pk
 				}
 				t.adjID = append(t.adjID, b)
 				t.adjETX = append(t.adjETX, ETX(p, p))
-				t.adjProb = append(t.adjProb, p)
 			})
 			t.off[a+1] = int64(len(t.adjID))
 			continue
@@ -150,7 +103,6 @@ func RebuildSparseTableSym(prev *Table, moved, unchanged []bool, links func(a pk
 				}
 				t.adjID = append(t.adjID, b)
 				t.adjETX = append(t.adjETX, ETX(p, p))
-				t.adjProb = append(t.adjProb, p)
 				return
 			}
 			for k < hi && prev.adjID[k] < b {
@@ -159,7 +111,6 @@ func RebuildSparseTableSym(prev *Table, moved, unchanged []bool, links func(a pk
 			if k < hi && prev.adjID[k] == b {
 				t.adjID = append(t.adjID, b)
 				t.adjETX = append(t.adjETX, prev.adjETX[k])
-				t.adjProb = append(t.adjProb, prev.adjProb[k])
 				k++
 			}
 		})
@@ -167,10 +118,3 @@ func RebuildSparseTableSym(prev *Table, moved, unchanged []bool, links func(a pk
 	}
 	return t
 }
-
-// Links returns the number of usable directed links the table stores
-// (sparse layout only; 0 for dense tables, which store all pairs).
-func (t *Table) Links() int { return len(t.adjID) }
-
-// Sparse reports whether the table uses the adjacency-list layout.
-func (t *Table) Sparse() bool { return t.sparse }

@@ -32,8 +32,8 @@ func candGraph(pos []radio.Pos, radius float64) func(a pkt.NodeID, yield func(b 
 	}
 }
 
-// symFromScratch is the reference: NewSparseTableSym over the candidate
-// graph with the same link model.
+// symFromScratch is NewSparseTableSym over the candidate graph with the
+// same link model: what an epoch world without a usable predecessor builds.
 func symFromScratch(pos []radio.Pos, radius float64) *Table {
 	cands := candGraph(pos, radius)
 	return NewSparseTableSym(len(pos), func(a pkt.NodeID, yield func(b int32, p float64)) {
@@ -41,10 +41,21 @@ func symFromScratch(pos []radio.Pos, radius float64) *Table {
 	}, 0.1)
 }
 
+// allPairs is the reference: NewTable probing every pair, with pairs
+// beyond the candidate radius unusable.
+func allPairs(pos []radio.Pos, radius float64) *Table {
+	return NewTable(len(pos), func(a, b pkt.NodeID) float64 {
+		if d := radio.Dist(pos[a], pos[b]); d <= radius {
+			return probFromDist(d)
+		}
+		return 0
+	}, 0.1)
+}
+
 func tablesEqual(t *testing.T, want, got *Table) {
 	t.Helper()
-	if want.n != got.n || want.sparse != got.sparse {
-		t.Fatalf("table headers differ")
+	if want.n != got.n {
+		t.Fatalf("station counts differ")
 	}
 	if !slices.Equal(want.off, got.off) {
 		t.Fatal("row offsets differ")
@@ -55,19 +66,23 @@ func tablesEqual(t *testing.T, want, got *Table) {
 	if !slices.Equal(want.adjETX, got.adjETX) {
 		t.Fatal("adjacency ETX values differ")
 	}
-	if !slices.Equal(want.adjProb, got.adjProb) {
-		t.Fatal("adjacency probabilities differ")
-	}
 }
 
 // TestRebuildSparseTableSymMatchesFromScratch is the bit-equivalence
 // property of the epoch table rebuild, across several motion fractions
-// and epochs of random motion.
+// and epochs of random motion, over a pruned candidate graph (400 m) and
+// an unpruned one that offers every pair: each patched table equals the
+// all-pairs reference, and so does a fresh NewSparseTableSym.
 func TestRebuildSparseTableSymMatchesFromScratch(t *testing.T) {
+	for _, radius := range []float64{400, math.Inf(1)} {
+		testRebuildMatchesFromScratch(t, radius)
+	}
+}
+
+func testRebuildMatchesFromScratch(t *testing.T, radius float64) {
 	const (
-		n      = 250
-		side   = 1500.0
-		radius = 400.0
+		n    = 250
+		side = 1500.0
 	)
 	for _, frac := range []float64{0.03, 0.3, 1.0} {
 		rng := sim.NewRNG(17, uint64(frac*100))
@@ -105,15 +120,16 @@ func TestRebuildSparseTableSymMatchesFromScratch(t *testing.T) {
 				unchanged[a] = ok
 			}
 			got := RebuildSparseTableSym(prev, moved, unchanged, candGraph(next, radius), probFromDist, 0.1)
-			want := symFromScratch(next, radius)
+			want := allPairs(next, radius)
 			tablesEqual(t, want, got)
+			tablesEqual(t, want, symFromScratch(next, radius))
 			// And the patched table must route identically, not just store
 			// identical links.
 			for _, dst := range []pkt.NodeID{pkt.NodeID(n - 1), pkt.NodeID(n / 2)} {
 				pw, errW := want.ShortestPath(0, dst)
 				pg, errG := got.ShortestPath(0, dst)
 				if (errW == nil) != (errG == nil) || !slices.Equal(pw, pg) {
-					t.Fatalf("frac %g epoch %d: routes diverge: %v/%v vs %v/%v", frac, epoch, pw, errW, pg, errG)
+					t.Fatalf("radius %g frac %g epoch %d: routes diverge: %v/%v vs %v/%v", radius, frac, epoch, pw, errW, pg, errG)
 				}
 			}
 			prev, pos = got, next

@@ -3,7 +3,6 @@ package routing
 import (
 	"errors"
 	"math"
-	"sort"
 	"testing"
 
 	"ripple/internal/pkt"
@@ -11,17 +10,17 @@ import (
 )
 
 // sparseWorld builds a 500-station jittered grid plus one unreachable
-// outlier, with a distance-driven link probability and the matching
-// candidate neighbor graph — the same shape a pruned radio link plan
-// feeds NewSparseTable, without importing the radio package.
+// outlier, with a distance-driven link probability and a candidate
+// neighbor graph of the given radius — the same shape a radio link plan
+// feeds NewSparseTableSym, without importing the radio package: 230 m is a
+// pruned plan, +Inf an unpruned one that offers every pair.
 //
-// The probability ramp hits the 0.1 minProb floor at 220 m and the
-// candidate radius is 230 m, so the candidate graph strictly contains the
-// usable link set (like geometric pruning, which cuts at the carrier-sense
-// power, far below the usable-link threshold). Jitter stays at ±20 m so
-// adjacent grid stations (≤194 m apart) always remain usable: the grid
-// component is connected by construction.
-func sparseWorld() (n int, prob LinkProbFunc, neighbors NeighborsFunc, outlier pkt.NodeID) {
+// The probability ramp hits the 0.1 minProb floor at 220 m, so the 230 m
+// candidate graph strictly contains the usable link set (like geometric
+// pruning, which cuts at the carrier-sense power, far below the usable-link
+// threshold). Jitter stays at ±20 m so adjacent grid stations (≤194 m apart)
+// always remain usable: the grid component is connected by construction.
+func sparseWorld(radius float64) (n int, prob LinkProbFunc, links func(a pkt.NodeID, yield func(b int32, d float64)), outlier pkt.NodeID) {
 	const rows, cols, spacing, jitter = 20, 25, 150.0, 20.0
 	n = rows*cols + 1
 	outlier = pkt.NodeID(n - 1)
@@ -42,128 +41,90 @@ func sparseWorld() (n int, prob LinkProbFunc, neighbors NeighborsFunc, outlier p
 		return math.Sqrt(dx*dx + dy*dy)
 	}
 	prob = func(a, b pkt.NodeID) float64 {
-		p := 1.2 - dist(a, b)/200 // ≥0.1 ⇔ within 220 m
-		if p < 0 {
-			return 0
-		}
-		if p > 1 {
-			return 1
-		}
-		return p
+		return min(max(1.2-dist(a, b)/200, 0), 1) // ≥0.1 ⇔ within 220 m
 	}
-	adj := make([][]int32, n)
-	for a := 0; a < n; a++ {
+	links = func(a pkt.NodeID, yield func(b int32, d float64)) {
 		for b := 0; b < n; b++ {
-			if a != b && dist(pkt.NodeID(a), pkt.NodeID(b)) <= 230 {
-				adj[a] = append(adj[a], int32(b))
+			if d := dist(a, pkt.NodeID(b)); pkt.NodeID(b) != a && d <= radius {
+				yield(int32(b), d)
 			}
 		}
-		sort.Slice(adj[a], func(i, j int) bool { return adj[a][i] < adj[a][j] })
 	}
-	neighbors = func(a pkt.NodeID) []int32 { return adj[a] }
-	return n, prob, neighbors, outlier
+	return n, prob, links, outlier
 }
 
-// TestSparseTableMatchesDense proves the two layouts are the same table:
-// identical link metrics on every pair, identical Dijkstra distances from
-// every source (covering every source/destination pair), and identical
-// paths — bit for bit, since both relax usable neighbors in ascending ID
-// order.
-func TestSparseTableMatchesDense(t *testing.T) {
-	n, prob, neighbors, _ := sparseWorld()
-	dense := NewTable(n, prob, 0.1)
-	sparse := NewSparseTable(n, neighbors, prob, 0.1)
-	if !sparse.Sparse() || dense.Sparse() {
-		t.Fatal("layout flags wrong")
+// symMask is a symmetric fault overlay in the shape network's epoch worlds
+// apply: some stations down, some links blocked, a noise penalty scaling
+// the probability by the worse endpoint.
+func symMask(prob LinkProbFunc) LinkProbFunc {
+	return func(a, b pkt.NodeID) float64 {
+		if a%17 == 3 || b%17 == 3 || (a+b)%29 == 0 {
+			return 0
+		}
+		if max(a, b)%11 == 5 {
+			return prob(a, b) * 0.6
+		}
+		return prob(a, b)
 	}
-	if sparse.Links() == 0 {
-		t.Fatal("sparse table kept no links")
-	}
+}
 
-	usable := 0
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			de := dense.LinkETX(pkt.NodeID(a), pkt.NodeID(b))
-			se := sparse.LinkETX(pkt.NodeID(a), pkt.NodeID(b))
-			if de != se && !(math.IsInf(de, 1) && math.IsInf(se, 1)) {
-				t.Fatalf("LinkETX(%d,%d): dense %g, sparse %g", a, b, de, se)
+// TestSparseTableMatchesDense holds the candidate-graph builder to the
+// all-pairs reference: over a pruned graph, an unpruned one and either
+// under a symmetric fault mask, NewSparseTableSym stores exactly the table
+// NewTable does, and LinkETX answers every pair from the link model
+// directly — stored, absent and diagonal.
+func TestSparseTableMatchesDense(t *testing.T) {
+	for _, radius := range []float64{230, math.Inf(1)} {
+		for _, masked := range []bool{false, true} {
+			n, prob, links, _ := sparseWorld(radius)
+			if masked {
+				prob = symMask(prob)
 			}
-			if !math.IsInf(de, 1) && a != b {
-				usable++
-				if dense.LinkProb(pkt.NodeID(a), pkt.NodeID(b)) != sparse.LinkProb(pkt.NodeID(a), pkt.NodeID(b)) {
-					t.Fatalf("LinkProb(%d,%d) differs on a usable link", a, b)
+			dense := NewTable(n, prob, 0.1)
+			sparse := NewSparseTableSym(n, func(a pkt.NodeID, yield func(b int32, p float64)) {
+				links(a, func(b int32, _ float64) { yield(b, prob(a, pkt.NodeID(b))) })
+			}, 0.1)
+			if sparse.Links() == 0 {
+				t.Fatal("table kept no links")
+			}
+			tablesEqual(t, dense, sparse)
+			for a := 0; a < n; a++ {
+				for b := 0; b < n; b++ {
+					na, nb := pkt.NodeID(a), pkt.NodeID(b)
+					want := math.Inf(1)
+					if a == b {
+						want = 0
+					} else if p := prob(na, nb); p >= 0.1 {
+						want = ETX(p, p)
+					}
+					if got := sparse.LinkETX(na, nb); got != want {
+						t.Fatalf("radius %g masked %v: LinkETX(%d,%d) = %g, want %g", radius, masked, a, b, got, want)
+					}
 				}
 			}
 		}
 	}
-	if usable != sparse.Links() {
-		t.Fatalf("dense has %d usable links, sparse stores %d", usable, sparse.Links())
-	}
-
-	for src := 0; src < n; src++ {
-		dd := dense.Distances(pkt.NodeID(src), nil)
-		sd := sparse.Distances(pkt.NodeID(src), nil)
-		for dst := range dd {
-			if dd[dst] != sd[dst] && !(math.IsInf(dd[dst], 1) && math.IsInf(sd[dst], 1)) {
-				t.Fatalf("Distances(%d)[%d]: dense %g, sparse %g", src, dst, dd[dst], sd[dst])
-			}
-		}
-	}
-
-	// Paths, including under a custom link cost (the congestion-policy
-	// shape: a per-relay surcharge).
-	cost := func(u, v pkt.NodeID, etx float64) float64 { return etx + 0.01*float64(v%7) }
-	for src := 0; src < n-1; src += 37 {
-		for dst := 1; dst < n-1; dst += 41 {
-			if src == dst {
-				continue
-			}
-			dp, derr := dense.ShortestPath(pkt.NodeID(src), pkt.NodeID(dst))
-			sp, serr := sparse.ShortestPath(pkt.NodeID(src), pkt.NodeID(dst))
-			if (derr == nil) != (serr == nil) {
-				t.Fatalf("path %d->%d: dense err %v, sparse err %v", src, dst, derr, serr)
-			}
-			if !samePath(dp, sp) {
-				t.Fatalf("path %d->%d: dense %v, sparse %v", src, dst, dp, sp)
-			}
-			dp, _ = dense.ShortestPathCost(pkt.NodeID(src), pkt.NodeID(dst), cost)
-			sp, _ = sparse.ShortestPathCost(pkt.NodeID(src), pkt.NodeID(dst), cost)
-			if !samePath(dp, sp) {
-				t.Fatalf("cost path %d->%d: dense %v, sparse %v", src, dst, dp, sp)
-			}
-		}
-	}
 }
 
-func samePath(a, b Path) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestSparseTableNoRoute pins the unreachable-station contract: both
-// layouts report the ErrNoRoute sentinel and +Inf distance for the
-// outlier, in both directions.
+// TestSparseTableNoRoute pins the unreachable-station contract: the
+// ErrNoRoute sentinel and +Inf distance for the outlier, in both
+// directions, from either builder.
 func TestSparseTableNoRoute(t *testing.T) {
-	n, prob, neighbors, outlier := sparseWorld()
+	n, prob, links, outlier := sparseWorld(230)
 	for _, tab := range []*Table{
 		NewTable(n, prob, 0.1),
-		NewSparseTable(n, neighbors, prob, 0.1),
+		NewSparseTableSym(n, func(a pkt.NodeID, yield func(b int32, p float64)) {
+			links(a, func(b int32, _ float64) { yield(b, prob(a, pkt.NodeID(b))) })
+		}, 0.1),
 	} {
 		if _, err := tab.ShortestPath(0, outlier); !errors.Is(err, ErrNoRoute) {
-			t.Fatalf("sparse=%v: ShortestPath(0, outlier) err = %v, want ErrNoRoute", tab.Sparse(), err)
+			t.Fatalf("ShortestPath(0, outlier) err = %v, want ErrNoRoute", err)
 		}
 		if _, err := tab.ShortestPath(outlier, 0); !errors.Is(err, ErrNoRoute) {
-			t.Fatalf("sparse=%v: reverse err not ErrNoRoute", tab.Sparse())
+			t.Fatalf("reverse err = %v, want ErrNoRoute", err)
 		}
 		if d := tab.Distances(0, nil); !math.IsInf(d[outlier], 1) {
-			t.Fatalf("sparse=%v: outlier distance %g, want +Inf", tab.Sparse(), d[outlier])
+			t.Fatalf("outlier distance %g, want +Inf", d[outlier])
 		}
 	}
 }

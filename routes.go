@@ -16,8 +16,9 @@ import (
 
 // Router computes minimum-ETX paths over a topology.
 type Router struct {
-	table    *routing.Table
-	stations int
+	table     *routing.Table
+	radio     radio.Config
+	positions []radio.Pos
 }
 
 // NewRouter builds the ETX link table for a topology under the given
@@ -36,15 +37,15 @@ func NewRouter(top Topology, r Radio) (*Router, error) {
 	tab := routing.NewTable(len(positions), func(a, b pkt.NodeID) float64 {
 		return 1 - rc.LossProb(radio.Dist(positions[a], positions[b]))
 	}, 0.1)
-	return &Router{table: tab, stations: len(positions)}, nil
+	return &Router{table: tab, radio: rc, positions: positions}, nil
 }
 
 // Path returns the minimum-ETX path between two stations, usable directly
 // as a Flow.Path (and as the forwarder list for opportunistic schemes).
 func (r *Router) Path(src, dst NodeID) (Path, error) {
 	for _, n := range []NodeID{src, dst} {
-		if n < 0 || n >= r.stations {
-			return nil, fmt.Errorf("station %d outside topology (%d stations)", n, r.stations)
+		if n < 0 || n >= len(r.positions) {
+			return nil, fmt.Errorf("station %d outside topology (%d stations)", n, len(r.positions))
 		}
 	}
 	p, err := r.table.ShortestPath(pkt.NodeID(src), pkt.NodeID(dst))
@@ -66,5 +67,5 @@ func (r *Router) PathETX(p Path) float64 {
 // LinkQuality returns the one-way frame delivery probability of a link
 // under the router's radio profile.
 func (r *Router) LinkQuality(a, b NodeID) float64 {
-	return r.table.LinkProb(pkt.NodeID(a), pkt.NodeID(b))
+	return 1 - r.radio.LossProb(radio.Dist(r.positions[a], r.positions[b]))
 }
