@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"slices"
 
-	"ripple/internal/fault"
 	"ripple/internal/mobility"
-	"ripple/internal/pkt"
 	"ripple/internal/radio"
-	"ripple/internal/routing"
 	"ripple/internal/sim"
 )
 
@@ -124,11 +121,11 @@ func (s MobilitySpec) model(initial []radio.Pos) (mobility.Model, error) {
 // buildEpochs extends a freshly built initial World with its epoch
 // sequence: one derived World per epoch boundary strictly inside
 // (0, Duration). Each epoch world is derived incrementally from its
-// predecessor — the link plan by radio's row-patching Rebuild, the sparse
-// link table by routing.RebuildSparseTableSym — so on a city-scale world
-// with most stations parked, the per-epoch cost is proportional to the
-// motion, not the population. With fault injection, epochs whose fault
-// overlay changed carry a masked link table (dead stations and blocked
+// predecessor (see derive) — the link plan by radio's row-patching Rebuild,
+// the link table by routing.RebuildSparseTableSym — so on a city-scale
+// world with most stations parked, the per-epoch cost is proportional to
+// the motion, not the population. With fault injection, epochs under a
+// fault overlay carry a masked link table (dead stations and blocked
 // links removed, noise penalties applied); consecutive epochs with
 // identical positions and fault toggle counts share one World. Like
 // everything else in the World, the sequence is a pure function of the
@@ -166,186 +163,14 @@ func (w *World) buildEpochs(cfg *Config) error {
 			faultsUnchanged = slices.Equal(prevCounts, counts)
 			prevCounts = append(prevCounts[:0], counts...)
 		}
-		ew := deriveEpoch(cfg, w, prev, pos, at, faultsUnchanged)
+		ew, err := derive(cfg, w, prev, pos, at, faultsUnchanged)
+		if err != nil {
+			return err
+		}
 		w.epochs = append(w.epochs, ew)
 		prev = ew
 	}
 	return nil
-}
-
-// deriveEpoch builds the World of one epoch from its predecessor, the
-// epoch's station positions and the fault overlay in effect at the
-// boundary. Unlike the initial build, a flow whose route cannot be
-// resolved this epoch is not an error: it keeps the previous epoch's
-// route — flagged stale when motion disconnected the endpoints, or
-// unreachable when the fault overlay did — exactly as a failed in-run
-// dynamic recompute keeps the current one. A transient partition must not
-// kill the run; Run surfaces the flags as Result.RouteStale and the
-// unreachable machinery instead.
-func deriveEpoch(cfg *Config, root, prev *World, positions []radio.Pos, at sim.Time, faultsUnchanged bool) *World {
-	plan := prev.plan.Rebuild(positions)
-	if plan == prev.plan && faultsUnchanged {
-		// Nobody moved and no fault toggled this epoch: the predecessor *is*
-		// this epoch's world, and both are immutable, so share it outright.
-		return prev
-	}
-	ew := &World{plan: plan, flows: prev.flows}
-	fs := root.faults
-	var down []bool
-	var noise []float64
-	if fs != nil {
-		ew.masked = fs.MaskedAt(at)
-		if ew.masked {
-			down = make([]bool, plan.Stations())
-			noise = make([]float64, plan.Stations())
-			for i := range down {
-				down[i] = fs.StationDownAt(pkt.NodeID(i), at)
-				noise[i] = fs.NoiseDBAt(pkt.NodeID(i), at)
-			}
-		}
-	}
-	var policy routing.Policy
-	if cfg.Routing.active() {
-		ew.table = epochLinkTable(cfg, fs, prev, plan, at, ew.masked, down, noise)
-		if cfg.Routing.needsPolicy() {
-			if pol, err := cfg.Routing.build(ew.table, plan.Positions()); err == nil {
-				policy = pol
-			}
-		}
-	}
-	ew.routes = make([]routing.Path, len(cfg.Flows))
-	if fs != nil || policy != nil {
-		ew.stale = make([]bool, len(cfg.Flows))
-		ew.unreach = make([]bool, len(cfg.Flows))
-	}
-	for i, f := range cfg.Flows {
-		switch {
-		case policy != nil:
-			p, err := policy.Route(f.Path.Src(), f.Path.Dst(), nil)
-			if err != nil {
-				p = prev.routes[i]
-				// Distinguish "this policy could not route" (geo void, a
-				// congestion detour dead end — keep the stale route and let
-				// blacklisting limp along) from "the fault overlay cut the
-				// destination off" (no path at all in the masked table —
-				// drop at the source instead of burning airtime).
-				if ew.masked && !tableReachable(ew.table, f.Path.Src(), f.Path.Dst()) {
-					ew.unreach[i] = true
-				} else {
-					ew.stale[i] = true
-				}
-			}
-			ew.routes[i] = p
-		case ew.table != nil:
-			ew.routes[i] = routing.Resize(ew.table, maskPath(f.Path, down), cfg.Routing.K, cfg.Routing.Rule)
-		default:
-			ew.routes[i] = maskPath(f.Path, down)
-		}
-		if down != nil && down[f.Path.Dst()] {
-			ew.unreach[i] = true
-		}
-	}
-	return ew
-}
-
-// tableReachable reports whether any usable-link path connects src to dst
-// in the (fault-masked) table — the arbiter between a policy-specific
-// routing failure and a genuinely cut-off destination.
-func tableReachable(t *routing.Table, src, dst pkt.NodeID) bool {
-	if t == nil {
-		return true
-	}
-	_, err := t.ShortestPath(src, dst)
-	return err == nil
-}
-
-// maskPath filters crashed intermediate relays out of a declared path
-// (endpoints stay — a down destination is handled as unreachable, not by
-// rewriting the path).
-func maskPath(p routing.Path, down []bool) routing.Path {
-	if down == nil {
-		return p
-	}
-	masked := false
-	for i := 1; i < len(p)-1; i++ {
-		if down[p[i]] {
-			masked = true
-			break
-		}
-	}
-	if !masked {
-		return p
-	}
-	out := make(routing.Path, 0, len(p))
-	for i, nd := range p {
-		if i > 0 && i < len(p)-1 && down[nd] {
-			continue
-		}
-		out = append(out, nd)
-	}
-	return out
-}
-
-// epochLinkTable builds an epoch's link table. Without a fault overlay it
-// is the incremental rebuild (or a from-scratch clean build when the
-// predecessor's table was fault-masked: masked rows must never be copied
-// forward). With an overlay in effect the table is built from scratch
-// with down stations and blocked links removed and noise penalties
-// raising the effective decode threshold — the routing-layer mirror of
-// what the medium does to live transmissions.
-func epochLinkTable(cfg *Config, fs *fault.Schedule, prev *World, plan *radio.LinkPlan,
-	at sim.Time, masked bool, down []bool, noise []float64) *routing.Table {
-	if !masked {
-		if prev.masked {
-			return newLinkTable(cfg, plan)
-		}
-		return rebuildLinkTable(cfg, prev, plan)
-	}
-	linkProb := func(a, b pkt.NodeID, d float64) float64 {
-		if down[a] || down[b] || fs.LinkBlockedAt(a, b, at) {
-			return 0
-		}
-		rc := cfg.Radio
-		if pen := max(noise[a], noise[b]); pen > 0 {
-			rc.RXThreshDBm += pen
-		}
-		return 1 - rc.LossProb(d)
-	}
-	if plan.Pruned() {
-		return routing.NewSparseTableSym(plan.Stations(), func(a pkt.NodeID, yield func(int32, float64)) {
-			plan.EachAscNeighbor(int(a), func(j int32, d float64) {
-				yield(j, linkProb(a, pkt.NodeID(j), d))
-			})
-		}, 0.1)
-	}
-	return routing.NewTable(plan.Stations(), func(a, b pkt.NodeID) float64 {
-		return linkProb(a, b, plan.Distance(int(a), int(b)))
-	}, 0.1)
-}
-
-// rebuildLinkTable derives an epoch's link table from its predecessor's.
-// When both the plan and the previous table are sparse, the table is
-// patched row-by-row (unmoved pairs copy their stored values); otherwise
-// it falls back to the from-scratch constructor, which itself picks the
-// sparse layout whenever the plan is pruned — an epoch rebuild never
-// widens a sparse world to a dense N² table.
-func rebuildLinkTable(cfg *Config, prev *World, plan *radio.LinkPlan) *routing.Table {
-	if prev.table == nil || !plan.Pruned() || !prev.table.Sparse() {
-		return newLinkTable(cfg, plan)
-	}
-	prevPos, newPos := prev.plan.Positions(), plan.Positions()
-	moved := make([]bool, plan.Stations())
-	unchanged := make([]bool, plan.Stations())
-	for i := range moved {
-		moved[i] = newPos[i] != prevPos[i]
-		unchanged[i] = !moved[i] && plan.RowEqual(prev.plan, i)
-	}
-	return routing.RebuildSparseTableSym(prev.table, moved, unchanged,
-		func(a pkt.NodeID, yield func(int32, float64)) {
-			plan.EachAscNeighbor(int(a), yield)
-		},
-		func(d float64) float64 { return 1 - cfg.Radio.LossProb(d) },
-		0.1)
 }
 
 // Epochs returns the number of epoch worlds beyond the initial snapshot

@@ -102,47 +102,41 @@ func TestEpochWorldsPureAndSeedIndependent(t *testing.T) {
 }
 
 // TestEpochIncrementalMatchesScratch is the world-level equivalence bar:
-// every epoch world the incremental path derives (plan row-patching, sparse
-// table patching, route carry-over) must equal a from-scratch build over
-// that epoch's positions, bit for bit.
+// every epoch world the incremental path derives (plan row-patching, table
+// patching, route carry-over) must equal a root build over that epoch's
+// positions, bit for bit — on a pruned plan and on an unpruned one, whose
+// table used to be rebuilt from scratch each epoch.
 func TestEpochIncrementalMatchesScratch(t *testing.T) {
-	for _, kind := range []MobilityKind{MobilityWaypoint, MobilityMarkov} {
-		cfg := mobileTestConfig(kind)
-		cfg.Normalize()
-		w, err := BuildWorld(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model, err := cfg.Mobility.model(cfg.Positions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pos := append([]radio.Pos(nil), cfg.Positions...)
-		prevRoutes := w.routes
-		for e, ew := range w.epochs {
-			model.Step(pos)
-			plan := radio.NewLinkPlan(cfg.Radio, pos)
-			if !reflect.DeepEqual(ew.plan, plan) {
-				t.Fatalf("%s epoch %d: incremental plan differs from scratch build", kind, e)
-			}
-			table := newLinkTable(&cfg, plan)
-			if !reflect.DeepEqual(ew.table, table) {
-				t.Fatalf("%s epoch %d: incremental table differs from scratch build", kind, e)
-			}
-			pol, err := cfg.Routing.build(table, plan.Positions())
+	for _, prune := range []float64{radio.DefaultPruneSigma, 0} {
+		for _, kind := range []MobilityKind{MobilityWaypoint, MobilityMarkov} {
+			cfg := mobileTestConfig(kind)
+			cfg.Normalize()
+			cfg.Radio.PruneSigma = prune
+			w, err := BuildWorld(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, f := range cfg.Flows {
-				want, err := pol.Route(f.Path.Src(), f.Path.Dst(), nil)
+			model, err := cfg.Mobility.model(cfg.Positions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos := append([]radio.Pos(nil), cfg.Positions...)
+			for e, ew := range w.epochs {
+				model.Step(pos)
+				want, err := derive(&cfg, nil, nil, pos, 0, true)
 				if err != nil {
-					want = prevRoutes[i]
+					t.Fatalf("prune %g %s epoch %d: %v", prune, kind, e, err)
 				}
-				if !reflect.DeepEqual(ew.routes[i], want) {
-					t.Fatalf("%s epoch %d flow %d: route %v, want %v", kind, e, f.ID, ew.routes[i], want)
+				if !reflect.DeepEqual(ew.plan, want.plan) {
+					t.Fatalf("prune %g %s epoch %d: incremental plan differs from scratch build", prune, kind, e)
+				}
+				if !reflect.DeepEqual(ew.table, want.table) {
+					t.Fatalf("prune %g %s epoch %d: incremental table differs from scratch build", prune, kind, e)
+				}
+				if !reflect.DeepEqual(ew.routes, want.routes) {
+					t.Fatalf("prune %g %s epoch %d: routes %v, want %v", prune, kind, e, ew.routes, want.routes)
 				}
 			}
-			prevRoutes = ew.routes
 		}
 	}
 }
@@ -193,33 +187,41 @@ func TestEpochWorldDeterministicAcrossPools(t *testing.T) {
 
 // TestSharedEpochWorldRace hammers one epoch-world sequence from many
 // concurrent runs; under -race a single write to any shared epoch's plan,
-// table or routes fails the test (the mobile analogue of
-// TestSharedWorldRace).
+// table, policy or routes fails the test (the mobile analogue of
+// TestSharedWorldRace). The congestion case is the one whose shared
+// per-epoch policy is called mid-run — every run's re-route tick asks it for
+// routes under that run's own backlog — through the K-sizing wrapper.
 func TestSharedEpochWorldRace(t *testing.T) {
-	cfg := mobileTestConfig(MobilityMarkov)
-	cfg.Duration = 300 * sim.Millisecond
-	w, err := BuildWorld(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Epochs() == 0 {
-		t.Fatal("race test needs epoch worlds")
-	}
-	cfg.World = w
-	seeds := make([]uint64, 16)
-	for i := range seeds {
-		seeds[i] = uint64(i + 1)
-	}
-	if _, _, err := runSeedsOn(pool.New(8), cfg, seeds); err != nil {
-		t.Fatal(err)
+	for _, spec := range []RoutingSpec{
+		{Kind: RouteETX},
+		{Kind: RouteCongestion, K: 2, Epoch: 40 * sim.Millisecond},
+	} {
+		cfg := mobileTestConfig(MobilityMarkov)
+		cfg.Routing = spec
+		cfg.Duration = 300 * sim.Millisecond
+		w, err := BuildWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Epochs() == 0 {
+			t.Fatal("race test needs epoch worlds")
+		}
+		cfg.World = w
+		seeds := make([]uint64, 16)
+		for i := range seeds {
+			seeds[i] = uint64(i + 1)
+		}
+		if _, _, err := runSeedsOn(pool.New(8), cfg, seeds); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestEpochTablesStaySparseCity guards world construction against the dense
-// fallback: on a pruned city-scale world the base snapshot and every
-// epoch's rebuild must keep the sparse layouts and store only in-range
-// links — a dense link plan holds all n·(n−1) ordered pairs (36 MB at
-// N=1000, per epoch) and a dense table 8 MB more.
+// TestEpochTablesStaySparseCity guards world construction against storing
+// all pairs: on a pruned city-scale world the base snapshot and every
+// epoch's rebuild must keep the plan pruned and store only in-range links —
+// an unpruned link plan holds all n·(n−1) ordered pairs (36 MB at N=1000,
+// per epoch) — and the table only the usable ones among them.
 func TestEpochTablesStaySparseCity(t *testing.T) {
 	top, _ := topology.CityN(1000, 3)
 	cfg := Config{
@@ -247,8 +249,9 @@ func TestEpochTablesStaySparseCity(t *testing.T) {
 			t.Errorf("%s: link plan is dense: pruned=%v, %d of %d ordered pairs stored",
 				name, plan.Pruned(), plan.Links(), n*(n-1))
 		}
-		if !table.Sparse() {
-			t.Errorf("%s: link table fell back to the dense layout", name)
+		if table.Links() == 0 || table.Links() > plan.Links()/2 {
+			t.Errorf("%s: link table stores %d links over a plan of %d: usable links are a small share of in-range ones",
+				name, table.Links(), plan.Links())
 		}
 	}
 	check("base world", w.plan, w.table)

@@ -9,7 +9,6 @@ import (
 	"os"
 	"sync"
 
-	"ripple/internal/audit"
 	"ripple/internal/core"
 	"ripple/internal/fault"
 	"ripple/internal/forward"
@@ -19,7 +18,6 @@ import (
 	"ripple/internal/rateadapt"
 	"ripple/internal/routing"
 	"ripple/internal/sim"
-	"ripple/internal/stats"
 	"ripple/internal/traffic"
 	"ripple/internal/transport"
 )
@@ -361,400 +359,6 @@ type Result struct {
 	// leaked. Bounded by total queue capacity in a healthy run; station
 	// crashes must release custody rather than inflate it.
 	PoolInUse int
-}
-
-// endpointKey routes delivered packets to the right transport endpoint.
-type endpointKey struct {
-	flow int
-	node pkt.NodeID
-}
-
-type receiver interface {
-	Receive(at pkt.NodeID, p *pkt.Packet)
-}
-
-// Run executes one scenario to completion and returns its results. When
-// cfg.World is set, the run executes on that shared snapshot (reading it
-// only); otherwise it builds a private one. Either way the results are
-// bit-identical for a given Config.
-func Run(cfg Config) (*Result, error) {
-	cfg.Normalize()
-	if err := validate(&cfg); err != nil {
-		return nil, err
-	}
-	world := cfg.World
-	if world == nil {
-		w, err := BuildWorld(cfg)
-		if err != nil {
-			return nil, err
-		}
-		world = w
-	} else if err := world.check(&cfg); err != nil {
-		return nil, err
-	}
-	eng := sim.NewEngine()
-	medium := radio.NewMediumOn(eng, world.plan, cfg.Phy, sim.NewRNG(cfg.Seed, 1))
-	medium.Trace = cfg.Trace
-
-	// The RouteBook is per-run mutable state (dynamic policies rewrite it
-	// each epoch); it starts from the World's resolved initial routes. The
-	// policy instance is likewise rebuilt per run over the shared,
-	// read-only link table.
-	routes := forward.NewRouteBook(cfg.MaxForwarders)
-	var policy routing.Policy
-	if cfg.Routing.active() && cfg.Routing.needsPolicy() {
-		pol, err := cfg.Routing.build(world.table, world.plan.Positions())
-		if err != nil {
-			return nil, err
-		}
-		policy = pol
-	}
-	for i, f := range cfg.Flows {
-		routes.Add(f.ID, world.routes[i])
-	}
-	if world.faults != nil {
-		// Graceful degradation: consecutive delivery failures to a forwarder
-		// blacklist it until the next epoch's route update.
-		routes.EnableFailureDetection(world.faults.Threshold())
-	}
-
-	var rateOracle *rateadapt.OracleSelector
-	if cfg.MultiRate.Enabled {
-		rates := cfg.MultiRate.Rates
-		if len(rates) == 0 {
-			if cfg.Phy.DataBps > 100e6 {
-				rates = rateadapt.SetWideband()
-			} else {
-				rates = rateadapt.Set80211a()
-			}
-		}
-		rateOracle = rateadapt.NewOracle(rates, cfg.Phy.DataBps)
-		if cfg.Radio.ShadowSigmaDB > 0 {
-			rateOracle.SigmaDB = cfg.Radio.ShadowSigmaDB
-		}
-		if cfg.MultiRate.MinProb > 0 {
-			rateOracle.MinProb = cfg.MultiRate.MinProb
-		}
-	}
-
-	// Deep audit: attach an auditor and re-validate the invariant
-	// catalogue after every engine event. aud stays nil when off — every
-	// hook nil-checks, so the fast path pays only predictable branches.
-	var aud *audit.Auditor
-	if cfg.Audit || auditEnv() {
-		aud = audit.New()
-		eng.SetCheck(func() { aud.Event(int64(eng.Now())) })
-		// A released frame is never reissued, so a holder that forgot its
-		// Hold trips the liveness assertions within one event.
-		medium.Quarantine()
-	}
-
-	endpoints := make(map[endpointKey]receiver)
-	counters := make([]forward.Counters, len(cfg.Positions))
-	schemes := make([]forward.Scheme, len(cfg.Positions))
-	for i := range cfg.Positions {
-		id := pkt.NodeID(i)
-		env := forward.Env{
-			Eng:    eng,
-			Med:    medium,
-			P:      cfg.Phy,
-			ID:     id,
-			RNG:    sim.NewRNG(cfg.Seed, 100+uint64(i)),
-			Routes: routes,
-			C:      &counters[i],
-			Audit:  aud,
-		}
-		if rateOracle != nil {
-			env.RateFor = func(to pkt.NodeID) float64 {
-				return rateOracle.Rate(1 - cfg.Radio.LossProb(medium.Distance(id, to)))
-			}
-		}
-		env.Deliver = func(p *pkt.Packet) {
-			if ep, ok := endpoints[endpointKey{flow: p.FlowID, node: id}]; ok {
-				p.MarkDelivered()
-				ep.Receive(id, p)
-			}
-		}
-		schemes[i] = newScheme(cfg, env)
-		medium.Attach(id, schemes[i])
-	}
-
-	var routeStale uint64
-	if len(world.epochs) > 0 {
-		// Epoch-world swaps: at each boundary the medium adopts the epoch's
-		// link plan (in-flight receptions keep their precomputed attributes;
-		// later transmissions see the new geometry), the policy is rebuilt
-		// over the epoch's table and positions, and flow routes take the
-		// epoch's precomputed resolution. Everything runs inside the engine's
-		// single-threaded event loop, so results are bit-identical at any
-		// pool parallelism. This block precedes the dynamic re-route tick on
-		// purpose: events at equal timestamps fire in scheduling order, so at
-		// a shared boundary the re-route already sees the new world.
-		next := 0
-		// With faults active, routes must be refreshed every epoch even under
-		// static routing: the epoch worlds carry crash-masked paths, and the
-		// Update also resets forwarder blacklists and consecutive-failure
-		// streaks ("blacklisted until the next epoch").
-		routeUpdates := cfg.Routing.active() || world.faults != nil
-		var swap func()
-		swap = func() {
-			ew := world.epochs[next]
-			medium.SetPlan(ew.plan)
-			if policy != nil {
-				if pol, err := cfg.Routing.build(ew.table, ew.plan.Positions()); err == nil {
-					policy = pol
-				}
-			}
-			if routeUpdates {
-				for i, f := range cfg.Flows {
-					routes.Update(f.ID, ew.routes[i])
-				}
-			}
-			if ew.stale != nil || ew.unreach != nil {
-				now := eng.Now()
-				for i, f := range cfg.Flows {
-					if ew.stale != nil && ew.stale[i] {
-						// No silent fallback: a kept stale route is counted
-						// and traced every epoch it persists.
-						routeStale++
-						if cfg.Trace != nil {
-							cfg.Trace(now, "route-stale", f.Path.Src(), &pkt.Frame{
-								Kind: pkt.Data, FlowID: f.ID,
-								Tx: f.Path.Src(), Origin: f.Path.Src(),
-								Rx: f.Path.Dst(), FinalDst: f.Path.Dst(),
-							})
-						}
-					}
-					if ew.unreach != nil {
-						un := ew.unreach[i]
-						if un != routes.Unreachable(f.ID) {
-							routes.SetUnreachable(f.ID, un)
-							if un && cfg.Trace != nil {
-								cfg.Trace(now, "unreachable", f.Path.Src(), &pkt.Frame{
-									Kind: pkt.Data, FlowID: f.ID,
-									Tx: f.Path.Src(), Origin: f.Path.Src(),
-									Rx: f.Path.Dst(), FinalDst: f.Path.Dst(),
-								})
-							}
-						}
-					}
-				}
-			}
-			next++
-			if next < len(world.epochs) {
-				eng.After(world.epochLen, swap)
-			}
-		}
-		eng.After(world.epochLen, swap)
-	}
-
-	if policy != nil && policy.Dynamic() {
-		// Re-route from observed queue depths every epoch. An instantaneous
-		// sample at the epoch boundary mostly sees drained queues (the MAC
-		// empties in bursts), so the congestion measure is the mean depth
-		// over several samples per epoch — the time-averaged backlog ORCD's
-		// analysis uses. Everything runs inside the engine's event loop
-		// (single-threaded, deterministic order), so results are
-		// bit-identical at any pool parallelism. A flow whose recompute
-		// fails under the current backlog keeps its previous route —
-		// transient congestion must not kill the flow.
-		epoch := cfg.Routing.Epoch
-		if epoch <= 0 {
-			epoch = DefaultRouteEpoch
-		}
-		interval := epoch / routeSamplesPerEpoch
-		if interval <= 0 {
-			interval = 1
-		}
-		depthSum := make([]int, len(schemes))
-		sampled := 0
-		var sample func()
-		sample = func() {
-			for i, s := range schemes {
-				depthSum[i] += s.QueueLen()
-			}
-			sampled++
-			eng.After(interval, sample)
-		}
-		eng.After(interval, sample)
-		backlog := func(n pkt.NodeID) int {
-			if sampled == 0 {
-				return schemes[n].QueueLen()
-			}
-			return depthSum[n] / sampled
-		}
-		var reroute func()
-		reroute = func() {
-			for _, f := range cfg.Flows {
-				p, err := policy.Route(f.Path.Src(), f.Path.Dst(), backlog)
-				if err == nil {
-					routes.Update(f.ID, p)
-				}
-			}
-			for i := range depthSum {
-				depthSum[i] = 0
-			}
-			sampled = 0
-			eng.After(epoch, reroute)
-		}
-		eng.After(epoch, reroute)
-	}
-
-	if fs := world.faults; fs != nil {
-		// In-engine fault events: crashes and recoveries flip the medium's
-		// down mask and the scheme's state at their scheduled instants; noise
-		// bursts accumulate per-station SNR penalties. Link flaps and the
-		// partition have no events — the medium asks the schedule once per
-		// transmission whether the transmitter can be blocked at that instant,
-		// and per candidate receiver only when it can. Everything runs inside
-		// the engine's single-threaded loop, so results stay bit-identical at
-		// any pool parallelism.
-		if fs.BlocksLinks() {
-			medium.SetLinkBlocked(fs)
-		}
-		noiseNow := make([]float64, len(cfg.Positions))
-		bursts := fs.Bursts()
-		for _, ev := range fs.Events() {
-			if ev.At >= cfg.Duration {
-				continue
-			}
-			switch ev.Kind {
-			case fault.StationDown:
-				id := ev.Station
-				eng.At(ev.At, func() {
-					medium.SetDown(id, true)
-					schemes[id].Crash()
-					aud.StationDown(int(id))
-					if cfg.Trace != nil {
-						cfg.Trace(eng.Now(), "station-down", id, &pkt.Frame{Tx: id, Origin: id})
-					}
-				})
-			case fault.StationUp:
-				id := ev.Station
-				eng.At(ev.At, func() {
-					medium.SetDown(id, false)
-					schemes[id].Recover()
-					aud.StationUp(int(id))
-					if cfg.Trace != nil {
-						cfg.Trace(eng.Now(), "station-up", id, &pkt.Frame{Tx: id, Origin: id})
-					}
-				})
-			case fault.NoiseOn, fault.NoiseOff:
-				b := bursts[ev.Burst]
-				delta := b.PenaltyDB
-				if ev.Kind == fault.NoiseOff {
-					delta = -delta
-				}
-				eng.At(ev.At, func() {
-					for _, id := range b.Covered {
-						noiseNow[id] += delta
-						medium.SetNoiseDB(id, noiseNow[id])
-					}
-				})
-			}
-		}
-	}
-
-	// One packet pool per run: transports draw from it, and the MAC layer
-	// recycles packets at their terminal delivery/drop points, so the
-	// steady-state packet path allocates nothing.
-	pktPool := &pkt.Pool{}
-	flowStats := make([]*stats.Flow, len(cfg.Flows))
-	for i, f := range cfg.Flows {
-		fs := &stats.Flow{ID: f.ID}
-		flowStats[i] = fs
-		src, dst := f.Path.Src(), f.Path.Dst()
-		sendSrc := schemes[src].Send
-		sendDst := schemes[dst].Send
-		switch f.Kind {
-		case FTP, Web:
-			tcpCfg := cfg.TCP
-			if f.TCP != nil {
-				tcpCfg = *f.TCP
-			}
-			conn := transport.NewTCP(eng, tcpCfg, f.ID, src, dst, sendSrc, sendDst, fs)
-			conn.SetPool(pktPool)
-			endpoints[endpointKey{f.ID, src}] = conn
-			endpoints[endpointKey{f.ID, dst}] = conn
-			if f.Kind == FTP {
-				start := f.Start
-				eng.At(start, conn.Start)
-			} else {
-				webCfg := cfg.Web
-				if f.Web != nil {
-					webCfg = *f.Web
-				}
-				web := traffic.NewWeb(eng, webCfg, conn, tcpCfg.MSS, sim.NewRNG(cfg.Seed, 10000+uint64(f.ID)))
-				eng.At(f.Start, web.Start)
-			}
-		case VoIPTraffic:
-			voipCfg := cfg.VoIP
-			if f.VoIP != nil {
-				voipCfg = *f.VoIP
-			}
-			v := transport.NewVoIP(eng, voipCfg, f.ID, src, dst, sendSrc, fs,
-				sim.NewRNG(cfg.Seed, 10000+uint64(f.ID)))
-			v.SetPool(pktPool)
-			endpoints[endpointKey{f.ID, dst}] = v
-			eng.At(f.Start, v.Start)
-		case CBRTraffic:
-			// CBRInterval zero selects backlogged (saturating) mode.
-			bytes := cfg.Phy.PacketBytes
-			if f.CBRPacketBytes > 0 {
-				bytes = f.CBRPacketBytes
-			}
-			c := transport.NewCBR(eng, f.ID, src, dst, bytes, f.CBRInterval, sendSrc, fs)
-			c.SetPool(pktPool)
-			endpoints[endpointKey{f.ID, dst}] = c
-			eng.At(f.Start, c.Start)
-		default:
-			return nil, fmt.Errorf("network: flow %d has unknown traffic kind %d", f.ID, f.Kind)
-		}
-	}
-
-	eng.Run(cfg.Duration)
-
-	// End-of-run audit: the deep catalogue once more at quiescence, and
-	// the always-on conservation identities — every packet allocated must
-	// be delivered, dropped, or still held by a live reference, and every
-	// frame handed out recycled or still held.
-	aud.AtDrain()
-	gets, delivered, dropped := pktPool.Counters()
-	audit.CheckPoolConservation(gets, delivered, dropped, pktPool.InUse())
-	frameGets, frameRecycled := medium.Frames().Counters()
-	audit.CheckFramePool(frameGets, frameRecycled, medium.Frames().InUse())
-
-	res := &Result{Duration: cfg.Duration, Events: eng.Processed(),
-		PendingAtEnd: eng.Pending(), Medium: medium.Counters}
-	for i := range counters {
-		res.MAC.Add(counters[i])
-	}
-	res.RouteStale = routeStale
-	res.Unreachable = res.MAC.Unreachable
-	res.PoolInUse = pktPool.InUse()
-	tputs := make([]float64, 0, len(cfg.Flows))
-	for i, f := range cfg.Flows {
-		fs := flowStats[i]
-		fr := FlowResult{
-			ID:             f.ID,
-			Kind:           f.Kind,
-			ThroughputMbps: fs.ThroughputMbps(cfg.Duration),
-			MeanDelay:      fs.MeanDelay(),
-			ReorderRate:    fs.ReorderRate(),
-			PktsDelivered:  fs.PktsDelivered,
-			Transfers:      fs.TransfersCompleted,
-			Unreachable:    routes.UnreachableDrops(f.ID),
-		}
-		if f.Kind == VoIPTraffic {
-			fr.LossRate = fs.VoIPLossRate()
-			fr.MoS = stats.MoSFrom(fs.MeanDelay().Milliseconds(), fr.LossRate)
-		}
-		res.TotalMbps += fr.ThroughputMbps
-		res.Flows = append(res.Flows, fr)
-		tputs = append(tputs, fr.ThroughputMbps)
-	}
-	res.Fairness = stats.JainIndex(tputs)
-	return res, nil
 }
 
 func validate(cfg *Config) error {

@@ -13,22 +13,24 @@ import (
 // World is the immutable, seed-independent snapshot of a scenario: the
 // radio link plan (per-neighbor power/distance/delay attributes and
 // neighbor lists, sparse when pruning is on), the ETX link table of the
-// routing layer (sparse over the plan's neighbor graph when pruning is
-// on), and every flow's resolved initial route. All of it is a pure
-// function of the Config's
-// non-seed fields, so a campaign cell that fans S seed-runs of one
-// scenario across the worker pool can build the World once and share it
-// by reference — the per-run cost collapses to the mutable state (engine,
-// medium, schemes, transports).
+// routing layer (the usable links of the plan's neighbor graph), the route
+// policy over that table, and every flow's resolved initial route. All of
+// it is a pure function of the Config's non-seed fields, so a campaign cell
+// that fans S seed-runs of one scenario across the worker pool can build
+// the World once and share it by reference — the per-run cost collapses to
+// the mutable state (engine, medium, schemes, transports).
 //
 // Immutability contract: a World is never written after BuildWorld
 // returns, and network.Run only reads it. Per-run mutable derivatives —
 // the RouteBook (routes change each epoch under dynamic policies), the
-// Medium (counters, station PHY state), dynamic policy instances — are
-// created fresh per run *from* the World. Sharing one World across any
-// number of concurrent runs is therefore safe; the shared-world test in
-// this package hammers one instance from many goroutines under -race to
-// enforce the contract.
+// Medium (counters, station PHY state) — are created fresh per run *from*
+// the World. The policy is shared too: every built-in policy is a stateless
+// view of the immutable table (a dynamic one is handed the run's backlog
+// per call), and a custom RoutingSpec.Policy is one instance across all
+// runs of a Config to begin with. Sharing one World across any number of
+// concurrent runs is therefore safe; the shared-world tests in this
+// package hammer one instance from many goroutines under -race to enforce
+// the contract.
 //
 // Seed independence is equally load-bearing: nothing in the World depends
 // on Config.Seed, and building it draws no random numbers, so a run on a
@@ -37,6 +39,10 @@ import (
 type World struct {
 	plan  *radio.LinkPlan
 	table *routing.Table // nil when the routing spec is inactive
+	// policy is the spec's routing.Policy over table and the plan's
+	// positions; nil when the spec resolves to none (inactive, or static
+	// paths sized in place).
+	policy routing.Policy
 	// routes holds each flow's resolved initial path, indexed like
 	// Config.Flows. For static specs this is the declared (possibly
 	// K-sized) path; for policy specs it is the policy's unloaded route.
@@ -76,35 +82,9 @@ func BuildWorld(cfg Config) (*World, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
-	w := &World{
-		plan:  radio.NewLinkPlan(cfg.Radio, cfg.Positions),
-		flows: len(cfg.Flows),
-	}
-	var policy routing.Policy
-	if cfg.Routing.active() {
-		w.table = newLinkTable(&cfg, w.plan)
-		if cfg.Routing.needsPolicy() {
-			pol, err := cfg.Routing.build(w.table, w.plan.Positions())
-			if err != nil {
-				return nil, err
-			}
-			policy = pol
-		}
-	}
-	w.routes = make([]routing.Path, len(cfg.Flows))
-	for i, f := range cfg.Flows {
-		switch {
-		case policy != nil:
-			p, err := policy.Route(f.Path.Src(), f.Path.Dst(), nil)
-			if err != nil {
-				return nil, fmt.Errorf("network: flow %d: %s route: %w", f.ID, policy.Name(), err)
-			}
-			w.routes[i] = p
-		case w.table != nil:
-			w.routes[i] = routing.Resize(w.table, f.Path, cfg.Routing.K, cfg.Routing.Rule)
-		default:
-			w.routes[i] = f.Path
-		}
+	w, err := derive(&cfg, nil, nil, cfg.Positions, 0, true)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Faults.Active() {
 		w.faults = fault.Build(cfg.Faults, cfg.Duration, cfg.Positions,
@@ -116,6 +96,182 @@ func BuildWorld(cfg Config) (*World, error) {
 		}
 	}
 	return w, nil
+}
+
+// minLinkProb is the delivery-probability floor below which a link is not
+// a link for routing (it matches the public Router).
+const minLinkProb = 0.1
+
+// derive builds one world: the root snapshot (root and prev nil, at 0) or
+// the world of one epoch from its predecessor, the epoch's station
+// positions and the fault overlay in effect at the boundary.
+//
+// The link plan is prev's, row-patched. The link table is built over the
+// same radio model the medium uses, so the metric always matches the
+// channel the packets see, and over exactly the plan's neighbor graph — a
+// pruned pair's mean power sits PruneSigma shadowing deviations below the
+// carrier-sense threshold, which (with CSThreshDBm ≤ RXThreshDBm, true of
+// every radio profile) puts its delivery probability orders of magnitude
+// below minLinkProb, so probing it would store nothing. With a fault
+// overlay in effect, down stations and blocked links are removed and noise
+// penalties raise the effective decode threshold — the routing-layer
+// mirror of what the medium does to live transmissions; a clean table is
+// patched row by row from a clean predecessor's (masked rows are never
+// copied forward), so on a city with most stations parked the per-epoch
+// cost follows the motion, not the population.
+//
+// A flow whose route cannot be resolved is an error on the root world. On
+// an epoch world it keeps the previous epoch's route — flagged stale when
+// motion disconnected the endpoints, or unreachable when the fault overlay
+// did — exactly as a failed in-run dynamic recompute keeps the current
+// one: a transient partition must not kill the run, and Run surfaces the
+// flags as Result.RouteStale and the unreachable machinery instead.
+func derive(cfg *Config, root, prev *World, positions []radio.Pos, at sim.Time, faultsUnchanged bool) (*World, error) {
+	w := &World{flows: len(cfg.Flows)}
+	var fs *fault.Schedule
+	if prev == nil {
+		w.plan = radio.NewLinkPlan(cfg.Radio, positions)
+	} else {
+		w.plan = prev.plan.Rebuild(positions)
+		if w.plan == prev.plan && faultsUnchanged {
+			// Nobody moved and no fault toggled this epoch: the predecessor
+			// *is* this epoch's world, and both are immutable, so share it.
+			return prev, nil
+		}
+		fs = root.faults
+	}
+	var down []bool
+	var noise []float64
+	if fs != nil && fs.MaskedAt(at) {
+		w.masked = true
+		down = make([]bool, w.plan.Stations())
+		noise = make([]float64, w.plan.Stations())
+		for i := range down {
+			down[i] = fs.StationDownAt(pkt.NodeID(i), at)
+			noise[i] = fs.NoiseDBAt(pkt.NodeID(i), at)
+		}
+	}
+	if cfg.Routing.active() {
+		clean := func(d float64) float64 { return 1 - cfg.Radio.LossProb(d) }
+		switch {
+		case w.masked:
+			w.table = linkTable(w.plan, func(a, b pkt.NodeID, d float64) float64 {
+				if down[a] || down[b] || fs.LinkBlockedAt(a, b, at) {
+					return 0
+				}
+				rc := cfg.Radio
+				if pen := max(noise[a], noise[b]); pen > 0 {
+					rc.RXThreshDBm += pen
+				}
+				return 1 - rc.LossProb(d)
+			})
+		case prev != nil && !prev.masked:
+			w.table = patchLinkTable(prev, w.plan, clean)
+		default:
+			w.table = linkTable(w.plan, func(_, _ pkt.NodeID, d float64) float64 { return clean(d) })
+		}
+		if cfg.Routing.needsPolicy() {
+			pol, err := cfg.Routing.build(w.table, w.plan.Positions())
+			if err != nil {
+				return nil, err
+			}
+			w.policy = pol
+		}
+	}
+	w.routes = make([]routing.Path, len(cfg.Flows))
+	if fs != nil || (prev != nil && w.policy != nil) {
+		w.stale = make([]bool, len(cfg.Flows))
+		w.unreach = make([]bool, len(cfg.Flows))
+	}
+	for i, f := range cfg.Flows {
+		switch {
+		case w.policy != nil:
+			p, err := w.policy.Route(f.Path.Src(), f.Path.Dst(), nil)
+			if err != nil {
+				if prev == nil {
+					return nil, fmt.Errorf("network: flow %d: %s route: %w", f.ID, w.policy.Name(), err)
+				}
+				p = prev.routes[i]
+				// Distinguish "this policy could not route" (geo void, a
+				// congestion detour dead end — keep the stale route and let
+				// blacklisting limp along) from "the fault overlay cut the
+				// destination off" (no path at all in the masked table —
+				// drop at the source instead of burning airtime).
+				cut := false
+				if w.masked {
+					_, err := w.table.ShortestPath(f.Path.Src(), f.Path.Dst())
+					cut = err != nil
+				}
+				w.unreach[i], w.stale[i] = cut, !cut
+			}
+			w.routes[i] = p
+		case w.table != nil:
+			w.routes[i] = routing.Resize(w.table, maskPath(f.Path, down), cfg.Routing.K, cfg.Routing.Rule)
+		default:
+			w.routes[i] = maskPath(f.Path, down)
+		}
+		if down != nil && down[f.Path.Dst()] {
+			w.unreach[i] = true
+		}
+	}
+	return w, nil
+}
+
+// linkTable builds a world's ETX table from a symmetric link-probability
+// func of the pair and its distance — the clean loss model, or that model
+// under a fault mask — over the plan's neighbor graph; iterating the
+// plan's CSR rows hands it each stored distance without a per-pair lookup.
+func linkTable(plan *radio.LinkPlan, prob func(a, b pkt.NodeID, d float64) float64) *routing.Table {
+	return routing.NewSparseTableSym(plan.Stations(), func(a pkt.NodeID, yield func(int32, float64)) {
+		plan.EachAscNeighbor(int(a), func(j int32, d float64) {
+			yield(j, prob(a, pkt.NodeID(j), d))
+		})
+	}, minLinkProb)
+}
+
+// patchLinkTable derives a clean link table from a clean predecessor's:
+// rows whose neighborhood geometry did not change are copied, unmoved
+// pairs of the others copy their stored values, and only pairs with a
+// moved endpoint pay a probability evaluation.
+func patchLinkTable(prev *World, plan *radio.LinkPlan, clean func(d float64) float64) *routing.Table {
+	prevPos, newPos := prev.plan.Positions(), plan.Positions()
+	moved := make([]bool, plan.Stations())
+	unchanged := make([]bool, plan.Stations())
+	for i := range moved {
+		moved[i] = newPos[i] != prevPos[i]
+		unchanged[i] = !moved[i] && plan.RowEqual(prev.plan, i)
+	}
+	return routing.RebuildSparseTableSym(prev.table, moved, unchanged,
+		func(a pkt.NodeID, yield func(int32, float64)) {
+			plan.EachAscNeighbor(int(a), yield)
+		}, clean, minLinkProb)
+}
+
+// maskPath filters crashed intermediate relays out of a declared path
+// (endpoints stay — a down destination is handled as unreachable, not by
+// rewriting the path).
+func maskPath(p routing.Path, down []bool) routing.Path {
+	if down == nil {
+		return p
+	}
+	masked := false
+	for i := 1; i < len(p)-1; i++ {
+		if down[p[i]] {
+			masked = true
+			break
+		}
+	}
+	if !masked {
+		return p
+	}
+	out := make(routing.Path, 0, len(p))
+	for i, nd := range p {
+		if i > 0 && i < len(p)-1 && down[nd] {
+			continue
+		}
+		out = append(out, nd)
+	}
+	return out
 }
 
 // exemptEndpoints flags every flow source and destination as immune to
@@ -171,6 +327,10 @@ func (w *World) check(cfg *Config) error {
 	if w.table == nil && cfg.Routing.active() {
 		return fmt.Errorf("network: World built without a link table, config routing is active")
 	}
+	if (w.policy != nil) != cfg.Routing.needsPolicy() {
+		return fmt.Errorf("network: World route policy (%v) does not match config routing %s",
+			w.policy != nil, cfg.Routing.Kind)
+	}
 	if (w.faults != nil) != cfg.Faults.Active() {
 		return fmt.Errorf("network: World fault schedule (%v) does not match config faults (%v)",
 			w.faults != nil, cfg.Faults.Active())
@@ -190,32 +350,4 @@ func (w *World) check(cfg *Config) error {
 		}
 	}
 	return nil
-}
-
-// newLinkTable builds the routing-layer ETX table over the same radio
-// model the medium uses, so the metric always matches the channel the
-// packets see (the minProb floor matches the public Router).
-//
-// With neighbor pruning on, the table is built sparse over exactly the
-// link plan's neighbor graph instead of probing all N² pairs. This stores
-// and routes over the identical usable link set: a pruned pair's mean
-// power sits PruneSigma shadowing deviations below the carrier-sense
-// threshold, which (with CSThreshDBm ≤ RXThreshDBm, true of every radio
-// profile) puts its delivery probability orders of magnitude below the
-// 0.1 minProb floor — the dense table would mark it unusable anyway.
-func newLinkTable(cfg *Config, plan *radio.LinkPlan) *routing.Table {
-	if plan.Pruned() {
-		// The loss model is a pure function of distance, so forward and
-		// reverse probabilities coincide and the symmetric constructor
-		// applies; iterating the plan's CSR rows hands it each stored
-		// distance without a per-pair lookup.
-		return routing.NewSparseTableSym(plan.Stations(), func(a pkt.NodeID, yield func(int32, float64)) {
-			plan.EachAscNeighbor(int(a), func(j int32, d float64) {
-				yield(j, 1-cfg.Radio.LossProb(d))
-			})
-		}, 0.1)
-	}
-	return routing.NewTable(plan.Stations(), func(a, b pkt.NodeID) float64 {
-		return 1 - cfg.Radio.LossProb(plan.Distance(int(a), int(b)))
-	}, 0.1)
 }

@@ -129,11 +129,10 @@ func TestWorldCheckRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestSparseWorldTableMatchesDense pins the tentpole equivalence at the
-// world level: the sparse table BuildWorld derives from a pruned link plan
-// must agree with a dense all-pairs table built over the same radio model —
-// on every link metric, every Dijkstra distance and every sampled route.
-// Fig. 1 checks the small-world case (pruning active but nothing in range
+// TestSparseWorldTableMatchesDense pins the candidate-graph equivalence at
+// the world level: the table BuildWorld derives from a pruned link plan
+// must be the all-pairs reference built over the same radio model, link for
+// link. Fig. 1 checks the small-world case (pruning active but nothing in range
 // to prune); the 500-station city checks real pruning.
 func TestSparseWorldTableMatchesDense(t *testing.T) {
 	cityTop, _ := topology.CityN(500, 3)
@@ -146,47 +145,29 @@ func TestSparseWorldTableMatchesDense(t *testing.T) {
 		{"city500", cityTop.Positions, topology.CityRadio()},
 	}
 	for _, tc := range cases {
-		cfg := Config{Positions: tc.positions, Radio: tc.rc}
-		plan := radio.NewLinkPlan(tc.rc, tc.positions)
+		cfg := Config{
+			Positions: tc.positions,
+			Radio:     tc.rc,
+			Flows:     []FlowSpec{{ID: 1, Path: endpointPath(0, 1), Kind: FTP}},
+			Routing:   RoutingSpec{Kind: RouteETX},
+		}
+		w, err := derive(&cfg, nil, nil, cfg.Positions, 0, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, sparse := w.plan, w.table
 		if !plan.Pruned() {
 			t.Fatalf("%s: plan not pruned — case set up wrong", tc.name)
-		}
-		sparse := newLinkTable(&cfg, plan)
-		if !sparse.Sparse() {
-			t.Fatalf("%s: newLinkTable built a dense table from a pruned plan", tc.name)
 		}
 		prob := func(a, b pkt.NodeID) float64 {
 			return 1 - tc.rc.LossProb(plan.Distance(int(a), int(b)))
 		}
-		n := plan.Stations()
-		dense := routing.NewTable(n, prob, 0.1)
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				de := dense.LinkETX(pkt.NodeID(a), pkt.NodeID(b))
-				se := sparse.LinkETX(pkt.NodeID(a), pkt.NodeID(b))
-				if de != se && !(de > 1e300 && se > 1e300) {
-					t.Fatalf("%s: LinkETX(%d,%d): dense %g, sparse %g", tc.name, a, b, de, se)
-				}
-			}
+		dense := routing.NewTable(plan.Stations(), prob, 0.1)
+		if sparse.Links() != dense.Links() {
+			t.Fatalf("%s: world table stores %d links, all-pairs reference %d", tc.name, sparse.Links(), dense.Links())
 		}
-		for src := 0; src < n; src += 29 {
-			dd := dense.Distances(pkt.NodeID(src), nil)
-			sd := sparse.Distances(pkt.NodeID(src), nil)
-			if !reflect.DeepEqual(dd, sd) {
-				t.Fatalf("%s: Distances(%d) differ", tc.name, src)
-			}
-		}
-		for src := 0; src < n; src += 83 {
-			dst := (src + n/2) % n
-			if src == dst {
-				continue
-			}
-			dp, derr := dense.ShortestPath(pkt.NodeID(src), pkt.NodeID(dst))
-			sp, serr := sparse.ShortestPath(pkt.NodeID(src), pkt.NodeID(dst))
-			if (derr == nil) != (serr == nil) || !reflect.DeepEqual(dp, sp) {
-				t.Fatalf("%s: route %d->%d: dense (%v, %v), sparse (%v, %v)",
-					tc.name, src, dst, dp, derr, sp, serr)
-			}
+		if !reflect.DeepEqual(dense, sparse) {
+			t.Fatalf("%s: world table differs from the all-pairs reference", tc.name)
 		}
 	}
 }
