@@ -11,8 +11,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -20,54 +22,67 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+// roofnetPairs are the endpoint pairs of the six Fig. 12 flows: two ETX
+// routes each of 3, 4 and 5 hops across the rooftop mesh.
+var roofnetPairs = [][2]ripple.NodeID{{0, 8}, {1, 10}, {0, 12}, {1, 15}, {0, 16}, {1, 21}}
+
+// run is the program: it parses args, runs the scenario they describe and
+// returns the exit code (0 done, 1 run failure, 2 usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ripplesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		topo      = flag.String("topo", "line", "topology: line|fig1|regular|hidden|wigle|roofnet")
-		hops      = flag.Int("hops", 3, "line topology hop count")
-		scheme    = flag.String("scheme", "ripple", "scheme: dcf|afr|preexor|mcexor|ripple|ripple1")
-		traffic   = flag.String("traffic", "ftp", "traffic: ftp|web|voip|cbr")
-		route     = flag.Int("route", 0, "fig1 route set (0,1,2)")
-		nFlows    = flag.Int("flows", 1, "number of flows (fig1: 1-3, regular: n)")
-		hidden    = flag.Int("hidden", 0, "hidden interferer flows (hidden topology)")
-		durSec    = flag.Float64("dur", 10, "simulated seconds")
-		seeds     = flag.Int("seeds", 1, "seeds to average over")
-		ber       = flag.Float64("ber", 0, "channel bit error rate (0 = profile default, 1e-6)")
-		prune     = flag.Float64("prunesigma", -1, "neighbor pruning cutoff in shadowing sigmas (0 = exact/unpruned medium, -1 = profile default 6)")
-		lowRate   = flag.Bool("lowrate", false, "6 Mbps PHY (Table III setting)")
-		cbrMs     = flag.Float64("cbrint", 0, "CBR emission interval in ms (0 = saturating)")
-		cbrBytes  = flag.Int("cbrsize", 0, "CBR payload bytes (0 = PHY packet size)")
-		jsonOut   = flag.Bool("json", false, "emit the result as JSON")
-		traceOut  = flag.String("trace", "", "write per-frame JSONL trace to this file")
-		multiRate = flag.Bool("multirate", false, "enable the multi-rate PHY extension")
-		routing   = flag.String("routing", "static", "route policy: static|etx|congestion|geo")
-		mobility  = flag.String("mobility", "static", "mobility model: static|waypoint|markov")
-		maxSpeed  = flag.Float64("maxspeed", 0, "waypoint maximum speed in m/s (0 = default 15)")
-		stay      = flag.Float64("stay", 0, "markov per-epoch stay probability (0 = default 0.9)")
-		mobEpoch  = flag.Float64("mobepoch", 0, "mobility epoch length in ms (0 = default 500)")
-		mobSeed   = flag.Uint64("mobseed", 0, "trajectory seed (0 = default 1; independent of run seeds)")
-		alpha     = flag.Float64("alpha", 0, "congestion backlog weight in ETX per queued packet (0 = default 0.25)")
-		epochMs   = flag.Float64("epoch", 0, "dynamic-policy recompute interval in ms (0 = default 500)")
-		kRelays   = flag.Int("k", 0, "force routes to k intermediate relays (0 = unsized)")
-		priority  = flag.String("priority", "spaced", "relay sizing rule: spaced|neardst|nearsrc")
-		rts       = flag.Int("rts", 0, "RTS/CTS threshold in bytes for DCF/AFR (0 = off)")
-		parallel  = flag.Int("parallel", 0, "worker pool size for seed runs (0 = GOMAXPROCS)")
-		progress  = flag.Bool("progress", false, "report per-seed progress on stderr")
-		workers   = flag.Int("workers", 0, "distribute seed runs across n spawned worker processes")
-		faults    = flag.String("faults", "", "comma list of fault processes: flaps=N|noise=N|partition=AT+DUR (ms)")
-		mtbf      = flag.Float64("mtbf", 0, "station churn mean time between failures in seconds (0 = off)")
-		mttr      = flag.Float64("mttr", 0, "station churn mean repair time in seconds (0 = default 1)")
-		faultSeed = flag.Uint64("faultseed", 0, "fault-schedule seed (0 = default 1; independent of run seeds)")
-		auditOn   = flag.Bool("audit", false, "deep invariant auditing: re-validate conservation invariants after every engine event (slow)")
+		topo      = fs.String("topo", "line", "topology: line|fig1|regular|hidden|wigle|roofnet")
+		hops      = fs.Int("hops", 3, "line topology hop count")
+		scheme    = fs.String("scheme", "ripple", "scheme: dcf|afr|preexor|mcexor|ripple|ripple1")
+		traffic   = fs.String("traffic", "ftp", "traffic: ftp|web|voip|cbr")
+		route     = fs.Int("route", 0, "fig1 route set (0,1,2)")
+		nFlows    = fs.Int("flows", 1, "number of flows (fig1: 1-3, regular: n, wigle: 1-8, roofnet: 1-6)")
+		hidden    = fs.Int("hidden", 0, "hidden interferer flows (hidden topology)")
+		durSec    = fs.Float64("dur", 10, "simulated seconds")
+		seeds     = fs.Int("seeds", 1, "seeds to average over")
+		ber       = fs.Float64("ber", 0, "channel bit error rate (0 = profile default, 1e-6)")
+		prune     = fs.Float64("prunesigma", -1, "neighbor pruning cutoff in shadowing sigmas (0 = exact/unpruned medium, -1 = profile default 6)")
+		lowRate   = fs.Bool("lowrate", false, "6 Mbps PHY (Table III setting)")
+		cbrMs     = fs.Float64("cbrint", 0, "CBR emission interval in ms (0 = saturating)")
+		cbrBytes  = fs.Int("cbrsize", 0, "CBR payload bytes (0 = PHY packet size)")
+		jsonOut   = fs.Bool("json", false, "emit the result as JSON")
+		traceOut  = fs.String("trace", "", "write per-frame JSONL trace to this file")
+		multiRate = fs.Bool("multirate", false, "enable the multi-rate PHY extension")
+		routing   = fs.String("routing", "static", "route policy: static|etx|congestion|geo")
+		mobility  = fs.String("mobility", "static", "mobility model: static|waypoint|markov")
+		maxSpeed  = fs.Float64("maxspeed", 0, "waypoint maximum speed in m/s (0 = default 15)")
+		stay      = fs.Float64("stay", 0, "markov per-epoch stay probability (0 = default 0.9)")
+		mobEpoch  = fs.Float64("mobepoch", 0, "mobility epoch length in ms (0 = default 500)")
+		mobSeed   = fs.Uint64("mobseed", 0, "trajectory seed (0 = default 1; independent of run seeds)")
+		alpha     = fs.Float64("alpha", 0, "congestion backlog weight in ETX per queued packet (0 = default 0.25)")
+		epochMs   = fs.Float64("epoch", 0, "dynamic-policy recompute interval in ms (0 = default 500)")
+		kRelays   = fs.Int("k", 0, "force routes to k intermediate relays (0 = unsized)")
+		priority  = fs.String("priority", "spaced", "relay sizing rule: spaced|neardst|nearsrc")
+		rts       = fs.Int("rts", 0, "RTS/CTS threshold in bytes for DCF/AFR (0 = off)")
+		parallel  = fs.Int("parallel", 0, "worker pool size for seed runs (0 = GOMAXPROCS)")
+		progress  = fs.Bool("progress", false, "report per-seed progress on stderr")
+		workers   = fs.Int("workers", 0, "distribute seed runs across n spawned worker processes")
+		faults    = fs.String("faults", "", "comma list of fault processes: flaps=N|noise=N|partition=AT+DUR (ms)")
+		mtbf      = fs.Float64("mtbf", 0, "station churn mean time between failures in seconds (0 = off)")
+		mttr      = fs.Float64("mttr", 0, "station churn mean repair time in seconds (0 = default 1)")
+		faultSeed = fs.Uint64("faultseed", 0, "fault-schedule seed (0 = default 1; independent of run seeds)")
+		auditOn   = fs.Bool("audit", false, "deep invariant auditing: re-validate conservation invariants after every engine event (slow)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *workers > 0 && *traceOut != "" {
 		// The trace pass runs in the coordinator, but every spawned worker
 		// re-executes this argv and would truncate the trace file on start.
-		fmt.Fprintln(os.Stderr, "-trace and -workers are mutually exclusive")
+		fmt.Fprintln(stderr, "-trace and -workers are mutually exclusive")
 		return 2
 	}
 
@@ -90,7 +105,7 @@ func run() int {
 	case "geo":
 		sc.Routing = ripple.GeoRouting()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown routing policy %q\n", *routing)
+		fmt.Fprintf(stderr, "unknown routing policy %q\n", *routing)
 		return 2
 	}
 	if *alpha > 0 {
@@ -109,7 +124,7 @@ func run() int {
 	case "nearsrc":
 		sc.Routing = sc.Routing.WithPriority(ripple.PriorityNearSrc)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown sizing priority %q\n", *priority)
+		fmt.Fprintf(stderr, "unknown sizing priority %q\n", *priority)
 		return 2
 	}
 	switch strings.ToLower(*mobility) {
@@ -119,7 +134,7 @@ func run() int {
 	case "markov":
 		sc.Mobility = ripple.MarkovMobility()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown mobility model %q\n", *mobility)
+		fmt.Fprintf(stderr, "unknown mobility model %q\n", *mobility)
 		return 2
 	}
 	if *maxSpeed > 0 {
@@ -167,7 +182,7 @@ func run() int {
 				err = fmt.Errorf("unknown process (want flaps=N, noise=N or partition=AT+DUR)")
 			}
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "-faults %q: %v\n", part, err)
+				fmt.Fprintf(stderr, "-faults %q: %v\n", part, err)
 				return 2
 			}
 		}
@@ -192,7 +207,7 @@ func run() int {
 	case "ripple1", "r1":
 		sc.Scheme = ripple.SchemeRIPPLENoAgg
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scheme %q\n", *scheme)
+		fmt.Fprintf(stderr, "unknown scheme %q\n", *scheme)
 		return 2
 	}
 
@@ -210,7 +225,7 @@ func run() int {
 			PacketSize: *cbrBytes,
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown traffic %q\n", *traffic)
+		fmt.Fprintf(stderr, "unknown traffic %q\n", *traffic)
 		return 2
 	}
 
@@ -231,7 +246,7 @@ func run() int {
 		case 2:
 			rs = ripple.Route2()
 		default:
-			fmt.Fprintf(os.Stderr, "route must be 0, 1 or 2\n")
+			fmt.Fprintf(stderr, "route must be 0, 1 or 2\n")
 			return 2
 		}
 		paths := []ripple.Path{rs.Flow1, rs.Flow2, rs.Flow3}
@@ -273,8 +288,28 @@ func run() int {
 				Start: ripple.Time(i) * 50 * ripple.Millisecond,
 			})
 		}
+	case "roofnet":
+		sc.Topology = ripple.RoofnetTopology()
+		rad = ripple.HiddenRadio()
+		router, err := ripple.NewRouter(sc.Topology, rad)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		n := min(max(*nFlows, 1), len(roofnetPairs))
+		for i, pr := range roofnetPairs[:n] {
+			path, err := router.Path(pr[0], pr[1])
+			if err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
+			}
+			sc.Flows = append(sc.Flows, ripple.Flow{
+				ID: i + 1, Path: path, Traffic: kind,
+				Start: ripple.Time(i) * 50 * ripple.Millisecond,
+			})
+		}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown topology %q\n", *topo)
+		fmt.Fprintf(stderr, "unknown topology %q\n", *topo)
 		return 2
 	}
 	if *ber > 0 {
@@ -288,13 +323,13 @@ func run() int {
 	}
 	sc.Radio = rad
 	if err := sc.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		defer f.Close()
@@ -304,9 +339,9 @@ func run() int {
 	campaign := ripple.Campaign{Scenarios: []ripple.Scenario{sc}, Parallel: *parallel}
 	if *progress {
 		campaign.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rrun %d/%d", done, total)
+			fmt.Fprintf(stderr, "\rrun %d/%d", done, total)
 			if done == total {
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintln(stderr)
 			}
 		}
 	}
@@ -317,13 +352,13 @@ func run() int {
 		// in which case Distribute serves leased runs and never returns.
 		results, err = campaign.Distribute(ripple.DistributeOptions{
 			Workers: *workers,
-			Logf:    func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
+			Logf:    func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) },
 		})
 	} else {
 		results, err = ripple.RunBatch(campaign)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	res := results[0]
@@ -333,10 +368,10 @@ func run() int {
 			Topo   string         `json:"topology"`
 			Result *ripple.Result `json:"result"`
 		}{sc.Scheme.String(), *topo, res}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		return 0
@@ -351,24 +386,24 @@ func run() int {
 	if sc.Faults.Active() {
 		header += " " + sc.Faults.String()
 	}
-	fmt.Printf("%s dur=%.0fs seeds=%d\n", header, *durSec, *seeds)
+	fmt.Fprintf(stdout, "%s dur=%.0fs seeds=%d\n", header, *durSec, *seeds)
 	for _, f := range res.Flows {
 		line := fmt.Sprintf("flow %2d: %8.3f Mbps  delay %8.2fms  reorder %5.2f%%",
 			f.ID, f.Throughput.Mean, f.Delay.Mean, 100*f.Reorder.Mean)
 		if f.MoS.Mean > 0 {
 			line += fmt.Sprintf("  MoS %.2f loss %.1f%%", f.MoS.Mean, 100*f.Loss.Mean)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
 	if res.Unreachable.Mean > 0 || res.RouteStale.Mean > 0 {
-		fmt.Printf("degradation: %.0f unreachable drops, %.0f stale-route epochs\n",
+		fmt.Fprintf(stdout, "degradation: %.0f unreachable drops, %.0f stale-route epochs\n",
 			res.Unreachable.Mean, res.RouteStale.Mean)
 	}
 	if res.Total.N >= 2 {
-		fmt.Printf("total: %.3f ±%.3f Mbps (95%% CI over %d seeds)\n",
+		fmt.Fprintf(stdout, "total: %.3f ±%.3f Mbps (95%% CI over %d seeds)\n",
 			res.Total.Mean, res.Total.CI95, res.Total.N)
 	} else {
-		fmt.Printf("total: %.3f Mbps\n", res.Total.Mean)
+		fmt.Fprintf(stdout, "total: %.3f Mbps\n", res.Total.Mean)
 	}
 	return 0
 }

@@ -1,0 +1,94 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current output")
+
+// TestGoldenStdout runs the program in-process over one flag set per output
+// shape — seed-averaged text with a CI, multi-flow text, the routing /
+// mobility / fault banner with its degradation line, JSON, and the Roofnet
+// topology through the public Router — and compares stdout with the file
+// under testdata byte for byte.
+func TestGoldenStdout(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden numbers are amd64 values: other targets may fuse float operations differently")
+	}
+	cases := []struct{ name, args string }{
+		{"line_ftp", "-topo line -hops 3 -traffic ftp -dur 1 -seeds 2"},
+		{"fig1_afr", "-topo fig1 -route 1 -flows 3 -scheme afr -dur 1"},
+		{"markov_churn_etx", "-hops 4 -mobility markov -mtbf 2 -routing etx -faults partition=1000+1500 -dur 4"},
+		{"json", "-dur 1 -json"},
+		{"roofnet", "-topo roofnet -flows 2 -scheme mcexor -dur 1"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(strings.Fields(c.args), &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+			}
+			if stderr.Len() != 0 {
+				t.Errorf("stderr not empty:\n%s", stderr.String())
+			}
+			golden := filepath.Join("testdata", c.name+".golden")
+			if *update {
+				if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(stdout.Bytes(), want) {
+				t.Errorf("ripplesim %s:\n%s\nwant:\n%s", c.args, stdout.String(), want)
+			}
+		})
+	}
+}
+
+// TestRoofnetFlows: -flows picks the first n of the six Fig. 12 pairs, and
+// the routes the public Router finds for them have the figure's 3, 4 and 5
+// hops — more than -flows asks for is all six, not an error.
+func TestRoofnetFlows(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(strings.Fields("-topo roofnet -flows 9 -scheme dcf -dur 1"), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	if n := strings.Count(stdout.String(), "\nflow "); n != len(roofnetPairs) {
+		t.Fatalf("%d flow lines, want %d:\n%s", n, len(roofnetPairs), stdout.String())
+	}
+}
+
+// TestUsageErrors: what the program refuses, it refuses with exit code 2,
+// the reason on stderr and nothing on stdout — including an option the
+// selected policy would ignore, which only Scenario.Validate knows about.
+func TestUsageErrors(t *testing.T) {
+	cases := []struct{ args, want string }{
+		{"-topo bogus", `unknown topology "bogus"`},
+		{"-scheme zzz", `unknown scheme "zzz"`},
+		{"-alpha 0.5", "Routing.WithAlpha only applies to CongestionRouting"},
+		{"-maxspeed 20", "Mobility options need a mobility model"},
+		{"-trace " + filepath.Join(t.TempDir(), "t.jsonl") + " -workers 2", "-trace and -workers are mutually exclusive"},
+		{"-nosuchflag", "flag provided but not defined"},
+	}
+	for _, c := range cases {
+		var stdout, stderr bytes.Buffer
+		if code := run(strings.Fields(c.args), &stdout, &stderr); code != 2 {
+			t.Errorf("ripplesim %s: exit %d, want 2", c.args, code)
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("ripplesim %s: stderr %q does not mention %q", c.args, stderr.String(), c.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("ripplesim %s: wrote to stdout:\n%s", c.args, stdout.String())
+		}
+	}
+}
