@@ -186,24 +186,12 @@ func run() int {
 		var ck *dist.Checkpoint
 		var wal *dist.WAL
 		var err error
-		switch {
-		case *resumePath != "":
-			if _, serr := os.Stat(*resumePath); os.IsNotExist(serr) {
-				// Resuming before the first checkpoint was ever saved (a
-				// supervised coordinator that crashed early): start fresh —
-				// the WAL replay still recovers any journalled cells.
-				ck = dist.NewCheckpoint(*resumePath)
-			} else if ck, err = dist.LoadCheckpoint(*resumePath); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			if wal, err = dist.OpenWAL(*resumePath + ".wal"); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-		case *ckptPath != "":
-			ck = dist.NewCheckpoint(*ckptPath)
-			if wal, err = dist.CreateWAL(*ckptPath + ".wal"); err != nil {
+		path, resume := *ckptPath, false
+		if *resumePath != "" {
+			path, resume = *resumePath, true
+		}
+		if path != "" {
+			if ck, wal, err = dist.OpenPersistence(path, resume); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
 			}
@@ -233,7 +221,12 @@ func run() int {
 			if per < 1 {
 				per = 1
 			}
-			workerSet, err = dist.SpawnWorkers(coord, *workers, workerArgv(os.Args, per), nil)
+			// A worker runs the coordinator's command line — same binary,
+			// same experiment selection — as a stdio worker with an equal
+			// share of the machine's cores.
+			argv := append(rewriteArgv(flag.CommandLine, os.Args, workerOnly),
+				"-worker", "-parallel", strconv.Itoa(per))
+			workerSet, err = dist.SpawnWorkers(coord, *workers, argv, nil)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
@@ -340,47 +333,56 @@ func run() int {
 	return code
 }
 
-// workerArgv derives a spawned worker's command line from the
-// coordinator's own: same binary and experiment selection, with
-// coordinator-only and output flags stripped, running as a stdio worker
-// with an equal share of the machine's cores.
-func workerArgv(args []string, perWorker int) []string {
-	// Flags a worker must not inherit. The booleans among them never take
-	// a separate value argument; the rest do unless written as -flag=v.
-	drop := map[string]bool{
-		"workers": true, "listen": true, "ckpt": true, "resume": true,
-		"lease": true, "lease-timeout": true, "parallel": true,
-		"json": true, "worker": true, "connect": true,
-		"supervise": true, "cell-timeout": true,
-	}
-	isBool := map[string]bool{"json": true, "worker": true, "supervise": true}
+// workerOnly lists the flags a spawned worker must not inherit from the
+// coordinator's command line: coordinator-only and output flags.
+var workerOnly = map[string][]string{
+	"workers": nil, "listen": nil, "ckpt": nil, "resume": nil,
+	"lease": nil, "lease-timeout": nil, "parallel": nil,
+	"json": nil, "worker": nil, "connect": nil,
+	"supervise": nil, "cell-timeout": nil,
+}
+
+// rewriteArgv copies a command line (args[0] is the program) with every
+// flag named in swap replaced by the arguments swap gives for it — none
+// drops the flag. A replaced flag takes its value with it, attached
+// (-f=v) or detached (-f v); whether a flag has a detached value is the
+// flag package's answer for the flag as fs defines it, so a boolean flag
+// never swallows the argument after it. As in flag parsing, the first
+// non-flag argument and everything after it is positional and copied as is.
+func rewriteArgv(fs *flag.FlagSet, args []string, swap map[string][]string) []string {
 	out := []string{args[0]}
 	for i := 1; i < len(args); i++ {
 		a := args[i]
-		if len(a) < 2 || a[0] != '-' {
+		if len(a) < 2 || a[0] != '-' || a == "--" {
+			return append(out, args[i:]...)
+		}
+		name, _, attached := strings.Cut(strings.TrimLeft(a, "-"), "=")
+		with, swapped := swap[name]
+		if swapped {
+			out = append(out, with...)
+		} else {
 			out = append(out, a)
+		}
+		if attached || i+1 == len(args) {
 			continue
 		}
-		name := strings.TrimLeft(a, "-")
-		hasValue := false
-		if eq := strings.IndexByte(name, '='); eq >= 0 {
-			name, hasValue = name[:eq], true
-		}
-		if drop[name] {
-			if !hasValue && !isBool[name] && i+1 < len(args) {
-				i++ // skip the flag's detached value
+		if f := fs.Lookup(name); f != nil {
+			if b, ok := f.Value.(interface{ IsBoolFlag() bool }); ok && b.IsBoolFlag() {
+				continue
 			}
-			continue
 		}
-		out = append(out, a)
+		i++ // the flag's detached value goes where the flag went
+		if !swapped {
+			out = append(out, args[i])
+		}
 	}
-	return append(out, "-worker", "-parallel", strconv.Itoa(perWorker))
+	return out
 }
 
 // superviseLoop re-execs this binary as a coordinator child (same argv
 // minus -supervise) and restarts it after a crash, rewriting -ckpt to
 // -resume so the restart picks up the checkpoint plus WAL instead of
-// starting over. ckptPath is the checkpoint file the restarts resume
+// starting over (an argv already using -resume is restarted as it is). ckptPath is the checkpoint file the restarts resume
 // from. The child's stdout (the result tables) is buffered to a temp file
 // and emitted only when the child finishes, so a crashed incarnation's
 // partial output never reaches the pipeline.
@@ -391,14 +393,14 @@ func workerArgv(args []string, perWorker int) []string {
 // consecutive restarts that recovered nothing new, so a crash loop
 // cannot spin forever.
 func superviseLoop(ckptPath string) int {
-	argv := superviseArgv(os.Args)
+	argv := rewriteArgv(flag.CommandLine, os.Args, map[string][]string{"supervise": nil})
 	resumed := false
 	noProgress := 0
 	lastState := superviseStateHash(ckptPath)
 	for {
 		child := argv
 		if resumed {
-			child = rewriteCkptToResume(argv, ckptPath)
+			child = rewriteArgv(flag.CommandLine, argv, map[string][]string{"ckpt": {"-resume", ckptPath}})
 		}
 		tmp, err := os.CreateTemp("", "experiments-stdout-*")
 		if err != nil {
@@ -444,48 +446,6 @@ func superviseLoop(ckptPath string) int {
 			code, ckptPath)
 		resumed = true
 	}
-}
-
-// superviseArgv strips -supervise from the coordinator's argv.
-func superviseArgv(args []string) []string {
-	out := []string{args[0]}
-	for i := 1; i < len(args); i++ {
-		name := strings.TrimLeft(args[i], "-")
-		if eq := strings.IndexByte(name, '='); eq >= 0 {
-			name = name[:eq]
-		}
-		if len(args[i]) >= 2 && args[i][0] == '-' && name == "supervise" {
-			continue
-		}
-		out = append(out, args[i])
-	}
-	return out
-}
-
-// rewriteCkptToResume swaps a -ckpt flag for -resume so a restarted
-// coordinator continues the interrupted campaign. An argv already using
-// -resume is returned unchanged.
-func rewriteCkptToResume(args []string, ckptPath string) []string {
-	out := make([]string, 0, len(args))
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		if len(a) >= 2 && a[0] == '-' {
-			name := strings.TrimLeft(a, "-")
-			hasValue := false
-			if eq := strings.IndexByte(name, '='); eq >= 0 {
-				name, hasValue = name[:eq], true
-			}
-			if name == "ckpt" {
-				if !hasValue && i+1 < len(args) {
-					i++ // the detached path value, replaced below
-				}
-				out = append(out, "-resume", ckptPath)
-				continue
-			}
-		}
-		out = append(out, a)
-	}
-	return out
 }
 
 // superviseStateHash fingerprints the checkpoint and WAL contents; a

@@ -25,11 +25,13 @@ type DistributeOptions struct {
 	// same program, which must reach Campaign.Distribute with an
 	// identical Campaign value — see the re-exec contract on Distribute.
 	WorkerArgs []string
-	// Checkpoint, when non-empty, persists completed runs to this file so
-	// an interrupted campaign can restart without losing them. With
-	// Resume set the file must already exist and the campaign continues
-	// from it (and keeps writing it); otherwise a fresh checkpoint is
-	// started.
+	// Checkpoint, when non-empty, persists completed runs so an
+	// interrupted campaign can restart without losing them: snapshots to
+	// this file, and every delivered run the moment it arrives to a
+	// write-ahead journal beside it (the path + ".wal"). With Resume set
+	// the campaign continues from what the two hold (and keeps writing
+	// them) — a file that does not exist yet holds nothing, as after a
+	// crash before the first snapshot; otherwise both start fresh.
 	Checkpoint string
 	Resume     bool
 	// LeaseTimeout reclaims runs from a stalled worker (0 = 2 minutes).
@@ -65,18 +67,17 @@ func (c Campaign) Distribute(opt DistributeOptions) ([]*Result, error) {
 		return nil, fmt.Errorf("ripple: Distribute: Workers = %d, need at least 1", opt.Workers)
 	}
 	var ck *dist.Checkpoint
+	var wal *dist.WAL
 	if opt.Checkpoint != "" {
-		if opt.Resume {
-			if ck, err = dist.LoadCheckpoint(opt.Checkpoint); err != nil {
-				return nil, err
-			}
-		} else {
-			ck = dist.NewCheckpoint(opt.Checkpoint)
+		if ck, wal, err = dist.OpenPersistence(opt.Checkpoint, opt.Resume); err != nil {
+			return nil, err
 		}
+		defer wal.Close() // every Append is already fsync'd
 	}
 	coord := dist.NewCoordinator(dist.Options{
 		LeaseTimeout: opt.LeaseTimeout,
 		Checkpoint:   ck,
+		WAL:          wal,
 		Logf:         opt.Logf,
 	})
 	argv := opt.WorkerArgs

@@ -1,8 +1,11 @@
 package ripple_test
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -158,6 +161,80 @@ func TestDistributeResumeIgnoresForeignCheckpoint(t *testing.T) {
 	defer mu.Unlock()
 	if !strings.Contains(log.String(), "not among the 1 grids of checkpoint") {
 		t.Errorf("the unmatched checkpoint went unreported:\n%s", log.String())
+	}
+}
+
+// crashCkptEnv carries the checkpoint path to the coordinator process of
+// TestDistributeResumesFromWALAfterCrash.
+const crashCkptEnv = "DIST_TEST_CRASH_CKPT"
+
+// TestDistributeCrashingCoordinatorHelper is not a test: it is the
+// coordinator process of TestDistributeResumesFromWALAfterCrash, which dies
+// inside Distribute on the RIPPLE_DIST_CRASH_AFTER hook. The workers it
+// spawns inherit the variable and run TestDistributeWorkerHelper.
+func TestDistributeCrashingCoordinatorHelper(t *testing.T) {
+	path := os.Getenv(crashCkptEnv)
+	if path == "" || os.Getenv(ripple.WorkerEnv) != "" {
+		t.Skip("helper process for TestDistributeResumesFromWALAfterCrash")
+	}
+	_, err := distCampaign().Distribute(ripple.DistributeOptions{
+		Workers:    1,
+		WorkerArgs: []string{"-test.run=TestDistributeWorkerHelper"},
+		Checkpoint: path,
+	})
+	t.Fatalf("Distribute returned (%v): the crash hook did not fire", err)
+}
+
+// TestDistributeResumesFromWALAfterCrash: a coordinator that hard-crashes
+// after two delivered runs — far below the checkpoint cadence, so no
+// snapshot was ever written — loses neither of them. The public API
+// journals every delivered run beside the checkpoint, and a Resume with no
+// checkpoint file yet starts from the journal alone: the two runs are
+// replayed, only the other two execute, and the results equal RunBatch's.
+func TestDistributeResumesFromWALAfterCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	c := distCampaign()
+	want, err := ripple.RunBatch(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	crash := exec.Command(os.Args[0], "-test.run=TestDistributeCrashingCoordinatorHelper")
+	crash.Env = append(os.Environ(), crashCkptEnv+"="+path, "RIPPLE_DIST_CRASH_AFTER=2")
+	out, err := crash.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 42 {
+		t.Fatalf("coordinator process: %v, want the crash hook's exit 42\n%s", err, out)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a checkpoint exists after the crash (%v): the test no longer resumes from the journal alone", err)
+	}
+
+	var mu sync.Mutex
+	var log strings.Builder
+	got, err := c.Distribute(ripple.DistributeOptions{
+		Workers:    1,
+		WorkerArgs: []string{"-test.run=TestDistributeWorkerHelper"},
+		Checkpoint: path,
+		Resume:     true,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(&log, format+"\n", args...)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed results differ from RunBatch:\ngot  %+v\nwant %+v", got, want)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !strings.Contains(log.String(), "replayed 2 cells from WAL") {
+		t.Errorf("no journal replay reported:\n%s", log.String())
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -108,6 +110,31 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		}
 	}
 	return ck, nil
+}
+
+// OpenPersistence opens a campaign's crash-recovery pair: the checkpoint
+// at path and the write-ahead journal beside it (path + ".wal"), for
+// Options.Checkpoint and Options.WAL. Without resume both start fresh,
+// discarding what the files hold. With resume the checkpoint is loaded and
+// the journal's records decoded for replay; a checkpoint file that does
+// not exist yet is a fresh one, not an error — a coordinator that crashed
+// before its first save left everything it had in the journal. The caller
+// closes the WAL when the campaign is over.
+func OpenPersistence(path string, resume bool) (*Checkpoint, *WAL, error) {
+	ck, open := NewCheckpoint(path), CreateWAL
+	if resume {
+		open = OpenWAL
+		if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+			if ck, err = LoadCheckpoint(path); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	wal, err := open(path + ".wal")
+	if err != nil {
+		return nil, nil, err
+	}
+	return ck, wal, nil
 }
 
 // Path returns the checkpoint's file path.

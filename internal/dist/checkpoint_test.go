@@ -108,3 +108,62 @@ func TestCheckpointSaveStreamsExactlyTheMarshalledDocument(t *testing.T) {
 		t.Fatalf("after resume: %d cached encodings, partial grid cached: %v", len(ck.enc), ok)
 	}
 }
+
+// OpenPersistence is the one open-or-create rule the CLI and the public API
+// share: fresh discards what the files hold, resume restores both, a resume
+// before the first save starts from the journal alone, and a checkpoint that
+// exists but does not parse is an error, never a silent fresh start.
+func TestOpenPersistence(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	ck, wal, err := OpenPersistence(path, true)
+	if err != nil {
+		t.Fatalf("resume with neither file: %v", err)
+	}
+	if ck.numGrids() != 0 || len(wal.Restored()) != 0 {
+		t.Fatal("resume with neither file restored something")
+	}
+	if err := wal.Append("g", 1, json.RawMessage(`{"v":1}`), nil); err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+
+	ck, wal, err = OpenPersistence(path, true)
+	if err != nil {
+		t.Fatalf("resume before the first save: %v", err)
+	}
+	if recs := wal.Restored(); len(recs) != 1 || recs[0].Cell != 1 {
+		t.Fatalf("journal records %+v, want the one appended", recs)
+	}
+	if err := ck.save("g", 2, []bool{false, true}, []cellRecord{{}, {Payload: json.RawMessage(`{"v":1}`)}}); err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+
+	ck, wal, err = OpenPersistence(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.numGrids() != 1 || len(wal.Restored()) != 1 {
+		t.Fatalf("resume restored %d grids and %d journal records, want 1 and 1", ck.numGrids(), len(wal.Restored()))
+	}
+	wal.Close()
+
+	ck, wal, err = OpenPersistence(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.numGrids() != 0 || len(wal.Restored()) != 0 {
+		t.Fatal("a fresh start kept the previous campaign's state")
+	}
+	wal.Close()
+	if data, err := os.ReadFile(path + ".wal"); err != nil || len(data) != 0 {
+		t.Fatalf("a fresh start left %d journal bytes (%v)", len(data), err)
+	}
+
+	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenPersistence(path, true); err == nil {
+		t.Fatal("resume from a corrupt checkpoint succeeded")
+	}
+}
