@@ -6,6 +6,7 @@
 //	ripplesim -topo line -hops 3 -scheme ripple -traffic ftp -dur 10
 //	ripplesim -topo fig1 -scheme dcf -route 0 -flows 3
 //	ripplesim -topo hidden -hidden 5 -scheme afr
+//	ripplesim -topo roofnet -flows 6 -scheme mcexor
 //	ripplesim -topo line -traffic cbr -cbrint 5 -cbrsize 200 -ber 1e-5
 package main
 

@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"slices"
 
 	"ripple/internal/mobility"
 	"ripple/internal/radio"
@@ -147,23 +146,12 @@ func (w *World) buildEpochs(cfg *Config) error {
 	}
 	pos := append([]radio.Pos(nil), cfg.Positions...)
 	prev := w
-	var prevCounts, counts []int
-	if w.faults != nil {
-		prevCounts = w.faults.ToggleCounts(0, nil)
-	}
 	w.epochs = make([]*World, 0, n)
 	for e := 0; e < n; e++ {
 		if model != nil {
 			model.Step(pos)
 		}
-		at := sim.Time(e+1) * w.epochLen
-		faultsUnchanged := true
-		if w.faults != nil {
-			counts = w.faults.ToggleCounts(at, counts[:0])
-			faultsUnchanged = slices.Equal(prevCounts, counts)
-			prevCounts = append(prevCounts[:0], counts...)
-		}
-		ew, err := derive(cfg, w, prev, pos, at, faultsUnchanged)
+		ew, err := derive(cfg, w, prev, pos, sim.Time(e+1)*w.epochLen)
 		if err != nil {
 			return err
 		}

@@ -123,7 +123,7 @@ func TestEpochIncrementalMatchesScratch(t *testing.T) {
 			pos := append([]radio.Pos(nil), cfg.Positions...)
 			for e, ew := range w.epochs {
 				model.Step(pos)
-				want, err := derive(&cfg, nil, nil, pos, 0, true)
+				want, err := derive(&cfg, nil, nil, pos, 0)
 				if err != nil {
 					t.Fatalf("prune %g %s epoch %d: %v", prune, kind, e, err)
 				}

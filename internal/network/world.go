@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"ripple/internal/fault"
 	"ripple/internal/pkt"
@@ -82,7 +83,7 @@ func BuildWorld(cfg Config) (*World, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
-	w, err := derive(&cfg, nil, nil, cfg.Positions, 0, true)
+	w, err := derive(&cfg, nil, nil, cfg.Positions, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -126,19 +127,22 @@ const minLinkProb = 0.1
 // did — exactly as a failed in-run dynamic recompute keeps the current
 // one: a transient partition must not kill the run, and Run surfaces the
 // flags as Result.RouteStale and the unreachable machinery instead.
-func derive(cfg *Config, root, prev *World, positions []radio.Pos, at sim.Time, faultsUnchanged bool) (*World, error) {
+func derive(cfg *Config, root, prev *World, positions []radio.Pos, at sim.Time) (*World, error) {
 	w := &World{flows: len(cfg.Flows)}
 	var fs *fault.Schedule
 	if prev == nil {
 		w.plan = radio.NewLinkPlan(cfg.Radio, positions)
 	} else {
 		w.plan = prev.plan.Rebuild(positions)
-		if w.plan == prev.plan && faultsUnchanged {
+		fs = root.faults
+		// Two instants with equal toggle counts have identical fault
+		// overlays, and prev is the world of one epoch earlier.
+		if w.plan == prev.plan && (fs == nil ||
+			slices.Equal(fs.ToggleCounts(at-root.epochLen, nil), fs.ToggleCounts(at, nil))) {
 			// Nobody moved and no fault toggled this epoch: the predecessor
 			// *is* this epoch's world, and both are immutable, so share it.
 			return prev, nil
 		}
-		fs = root.faults
 	}
 	var down []bool
 	var noise []float64
