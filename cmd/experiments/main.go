@@ -382,10 +382,11 @@ func rewriteArgv(fs *flag.FlagSet, args []string, swap map[string][]string) []st
 // superviseLoop re-execs this binary as a coordinator child (same argv
 // minus -supervise) and restarts it after a crash, rewriting -ckpt to
 // -resume so the restart picks up the checkpoint plus WAL instead of
-// starting over (an argv already using -resume is restarted as it is). ckptPath is the checkpoint file the restarts resume
-// from. The child's stdout (the result tables) is buffered to a temp file
-// and emitted only when the child finishes, so a crashed incarnation's
-// partial output never reaches the pipeline.
+// starting over (an argv already using -resume is restarted as it is).
+// ckptPath is the checkpoint file the restarts resume from. The child's
+// stdout (the result tables) is buffered to a temp file and emitted only
+// when the child finishes, so a crashed incarnation's partial output never
+// reaches the pipeline.
 //
 // Exit codes 0–2 propagate (done, deterministic failure, usage error —
 // none of which a restart can fix). Anything else is treated as a crash;

@@ -163,11 +163,9 @@ func TestSparseWorldTableMatchesDense(t *testing.T) {
 			return 1 - tc.rc.LossProb(plan.Distance(int(a), int(b)))
 		}
 		dense := routing.NewTable(plan.Stations(), prob, 0.1)
-		if sparse.Links() != dense.Links() {
-			t.Fatalf("%s: world table stores %d links, all-pairs reference %d", tc.name, sparse.Links(), dense.Links())
-		}
 		if !reflect.DeepEqual(dense, sparse) {
-			t.Fatalf("%s: world table differs from the all-pairs reference", tc.name)
+			t.Fatalf("%s: world table (%d links) differs from the all-pairs reference (%d links)",
+				tc.name, sparse.Links(), dense.Links())
 		}
 	}
 }

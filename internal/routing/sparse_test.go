@@ -53,6 +53,14 @@ func sparseWorld(radius float64) (n int, prob LinkProbFunc, links func(a pkt.Nod
 	return n, prob, links, outlier
 }
 
+// symTable is NewSparseTableSym over a candidate graph, probing each
+// offered pair with prob.
+func symTable(n int, prob LinkProbFunc, links func(a pkt.NodeID, yield func(b int32, d float64))) *Table {
+	return NewSparseTableSym(n, func(a pkt.NodeID, yield func(b int32, p float64)) {
+		links(a, func(b int32, _ float64) { yield(b, prob(a, pkt.NodeID(b))) })
+	}, 0.1)
+}
+
 // symMask is a symmetric fault overlay in the shape network's epoch worlds
 // apply: some stations down, some links blocked, a noise penalty scaling
 // the probability by the worse endpoint.
@@ -81,9 +89,7 @@ func TestSparseTableMatchesDense(t *testing.T) {
 				prob = symMask(prob)
 			}
 			dense := NewTable(n, prob, 0.1)
-			sparse := NewSparseTableSym(n, func(a pkt.NodeID, yield func(b int32, p float64)) {
-				links(a, func(b int32, _ float64) { yield(b, prob(a, pkt.NodeID(b))) })
-			}, 0.1)
+			sparse := symTable(n, prob, links)
 			if sparse.Links() == 0 {
 				t.Fatal("table kept no links")
 			}
@@ -113,9 +119,7 @@ func TestSparseTableNoRoute(t *testing.T) {
 	n, prob, links, outlier := sparseWorld(230)
 	for _, tab := range []*Table{
 		NewTable(n, prob, 0.1),
-		NewSparseTableSym(n, func(a pkt.NodeID, yield func(b int32, p float64)) {
-			links(a, func(b int32, _ float64) { yield(b, prob(a, pkt.NodeID(b))) })
-		}, 0.1),
+		symTable(n, prob, links),
 	} {
 		if _, err := tab.ShortestPath(0, outlier); !errors.Is(err, ErrNoRoute) {
 			t.Fatalf("ShortestPath(0, outlier) err = %v, want ErrNoRoute", err)
