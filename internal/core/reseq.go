@@ -14,22 +14,17 @@ import (
 //
 // Buffered packets carry a reference (pkt.Pool): the buffer may outlive
 // the source's own hold on a packet, so Rq refs on insert and releases
-// after in-order delivery. The hold timer is one event per stream, revived
-// with Reschedule, so buffering allocates nothing after warm-up.
+// after in-order delivery. The hold timer is one per stream, so buffering
+// allocates nothing after warm-up.
 type reseq struct {
-	expected  int64
-	buf       map[int64]*pkt.Packet
-	holdEv    *sim.Event
-	holdArmed bool
-	holdFn    func() // bound once to this stream
+	expected int64
+	buf      map[int64]*pkt.Packet
+	hold     sim.Timer
 }
 
 func (r *Ripple) newReseq() *reseq {
 	q := &reseq{buf: make(map[int64]*pkt.Packet)}
-	q.holdFn = func() {
-		q.holdArmed = false
-		r.skipGap(q)
-	}
+	q.hold.Bind(r.Eng, func() { r.skipGap(q) })
 	return q
 }
 
@@ -63,7 +58,9 @@ func (r *Ripple) deliver(p *pkt.Packet) {
 		}
 		q.buf[p.MacSeq] = p
 		p.Ref() // the buffer may outlive the source's hold on the packet
-		r.armHold(q)
+		if !q.hold.Armed() {
+			q.hold.Arm(r.opt.RqHold)
+		}
 	}
 }
 
@@ -80,27 +77,10 @@ func (r *Ripple) drain(q *reseq) {
 		p.Release() // delivered in order: the buffer's reference ends
 	}
 	if len(q.buf) == 0 {
-		r.Eng.Cancel(q.holdEv)
-		q.holdArmed = false
+		q.hold.Stop()
 	} else {
-		r.rearmHold(q)
+		q.hold.Arm(r.opt.RqHold)
 	}
-}
-
-func (r *Ripple) armHold(q *reseq) {
-	if q.holdArmed {
-		return
-	}
-	r.rearmHold(q)
-}
-
-func (r *Ripple) rearmHold(q *reseq) {
-	if q.holdEv == nil {
-		q.holdEv = r.Eng.After(r.opt.RqHold, q.holdFn)
-	} else {
-		r.Eng.Reschedule(q.holdEv, r.Eng.Now()+r.opt.RqHold)
-	}
-	q.holdArmed = true
 }
 
 // skipGap advances expected to the lowest buffered sequence number (the

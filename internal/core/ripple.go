@@ -87,8 +87,8 @@ type Ripple struct {
 	// iteration order would randomise event scheduling and break run
 	// determinism.
 	relays   []*pendingRelay
-	seenData map[uint64]bool // TxopIDs whose data we already relayed
-	seenAck  map[uint64]bool // TxopIDs whose ACK we already relayed
+	seenData *forward.SeenSet // TxopIDs whose data we already relayed
+	seenAck  *forward.SeenSet // TxopIDs whose ACK we already relayed
 
 	// Destination-side resequencing (Rq), one per incoming stream.
 	rq map[streamKey]*reseq
@@ -101,10 +101,10 @@ type Ripple struct {
 
 	// Hot-path scratch and free lists: okScratch collects the decoded
 	// sub-packets of one reception (valid only within the handler),
-	// freeRelays recycles pendingRelay structs (each keeps its event and
+	// freeRelays recycles pendingRelay structs (each keeps its timer and
 	// packet buffer).
 	okScratch  []*pkt.Packet
-	freeRelays []*pendingRelay
+	freeRelays sim.FreeList[pendingRelay]
 }
 
 type streamKey struct {
@@ -121,8 +121,8 @@ func New(env forward.Env, opt Options) *Ripple {
 	}
 	r := &Ripple{
 		opt:      opt,
-		seenData: make(map[uint64]bool),
-		seenAck:  make(map[uint64]bool),
+		seenData: forward.NewSeenSet(forward.SeenCap),
+		seenAck:  forward.NewSeenSet(forward.SeenCap),
 		rq:       make(map[streamKey]*reseq),
 		macSeq:   make(map[streamKey]int64),
 		piggy:    make(map[uint64][]*pkt.Packet),
@@ -293,7 +293,7 @@ func (r *Ripple) handleAck(f *pkt.Frame) {
 	// station nearer the source also covers our pending ACK relay.
 	r.suppressRelay(f.TxopID^dataRelayTag, 0)
 	r.suppressRelay(f.TxopID, txAck)
-	if myAck >= txAck || r.seenAck[f.TxopID] {
+	if myAck >= txAck || r.seenAck.Has(f.TxopID) {
 		return
 	}
 	r.armRelay(f.TxopID, f.TxopID, false, myAck,
@@ -303,7 +303,7 @@ func (r *Ripple) handleAck(f *pkt.Frame) {
 // fireAckRelay relays a decoded MAC ACK toward the source.
 func (r *Ripple) fireAckRelay(p *pendingRelay) {
 	f := p.frame
-	r.seenAck[f.TxopID] = true
+	r.seenAck.Add(f.TxopID)
 	relay := f.Clone()
 	relay.Tx = r.ID
 	relay.Duration = r.ackDuration(len(relay.FwdList))
@@ -367,7 +367,7 @@ func (r *Ripple) handleData(f *pkt.Frame, pktOK []bool) {
 	// A decoded relay from a station nearer the destination covers any
 	// relay we still have pending for this mTXOP.
 	r.suppressRelay(f.TxopID^dataRelayTag, txRank)
-	if myRank >= txRank || r.seenData[f.TxopID] {
+	if myRank >= txRank || r.seenData.Has(f.TxopID) {
 		return
 	}
 	r.armRelay(f.TxopID^dataRelayTag, f.TxopID, true, myRank,
@@ -377,7 +377,7 @@ func (r *Ripple) handleData(f *pkt.Frame, pktOK []bool) {
 // fireDataRelay relays the decoded sub-packets of an overheard data frame.
 func (r *Ripple) fireDataRelay(p *pendingRelay) {
 	f := p.frame
-	r.seenData[f.TxopID] = true
+	r.seenData.Add(f.TxopID)
 	relay := f.Clone()
 	relay.Tx = r.ID
 	// The relay carries the sub-packets decoded here, in its own list: the
@@ -429,9 +429,10 @@ func (r *Ripple) reclaimPiggy(txop uint64) {
 const dataRelayTag = 0x8000000000000000
 
 // pendingRelay is a forwarder's armed (or deferred) relay of one frame.
-// Structs are pooled per Ripple agent: each keeps its timer event (revived
-// with Reschedule), its once-bound timer closure and its packet buffer, so
-// arming a relay allocates nothing after warm-up. pkts holds a reference
+// Structs are pooled per Ripple agent: each keeps its idle-wait timer and its
+// packet buffer, so arming a relay allocates nothing after warm-up. paused
+// marks a relay whose wait carrier interrupted (or that was armed during a
+// busy period): the next idle period restarts it. pkts holds a reference
 // on every retained packet (released when the relay fires or is
 // discarded), which keeps the packets alive even if the source abandons
 // them while the relay is deferred; frame is held the same way, from
@@ -446,33 +447,26 @@ type pendingRelay struct {
 	deadline sim.Time
 	frame    *pkt.Frame
 	pkts     []*pkt.Packet // decoded sub-packets (data relays only)
-	run      func()        // bound once: the relay's idle-timer callback
-	ev       *sim.Event
+	timer    sim.Timer     // the idle wait, bound once to relayTimer
+	paused   bool
 }
 
 // newRelay pops a recycled pendingRelay or allocates one with its timer
-// callback bound.
+// bound.
 func (r *Ripple) newRelay() *pendingRelay {
-	if n := len(r.freeRelays); n > 0 {
-		p := r.freeRelays[n-1]
-		r.freeRelays[n-1] = nil
-		r.freeRelays = r.freeRelays[:n-1]
+	if p := r.freeRelays.Get(); p != nil {
 		return p
 	}
 	p := &pendingRelay{}
-	p.run = func() { r.relayTimer(p) }
+	p.timer.Bind(r.Eng, func() { r.relayTimer(p) })
 	return p
 }
 
-// releaseRelay drops the relay's packet and frame references and recycles
-// the struct. The caller must already have cancelled/consumed its timer and
-// removed it from r.relays. The timer event is explicitly marked cancelled
-// here: a recycled struct whose previous life's event merely *fired* would
-// otherwise look "still armed" to onCarrierIdle's !Canceled() check when
-// its next life is armed during a busy period, and the relay would never
-// be scheduled.
+// releaseRelay stops the relay's timer, drops its packet and frame
+// references and recycles the struct. The caller must already have removed
+// it from r.relays.
 func (r *Ripple) releaseRelay(p *pendingRelay) {
-	r.Eng.Cancel(p.ev)
+	p.timer.Stop()
 	for i, pk := range p.pkts {
 		pk.Release()
 		p.pkts[i] = nil
@@ -480,7 +474,7 @@ func (r *Ripple) releaseRelay(p *pendingRelay) {
 	p.pkts = p.pkts[:0]
 	p.frame.Release()
 	p.frame = nil
-	r.freeRelays = append(r.freeRelays, p)
+	r.freeRelays.Put(p)
 }
 
 // findRelay returns the pending relay with the given key, or nil.
@@ -517,13 +511,13 @@ func (r *Ripple) armRelay(key, txop uint64, isData bool, rank int, wait sim.Time
 		return
 	}
 	if old := r.findRelay(key); old != nil {
-		r.Eng.Cancel(old.ev)
 		r.dropRelay(old)
 		r.releaseRelay(old)
 	}
 	p := r.newRelay()
 	p.key, p.txop, p.isData, p.rank = key, txop, isData, rank
 	p.wait = wait
+	p.paused = true // until scheduled
 	p.deadline = r.Eng.Now() + r.opt.RelayDeferLimit
 	p.frame = f
 	f.Hold()
@@ -538,14 +532,8 @@ func (r *Ripple) armRelay(key, txop uint64, isData bool, rank int, wait sim.Time
 }
 
 func (r *Ripple) schedule(p *pendingRelay) {
-	// One timer event per pendingRelay, revived in place: Reschedule gives
-	// it a fresh insertion sequence, so ordering matches a newly created
-	// event exactly.
-	if p.ev == nil {
-		p.ev = r.Eng.After(p.wait, p.run)
-		return
-	}
-	r.Eng.Reschedule(p.ev, r.Eng.Now()+p.wait)
+	p.paused = false
+	p.timer.Arm(p.wait)
 }
 
 // relayTimer is the relay's idle-wait callback.
@@ -574,7 +562,6 @@ func (r *Ripple) relayTimer(p *pendingRelay) {
 func (r *Ripple) onCarrierBusy() {
 	if !r.opt.RelayDefer {
 		for _, p := range r.relays {
-			r.Eng.Cancel(p.ev)
 			r.C.RelayCancels++
 			r.releaseRelay(p)
 		}
@@ -582,9 +569,8 @@ func (r *Ripple) onCarrierBusy() {
 		return
 	}
 	for _, p := range r.relays {
-		// Cancel pauses the wait; the event struct stays with the relay
-		// and is revived by schedule at the next idle.
-		r.Eng.Cancel(p.ev)
+		p.timer.Stop()
+		p.paused = true
 	}
 }
 
@@ -597,7 +583,7 @@ func (r *Ripple) onCarrierIdle() {
 	now := r.Eng.Now()
 	kept := r.relays[:0]
 	for _, p := range r.relays {
-		if p.ev != nil && !p.ev.Canceled() {
+		if !p.paused {
 			kept = append(kept, p)
 			continue
 		}
@@ -620,7 +606,6 @@ func (r *Ripple) suppressRelay(key uint64, coveringRank int) {
 		return
 	}
 	if coveringRank < p.rank {
-		r.Eng.Cancel(p.ev)
 		r.dropRelay(p)
 		r.C.RelayCancels++
 		r.releaseRelay(p)
@@ -646,7 +631,7 @@ func (r *Ripple) Carrier(busy bool) bool {
 // post-recovery packet as a stale duplicate.
 func (r *Ripple) ReleaseCustody() uint64 {
 	var dropped uint64
-	// Armed relays: releaseRelay cancels each timer and drops the packet
+	// Armed relays: releaseRelay stops each timer and drops the packet
 	// references.
 	for _, p := range r.relays {
 		dropped += uint64(len(p.pkts))
@@ -663,7 +648,7 @@ func (r *Ripple) ReleaseCustody() uint64 {
 	}
 	// Destination-side resequencing buffers.
 	for key, q := range r.rq {
-		r.Eng.Cancel(q.holdEv)
+		q.hold.Stop()
 		for seq, p := range q.buf {
 			dropped++
 			p.Release()
@@ -672,7 +657,7 @@ func (r *Ripple) ReleaseCustody() uint64 {
 		delete(r.rq, key)
 	}
 	// Duplicate-suppression memory dies with the station.
-	clear(r.seenData)
-	clear(r.seenAck)
+	r.seenData.Reset()
+	r.seenAck.Reset()
 	return dropped
 }

@@ -350,3 +350,34 @@ func TestRippleFramesReturnToPool(t *testing.T) {
 		}
 	}
 }
+
+// A forwarder remembers the mTXOPs it relayed in bounded seen-sets: after
+// three capacities of them its memory holds one capacity, not the run's
+// history.
+func TestRippleRelayMemoryIsBounded(t *testing.T) {
+	// Only adjacent links decode, so station 1 relays every data frame and
+	// every ACK; MaxAgg 1 makes each packet an mTXOP of its own.
+	positions := []radio.Pos{{X: 0}, {X: 180}, {X: 360}}
+	paths := map[int]routing.Path{1: {0, 1, 2}}
+	opt := DefaultOptions()
+	opt.MaxAgg = 1
+	h := newHarness(t, positions, idealRadio(), paths, opt)
+	h.med.Trace = nil // the harness' frame log would be the run's history
+	const mtxops = 3 * forward.SeenCap
+	for sent := 0; sent < mtxops; sent += 32 {
+		h.inject(0, 1, 32, 2)
+		h.eng.Run(h.eng.Now() + 100*sim.Millisecond)
+	}
+	relay := h.agents[1]
+	if got := len(h.delivered[2]); got != mtxops {
+		t.Fatalf("delivered %d packets, want %d", got, mtxops)
+	}
+	if h.counters[1].Relays < 2*mtxops {
+		t.Fatalf("station 1 relayed %d frames, want a data and an ACK relay for each of %d mTXOPs",
+			h.counters[1].Relays, mtxops)
+	}
+	if d, a := relay.seenData.Len(), relay.seenAck.Len(); d != forward.SeenCap || a != forward.SeenCap {
+		t.Fatalf("after %d relayed mTXOPs the seen-sets hold %d and %d identifiers, want the capacity %d in each",
+			mtxops, d, a, forward.SeenCap)
+	}
+}

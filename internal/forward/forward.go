@@ -391,32 +391,64 @@ func Acked(ackedUIDs []uint64, uid uint64) bool {
 	return false
 }
 
-// dedupe is a bounded set of recently seen identifiers, used to suppress
-// duplicate receptions and duplicate relays.
-type dedupe struct {
-	seen  map[uint64]struct{}
-	order []uint64
-	cap   int
+// SeenSet remembers the most recent identifiers shown to it, up to a fixed
+// capacity: packet UIDs already delivered or taken into custody, mTXOPs
+// already relayed. Past capacity each insertion evicts the oldest, in
+// insertion order, so a station's memory is bounded however long the run.
+type SeenSet struct {
+	seen map[uint64]struct{}
+	// ring holds the members in insertion order. It grows with the set (a
+	// full-capacity ring up front would cost every station of a city tens of
+	// kilobytes it never uses) and, once at capacity, is overwritten in
+	// place: oldest is then the next slot to evict and refill.
+	ring   []uint64
+	oldest int
+	cap    int
 }
 
-func newDedupe(capacity int) *dedupe {
-	// The map grows on demand: preallocating `capacity` buckets up front
-	// costs ~100 KB per station per run, which dominated a whole
-	// campaign's allocations before the map ever held a dozen entries.
-	return &dedupe{seen: make(map[uint64]struct{}), cap: capacity}
+// SeenCap is the capacity every station's seen-sets are built with: far more
+// identifiers than can be in play at one station at once (a packet is
+// retransmitted hop by hop for milliseconds, an mTXOP lasts about as long),
+// so eviction never forgets one that can still come back.
+const SeenCap = 4096
+
+// NewSeenSet returns an empty set that remembers up to capacity identifiers.
+func NewSeenSet(capacity int) *SeenSet {
+	return &SeenSet{seen: make(map[uint64]struct{}), cap: capacity}
 }
 
-// Seen reports whether id was seen before, inserting it either way.
-func (d *dedupe) Seen(id uint64) bool {
-	if _, ok := d.seen[id]; ok {
+// Has reports whether id is remembered.
+func (s *SeenSet) Has(id uint64) bool {
+	_, ok := s.seen[id]
+	return ok
+}
+
+// Seen reports whether id was remembered already, and remembers it,
+// evicting the oldest member when the set is full.
+func (s *SeenSet) Seen(id uint64) bool {
+	if s.Has(id) {
 		return true
 	}
-	d.seen[id] = struct{}{}
-	d.order = append(d.order, id)
-	if len(d.order) > d.cap {
-		old := d.order[0]
-		d.order = d.order[1:]
-		delete(d.seen, old)
+	s.seen[id] = struct{}{}
+	if len(s.ring) < s.cap {
+		s.ring = append(s.ring, id)
+		return false
 	}
+	delete(s.seen, s.ring[s.oldest])
+	s.ring[s.oldest] = id
+	s.oldest = (s.oldest + 1) % s.cap
 	return false
+}
+
+// Add remembers id.
+func (s *SeenSet) Add(id uint64) { s.Seen(id) }
+
+// Len reports how many identifiers are remembered.
+func (s *SeenSet) Len() int { return len(s.seen) }
+
+// Reset forgets everything (a crashed station's memory dies with it).
+func (s *SeenSet) Reset() {
+	clear(s.seen)
+	s.ring = s.ring[:0]
+	s.oldest = 0
 }

@@ -237,7 +237,7 @@ func TestRouteBookLimitsForwarders(t *testing.T) {
 }
 
 func TestDedupe(t *testing.T) {
-	d := newDedupe(3)
+	d := NewSeenSet(3)
 	if d.Seen(1) {
 		t.Fatal("fresh id reported seen")
 	}
@@ -249,6 +249,66 @@ func TestDedupe(t *testing.T) {
 	d.Seen(4) // evicts 1
 	if d.Seen(1) {
 		t.Fatal("evicted id should read as fresh again")
+	}
+}
+
+func TestSeenSetEvictsInInsertionOrderAtCapacity(t *testing.T) {
+	s := NewSeenSet(4)
+	for id := uint64(1); id <= 4; id++ {
+		s.Add(id)
+	}
+	s.Add(2) // already a member: neither refreshed nor inserted twice
+	if s.Len() != 4 {
+		t.Fatalf("Len %d after four distinct identifiers, want 4", s.Len())
+	}
+	// Each insertion past capacity evicts exactly the oldest member, across
+	// more than one lap of the ring.
+	for id := uint64(5); id <= 13; id++ {
+		s.Add(id)
+		if s.Len() != 4 {
+			t.Fatalf("Len %d after adding %d, want 4", s.Len(), id)
+		}
+		if s.Has(id - 4) {
+			t.Fatalf("adding %d should have evicted %d", id, id-4)
+		}
+		for kept := id - 3; kept <= id; kept++ {
+			if !s.Has(kept) {
+				t.Fatalf("adding %d lost %d, which is not the oldest", id, kept)
+			}
+		}
+	}
+	s.Reset()
+	if s.Len() != 0 || s.Has(13) {
+		t.Fatal("Reset left members behind")
+	}
+	// After Reset the set fills from empty again, oldest first.
+	for id := uint64(20); id <= 24; id++ {
+		s.Add(id)
+	}
+	if s.Has(20) || !s.Has(21) || !s.Has(24) || s.Len() != 4 {
+		t.Fatal("eviction order wrong after Reset")
+	}
+}
+
+func TestSeenSetSteadyStateAllocatesNothing(t *testing.T) {
+	s := NewSeenSet(64)
+	id := uint64(0)
+	for ; id < 64; id++ {
+		s.Add(id)
+	}
+	// At capacity an insertion overwrites a ring slot and swaps one map key
+	// for another. Each measured run is ten capacities of insertions, counted
+	// whole (AllocsPerRun rounds down per run): the old order slice grew again
+	// every capacity of them.
+	if a := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 640; i++ {
+			id++
+			if s.Seen(id) {
+				t.Fatal("fresh identifier reported seen")
+			}
+		}
+	}); a != 0 {
+		t.Fatalf("%v allocations per 640 insertions at capacity, want 0", a)
 	}
 }
 

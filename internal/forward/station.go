@@ -54,9 +54,9 @@ type Station struct {
 	exchanging bool
 	curTxop    uint64
 	txopSeq    uint64
-	timer      *sim.Event // the reply timer: one event, revived by AwaitReply
+	timer      sim.Timer // the reply timer, armed by AwaitReply
 
-	freeTx *delayedTx
+	freeTx sim.FreeList[delayedTx]
 
 	// down marks the station crashed (fault injection): every MAC upcall
 	// and local send is ignored until Recover.
@@ -71,6 +71,7 @@ func (s *Station) Init(env Env, p Protocol) {
 	// Audit nil-checks internally: the queue is tapped only under deep audit.
 	s.Queue.SetAudit(env.Audit.RegisterQueue(int(env.ID), env.P.QueueLimit, s.Queue.Len))
 	s.Cont = mac.NewContender(env.Eng, env.P, env.RNG, p.Grant)
+	s.timer.Bind(env.Eng, s.expire)
 }
 
 // Send implements Scheme.
@@ -162,23 +163,17 @@ func (s *Station) TransmitData(f *pkt.Frame) {
 }
 
 // AwaitReply arms the exchange's reply timer: Protocol.Timeout runs after d
-// unless CancelReply, Succeed or a crash comes first. The station's one timer
-// event is revived in place — Reschedule hands it the fresh insertion
-// sequence a new event would get — so it must have fired or been cancelled:
-// an exchange never waits for two replies at once.
+// unless CancelReply, Succeed or a crash comes first. The timer must have
+// fired or been stopped: an exchange never waits for two replies at once.
 func (s *Station) AwaitReply(d sim.Time) {
-	if s.timer == nil {
-		s.timer = s.Eng.After(d, s.expire)
-		return
-	}
-	if s.timer.Pending() {
+	if s.timer.Armed() {
 		panic("forward: reply timer re-armed while still pending")
 	}
-	s.Eng.Reschedule(s.timer, s.Eng.Now()+d)
+	s.timer.Arm(d)
 }
 
 // CancelReply withdraws the reply timer (the awaited frame arrived).
-func (s *Station) CancelReply() { s.Eng.Cancel(s.timer) }
+func (s *Station) CancelReply() { s.timer.Stop() }
 
 func (s *Station) expire() {
 	if s.exchanging {
@@ -190,7 +185,7 @@ func (s *Station) expire() {
 // released the acknowledged packets from InService; what remains, if
 // anything, goes out in the next exchange with a fresh retry budget.
 func (s *Station) Succeed() {
-	s.Eng.Cancel(s.timer)
+	s.timer.Stop()
 	s.exchanging = false
 	s.Attempts = 0
 	s.Routes.NoteTxSuccess(s.SvcFlow, s.ID)
@@ -243,16 +238,14 @@ func (s *Station) BudgetSpent(*pkt.Packet) bool { return s.Attempts > s.P.RetryL
 // frame: transmitting passes it to the medium, skipping releases it. Pooled
 // per station so SIFS-spaced ACK and RTS/CTS schedules allocate nothing.
 type delayedTx struct {
-	s    *Station
-	f    *pkt.Frame
-	next *delayedTx
+	s *Station
+	f *pkt.Frame
 }
 
 func (a *delayedTx) Run() {
 	s, f := a.s, a.f
 	a.f = nil
-	a.next = s.freeTx
-	s.freeTx = a
+	s.freeTx.Put(a)
 	switch {
 	case s.down || s.Med.Transmitting(s.ID):
 		f.Release()
@@ -269,11 +262,8 @@ func (a *delayedTx) Run() {
 // TransmitAfter schedules f for transmission after d under delayedTx's
 // rules, taking over the caller's reference on it.
 func (s *Station) TransmitAfter(d sim.Time, f *pkt.Frame) {
-	a := s.freeTx
-	if a != nil {
-		s.freeTx = a.next
-		a.next = nil
-	} else {
+	a := s.freeTx.Get()
+	if a == nil {
 		a = &delayedTx{s: s}
 	}
 	a.f = f
@@ -335,7 +325,7 @@ func (s *Station) Crash() {
 		return
 	}
 	s.down = true
-	s.Eng.Cancel(s.timer)
+	s.timer.Stop()
 	s.exchanging = false
 	s.Attempts = 0
 	dropped := uint64(len(s.InService))

@@ -26,27 +26,22 @@ type Contender struct {
 	busy    bool
 	eifs    bool // apply EIFS instead of DIFS on the next deferral
 
-	// deferEv and slotEv are each one event revived in place with
-	// Reschedule, and deferFn/slotFn are their callbacks bound once, so
-	// the per-exchange DIFS/backoff machinery allocates nothing after
-	// warm-up.
-	deferEv   *sim.Event
-	slotEv    *sim.Event
-	deferFn   func()
-	slotFn    func()
-	slotStart sim.Time
-	idleAt    sim.Time
+	deferTimer sim.Timer // the DIFS/EIFS wait
+	slotTimer  sim.Timer // the backoff countdown
+	// countdownStarted is set when a countdown starts and cleared only when
+	// one is stopped — not when it runs out — so OnBusy credits elapsed slots
+	// after a countdown that fired as it does during one that is running.
+	countdownStarted bool
+	slotStart        sim.Time
+	idleAt           sim.Time
 }
 
 // NewContender creates a contender. busyNow seeds the initial carrier state
 // (normally false at t=0); grant is invoked exactly once per Request.
 func NewContender(eng *sim.Engine, p phys.Params, rng *sim.RNG, grant func()) *Contender {
 	c := &Contender{eng: eng, p: p, rng: rng, grant: grant, cw: p.CWMin, slots: -1}
-	c.deferFn = c.deferDone
-	c.slotFn = func() {
-		c.slots = 0
-		c.doGrant()
-	}
+	c.deferTimer.Bind(eng, c.deferDone)
+	c.slotTimer.Bind(eng, c.slotsDone)
 	return c
 }
 
@@ -70,7 +65,7 @@ func (c *Contender) Request() {
 // way). Safe to call at any time.
 func (c *Contender) Cancel() {
 	c.pending = false
-	c.eng.Cancel(c.deferEv)
+	c.deferTimer.Stop()
 	c.stopSlots()
 }
 
@@ -101,8 +96,8 @@ func (c *Contender) OnBusy() {
 		return
 	}
 	c.busy = true
-	c.eng.Cancel(c.deferEv)
-	if c.slotEv != nil && !c.slotEv.Canceled() {
+	c.deferTimer.Stop()
+	if c.countdownStarted {
 		// Freeze the countdown: credit only whole elapsed slots.
 		elapsed := int((c.eng.Now() - c.slotStart) / c.p.Slot)
 		c.slots -= elapsed
@@ -133,11 +128,7 @@ func (c *Contender) startDefer() {
 	if c.eifs {
 		ifs = c.p.EIFS()
 	}
-	if c.deferEv == nil {
-		c.deferEv = c.eng.At(c.idleAt+ifs, c.deferFn)
-		return
-	}
-	c.eng.Reschedule(c.deferEv, c.idleAt+ifs)
+	c.deferTimer.ArmAt(c.idleAt + ifs)
 }
 
 func (c *Contender) deferDone() {
@@ -147,11 +138,13 @@ func (c *Contender) deferDone() {
 		return
 	}
 	c.slotStart = c.eng.Now()
-	if c.slotEv == nil {
-		c.slotEv = c.eng.After(sim.Time(c.slots)*c.p.Slot, c.slotFn)
-		return
-	}
-	c.eng.Reschedule(c.slotEv, c.eng.Now()+sim.Time(c.slots)*c.p.Slot)
+	c.countdownStarted = true
+	c.slotTimer.Arm(sim.Time(c.slots) * c.p.Slot)
+}
+
+func (c *Contender) slotsDone() {
+	c.slots = 0
+	c.doGrant()
 }
 
 func (c *Contender) doGrant() {
@@ -161,9 +154,6 @@ func (c *Contender) doGrant() {
 }
 
 func (c *Contender) stopSlots() {
-	// Cancel only: the event struct stays with the contender and is
-	// revived by the next deferDone. Cancelled-vs-fired state keeps the
-	// OnBusy freeze-credit check exact (a cancelled event is not counting
-	// down; a fired one was).
-	c.eng.Cancel(c.slotEv)
+	c.slotTimer.Stop()
+	c.countdownStarted = false
 }

@@ -51,6 +51,10 @@ type run struct {
 	pool       *pkt.Pool
 	flowStats  []*stats.Flow
 	routeStale uint64
+	// The run's periodic timers, each re-armed from its own callback: the
+	// epoch-world swap, and a dynamic policy's queue-depth sample and
+	// re-route tick.
+	epochTimer, sampleTimer, rerouteTimer sim.Timer
 }
 
 // Run executes one scenario to completion and returns its results. When
@@ -211,8 +215,7 @@ func (r *run) armEpochs() {
 	// streaks ("blacklisted until the next epoch").
 	routeUpdates := r.cfg.Routing.active() || world.faults != nil
 	next := 0
-	var swap func()
-	swap = func() {
+	r.epochTimer.Bind(r.eng, func() {
 		ew := world.epochs[next]
 		r.medium.SetPlan(ew.plan)
 		r.policy = ew.policy
@@ -237,10 +240,10 @@ func (r *run) armEpochs() {
 		}
 		next++
 		if next < len(world.epochs) {
-			r.eng.After(world.epochLen, swap)
+			r.epochTimer.Arm(world.epochLen)
 		}
-	}
-	r.eng.After(world.epochLen, swap)
+	})
+	r.epochTimer.Arm(world.epochLen)
 }
 
 // armReroute schedules a dynamic policy's re-route tick: routes recomputed
@@ -261,23 +264,21 @@ func (r *run) armReroute() {
 	interval := max(epoch/routeSamplesPerEpoch, 1)
 	depthSum := make([]int, len(r.schemes))
 	sampled := 0
-	var sample func()
-	sample = func() {
+	r.sampleTimer.Bind(r.eng, func() {
 		for i, s := range r.schemes {
 			depthSum[i] += s.QueueLen()
 		}
 		sampled++
-		r.eng.After(interval, sample)
-	}
-	r.eng.After(interval, sample)
+		r.sampleTimer.Arm(interval)
+	})
+	r.sampleTimer.Arm(interval)
 	backlog := func(n pkt.NodeID) int {
 		if sampled == 0 {
 			return r.schemes[n].QueueLen()
 		}
 		return depthSum[n] / sampled
 	}
-	var reroute func()
-	reroute = func() {
+	r.rerouteTimer.Bind(r.eng, func() {
 		for _, f := range r.cfg.Flows {
 			p, err := r.policy.Route(f.Path.Src(), f.Path.Dst(), backlog)
 			if err == nil {
@@ -286,9 +287,9 @@ func (r *run) armReroute() {
 		}
 		clear(depthSum)
 		sampled = 0
-		r.eng.After(epoch, reroute)
-	}
-	r.eng.After(epoch, reroute)
+		r.rerouteTimer.Arm(epoch)
+	})
+	r.rerouteTimer.Arm(epoch)
 }
 
 // armFaults schedules the in-engine fault events: crashes and recoveries

@@ -1,5 +1,7 @@
 package pkt
 
+import "ripple/internal/sim"
+
 // Pool is a per-run free list of Packets. The hot path of a simulation
 // creates one Packet per transport emission and drops it at a terminal
 // point (delivered to the endpoint, dropped by a full queue, or abandoned
@@ -25,7 +27,7 @@ package pkt
 // a pool (plain &Packet{}) ignore Ref/Release entirely, so tests and cold
 // paths need no ceremony.
 type Pool struct {
-	free []*Packet
+	free sim.FreeList[Packet]
 	// outstanding counts packets handed out by Get and not yet fully
 	// released — the pool-balance invariant the fault-injection tests
 	// assert after crashing stations mid-custody.
@@ -44,12 +46,8 @@ type Pool struct {
 // the caller. The caller transfers that reference into the MAC send queue
 // via Scheme.Send (which releases it when the queue rejects the packet).
 func (pl *Pool) Get() *Packet {
-	var p *Packet
-	if n := len(pl.free); n > 0 {
-		p = pl.free[n-1]
-		pl.free[n-1] = nil
-		pl.free = pl.free[:n-1]
-	} else {
+	p := pl.free.Get()
+	if p == nil {
 		p = &Packet{}
 	}
 	p.pool = pl
@@ -60,7 +58,7 @@ func (pl *Pool) Get() *Packet {
 }
 
 // Free reports how many packets are currently pooled (tests).
-func (pl *Pool) Free() int { return len(pl.free) }
+func (pl *Pool) Free() int { return pl.free.Len() }
 
 // InUse reports how many packets are currently out of the pool — Get
 // calls not yet balanced by a final Release. A quiescent network must
@@ -98,7 +96,7 @@ func (p *Packet) Release() {
 		pl.recDropped++
 	}
 	*p = Packet{}
-	pl.free = append(pl.free, p)
+	pl.free.Put(p)
 	pl.outstanding--
 }
 
@@ -124,7 +122,7 @@ func (pl *Pool) Counters() (gets, delivered, dropped int) {
 // Like a Pool, a FramePool belongs to one run on one goroutine, and a frame
 // built as a literal (&Frame{...}) ignores Hold and Release.
 type FramePool struct {
-	free []*Frame
+	free sim.FreeList[Frame]
 	// gets counts frames handed out, recycled those fully released, and
 	// outstanding the difference, kept separately: gets == recycled +
 	// outstanding at every instant (audit.CheckFramePool).
@@ -142,12 +140,8 @@ func (pl *FramePool) Quarantine() { pl.quarantine = true }
 // Get returns a frame with every field zeroed (Packets and AckedUIDs empty,
 // with whatever capacity they had) and one reference held by the caller.
 func (pl *FramePool) Get() *Frame {
-	var f *Frame
-	if n := len(pl.free); n > 0 {
-		f = pl.free[n-1]
-		pl.free[n-1] = nil
-		pl.free = pl.free[:n-1]
-	} else {
+	f := pl.free.Get()
+	if f == nil {
 		f = &Frame{pool: pl}
 	}
 	f.refs = 1
@@ -189,7 +183,7 @@ func (f *Frame) Release() {
 	pl.recycled++
 	pl.outstanding--
 	if !pl.quarantine {
-		pl.free = append(pl.free, f)
+		pl.free.Put(f)
 	}
 }
 

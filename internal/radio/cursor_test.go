@@ -196,8 +196,8 @@ func TestTransmissionRecordsAreReused(t *testing.T) {
 			t.Fatalf("Pending = %d, want 7 logical events", eng.Pending())
 		}
 		eng.Run(eng.Now() + sim.Millisecond)
-		if m.OnAir() != 0 || len(m.freeAir) != 1 {
-			t.Fatalf("after the drain: OnAir %d, %d records pooled; want 0 and the one record", m.OnAir(), len(m.freeAir))
+		if m.OnAir() != 0 || m.freeAir.Len() != 1 {
+			t.Fatalf("after the drain: OnAir %d, %d records pooled; want 0 and the one record", m.OnAir(), m.freeAir.Len())
 		}
 	}
 	// A transmission nobody senses takes no record and no sequence numbers
@@ -223,8 +223,8 @@ func TestQuarantinedSlabCatchesStaleReception(t *testing.T) {
 	}
 	stale := m.stations[1].current[0]
 	eng.Run(sim.Second)
-	if len(m.freeAir) != 0 || m.OnAir() != 0 {
-		t.Fatalf("quarantined record reissued: %d pooled, %d on air", len(m.freeAir), m.OnAir())
+	if m.freeAir.Len() != 0 || m.OnAir() != 0 {
+		t.Fatalf("quarantined record reissued: %d pooled, %d on air", m.freeAir.Len(), m.OnAir())
 	}
 	if stale.dst != nil {
 		t.Fatal("released slab entry still names its receiver")

@@ -222,8 +222,8 @@ type Medium struct {
 	// the bitsSurvive survival probability per distinct bit length (the BER
 	// is fixed for the run); pktOKBuf is the per-reception sub-packet CRC
 	// scratch handed to MAC.FrameReceived (valid only during the upcall).
-	freeTx    []*txDone
-	freeAir   []*transmission
+	freeTx    sim.FreeList[txDone]
+	freeAir   sim.FreeList[transmission]
 	onAir     int
 	slabOf    []int32
 	pOKByBits map[int]float64
@@ -298,10 +298,7 @@ func NewMediumOn(eng *sim.Engine, plan *LinkPlan, p phys.Params, rng *sim.RNG) *
 // allocates one with its cursors wired.
 func (m *Medium) newTransmission() *transmission {
 	m.onAir++
-	if n := len(m.freeAir); n > 0 {
-		t := m.freeAir[n-1]
-		m.freeAir[n-1] = nil
-		m.freeAir = m.freeAir[:n-1]
+	if t := m.freeAir.Get(); t != nil {
 		return t
 	}
 	t := &transmission{m: m}
@@ -328,7 +325,7 @@ func (m *Medium) recycleTransmission(t *transmission) {
 	}
 	t.rx, t.order = t.rx[:0], t.order[:0]
 	t.begin.pos, t.done.pos = 0, 0
-	m.freeAir = append(m.freeAir, t)
+	m.freeAir.Put(t)
 }
 
 // assertCurrent panics if a reception in progress at dst is not dst's: its
@@ -343,10 +340,7 @@ func (m *Medium) assertCurrent(dst *station) {
 }
 
 func (m *Medium) newTxDone(src *station, f *pkt.Frame) *txDone {
-	if n := len(m.freeTx); n > 0 {
-		t := m.freeTx[n-1]
-		m.freeTx[n-1] = nil
-		m.freeTx = m.freeTx[:n-1]
+	if t := m.freeTx.Get(); t != nil {
 		t.src, t.frame = src, f
 		return t
 	}
@@ -356,7 +350,7 @@ func (m *Medium) newTxDone(src *station, f *pkt.Frame) *txDone {
 func (m *Medium) recycleTxDone(t *txDone) {
 	t.src = nil
 	t.frame = nil
-	m.freeTx = append(m.freeTx, t)
+	m.freeTx.Put(t)
 }
 
 // NewFrame returns a zeroed frame from the run's pool, its one reference

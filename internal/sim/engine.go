@@ -186,7 +186,7 @@ type Engine struct {
 	extra int
 	// free holds recycled Do-scheduled events. Only events whose handle
 	// never escaped (Do returns nothing) are pushed here; see Event.
-	free []*Event
+	free FreeList[Event]
 	// check, when set, runs after every fired event (deep-audit hook).
 	check func()
 }
@@ -244,10 +244,7 @@ func (e *Engine) Do(t Time, act Action) {
 // pooled pops a recycled event or allocates one. Every pooled event is put
 // back with only at, seq and index set, so the caller sets act or ser.
 func (e *Engine) pooled() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
+	if ev := e.free.Get(); ev != nil {
 		return ev
 	}
 	return &Event{}
@@ -338,7 +335,7 @@ func (e *Engine) Run(until Time) {
 			// events, which can then reuse this very struct.
 			act := next.act
 			next.act = nil
-			e.free = append(e.free, next)
+			e.free.Put(next)
 			act.Run()
 		default:
 			e.heap.popMin()
@@ -367,7 +364,7 @@ func (e *Engine) fireSeries(ev *Event) {
 		e.extra++ // ... and was the entry itself, not one behind it
 		e.heap.remove(ev.index)
 		ev.ser = nil
-		e.free = append(e.free, ev)
+		e.free.Put(ev)
 		return
 	}
 	if at < ev.at || (at == ev.at && seq <= ev.seq) {

@@ -267,8 +267,8 @@ func TestEngineDoRecyclesEvents(t *testing.T) {
 	}
 	// Sequential events recycle through the free list: the pool must be a
 	// couple of structs, not one per event.
-	if len(e.free) == 0 || len(e.free) > 4 {
-		t.Fatalf("free list holds %d events after 1000 sequential Do, want 1..4", len(e.free))
+	if e.free.Len() == 0 || e.free.Len() > 4 {
+		t.Fatalf("free list holds %d events after 1000 sequential Do, want 1..4", e.free.Len())
 	}
 }
 

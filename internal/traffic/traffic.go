@@ -28,17 +28,19 @@ func DefaultWebConfig() WebConfig {
 
 // Web drives one TCP connection through an endless ON/OFF transfer cycle.
 type Web struct {
-	eng  *sim.Engine
 	cfg  WebConfig
 	tcp  *transport.TCP
 	rng  *sim.RNG
 	mss  int
 	stop bool
+	off  sim.Timer // the reading period between transfers, bound to launch
 }
 
 // NewWeb creates the generator over an existing TCP connection.
 func NewWeb(eng *sim.Engine, cfg WebConfig, tcp *transport.TCP, mss int, rng *sim.RNG) *Web {
-	return &Web{eng: eng, cfg: cfg, tcp: tcp, rng: rng, mss: mss}
+	w := &Web{cfg: cfg, tcp: tcp, rng: rng, mss: mss}
+	w.off.Bind(eng, w.launch)
+	return w
 }
 
 // Start launches the first transfer.
@@ -57,7 +59,6 @@ func (w *Web) launch() {
 		pkts = 1
 	}
 	w.tcp.StartTransfer(pkts, func() {
-		off := sim.Time(w.rng.Exp(float64(w.cfg.OffMean)))
-		w.eng.After(off, w.launch)
+		w.off.Arm(sim.Time(w.rng.Exp(float64(w.cfg.OffMean))))
 	})
 }

@@ -48,27 +48,18 @@ type VoIP struct {
 	seq   int64
 	uid   uint64
 	on    bool
-	onEnd sim.Time   // when the current on period ends
-	timer *sim.Event // the stream's one timer, see arm
+	onEnd sim.Time  // when the current on period ends
+	timer sim.Timer // the stream's one timer, bound to wake
 	stop  bool
 	pool  *pkt.Pool
-}
-
-// again re-arms a source's one timer event d from now. Reschedule hands the
-// event the fresh insertion sequence a new one would get, so event order is
-// untouched; the event must have fired, since a pending one would have been
-// a second timer.
-func again(eng *sim.Engine, ev *sim.Event, d sim.Time) {
-	if ev.Pending() {
-		panic("transport: source timer re-armed while still pending")
-	}
-	eng.Reschedule(ev, eng.Now()+d)
 }
 
 // NewVoIP creates a voice stream; call Start to begin the first on period.
 func NewVoIP(eng *sim.Engine, cfg VoIPConfig, flow int, src, dst pkt.NodeID,
 	send SendFunc, fs *stats.Flow, rng *sim.RNG) *VoIP {
-	return &VoIP{eng: eng, cfg: cfg, flow: flow, src: src, dst: dst, send: send, fs: fs, rng: rng}
+	v := &VoIP{eng: eng, cfg: cfg, flow: flow, src: src, dst: dst, send: send, fs: fs, rng: rng}
+	v.timer.Bind(eng, v.wake)
+	return v
 }
 
 // SetPool makes the stream draw its packets from a per-run pool (see
@@ -88,16 +79,7 @@ func (v *VoIP) beginOn() {
 	v.on = true
 	dur := sim.Time(v.rng.Exp(float64(v.cfg.OnMean)))
 	v.onEnd = v.eng.Now() + dur
-	v.arm(0)
-}
-
-// arm schedules wake d from now on the stream's one timer event.
-func (v *VoIP) arm(d sim.Time) {
-	if v.timer == nil {
-		v.timer = v.eng.After(d, v.wake)
-		return
-	}
-	again(v.eng, v.timer, d)
+	v.timer.Arm(0)
 }
 
 // wake is the timer's callback: the next packet of an on period, or the end
@@ -117,11 +99,11 @@ func (v *VoIP) tick() {
 	if v.eng.Now() >= v.onEnd {
 		v.on = false
 		off := sim.Time(v.rng.Exp(float64(v.cfg.OffMean)))
-		v.arm(off)
+		v.timer.Arm(off)
 		return
 	}
 	v.emit()
-	v.arm(v.cfg.PacketInterval)
+	v.timer.Arm(v.cfg.PacketInterval)
 }
 
 func (v *VoIP) emit() {
@@ -174,7 +156,7 @@ type CBR struct {
 
 	seq   int64
 	uid   uint64
-	timer *sim.Event // the source's one timer, see arm
+	timer sim.Timer // the source's one timer: tick, or refill when backlogged
 	stop  bool
 	pool  *pkt.Pool
 }
@@ -189,8 +171,14 @@ const backlogBurst = 64
 // interval, or a backlogged (saturating) source when interval is zero.
 func NewCBR(eng *sim.Engine, flow int, src, dst pkt.NodeID, bytes int,
 	interval sim.Time, send SendFunc, fs *stats.Flow) *CBR {
-	return &CBR{eng: eng, flow: flow, src: src, dst: dst, bytes: bytes,
+	c := &CBR{eng: eng, flow: flow, src: src, dst: dst, bytes: bytes,
 		interval: interval, send: send, fs: fs}
+	if interval == 0 {
+		c.timer.Bind(eng, c.refill)
+	} else {
+		c.timer.Bind(eng, c.tick)
+	}
+	return c
 }
 
 // SetPool makes the source draw its packets from a per-run pool (see
@@ -208,20 +196,6 @@ func (c *CBR) Start() {
 	c.tick()
 }
 
-// arm schedules the next tick (or refill, in backlogged mode) d from now on
-// the source's one timer event.
-func (c *CBR) arm(d sim.Time) {
-	if c.timer == nil {
-		fn := c.tick
-		if c.interval == 0 {
-			fn = c.refill
-		}
-		c.timer = c.eng.After(d, fn)
-		return
-	}
-	again(c.eng, c.timer, d)
-}
-
 // Stop halts emission.
 func (c *CBR) Stop() { c.stop = true }
 
@@ -230,7 +204,7 @@ func (c *CBR) tick() {
 		return
 	}
 	c.send(c.packet())
-	c.arm(c.interval)
+	c.timer.Arm(c.interval)
 }
 
 func (c *CBR) refill() {
@@ -242,7 +216,7 @@ func (c *CBR) refill() {
 			break // queue full: the MAC is saturated
 		}
 	}
-	c.arm(backlogRefill)
+	c.timer.Arm(backlogRefill)
 }
 
 func (c *CBR) packet() *pkt.Packet {

@@ -73,7 +73,7 @@ type TCP struct {
 	rttvar     sim.Time
 	rto        sim.Time
 	rttValid   bool
-	rtoEv      *sim.Event
+	rtoTimer   sim.Timer
 	txTime     []txStamp // send-time ring, see NewTCP
 	limit      int64     // packets in the current transfer; -1 = unbounded
 	done       bool
@@ -87,10 +87,8 @@ type TCP struct {
 	uidData uint64
 	uidAck  uint64
 
-	// pool, when set, recycles packet structs (see SetPool); rtoFn is the
-	// RTO callback bound once so re-arming the timer allocates nothing.
-	pool  *pkt.Pool
-	rtoFn func()
+	// pool, when set, recycles packet structs (see SetPool).
+	pool *pkt.Pool
 }
 
 // txStamp is one slot of the send-time ring: segment seq was sent, once, at
@@ -131,7 +129,7 @@ func NewTCP(eng *sim.Engine, cfg TCPConfig, flow int, src, dst pkt.NodeID,
 	for i := range t.rcvBuf {
 		t.rcvBuf[i] = noSeq
 	}
-	t.rtoFn = t.onRTO
+	t.rtoTimer.Bind(eng, t.onRTO)
 	t.resetConnection()
 	return t
 }
@@ -328,18 +326,11 @@ func (t *TCP) sampleRTT(seq int64) {
 }
 
 func (t *TCP) armRTO() {
-	t.eng.Cancel(t.rtoEv)
 	if t.seqUna == t.seqNext {
-		return // nothing outstanding
-	}
-	// Re-arm the one timer event in place: Reschedule revives a fired or
-	// cancelled event with a fresh sequence number, so the hot per-ACK
-	// re-arm allocates nothing after the first call.
-	if t.rtoEv == nil {
-		t.rtoEv = t.eng.After(t.rto, t.rtoFn)
+		t.rtoTimer.Stop() // nothing outstanding
 		return
 	}
-	t.eng.Reschedule(t.rtoEv, t.eng.Now()+t.rto)
+	t.rtoTimer.Arm(t.rto)
 }
 
 func (t *TCP) onRTO() {
@@ -360,7 +351,7 @@ func (t *TCP) onRTO() {
 
 func (t *TCP) finish() {
 	t.done = true
-	t.eng.Cancel(t.rtoEv)
+	t.rtoTimer.Stop()
 	t.fs.TransfersCompleted++
 	if t.onDone != nil {
 		done := t.onDone
