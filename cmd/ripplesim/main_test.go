@@ -76,6 +76,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-scheme zzz", `unknown scheme "zzz"`},
 		{"-alpha 0.5", "Routing.WithAlpha only applies to CongestionRouting"},
 		{"-maxspeed 20", "Mobility options need a mobility model"},
+		{"-dur -1", "Scenario.Duration must not be negative"},
 		{"-trace " + filepath.Join(t.TempDir(), "t.jsonl") + " -workers 2", "-trace and -workers are mutually exclusive"},
 		{"-nosuchflag", "flag provided but not defined"},
 	}

@@ -128,8 +128,9 @@ func (f Faults) WithThreshold(n int) Faults {
 }
 
 // WithEpoch returns a copy with the fault-overlay epoch length set
-// (default 500 ms). When mobility is active its epoch length wins — fault
-// overlays ride the same boundaries.
+// (default 500 ms). With a mobility model the fault overlays ride the
+// mobility epochs instead, so Validate rejects the combination: set the
+// length with Mobility.WithEpoch.
 func (f Faults) WithEpoch(epoch Time) Faults {
 	f.epoch = epoch
 	return f

@@ -55,14 +55,6 @@ func (s RateSet) Validate() bool {
 	return sort.SliceIsSorted(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
-// Selector picks a transmission rate for a link.
-type Selector interface {
-	// Rate returns the PHY rate to use toward a receiver whose frame
-	// delivery probability at the base rate is baseProb (from the radio
-	// model's analytic link quality).
-	Rate(baseProb float64) float64
-}
-
 // OracleSelector picks the fastest rate whose predicted delivery
 // probability stays at or above MinProb, using the threshold-shift model:
 // raising the threshold by Δ dB is equivalent to scaling the link margin,
@@ -81,7 +73,9 @@ func NewOracle(rates RateSet, baseBps float64) *OracleSelector {
 	return &OracleSelector{Rates: rates, BaseBps: baseBps, SigmaDB: 8, MinProb: 0.9}
 }
 
-// Rate implements Selector.
+// Rate returns the PHY rate to use toward a receiver whose frame delivery
+// probability at the base rate is baseProb (from the radio model's analytic
+// link quality).
 func (o *OracleSelector) Rate(baseProb float64) float64 {
 	if len(o.Rates) == 0 {
 		return o.BaseBps
@@ -123,50 +117,4 @@ func probToMargin(p float64) float64 {
 // marginToProb is Φ(z).
 func marginToProb(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// ARF implements Auto Rate Fallback per receiver: step the rate up after
-// UpAfter consecutive successes, down after DownAfter consecutive
-// failures. It is the classic adaptive comparator to the oracle.
-type ARF struct {
-	Rates     RateSet
-	UpAfter   int
-	DownAfter int
-
-	idx       int
-	successes int
-	failures  int
-}
-
-// NewARF starts at the lowest rate with the classic 10-up/2-down policy.
-func NewARF(rates RateSet) *ARF {
-	return &ARF{Rates: rates, UpAfter: 10, DownAfter: 2}
-}
-
-// Current returns the rate in use.
-func (a *ARF) Current() float64 {
-	if len(a.Rates) == 0 {
-		return 0
-	}
-	return a.Rates[a.idx]
-}
-
-// OnSuccess records an acknowledged transmission.
-func (a *ARF) OnSuccess() {
-	a.failures = 0
-	a.successes++
-	if a.successes >= a.UpAfter && a.idx < len(a.Rates)-1 {
-		a.idx++
-		a.successes = 0
-	}
-}
-
-// OnFailure records a failed transmission.
-func (a *ARF) OnFailure() {
-	a.successes = 0
-	a.failures++
-	if a.failures >= a.DownAfter && a.idx > 0 {
-		a.idx--
-		a.failures = 0
-	}
 }

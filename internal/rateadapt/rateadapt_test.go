@@ -90,57 +90,3 @@ func TestProbMarginRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestARFStepsUpAfterSuccesses(t *testing.T) {
-	a := NewARF(Set80211a())
-	if a.Current() != 6e6 {
-		t.Fatalf("ARF must start at the lowest rate, got %v", a.Current())
-	}
-	for i := 0; i < 10; i++ {
-		a.OnSuccess()
-	}
-	if a.Current() != 9e6 {
-		t.Fatalf("after 10 successes rate = %v, want 9e6", a.Current())
-	}
-}
-
-func TestARFStepsDownAfterFailures(t *testing.T) {
-	a := NewARF(Set80211a())
-	for i := 0; i < 30; i++ {
-		a.OnSuccess()
-	}
-	was := a.Current()
-	a.OnFailure()
-	a.OnFailure()
-	if a.Current() >= was {
-		t.Fatalf("two failures must step down from %v, got %v", was, a.Current())
-	}
-}
-
-func TestARFBoundedAtExtremes(t *testing.T) {
-	a := NewARF(Set80211a())
-	for i := 0; i < 500; i++ {
-		a.OnSuccess()
-	}
-	if a.Current() != 54e6 {
-		t.Fatalf("ARF must cap at top rate, got %v", a.Current())
-	}
-	for i := 0; i < 500; i++ {
-		a.OnFailure()
-	}
-	if a.Current() != 6e6 {
-		t.Fatalf("ARF must floor at bottom rate, got %v", a.Current())
-	}
-}
-
-func TestARFFailureResetsSuccessStreak(t *testing.T) {
-	a := NewARF(Set80211a())
-	for i := 0; i < 9; i++ {
-		a.OnSuccess()
-	}
-	a.OnFailure()
-	a.OnSuccess()
-	if a.Current() != 6e6 {
-		t.Fatal("failure must reset the success streak")
-	}
-}

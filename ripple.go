@@ -256,10 +256,11 @@ func kindOf(k Scheme) network.SchemeKind {
 }
 
 // Validate reports what would make the scenario fail before its first
-// event: an unknown scheme, an invalid radio or traffic parameter, a flow
-// without a route — and any Routing, Mobility or Faults option that the
-// selected policy, model or fault set would silently ignore. Run,
-// RunBatch and Distribute return the same error.
+// event: an unknown scheme, an invalid radio or traffic parameter, a
+// negative Duration, Flow.Start, MaxForwarders, MaxAggregation or
+// RTSThreshold, a flow without a route — and any Routing, Mobility or
+// Faults option that the selected policy, model or fault set would
+// silently ignore. Run, RunBatch and Distribute return the same error.
 func (s Scenario) Validate() error {
 	_, err := s.toConfig()
 	return err
@@ -276,6 +277,22 @@ func (s Scenario) toConfig() (*network.Config, error) {
 	}
 	if err := errors.Join(s.Routing.validate(), s.Mobility.validate(), s.Faults.validate()); err != nil {
 		return nil, err
+	}
+	if s.Mobility.Active() && s.Faults.epoch != 0 {
+		return nil, fmt.Errorf("ripple: Faults.WithEpoch has no effect with a mobility model — fault overlays ride the mobility epochs; set the length with Mobility.WithEpoch")
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"Duration", int64(s.Duration)},
+		{"MaxForwarders", int64(s.MaxForwarders)},
+		{"MaxAggregation", int64(s.MaxAggregation)},
+		{"RTSThreshold", int64(s.RTSThreshold)},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("ripple: Scenario.%s must not be negative (got %d)", f.name, f.v)
+		}
 	}
 	cfg := &network.Config{
 		Radio:         rc,
@@ -321,6 +338,9 @@ func (s Scenario) toConfig() (*network.Config, error) {
 		}
 		if f.err != nil {
 			return nil, fmt.Errorf("ripple: flow %d: %w", id, f.err)
+		}
+		if f.Start < 0 {
+			return nil, fmt.Errorf("ripple: flow %d: Flow.Start must not be negative (got %d)", id, int64(f.Start))
 		}
 		if f.Traffic == nil {
 			return nil, fmt.Errorf("ripple: flow %d: no traffic model (set Traffic to FTP{}, Web{}, VoIP{} or CBR{})", id)

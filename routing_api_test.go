@@ -121,6 +121,15 @@ func TestValidateRejectsInertOptions(t *testing.T) {
 		{"threshold without a process", func(s *Scenario) { s.Faults = NoFaults().WithThreshold(2) }, "need a fault process"},
 		{"-faultseed with a process", func(s *Scenario) { s.Faults = LinkFlaps(1).WithSeed(7).WithThreshold(2) }, ""},
 		{"-mtbf -mttr", func(s *Scenario) { s.Faults = StationChurn(Second, Second) }, ""},
+		{"fault epoch under mobility", func(s *Scenario) {
+			s.Mobility = MarkovMobility()
+			s.Faults = LinkFlaps(1).WithEpoch(Second)
+		}, "Mobility.WithEpoch"},
+		{"fault epoch without mobility", func(s *Scenario) { s.Faults = LinkFlaps(1).WithEpoch(Second) }, ""},
+		{"faults under mobility, mobility epoch", func(s *Scenario) {
+			s.Mobility = MarkovMobility().WithEpoch(Second)
+			s.Faults = LinkFlaps(1)
+		}, ""},
 	}
 	for _, c := range cases {
 		sc := base

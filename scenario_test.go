@@ -124,6 +124,38 @@ func TestToConfigRejectsInvalidTrafficParams(t *testing.T) {
 	}
 }
 
+// A negative time or count is not a default: each is rejected by name, by
+// Validate and by Run alike (before this, Duration -1 ran to all-zero rows and
+// the others ran as if unset).
+func TestToConfigRejectsNegativeFields(t *testing.T) {
+	cases := []struct {
+		field string
+		set   func(*Scenario)
+	}{
+		{"Scenario.Duration", func(s *Scenario) { s.Duration = -Second }},
+		{"Flow.Start", func(s *Scenario) { s.Flows[0].Start = -Millisecond }},
+		{"Scenario.MaxForwarders", func(s *Scenario) { s.MaxForwarders = -1 }},
+		{"Scenario.MaxAggregation", func(s *Scenario) { s.MaxAggregation = -16 }},
+		{"Scenario.RTSThreshold", func(s *Scenario) { s.RTSThreshold = -1 }},
+	}
+	for _, c := range cases {
+		s := validScenario()
+		c.set(&s)
+		err := s.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.field) || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%s: Validate err = %v, want one naming the field", c.field, err)
+			continue
+		}
+		if res, rerr := Run(s); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("%s: Run returned %v, %v; want Validate's error", c.field, res, rerr)
+		}
+	}
+	// Zero stays what it was: the default (or, for RTSThreshold, off).
+	if err := validScenario().Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestToConfigAcceptsEveryDeclaredSchemeAndRadio(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeDCF, SchemeAFR, SchemePreExOR, SchemeMCExOR, SchemeRIPPLE, SchemeRIPPLENoAgg} {
 		for _, r := range []Radio{{}, DefaultRadio(), HiddenRadio(), IdealRadio(), DefaultRadio().WithBER(1e-5)} {
