@@ -87,8 +87,8 @@ type Ripple struct {
 	// iteration order would randomise event scheduling and break run
 	// determinism.
 	relays   []*pendingRelay
-	seenData *forward.SeenSet // TxopIDs whose data we already relayed
-	seenAck  *forward.SeenSet // TxopIDs whose ACK we already relayed
+	seenData forward.SeenSet // TxopIDs whose data we already relayed
+	seenAck  forward.SeenSet // TxopIDs whose ACK we already relayed
 
 	// Destination-side resequencing (Rq), one per incoming stream.
 	rq map[streamKey]*reseq
@@ -120,12 +120,10 @@ func New(env forward.Env, opt Options) *Ripple {
 		opt.MaxAgg = 1
 	}
 	r := &Ripple{
-		opt:      opt,
-		seenData: forward.NewSeenSet(forward.SeenCap),
-		seenAck:  forward.NewSeenSet(forward.SeenCap),
-		rq:       make(map[streamKey]*reseq),
-		macSeq:   make(map[streamKey]int64),
-		piggy:    make(map[uint64][]*pkt.Packet),
+		opt:    opt,
+		rq:     make(map[streamKey]*reseq),
+		macSeq: make(map[streamKey]int64),
+		piggy:  make(map[uint64][]*pkt.Packet),
 	}
 	r.Init(env, r)
 	return r

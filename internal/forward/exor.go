@@ -18,7 +18,7 @@ type ExOR struct {
 	acks  ackSchedule
 	heard bool // some forwarder acknowledged the open exchange
 
-	rxSeen *SeenSet           // packet UIDs delivered or taken into custody
+	rxSeen SeenSet            // packet UIDs delivered or taken into custody
 	pend   map[uint64]*exorRx // receptions awaiting their custody decision, by TxopID
 }
 
@@ -52,7 +52,7 @@ type exorRx struct {
 var _ Scheme = (*ExOR)(nil)
 
 func newExOR(env Env, acks ackSchedule) *ExOR {
-	x := &ExOR{acks: acks, rxSeen: NewSeenSet(SeenCap), pend: make(map[uint64]*exorRx)}
+	x := &ExOR{acks: acks, pend: make(map[uint64]*exorRx)}
 	x.Init(env, x)
 	return x
 }

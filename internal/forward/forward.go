@@ -391,31 +391,27 @@ func Acked(ackedUIDs []uint64, uid uint64) bool {
 	return false
 }
 
-// SeenSet remembers the most recent identifiers shown to it, up to a fixed
-// capacity: packet UIDs already delivered or taken into custody, mTXOPs
+// SeenSet remembers the most recent identifiers shown to it, up to SeenCap
+// of them: packet UIDs already delivered or taken into custody, mTXOPs
 // already relayed. Past capacity each insertion evicts the oldest, in
 // insertion order, so a station's memory is bounded however long the run.
+// The zero value is an empty set, and a station that never sees an
+// identifier allocates nothing for it.
 type SeenSet struct {
 	seen map[uint64]struct{}
-	// ring holds the members in insertion order. It grows with the set (a
-	// full-capacity ring up front would cost every station of a city tens of
-	// kilobytes it never uses) and, once at capacity, is overwritten in
-	// place: oldest is then the next slot to evict and refill.
+	// ring holds the members in insertion order. It grows with the set, in
+	// three steps — a full ring up front would cost every station of a city
+	// 32 KB it never uses — and once at SeenCap it is overwritten in place:
+	// oldest is then the next slot to evict and refill.
 	ring   []uint64
 	oldest int
-	cap    int
 }
 
-// SeenCap is the capacity every station's seen-sets are built with: far more
-// identifiers than can be in play at one station at once (a packet is
-// retransmitted hop by hop for milliseconds, an mTXOP lasts about as long),
-// so eviction never forgets one that can still come back.
+// SeenCap is the capacity of a SeenSet: far more identifiers than can be in
+// play at one station at once (a packet is retransmitted hop by hop for
+// milliseconds, an mTXOP lasts about as long), so eviction never forgets one
+// that can still come back.
 const SeenCap = 4096
-
-// NewSeenSet returns an empty set that remembers up to capacity identifiers.
-func NewSeenSet(capacity int) *SeenSet {
-	return &SeenSet{seen: make(map[uint64]struct{}), cap: capacity}
-}
 
 // Has reports whether id is remembered.
 func (s *SeenSet) Has(id uint64) bool {
@@ -429,14 +425,22 @@ func (s *SeenSet) Seen(id uint64) bool {
 	if s.Has(id) {
 		return true
 	}
-	s.seen[id] = struct{}{}
-	if len(s.ring) < s.cap {
-		s.ring = append(s.ring, id)
-		return false
+	if s.seen == nil {
+		s.seen = make(map[uint64]struct{})
 	}
-	delete(s.seen, s.ring[s.oldest])
-	s.ring[s.oldest] = id
-	s.oldest = (s.oldest + 1) % s.cap
+	s.seen[id] = struct{}{}
+	switch n := len(s.ring); {
+	case n == SeenCap:
+		delete(s.seen, s.ring[s.oldest])
+		s.ring[s.oldest] = id
+		s.oldest = (s.oldest + 1) % SeenCap
+		return false
+	case n == cap(s.ring):
+		// 64, 512, SeenCap: three allocations where append's doubling
+		// takes sixteen.
+		s.ring = append(make([]uint64, 0, min(max(64, 8*n), SeenCap)), s.ring...)
+	}
+	s.ring = append(s.ring, id)
 	return false
 }
 

@@ -237,78 +237,89 @@ func TestRouteBookLimitsForwarders(t *testing.T) {
 }
 
 func TestDedupe(t *testing.T) {
-	d := NewSeenSet(3)
+	var d SeenSet
 	if d.Seen(1) {
 		t.Fatal("fresh id reported seen")
 	}
 	if !d.Seen(1) {
 		t.Fatal("repeat id not detected")
 	}
-	d.Seen(2)
-	d.Seen(3)
-	d.Seen(4) // evicts 1
+	for id := uint64(2); id <= SeenCap+1; id++ {
+		d.Seen(id) // the last one evicts 1
+	}
 	if d.Seen(1) {
 		t.Fatal("evicted id should read as fresh again")
 	}
 }
 
 func TestSeenSetEvictsInInsertionOrderAtCapacity(t *testing.T) {
-	s := NewSeenSet(4)
-	for id := uint64(1); id <= 4; id++ {
+	var s SeenSet
+	if s.Has(7) || s.Len() != 0 {
+		t.Fatal("the zero value must be an empty set")
+	}
+	for id := uint64(1); id <= SeenCap; id++ {
 		s.Add(id)
 	}
 	s.Add(2) // already a member: neither refreshed nor inserted twice
-	if s.Len() != 4 {
-		t.Fatalf("Len %d after four distinct identifiers, want 4", s.Len())
+	if s.Len() != SeenCap {
+		t.Fatalf("Len %d after SeenCap distinct identifiers, want %d", s.Len(), SeenCap)
 	}
 	// Each insertion past capacity evicts exactly the oldest member, across
-	// more than one lap of the ring.
-	for id := uint64(5); id <= 13; id++ {
+	// more than two laps of the ring.
+	for id := uint64(SeenCap + 1); id <= 3*SeenCap+5; id++ {
 		s.Add(id)
-		if s.Len() != 4 {
-			t.Fatalf("Len %d after adding %d, want 4", s.Len(), id)
+		if s.Len() != SeenCap {
+			t.Fatalf("Len %d after adding %d, want %d", s.Len(), id, SeenCap)
 		}
-		if s.Has(id - 4) {
-			t.Fatalf("adding %d should have evicted %d", id, id-4)
+		if s.Has(id - SeenCap) {
+			t.Fatalf("adding %d should have evicted %d", id, id-SeenCap)
 		}
-		for kept := id - 3; kept <= id; kept++ {
-			if !s.Has(kept) {
-				t.Fatalf("adding %d lost %d, which is not the oldest", id, kept)
-			}
+		if !s.Has(id-SeenCap+1) || !s.Has(id) {
+			t.Fatalf("adding %d lost %d or %d, neither of which is the oldest", id, id-SeenCap+1, id)
 		}
 	}
 	s.Reset()
-	if s.Len() != 0 || s.Has(13) {
+	if s.Len() != 0 || s.Has(3*SeenCap+5) {
 		t.Fatal("Reset left members behind")
 	}
 	// After Reset the set fills from empty again, oldest first.
-	for id := uint64(20); id <= 24; id++ {
+	for id := uint64(1); id <= SeenCap+1; id++ {
 		s.Add(id)
 	}
-	if s.Has(20) || !s.Has(21) || !s.Has(24) || s.Len() != 4 {
+	if s.Has(1) || !s.Has(2) || !s.Has(SeenCap+1) || s.Len() != SeenCap {
 		t.Fatal("eviction order wrong after Reset")
 	}
 }
 
-func TestSeenSetSteadyStateAllocatesNothing(t *testing.T) {
-	s := NewSeenSet(64)
-	id := uint64(0)
-	for ; id < 64; id++ {
+func TestSeenSetAllocations(t *testing.T) {
+	// Filling an empty set: the map's own growth, plus three ring steps.
+	ringSteps := 0
+	var s SeenSet
+	for id, last := uint64(0), 0; id < SeenCap; id++ {
 		s.Add(id)
+		if c := cap(s.ring); c != last {
+			ringSteps, last = ringSteps+1, c
+		}
 	}
-	// At capacity an insertion overwrites a ring slot and swaps one map key
-	// for another. Each measured run is ten capacities of insertions, counted
-	// whole (AllocsPerRun rounds down per run): the old order slice grew again
-	// every capacity of them.
-	if a := testing.AllocsPerRun(10, func() {
-		for i := 0; i < 640; i++ {
-			id++
-			if s.Seen(id) {
-				t.Fatal("fresh identifier reported seen")
-			}
+	if ringSteps != 3 || cap(s.ring) != SeenCap {
+		t.Fatalf("the ring reached capacity %d in %d allocations, want %d in 3", cap(s.ring), ringSteps, SeenCap)
+	}
+	// At capacity an insertion overwrites a ring slot in place — the old
+	// order slice was re-sliced forward and grew again every capacity of
+	// insertions — and swaps one map key for another: nothing is allocated
+	// per insertion (the runtime's map rehashes itself a few times per lap
+	// under that churn, which AllocsPerRun's per-run average rounds away).
+	slot0, id := &s.ring[0], uint64(SeenCap)
+	if a := testing.AllocsPerRun(2*SeenCap, func() {
+		id++
+		if s.Seen(id) {
+			t.Fatal("fresh identifier reported seen")
 		}
 	}); a != 0 {
-		t.Fatalf("%v allocations per 640 insertions at capacity, want 0", a)
+		t.Fatalf("%v allocations per insertion at capacity, want 0", a)
+	}
+	if &s.ring[0] != slot0 || len(s.ring) != SeenCap || cap(s.ring) != SeenCap {
+		t.Fatalf("the ring moved or grew over two laps at capacity: len %d cap %d", len(s.ring), cap(s.ring))
 	}
 }
 

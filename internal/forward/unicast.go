@@ -29,7 +29,7 @@ type Unicast struct {
 	navUntil sim.Time
 	navBusy  bool
 
-	rxSeen *SeenSet
+	rxSeen SeenSet
 }
 
 var _ Scheme = (*Unicast)(nil)
@@ -47,7 +47,7 @@ func NewUnicastRTS(env Env, maxAgg, rtsThreshold int) *Unicast {
 	if maxAgg < 1 {
 		maxAgg = 1
 	}
-	u := &Unicast{maxAgg: maxAgg, rtsThresh: rtsThreshold, rxSeen: NewSeenSet(SeenCap)}
+	u := &Unicast{maxAgg: maxAgg, rtsThresh: rtsThreshold}
 	u.Init(env, u)
 	return u
 }
