@@ -429,13 +429,14 @@ func (s *SeenSet) Seen(id uint64) bool {
 		s.seen = make(map[uint64]struct{})
 	}
 	s.seen[id] = struct{}{}
-	switch n := len(s.ring); {
-	case n == SeenCap:
+	n := len(s.ring)
+	if n == SeenCap {
 		delete(s.seen, s.ring[s.oldest])
 		s.ring[s.oldest] = id
 		s.oldest = (s.oldest + 1) % SeenCap
 		return false
-	case n == cap(s.ring):
+	}
+	if n == cap(s.ring) {
 		// 64, 512, SeenCap: three allocations where append's doubling
 		// takes sixteen.
 		s.ring = append(make([]uint64, 0, min(max(64, 8*n), SeenCap)), s.ring...)
