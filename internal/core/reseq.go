@@ -22,10 +22,23 @@ type reseq struct {
 	hold     sim.Timer
 }
 
+// newReseq pops a recycled resequencer, empty, or allocates one with its
+// hold timer bound. A stream's resequencer lasts until its station crashes
+// or the run ends.
 func (r *Ripple) newReseq() *reseq {
-	q := &reseq{buf: make(map[int64]*pkt.Packet)}
+	if q := r.freeRq.Get(); q != nil {
+		return q
+	}
+	q := r.freeRq.Own(&reseq{buf: make(map[int64]*pkt.Packet)})
 	q.hold.Bind(r.Eng, func() { r.skipGap(q) })
 	return q
+}
+
+// wipe returns the resequencer to its pooled state: every field zero but
+// the emptied buffer and the bound timer.
+func (q *reseq) wipe() {
+	clear(q.buf)
+	*q = reseq{buf: q.buf, hold: q.hold}
 }
 
 // deliver routes a received packet through Rq (when enabled) to transport.

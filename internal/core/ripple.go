@@ -102,9 +102,11 @@ type Ripple struct {
 	// Hot-path scratch and free lists: okScratch collects the decoded
 	// sub-packets of one reception (valid only within the handler),
 	// freeRelays recycles pendingRelay structs (each keeps its timer and
-	// packet buffer).
+	// packet buffer), freeRq the resequencers, from one run of a run arena to
+	// the next.
 	okScratch  []*pkt.Packet
 	freeRelays sim.FreeList[pendingRelay]
+	freeRq     sim.FreeList[reseq]
 }
 
 type streamKey struct {
@@ -116,17 +118,37 @@ var _ forward.Scheme = (*Ripple)(nil)
 
 // New creates the RIPPLE agent for one station.
 func New(env forward.Env, opt Options) *Ripple {
+	r := &Ripple{}
+	r.Init(env, opt)
+	return r
+}
+
+// Init makes r, in place, the agent New returns: every field zero or set
+// from the arguments, except the chassis (see forward.Station.Init), the
+// three maps and two seen-sets, emptied, the scratch buffers, and the relay
+// and resequencer records, recalled from wherever the last run left them
+// with their timers bound and their buffers empty.
+func (r *Ripple) Init(env forward.Env, opt Options) {
 	if opt.MaxAgg < 1 {
 		opt.MaxAgg = 1
 	}
-	r := &Ripple{
-		opt:    opt,
-		rq:     make(map[streamKey]*reseq),
-		macSeq: make(map[streamKey]int64),
-		piggy:  make(map[uint64][]*pkt.Packet),
+	if r.rq == nil {
+		r.rq = make(map[streamKey]*reseq)
+		r.macSeq = make(map[streamKey]int64)
+		r.piggy = make(map[uint64][]*pkt.Packet)
 	}
-	r.Init(env, r)
-	return r
+	clear(r.rq)
+	clear(r.macSeq)
+	clear(r.piggy)
+	r.seenData.Reset()
+	r.seenAck.Reset()
+	r.freeRelays.Recall((*pendingRelay).wipe)
+	r.freeRq.Recall((*reseq).wipe)
+	*r = Ripple{Station: r.Station, opt: opt,
+		relays: r.relays[:0], seenData: r.seenData, seenAck: r.seenAck,
+		rq: r.rq, macSeq: r.macSeq, piggy: r.piggy,
+		okScratch: r.okScratch[:0], freeRelays: r.freeRelays, freeRq: r.freeRq}
+	r.Station.Init(env, r)
 }
 
 // Send implements forward.Scheme: a locally originated packet that entered
@@ -455,9 +477,16 @@ func (r *Ripple) newRelay() *pendingRelay {
 	if p := r.freeRelays.Get(); p != nil {
 		return p
 	}
-	p := &pendingRelay{}
+	p := r.freeRelays.Own(&pendingRelay{})
 	p.timer.Bind(r.Eng, func() { r.relayTimer(p) })
 	return p
+}
+
+// wipe returns the relay to its pooled state: every field zero but the
+// bound timer and the packet buffer's capacity.
+func (p *pendingRelay) wipe() {
+	clear(p.pkts)
+	*p = pendingRelay{pkts: p.pkts[:0], timer: p.timer}
 }
 
 // releaseRelay stops the relay's timer, drops its packet and frame
@@ -465,13 +494,11 @@ func (r *Ripple) newRelay() *pendingRelay {
 // it from r.relays.
 func (r *Ripple) releaseRelay(p *pendingRelay) {
 	p.timer.Stop()
-	for i, pk := range p.pkts {
+	for _, pk := range p.pkts {
 		pk.Release()
-		p.pkts[i] = nil
 	}
-	p.pkts = p.pkts[:0]
 	p.frame.Release()
-	p.frame = nil
+	p.wipe()
 	r.freeRelays.Put(p)
 }
 
@@ -647,11 +674,12 @@ func (r *Ripple) ReleaseCustody() uint64 {
 	// Destination-side resequencing buffers.
 	for key, q := range r.rq {
 		q.hold.Stop()
-		for seq, p := range q.buf {
+		for _, p := range q.buf {
 			dropped++
 			p.Release()
-			delete(q.buf, seq)
 		}
+		q.wipe()
+		r.freeRq.Put(q)
 		delete(r.rq, key)
 	}
 	// Duplicate-suppression memory dies with the station.

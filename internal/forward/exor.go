@@ -20,6 +20,7 @@ type ExOR struct {
 
 	rxSeen SeenSet            // packet UIDs delivered or taken into custody
 	pend   map[uint64]*exorRx // receptions awaiting their custody decision, by TxopID
+	freeRx sim.FreeList[exorRx]
 }
 
 // ackSchedule is everything an ExOR variant decides.
@@ -28,16 +29,22 @@ type ackSchedule interface {
 	// forwarders ends, before judging the exchange.
 	collect(p phys.Params, n int) sim.Time
 	// receive runs when rx.rank decoded a data frame: it schedules when that
-	// rank acknowledges and when it decides custody.
+	// rank acknowledges and, with x.decideAfter, when it decides custody — or
+	// decides at once and recycles rx.
 	receive(x *ExOR, rx *exorRx)
+	// decide is the custody decision of a reception still held when its
+	// moment comes.
+	decide(x *ExOR, rx *exorRx)
 	// carrier is what sensed carrier does to receptions still pending.
 	carrier(x *ExOR)
 }
 
 // exorRx is one decoded data frame at a forwarder-list member: what its ACK
 // and custody decision need of the frame, copied out of it — the frame has
-// left the air and been recycled by the time they run.
+// left the air and been recycled by the time they run. It is also the pooled
+// event of that decision (see decideAfter).
 type exorRx struct {
+	x      *ExOR
 	txop   uint64
 	tx     pkt.NodeID // the frame's transmitter, whom the ACK answers
 	flow   int
@@ -51,23 +58,44 @@ type exorRx struct {
 
 var _ Scheme = (*ExOR)(nil)
 
-func newExOR(env Env, acks ackSchedule) *ExOR {
-	x := &ExOR{acks: acks, pend: make(map[uint64]*exorRx)}
-	x.Init(env, x)
-	return x
-}
-
 // NewPreExOR creates the per-station agent of the early ExOR (Biswas &
 // Morris, HotNets 2003): every forwarder that received the packet transmits
 // a MAC ACK in its own reserved, sequential slot, and slots of silent
 // "shadowed" ACKs are still waited out.
-func NewPreExOR(env Env) *ExOR { return newExOR(env, sequentialAcks{}) }
+func NewPreExOR(env Env) *ExOR {
+	x := &ExOR{}
+	x.Init(env, false)
+	return x
+}
 
 // NewMCExOR creates the per-station agent of MCExOR (Zubow et al., European
 // Wireless 2007): a forwarder of rank i waits i+1 SIFS intervals and
 // transmits a MAC ACK only if it detected no ACK (no carrier) during its
 // wait — so exactly one ACK is sent, by the best actual receiver.
-func NewMCExOR(env Env) *ExOR { return newExOR(env, compressedAcks{}) }
+func NewMCExOR(env Env) *ExOR {
+	x := &ExOR{}
+	x.Init(env, true)
+	return x
+}
+
+// Init makes x, in place, the agent NewPreExOR returns, or NewMCExOR with
+// compressed acknowledgements: every field zero or set from the arguments,
+// except the chassis (see Station.Init), the emptied seen-set and pending
+// map, and the reception records, recalled from the events that held them.
+func (x *ExOR) Init(env Env, compressed bool) {
+	var acks ackSchedule = sequentialAcks{}
+	if compressed {
+		acks = compressedAcks{}
+	}
+	if x.pend == nil {
+		x.pend = make(map[uint64]*exorRx)
+	}
+	clear(x.pend)
+	x.rxSeen.Reset()
+	x.freeRx.Recall(func(rx *exorRx) { *rx = exorRx{x: rx.x} })
+	*x = ExOR{Station: x.Station, acks: acks, rxSeen: x.rxSeen, pend: x.pend, freeRx: x.freeRx}
+	x.Station.Init(env, x)
+}
 
 // Grant implements Protocol: broadcast the custody packet (or the next
 // queued one, with a fresh retry budget) to its forwarder list.
@@ -141,9 +169,39 @@ func (x *ExOR) Receive(f *pkt.Frame, pktOK []bool) {
 			return
 		}
 		x.C.RxData++
-		x.acks.receive(x, &exorRx{txop: f.TxopID, tx: f.Tx, flow: f.FlowID, nFwd: len(f.FwdList),
-			packet: f.Packets[0], rank: rank})
+		rx := x.freeRx.Get()
+		if rx == nil {
+			rx = x.freeRx.Own(&exorRx{x: x})
+		}
+		rx.txop, rx.tx, rx.flow, rx.nFwd = f.TxopID, f.Tx, f.FlowID, len(f.FwdList)
+		rx.packet, rx.rank = f.Packets[0], rank
+		x.acks.receive(x, rx)
 	}
+}
+
+// recycle returns a reception record to the pool.
+func (x *ExOR) recycle(rx *exorRx) {
+	*rx = exorRx{x: x}
+	x.freeRx.Put(rx)
+}
+
+// decideAfter parks rx (see hold) and schedules its custody decision d from
+// now, on the record itself: from here on the record is recycled by its own
+// Run and by nothing else. A crash drops the hold, but the event still fires
+// and still owns the record — which is what lets unhold tell a released hold
+// from a live one by identity.
+func (x *ExOR) decideAfter(d sim.Time, rx *exorRx) {
+	x.hold(rx)
+	x.Eng.Do(x.Eng.Now()+d, rx)
+}
+
+// Run implements sim.Action: the custody decision, if the hold is still on.
+func (rx *exorRx) Run() {
+	x := rx.x
+	if x.unhold(rx) {
+		x.acks.decide(x, rx)
+	}
+	x.recycle(rx)
 }
 
 // Carrier implements Protocol.
@@ -176,7 +234,8 @@ func (x *ExOR) hold(rx *exorRx) {
 }
 
 // unhold ends the wait. It reports false when a crash released the hold
-// already: decision events cannot be cancelled, so they check identity.
+// already: decision events cannot be cancelled, so they check identity —
+// which holds because a record stays out of the pool until its event fires.
 func (x *ExOR) unhold(rx *exorRx) bool {
 	if x.pend[rx.txop] != rx {
 		return false
@@ -239,20 +298,19 @@ func (a sequentialAcks) receive(x *ExOR, rx *exorRx) {
 		// Destination: nobody outranks it, deliver immediately.
 		rx.packet.Ref()
 		x.takeCustody(rx)
+		x.recycle(rx)
 		return
 	}
 	// Forwarder: custody is decided when the whole schedule has played out.
-	x.hold(rx)
-	x.Eng.After(a.collect(x.P, rx.nFwd), func() {
-		if !x.unhold(rx) {
-			return
-		}
-		if rx.covered {
-			rx.packet.Release()
-			return // a closer station has it
-		}
-		x.takeCustody(rx)
-	})
+	x.decideAfter(a.collect(x.P, rx.nFwd), rx)
+}
+
+func (sequentialAcks) decide(x *ExOR, rx *exorRx) {
+	if rx.covered {
+		rx.packet.Release()
+		return // a closer station has it
+	}
+	x.takeCustody(rx)
 }
 
 func (sequentialAcks) carrier(*ExOR) { /* reserved slots: carrier changes nothing */ }
@@ -270,19 +328,17 @@ func (compressedAcks) collect(p phys.Params, n int) sim.Time {
 func (compressedAcks) receive(x *ExOR, rx *exorRx) {
 	// Rank r transmits its ACK after (r+1)·SIFS unless it detected an ACK
 	// (any carrier) during the wait; the acknowledging station takes custody.
-	x.hold(rx)
-	x.Eng.After(sim.Time(rx.rank+1)*x.P.SIFS, func() {
-		if !x.unhold(rx) {
-			return
-		}
-		if rx.covered || x.Med.CarrierBusy(x.ID) {
-			rx.packet.Release()
-			return // a higher-priority station acknowledged first
-		}
-		x.C.TxFrames++
-		x.Med.Transmit(x.ack(rx))
-		x.takeCustody(rx)
-	})
+	x.decideAfter(sim.Time(rx.rank+1)*x.P.SIFS, rx)
+}
+
+func (compressedAcks) decide(x *ExOR, rx *exorRx) {
+	if rx.covered || x.Med.CarrierBusy(x.ID) {
+		rx.packet.Release()
+		return // a higher-priority station acknowledged first
+	}
+	x.C.TxFrames++
+	x.Med.Transmit(x.ack(rx))
+	x.takeCustody(rx)
 }
 
 // carrier: "if it detects an ACK transmission during its waiting period, it

@@ -125,10 +125,30 @@ type blKey struct {
 // NewRouteBook creates a route book; maxForwarders caps forwarder lists
 // (the paper's default is 5).
 func NewRouteBook(maxForwarders int) *RouteBook {
-	return &RouteBook{
-		paths:         make(map[int]routing.Path),
+	b := &RouteBook{}
+	b.Init(maxForwarders)
+	return b
+}
+
+// Init makes b, in place, an empty book capped at maxForwarders: every
+// field zero but the maps, which are emptied and keep their buckets. A run
+// arena re-initialises its book between runs.
+func (b *RouteBook) Init(maxForwarders int) {
+	if b.paths == nil {
+		b.paths = make(map[int]routing.Path)
+		b.fwdCache = make(map[fwdKey][]pkt.NodeID)
+	}
+	clear(b.paths)
+	clear(b.fwdCache)
+	clear(b.consecFails)
+	clear(b.blacklist)
+	clear(b.unreachable)
+	clear(b.unreachDrops)
+	*b = RouteBook{
 		maxForwarders: maxForwarders,
-		fwdCache:      make(map[fwdKey][]pkt.NodeID),
+		paths:         b.paths, fwdCache: b.fwdCache,
+		consecFails: b.consecFails, blacklist: b.blacklist,
+		unreachable: b.unreachable, unreachDrops: b.unreachDrops,
 	}
 }
 

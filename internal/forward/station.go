@@ -37,10 +37,14 @@ type Protocol interface {
 // transmissions. A scheme embeds a Station by value, calls Init with itself
 // as the Protocol, and thereby implements Scheme; a concern that cuts across
 // schemes (a counter, a lifecycle stamp, an audit tap) belongs here.
+//
+// Init may be called again on a Station where it stands — the agent slabs of
+// a run arena are — with the same Protocol and an Env on the same engine,
+// Reset since: see Init for what the chassis keeps.
 type Station struct {
 	Env
-	Queue *mac.Queue // packets accepted but not yet in service
-	Cont  *mac.Contender
+	Queue mac.Queue // packets accepted but not yet in service
+	Cont  mac.Contender
 	proto Protocol
 
 	// The open (or next) exchange. InService is the batch being transmitted
@@ -63,15 +67,23 @@ type Station struct {
 	down bool
 }
 
-// Init wires the chassis for one station running protocol p.
+// Init wires the chassis for one station running protocol p: every field
+// zero or set from env, except the capacity a chassis initialised before
+// keeps — the queue's ring, the in-service buffer, the delayed-transmission
+// records (recalled from the events that held them) and the timers, its own
+// and the contender's, whose callbacks are bound to this address.
 func (s *Station) Init(env Env, p Protocol) {
-	s.Env = env
-	s.proto = p
-	s.Queue = mac.NewQueue(env.P.QueueLimit)
-	// Audit nil-checks internally: the queue is tapped only under deep audit.
-	s.Queue.SetAudit(env.Audit.RegisterQueue(int(env.ID), env.P.QueueLimit, s.Queue.Len))
-	s.Cont = mac.NewContender(env.Eng, env.P, env.RNG, p.Grant)
-	s.timer.Bind(env.Eng, s.expire)
+	s.freeTx.Recall(func(a *delayedTx) { a.f = nil })
+	if !s.timer.Bound() {
+		s.timer.Bind(env.Eng, s.expire)
+	}
+	*s = Station{Env: env, proto: p, Queue: s.Queue, Cont: s.Cont,
+		InService: s.InService[:0], timer: s.timer, freeTx: s.freeTx}
+	s.Queue.Init(env.P.QueueLimit)
+	if env.Audit != nil { // the queue is tapped only under deep audit
+		s.Queue.SetAudit(env.Audit.RegisterQueue(int(env.ID), env.P.QueueLimit, s.Queue.Len))
+	}
+	s.Cont.Init(env.Eng, env.P, env.RNG, p)
 }
 
 // Send implements Scheme.
@@ -264,7 +276,7 @@ func (a *delayedTx) Run() {
 func (s *Station) TransmitAfter(d sim.Time, f *pkt.Frame) {
 	a := s.freeTx.Get()
 	if a == nil {
-		a = &delayedTx{s: s}
+		a = s.freeTx.Own(&delayedTx{s: s})
 	}
 	a.f = f
 	s.Eng.Do(s.Eng.Now()+d, a)

@@ -44,12 +44,21 @@ func NewUnicast(env Env, maxAgg int) *Unicast {
 // data frames whose MAC payload is at least rtsThreshold bytes are preceded
 // by an RTS/CTS handshake, and overhearing stations honour the carried NAV.
 func NewUnicastRTS(env Env, maxAgg, rtsThreshold int) *Unicast {
+	u := &Unicast{}
+	u.Init(env, maxAgg, rtsThreshold)
+	return u
+}
+
+// Init makes u, in place, the agent NewUnicastRTS returns: every field zero
+// or set from the arguments, except the chassis (see Station.Init) and the
+// emptied seen-set, which keep their capacity.
+func (u *Unicast) Init(env Env, maxAgg, rtsThreshold int) {
 	if maxAgg < 1 {
 		maxAgg = 1
 	}
-	u := &Unicast{maxAgg: maxAgg, rtsThresh: rtsThreshold}
-	u.Init(env, u)
-	return u
+	u.rxSeen.Reset()
+	*u = Unicast{Station: u.Station, maxAgg: maxAgg, rtsThresh: rtsThreshold, rxSeen: u.rxSeen}
+	u.Station.Init(env, u)
 }
 
 // Grant implements Protocol: the contender won a transmission opportunity.

@@ -18,7 +18,7 @@ type Contender struct {
 	eng   *sim.Engine
 	p     phys.Params
 	rng   *sim.RNG
-	grant func()
+	grant Granter
 
 	cw      int // current contention window
 	pending bool
@@ -36,13 +36,34 @@ type Contender struct {
 	idleAt           sim.Time
 }
 
-// NewContender creates a contender. busyNow seeds the initial carrier state
-// (normally false at t=0); grant is invoked exactly once per Request.
+// Granter is whoever a Contender grants the channel to: Grant is invoked
+// exactly once per Request.
+type Granter interface{ Grant() }
+
+// grantFunc adapts a plain callback.
+type grantFunc func()
+
+func (f grantFunc) Grant() { f() }
+
+// NewContender creates a contender on an idle carrier; grant is invoked
+// exactly once per Request.
 func NewContender(eng *sim.Engine, p phys.Params, rng *sim.RNG, grant func()) *Contender {
-	c := &Contender{eng: eng, p: p, rng: rng, grant: grant, cw: p.CWMin, slots: -1}
-	c.deferTimer.Bind(eng, c.deferDone)
-	c.slotTimer.Bind(eng, c.slotsDone)
+	c := &Contender{}
+	c.Init(eng, p, rng, grantFunc(grant))
 	return c
+}
+
+// Init makes c, in place, a new contender on an idle carrier: every field
+// zero or as NewContender sets it, except the two timers, which stay bound
+// when c was initialised before — at this address, and on this engine, which
+// the caller has Reset since.
+func (c *Contender) Init(eng *sim.Engine, p phys.Params, rng *sim.RNG, grant Granter) {
+	if !c.deferTimer.Bound() {
+		c.deferTimer.Bind(eng, c.deferDone)
+		c.slotTimer.Bind(eng, c.slotsDone)
+	}
+	*c = Contender{eng: eng, p: p, rng: rng, grant: grant, cw: p.CWMin, slots: -1,
+		deferTimer: c.deferTimer, slotTimer: c.slotTimer}
 }
 
 // Request asks for one transmission opportunity. It is idempotent while a
@@ -150,7 +171,7 @@ func (c *Contender) slotsDone() {
 func (c *Contender) doGrant() {
 	c.pending = false
 	c.slots = -1
-	c.grant()
+	c.grant.Grant()
 }
 
 func (c *Contender) stopSlots() {

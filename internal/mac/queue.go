@@ -6,7 +6,7 @@ import (
 )
 
 // Queue is the drop-tail MAC interface queue (Sq in the paper). The zero
-// value is unusable; create with NewQueue.
+// value is unusable; create with NewQueue, or Init one in place.
 //
 // The implementation is a growable ring buffer, so every operation —
 // including PushFront, which the retransmission and piggyback-reclaim
@@ -33,11 +33,26 @@ func (q *Queue) SetAudit(t *audit.QueueTap) { q.tap = t }
 // NewQueue creates a queue holding at most limit packets. (Front
 // reinsertion may transiently exceed the limit; the ring grows on demand.)
 func NewQueue(limit int) *Queue {
+	q := &Queue{}
+	q.Init(limit)
+	return q
+}
+
+// Init empties the queue, in place, for a limit of limit packets: every
+// field zero but the ring, which keeps the size it has grown to when that
+// is enough. A station chassis re-initialises its queue between the runs of
+// a run arena.
+func (q *Queue) Init(limit int) {
 	capacity := 1
 	for capacity < limit {
 		capacity *= 2
 	}
-	return &Queue{limit: limit, buf: make([]*pkt.Packet, capacity)}
+	buf := q.buf
+	if len(buf) < capacity {
+		buf = make([]*pkt.Packet, capacity)
+	}
+	clear(buf)
+	*q = Queue{limit: limit, buf: buf}
 }
 
 // grow doubles the ring, linearising the queue to the front.

@@ -1,0 +1,201 @@
+package network
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"math/rand/v2"
+	"sync"
+	"testing"
+
+	"ripple/internal/pkt"
+	"ripple/internal/sim"
+	"ripple/internal/trace"
+)
+
+// runOn is Run on an arena of the caller's choosing.
+func runOn(r *run, cfg Config) (*Result, error) {
+	world, err := prepare(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.execute(&cfg, world)
+}
+
+// arenaCase is one pinned scenario as the reuse test runs it.
+type arenaCase struct {
+	name   string
+	cfg    Config
+	traced bool // record the JSONL trace and compare it too
+}
+
+// arenaCases is every scenario constructor the six pin files hold a digest
+// for — so each of them is known to exercise what its file says it does —
+// each on a World built once, with deep audit switched on for every third
+// (the 200-station city excepted, where it costs a second a run: CI's
+// deep-audit job audits them all) and the world-derivation cells run traced
+// and untraced.
+func arenaCases(t *testing.T) []arenaCase {
+	var cases []arenaCase
+	add := func(name string, cfg Config) {
+		cfg.Audit = len(cases)%3 == 0 && len(cfg.Positions) < 100
+		world, err := BuildWorld(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cfg.World = world
+		cases = append(cases, arenaCase{name: name, cfg: cfg})
+	}
+	for _, kind := range allKinds {
+		add("city/"+kind.String(), fanoutCityConfig(kind))
+		add("churn/"+kind.String(), churnConfig(kind))
+	}
+	add("hidden", fanoutHiddenConfig())
+	add("grid/Ripple", orderGridConfig(Ripple))
+	add("grid/DCF", orderGridConfig(DCF))
+	add("grid/MCExOR", orderGridConfig(MCExOR))
+	// The lattice cut between two receptions of one frame
+	// (TestFanOrderDurationCutsFanOut logs the instant): reception cursors
+	// are pending when the run ends.
+	cut := orderGridConfig(Ripple)
+	cut.Duration = 199974923
+	add("cut", cut)
+	add("colocated/Ripple", colocatedConfig(Ripple, 0))
+	add("colocated/AFR/pruned", colocatedConfig(AFR, 6))
+	add("swapcrash/Ripple", swapCrashConfig(Ripple, 0))
+	add("swapcrash/PreExOR/pruned", swapCrashConfig(PreExOR, 6))
+	add("tcp/MCExOR", tcpPathConfig(MCExOR))
+	add("tcp/PreExOR", tcpPathConfig(PreExOR))
+	rts := tcpPathConfig(DCF)
+	rts.RTSThreshold = 500
+	add("tcp/DCF/RTS", rts)
+	rts.Faults = churnConfig(DCF).Faults
+	add("tcp/DCF/RTS/churn", rts)
+	for _, pruned := range []bool{false, true} {
+		for _, mob := range []MobilityKind{MobilityWaypoint, MobilityMarkov} {
+			for _, rt := range worldPinRoutes {
+				name := fmt.Sprintf("world/%v/%s/%s", pruned, mob, rt.name)
+				add(name, worldPinConfig(pruned, mob, rt.spec))
+				traced := cases[len(cases)-1]
+				traced.name, traced.traced, traced.cfg.Audit = name+"/traced", true, !traced.cfg.Audit
+				cases = append(cases, traced)
+			}
+		}
+	}
+	return cases
+}
+
+// canonicalRun runs c on r and returns what a caller can see of it: the
+// Result's JSON and, traced, the digest of the JSONL trace.
+func canonicalRun(t *testing.T, r *run, c arenaCase) []byte {
+	t.Helper()
+	h := sha256.New()
+	rec := &trace.Recorder{W: h}
+	if c.traced {
+		c.cfg.Trace = rec.Hook()
+	}
+	res, err := runOn(r, c.cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	if rec.Err() != nil {
+		t.Fatalf("%s: %v", c.name, rec.Err())
+	}
+	blob, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.traced {
+		blob = h.Sum(blob)
+	}
+	return blob
+}
+
+// Which arena a run is assembled on is invisible: every pinned scenario, run
+// twice on one arena in a shuffled order — scheme after scheme on the same
+// slabs, a 200-station city before a five-station line, runs that end with
+// stations down, exchanges open and receptions on the air, audit on then
+// off, traced then not — gives byte for byte what it gives on a new arena.
+func TestArenaReuseIsInvisible(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every pinned scenario three times")
+	}
+	if raceDetector {
+		t.Skip("one goroutine, 170 runs: three minutes under the race detector, which has nothing to find here")
+	}
+	cases := arenaCases(t)
+	want := make([][]byte, len(cases))
+	for i, c := range cases {
+		want[i] = canonicalRun(t, new(run), c)
+	}
+	order := rand.New(rand.NewPCG(21, 0))
+	shared := new(run)
+	for pass := 0; pass < 2; pass++ {
+		for _, i := range order.Perm(len(cases)) {
+			if got := canonicalRun(t, shared, cases[i]); !bytes.Equal(got, want[i]) {
+				t.Fatalf("pass %d: %s differs on a reused arena\nreused %s\nnew    %s",
+					pass, cases[i].name, got, want[i])
+			}
+		}
+	}
+}
+
+// A run that panics poisons its arena: Run must leave it to the collector,
+// not hand it to the next run.
+func TestArenaDiscardedAfterPanic(t *testing.T) {
+	saved := arenas.New
+	var made []*run
+	arenas = sync.Pool{New: func() any {
+		r := new(run)
+		made = append(made, r)
+		return r
+	}}
+	defer func() { arenas = sync.Pool{New: saved} }()
+
+	c := arenaCase{name: "grid/Ripple", cfg: orderGridConfig(Ripple)}
+	want := canonicalRun(t, new(run), c)
+
+	bomb := c.cfg
+	events := 0
+	bomb.Trace = func(sim.Time, string, pkt.NodeID, *pkt.Frame) {
+		if events++; events == 5000 {
+			panic("boom")
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the trace hook never panicked")
+			}
+		}()
+		Run(bomb)
+	}()
+	var poisoned *run
+	for _, r := range made {
+		if r.cfg != nil {
+			poisoned = r
+		}
+	}
+	if poisoned == nil || poisoned.eng.Processed() == 0 {
+		t.Fatal("no arena died mid-run: the panic is not exercised")
+	}
+
+	res, err := Run(c.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(res)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the run after a panicked one differs\nafter %s\nnew   %s", got, want)
+	}
+	if poisoned.cfg == nil || poisoned.cfg.Seed != bomb.Seed || poisoned.eng.Pending() == 0 {
+		t.Fatal("the poisoned arena was reset: Run took it back")
+	}
+	// The pool holds clean arenas only.
+	for i := 0; i < 4; i++ {
+		if r := arenas.Get().(*run); r == poisoned || r.cfg != nil {
+			t.Fatal("the pool handed out an arena that was not reset")
+		}
+	}
+}

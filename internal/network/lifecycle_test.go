@@ -26,10 +26,10 @@ func (silentMAC) ChannelBusy()                     { /* no contender to tell */ 
 func (silentMAC) ChannelIdle()                     { /* no contender to tell */ }
 
 // lifecycleRig is a 3-hop-capable line (stations 0..2 run the scheme under
-// test through newScheme, station 3 is a silent jammer) on an ideal radio,
-// with packets drawn from a real pool so custody is countable. It reaches
-// the schemes only through forward.Scheme, so it holds for any station
-// implementation behind newScheme.
+// test, initialised in an arena's agent slab as Run's are, station 3 is a
+// silent jammer) on an ideal radio, with packets drawn from a real pool so
+// custody is countable. It reaches the schemes only through forward.Scheme,
+// so it holds for any station implementation behind run.agent.
 type lifecycleRig struct {
 	eng      *sim.Engine
 	med      *radio.Medium
@@ -51,8 +51,10 @@ func newLifecycleRig(kind SchemeKind) *lifecycleRig {
 	routes.Add(1, path[:3])
 	r.schemes = make([]forward.Scheme, 3)
 	r.counters = make([]forward.Counters, 3)
+	agents := &run{cfg: &cfg}
+	agents.sizeAgents(3)
 	for i := range r.schemes {
-		r.schemes[i] = newScheme(cfg, forward.Env{
+		r.schemes[i] = agents.agent(forward.Env{
 			Eng: r.eng, Med: r.med, P: cfg.Phy, ID: pkt.NodeID(i),
 			RNG: sim.NewRNG(7, 100+uint64(i)), Routes: routes, C: &r.counters[i],
 			Deliver: func(p *pkt.Packet) { p.MarkDelivered() },
@@ -226,32 +228,38 @@ var churnResultDigests = map[SchemeKind]string{
 	RippleNoAgg: "797aa27f5553633a906ff400f356463024fce4696ff175bd67fc5c0415e58610",
 }
 
+// churnConfig is the pinned churn run: a five-hop line on a shadowed radio,
+// FTP one way and paced CBR the other, stations crashing every 150 ms.
+func churnConfig(kind SchemeKind) Config {
+	top, path := topology.Line(5)
+	back := make([]pkt.NodeID, len(path))
+	for i, n := range path {
+		back[len(path)-1-i] = n
+	}
+	rc := radio.DefaultConfig()
+	rc.ShadowSigmaDB = 3
+	rc.RXThreshDBm = rc.MeanRxPowerDBm(150)
+	rc.CSThreshDBm = rc.RXThreshDBm - 13
+	return Config{
+		Positions: top.Positions,
+		Radio:     rc,
+		Scheme:    kind,
+		Flows: []FlowSpec{
+			{ID: 1, Path: path, Kind: FTP},
+			{ID: 2, Path: back, Kind: CBRTraffic, CBRInterval: 4 * sim.Millisecond, CBRPacketBytes: 500},
+		},
+		Faults:   fault.Spec{MTBF: 150 * sim.Millisecond, MTTR: 50 * sim.Millisecond, Epoch: 100 * sim.Millisecond},
+		Duration: 4 * sim.Second,
+		Seed:     5,
+	}
+}
+
 func TestLifecycleChurnRunPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests are amd64 values: other targets may fuse float operations differently")
 	}
 	forEachKind(t, func(t *testing.T, kind SchemeKind) {
-		top, path := topology.Line(5)
-		back := make([]pkt.NodeID, len(path))
-		for i, n := range path {
-			back[len(path)-1-i] = n
-		}
-		rc := radio.DefaultConfig()
-		rc.ShadowSigmaDB = 3
-		rc.RXThreshDBm = rc.MeanRxPowerDBm(150)
-		rc.CSThreshDBm = rc.RXThreshDBm - 13
-		res, err := Run(Config{
-			Positions: top.Positions,
-			Radio:     rc,
-			Scheme:    kind,
-			Flows: []FlowSpec{
-				{ID: 1, Path: path, Kind: FTP},
-				{ID: 2, Path: back, Kind: CBRTraffic, CBRInterval: 4 * sim.Millisecond, CBRPacketBytes: 500},
-			},
-			Faults:   fault.Spec{MTBF: 150 * sim.Millisecond, MTTR: 50 * sim.Millisecond, Epoch: 100 * sim.Millisecond},
-			Duration: 4 * sim.Second,
-			Seed:     5,
-		})
+		res, err := Run(churnConfig(kind))
 		if err != nil {
 			t.Fatal(err)
 		}

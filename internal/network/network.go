@@ -390,33 +390,3 @@ func validate(cfg *Config) error {
 	}
 	return nil
 }
-
-func newScheme(cfg Config, env forward.Env) forward.Scheme {
-	switch cfg.Scheme {
-	case DCF:
-		return forward.NewUnicastRTS(env, 1, cfg.RTSThreshold)
-	case AFR:
-		agg := cfg.UnicastMaxAgg
-		if v, ok := cfg.NodeMaxAgg[env.ID]; ok {
-			agg = v
-		}
-		return forward.NewUnicastRTS(env, agg, cfg.RTSThreshold)
-	case PreExOR:
-		return forward.NewPreExOR(env)
-	case MCExOR:
-		return forward.NewMCExOR(env)
-	case Ripple:
-		opt := cfg.RippleOpts
-		if v, ok := cfg.NodeMaxAgg[env.ID]; ok {
-			opt.MaxAgg = v
-		}
-		return core.New(env, opt)
-	case RippleNoAgg:
-		opt := cfg.RippleOpts
-		opt.MaxAgg = 1
-		return core.New(env, opt)
-	default:
-		// validate() runs first; reaching this is a programming error.
-		panic(fmt.Sprintf("network: unknown scheme %d", int(cfg.Scheme)))
-	}
-}

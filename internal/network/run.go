@@ -2,8 +2,10 @@ package network
 
 import (
 	"fmt"
+	"sync"
 
 	"ripple/internal/audit"
+	"ripple/internal/core"
 	"ripple/internal/fault"
 	"ripple/internal/forward"
 	"ripple/internal/pkt"
@@ -26,30 +28,67 @@ type receiver interface {
 	Receive(at pkt.NodeID, p *pkt.Packet)
 }
 
-// run is the mutable state of one simulation run, assembled over a shared
-// read-only World: everything here is private to the run, everything
-// reached through world is not written.
-type run struct {
-	cfg    *Config
-	world  *World
-	eng    *sim.Engine
-	medium *radio.Medium
+// arena is what a run keeps for the next one: every structure a run is
+// assembled from that is not the shared World, grown to the largest run it
+// has served and never shrunk. Each part empties itself by the same rule —
+// zero the struct, then restore only the capacity it names — so that a field
+// added later starts every run at zero without anyone remembering the arena:
+// the engine, the medium and the packet pool when a run ends (run.reset),
+// because they hold what the caller lent (the World's link plan, the trace
+// hook) and the records the run left out of their free lists; everything
+// else when the next run initialises it in place (Init), because only then
+// is it known which slab elements the run uses.
+type arena struct {
+	eng    sim.Engine
+	medium radio.Medium
 	// routes is per-run mutable state (epoch swaps and dynamic policies
 	// rewrite it); it starts from the World's resolved initial routes.
-	routes *forward.RouteBook
+	routes forward.RouteBook
+	// pool is the run's one packet pool: transports draw from it, and the
+	// MAC layer recycles packets at their terminal delivery/drop points, so
+	// the steady-state packet path allocates nothing.
+	pool pkt.Pool
+
+	// One agent slab per chassis type — the run's scheme initialises the
+	// first len(Positions) elements of one of them — and what every station
+	// has whatever its agent: counters, backoff stream, and the two hooks
+	// the layers above and below reach it through.
+	ripples   []core.Ripple
+	unicasts  []forward.Unicast
+	exors     []forward.ExOR
+	schemes   []forward.Scheme
+	counters  []forward.Counters
+	rngs      []sim.RNG
+	shadowing sim.RNG // the medium's stream
+	deliver   []func(*pkt.Packet)
+	send      []transport.SendFunc
+
+	// Per flow: statistics, traffic stream, and the transport and traffic
+	// source slabs by kind.
+	endpoints map[endpointKey]receiver
+	flowStats []stats.Flow
+	flowRNGs  []sim.RNG
+	tcps      []transport.TCP
+	webs      []traffic.Web
+	voips     []transport.VoIP
+	cbrs      []transport.CBR
+	tputs     []float64 // fold's scratch
+}
+
+// run is one simulation run on its arena, over a shared read-only World:
+// everything here is private to the run, everything reached through world is
+// not written. The fields below the arena are the run's own and start zero.
+type run struct {
+	arena
+	cfg   *Config
+	world *World
 	// policy is the current world's: the root's, then each epoch's.
 	policy routing.Policy
 	// aud stays nil with deep auditing off — every hook nil-checks, so the
 	// fast path pays only predictable branches.
-	aud       *audit.Auditor
-	schemes   []forward.Scheme
-	counters  []forward.Counters
-	endpoints map[endpointKey]receiver
-	// pool is the run's one packet pool: transports draw from it, and the
-	// MAC layer recycles packets at their terminal delivery/drop points, so
-	// the steady-state packet path allocates nothing.
-	pool       *pkt.Pool
-	flowStats  []*stats.Flow
+	aud *audit.Auditor
+	// rateOracle is the multi-rate extension's rate selector, nil when off.
+	rateOracle *rateadapt.OracleSelector
 	routeStale uint64
 	// The run's periodic timers, each re-armed from its own callback: the
 	// epoch-world swap, and a dynamic policy's queue-depth sample and
@@ -57,10 +96,46 @@ type run struct {
 	epochTimer, sampleTimer, rerouteTimer sim.Timer
 }
 
+// arenas caches the arenas of finished runs, process-wide: Run takes one,
+// and puts it back empty. The collector frees the idle ones.
+var arenas = sync.Pool{New: func() any { return new(run) }}
+
 // Run executes one scenario to completion and returns its results. When
 // cfg.World is set, the run executes on that shared snapshot (reading it
 // only); otherwise it builds a private one. Either way the results are
-// bit-identical for a given Config.
+// bit-identical for a given Config — and whichever arena the run is
+// assembled on, a new one or one that has served other scenarios.
+func Run(cfg Config) (*Result, error) {
+	world, err := prepare(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	r := arenas.Get().(*run)
+	res, err := r.execute(&cfg, world)
+	if err != nil {
+		// The arena is left to the collector, as it is when the run panics
+		// (the campaign pool recovers and carries on): whatever state the
+		// run died in, no other run sees it.
+		return nil, err
+	}
+	arenas.Put(r)
+	return res, nil
+}
+
+// prepare normalises and validates cfg and returns the World to run it on.
+func prepare(cfg *Config) (*World, error) {
+	cfg.Normalize()
+	if err := validate(cfg); err != nil {
+		return nil, err
+	}
+	if cfg.World == nil {
+		return BuildWorld(*cfg)
+	}
+	return cfg.World, cfg.World.check(cfg)
+}
+
+// execute runs cfg on world on an empty arena — a new one, or one execute
+// has returned from without error — and leaves it empty.
 //
 // The phases schedule their first events in a fixed order — epoch swap,
 // re-route tick, fault events, flow starts — and events at equal
@@ -68,22 +143,8 @@ type run struct {
 // re-route already sees the new world. Everything then runs inside the
 // engine's single-threaded loop, so results are bit-identical at any pool
 // parallelism.
-func Run(cfg Config) (*Result, error) {
-	cfg.Normalize()
-	if err := validate(&cfg); err != nil {
-		return nil, err
-	}
-	world := cfg.World
-	if world == nil {
-		w, err := BuildWorld(cfg)
-		if err != nil {
-			return nil, err
-		}
-		world = w
-	} else if err := world.check(&cfg); err != nil {
-		return nil, err
-	}
-	r := newRun(&cfg, world)
+func (r *run) execute(cfg *Config, world *World) (*Result, error) {
+	r.build(cfg, world)
 	r.armEpochs()
 	r.armReroute()
 	r.armFaults()
@@ -91,25 +152,42 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	r.eng.Run(cfg.Duration)
-	return r.fold(), nil
+	res := r.fold()
+	r.reset()
+	return res, nil
 }
 
-// newRun is the build phase: engine, medium, route book, auditor and one
-// forwarding-scheme agent per station.
-func newRun(cfg *Config, world *World) *run {
-	r := &run{
-		cfg:       cfg,
-		world:     world,
-		eng:       sim.NewEngine(),
-		routes:    forward.NewRouteBook(cfg.MaxForwarders),
-		policy:    world.policy,
-		endpoints: make(map[endpointKey]receiver),
-		counters:  make([]forward.Counters, len(cfg.Positions)),
-		schemes:   make([]forward.Scheme, len(cfg.Positions)),
-		pool:      &pkt.Pool{},
+// reset empties the arena after a run: the engine drops or recycles every
+// pending entry, the medium and the pool recall what is out of their free
+// lists, and the run's own fields go back to zero — what the arena keeps is
+// the one field named here.
+func (r *run) reset() {
+	r.eng.Reset()
+	r.medium.Reset()
+	r.pool.Reset()
+	clear(r.endpoints)
+	*r = run{arena: r.arena}
+}
+
+// grown returns s with length n: resliced when its array is large enough —
+// the elements keep what they hold, to be initialised in place — and a new
+// zero slab otherwise.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	r.medium = radio.NewMediumOn(r.eng, world.plan, cfg.Phy, sim.NewRNG(cfg.Seed, 1))
+	return s[:n]
+}
+
+// build is the build phase: medium, route book, auditor and one
+// forwarding-scheme agent per station, each initialised in place.
+func (r *run) build(cfg *Config, world *World) {
+	r.cfg, r.world, r.policy = cfg, world, world.policy
+	n := len(cfg.Positions)
+	r.shadowing.Seed(cfg.Seed, 1)
+	r.medium.Init(&r.eng, world.plan, cfg.Phy, &r.shadowing)
 	r.medium.Trace = cfg.Trace
+	r.routes.Init(cfg.MaxForwarders)
 	for i, f := range cfg.Flows {
 		r.routes.Add(f.ID, world.routes[i])
 	}
@@ -118,7 +196,7 @@ func newRun(cfg *Config, world *World) *run {
 		// blacklist it until the next epoch's route update.
 		r.routes.EnableFailureDetection(world.faults.Threshold())
 	}
-	rateOracle := newRateOracle(cfg)
+	r.rateOracle = newRateOracle(cfg)
 	if cfg.Audit || auditEnv() {
 		// Deep audit: re-validate the invariant catalogue after every
 		// engine event.
@@ -128,33 +206,94 @@ func newRun(cfg *Config, world *World) *run {
 		// Hold trips the liveness assertions within one event.
 		r.medium.Quarantine()
 	}
-	for i := range cfg.Positions {
+	r.schemes = grown(r.schemes, n)
+	r.counters = grown(r.counters, n)
+	clear(r.counters)
+	r.rngs = grown(r.rngs, n)
+	r.sizeAgents(n)
+	for i := len(r.deliver); i < n; i++ {
+		// A station's two hooks depend on the arena and the station's ID
+		// alone, so they are made once and serve every run.
 		id := pkt.NodeID(i)
-		env := forward.Env{
-			Eng:    r.eng,
-			Med:    r.medium,
-			P:      cfg.Phy,
-			ID:     id,
-			RNG:    sim.NewRNG(cfg.Seed, 100+uint64(i)),
-			Routes: r.routes,
-			C:      &r.counters[i],
-			Audit:  r.aud,
-		}
-		if rateOracle != nil {
-			env.RateFor = func(to pkt.NodeID) float64 {
-				return rateOracle.Rate(1 - cfg.Radio.LossProb(r.medium.Distance(id, to)))
-			}
-		}
-		env.Deliver = func(p *pkt.Packet) {
+		r.deliver = append(r.deliver, func(p *pkt.Packet) {
 			if ep, ok := r.endpoints[endpointKey{flow: p.FlowID, node: id}]; ok {
 				p.MarkDelivered()
 				ep.Receive(id, p)
 			}
+		})
+		r.send = append(r.send, func(p *pkt.Packet) bool { return r.schemes[id].Send(p) })
+	}
+	for i := range cfg.Positions {
+		id := pkt.NodeID(i)
+		r.rngs[i].Seed(cfg.Seed, 100+uint64(i))
+		env := forward.Env{
+			Eng:     &r.eng,
+			Med:     &r.medium,
+			P:       cfg.Phy,
+			ID:      id,
+			RNG:     &r.rngs[i],
+			Routes:  &r.routes,
+			Deliver: r.deliver[i],
+			C:       &r.counters[i],
+			Audit:   r.aud,
 		}
-		r.schemes[i] = newScheme(*cfg, env)
+		if r.rateOracle != nil {
+			env.RateFor = func(to pkt.NodeID) float64 {
+				return r.rateOracle.Rate(1 - r.cfg.Radio.LossProb(r.medium.Distance(id, to)))
+			}
+		}
+		r.schemes[i] = r.agent(env)
 		r.medium.Attach(id, r.schemes[i])
 	}
-	return r
+}
+
+// sizeAgents makes room for n agents in the slab of cfg.Scheme's chassis.
+func (r *run) sizeAgents(n int) {
+	switch r.cfg.Scheme {
+	case DCF, AFR:
+		r.unicasts = grown(r.unicasts, n)
+	case PreExOR, MCExOR:
+		r.exors = grown(r.exors, n)
+	case Ripple, RippleNoAgg:
+		r.ripples = grown(r.ripples, n)
+	}
+}
+
+// agent initialises station env.ID's agent for cfg.Scheme, in its slab.
+func (r *run) agent(env forward.Env) forward.Scheme {
+	cfg := r.cfg
+	switch cfg.Scheme {
+	case DCF:
+		u := &r.unicasts[env.ID]
+		u.Init(env, 1, cfg.RTSThreshold)
+		return u
+	case AFR:
+		agg := cfg.UnicastMaxAgg
+		if v, ok := cfg.NodeMaxAgg[env.ID]; ok {
+			agg = v
+		}
+		u := &r.unicasts[env.ID]
+		u.Init(env, agg, cfg.RTSThreshold)
+		return u
+	case PreExOR, MCExOR:
+		x := &r.exors[env.ID]
+		x.Init(env, cfg.Scheme == MCExOR)
+		return x
+	case Ripple, RippleNoAgg:
+		opt := cfg.RippleOpts
+		if v, ok := cfg.NodeMaxAgg[env.ID]; ok {
+			opt.MaxAgg = v
+		}
+		if cfg.Scheme == RippleNoAgg {
+			opt.MaxAgg = 1
+		}
+		a := &r.ripples[env.ID]
+		a.Init(env, opt)
+		return a
+	default:
+		// validate() runs first; reaching this is a programming error.
+		panic(fmt.Sprintf("network: unknown scheme %d", int(cfg.Scheme)))
+	}
 }
 
 // newRateOracle resolves the multi-rate extension's per-link rate selector
@@ -215,7 +354,7 @@ func (r *run) armEpochs() {
 	// streaks ("blacklisted until the next epoch").
 	routeUpdates := r.cfg.Routing.active() || world.faults != nil
 	next := 0
-	r.epochTimer.Bind(r.eng, func() {
+	r.epochTimer.Bind(&r.eng, func() {
 		ew := world.epochs[next]
 		r.medium.SetPlan(ew.plan)
 		r.policy = ew.policy
@@ -264,7 +403,7 @@ func (r *run) armReroute() {
 	interval := max(epoch/routeSamplesPerEpoch, 1)
 	depthSum := make([]int, len(r.schemes))
 	sampled := 0
-	r.sampleTimer.Bind(r.eng, func() {
+	r.sampleTimer.Bind(&r.eng, func() {
 		for i, s := range r.schemes {
 			depthSum[i] += s.QueueLen()
 		}
@@ -278,7 +417,7 @@ func (r *run) armReroute() {
 		}
 		return depthSum[n] / sampled
 	}
-	r.rerouteTimer.Bind(r.eng, func() {
+	r.rerouteTimer.Bind(&r.eng, func() {
 		for _, f := range r.cfg.Flows {
 			p, err := r.policy.Route(f.Path.Src(), f.Path.Dst(), backlog)
 			if err == nil {
@@ -345,25 +484,50 @@ func (r *run) armFaults() {
 	}
 }
 
-// startFlows builds each flow's transport endpoints and traffic source and
-// schedules its start.
+// startFlows initialises each flow's transport endpoints and traffic source,
+// in the slab of its kind, and schedules its start.
 func (r *run) startFlows() error {
-	cfg, eng := r.cfg, r.eng
-	r.flowStats = make([]*stats.Flow, len(cfg.Flows))
+	cfg, eng := r.cfg, &r.eng
+	var nTCP, nWeb, nVoIP, nCBR int
+	for _, f := range cfg.Flows {
+		switch f.Kind {
+		case FTP:
+			nTCP++
+		case Web:
+			nTCP++
+			nWeb++
+		case VoIPTraffic:
+			nVoIP++
+		case CBRTraffic:
+			nCBR++
+		default:
+			return fmt.Errorf("network: flow %d has unknown traffic kind %d", f.ID, f.Kind)
+		}
+	}
+	r.tcps, r.webs = grown(r.tcps, nTCP), grown(r.webs, nWeb)
+	r.voips, r.cbrs = grown(r.voips, nVoIP), grown(r.cbrs, nCBR)
+	r.flowStats = grown(r.flowStats, len(cfg.Flows))
+	r.flowRNGs = grown(r.flowRNGs, len(cfg.Flows))
+	if r.endpoints == nil {
+		r.endpoints = make(map[endpointKey]receiver)
+	}
+	nTCP, nWeb, nVoIP, nCBR = 0, 0, 0, 0
 	for i, f := range cfg.Flows {
-		fs := &stats.Flow{ID: f.ID}
-		r.flowStats[i] = fs
+		fs := &r.flowStats[i]
+		*fs = stats.Flow{ID: f.ID}
 		src, dst := f.Path.Src(), f.Path.Dst()
-		sendSrc := r.schemes[src].Send
-		sendDst := r.schemes[dst].Send
+		// The flow's traffic stream, for the kinds that draw from one.
+		rng := &r.flowRNGs[i]
 		switch f.Kind {
 		case FTP, Web:
 			tcpCfg := cfg.TCP
 			if f.TCP != nil {
 				tcpCfg = *f.TCP
 			}
-			conn := transport.NewTCP(eng, tcpCfg, f.ID, src, dst, sendSrc, sendDst, fs)
-			conn.SetPool(r.pool)
+			conn := &r.tcps[nTCP]
+			nTCP++
+			conn.Init(eng, tcpCfg, f.ID, src, dst, r.send[src], r.send[dst], fs)
+			conn.SetPool(&r.pool)
 			r.endpoints[endpointKey{f.ID, src}] = conn
 			r.endpoints[endpointKey{f.ID, dst}] = conn
 			if f.Kind == FTP {
@@ -373,7 +537,10 @@ func (r *run) startFlows() error {
 				if f.Web != nil {
 					webCfg = *f.Web
 				}
-				web := traffic.NewWeb(eng, webCfg, conn, tcpCfg.MSS, sim.NewRNG(cfg.Seed, 10000+uint64(f.ID)))
+				web := &r.webs[nWeb]
+				nWeb++
+				rng.Seed(cfg.Seed, 10000+uint64(f.ID))
+				web.Init(eng, webCfg, conn, tcpCfg.MSS, rng)
 				eng.At(f.Start, web.Start)
 			}
 		case VoIPTraffic:
@@ -381,9 +548,11 @@ func (r *run) startFlows() error {
 			if f.VoIP != nil {
 				voipCfg = *f.VoIP
 			}
-			v := transport.NewVoIP(eng, voipCfg, f.ID, src, dst, sendSrc, fs,
-				sim.NewRNG(cfg.Seed, 10000+uint64(f.ID)))
-			v.SetPool(r.pool)
+			v := &r.voips[nVoIP]
+			nVoIP++
+			rng.Seed(cfg.Seed, 10000+uint64(f.ID))
+			v.Init(eng, voipCfg, f.ID, src, dst, r.send[src], fs, rng)
+			v.SetPool(&r.pool)
 			r.endpoints[endpointKey{f.ID, dst}] = v
 			eng.At(f.Start, v.Start)
 		case CBRTraffic:
@@ -392,12 +561,12 @@ func (r *run) startFlows() error {
 			if f.CBRPacketBytes > 0 {
 				bytes = f.CBRPacketBytes
 			}
-			c := transport.NewCBR(eng, f.ID, src, dst, bytes, f.CBRInterval, sendSrc, fs)
-			c.SetPool(r.pool)
+			c := &r.cbrs[nCBR]
+			nCBR++
+			c.Init(eng, f.ID, src, dst, bytes, f.CBRInterval, r.send[src], fs)
+			c.SetPool(&r.pool)
 			r.endpoints[endpointKey{f.ID, dst}] = c
 			eng.At(f.Start, c.Start)
-		default:
-			return fmt.Errorf("network: flow %d has unknown traffic kind %d", f.ID, f.Kind)
 		}
 	}
 	return nil
@@ -407,7 +576,7 @@ func (r *run) startFlows() error {
 // quiescence, and the always-on conservation identities: every packet
 // allocated must be delivered, dropped, or still held by a live reference,
 // and every frame handed out recycled or still held — and collects the
-// Result.
+// Result, which shares nothing with the arena.
 func (r *run) fold() *Result {
 	cfg := r.cfg
 	r.aud.AtDrain()
@@ -424,9 +593,10 @@ func (r *run) fold() *Result {
 	res.RouteStale = r.routeStale
 	res.Unreachable = res.MAC.Unreachable
 	res.PoolInUse = r.pool.InUse()
-	tputs := make([]float64, 0, len(cfg.Flows))
+	res.Flows = make([]FlowResult, 0, len(cfg.Flows))
+	r.tputs = r.tputs[:0]
 	for i, f := range cfg.Flows {
-		fs := r.flowStats[i]
+		fs := &r.flowStats[i]
 		fr := FlowResult{
 			ID:             f.ID,
 			Kind:           f.Kind,
@@ -443,8 +613,8 @@ func (r *run) fold() *Result {
 		}
 		res.TotalMbps += fr.ThroughputMbps
 		res.Flows = append(res.Flows, fr)
-		tputs = append(tputs, fr.ThroughputMbps)
+		r.tputs = append(r.tputs, fr.ThroughputMbps)
 	}
-	res.Fairness = stats.JainIndex(tputs)
+	res.Fairness = stats.JainIndex(r.tputs)
 	return res
 }

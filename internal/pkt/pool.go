@@ -48,13 +48,21 @@ type Pool struct {
 func (pl *Pool) Get() *Packet {
 	p := pl.free.Get()
 	if p == nil {
-		p = &Packet{}
+		p = pl.free.Own(&Packet{})
 	}
 	p.pool = pl
 	p.refs = 1
 	pl.outstanding++
 	pl.gets++
 	return p
+}
+
+// Reset empties the pool for the next run of a run arena: every packet it
+// ever allocated comes back zeroed, whoever held it when the last run ended
+// (queues, resequencers, frames on the air), and the counters restart.
+func (pl *Pool) Reset() {
+	pl.free.Recall(func(p *Packet) { *p = Packet{} })
+	*pl = Pool{free: pl.free}
 }
 
 // Free reports how many packets are currently pooled (tests).
@@ -143,6 +151,11 @@ func (pl *FramePool) Get() *Frame {
 	f := pl.free.Get()
 	if f == nil {
 		f = &Frame{pool: pl}
+		if !pl.quarantine {
+			// A quarantined frame is never reissued: owning it would only
+			// keep every frame of the run alive until the next Reset.
+			pl.free.Own(f)
+		}
 	}
 	f.refs = 1
 	pl.outstanding++
@@ -178,13 +191,27 @@ func (f *Frame) Release() {
 		return
 	}
 	pl := f.pool
-	clear(f.Packets)
-	*f = Frame{Packets: f.Packets[:0], AckedUIDs: f.AckedUIDs[:0], pool: pl}
+	f.wipe()
 	pl.recycled++
 	pl.outstanding--
 	if !pl.quarantine {
 		pl.free.Put(f)
 	}
+}
+
+// wipe returns the frame to its pooled state: every field zero but its pool
+// and the capacity of its two lists.
+func (f *Frame) wipe() {
+	clear(f.Packets)
+	*f = Frame{Packets: f.Packets[:0], AckedUIDs: f.AckedUIDs[:0], pool: f.pool}
+}
+
+// Reset empties the pool for the next run of a run arena, as Pool.Reset
+// does: every frame it owns comes back wiped, on the air or not, the
+// counters restart and quarantine is off until asked for again.
+func (pl *FramePool) Reset() {
+	pl.free.Recall((*Frame).wipe)
+	*pl = FramePool{free: pl.free}
 }
 
 // AssertLive panics if the frame has been released to its pool: whoever

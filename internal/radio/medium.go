@@ -198,14 +198,18 @@ func (s *station) busyRefs() int {
 	return n
 }
 
-// Medium is the shared wireless channel. Create one per simulation run with
-// NewMedium; it is not safe for concurrent use (drive it from the Engine).
+// Medium is the shared wireless channel. Create one with NewMedium, or Init
+// one in place; it is not safe for concurrent use (drive it from the
+// Engine). Between runs a run arena Resets its medium and Inits it again:
+// what a Medium keeps across that — and nothing else — is listed in Reset.
 type Medium struct {
-	eng      *sim.Engine
-	cfg      Config
-	phy      phys.Params
-	rng      *sim.RNG
-	stations []*station
+	eng *sim.Engine
+	cfg Config
+	phy phys.Params
+	rng *sim.RNG
+	// stations is one slab, held by value: receptions and tx-done records
+	// point into it, so it is only ever replaced by Init, when nothing does.
+	stations []station
 	Counters Counters
 
 	// plan is the immutable link precomputation (per-neighbor link
@@ -251,8 +255,9 @@ type Medium struct {
 	// Fault-injection state, all inert by default: down stations receive
 	// no frames (and transmitting while down is a scheme bug), noiseDB is
 	// a per-receiver SNR penalty, and linkBlocked (when non-nil) vetoes
-	// individual transmitter→receiver deliveries. Without faults the hot
-	// path pays one nil check per hook, and the RNG draw sequence is
+	// individual transmitter→receiver deliveries. down and noiseDB are empty
+	// until the first SetDown / SetNoiseDB. Without faults the hot path pays
+	// one length or nil check per hook, and the RNG draw sequence is
 	// untouched — bit-identical to a medium predating the hooks.
 	down        []bool
 	noiseDB     []float64
@@ -285,13 +290,57 @@ func NewMedium(eng *sim.Engine, cfg Config, p phys.Params, positions []Pos, rng 
 // A medium on a shared plan is RNG-bit-identical to one built by NewMedium
 // from the same Config and positions.
 func NewMediumOn(eng *sim.Engine, plan *LinkPlan, p phys.Params, rng *sim.RNG) *Medium {
-	m := &Medium{eng: eng, cfg: plan.cfg, phy: p, rng: rng, plan: plan, n: plan.n}
-	m.stations = make([]*station, plan.n)
-	for i, pos := range plan.positions {
-		m.stations[i] = &station{id: pkt.NodeID(i), pos: pos}
-	}
-	m.pOKByBits = make(map[int]float64)
+	m := &Medium{}
+	m.Init(eng, plan, p, rng)
 	return m
+}
+
+// Init puts m — the zero value, or a medium that has been Reset — on an
+// engine, a link plan and a shadowing stream, with one idle, unattached
+// station per plan position.
+func (m *Medium) Init(eng *sim.Engine, plan *LinkPlan, p phys.Params, rng *sim.RNG) {
+	m.eng, m.cfg, m.phy, m.rng = eng, plan.cfg, p, rng
+	m.plan, m.n = plan, plan.n
+	if cap(m.stations) < plan.n {
+		m.stations = make([]station, plan.n)
+	}
+	m.stations = m.stations[:plan.n]
+	for i, pos := range plan.positions {
+		s := &m.stations[i]
+		*s = station{id: pkt.NodeID(i), pos: pos, current: s.current[:0]}
+	}
+	if m.pOKByBits == nil {
+		m.pOKByBits = make(map[int]float64)
+	}
+}
+
+// Reset takes the medium off its engine, plan and stream and empties it,
+// keeping only capacity: the station slab with each station's in-progress
+// list, the tx-done and transmission records it ever allocated (recalled
+// from wherever the run left them, reception slabs and all), the frame
+// pool's frames, and the scratch buffers. Counters, the transmission serial,
+// the trace hook, the link veto, quarantine and the memoised survival
+// probabilities (the next run's BER may differ) start over. The engine must
+// be Reset too: it may still hold the recalled records' events.
+func (m *Medium) Reset() {
+	m.freeTx.Recall(func(t *txDone) { *t = txDone{m: t.m} })
+	m.freeAir.Recall((*transmission).wipe)
+	m.frames.Reset()
+	clear(m.pOKByBits)
+	*m = Medium{
+		stations: m.stations[:0],
+		freeTx:   m.freeTx, freeAir: m.freeAir, frames: m.frames,
+		slabOf: m.slabOf, pktOKBuf: m.pktOKBuf, pOKByBits: m.pOKByBits,
+		down: m.down[:0], noiseDB: m.noiseDB[:0],
+	}
+}
+
+// wipe returns the record to its pooled state: wired to its medium, slab and
+// order empty with their capacity.
+func (t *transmission) wipe() {
+	*t = transmission{m: t.m, rx: t.rx[:0], order: t.order[:0]}
+	t.begin.t = t
+	t.done.t = t
 }
 
 // newTransmission pops a recycled transmission record, its slab empty, or
@@ -302,8 +351,12 @@ func (m *Medium) newTransmission() *transmission {
 		return t
 	}
 	t := &transmission{m: m}
-	t.begin.t = t
-	t.done.t = t
+	t.wipe()
+	if !m.quarantine {
+		// Under quarantine a used record is dropped, not pooled: owning it
+		// would keep every slab of the run alive until the next Reset.
+		m.freeAir.Own(t)
+	}
 	return t
 }
 
@@ -323,8 +376,7 @@ func (m *Medium) recycleTransmission(t *transmission) {
 		}
 		return
 	}
-	t.rx, t.order = t.rx[:0], t.order[:0]
-	t.begin.pos, t.done.pos = 0, 0
+	t.wipe()
 	m.freeAir.Put(t)
 }
 
@@ -344,7 +396,7 @@ func (m *Medium) newTxDone(src *station, f *pkt.Frame) *txDone {
 		t.src, t.frame = src, f
 		return t
 	}
-	return &txDone{m: m, src: src, frame: f}
+	return m.freeTx.Own(&txDone{m: m, src: src, frame: f})
 }
 
 func (m *Medium) recycleTxDone(t *txDone) {
@@ -421,8 +473,8 @@ func (m *Medium) SetPlan(plan *LinkPlan) {
 		panic("radio: SetPlan with a different station count")
 	}
 	m.plan = plan
-	for i, s := range m.stations {
-		s.pos = plan.positions[i]
+	for i := range m.stations {
+		m.stations[i].pos = plan.positions[i]
 	}
 }
 
@@ -436,22 +488,32 @@ func (m *Medium) Config() Config { return m.cfg }
 // scheduled end so pool accounting stays balanced, they are simply
 // ignored by the crashed scheme.
 func (m *Medium) SetDown(id pkt.NodeID, down bool) {
-	if m.down == nil {
-		m.down = make([]bool, m.n)
+	if len(m.down) == 0 {
+		m.down = zeroed(m.down, m.n)
 	}
 	m.down[id] = down
 }
 
 // Down reports whether a station is currently marked crashed.
-func (m *Medium) Down(id pkt.NodeID) bool { return m.down != nil && m.down[id] }
+func (m *Medium) Down(id pkt.NodeID) bool { return len(m.down) != 0 && m.down[id] }
+
+// zeroed returns n zero values in s's array when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
 
 // SetNoiseDB sets the cumulative SNR penalty in dB applied to every
 // subsequent reception at the station (0 restores the clean channel).
 // The penalty shifts the mean received power before the shadowing draw,
 // so the RNG consumption per transmission is unchanged.
 func (m *Medium) SetNoiseDB(id pkt.NodeID, db float64) {
-	if m.noiseDB == nil {
-		m.noiseDB = make([]float64, m.n)
+	if len(m.noiseDB) == 0 {
+		m.noiseDB = zeroed(m.noiseDB, m.n)
 	}
 	m.noiseDB[id] = db
 }
@@ -472,14 +534,14 @@ func (m *Medium) SetLinkBlocked(b LinkBlocker) { m.linkBlocked = b }
 // transmitting is a MAC bug and panics: it would silently corrupt the
 // simulation's accounting.
 func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
-	src := m.stations[f.Tx]
+	src := &m.stations[f.Tx]
 	if src.mac == nil {
 		panic(fmt.Sprintf("radio: station %d has no MAC attached", f.Tx))
 	}
 	if src.txing {
 		panic(fmt.Sprintf("radio: station %d transmit while transmitting", f.Tx))
 	}
-	if m.down != nil && m.down[f.Tx] {
+	if len(m.down) != 0 && m.down[f.Tx] {
 		panic(fmt.Sprintf("radio: crashed station %d transmitting", f.Tx))
 	}
 	if f.Duration <= 0 {
@@ -535,18 +597,18 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 	rx := t.rx
 	nbrIDs, nbrDBm, nbrPD := plan.row(int(f.Tx))
 	for k, j := range nbrIDs {
-		dst := m.stations[j]
+		dst := &m.stations[j]
 		if dst.mac == nil {
 			continue
 		}
-		if m.down != nil && m.down[j] {
+		if len(m.down) != 0 && m.down[j] {
 			continue // crashed receiver: off the air entirely
 		}
 		if veto != nil && veto.LinkBlockedAt(f.Tx, dst.id, now) {
 			continue // flapped or partitioned link
 		}
 		power := nbrDBm[k]
-		if m.noiseDB != nil {
+		if len(m.noiseDB) != 0 {
 			power -= m.noiseDB[j]
 		}
 		if sigma > 0 {

@@ -199,6 +199,24 @@ func (e *Engine) SetCheck(fn func()) { e.check = fn }
 // NewEngine returns an empty engine positioned at time zero.
 func NewEngine() *Engine { return &Engine{} }
 
+// Reset returns the engine to time zero with nothing scheduled, keeping the
+// heap's capacity and the pooled events: a run arena resets its engine
+// between runs. Every pending entry leaves the heap — a pooled one (Do,
+// DoSeries) goes back to the free list, a timer's reads as not armed, an
+// At/After event is dropped — so nothing the last run scheduled is reachable
+// from the next.
+func (e *Engine) Reset() {
+	for i, ev := range e.heap {
+		e.heap[i] = nil
+		ev.index = -1
+		if ev.act != nil || ev.ser != nil {
+			ev.act, ev.ser = nil, nil
+			e.free.Put(ev)
+		}
+	}
+	*e = Engine{heap: e.heap[:0], free: e.free}
+}
+
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 

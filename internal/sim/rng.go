@@ -10,15 +10,29 @@ import (
 // traffic generators) owns its own RNG substream so that adding draws to one
 // component does not perturb another — runs stay comparable across code
 // changes and across schemes under test.
+//
+// The zero value is unseeded: call Seed first. The generator draws from its
+// own source field, so a seeded RNG must not be copied; Seed on the copy's
+// address makes it whole again.
 type RNG struct {
-	r *rand.Rand
+	src rand.PCG
+	r   rand.Rand // over &src
 }
 
 // NewRNG returns a deterministic generator for the given seed and stream
 // identifier. Distinct streams with the same seed are independent.
 func NewRNG(seed uint64, stream uint64) *RNG {
+	g := &RNG{}
+	g.Seed(seed, stream)
+	return g
+}
+
+// Seed restarts the generator, in place, on the sequence NewRNG(seed,
+// stream) produces: a run arena reseeds the generators it keeps.
+func (g *RNG) Seed(seed uint64, stream uint64) {
 	// Mix the stream into both PCG words so streams are decorrelated.
-	return &RNG{r: rand.New(rand.NewPCG(seed^0x9e3779b97f4a7c15*stream, stream*0xda942042e4dd58b5+seed))}
+	g.src.Seed(seed^0x9e3779b97f4a7c15*stream, stream*0xda942042e4dd58b5+seed)
+	g.r = *rand.New(&g.src)
 }
 
 // IntN returns a uniform integer in [0, n). n must be > 0.

@@ -131,3 +131,42 @@ func TestRNGBoolProbability(t *testing.T) {
 		t.Fatalf("Bool(0.3) rate = %.4f", p)
 	}
 }
+
+// mixedDraws is n draws cycling through the four kinds the simulator makes,
+// as bits, so that two generators can be compared exactly.
+func mixedDraws(g *RNG, n int) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		switch i % 4 {
+		case 0:
+			out[i] = uint64(g.IntN(i%1000 + 1))
+		case 1:
+			out[i] = math.Float64bits(g.Float64())
+		case 2:
+			out[i] = math.Float64bits(g.Norm(-70, 4))
+		default:
+			out[i] = math.Float64bits(g.Exp(1.5))
+		}
+	}
+	return out
+}
+
+// A run arena reseeds the generators it keeps: Seed must restart a used
+// generator on exactly the sequence a new one produces, and allocate nothing.
+func TestRNGReseedMatchesNew(t *testing.T) {
+	const n = 10000
+	g := NewRNG(3, 100)
+	mixedDraws(g, 777) // somewhere into another stream
+	for _, s := range []struct{ seed, stream uint64 }{{1, 1}, {42, 107}, {1 << 63, 10001}} {
+		want := mixedDraws(NewRNG(s.seed, s.stream), n)
+		g.Seed(s.seed, s.stream)
+		for i, v := range mixedDraws(g, n) {
+			if v != want[i] {
+				t.Fatalf("seed %d stream %d: draw %d differs after Seed", s.seed, s.stream, i)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { g.Seed(9, 9) }); a != 0 {
+		t.Fatalf("Seed allocates %.0f objects, want 0", a)
+	}
+}

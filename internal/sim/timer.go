@@ -20,6 +20,12 @@ func (t *Timer) Bind(eng *Engine, fn func()) {
 	t.ev = Event{fn: fn, index: -1}
 }
 
+// Bound reports whether Bind has been called. A struct that is initialised
+// again in place on the same engine keeps the timers it bound the first
+// time — their callbacks point at its address, which has not changed — and
+// Engine.Reset has left each of them stopped.
+func (t *Timer) Bound() bool { return t.eng != nil }
+
 // Arm schedules the callback d from now, moving the timer if it is armed.
 func (t *Timer) Arm(d Time) { t.eng.Reschedule(&t.ev, t.eng.now+d) }
 

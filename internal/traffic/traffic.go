@@ -38,9 +38,19 @@ type Web struct {
 
 // NewWeb creates the generator over an existing TCP connection.
 func NewWeb(eng *sim.Engine, cfg WebConfig, tcp *transport.TCP, mss int, rng *sim.RNG) *Web {
-	w := &Web{cfg: cfg, tcp: tcp, rng: rng, mss: mss}
-	w.off.Bind(eng, w.launch)
+	w := &Web{}
+	w.Init(eng, cfg, tcp, mss, rng)
 	return w
+}
+
+// Init makes w, in place, the generator NewWeb returns: every field zero or
+// set from the arguments, except the timer, which stays bound when w was
+// initialised before — at this address, on this engine, Reset since.
+func (w *Web) Init(eng *sim.Engine, cfg WebConfig, tcp *transport.TCP, mss int, rng *sim.RNG) {
+	if !w.off.Bound() {
+		w.off.Bind(eng, w.launch)
+	}
+	*w = Web{cfg: cfg, tcp: tcp, rng: rng, mss: mss, off: w.off}
 }
 
 // Start launches the first transfer.

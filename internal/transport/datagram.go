@@ -57,9 +57,21 @@ type VoIP struct {
 // NewVoIP creates a voice stream; call Start to begin the first on period.
 func NewVoIP(eng *sim.Engine, cfg VoIPConfig, flow int, src, dst pkt.NodeID,
 	send SendFunc, fs *stats.Flow, rng *sim.RNG) *VoIP {
-	v := &VoIP{eng: eng, cfg: cfg, flow: flow, src: src, dst: dst, send: send, fs: fs, rng: rng}
-	v.timer.Bind(eng, v.wake)
+	v := &VoIP{}
+	v.Init(eng, cfg, flow, src, dst, send, fs, rng)
 	return v
+}
+
+// Init makes v, in place, the stream NewVoIP returns: every field zero or
+// set from the arguments, except the timer, which stays bound when v was
+// initialised before — at this address, on this engine, Reset since.
+func (v *VoIP) Init(eng *sim.Engine, cfg VoIPConfig, flow int, src, dst pkt.NodeID,
+	send SendFunc, fs *stats.Flow, rng *sim.RNG) {
+	if !v.timer.Bound() {
+		v.timer.Bind(eng, v.wake)
+	}
+	*v = VoIP{eng: eng, cfg: cfg, flow: flow, src: src, dst: dst, send: send, fs: fs, rng: rng,
+		timer: v.timer}
 }
 
 // SetPool makes the stream draw its packets from a per-run pool (see
@@ -156,7 +168,7 @@ type CBR struct {
 
 	seq   int64
 	uid   uint64
-	timer sim.Timer // the source's one timer: tick, or refill when backlogged
+	timer sim.Timer // the source's one timer, bound to emit
 	stop  bool
 	pool  *pkt.Pool
 }
@@ -171,14 +183,21 @@ const backlogBurst = 64
 // interval, or a backlogged (saturating) source when interval is zero.
 func NewCBR(eng *sim.Engine, flow int, src, dst pkt.NodeID, bytes int,
 	interval sim.Time, send SendFunc, fs *stats.Flow) *CBR {
-	c := &CBR{eng: eng, flow: flow, src: src, dst: dst, bytes: bytes,
-		interval: interval, send: send, fs: fs}
-	if interval == 0 {
-		c.timer.Bind(eng, c.refill)
-	} else {
-		c.timer.Bind(eng, c.tick)
-	}
+	c := &CBR{}
+	c.Init(eng, flow, src, dst, bytes, interval, send, fs)
 	return c
+}
+
+// Init makes c, in place, the source NewCBR returns: every field zero or
+// set from the arguments, except the timer, which stays bound when c was
+// initialised before — at this address, on this engine, Reset since.
+func (c *CBR) Init(eng *sim.Engine, flow int, src, dst pkt.NodeID, bytes int,
+	interval sim.Time, send SendFunc, fs *stats.Flow) {
+	if !c.timer.Bound() {
+		c.timer.Bind(eng, c.emit)
+	}
+	*c = CBR{eng: eng, flow: flow, src: src, dst: dst, bytes: bytes,
+		interval: interval, send: send, fs: fs, timer: c.timer}
 }
 
 // SetPool makes the source draw its packets from a per-run pool (see
@@ -188,7 +207,11 @@ func NewCBR(eng *sim.Engine, flow int, src, dst pkt.NodeID, bytes int,
 func (c *CBR) SetPool(pl *pkt.Pool) { c.pool = pl }
 
 // Start begins emission.
-func (c *CBR) Start() {
+func (c *CBR) Start() { c.emit() }
+
+// emit is the timer's callback: one packet of a paced source, or one refill
+// of a backlogged one.
+func (c *CBR) emit() {
 	if c.interval == 0 {
 		c.refill()
 		return

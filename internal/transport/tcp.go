@@ -115,23 +115,38 @@ const noSeq = -1
 // needs no removal, the slot's next tenant overwrites it.
 func NewTCP(eng *sim.Engine, cfg TCPConfig, flow int, src, dst pkt.NodeID,
 	sendSrc, sendDst SendFunc, fs *stats.Flow) *TCP {
+	t := &TCP{}
+	t.Init(eng, cfg, flow, src, dst, sendSrc, sendDst, fs)
+	return t
+}
+
+// Init makes t, in place, the connection NewTCP returns: every field zero
+// or set from the arguments, except the two rings, kept when they are the
+// size cfg asks for, and the retransmission timer, which stays bound when t
+// was initialised before — at this address, on this engine, Reset since.
+func (t *TCP) Init(eng *sim.Engine, cfg TCPConfig, flow int, src, dst pkt.NodeID,
+	sendSrc, sendDst SendFunc, fs *stats.Flow) {
 	size := 1
 	for size <= int(cfg.MaxCwnd) {
 		size <<= 1
 	}
-	t := &TCP{
+	txTime, rcvBuf := t.txTime, t.rcvBuf
+	if len(txTime) != size {
+		txTime, rcvBuf = make([]txStamp, size), make([]int64, size)
+	}
+	if !t.rtoTimer.Bound() {
+		t.rtoTimer.Bind(eng, t.onRTO)
+	}
+	*t = TCP{
 		eng: eng, cfg: cfg, flow: flow, src: src, dst: dst,
 		sendSrc: sendSrc, sendDst: sendDst, fs: fs,
-		txTime: make([]txStamp, size),
-		rcvBuf: make([]int64, size),
-		limit:  -1,
+		txTime: txTime, rcvBuf: rcvBuf, rtoTimer: t.rtoTimer,
+		limit: -1,
 	}
 	for i := range t.rcvBuf {
 		t.rcvBuf[i] = noSeq
 	}
-	t.rtoTimer.Bind(eng, t.onRTO)
 	t.resetConnection()
-	return t
 }
 
 // SetPool makes the connection draw its packets from a per-run pool
