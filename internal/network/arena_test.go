@@ -6,10 +6,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"ripple/internal/core"
+	"ripple/internal/israce"
 	"ripple/internal/pkt"
+	"ripple/internal/routing"
 	"ripple/internal/sim"
 	"ripple/internal/trace"
 )
@@ -52,6 +57,15 @@ func arenaCases(t *testing.T) []arenaCase {
 		add("churn/"+kind.String(), churnConfig(kind))
 	}
 	add("hidden", fanoutHiddenConfig())
+	// The one protocol state no pinned run reaches: local packets riding on
+	// relayed frames (Remark 3). Station 7 relays flow 1 toward 21 and has
+	// a stream of its own for 21 to top the relays up with.
+	piggy := orderGridConfig(Ripple)
+	piggy.Flows = append(piggy.Flows, FlowSpec{ID: 5, Path: routing.Path{7, 14, 21},
+		Kind: CBRTraffic, CBRInterval: 2 * sim.Millisecond, CBRPacketBytes: 200})
+	piggy.RippleOpts = core.DefaultOptions()
+	piggy.RippleOpts.LocalAggOnRelay = true
+	add("grid/Ripple/localagg", piggy)
 	add("grid/Ripple", orderGridConfig(Ripple))
 	add("grid/DCF", orderGridConfig(DCF))
 	add("grid/MCExOR", orderGridConfig(MCExOR))
@@ -107,9 +121,43 @@ func canonicalRun(t *testing.T, r *run, c arenaCase) []byte {
 		t.Fatal(err)
 	}
 	if c.traced {
-		blob = h.Sum(blob)
+		blob = fmt.Appendf(blob, " trace %x", h.Sum(nil))
 	}
 	return blob
+}
+
+// assertEmptied checks what execute leaves behind, field by field: the run's
+// own fields, and every field of the engine, the medium, its frame pool and
+// the packet pool, read zero — whether or not leaving them set could change
+// a result: an insertion sequence or a transmission serial that carried over
+// would not, a trace hook or a link plan left in place pins what the caller
+// lent — except the capacity named here, and the parts of that which a run
+// fills are empty.
+func assertEmptied(t *testing.T, after string, r *run) {
+	t.Helper()
+	zeroExcept := func(name string, v reflect.Value, kept ...string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, field := v.Field(i), v.Type().Field(i).Name
+			if !slices.Contains(kept, field) {
+				if !f.IsZero() {
+					t.Errorf("after %s: %s.%s is not zero", after, name, field)
+				}
+			} else if k := f.Kind(); (k == reflect.Slice || k == reflect.Map) && f.Len() != 0 &&
+				field != "slabOf" && field != "pktOKBuf" { // scratch: overwritten before it is read
+				t.Errorf("after %s: %s.%s holds %d entries", after, name, field, f.Len())
+			}
+		}
+	}
+	zeroExcept("run", reflect.ValueOf(r).Elem(), "arena")
+	zeroExcept("eng", reflect.ValueOf(&r.eng).Elem(), "heap", "free")
+	medium := reflect.ValueOf(&r.medium).Elem()
+	zeroExcept("medium", medium, "stations", "freeTx", "freeAir", "frames",
+		"slabOf", "pktOKBuf", "pOKByBits", "down", "noiseDB")
+	zeroExcept("medium.frames", medium.FieldByName("frames"), "free")
+	zeroExcept("pool", reflect.ValueOf(&r.pool).Elem(), "free")
+	if len(r.endpoints) != 0 {
+		t.Errorf("after %s: %d endpoints left", after, len(r.endpoints))
+	}
 }
 
 // Which arena a run is assembled on is invisible: every pinned scenario, run
@@ -121,7 +169,7 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every pinned scenario three times")
 	}
-	if raceDetector {
+	if israce.Enabled {
 		t.Skip("one goroutine, 170 runs: three minutes under the race detector, which has nothing to find here")
 	}
 	cases := arenaCases(t)
@@ -137,6 +185,7 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 				t.Fatalf("pass %d: %s differs on a reused arena\nreused %s\nnew    %s",
 					pass, cases[i].name, got, want[i])
 			}
+			assertEmptied(t, cases[i].name, shared)
 		}
 	}
 }

@@ -72,8 +72,15 @@ type arena struct {
 	webs      []traffic.Web
 	voips     []transport.VoIP
 	cbrs      []transport.CBR
+	starts    []flowStart
 	tputs     []float64 // fold's scratch
 }
+
+// flowStart is the event of one flow's start, scheduled with Engine.Do: a
+// slab element where an After call would allocate an event and a closure.
+type flowStart struct{ source interface{ Start() } }
+
+func (s *flowStart) Run() { s.source.Start() }
 
 // run is one simulation run on its arena, over a shared read-only World:
 // everything here is private to the run, everything reached through world is
@@ -508,6 +515,7 @@ func (r *run) startFlows() error {
 	r.voips, r.cbrs = grown(r.voips, nVoIP), grown(r.cbrs, nCBR)
 	r.flowStats = grown(r.flowStats, len(cfg.Flows))
 	r.flowRNGs = grown(r.flowRNGs, len(cfg.Flows))
+	r.starts = grown(r.starts, len(cfg.Flows))
 	if r.endpoints == nil {
 		r.endpoints = make(map[endpointKey]receiver)
 	}
@@ -518,6 +526,7 @@ func (r *run) startFlows() error {
 		src, dst := f.Path.Src(), f.Path.Dst()
 		// The flow's traffic stream, for the kinds that draw from one.
 		rng := &r.flowRNGs[i]
+		start := &r.starts[i]
 		switch f.Kind {
 		case FTP, Web:
 			tcpCfg := cfg.TCP
@@ -531,7 +540,7 @@ func (r *run) startFlows() error {
 			r.endpoints[endpointKey{f.ID, src}] = conn
 			r.endpoints[endpointKey{f.ID, dst}] = conn
 			if f.Kind == FTP {
-				eng.At(f.Start, conn.Start)
+				start.source = conn
 			} else {
 				webCfg := cfg.Web
 				if f.Web != nil {
@@ -541,7 +550,7 @@ func (r *run) startFlows() error {
 				nWeb++
 				rng.Seed(cfg.Seed, 10000+uint64(f.ID))
 				web.Init(eng, webCfg, conn, tcpCfg.MSS, rng)
-				eng.At(f.Start, web.Start)
+				start.source = web
 			}
 		case VoIPTraffic:
 			voipCfg := cfg.VoIP
@@ -554,7 +563,7 @@ func (r *run) startFlows() error {
 			v.Init(eng, voipCfg, f.ID, src, dst, r.send[src], fs, rng)
 			v.SetPool(&r.pool)
 			r.endpoints[endpointKey{f.ID, dst}] = v
-			eng.At(f.Start, v.Start)
+			start.source = v
 		case CBRTraffic:
 			// CBRInterval zero selects backlogged (saturating) mode.
 			bytes := cfg.Phy.PacketBytes
@@ -566,8 +575,9 @@ func (r *run) startFlows() error {
 			c.Init(eng, f.ID, src, dst, bytes, f.CBRInterval, r.send[src], fs)
 			c.SetPool(&r.pool)
 			r.endpoints[endpointKey{f.ID, dst}] = c
-			eng.At(f.Start, c.Start)
+			start.source = c
 		}
+		eng.Do(f.Start, start)
 	}
 	return nil
 }

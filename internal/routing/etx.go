@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -117,19 +116,48 @@ type pqItem struct {
 	dist float64
 }
 
-type pq []*pqItem
+// pq is Dijkstra's binary min-heap on dist, holding its entries by value.
+// push and pop are container/heap's Push and Pop step for step — the same
+// sift-up, the same swap of root and last then sift-down among the rest —
+// because entries of equal dist leave the heap in an order that depends on
+// exactly those steps, and the routes depend on that order.
+type pq []pqItem
 
-func (q pq) Len() int           { return len(q) }
-func (q pq) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)        { *q = append(*q, x.(*pqItem)) }
-func (q *pq) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
+func (q *pq) push(it pqItem) {
+	h := append(*q, it)
+	*q = h
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].dist < h[j].dist {
+			j = r
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }
 
 // LinkCostFunc maps a usable directed link u→v with ETX metric etx to the
@@ -190,10 +218,12 @@ func (t *Table) dijkstra(src pkt.NodeID, cost LinkCostFunc) ([]float64, []pkt.No
 		prev[i] = -1
 	}
 	dist[src] = 0
-	q := &pq{{node: src, dist: 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(*pqItem)
-		u := it.node
+	// Room for one entry per station: more are queued at once only when many
+	// are reached again by a shorter way before they are settled.
+	q := make(pq, 0, t.n)
+	q.push(pqItem{node: src, dist: 0})
+	for len(q) > 0 {
+		u := q.pop().node
 		if done[u] {
 			continue
 		}
@@ -213,7 +243,7 @@ func (t *Table) dijkstra(src pkt.NodeID, cost LinkCostFunc) ([]float64, []pkt.No
 			if nd := dist[u] + w; nd < dist[v] {
 				dist[v] = nd
 				prev[v] = u
-				heap.Push(q, &pqItem{node: v, dist: nd})
+				q.push(pqItem{node: v, dist: nd})
 			}
 		}
 	}

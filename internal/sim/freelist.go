@@ -43,11 +43,10 @@ func (l *FreeList[T]) Own(x *T) *T {
 // must be forgotten by the caller: after Recall the list will hand it out
 // again.
 func (l *FreeList[T]) Recall(wipe func(*T)) {
-	l.items = l.items[:0]
 	for _, x := range l.owned {
 		wipe(x)
-		l.items = append(l.items, x)
 	}
+	l.items = append(l.items[:0], l.owned...)
 }
 
 // Len reports how many structs are pooled.

@@ -1,14 +1,20 @@
 #!/bin/sh
 # check_substrate.sh — the per-run substrate is written once: a timer is a
-# sim.Timer, a free list a sim.FreeList. Fail if either hand-written idiom
-# grows back in a non-test .go file outside internal/sim (where Timer and
-# FreeList live) and bench/ (which times the engine's own calls):
+# sim.Timer, a free list a sim.FreeList, and a run is assembled in one place,
+# the arena of internal/network. Fail if a hand-written idiom grows back in a
+# non-test .go file outside internal/sim (where Timer and FreeList live) and
+# bench/ (which times the engine's own calls):
 #
 #   Reschedule(      reviving a kept *sim.Event in place
 #   [n-1] = nil      popping the last element of a hand-rolled free list
 #
-# internal/routing/etx.go is exempt from the second: its pq is
-# container/heap's Pop, a priority queue, not a free list.
+# or if a run's parts are constructed, not initialised in place, anywhere in
+# internal/network, internal/forward or internal/core — the arena calls each
+# part's Init on the value it keeps; the constructors remain for bench/ and
+# the tests — which is how a second, non-arena assembly path would start:
+#
+#   sim.NewEngine(  radio.NewMediumOn(  forward.NewRouteBook(
+#   mac.NewQueue(   mac.NewContender(   &pkt.Pool{
 #
 # Usage: sh scripts/check_substrate.sh   (from the repo root)
 set -eu
@@ -20,9 +26,13 @@ if grep -n 'Reschedule(' $files; then
     echo "check_substrate: Reschedule( outside internal/sim — use a sim.Timer" >&2
     fail=1
 fi
-pops=$(echo "$files" | grep -v '^./internal/routing/etx.go$')
-if grep -nE '\[[A-Za-z]+ ?- ?1\] = nil' $pops; then
+if grep -nE '\[[A-Za-z]+ ?- ?1\] = nil' $files; then
     echo "check_substrate: hand-written free-list pop — use a sim.FreeList" >&2
+    fail=1
+fi
+assembly=$(find internal/network internal/forward internal/core -name '*.go' ! -name '*_test.go')
+if grep -nE 'sim\.NewEngine\(|radio\.NewMediumOn\(|forward\.NewRouteBook\(|mac\.NewQueue\(|mac\.NewContender\(|&pkt\.Pool\{' $assembly; then
+    echo "check_substrate: a run's part constructed outside the arena — Init the arena's own in place" >&2
     fail=1
 fi
 exit $fail
