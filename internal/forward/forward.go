@@ -11,6 +11,8 @@
 package forward
 
 import (
+	"math/bits"
+
 	"ripple/internal/audit"
 	"ripple/internal/phys"
 	"ripple/internal/pkt"
@@ -417,14 +419,22 @@ func Acked(ackedUIDs []uint64, uid uint64) bool {
 // insertion order, so a station's memory is bounded however long the run.
 // The zero value is an empty set, and a station that never sees an
 // identifier allocates nothing for it.
+//
+// A run arena keeps every station's sets at the size the largest run grew
+// them to, so the representation is a compact one: twelve bytes per slot.
 type SeenSet struct {
-	seen map[uint64]struct{}
-	// ring holds the members in insertion order. It grows with the set, in
-	// three steps — a full ring up front would cost every station of a city
-	// 32 KB it never uses — and once at SeenCap it is overwritten in place:
-	// oldest is then the next slot to evict and refill.
+	// ring holds the members in insertion order. It doubles as the set fills
+	// — a full ring up front would cost every station of a city 32 KB it
+	// never uses — and once at SeenCap it is overwritten in place: oldest is
+	// then the next slot to evict and refill.
 	ring   []uint64
 	oldest int
+	// index finds a member in the ring: an open-addressed table with two
+	// slots per ring slot, each empty (zero) or a ring position plus one,
+	// probed linearly from the identifier's home slot. shift takes a hash to
+	// a home slot.
+	index []uint16
+	shift uint8
 }
 
 // SeenCap is the capacity of a SeenSet: far more identifiers than can be in
@@ -433,10 +443,28 @@ type SeenSet struct {
 // that can still come back.
 const SeenCap = 4096
 
+// seenMin is the ring's first size.
+const seenMin = 16
+
+// home is where id's probe sequence starts: Fibonacci hashing, which spreads
+// the runs of consecutive numbers that UIDs and mTXOP numbers are.
+func (s *SeenSet) home(id uint64) int { return int(id * 0x9E3779B97F4A7C15 >> s.shift) }
+
 // Has reports whether id is remembered.
 func (s *SeenSet) Has(id uint64) bool {
-	_, ok := s.seen[id]
-	return ok
+	if len(s.ring) == 0 {
+		return false
+	}
+	mask := len(s.index) - 1
+	for i := s.home(id); ; i = (i + 1) & mask {
+		p := s.index[i]
+		if p == 0 {
+			return false
+		}
+		if s.ring[p-1] == id {
+			return true
+		}
+	}
 }
 
 // Seen reports whether id was remembered already, and remembers it,
@@ -445,35 +473,74 @@ func (s *SeenSet) Seen(id uint64) bool {
 	if s.Has(id) {
 		return true
 	}
-	if s.seen == nil {
-		s.seen = make(map[uint64]struct{})
-	}
-	s.seen[id] = struct{}{}
 	n := len(s.ring)
 	if n == SeenCap {
-		delete(s.seen, s.ring[s.oldest])
+		s.forget(s.ring[s.oldest])
 		s.ring[s.oldest] = id
+		s.enter(id, s.oldest)
 		s.oldest = (s.oldest + 1) % SeenCap
 		return false
 	}
 	if n == cap(s.ring) {
-		// 64, 512, SeenCap: three allocations where append's doubling
-		// takes sixteen.
-		s.ring = append(make([]uint64, 0, min(max(64, 8*n), SeenCap)), s.ring...)
+		c := min(max(seenMin, 2*n), SeenCap)
+		s.ring = append(make([]uint64, 0, c), s.ring...)
+		s.index = make([]uint16, 2*c)
+		s.shift = uint8(64 - bits.TrailingZeros(uint(2*c)))
+		for pos, member := range s.ring {
+			s.enter(member, pos)
+		}
 	}
 	s.ring = append(s.ring, id)
+	s.enter(id, n)
 	return false
+}
+
+// enter indexes id, which is not a member, at ring position pos.
+func (s *SeenSet) enter(id uint64, pos int) {
+	mask := len(s.index) - 1
+	i := s.home(id)
+	for s.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.index[i] = uint16(pos + 1)
+}
+
+// forget removes the member id from the index, closing the gap it leaves: an
+// entry further along the probe run moves back into the hole unless its home
+// lies after the hole, and so on down the run.
+func (s *SeenSet) forget(id uint64) {
+	mask := len(s.index) - 1
+	i := s.home(id)
+	for s.ring[s.index[i]-1] != id {
+		i = (i + 1) & mask
+	}
+	for j := i; ; {
+		s.index[i] = 0
+		for {
+			j = (j + 1) & mask
+			p := s.index[j]
+			if p == 0 {
+				return
+			}
+			if h := s.home(s.ring[p-1]); (j-h)&mask >= (j-i)&mask {
+				s.index[i] = p
+				i = j
+				break
+			}
+		}
+	}
 }
 
 // Add remembers id.
 func (s *SeenSet) Add(id uint64) { s.Seen(id) }
 
 // Len reports how many identifiers are remembered.
-func (s *SeenSet) Len() int { return len(s.seen) }
+func (s *SeenSet) Len() int { return len(s.ring) }
 
-// Reset forgets everything (a crashed station's memory dies with it).
+// Reset forgets everything (a crashed station's memory dies with it), and
+// keeps the capacity.
 func (s *SeenSet) Reset() {
-	clear(s.seen)
+	clear(s.index)
 	s.ring = s.ring[:0]
 	s.oldest = 0
 }

@@ -292,23 +292,26 @@ func TestSeenSetEvictsInInsertionOrderAtCapacity(t *testing.T) {
 }
 
 func TestSeenSetAllocations(t *testing.T) {
-	// Filling an empty set: the map's own growth, plus three ring steps.
+	// Filling an empty set: the ring doubles from 16 to SeenCap, nine steps
+	// of two allocations, ring and index.
 	ringSteps := 0
 	var s SeenSet
-	for id, last := uint64(0), 0; id < SeenCap; id++ {
-		s.Add(id)
-		if c := cap(s.ring); c != last {
-			ringSteps, last = ringSteps+1, c
+	fill := testing.AllocsPerRun(1, func() {
+		s = SeenSet{}
+		ringSteps = 0
+		for id, last := uint64(0), 0; id < SeenCap; id++ {
+			s.Add(id)
+			if c := cap(s.ring); c != last {
+				ringSteps, last = ringSteps+1, c
+			}
 		}
+	})
+	if ringSteps != 9 || cap(s.ring) != SeenCap || fill != 18 {
+		t.Fatalf("the ring reached capacity %d in %d steps and %.0f allocations, want %d in 9 and 18",
+			cap(s.ring), ringSteps, fill, SeenCap)
 	}
-	if ringSteps != 3 || cap(s.ring) != SeenCap {
-		t.Fatalf("the ring reached capacity %d in %d allocations, want %d in 3", cap(s.ring), ringSteps, SeenCap)
-	}
-	// At capacity an insertion overwrites a ring slot in place — the old
-	// order slice was re-sliced forward and grew again every capacity of
-	// insertions — and swaps one map key for another: nothing is allocated
-	// per insertion (the runtime's map rehashes itself a few times per lap
-	// under that churn, which AllocsPerRun's per-run average rounds away).
+	// At capacity an insertion overwrites a ring slot in place and moves a
+	// few index entries: nothing is allocated, nothing moves or grows.
 	slot0, id := &s.ring[0], uint64(SeenCap)
 	if a := testing.AllocsPerRun(2*SeenCap, func() {
 		id++
@@ -320,6 +323,85 @@ func TestSeenSetAllocations(t *testing.T) {
 	}
 	if &s.ring[0] != slot0 || len(s.ring) != SeenCap || cap(s.ring) != SeenCap {
 		t.Fatalf("the ring moved or grew over two laps at capacity: len %d cap %d", len(s.ring), cap(s.ring))
+	}
+	// A Reset set fills again in the capacity it has.
+	s.Reset()
+	if a := testing.AllocsPerRun(1, func() {
+		for id := uint64(0); id < SeenCap; id++ {
+			s.Add(id * 977)
+		}
+		s.Reset()
+	}); a != 0 {
+		t.Fatalf("%v allocations refilling a Reset set, want 0", a)
+	}
+}
+
+// refSeenSet is the set as a map and a slice in insertion order: what the
+// compact SeenSet must be indistinguishable from.
+type refSeenSet struct {
+	seen  map[uint64]bool
+	order []uint64
+}
+
+func (r *refSeenSet) Seen(id uint64) bool {
+	if r.seen[id] {
+		return true
+	}
+	if r.seen == nil {
+		r.seen = map[uint64]bool{}
+	}
+	r.seen[id] = true
+	r.order = append(r.order, id)
+	if len(r.order) > SeenCap {
+		delete(r.seen, r.order[0])
+		r.order = r.order[1:]
+	}
+	return false
+}
+
+// Random identifiers of the shapes the schemes use — runs of consecutive
+// numbers under a few high-bit tags, revisited at random — through several
+// laps of the ring and two Resets: every answer, and every membership
+// question about recent, evicted and never-seen identifiers, agrees with the
+// reference.
+func TestSeenSetMatchesMapReference(t *testing.T) {
+	rng := sim.NewRNG(11, 4)
+	var s SeenSet
+	var ref refSeenSet
+	next := [4]uint64{}
+	var recent []uint64
+	for step := 0; step < 12*SeenCap; step++ {
+		if step == 3*SeenCap/2 || step == 7*SeenCap {
+			s.Reset()
+			ref = refSeenSet{}
+		}
+		var id uint64
+		switch rng.IntN(10) {
+		case 0, 1: // an identifier shown before, recently or long ago
+			if len(recent) > 0 {
+				id = recent[rng.IntN(len(recent))]
+				break
+			}
+			fallthrough
+		default:
+			tag := rng.IntN(len(next))
+			next[tag]++
+			id = uint64(tag)<<33 | uint64(tag&1)<<32 | next[tag]
+		}
+		recent = append(recent, id)
+		if len(recent) > 3*SeenCap {
+			recent = recent[SeenCap:]
+		}
+		if got, want := s.Seen(id), ref.Seen(id); got != want {
+			t.Fatalf("step %d: Seen(%#x) = %v, reference %v", step, id, got, want)
+		}
+		if s.Len() != len(ref.order) {
+			t.Fatalf("step %d: Len %d, reference %d", step, s.Len(), len(ref.order))
+		}
+		probe := recent[rng.IntN(len(recent))]
+		if s.Has(probe) != ref.seen[probe] || s.Has(probe^1<<40) {
+			t.Fatalf("step %d: Has(%#x) = %v, reference %v", step, probe, s.Has(probe), ref.seen[probe])
+		}
 	}
 }
 
