@@ -73,7 +73,7 @@ type Station struct {
 // records (recalled from the events that held them) and the timers, its own
 // and the contender's, whose callbacks are bound to this address.
 func (s *Station) Init(env Env, p Protocol) {
-	s.freeTx.Recall(func(a *delayedTx) { a.f = nil })
+	s.freeTx.Recall(func(a *delayedTx) { *a = delayedTx{s: a.s} })
 	if !s.timer.Bound() {
 		s.timer.Bind(env.Eng, s.expire)
 	}

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -234,5 +235,89 @@ func TestQueueMaxDepth(t *testing.T) {
 	q.Pop()
 	if q.MaxDepth() != 4 {
 		t.Fatalf("MaxDepth = %d, want 4", q.MaxDepth())
+	}
+}
+
+// contendScript drives c through failures, a corrupted frame and a busy
+// period that ends the run with the backoff frozen and a request pending, and
+// returns when it was granted the channel.
+func contendScript(eng *sim.Engine, c *Contender, rng *sim.RNG) []sim.Time {
+	var grants []sim.Time
+	rng.Seed(9, 3)
+	c.Init(eng, phys.Default(), rng, grantFunc(func() {
+		grants = append(grants, eng.Now())
+		if len(grants)%3 == 0 {
+			c.Success()
+		} else {
+			c.Failure()
+		}
+		c.Request()
+	}))
+	c.Request()
+	eng.At(400*sim.Microsecond, func() { c.NoteCorrupted(); c.OnBusy() })
+	eng.At(700*sim.Microsecond, c.OnIdle)
+	eng.At(2900*sim.Microsecond, c.OnBusy)
+	eng.Run(3 * sim.Millisecond)
+	return grants
+}
+
+// A contender initialised again in place, on its engine Reset, contends as a
+// new one does: window, leftover slots, EIFS flag, frozen countdown and
+// pending request all start over, and the timers bound the first time serve.
+func TestContenderInitAgainIsANewContender(t *testing.T) {
+	var freshEng sim.Engine
+	var fresh Contender
+	var freshRNG sim.RNG
+	want := contendScript(&freshEng, &fresh, &freshRNG)
+	if len(want) < 5 || !fresh.Busy() {
+		t.Fatalf("script granted %d times and ended idle=%v: too quiet", len(want), !fresh.Busy())
+	}
+	var eng sim.Engine
+	var c Contender
+	var rng sim.RNG
+	for round := 0; round < 3; round++ {
+		if got := contendScript(&eng, &c, &rng); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: grants %v, a new contender's %v", round, got, want)
+		}
+		eng.Reset()
+	}
+	noGrant := grantFunc(func() {})
+	if a := testing.AllocsPerRun(5, func() { c.Init(&eng, phys.Default(), &rng, noGrant) }); a != 0 {
+		t.Fatalf("Init in place allocates %.0f objects", a)
+	}
+}
+
+// A queue initialised again in place is empty, keeps the ring it grew to,
+// and takes a new limit.
+func TestQueueInitAgainIsAnEmptyQueue(t *testing.T) {
+	var q Queue
+	q.Init(4)
+	for i := 0; i < 4; i++ {
+		q.Push(&pkt.Packet{UID: uint64(i)})
+	}
+	q.Push(&pkt.Packet{}) // dropped
+	for i := 0; i < 6; i++ {
+		q.PushFront(&pkt.Packet{}) // grows the ring past the limit
+	}
+	ring := &q.buf[0]
+	q.Init(8)
+	if q.Len() != 0 || q.Drops() != 0 || q.MaxDepth() != 0 || q.Peek() != nil || q.Pop() != nil {
+		t.Fatalf("after Init: len %d, drops %d, max depth %d", q.Len(), q.Drops(), q.MaxDepth())
+	}
+	if &q.buf[0] != ring {
+		t.Fatal("Init replaced a ring that was large enough")
+	}
+	for _, p := range q.buf {
+		if p != nil {
+			t.Fatal("Init left a packet in the ring")
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if !q.Push(&pkt.Packet{UID: uint64(i)}) {
+			t.Fatalf("push %d rejected under the new limit of 8", i)
+		}
+	}
+	if q.Push(&pkt.Packet{}) || q.Pop().UID != 0 {
+		t.Fatal("the re-initialised queue is not FIFO under its new limit")
 	}
 }

@@ -2,11 +2,12 @@ package pkt
 
 import "ripple/internal/sim"
 
-// Pool is a per-run free list of Packets. The hot path of a simulation
+// Pool is a run's free list of Packets. The hot path of a simulation
 // creates one Packet per transport emission and drops it at a terminal
 // point (delivered to the endpoint, dropped by a full queue, or abandoned
 // at the MAC retry limit); a Pool recycles those structs so a steady-state
-// run allocates no new packets at all.
+// run allocates no new packets at all — and, Reset between the runs of a run
+// arena, neither does the run after it.
 //
 // Packets are shared by reference across layers — a source's in-service
 // batch, in-flight frames (including duplicates relayed opportunistically),
@@ -115,7 +116,7 @@ func (pl *Pool) Counters() (gets, delivered, dropped int) {
 	return pl.gets, pl.recDelivered, pl.recDropped
 }
 
-// FramePool is a per-run free list of Frames, under the packet pool's rules:
+// FramePool is a run's free list of Frames, under the packet pool's rules:
 // a simulation builds one Frame per transmission, and the frame is dead once
 // it has left the air at every receiver, so a steady-state run allocates no
 // frames. A recycled frame keeps the capacity of its Packets and AckedUIDs

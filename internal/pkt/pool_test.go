@@ -1,6 +1,9 @@
 package pkt
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestPoolRecyclesAndResets(t *testing.T) {
 	var pl Pool
@@ -288,5 +291,68 @@ func TestFrameAirReleasesPooledFrame(t *testing.T) {
 	f.AirDone()
 	if pl.InUse() != 0 {
 		t.Fatal("the last PHY completion should recycle the frame")
+	}
+}
+
+// Reset takes back every packet the pool allocated, wherever it was left,
+// zeroed, and restarts the counters: the next run draws the same structs.
+func TestPoolResetRecallsOutstandingPackets(t *testing.T) {
+	var pl Pool
+	held := []*Packet{pl.Get(), pl.Get(), pl.Get()}
+	for i, p := range held {
+		p.UID, p.Bytes = uint64(i+1), 1000
+	}
+	held[0].Ref()
+	held[1].MarkDelivered()
+	held[1].Release()
+	pl.Reset()
+	if gets, delivered, dropped := pl.Counters(); gets != 0 || delivered != 0 || dropped != 0 || pl.InUse() != 0 {
+		t.Fatalf("after Reset: %d gets, %d delivered, %d dropped, %d in use", gets, delivered, dropped, pl.InUse())
+	}
+	if pl.Free() != 3 {
+		t.Fatalf("%d packets pooled after Reset, want all 3", pl.Free())
+	}
+	for i := 0; i < 3; i++ {
+		p := pl.Get()
+		if !slices.Contains(held, p) {
+			t.Fatal("Reset pool allocated instead of reissuing")
+		}
+		if p.UID != 0 || p.Bytes != 0 || p.refs != 1 || p.delivered {
+			t.Fatalf("reissued packet not zeroed: %+v", p)
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { pl.Get(); pl.Reset() }); a != 0 {
+		t.Fatalf("Get and Reset on a warm pool allocate %.0f objects", a)
+	}
+}
+
+// The frame pool likewise, with quarantine lifted; a frame first issued
+// under quarantine is never reissued, so the pool does not keep it.
+func TestFramePoolResetRecallsFramesAndLiftsQuarantine(t *testing.T) {
+	var pl FramePool
+	onAir := pl.Get()
+	onAir.Packets = append(onAir.Packets, &Packet{UID: 7})
+	onAir.AckedUIDs = append(onAir.AckedUIDs, 7)
+	onAir.Hold()
+	pl.Reset()
+	if gets, recycled := pl.Counters(); gets != 0 || recycled != 0 || pl.InUse() != 0 {
+		t.Fatalf("after Reset: %d gets, %d recycled, %d in use", gets, recycled, pl.InUse())
+	}
+	f := pl.Get()
+	if f != onAir || len(f.Packets) != 0 || len(f.AckedUIDs) != 0 || cap(f.Packets) == 0 || f.refs != 1 {
+		t.Fatalf("the frame left on the air came back as %+v", f)
+	}
+	pl.Quarantine()
+	quarantined := pl.Get()
+	quarantined.Release()
+	f.Release()
+	pl.Reset()
+	if a, b := pl.Get(), pl.Get(); a != onAir || b == quarantined {
+		t.Fatal("after Reset the pool must reissue its own frame and not the one born under quarantine")
+	}
+	f = pl.Get()
+	f.Release()
+	if pl.Get() != f {
+		t.Fatal("quarantine survived Reset: a released frame was not reissued")
 	}
 }
