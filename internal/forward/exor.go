@@ -92,7 +92,7 @@ func (x *ExOR) Init(env Env, compressed bool) {
 	}
 	clear(x.pend)
 	x.rxSeen.Reset()
-	x.freeRx.Recall(func(rx *exorRx) { *rx = exorRx{x: rx.x} })
+	x.freeRx.Recall((*exorRx).wipe)
 	*x = ExOR{Station: x.Station, acks: acks, rxSeen: x.rxSeen, pend: x.pend, freeRx: x.freeRx}
 	x.Station.Init(env, x)
 }
@@ -179,9 +179,12 @@ func (x *ExOR) Receive(f *pkt.Frame, pktOK []bool) {
 	}
 }
 
+// wipe returns the record to its pooled state: its agent and nothing else.
+func (rx *exorRx) wipe() { *rx = exorRx{x: rx.x} }
+
 // recycle returns a reception record to the pool.
 func (x *ExOR) recycle(rx *exorRx) {
-	*rx = exorRx{x: x}
+	rx.wipe()
 	x.freeRx.Put(rx)
 }
 

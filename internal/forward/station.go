@@ -73,7 +73,7 @@ type Station struct {
 // records (recalled from the events that held them) and the timers, its own
 // and the contender's, whose callbacks are bound to this address.
 func (s *Station) Init(env Env, p Protocol) {
-	s.freeTx.Recall(func(a *delayedTx) { *a = delayedTx{s: a.s} })
+	s.freeTx.Recall((*delayedTx).wipe)
 	if !s.timer.Bound() {
 		s.timer.Bind(env.Eng, s.expire)
 	}
@@ -254,9 +254,12 @@ type delayedTx struct {
 	f *pkt.Frame
 }
 
+// wipe returns the record to its pooled state: its station and no frame.
+func (a *delayedTx) wipe() { *a = delayedTx{s: a.s} }
+
 func (a *delayedTx) Run() {
 	s, f := a.s, a.f
-	a.f = nil
+	a.wipe()
 	s.freeTx.Put(a)
 	switch {
 	case s.down || s.Med.Transmitting(s.ID):

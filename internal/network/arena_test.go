@@ -135,26 +135,29 @@ func canonicalRun(t *testing.T, r *run, c arenaCase) []byte {
 // fills are empty.
 func assertEmptied(t *testing.T, after string, r *run) {
 	t.Helper()
-	zeroExcept := func(name string, v reflect.Value, kept ...string) {
+	// Every field of v reads zero, except the kept ones, which are empty, and
+	// the scratch ones, overwritten before they are read.
+	check := func(name string, v reflect.Value, kept, scratch []string) {
 		for i := 0; i < v.NumField(); i++ {
 			f, field := v.Field(i), v.Type().Field(i).Name
-			if !slices.Contains(kept, field) {
+			switch {
+			case slices.Contains(scratch, field):
+			case !slices.Contains(kept, field):
 				if !f.IsZero() {
 					t.Errorf("after %s: %s.%s is not zero", after, name, field)
 				}
-			} else if k := f.Kind(); (k == reflect.Slice || k == reflect.Map) && f.Len() != 0 &&
-				field != "slabOf" && field != "pktOKBuf" { // scratch: overwritten before it is read
+			case (f.Kind() == reflect.Slice || f.Kind() == reflect.Map) && f.Len() != 0:
 				t.Errorf("after %s: %s.%s holds %d entries", after, name, field, f.Len())
 			}
 		}
 	}
-	zeroExcept("run", reflect.ValueOf(r).Elem(), "arena")
-	zeroExcept("eng", reflect.ValueOf(&r.eng).Elem(), "heap", "free")
+	check("run", reflect.ValueOf(r).Elem(), []string{"arena"}, nil)
+	check("eng", reflect.ValueOf(&r.eng).Elem(), []string{"heap", "free"}, nil)
 	medium := reflect.ValueOf(&r.medium).Elem()
-	zeroExcept("medium", medium, "stations", "freeTx", "freeAir", "frames",
-		"slabOf", "pktOKBuf", "pOKByBits", "down", "noiseDB")
-	zeroExcept("medium.frames", medium.FieldByName("frames"), "free")
-	zeroExcept("pool", reflect.ValueOf(&r.pool).Elem(), "free")
+	check("medium", medium, []string{"stations", "freeTx", "freeAir", "frames", "pOKByBits", "down", "noiseDB"},
+		[]string{"slabOf", "pktOKBuf"})
+	check("medium.frames", medium.FieldByName("frames"), []string{"free"}, nil)
+	check("pool", reflect.ValueOf(&r.pool).Elem(), []string{"free"}, nil)
 	if len(r.endpoints) != 0 {
 		t.Errorf("after %s: %d endpoints left", after, len(r.endpoints))
 	}

@@ -323,7 +323,7 @@ func (m *Medium) Init(eng *sim.Engine, plan *LinkPlan, p phys.Params, rng *sim.R
 // probabilities (the next run's BER may differ) start over. The engine must
 // be Reset too: it may still hold the recalled records' events.
 func (m *Medium) Reset() {
-	m.freeTx.Recall(func(t *txDone) { *t = txDone{m: t.m} })
+	m.freeTx.Recall((*txDone).wipe)
 	m.freeAir.Recall((*transmission).wipe)
 	m.frames.Reset()
 	clear(m.pOKByBits)
@@ -399,9 +399,11 @@ func (m *Medium) newTxDone(src *station, f *pkt.Frame) *txDone {
 	return m.freeTx.Own(&txDone{m: m, src: src, frame: f})
 }
 
+// wipe returns the record to its pooled state: its medium and nothing else.
+func (t *txDone) wipe() { *t = txDone{m: t.m} }
+
 func (m *Medium) recycleTxDone(t *txDone) {
-	t.src = nil
-	t.frame = nil
+	t.wipe()
 	m.freeTx.Put(t)
 }
 
