@@ -127,8 +127,8 @@ func canonicalRun(t *testing.T, r *run, c arenaCase) []byte {
 }
 
 // assertEmptied checks what execute leaves behind, field by field: the run's
-// own fields, and every field of the engine, the medium, its frame pool and
-// the packet pool, read zero — whether or not leaving them set could change
+// own fields, and every field of the engine, the medium, its frame pool, the
+// packet pool and the route book, read zero — whether or not leaving them set could change
 // a result: an insertion sequence or a transmission serial that carried over
 // would not, a trace hook or a link plan left in place pins what the caller
 // lent — except the capacity named here, and the parts of that which a run
@@ -158,6 +158,8 @@ func assertEmptied(t *testing.T, after string, r *run) {
 		[]string{"slabOf", "pktOKBuf"})
 	check("medium.frames", medium.FieldByName("frames"), []string{"free"}, nil)
 	check("pool", reflect.ValueOf(&r.pool).Elem(), []string{"free"}, nil)
+	check("routes", reflect.ValueOf(&r.routes).Elem(),
+		[]string{"paths", "fwdCache", "consecFails", "blacklist", "unreachable", "unreachDrops"}, nil)
 	if len(r.endpoints) != 0 {
 		t.Errorf("after %s: %d endpoints left", after, len(r.endpoints))
 	}

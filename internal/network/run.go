@@ -33,11 +33,11 @@ type receiver interface {
 // has served and never shrunk. Each part empties itself by the same rule —
 // zero the struct, then restore only the capacity it names — so that a field
 // added later starts every run at zero without anyone remembering the arena:
-// the engine, the medium and the packet pool when a run ends (run.reset),
-// because they hold what the caller lent (the World's link plan, the trace
-// hook) and the records the run left out of their free lists; everything
-// else when the next run initialises it in place (Init), because only then
-// is it known which slab elements the run uses.
+// the engine, the medium, the packet pool and the route book when a run ends
+// (run.reset), because they hold what the caller lent (the World's link plan
+// and paths, the trace hook) and the records the run left out of their free
+// lists; the slab elements when the next run initialises them in place
+// (Init), because only then is it known which of them the run uses.
 type arena struct {
 	eng    sim.Engine
 	medium radio.Medium
@@ -166,12 +166,13 @@ func (r *run) execute(cfg *Config, world *World) (*Result, error) {
 
 // reset empties the arena after a run: the engine drops or recycles every
 // pending entry, the medium and the pool recall what is out of their free
-// lists, and the run's own fields go back to zero — what the arena keeps is
-// the one field named here.
+// lists, the route book forgets the World's paths, and the run's own fields
+// go back to zero — what the arena keeps is the one field named here.
 func (r *run) reset() {
 	r.eng.Reset()
 	r.medium.Reset()
 	r.pool.Reset()
+	r.routes.Init(0)
 	clear(r.endpoints)
 	*r = run{arena: r.arena}
 }
