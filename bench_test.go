@@ -12,7 +12,6 @@ import (
 
 	"ripple/internal/campaign/pool"
 	"ripple/internal/experiments"
-	"ripple/internal/israce"
 	"ripple/internal/sim"
 )
 
@@ -84,24 +83,23 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // (TestSteadyStateAllocatesNothingPerEvent in internal/network), and
 // network.Run keeps the run it assembled — engine, medium, pools, agents,
 // transports — and resets it for the next, so what these count is: for a
-// first run, set-up and pool warm-up; for the run after it, what is the
-// run's own and not the arena's; for the suite, its ~950 cells × 3 seeds at
-// 50 ms, each run on the arena the one before it left, plus the cells'
-// worlds and the result fold. Each budget is the measured number × 1.25 (the
-// suite's is the median of ten passes, 31.3k–36.4k: an arena the collector
-// takes from the pool mid-pass is assembled again). A pool, a slab or a bound
-// callback rebuilt per run costs the second run hundreds of objects and the
-// suite hundreds of thousands — it read 577,538 before runs were kept — and
-// fails here.
+// run after a run, what is the run's own and not the arena's; for the
+// suite, its ~950 cells × 3 seeds at 50 ms, each run on the arena the one
+// before it left, plus the cells' worlds and the result fold. Which arena a
+// run gets depends on the order of the calls alone, so the counts repeat:
+// the suite reads 30,243 objects in a process that has run nothing else and
+// 25,26x on every pass after that. Each budget is the measured number ×
+// 1.25. A pool, a slab or a bound callback rebuilt per run costs the second
+// run hundreds of objects and the suite hundreds of thousands — it read
+// 577,538 before runs were kept — and fails here. What a run allocates on a
+// new arena is held where a new arena can be asked for:
+// TestArenaAllocationBudgets in internal/network.
 func TestSetupAllocationBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole figure suite")
 	}
 	if os.Getenv("RIPPLE_AUDIT") != "" {
 		t.Skip("the deep audit quarantines released frames instead of reusing them")
-	}
-	if israce.Enabled {
-		t.Skip("under the race detector sync.Pool drops a quarter of the arenas put back")
 	}
 	mallocs := func(f func()) uint64 {
 		var before, after runtime.MemStats
@@ -117,21 +115,16 @@ func TestSetupAllocationBudgets(t *testing.T) {
 			t.Logf("%s: %d objects", what, n)
 		}
 	}
-	// Two collections empty a sync.Pool: the run that follows assembles a
-	// new arena whatever the tests before this one left behind.
-	runtime.GC()
-	runtime.GC()
-	check("one saturated 3-hop run on a new arena", mallocs(func() { engineRun(t) }), 650)
-	// The second run in a row finds the first one's arena. Of its 97 objects
-	// some 60 are the public API's — the line topology, the scenario's
-	// campaign plan and pool job, the public Result with its per-flow metrics
-	// and labels — 24 are the World network.Run builds when it is handed
-	// none (link plan, grid, route), and a dozen the run's own: its copy of
-	// the Config, validate's flow-ID set, five forwarder lists the route
-	// book caches per run, the Result and its flow slice.
-	check("the same run again, on the arena the first left", mallocs(func() { engineRun(t) }), 125)
-	// One worker, so that a run finds the arena of the run before it: with
-	// more, which of the pool's arenas a worker gets — or whether it gets
-	// one — depends on which P it is scheduled on.
-	check("the figure suite at 50 ms", mallocs(func() { suitePass(t, 1, 50*sim.Millisecond) }), 42_000)
+	// Whatever arena this run finds, the next finds the one it leaves. Of
+	// that run's 97 objects some 60 are the public API's — the line topology,
+	// the scenario's campaign plan and pool job, the public Result with its
+	// per-flow metrics and labels — 24 are the World network.Run builds when
+	// it is handed none (link plan, grid, route), and a dozen the run's own:
+	// its copy of the Config, validate's flow-ID set, five forwarder lists
+	// the route book caches per run, the Result and its flow slice.
+	engineRun(t)
+	check("one saturated 3-hop run on the arena the run before it left", mallocs(func() { engineRun(t) }), 125)
+	// One worker, so one arena: every run of the suite on what the run
+	// before it left.
+	check("the figure suite at 50 ms", mallocs(func() { suitePass(t, 1, 50*sim.Millisecond) }), 38_000)
 }

@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"slices"
-	"sync"
 	"testing"
 
 	"ripple/internal/core"
@@ -16,6 +16,7 @@ import (
 	"ripple/internal/pkt"
 	"ripple/internal/routing"
 	"ripple/internal/sim"
+	"ripple/internal/topology"
 	"ripple/internal/trace"
 )
 
@@ -198,18 +199,12 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 // A run that panics poisons its arena: Run must leave it to the collector,
 // not hand it to the next run.
 func TestArenaDiscardedAfterPanic(t *testing.T) {
-	saved := arenas.New
-	var made []*run
-	arenas = sync.Pool{New: func() any {
-		r := new(run)
-		made = append(made, r)
-		return r
-	}}
-	defer func() { arenas = sync.Pool{New: saved} }()
-
 	c := arenaCase{name: "grid/Ripple", cfg: orderGridConfig(Ripple)}
 	want := canonicalRun(t, new(run), c)
 
+	// The arena put back last is the one the next run takes.
+	poisoned := new(run)
+	keepArena(poisoned)
 	bomb := c.cfg
 	events := 0
 	bomb.Trace = func(sim.Time, string, pkt.NodeID, *pkt.Frame) {
@@ -225,13 +220,7 @@ func TestArenaDiscardedAfterPanic(t *testing.T) {
 		}()
 		Run(bomb)
 	}()
-	var poisoned *run
-	for _, r := range made {
-		if r.cfg != nil {
-			poisoned = r
-		}
-	}
-	if poisoned == nil || poisoned.eng.Processed() == 0 {
+	if poisoned.cfg == nil || poisoned.eng.Processed() == 0 {
 		t.Fatal("no arena died mid-run: the panic is not exercised")
 	}
 
@@ -246,10 +235,85 @@ func TestArenaDiscardedAfterPanic(t *testing.T) {
 	if poisoned.cfg == nil || poisoned.cfg.Seed != bomb.Seed || poisoned.eng.Pending() == 0 {
 		t.Fatal("the poisoned arena was reset: Run took it back")
 	}
-	// The pool holds clean arenas only.
-	for i := 0; i < 4; i++ {
-		if r := arenas.Get().(*run); r == poisoned || r.cfg != nil {
-			t.Fatal("the pool handed out an arena that was not reset")
+	// The cache holds clean arenas only.
+	for arenas.idle.Len() > 0 {
+		if r := takeArena(); r == poisoned || r.cfg != nil {
+			t.Fatal("the cache handed out an arena that was not reset")
 		}
+	}
+}
+
+// What one saturated 3-hop RIPPLE second allocates on a new arena — the
+// assembly: engine, medium, four stations' agents, the TCP connection, and the
+// warm-up of their pools — and on the arena that run leaves: the World Run
+// builds when it is handed none, its copy of the Config, validate's flow-ID
+// set, the route book's forwarder lists, the Result. Each budget is the
+// measured number (443, 38) × 1.25; assembly growing back into the second run, or a
+// first run that builds more than it did, fails here.
+func TestArenaAllocationBudgets(t *testing.T) {
+	if auditEnv() {
+		t.Skip("the deep audit quarantines released frames instead of reusing them")
+	}
+	line, path := topology.Line(3)
+	cfg := Config{Positions: line.Positions, Scheme: Ripple,
+		Flows: []FlowSpec{{ID: 1, Path: path, Kind: FTP}}, Duration: sim.Second}
+	arena := new(run)
+	for _, c := range []struct {
+		what   string
+		budget uint64
+	}{
+		{"a run on a new arena", 555},
+		{"the same run again on the arena it left", 48},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := runOn(arena, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n > c.budget {
+			t.Errorf("%s allocated %d objects, budget %d", c.what, n, c.budget)
+		} else {
+			t.Logf("%s: %d objects", c.what, n)
+		}
+	}
+}
+
+// Which arena Run takes depends on the order of the calls alone: one caller
+// running scenario after scenario gets the same arena every time, whatever
+// the scheduler and the collector do in between, and the cache never holds
+// more idle arenas than GOMAXPROCS.
+func TestArenaCacheIsLastInFirstOut(t *testing.T) {
+	for arenas.idle.Len() > 0 {
+		takeArena()
+	}
+	a, b := new(run), new(run)
+	keepArena(a)
+	keepArena(b)
+	cfg := orderGridConfig(Ripple)
+	for i := 0; i < 3; i++ {
+		if i > 0 {
+			runtime.GC()
+			runtime.GC()
+		}
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if cap(b.schemes) == 0 || cap(a.schemes) != 0 {
+			t.Fatalf("run %d was not assembled on the arena put back last", i)
+		}
+	}
+	if got := takeArena(); got != b {
+		t.Fatal("the arena put back last is not the one taken next")
+	}
+	if got := takeArena(); got != a {
+		t.Fatal("the arena under it is not the one taken after")
+	}
+	limit := runtime.GOMAXPROCS(0)
+	for i := 0; i < limit+3; i++ {
+		keepArena(new(run))
+	}
+	if n := arenas.idle.Len(); n != limit {
+		t.Fatalf("%d arenas idle, want GOMAXPROCS = %d", n, limit)
 	}
 }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 
 	"ripple/internal/audit"
@@ -103,9 +104,38 @@ type run struct {
 	epochTimer, sampleTimer, rerouteTimer sim.Timer
 }
 
-// arenas caches the arenas of finished runs, process-wide: Run takes one,
-// and puts it back empty. The collector frees the idle ones.
-var arenas = sync.Pool{New: func() any { return new(run) }}
+// arenas caches the arenas of finished runs, process-wide: Run takes the one
+// put back last and puts it back empty. Which arena a run gets depends on
+// nothing but the order of the calls — not on the P the caller is scheduled
+// on, not on when the collector last ran — so a caller that runs one scenario
+// after another is handed the same arena every time and a pool of n workers
+// shares n: what a run allocates does not vary from one process to the next.
+// At most GOMAXPROCS arenas idle; one put back beyond that is the
+// collector's, and the rest live as long as the process.
+var arenas struct {
+	sync.Mutex
+	idle sim.FreeList[run]
+}
+
+// takeArena returns the idle arena put back last, or a new one.
+func takeArena() *run {
+	arenas.Lock()
+	r := arenas.idle.Get()
+	arenas.Unlock()
+	if r == nil {
+		r = new(run)
+	}
+	return r
+}
+
+// keepArena puts an emptied arena back for the next run.
+func keepArena(r *run) {
+	arenas.Lock()
+	if arenas.idle.Len() < runtime.GOMAXPROCS(0) {
+		arenas.idle.Put(r)
+	}
+	arenas.Unlock()
+}
 
 // Run executes one scenario to completion and returns its results. When
 // cfg.World is set, the run executes on that shared snapshot (reading it
@@ -117,7 +147,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := arenas.Get().(*run)
+	r := takeArena()
 	res, err := r.execute(&cfg, world)
 	if err != nil {
 		// The arena is left to the collector, as it is when the run panics
@@ -125,7 +155,7 @@ func Run(cfg Config) (*Result, error) {
 		// run died in, no other run sees it.
 		return nil, err
 	}
-	arenas.Put(r)
+	keepArena(r)
 	return res, nil
 }
 
