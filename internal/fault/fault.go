@@ -437,29 +437,33 @@ func (s *Schedule) BlocksFrom(a pkt.NodeID, t sim.Time) bool {
 // entirely.
 func (s *Schedule) BlocksLinks() bool { return s.flapPeers != nil || s.side != nil }
 
-// NoiseDBAt returns the cumulative SNR penalty in dB applied to
-// receptions at station i at time t.
-func (s *Schedule) NoiseDBAt(i pkt.NodeID, t sim.Time) float64 {
-	var sum float64
+// NoiseDBAt fills buf, one entry per station, with the cumulative SNR
+// penalty in dB applied to receptions at each station at time t, and returns
+// it (a buf too short is replaced). Bursts are walked once, in index order,
+// each adding its penalty to the stations it covers, so a station under
+// several sums them in that order.
+func (s *Schedule) NoiseDBAt(t sim.Time, buf []float64) []float64 {
+	if cap(buf) < s.n {
+		buf = make([]float64, s.n)
+	}
+	buf = buf[:s.n]
+	clear(buf)
 	for bi := range s.bursts {
 		b := &s.bursts[bi]
 		if !stateAt(b.toggles, t) {
 			continue
 		}
 		for _, id := range b.Covered {
-			if id == i {
-				sum += b.PenaltyDB
-				break
-			}
+			buf[id] += b.PenaltyDB
 		}
 	}
-	return sum
+	return buf
 }
 
 // MaskedAt reports whether any fault is in effect at time t — a station
 // down, a link flapped or partitioned, or a noise burst active. Epoch
-// building consults it to decide between the clean link table (possibly
-// incrementally rebuilt) and a from-scratch fault-masked one.
+// building consults it to decide whether the epoch's clean link table is the
+// world's table as it stands or is first filtered through the fault overlay.
 func (s *Schedule) MaskedAt(t sim.Time) bool {
 	for _, ts := range s.stationToggles {
 		if stateAt(ts, t) {

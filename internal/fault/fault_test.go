@@ -172,9 +172,10 @@ func TestNoisePenaltyCoverage(t *testing.T) {
 		}
 	}
 	sawPenalty := false
+	var noise []float64
 	for at := sim.Time(0); at < dur; at += 10 * sim.Millisecond {
-		for i := range pos {
-			got := s.NoiseDBAt(pkt.NodeID(i), at)
+		noise = s.NoiseDBAt(at, noise)
+		for i, got := range noise {
 			if !covered[pkt.NodeID(i)] && got != 0 {
 				t.Fatalf("uncovered station %d penalised %v dB at %v", i, got, at)
 			}

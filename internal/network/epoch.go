@@ -121,11 +121,12 @@ func (s MobilitySpec) model(initial []radio.Pos) (mobility.Model, error) {
 // sequence: one derived World per epoch boundary strictly inside
 // (0, Duration). Each epoch world is derived incrementally from its
 // predecessor (see derive) — the link plan by radio's row-patching Rebuild,
-// the link table by routing.RebuildSparseTableSym — so on a city-scale
+// the clean link table by routing.RebuildSparseTableSym — so on a city-scale
 // world with most stations parked, the per-epoch cost is proportional to
 // the motion, not the population. With fault injection, epochs under a
 // fault overlay carry a masked link table (dead stations and blocked
-// links removed, noise penalties applied); consecutive epochs with
+// links removed, noise penalties applied), a filter of the clean one the
+// lineage carries on to the next epoch; consecutive epochs with
 // identical positions and fault toggle counts share one World. Like
 // everything else in the World, the sequence is a pure function of the
 // Config's non-seed fields (the trajectory seed lives in MobilitySpec,
@@ -145,18 +146,20 @@ func (w *World) buildEpochs(cfg *Config) error {
 		return nil
 	}
 	pos := append([]radio.Pos(nil), cfg.Positions...)
-	prev := w
+	ln := &lineage{faults: w.faults, prev: w, clean: w.table}
+	if w.faults != nil {
+		ln.counts = w.faults.ToggleCounts(0, nil)
+	}
 	w.epochs = make([]*World, 0, n)
 	for e := 0; e < n; e++ {
 		if model != nil {
 			model.Step(pos)
 		}
-		ew, err := derive(cfg, w, prev, pos, sim.Time(e+1)*w.epochLen)
+		ew, err := derive(cfg, ln, pos, sim.Time(e+1)*w.epochLen)
 		if err != nil {
 			return err
 		}
 		w.epochs = append(w.epochs, ew)
-		prev = ew
 	}
 	return nil
 }

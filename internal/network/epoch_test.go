@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ripple/internal/campaign/pool"
+	"ripple/internal/fault"
 	"ripple/internal/radio"
 	"ripple/internal/routing"
 	"ripple/internal/sim"
@@ -105,39 +106,67 @@ func TestEpochWorldsPureAndSeedIndependent(t *testing.T) {
 // every epoch world the incremental path derives (plan row-patching, table
 // patching, route carry-over) must equal a root build over that epoch's
 // positions, bit for bit — on a pruned plan and on an unpruned one, whose
-// table used to be rebuilt from scratch each epoch.
+// table used to be rebuilt from scratch each epoch — and, under station
+// churn, whatever the epoch before it was: a masked epoch's table is the
+// build from nothing through the overlay (scratchEpochTable), and a clean
+// epoch after a masked one, whose table is patched from the clean table the
+// lineage carried through the masked epoch, is again the root build's.
 func TestEpochIncrementalMatchesScratch(t *testing.T) {
-	for _, prune := range []float64{radio.DefaultPruneSigma, 0} {
-		for _, kind := range []MobilityKind{MobilityWaypoint, MobilityMarkov} {
-			cfg := mobileTestConfig(kind)
-			cfg.Normalize()
-			cfg.Radio.PruneSigma = prune
-			w, err := BuildWorld(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			model, err := cfg.Mobility.model(cfg.Positions)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pos := append([]radio.Pos(nil), cfg.Positions...)
-			for e, ew := range w.epochs {
-				model.Step(pos)
-				want, err := derive(&cfg, nil, nil, pos, 0)
+	var masked, cleanAfterMasked int
+	for _, churn := range []bool{false, true} {
+		for _, prune := range []float64{radio.DefaultPruneSigma, 0} {
+			for _, kind := range []MobilityKind{MobilityWaypoint, MobilityMarkov} {
+				cfg := mobileTestConfig(kind)
+				if churn {
+					cfg.Faults = fault.Spec{Seed: 3, MTBF: 120 * sim.Millisecond, MTTR: 40 * sim.Millisecond}
+				}
+				cfg.Normalize()
+				cfg.Radio.PruneSigma = prune
+				name := fmt.Sprintf("churn %v prune %g %s", churn, prune, kind)
+				w, err := BuildWorld(cfg)
 				if err != nil {
-					t.Fatalf("prune %g %s epoch %d: %v", prune, kind, e, err)
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(ew.plan, want.plan) {
-					t.Fatalf("prune %g %s epoch %d: incremental plan differs from scratch build", prune, kind, e)
+				model, err := cfg.Mobility.model(cfg.Positions)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(ew.table, want.table) {
-					t.Fatalf("prune %g %s epoch %d: incremental table differs from scratch build", prune, kind, e)
-				}
-				if !reflect.DeepEqual(ew.routes, want.routes) {
-					t.Fatalf("prune %g %s epoch %d: routes %v, want %v", prune, kind, e, ew.routes, want.routes)
+				pos := append([]radio.Pos(nil), cfg.Positions...)
+				prevMasked := false
+				for e, ew := range w.epochs {
+					model.Step(pos)
+					want, err := derive(&cfg, nil, pos, 0)
+					if err != nil {
+						t.Fatalf("%s epoch %d: %v", name, e, err)
+					}
+					if !reflect.DeepEqual(ew.plan, want.plan) {
+						t.Fatalf("%s epoch %d: incremental plan differs from scratch build", name, e)
+					}
+					if ew.masked {
+						masked++
+						through, _ := scratchEpochTable(&cfg, w.faults, pos, sim.Time(e+1)*w.epochLen)
+						if !reflect.DeepEqual(ew.table, through) {
+							t.Fatalf("%s epoch %d: masked table differs from the build from nothing through the overlay", name, e)
+						}
+						prevMasked = true
+						continue
+					}
+					if prevMasked {
+						cleanAfterMasked++
+					}
+					prevMasked = false
+					if !reflect.DeepEqual(ew.table, want.table) {
+						t.Fatalf("%s epoch %d: incremental table differs from scratch build", name, e)
+					}
+					if !reflect.DeepEqual(ew.routes, want.routes) {
+						t.Fatalf("%s epoch %d: routes %v, want %v", name, e, ew.routes, want.routes)
+					}
 				}
 			}
 		}
+	}
+	if masked == 0 || cleanAfterMasked == 0 {
+		t.Fatalf("%d masked epochs, %d clean ones after a masked one: the churn cells exercise neither", masked, cleanAfterMasked)
 	}
 }
 

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"ripple/internal/fault"
@@ -83,7 +84,7 @@ func BuildWorld(cfg Config) (*World, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
-	w, err := derive(&cfg, nil, nil, cfg.Positions, 0)
+	w, err := derive(&cfg, nil, cfg.Positions, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -103,9 +104,23 @@ func BuildWorld(cfg Config) (*World, error) {
 // a link for routing (it matches the public Router).
 const minLinkProb = 0.1
 
-// derive builds one world: the root snapshot (root and prev nil, at 0) or
-// the world of one epoch from its predecessor, the epoch's station
-// positions and the fault overlay in effect at the boundary.
+// lineage is what deriving an epoch world takes from the epochs before it
+// besides the predecessor World itself. It lives for one buildEpochs and is
+// dropped with it, so no World carries any of it.
+type lineage struct {
+	faults *fault.Schedule // the root world's; nil without fault injection
+	prev   *World
+	// clean is prev's link table before any fault overlay: prev.table itself
+	// when prev is unmasked, and nil when routing is inactive.
+	clean *routing.Table
+	// counts is the fault schedule's ToggleCounts at prev's boundary; spare
+	// is the buffer the next boundary's are written into.
+	counts, spare []int
+}
+
+// derive builds one world: the root snapshot (ln nil, at 0) or the world of
+// one epoch from its predecessor, the epoch's station positions and the
+// fault overlay in effect at the boundary, advancing ln to it.
 //
 // The link plan is prev's, row-patched. The link table is built over the
 // same radio model the medium uses, so the metric always matches the
@@ -113,13 +128,16 @@ const minLinkProb = 0.1
 // pruned pair's mean power sits PruneSigma shadowing deviations below the
 // carrier-sense threshold, which (with CSThreshDBm ≤ RXThreshDBm, true of
 // every radio profile) puts its delivery probability orders of magnitude
-// below minLinkProb, so probing it would store nothing. With a fault
-// overlay in effect, down stations and blocked links are removed and noise
-// penalties raise the effective decode threshold — the routing-layer
-// mirror of what the medium does to live transmissions; a clean table is
-// patched row by row from a clean predecessor's (masked rows are never
-// copied forward), so on a city with most stations parked the per-epoch
-// cost follows the motion, not the population.
+// below minLinkProb, so probing it would store nothing.
+//
+// Every epoch has a clean table — the one a root build over its positions
+// would store — patched row by row from its predecessor's clean table, so
+// on a city with most stations parked the per-epoch cost follows the
+// motion, not the population; an epoch in which nobody moved shares its
+// predecessor's. With a fault overlay in effect the world's table is that
+// clean table filtered (maskLinkTable), the routing-layer mirror of what
+// the medium does to live transmissions; the clean one is carried forward
+// in ln all the same, so a masked epoch costs its successor nothing.
 //
 // A flow whose route cannot be resolved is an error on the root world. On
 // an epoch world it keeps the previous epoch's route — flagged stale when
@@ -127,18 +145,24 @@ const minLinkProb = 0.1
 // did — exactly as a failed in-run dynamic recompute keeps the current
 // one: a transient partition must not kill the run, and Run surfaces the
 // flags as Result.RouteStale and the unreachable machinery instead.
-func derive(cfg *Config, root, prev *World, positions []radio.Pos, at sim.Time) (*World, error) {
+func derive(cfg *Config, ln *lineage, positions []radio.Pos, at sim.Time) (*World, error) {
 	w := &World{flows: len(cfg.Flows)}
+	var prev *World
 	var fs *fault.Schedule
-	if prev == nil {
+	var clean *routing.Table
+	if ln == nil {
 		w.plan = radio.NewLinkPlan(cfg.Radio, positions)
 	} else {
+		prev, fs = ln.prev, ln.faults
 		w.plan = prev.plan.Rebuild(positions)
-		fs = root.faults
 		// Two instants with equal toggle counts have identical fault
 		// overlays, and prev is the world of one epoch earlier.
-		if w.plan == prev.plan && (fs == nil ||
-			slices.Equal(fs.ToggleCounts(at-root.epochLen, nil), fs.ToggleCounts(at, nil))) {
+		toggled := false
+		if fs != nil {
+			ln.counts, ln.spare = fs.ToggleCounts(at, ln.spare[:0]), ln.counts
+			toggled = !slices.Equal(ln.counts, ln.spare)
+		}
+		if w.plan == prev.plan && !toggled {
 			// Nobody moved and no fault toggled this epoch: the predecessor
 			// *is* this epoch's world, and both are immutable, so share it.
 			return prev, nil
@@ -149,30 +173,24 @@ func derive(cfg *Config, root, prev *World, positions []radio.Pos, at sim.Time) 
 	if fs != nil && fs.MaskedAt(at) {
 		w.masked = true
 		down = make([]bool, w.plan.Stations())
-		noise = make([]float64, w.plan.Stations())
 		for i := range down {
 			down[i] = fs.StationDownAt(pkt.NodeID(i), at)
-			noise[i] = fs.NoiseDBAt(pkt.NodeID(i), at)
 		}
+		noise = fs.NoiseDBAt(at, nil)
 	}
 	if cfg.Routing.active() {
-		clean := func(d float64) float64 { return 1 - cfg.Radio.LossProb(d) }
+		prob := linkProb(cfg.Radio)
 		switch {
-		case w.masked:
-			w.table = linkTable(w.plan, func(a, b pkt.NodeID, d float64) float64 {
-				if down[a] || down[b] || fs.LinkBlockedAt(a, b, at) {
-					return 0
-				}
-				rc := cfg.Radio
-				if pen := max(noise[a], noise[b]); pen > 0 {
-					rc.RXThreshDBm += pen
-				}
-				return 1 - rc.LossProb(d)
-			})
-		case prev != nil && !prev.masked:
-			w.table = patchLinkTable(prev, w.plan, clean)
+		case ln == nil:
+			clean = linkTable(w.plan, prob)
+		case w.plan == prev.plan:
+			clean = ln.clean
 		default:
-			w.table = linkTable(w.plan, func(_, _ pkt.NodeID, d float64) float64 { return clean(d) })
+			clean = patchLinkTable(prev.plan, ln.clean, w.plan, prob)
+		}
+		w.table = clean
+		if w.masked {
+			w.table = maskLinkTable(clean, w.plan, cfg.Radio, fs, at, down, noise)
 		}
 		if cfg.Routing.needsPolicy() {
 			pol, err := cfg.Routing.build(w.table, w.plan.Positions())
@@ -218,37 +236,84 @@ func derive(cfg *Config, root, prev *World, positions []radio.Pos, at sim.Time) 
 			w.unreach[i] = true
 		}
 	}
+	if ln != nil {
+		ln.prev, ln.clean = w, clean
+	}
 	return w, nil
 }
 
-// linkTable builds a world's ETX table from a symmetric link-probability
-// func of the pair and its distance — the clean loss model, or that model
-// under a fault mask — over the plan's neighbor graph; iterating the
-// plan's CSR rows hands it each stored distance without a per-pair lookup.
-func linkTable(plan *radio.LinkPlan, prob func(a, b pkt.NodeID, d float64) float64) *routing.Table {
+// linkProb returns the clean delivery probability of a link as a function
+// of its length. Past reach — where the mean power sits 1.5 shadowing
+// deviations under the decode threshold, a probability of 0.067 — nothing
+// clears minLinkProb, and nine in ten of a pruned plan's pairs are that far
+// apart: they are answered by a comparison, not an erfc.
+func linkProb(rc radio.Config) func(d float64) float64 {
+	far := rc
+	far.RXThreshDBm -= 1.5 * rc.ShadowSigmaDB
+	reach := far.RXRange() * 1.001
+	return func(d float64) float64 {
+		if d > reach {
+			return 0
+		}
+		return 1 - rc.LossProb(d)
+	}
+}
+
+// linkTable builds a world's clean ETX table from the link-probability func
+// of a distance over the plan's neighbor graph; iterating the plan's CSR
+// rows hands it each stored distance without a per-pair lookup.
+func linkTable(plan *radio.LinkPlan, prob func(d float64) float64) *routing.Table {
 	return routing.NewSparseTableSym(plan.Stations(), func(a pkt.NodeID, yield func(int32, float64)) {
 		plan.EachAscNeighbor(int(a), func(j int32, d float64) {
-			yield(j, prob(a, pkt.NodeID(j), d))
+			yield(j, prob(d))
 		})
 	}, minLinkProb)
 }
 
-// patchLinkTable derives a clean link table from a clean predecessor's:
-// rows whose neighborhood geometry did not change are copied, unmoved
-// pairs of the others copy their stored values, and only pairs with a
-// moved endpoint pay a probability evaluation.
-func patchLinkTable(prev *World, plan *radio.LinkPlan, clean func(d float64) float64) *routing.Table {
-	prevPos, newPos := prev.plan.Positions(), plan.Positions()
+// patchLinkTable derives the clean link table of plan from the clean table
+// of prevPlan, the plan it was rebuilt from: rows whose neighborhood
+// geometry did not change are copied, unmoved pairs of the others copy
+// their stored values, and only pairs with a moved endpoint pay a
+// probability evaluation. Whether the predecessor world was fault-masked
+// does not enter: its clean table is what is patched.
+func patchLinkTable(prevPlan *radio.LinkPlan, prevClean *routing.Table, plan *radio.LinkPlan, prob func(d float64) float64) *routing.Table {
+	prevPos, newPos := prevPlan.Positions(), plan.Positions()
 	moved := make([]bool, plan.Stations())
 	unchanged := make([]bool, plan.Stations())
 	for i := range moved {
 		moved[i] = newPos[i] != prevPos[i]
-		unchanged[i] = !moved[i] && plan.RowEqual(prev.plan, i)
+		unchanged[i] = !moved[i] && plan.RowEqual(prevPlan, i)
 	}
-	return routing.RebuildSparseTableSym(prev.table, moved, unchanged,
+	return routing.RebuildSparseTableSym(prevClean, moved, unchanged,
 		func(a pkt.NodeID, yield func(int32, float64)) {
 			plan.EachAscNeighbor(int(a), yield)
-		}, clean, minLinkProb)
+		}, prob, minLinkProb)
+}
+
+// maskLinkTable filters an epoch's clean table through the fault overlay at
+// the boundary: links of down stations and blocked links are dropped, and a
+// link with a noise penalty at either end is evaluated again with the decode
+// threshold raised by it. A penalty can only lower a delivery probability,
+// so no pair the clean table left out for falling short of minLinkProb can
+// clear it under the overlay: the filter of the clean table is the table a
+// build from nothing under the overlay would store, link for link.
+func maskLinkTable(clean *routing.Table, plan *radio.LinkPlan, rc radio.Config, fs *fault.Schedule, at sim.Time, down []bool, noise []float64) *routing.Table {
+	return clean.Filter(func(a, b pkt.NodeID, etx float64) float64 {
+		if down[a] || down[b] || fs.LinkBlockedAt(a, b, at) {
+			return math.Inf(1)
+		}
+		pen := max(noise[a], noise[b])
+		if pen <= 0 {
+			return etx
+		}
+		noisy := rc
+		noisy.RXThreshDBm += pen
+		p := 1 - noisy.LossProb(plan.Distance(int(a), int(b)))
+		if p < minLinkProb {
+			return math.Inf(1)
+		}
+		return routing.ETX(p, p)
+	})
 }
 
 // maskPath filters crashed intermediate relays out of a declared path
@@ -292,9 +357,9 @@ func exemptEndpoints(cfg *Config) []bool {
 }
 
 // planLinks enumerates the plan's neighbor pairs (a < b), the candidate
-// set for link flaps.
+// set for link flaps: one of the two directed links the plan stores per pair.
 func planLinks(plan *radio.LinkPlan) [][2]pkt.NodeID {
-	var out [][2]pkt.NodeID
+	out := make([][2]pkt.NodeID, 0, plan.Links()/2)
 	for a := 0; a < plan.Stations(); a++ {
 		plan.EachAscNeighbor(a, func(j int32, _ float64) {
 			if int(j) > a {

@@ -23,15 +23,16 @@ import (
 // rows, mobility short-epoched enough that a 1.5 s run crosses seven
 // boundaries, and every fault process on: churn, flapping links, noise
 // bursts and a partition window that opens and closes mid-run. The waypoint
-// cells carry the heavy fault profile (every epoch's table is masked); the Markov cells the light one, whose epochs read
-// clean, masked, clean, masked, masked, clean, clean — so a clean table is
-// patched from the root, built fresh after a masked predecessor and patched
-// from a clean epoch — and whose hops disconnect flow endpoints in clean
-// epochs (stale routes) as well as masked ones (unreachable). Between them
-// the cells reach every branch of the link-table choice (pruned/unpruned ×
-// clean/masked × fresh/patched), both route resolutions (root world, epoch
-// world) for a sized static path and for each built-in policy, and the
-// epoch swap's stale/unreachable bookkeeping.
+// cells carry the heavy fault profile (every epoch's table is masked); the
+// Markov cells the light one, whose epochs read clean, masked, clean, masked,
+// masked, clean, clean — so a clean table is patched from the root's, from a
+// clean epoch's and from the clean table carried through a masked epoch, and
+// a masked one filtered after each — and whose hops disconnect flow endpoints
+// in clean epochs (stale routes) as well as masked ones (unreachable).
+// Between them the cells reach every provenance of a link table
+// (pruned/unpruned × clean/masked × after clean/after masked), both route
+// resolutions (root world, epoch world) for a sized static path and for each
+// built-in policy, and the epoch swap's stale/unreachable bookkeeping.
 func worldPinConfig(pruned bool, mob MobilityKind, route RoutingSpec) Config {
 	const rows, cols = 4, 12
 	top := topology.City(topology.CityParams{Rows: rows, Cols: cols, Spacing: 200, Jitter: 20, Seed: 5})

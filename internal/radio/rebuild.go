@@ -65,11 +65,16 @@ func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
 	// the predicate still keeps.) Candidates are symmetric-by-distance, so
 	// querying around j finds exactly the rows whose candidate set gained
 	// j. Stored as a CSR over rows; each row's dirty list is in ascending
-	// moved-station order because movedIdx is ascending.
+	// moved-station order because movedIdx is ascending. moverPairs counts
+	// the candidates that are movers themselves: entries of the movers' own
+	// rows that no unmoved row mirrors.
 	dirtyOff := make([]int32, pl.n+1)
+	moverPairs := 0
 	for _, j := range movedIdx {
 		grid.eachCandidate(int(j), np.positions, rsq, func(c int32) {
-			if !moved[c] {
+			if moved[c] {
+				moverPairs++
+			} else {
 				dirtyOff[c+1]++
 			}
 		})
@@ -88,16 +93,37 @@ func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
 		})
 	}
 
-	// Row pass. Sizing by the old link count plus slack for the moved
-	// rows' churn: appends grow it if motion densified the graph.
+	// movedNbrs[i] is how many of unmoved row i's old entries point at a
+	// mover, the entries the merge drops; the rest survive as they are.
+	movedNbrs := make([]int32, pl.n)
+	survivors := 0
+	for i := 0; i < pl.n; i++ {
+		if moved[i] {
+			continue
+		}
+		row := pl.nbrID[pl.off[i]:pl.off[i+1]]
+		for _, id := range row {
+			if moved[id] {
+				movedNbrs[i]++
+			}
+		}
+		survivors += len(row) - int(movedNbrs[i])
+	}
+
+	// Row pass, into arrays sized once. A new row holds at most its
+	// survivors plus its dirty candidates (unmoved rows) or its candidates
+	// (movers' rows: each dirty pair seen from the mover's end, plus the
+	// mover pairs) — the exact predicate can only reject boundary
+	// candidates, as in buildPruned — so however far a step densifies the
+	// graph, no append below reallocates.
 	np.off = make([]int64, pl.n+1)
-	capHint := len(pl.nbrID) + 16*len(movedIdx) + 64
-	np.nbrID = make([]int32, 0, capHint)
-	np.nbrDBm = make([]float64, 0, capHint)
-	np.nbrDist = make([]float64, 0, capHint)
-	np.nbrPD = make([]sim.Time, 0, capHint)
-	np.lookID = make([]int32, 0, capHint)
-	np.lookSlot = make([]int32, 0, capHint)
+	links := survivors + 2*len(dirtyJ) + moverPairs
+	np.nbrID = make([]int32, 0, links)
+	np.nbrDBm = make([]float64, 0, links)
+	np.nbrDist = make([]float64, 0, links)
+	np.nbrPD = make([]sim.Time, 0, links)
+	np.lookID = make([]int32, 0, links)
+	np.lookSlot = make([]int32, 0, links)
 
 	var s rowScratch
 	for i := 0; i < pl.n; i++ {
@@ -106,7 +132,7 @@ func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
 			continue
 		}
 		dirty := dirtyJ[dirtyOff[i]:dirtyOff[i+1]]
-		if len(dirty) == 0 && !pl.rowHasMoved(i, moved) {
+		if len(dirty) == 0 && movedNbrs[i] == 0 {
 			// Untouched row: no mover entered the candidate radius and no
 			// existing neighbor moved, so the row — entries, order, lookup —
 			// is the old one verbatim. On a high-stay world this is nearly
@@ -119,16 +145,6 @@ func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
 	}
 	np.indexDelayOrder()
 	return np
-}
-
-// rowHasMoved reports whether any of station i's stored neighbors moved.
-func (pl *LinkPlan) rowHasMoved(i int, moved []bool) bool {
-	for _, id := range pl.nbrID[pl.off[i]:pl.off[i+1]] {
-		if moved[id] {
-			return true
-		}
-	}
-	return false
 }
 
 // appendCopiedRow appends station i's row — primary arrays and lookup —

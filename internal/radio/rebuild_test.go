@@ -151,3 +151,40 @@ func TestSetPlanSwapsPositions(t *testing.T) {
 		t.Fatalf("Distance after swap = %g, want %g", got, want)
 	}
 }
+
+// TestRebuildSizesItsArraysOnce: a Markov step in which movers converge on
+// one place adds links by the tens of thousands, and the row pass must not
+// pay for them by reallocating: Rebuild sizes its six link arrays once, from
+// what its dirty pass counted, so however many links a step adds it makes
+// the same few dozen allocations (the row scratch may double once more on
+// the way to a larger row) and the arrays it leaves are as long as their
+// contents, give or take the boundary candidates the power predicate
+// turned away.
+func TestRebuildSizesItsArraysOnce(t *testing.T) {
+	cfg, initial, _ := mobileCity(800, 4000, 21)
+	pl := NewLinkPlan(cfg, initial)
+	var base float64
+	for _, movers := range []int{10, 40, 100, 190} {
+		pos := append([]Pos(nil), initial...)
+		for i := 0; i < movers; i++ {
+			pos[i*4] = Pos{X: 2000 + float64(i%10), Y: 2000 + float64(i/10)}
+		}
+		var np *LinkPlan
+		allocs := testing.AllocsPerRun(3, func() { np = pl.Rebuild(pos) })
+		if base == 0 {
+			base = allocs
+		}
+		added := np.Links() - pl.Links()
+		if allocs > base+2 {
+			t.Errorf("%d movers, %d links added: %.0f allocations, %.0f with 10 movers", movers, added, allocs, base)
+		}
+		for _, c := range []int{cap(np.nbrID), cap(np.nbrDBm), cap(np.nbrDist), cap(np.nbrPD), cap(np.lookID), cap(np.lookSlot)} {
+			if c < np.Links() || c > np.Links()+np.Links()/100 {
+				t.Errorf("%d movers: an array of capacity %d for %d links", movers, c, np.Links())
+			}
+		}
+		if movers == 190 && added < pl.Links()/4 {
+			t.Fatalf("190 movers added %d links to %d: the step does not densify", added, pl.Links())
+		}
+	}
+}

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"container/heap"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -93,9 +94,28 @@ func randomTieTable(rng *rand.Rand, n, degree, levels int) *Table {
 	return t
 }
 
+// pathFrom reads the src→dst path out of a finished run's predecessors, the
+// way ShortestPathCost does.
+func pathFrom(prev []pkt.NodeID, src, dst pkt.NodeID) Path {
+	var p Path
+	for at := dst; at != -1; at = prev[at] {
+		p = append(p, at)
+		if at == src {
+			break
+		}
+	}
+	slices.Reverse(p)
+	return p
+}
+
+// TestDijkstraMatchesContainerHeap holds the value heap to the container/heap
+// reference entry for entry, and the early exit to the run to completion:
+// for every destination, ShortestPathCost — which stops as soon as the
+// destination is settled — returns the path the full run's prev[] holds, and
+// ErrNoRoute exactly where the full run's distance is +Inf.
 func TestDijkstraMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 7))
-	ties := 0
+	ties, unreachable := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.IntN(300)
 		table := randomTieTable(rng, n, 1+rng.IntN(6), 1+rng.IntN(3))
@@ -111,11 +131,25 @@ func TestDijkstraMatchesContainerHeap(t *testing.T) {
 		}
 		for k := 0; k < 4; k++ {
 			src := pkt.NodeID(rng.IntN(n))
-			dist, prev := table.dijkstra(src, cost)
+			dist, prev := table.dijkstra(src, -1, cost)
 			wantDist, wantPrev := dijkstraRef(table, src, cost)
 			if !slices.Equal(dist, wantDist) || !slices.Equal(prev, wantPrev) {
 				t.Fatalf("trial %d (n=%d) from %d: value heap and container/heap disagree\ndist %v\nwant %v\nprev %v\nwant %v",
 					trial, n, src, dist, wantDist, prev, wantPrev)
+			}
+			for dst := pkt.NodeID(0); int(dst) < n; dst++ {
+				got, err := table.ShortestPathCost(src, dst, cost)
+				if math.IsInf(wantDist[dst], 1) {
+					unreachable++
+					if !errors.Is(err, ErrNoRoute) {
+						t.Fatalf("trial %d (n=%d) %d -> %d: unreachable, got path %v, err %v", trial, n, src, dst, got, err)
+					}
+					continue
+				}
+				if want := pathFrom(wantPrev, src, dst); err != nil || !slices.Equal(got, want) {
+					t.Fatalf("trial %d (n=%d) %d -> %d: early exit routes %v (err %v), the full run %v",
+						trial, n, src, dst, got, err, want)
+				}
 			}
 			seen := map[float64]bool{}
 			for _, d := range dist {
@@ -129,13 +163,33 @@ func TestDijkstraMatchesContainerHeap(t *testing.T) {
 	if ties < 10000 {
 		t.Fatalf("only %d stations at a distance another shares: the tie order is not exercised", ties)
 	}
+	if unreachable < 100 {
+		t.Fatalf("only %d unreachable destinations: ErrNoRoute under the early exit is not exercised", unreachable)
+	}
 }
 
 // One call allocates its three per-station arrays and the heap, not an entry
-// per relaxation.
+// per relaxation, whether it runs to completion or stops at a destination.
 func TestDijkstraAllocations(t *testing.T) {
 	table := randomTieTable(rand.New(rand.NewPCG(3, 3)), 400, 6, 3)
-	if a := testing.AllocsPerRun(20, func() { table.dijkstra(5, nil) }); a > 4 {
-		t.Fatalf("dijkstra allocates %.0f objects a call, want at most 4", a)
+	for _, dst := range []pkt.NodeID{-1, 77} {
+		if a := testing.AllocsPerRun(20, func() { table.dijkstra(5, dst, nil) }); a > 4 {
+			t.Fatalf("dijkstra to %d allocates %.0f objects a call, want at most 4", dst, a)
+		}
+	}
+}
+
+// The early exit is what a route on a large table saves: settling a
+// destination a few hops away must not settle the table.
+func TestDijkstraStopsAtDestination(t *testing.T) {
+	table := lineTable(500)
+	relaxed := 0
+	count := func(_, _ pkt.NodeID, etx float64) float64 { relaxed++; return etx }
+	if _, err := table.ShortestPathCost(10, 14, count); err != nil {
+		t.Fatal(err)
+	}
+	// Stations 6..14 at most are settled before 14 is, two links each.
+	if relaxed > 20 {
+		t.Fatalf("a four-hop route on a 500-station line relaxed %d links", relaxed)
 	}
 }

@@ -177,7 +177,7 @@ func (t *Table) ShortestPath(src, dst pkt.NodeID) (Path, error) {
 // error when dst is unreachable. Only links the table considers usable
 // (finite ETX) are offered to the cost function.
 func (t *Table) ShortestPathCost(src, dst pkt.NodeID, cost LinkCostFunc) (Path, error) {
-	dist, prev := t.dijkstra(src, cost)
+	dist, prev := t.dijkstra(src, dst, cost)
 	if math.IsInf(dist[dst], 1) {
 		return nil, fmt.Errorf("routing: %w %d -> %d", ErrNoRoute, src, dst)
 	}
@@ -201,7 +201,7 @@ func (t *Table) ShortestPathCost(src, dst pkt.NodeID, cost LinkCostFunc) (Path, 
 // Distances(dst, nil) also gives every station's distance *to* dst — the
 // "ETX progress" ordering opportunistic relay selection relies on.
 func (t *Table) Distances(src pkt.NodeID, cost LinkCostFunc) []float64 {
-	dist, _ := t.dijkstra(src, cost)
+	dist, _ := t.dijkstra(src, -1, cost)
 	return dist
 }
 
@@ -209,7 +209,13 @@ func (t *Table) Distances(src pkt.NodeID, cost LinkCostFunc) []float64 {
 // over the stored links. A popped node's neighbors are relaxed in ascending
 // ID order, which fixes the tie order among equal distances and hence the
 // paths: two tables holding the same links route identically.
-func (t *Table) dijkstra(src pkt.NodeID, cost LinkCostFunc) ([]float64, []pkt.NodeID) {
+//
+// It stops once dst is settled (-1: no station is, and every distance is
+// final on return). A settled station's dist and prev never change, and every
+// station on the path to a settled one was settled before it, so the path
+// read back from prev is the one a run to completion leaves; the entries of
+// stations not yet settled are provisional and must not be read.
+func (t *Table) dijkstra(src, dst pkt.NodeID, cost LinkCostFunc) ([]float64, []pkt.NodeID) {
 	dist := make([]float64, t.n)
 	prev := make([]pkt.NodeID, t.n)
 	done := make([]bool, t.n)
@@ -226,6 +232,9 @@ func (t *Table) dijkstra(src pkt.NodeID, cost LinkCostFunc) ([]float64, []pkt.No
 		u := q.pop().node
 		if done[u] {
 			continue
+		}
+		if u == dst {
+			break
 		}
 		done[u] = true
 		for s := int(t.off[u]); s < int(t.off[u+1]); s++ {

@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"math"
+
 	"ripple/internal/pkt"
 )
 
@@ -26,15 +28,21 @@ func NewSparseTableSym(n int, links func(a pkt.NodeID, yield func(b int32, p flo
 	t := &Table{n: n, off: make([]int64, n+1)}
 	// Usable degree is typically far below candidate degree (decode range
 	// vs pruning range), so rows grow by append instead of reserving the
-	// full candidate count.
-	for a := 0; a < n; a++ {
-		links(pkt.NodeID(a), func(b int32, p float64) {
-			if int(b) == a || p < minProb {
-				return
-			}
-			t.adjID = append(t.adjID, b)
-			t.adjETX = append(t.adjETX, ETX(p, p))
-		})
+	// full candidate count, and counting the usable ones first would pay
+	// every probability twice. A station anything can be routed to has a
+	// usable link, so one slot each is the floor the arrays start from.
+	t.adjID = make([]int32, 0, n)
+	t.adjETX = make([]float64, 0, n)
+	var a int
+	keep := func(b int32, p float64) {
+		if int(b) == a || p < minProb {
+			return
+		}
+		t.adjID = append(t.adjID, b)
+		t.adjETX = append(t.adjETX, ETX(p, p))
+	}
+	for a = 0; a < n; a++ {
+		links(pkt.NodeID(a), keep)
 		t.off[a+1] = int64(len(t.adjID))
 	}
 	return t
@@ -63,58 +71,74 @@ func RebuildSparseTableSym(prev *Table, moved, unchanged []bool, links func(a pk
 	t := &Table{n: n, off: make([]int64, n+1)}
 	t.adjID = make([]int32, 0, len(prev.adjID)+64)
 	t.adjETX = make([]float64, 0, len(prev.adjID)+64)
-	for a := 0; a < n; a++ {
-		if unchanged != nil && unchanged[a] && !moved[a] {
-			lo, hi := prev.off[a], prev.off[a+1]
-			t.adjID = append(t.adjID, prev.adjID[lo:hi]...)
-			t.adjETX = append(t.adjETX, prev.adjETX[lo:hi]...)
-			t.off[a+1] = int64(len(t.adjID))
-			continue
+	// The two row visitors are built once and read the row they serve from
+	// a, k and hi: a closure handed to links escapes, and one per row would
+	// be an allocation per row.
+	var a, k, hi int
+	fresh := func(b int32, d float64) {
+		if int(b) == a {
+			return
 		}
-		if moved[a] {
+		p := prob(d)
+		if p < minProb {
+			return
+		}
+		t.adjID = append(t.adjID, b)
+		t.adjETX = append(t.adjETX, ETX(p, p))
+	}
+	// Unmoved row: lockstep walk. prev's row and the new candidate stream
+	// are both ascending, and an unmoved pair offered now was offered before
+	// (same geometry), so "stored in prev" already encodes the minProb
+	// verdict — no probability evaluation needed.
+	patched := func(b int32, d float64) {
+		if moved[b] {
+			fresh(b, d)
+			return
+		}
+		for k < hi && prev.adjID[k] < b {
+			k++
+		}
+		if k < hi && prev.adjID[k] == b {
+			t.adjID = append(t.adjID, b)
+			t.adjETX = append(t.adjETX, prev.adjETX[k])
+			k++
+		}
+	}
+	for a = 0; a < n; a++ {
+		k, hi = int(prev.off[a]), int(prev.off[a+1])
+		switch {
+		case moved[a]:
 			// Every pair of a moved row changed distance: full recompute.
-			links(pkt.NodeID(a), func(b int32, d float64) {
-				if int(b) == a {
-					return
-				}
-				p := prob(d)
-				if p < minProb {
-					return
-				}
-				t.adjID = append(t.adjID, b)
-				t.adjETX = append(t.adjETX, ETX(p, p))
-			})
-			t.off[a+1] = int64(len(t.adjID))
-			continue
+			links(pkt.NodeID(a), fresh)
+		case unchanged != nil && unchanged[a]:
+			t.adjID = append(t.adjID, prev.adjID[k:hi]...)
+			t.adjETX = append(t.adjETX, prev.adjETX[k:hi]...)
+		default:
+			links(pkt.NodeID(a), patched)
 		}
-		// Unmoved row: lockstep walk. prev's row and the new candidate
-		// stream are both ascending, and an unmoved pair offered now was
-		// offered before (same geometry), so "stored in prev" already
-		// encodes the minProb verdict — no probability evaluation needed.
-		k, hi := int(prev.off[a]), int(prev.off[a+1])
-		links(pkt.NodeID(a), func(b int32, d float64) {
-			if int(b) == a {
-				return
-			}
-			if moved[b] {
-				p := prob(d)
-				if p < minProb {
-					return
-				}
-				t.adjID = append(t.adjID, b)
-				t.adjETX = append(t.adjETX, ETX(p, p))
-				return
-			}
-			for k < hi && prev.adjID[k] < b {
-				k++
-			}
-			if k < hi && prev.adjID[k] == b {
-				t.adjID = append(t.adjID, b)
-				t.adjETX = append(t.adjETX, prev.adjETX[k])
-				k++
-			}
-		})
 		t.off[a+1] = int64(len(t.adjID))
 	}
 	return t
+}
+
+// Filter returns the table of a world in which some of t's links are gone
+// or worse — the fault-masked table of an epoch, from that epoch's clean
+// one. mask is offered every stored link with its ETX, in row order, and
+// returns the ETX to store for it or +Inf to drop it; it must be symmetric
+// (mask(a, b, x) == mask(b, a, x)) and can only ever remove links, never add
+// one t does not store. t is read-only throughout.
+func (t *Table) Filter(mask LinkCostFunc) *Table {
+	f := &Table{n: t.n, off: make([]int64, t.n+1)}
+	f.adjID = make([]int32, 0, len(t.adjID))
+	f.adjETX = make([]float64, 0, len(t.adjID))
+	for a := 0; a < t.n; a++ {
+		for s := t.off[a]; s < t.off[a+1]; s++ {
+			if etx := mask(pkt.NodeID(a), pkt.NodeID(t.adjID[s]), t.adjETX[s]); !math.IsInf(etx, 1) {
+				f.adjID = append(f.adjID, t.adjID[s])
+				f.adjETX = append(f.adjETX, etx)
+			}
+		}
+		f.off[a+1] = int64(len(f.adjID))
+	}
+	return f
 }
