@@ -19,11 +19,12 @@
 // Distributed execution (docs/distributed.md): -workers n spawns n local
 // worker processes and shards every grid across them; -listen also (or
 // instead) accepts remote workers started with -connect addr and the same
-// experiment flags. -ckpt writes a checkpoint file as cells complete;
-// -resume continues an interrupted campaign from one; alongside either,
-// a write-ahead journal (the checkpoint path + ".wal") records every
-// delivered cell the moment it arrives, so resume loses nothing between
-// checkpoint saves. -supervise re-execs the coordinator and auto-resumes
+// experiment flags. -ckpt persists completed cells and -resume continues
+// an interrupted campaign from them: a write-ahead journal (the checkpoint
+// path + ".wal") records every delivered cell before it counts, and the
+// checkpoint file is that journal's compaction, written when the journal
+// has outgrown it and once more at the end — a resume reads both and
+// loses nothing. -supervise re-execs the coordinator and auto-resumes
 // it after a crash; -cell-timeout races stalled cells on another worker.
 // The tables are bit-identical to a single-process run in every mode.
 // -worker is the internal stdio worker mode -workers spawns.
@@ -182,9 +183,9 @@ func run() int {
 
 	var coord *dist.Coordinator
 	var workerSet *dist.WorkerSet
+	var wal *dist.WAL
 	if isCoord {
 		var ck *dist.Checkpoint
-		var wal *dist.WAL
 		var err error
 		path, resume := *ckptPath, false
 		if *resumePath != "" {
@@ -313,8 +314,13 @@ func run() int {
 	}
 	if coord != nil {
 		// The campaign is over: release workers blocked on their next
-		// lease request, then collect the spawned processes.
+		// lease request and bring the checkpoint up to date — the journal
+		// may be closed only after that — then collect the spawned
+		// processes.
 		coord.Close()
+		if wal != nil {
+			wal.Close()
+		}
 		if workerSet != nil {
 			if err := workerSet.Wait(); err != nil {
 				fmt.Fprintf(os.Stderr, "%v\n", err)

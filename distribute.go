@@ -26,9 +26,11 @@ type DistributeOptions struct {
 	// identical Campaign value — see the re-exec contract on Distribute.
 	WorkerArgs []string
 	// Checkpoint, when non-empty, persists completed runs so an
-	// interrupted campaign can restart without losing them: snapshots to
-	// this file, and every delivered run the moment it arrives to a
-	// write-ahead journal beside it (the path + ".wal"). With Resume set
+	// interrupted campaign can restart without losing them: every
+	// delivered run goes to a write-ahead journal beside this file (the
+	// path + ".wal") before it counts, and the file is the journal's
+	// compaction — a snapshot whenever the journal has outgrown the last
+	// one, and a complete one when Distribute returns. With Resume set
 	// the campaign continues from what the two hold (and keeps writing
 	// them) — a file that does not exist yet holds nothing, as after a
 	// crash before the first snapshot; otherwise both start fresh.
@@ -72,7 +74,7 @@ func (c Campaign) Distribute(opt DistributeOptions) ([]*Result, error) {
 		if ck, wal, err = dist.OpenPersistence(opt.Checkpoint, opt.Resume); err != nil {
 			return nil, err
 		}
-		defer wal.Close() // every Append is already fsync'd
+		defer wal.Close()
 	}
 	coord := dist.NewCoordinator(dist.Options{
 		LeaseTimeout: opt.LeaseTimeout,
@@ -80,6 +82,9 @@ func (c Campaign) Distribute(opt DistributeOptions) ([]*Result, error) {
 		WAL:          wal,
 		Logf:         opt.Logf,
 	})
+	// Before the journal closes (deferred calls run last first): Close
+	// writes the final snapshot and compacts the journal.
+	defer coord.Close()
 	argv := opt.WorkerArgs
 	if argv == nil {
 		argv = os.Args[1:]

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -186,11 +187,13 @@ func TestDistributeCrashingCoordinatorHelper(t *testing.T) {
 }
 
 // TestDistributeResumesFromWALAfterCrash: a coordinator that hard-crashes
-// after two delivered runs — far below the checkpoint cadence, so no
-// snapshot was ever written — loses neither of them. The public API
-// journals every delivered run beside the checkpoint, and a Resume with no
-// checkpoint file yet starts from the journal alone: the two runs are
-// replayed, only the other two execute, and the results equal RunBatch's.
+// after two delivered runs counted — far below the journal size at which a
+// first snapshot is taken, so none was ever written — loses neither of
+// them. The public API journals every delivered run beside the checkpoint,
+// and a Resume with no checkpoint file yet starts from the journal alone:
+// what it holds is replayed (the two runs that counted; a third if it was
+// journalled in the batch the crash interrupted), only the rest execute,
+// and the results equal RunBatch's.
 func TestDistributeResumesFromWALAfterCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -233,7 +236,7 @@ func TestDistributeResumesFromWALAfterCrash(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if !strings.Contains(log.String(), "replayed 2 cells from WAL") {
+	if !regexp.MustCompile(`replayed [2-3] cells from WAL`).MatchString(log.String()) {
 		t.Errorf("no journal replay reported:\n%s", log.String())
 	}
 }

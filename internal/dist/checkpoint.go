@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -51,30 +53,33 @@ type checkpointDoc struct {
 	Grids   map[string]*gridCheckpoint `json:"grids"`
 }
 
-// Checkpoint persists campaign progress. Every save rewrites the whole
-// document to a temp file and renames it into place, so the file on disk
-// is always a complete, parseable snapshot — a coordinator killed
-// mid-save leaves the previous snapshot intact.
+// Checkpoint persists campaign progress: an in-memory document of every
+// grid the campaign has finished or begun, and the file a snapshot of it is
+// written to. A snapshot streams the whole document to a temp file, fsyncs
+// it and renames it into place, so the file on disk is always a complete,
+// parseable snapshot — a coordinator killed mid-write leaves the previous
+// one intact. The file is json.Marshal of the document, byte for byte, but
+// a snapshot does not marshal the document whole: it encodes grid by grid
+// through one buffered writer, so what a snapshot allocates is one grid's
+// encoding, not twice the file's.
 //
-// The file is json.Marshal of the document, byte for byte, but a save does
-// not marshal the document: it streams it, grid by grid, and a grid is
-// encoded once. A complete grid (a record for every cell) can never change
-// again, so its encoding is kept and copied into every later save; only
-// the grid in progress is encoded afresh. A campaign of many grids thus
-// pays for each cell's bytes once per save of its own grid, not once per
-// save of every grid after it.
+// put may be called from any goroutine; write from one at a time — the
+// coordinator's committer.
 type Checkpoint struct {
 	path string
 	mu   sync.Mutex
 	doc  checkpointDoc
-	// enc holds the encodings of complete grids by fingerprint; bw is the
-	// one buffered writer every save streams through.
-	enc map[string][]byte
-	bw  *bufio.Writer
+	// dirty: the document has changed since the file was written.
+	dirty bool
+	// disk is what the file holds: each grid's done bitmap as of the last
+	// snapshot written (or the load), for covers. size is its length.
+	disk map[string][]byte
+	size int64
+	bw   *bufio.Writer // the one buffered writer every snapshot streams through
 }
 
 // NewCheckpoint starts a fresh checkpoint at path. Nothing is written
-// until the first save.
+// until the first snapshot.
 func NewCheckpoint(path string) *Checkpoint {
 	return &Checkpoint{path: path, doc: checkpointDoc{
 		Version: checkpointVersion,
@@ -90,7 +95,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: resume: %w", err)
 	}
-	ck := &Checkpoint{path: path}
+	ck := &Checkpoint{path: path, size: int64(len(data))}
 	if err := json.Unmarshal(data, &ck.doc); err != nil {
 		return nil, fmt.Errorf("dist: resume %s: corrupt checkpoint: %w", path, err)
 	}
@@ -109,6 +114,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 			return nil, fmt.Errorf("dist: resume %s: grid %s: corrupt grid record", path, fp)
 		}
 	}
+	ck.disk = bitmaps(ck.doc.Grids)
 	return ck, nil
 }
 
@@ -118,8 +124,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // discarding what the files hold. With resume the checkpoint is loaded and
 // the journal's records decoded for replay; a checkpoint file that does
 // not exist yet is a fresh one, not an error — a coordinator that crashed
-// before its first save left everything it had in the journal. The caller
-// closes the WAL when the campaign is over.
+// before its first snapshot left everything it had in the journal. The
+// caller closes the WAL when the campaign is over, after the coordinator.
 func OpenPersistence(path string, resume bool) (*Checkpoint, *WAL, error) {
 	ck, open := NewCheckpoint(path), CreateWAL
 	if resume {
@@ -209,13 +215,11 @@ func parseCellIndex(key string, numCells int) (int, error) {
 	return i, nil
 }
 
-// save records grid fp's current progress and atomically rewrites the
-// file. The merged summary is recomputed from scratch in cell-index
-// order, so its value is deterministic regardless of the order cells
-// actually arrived in.
-func (ck *Checkpoint) save(fp string, numCells int, done []bool, cells []cellRecord) error {
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
+// put records grid fp's current progress in the document; the file is
+// untouched until the next write. The merged summary is recomputed from
+// scratch in cell-index order, so its value is deterministic regardless of
+// the order cells actually arrived in.
+func (ck *Checkpoint) put(fp string, numCells int, done []bool, cells []cellRecord) {
 	bitmap := make([]byte, (numCells+7)/8)
 	records := make(map[string]cellRecord)
 	merged := map[string]*stats.Welford{}
@@ -224,7 +228,7 @@ func (ck *Checkpoint) save(fp string, numCells int, done []bool, cells []cellRec
 			continue
 		}
 		bitmap[i/8] |= 1 << (i % 8)
-		records[fmt.Sprintf("%d", i)] = cells[i]
+		records[strconv.Itoa(i)] = cells[i]
 		for name, st := range cells[i].Stats {
 			w, ok := merged[name]
 			if !ok {
@@ -245,54 +249,112 @@ func (ck *Checkpoint) save(fp string, numCells int, done []bool, cells []cellRec
 			g.Merged[name] = w.State()
 		}
 	}
+	ck.mu.Lock()
+	defer ck.mu.Unlock()
 	ck.doc.Grids[fp] = g
-	delete(ck.enc, fp)
-	return ck.writeLocked()
+	ck.dirty = true
 }
 
-// writeLocked streams the document to a sibling temp file and renames it
-// over the checkpoint path. Caller holds ck.mu.
-func (ck *Checkpoint) writeLocked() error {
-	dir := filepath.Dir(ck.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(ck.path)+".tmp*")
+// write snapshots the document: streams it to a sibling temp file, fsyncs
+// and renames it over the checkpoint path. A document the file already
+// holds is not written again. The lock is not held while the file is
+// written — a grid's record is never modified once it is in the document,
+// only replaced — so put and restore do not wait for the disk.
+func (ck *Checkpoint) write() error {
+	ck.mu.Lock()
+	if !ck.dirty {
+		ck.mu.Unlock()
+		return nil
+	}
+	doc := checkpointDoc{Version: ck.doc.Version, Grids: maps.Clone(ck.doc.Grids)}
+	ck.dirty = false
+	ck.mu.Unlock()
+
+	size, err := ck.writeFile(&doc)
+	ck.mu.Lock()
+	defer ck.mu.Unlock()
 	if err != nil {
+		ck.dirty = true
 		return fmt.Errorf("dist: checkpoint: %w", err)
+	}
+	ck.disk, ck.size = bitmaps(doc.Grids), size
+	return nil
+}
+
+// writeFile replaces the checkpoint file with doc and returns its length.
+func (ck *Checkpoint) writeFile(doc *checkpointDoc) (size int64, err error) {
+	tmp, err := os.CreateTemp(filepath.Dir(ck.path), filepath.Base(ck.path)+".tmp*")
+	if err != nil {
+		return 0, err
 	}
 	if ck.bw == nil {
 		ck.bw = bufio.NewWriterSize(tmp, 64<<10)
 	} else {
 		ck.bw.Reset(tmp)
 	}
-	err = ck.encodeTo(ck.bw)
+	err = encodeDoc(ck.bw, doc)
 	if err == nil {
 		err = ck.bw.Flush()
 	}
+	if err == nil {
+		size, err = tmp.Seek(0, io.SeekCurrent)
+	}
+	if err == nil {
+		// The journal drops what this file holds as soon as it is in place.
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), ck.path)
+	}
 	if err != nil {
-		tmp.Close()
 		os.Remove(tmp.Name())
-		return fmt.Errorf("dist: checkpoint: %w", err)
+		return 0, err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("dist: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), ck.path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("dist: checkpoint: %w", err)
-	}
-	return nil
+	return size, nil
 }
 
-// encodeTo writes exactly json.Marshal(&ck.doc): the header, then the grids
-// in the sorted-key order encoding/json gives a map, each key escaped as it
+// covers reports whether the checkpoint file on disk holds cell of grid
+// fp: the journal may drop such a record and nothing else.
+func (ck *Checkpoint) covers(fp string, cell int) bool {
+	ck.mu.Lock()
+	defer ck.mu.Unlock()
+	bitmap := ck.disk[fp]
+	return cell >= 0 && cell/8 < len(bitmap) && bitmap[cell/8]&(1<<(cell%8)) != 0
+}
+
+// Size is the length in bytes of the checkpoint file as last written or
+// loaded; 0 before the first snapshot.
+func (ck *Checkpoint) Size() int64 {
+	ck.mu.Lock()
+	defer ck.mu.Unlock()
+	return ck.size
+}
+
+// bitmaps decodes every grid's done bitmap. A grid whose bitmap does not
+// decode holds nothing anyone may rely on (restore rejects it loudly).
+func bitmaps(grids map[string]*gridCheckpoint) map[string][]byte {
+	out := make(map[string][]byte, len(grids))
+	for fp, g := range grids {
+		if b, err := base64.StdEncoding.DecodeString(g.Done); err == nil {
+			out[fp] = b
+		}
+	}
+	return out
+}
+
+// encodeDoc writes exactly json.Marshal(doc): the header, then the grids in
+// the sorted-key order encoding/json gives a map, each key escaped as it
 // escapes one.
-func (ck *Checkpoint) encodeTo(w *bufio.Writer) error {
-	fmt.Fprintf(w, `{"version":%d,"grids":`, ck.doc.Version)
-	if ck.doc.Grids == nil {
+func encodeDoc(w *bufio.Writer, doc *checkpointDoc) error {
+	fmt.Fprintf(w, `{"version":%d,"grids":`, doc.Version)
+	if doc.Grids == nil {
 		w.WriteString("null")
 	} else {
-		fps := make([]string, 0, len(ck.doc.Grids))
-		for fp := range ck.doc.Grids {
+		fps := make([]string, 0, len(doc.Grids))
+		for fp := range doc.Grids {
 			fps = append(fps, fp)
 		}
 		slices.Sort(fps)
@@ -307,7 +369,7 @@ func (ck *Checkpoint) encodeTo(w *bufio.Writer) error {
 			}
 			w.Write(key)
 			w.WriteByte(':')
-			grid, err := ck.encodedGrid(fp)
+			grid, err := json.Marshal(doc.Grids[fp])
 			if err != nil {
 				return err
 			}
@@ -317,24 +379,4 @@ func (ck *Checkpoint) encodeTo(w *bufio.Writer) error {
 	}
 	// A bufio.Writer keeps its first error and returns it from Flush.
 	return w.WriteByte('}')
-}
-
-// encodedGrid returns grid fp's JSON, from the cache when the grid is
-// complete and has been encoded before.
-func (ck *Checkpoint) encodedGrid(fp string) ([]byte, error) {
-	if data, ok := ck.enc[fp]; ok {
-		return data, nil
-	}
-	g := ck.doc.Grids[fp]
-	data, err := json.Marshal(g)
-	if err != nil {
-		return nil, err
-	}
-	if g != nil && len(g.Cells) == g.NumCells {
-		if ck.enc == nil {
-			ck.enc = map[string][]byte{}
-		}
-		ck.enc[fp] = data
-	}
-	return data, nil
 }

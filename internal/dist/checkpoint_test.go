@@ -11,12 +11,18 @@ import (
 	"ripple/internal/stats"
 )
 
-// A save streams the document and reuses the encodings of complete grids;
-// what reaches the disk must still be json.Marshal of the document, byte for
-// byte, after every save: partial grids, grids completing, a complete grid
-// saved again with other contents, payloads with whitespace and characters
-// encoding/json escapes, and a fingerprint that needs escaping as a key and
-// sorts between the others.
+// save is put and write — grid fp's progress, on disk when it returns — for
+// the tests and the fuzzer that build checkpoint files grid by grid.
+func (ck *Checkpoint) save(fp string, numCells int, done []bool, cells []cellRecord) error {
+	ck.put(fp, numCells, done, cells)
+	return ck.write()
+}
+
+// A save streams the document grid by grid; what reaches the disk must still
+// be json.Marshal of the document, byte for byte, after every save: partial
+// grids, grids completing, a complete grid saved again with other contents,
+// payloads with whitespace and characters encoding/json escapes, and a
+// fingerprint that needs escaping as a key and sorts between the others.
 func TestCheckpointSaveStreamsExactlyTheMarshalledDocument(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	ck := NewCheckpoint(path)
@@ -77,24 +83,17 @@ func TestCheckpointSaveStreamsExactlyTheMarshalledDocument(t *testing.T) {
 			}
 			check(fmt.Sprintf("%s after %d of %d cells", g.fp, k+1, g.n))
 		}
-		if _, ok := ck.enc[g.fp]; !ok {
-			t.Fatalf("complete grid %q has no cached encoding", g.fp)
-		}
-	}
-	if len(ck.enc) != len(grids) {
-		t.Fatalf("%d cached encodings for %d complete grids", len(ck.enc), len(grids))
 	}
 
-	// A complete grid saved again, with different bytes: the cached
-	// encoding must not survive it.
+	// A complete grid saved again, with different bytes.
 	done := []bool{true}
 	if err := ck.save("fp-c", 1, done, []cellRecord{record("other", 7)}); err != nil {
 		t.Fatal(err)
 	}
 	check("fp-c rewritten")
 
-	// A resumed checkpoint has no cache: its first save encodes every grid
-	// it loaded, and the file is again the marshalled document.
+	// A resumed checkpoint: its first save writes every grid it loaded, and
+	// the file is again the marshalled document.
 	loaded, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
@@ -104,8 +103,23 @@ func TestCheckpointSaveStreamsExactlyTheMarshalledDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("resumed")
-	if _, ok := ck.enc["fp-d"]; ok || len(ck.enc) != len(grids) {
-		t.Fatalf("after resume: %d cached encodings, partial grid cached: %v", len(ck.enc), ok)
+
+	// The file knows what it holds, and a document it already holds is not
+	// written again.
+	if !ck.covers("fp-d", 1) || ck.covers("fp-d", 0) || ck.covers("fp-unknown", 0) || ck.covers("fp-d", -1) || ck.covers("fp-d", 64) {
+		t.Fatal("covers disagrees with the file: want fp-d cell 1 and nothing else of it")
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != ck.Size() {
+		t.Fatalf("Size() = %d, file %v (%v)", ck.Size(), fi.Size(), err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.write(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("an unchanged document was written again (%v)", err)
 	}
 }
 

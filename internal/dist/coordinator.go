@@ -13,8 +13,8 @@ import (
 )
 
 // Options tunes a Coordinator. The zero value works: leases are sized
-// automatically, stalled workers time out after two minutes, and no
-// checkpoint is written.
+// automatically, stalled workers time out after two minutes, and nothing
+// is persisted.
 type Options struct {
 	// LeaseCells is the number of cells handed out per lease; 0 sizes
 	// leases automatically from the grid (small enough that a lost worker
@@ -24,16 +24,18 @@ type Options struct {
 	// it nor delivered a cell for this long. 0 means two minutes.
 	LeaseTimeout time.Duration
 	// Checkpoint, when set, persists completed cells so an interrupted
-	// campaign can resume. CheckpointEvery is the number of newly
-	// completed cells between saves (0 means 64); a final save always
-	// happens when a grid completes.
-	Checkpoint      *Checkpoint
-	CheckpointEvery int
-	// WAL, when set, journals every delivered cell the moment it arrives
-	// (fsync'd), closing the window between checkpoint saves: a coordinator
-	// crash loses nothing that a worker already delivered. RunGrid replays
-	// the journal on top of the restored checkpoint, and each successful
-	// checkpoint save resets it.
+	// campaign can resume. With a WAL it is the journal's compaction: a
+	// snapshot is written when the journal has outgrown the last one
+	// (snapshotFloor and a doubling rule) and once more in Close. Without
+	// one — a configuration only tests construct, OpenPersistence always
+	// pairs the two — there is no cadence: a snapshot at each grid's end
+	// and in Close.
+	Checkpoint *Checkpoint
+	// WAL, when set, journals every delivered cell (fsync'd, group commit)
+	// before the coordinator counts it: a coordinator crash loses nothing
+	// that counted. RunGrid replays the journal on top of the restored
+	// checkpoint, and each snapshot drops from it what that snapshot holds.
+	// Close the coordinator before the WAL.
 	WAL *WAL
 	// CellTimeout is a per-cell wall-clock deadline: a lease whose worker
 	// has not delivered a cell for this long is preemptively boosted — its
@@ -48,7 +50,7 @@ type Options struct {
 }
 
 // exitAfterEnv is a test hook: when set to a positive integer, the
-// coordinator force-saves its checkpoint and hard-exits the process
+// coordinator snapshots its checkpoint and hard-exits the process
 // (exit code 42, no deferred cleanup) after recording that many cells.
 // The checkpoint/resume end-to-end tests use it to simulate preemption
 // at a deterministic point.
@@ -58,12 +60,19 @@ const exitAfterEnv = "RIPPLE_DIST_EXIT_AFTER"
 const killExitCode = 42
 
 // crashAfterEnv is the harsher sibling of exitAfterEnv: the coordinator
-// hard-exits after recording that many cells WITHOUT saving a checkpoint
-// first, so the freshly recorded cells survive only in the WAL. The count
+// hard-exits after recording that many cells WITHOUT a snapshot first, so
+// the cells recorded since the last one survive only in the WAL. The count
 // is per process, and the variable is inherited by supervised restarts —
 // each incarnation crashes again after that many more cells, exercising
 // repeated crash/replay cycles until the grid completes.
 const crashAfterEnv = "RIPPLE_DIST_CRASH_AFTER"
+
+// snapshotFloor is the journal size below which no snapshot is taken
+// before Close: a campaign this small resumes from its journal alone. Past
+// it a snapshot is due whenever the journal is at least as long as the last
+// snapshot written, so each snapshot is about twice the one before and a
+// campaign writes O(its final size) bytes of snapshots in all.
+const snapshotFloor = 1 << 20
 
 // ErrClosed reports a coordinator shut down before the grid finished.
 var ErrClosed = errors.New("dist: coordinator closed")
@@ -73,19 +82,41 @@ var ErrClosed = errors.New("dist: coordinator closed")
 // Serve runs per worker connection; workers announce which grid they
 // have reached (by fingerprint) and the coordinator leases cells of the
 // current grid, holding early arrivals until it catches up.
+//
+// A coordinator with a Checkpoint or a WAL owns one more goroutine, the
+// committer, which alone touches the two files: connection goroutines queue
+// what workers deliver and answer them at once; the committer journals
+// whatever has queued with one write and one fsync and only then marks
+// those cells done, so a cell that counts — in Progress, towards its grid's
+// completion, in a snapshot — is already durable. It also writes the
+// snapshots, each followed by the journal's compaction. Close stops it.
 type Coordinator struct {
 	opt Options
 
 	mu        sync.Mutex
 	cond      *sync.Cond
 	completed map[string]*GridOutput // finished grids, by fingerprint
-	cur       *gridRun               // grid currently executing, if any
+	cur       *gridRun               // grid executing, or abandoned at Close
 	closed    bool
 	failure   error // first fatal worker error, poisons the campaign
+
+	// The committer's inbox, under mu: deliveries awaiting the journal, and
+	// a snapshot asked for outside the journal-size rule. committed is
+	// closed when the committer has exited; nil without one.
+	queue       []delivery
+	snapshotDue bool
+	commitCond  *sync.Cond
+	committed   chan struct{}
 
 	killAfter  int // exitAfterEnv hook; 0 = disabled
 	crashAfter int // crashAfterEnv hook; 0 = disabled
 	recorded   int // cells recorded this process (not restored ones)
+}
+
+// delivery is one cell a worker delivered, not yet marked done.
+type delivery struct {
+	gr *gridRun
+	m  *Message
 }
 
 // gridRun is the in-flight state of one grid.
@@ -97,9 +128,9 @@ type gridRun struct {
 	leases      map[int]*lease
 	nextLease   int
 	done        []bool
+	pending     []bool // delivered and queued for the journal, not yet done
 	doneCount   int
 	cells       []cellRecord // payload+stats per completed cell
-	sinceSave   int
 	progress    func(done, total int)
 	// cellEWMA is a running average of observed cell wall-clock durations
 	// (measured delivery-to-delivery per lease), feeding the stall
@@ -131,11 +162,9 @@ func NewCoordinator(opt Options) *Coordinator {
 	if opt.LeaseTimeout <= 0 {
 		opt.LeaseTimeout = 2 * time.Minute
 	}
-	if opt.CheckpointEvery <= 0 {
-		opt.CheckpointEvery = 64
-	}
 	c := &Coordinator{opt: opt, completed: map[string]*GridOutput{}}
 	c.cond = sync.NewCond(&c.mu)
+	c.commitCond = sync.NewCond(&c.mu)
 	if v := os.Getenv(exitAfterEnv); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 {
 			c.killAfter = n
@@ -145,6 +174,10 @@ func NewCoordinator(opt Options) *Coordinator {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 {
 			c.crashAfter = n
 		}
+	}
+	if opt.Checkpoint != nil || opt.WAL != nil {
+		c.committed = make(chan struct{})
+		go c.commitLoop()
 	}
 	return c
 }
@@ -191,6 +224,7 @@ func (c *Coordinator) RunGrid(spec GridSpec) (*GridOutput, error) {
 		runsPerCell: spec.RunsPerCell,
 		leases:      map[int]*lease{},
 		done:        make([]bool, spec.NumCells),
+		pending:     make([]bool, spec.NumCells),
 		cells:       make([]cellRecord, spec.NumCells),
 		progress:    spec.Progress,
 	}
@@ -220,9 +254,9 @@ func (c *Coordinator) RunGrid(spec GridSpec) (*GridOutput, error) {
 	}
 	if c.opt.WAL != nil {
 		// Replay journal entries on top of the checkpoint: cells delivered
-		// after the last save but before a crash. The WAL may hold records
-		// already covered by the checkpoint (a save that raced the crash);
-		// the done bitmap dedupes them.
+		// after the last snapshot. The WAL may hold records the checkpoint
+		// covers too (a crash between the snapshot's rename and the
+		// journal's compaction); the done bitmap dedupes them.
 		replayed := 0
 		for _, r := range c.opt.WAL.Restored() {
 			if r.Grid != spec.Fingerprint || r.Cell < 0 || r.Cell >= spec.NumCells {
@@ -255,8 +289,9 @@ func (c *Coordinator) RunGrid(spec GridSpec) (*GridOutput, error) {
 	}
 	close(stop)
 	if c.closed {
+		// c.cur stays: the committer's last snapshot takes the abandoned
+		// grid's cells from it, and a closed coordinator runs no other.
 		err := c.closeErrLocked()
-		c.cur = nil
 		c.mu.Unlock()
 		return nil, err
 	}
@@ -275,7 +310,9 @@ func (c *Coordinator) closeErrLocked() error {
 }
 
 // finalizeLocked assembles a completed grid's output, records it for
-// replays, and writes the final checkpoint snapshot.
+// replays, and enters it in the checkpoint's document — in memory: every
+// cell of it is already in the journal, and the file catches up at the next
+// snapshot. Without a journal that snapshot is asked for now.
 func (c *Coordinator) finalizeLocked(gr *gridRun) *GridOutput {
 	out := &GridOutput{Payloads: make([][]byte, gr.numCells)}
 	merged := map[string]*stats.Welford{}
@@ -297,28 +334,93 @@ func (c *Coordinator) finalizeLocked(gr *gridRun) *GridOutput {
 		}
 	}
 	c.completed[gr.fp] = out
-	c.saveLocked(gr)
+	if ck := c.opt.Checkpoint; ck != nil {
+		ck.put(gr.fp, gr.numCells, gr.done, gr.cells)
+		if c.opt.WAL == nil {
+			c.snapshotDue = true
+			c.commitCond.Signal()
+		}
+	}
 	return out
 }
 
-// saveLocked writes the checkpoint if one is configured. Save failures
-// are logged, not fatal: the campaign's in-memory state is intact, only
-// resumability is degraded. After a successful save the WAL drops this
-// grid's records — the snapshot now covers them — but keeps other grids'
-// (a shared journal may hold a later grid's progress from a previous
-// incarnation).
-func (c *Coordinator) saveLocked(gr *gridRun) {
-	if c.opt.Checkpoint == nil {
+// commitLoop is the committer: the one goroutine that writes the journal
+// and the checkpoint. Each round takes everything record has queued since
+// the last — the batch grows with the number of workers delivering while
+// an fsync is in flight, the fsync count does not — journals it, marks it
+// done, and takes a snapshot when one is due. It exits once the
+// coordinator is closed and the queue is empty, after a last snapshot.
+func (c *Coordinator) commitLoop() {
+	defer close(c.committed)
+	var batch []delivery
+	var recs []walRecord
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		for len(c.queue) == 0 && !c.snapshotDue && !c.closed {
+			c.commitCond.Wait()
+		}
+		if len(c.queue) == 0 && c.closed {
+			c.snapshotLocked()
+			return
+		}
+		batch, c.queue = c.queue, batch[:0]
+		if wal := c.opt.WAL; wal != nil && len(batch) > 0 {
+			c.mu.Unlock()
+			recs = recs[:0]
+			for _, d := range batch {
+				recs = append(recs, walRecord{Grid: d.m.Grid, Cell: d.m.Cell, Payload: d.m.Payload, Stats: d.m.Stats})
+			}
+			// A journal that cannot be written is logged, not fatal: the
+			// campaign's in-memory state is intact, only resumability is
+			// degraded.
+			if err := wal.appendBatch(recs); err != nil {
+				c.logf("dist: %v", err)
+			}
+			c.mu.Lock()
+		}
+		for i, d := range batch {
+			c.markDoneLocked(d.gr, d.m)
+			batch[i] = delivery{}
+		}
+		if c.snapshotDue || c.journalOutgrown() {
+			c.snapshotDue = false
+			c.snapshotLocked()
+		}
+	}
+}
+
+// journalOutgrown is the snapshot rule of a journalled checkpoint.
+func (c *Coordinator) journalOutgrown() bool {
+	wal, ck := c.opt.WAL, c.opt.Checkpoint
+	return wal != nil && ck != nil && wal.Size() >= max(snapshotFloor, ck.Size())
+}
+
+// snapshotLocked brings the checkpoint file up to date — every finished
+// grid and the done cells of the one in progress — and then drops from the
+// journal what the file now holds: the snapshot is renamed into place
+// first and the journal rewritten second, so no cell is ever in neither.
+// Committer only. Called with c.mu held, which it releases while the files
+// are written. Failures are logged, not fatal, like the journal's.
+func (c *Coordinator) snapshotLocked() {
+	ck := c.opt.Checkpoint
+	if ck == nil {
 		return
 	}
-	if err := c.opt.Checkpoint.save(gr.fp, gr.numCells, gr.done, gr.cells); err != nil {
+	if gr := c.cur; gr != nil && gr.doneCount > 0 {
+		ck.put(gr.fp, gr.numCells, gr.done, gr.cells)
+	}
+	c.mu.Unlock()
+	defer c.mu.Lock()
+	if err := ck.write(); err != nil {
 		c.logf("dist: %v", err)
-	} else if c.opt.WAL != nil {
-		if err := c.opt.WAL.Compact(gr.fp); err != nil {
+		return
+	}
+	if wal := c.opt.WAL; wal != nil {
+		if err := wal.compact(ck.covers); err != nil {
 			c.logf("dist: %v", err)
 		}
 	}
-	gr.sinceSave = 0
 }
 
 // reclaimLoop expires stalled leases for one grid until stop closes. Two
@@ -400,12 +502,20 @@ func (c *Coordinator) requeueLocked(gr *gridRun, id int) {
 }
 
 // Close shuts the coordinator down: pending RunGrid calls fail, waiting
-// workers are told to exit. Safe to call more than once.
+// workers are told to exit, and the committer journals what is still
+// queued, writes a last snapshot and compacts the journal — a campaign
+// that finished is at rest with a complete checkpoint and an empty journal.
+// Close returns when the committer has exited; close the WAL after it.
+// Safe to call more than once.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	c.closed = true
 	c.cond.Broadcast()
+	c.commitCond.Signal()
 	c.mu.Unlock()
+	if c.committed != nil {
+		<-c.committed
+	}
 }
 
 // failLocked poisons the campaign with a fatal worker error.
@@ -415,6 +525,7 @@ func (c *Coordinator) failLocked(err error) {
 	}
 	c.closed = true
 	c.cond.Broadcast()
+	c.commitCond.Signal()
 }
 
 // Serve speaks the worker protocol over one connection until the peer
@@ -525,13 +636,13 @@ func (c *Coordinator) nextLease(conn *Conn, fp string) *Message {
 					n = 16
 				}
 			}
-			// Pop cells off the queue, skipping any that completed while
-			// queued (a boosted cell whose original owner delivered first).
+			// Pop cells off the queue, skipping any delivered while queued
+			// (a boosted cell whose original owner delivered first).
 			var cells []int
 			for len(gr.queue) > 0 && len(cells) < n {
 				cell := gr.queue[0]
 				gr.queue = gr.queue[1:]
-				if !gr.done[cell] {
+				if !gr.done[cell] && !gr.pending[cell] {
 					cells = append(cells, cell)
 				}
 			}
@@ -558,15 +669,18 @@ func (c *Coordinator) nextLease(conn *Conn, fp string) *Message {
 	}
 }
 
-// record stores one completed cell and advances checkpoint/progress
-// bookkeeping. Duplicate deliveries (a reassigned lease racing its
-// original owner) are ignored; results are deterministic, so either copy
-// is the right one.
+// record takes one delivered cell: the lease bookkeeping here and now, so
+// the worker's next ready is answered at once; the cell itself is marked
+// done by the committer once its journal record is durable — or here, when
+// the coordinator persists nothing. Duplicate deliveries (a reassigned
+// lease racing its original owner) are dropped, whether the first copy is
+// done or still queued for the journal; results are deterministic, so
+// either copy is the right one.
 func (c *Coordinator) record(conn *Conn, m *Message) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	gr := c.cur
-	if gr == nil || gr.fp != m.Grid || m.Cell < 0 || m.Cell >= gr.numCells {
+	if c.closed || gr == nil || gr.fp != m.Grid || m.Cell < 0 || m.Cell >= gr.numCells {
 		return // stale delivery from a previous grid or reassigned lease
 	}
 	if l, ok := gr.leases[m.Lease]; ok && l.owner == conn {
@@ -592,35 +706,37 @@ func (c *Coordinator) record(conn *Conn, m *Message) {
 			delete(gr.leases, m.Lease)
 		}
 	}
-	if gr.done[m.Cell] {
+	if gr.done[m.Cell] || gr.pending[m.Cell] {
 		return
 	}
-	if c.opt.WAL != nil {
-		// Journal before acknowledging: once this returns, the cell
-		// survives a coordinator crash even if no checkpoint ever runs.
-		if err := c.opt.WAL.Append(m.Grid, m.Cell, m.Payload, m.Stats); err != nil {
-			c.logf("dist: %v", err)
-		}
+	if c.committed == nil {
+		c.markDoneLocked(gr, m)
+		return
 	}
+	gr.pending[m.Cell] = true
+	c.queue = append(c.queue, delivery{gr, m})
+	c.commitCond.Signal()
+}
+
+// markDoneLocked is the one place a cell starts to count: the done bitmap,
+// Progress, the crash hooks, the grid's completion. With a journal it runs
+// on the committer, after the fsync that covers the cell's record.
+func (c *Coordinator) markDoneLocked(gr *gridRun, m *Message) {
 	gr.done[m.Cell] = true
 	gr.cells[m.Cell] = cellRecord{Payload: m.Payload, Stats: m.Stats}
 	gr.doneCount++
-	gr.sinceSave++
 	if gr.progress != nil {
 		gr.progress(gr.doneCount*gr.runsPerCell, gr.numCells*gr.runsPerCell)
 	}
-	if gr.sinceSave >= c.opt.CheckpointEvery && gr.doneCount < gr.numCells {
-		c.saveLocked(gr)
-	}
 	c.recorded++
 	if c.killAfter > 0 && c.recorded >= c.killAfter {
-		c.saveLocked(gr)
+		c.snapshotLocked()
 		fmt.Fprintf(os.Stderr, "dist: %s=%d reached, exiting\n", exitAfterEnv, c.killAfter)
 		os.Exit(killExitCode)
 	}
 	if c.crashAfter > 0 && c.recorded >= c.crashAfter {
-		// Simulated hard crash: no checkpoint save, no cleanup. The cells
-		// recorded since the last save survive only in the WAL.
+		// Simulated hard crash: no snapshot, no cleanup. The cells recorded
+		// since the last one survive only in the WAL.
 		fmt.Fprintf(os.Stderr, "dist: %s=%d reached, crashing\n", crashAfterEnv, c.crashAfter)
 		os.Exit(killExitCode)
 	}

@@ -76,35 +76,43 @@ const maxFrame = 1 << 30
 // JSONL: an ASCII decimal byte count, '\n', the JSON record, '\n'. The
 // explicit length makes truncation — a worker killed mid-write —
 // detectable as an io error instead of a parse of half a record. Send is
-// safe for concurrent use; Recv is not (each side has one reader).
+// safe for concurrent use; Recv is not (each side has one reader). Each
+// direction encodes through one buffer it keeps: wbuf under wmu, rbuf by
+// the one reader.
 type Conn struct {
-	wmu sync.Mutex
-	r   *bufio.Reader
-	w   *bufio.Writer
+	wmu  sync.Mutex
+	r    *bufio.Reader
+	w    *bufio.Writer
+	wbuf bytes.Buffer
+	enc  *json.Encoder // into wbuf
+	rbuf bytes.Buffer
 }
 
 // NewConn wraps an ordered byte stream in the framing codec.
 func NewConn(rw io.ReadWriter) *Conn {
-	return &Conn{r: bufio.NewReader(rw), w: bufio.NewWriter(rw)}
+	c := &Conn{r: bufio.NewReader(rw), w: bufio.NewWriter(rw)}
+	c.enc = json.NewEncoder(&c.wbuf)
+	return c
 }
 
 // Send marshals and writes one record, flushing the stream. An io failure
 // is returned as a *TransportError (retryable); a marshal failure is not —
 // it is deterministic and would fail identically on a fresh connection.
 func (c *Conn) Send(m *Message) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("dist: marshal %s: %w", m.Type, err)
-	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if _, err := fmt.Fprintf(c.w, "%d\n", len(b)); err != nil {
+	// Encode writes json.Marshal's bytes and a newline: the record and its
+	// terminator.
+	c.wbuf.Reset()
+	if err := c.enc.Encode(m); err != nil {
+		return fmt.Errorf("dist: marshal %s: %w", m.Type, err)
+	}
+	b := c.wbuf.Bytes()
+	header := append(strconv.AppendInt(c.w.AvailableBuffer(), int64(len(b)-1), 10), '\n')
+	if _, err := c.w.Write(header); err != nil {
 		return &TransportError{Op: "send", Err: err}
 	}
 	if _, err := c.w.Write(b); err != nil {
-		return &TransportError{Op: "send", Err: err}
-	}
-	if err := c.w.WriteByte('\n'); err != nil {
 		return &TransportError{Op: "send", Err: err}
 	}
 	if err := c.w.Flush(); err != nil {
@@ -135,16 +143,16 @@ func (c *Conn) Recv() (*Message, error) {
 	}
 	// Grow the buffer as bytes actually arrive rather than trusting the
 	// header: a corrupt length must fail as truncation, not allocate a
-	// frame-sized slab up front.
-	var buf bytes.Buffer
-	buf.Grow(min(n+1, 64<<10))
-	if _, err := io.CopyN(&buf, c.r, int64(n)+1); err != nil {
+	// frame-sized slab up front. json.Unmarshal copies what a Message
+	// keeps (a RawMessage included), so the next Recv may overwrite it.
+	c.rbuf.Reset()
+	if _, err := io.CopyN(&c.rbuf, c.r, int64(n)+1); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, &TransportError{Op: "recv", Err: fmt.Errorf("truncated frame (%d bytes expected): %w", n, err)}
 	}
-	b := buf.Bytes()
+	b := c.rbuf.Bytes()
 	if b[n] != '\n' {
 		return nil, &TransportError{Op: "recv", Err: fmt.Errorf("frame missing terminator")}
 	}

@@ -13,12 +13,13 @@ import (
 	"ripple/internal/stats"
 )
 
-// WAL is the coordinator's result write-ahead journal. The checkpoint is
-// an atomic snapshot written every CheckpointEvery cells; the WAL closes
-// the window between snapshots by journalling every delivered cell the
-// moment it arrives, fsync'd before the coordinator proceeds. A resumed
-// run replays the journal on top of the restored checkpoint, so a
-// coordinator crash at any delivered-cell boundary loses nothing.
+// WAL is the coordinator's result write-ahead journal: every delivered
+// cell is appended and fsync'd before the coordinator counts it, so a crash
+// at any moment loses nothing a worker delivered. The checkpoint is the
+// journal's compaction — a snapshot the coordinator writes when the journal
+// has outgrown the last one (see Coordinator) — and once a snapshot is on
+// disk the journal drops exactly the records that snapshot holds. A resumed
+// run replays what is left on top of the restored checkpoint.
 //
 // Records use the same length-delimited JSON framing as the wire protocol
 // (decimal byte count, '\n', JSON, '\n'), appended to one flat file. The
@@ -27,10 +28,16 @@ import (
 // clean crash point — everything before it is intact — and trims. Frame
 // garbage anywhere else means corruption and is a loud error.
 type WAL struct {
-	mu       sync.Mutex
-	path     string
-	f        *os.File
-	restored []walRecord
+	mu   sync.Mutex
+	path string
+	f    *os.File
+	// recs is every record the file holds, in file order: compaction
+	// decides over them without reading the file back. The first restored
+	// of them were decoded at Open — what a resumed grid replays.
+	recs     []walRecord
+	restored int
+	size     int64
+	buf      bytes.Buffer // a batch's frames, written with one write
 }
 
 // walRecord is one journalled cell: grid fingerprint, flat cell index,
@@ -83,14 +90,22 @@ func OpenWAL(path string) (*WAL, error) {
 		f.Close()
 		return nil, fmt.Errorf("dist: wal: %w", err)
 	}
-	return &WAL{path: path, f: f, restored: recs}, nil
+	return &WAL{path: path, f: f, recs: recs, restored: len(recs), size: int64(valid)}, nil
 }
 
-// Restored returns the records decoded at Open time, in append order.
+// Restored returns the records decoded at Open time that no compaction has
+// dropped since, in append order.
 func (w *WAL) Restored() []walRecord {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.restored
+	return w.recs[:w.restored:w.restored]
+}
+
+// Size is the journal file's length in bytes.
+func (w *WAL) Size() int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.size
 }
 
 // encodeFrame appends one record's wire frame to buf.
@@ -99,7 +114,8 @@ func encodeFrame(buf *bytes.Buffer, r walRecord) error {
 	if err != nil {
 		return fmt.Errorf("dist: wal: %w", err)
 	}
-	fmt.Fprintf(buf, "%d\n", len(b))
+	buf.Write(strconv.AppendInt(buf.AvailableBuffer(), int64(len(b)), 10))
+	buf.WriteByte('\n')
 	buf.Write(b)
 	buf.WriteByte('\n')
 	return nil
@@ -108,85 +124,91 @@ func encodeFrame(buf *bytes.Buffer, r walRecord) error {
 // Append journals one delivered cell and fsyncs before returning: once
 // Append returns, the cell survives a crash.
 func (w *WAL) Append(grid string, cell int, payload json.RawMessage, st map[string]stats.State) error {
-	// One buffered write per record: a crash can truncate the tail frame
-	// but never interleave two partial frames.
-	var buf bytes.Buffer
-	if err := encodeFrame(&buf, walRecord{Grid: grid, Cell: cell, Payload: payload, Stats: st}); err != nil {
-		return err
-	}
+	return w.appendBatch([]walRecord{{Grid: grid, Cell: cell, Payload: payload, Stats: st}})
+}
+
+// appendBatch journals a batch of delivered cells with one write and one
+// fsync — group commit: the coordinator hands over whatever was delivered
+// while the previous fsync was in flight. Once it returns, every cell of
+// the batch survives a crash. One buffered write per batch: a crash can
+// truncate the tail frame but never interleave two partial frames.
+func (w *WAL) appendBatch(recs []walRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, err := w.f.Write(buf.Bytes()); err != nil {
+	w.buf.Reset()
+	for _, r := range recs {
+		if err := encodeFrame(&w.buf, r); err != nil {
+			return err
+		}
+	}
+	if _, err := w.f.Write(w.buf.Bytes()); err != nil {
 		return fmt.Errorf("dist: wal: %w", err)
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("dist: wal: %w", err)
 	}
+	w.recs = append(w.recs, recs...)
+	w.size += int64(w.buf.Len())
 	return nil
 }
 
-// Compact drops one grid's records from the journal. The coordinator
-// calls it after every successful checkpoint save of that grid: the
-// snapshot now covers them. Records of OTHER grids survive — a campaign's
-// grids share one journal, and a previous incarnation's progress on a
-// later grid must not be discarded when an earlier (fully restored) grid
-// re-saves its snapshot. The rewrite is atomic (temp file + rename), so a
-// crash mid-compaction leaves either the old journal or the new one,
-// never a torn file.
-func (w *WAL) Compact(grid string) error {
+// compact drops from the journal every record for which covered reports
+// true — the cells the checkpoint file on disk holds — and keeps the rest,
+// whichever incarnation wrote them: a previous incarnation's progress on a
+// grid the snapshot does not hold yet survives, as does anything delivered
+// that the snapshot missed. The caller writes the snapshot first and
+// compacts second, so at no moment is a cell in neither file. The rewrite
+// is atomic (temp file + fsync + rename): a crash mid-compaction leaves
+// either the old journal or the new one, never a torn file. Appends
+// continue on the new file.
+func (w *WAL) compact(covered func(grid string, cell int) bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	// Into a new slice: a caller may still be reading Restored's.
 	var keep []walRecord
-	for _, r := range w.restored {
-		if r.Grid != grid {
-			keep = append(keep, r)
+	restored := 0
+	for i, r := range w.recs {
+		if covered(r.Grid, r.Cell) {
+			continue
+		}
+		keep = append(keep, r)
+		if i < w.restored {
+			restored++
 		}
 	}
-	var buf bytes.Buffer
+	if len(keep) == len(w.recs) {
+		return nil
+	}
+	w.buf.Reset()
 	for _, r := range keep {
-		if err := encodeFrame(&buf, r); err != nil {
+		if err := encodeFrame(&w.buf, r); err != nil {
 			return err
 		}
 	}
-	return w.rewriteLocked(keep, buf.Bytes())
-}
-
-// Reset empties the journal entirely, discarding every grid's records.
-func (w *WAL) Reset() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.rewriteLocked(nil, nil)
-}
-
-// rewriteLocked atomically replaces the journal's contents and restored
-// view. Appends continue on the new file.
-func (w *WAL) rewriteLocked(recs []walRecord, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(w.path), ".wal-*")
 	if err != nil {
 		return fmt.Errorf("dist: wal: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("dist: wal: %w", err)
+	_, err = tmp.Write(w.buf.Bytes())
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("dist: wal: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), w.path)
 	}
-	if err := os.Rename(tmp.Name(), w.path); err != nil {
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("dist: wal: %w", err)
 	}
 	w.f.Close()
 	w.f = tmp
-	w.restored = recs
+	w.recs, w.restored, w.size = keep, restored, int64(w.buf.Len())
 	return nil
 }
 
-// Close closes the journal file.
+// Close closes the journal file. A coordinator journalling to it must be
+// closed first: its Close writes the final snapshot and compacts.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -3,7 +3,6 @@ package dist
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,13 +10,12 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"ripple/internal/campaign/pool"
 	"ripple/internal/stats"
 )
 
 // TestWALAppendOpenRestore covers the journal's happy path: appended
 // records come back byte-identical through Open, appending continues an
-// opened journal, and Reset empties it.
+// opened journal, and a compaction that covers everything empties it.
 func TestWALAppendOpenRestore(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.wal")
 	w, err := CreateWAL(path)
@@ -60,26 +58,32 @@ func TestWALAppendOpenRestore(t *testing.T) {
 	if got := r2.Restored(); len(got) != 4 || got[3].Cell != 9 {
 		t.Fatalf("after append-to-opened: %d records, want 4 ending in cell 9", len(got))
 	}
-	// Reset empties the journal and its restored view.
-	if err := r2.Reset(); err != nil {
+	if fi, err := os.Stat(path); err != nil || fi.Size() != r2.Size() {
+		t.Fatalf("Size() = %d, file %v (%v)", r2.Size(), fi.Size(), err)
+	}
+	// A snapshot that holds every record empties the journal and its
+	// restored view.
+	if err := r2.compact(func(string, int) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	if got := r2.Restored(); len(got) != 0 {
-		t.Fatalf("Restored after Reset = %d records, want 0", len(got))
+	if got := r2.Restored(); len(got) != 0 || r2.Size() != 0 {
+		t.Fatalf("after a compaction covering everything: %d records, %d bytes", len(got), r2.Size())
 	}
 	r2.Close()
 	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
-		t.Fatalf("journal after Reset: size %d, err %v, want empty file", fi.Size(), err)
+		t.Fatalf("journal after that compaction: size %d, err %v, want empty file", fi.Size(), err)
 	}
 }
 
-// TestWALCompactKeepsOtherGrids guards the multi-grid campaign case: a
-// checkpoint save of one grid compacts only that grid's records out of
-// the shared journal — a previous incarnation's progress on a later grid
-// must survive, or every supervised restart of a multi-grid campaign
-// would rediscover the later grids from zero.
+// TestWALCompactKeepsOtherGrids guards compaction by coverage: the journal
+// drops exactly the cells the checkpoint file holds. A previous
+// incarnation's records of a grid the snapshot does not hold survive — or
+// every supervised restart of a multi-grid campaign would rediscover the
+// later grids from zero — and so does a cell of a grid the snapshot holds
+// only in part, whichever incarnation journalled it.
 func TestWALCompactKeepsOtherGrids(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.wal")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.wal")
 	w, err := CreateWAL(path)
 	if err != nil {
 		t.Fatal(err)
@@ -93,11 +97,22 @@ func TestWALCompactKeepsOtherGrids(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Compact("fp-a"); err != nil {
+	// This incarnation journals two more cells of fp-a; the snapshot holds
+	// cells 0 and 4 of it and nothing of fp-b.
+	r.Append("fp-a", 4, json.RawMessage(`[4]`), nil)
+	r.Append("fp-a", 5, json.RawMessage(`[5]`), nil)
+	ck := NewCheckpoint(filepath.Join(dir, "ckpt.json"))
+	cells := make([]cellRecord, 6)
+	cells[0].Payload, cells[4].Payload = json.RawMessage(`[0]`), json.RawMessage(`[4]`)
+	if err := ck.save("fp-a", 6, []bool{0: true, 4: true, 5: false}, cells); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Restored(); len(got) != 1 || got[0].Grid != "fp-b" || got[0].Cell != 1 {
-		t.Fatalf("after Compact(fp-a): restored = %+v, want only fp-b cell 1", got)
+	if err := r.compact(ck.covers); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Restored(); len(got) != 2 || got[0].Grid != "fp-b" || got[0].Cell != 1 ||
+		got[1].Grid != "fp-a" || got[1].Cell != 2 {
+		t.Fatalf("after compaction: restored = %+v, want fp-b cell 1 and fp-a cell 2", got)
 	}
 	// Appends continue cleanly on the compacted journal.
 	if err := r.Append("fp-b", 3, json.RawMessage(`[3]`), nil); err != nil {
@@ -109,9 +124,20 @@ func TestWALCompactKeepsOtherGrids(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	got := r2.Restored()
-	if len(got) != 2 || got[0].Cell != 1 || got[1].Cell != 3 {
-		t.Fatalf("reopened journal = %+v, want fp-b cells 1 and 3", got)
+	var got []string
+	for _, rec := range r2.Restored() {
+		got = append(got, fmt.Sprintf("%s/%d", rec.Grid, rec.Cell))
+	}
+	if want := "fp-b/1 fp-a/2 fp-a/5 fp-b/3"; strings.Join(got, " ") != want {
+		t.Fatalf("reopened journal = %v, want %s", got, want)
+	}
+	// A compaction that covers nothing leaves the file alone.
+	before, _ := os.Stat(path)
+	if err := r2.compact(func(string, int) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := os.Stat(path); !os.SameFile(before, after) {
+		t.Fatal("a compaction with nothing to drop rewrote the journal")
 	}
 }
 
@@ -271,13 +297,14 @@ func TestDecodeWALRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestResumeFromWALOnly is the tentpole's crash bar at the dist layer: a
-// coordinator that NEVER saved a checkpoint (save interval effectively
-// infinite) dies after two cells were journalled; a fresh coordinator
-// resuming from the WAL alone must not re-execute them and must assemble
-// a result deeply equal to an uninterrupted run.
+// TestResumeFromWALOnly is the crash bar at the dist layer: a coordinator
+// process that hard-crashes (the RIPPLE_DIST_CRASH_AFTER hook: no Close, no
+// snapshot) after two cells counted leaves no checkpoint at all; a fresh
+// coordinator resuming from the journal alone must not re-execute what it
+// holds and must assemble a result deeply equal to an uninterrupted run.
 func TestResumeFromWALOnly(t *testing.T) {
-	g := testGrid([]uint64{1, 2})
+	grids := crashCampaign()[:1]
+	g := grids[0]
 	want, err := g.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -286,82 +313,39 @@ func TestResumeFromWALOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	ckptPath := filepath.Join(dir, "ckpt.json")
-	walPath := ckptPath + ".wal"
-
-	// Phase 1: journal two cells, then crash with no checkpoint ever saved.
-	wal1, err := CreateWAL(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := NewCoordinator(Options{
-		LeaseCells: 1, Checkpoint: NewCheckpoint(ckptPath),
-		CheckpointEvery: 1 << 30, WAL: wal1,
-	})
-	errc := make(chan error, 1)
-	go func() {
-		_, err := ExecuteGrid(c1, &g)
-		errc <- err
-	}()
-	dead := flakyWorker(t, c1, &g, 2)
-	<-dead
-	// Appends happen on the serve goroutine; wait for both to be durable.
-	waitFor(t, func() bool {
-		data, err := os.ReadFile(walPath)
-		if err != nil {
-			return false
-		}
-		recs, _, err := decodeWAL(data)
-		return err == nil && len(recs) == 2
-	})
-	c1.Close()
-	if err := <-errc; err == nil {
-		t.Fatal("aborted campaign did not fail")
-	}
-	wal1.Close()
+	ckptPath := filepath.Join(t.TempDir(), "ckpt.json")
+	crashCoordinator(t, ckptPath, 1, 2)
 	if _, err := os.Stat(ckptPath); !os.IsNotExist(err) {
 		t.Fatalf("checkpoint file exists (%v); the test needs a WAL-only resume", err)
 	}
 
-	// Phase 2: resume from the journal alone.
-	wal2, err := OpenWAL(walPath)
+	ck, wal, err := OpenPersistence(ckptPath, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := wal2.Restored(); len(got) != 2 {
-		t.Fatalf("journal restored %d records, want 2", len(got))
+	// What counted was journalled first; a batch may have journalled a
+	// cell more than the two that counted before the crash.
+	journalled := len(wal.Restored())
+	if journalled < 2 {
+		t.Fatalf("journal restored %d records, want at least the 2 that counted", journalled)
 	}
-	c2 := NewCoordinator(Options{
-		LeaseCells: 1, Checkpoint: NewCheckpoint(ckptPath), WAL: wal2, Logf: t.Logf,
-	})
+	c := NewCoordinator(Options{LeaseCells: 1, Checkpoint: ck, WAL: wal, Logf: t.Logf})
 	var ran int32
-	wdone := make(chan error, 1)
-	cli, srv := net.Pipe()
-	go c2.Serve(NewConn(srv))
-	go func() {
-		defer cli.Close()
-		w, err := NewWorker(cli, "resumer")
-		if err != nil {
-			wdone <- err
-			return
-		}
-		wdone <- w.ServeGrid(countingCells{GridCells{Plan: plan, Pool: pool.New(1)}, &ran})
-	}()
-	got, err := ExecuteGrid(c2, &g)
+	wdone := countingWorker(t, c, &ran, grids)
+	got, err := ExecuteGrid(c, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := <-wdone; err != nil {
 		t.Fatalf("resuming worker: %v", err)
 	}
-	c2.Close()
-	wal2.Close()
+	c.Close()
+	wal.Close()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("WAL-resumed result differs:\ngot  %+v\nwant %+v", got, want)
 	}
-	if n := atomic.LoadInt32(&ran); int(n) != plan.NumCells()-2 {
+	if n := atomic.LoadInt32(&ran); int(n) != plan.NumCells()-journalled {
 		t.Errorf("resume re-executed journalled cells: worker ran %d, want %d",
-			n, plan.NumCells()-2)
+			n, plan.NumCells()-journalled)
 	}
 }
