@@ -5,7 +5,7 @@
 //	experiments [-run name[,name...]] [-seeds n] [-dur seconds] [-quick]
 //	            [-parallel n] [-json] [-ablations] [-scaling]
 //	            [-workers n] [-listen addr] [-ckpt file | -resume file]
-//	            [-supervise] [-cell-timeout d]
+//	            [-supervise]
 //	            [-worker | -connect addr]
 //
 // With no -run flag every experiment runs in paper order. Every scenario
@@ -25,8 +25,10 @@
 // checkpoint file is that journal's compaction, written when the journal
 // has outgrown it and once more at the end — a resume reads both and
 // loses nothing. -supervise re-execs the coordinator and auto-resumes
-// it after a crash; -cell-timeout races stalled cells on another worker.
-// The tables are bit-identical to a single-process run in every mode.
+// it after a crash. Cells are granted one at a time; one that stays out
+// far longer than its grid's cells have been taking is raced on another
+// worker. The tables are bit-identical to a single-process run in every
+// mode.
 // -worker is the internal stdio worker mode -workers spawns.
 package main
 
@@ -72,17 +74,14 @@ func run() int {
 		jsonOut   = flag.Bool("json", false, "emit all tables as one JSON array")
 		prune     = flag.Float64("prunesigma", -1, "override radio neighbor pruning in shadowing sigmas (0 = exact/unpruned medium, -1 = per-experiment default)")
 
-		workers      = flag.Int("workers", 0, "spawn n local worker processes and distribute grid cells across them")
-		listen       = flag.String("listen", "", "accept remote workers on this TCP address (e.g. :9111)")
-		ckptPath     = flag.String("ckpt", "", "write a distributed-run checkpoint to this file")
-		resumePath   = flag.String("resume", "", "resume a distributed run from this checkpoint file")
-		leaseCells   = flag.Int("lease", 0, "cells per worker lease (0 = auto)")
-		leaseTimeout = flag.Duration("lease-timeout", 0, "reclaim a lease after this long without progress (0 = 2m)")
-		workerMode   = flag.Bool("worker", false, "worker mode: serve leased cells over stdin/stdout (spawned by -workers)")
-		connect      = flag.String("connect", "", "worker mode: serve leased cells to the coordinator at this TCP address")
-		reconnect    = flag.Int("reconnect", 3, "with -connect: dials tried per connection outage, capped exponential backoff (1 = fail on first error)")
-		supervise    = flag.Bool("supervise", false, "run the coordinator as a supervised child and auto-restart it with -resume after a crash (requires -ckpt or -resume)")
-		cellTimeout  = flag.Duration("cell-timeout", 0, "race a lease's remaining cells on another worker after this long without a delivery (0 = derive from observed cell durations)")
+		workers    = flag.Int("workers", 0, "spawn n local worker processes and distribute grid cells across them")
+		listen     = flag.String("listen", "", "accept remote workers on this TCP address (e.g. :9111)")
+		ckptPath   = flag.String("ckpt", "", "write a distributed-run checkpoint to this file")
+		resumePath = flag.String("resume", "", "resume a distributed run from this checkpoint file")
+		workerMode = flag.Bool("worker", false, "worker mode: serve leased cells over stdin/stdout (spawned by -workers)")
+		connect    = flag.String("connect", "", "worker mode: serve leased cells to the coordinator at this TCP address")
+		reconnect  = flag.Int("reconnect", 3, "with -connect: dials tried per connection outage, capped exponential backoff (1 = fail on first error)")
+		supervise  = flag.Bool("supervise", false, "run the coordinator as a supervised child and auto-restart it with -resume after a crash (requires -ckpt or -resume)")
 	)
 	flag.Parse()
 
@@ -198,12 +197,9 @@ func run() int {
 			}
 		}
 		coord = dist.NewCoordinator(dist.Options{
-			LeaseCells:   *leaseCells,
-			LeaseTimeout: *leaseTimeout,
-			Checkpoint:   ck,
-			WAL:          wal,
-			CellTimeout:  *cellTimeout,
-			Logf:         func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
+			Checkpoint: ck,
+			WAL:        wal,
+			Logf:       func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
 		})
 		opt.RunGrid = dist.CoordinatorRunGrid(coord)
 		if *listen != "" {
@@ -343,9 +339,8 @@ func run() int {
 // coordinator's command line: coordinator-only and output flags.
 var workerOnly = map[string][]string{
 	"workers": nil, "listen": nil, "ckpt": nil, "resume": nil,
-	"lease": nil, "lease-timeout": nil, "parallel": nil,
-	"json": nil, "worker": nil, "connect": nil,
-	"supervise": nil, "cell-timeout": nil,
+	"parallel": nil, "json": nil, "worker": nil, "connect": nil,
+	"supervise": nil,
 }
 
 // rewriteArgv copies a command line (args[0] is the program) with every
@@ -389,14 +384,13 @@ func rewriteArgv(fs *flag.FlagSet, args []string, swap map[string][]string) []st
 // minus -supervise) and restarts it after a crash, rewriting -ckpt to
 // -resume so the restart picks up the checkpoint plus WAL instead of
 // starting over (an argv already using -resume is restarted as it is).
-// ckptPath is the checkpoint file the restarts resume from. The child's
-// stdout (the result tables) is buffered to a temp file and emitted only
-// when the child finishes, so a crashed incarnation's partial output never
-// reaches the pipeline.
+// ckptPath is the checkpoint file the restarts resume from. Each
+// incarnation's stdout (the result tables) is buffered and only the last
+// one's — the incarnation whose exit code propagates — is emitted, so a
+// crashed incarnation's partial output never reaches the pipeline.
 //
-// Exit codes 0–2 propagate (done, deterministic failure, usage error —
-// none of which a restart can fix). Anything else is treated as a crash;
-// a progress gate over the checkpoint+WAL state hash gives up after two
+// An exit code that propagates ends the loop. Anything else is treated as a
+// crash; a progress gate over the checkpoint+WAL state hash gives up after two
 // consecutive restarts that recovered nothing new, so a crash loop
 // cannot spin forever.
 func superviseLoop(ckptPath string) int {
@@ -409,33 +403,14 @@ func superviseLoop(ckptPath string) int {
 		if resumed {
 			child = rewriteArgv(flag.CommandLine, argv, map[string][]string{"ckpt": {"-resume", ckptPath}})
 		}
-		tmp, err := os.CreateTemp("", "experiments-stdout-*")
+		code, err := superviseOnce(child, os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		defer os.Remove(tmp.Name())
-		cmd := exec.Command(child[0], child[1:]...)
-		cmd.Stdout = tmp
-		cmd.Stderr = os.Stderr
-		runErr := cmd.Run()
-		code := 0
-		if runErr != nil {
-			ee, ok := runErr.(*exec.ExitError)
-			if !ok {
-				fmt.Fprintln(os.Stderr, runErr)
-				return 1
-			}
-			code = ee.ExitCode()
-		}
-		if code >= 0 && code <= 2 {
-			if _, err := tmp.Seek(0, 0); err == nil {
-				io.Copy(os.Stdout, tmp)
-			}
-			tmp.Close()
+		if propagates(code) {
 			return code
 		}
-		tmp.Close()
 		state := superviseStateHash(ckptPath)
 		if state == lastState {
 			noProgress++
@@ -453,6 +428,39 @@ func superviseLoop(ckptPath string) int {
 			code, ckptPath)
 		resumed = true
 	}
+}
+
+// propagates reports an exit code no restart can fix: done, deterministic
+// failure, usage error.
+func propagates(code int) bool { return code >= 0 && code <= 2 }
+
+// superviseOnce runs one incarnation of the child and returns its exit
+// code. The child's stdout goes to a temp file that lives as long as the
+// incarnation: it is copied to out when the code propagates, discarded
+// otherwise, and removed either way.
+func superviseOnce(argv []string, out io.Writer) (code int, err error) {
+	tmp, err := os.CreateTemp("", "experiments-stdout-*")
+	if err != nil {
+		return 0, err
+	}
+	defer os.Remove(tmp.Name())
+	defer tmp.Close()
+	cmd := exec.Command(argv[0], argv[1:]...)
+	cmd.Stdout = tmp
+	cmd.Stderr = os.Stderr
+	if runErr := cmd.Run(); runErr != nil {
+		ee, ok := runErr.(*exec.ExitError)
+		if !ok {
+			return 0, runErr
+		}
+		code = ee.ExitCode()
+	}
+	if propagates(code) {
+		if _, err := tmp.Seek(0, io.SeekStart); err == nil {
+			io.Copy(out, tmp)
+		}
+	}
+	return code, nil
 }
 
 // superviseStateHash fingerprints the checkpoint and WAL contents; a

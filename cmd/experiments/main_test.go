@@ -1,8 +1,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"os"
+	"os/exec"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -50,6 +54,74 @@ func TestRewriteArgv(t *testing.T) {
 		}
 		if !slices.Equal(in, strings.Fields(c.in)) {
 			t.Errorf("%s: input argv modified", c.name)
+		}
+	}
+}
+
+// mainArgvEnv turns the test binary into the command: TestMain runs run()
+// on its space-separated value and exits with run's code.
+const mainArgvEnv = "EXPERIMENTS_TEST_ARGV"
+
+func TestMain(m *testing.M) {
+	if argv, ok := os.LookupEnv(mainArgvEnv); ok {
+		os.Args = append(os.Args[:1], strings.Fields(argv)...)
+		os.Exit(run())
+	}
+	os.Exit(m.Run())
+}
+
+// runCommand runs the command in a child process and returns its exit code
+// and stderr.
+func runCommand(t *testing.T, argv string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), mainArgvEnv+"="+argv)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return cmd.ProcessState.ExitCode(), stderr.String()
+}
+
+// TestRemovedFlagsAreUsageErrors: the scheduling knobs are gone, not
+// shimmed — a command line that still passes one fails flag parsing like any
+// unknown flag.
+func TestRemovedFlagsAreUsageErrors(t *testing.T) {
+	if code, stderr := runCommand(t, "-list"); code != 0 {
+		t.Fatalf("-list exits %d:\n%s", code, stderr)
+	}
+	for _, argv := range []string{"-lease 4", "-lease-timeout 1m", "-cell-timeout 30s"} {
+		code, stderr := runCommand(t, "-run fig3 -quick -workers 2 "+argv)
+		name := strings.Fields(argv)[0]
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+name) {
+			t.Errorf("%s: exit %d, want the usage error's 2:\n%s", argv, code, stderr)
+		}
+	}
+}
+
+// TestSuperviseOnceRemovesItsBuffer: an incarnation's buffered stdout is
+// gone when the incarnation is, emitted if its exit code propagates and
+// discarded if it crashed.
+func TestSuperviseOnceRemovesItsBuffer(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	for _, c := range []struct {
+		exit int
+		want string
+	}{{0, "table\n"}, {2, "table\n"}, {42, ""}} {
+		var out strings.Builder
+		code, err := superviseOnce([]string{"sh", "-c", "echo table; exit " + strconv.Itoa(c.exit)}, &out)
+		if err != nil || code != c.exit {
+			t.Fatalf("exit %d: superviseOnce = %d, %v", c.exit, code, err)
+		}
+		if out.String() != c.want {
+			t.Errorf("exit %d: emitted %q, want %q", c.exit, out.String(), c.want)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("exit %d: %d files left in the temp directory", c.exit, len(left))
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"ripple/internal/dist"
 )
@@ -36,8 +35,6 @@ type DistributeOptions struct {
 	// crash before the first snapshot; otherwise both start fresh.
 	Checkpoint string
 	Resume     bool
-	// LeaseTimeout reclaims runs from a stalled worker (0 = 2 minutes).
-	LeaseTimeout time.Duration
 	// Logf reports worker churn and checkpoint restores; nil discards.
 	Logf func(format string, args ...any)
 }
@@ -45,8 +42,8 @@ type DistributeOptions struct {
 // Distribute executes the campaign's runs across locally spawned worker
 // processes and returns seed-averaged results in scenario order,
 // bit-identical to RunBatch on the same campaign. Every (scenario ×
-// seed) run is an independently leased unit; workers that die or stall
-// forfeit their leases to the survivors.
+// seed) run is an independently granted unit; a worker that dies forfeits
+// its run to the survivors, and one that stalls is raced by them.
 //
 // The re-exec contract: each worker is this same executable, started
 // with WorkerArgs and the WorkerEnv environment variable set. The
@@ -56,7 +53,7 @@ type DistributeOptions struct {
 // set TraceJSONL run their trace pass locally in the coordinator, so
 // trace output needs no cross-process plumbing.
 func (c Campaign) Distribute(opt DistributeOptions) ([]*Result, error) {
-	// One cell per (scenario, seed), so a lease is one run and a single
+	// One cell per (scenario, seed), so a grant is one run and a single
 	// many-seed scenario still spreads over every worker.
 	plan, cfgs, err := c.plan(true)
 	if plan == nil {
@@ -76,12 +73,7 @@ func (c Campaign) Distribute(opt DistributeOptions) ([]*Result, error) {
 		}
 		defer wal.Close()
 	}
-	coord := dist.NewCoordinator(dist.Options{
-		LeaseTimeout: opt.LeaseTimeout,
-		Checkpoint:   ck,
-		WAL:          wal,
-		Logf:         opt.Logf,
-	})
+	coord := dist.NewCoordinator(dist.Options{Checkpoint: ck, WAL: wal, Logf: opt.Logf})
 	// Before the journal closes (deferred calls run last first): Close
 	// writes the final snapshot and compacts the journal.
 	defer coord.Close()

@@ -32,7 +32,7 @@ func BenchmarkCoordinatorDelivery(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c := NewCoordinator(Options{LeaseCells: 1, Checkpoint: ck, WAL: wal})
+			c := NewCoordinator(Options{Checkpoint: ck, WAL: wal})
 			const fp = "bench"
 			done := make(chan error, workers)
 			for i := 0; i < workers; i++ {

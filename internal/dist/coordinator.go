@@ -12,60 +12,46 @@ import (
 	"ripple/internal/stats"
 )
 
-// Options tunes a Coordinator. The zero value works: leases are sized
-// automatically, stalled workers time out after two minutes, and nothing
-// is persisted.
+// Options tunes a Coordinator. The zero value works: nothing is persisted
+// and nothing is logged.
 type Options struct {
-	// LeaseCells is the number of cells handed out per lease; 0 sizes
-	// leases automatically from the grid (small enough that a lost worker
-	// forfeits little work, large enough to amortize the round-trip).
-	LeaseCells int
-	// LeaseTimeout reclaims a lease when its worker has neither finished
-	// it nor delivered a cell for this long. 0 means two minutes.
-	LeaseTimeout time.Duration
-	// Checkpoint, when set, persists completed cells so an interrupted
-	// campaign can resume. With a WAL it is the journal's compaction: a
-	// snapshot is written when the journal has outgrown the last one
-	// (snapshotFloor and a doubling rule) and once more in Close. Without
-	// one — a configuration only tests construct, OpenPersistence always
-	// pairs the two — there is no cadence: a snapshot at each grid's end
-	// and in Close.
+	// Checkpoint and WAL, set together or not at all (OpenPersistence opens
+	// the pair), make the campaign resumable. The WAL journals every
+	// delivered cell (fsync'd, group commit) before the coordinator counts
+	// it: a coordinator crash loses nothing that counted. The Checkpoint is
+	// the journal's compaction: a snapshot is written when the journal has
+	// outgrown the last one (snapshotFloor and a doubling rule) and once
+	// more in Close, and each snapshot drops from the journal what it holds.
+	// RunGrid restores a grid from the checkpoint and replays the journal on
+	// top. Close the coordinator before the WAL.
 	Checkpoint *Checkpoint
-	// WAL, when set, journals every delivered cell (fsync'd, group commit)
-	// before the coordinator counts it: a coordinator crash loses nothing
-	// that counted. RunGrid replays the journal on top of the restored
-	// checkpoint, and each snapshot drops from it what that snapshot holds.
-	// Close the coordinator before the WAL.
-	WAL *WAL
-	// CellTimeout is a per-cell wall-clock deadline: a lease whose worker
-	// has not delivered a cell for this long is preemptively boosted — its
-	// remaining cells are copied back onto the queue so another worker can
-	// race it, first completion winning through the normal dedup. 0 derives
-	// the deadline from observed cell durations (8× a running average),
-	// falling back to no boost until the first cell completes.
-	CellTimeout time.Duration
-	// Logf reports worker churn (connects, losses, lease reclaims);
-	// nil discards.
+	WAL        *WAL
+	// Logf reports worker churn (connects, losses, raced cells); nil
+	// discards.
 	Logf func(format string, args ...any)
 }
 
-// exitAfterEnv is a test hook: when set to a positive integer, the
-// coordinator snapshots its checkpoint and hard-exits the process
-// (exit code 42, no deferred cleanup) after recording that many cells.
-// The checkpoint/resume end-to-end tests use it to simulate preemption
-// at a deterministic point.
-const exitAfterEnv = "RIPPLE_DIST_EXIT_AFTER"
-
-// killExitCode is the exit code of the self-kill test hook above.
-const killExitCode = 42
-
-// crashAfterEnv is the harsher sibling of exitAfterEnv: the coordinator
-// hard-exits after recording that many cells WITHOUT a snapshot first, so
-// the cells recorded since the last one survive only in the WAL. The count
+// crashAfterEnv is the crash hook of the tests and CI: when set to a
+// positive integer the coordinator hard-exits the process (killExitCode, no
+// snapshot, no deferred cleanup) once that many cells have counted, so the
+// cells counted since the last snapshot survive only in the WAL. The count
 // is per process, and the variable is inherited by supervised restarts —
 // each incarnation crashes again after that many more cells, exercising
 // repeated crash/replay cycles until the grid completes.
 const crashAfterEnv = "RIPPLE_DIST_CRASH_AFTER"
+
+// killExitCode is the exit code of the crash hook above.
+const killExitCode = 42
+
+// A granted cell has one deadline: deadlineFactor × the grid's running
+// average of grant-to-delivery times, no less than deadlineFloor (so fast
+// grids don't thrash) — or firstCellPatience while no cell of the grid has
+// completed and there is nothing to average.
+const (
+	deadlineFactor    = 8
+	deadlineFloor     = 100 * time.Millisecond
+	firstCellPatience = 2 * time.Minute
+)
 
 // snapshotFloor is the journal size below which no snapshot is taken
 // before Close: a campaign this small resumes from its journal alone. Past
@@ -80,18 +66,22 @@ var ErrClosed = errors.New("dist: coordinator closed")
 // Coordinator shards grids across worker connections. A campaign is a
 // sequence of grids: RunGrid is called once per grid, in order, while
 // Serve runs per worker connection; workers announce which grid they
-// have reached (by fingerprint) and the coordinator leases cells of the
-// current grid, holding early arrivals until it catches up.
+// have reached (by fingerprint) and the coordinator grants them cells of
+// the current grid, one at a time, holding early arrivals until it catches
+// up.
 //
-// A coordinator with a Checkpoint or a WAL owns one more goroutine, the
-// committer, which alone touches the two files: connection goroutines queue
-// what workers deliver and answer them at once; the committer journals
-// whatever has queued with one write and one fsync and only then marks
-// those cells done, so a cell that counts — in Progress, towards its grid's
+// A coordinator that persists owns one more goroutine, the committer,
+// which alone touches the two files: connection goroutines queue what
+// workers deliver and answer them at once; the committer journals whatever
+// has queued with one write and one fsync and only then marks those cells
+// done, so a cell that counts — in Progress, towards its grid's
 // completion, in a snapshot — is already durable. It also writes the
 // snapshots, each followed by the journal's compaction. Close stops it.
 type Coordinator struct {
 	opt Options
+	// firstCellPatience and deadlineFloor; fields so that the package's
+	// tests can shorten them before RunGrid.
+	patience, floor time.Duration
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -100,15 +90,12 @@ type Coordinator struct {
 	closed    bool
 	failure   error // first fatal worker error, poisons the campaign
 
-	// The committer's inbox, under mu: deliveries awaiting the journal, and
-	// a snapshot asked for outside the journal-size rule. committed is
-	// closed when the committer has exited; nil without one.
-	queue       []delivery
-	snapshotDue bool
-	commitCond  *sync.Cond
-	committed   chan struct{}
+	// The committer's inbox, under mu: deliveries awaiting the journal.
+	// committed is closed when the committer has exited; nil without one.
+	queue      []delivery
+	commitCond *sync.Cond
+	committed  chan struct{}
 
-	killAfter  int // exitAfterEnv hook; 0 = disabled
 	crashAfter int // crashAfterEnv hook; 0 = disabled
 	recorded   int // cells recorded this process (not restored ones)
 }
@@ -124,28 +111,27 @@ type gridRun struct {
 	fp          string
 	numCells    int
 	runsPerCell int
-	queue       []int // cells awaiting a lease
-	leases      map[int]*lease
-	nextLease   int
+	queue       []int          // cells awaiting a grant
+	grants      map[int]*grant // cells out with a worker, by cell
 	done        []bool
 	pending     []bool // delivered and queued for the journal, not yet done
 	doneCount   int
 	cells       []cellRecord // payload+stats per completed cell
 	progress    func(done, total int)
-	// cellEWMA is a running average of observed cell wall-clock durations
-	// (measured delivery-to-delivery per lease), feeding the stall
-	// detector's derived deadline when Options.CellTimeout is zero.
+	// cellEWMA is the running average of grant-to-delivery times the
+	// deadline is derived from; 0 until a cell has been delivered.
 	cellEWMA time.Duration
+	watchdog *time.Timer // armed for the earliest deadline among grants
+	races    int         // grants whose deadline passed
 }
 
-// lease is an outstanding assignment of cells to one connection.
-type lease struct {
-	id      int
-	cells   []int // not yet delivered
-	owner   *Conn
-	expires time.Time
-	lastAt  time.Time // grant or most recent delivery, for stall detection
-	boosted bool      // remaining cells already copied back to the queue
+// grant is one cell out with one connection. It ends when the cell is
+// delivered, by anyone, when the connection is lost, or when the cell —
+// back on the queue since its deadline passed — is granted again.
+type grant struct {
+	owner *Conn
+	at    time.Time
+	raced bool // past the deadline, cell back on the queue
 }
 
 // GridOutput is a completed grid: one raw payload per cell, exactly as
@@ -157,25 +143,21 @@ type GridOutput struct {
 }
 
 // NewCoordinator creates a coordinator ready to Serve connections and
-// RunGrid campaigns.
+// RunGrid campaigns. Half a persistence pair is a programming error.
 func NewCoordinator(opt Options) *Coordinator {
-	if opt.LeaseTimeout <= 0 {
-		opt.LeaseTimeout = 2 * time.Minute
+	if (opt.Checkpoint == nil) != (opt.WAL == nil) {
+		panic("dist: NewCoordinator: Options.Checkpoint and Options.WAL are set together or not at all; OpenPersistence opens the pair")
 	}
-	c := &Coordinator{opt: opt, completed: map[string]*GridOutput{}}
+	c := &Coordinator{opt: opt, patience: firstCellPatience, floor: deadlineFloor,
+		completed: map[string]*GridOutput{}}
 	c.cond = sync.NewCond(&c.mu)
 	c.commitCond = sync.NewCond(&c.mu)
-	if v := os.Getenv(exitAfterEnv); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			c.killAfter = n
-		}
-	}
 	if v := os.Getenv(crashAfterEnv); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 {
 			c.crashAfter = n
 		}
 	}
-	if opt.Checkpoint != nil || opt.WAL != nil {
+	if opt.WAL != nil {
 		c.committed = make(chan struct{})
 		go c.commitLoop()
 	}
@@ -222,14 +204,14 @@ func (c *Coordinator) RunGrid(spec GridSpec) (*GridOutput, error) {
 		fp:          spec.Fingerprint,
 		numCells:    spec.NumCells,
 		runsPerCell: spec.RunsPerCell,
-		leases:      map[int]*lease{},
+		grants:      map[int]*grant{},
 		done:        make([]bool, spec.NumCells),
 		pending:     make([]bool, spec.NumCells),
 		cells:       make([]cellRecord, spec.NumCells),
 		progress:    spec.Progress,
 	}
-	if c.opt.Checkpoint != nil {
-		done, cells, err := c.opt.Checkpoint.restore(spec.Fingerprint, spec.NumCells)
+	if ck := c.opt.Checkpoint; ck != nil {
+		done, cells, err := ck.restore(spec.Fingerprint, spec.NumCells)
 		if err != nil {
 			c.mu.Unlock()
 			return nil, err
@@ -244,15 +226,13 @@ func (c *Coordinator) RunGrid(spec GridSpec) (*GridOutput, error) {
 		if gr.doneCount > 0 {
 			c.logf("dist: grid %s: restored %d/%d cells from checkpoint",
 				spec.Fingerprint, gr.doneCount, spec.NumCells)
-		} else if n := c.opt.Checkpoint.numGrids(); done == nil && n > 0 {
+		} else if n := ck.numGrids(); done == nil && n > 0 {
 			// Either the campaign had not reached this grid when the file
 			// was written, or the file belongs to another campaign (other
 			// flags, another version): say so rather than rerun silently.
 			c.logf("dist: grid %s: not among the %d grids of checkpoint %s, running all %d cells",
-				spec.Fingerprint, n, c.opt.Checkpoint.Path(), spec.NumCells)
+				spec.Fingerprint, n, ck.Path(), spec.NumCells)
 		}
-	}
-	if c.opt.WAL != nil {
 		// Replay journal entries on top of the checkpoint: cells delivered
 		// after the last snapshot. The WAL may hold records the checkpoint
 		// covers too (a crash between the snapshot's rename and the
@@ -279,21 +259,30 @@ func (c *Coordinator) RunGrid(spec GridSpec) (*GridOutput, error) {
 			gr.queue = append(gr.queue, i)
 		}
 	}
+	// watchLocked arms it at every grant; a fire before that finds nothing.
+	gr.watchdog = time.AfterFunc(c.patience, func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.cur == gr && !c.closed {
+			c.watchLocked(gr)
+		}
+	})
 	c.cur = gr
 	c.cond.Broadcast() // wake ready handlers waiting for this grid
 
-	stop := make(chan struct{})
-	go c.reclaimLoop(gr, stop)
 	for gr.doneCount < gr.numCells && !c.closed {
 		c.cond.Wait()
 	}
-	close(stop)
+	gr.watchdog.Stop()
 	if c.closed {
 		// c.cur stays: the committer's last snapshot takes the abandoned
 		// grid's cells from it, and a closed coordinator runs no other.
 		err := c.closeErrLocked()
 		c.mu.Unlock()
 		return nil, err
+	}
+	if gr.races > 0 {
+		c.logf("dist: grid %s: %d cells raced", gr.fp, gr.races)
 	}
 	out := c.finalizeLocked(gr)
 	c.cur = nil
@@ -312,7 +301,7 @@ func (c *Coordinator) closeErrLocked() error {
 // finalizeLocked assembles a completed grid's output, records it for
 // replays, and enters it in the checkpoint's document — in memory: every
 // cell of it is already in the journal, and the file catches up at the next
-// snapshot. Without a journal that snapshot is asked for now.
+// snapshot.
 func (c *Coordinator) finalizeLocked(gr *gridRun) *GridOutput {
 	out := &GridOutput{Payloads: make([][]byte, gr.numCells)}
 	merged := map[string]*stats.Welford{}
@@ -336,10 +325,6 @@ func (c *Coordinator) finalizeLocked(gr *gridRun) *GridOutput {
 	c.completed[gr.fp] = out
 	if ck := c.opt.Checkpoint; ck != nil {
 		ck.put(gr.fp, gr.numCells, gr.done, gr.cells)
-		if c.opt.WAL == nil {
-			c.snapshotDue = true
-			c.commitCond.Signal()
-		}
 	}
 	return out
 }
@@ -348,8 +333,9 @@ func (c *Coordinator) finalizeLocked(gr *gridRun) *GridOutput {
 // and the checkpoint. Each round takes everything record has queued since
 // the last — the batch grows with the number of workers delivering while
 // an fsync is in flight, the fsync count does not — journals it, marks it
-// done, and takes a snapshot when one is due. It exits once the
-// coordinator is closed and the queue is empty, after a last snapshot.
+// done, and takes a snapshot when the journal has outgrown the last. It
+// exits once the coordinator is closed and the queue is empty, after a last
+// snapshot.
 func (c *Coordinator) commitLoop() {
 	defer close(c.committed)
 	var batch []delivery
@@ -357,43 +343,35 @@ func (c *Coordinator) commitLoop() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		for len(c.queue) == 0 && !c.snapshotDue && !c.closed {
+		for len(c.queue) == 0 && !c.closed {
 			c.commitCond.Wait()
 		}
-		if len(c.queue) == 0 && c.closed {
+		if len(c.queue) == 0 {
 			c.snapshotLocked()
 			return
 		}
 		batch, c.queue = c.queue, batch[:0]
-		if wal := c.opt.WAL; wal != nil && len(batch) > 0 {
-			c.mu.Unlock()
-			recs = recs[:0]
-			for _, d := range batch {
-				recs = append(recs, walRecord{Grid: d.m.Grid, Cell: d.m.Cell, Payload: d.m.Payload, Stats: d.m.Stats})
-			}
-			// A journal that cannot be written is logged, not fatal: the
-			// campaign's in-memory state is intact, only resumability is
-			// degraded.
-			if err := wal.appendBatch(recs); err != nil {
-				c.logf("dist: %v", err)
-			}
-			c.mu.Lock()
+		c.mu.Unlock()
+		recs = recs[:0]
+		for _, d := range batch {
+			recs = append(recs, walRecord{Grid: d.m.Grid, Cell: d.m.Cell, Payload: d.m.Payload, Stats: d.m.Stats})
 		}
+		// A journal that cannot be written is logged, not fatal: the
+		// campaign's in-memory state is intact, only resumability is
+		// degraded.
+		if err := c.opt.WAL.appendBatch(recs); err != nil {
+			c.logf("dist: %v", err)
+		}
+		c.mu.Lock()
 		for i, d := range batch {
 			c.markDoneLocked(d.gr, d.m)
 			batch[i] = delivery{}
 		}
-		if c.snapshotDue || c.journalOutgrown() {
-			c.snapshotDue = false
+		// Each snapshot is about twice the one before: see snapshotFloor.
+		if c.opt.WAL.Size() >= max(snapshotFloor, c.opt.Checkpoint.Size()) {
 			c.snapshotLocked()
 		}
 	}
-}
-
-// journalOutgrown is the snapshot rule of a journalled checkpoint.
-func (c *Coordinator) journalOutgrown() bool {
-	wal, ck := c.opt.WAL, c.opt.Checkpoint
-	return wal != nil && ck != nil && wal.Size() >= max(snapshotFloor, ck.Size())
 }
 
 // snapshotLocked brings the checkpoint file up to date — every finished
@@ -404,9 +382,6 @@ func (c *Coordinator) journalOutgrown() bool {
 // are written. Failures are logged, not fatal, like the journal's.
 func (c *Coordinator) snapshotLocked() {
 	ck := c.opt.Checkpoint
-	if ck == nil {
-		return
-	}
 	if gr := c.cur; gr != nil && gr.doneCount > 0 {
 		ck.put(gr.fp, gr.numCells, gr.done, gr.cells)
 	}
@@ -416,88 +391,54 @@ func (c *Coordinator) snapshotLocked() {
 		c.logf("dist: %v", err)
 		return
 	}
-	if wal := c.opt.WAL; wal != nil {
-		if err := wal.compact(ck.covers); err != nil {
-			c.logf("dist: %v", err)
-		}
+	if err := c.opt.WAL.compact(ck.covers); err != nil {
+		c.logf("dist: %v", err)
 	}
 }
 
-// reclaimLoop expires stalled leases for one grid until stop closes. Two
-// watchdogs run on the same ticker: the lease timeout (worker presumed
-// dead — cells requeued, lease dropped) and the faster per-cell stall
-// detector (worker presumed wedged on one cell — remaining cells are
-// copied back to the queue so another worker can race it, but the lease
-// survives in case the original worker eventually delivers).
-func (c *Coordinator) reclaimLoop(gr *gridRun, stop chan struct{}) {
-	tick := c.opt.LeaseTimeout / 4
-	if ct := c.opt.CellTimeout; ct > 0 && ct/4 < tick {
-		tick = ct / 4
-	}
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	if tick > 5*time.Second {
-		tick = 5 * time.Second
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case now := <-t.C:
-			c.mu.Lock()
-			if c.cur == gr {
-				for id, l := range gr.leases {
-					if now.After(l.expires) {
-						c.logf("dist: grid %s: lease %d timed out, requeueing %d cells",
-							gr.fp, id, len(l.cells))
-						c.requeueLocked(gr, id)
-						continue
-					}
-					if !l.boosted && len(l.cells) > 0 {
-						if stall := c.stallDeadline(gr); stall > 0 && now.Sub(l.lastAt) > stall {
-							c.logf("dist: grid %s: lease %d stalled for %v, racing %d cells",
-								gr.fp, id, now.Sub(l.lastAt).Round(time.Millisecond), len(l.cells))
-							l.boosted = true
-							gr.queue = append(gr.queue, l.cells...)
-							c.cond.Broadcast()
-						}
-					}
-				}
-			}
-			c.mu.Unlock()
-		}
-	}
-}
-
-// stallDeadline is how long a lease may go without delivering a cell
-// before its remaining cells are raced: the configured CellTimeout, or
-// 8× the observed average cell duration (floored so fast grids don't
-// thrash), or 0 — no stall detection — before any cell has completed.
-func (c *Coordinator) stallDeadline(gr *gridRun) time.Duration {
-	if c.opt.CellTimeout > 0 {
-		return c.opt.CellTimeout
-	}
+// deadline is how long a granted cell may stay out before it is raced.
+func (c *Coordinator) deadline(gr *gridRun) time.Duration {
 	if gr.cellEWMA <= 0 {
-		return 0
+		return c.patience
 	}
-	d := 8 * gr.cellEWMA
-	if d < 100*time.Millisecond {
-		d = 100 * time.Millisecond
-	}
-	return d
+	return max(deadlineFactor*gr.cellEWMA, c.floor)
 }
 
-// requeueLocked returns a lease's undelivered cells to the queue.
-func (c *Coordinator) requeueLocked(gr *gridRun, id int) {
-	l, ok := gr.leases[id]
-	if !ok {
-		return
+// watchLocked is the watchdog. A grant past the deadline — its worker dead
+// behind an open connection, or wedged, or merely slow — has its cell put
+// back on the queue for another worker to race, once per grant; the first
+// delivery wins through record's dedup, whoever sends it, so a race costs at
+// most one deadline of one worker's time. The timer is then armed for the
+// earliest deadline still ahead. It runs when the timer fires and whenever
+// a deadline may have moved: on a grant, and on a delivery, which moves the
+// average.
+func (c *Coordinator) watchLocked(gr *gridRun) {
+	now, deadline := time.Now(), c.deadline(gr)
+	next := time.Duration(-1)
+	for cell, g := range gr.grants {
+		if g.raced {
+			continue
+		}
+		out := now.Sub(g.at)
+		if out >= deadline {
+			g.raced = true
+			gr.races++
+			c.logf("dist: grid %s: cell %d out for %v, past the %v deadline: racing it",
+				gr.fp, cell, out.Round(time.Millisecond), deadline.Round(time.Millisecond))
+			c.putBackLocked(gr, cell)
+		} else if left := deadline - out; next < 0 || left < next {
+			next = left
+		}
 	}
-	delete(gr.leases, id)
-	gr.queue = append(gr.queue, l.cells...)
+	if next >= 0 {
+		gr.watchdog.Reset(next)
+	}
+}
+
+// putBackLocked is the one place a granted cell returns to the queue: its
+// deadline passed, or its connection is gone.
+func (c *Coordinator) putBackLocked(gr *gridRun, cell int) {
+	gr.queue = append(gr.queue, cell)
 	c.cond.Broadcast()
 }
 
@@ -530,7 +471,7 @@ func (c *Coordinator) failLocked(err error) {
 
 // Serve speaks the worker protocol over one connection until the peer
 // disconnects or the campaign ends. Run it in its own goroutine per
-// connection. Undelivered leases held by the connection are requeued
+// connection. Undelivered cells held by the connection are requeued
 // when it returns.
 func (c *Coordinator) Serve(conn *Conn) error {
 	hello, err := conn.Recv()
@@ -556,7 +497,7 @@ func (c *Coordinator) Serve(conn *Conn) error {
 			c.mu.Unlock()
 			if closed || errors.Is(err, io.EOF) {
 				// Clean disconnect: the worker finished its grid sequence
-				// (or the campaign is over). Any leases it held are
+				// (or the campaign is over). Any cells it held are
 				// requeued by the deferred dropConn.
 				return nil
 			}
@@ -564,7 +505,7 @@ func (c *Coordinator) Serve(conn *Conn) error {
 		}
 		switch m.Type {
 		case MsgReady:
-			reply := c.nextLease(conn, m.Grid)
+			reply := c.grant(conn, m.Grid)
 			if err := conn.Send(reply); err != nil {
 				return fmt.Errorf("dist: %s: %w", name, err)
 			}
@@ -594,23 +535,32 @@ func (c *Coordinator) Serve(conn *Conn) error {
 	}
 }
 
-// dropConn requeues every lease owned by a vanished connection.
+// dropConn ends every grant of a vanished connection. A cell already raced
+// is on the queue as it is.
 func (c *Coordinator) dropConn(conn *Conn, name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if gr := c.cur; gr != nil {
-		for id, l := range gr.leases {
-			if l.owner == conn {
-				c.logf("dist: %s lost, requeueing lease %d (%d cells)", name, id, len(l.cells))
-				c.requeueLocked(gr, id)
-			}
+	gr := c.cur
+	if gr == nil {
+		return
+	}
+	for cell, g := range gr.grants {
+		if g.owner != conn {
+			continue
+		}
+		delete(gr.grants, cell)
+		if !g.raced {
+			c.logf("dist: %s lost, requeueing cell %d", name, cell)
+			c.putBackLocked(gr, cell)
 		}
 	}
 }
 
-// nextLease blocks until the coordinator reaches grid fp and has cells
-// to lease, the grid turns out to be complete, or the campaign ends.
-func (c *Coordinator) nextLease(conn *Conn, fp string) *Message {
+// grant is the one place a cell is granted: it blocks until the coordinator
+// reaches grid fp and has a cell to hand out, the grid turns out to be
+// complete, or the campaign ends. On the wire a grant is a lease of one
+// cell, its id the cell's index.
+func (c *Coordinator) grant(conn *Conn, fp string) *Message {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
@@ -623,88 +573,52 @@ func (c *Coordinator) nextLease(conn *Conn, fp string) *Message {
 		if c.closed {
 			return &Message{Type: MsgShutdown}
 		}
-		if gr := c.cur; gr != nil && gr.fp == fp && len(gr.queue) > 0 {
-			n := c.opt.LeaseCells
-			if n <= 0 {
-				// Small enough to forfeit cheaply on worker loss, large
-				// enough to amortize a round-trip on big grids.
-				n = gr.numCells / 32
-				if n < 1 {
-					n = 1
-				}
-				if n > 16 {
-					n = 16
-				}
-			}
-			// Pop cells off the queue, skipping any delivered while queued
-			// (a boosted cell whose original owner delivered first).
-			var cells []int
-			for len(gr.queue) > 0 && len(cells) < n {
+		if gr := c.cur; gr != nil && gr.fp == fp {
+			for len(gr.queue) > 0 {
 				cell := gr.queue[0]
 				gr.queue = gr.queue[1:]
-				if !gr.done[cell] && !gr.pending[cell] {
-					cells = append(cells, cell)
+				if gr.done[cell] || gr.pending[cell] {
+					continue // a raced cell, delivered while it was queued
 				}
+				gr.grants[cell] = &grant{owner: conn, at: time.Now()}
+				c.watchLocked(gr)
+				return &Message{Type: MsgLease, Grid: fp, Lease: cell, Cells: []int{cell}}
 			}
-			if len(cells) > 0 {
-				now := time.Now()
-				l := &lease{
-					id:      gr.nextLease,
-					cells:   cells,
-					owner:   conn,
-					expires: now.Add(c.opt.LeaseTimeout),
-					lastAt:  now,
-				}
-				gr.nextLease++
-				gr.leases[l.id] = l
-				return &Message{Type: MsgLease, Grid: fp, Lease: l.id,
-					Cells: append([]int(nil), l.cells...)}
-			}
-			// Every queued cell was already done; fall through and wait.
 		}
-		// Either the coordinator hasn't reached this grid yet, or all
-		// remaining cells are leased out (we may still inherit them if a
-		// lease expires). Wait for the state to change.
+		// Either the coordinator hasn't reached this grid yet, or every
+		// remaining cell is out with a worker (we may still inherit one
+		// whose deadline passes). Wait for the state to change.
 		c.cond.Wait()
 	}
 }
 
-// record takes one delivered cell: the lease bookkeeping here and now, so
+// record takes one delivered cell: the grant bookkeeping here and now, so
 // the worker's next ready is answered at once; the cell itself is marked
 // done by the committer once its journal record is durable — or here, when
-// the coordinator persists nothing. Duplicate deliveries (a reassigned
-// lease racing its original owner) are dropped, whether the first copy is
-// done or still queued for the journal; results are deterministic, so
-// either copy is the right one.
+// the coordinator persists nothing. Duplicate deliveries (a raced cell's
+// two holders) are dropped, whether the first copy is done or still queued
+// for the journal; results are deterministic, so either copy is the right
+// one.
 func (c *Coordinator) record(conn *Conn, m *Message) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	gr := c.cur
 	if c.closed || gr == nil || gr.fp != m.Grid || m.Cell < 0 || m.Cell >= gr.numCells {
-		return // stale delivery from a previous grid or reassigned lease
+		return // stale delivery from a previous grid
 	}
-	if l, ok := gr.leases[m.Lease]; ok && l.owner == conn {
-		now := time.Now()
-		l.expires = now.Add(c.opt.LeaseTimeout) // the worker is alive
-		if dur := now.Sub(l.lastAt); dur > 0 {
-			// Delivery-to-delivery duration feeds the stall detector's
-			// derived deadline; the EWMA smooths over cell-size variance.
+	if g := gr.grants[m.Cell]; g != nil {
+		// The holder's own delivery is a grant-to-delivery time; the EWMA
+		// smooths over cell-size variance.
+		if dur := time.Since(g.at); g.owner == conn && dur > 0 {
 			if gr.cellEWMA <= 0 {
 				gr.cellEWMA = dur
 			} else {
 				gr.cellEWMA = (3*gr.cellEWMA + dur) / 4
 			}
 		}
-		l.lastAt = now
-		for i, cell := range l.cells {
-			if cell == m.Cell {
-				l.cells = append(l.cells[:i], l.cells[i+1:]...)
-				break
-			}
-		}
-		if len(l.cells) == 0 {
-			delete(gr.leases, m.Lease)
-		}
+		// Any delivery ends the cell's grant: the cell is done or on its way.
+		delete(gr.grants, m.Cell)
+		c.watchLocked(gr)
 	}
 	if gr.done[m.Cell] || gr.pending[m.Cell] {
 		return
@@ -719,7 +633,7 @@ func (c *Coordinator) record(conn *Conn, m *Message) {
 }
 
 // markDoneLocked is the one place a cell starts to count: the done bitmap,
-// Progress, the crash hooks, the grid's completion. With a journal it runs
+// Progress, the crash hook, the grid's completion. With a journal it runs
 // on the committer, after the fsync that covers the cell's record.
 func (c *Coordinator) markDoneLocked(gr *gridRun, m *Message) {
 	gr.done[m.Cell] = true
@@ -729,11 +643,6 @@ func (c *Coordinator) markDoneLocked(gr *gridRun, m *Message) {
 		gr.progress(gr.doneCount*gr.runsPerCell, gr.numCells*gr.runsPerCell)
 	}
 	c.recorded++
-	if c.killAfter > 0 && c.recorded >= c.killAfter {
-		c.snapshotLocked()
-		fmt.Fprintf(os.Stderr, "dist: %s=%d reached, exiting\n", exitAfterEnv, c.killAfter)
-		os.Exit(killExitCode)
-	}
 	if c.crashAfter > 0 && c.recorded >= c.crashAfter {
 		// Simulated hard crash: no snapshot, no cleanup. The cells recorded
 		// since the last one survive only in the WAL.

@@ -93,7 +93,7 @@ func TestDistributedEqualsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := NewCoordinator(Options{LeaseCells: 1})
+	c := NewCoordinator(Options{})
 	w1 := startWorker(c, "w1", []*campaign.Grid{&g1, &g2})
 	w2 := startWorker(c, "w2", []*campaign.Grid{&g1, &g2})
 
@@ -183,7 +183,7 @@ func TestWorkerLossReassigned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCoordinator(Options{LeaseCells: 1, Logf: t.Logf})
+	c := NewCoordinator(Options{Logf: t.Logf})
 	type gridResult struct {
 		res *campaign.Result
 		err error
@@ -211,16 +211,114 @@ func TestWorkerLossReassigned(t *testing.T) {
 	}
 }
 
-// TestLeaseTimeoutReassigned covers the stall (not crash) failure: a
-// worker takes a lease, never delivers, but keeps its connection open.
-// Only the lease timeout can recover the cells.
+// handWorker speaks the worker protocol by hand, a step at a time, so a
+// test decides when — and whether — a granted cell is delivered.
+type handWorker struct {
+	t    *testing.T
+	name string
+	conn *Conn
+}
+
+func newHandWorker(t *testing.T, c *Coordinator, name string) *handWorker {
+	t.Helper()
+	cli, srv := net.Pipe()
+	go c.Serve(NewConn(srv))
+	t.Cleanup(func() { cli.Close() })
+	w := &handWorker{t, name, NewConn(cli)}
+	if err := w.conn.Send(&Message{Type: MsgHello, Proto: ProtoVersion, Worker: name}); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// take asks for a cell of grid fp and returns the one granted. A grant
+// that does not come in ten seconds fails the test: the cell the worker is
+// waiting for was never put back on the queue.
+func (w *handWorker) take(fp string) int {
+	w.t.Helper()
+	if err := w.conn.Send(&Message{Type: MsgReady, Grid: fp}); err != nil {
+		w.t.Fatal(err)
+	}
+	type reply struct {
+		m   *Message
+		err error
+	}
+	got := make(chan reply, 1)
+	go func() {
+		m, err := w.conn.Recv()
+		got <- reply{m, err}
+	}()
+	select {
+	case r := <-got:
+		if r.err != nil || r.m.Type != MsgLease || len(r.m.Cells) != 1 || r.m.Lease != r.m.Cells[0] {
+			w.t.Fatalf("%s: asked for a cell, got %+v, %v", w.name, r.m, r.err)
+		}
+		return r.m.Cells[0]
+	case <-time.After(10 * time.Second):
+		w.t.Fatalf("%s: no cell granted in 10 s", w.name)
+	}
+	panic("unreachable")
+}
+
+// deliver runs a cell and sends its result.
+func (w *handWorker) deliver(src CellSet, cell int) {
+	w.t.Helper()
+	payload, st, err := src.RunCell(cell)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	raw, err := json.Marshal(payload)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	if err := w.conn.Send(&Message{Type: MsgCell, Grid: src.Fingerprint(), Lease: cell,
+		Cell: cell, Payload: raw, Stats: st}); err != nil {
+		w.t.Fatal(err)
+	}
+}
+
+// raceLog collects a coordinator's log and counts the cells it raced.
+type raceLog struct {
+	t  *testing.T
+	mu sync.Mutex
+	n  int
+}
+
+func (l *raceLog) logf(format string, args ...any) {
+	l.t.Helper()
+	l.t.Logf(format, args...)
+	if strings.HasSuffix(format, "racing it") {
+		l.mu.Lock()
+		l.n++
+		l.mu.Unlock()
+	}
+}
+
+func (l *raceLog) races() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.n
+}
+
+// TestLeaseTimeoutReassigned covers the stall (not crash) failure before
+// any cell of the grid has completed, when there is no cell time to derive
+// a deadline from: a worker takes every cell, never delivers, but keeps its
+// connection open. The first-cell patience puts the cells back on the
+// queue — not before it has passed — and the campaign finishes on another
+// worker with the result of an in-process run.
 func TestLeaseTimeoutReassigned(t *testing.T) {
 	g := testGrid([]uint64{1})
 	want, err := g.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCoordinator(Options{LeaseCells: 1, LeaseTimeout: 50 * time.Millisecond, Logf: t.Logf})
+	plan, err := g.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &raceLog{t: t}
+	c := NewCoordinator(Options{Logf: log.logf})
+	c.patience = 50 * time.Millisecond
 	type gridResult struct {
 		res *campaign.Result
 		err error
@@ -231,28 +329,11 @@ func TestLeaseTimeoutReassigned(t *testing.T) {
 		resc <- gridResult{res, err}
 	}()
 
-	// Stalled worker: handshake, take one lease, then hold the connection
-	// open without ever delivering.
-	leased := make(chan struct{})
-	release := make(chan struct{})
-	cli, srv := net.Pipe()
-	go c.Serve(NewConn(srv))
-	plan, err := g.Plan()
-	if err != nil {
-		t.Fatal(err)
+	stalled := newHandWorker(t, c, "stalled")
+	for i := 0; i < plan.NumCells(); i++ {
+		stalled.take(plan.Fingerprint())
 	}
-	go func() {
-		defer cli.Close()
-		conn := NewConn(cli)
-		conn.Send(&Message{Type: MsgHello, Proto: ProtoVersion, Worker: "stalled"})
-		conn.Send(&Message{Type: MsgReady, Grid: plan.Fingerprint()})
-		if m, err := conn.Recv(); err != nil || m.Type != MsgLease {
-			t.Errorf("stalled worker: got %v, %v", m, err)
-		}
-		close(leased)
-		<-release
-	}()
-	<-leased
+	taken := time.Now()
 	healthy := startWorker(c, "healthy", []*campaign.Grid{&g})
 
 	r := <-resc
@@ -263,10 +344,107 @@ func TestLeaseTimeoutReassigned(t *testing.T) {
 	if err := <-healthy; err != nil {
 		t.Fatalf("healthy worker: %v", err)
 	}
-	close(release)
 	c.Close()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("post-timeout result differs:\ngot  %+v\nwant %+v", got, want)
+	}
+	// At least: under the race detector the healthy worker's own first
+	// cell can outlast a patience this short.
+	if n := log.races(); n < plan.NumCells() {
+		t.Errorf("%d cells raced, want each of the stalled worker's %d", n, plan.NumCells())
+	}
+	if d := time.Since(taken); d < c.patience {
+		t.Errorf("the grid finished %v after its last cell was taken: raced before the %v patience had passed", d, c.patience)
+	}
+}
+
+// TestRacedCellRearmedPerGrant: the worker that takes a raced cell stalls
+// too. The cell's second grant has a deadline of its own — raced is a
+// property of a grant, not of a cell — so a third worker gets it and the
+// grid completes.
+func TestRacedCellRearmedPerGrant(t *testing.T) {
+	src := fakeCells{fp: "twice", n: 2, fail: -1}
+	log := &raceLog{t: t}
+	c := NewCoordinator(Options{Logf: log.logf})
+	c.floor = 30 * time.Millisecond
+	type gridResult struct {
+		out *GridOutput
+		err error
+	}
+	resc := make(chan gridResult, 1)
+	go func() {
+		out, err := c.RunGrid(GridSpec{Fingerprint: src.fp, NumCells: src.n, RunsPerCell: 1})
+		resc <- gridResult{out, err}
+	}()
+
+	// One delivered cell gives the grid a cell time, and so the floor as
+	// its deadline.
+	first := newHandWorker(t, c, "first")
+	first.deliver(src, first.take(src.fp))
+	for _, name := range []string{"stalls", "stalls too"} {
+		if cell := newHandWorker(t, c, name).take(src.fp); cell != 1 {
+			t.Fatalf("%s was granted cell %d, want the raced cell 1", name, cell)
+		}
+	}
+	third := newHandWorker(t, c, "third")
+	third.deliver(src, third.take(src.fp))
+
+	r := <-resc
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	c.Close()
+	for i, p := range r.out.Payloads {
+		if string(p) != fmt.Sprintf("[%d]", i) {
+			t.Errorf("payload %d = %s", i, p)
+		}
+	}
+	if n := log.races(); n < 2 {
+		t.Errorf("%d races, want cell 1 raced once per stalled grant", n)
+	}
+}
+
+// TestWatchdogRacesAGrantOnce: a grant past its deadline puts its cell back
+// on the queue the first time the watchdog sees it, and never again.
+func TestWatchdogRacesAGrantOnce(t *testing.T) {
+	c := NewCoordinator(Options{})
+	gr := &gridRun{
+		fp:       "once",
+		numCells: 1,
+		grants:   map[int]*grant{0: {at: time.Now().Add(-time.Hour)}},
+		watchdog: time.NewTimer(time.Hour),
+	}
+	defer gr.watchdog.Stop()
+	c.mu.Lock()
+	c.watchLocked(gr)
+	c.watchLocked(gr)
+	c.mu.Unlock()
+	if len(gr.queue) != 1 || gr.races != 1 {
+		t.Errorf("the watchdog ran twice over one overdue grant: queue %v, %d races, want the cell queued once", gr.queue, gr.races)
+	}
+}
+
+// TestHalfPersistencePanics: a checkpoint without its journal, or a journal
+// without its checkpoint, is a configuration no caller means.
+func TestHalfPersistencePanics(t *testing.T) {
+	ck, wal, err := OpenPersistence(filepath.Join(t.TempDir(), "ckpt.json"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	for name, opt := range map[string]Options{
+		"checkpoint only": {Checkpoint: ck},
+		"journal only":    {WAL: wal},
+	} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "OpenPersistence") {
+					t.Errorf("%s: NewCoordinator panicked with %q, want a message naming OpenPersistence", name, msg)
+				}
+			}()
+			NewCoordinator(opt)
+			t.Errorf("%s: NewCoordinator did not panic", name)
+		}()
 	}
 }
 
@@ -298,9 +476,13 @@ func TestCheckpointResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 
 	// Phase 1: record exactly two cells, then lose the worker and shut
-	// the coordinator down (as an orderly preemption would): with no
-	// journal the abandoned grid's cells reach the file in Close.
-	c1 := NewCoordinator(Options{LeaseCells: 1, Checkpoint: NewCheckpoint(path)})
+	// the coordinator down (as an orderly preemption would): Close moves
+	// the abandoned grid's cells from the journal into the file.
+	ck, wal, err := OpenPersistence(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1 := NewCoordinator(Options{Checkpoint: ck, WAL: wal})
 	var runs atomic.Int32
 	g1 := g
 	g1.Progress = func(done, total int) { runs.Store(int32(done)) }
@@ -314,16 +496,19 @@ func TestCheckpointResume(t *testing.T) {
 	// The second cell is marked done by the committer; wait for it.
 	waitFor(t, func() bool { return int(runs.Load()) == 2*len(g.Seeds) })
 	c1.Close()
+	wal.Close()
 	if err := <-errc; err == nil {
 		t.Fatal("aborted campaign did not fail")
 	}
 
 	// Phase 2: resume. The worker must only execute the remaining cells.
-	ck, err := LoadCheckpoint(path)
-	if err != nil {
+	if ck, wal, err = OpenPersistence(path, true); err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewCoordinator(Options{LeaseCells: 1, Checkpoint: ck, Logf: t.Logf})
+	if n := len(wal.Restored()); n != 0 {
+		t.Fatalf("the closed coordinator left %d records in the journal", n)
+	}
+	c2 := NewCoordinator(Options{Checkpoint: ck, WAL: wal, Logf: t.Logf})
 	var ran int32
 	wdone := make(chan error, 1)
 	cli, srv := net.Pipe()
@@ -345,6 +530,7 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatalf("resuming worker: %v", err)
 	}
 	c2.Close()
+	wal.Close()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed result differs:\ngot  %+v\nwant %+v", got, want)
 	}
@@ -354,16 +540,16 @@ func TestCheckpointResume(t *testing.T) {
 
 	// Phase 3: the checkpoint now records a complete grid; running it
 	// again needs no workers at all.
-	ck3, err := LoadCheckpoint(path)
-	if err != nil {
+	if ck, wal, err = OpenPersistence(path, true); err != nil {
 		t.Fatal(err)
 	}
-	c3 := NewCoordinator(Options{Checkpoint: ck3})
+	c3 := NewCoordinator(Options{Checkpoint: ck, WAL: wal})
 	again, err := ExecuteGrid(c3, &g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c3.Close()
+	wal.Close()
 	if !reflect.DeepEqual(again, want) {
 		t.Errorf("fully restored result differs from run")
 	}
@@ -381,10 +567,17 @@ func waitFor(t *testing.T, ok func() bool) {
 }
 
 // TestCheckpointRejectsCorruption pins the loud-failure contract for
-// damaged or mismatched checkpoints.
+// damaged or mismatched checkpoints, through the door a resume comes in by.
 func TestCheckpointRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt.json")
+	resume := func() (*Checkpoint, error) {
+		ck, wal, err := OpenPersistence(path, true)
+		if err == nil {
+			wal.Close()
+		}
+		return ck, err
+	}
 
 	// Build a valid checkpoint from a fake 3-cell grid.
 	ck := NewCheckpoint(path)
@@ -401,7 +594,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		t.Error("missing checkpoint loaded")
 	}
 
-	loaded, err := LoadCheckpoint(path)
+	loaded, err := resume()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +614,7 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(path); err == nil ||
+	if _, err := resume(); err == nil ||
 		!strings.Contains(err.Error(), "corrupt") {
 		t.Errorf("truncated checkpoint loaded: %v", err)
 	}
@@ -430,12 +623,12 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"version":99,"grids":{}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(path); err == nil ||
+	if _, err := resume(); err == nil ||
 		!strings.Contains(err.Error(), "version") {
 		t.Errorf("wrong-version checkpoint loaded: %v", err)
 	}
 
-	// Bitmap and records disagreeing.
+	// Bitmap and records disagreeing: the coordinator refuses the grid.
 	if err := ck.save("fp-a", 3, done, cells); err != nil {
 		t.Fatal(err)
 	}
@@ -453,13 +646,17 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, mangled, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err = LoadCheckpoint(path)
+	loaded, wal, err := OpenPersistence(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loaded.restore("fp-a", 3); err == nil {
-		t.Error("bitmap/record mismatch accepted")
+	c := NewCoordinator(Options{Checkpoint: loaded, WAL: wal})
+	if _, err := c.RunGrid(GridSpec{Fingerprint: "fp-a", NumCells: 3, RunsPerCell: 1}); err == nil ||
+		!strings.Contains(err.Error(), "bitmap") {
+		t.Errorf("bitmap/record mismatch accepted: %v", err)
 	}
+	c.Close()
+	wal.Close()
 }
 
 // fakeCells is a trivial CellSet for protocol-level tests.
@@ -484,7 +681,7 @@ func (f fakeCells) RunCell(c int) (any, map[string]stats.State, error) {
 // both sides loudly, not hang or get silently retried forever.
 func TestWorkerErrorPoisonsCampaign(t *testing.T) {
 	src := fakeCells{fp: "boom", n: 4, fail: 2}
-	c := NewCoordinator(Options{LeaseCells: 1})
+	c := NewCoordinator(Options{})
 	cli, srv := net.Pipe()
 	go c.Serve(NewConn(srv))
 	wdone := make(chan error, 1)
@@ -510,7 +707,7 @@ func TestWorkerErrorPoisonsCampaign(t *testing.T) {
 // cell states merged in index order must equal a serial accumulation.
 func TestGridOutputStatsMerged(t *testing.T) {
 	src := fakeCells{fp: "stats", n: 10, fail: -1}
-	c := NewCoordinator(Options{LeaseCells: 3})
+	c := NewCoordinator(Options{})
 	cli, srv := net.Pipe()
 	go c.Serve(NewConn(srv))
 	wdone := make(chan error, 1)
@@ -601,7 +798,7 @@ func TestSpawnWorkersValidates(t *testing.T) {
 // TestListenDial exercises the TCP transport end to end with fakeCells.
 func TestListenDial(t *testing.T) {
 	src := fakeCells{fp: "tcp", n: 6, fail: -1}
-	c := NewCoordinator(Options{LeaseCells: 2})
+	c := NewCoordinator(Options{})
 	addr, stop, err := Listen(c, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -123,7 +123,7 @@ func (p panicCells) RunCell(c int) (any, map[string]stats.State, error) {
 // ErrCell.
 func TestWorkerPanicIsolated(t *testing.T) {
 	src := panicCells{fakeCells{fp: "kaboom", n: 4, fail: -1}, 2}
-	c := NewCoordinator(Options{LeaseCells: 1})
+	c := NewCoordinator(Options{})
 	cli, srv := net.Pipe()
 	go c.Serve(NewConn(srv))
 	wdone := make(chan error, 1)
@@ -180,11 +180,13 @@ func (s stallCells) RunCell(c int) (any, map[string]stats.State, error) {
 	return s.fakeCells.RunCell(c)
 }
 
-// TestCellStallPreempted: a worker wedged inside one cell, far short of
-// the lease timeout, must not stall the campaign. The per-cell watchdog
-// boosts the stalled lease — its cells are raced to another worker — and
-// the grid completes with correct payloads; the wedged worker's eventual
-// late delivery is deduped, and it still exits cleanly.
+// TestCellStallPreempted: a worker wedged inside one cell while the others
+// complete must not stall the campaign. The deadline derived from the
+// completed cells' times — here its floor — puts the cell back on the queue
+// when it passes, not at some later tick: another worker is running the
+// cell within twice the deadline. The grid completes with correct payloads;
+// the wedged worker's eventual late delivery is deduped, and it still exits
+// cleanly.
 func TestCellStallPreempted(t *testing.T) {
 	base := fakeCells{fp: "stall", n: 4, fail: -1}
 	release := make(chan struct{})
@@ -197,23 +199,10 @@ func TestCellStallPreempted(t *testing.T) {
 		release:   release,
 	}
 
-	c := NewCoordinator(Options{
-		LeaseCells:  1,
-		CellTimeout: 30 * time.Millisecond,
-		Logf:        t.Logf,
-	})
-	wstuck := make(chan error, 1)
-	cli1, srv1 := net.Pipe()
-	go c.Serve(NewConn(srv1))
-	go func() {
-		defer cli1.Close()
-		w, err := NewWorker(cli1, "stuck")
-		if err != nil {
-			wstuck <- err
-			return
-		}
-		wstuck <- w.ServeGrid(stuck)
-	}()
+	log := &raceLog{t: t}
+	c := NewCoordinator(Options{Logf: log.logf})
+	c.floor = 250 * time.Millisecond // the slack below is a loaded machine's
+	wstuck := serveCells(c, "stuck", stuck)
 
 	type gridResult struct {
 		out *GridOutput
@@ -225,20 +214,20 @@ func TestCellStallPreempted(t *testing.T) {
 		resc <- gridResult{out, err}
 	}()
 	<-entered // the stuck worker holds cell 0 and is wedged inside it
+	wedged := time.Now()
 
+	// The healthy worker stalls on nothing (its release is closed); the hook
+	// tells when cell 0 reaches it.
 	var ran int32
-	healthy := make(chan error, 1)
-	cli2, srv2 := net.Pipe()
-	go c.Serve(NewConn(srv2))
-	go func() {
-		defer cli2.Close()
-		w, err := NewWorker(cli2, "healthy")
-		if err != nil {
-			healthy <- err
-			return
-		}
-		healthy <- w.ServeGrid(countingCells{base, &ran})
-	}()
+	var raced atomic.Int64
+	free := make(chan struct{})
+	close(free)
+	healthy := serveCells(c, "healthy", countingCells{stallCells{
+		fakeCells: base,
+		stall:     0,
+		entered:   func() { raced.Store(int64(time.Since(wedged))) },
+		release:   free,
+	}, &ran})
 
 	r := <-resc
 	if r.err != nil {
@@ -261,5 +250,11 @@ func TestCellStallPreempted(t *testing.T) {
 	// The healthy worker must have raced and won the stalled cell too.
 	if n := atomic.LoadInt32(&ran); n != int32(base.n) {
 		t.Errorf("healthy worker ran %d cells, want %d (including the raced cell 0)", n, base.n)
+	}
+	if n := log.races(); n < 1 {
+		t.Errorf("no cell raced, want cell 0")
+	}
+	if d := time.Duration(raced.Load()); d > 2*c.floor {
+		t.Errorf("the stalled cell reached another worker after %v, want within twice the %v deadline", d, c.floor)
 	}
 }

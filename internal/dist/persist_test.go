@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ripple/internal/campaign"
 	"ripple/internal/campaign/pool"
@@ -61,7 +62,7 @@ func TestCrashingCoordinatorHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCoordinator(Options{LeaseCells: 1, Checkpoint: ck, WAL: wal})
+	c := NewCoordinator(Options{Checkpoint: ck, WAL: wal})
 	startWorker(c, "crash-worker", grids)
 	for _, g := range grids {
 		if _, err := ExecuteGrid(c, g); err != nil {
@@ -193,7 +194,7 @@ func TestCellCountsOnlyOnceDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCoordinator(Options{LeaseCells: 1, Checkpoint: ck, WAL: wal, Logf: t.Logf})
+	c := NewCoordinator(Options{Checkpoint: ck, WAL: wal, Logf: t.Logf})
 	var sets []CellSet
 	for i := 1; i <= 6; i++ {
 		sets = append(sets, fatCells{fp: fmt.Sprintf("fat-%d", i), n: 14, size: 64 << 10})
@@ -384,7 +385,7 @@ func TestResumeAfterSnapshotLag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCoordinator(Options{LeaseCells: 1, Checkpoint: ck, WAL: wal})
+	c := NewCoordinator(Options{Checkpoint: ck, WAL: wal})
 	worker := startWorker(c, "w", grids[:1])
 	if _, err := ExecuteGrid(c, grids[0]); err != nil {
 		t.Fatal(err)
@@ -424,7 +425,7 @@ func TestResumeAfterSnapshotLag(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var log strings.Builder
-	c = NewCoordinator(Options{LeaseCells: 1, Checkpoint: ck, WAL: wal, Logf: func(format string, args ...any) {
+	c = NewCoordinator(Options{Checkpoint: ck, WAL: wal, Logf: func(format string, args ...any) {
 		mu.Lock()
 		defer mu.Unlock()
 		fmt.Fprintf(&log, format+"\n", args...)
@@ -509,7 +510,7 @@ func TestConcurrentDuplicateDeliveries(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := fakeCells{fp: "dups", n: 200, fail: -1}
-	c := NewCoordinator(Options{LeaseCells: 2, Checkpoint: ck, WAL: wal})
+	c := NewCoordinator(Options{Checkpoint: ck, WAL: wal})
 	var workers []chan error
 	for i := 0; i < 8; i++ {
 		workers = append(workers, dupWorker(c, fmt.Sprintf("dup-%d", i), src))
@@ -560,5 +561,104 @@ func TestConcurrentDuplicateDeliveries(t *testing.T) {
 	wal.Close()
 	if have := cellsOnDisk(t, path, src.fp, src.n); have != src.n {
 		t.Errorf("after Close the files hold %d of %d cells", have, src.n)
+	}
+}
+
+// TestRacedCellCountsOnce: a cell whose deadline passed is out with two
+// workers. The stalled worker's late delivery counts if it lands first and
+// is dropped if it lands second; either way the cell is journalled once,
+// counted once and present once in the output.
+func TestRacedCellCountsOnce(t *testing.T) {
+	for _, lateFirst := range []bool{true, false} {
+		name := "late delivery second"
+		if lateFirst {
+			name = "late delivery first"
+		}
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ckpt.json")
+			ck, wal, err := OpenPersistence(path, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := fakeCells{fp: "raced", n: 3, fail: -1}
+			log := &raceLog{t: t}
+			c := NewCoordinator(Options{Checkpoint: ck, WAL: wal, Logf: log.logf})
+			c.floor = 30 * time.Millisecond
+			counted := make(chan int, src.n)
+			type gridResult struct {
+				out *GridOutput
+				err error
+			}
+			resc := make(chan gridResult, 1)
+			go func() {
+				out, err := c.RunGrid(GridSpec{Fingerprint: src.fp, NumCells: src.n, RunsPerCell: 1,
+					Progress: func(done, total int) { counted <- done }})
+				resc <- gridResult{out, err}
+			}()
+
+			// Cell 0 delivered: the grid has a cell time. Cell 1 stalls with
+			// one worker; the racer holds cell 2 back so that the grid stays
+			// open, and asks on until it is granted cell 1 as well — both
+			// cells pass their deadline, in either order.
+			first := newHandWorker(t, c, "first")
+			first.deliver(src, first.take(src.fp))
+			stalled := newHandWorker(t, c, "stalled")
+			if cell := stalled.take(src.fp); cell != 1 {
+				t.Fatalf("stalled worker was granted cell %d, want 1", cell)
+			}
+			racer := newHandWorker(t, c, "racer")
+			if cell := racer.take(src.fp); cell != 2 {
+				t.Fatalf("racer was granted cell %d, want 2", cell)
+			}
+			for racer.take(src.fp) != 1 {
+			}
+			winner, loser := racer, stalled
+			if lateFirst {
+				winner, loser = stalled, racer
+			}
+			winner.deliver(src, 1)
+			for done := range counted {
+				if done == 2 {
+					break // cells 0 and 1 count: the second copy of 1 comes second
+				}
+			}
+			loser.deliver(src, 1)
+			// The grid's last cell follows the duplicate on the same
+			// connection: the duplicate has been dealt with when the grid
+			// completes.
+			loser.deliver(src, 2)
+
+			r := <-resc
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			for i, p := range r.out.Payloads {
+				if string(p) != fmt.Sprintf("[%d]", i) {
+					t.Errorf("payload %d = %s", i, p)
+				}
+			}
+			if n := <-counted; n != src.n {
+				t.Errorf("Progress counted to %d after the grid's %d cells", n, src.n)
+			}
+			data, err := os.ReadFile(path + ".wal")
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, _, err := decodeWAL(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := make([]int, src.n)
+			for _, r := range recs {
+				seen[r.Cell]++
+			}
+			for cell, n := range seen {
+				if n != 1 {
+					t.Errorf("cell %d journalled %d times", cell, n)
+				}
+			}
+			c.Close()
+			wal.Close()
+		})
 	}
 }

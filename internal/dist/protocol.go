@@ -1,11 +1,13 @@
 // Package dist distributes campaign execution across processes. A
-// coordinator shards a campaign grid's flat cell index into leases and
-// hands them to workers — the same binary, run with a worker flag — which
-// execute their cells and stream back the per-seed results plus merged
-// Welford metric states. The coordinator reassembles the exact result a
-// single-process campaign.Grid.Run would have produced, reassigns leases
-// when a worker dies or stalls, and periodically checkpoints completed
-// cells so a long campaign survives preemption and resumes where it
+// coordinator grants the cells of a campaign grid's flat index, one at a
+// time, to workers — the same binary, run with a worker flag — which
+// execute them and stream back each cell's per-seed results plus the
+// cell's per-metric Welford states. The coordinator reassembles the exact
+// result a single-process campaign.Grid.Run would have produced, gives a
+// cell to another worker when its holder is lost or keeps it past the
+// deadline derived from the grid's own cell times, and — given a
+// checkpoint and its journal — makes every delivered cell durable before it
+// counts, so a long campaign survives preemption and resumes where it
 // stopped.
 //
 // Transport is any ordered byte stream: a TCP socket for remote workers,
@@ -33,8 +35,8 @@ import (
 const ProtoVersion = 2
 
 // Message types. The worker opens with hello, then loops: ready → (lease
-// | grid_done | shutdown), and streams one cell message per completed
-// cell while holding a lease.
+// | grid_done | shutdown), and answers a lease with one cell message per
+// cell in it. The coordinator's leases hold one cell.
 const (
 	MsgHello    = "hello"     // worker → coordinator, once per connection
 	MsgReady    = "ready"     // worker → coordinator: give me cells for Grid
@@ -52,7 +54,7 @@ type Message struct {
 	Proto  int    `json:"proto,omitempty"`  // hello
 	Worker string `json:"worker,omitempty"` // hello: worker name for logs
 	Grid   string `json:"grid,omitempty"`   // ready/lease/cell: grid fingerprint
-	Lease  int    `json:"lease,omitempty"`  // lease/cell: lease id
+	Lease  int    `json:"lease,omitempty"`  // lease/cell: lease id (the cell's index)
 	Cells  []int  `json:"cells,omitempty"`  // lease: flat cell indices to run
 	Cell   int    `json:"cell,omitempty"`   // cell: flat cell index
 	// Payload carries the cell's per-seed results, exactly as the worker

@@ -10,58 +10,64 @@ import (
 )
 
 // RedialOptions tunes a Redialer. The zero value retries three times per
-// outage, backing off exponentially from 250 ms to a 5 s cap.
+// outage.
 type RedialOptions struct {
 	// Attempts is the number of dials tried per connection outage before
 	// giving up (0 means 3). The first attempt is immediate; later ones
 	// back off exponentially.
 	Attempts int
-	// BaseDelay is the wait before the second attempt (0 means 250 ms);
-	// it doubles per attempt up to MaxDelay (0 means 5 s).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
 	// Logf reports outages, retries and reconnects; nil discards.
 	Logf func(format string, args ...any)
 }
 
+// The backoff: the wait before the second attempt, doubling per attempt up
+// to the cap.
+const (
+	redialBaseDelay = 250 * time.Millisecond
+	redialMaxDelay  = 5 * time.Second
+)
+
 // Redialer is a Worker that survives connection loss: when the
 // coordinator link drops mid-grid it re-dials with capped jittered
-// exponential backoff and resumes the lease loop. Safe because leases are
+// exponential backoff and resumes the lease loop. Safe because the cell is
 // the unit of recovery — the coordinator requeues whatever the dropped
 // connection held, duplicate cell deliveries are ignored, and results are
 // deterministic, so a re-run cell is bit-identical to the lost one.
 type Redialer struct {
 	addr, name string
 	opt        RedialOptions
-	rng        *rand.Rand
-	w          *Worker
-	conn       io.Closer
+	// redialBaseDelay and redialMaxDelay; fields so that the package's
+	// tests can shorten them before the first dial.
+	baseDelay, maxDelay time.Duration
+	rng                 *rand.Rand
+	w                   *Worker
+	conn                io.Closer
 }
 
 // DialReconnect connects to a coordinator at addr like Dial, but returns
 // a Redialer; the initial dial itself is retried under the same backoff
 // policy, so workers may be started before the coordinator listens.
 func DialReconnect(addr, name string, opt RedialOptions) (*Redialer, error) {
+	r := newRedialer(addr, name, opt)
+	if err := r.redial(nil); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// newRedialer is DialReconnect before the first dial.
+func newRedialer(addr, name string, opt RedialOptions) *Redialer {
 	if opt.Attempts <= 0 {
 		opt.Attempts = 3
-	}
-	if opt.BaseDelay <= 0 {
-		opt.BaseDelay = 250 * time.Millisecond
-	}
-	if opt.MaxDelay <= 0 {
-		opt.MaxDelay = 5 * time.Second
 	}
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	// Jitter draws from a name-seeded stream: deterministic per worker for
 	// reproducible tests, decorrelated across a fleet so a coordinator
 	// restart is not greeted by synchronized redials.
-	r := &Redialer{addr: addr, name: name, opt: opt,
+	return &Redialer{addr: addr, name: name, opt: opt,
+		baseDelay: redialBaseDelay, maxDelay: redialMaxDelay,
 		rng: rand.New(rand.NewSource(int64(h.Sum64())))}
-	if err := r.redial(nil); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // ServeGrid is Worker.ServeGrid with transport-level recovery: only
@@ -133,9 +139,9 @@ func (r *Redialer) redial(cause error) error {
 				r.name, r.addr, attempt, err)
 		}
 		if delay == 0 {
-			delay = r.opt.BaseDelay
-		} else if delay *= 2; delay > r.opt.MaxDelay {
-			delay = r.opt.MaxDelay
+			delay = r.baseDelay
+		} else if delay *= 2; delay > r.maxDelay {
+			delay = r.maxDelay
 		}
 	}
 }

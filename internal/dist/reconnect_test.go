@@ -68,7 +68,7 @@ func flakyProxy(t *testing.T, target string, cutAfter int, conns *int32) string 
 // connection.
 func TestReconnectResumesGrid(t *testing.T) {
 	src := fakeCells{fp: "re", n: 6, fail: -1}
-	c := NewCoordinator(Options{LeaseCells: 1, Logf: t.Logf})
+	c := NewCoordinator(Options{Logf: t.Logf})
 	addr, stop, err := Listen(c, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -79,10 +79,7 @@ func TestReconnectResumesGrid(t *testing.T) {
 
 	wdone := make(chan error, 1)
 	go func() {
-		w, err := DialReconnect(proxy, "flappy", RedialOptions{
-			Attempts: 5, BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond,
-			Logf: t.Logf,
-		})
+		w, err := DialReconnect(proxy, "flappy", RedialOptions{Attempts: 5, Logf: t.Logf})
 		if err != nil {
 			wdone <- err
 			return
@@ -109,7 +106,7 @@ func TestReconnectResumesGrid(t *testing.T) {
 }
 
 // TestReconnectGivesUp pins the bounded-retry contract: with nothing
-// listening, DialReconnect fails after exactly Attempts dials rather
+// listening, the first dial fails after exactly Attempts tries rather
 // than hanging.
 func TestReconnectGivesUp(t *testing.T) {
 	// A port that was just listening and no longer is.
@@ -121,21 +118,23 @@ func TestReconnectGivesUp(t *testing.T) {
 	ln.Close()
 
 	attempts := 0
-	_, err = DialReconnect(dead, "hopeless", RedialOptions{
-		Attempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond,
+	r := newRedialer(dead, "hopeless", RedialOptions{
+		Attempts: 3,
 		Logf: func(format string, args ...any) {
 			if strings.Contains(format, "attempt") {
 				attempts++
 			}
 		},
 	})
+	r.baseDelay, r.maxDelay = time.Millisecond, time.Millisecond
+	err = r.redial(nil)
 	if err == nil {
 		t.Fatal("DialReconnect succeeded against a dead address")
 	}
-	if attempts != 2 {
-		t.Errorf("dial attempts = %d, want 2", attempts)
+	if attempts != 3 {
+		t.Errorf("dial attempts = %d, want 3", attempts)
 	}
-	if !strings.Contains(err.Error(), "after 2 attempts") {
+	if !strings.Contains(err.Error(), "after 3 attempts") {
 		t.Errorf("error does not name the attempt count: %v", err)
 	}
 }
@@ -145,7 +144,7 @@ func TestReconnectGivesUp(t *testing.T) {
 // against an already-poisoned campaign.
 func TestReconnectNoRetryOnCellError(t *testing.T) {
 	src := fakeCells{fp: "reboom", n: 4, fail: 1}
-	c := NewCoordinator(Options{LeaseCells: 1})
+	c := NewCoordinator(Options{})
 	addr, stop, err := Listen(c, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -156,9 +155,7 @@ func TestReconnectNoRetryOnCellError(t *testing.T) {
 
 	wdone := make(chan error, 1)
 	go func() {
-		w, err := DialReconnect(proxy, "boomw", RedialOptions{
-			Attempts: 5, BaseDelay: time.Millisecond,
-		})
+		w, err := DialReconnect(proxy, "boomw", RedialOptions{Attempts: 5})
 		if err != nil {
 			wdone <- err
 			return

@@ -329,7 +329,7 @@ func TestResumeFromWALOnly(t *testing.T) {
 	if journalled < 2 {
 		t.Fatalf("journal restored %d records, want at least the 2 that counted", journalled)
 	}
-	c := NewCoordinator(Options{LeaseCells: 1, Checkpoint: ck, WAL: wal, Logf: t.Logf})
+	c := NewCoordinator(Options{Checkpoint: ck, WAL: wal, Logf: t.Logf})
 	var ran int32
 	wdone := countingWorker(t, c, &ran, grids)
 	got, err := ExecuteGrid(c, g)
