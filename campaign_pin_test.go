@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"ripple"
+	"ripple/internal/golden"
 )
 
 // mixedCampaign is one campaign that touches every way a scenario can
@@ -62,8 +64,14 @@ const (
 	mixedTraceDigest   = "48e6e154c5a8cb5b69dc3a70f3de59252f98571e743d8e3b31ea48aed760854b"
 )
 
+// mixedPin is the mixed campaign's pin file.
+var mixedPin = filepath.Join("testdata", "pins", "mixed_campaign.json")
+
 func checkMixedDigests(t *testing.T, results []*ripple.Result, trace []byte) {
 	t.Helper()
+	var tr golden.Trace
+	tr.Write(trace)
+	golden.Check(t, mixedPin, golden.Marshal(t, golden.Pin{Result: results, Trace: tr.Sum()}))
 	blob, err := json.Marshal(results)
 	if err != nil {
 		t.Fatal(err)
@@ -116,4 +124,36 @@ func TestMixedCampaignPinnedDistribute(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkMixedDigests(t, results, trace.Bytes())
+}
+
+// TestPinsCarryTheDigestsTheyReplace is the characterisation of the pin
+// file: its compact result member has the sha256 mixedResultsDigest held,
+// and its trace the sha256 mixedTraceDigest held.
+func TestPinsCarryTheDigestsTheyReplace(t *testing.T) {
+	blob, err := os.ReadFile(mixedPin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		Result json.RawMessage
+		Trace  *golden.Trace
+	}
+	if err := json.Unmarshal(blob, &file); err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, file.Result); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(compact.Bytes())); got != mixedResultsDigest {
+		t.Errorf("result sha256 %s, pinned %s", got, mixedResultsDigest)
+	}
+	if file.Trace == nil || file.Trace.SHA256 != mixedTraceDigest {
+		t.Errorf("trace summary %+v, pinned sha256 %s", file.Trace, mixedTraceDigest)
+	}
+}
+
+// TestPins holds the pin directory to its ledger.
+func TestPins(t *testing.T) {
+	golden.Ledger(t, filepath.Join("testdata", "pins"))
 }
