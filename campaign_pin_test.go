@@ -1,10 +1,6 @@
 package ripple_test
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -55,47 +51,23 @@ func mixedCampaign(trace io.Writer) ripple.Campaign {
 	return ripple.Campaign{Scenarios: []ripple.Scenario{fig1, mobile, faulty}}
 }
 
-// The pinned sha256 of mixedCampaign's JSON-encoded []*Result and of the
-// traced scenario's JSONL, recorded before RunBatch and Distribute moved
-// onto the one campaign.Plan scheduler. A change to either is a change to
-// what the public batch API computes.
-const (
-	mixedResultsDigest = "eb82be48857c0db8cfc4110a9496ef72462ab49fe1aeea1647f90196c07e294a"
-	mixedTraceDigest   = "48e6e154c5a8cb5b69dc3a70f3de59252f98571e743d8e3b31ea48aed760854b"
-)
-
-// mixedPin is the mixed campaign's pin file.
+// mixedPin holds mixedCampaign's []*Result and the summary of its traced
+// scenario's JSONL: a change to it is a change to what the public batch API
+// computes.
 var mixedPin = filepath.Join("testdata", "pins", "mixed_campaign.json")
-
-func checkMixedDigests(t *testing.T, results []*ripple.Result, trace []byte) {
-	t.Helper()
-	var tr golden.Trace
-	tr.Write(trace)
-	golden.Check(t, mixedPin, golden.Marshal(t, golden.Pin{Result: results, Trace: tr.Sum()}))
-	blob, err := json.Marshal(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != mixedResultsDigest {
-		t.Errorf("results digest = %s, pinned %s", got, mixedResultsDigest)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(trace)); got != mixedTraceDigest {
-		t.Errorf("trace digest = %s, pinned %s", got, mixedTraceDigest)
-	}
-}
 
 // TestMixedCampaignPinnedRunBatch: the mixed campaign through RunBatch,
 // serial and wide.
 func TestMixedCampaignPinnedRunBatch(t *testing.T) {
 	for _, parallel := range []int{1, 8} {
-		var trace bytes.Buffer
+		var trace golden.Trace
 		c := mixedCampaign(&trace)
 		c.Parallel = parallel
 		results, err := ripple.RunBatch(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkMixedDigests(t, results, trace.Bytes())
+		golden.Check(t, mixedPin, golden.Marshal(t, golden.Pin{Result: results, Trace: trace.Sum()}))
 	}
 }
 
@@ -114,7 +86,7 @@ func TestMixedCampaignPinnedDistribute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
-	var trace bytes.Buffer
+	var trace golden.Trace
 	results, err := mixedCampaign(&trace).Distribute(ripple.DistributeOptions{
 		Workers:    2,
 		WorkerArgs: []string{"-test.run=TestMixedCampaignWorkerHelper"},
@@ -123,37 +95,10 @@ func TestMixedCampaignPinnedDistribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkMixedDigests(t, results, trace.Bytes())
-}
-
-// TestPinsCarryTheDigestsTheyReplace is the characterisation of the pin
-// file: its compact result member has the sha256 mixedResultsDigest held,
-// and its trace the sha256 mixedTraceDigest held.
-func TestPinsCarryTheDigestsTheyReplace(t *testing.T) {
-	blob, err := os.ReadFile(mixedPin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file struct {
-		Result json.RawMessage
-		Trace  *golden.Trace
-	}
-	if err := json.Unmarshal(blob, &file); err != nil {
-		t.Fatal(err)
-	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, file.Result); err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(compact.Bytes())); got != mixedResultsDigest {
-		t.Errorf("result sha256 %s, pinned %s", got, mixedResultsDigest)
-	}
-	if file.Trace == nil || file.Trace.SHA256 != mixedTraceDigest {
-		t.Errorf("trace summary %+v, pinned sha256 %s", file.Trace, mixedTraceDigest)
-	}
+	golden.Check(t, mixedPin, golden.Marshal(t, golden.Pin{Result: results, Trace: trace.Sum()}))
 }
 
 // TestPins holds the pin directory to its ledger.
 func TestPins(t *testing.T) {
-	golden.Ledger(t, filepath.Join("testdata", "pins"))
+	golden.Ledger(t, filepath.Dir(mixedPin))
 }

@@ -2,15 +2,13 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current output")
+	"ripple/internal/golden"
+)
 
 // TestGoldenStdout runs the program in-process over one flag set per output
 // shape — seed-averaged text with a CI, multi-flow text, the routing /
@@ -37,19 +35,7 @@ func TestGoldenStdout(t *testing.T) {
 			if stderr.Len() != 0 {
 				t.Errorf("stderr not empty:\n%s", stderr.String())
 			}
-			golden := filepath.Join("testdata", c.name+".golden")
-			if *update {
-				if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(stdout.Bytes(), want) {
-				t.Errorf("ripplesim %s:\n%s\nwant:\n%s", c.args, stdout.String(), want)
-			}
+			golden.Check(t, filepath.Join("testdata", c.name+".golden"), stdout.Bytes())
 		})
 	}
 }

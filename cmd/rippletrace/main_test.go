@@ -2,18 +2,16 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"ripple/internal/golden"
 	"ripple/internal/pkt"
 	"ripple/internal/sim"
 	"ripple/internal/trace"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden files under testdata from the current output")
 
 // recordTrace writes the JSONL a run's trace.Recorder would: two mTXOPs on a
 // three-station line, the first relayed by station 1 after station 2 missed
@@ -86,19 +84,7 @@ func TestGoldenStdout(t *testing.T) {
 			if stderr.Len() != 0 {
 				t.Errorf("stderr not empty:\n%s", stderr.String())
 			}
-			golden := filepath.Join("testdata", c.name+".golden")
-			if *update {
-				if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(stdout.Bytes(), want) {
-				t.Errorf("rippletrace %s:\n%s\nwant:\n%s", c.args, stdout.String(), want)
-			}
+			golden.Check(t, filepath.Join("testdata", c.name+".golden"), stdout.Bytes())
 		})
 	}
 }

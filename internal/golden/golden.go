@@ -26,9 +26,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata from this run's output")
 
-// Updating reports whether -update is set.
-func Updating() bool { return *update }
-
 // Pin is what a pin file holds: a run's whole Result and, for a traced
 // run, the summary of its JSONL trace.
 type Pin struct {

@@ -2,22 +2,17 @@ package network
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/json"
-	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 
-	"ripple/internal/core"
+	"ripple/internal/golden"
 	"ripple/internal/israce"
 	"ripple/internal/pkt"
-	"ripple/internal/routing"
 	"ripple/internal/sim"
 	"ripple/internal/topology"
-	"ripple/internal/trace"
 )
 
 // runOn is Run on an arena of the caller's choosing.
@@ -29,102 +24,26 @@ func runOn(r *run, cfg Config) (*Result, error) {
 	return r.execute(&cfg, world)
 }
 
-// arenaCase is one pinned scenario as the reuse test runs it.
-type arenaCase struct {
-	name   string
-	cfg    Config
-	traced bool // record the JSONL trace and compare it too
-}
-
-// arenaCases is every scenario constructor the six pin files hold a digest
-// for — so each of them is known to exercise what its file says it does —
-// each on a World built once, with deep audit switched on for every third
-// (the 200-station city excepted, where it costs a second a run: CI's
-// deep-audit job audits them all) and the world-derivation cells run traced
-// and untraced.
-func arenaCases(t *testing.T) []arenaCase {
-	var cases []arenaCase
-	add := func(name string, cfg Config) {
-		cfg.Audit = len(cases)%3 == 0 && len(cfg.Positions) < 100
-		world, err := BuildWorld(cfg)
+// arenaCases is the pin corpus, each case on a World built once, with deep
+// audit switched on for every third (the 200-station city excepted, where
+// it costs a second a run: CI's deep-audit job audits them all) and each
+// traced case run untraced as well.
+func arenaCases(t *testing.T) []pinCase {
+	var cases []pinCase
+	for _, c := range pinCases() {
+		c.cfg.Audit = len(cases)%3 == 0 && len(c.cfg.Positions) < 100
+		world, err := BuildWorld(c.cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		cfg.World = world
-		cases = append(cases, arenaCase{name: name, cfg: cfg})
-	}
-	for _, kind := range allKinds {
-		add("city/"+kind.String(), fanoutCityConfig(kind))
-		add("churn/"+kind.String(), churnConfig(kind))
-	}
-	add("hidden", fanoutHiddenConfig())
-	// The one protocol state no pinned run reaches: local packets riding on
-	// relayed frames (Remark 3). Station 7 relays flow 1 toward 21 and has
-	// a stream of its own for 21 to top the relays up with.
-	piggy := orderGridConfig(Ripple)
-	piggy.Flows = append(piggy.Flows, FlowSpec{ID: 5, Path: routing.Path{7, 14, 21},
-		Kind: CBRTraffic, CBRInterval: 2 * sim.Millisecond, CBRPacketBytes: 200})
-	piggy.RippleOpts = core.DefaultOptions()
-	piggy.RippleOpts.LocalAggOnRelay = true
-	add("grid/Ripple/localagg", piggy)
-	add("grid/Ripple", orderGridConfig(Ripple))
-	add("grid/DCF", orderGridConfig(DCF))
-	add("grid/MCExOR", orderGridConfig(MCExOR))
-	// The lattice cut between two receptions of one frame
-	// (TestFanOrderDurationCutsFanOut logs the instant): reception cursors
-	// are pending when the run ends.
-	cut := orderGridConfig(Ripple)
-	cut.Duration = 199974923
-	add("cut", cut)
-	add("colocated/Ripple", colocatedConfig(Ripple, 0))
-	add("colocated/AFR/pruned", colocatedConfig(AFR, 6))
-	add("swapcrash/Ripple", swapCrashConfig(Ripple, 0))
-	add("swapcrash/PreExOR/pruned", swapCrashConfig(PreExOR, 6))
-	add("tcp/MCExOR", tcpPathConfig(MCExOR))
-	add("tcp/PreExOR", tcpPathConfig(PreExOR))
-	rts := tcpPathConfig(DCF)
-	rts.RTSThreshold = 500
-	add("tcp/DCF/RTS", rts)
-	rts.Faults = churnConfig(DCF).Faults
-	add("tcp/DCF/RTS/churn", rts)
-	for _, pruned := range []bool{false, true} {
-		for _, mob := range []MobilityKind{MobilityWaypoint, MobilityMarkov} {
-			for _, rt := range worldPinRoutes {
-				name := fmt.Sprintf("world/%v/%s/%s", pruned, mob, rt.name)
-				add(name, worldPinConfig(pruned, mob, rt.spec))
-				traced := cases[len(cases)-1]
-				traced.name, traced.traced, traced.cfg.Audit = name+"/traced", true, !traced.cfg.Audit
-				cases = append(cases, traced)
-			}
+		c.cfg.World = world
+		cases = append(cases, c)
+		if c.traced {
+			c.name, c.traced, c.cfg.Audit = c.name+"/untraced", false, !c.cfg.Audit
+			cases = append(cases, c)
 		}
 	}
 	return cases
-}
-
-// canonicalRun runs c on r and returns what a caller can see of it: the
-// Result's JSON and, traced, the digest of the JSONL trace.
-func canonicalRun(t *testing.T, r *run, c arenaCase) []byte {
-	t.Helper()
-	h := sha256.New()
-	rec := &trace.Recorder{W: h}
-	if c.traced {
-		c.cfg.Trace = rec.Hook()
-	}
-	res, err := runOn(r, c.cfg)
-	if err != nil {
-		t.Fatalf("%s: %v", c.name, err)
-	}
-	if rec.Err() != nil {
-		t.Fatalf("%s: %v", c.name, rec.Err())
-	}
-	blob, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.traced {
-		blob = fmt.Appendf(blob, " trace %x", h.Sum(nil))
-	}
-	return blob
 }
 
 // assertEmptied checks what execute leaves behind, field by field: the run's
@@ -181,15 +100,16 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 	cases := arenaCases(t)
 	want := make([][]byte, len(cases))
 	for i, c := range cases {
-		want[i] = canonicalRun(t, new(run), c)
+		want[i] = golden.Marshal(t, pinOf(t, new(run), c.cfg, c.traced))
 	}
 	order := rand.New(rand.NewPCG(21, 0))
 	shared := new(run)
 	for pass := 0; pass < 2; pass++ {
 		for _, i := range order.Perm(len(cases)) {
-			if got := canonicalRun(t, shared, cases[i]); !bytes.Equal(got, want[i]) {
-				t.Fatalf("pass %d: %s differs on a reused arena\nreused %s\nnew    %s",
-					pass, cases[i].name, got, want[i])
+			got := golden.Marshal(t, pinOf(t, shared, cases[i].cfg, cases[i].traced))
+			if !bytes.Equal(got, want[i]) {
+				t.Fatalf("pass %d: %s differs on a reused arena (new → reused):\n%s",
+					pass, cases[i].name, golden.Diff(want[i], got))
 			}
 			assertEmptied(t, cases[i].name, shared)
 		}
@@ -199,13 +119,13 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 // A run that panics poisons its arena: Run must leave it to the collector,
 // not hand it to the next run.
 func TestArenaDiscardedAfterPanic(t *testing.T) {
-	c := arenaCase{name: "grid/Ripple", cfg: orderGridConfig(Ripple)}
-	want := canonicalRun(t, new(run), c)
+	cfg := orderGridConfig(Ripple)
+	want := golden.Marshal(t, pinOf(t, new(run), cfg, false))
 
 	// The arena put back last is the one the next run takes.
 	poisoned := new(run)
 	keepArena(poisoned)
-	bomb := c.cfg
+	bomb := cfg
 	events := 0
 	bomb.Trace = func(sim.Time, string, pkt.NodeID, *pkt.Frame) {
 		if events++; events == 5000 {
@@ -224,13 +144,8 @@ func TestArenaDiscardedAfterPanic(t *testing.T) {
 		t.Fatal("no arena died mid-run: the panic is not exercised")
 	}
 
-	res, err := Run(c.cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := json.Marshal(res)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("the run after a panicked one differs\nafter %s\nnew   %s", got, want)
+	if got := golden.Marshal(t, pinOf(t, nil, cfg, false)); !bytes.Equal(got, want) {
+		t.Fatalf("the run after a panicked one differs (new arena → after):\n%s", golden.Diff(want, got))
 	}
 	if poisoned.cfg == nil || poisoned.cfg.Seed != bomb.Seed || poisoned.eng.Pending() == 0 {
 		t.Fatal("the poisoned arena was reset: Run took it back")

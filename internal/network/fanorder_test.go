@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ripple/internal/core"
 	"ripple/internal/fault"
 	"ripple/internal/phys"
 	"ripple/internal/pkt"
@@ -17,10 +18,9 @@ import (
 // places where that order is not simply "row order": rows that are not in
 // propagation-delay order, receivers at equal delay, zero delay, a plan
 // swapped or a station crashed under frames on the air, and a clock that
-// runs out between two receptions of one frame. Recorded at commit 8633737
-// (two engine events per sensed receiver); Events and PendingAtEnd are
-// asserted as numbers too, so a change in what an event is shows as such
-// and not as a digest mismatch.
+// runs out between two receptions of one frame. A pin's Events and
+// PendingAtEnd count logical events: a change in what an event is shows as
+// those paths in the pin's diff.
 
 // orderGrid is a side×side lattice at the given spacing, station IDs in
 // row-major order: from any station many receivers sit at exactly equal
@@ -109,77 +109,50 @@ func swapCrashConfig(kind SchemeKind, pruneSigma float64) Config {
 	}
 }
 
-type orderPin struct {
-	digest       string
-	events       uint64
-	pendingAtEnd int
+// localAggConfig is the lattice with the one protocol state no other pin
+// reaches: local packets riding on relayed frames (Remark 3). Station 7
+// relays flow 1 toward 21 and has a stream of its own for 21 to top the
+// relays up with.
+func localAggConfig(on bool) Config {
+	cfg := orderGridConfig(Ripple)
+	cfg.Flows = append(cfg.Flows, FlowSpec{ID: 5, Path: routing.Path{7, 14, 21},
+		Kind: CBRTraffic, CBRInterval: 2 * sim.Millisecond, CBRPacketBytes: 200})
+	cfg.RippleOpts = core.DefaultOptions()
+	cfg.RippleOpts.LocalAggOnRelay = on
+	return cfg
 }
 
-var fanOrderPins = map[string]orderPin{
-	"grid/Ripple":              {"ce77130623254c45c31986469ddb9c2b9d648c264f9feb6cfc5e143508b90a84", 640162, 10},
-	"grid/DCF":                 {"73235dc98eeb4b4162219b50a81ecb2518765714b873c2aa84ca99d63d5111ad", 1702155, 14},
-	"grid/MCExOR":              {"e1cf09fc3582e9f4f19c189419ee26340a9b3827128f9f58238d637caaf68f8d", 1331346, 11},
-	"colocated/Ripple":         {"10940b717cc7a5fdfc309f1f52b822069b025291bff272b3d0f154818cac29db", 151793, 15},
-	"colocated/AFR/pruned":     {"bc72d8c872da94aee1bb8cd34355b46d28dbba07eb91e2b2d66f63e44221b0a6", 200129, 15},
-	"swapcrash/Ripple":         {"3eb5585a87dfe0e0ef23143e09ba164b23cdece57dc80160fc5d77a149bd1dd7", 29954, 26},
-	"swapcrash/PreExOR/pruned": {"61572453428a543f52ce1a825bb1760f6ffed3ad548bb256b4a3488252d66c51", 205398, 26},
-	"cut":                      {"95ab3aabb47bddf0e27acf05f462770c8b68a863133d004e12a498ecedf19938", 88124, 69},
-}
+// TestFanOrderRunsPinned holds the event-order runs to their pins.
+func TestFanOrderRunsPinned(t *testing.T) { runPins(t, "fanorder") }
 
-func checkOrderPin(t *testing.T, name string, res *Result) {
-	t.Helper()
-	pin := fanOrderPins[name]
-	if res.Events != pin.events || res.PendingAtEnd != pin.pendingAtEnd {
-		t.Errorf("Events %d, PendingAtEnd %d; pinned %d and %d",
-			res.Events, res.PendingAtEnd, pin.events, pin.pendingAtEnd)
-	}
-	checkResultDigest(t, res, pin.digest)
-}
-
-func TestFanOrderRunsPinned(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("digests are amd64 values: other targets may fuse float operations differently")
-	}
-	cases := []struct {
-		name  string
-		cfg   Config
-		check func(t *testing.T, res *Result)
-	}{
-		{"grid/Ripple", orderGridConfig(Ripple), gridExercised},
-		{"grid/DCF", orderGridConfig(DCF), gridExercised},
-		{"grid/MCExOR", orderGridConfig(MCExOR), gridExercised},
-		{"colocated/Ripple", colocatedConfig(Ripple, 0), nil},
-		{"colocated/AFR/pruned", colocatedConfig(AFR, 6), nil},
-		{"swapcrash/Ripple", swapCrashConfig(Ripple, 0), swapCrashExercised},
-		{"swapcrash/PreExOR/pruned", swapCrashConfig(PreExOR, 6), swapCrashExercised},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			res, err := Run(c.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Medium.FramesDelivered == 0 {
-				t.Fatal("nothing delivered: the run pins nothing")
-			}
-			if c.check != nil {
-				c.check(t, res)
-			}
-			checkOrderPin(t, c.name, res)
-		})
-	}
-}
-
-func gridExercised(t *testing.T, res *Result) {
+func gridExercised(t *testing.T, _ Config, res *Result) {
 	if res.Medium.FramesCollided == 0 {
 		t.Fatal("no reception lost to overlap: concurrent fan-outs never met at a receiver")
 	}
 }
 
-func swapCrashExercised(t *testing.T, res *Result) {
-	if res.MAC.CrashDrops == 0 {
-		t.Fatal("churn never caught a station holding packets")
+// localAggExercised checks that piggybacking shaped the run: without it the
+// same lattice gives different MAC counters.
+func localAggExercised(t *testing.T, _ Config, res *Result) {
+	off, err := Run(localAggConfig(false))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if off.MAC == res.MAC {
+		t.Fatal("LocalAggOnRelay left the MAC counters unchanged: no local packet rode on a relay")
+	}
+}
+
+// cutAt is where TestFanOrderDurationCutsFanOut finds the cut: the instant
+// the pinned cut run stops.
+const cutAt = 199974923
+
+// cutConfig is the lattice cut between two receptions of one frame:
+// reception cursors are pending when the run ends.
+func cutConfig() Config {
+	cfg := orderGridConfig(Ripple)
+	cfg.Duration = cutAt
+	return cfg
 }
 
 // The clock runs out between two receptions of one frame: the run is the
@@ -187,10 +160,11 @@ func swapCrashExercised(t *testing.T, res *Result) {
 // frame has begun at the transmitter's nearest neighbours (70 m, 233 ns)
 // and not yet at the others (99 m and beyond, 330 ns and up). What is left
 // of the fan-out is counted in PendingAtEnd, one per reception phase not
-// yet fired.
+// yet fired. The cut case of the corpus pins that run; this test finds the
+// instant from a trace and holds the pin to it.
 func TestFanOrderDurationCutsFanOut(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		t.Skip("digests are amd64 values: other targets may fuse float operations differently")
+		t.Skip("the instant is an amd64 value: other targets may fuse float operations differently")
 	}
 	cfg := orderGridConfig(Ripple)
 	cfg.Duration = 200 * sim.Millisecond
@@ -219,9 +193,11 @@ func TestFanOrderDurationCutsFanOut(t *testing.T) {
 	if cut < 0 {
 		t.Fatal("no isolated interior transmission to cut")
 	}
-	cfg.Trace = nil
-	cfg.Duration = txAt[cut] + 300
-	res, err := Run(cfg)
+	if at := txAt[cut] + 300; at != cutAt {
+		t.Fatalf("the cut is at %d ns (transmission %d by station %d), the pinned run stops at %d",
+			at, cut, txBy[cut], cutAt)
+	}
+	res, err := Run(cutConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +205,4 @@ func TestFanOrderDurationCutsFanOut(t *testing.T) {
 		t.Fatalf("%d frames sent by the cut, want %d: the cut is not where the trace put it",
 			res.Medium.FramesSent, cut+1)
 	}
-	t.Logf("cut at %d ns, transmission %d by station %d", cfg.Duration, cut, txBy[cut])
-	checkOrderPin(t, "cut", res)
 }

@@ -1,7 +1,6 @@
 package network
 
 import (
-	"runtime"
 	"testing"
 
 	"ripple/internal/fault"
@@ -38,63 +37,42 @@ func tcpPathConfig(kind SchemeKind) Config {
 	}
 }
 
-// tcpPathResultDigests pins the sha256 of each run's Result JSON, recorded at
-// commit c41ae10 (TCP window in maps, frames allocated per transmission).
-var tcpPathResultDigests = map[string]string{
-	"MCExOR":        "26a30addc0f8ac03c363c13fa1851df50a919fc37406b1afcddf894276b456c3",
-	"PreExOR":       "19865ef17b2f29a9ef20ef75fb16c7492776ce8f69f920acb15b2259239c27fb",
-	"DCF/RTS":       "110b5b865bee73b2a750eab2430b4a04ee3afd63f8cda880f8ed86e4623fb524",
-	"DCF/RTS/churn": "dc6a9da0563256b01a68227c06299432902fd766906343b6c3a6576e047624be",
+// tcpRTSConfig is tcpPathConfig through DCF with the RTS/CTS handshake:
+// data frames (1000-byte segments) go through it, TCP ACKs (40 bytes) do
+// not, so the post-CTS data frame is parked on the station and sent by a
+// delayed transmission, beside plain SIFS-delayed MAC ACKs. With churn,
+// crashes catch stations with a data frame parked or a delayed
+// transmission pending.
+func tcpRTSConfig(churn bool) Config {
+	cfg := tcpPathConfig(DCF)
+	cfg.RTSThreshold = 500
+	if churn {
+		cfg.Faults = fault.Spec{MTBF: 300 * sim.Millisecond, MTTR: 100 * sim.Millisecond, Epoch: 200 * sim.Millisecond}
+	}
+	return cfg
 }
 
-func TestTCPPathRunsPinned(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("digests are amd64 values: other targets may fuse float operations differently")
+// TestTCPPathRunsPinned holds the TCP runs to their pins.
+func TestTCPPathRunsPinned(t *testing.T) { runPins(t, "tcp") }
+
+func tcpExercised(t *testing.T, cfg Config, res *Result) {
+	var reordered bool
+	var transfers int64
+	for _, f := range res.Flows {
+		reordered = reordered || f.ReorderRate > 0
+		transfers += f.Transfers
 	}
-	// Data frames (1000-byte segments) go through the RTS/CTS handshake, TCP
-	// ACKs (40 bytes) do not: the post-CTS data frame is parked on the station
-	// and sent by a delayed transmission, beside plain SIFS-delayed MAC ACKs.
-	rts := tcpPathConfig(DCF)
-	rts.RTSThreshold = 500
-	// The same under station churn: crashes catch stations with a data frame
-	// parked or a delayed transmission pending.
-	churn := rts
-	churn.Faults = fault.Spec{MTBF: 300 * sim.Millisecond, MTTR: 100 * sim.Millisecond, Epoch: 200 * sim.Millisecond}
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"MCExOR", tcpPathConfig(MCExOR)},
-		{"PreExOR", tcpPathConfig(PreExOR)},
-		{"DCF/RTS", rts},
-		{"DCF/RTS/churn", churn},
+	if transfers == 0 {
+		t.Fatal("no web transfer completed: the connection-reset path is not exercised")
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			res, err := Run(c.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var reordered bool
-			var transfers int64
-			for _, f := range res.Flows {
-				reordered = reordered || f.ReorderRate > 0
-				transfers += f.Transfers
-			}
-			if transfers == 0 {
-				t.Fatal("no web transfer completed: the connection-reset path is not exercised")
-			}
-			if c.cfg.Scheme != DCF && !reordered {
-				t.Fatal("no segment arrived out of order: the dupack path is not exercised")
-			}
-			if c.cfg.Scheme == DCF && res.MAC.TxFrames < 3*res.MAC.TxData {
-				t.Fatalf("%d frames for %d data frames: the RTS/CTS handshake is not exercised",
-					res.MAC.TxFrames, res.MAC.TxData)
-			}
-			if c.cfg.Faults.Active() && res.MAC.CrashDrops == 0 {
-				t.Fatal("churn never caught a station holding packets")
-			}
-			checkResultDigest(t, res, tcpPathResultDigests[c.name])
-		})
+	if cfg.Scheme != DCF && !reordered {
+		t.Fatal("no segment arrived out of order: the dupack path is not exercised")
+	}
+	if cfg.Scheme == DCF && res.MAC.TxFrames < 3*res.MAC.TxData {
+		t.Fatalf("%d frames for %d data frames: the RTS/CTS handshake is not exercised",
+			res.MAC.TxFrames, res.MAC.TxData)
+	}
+	if cfg.Faults.Active() {
+		crashExercised(t, cfg, res)
 	}
 }

@@ -16,6 +16,9 @@
 #   sim.NewEngine(  radio.NewMediumOn(  forward.NewRouteBook(
 #   mac.NewQueue(   mac.NewContender(   &pkt.Pool{
 #
+# or if a non-test .go file anywhere imports ripple/internal/golden: the pin
+# and golden-file support is for tests, and never ships in a binary.
+#
 # Usage: sh scripts/check_substrate.sh   (from the repo root)
 set -eu
 
@@ -33,6 +36,10 @@ fi
 assembly=$(find internal/network internal/forward internal/core -name '*.go' ! -name '*_test.go')
 if grep -nE 'sim\.NewEngine\(|radio\.NewMediumOn\(|forward\.NewRouteBook\(|mac\.NewQueue\(|mac\.NewContender\(|&pkt\.Pool\{' $assembly; then
     echo "check_substrate: a run's part constructed outside the arena — Init the arena's own in place" >&2
+    fail=1
+fi
+if grep -ln '"ripple/internal/golden"' $(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*'); then
+    echo "check_substrate: internal/golden imported outside a _test.go file — it is test support" >&2
     fail=1
 fi
 exit $fail
