@@ -113,12 +113,12 @@ func swapCrashConfig(kind SchemeKind, pruneSigma float64) Config {
 // reaches: local packets riding on relayed frames (Remark 3). Station 7
 // relays flow 1 toward 21 and has a stream of its own for 21 to top the
 // relays up with.
-func localAggConfig(on bool) Config {
+func localAggConfig() Config {
 	cfg := orderGridConfig(Ripple)
 	cfg.Flows = append(cfg.Flows, FlowSpec{ID: 5, Path: routing.Path{7, 14, 21},
 		Kind: CBRTraffic, CBRInterval: 2 * sim.Millisecond, CBRPacketBytes: 200})
 	cfg.RippleOpts = core.DefaultOptions()
-	cfg.RippleOpts.LocalAggOnRelay = on
+	cfg.RippleOpts.LocalAggOnRelay = true
 	return cfg
 }
 
@@ -133,8 +133,9 @@ func gridExercised(t *testing.T, _ Config, res *Result) {
 
 // localAggExercised checks that piggybacking shaped the run: without it the
 // same lattice gives different MAC counters.
-func localAggExercised(t *testing.T, _ Config, res *Result) {
-	off, err := Run(localAggConfig(false))
+func localAggExercised(t *testing.T, cfg Config, res *Result) {
+	cfg.RippleOpts.LocalAggOnRelay = false
+	off, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func pinCases() []pinCase {
 	add("fanorder", "grid/Ripple", orderGridConfig(Ripple), gridExercised)
 	add("fanorder", "grid/DCF", orderGridConfig(DCF), gridExercised)
 	add("fanorder", "grid/MCExOR", orderGridConfig(MCExOR), gridExercised)
-	add("fanorder", "grid/Ripple/localagg", localAggConfig(true), localAggExercised)
+	add("fanorder", "grid/Ripple/localagg", localAggConfig(), localAggExercised)
 	add("fanorder", "cut", cutConfig(), nil)
 	add("fanorder", "colocated/Ripple", colocatedConfig(Ripple, 0), nil)
 	add("fanorder", "colocated/AFR/pruned", colocatedConfig(AFR, 6), nil)
