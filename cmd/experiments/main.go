@@ -68,7 +68,7 @@ func run() int {
 		durSec    = flag.Float64("dur", 10, "simulated seconds per run")
 		quick     = flag.Bool("quick", false, "1 seed, 2 simulated seconds")
 		list      = flag.Bool("list", false, "list experiment names and exit")
-		ablations = flag.Bool("ablations", false, "include the DESIGN.md §5 ablations")
+		ablations = flag.Bool("ablations", false, "include the ablations (docs/model.md)")
 		scaling   = flag.Bool("scaling", false, "include the city-scale sweep (minutes of runtime at N=20k)")
 		parallel  = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
 		jsonOut   = flag.Bool("json", false, "emit all tables as one JSON array")

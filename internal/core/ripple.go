@@ -46,14 +46,11 @@ type Options struct {
 	// When true (default), the forwarder pauses while busy and restarts
 	// the T wait at the next idle, discarding only on evidence that a
 	// higher-priority station already covered the frame (a decoded relay
-	// or ACK of the same mTXOP) or when the defer deadline passes. Without
+	// or ACK of the same mTXOP) or when relayDeferLimit has passed. Without
 	// deferral, any background traffic breaks every mTXOP, contradicting
 	// the paper's Remark 3 that broken mTXOPs "are likely to be
-	// insignificant"; see DESIGN.md.
+	// insignificant"; see docs/model.md, "The relay rule".
 	RelayDefer bool
-	// RelayDeferLimit bounds how long a deferred relay may wait before the
-	// frame is discarded (the source's retry supersedes it anyway).
-	RelayDeferLimit sim.Time
 	// LocalAggOnRelay lets a forwarder top up a relayed frame with its own
 	// queued packets bound for the same destination ("a forwarder
 	// aggregates local packets (if the frame is not large enough) so that
@@ -63,16 +60,19 @@ type Options struct {
 	LocalAggOnRelay bool
 }
 
+// relayDeferLimit bounds how long a deferred relay may wait before the
+// frame is discarded (the source's retry supersedes it anyway).
+const relayDeferLimit = 2 * sim.Millisecond
+
 // DefaultOptions returns the paper's configuration (aggregation 16, Rq on,
-// relay deferral bounded at 2 ms).
+// relay deferral on).
 func DefaultOptions() Options {
 	return Options{
-		MaxAgg:          16,
-		RqEnabled:       true,
-		RqHold:          25 * sim.Millisecond,
-		RqCap:           128,
-		RelayDefer:      true,
-		RelayDeferLimit: 2 * sim.Millisecond,
+		MaxAgg:     16,
+		RqEnabled:  true,
+		RqHold:     25 * sim.Millisecond,
+		RqCap:      128,
+		RelayDefer: true,
 	}
 }
 
@@ -543,7 +543,7 @@ func (r *Ripple) armRelay(key, txop uint64, isData bool, rank int, wait sim.Time
 	p.key, p.txop, p.isData, p.rank = key, txop, isData, rank
 	p.wait = wait
 	p.paused = true // until scheduled
-	p.deadline = r.Eng.Now() + r.opt.RelayDeferLimit
+	p.deadline = r.Eng.Now() + relayDeferLimit
 	p.frame = f
 	f.Hold()
 	p.pkts = append(p.pkts, okPkts...)

@@ -12,7 +12,7 @@ import (
 	"ripple/internal/topology"
 )
 
-// The ablations isolate the design choices DESIGN.md §5 calls out. They are
+// The ablations isolate the design choices docs/model.md lists. They are
 // not figures from the paper; they quantify the mechanisms the paper argues
 // for (aggregation limit 16, ≤5 forwarders, Rq, two-way aggregation) and
 // the §V future-work multi-rate extension. Like the figures, each is a
@@ -154,7 +154,7 @@ func AblationTwoWay(opt Options) (*Table, error) {
 // AblationRelayDefer compares the strict reading of the relay rule (any
 // carrier during the idle wait discards the frame) against the deferral
 // interpretation this implementation defaults to, under hidden interferers
-// (see DESIGN.md on the ambiguity in §III-A).
+// (see docs/model.md, "The relay rule", on the ambiguity in §III-A).
 func AblationRelayDefer(opt Options) (*Table, error) {
 	rc := topology.HiddenRadio()
 	rc.BitErrorRate = 1e-6
@@ -212,7 +212,7 @@ func AblationMultiRate(opt Options) (*Table, error) {
 				Phy:       phys.LowRate(),
 				Scheme:    kinds[c],
 				Flows:     []network.FlowSpec{{ID: 1, Path: path, Kind: network.FTP}},
-				MultiRate: network.MultiRateSpec{Enabled: r == 1},
+				MultiRate: r == 1,
 			}, nil
 		},
 		Metric: flow0Mbps,
@@ -262,7 +262,7 @@ func AblationRTS(opt Options) (*Table, error) {
 	}.run(opt)
 }
 
-// Ablations returns every ablation in DESIGN.md §5 order.
+// Ablations returns every ablation in the order docs/model.md lists them.
 func Ablations() []Runner {
 	return []Runner{
 		{"ablation-agg", func(o Options) ([]*Table, error) { t, err := AblationAggLimit(o); return wrap(t, err) }},

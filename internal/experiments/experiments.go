@@ -42,11 +42,6 @@ type Options struct {
 	RunGrid func(g *campaign.Grid) (*campaign.Result, error)
 }
 
-// Defaults returns the paper's settings: 10-second runs over three seeds.
-func Defaults() Options {
-	return Options{Seeds: []uint64{1, 2, 3}, Duration: 10 * sim.Second}
-}
-
 // Quick returns reduced settings for tests and iteration: one seed, 2 s.
 func Quick() Options {
 	return Options{Seeds: []uint64{1}, Duration: 2 * sim.Second}
@@ -117,19 +112,6 @@ func (t *Table) Format() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// MetricUnit returns the table's unit as a benchmark-metric-safe token
-// (lowercase, no spaces), e.g. "Mbps total" → "mbps_total".
-func (t *Table) MetricUnit() string {
-	u := strings.ToLower(t.Unit)
-	u = strings.ReplaceAll(u, " ", "_")
-	u = strings.ReplaceAll(u, "(", "")
-	u = strings.ReplaceAll(u, ")", "")
-	if u == "" {
-		u = "value"
-	}
-	return u
 }
 
 // Cell returns the value at (rowLabel, column), with ok=false when absent.

@@ -250,12 +250,6 @@ func (b *RouteBook) FwdList(flow int, from, dst pkt.NodeID) []pkt.NodeID {
 	return list
 }
 
-// OnPath reports whether node n participates in the flow's path.
-func (b *RouteBook) OnPath(flow int, n pkt.NodeID) bool {
-	p, ok := b.paths[flow]
-	return ok && p.Contains(n)
-}
-
 // EnableFailureDetection turns on forwarder blacklisting: after
 // `threshold` consecutive abandoned packets on a flow (retry budget
 // exhausted, with no successful acknowledgement in between) the flow's

@@ -103,10 +103,6 @@ func (c *Contender) Failure() {
 	c.slots = -1
 }
 
-// ResetWindow restores the minimum contention window without touching any
-// in-progress countdown (used when a packet is abandoned).
-func (c *Contender) ResetWindow() { c.cw = c.p.CWMin }
-
 // NoteCorrupted records that the station just received an undecodable
 // frame, so its next deferral must use EIFS instead of DIFS.
 func (c *Contender) NoteCorrupted() { c.eifs = true }

@@ -10,53 +10,6 @@ import (
 	"ripple/internal/topology"
 )
 
-// oracleRates is the multi-rate oracle's choice, in bits per second, over a
-// grid of base-rate delivery probability × shadowing σ × PHY: the wideband
-// ladder above the 216 Mbps Default, the 802.11a ladder above 6 Mbps
-// LowRate, a 0.9 delivery target. The values are the selector's output as
-// first recorded, kept literal so a rewrite of the selector must reproduce
-// them.
-var oracleRates = []struct {
-	phy   string
-	sigma float64
-	prob  float64
-	rate  float64
-}{
-	{"Default", 3, 0, 24e6}, {"Default", 3, 0.3, 96e6}, {"Default", 3, 0.5, 96e6},
-	{"Default", 3, 0.9, 216e6}, {"Default", 3, 0.99, 216e6}, {"Default", 3, 0.999999, 216e6},
-	{"Default", 3, 1, 216e6},
-	{"Default", 8, 0, 24e6}, {"Default", 8, 0.3, 36e6}, {"Default", 8, 0.5, 48e6},
-	{"Default", 8, 0.9, 216e6}, {"Default", 8, 0.99, 216e6}, {"Default", 8, 0.999999, 216e6},
-	{"Default", 8, 1, 216e6},
-	{"LowRate", 3, 0, 6e6}, {"LowRate", 3, 0.3, 6e6}, {"LowRate", 3, 0.5, 6e6},
-	{"LowRate", 3, 0.9, 6e6}, {"LowRate", 3, 0.99, 6e6}, {"LowRate", 3, 0.999999, 18e6},
-	{"LowRate", 3, 1, 54e6},
-	{"LowRate", 8, 0, 6e6}, {"LowRate", 8, 0.3, 6e6}, {"LowRate", 8, 0.5, 6e6},
-	{"LowRate", 8, 0.9, 6e6}, {"LowRate", 8, 0.99, 12e6}, {"LowRate", 8, 0.999999, 54e6},
-	{"LowRate", 8, 1, 54e6},
-}
-
-// TestOracleRateTable holds the rate a multi-rate run picks per link to
-// oracleRates, and a radio without a shadowing σ to the 8 dB default.
-func TestOracleRateTable(t *testing.T) {
-	phy := map[string]phys.Params{"Default": phys.Default(), "LowRate": phys.LowRate()}
-	rate := func(p phys.Params, sigma, prob float64) float64 {
-		cfg := Config{Phy: p, MultiRate: MultiRateSpec{Enabled: true}}
-		cfg.Radio.ShadowSigmaDB = sigma
-		return newRateOracle(&cfg).Rate(prob)
-	}
-	for _, c := range oracleRates {
-		if got := rate(phy[c.phy], c.sigma, c.prob); got != c.rate {
-			t.Errorf("%s σ=%v p=%v: rate %v, want %v", c.phy, c.sigma, c.prob, got, c.rate)
-		}
-		if c.sigma == 8 {
-			if got := rate(phy[c.phy], 0, c.prob); got != c.rate {
-				t.Errorf("%s σ=0 p=%v: rate %v, want σ=8's %v", c.phy, c.prob, got, c.rate)
-			}
-		}
-	}
-}
-
 // TestMultiRateUpshiftsShortHops: at a 6 Mbps base rate over clean 100 m
 // hops, the oracle can upshift toward 54 Mbps, multiplying throughput.
 // This is the paper's §V future-work scenario.
@@ -78,7 +31,7 @@ func TestMultiRateUpshiftsShortHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	fast := base
-	fast.MultiRate = MultiRateSpec{Enabled: true}
+	fast.MultiRate = true
 	boosted, err := Run(fast)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +60,7 @@ func TestMultiRateStaysRobustOnWeakLinks(t *testing.T) {
 		Flows:     []FlowSpec{{ID: 1, Path: routing.Path{0, 1}, Kind: FTP}},
 		Duration:  3 * sim.Second,
 		Seed:      5,
-		MultiRate: MultiRateSpec{Enabled: true},
+		MultiRate: true,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -132,7 +85,7 @@ func TestMultiRateWithRipple(t *testing.T) {
 		Flows:     []FlowSpec{{ID: 1, Path: path, Kind: FTP}},
 		Duration:  3 * sim.Second,
 		Seed:      5,
-		MultiRate: MultiRateSpec{Enabled: true},
+		MultiRate: true,
 	}
 	res, err := Run(cfg)
 	if err != nil {

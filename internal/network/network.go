@@ -15,7 +15,6 @@ import (
 	"ripple/internal/phys"
 	"ripple/internal/pkt"
 	"ripple/internal/radio"
-	"ripple/internal/rateadapt"
 	"ripple/internal/routing"
 	"ripple/internal/sim"
 	"ripple/internal/traffic"
@@ -120,9 +119,9 @@ type Config struct {
 	// injects nothing and leaves a run bit-identical to a fault-free one;
 	// schedules draw from FaultSpec.Seed, never Config.Seed.
 	Faults fault.Spec
-	// MultiRate enables the paper's §V future-work extension: per-link PHY
-	// rate selection.
-	MultiRate MultiRateSpec
+	// MultiRate enables the paper's §V future-work extension: each
+	// transmitter picks a per-link PHY rate with phys.OracleRate.
+	MultiRate bool
 	// NodeMaxAgg overrides the aggregation limit for individual stations
 	// (used by the two-way-aggregation ablation: setting a flow's
 	// destination to 1 disables reverse-direction aggregation).
@@ -268,16 +267,6 @@ func (s RoutingSpec) build(t *routing.Table, pos []radio.Pos) (routing.Policy, e
 		pol = routing.Sized(pol, t, s.K, s.Rule)
 	}
 	return pol, nil
-}
-
-// MultiRateSpec configures the multi-rate extension.
-type MultiRateSpec struct {
-	Enabled bool
-	// Rates is the available rate ladder; empty selects Set80211a for
-	// low-rate configurations and SetWideband above 100 Mbps.
-	Rates rateadapt.RateSet
-	// MinProb is the oracle's delivery-probability target (default 0.9).
-	MinProb float64
 }
 
 // Normalize fills zero-valued fields with paper defaults.

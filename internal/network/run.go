@@ -9,9 +9,9 @@ import (
 	"ripple/internal/core"
 	"ripple/internal/fault"
 	"ripple/internal/forward"
+	"ripple/internal/phys"
 	"ripple/internal/pkt"
 	"ripple/internal/radio"
-	"ripple/internal/rateadapt"
 	"ripple/internal/routing"
 	"ripple/internal/sim"
 	"ripple/internal/stats"
@@ -95,8 +95,8 @@ type run struct {
 	// aud stays nil with deep auditing off — every hook nil-checks, so the
 	// fast path pays only predictable branches.
 	aud *audit.Auditor
-	// rateOracle is the multi-rate extension's rate selector, nil when off.
-	rateOracle *rateadapt.OracleSelector
+	// routeStale counts, over every epoch boundary, the flows that kept a
+	// stale route because their recompute failed.
 	routeStale uint64
 	// The run's periodic timers, each re-armed from its own callback: the
 	// epoch-world swap, and a dynamic policy's queue-depth sample and
@@ -234,7 +234,6 @@ func (r *run) build(cfg *Config, world *World) {
 		// blacklist it until the next epoch's route update.
 		r.routes.EnableFailureDetection(world.faults.Threshold())
 	}
-	r.rateOracle = newRateOracle(cfg)
 	if cfg.Audit || auditEnv() {
 		// Deep audit: re-validate the invariant catalogue after every
 		// engine event.
@@ -275,9 +274,9 @@ func (r *run) build(cfg *Config, world *World) {
 			C:       &r.counters[i],
 			Audit:   r.aud,
 		}
-		if r.rateOracle != nil {
+		if cfg.MultiRate {
 			env.RateFor = func(to pkt.NodeID) float64 {
-				return r.rateOracle.Rate(1 - r.cfg.Radio.LossProb(r.medium.Distance(id, to)))
+				return phys.OracleRate(1-cfg.Radio.LossProb(r.medium.Distance(id, to)), cfg.Radio.ShadowSigmaDB, cfg.Phy)
 			}
 		}
 		r.schemes[i] = r.agent(env)
@@ -332,30 +331,6 @@ func (r *run) agent(env forward.Env) forward.Scheme {
 		// validate() runs first; reaching this is a programming error.
 		panic(fmt.Sprintf("network: unknown scheme %d", int(cfg.Scheme)))
 	}
-}
-
-// newRateOracle resolves the multi-rate extension's per-link rate selector
-// (nil when the extension is off).
-func newRateOracle(cfg *Config) *rateadapt.OracleSelector {
-	if !cfg.MultiRate.Enabled {
-		return nil
-	}
-	rates := cfg.MultiRate.Rates
-	if len(rates) == 0 {
-		if cfg.Phy.DataBps > 100e6 {
-			rates = rateadapt.SetWideband()
-		} else {
-			rates = rateadapt.Set80211a()
-		}
-	}
-	o := rateadapt.NewOracle(rates, cfg.Phy.DataBps)
-	if cfg.Radio.ShadowSigmaDB > 0 {
-		o.SigmaDB = cfg.Radio.ShadowSigmaDB
-	}
-	if cfg.MultiRate.MinProb > 0 {
-		o.MinProb = cfg.MultiRate.MinProb
-	}
-	return o
 }
 
 // traceFlow and traceStation report a run-level event through the frame

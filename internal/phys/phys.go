@@ -1,6 +1,8 @@
 // Package phys holds the IEEE 802.11 physical-layer constants and airtime
 // arithmetic used throughout the simulator. Defaults reproduce Table I of
-// the RIPPLE paper (ICDCS 2010).
+// the RIPPLE paper (ICDCS 2010). It also holds the multi-rate extension
+// (rates.go): the rate ladders the airtime scales with, the decode-threshold
+// shift a faster rate costs, and the oracle that picks a link's rate.
 package phys
 
 import "ripple/internal/sim"

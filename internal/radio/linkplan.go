@@ -326,9 +326,6 @@ func (pl *LinkPlan) slot(a, b int) int {
 	return -1
 }
 
-// Config returns the radio configuration the plan was built with.
-func (pl *LinkPlan) Config() Config { return pl.cfg }
-
 // Stations returns the number of stations the plan covers.
 func (pl *LinkPlan) Stations() int { return pl.n }
 
@@ -339,9 +336,6 @@ func (pl *LinkPlan) Pruned() bool { return pl.pruned }
 // Links returns the number of directed links the plan stores — n·(n−1)
 // unpruned, the in-range link count with pruning on.
 func (pl *LinkPlan) Links() int { return len(pl.nbrID) }
-
-// Degree returns the number of stored neighbors of station i.
-func (pl *LinkPlan) Degree(i int) int { return int(pl.off[i+1] - pl.off[i]) }
 
 // AscNeighbors returns station i's neighbor IDs in ascending order. The
 // returned slice aliases the plan and must not be modified. The routing

@@ -6,7 +6,6 @@ import (
 
 	"ripple/internal/phys"
 	"ripple/internal/pkt"
-	"ripple/internal/rateadapt"
 	"ripple/internal/sim"
 )
 
@@ -577,7 +576,7 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 	rxThresh := m.cfg.RXThreshDBm
 	if f.RateBps > 0 {
 		// Multi-rate extension: faster rates need more SNR.
-		rxThresh += rateadapt.ThresholdDeltaDB(f.RateBps, m.phy.DataBps)
+		rxThresh += phys.ThresholdDeltaDB(f.RateBps, m.phy.DataBps)
 	}
 	// Stamp the addressed receivers — forwarder-list members and the
 	// unicast receiver — for the shadowing-loss accounting below.

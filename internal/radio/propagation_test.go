@@ -8,7 +8,7 @@ import (
 
 func TestDefaultConfigCalibration(t *testing.T) {
 	c := DefaultConfig()
-	// DESIGN.md §6 calibration: ≈0.5% loss at 100 m, ≈25% at 200 m,
+	// docs/model.md's calibration: ≈0.5% loss at 100 m, ≈25% at 200 m,
 	// ≈65% at 300 m (the Fig. 1 direct link).
 	cases := []struct {
 		d        float64

@@ -50,9 +50,6 @@ func (e *Event) Canceled() bool { return e == nil || e.canceled }
 // been cancelled since.
 func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
 
-// When returns the simulated time the event is scheduled for.
-func (e *Event) When() Time { return e.at }
-
 // eventHeap is a hand-rolled 4-ary min-heap of pending events ordered by
 // (at, seq). The wider fan-out roughly halves the tree depth of the binary
 // container/heap it replaces, and inlining the comparisons avoids its

@@ -22,7 +22,6 @@ type Flow struct {
 
 	// Delay accounting over delivered packets (creation to delivery).
 	DelaySum   sim.Time
-	DelayMax   sim.Time
 	DelayCount int64
 
 	// TransfersCompleted counts finished short transfers (web traffic).
@@ -44,9 +43,6 @@ func (f *Flow) NoteArrival(seq int64, delay sim.Time) {
 	f.PktsDelivered++
 	f.DelaySum += delay
 	f.DelayCount++
-	if delay > f.DelayMax {
-		f.DelayMax = delay
-	}
 	if f.started && seq < f.maxSeqSeen {
 		f.Reordered++
 	}

@@ -41,9 +41,6 @@ func TestDelayAccounting(t *testing.T) {
 	if f.MeanDelay() != 3*sim.Millisecond {
 		t.Fatalf("MeanDelay = %v", f.MeanDelay())
 	}
-	if f.DelayMax != 4*sim.Millisecond {
-		t.Fatalf("DelayMax = %v", f.DelayMax)
-	}
 }
 
 func TestThroughputMbps(t *testing.T) {

@@ -82,9 +82,6 @@ func (w *Welford) Variance() float64 {
 	return w.m2 / float64(w.n-1)
 }
 
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
 // CI95 returns the half-width of the two-sided 95% confidence interval for
 // the mean, using the Student t critical value for the sample's degrees of
 // freedom (0 below two samples). A cell's report is Mean() ± CI95().

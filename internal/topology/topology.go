@@ -4,7 +4,7 @@
 // the Wigle access-point topology (Fig. 9), and a Roofnet-like rooftop mesh
 // (Fig. 11). Distances are in metres and calibrated against
 // radio.DefaultConfig: a 100 m hop loses ≈0.5% of frames, 200 m ≈25%, and
-// 300 m ≈65% (see DESIGN.md §6).
+// 300 m ≈65% (see docs/model.md, "Propagation calibration").
 package topology
 
 import (

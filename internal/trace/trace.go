@@ -1,14 +1,11 @@
 // Package trace records per-frame medium events for offline analysis:
-// structured JSONL logs, per-station airtime accounting, and per-frame-kind
-// breakdowns. A Recorder plugs into network.Config.Trace.
+// structured JSONL logs and per-station airtime accounting. A Recorder plugs
+// into network.Config.Trace.
 package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
-	"strings"
 
 	"ripple/internal/pkt"
 	"ripple/internal/sim"
@@ -58,18 +55,13 @@ func frameInfo(f *pkt.Frame) FrameInfo {
 }
 
 // Recorder accumulates medium events. The zero value records airtime only;
-// set Keep or W for full event capture. Not safe for concurrent use — use
-// one Recorder per run (per engine), like every other per-run component.
+// set W to stream every event. Not safe for concurrent use — use one
+// Recorder per run (per engine), like every other per-run component.
 type Recorder struct {
-	// Keep bounds in-memory event retention (0 = keep none).
-	Keep int
 	// W, when non-nil, receives one JSON object per line per event.
 	W io.Writer
 
-	events  []Event
 	airtime map[pkt.NodeID]sim.Time
-	byKind  map[string]int
-	txTotal int
 	errW    error
 }
 
@@ -81,33 +73,20 @@ func (r *Recorder) Hook() func(sim.Time, string, pkt.NodeID, *pkt.Frame) {
 func (r *Recorder) record(at sim.Time, kind string, node pkt.NodeID, f *pkt.Frame) {
 	if r.airtime == nil {
 		r.airtime = make(map[pkt.NodeID]sim.Time)
-		r.byKind = make(map[string]int)
 	}
 	if kind == "tx" {
 		r.airtime[node] += f.Duration
-		r.byKind[f.Kind.String()]++
-		r.txTotal++
 	}
-	if r.Keep == 0 && r.W == nil {
+	if r.W == nil || r.errW != nil {
 		return
 	}
 	ev := Event{TimeNs: int64(at), Kind: kind, Node: int(node), Frame: frameInfo(f)}
-	if r.Keep > 0 {
-		if len(r.events) < r.Keep {
-			r.events = append(r.events, ev)
-		}
+	enc, err := json.Marshal(ev)
+	if err == nil {
+		_, err = r.W.Write(append(enc, '\n'))
 	}
-	if r.W != nil && r.errW == nil {
-		enc, err := json.Marshal(ev)
-		if err == nil {
-			_, err = r.W.Write(append(enc, '\n'))
-		}
-		r.errW = err
-	}
+	r.errW = err
 }
-
-// Events returns the retained events (up to Keep).
-func (r *Recorder) Events() []Event { return r.events }
 
 // Err reports any write error encountered while streaming JSONL.
 func (r *Recorder) Err() error { return r.errW }
@@ -132,40 +111,4 @@ func (r *Recorder) BusyFraction(duration sim.Time) float64 {
 		sum += v
 	}
 	return float64(sum) / float64(duration)
-}
-
-// FrameCounts returns transmissions per frame kind ("DATA", "ACK", ...).
-func (r *Recorder) FrameCounts() map[string]int {
-	out := make(map[string]int, len(r.byKind))
-	for k, v := range r.byKind {
-		out[k] = v
-	}
-	return out
-}
-
-// Summary renders a human-readable airtime report.
-func (r *Recorder) Summary(duration sim.Time) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "airtime over %v (%d transmissions):\n", duration, r.txTotal)
-	ids := make([]pkt.NodeID, 0, len(r.airtime))
-	for id := range r.airtime {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		share := 0.0
-		if duration > 0 {
-			share = float64(r.airtime[id]) / float64(duration)
-		}
-		fmt.Fprintf(&b, "  node %2d: %10v (%5.1f%%)\n", id, r.airtime[id], 100*share)
-	}
-	kinds := make([]string, 0, len(r.byKind))
-	for k := range r.byKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	for _, k := range kinds {
-		fmt.Fprintf(&b, "  %-5s frames: %d\n", k, r.byKind[k])
-	}
-	return b.String()
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"ripple/internal/pkt"
@@ -34,10 +33,6 @@ func TestRecorderAirtime(t *testing.T) {
 	}
 	if air[1] != 20*sim.Microsecond {
 		t.Fatalf("node 1 airtime = %v", air[1])
-	}
-	counts := r.FrameCounts()
-	if counts["DATA"] != 2 || counts["ACK"] != 1 {
-		t.Fatalf("frame counts = %v", counts)
 	}
 }
 
@@ -76,29 +71,5 @@ func TestRecorderJSONL(t *testing.T) {
 	}
 	if ev.Frame.Packets != 2 || ev.Frame.Bytes != 2000 {
 		t.Fatalf("frame info = %+v", ev.Frame)
-	}
-}
-
-func TestRecorderKeepBound(t *testing.T) {
-	r := Recorder{Keep: 2}
-	hook := func(k string, n pkt.NodeID, f *pkt.Frame) { r.record(0, k, n, f) }
-	for i := 0; i < 5; i++ {
-		hook("tx", 0, frame(pkt.Data, 0, sim.Microsecond, 1))
-	}
-	if len(r.Events()) != 2 {
-		t.Fatalf("kept %d events, want 2", len(r.Events()))
-	}
-}
-
-func TestRecorderSummary(t *testing.T) {
-	var r Recorder
-	hook := func(k string, n pkt.NodeID, f *pkt.Frame) { r.record(0, k, n, f) }
-	hook("tx", 1, frame(pkt.Data, 1, 100*sim.Millisecond, 1))
-	s := r.Summary(sim.Second)
-	if !strings.Contains(s, "node  1") || !strings.Contains(s, "10.0%") {
-		t.Fatalf("summary:\n%s", s)
-	}
-	if !strings.Contains(s, "DATA  frames: 1") {
-		t.Fatalf("summary missing frame counts:\n%s", s)
 	}
 }

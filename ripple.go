@@ -311,7 +311,7 @@ func (s Scenario) toConfig() (*network.Config, error) {
 		cfg.UnicastMaxAgg = s.MaxAggregation
 		cfg.RippleOpts.MaxAgg = s.MaxAggregation
 	}
-	cfg.MultiRate.Enabled = s.MultiRate
+	cfg.MultiRate = s.MultiRate
 	cfg.RTSThreshold = s.RTSThreshold
 	cfg.Positions = make([]radioPos, len(s.Topology.Positions))
 	for i, p := range s.Topology.Positions {

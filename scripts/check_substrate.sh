@@ -17,7 +17,11 @@
 #   mac.NewQueue(   mac.NewContender(   &pkt.Pool{
 #
 # or if a non-test .go file anywhere imports ripple/internal/golden: the pin
-# and golden-file support is for tests, and never ships in a binary.
+# and golden-file support is for tests, and never ships in a binary;
+#
+# or if a non-test .go file outside cmd/ and bench/ is a package main: a
+# program nothing runs is code CI only compiles — a walkthrough of the API
+# is an Example in example_test.go, whose output `go test` checks.
 #
 # Usage: sh scripts/check_substrate.sh   (from the repo root)
 set -eu
@@ -40,6 +44,11 @@ if grep -nE 'sim\.NewEngine\(|radio\.NewMediumOn\(|forward\.NewRouteBook\(|mac\.
 fi
 if grep -ln '"ripple/internal/golden"' $(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*'); then
     echo "check_substrate: internal/golden imported outside a _test.go file — it is test support" >&2
+    fail=1
+fi
+if grep -l '^package main$' $(find . -name '*.go' ! -name '*_test.go' \
+        ! -path './cmd/*' ! -path './bench/*' ! -path './.bench_build/*'); then
+    echo "check_substrate: package main outside cmd/ and bench/ — make it an Example" >&2
     fail=1
 fi
 exit $fail
