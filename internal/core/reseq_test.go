@@ -31,6 +31,13 @@ func rqPkt(macSeq int64) *pkt.Packet {
 	return &pkt.Packet{UID: uint64(macSeq) + 1, FlowID: 1, MacSeq: macSeq, Src: 0, Dst: 3, Bytes: 1000}
 }
 
+// pooledRqPkt is rqPkt drawn from pool, with the caller's one reference.
+func pooledRqPkt(pool *pkt.Pool, macSeq int64) *pkt.Packet {
+	p := pool.Get()
+	p.UID, p.FlowID, p.MacSeq, p.Src, p.Dst, p.Bytes = uint64(macSeq)+1, 1, macSeq, 0, 3, 1000
+	return p
+}
+
 func TestRqDeliversInOrder(t *testing.T) {
 	eng, r, got := newRqHarness(t, DefaultOptions())
 	for _, s := range []int64{0, 1, 2, 3} {
@@ -137,4 +144,79 @@ func assertSeqs(t *testing.T, got, want []int64) {
 			t.Fatalf("delivered %v, want %v", got, want)
 		}
 	}
+}
+
+// A retransmission of a packet Rq already buffers is a duplicate: counted,
+// not buffered twice, and the buffer's one reference stays the only one.
+func TestRqDuplicateOfBufferedIsDropped(t *testing.T) {
+	eng, r, got := newRqHarness(t, DefaultOptions())
+	var pool pkt.Pool
+	first, again := pooledRqPkt(&pool, 2), pooledRqPkt(&pool, 2)
+	r.deliver(rqPkt(0))
+	r.deliver(first) // gap at 1: buffered, the buffer refs it
+	r.deliver(again) // the same sequence number again
+	if r.C.Duplicates != 1 {
+		t.Fatalf("Duplicates = %d, want 1", r.C.Duplicates)
+	}
+	first.Release()
+	again.Release()
+	if pool.InUse() != 1 {
+		t.Fatalf("%d packets out of the pool, want 1 (the buffered one)", pool.InUse())
+	}
+	r.deliver(rqPkt(1))
+	eng.Run(sim.Second)
+	assertSeqs(t, *got, []int64{0, 1, 2})
+	if pool.InUse() != 0 {
+		t.Fatalf("%d packets out of the pool after the drain, want 0", pool.InUse())
+	}
+}
+
+// A packet below expected — a late copy of one already delivered — is a
+// duplicate and leaves a buffered gap as it was.
+func TestRqDuplicateBelowExpectedLeavesGap(t *testing.T) {
+	opt := DefaultOptions()
+	opt.RqHold = 10 * sim.Millisecond
+	eng, r, got := newRqHarness(t, opt)
+	r.deliver(rqPkt(0))
+	r.deliver(rqPkt(1))
+	r.deliver(rqPkt(3)) // gap at 2
+	r.deliver(rqPkt(0)) // late copies of delivered packets
+	r.deliver(rqPkt(1))
+	if r.C.Duplicates != 2 {
+		t.Fatalf("Duplicates = %d, want 2", r.C.Duplicates)
+	}
+	assertSeqs(t, *got, []int64{0, 1})
+	eng.Run(sim.Second) // the hold expires and skips the gap
+	assertSeqs(t, *got, []int64{0, 1, 3})
+}
+
+// A crash releases every reference Rq holds, across streams, and withdraws
+// the hold timers: the pool balances and nothing is delivered afterwards.
+func TestRqReleaseCustodyReleasesBuffered(t *testing.T) {
+	eng, r, got := newRqHarness(t, DefaultOptions())
+	var pool pkt.Pool
+	send := func(flow int, src pkt.NodeID, seq int64) {
+		p := pooledRqPkt(&pool, seq)
+		p.FlowID, p.Src = flow, src
+		p.UID = uint64(flow)<<32 | uint64(seq)
+		r.deliver(p)
+		p.Release() // the sender's reference; Rq keeps its own if it buffers
+	}
+	send(1, 0, 0)
+	for _, s := range []int64{2, 3, 5} {
+		send(1, 0, s)
+	}
+	for _, s := range []int64{1, 4} {
+		send(2, 5, s)
+	}
+	if n := r.ReleaseCustody(); n != 5 {
+		t.Fatalf("ReleaseCustody released %d references, want 5", n)
+	}
+	gets, delivered, dropped := pool.Counters()
+	if pool.InUse() != 0 || gets != delivered+dropped {
+		t.Fatalf("pool unbalanced: gets %d, delivered %d, dropped %d, outstanding %d",
+			gets, delivered, dropped, pool.InUse())
+	}
+	eng.Run(sim.Second)
+	assertSeqs(t, *got, []int64{0})
 }
