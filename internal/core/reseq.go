@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"ripple/internal/pkt"
 	"ripple/internal/sim"
 )
@@ -14,11 +17,12 @@ import (
 //
 // Buffered packets carry a reference (pkt.Pool): the buffer may outlive
 // the source's own hold on a packet, so Rq refs on insert and releases
-// after in-order delivery. The hold timer is one per stream, so buffering
+// after in-order delivery. The buffer is a slice kept sorted by MacSeq, at
+// most RqCap long, and the hold timer is one per stream, so buffering
 // allocates nothing after warm-up.
 type reseq struct {
 	expected int64
-	buf      map[int64]*pkt.Packet
+	buf      []*pkt.Packet
 	hold     sim.Timer
 }
 
@@ -29,7 +33,7 @@ func (r *Ripple) newReseq() *reseq {
 	if q := r.freeRq.Get(); q != nil {
 		return q
 	}
-	q := r.freeRq.Own(&reseq{buf: make(map[int64]*pkt.Packet)})
+	q := r.freeRq.Own(&reseq{})
 	q.hold.Bind(r.Eng, func() { r.skipGap(q) })
 	return q
 }
@@ -38,7 +42,15 @@ func (r *Ripple) newReseq() *reseq {
 // the emptied buffer and the bound timer.
 func (q *reseq) wipe() {
 	clear(q.buf)
-	*q = reseq{buf: q.buf, hold: q.hold}
+	*q = reseq{buf: q.buf[:0], hold: q.hold}
+}
+
+// search returns where seq is, or would be inserted, in the buffer, and
+// whether it is there.
+func (q *reseq) search(seq int64) (int, bool) {
+	return slices.BinarySearchFunc(q.buf, seq, func(p *pkt.Packet, seq int64) int {
+		return cmp.Compare(p.MacSeq, seq)
+	})
 }
 
 // deliver routes a received packet through Rq (when enabled) to transport.
@@ -47,11 +59,12 @@ func (r *Ripple) deliver(p *pkt.Packet) {
 		r.Deliver(p)
 		return
 	}
-	key := streamKey{flow: p.FlowID, src: p.Src}
-	q, ok := r.rq[key]
-	if !ok {
+	s := int(p.Stream)
+	r.rq = pkt.Extend(r.rq, s)
+	q := r.rq[s]
+	if q == nil {
 		q = r.newReseq()
-		r.rq[key] = q
+		r.rq[s] = q
 	}
 	switch {
 	case p.MacSeq < q.expected:
@@ -62,14 +75,15 @@ func (r *Ripple) deliver(p *pkt.Packet) {
 		r.Deliver(p)
 		r.drain(q)
 	default: // gap: buffer and wait for the end-to-end retransmission
-		if _, dup := q.buf[p.MacSeq]; dup {
+		if _, dup := q.search(p.MacSeq); dup {
 			r.C.Duplicates++
 			return
 		}
 		if len(q.buf) >= r.opt.RqCap {
 			r.skipGap(q)
 		}
-		q.buf[p.MacSeq] = p
+		i, _ := q.search(p.MacSeq)
+		q.buf = slices.Insert(q.buf, i, p)
 		p.Ref() // the buffer may outlive the source's hold on the packet
 		if !q.hold.Armed() {
 			q.hold.Arm(r.opt.RqHold)
@@ -78,16 +92,18 @@ func (r *Ripple) deliver(p *pkt.Packet) {
 }
 
 // drain delivers consecutively buffered packets and manages the hold timer.
+// The packet numbered expected is normally the head; only one buffered by
+// a cap overflow's skip (below) can sort ahead of it.
 func (r *Ripple) drain(q *reseq) {
-	for {
-		p, ok := q.buf[q.expected]
-		if !ok {
-			break
+	if len(q.buf) > 0 {
+		i, _ := q.search(q.expected)
+		for i < len(q.buf) && q.buf[i].MacSeq == q.expected {
+			p := q.buf[i]
+			q.buf = slices.Delete(q.buf, i, i+1)
+			q.expected++
+			r.Deliver(p)
+			p.Release() // delivered in order: the buffer's reference ends
 		}
-		delete(q.buf, q.expected)
-		q.expected++
-		r.Deliver(p)
-		p.Release() // delivered in order: the buffer's reference ends
 	}
 	if len(q.buf) == 0 {
 		q.hold.Stop()
@@ -96,18 +112,15 @@ func (r *Ripple) drain(q *reseq) {
 	}
 }
 
-// skipGap advances expected to the lowest buffered sequence number (the
-// missing packets were abandoned by the source) and drains from there.
+// skipGap advances expected to the lowest buffered sequence number, the
+// head (the missing packets were abandoned by the source), and drains from
+// there. A gap that overflows the buffer skips before the arriving packet
+// is buffered, which can leave that packet below expected: a later skip
+// delivers it.
 func (r *Ripple) skipGap(q *reseq) {
 	if len(q.buf) == 0 {
 		return
 	}
-	low := int64(-1)
-	for seq := range q.buf {
-		if low < 0 || seq < low {
-			low = seq
-		}
-	}
-	q.expected = low
+	q.expected = q.buf[0].MacSeq
 	r.drain(q)
 }

@@ -111,8 +111,8 @@ func TestRqDropsDuplicates(t *testing.T) {
 func TestRqSeparateStreamsIndependent(t *testing.T) {
 	eng, r, got := newRqHarness(t, DefaultOptions())
 	a := rqPkt(0)
-	b := &pkt.Packet{UID: 100, FlowID: 2, MacSeq: 0, Src: 5, Dst: 3}
-	bGap := &pkt.Packet{UID: 101, FlowID: 2, MacSeq: 2, Src: 5, Dst: 3}
+	b := &pkt.Packet{UID: 100, FlowID: 2, Stream: 2, MacSeq: 0, Src: 5, Dst: 3}
+	bGap := &pkt.Packet{UID: 101, FlowID: 2, Stream: 2, MacSeq: 2, Src: 5, Dst: 3}
 	r.deliver(a)
 	r.deliver(bGap) // flow 2 has a gap...
 	r.deliver(b)    // ...now seq 0 arrives
@@ -197,7 +197,7 @@ func TestRqReleaseCustodyReleasesBuffered(t *testing.T) {
 	var pool pkt.Pool
 	send := func(flow int, src pkt.NodeID, seq int64) {
 		p := pooledRqPkt(&pool, seq)
-		p.FlowID, p.Src = flow, src
+		p.FlowID, p.Stream, p.Src = flow, pkt.StreamOf(flow, 0), src
 		p.UID = uint64(flow)<<32 | uint64(seq)
 		r.deliver(p)
 		p.Release() // the sender's reference; Rq keeps its own if it buffers

@@ -20,6 +20,8 @@
 package core
 
 import (
+	"slices"
+
 	"ripple/internal/forward"
 	"ripple/internal/phys"
 	"ripple/internal/pkt"
@@ -90,14 +92,15 @@ type Ripple struct {
 	seenData forward.SeenSet // TxopIDs whose data we already relayed
 	seenAck  forward.SeenSet // TxopIDs whose ACK we already relayed
 
-	// Destination-side resequencing (Rq), one per incoming stream.
-	rq map[streamKey]*reseq
+	// Destination-side resequencing (Rq), one per incoming stream, indexed
+	// by pkt.Packet.Stream.
+	rq []*reseq
 	// macSeq assigns MAC-stream sequence numbers to locally originated
-	// packets, one counter per outgoing stream.
-	macSeq map[streamKey]int64
+	// packets, one counter per outgoing stream, indexed the same way.
+	macSeq []int64
 	// piggy tracks local packets riding on relayed frames (LocalAggOnRelay),
-	// keyed by the mTXOP they joined, until the bitmap ACK covers them.
-	piggy map[uint64][]*pkt.Packet
+	// one entry per mTXOP they joined, until the bitmap ACK covers them.
+	piggy []piggyback
 
 	// Hot-path scratch and free lists: okScratch collects the decoded
 	// sub-packets of one reception (valid only within the handler),
@@ -109,9 +112,10 @@ type Ripple struct {
 	freeRq     sim.FreeList[reseq]
 }
 
-type streamKey struct {
-	flow int
-	src  pkt.NodeID
+// piggyback is the local packets a forwarder added to one mTXOP's relay.
+type piggyback struct {
+	txop uint64
+	pkts []*pkt.Packet
 }
 
 var _ forward.Scheme = (*Ripple)(nil)
@@ -125,20 +129,15 @@ func New(env forward.Env, opt Options) *Ripple {
 
 // Init makes r, in place, the agent New returns: every field zero or set
 // from the arguments, except the chassis (see forward.Station.Init), the
-// three maps and two seen-sets, emptied, the scratch buffers, and the relay
-// and resequencer records, recalled from wherever the last run left them
-// with their timers bound and their buffers empty.
+// three per-stream and per-mTXOP slices and two seen-sets, emptied, the
+// scratch buffers, and the relay and resequencer records, recalled from
+// wherever the last run left them with their timers bound and their
+// buffers empty.
 func (r *Ripple) Init(env forward.Env, opt Options) {
 	if opt.MaxAgg < 1 {
 		opt.MaxAgg = 1
 	}
-	if r.rq == nil {
-		r.rq = make(map[streamKey]*reseq)
-		r.macSeq = make(map[streamKey]int64)
-		r.piggy = make(map[uint64][]*pkt.Packet)
-	}
 	clear(r.rq)
-	clear(r.macSeq)
 	clear(r.piggy)
 	r.seenData.Reset()
 	r.seenAck.Reset()
@@ -146,7 +145,7 @@ func (r *Ripple) Init(env forward.Env, opt Options) {
 	r.freeRq.Recall((*reseq).wipe)
 	*r = Ripple{Station: r.Station, opt: opt,
 		relays: r.relays[:0], seenData: r.seenData, seenAck: r.seenAck,
-		rq: r.rq, macSeq: r.macSeq, piggy: r.piggy,
+		rq: r.rq[:0], macSeq: r.macSeq[:0], piggy: r.piggy[:0],
 		okScratch: r.okScratch[:0], freeRelays: r.freeRelays, freeRq: r.freeRq}
 	r.Station.Init(env, r)
 }
@@ -157,9 +156,10 @@ func (r *Ripple) Send(p *pkt.Packet) bool {
 	if !r.Station.Send(p) {
 		return false
 	}
-	key := streamKey{flow: p.FlowID, src: p.Src}
-	p.MacSeq = r.macSeq[key]
-	r.macSeq[key]++
+	s := int(p.Stream)
+	r.macSeq = pkt.Extend(r.macSeq, s)
+	p.MacSeq = r.macSeq[s]
+	r.macSeq[s]++
 	return true
 }
 
@@ -181,7 +181,7 @@ func (r *Ripple) Grant() {
 		if head == nil {
 			return
 		}
-		r.SvcFlow = head.FlowID
+		r.SvcFlow, r.SvcSlot = head.FlowID, head.FlowSlot()
 		r.SvcDst = head.Dst
 		r.InService = r.Queue.PopNWhereInto(r.InService[:0], r.opt.MaxAgg, func(p *pkt.Packet) bool {
 			return p.FlowID == head.FlowID && p.Dst == head.Dst
@@ -190,7 +190,7 @@ func (r *Ripple) Grant() {
 	if len(r.InService) == 0 {
 		return
 	}
-	fwd := r.Routes.FwdList(r.SvcFlow, r.ID, r.SvcDst)
+	fwd := r.Routes.FwdList(r.SvcSlot, r.ID, r.SvcDst)
 	if len(fwd) == 0 {
 		for _, p := range r.InService {
 			r.DropNoRoute(p)
@@ -261,9 +261,10 @@ func (r *Ripple) Receive(f *pkt.Frame, pktOK []bool) {
 // handleAck covers both roles: the mTXOP source consuming its end-to-end
 // MAC ACK, and a forwarder relaying the ACK back toward the source.
 func (r *Ripple) handleAck(f *pkt.Frame) {
-	if pending, ok := r.piggy[f.TxopID]; ok {
+	if i := r.findPiggy(f.TxopID); i >= 0 {
 		// The bitmap covers packets we piggybacked onto this mTXOP's
 		// relay; acknowledged ones are done, the rest await reclaim.
+		pending := r.piggy[i].pkts
 		kept := pending[:0]
 		for _, p := range pending {
 			if forward.Acked(f.AckedUIDs, p.UID) {
@@ -272,10 +273,11 @@ func (r *Ripple) handleAck(f *pkt.Frame) {
 				kept = append(kept, p)
 			}
 		}
+		clear(pending[len(kept):])
 		if len(kept) == 0 {
-			delete(r.piggy, f.TxopID)
+			r.piggy = slices.Delete(r.piggy, i, i+1)
 		} else {
-			r.piggy[f.TxopID] = kept
+			r.piggy[i].pkts = kept
 		}
 	}
 	if r.Exchanging() && f.Origin == r.ID {
@@ -423,7 +425,11 @@ func (r *Ripple) piggyback(relay *pkt.Frame) {
 		return
 	}
 	relay.Packets = append(relay.Packets, local...)
-	r.piggy[relay.TxopID] = append(r.piggy[relay.TxopID], local...)
+	if i := r.findPiggy(relay.TxopID); i >= 0 {
+		r.piggy[i].pkts = append(r.piggy[i].pkts, local...)
+	} else {
+		r.piggy = append(r.piggy, piggyback{txop: relay.TxopID, pkts: local})
+	}
 	// If the mTXOP's ACK never comes back through us, reclaim the packets
 	// so they are retransmitted in our own transmission opportunity.
 	deadline := 4 * (r.P.SIFS + 5*r.P.Slot + r.dataDuration(relay))
@@ -431,13 +437,24 @@ func (r *Ripple) piggyback(relay *pkt.Frame) {
 	r.Eng.After(deadline, func() { r.reclaimPiggy(txop) })
 }
 
+// findPiggy returns the index of txop's piggyback entry, or -1.
+func (r *Ripple) findPiggy(txop uint64) int {
+	for i := range r.piggy {
+		if r.piggy[i].txop == txop {
+			return i
+		}
+	}
+	return -1
+}
+
 // reclaimPiggy returns unacknowledged piggybacked packets to the queue.
 func (r *Ripple) reclaimPiggy(txop uint64) {
-	pending := r.piggy[txop]
-	if len(pending) == 0 {
+	i := r.findPiggy(txop)
+	if i < 0 {
 		return
 	}
-	delete(r.piggy, txop)
+	pending := r.piggy[i].pkts
+	r.piggy = slices.Delete(r.piggy, i, i+1)
 	for i := len(pending) - 1; i >= 0; i-- {
 		r.Queue.PushFront(pending[i])
 	}
@@ -663,16 +680,21 @@ func (r *Ripple) ReleaseCustody() uint64 {
 		r.releaseRelay(p)
 	}
 	r.relays = r.relays[:0]
-	// Piggybacked custody; the reclaim timers find an empty map and return.
-	for txop, pending := range r.piggy {
-		for _, p := range pending {
+	// Piggybacked custody, in the order it was taken; the reclaim timers
+	// find no entry and return.
+	for _, e := range r.piggy {
+		for _, p := range e.pkts {
 			dropped++
 			p.Release()
 		}
-		delete(r.piggy, txop)
 	}
-	// Destination-side resequencing buffers.
-	for key, q := range r.rq {
+	clear(r.piggy)
+	r.piggy = r.piggy[:0]
+	// Destination-side resequencing buffers, in stream order.
+	for s, q := range r.rq {
+		if q == nil {
+			continue
+		}
 		q.hold.Stop()
 		for _, p := range q.buf {
 			dropped++
@@ -680,7 +702,7 @@ func (r *Ripple) ReleaseCustody() uint64 {
 		}
 		q.wipe()
 		r.freeRq.Put(q)
-		delete(r.rq, key)
+		r.rq[s] = nil
 	}
 	// Duplicate-suppression memory dies with the station.
 	r.seenData.Reset()

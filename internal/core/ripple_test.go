@@ -19,6 +19,7 @@ type harness struct {
 	counters  []forward.Counters
 	delivered [][]*pkt.Packet
 	frames    []pkt.Frame // all transmissions, copied out of the medium trace
+	routes    *forward.RouteBook
 }
 
 func idealRadio() radio.Config {
@@ -42,10 +43,12 @@ func newHarness(t *testing.T, positions []radio.Pos, rc radio.Config,
 			h.frames = append(h.frames, c)
 		}
 	}
+	// A flow's ID doubles as its slot in the route book.
 	routes := forward.NewRouteBook(5)
 	for id, p := range paths {
 		routes.Add(id, p)
 	}
+	h.routes = routes
 	h.agents = make([]*Ripple, len(positions))
 	h.counters = make([]forward.Counters, len(positions))
 	h.delivered = make([][]*pkt.Packet, len(positions))
@@ -73,11 +76,21 @@ func (h *harness) inject(from pkt.NodeID, flow, n int, dst pkt.NodeID) {
 	for k := 0; k < n; k++ {
 		p := &pkt.Packet{
 			UID: uint64(flow)<<32 | uint64(k) + 1, FlowID: flow,
-			Seq: int64(k), Bytes: 1000, Src: from, Dst: dst,
+			Stream: h.stream(flow, from),
+			Seq:    int64(k), Bytes: 1000, Src: from, Dst: dst,
 			Created: h.eng.Now(),
 		}
 		h.agents[from].Send(p)
 	}
+}
+
+// stream is the stream of flow's packets sent from `from`: forward from the
+// path's source, reverse from anywhere else.
+func (h *harness) stream(flow int, from pkt.NodeID) int32 {
+	if from == h.routes.Path(flow).Src() {
+		return pkt.StreamOf(flow, 0)
+	}
+	return pkt.StreamOf(flow, 1)
 }
 
 func linePositions(n int) []radio.Pos {

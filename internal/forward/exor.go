@@ -106,11 +106,11 @@ func (x *ExOR) Grant() {
 			return
 		}
 		x.InService = append(x.InService, p)
-		x.SvcFlow, x.SvcDst = p.FlowID, p.Dst
+		x.SvcFlow, x.SvcSlot, x.SvcDst = p.FlowID, p.FlowSlot(), p.Dst
 		x.Attempts = 0
 	}
 	cur := x.InService[0]
-	fwd := x.Routes.FwdList(cur.FlowID, x.ID, cur.Dst)
+	fwd := x.Routes.FwdList(cur.FlowSlot(), x.ID, cur.Dst)
 	if len(fwd) == 0 {
 		x.DropNoRoute(cur)
 		x.InService = x.InService[:0]

@@ -83,15 +83,21 @@ func (c *Counters) Add(b Counters) {
 // questions schemes ask: "who is my next hop" (predetermined) and "what is
 // the prioritised forwarder list from here" (opportunistic). Forwarder
 // lists are capped at MaxForwarders intermediate stations (paper Remark 4).
+//
+// A flow is named by its slot, its index in the run's flow list
+// (pkt.Packet.FlowSlot), never by its ID: the per-flow state is slices
+// indexed by slot, grown to the highest slot added, so the per-packet
+// questions cost no hashing.
 type RouteBook struct {
-	paths         map[int]routing.Path
+	paths         []routing.Path
 	maxForwarders int
-	// fwdCache memoizes FwdList per (flow, from, toward): schemes ask for
-	// the same list on every transmission of a flow, and building it is a
-	// per-frame allocation otherwise. Cached slices are immutable — a
-	// route update replaces the entries, it never rewrites them — so
-	// frames may carry them by reference.
-	fwdCache map[fwdKey][]pkt.NodeID
+	// fwdCache memoizes FwdList per slot and (from, toward): schemes ask
+	// for the same list on every transmission of a flow, and building it is
+	// a per-frame allocation otherwise. A flow has few such pairs — two per
+	// station on its path — so each slot's entries are searched linearly.
+	// Cached slices are immutable — a route update drops the entries, it
+	// never rewrites them — so frames may carry them by reference.
+	fwdCache [][]fwdEntry
 
 	// Failure-aware degradation, active only under fault injection.
 	// failThreshold gates everything: 0 (the default) makes every Note*
@@ -109,18 +115,19 @@ type RouteBook struct {
 	// cannot reach; schemes drop such traffic at the source (counted as
 	// Counters.Unreachable) instead of burning retries. unreachDrops
 	// attributes those drops per flow for FlowResult.
-	unreachable  map[int]bool
-	unreachDrops map[int]int64
+	unreachable  []bool
+	unreachDrops []int64
 }
 
-type fwdKey struct {
-	flow         int
+// fwdEntry is one memoized forwarder list of a flow.
+type fwdEntry struct {
 	from, toward pkt.NodeID
+	list         []pkt.NodeID
 }
 
 // blKey scopes failure streaks and blacklists to one sender of one flow.
 type blKey struct {
-	flow int
+	slot int
 	from pkt.NodeID
 }
 
@@ -133,43 +140,46 @@ func NewRouteBook(maxForwarders int) *RouteBook {
 }
 
 // Init makes b, in place, an empty book capped at maxForwarders: every
-// field zero but the maps, which are emptied and keep their buckets. A run
-// arena re-initialises its book between runs.
+// field zero but the slices and maps, which are emptied and keep their
+// capacity. A run arena re-initialises its book between runs.
 func (b *RouteBook) Init(maxForwarders int) {
-	if b.paths == nil {
-		b.paths = make(map[int]routing.Path)
-		b.fwdCache = make(map[fwdKey][]pkt.NodeID)
-	}
 	clear(b.paths)
-	clear(b.fwdCache)
+	for i := range b.fwdCache {
+		b.invalidate(i)
+	}
 	clear(b.consecFails)
 	clear(b.blacklist)
-	clear(b.unreachable)
-	clear(b.unreachDrops)
 	*b = RouteBook{
 		maxForwarders: maxForwarders,
-		paths:         b.paths, fwdCache: b.fwdCache,
+		paths:         b.paths[:0], fwdCache: b.fwdCache[:0],
 		consecFails: b.consecFails, blacklist: b.blacklist,
-		unreachable: b.unreachable, unreachDrops: b.unreachDrops,
+		unreachable: b.unreachable[:0], unreachDrops: b.unreachDrops[:0],
 	}
 }
 
-// Add registers the path for a flow (source to destination order). The
-// forwarder cap follows the paper's convention: the destination counts as
-// the highest-priority forwarder, so a cap of 5 allows the destination plus
-// four intermediate stations.
-func (b *RouteBook) Add(flow int, p routing.Path) {
-	b.paths[flow] = p.Limit(b.maxForwarders - 1)
-	b.invalidate(flow)
+// Add registers the path for the flow at slot (source to destination
+// order). The forwarder cap follows the paper's convention: the
+// destination counts as the highest-priority forwarder, so a cap of 5
+// allows the destination plus four intermediate stations.
+func (b *RouteBook) Add(slot int, p routing.Path) {
+	b.paths = pkt.Extend(b.paths, slot)
+	b.unreachable = pkt.Extend(b.unreachable, slot)
+	b.unreachDrops = pkt.Extend(b.unreachDrops, slot)
+	if slot >= len(b.fwdCache) {
+		// Reslice first: the lists past the length keep their capacity.
+		b.fwdCache = pkt.Extend(b.fwdCache[:min(slot+1, cap(b.fwdCache))], slot)
+	}
+	b.paths[slot] = p.Limit(b.maxForwarders - 1)
+	b.invalidate(slot)
 	// A fresh route absolves the flow's blacklists and failure streaks: the
 	// route decision already accounts for the current fault overlay.
 	for k := range b.blacklist {
-		if k.flow == flow {
+		if k.slot == slot {
 			delete(b.blacklist, k)
 		}
 	}
 	for k := range b.consecFails {
-		if k.flow == flow {
+		if k.slot == slot {
 			delete(b.consecFails, k)
 		}
 	}
@@ -177,12 +187,9 @@ func (b *RouteBook) Add(flow int, p routing.Path) {
 
 // invalidate drops a flow's cached forwarder lists (in-flight frames keep
 // the old slices; they are never mutated).
-func (b *RouteBook) invalidate(flow int) {
-	for k := range b.fwdCache {
-		if k.flow == flow {
-			delete(b.fwdCache, k)
-		}
-	}
+func (b *RouteBook) invalidate(slot int) {
+	clear(b.fwdCache[slot])
+	b.fwdCache[slot] = b.fwdCache[slot][:0]
 }
 
 // Update replaces a flow's path mid-run (route policies recompute routes
@@ -192,25 +199,30 @@ func (b *RouteBook) invalidate(flow int) {
 // packets already queued at a station the new route drops have no next hop
 // any more and are dropped there (counted as MACDrops) — re-routing under
 // load is not free, and loss/MoS results reflect that.
-func (b *RouteBook) Update(flow int, p routing.Path) { b.Add(flow, p) }
+func (b *RouteBook) Update(slot int, p routing.Path) { b.Add(slot, p) }
 
-// Path returns the registered path for a flow (nil if unknown).
-func (b *RouteBook) Path(flow int) routing.Path { return b.paths[flow] }
+// Path returns the registered path for the flow at slot (nil if unknown).
+func (b *RouteBook) Path(slot int) routing.Path {
+	if slot >= len(b.paths) {
+		return nil
+	}
+	return b.paths[slot]
+}
 
-// NextHop returns the next hop for a packet of the given flow currently at
-// `from` and ultimately bound for endpoint `dst`. Blacklisted forwarders
+// NextHop returns the next hop for a packet of the flow at slot currently
+// at `from` and ultimately bound for endpoint `dst`. Blacklisted forwarders
 // are skipped over — the packet is handed to the next station down the
 // path (never past dst, which is exempt from blacklisting).
-func (b *RouteBook) NextHop(flow int, from, dst pkt.NodeID) (pkt.NodeID, bool) {
-	p, ok := b.paths[flow]
-	if !ok {
+func (b *RouteBook) NextHop(slot int, from, dst pkt.NodeID) (pkt.NodeID, bool) {
+	p := b.Path(slot)
+	if p == nil {
 		return 0, false
 	}
 	hop, ok := p.NextHop(from, dst)
 	if !ok {
 		return hop, ok
 	}
-	if bl := b.blacklist[blKey{flow: flow, from: from}]; bl != nil {
+	if bl := b.blacklisted(slot, from); bl != nil {
 		for hop != dst && bl[hop] {
 			next, ok := p.NextHop(hop, dst)
 			if !ok {
@@ -222,21 +234,31 @@ func (b *RouteBook) NextHop(flow int, from, dst pkt.NodeID) (pkt.NodeID, bool) {
 	return hop, true
 }
 
-// FwdList returns the destination-first prioritised forwarder list for a
-// transmission by `from` toward endpoint `dst` on the given flow. The
-// returned slice is owned by the RouteBook and must be treated as
-// immutable (frames embed it directly).
-func (b *RouteBook) FwdList(flow int, from, dst pkt.NodeID) []pkt.NodeID {
-	key := fwdKey{flow: flow, from: from, toward: dst}
-	if list, ok := b.fwdCache[key]; ok {
-		return list
-	}
-	p, ok := b.paths[flow]
-	if !ok {
+// blacklisted returns the stations sender `from` blacklists for the flow at
+// slot, nil when it blacklists none.
+func (b *RouteBook) blacklisted(slot int, from pkt.NodeID) map[pkt.NodeID]bool {
+	if len(b.blacklist) == 0 {
 		return nil
 	}
+	return b.blacklist[blKey{slot: slot, from: from}]
+}
+
+// FwdList returns the destination-first prioritised forwarder list for a
+// transmission by `from` toward endpoint `dst` on the flow at slot. The
+// returned slice is owned by the RouteBook and must be treated as
+// immutable (frames embed it directly).
+func (b *RouteBook) FwdList(slot int, from, dst pkt.NodeID) []pkt.NodeID {
+	p := b.Path(slot)
+	if p == nil {
+		return nil
+	}
+	for _, e := range b.fwdCache[slot] {
+		if e.from == from && e.toward == dst {
+			return e.list
+		}
+	}
 	list := p.FwdList(from, dst)
-	if bl := b.blacklist[blKey{flow: flow, from: from}]; len(bl) > 0 {
+	if bl := b.blacklisted(slot, from); len(bl) > 0 {
 		filtered := make([]pkt.NodeID, 0, len(list))
 		for _, n := range list {
 			if n != dst && bl[n] {
@@ -246,7 +268,7 @@ func (b *RouteBook) FwdList(flow int, from, dst pkt.NodeID) []pkt.NodeID {
 		}
 		list = filtered
 	}
-	b.fwdCache[key] = list
+	b.fwdCache[slot] = append(b.fwdCache[slot], fwdEntry{from: from, toward: dst, list: list})
 	return list
 }
 
@@ -263,9 +285,9 @@ func (b *RouteBook) EnableFailureDetection(threshold int) {
 	b.failThreshold = threshold
 }
 
-// NoteTxFailure records one abandoned packet by `from` for the flow —
-// MACs call it at the terminal drop, not per ACK timeout, because on a
-// lossy channel single timeouts are routine while a dead next hop
+// NoteTxFailure records one abandoned packet by `from` for the flow at
+// slot — MACs call it at the terminal drop, not per ACK timeout, because
+// on a lossy channel single timeouts are routine while a dead next hop
 // exhausts every packet's retry budget. When the sender's
 // consecutive-failure streak reaches the enabled threshold, the sender
 // blacklists its own path next hop — the station whose silence it has
@@ -276,11 +298,11 @@ func (b *RouteBook) EnableFailureDetection(threshold int) {
 // hammering a possibly dead forwarder — single-relay routes rely on the
 // next epoch's fault-masked route instead. No-op unless
 // EnableFailureDetection was called.
-func (b *RouteBook) NoteTxFailure(flow int, from, dst pkt.NodeID) {
+func (b *RouteBook) NoteTxFailure(slot int, from, dst pkt.NodeID) {
 	if b.failThreshold == 0 {
 		return
 	}
-	key := blKey{flow: flow, from: from}
+	key := blKey{slot: slot, from: from}
 	if b.consecFails == nil {
 		b.consecFails = make(map[blKey]int)
 	}
@@ -289,8 +311,8 @@ func (b *RouteBook) NoteTxFailure(flow int, from, dst pkt.NodeID) {
 		return
 	}
 	b.consecFails[key] = 0
-	p, ok := b.paths[flow]
-	if !ok {
+	p := b.Path(slot)
+	if p == nil {
 		return
 	}
 	target, ok := p.NextHop(from, dst)
@@ -298,7 +320,7 @@ func (b *RouteBook) NoteTxFailure(flow int, from, dst pkt.NodeID) {
 		return
 	}
 	relays := 0
-	for _, n := range b.FwdList(flow, from, dst) {
+	for _, n := range b.FwdList(slot, from, dst) {
 		if n != dst && n != target {
 			relays++
 		}
@@ -316,57 +338,49 @@ func (b *RouteBook) NoteTxFailure(flow int, from, dst pkt.NodeID) {
 	}
 	if !m[target] {
 		m[target] = true
-		b.invalidate(flow)
+		b.invalidate(slot)
 	}
 }
 
 // NoteTxSuccess resets the sender's consecutive-failure streak for the
-// flow (an acknowledged exchange proves its forwarder set alive). No-op
-// unless failure detection is enabled.
-func (b *RouteBook) NoteTxSuccess(flow int, from pkt.NodeID) {
-	if b.failThreshold == 0 || b.consecFails == nil {
+// flow at slot (an acknowledged exchange proves its forwarder set alive).
+// No-op unless failure detection is enabled.
+func (b *RouteBook) NoteTxSuccess(slot int, from pkt.NodeID) {
+	if b.failThreshold == 0 || len(b.consecFails) == 0 {
 		return
 	}
-	delete(b.consecFails, blKey{flow: flow, from: from})
+	delete(b.consecFails, blKey{slot: slot, from: from})
 }
 
 // Blacklisted reports whether sender `from` currently blacklists station
-// n for the flow (tests and diagnostics).
-func (b *RouteBook) Blacklisted(flow int, from, n pkt.NodeID) bool {
-	return b.blacklist[blKey{flow: flow, from: from}][n]
+// n for the flow at slot (tests and diagnostics).
+func (b *RouteBook) Blacklisted(slot int, from, n pkt.NodeID) bool {
+	return b.blacklisted(slot, from)[n]
 }
 
-// SetUnreachable flags or clears a flow whose destination the current
-// epoch world cannot reach. Schemes consult Unreachable at their send and
-// grant points and drop the flow's traffic immediately (counted as
-// Counters.Unreachable) instead of looping retries at the MAC.
-func (b *RouteBook) SetUnreachable(flow int, v bool) {
-	if !v {
-		if b.unreachable != nil {
-			delete(b.unreachable, flow)
-		}
-		return
-	}
-	if b.unreachable == nil {
-		b.unreachable = make(map[int]bool)
-	}
-	b.unreachable[flow] = true
-}
+// SetUnreachable flags or clears the flow at slot as one whose destination
+// the current epoch world cannot reach. Schemes consult Unreachable at
+// their send and grant points and drop the flow's traffic immediately
+// (counted as Counters.Unreachable) instead of looping retries at the MAC.
+func (b *RouteBook) SetUnreachable(slot int, v bool) { b.unreachable[slot] = v }
 
-// Unreachable reports whether the flow is currently flagged unreachable.
-func (b *RouteBook) Unreachable(flow int) bool { return b.unreachable[flow] }
+// Unreachable reports whether the flow at slot is currently flagged
+// unreachable.
+func (b *RouteBook) Unreachable(slot int) bool {
+	return slot < len(b.unreachable) && b.unreachable[slot]
+}
 
 // NoteUnreachableDrop attributes one unreachable-destination drop to the
-// flow (surfaced as FlowResult.Unreachable).
-func (b *RouteBook) NoteUnreachableDrop(flow int) {
-	if b.unreachDrops == nil {
-		b.unreachDrops = make(map[int]int64)
-	}
-	b.unreachDrops[flow]++
-}
+// flow at slot (surfaced as FlowResult.Unreachable).
+func (b *RouteBook) NoteUnreachableDrop(slot int) { b.unreachDrops[slot]++ }
 
 // UnreachableDrops returns the flow's unreachable-destination drop count.
-func (b *RouteBook) UnreachableDrops(flow int) int64 { return b.unreachDrops[flow] }
+func (b *RouteBook) UnreachableDrops(slot int) int64 {
+	if slot >= len(b.unreachDrops) {
+		return 0
+	}
+	return b.unreachDrops[slot]
+}
 
 // Env bundles the per-station dependencies a scheme instance needs.
 type Env struct {

@@ -19,6 +19,7 @@ type harness struct {
 	schemes   []Scheme
 	counters  []Counters
 	delivered [][]*pkt.Packet
+	routes    *RouteBook
 	nextUID   uint64
 	nextSeq   map[int]int64
 }
@@ -35,10 +36,12 @@ func newHarness(t *testing.T, positions []radio.Pos, rc radio.Config,
 	t.Helper()
 	h := &harness{eng: sim.NewEngine()}
 	h.med = radio.NewMedium(h.eng, rc, phys.Default(), positions, sim.NewRNG(1, 1))
+	// A flow's ID doubles as its slot in the route book.
 	routes := NewRouteBook(5)
 	for id, p := range paths {
 		routes.Add(id, p)
 	}
+	h.routes = routes
 	h.schemes = make([]Scheme, len(positions))
 	h.counters = make([]Counters, len(positions))
 	h.delivered = make([][]*pkt.Packet, len(positions))
@@ -72,11 +75,21 @@ func (h *harness) inject(from pkt.NodeID, flow int, n int, dst pkt.NodeID) {
 		h.nextSeq[flow]++
 		p := &pkt.Packet{
 			UID: uint64(flow)<<32 | h.nextUID, FlowID: flow,
-			Seq: seq, Bytes: 1000, Src: from, Dst: dst,
+			Stream: h.stream(flow, from),
+			Seq:    seq, Bytes: 1000, Src: from, Dst: dst,
 			Created: h.eng.Now(),
 		}
 		h.schemes[from].Send(p)
 	}
+}
+
+// stream is the stream of flow's packets sent from `from`: forward from the
+// path's source, reverse from anywhere else.
+func (h *harness) stream(flow int, from pkt.NodeID) int32 {
+	if from == h.routes.Path(flow).Src() {
+		return pkt.StreamOf(flow, 0)
+	}
+	return pkt.StreamOf(flow, 1)
 }
 
 func linePositions(n int) []radio.Pos {

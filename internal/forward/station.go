@@ -49,10 +49,12 @@ type Station struct {
 
 	// The open (or next) exchange. InService is the batch being transmitted
 	// until acknowledged or abandoned; SvcFlow and SvcDst name the flow and
-	// end-to-end direction its failures and successes are attributed to;
-	// Attempts counts its consecutive failures.
+	// end-to-end direction its failures and successes are attributed to, and
+	// SvcSlot is that flow's slot in the route book; Attempts counts its
+	// consecutive failures.
 	InService  []*pkt.Packet
 	SvcFlow    int
+	SvcSlot    int
 	SvcDst     pkt.NodeID
 	Attempts   int
 	exchanging bool
@@ -93,7 +95,7 @@ func (s *Station) Send(p *pkt.Packet) bool {
 		p.Release() // station is crashed: terminal drop point
 		return false
 	}
-	if s.Routes.Unreachable(p.FlowID) {
+	if s.Routes.Unreachable(p.FlowSlot()) {
 		// The destination is known unreachable this epoch: drop at the
 		// source instead of burning airtime on doomed retries.
 		s.DropNoRoute(p)
@@ -122,9 +124,9 @@ func (s *Station) Enqueue(p *pkt.Packet) bool {
 // forward for: typed unreachable when faults cut the destination off, a
 // plain MAC drop otherwise (a route update left the packet stranded here).
 func (s *Station) DropNoRoute(p *pkt.Packet) {
-	if s.Routes.Unreachable(p.FlowID) {
+	if s.Routes.Unreachable(p.FlowSlot()) {
 		s.C.Unreachable++
-		s.Routes.NoteUnreachableDrop(p.FlowID)
+		s.Routes.NoteUnreachableDrop(p.FlowSlot())
 	} else {
 		s.C.MACDrops++
 	}
@@ -200,7 +202,7 @@ func (s *Station) Succeed() {
 	s.timer.Stop()
 	s.exchanging = false
 	s.Attempts = 0
-	s.Routes.NoteTxSuccess(s.SvcFlow, s.ID)
+	s.Routes.NoteTxSuccess(s.SvcSlot, s.ID)
 	s.Cont.Success()
 	s.MaybeRequest()
 }
@@ -226,7 +228,7 @@ func (s *Station) FailExchange(expired func(*pkt.Packet) bool) {
 		kept = append(kept, p)
 	}
 	if len(kept) < len(s.InService) {
-		s.Routes.NoteTxFailure(s.SvcFlow, s.ID, s.SvcDst)
+		s.Routes.NoteTxFailure(s.SvcSlot, s.ID, s.SvcDst)
 	}
 	s.InService = kept
 	if len(kept) == 0 {

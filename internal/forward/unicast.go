@@ -79,7 +79,7 @@ func (u *Unicast) buildBatch() {
 		if head == nil {
 			return
 		}
-		next, ok := u.Routes.NextHop(head.FlowID, u.ID, head.Dst)
+		next, ok := u.Routes.NextHop(head.FlowSlot(), u.ID, head.Dst)
 		if !ok {
 			// No route from here: drop and try the next packet.
 			u.Queue.Pop()
@@ -87,10 +87,10 @@ func (u *Unicast) buildBatch() {
 			continue
 		}
 		u.svcNext = next
-		u.SvcFlow = head.FlowID
+		u.SvcFlow, u.SvcSlot = head.FlowID, head.FlowSlot()
 		u.SvcDst = head.Dst
 		u.InService = u.Queue.PopNWhereInto(u.InService[:0], u.maxAgg, func(p *pkt.Packet) bool {
-			nh, ok := u.Routes.NextHop(p.FlowID, u.ID, p.Dst)
+			nh, ok := u.Routes.NextHop(p.FlowSlot(), u.ID, p.Dst)
 			return ok && nh == next
 		})
 		return

@@ -47,7 +47,7 @@ func newLifecycleRig(kind SchemeKind) *lifecycleRig {
 	r := &lifecycleRig{eng: sim.NewEngine(), pool: &pkt.Pool{}}
 	r.med = radio.NewMedium(r.eng, cfg.Radio, cfg.Phy, top.Positions, sim.NewRNG(1, 1))
 	routes := forward.NewRouteBook(cfg.MaxForwarders)
-	routes.Add(1, path[:3])
+	routes.Add(0, path[:3]) // flow 1 is the rig's only flow: slot 0
 	r.schemes = make([]forward.Scheme, 3)
 	r.counters = make([]forward.Counters, 3)
 	agents := &run{cfg: &cfg}
@@ -64,7 +64,7 @@ func newLifecycleRig(kind SchemeKind) *lifecycleRig {
 	return r
 }
 
-// packet draws one flow-1 packet (0 → 2) from the pool.
+// packet draws one flow-1 packet (0 → 2, stream 0) from the pool.
 func (r *lifecycleRig) packet() *pkt.Packet {
 	r.uid++
 	p := r.pool.Get()

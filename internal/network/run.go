@@ -19,10 +19,11 @@ import (
 	"ripple/internal/transport"
 )
 
-// endpointKey routes delivered packets to the right transport endpoint.
-type endpointKey struct {
-	flow int
+// endpoint is where one stream's packets are handed to transport: the
+// receiver, at the station the stream ends at.
+type endpoint struct {
 	node pkt.NodeID
+	recv receiver
 }
 
 type receiver interface {
@@ -64,9 +65,10 @@ type arena struct {
 	deliver   []func(*pkt.Packet)
 	send      []transport.SendFunc
 
-	// Per flow: statistics, traffic stream, and the transport and traffic
-	// source slabs by kind.
-	endpoints map[endpointKey]receiver
+	// Per flow: the endpoint of each of its two streams (indexed by
+	// pkt.Packet.Stream), statistics, traffic stream, and the transport and
+	// traffic source slabs by kind.
+	endpoints []endpoint
 	flowStats []stats.Flow
 	flowRNGs  []sim.RNG
 	tcps      []transport.TCP
@@ -204,6 +206,7 @@ func (r *run) reset() {
 	r.pool.Reset()
 	r.routes.Init(0)
 	clear(r.endpoints)
+	r.endpoints = r.endpoints[:0]
 	*r = run{arena: r.arena}
 }
 
@@ -226,8 +229,8 @@ func (r *run) build(cfg *Config, world *World) {
 	r.medium.Init(&r.eng, world.plan, cfg.Phy, &r.shadowing)
 	r.medium.Trace = cfg.Trace
 	r.routes.Init(cfg.MaxForwarders)
-	for i, f := range cfg.Flows {
-		r.routes.Add(f.ID, world.routes[i])
+	for i := range cfg.Flows {
+		r.routes.Add(i, world.routes[i])
 	}
 	if world.faults != nil {
 		// Graceful degradation: consecutive delivery failures to a forwarder
@@ -253,9 +256,9 @@ func (r *run) build(cfg *Config, world *World) {
 		// alone, so they are made once and serve every run.
 		id := pkt.NodeID(i)
 		r.deliver = append(r.deliver, func(p *pkt.Packet) {
-			if ep, ok := r.endpoints[endpointKey{flow: p.FlowID, node: id}]; ok {
+			if ep := r.endpoints[p.Stream]; ep.recv != nil && ep.node == id {
 				p.MarkDelivered()
-				ep.Receive(id, p)
+				ep.recv.Receive(id, p)
 			}
 		})
 		r.send = append(r.send, func(p *pkt.Packet) bool { return r.schemes[id].Send(p) })
@@ -372,8 +375,8 @@ func (r *run) armEpochs() {
 		r.medium.SetPlan(ew.plan)
 		r.policy = ew.policy
 		if routeUpdates {
-			for i, f := range r.cfg.Flows {
-				r.routes.Update(f.ID, ew.routes[i])
+			for i := range r.cfg.Flows {
+				r.routes.Update(i, ew.routes[i])
 			}
 		}
 		for i, f := range r.cfg.Flows {
@@ -383,8 +386,8 @@ func (r *run) armEpochs() {
 				r.routeStale++
 				r.traceFlow("route-stale", f)
 			}
-			if ew.unreach != nil && ew.unreach[i] != r.routes.Unreachable(f.ID) {
-				r.routes.SetUnreachable(f.ID, ew.unreach[i])
+			if ew.unreach != nil && ew.unreach[i] != r.routes.Unreachable(i) {
+				r.routes.SetUnreachable(i, ew.unreach[i])
 				if ew.unreach[i] {
 					r.traceFlow("unreachable", f)
 				}
@@ -431,10 +434,10 @@ func (r *run) armReroute() {
 		return depthSum[n] / sampled
 	}
 	r.rerouteTimer.Bind(&r.eng, func() {
-		for _, f := range r.cfg.Flows {
+		for i, f := range r.cfg.Flows {
 			p, err := r.policy.Route(f.Path.Src(), f.Path.Dst(), backlog)
 			if err == nil {
-				r.routes.Update(f.ID, p)
+				r.routes.Update(i, p)
 			}
 		}
 		clear(depthSum)
@@ -522,9 +525,7 @@ func (r *run) startFlows() error {
 	r.flowStats = grown(r.flowStats, len(cfg.Flows))
 	r.flowRNGs = grown(r.flowRNGs, len(cfg.Flows))
 	r.starts = grown(r.starts, len(cfg.Flows))
-	if r.endpoints == nil {
-		r.endpoints = make(map[endpointKey]receiver)
-	}
+	r.endpoints = grown(r.endpoints, 2*len(cfg.Flows))
 	nTCP, nWeb, nVoIP, nCBR = 0, 0, 0, 0
 	for i, f := range cfg.Flows {
 		fs := &r.flowStats[i]
@@ -543,8 +544,9 @@ func (r *run) startFlows() error {
 			nTCP++
 			conn.Init(eng, tcpCfg, f.ID, src, dst, r.send[src], r.send[dst], fs)
 			conn.SetPool(&r.pool)
-			r.endpoints[endpointKey{f.ID, src}] = conn
-			r.endpoints[endpointKey{f.ID, dst}] = conn
+			conn.SetSlot(i)
+			r.endpoints[pkt.StreamOf(i, 0)] = endpoint{dst, conn}
+			r.endpoints[pkt.StreamOf(i, 1)] = endpoint{src, conn}
 			if f.Kind == FTP {
 				start.source = conn
 			} else {
@@ -568,7 +570,8 @@ func (r *run) startFlows() error {
 			rng.Seed(cfg.Seed, 10000+uint64(f.ID))
 			v.Init(eng, voipCfg, f.ID, src, dst, r.send[src], fs, rng)
 			v.SetPool(&r.pool)
-			r.endpoints[endpointKey{f.ID, dst}] = v
+			v.SetSlot(i)
+			r.endpoints[pkt.StreamOf(i, 0)] = endpoint{dst, v}
 			start.source = v
 		case CBRTraffic:
 			// CBRInterval zero selects backlogged (saturating) mode.
@@ -580,7 +583,8 @@ func (r *run) startFlows() error {
 			nCBR++
 			c.Init(eng, f.ID, src, dst, bytes, f.CBRInterval, r.send[src], fs)
 			c.SetPool(&r.pool)
-			r.endpoints[endpointKey{f.ID, dst}] = c
+			c.SetSlot(i)
+			r.endpoints[pkt.StreamOf(i, 0)] = endpoint{dst, c}
 			start.source = c
 		}
 		eng.Do(f.Start, start)
@@ -621,7 +625,7 @@ func (r *run) fold() *Result {
 			ReorderRate:    fs.ReorderRate(),
 			PktsDelivered:  fs.PktsDelivered,
 			Transfers:      fs.TransfersCompleted,
-			Unreachable:    r.routes.UnreachableDrops(f.ID),
+			Unreachable:    r.routes.UnreachableDrops(i),
 		}
 		if f.Kind == VoIPTraffic {
 			fr.LossRate = fs.VoIPLossRate()

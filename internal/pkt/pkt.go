@@ -22,8 +22,15 @@ type Packet struct {
 	// UID is unique across the whole simulation run; used for duplicate
 	// suppression and ACK bookkeeping.
 	UID uint64
-	// FlowID identifies the end-to-end flow the packet belongs to.
+	// FlowID identifies the end-to-end flow the packet belongs to: the
+	// user's label, any unique int, reported in traces and results.
 	FlowID int
+	// Stream is the run-local slot of the packet's flow and direction,
+	// 2·i + dir: i is the flow's index in the run's flow list, dir 0 the
+	// source-to-destination direction and 1 the reverse (TCP ACKs). The
+	// layers below transport keep per-stream and per-flow state in slices
+	// indexed by it (see FlowSlot); nothing indexes by FlowID.
+	Stream int32
 	// Seq is the flow-local sequence number (0-based, per direction),
 	// assigned by the transport layer. Transport retransmissions reuse it.
 	Seq int64
@@ -56,6 +63,23 @@ type Packet struct {
 	// delivered marks a packet that reached its endpoint, so the final
 	// Release can classify it for the pool's conservation counters.
 	delivered bool
+}
+
+// StreamOf returns the stream slot of direction dir (0 forward, 1 reverse)
+// of the flow at index slot.
+func StreamOf(slot, dir int) int32 { return int32(2*slot + dir) }
+
+// FlowSlot returns the index of the packet's flow in the run's flow list.
+func (p *Packet) FlowSlot() int { return int(p.Stream >> 1) }
+
+// Extend returns s lengthened with zero elements, if need be, so that index
+// i is in range: a table indexed by stream or flow slot grows to the
+// highest slot it is asked about.
+func Extend[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]T, i+1-len(s))...)
 }
 
 // TCPHeader is what a TCP packet carries besides Seq, its data sequence

@@ -223,13 +223,14 @@ type Medium struct {
 	// onAir counts the records out of the pool. slabOf is Transmit's
 	// scratch map from plan-row position to slab index. pOKByBits memoizes
 	// the bitsSurvive survival probability per distinct bit length (the BER
-	// is fixed for the run); pktOKBuf is the per-reception sub-packet CRC
+	// is fixed for the run), searched linearly: a run has a handful of
+	// packet sizes; pktOKBuf is the per-reception sub-packet CRC
 	// scratch handed to MAC.FrameReceived (valid only during the upcall).
 	freeTx    sim.FreeList[txDone]
 	freeAir   sim.FreeList[transmission]
 	onAir     int
 	slabOf    []int32
-	pOKByBits map[int]float64
+	pOKByBits []survival
 	pktOKBuf  []bool
 	// quarantine is the deep audit's setting: released frames and reception
 	// slabs are poisoned and never reissued (see Quarantine).
@@ -308,9 +309,6 @@ func (m *Medium) Init(eng *sim.Engine, plan *LinkPlan, p phys.Params, rng *sim.R
 		s := &m.stations[i]
 		*s = station{id: pkt.NodeID(i), pos: pos, current: s.current[:0]}
 	}
-	if m.pOKByBits == nil {
-		m.pOKByBits = make(map[int]float64)
-	}
 }
 
 // Reset takes the medium off its engine, plan and stream and empties it,
@@ -325,11 +323,10 @@ func (m *Medium) Reset() {
 	m.freeTx.Recall((*txDone).wipe)
 	m.freeAir.Recall((*transmission).wipe)
 	m.frames.Reset()
-	clear(m.pOKByBits)
 	*m = Medium{
 		stations: m.stations[:0],
 		freeTx:   m.freeTx, freeAir: m.freeAir, frames: m.frames,
-		slabOf: m.slabOf, pktOKBuf: m.pktOKBuf, pOKByBits: m.pOKByBits,
+		slabOf: m.slabOf, pktOKBuf: m.pktOKBuf, pOKByBits: m.pOKByBits[:0],
 		down: m.down[:0], noiseDB: m.noiseDB[:0],
 	}
 }
@@ -818,10 +815,18 @@ func (m *Medium) bitsSurvive(bits int, ber float64) bool {
 	if ber <= 0 {
 		return true
 	}
-	pOK, ok := m.pOKByBits[bits]
-	if !ok {
-		pOK = math.Pow(1-ber, float64(bits))
-		m.pOKByBits[bits] = pOK
+	for _, s := range m.pOKByBits {
+		if s.bits == bits {
+			return m.rng.Float64() < s.pOK
+		}
 	}
+	pOK := math.Pow(1-ber, float64(bits))
+	m.pOKByBits = append(m.pOKByBits, survival{bits, pOK})
 	return m.rng.Float64() < pOK
+}
+
+// survival is the memoized probability that a run of bits survives the BER.
+type survival struct {
+	bits int
+	pOK  float64
 }

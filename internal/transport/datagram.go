@@ -52,6 +52,7 @@ type VoIP struct {
 	timer sim.Timer // the stream's one timer, bound to wake
 	stop  bool
 	pool  *pkt.Pool
+	slot  int // see SetSlot
 }
 
 // NewVoIP creates a voice stream; call Start to begin the first on period.
@@ -77,6 +78,10 @@ func (v *VoIP) Init(eng *sim.Engine, cfg VoIPConfig, flow int, src, dst pkt.Node
 // SetPool makes the stream draw its packets from a per-run pool (see
 // TCP.SetPool); nil keeps plain allocation.
 func (v *VoIP) SetPool(pl *pkt.Pool) { v.pool = pl }
+
+// SetSlot makes the stream the flow at index i of its run: its packets
+// carry stream pkt.StreamOf(i, 0). Zero is the default.
+func (v *VoIP) SetSlot(i int) { v.slot = i }
 
 // Start begins the on-off cycle.
 func (v *VoIP) Start() { v.beginOn() }
@@ -130,6 +135,7 @@ func (v *VoIP) emit() {
 	}
 	p.UID = uint64(v.flow)<<33 | 1<<31 | v.uid
 	p.FlowID = v.flow
+	p.Stream = pkt.StreamOf(v.slot, 0)
 	p.Seq = v.seq
 	p.Bytes = v.cfg.PacketBytes()
 	p.Src = v.src
@@ -171,6 +177,7 @@ type CBR struct {
 	timer sim.Timer // the source's one timer, bound to emit
 	stop  bool
 	pool  *pkt.Pool
+	slot  int // see SetSlot
 }
 
 // backlogRefill is the refill period of backlogged mode.
@@ -205,6 +212,10 @@ func (c *CBR) Init(eng *sim.Engine, flow int, src, dst pkt.NodeID, bytes int,
 // best customer: packets rejected by the saturated MAC queue recycle
 // immediately, so the refill loop stops allocating at all.
 func (c *CBR) SetPool(pl *pkt.Pool) { c.pool = pl }
+
+// SetSlot makes the source the flow at index i of its run (see
+// VoIP.SetSlot).
+func (c *CBR) SetSlot(i int) { c.slot = i }
 
 // Start begins emission.
 func (c *CBR) Start() { c.emit() }
@@ -253,6 +264,7 @@ func (c *CBR) packet() *pkt.Packet {
 	}
 	p.UID = uint64(c.flow)<<33 | 1<<30 | c.uid
 	p.FlowID = c.flow
+	p.Stream = pkt.StreamOf(c.slot, 0)
 	p.Seq = c.seq
 	p.Bytes = c.bytes
 	p.Src = c.src

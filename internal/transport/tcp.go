@@ -87,8 +87,10 @@ type TCP struct {
 	uidData uint64
 	uidAck  uint64
 
-	// pool, when set, recycles packet structs (see SetPool).
+	// pool, when set, recycles packet structs (see SetPool); slot is the
+	// flow's index in the run (see SetSlot).
 	pool *pkt.Pool
+	slot int
 }
 
 // txStamp is one slot of the send-time ring: segment seq was sent, once, at
@@ -154,6 +156,11 @@ func (t *TCP) Init(eng *sim.Engine, cfg TCPConfig, flow int, src, dst pkt.NodeID
 // delivery/drop points in the MAC layer; nil (the default) keeps plain
 // allocation.
 func (t *TCP) SetPool(pl *pkt.Pool) { t.pool = pl }
+
+// SetSlot makes the connection the flow at index i of its run: data
+// segments carry stream pkt.StreamOf(i, 0), ACKs pkt.StreamOf(i, 1). Zero
+// is the default.
+func (t *TCP) SetSlot(i int) { t.slot = i }
 
 // newPacket draws from the pool when one is attached.
 func (t *TCP) newPacket() *pkt.Packet {
@@ -234,6 +241,7 @@ func (t *TCP) emitData(seq int64, fresh bool) {
 	p := t.newPacket()
 	p.UID = uint64(t.flow)<<33 | t.uidData
 	p.FlowID = t.flow
+	p.Stream = pkt.StreamOf(t.slot, 0)
 	p.Seq = seq
 	p.Bytes = t.cfg.MSS
 	p.Src = t.src
@@ -410,6 +418,7 @@ func (t *TCP) emitAck() {
 	p := t.newPacket()
 	p.UID = uint64(t.flow)<<33 | 1<<32 | t.uidAck
 	p.FlowID = t.flow
+	p.Stream = pkt.StreamOf(t.slot, 1)
 	p.Seq = t.ackEmit
 	p.Bytes = t.cfg.AckBytes
 	p.Src = t.dst
