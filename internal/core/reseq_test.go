@@ -220,3 +220,23 @@ func TestRqReleaseCustodyReleasesBuffered(t *testing.T) {
 	eng.Run(sim.Second)
 	assertSeqs(t, *got, []int64{0})
 }
+
+// A gap that overflows the buffer skips before the arriving packet is
+// buffered, so a packet older than what the skip delivered waits below
+// expected, at the buffer's head. In-order delivery past it goes on, and
+// the next skip goes back for it.
+func TestRqOverflowKeepsLatePacketForNextSkip(t *testing.T) {
+	opt := DefaultOptions()
+	opt.RqCap = 4
+	opt.RqHold = 10 * sim.Millisecond
+	eng, r, got := newRqHarness(t, opt)
+	for _, s := range []int64{0, 5, 6, 7, 8} {
+		r.deliver(rqPkt(s))
+	}
+	r.deliver(rqPkt(2))  // full: the skip delivers 5..8, then 2 is buffered
+	r.deliver(rqPkt(10)) // a gap at 9, buffered behind 2
+	r.deliver(rqPkt(9))  // in order: 9, and 10 drains past the late 2
+	assertSeqs(t, *got, []int64{0, 5, 6, 7, 8, 9, 10})
+	eng.Run(sim.Second) // the hold expires: the skip goes back to 2
+	assertSeqs(t, *got, []int64{0, 5, 6, 7, 8, 9, 10, 2})
+}

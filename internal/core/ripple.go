@@ -100,7 +100,7 @@ type Ripple struct {
 	macSeq []int64
 	// piggy tracks local packets riding on relayed frames (LocalAggOnRelay),
 	// one entry per mTXOP they joined, until the bitmap ACK covers them.
-	piggy []piggyback
+	piggy []piggyEntry
 
 	// Hot-path scratch and free lists: okScratch collects the decoded
 	// sub-packets of one reception (valid only within the handler),
@@ -112,8 +112,8 @@ type Ripple struct {
 	freeRq     sim.FreeList[reseq]
 }
 
-// piggyback is the local packets a forwarder added to one mTXOP's relay.
-type piggyback struct {
+// piggyEntry is the local packets a forwarder added to one mTXOP's relay.
+type piggyEntry struct {
 	txop uint64
 	pkts []*pkt.Packet
 }
@@ -273,7 +273,6 @@ func (r *Ripple) handleAck(f *pkt.Frame) {
 				kept = append(kept, p)
 			}
 		}
-		clear(pending[len(kept):])
 		if len(kept) == 0 {
 			r.piggy = slices.Delete(r.piggy, i, i+1)
 		} else {
@@ -428,7 +427,7 @@ func (r *Ripple) piggyback(relay *pkt.Frame) {
 	if i := r.findPiggy(relay.TxopID); i >= 0 {
 		r.piggy[i].pkts = append(r.piggy[i].pkts, local...)
 	} else {
-		r.piggy = append(r.piggy, piggyback{txop: relay.TxopID, pkts: local})
+		r.piggy = append(r.piggy, piggyEntry{txop: relay.TxopID, pkts: local})
 	}
 	// If the mTXOP's ACK never comes back through us, reclaim the packets
 	// so they are retransmitted in our own transmission opportunity.

@@ -113,3 +113,33 @@ func TestFrameKindString(t *testing.T) {
 		t.Fatal("unknown kind should still format")
 	}
 }
+
+// A flow's two directions are adjacent streams, and both name the flow's
+// slot.
+func TestStreamSlots(t *testing.T) {
+	for slot := 0; slot < 4; slot++ {
+		for dir := 0; dir < 2; dir++ {
+			p := &Packet{Stream: StreamOf(slot, dir)}
+			if p.Stream != int32(2*slot+dir) || p.FlowSlot() != slot {
+				t.Fatalf("StreamOf(%d, %d) = %d, FlowSlot %d", slot, dir, p.Stream, p.FlowSlot())
+			}
+		}
+	}
+}
+
+// Extend lengthens with zeros up to the index asked for, keeps what the
+// slice held, and leaves a long enough slice alone.
+func TestExtend(t *testing.T) {
+	s := Extend([]int{7}, 3)
+	if len(s) != 4 || s[0] != 7 || s[1] != 0 || s[3] != 0 {
+		t.Fatalf("Extend([7], 3) = %v", s)
+	}
+	reused := append(make([]int, 0, 8), 1, 2, 3)
+	reused[:5][4] = 9 // a stale element past the length must come back zero
+	if s := Extend(reused, 4); len(s) != 5 || s[4] != 0 {
+		t.Fatalf("Extend over stale capacity = %v", s)
+	}
+	if s := Extend([]int{1, 2}, 1); len(s) != 2 {
+		t.Fatalf("Extend within range changed the length: %v", s)
+	}
+}
