@@ -131,6 +131,13 @@ func (s MobilitySpec) model(initial []radio.Pos) (mobility.Model, error) {
 // everything else in the World, the sequence is a pure function of the
 // Config's non-seed fields (the trajectory seed lives in MobilitySpec,
 // the fault seed in FaultSpec, never Config.Seed).
+//
+// The work is a two-stage pipeline. One goroutine steps the mobility model
+// and rebuilds the plan chain, each plan from the one before; the caller
+// derives each epoch's world — table patch, fault mask, routes — as its
+// plan arrives. Each stage is sequential in itself and a plan is immutable
+// once sent, so the worlds are those a single goroutine would build.
+// buildEpochs returns only after the plan goroutine has, on every path.
 func (w *World) buildEpochs(cfg *Config) error {
 	var model mobility.Model
 	if cfg.Mobility.active() {
@@ -145,17 +152,40 @@ func (w *World) buildEpochs(cfg *Config) error {
 	if n <= 0 {
 		return nil
 	}
-	pos := append([]radio.Pos(nil), cfg.Positions...)
+	// The channel holds every plan, so the plan goroutine never blocks on a
+	// caller that has stopped reading; the worlds keep every plan anyway.
+	plans := make(chan *radio.LinkPlan, n)
+	stop := make(chan struct{})
+	go func() {
+		defer close(plans)
+		pos := append([]radio.Pos(nil), cfg.Positions...)
+		plan := w.plan
+		for range n {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if model != nil {
+				model.Step(pos)
+			}
+			plan = plan.Rebuild(pos)
+			plans <- plan
+		}
+	}()
+	defer func() {
+		close(stop)
+		for range plans {
+		}
+	}()
+
 	ln := &lineage{faults: w.faults, prev: w, clean: w.table}
 	if w.faults != nil {
 		ln.counts = w.faults.ToggleCounts(0, nil)
 	}
 	w.epochs = make([]*World, 0, n)
 	for e := 0; e < n; e++ {
-		if model != nil {
-			model.Step(pos)
-		}
-		ew, err := derive(cfg, ln, pos, sim.Time(e+1)*w.epochLen)
+		ew, err := derive(cfg, ln, <-plans, sim.Time(e+1)*w.epochLen)
 		if err != nil {
 			return err
 		}

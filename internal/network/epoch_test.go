@@ -3,7 +3,10 @@ package network
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"ripple/internal/campaign/pool"
 	"ripple/internal/fault"
@@ -135,7 +138,7 @@ func TestEpochIncrementalMatchesScratch(t *testing.T) {
 				prevMasked := false
 				for e, ew := range w.epochs {
 					model.Step(pos)
-					want, err := derive(&cfg, nil, pos, 0)
+					want, err := derive(&cfg, nil, radio.NewLinkPlan(cfg.Radio, pos), 0)
 					if err != nil {
 						t.Fatalf("%s epoch %d: %v", name, e, err)
 					}
@@ -376,5 +379,44 @@ func TestUnknownMobilityKindErrors(t *testing.T) {
 	}
 	if !reflect.DeepEqual(names, []string{"static", "waypoint", "markov"}) {
 		t.Fatalf("kind names = %v", names)
+	}
+}
+
+// TestEpochDeriveErrorLeavesNoGoroutine: buildEpochs rebuilds the plan chain
+// on a goroutine of its own while the caller derives each epoch's world, and
+// an error in a derive must come back to the caller with that goroutine
+// gone, not still rebuilding plans nobody will read. No epoch derive fails
+// on a config that built a root world, so the test swaps in an unknown route
+// policy after the root was built: every epoch's policy build then fails.
+func TestEpochDeriveErrorLeavesNoGoroutine(t *testing.T) {
+	// A minute of epochs: a plan goroutine left running would still be
+	// rebuilding long after the deadline below.
+	cfg := cityBenchConfig(true, 60*sim.Second)
+	cfg.Normalize()
+	w, err := BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.epochs = nil
+	bad := cfg
+	bad.Routing.Kind = RoutePolicyKind(99)
+	err = w.buildEpochs(&bad)
+	if err == nil || !strings.Contains(err.Error(), "unknown route policy kind") {
+		t.Fatalf("buildEpochs = %v, want the epoch's route policy error", err)
+	}
+	if len(w.epochs) != 0 {
+		t.Fatalf("%d epoch worlds kept after the first failed", len(w.epochs))
+	}
+	// The plan goroutine's last act is closing the channel the caller
+	// drains before it returns; give it a moment to exit after that.
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(100 * time.Millisecond); ; time.Sleep(time.Millisecond) {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "buildEpochs.func") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("buildEpochs returned with its plan goroutine still running:\n%s", stacks)
+		}
 	}
 }

@@ -84,7 +84,7 @@ func BuildWorld(cfg Config) (*World, error) {
 	if err := validate(&cfg); err != nil {
 		return nil, err
 	}
-	w, err := derive(&cfg, nil, cfg.Positions, 0)
+	w, err := derive(&cfg, nil, radio.NewLinkPlan(cfg.Radio, cfg.Positions), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -118,17 +118,18 @@ type lineage struct {
 	counts, spare []int
 }
 
-// derive builds one world: the root snapshot (ln nil, at 0) or the world of
-// one epoch from its predecessor, the epoch's station positions and the
-// fault overlay in effect at the boundary, advancing ln to it.
+// derive builds one world over its link plan: the root snapshot (ln nil,
+// at 0) or the world of one epoch from its predecessor, the epoch's plan
+// (the predecessor's, row-patched by LinkPlan.Rebuild) and the fault overlay
+// in effect at the boundary, advancing ln to it.
 //
-// The link plan is prev's, row-patched. The link table is built over the
-// same radio model the medium uses, so the metric always matches the
-// channel the packets see, and over exactly the plan's neighbor graph — a
-// pruned pair's mean power sits PruneSigma shadowing deviations below the
-// carrier-sense threshold, which (with CSThreshDBm ≤ RXThreshDBm, true of
-// every radio profile) puts its delivery probability orders of magnitude
-// below minLinkProb, so probing it would store nothing.
+// The link table is built over the same radio model the medium uses, so
+// the metric always matches the channel the packets see, and over exactly
+// the plan's neighbor graph — a pruned pair's mean power sits PruneSigma
+// shadowing deviations below the carrier-sense threshold, which (with
+// CSThreshDBm ≤ RXThreshDBm, true of every radio profile) puts its
+// delivery probability orders of magnitude below minLinkProb, so probing
+// it would store nothing.
 //
 // Every epoch has a clean table — the one a root build over its positions
 // would store — patched row by row from its predecessor's clean table, so
@@ -145,16 +146,13 @@ type lineage struct {
 // did — exactly as a failed in-run dynamic recompute keeps the current
 // one: a transient partition must not kill the run, and Run surfaces the
 // flags as Result.RouteStale and the unreachable machinery instead.
-func derive(cfg *Config, ln *lineage, positions []radio.Pos, at sim.Time) (*World, error) {
-	w := &World{flows: len(cfg.Flows)}
+func derive(cfg *Config, ln *lineage, plan *radio.LinkPlan, at sim.Time) (*World, error) {
+	w := &World{flows: len(cfg.Flows), plan: plan}
 	var prev *World
 	var fs *fault.Schedule
 	var clean *routing.Table
-	if ln == nil {
-		w.plan = radio.NewLinkPlan(cfg.Radio, positions)
-	} else {
+	if ln != nil {
 		prev, fs = ln.prev, ln.faults
-		w.plan = prev.plan.Rebuild(positions)
 		// Two instants with equal toggle counts have identical fault
 		// overlays, and prev is the world of one epoch earlier.
 		toggled := false

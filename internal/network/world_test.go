@@ -151,7 +151,7 @@ func TestSparseWorldTableMatchesDense(t *testing.T) {
 			Flows:     []FlowSpec{{ID: 1, Path: endpointPath(0, 1), Kind: FTP}},
 			Routing:   RoutingSpec{Kind: RouteETX},
 		}
-		w, err := derive(&cfg, nil, cfg.Positions, 0)
+		w, err := derive(&cfg, nil, radio.NewLinkPlan(cfg.Radio, cfg.Positions), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,6 +69,12 @@ type LinkPlan struct {
 // NewLinkPlan precomputes the link attributes and neighbor lists for the
 // given radio configuration and station positions.
 func NewLinkPlan(cfg Config, positions []Pos) *LinkPlan {
+	return newLinkPlan(cfg, positions, 0)
+}
+
+// newLinkPlan is NewLinkPlan with the row builder's chunk count (see
+// buildRows; 0 lets the plan's size choose it).
+func newLinkPlan(cfg Config, positions []Pos, chunks int) *LinkPlan {
 	pl := &LinkPlan{
 		cfg:       cfg,
 		positions: append([]Pos(nil), positions...),
@@ -77,7 +83,7 @@ func NewLinkPlan(cfg Config, positions []Pos) *LinkPlan {
 	pl.pruned = cfg.PruneSigma > 0
 	pl.pruneCutoff = cfg.CSThreshDBm - cfg.PruneSigma*cfg.ShadowSigmaDB
 	if pl.pruned {
-		pl.buildPruned()
+		pl.buildPruned(chunks)
 	} else {
 		pl.buildFull()
 	}
@@ -170,7 +176,7 @@ func (pl *LinkPlan) fullSlot(a, b int) int {
 // floating-point slack of that inversion, and the exact power predicate is
 // still applied per candidate — the kept set is identical to what a full
 // N² sweep with the same predicate would keep.
-func (pl *LinkPlan) buildPruned() {
+func (pl *LinkPlan) buildPruned(chunks int) {
 	n := pl.n
 	pl.off = make([]int64, n+1)
 	if n == 0 {
@@ -186,109 +192,97 @@ func (pl *LinkPlan) buildPruned() {
 	rsq := radius * radius
 	grid := newPosGrid(pl.positions, radius)
 
-	// Pass 1: count in-radius candidates — a tight upper bound on the kept
-	// links (the exact predicate can only reject boundary candidates), so
-	// the flat arrays are sized once, with no dense O(N²) reservation.
-	candidates := 0
-	for i := 0; i < n; i++ {
-		grid.eachCandidate(i, pl.positions, rsq, func(int32) { candidates++ })
+	// Pass 1: count each row's in-radius candidates — a tight upper bound on
+	// its kept links (the exact predicate can only reject boundary
+	// candidates), so the flat arrays are sized once, with no dense O(N²)
+	// reservation.
+	bound := make([]int32, n)
+	for i := range bound {
+		grid.eachCandidate(i, pl.positions, rsq, func(int32) { bound[i]++ })
 	}
-	pl.nbrID = make([]int32, 0, candidates)
-	pl.nbrDBm = make([]float64, 0, candidates)
-	pl.nbrDist = make([]float64, 0, candidates)
-	pl.nbrPD = make([]sim.Time, 0, candidates)
-	pl.lookID = make([]int32, 0, candidates)
-	pl.lookSlot = make([]int32, 0, candidates)
 
 	// Pass 2: compute the exact link attributes per candidate, keep those
 	// clearing the cutoff, and append each row sorted by (power desc, ID).
-	var s rowScratch
-	for i := 0; i < n; i++ {
-		pl.appendScratchRow(i, grid, rsq, &s)
-	}
+	pl.buildRows(bound, chunks, func(v *LinkPlan, i int, s *rowScratch) {
+		v.appendScratchRow(i, grid, rsq, s)
+	})
 }
 
 // rowScratch holds the per-row working slices of a pruned build, hoisted
 // out of the row loops so candidate collection and sorting reuse one set
 // of allocations across all rows.
 type rowScratch struct {
-	ids  []int32
-	dbm  []float64
-	dist []float64
-	perm []int32
-	// oldSlot and newSlot are the epoch patch's slot remaps (see
-	// appendPatchedRow): the new row-relative slot of each surviving old
-	// entry and of each dirty addition.
+	ent []rowEntry
+	// keys are packed (ID, row-relative slot) pairs, uint64(id)<<32 | slot:
+	// sorted, they are a row's lookup index (appendRowLookup) or the dirty
+	// additions' part of it (appendPatchedRow).
+	keys []uint64
+	// oldSlot is the epoch patch's slot remap (see appendPatchedRow): the
+	// new row-relative slot of each surviving old entry.
 	oldSlot []int32
-	newSlot []int32
+}
+
+// rowEntry is one kept link of a row under construction.
+type rowEntry struct {
+	dbm, dist float64
+	id        int32
+}
+
+// rowOrder is the pruned row order: power descending, ties by ID
+// ascending. It is strict (an ID occurs once in a row), so the instability
+// of the sort never shows.
+func rowOrder(a, b rowEntry) int {
+	if a.dbm != b.dbm {
+		if a.dbm > b.dbm {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
 // collect resets the scratch and gathers station i's kept links from the
 // grid's candidates, applying the exact power predicate.
 func (s *rowScratch) collect(pl *LinkPlan, i int, grid *posGrid, rsq float64) {
-	s.ids, s.dbm, s.dist = s.ids[:0], s.dbm[:0], s.dist[:0]
+	s.ent = s.ent[:0]
 	grid.eachCandidate(i, pl.positions, rsq, func(j int32) {
 		d := Dist(pl.positions[i], pl.positions[j])
 		p := pl.cfg.MeanRxPowerDBm(d)
 		if p < pl.pruneCutoff {
 			return
 		}
-		s.ids = append(s.ids, j)
-		s.dbm = append(s.dbm, p)
-		s.dist = append(s.dist, d)
-	})
-}
-
-// sort orders the scratch entries by (power desc, ID asc) — the pruned
-// row order — leaving the permutation in s.perm.
-func (s *rowScratch) sort() {
-	s.perm = s.perm[:0]
-	for k := range s.ids {
-		s.perm = append(s.perm, int32(k))
-	}
-	// slices.SortFunc, not sort.Slice: the reflection-based swapper is
-	// the build's hottest path at city scale. Both orders are strict
-	// (the ID tiebreak is unique within a row), so the instability of
-	// either algorithm never shows.
-	slices.SortFunc(s.perm, func(ka, kb int32) int {
-		if s.dbm[ka] != s.dbm[kb] {
-			if s.dbm[ka] > s.dbm[kb] {
-				return -1
-			}
-			return 1
-		}
-		return int(s.ids[ka] - s.ids[kb])
+		s.ent = append(s.ent, rowEntry{dbm: p, dist: d, id: j})
 	})
 }
 
 // appendScratchRow computes station i's row from scratch via the grid and
 // appends it power-sorted, with its lookup index and off entry.
 func (pl *LinkPlan) appendScratchRow(i int, grid *posGrid, rsq float64, s *rowScratch) {
+	rowStart := len(pl.nbrID)
 	s.collect(pl, i, grid, rsq)
-	s.sort()
-	for _, k := range s.perm {
-		pl.nbrID = append(pl.nbrID, s.ids[k])
-		pl.nbrDBm = append(pl.nbrDBm, s.dbm[k])
-		pl.nbrDist = append(pl.nbrDist, s.dist[k])
-		pl.nbrPD = append(pl.nbrPD, propDelay(s.dist[k]))
+	slices.SortFunc(s.ent, rowOrder)
+	for _, e := range s.ent {
+		pl.nbrID = append(pl.nbrID, e.id)
+		pl.nbrDBm = append(pl.nbrDBm, e.dbm)
+		pl.nbrDist = append(pl.nbrDist, e.dist)
+		pl.nbrPD = append(pl.nbrPD, propDelay(e.dist))
 	}
-	pl.appendRowLookup(int(pl.off[i]))
+	pl.appendRowLookup(rowStart, s)
 	pl.off[i+1] = int64(len(pl.nbrID))
 }
 
 // appendRowLookup builds the per-row lookup index — neighbor IDs ascending
 // with their slot in the power-sorted row — for the row starting at
 // rowStart, which must be the last row appended to the primary arrays.
-func (pl *LinkPlan) appendRowLookup(rowStart int) {
-	rowLen := len(pl.nbrID) - rowStart
-	for k := 0; k < rowLen; k++ {
-		pl.lookSlot = append(pl.lookSlot, int32(k))
+func (pl *LinkPlan) appendRowLookup(rowStart int, s *rowScratch) {
+	s.keys = s.keys[:0]
+	for k, id := range pl.nbrID[rowStart:] {
+		s.keys = append(s.keys, uint64(id)<<32|uint64(k))
 	}
-	look := pl.lookSlot[rowStart:]
-	rowIDs := pl.nbrID[rowStart:]
-	slices.SortFunc(look, func(a, b int32) int { return int(rowIDs[a] - rowIDs[b]) })
-	for _, s := range look {
-		pl.lookID = append(pl.lookID, rowIDs[s])
+	slices.Sort(s.keys)
+	for _, key := range s.keys {
+		pl.lookID = append(pl.lookID, int32(key>>32))
+		pl.lookSlot = append(pl.lookSlot, int32(uint32(key)))
 	}
 }
 

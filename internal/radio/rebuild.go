@@ -1,10 +1,6 @@
 package radio
 
-import (
-	"slices"
-
-	"ripple/internal/sim"
-)
+import "slices"
 
 // Rebuild returns the LinkPlan for the same radio Config over new station
 // positions, reusing this plan's rows wherever it can. It is the epoch
@@ -26,6 +22,12 @@ import (
 // and Rebuild falls back to a full build, as it does for unpruned plans
 // (dense worlds are small enough that a full O(N²) build is cheap).
 func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
+	return pl.rebuild(positions, 0)
+}
+
+// rebuild is Rebuild with the row builder's chunk count (see buildRows; 0
+// lets the plan's size choose it).
+func (pl *LinkPlan) rebuild(positions []Pos, chunks int) *LinkPlan {
 	if len(positions) != pl.n {
 		panic("radio: Rebuild with a different station count")
 	}
@@ -41,7 +43,7 @@ func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
 		return pl
 	}
 	if !pl.pruned || len(movedIdx)*4 > pl.n {
-		return NewLinkPlan(pl.cfg, positions)
+		return newLinkPlan(pl.cfg, positions, chunks)
 	}
 
 	np := &LinkPlan{
@@ -65,16 +67,14 @@ func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
 	// the predicate still keeps.) Candidates are symmetric-by-distance, so
 	// querying around j finds exactly the rows whose candidate set gained
 	// j. Stored as a CSR over rows; each row's dirty list is in ascending
-	// moved-station order because movedIdx is ascending. moverPairs counts
-	// the candidates that are movers themselves: entries of the movers' own
-	// rows that no unmoved row mirrors.
+	// moved-station order because movedIdx is ascending. The same pass
+	// counts each mover's candidates: the bound on its own row.
+	bound := make([]int32, pl.n)
 	dirtyOff := make([]int32, pl.n+1)
-	moverPairs := 0
 	for _, j := range movedIdx {
 		grid.eachCandidate(int(j), np.positions, rsq, func(c int32) {
-			if moved[c] {
-				moverPairs++
-			} else {
+			bound[j]++
+			if !moved[c] {
 				dirtyOff[c+1]++
 			}
 		})
@@ -94,9 +94,12 @@ func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
 	}
 
 	// movedNbrs[i] is how many of unmoved row i's old entries point at a
-	// mover, the entries the merge drops; the rest survive as they are.
+	// mover, the entries the merge drops; the rest survive as they are. An
+	// unmoved row holds at most its survivors plus its dirty candidates —
+	// the exact predicate can only reject boundary candidates, as in
+	// buildPruned — so however far a step densifies the graph, no row
+	// outgrows its bound and the row pass never reallocates.
 	movedNbrs := make([]int32, pl.n)
-	survivors := 0
 	for i := 0; i < pl.n; i++ {
 		if moved[i] {
 			continue
@@ -107,29 +110,14 @@ func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
 				movedNbrs[i]++
 			}
 		}
-		survivors += len(row) - int(movedNbrs[i])
+		bound[i] = int32(len(row)) - movedNbrs[i] + dirtyOff[i+1] - dirtyOff[i]
 	}
 
-	// Row pass, into arrays sized once. A new row holds at most its
-	// survivors plus its dirty candidates (unmoved rows) or its candidates
-	// (movers' rows: each dirty pair seen from the mover's end, plus the
-	// mover pairs) — the exact predicate can only reject boundary
-	// candidates, as in buildPruned — so however far a step densifies the
-	// graph, no append below reallocates.
 	np.off = make([]int64, pl.n+1)
-	links := survivors + 2*len(dirtyJ) + moverPairs
-	np.nbrID = make([]int32, 0, links)
-	np.nbrDBm = make([]float64, 0, links)
-	np.nbrDist = make([]float64, 0, links)
-	np.nbrPD = make([]sim.Time, 0, links)
-	np.lookID = make([]int32, 0, links)
-	np.lookSlot = make([]int32, 0, links)
-
-	var s rowScratch
-	for i := 0; i < pl.n; i++ {
+	np.buildRows(bound, chunks, func(v *LinkPlan, i int, s *rowScratch) {
 		if moved[i] {
-			np.appendScratchRow(i, grid, rsq, &s)
-			continue
+			v.appendScratchRow(i, grid, rsq, s)
+			return
 		}
 		dirty := dirtyJ[dirtyOff[i]:dirtyOff[i+1]]
 		if len(dirty) == 0 && movedNbrs[i] == 0 {
@@ -138,11 +126,11 @@ func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
 			// is the old one verbatim. On a high-stay world this is nearly
 			// every row, and the bulk copy is what keeps the per-epoch cost
 			// proportional to the motion instead of the population.
-			np.appendCopiedRow(i, pl)
-			continue
+			v.appendCopiedRow(i, pl)
+			return
 		}
-		np.appendPatchedRow(i, pl, moved, dirty, &s)
-	}
+		v.appendPatchedRow(i, pl, moved, dirty, s)
+	})
 	np.indexDelayOrder()
 	return np
 }
@@ -179,88 +167,88 @@ func (pl *LinkPlan) RowEqual(other *LinkPlan, i int) bool {
 // for the dirty moved stations that still clear the power predicate. Both
 // inputs are sorted by the row order (power desc, ID asc) — surviving old
 // entries keep their relative order, fresh ones are sorted here — so one
-// merge reproduces the full build's sort exactly. The lookup index is
-// built by a second merge rather than appendRowLookup's sort: the
-// surviving old lookup and the dirty additions are each already in
-// ascending ID order (and can never collide — dirty IDs are moved
-// stations, survivors are not), so with the new slots recorded during the
-// row merge the O(k log k) per-row sort becomes an O(k) zip.
+// merge reproduces the full build's sort exactly, and each run of
+// survivors between two fresh entries is appended in bulk. The lookup
+// index is built by a second merge rather than appendRowLookup's sort: the
+// surviving old lookup is already in ascending ID order, the few fresh
+// entries are sorted as packed (ID, slot) keys, and the two can never
+// collide (dirty IDs are moved stations, survivors are not), so with the
+// new slots recorded during the row merge the O(k log k) per-row sort
+// becomes an O(k) zip.
 func (np *LinkPlan) appendPatchedRow(i int, old *LinkPlan, moved []bool, dirty []int32, s *rowScratch) {
-	s.ids, s.dbm, s.dist = s.ids[:0], s.dbm[:0], s.dist[:0]
+	s.ent = s.ent[:0]
 	for _, j := range dirty {
 		d := Dist(np.positions[i], np.positions[j])
 		p := np.cfg.MeanRxPowerDBm(d)
 		if p < np.pruneCutoff {
 			continue
 		}
-		s.ids = append(s.ids, j)
-		s.dbm = append(s.dbm, p)
-		s.dist = append(s.dist, d)
+		s.ent = append(s.ent, rowEntry{dbm: p, dist: d, id: j})
 	}
-	s.sort()
+	slices.SortFunc(s.ent, rowOrder)
 
 	lo, hi := old.off[i], old.off[i+1]
 	s.oldSlot = growSlots(s.oldSlot, int(hi-lo))
-	s.newSlot = growSlots(s.newSlot, len(s.ids))
-	rowStart := int64(len(np.nbrID))
+	s.keys = s.keys[:0]
+	rowStart := len(np.nbrID)
 
 	k, m := lo, 0
-	for {
-		for k < hi && moved[old.nbrID[k]] {
+	for k < hi || m < len(s.ent) {
+		if k < hi && moved[old.nbrID[k]] {
 			k++
+			continue
 		}
-		oldOK, newOK := k < hi, m < len(s.perm)
-		if !oldOK && !newOK {
-			break
+		// The run of survivors from k that precede fresh entry m.
+		k2, slot := k, int32(len(np.nbrID)-rowStart)
+		for k2 < hi && !moved[old.nbrID[k2]] && (m == len(s.ent) || oldFirst(old, k2, s.ent[m])) {
+			s.oldSlot[k2-lo] = slot
+			k2++
+			slot++
 		}
-		useOld := oldOK
-		if oldOK && newOK {
-			kn := s.perm[m]
-			if old.nbrDBm[k] != s.dbm[kn] {
-				useOld = old.nbrDBm[k] > s.dbm[kn]
-			} else {
-				useOld = old.nbrID[k] < s.ids[kn]
-			}
+		if k2 > k {
+			np.nbrID = append(np.nbrID, old.nbrID[k:k2]...)
+			np.nbrDBm = append(np.nbrDBm, old.nbrDBm[k:k2]...)
+			np.nbrDist = append(np.nbrDist, old.nbrDist[k:k2]...)
+			np.nbrPD = append(np.nbrPD, old.nbrPD[k:k2]...)
+			k = k2
+			continue
 		}
-		slot := int32(int64(len(np.nbrID)) - rowStart)
-		if useOld {
-			np.nbrID = append(np.nbrID, old.nbrID[k])
-			np.nbrDBm = append(np.nbrDBm, old.nbrDBm[k])
-			np.nbrDist = append(np.nbrDist, old.nbrDist[k])
-			np.nbrPD = append(np.nbrPD, old.nbrPD[k])
-			s.oldSlot[k-lo] = slot
-			k++
-		} else {
-			kn := s.perm[m]
-			np.nbrID = append(np.nbrID, s.ids[kn])
-			np.nbrDBm = append(np.nbrDBm, s.dbm[kn])
-			np.nbrDist = append(np.nbrDist, s.dist[kn])
-			np.nbrPD = append(np.nbrPD, propDelay(s.dist[kn]))
-			s.newSlot[kn] = slot
-			m++
-		}
+		// Entry k, if any, is a survivor that follows fresh entry m.
+		e := s.ent[m]
+		m++
+		s.keys = append(s.keys, uint64(e.id)<<32|uint64(slot))
+		np.nbrID = append(np.nbrID, e.id)
+		np.nbrDBm = append(np.nbrDBm, e.dbm)
+		np.nbrDist = append(np.nbrDist, e.dist)
+		np.nbrPD = append(np.nbrPD, propDelay(e.dist))
 	}
 
-	ti, mi := lo, 0
-	for {
-		for ti < hi && moved[old.lookID[ti]] {
-			ti++
+	slices.Sort(s.keys)
+	t, f := lo, 0
+	for t < hi || f < len(s.keys) {
+		if t < hi && moved[old.lookID[t]] {
+			t++
+			continue
 		}
-		oldOK, newOK := ti < hi, mi < len(s.ids)
-		if !oldOK && !newOK {
-			break
-		}
-		if oldOK && (!newOK || old.lookID[ti] < s.ids[mi]) {
-			np.lookID = append(np.lookID, old.lookID[ti])
-			np.lookSlot = append(np.lookSlot, s.oldSlot[old.lookSlot[ti]])
-			ti++
+		if t < hi && (f == len(s.keys) || old.lookID[t] < int32(s.keys[f]>>32)) {
+			np.lookID = append(np.lookID, old.lookID[t])
+			np.lookSlot = append(np.lookSlot, s.oldSlot[old.lookSlot[t]])
+			t++
 		} else {
-			np.lookID = append(np.lookID, s.ids[mi])
-			np.lookSlot = append(np.lookSlot, s.newSlot[mi])
-			mi++
+			np.lookID = append(np.lookID, int32(s.keys[f]>>32))
+			np.lookSlot = append(np.lookSlot, int32(uint32(s.keys[f])))
+			f++
 		}
 	}
 	np.off[i+1] = int64(len(np.nbrID))
+}
+
+// oldFirst reports whether old's entry k precedes e in the row order.
+func oldFirst(old *LinkPlan, k int64, e rowEntry) bool {
+	if old.nbrDBm[k] != e.dbm {
+		return old.nbrDBm[k] > e.dbm
+	}
+	return old.nbrID[k] < e.id
 }
 
 // growSlots resizes a scratch slot-map to n entries, reusing its backing

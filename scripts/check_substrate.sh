@@ -31,6 +31,15 @@
 # grows back there would not change a byte of output, only the profile, so
 # no test would notice it.
 #
+# or if a go statement appears on the per-run path: the non-test files of
+# internal/sim, internal/core, internal/mac, internal/forward,
+# internal/transport, internal/pkt, internal/radio/medium.go or
+# internal/network/run.go. A run is one goroutine — its event order, and so
+# its Result, is that of one engine draining one heap. Set-up may use more:
+# the link plan's chunked row builder (internal/radio/rows.go) and the epoch
+# pipeline of BuildWorld (internal/network/epoch.go) build immutable worlds
+# whose bytes do not depend on it.
+#
 # Usage: sh scripts/check_substrate.sh   (from the repo root)
 set -eu
 
@@ -62,6 +71,12 @@ fi
 packetpath="$(find internal/core -name '*.go' ! -name '*_test.go') internal/radio/medium.go internal/network/run.go"
 if grep -n 'map\[' $packetpath; then
     echo "check_substrate: a map on the packet path — index by stream or flow slot" >&2
+    fail=1
+fi
+runpath="$(find internal/sim internal/core internal/mac internal/forward internal/transport internal/pkt \
+    -name '*.go' ! -name '*_test.go') internal/radio/medium.go internal/network/run.go"
+if grep -nE '^[[:space:]]*go[[:space:]]+[A-Za-z_(]' $runpath; then
+    echo "check_substrate: a go statement on the per-run path — a run is one goroutine" >&2
     fail=1
 fi
 exit $fail
