@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"ripple/internal/mobility"
 	"ripple/internal/radio"
@@ -153,11 +154,20 @@ func (w *World) buildEpochs(cfg *Config) error {
 		return nil
 	}
 	// The channel holds every plan, so the plan goroutine never blocks on a
-	// caller that has stopped reading; the worlds keep every plan anyway.
+	// caller that has stopped reading; the worlds keep every plan anyway. A
+	// panic of the plan goroutine closes the channel early and is raised
+	// again here, with that goroutine's stack, once it has returned, so it
+	// reaches the caller's recover as a serial build's would.
 	plans := make(chan *radio.LinkPlan, n)
 	stop := make(chan struct{})
+	var crash any
 	go func() {
 		defer close(plans)
+		defer func() {
+			if r := recover(); r != nil {
+				crash = fmt.Sprintf("%v\n\n%s", r, debug.Stack())
+			}
+		}()
 		pos := append([]radio.Pos(nil), cfg.Positions...)
 		plan := w.plan
 		for range n {
@@ -177,6 +187,9 @@ func (w *World) buildEpochs(cfg *Config) error {
 		close(stop)
 		for range plans {
 		}
+		if crash != nil {
+			panic(crash)
+		}
 	}()
 
 	ln := &lineage{faults: w.faults, prev: w, clean: w.table}
@@ -185,7 +198,11 @@ func (w *World) buildEpochs(cfg *Config) error {
 	}
 	w.epochs = make([]*World, 0, n)
 	for e := 0; e < n; e++ {
-		ew, err := derive(cfg, ln, <-plans, sim.Time(e+1)*w.epochLen)
+		plan, ok := <-plans
+		if !ok {
+			return nil // the plan goroutine panicked; the drain raises it
+		}
+		ew, err := derive(cfg, ln, plan, sim.Time(e+1)*w.epochLen)
 		if err != nil {
 			return err
 		}

@@ -420,3 +420,29 @@ func TestEpochDeriveErrorLeavesNoGoroutine(t *testing.T) {
 		}
 	}
 }
+
+// TestEpochPlanPanicReachesCaller: a panic on the plan goroutine must come
+// back as a panic of buildEpochs' caller — where campaign pools and dist
+// workers recover a cell's panic into an error — not kill the process. A
+// position list one station short of the root plan makes the first Rebuild
+// panic on that goroutine.
+func TestEpochPlanPanicReachesCaller(t *testing.T) {
+	cfg := cityBenchConfig(true, 5*sim.Second)
+	cfg.Normalize()
+	w, err := BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.epochs = nil
+	bad := cfg
+	bad.Positions = cfg.Positions[:len(cfg.Positions)-1]
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "different station count") || !strings.Contains(msg, "buildEpochs.func") {
+			t.Fatalf("recovered %v, want the Rebuild panic with the plan goroutine's stack", r)
+		}
+	}()
+	err = w.buildEpochs(&bad)
+	t.Fatalf("buildEpochs returned %v, want a panic", err)
+}

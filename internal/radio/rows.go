@@ -1,7 +1,9 @@
 package radio
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"ripple/internal/sim"
@@ -32,7 +34,14 @@ const rowChunkFloor = 64 << 10
 // moves each window's rows down to close the gap the bounds left, and the
 // chunk's off entries shift by its final start. A row is the same function
 // of its inputs whichever chunk builds it, so the plan does not depend on
-// the chunk count.
+// the chunk count. One chunk is the serial build: its window is the whole
+// array, it runs on the caller's goroutine, and nothing moves.
+//
+// A row that outgrew its bound would make its chunk's append leave the
+// window for a new array, and the moves would then copy stale links;
+// buildRows panics instead. A panic on a chunk goroutine is raised again on
+// the caller's, with that goroutine's stack, once every chunk is done, so a
+// set-up panic reaches the caller's recover as a serial one would.
 func (pl *LinkPlan) buildRows(bound []int32, chunks int, row func(v *LinkPlan, i int, s *rowScratch)) {
 	total := 0
 	for _, b := range bound {
@@ -50,18 +59,12 @@ func (pl *LinkPlan) buildRows(bound []int32, chunks int, row func(v *LinkPlan, i
 			chunks = runtime.GOMAXPROCS(0)
 		}
 	}
-	if chunks == 1 {
-		var s rowScratch
-		for i := range bound {
-			row(pl, i, &s)
-		}
-		return
-	}
 
 	type chunk struct {
-		lo, hi int // rows
-		base   int // window start
-		v      LinkPlan
+		lo, hi    int // rows
+		base, end int // window
+		v         LinkPlan
+		crash     any // a panic of the chunk's rows, with its stack
 	}
 	parts := make([]chunk, chunks)
 	lo, sum := 0, 0
@@ -73,10 +76,15 @@ func (pl *LinkPlan) buildRows(bound []int32, chunks int, row func(v *LinkPlan, i
 		if c == chunks-1 {
 			hi = len(bound) // rows bounded at 0 after the last link
 		}
-		parts[c] = chunk{lo: lo, hi: hi, base: base, v: pl.window(base, sum)}
+		parts[c] = chunk{lo: lo, hi: hi, base: base, end: sum, v: pl.window(base, sum)}
 		lo = hi
 	}
 	build := func(p *chunk) {
+		defer func() {
+			if r := recover(); r != nil {
+				p.crash = fmt.Sprintf("%v\n\n%s", r, debug.Stack())
+			}
+		}()
 		var s rowScratch
 		for i := p.lo; i < p.hi; i++ {
 			row(&p.v, i, &s)
@@ -92,6 +100,14 @@ func (pl *LinkPlan) buildRows(bound []int32, chunks int, row func(v *LinkPlan, i
 	}
 	build(&parts[0])
 	wg.Wait()
+	for _, p := range parts {
+		if p.crash != nil {
+			panic(p.crash)
+		}
+		if len(p.v.nbrID) > p.end-p.base {
+			panic(fmt.Sprintf("radio: rows [%d, %d) hold %d links, over their bound of %d", p.lo, p.hi, len(p.v.nbrID), p.end-p.base))
+		}
+	}
 
 	used := 0
 	for _, p := range parts {

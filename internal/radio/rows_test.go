@@ -3,6 +3,7 @@ package radio
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"ripple/internal/israce"
@@ -32,6 +33,56 @@ func TestRowChunksMatchSerial(t *testing.T) {
 				plansEqual(t, serial, chunked)
 			}
 		})
+	}
+}
+
+// TestRowChunksPanicOnCaller: a row that outgrows its bound, or panics, on
+// any chunk must panic buildRows' caller — the overflow instead of a plan
+// silently built from stale links, the row's panic with the chunk
+// goroutine's stack instead of a dead process.
+func TestRowChunksPanicOnCaller(t *testing.T) {
+	bound := []int32{2, 2, 2, 2, 2, 2}
+	for _, tc := range []struct {
+		name string
+		row  func(v *LinkPlan, i int, s *rowScratch)
+		want string
+	}{
+		{"overflow", func(v *LinkPlan, i int, s *rowScratch) {
+			k := 2
+			if i == 4 {
+				k = 3
+			}
+			for range k {
+				v.nbrID = append(v.nbrID, int32(i))
+			}
+			v.off[i+1] = int64(len(v.nbrID))
+		}, "rows [3, 6) hold 7 links, over their bound of 6"},
+		{"panic", func(v *LinkPlan, i int, s *rowScratch) {
+			if i == 5 {
+				panic("row 5")
+			}
+		}, "row 5"},
+	} {
+		for _, k := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/k=%d", tc.name, k), func(t *testing.T) {
+				want := tc.want
+				if k == 1 && tc.name == "overflow" {
+					want = "rows [0, 6) hold 13 links, over their bound of 12"
+				}
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, want) {
+						t.Fatalf("recovered %q, want %q", msg, want)
+					}
+					if tc.name == "panic" && !strings.Contains(msg, "buildRows") {
+						t.Fatalf("recovered %q, want the chunk's stack", msg)
+					}
+				}()
+				pl := &LinkPlan{n: len(bound), off: make([]int64, len(bound)+1)}
+				pl.buildRows(bound, k, tc.row)
+				t.Fatal("buildRows returned")
+			})
+		}
 	}
 }
 
