@@ -1,6 +1,7 @@
 package ripple
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -215,6 +216,33 @@ func TestNetFlowToBadEndpointsErrorAtRun(t *testing.T) {
 	}
 	if !strings.Contains(runErr.Error(), "flow 1") || !strings.Contains(runErr.Error(), "0→99") {
 		t.Fatalf("err = %v, want flow and endpoints named", runErr)
+	}
+}
+
+// TestBadPositionsErrorAtRun: a station whose coordinate is NaN or
+// infinite, or that puts two stations further apart than a propagation
+// delay can span, fails the run with an error naming it instead of a panic.
+func TestBadPositionsErrorAtRun(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		station int
+		pos     Position
+	}{
+		{"NaN", 1, Position{X: 100, Y: math.NaN()}},
+		{"+Inf", 0, Position{X: math.Inf(1), Y: 0}},
+		{"span", 2, Position{X: 0, Y: -7e8}},
+	} {
+		top, path := LineTopology(2)
+		top.Positions[tc.station] = tc.pos
+		_, err := Run(Scenario{
+			Topology: top,
+			Scheme:   SchemeRIPPLE,
+			Flows:    []Flow{{Path: path, Traffic: FTP{}}},
+			Duration: 100 * Millisecond,
+		})
+		if want := fmt.Sprintf("station %d at", tc.station); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Run returned %v, want an error naming station %d", tc.name, err, tc.station)
+		}
 	}
 }
 

@@ -34,6 +34,9 @@ func cityBenchConfig(small bool, dur sim.Time) Config {
 // one op is one BuildWorld of the city over five simulated seconds, a root
 // world and nine epoch worlds, each patched from its predecessor and each
 // fault-masked.
+// The last world built stays reachable in builtWorld, so an in-use heap
+// profile (-memprofile, then -sample_index=inuse_space) shows what a built
+// world keeps (docs/perf.md, "City memory").
 // Numbers for a performance claim come from bench/, not from here.
 func BenchmarkBuildWorldCityEpochs(b *testing.B) {
 	cfg := cityBenchConfig(testing.Short(), 5*sim.Second)
@@ -46,8 +49,12 @@ func BenchmarkBuildWorldCityEpochs(b *testing.B) {
 		if w.Epochs() < 4 {
 			b.Fatalf("%d epoch worlds: the benchmark is for the epoch chain", w.Epochs())
 		}
+		builtWorld = w
 	}
 }
+
+// builtWorld is the last world BenchmarkBuildWorldCityEpochs built.
+var builtWorld *World
 
 // TestBuildWorldAllocationBudget holds what set-up of a time-varying world
 // allocates: one BuildWorld of the 200-station city over five seconds — the
@@ -55,12 +62,13 @@ func BenchmarkBuildWorldCityEpochs(b *testing.B) {
 // fault-masked. What is counted is what the worlds keep (ten link plans, a
 // clean and a masked link table each, routes) and what deriving them drops:
 // a position grid, dirty lists and row scratch per plan, three per-station
-// arrays and a heap per route. The counts repeat to within a couple of objects
-// and a few hundred bytes; each budget is the measured number (1,764 objects,
-// 14.92 MB) × 1.25. The bytes are the sharper of the two: with every masked
-// epoch's table probed from nothing and the link arrays regrown in the row
-// pass the same build read 24.72 MB (and 1,961 objects), and a closure per
-// patched table row adds some 3,000 objects.
+// arrays and a heap per route. The counts repeat to within a dozen objects
+// and a few kilobytes; each budget is the measured number (1,377 objects,
+// 9.60 MB) × 1.25. The bytes are the sharper of the two: link plans that
+// stored each link's distance and a slot index besides read 14.98 MB (and
+// 1,648 objects), with every masked epoch's table probed from nothing and
+// the link arrays regrown in the row pass the same build read 24.72 MB, and
+// a closure per patched table row adds some 3,000 objects.
 func TestBuildWorldAllocationBudget(t *testing.T) {
 	cfg := cityBenchConfig(true, 5*sim.Second)
 	var before, after runtime.MemStats
@@ -79,7 +87,7 @@ func TestBuildWorldAllocationBudget(t *testing.T) {
 		}
 	}
 	objects, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-	const objectBudget, byteBudget = 2_205, 18_650_000
+	const objectBudget, byteBudget = 1_721, 12_000_000
 	if objects > objectBudget || bytes > byteBudget {
 		t.Errorf("BuildWorld allocated %d objects (budget %d), %d bytes (budget %d)", objects, objectBudget, bytes, byteBudget)
 	} else {

@@ -354,6 +354,9 @@ func validate(cfg *Config) error {
 	if len(cfg.Positions) == 0 {
 		return fmt.Errorf("network: no station positions")
 	}
+	if err := radio.CheckPositions(cfg.Positions); err != nil {
+		return fmt.Errorf("network: %w", err)
+	}
 	if len(cfg.Flows) == 0 {
 		return fmt.Errorf("network: no flows")
 	}

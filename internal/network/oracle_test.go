@@ -115,3 +115,85 @@ func TestLinkDeliveryMatchesModel(t *testing.T) {
 		t.Fatalf("%d of 7 pairs stored: the distances must exercise a link and a non-link", stored)
 	}
 }
+
+// anyCandidate is a MAC that records the UID of the last data packet it
+// decoded.
+type anyCandidate struct{ last uint64 }
+
+func (c *anyCandidate) ChannelBusy()      {}
+func (c *anyCandidate) ChannelIdle()      {}
+func (c *anyCandidate) FrameCorrupted()   {}
+func (c *anyCandidate) TxDone(*pkt.Frame) {}
+func (c *anyCandidate) FrameReceived(f *pkt.Frame, _ []bool) {
+	c.last = f.Packets[0].UID
+}
+
+// TestAnyPathDeliveryMatchesProduct is the any-path analytic oracle
+// (docs/model.md, "Analytic oracles"): the probability that at least one of
+// K candidate forwarders decodes a frame is 1 − Π(1 − pᵢ), with pᵢ the
+// per-link delivery probability — the P_sc of Li et al., and the premise of
+// opportunistic routing, since each receiver's shadowing is drawn
+// independently. A sender broadcasts N single-packet frames one at a time at
+// BER 0 to K ∈ {2, 3, 5} candidates at mixed distances, on the city radio
+// and on the paper's; the count of frames at least one candidate decoded
+// must lie inside the 99.9 % binomial interval of the product.
+func TestAnyPathDeliveryMatchesProduct(t *testing.T) {
+	const frames = 5000
+	const alpha = 0.001 // two-sided
+	for r, radioCase := range []struct {
+		name string
+		rc   radio.Config
+	}{
+		{"city", topology.CityRadio()},
+		{"default", radio.DefaultConfig()},
+	} {
+		for _, fracs := range [][]float64{
+			{0.9, 1.2},
+			{0.8, 1.1, 1.4},
+			{0.7, 0.95, 1.1, 1.25, 1.5},
+		} {
+			rc := radioCase.rc
+			rc.BitErrorRate = 0
+			positions := []radio.Pos{{X: 0, Y: 0}}
+			miss := 1.0
+			for i, frac := range fracs {
+				d := frac * rc.RXRange()
+				angle := 2 * math.Pi * float64(i) / float64(len(fracs))
+				positions = append(positions, radio.Pos{X: d * math.Cos(angle), Y: d * math.Sin(angle)})
+				miss *= rc.LossProb(radio.Dist(positions[0], positions[i+1]))
+			}
+			want := 1 - miss
+			eng := sim.NewEngine()
+			m := radio.NewMedium(eng, rc, phys.Default(), positions, sim.NewRNG(uint64(31+10*r+len(fracs)), 1))
+			m.Attach(0, &anyCandidate{})
+			cands := make([]*anyCandidate, len(fracs))
+			for i := range cands {
+				cands[i] = &anyCandidate{}
+				m.Attach(pkt.NodeID(i+1), cands[i])
+			}
+			reached := 0
+			for k := 0; k < frames; k++ {
+				uid := uint64(k + 1)
+				m.Transmit(&pkt.Frame{
+					Kind: pkt.Data, Tx: 0, Rx: pkt.Broadcast, Origin: 0, FinalDst: pkt.NodeID(len(fracs)),
+					Packets:  []*pkt.Packet{{UID: uid, Bytes: 1000, Src: 0, Dst: pkt.NodeID(len(fracs))}},
+					Duration: 100 * sim.Microsecond,
+				})
+				eng.Run(sim.Time(k+1) * sim.Millisecond)
+				for _, c := range cands {
+					if c.last == uid {
+						reached++
+						break
+					}
+				}
+			}
+			below, above := binomialTails(frames, reached, want)
+			if below < alpha/2 || above < alpha/2 {
+				t.Errorf("%s radio, K = %d: %d/%d frames reached a candidate (%.4f), 1 − Π(1 − pᵢ) = %.4f: outside the 99.9 %% interval (P(X ≤ k) = %.2g, P(X ≥ k) = %.2g)",
+					radioCase.name, len(fracs), reached, frames, float64(reached)/frames, want, below, above)
+			} else {
+				t.Logf("%s radio, K = %d: %d/%d frames reached a candidate, 1 − Π(1 − pᵢ) = %.4f", radioCase.name, len(fracs), reached, frames, want)
+			}
+		}
+	}
+}

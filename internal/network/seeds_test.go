@@ -1,10 +1,14 @@
 package network
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"ripple/internal/campaign/pool"
+	"ripple/internal/radio"
 	"ripple/internal/routing"
 	"ripple/internal/sim"
 	"ripple/internal/topology"
@@ -192,6 +196,39 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	bad.Flows = []FlowSpec{{ID: 1, Path: path, Kind: 99}}
 	if _, err := Run(bad); err == nil {
 		t.Error("unknown traffic kind must error")
+	}
+}
+
+// TestBadPositionsAreErrors: a coordinate that is not finite, or a layout
+// so wide that a propagation delay across it would overflow the link plan's
+// int32 nanoseconds, is a configuration error naming the station, returned
+// by Run and BuildWorld before anything is built from it.
+func TestBadPositionsAreErrors(t *testing.T) {
+	top, path := topology.Line(2)
+	for _, tc := range []struct {
+		name    string
+		station int
+		pos     radio.Pos
+	}{
+		{"NaN", 1, radio.Pos{X: math.NaN(), Y: 0}},
+		{"+Inf", 2, radio.Pos{X: 0, Y: math.Inf(1)}},
+		{"span", 2, radio.Pos{X: 7e8, Y: 0}},
+	} {
+		positions := slices.Clone(top.Positions)
+		positions[tc.station] = tc.pos
+		cfg := Config{
+			Positions: positions,
+			Scheme:    Ripple,
+			Flows:     []FlowSpec{{ID: 1, Path: path, Kind: FTP}},
+			Duration:  sim.Second,
+		}
+		want := fmt.Sprintf("station %d at", tc.station)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Run returned %v, want an error naming station %d", tc.name, err, tc.station)
+		}
+		if _, err := BuildWorld(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: BuildWorld returned %v, want an error naming station %d", tc.name, err, tc.station)
+		}
 	}
 }
 

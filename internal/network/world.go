@@ -13,8 +13,8 @@ import (
 )
 
 // World is the immutable, seed-independent snapshot of a scenario: the
-// radio link plan (per-neighbor power/distance/delay attributes and
-// neighbor lists, sparse when pruning is on), the ETX link table of the
+// radio link plan (per-neighbor power and delay attributes and neighbor
+// lists, sparse when pruning is on), the ETX link table of the
 // routing layer (the usable links of the plan's neighbor graph), the route
 // policy over that table, and every flow's resolved initial route. All of
 // it is a pure function of the Config's non-seed fields, so a campaign cell
@@ -258,8 +258,7 @@ func linkProb(rc radio.Config) func(d float64) float64 {
 }
 
 // linkTable builds a world's clean ETX table from the link-probability func
-// of a distance over the plan's neighbor graph; iterating the plan's CSR
-// rows hands it each stored distance without a per-pair lookup.
+// of a distance over the plan's neighbor graph.
 func linkTable(plan *radio.LinkPlan, prob func(d float64) float64) *routing.Table {
 	return routing.NewSparseTableSym(plan.Stations(), func(a pkt.NodeID, yield func(int32, float64)) {
 		plan.EachAscNeighbor(int(a), func(j int32, d float64) {
@@ -269,11 +268,13 @@ func linkTable(plan *radio.LinkPlan, prob func(d float64) float64) *routing.Tabl
 }
 
 // patchLinkTable derives the clean link table of plan from the clean table
-// of prevPlan, the plan it was rebuilt from: rows whose neighborhood
-// geometry did not change are copied, unmoved pairs of the others copy
-// their stored values, and only pairs with a moved endpoint pay a
-// probability evaluation. Whether the predecessor world was fault-masked
-// does not enter: its clean table is what is patched.
+// of prevPlan, the plan it was rebuilt from: rows whose neighborhood did
+// not change are copied, unmoved pairs of the others copy their stored
+// values, and only pairs with a moved endpoint pay a distance and a
+// probability evaluation — the enumeration hands every other pair a
+// distance of 0, which RebuildSparseTableSym never reads. Whether the
+// predecessor world was fault-masked does not enter: its clean table is
+// what is patched.
 func patchLinkTable(prevPlan *radio.LinkPlan, prevClean *routing.Table, plan *radio.LinkPlan, prob func(d float64) float64) *routing.Table {
 	prevPos, newPos := prevPlan.Positions(), plan.Positions()
 	moved := make([]bool, plan.Stations())
@@ -284,7 +285,13 @@ func patchLinkTable(prevPlan *radio.LinkPlan, prevClean *routing.Table, plan *ra
 	}
 	return routing.RebuildSparseTableSym(prevClean, moved, unchanged,
 		func(a pkt.NodeID, yield func(int32, float64)) {
-			plan.EachAscNeighbor(int(a), yield)
+			for _, j := range plan.AscNeighbors(int(a)) {
+				d := 0.0
+				if moved[a] || moved[j] {
+					d = radio.Dist(newPos[a], newPos[j])
+				}
+				yield(j, d)
+			}
 		}, prob, minLinkProb)
 }
 
@@ -359,11 +366,11 @@ func exemptEndpoints(cfg *Config) []bool {
 func planLinks(plan *radio.LinkPlan) [][2]pkt.NodeID {
 	out := make([][2]pkt.NodeID, 0, plan.Links()/2)
 	for a := 0; a < plan.Stations(); a++ {
-		plan.EachAscNeighbor(a, func(j int32, _ float64) {
+		for _, j := range plan.AscNeighbors(a) {
 			if int(j) > a {
 				out = append(out, [2]pkt.NodeID{pkt.NodeID(a), pkt.NodeID(j)})
 			}
-		})
+		}
 	}
 	return out
 }

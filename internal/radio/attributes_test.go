@@ -3,18 +3,23 @@ package radio
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
+
+	"ripple/internal/sim"
 )
 
 // sameBits reports whether two floats are the same value bit for bit.
 func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
-// TestPlanAttributesArePositionFunctions: every attribute a plan holds for
-// a link is a function of the two stations' positions and the radio config
-// alone — the distance is Dist(pos a, pos b), the mean power
+// TestPlanAttributesArePositionFunctions: every attribute a plan holds or
+// hands out for a link is a function of the two stations' positions and the
+// radio config alone — the distance is Dist(pos a, pos b), the mean power
 // MeanRxPowerDBm of it and the delay propDelay of it, bit for bit — and the
 // pair accessors are symmetric. It covers a pruned city, three patched
-// epochs of a mobile one and a dense Fig. 1-size plan.
+// epochs of a mobile one and a dense Fig. 1-size plan. It is what lets a plan
+// recompute a link's distance instead of storing it.
 func TestPlanAttributesArePositionFunctions(t *testing.T) {
 	dense := DefaultConfig()
 	dense.PruneSigma = 0
@@ -37,15 +42,21 @@ func TestPlanAttributesArePositionFunctions(t *testing.T) {
 		links := 0
 		pl := c.pl
 		for a := 0; a < pl.n; a++ {
-			for k := pl.off[a]; k < pl.off[a+1]; k++ {
-				b := int(pl.nbrID[k])
+			ids, dbm, pd := pl.row(a)
+			for k, b := range ids {
 				d := Dist(pl.positions[a], pl.positions[b])
-				if !sameBits(pl.nbrDist[k], d) || !sameBits(pl.nbrDBm[k], pl.cfg.MeanRxPowerDBm(d)) || pl.nbrPD[k] != propDelay(d) {
-					t.Fatalf("%s: link %d→%d stores (%v m, %v dBm, %v), positions give (%v m, %v dBm, %v)", c.name, a, b,
-						pl.nbrDist[k], pl.nbrDBm[k], pl.nbrPD[k], d, pl.cfg.MeanRxPowerDBm(d), propDelay(d))
+				if !sameBits(pl.Distance(a, int(b)), d) || !sameBits(dbm[k], pl.cfg.MeanRxPowerDBm(d)) ||
+					!sameBits(pl.MeanDBm(a, int(b)), dbm[k]) || sim.Time(pd[k]) != propDelay(d) {
+					t.Fatalf("%s: link %d→%d reads (%v m, %v dBm, %v ns), positions give (%v m, %v dBm, %v)", c.name, a, b,
+						pl.Distance(a, int(b)), dbm[k], pd[k], d, pl.cfg.MeanRxPowerDBm(d), propDelay(d))
 				}
 				links++
 			}
+			pl.EachAscNeighbor(a, func(b int32, d float64) {
+				if !sameBits(d, Dist(pl.positions[a], pl.positions[b])) {
+					t.Fatalf("%s: EachAscNeighbor gives link %d→%d %v m, positions %v m", c.name, a, b, d, Dist(pl.positions[a], pl.positions[b]))
+				}
+			})
 			for b := 0; b < pl.n; b++ {
 				if !sameBits(pl.Distance(a, b), pl.Distance(b, a)) || !sameBits(pl.MeanDBm(a, b), pl.MeanDBm(b, a)) {
 					t.Fatalf("%s: pair %d, %d is not symmetric: Distance %v / %v, MeanDBm %v / %v", c.name, a, b,
@@ -56,5 +67,98 @@ func TestPlanAttributesArePositionFunctions(t *testing.T) {
 		if links == 0 {
 			t.Fatalf("%s: no stored link: the case checks nothing", c.name)
 		}
+	}
+}
+
+// linkBytes sums element size × capacity over the plan's per-link arrays:
+// every slice field as long as the plan has links, whatever its name, so a
+// per-link array added back to LinkPlan is counted too.
+func linkBytes(pl *LinkPlan) int {
+	v := reflect.ValueOf(pl).Elem()
+	total := 0
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice && f.Len() == pl.Links() {
+			total += f.Cap() * int(f.Type().Elem().Size())
+		}
+	}
+	return total
+}
+
+// TestLinkPlanBytesPerLink holds the plan to the attributes Transmit reads
+// per frame: an int32 ID, a float64 mean power and an int32 delay per link,
+// plus a pruned plan's int32 lookup ID — 20 bytes per stored link pruned,
+// built or patched, and 16 dense. A pruned plan's arrays are sized by its
+// in-radius candidates, of which the power predicate turns a few away, so
+// they may hold up to 1 % more than its links (TestRebuildSizesItsArraysOnce
+// holds that slack; a 2000-station city reads 20.04 bytes). A float64
+// distance or a slot index back in LinkPlan reads 24 or more and fails.
+func TestLinkPlanBytesPerLink(t *testing.T) {
+	dense := DefaultConfig()
+	dense.PruneSigma = 0
+	cfg, initial, step := mobileCity(800, 4000, 3)
+	built := NewLinkPlan(cfg, initial)
+	for _, c := range []struct {
+		name  string
+		pl    *LinkPlan
+		limit int
+	}{
+		{"pruned city", NewLinkPlan(DefaultConfig(), randomCity(2000, 20000, 5)), 20},
+		{"pruned mobile city", built, 20},
+		{"patched epoch", built.Rebuild(step(0, 0.05)), 20},
+		{"dense", NewLinkPlan(dense, randomCity(60, 600, 3)), 16},
+	} {
+		links := c.pl.Links()
+		if links <= c.pl.Stations()+1 {
+			t.Fatalf("%s: %d links for %d stations: too few to tell link arrays from station arrays", c.name, links, c.pl.Stations())
+		}
+		if per := float64(linkBytes(c.pl)) / float64(links); per > 1.01*float64(c.limit) {
+			t.Errorf("%s: %.2f bytes per stored link, over %d", c.name, per, c.limit)
+		} else {
+			t.Logf("%s: %d links, %.2f bytes each", c.name, links, per)
+		}
+	}
+}
+
+// TestPlanRefusesBadPositions: a link plan over a coordinate that is not
+// finite, or over stations further apart than its int32-nanosecond delays
+// can span, panics naming the station — built or rebuilt — while
+// CheckPositions, which callers run first, reports the same as an error.
+func TestPlanRefusesBadPositions(t *testing.T) {
+	good := []Pos{{0, 0}, {100, 0}, {200, 0}}
+	for _, tc := range []struct {
+		name    string
+		station int
+		pos     Pos
+	}{
+		{"NaN", 1, Pos{X: math.NaN(), Y: 0}},
+		{"-Inf", 2, Pos{X: 0, Y: math.Inf(-1)}},
+		{"span", 2, Pos{X: 5e8, Y: 5e8}},
+	} {
+		bad := append([]Pos(nil), good...)
+		bad[tc.station] = tc.pos
+		want := fmt.Sprintf("station %d at", tc.station)
+		if err := CheckPositions(bad); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: CheckPositions returned %v, want an error naming station %d", tc.name, err, tc.station)
+		}
+		for _, build := range []struct {
+			name string
+			fn   func()
+		}{
+			{"NewLinkPlan", func() { NewLinkPlan(DefaultConfig(), bad) }},
+			{"Rebuild", func() { NewLinkPlan(DefaultConfig(), good).Rebuild(bad) }},
+		} {
+			func() {
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+						t.Errorf("%s: %s recovered %q, want a panic naming station %d", tc.name, build.name, msg, tc.station)
+					}
+				}()
+				build.fn()
+			}()
+		}
+	}
+	// The widest layout a plan holds: 600,000 km across.
+	if err := CheckPositions([]Pos{{0, 0}, {6e8, 0}}); err != nil {
+		t.Fatalf("a 600,000 km layout: %v", err)
 	}
 }

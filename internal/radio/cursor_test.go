@@ -171,7 +171,7 @@ func TestReceptionsFireInDelayOrder(t *testing.T) {
 		// transmitter's own idle, then all ends.
 		want = append(want, fmt.Sprintf("idle %d@%d", c.tx, air))
 		for _, k := range ord {
-			want = append(want, fmt.Sprintf("idle %d@%d", ids[k], air+pd[k]))
+			want = append(want, fmt.Sprintf("idle %d@%d", ids[k], air+sim.Time(pd[k])))
 		}
 		if !slices.Equal(log, want) {
 			t.Fatalf("%s: carrier upcalls\n got  %v\n want %v", c.name, log, want)

@@ -2,20 +2,24 @@ package radio
 
 import (
 	"cmp"
+	"fmt"
+	"math"
 	"slices"
-
-	"ripple/internal/sim"
 )
 
 // LinkPlan is the seed-independent precomputation of a Medium: per-station
-// neighbor lists with the mean RX power, distance and propagation delay of
-// every kept link, all derived purely from the radio Config and the station
-// positions. For a campaign cell that fans the same scenario across many
-// seeds it is the dominant per-run setup cost, so NewMediumOn accepts a
-// prebuilt plan and shares it by reference across runs.
+// neighbor lists with the mean RX power and propagation delay of every kept
+// link, all derived purely from the radio Config and the station positions.
+// For a campaign cell that fans the same scenario across many seeds it is
+// the dominant per-run setup cost, so NewMediumOn accepts a prebuilt plan
+// and shares it by reference across runs.
 //
 // Storage is CSR-style sparse: one flat array per link attribute, with
-// station i's links occupying slots off[i]..off[i+1]. With
+// station i's links occupying slots off[i]..off[i+1]. A plan stores only
+// what Medium.Transmit reads per frame — the neighbor, its mean power and
+// its delay — and recomputes a link's distance from the positions when it
+// is asked for one: every stored attribute was computed from exactly that
+// distance, so the recomputed values are the stored ones bit for bit. With
 // Config.PruneSigma == 0 every ordered pair is kept (the "dense" plan:
 // O(N²) memory, neighbor lists in ID order, preserving the unpruned RNG
 // stream bit for bit). With PruneSigma > 0 a uniform spatial grid (posGrid)
@@ -38,19 +42,15 @@ type LinkPlan struct {
 	// CSR link storage: station i's neighbors are nbrID[off[i]:off[i+1]]
 	// with parallel per-link attributes. Unpruned rows are in ascending ID
 	// order; pruned rows are sorted by mean power (desc, ties by ID).
-	off     []int64
-	nbrID   []int32
-	nbrDBm  []float64  // mean received power before the shadowing draw
-	nbrDist []float64  // Euclidean distance in metres
-	nbrPD   []sim.Time // propagation delay
+	off    []int64
+	nbrID  []int32
+	nbrDBm []float64 // mean received power before the shadowing draw
+	nbrPD  []int32   // propagation delay in nanoseconds (see CheckPositions)
 
-	// Pruned rows store a secondary per-row index for O(log k) pair
-	// lookup: lookID is the row's neighbor IDs in ascending order and
-	// lookSlot the row-relative slot each occupies in the power-sorted
-	// primary arrays. Unpruned rows need no index — ID order makes the
-	// slot directly computable.
-	lookID   []int32
-	lookSlot []int32
+	// lookID is a pruned plan's second copy of each row's neighbor IDs, in
+	// ascending order: the row as AscNeighbors returns it, and the index
+	// has searches. Unpruned rows are in ID order already and need none.
+	lookID []int32
 
 	// delayOrd[i], when non-nil, is row i's positions sorted by
 	// (propagation delay, position): the order in which a transmission from
@@ -67,7 +67,8 @@ type LinkPlan struct {
 }
 
 // NewLinkPlan precomputes the link attributes and neighbor lists for the
-// given radio configuration and station positions.
+// given radio configuration and station positions. It panics on positions
+// CheckPositions refuses.
 func NewLinkPlan(cfg Config, positions []Pos) *LinkPlan {
 	return newLinkPlan(cfg, positions, 0)
 }
@@ -75,6 +76,7 @@ func NewLinkPlan(cfg Config, positions []Pos) *LinkPlan {
 // newLinkPlan is NewLinkPlan with the row builder's chunk count (see
 // buildRows; 0 lets the plan's size choose it).
 func newLinkPlan(cfg Config, positions []Pos, chunks int) *LinkPlan {
+	mustHold(positions)
 	pl := &LinkPlan{
 		cfg:       cfg,
 		positions: append([]Pos(nil), positions...),
@@ -89,6 +91,42 @@ func newLinkPlan(cfg Config, positions []Pos, chunks int) *LinkPlan {
 	}
 	pl.indexDelayOrder()
 	return pl
+}
+
+// maxDelayNS is the longest propagation delay a plan stores: its delays
+// are int32 nanoseconds, which reach about 644,000 km.
+const maxDelayNS = math.MaxInt32
+
+// CheckPositions reports the first station a link plan cannot be built
+// with: one with a coordinate that is NaN or infinite, or one that
+// stretches the stations' bounding box so far that the propagation delay
+// across its diagonal — the longest any pair of stations can have —
+// overflows the plan's int32 nanoseconds.
+func CheckPositions(positions []Pos) error {
+	var lo, hi Pos
+	for i, p := range positions {
+		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+			return fmt.Errorf("station %d at (%v, %v): a coordinate is not finite", i, p.X, p.Y)
+		}
+		if i == 0 {
+			lo, hi = p, p
+		}
+		lo = Pos{min(lo.X, p.X), min(lo.Y, p.Y)}
+		hi = Pos{max(hi.X, p.X), max(hi.Y, p.Y)}
+		if span := Dist(lo, hi); span/speedOfLight*1e9 >= maxDelayNS+1 {
+			return fmt.Errorf("station %d at (%v, %v) spreads the stations over %.0f km, more than the %.0f km a link plan's delays can span",
+				i, p.X, p.Y, span/1000, maxDelayNS/1e9*speedOfLight/1000)
+		}
+	}
+	return nil
+}
+
+// mustHold panics on positions CheckPositions refuses: the backstop for
+// callers that did not check them first.
+func mustHold(positions []Pos) {
+	if err := CheckPositions(positions); err != nil {
+		panic("radio: link plan over bad positions: " + err.Error())
+	}
 }
 
 // indexDelayOrder finishes a build: it finds the rows whose propagation
@@ -132,8 +170,8 @@ func (pl *LinkPlan) delayOrder(i int) []int32 {
 	return pl.delayOrd[i]
 }
 
-// buildFull keeps every ordered pair, rows in ascending ID order. Slots
-// are computable (fullSlot), so no lookup index is needed.
+// buildFull keeps every ordered pair, rows in ascending ID order, so no
+// lookup index is needed.
 func (pl *LinkPlan) buildFull() {
 	n := pl.n
 	edges := n * (n - 1)
@@ -143,18 +181,16 @@ func (pl *LinkPlan) buildFull() {
 	}
 	pl.nbrID = make([]int32, edges)
 	pl.nbrDBm = make([]float64, edges)
-	pl.nbrDist = make([]float64, edges)
-	pl.nbrPD = make([]sim.Time, edges)
+	pl.nbrPD = make([]int32, edges)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			d := Dist(pl.positions[i], pl.positions[j])
 			p := pl.cfg.MeanRxPowerDBm(d)
-			pd := propDelay(d)
+			pd := int32(propDelay(d))
 			si := pl.fullSlot(i, j)
 			sj := pl.fullSlot(j, i)
 			pl.nbrID[si], pl.nbrID[sj] = int32(j), int32(i)
 			pl.nbrDBm[si], pl.nbrDBm[sj] = p, p
-			pl.nbrDist[si], pl.nbrDist[sj] = d, d
 			pl.nbrPD[si], pl.nbrPD[sj] = pd, pd
 		}
 	}
@@ -210,22 +246,20 @@ func (pl *LinkPlan) buildPruned(chunks int) {
 
 // rowScratch holds the per-row working slices of a pruned build, hoisted
 // out of the row loops so candidate collection and sorting reuse one set
-// of allocations across all rows.
+// of allocations across all rows. buildRows sizes both for the largest row
+// bound of the chunk, so they never grow.
 type rowScratch struct {
 	ent []rowEntry
-	// keys are packed (ID, row-relative slot) pairs, uint64(id)<<32 | slot:
-	// sorted, they are a row's lookup index (appendRowLookup) or the dirty
-	// additions' part of it (appendPatchedRow).
-	keys []uint64
-	// oldSlot is the epoch patch's slot remap (see appendPatchedRow): the
-	// new row-relative slot of each surviving old entry.
-	oldSlot []int32
+	// fresh is the IDs of a patched row's fresh entries, ascending: the
+	// additions' part of its lookup index (appendPatchedRow).
+	fresh []int32
 }
 
 // rowEntry is one kept link of a row under construction.
 type rowEntry struct {
-	dbm, dist float64
-	id        int32
+	dbm float64
+	pd  int32
+	id  int32
 }
 
 // rowOrder is the pruned row order: power descending, ties by ID
@@ -241,83 +275,52 @@ func rowOrder(a, b rowEntry) int {
 	return cmp.Compare(a.id, b.id)
 }
 
-// collect resets the scratch and gathers station i's kept links from the
-// grid's candidates, applying the exact power predicate.
-func (s *rowScratch) collect(pl *LinkPlan, i int, grid *posGrid, rsq float64) {
-	s.ent = s.ent[:0]
-	grid.eachCandidate(i, pl.positions, rsq, func(j int32) {
-		d := Dist(pl.positions[i], pl.positions[j])
-		p := pl.cfg.MeanRxPowerDBm(d)
-		if p < pl.pruneCutoff {
-			return
-		}
-		s.ent = append(s.ent, rowEntry{dbm: p, dist: d, id: j})
-	})
+// entry returns the a→b link's entry if the power predicate keeps it.
+func (pl *LinkPlan) entry(a int, b int32) (rowEntry, bool) {
+	d := Dist(pl.positions[a], pl.positions[b])
+	p := pl.cfg.MeanRxPowerDBm(d)
+	return rowEntry{dbm: p, pd: int32(propDelay(d)), id: b}, p >= pl.pruneCutoff
 }
 
 // appendScratchRow computes station i's row from scratch via the grid and
 // appends it power-sorted, with its lookup index and off entry.
 func (pl *LinkPlan) appendScratchRow(i int, grid *posGrid, rsq float64, s *rowScratch) {
 	rowStart := len(pl.nbrID)
-	s.collect(pl, i, grid, rsq)
+	s.ent = s.ent[:0]
+	grid.eachCandidate(i, pl.positions, rsq, func(j int32) {
+		if e, ok := pl.entry(i, j); ok {
+			s.ent = append(s.ent, e)
+		}
+	})
 	slices.SortFunc(s.ent, rowOrder)
 	for _, e := range s.ent {
 		pl.nbrID = append(pl.nbrID, e.id)
 		pl.nbrDBm = append(pl.nbrDBm, e.dbm)
-		pl.nbrDist = append(pl.nbrDist, e.dist)
-		pl.nbrPD = append(pl.nbrPD, propDelay(e.dist))
+		pl.nbrPD = append(pl.nbrPD, e.pd)
 	}
-	pl.appendRowLookup(rowStart, s)
+	pl.lookID = append(pl.lookID, pl.nbrID[rowStart:]...)
+	slices.Sort(pl.lookID[rowStart:])
 	pl.off[i+1] = int64(len(pl.nbrID))
-}
-
-// appendRowLookup builds the per-row lookup index — neighbor IDs ascending
-// with their slot in the power-sorted row — for the row starting at
-// rowStart, which must be the last row appended to the primary arrays.
-func (pl *LinkPlan) appendRowLookup(rowStart int, s *rowScratch) {
-	s.keys = s.keys[:0]
-	for k, id := range pl.nbrID[rowStart:] {
-		s.keys = append(s.keys, uint64(id)<<32|uint64(k))
-	}
-	slices.Sort(s.keys)
-	for _, key := range s.keys {
-		pl.lookID = append(pl.lookID, int32(key>>32))
-		pl.lookSlot = append(pl.lookSlot, int32(uint32(key)))
-	}
 }
 
 // row returns station i's neighbor IDs and the parallel mean-power and
 // propagation-delay arrays (the Medium's transmit fast path).
-func (pl *LinkPlan) row(i int) (ids []int32, dbm []float64, pd []sim.Time) {
+func (pl *LinkPlan) row(i int) (ids []int32, dbm []float64, pd []int32) {
 	lo, hi := pl.off[i], pl.off[i+1]
 	return pl.nbrID[lo:hi], pl.nbrDBm[lo:hi], pl.nbrPD[lo:hi]
 }
 
-// slot returns the CSR slot of the a→b link, or -1 when b is not a
-// neighbor of a (pruned pair, or a == b).
-func (pl *LinkPlan) slot(a, b int) int {
+// has reports whether the plan stores the a→b link: b is not a and, in a
+// pruned plan, cleared the pruning cutoff.
+func (pl *LinkPlan) has(a, b int) bool {
 	if a == b {
-		return -1
+		return false
 	}
 	if !pl.pruned {
-		return pl.fullSlot(a, b)
+		return true
 	}
-	lo, hi := int(pl.off[a]), int(pl.off[a+1])
-	row := pl.lookID[lo:hi]
-	target := int32(b)
-	x, y := 0, len(row)
-	for x < y {
-		mid := int(uint(x+y) >> 1)
-		if row[mid] < target {
-			x = mid + 1
-		} else {
-			y = mid
-		}
-	}
-	if x < len(row) && row[x] == target {
-		return lo + int(pl.lookSlot[lo+x])
-	}
-	return -1
+	_, ok := slices.BinarySearch(pl.lookID[pl.off[a]:pl.off[a+1]], int32(b))
+	return ok
 }
 
 // Stations returns the number of stations the plan covers.
@@ -344,45 +347,28 @@ func (pl *LinkPlan) AscNeighbors(i int) []int32 {
 }
 
 // EachAscNeighbor calls yield for every stored neighbor of station i in
-// ascending ID order, with the precomputed link distance. It is the bulk
-// companion of AscNeighbors for callers that need per-link attributes:
-// iterating the CSR row directly avoids the per-pair slot lookup that
-// Distance(a, b) pays.
+// ascending ID order, with the link distance: AscNeighbors for callers that
+// need the distance of every link.
 func (pl *LinkPlan) EachAscNeighbor(i int, yield func(id int32, dist float64)) {
-	lo, hi := pl.off[i], pl.off[i+1]
-	if !pl.pruned {
-		for k := lo; k < hi; k++ {
-			yield(pl.nbrID[k], pl.nbrDist[k]) // rows already in ID order
-		}
-		return
-	}
-	for k := lo; k < hi; k++ {
-		yield(pl.lookID[k], pl.nbrDist[lo+int64(pl.lookSlot[k])])
+	pi := pl.positions[i]
+	for _, j := range pl.AscNeighbors(i) {
+		yield(j, Dist(pi, pl.positions[j]))
 	}
 }
 
-// Distance returns the distance in metres between two stations. Pairs the
-// plan pruned are computed on demand from the positions, so the accessor
-// is exact for every pair, sparse or not.
+// Distance returns the distance in metres between two stations, stored
+// link or not. It is symmetric bit for bit: Dist's differences only change
+// sign when a and b swap, and math.Hypot ignores the sign.
 func (pl *LinkPlan) Distance(a, b int) float64 {
-	if s := pl.slot(a, b); s >= 0 {
-		return pl.nbrDist[s]
-	}
-	if a == b {
-		return 0
-	}
 	return Dist(pl.positions[a], pl.positions[b])
 }
 
 // MeanDBm returns the mean received power of the a→b link in dBm (0 when
-// a == b, matching the dense matrix diagonal). Pruned pairs are computed
-// on demand, so the accessor is exact for every pair.
+// a == b, matching the dense matrix diagonal), stored link or not; a stored
+// link's power is this value.
 func (pl *LinkPlan) MeanDBm(a, b int) float64 {
-	if s := pl.slot(a, b); s >= 0 {
-		return pl.nbrDBm[s]
-	}
 	if a == b {
 		return 0
 	}
-	return pl.cfg.MeanRxPowerDBm(Dist(pl.positions[a], pl.positions[b]))
+	return pl.cfg.MeanRxPowerDBm(pl.Distance(a, b))
 }

@@ -624,7 +624,7 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 		if !decodable && dst.addressedBy == serial {
 			m.Counters.FramesShadowed++
 		}
-		rx = append(rx, reception{dst: dst, powerDBm: power, delay: nbrPD[k],
+		rx = append(rx, reception{dst: dst, powerDBm: power, delay: sim.Time(nbrPD[k]),
 			row: int32(k), decodable: decodable})
 	}
 	// Hold the frame and its packets for its airtime: the tx-done event plus
@@ -642,14 +642,14 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 		// Pruned stations never drew a shadowing sample, but an addressed
 		// receiver that was pruned is still a shadowing loss — keep the
 		// counter semantics of the unpruned medium. A pair is pruned
-		// exactly when it is absent from the plan (slot < 0).
+		// exactly when it is absent from the plan.
 		for _, id := range f.FwdList {
-			if id != f.Tx && plan.slot(int(f.Tx), int(id)) < 0 && m.stations[id].mac != nil {
+			if id != f.Tx && !plan.has(int(f.Tx), int(id)) && m.stations[id].mac != nil {
 				m.Counters.FramesShadowed++
 			}
 		}
 		if rx := f.Rx; rx >= 0 && rx != f.Tx && f.RankOf(rx) < 0 &&
-			plan.slot(int(f.Tx), int(rx)) < 0 && m.stations[rx].mac != nil {
+			!plan.has(int(f.Tx), int(rx)) && m.stations[rx].mac != nil {
 			m.Counters.FramesShadowed++
 		}
 	}

@@ -31,6 +31,7 @@ func (pl *LinkPlan) rebuild(positions []Pos, chunks int) *LinkPlan {
 	if len(positions) != pl.n {
 		panic("radio: Rebuild with a different station count")
 	}
+	mustHold(positions)
 	moved := make([]bool, pl.n)
 	movedIdx := make([]int32, 0, 64)
 	for i := range positions {
@@ -136,30 +137,38 @@ func (pl *LinkPlan) rebuild(positions []Pos, chunks int) *LinkPlan {
 }
 
 // appendCopiedRow appends station i's row — primary arrays and lookup —
-// copied verbatim from old (the lookup's slots are row-relative, so the
-// copy needs no adjustment).
+// copied verbatim from old.
 func (np *LinkPlan) appendCopiedRow(i int, old *LinkPlan) {
 	lo, hi := old.off[i], old.off[i+1]
 	np.nbrID = append(np.nbrID, old.nbrID[lo:hi]...)
 	np.nbrDBm = append(np.nbrDBm, old.nbrDBm[lo:hi]...)
-	np.nbrDist = append(np.nbrDist, old.nbrDist[lo:hi]...)
 	np.nbrPD = append(np.nbrPD, old.nbrPD[lo:hi]...)
 	np.lookID = append(np.lookID, old.lookID[lo:hi]...)
-	np.lookSlot = append(np.lookSlot, old.lookSlot[lo:hi]...)
 	np.off[i+1] = int64(len(np.nbrID))
 }
 
-// RowEqual reports whether station i's row stores the same neighbors at
-// the same distances in pl and other (two plans over the same station
-// count). Distances determine delivery probabilities, so equal rows yield
-// identical routing-table rows — the epoch table rebuild uses this to
-// copy rows of stations whose neighborhood geometry did not change.
+// RowEqual reports whether station i's row is the same link for link in pl
+// and other (two plans over the same station count) because nothing it
+// depends on changed: it stores the same neighbors, and neither station i
+// nor any of them moved between the two plans. Every link attribute is a
+// function of its two positions, so such rows hold the same distances and
+// hence the same delivery probabilities — the epoch table rebuild uses this
+// to copy the table rows of stations whose neighborhood did not change. A
+// row it does not call equal may still be: recomputing it gives the same
+// values.
 func (pl *LinkPlan) RowEqual(other *LinkPlan, i int) bool {
 	lo, hi := pl.off[i], pl.off[i+1]
 	olo, ohi := other.off[i], other.off[i+1]
-	return hi-lo == ohi-olo &&
-		slices.Equal(pl.nbrID[lo:hi], other.nbrID[olo:ohi]) &&
-		slices.Equal(pl.nbrDist[lo:hi], other.nbrDist[olo:ohi])
+	ids := pl.nbrID[lo:hi]
+	if pl.positions[i] != other.positions[i] || !slices.Equal(ids, other.nbrID[olo:ohi]) {
+		return false
+	}
+	for _, j := range ids {
+		if pl.positions[j] != other.positions[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // appendPatchedRow rebuilds unmoved station i's row by merging the old
@@ -169,29 +178,22 @@ func (pl *LinkPlan) RowEqual(other *LinkPlan, i int) bool {
 // entries keep their relative order, fresh ones are sorted here — so one
 // merge reproduces the full build's sort exactly, and each run of
 // survivors between two fresh entries is appended in bulk. The lookup
-// index is built by a second merge rather than appendRowLookup's sort: the
-// surviving old lookup is already in ascending ID order, the few fresh
-// entries are sorted as packed (ID, slot) keys, and the two can never
-// collide (dirty IDs are moved stations, survivors are not), so with the
-// new slots recorded during the row merge the O(k log k) per-row sort
-// becomes an O(k) zip.
+// index is a second merge rather than appendScratchRow's sort: the
+// surviving old lookup is in ascending ID order, so are the fresh IDs (the
+// dirty list is), and the two can never collide (dirty IDs are moved
+// stations, survivors are not), so the O(k log k) per-row sort becomes an
+// O(k) zip.
 func (np *LinkPlan) appendPatchedRow(i int, old *LinkPlan, moved []bool, dirty []int32, s *rowScratch) {
-	s.ent = s.ent[:0]
+	s.ent, s.fresh = s.ent[:0], s.fresh[:0]
 	for _, j := range dirty {
-		d := Dist(np.positions[i], np.positions[j])
-		p := np.cfg.MeanRxPowerDBm(d)
-		if p < np.pruneCutoff {
-			continue
+		if e, ok := np.entry(i, j); ok {
+			s.ent = append(s.ent, e)
+			s.fresh = append(s.fresh, j)
 		}
-		s.ent = append(s.ent, rowEntry{dbm: p, dist: d, id: j})
 	}
 	slices.SortFunc(s.ent, rowOrder)
 
 	lo, hi := old.off[i], old.off[i+1]
-	s.oldSlot = growSlots(s.oldSlot, int(hi-lo))
-	s.keys = s.keys[:0]
-	rowStart := len(np.nbrID)
-
 	k, m := lo, 0
 	for k < hi || m < len(s.ent) {
 		if k < hi && moved[old.nbrID[k]] {
@@ -199,16 +201,13 @@ func (np *LinkPlan) appendPatchedRow(i int, old *LinkPlan, moved []bool, dirty [
 			continue
 		}
 		// The run of survivors from k that precede fresh entry m.
-		k2, slot := k, int32(len(np.nbrID)-rowStart)
+		k2 := k
 		for k2 < hi && !moved[old.nbrID[k2]] && (m == len(s.ent) || oldFirst(old, k2, s.ent[m])) {
-			s.oldSlot[k2-lo] = slot
 			k2++
-			slot++
 		}
 		if k2 > k {
 			np.nbrID = append(np.nbrID, old.nbrID[k:k2]...)
 			np.nbrDBm = append(np.nbrDBm, old.nbrDBm[k:k2]...)
-			np.nbrDist = append(np.nbrDist, old.nbrDist[k:k2]...)
 			np.nbrPD = append(np.nbrPD, old.nbrPD[k:k2]...)
 			k = k2
 			continue
@@ -216,27 +215,22 @@ func (np *LinkPlan) appendPatchedRow(i int, old *LinkPlan, moved []bool, dirty [
 		// Entry k, if any, is a survivor that follows fresh entry m.
 		e := s.ent[m]
 		m++
-		s.keys = append(s.keys, uint64(e.id)<<32|uint64(slot))
 		np.nbrID = append(np.nbrID, e.id)
 		np.nbrDBm = append(np.nbrDBm, e.dbm)
-		np.nbrDist = append(np.nbrDist, e.dist)
-		np.nbrPD = append(np.nbrPD, propDelay(e.dist))
+		np.nbrPD = append(np.nbrPD, e.pd)
 	}
 
-	slices.Sort(s.keys)
 	t, f := lo, 0
-	for t < hi || f < len(s.keys) {
+	for t < hi || f < len(s.fresh) {
 		if t < hi && moved[old.lookID[t]] {
 			t++
 			continue
 		}
-		if t < hi && (f == len(s.keys) || old.lookID[t] < int32(s.keys[f]>>32)) {
+		if t < hi && (f == len(s.fresh) || old.lookID[t] < s.fresh[f]) {
 			np.lookID = append(np.lookID, old.lookID[t])
-			np.lookSlot = append(np.lookSlot, s.oldSlot[old.lookSlot[t]])
 			t++
 		} else {
-			np.lookID = append(np.lookID, int32(s.keys[f]>>32))
-			np.lookSlot = append(np.lookSlot, int32(uint32(s.keys[f])))
+			np.lookID = append(np.lookID, s.fresh[f])
 			f++
 		}
 	}
@@ -249,15 +243,6 @@ func oldFirst(old *LinkPlan, k int64, e rowEntry) bool {
 		return old.nbrDBm[k] > e.dbm
 	}
 	return old.nbrID[k] < e.id
-}
-
-// growSlots resizes a scratch slot-map to n entries, reusing its backing
-// array when it is large enough (values are fully rewritten each row).
-func growSlots(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
 }
 
 // Positions returns the station positions the plan was built over. The

@@ -28,17 +28,11 @@ func plansEqual(t *testing.T, want, got *LinkPlan) {
 	if !slices.Equal(want.nbrDBm, got.nbrDBm) {
 		t.Fatal("neighbor powers differ")
 	}
-	if !slices.Equal(want.nbrDist, got.nbrDist) {
-		t.Fatal("neighbor distances differ")
-	}
 	if !slices.Equal(want.nbrPD, got.nbrPD) {
 		t.Fatal("propagation delays differ")
 	}
 	if !slices.Equal(want.lookID, got.lookID) {
 		t.Fatal("lookup IDs differ")
-	}
-	if !slices.Equal(want.lookSlot, got.lookSlot) {
-		t.Fatal("lookup slots differ")
 	}
 	if !slices.EqualFunc(want.delayOrd, got.delayOrd, func(a, b []int32) bool { return slices.Equal(a, b) }) {
 		t.Fatal("delay orders differ")
@@ -154,12 +148,11 @@ func TestSetPlanSwapsPositions(t *testing.T) {
 
 // TestRebuildSizesItsArraysOnce: a Markov step in which movers converge on
 // one place adds links by the tens of thousands, and the row pass must not
-// pay for them by reallocating: Rebuild sizes its six link arrays once, from
-// what its dirty pass counted, so however many links a step adds it makes
-// the same few dozen allocations (the row scratch may double once more on
-// the way to a larger row) and the arrays it leaves are as long as their
-// contents, give or take the boundary candidates the power predicate
-// turned away.
+// pay for them by reallocating: Rebuild sizes its four link arrays and its
+// row scratch once, from what its dirty pass counted, so however many links
+// a step adds it makes the same few dozen allocations and the arrays it
+// leaves are as long as their contents, give or take the boundary
+// candidates the power predicate turned away.
 func TestRebuildSizesItsArraysOnce(t *testing.T) {
 	cfg, initial, _ := mobileCity(800, 4000, 21)
 	pl := NewLinkPlan(cfg, initial)
@@ -178,7 +171,7 @@ func TestRebuildSizesItsArraysOnce(t *testing.T) {
 		if allocs > base+2 {
 			t.Errorf("%d movers, %d links added: %.0f allocations, %.0f with 10 movers", movers, added, allocs, base)
 		}
-		for _, c := range []int{cap(np.nbrID), cap(np.nbrDBm), cap(np.nbrDist), cap(np.nbrPD), cap(np.lookID), cap(np.lookSlot)} {
+		for _, c := range []int{cap(np.nbrID), cap(np.nbrDBm), cap(np.nbrPD), cap(np.lookID)} {
 			if c < np.Links() || c > np.Links()+np.Links()/100 {
 				t.Errorf("%d movers: an array of capacity %d for %d links", movers, c, np.Links())
 			}

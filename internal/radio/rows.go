@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-
-	"ripple/internal/sim"
 )
 
 // rowChunkFloor is the size, in bounded links, below which a pruned plan's
@@ -19,7 +17,7 @@ import (
 // serial and keep their allocation counts.
 const rowChunkFloor = 64 << 10
 
-// buildRows fills a pruned plan's six link arrays with rows 0..n-1 in
+// buildRows fills a pruned plan's four link arrays with rows 0..n-1 in
 // order, calling row(v, i, s) to append row i to v. bound[i] is an upper
 // bound on row i's links, and the arrays are allocated once, with the
 // bounds' sum as capacity.
@@ -49,10 +47,8 @@ func (pl *LinkPlan) buildRows(bound []int32, chunks int, row func(v *LinkPlan, i
 	}
 	pl.nbrID = make([]int32, 0, total)
 	pl.nbrDBm = make([]float64, 0, total)
-	pl.nbrDist = make([]float64, 0, total)
-	pl.nbrPD = make([]sim.Time, 0, total)
+	pl.nbrPD = make([]int32, 0, total)
 	pl.lookID = make([]int32, 0, total)
-	pl.lookSlot = make([]int32, 0, total)
 	if chunks <= 0 {
 		chunks = 1
 		if total >= rowChunkFloor {
@@ -85,7 +81,11 @@ func (pl *LinkPlan) buildRows(bound []int32, chunks int, row func(v *LinkPlan, i
 				p.crash = fmt.Sprintf("%v\n\n%s", r, debug.Stack())
 			}
 		}()
-		var s rowScratch
+		widest := int32(0)
+		for _, b := range bound[p.lo:p.hi] {
+			widest = max(widest, b)
+		}
+		s := rowScratch{ent: make([]rowEntry, 0, widest), fresh: make([]int32, 0, widest)}
 		for i := p.lo; i < p.hi; i++ {
 			row(&p.v, i, &s)
 		}
@@ -122,10 +122,8 @@ func (pl *LinkPlan) buildRows(bound []int32, chunks int, row func(v *LinkPlan, i
 	}
 	pl.nbrID = pl.nbrID[:used]
 	pl.nbrDBm = pl.nbrDBm[:used]
-	pl.nbrDist = pl.nbrDist[:used]
 	pl.nbrPD = pl.nbrPD[:used]
 	pl.lookID = pl.lookID[:used]
-	pl.lookSlot = pl.lookSlot[:used]
 }
 
 // window returns the plan with every link array cut to the empty window
@@ -134,10 +132,8 @@ func (pl *LinkPlan) window(base, end int) LinkPlan {
 	v := *pl
 	v.nbrID = pl.nbrID[base:base:end]
 	v.nbrDBm = pl.nbrDBm[base:base:end]
-	v.nbrDist = pl.nbrDist[base:base:end]
 	v.nbrPD = pl.nbrPD[base:base:end]
 	v.lookID = pl.lookID[base:base:end]
-	v.lookSlot = pl.lookSlot[base:base:end]
 	return v
 }
 
@@ -146,10 +142,8 @@ func (pl *LinkPlan) window(base, end int) LinkPlan {
 func (pl *LinkPlan) moveLinks(to, from, n int) {
 	move(pl.nbrID, to, from, n)
 	move(pl.nbrDBm, to, from, n)
-	move(pl.nbrDist, to, from, n)
 	move(pl.nbrPD, to, from, n)
 	move(pl.lookID, to, from, n)
-	move(pl.lookSlot, to, from, n)
 }
 
 func move[T any](a []T, to, from, n int) {

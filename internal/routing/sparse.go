@@ -51,13 +51,16 @@ func NewSparseTableSym(n int, links func(a pkt.NodeID, yield func(b int32, p flo
 // RebuildSparseTableSym derives the symmetric table of a changed world
 // from its predecessor — the epoch step of a time-varying world.
 // moved flags the stations whose position changed since prev was built;
-// links must enumerate the NEW candidate graph (ascending ID order, link
-// distance attached, e.g. the rebuilt radio plan's EachAscNeighbor), and
-// prob maps a distance to the symmetric delivery probability.
+// links must enumerate the NEW candidate graph in ascending ID order with
+// the link distance attached, and prob maps a distance to the symmetric
+// delivery probability. Only the distance of a pair with a moved endpoint
+// is ever read, so links may hand any other pair a placeholder instead of
+// computing it.
 //
 // unchanged (optional, nil for none) flags stations whose candidate row —
 // neighbor set and distances — is identical in the old and new graphs
-// (radio.LinkPlan.RowEqual); their table rows are copied outright without
+// (radio.LinkPlan.RowEqual: the same neighbors, and neither the station
+// nor any of them moved); their table rows are copied outright without
 // enumerating the graph at all, which on a high-stay world is nearly all
 // of them. Rows of the remaining unmoved stations are patched: an unmoved
 // pair's distance — hence probability, ETX and minProb verdict — is
