@@ -162,3 +162,33 @@ func TestPlanRefusesBadPositions(t *testing.T) {
 		t.Fatalf("a 600,000 km layout: %v", err)
 	}
 }
+
+// TestPlanOverContinentalLayout: stations hundreds of thousands of
+// kilometres apart — within what CheckPositions admits, and thousands of
+// pruning radii — get a plan from a grid of at most maxGridCells cells, and
+// the plan keeps exactly the pairs the power predicate keeps.
+func TestPlanOverContinentalLayout(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PruneSigma = 3
+	pos := randomCity(40, 2000, 7)
+	pos = append(pos, Pos{X: 4e8, Y: 4e8}, Pos{X: 4e8 + 300, Y: 4e8}, Pos{X: -1e3, Y: 4e8})
+	if err := CheckPositions(pos); err != nil {
+		t.Fatal(err)
+	}
+	radius := cfg.rangeFor(cfg.CSThreshDBm-cfg.PruneSigma*cfg.ShadowSigmaDB) * 1.001
+	if g := newPosGrid(pos, radius); len(g.start)-1 > maxGridCells {
+		t.Fatalf("a grid of %d cells, over %d", len(g.start)-1, maxGridCells)
+	}
+	pl := NewLinkPlan(cfg, pos)
+	for a := range pos {
+		for b := range pos {
+			want := a != b && cfg.MeanRxPowerDBm(Dist(pos[a], pos[b])) >= pl.pruneCutoff
+			if pl.has(a, b) != want {
+				t.Fatalf("pair %d→%d at %v m: stored %v, the predicate says %v", a, b, Dist(pos[a], pos[b]), pl.has(a, b), want)
+			}
+		}
+	}
+	if !pl.has(40, 41) || pl.has(40, 0) {
+		t.Fatal("the far pair must be linked and the far cluster cut off from the city")
+	}
+}

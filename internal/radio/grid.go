@@ -1,5 +1,12 @@
 package radio
 
+import "math"
+
+// maxGridCells bounds a position grid at 16 MB of cell offsets. Every
+// workload's grid is far smaller: a 20 000-station city needs a few hundred
+// cells, and a city with one station 10⁶ m out about half a million.
+const maxGridCells = 1 << 22
+
 // posGrid is a uniform spatial index over station positions: stations are
 // bucketed into square cells whose side is the query radius, so every pair
 // within that radius of each other lies in the same or an adjacent cell.
@@ -46,8 +53,19 @@ func newPosGrid(positions []Pos, cell float64) *posGrid {
 			maxY = p.Y
 		}
 	}
-	g.cols = int((maxX-g.minX)*g.inv) + 1
-	g.rows = int((maxY-g.minY)*g.inv) + 1
+	// A layout far wider than the radius — a few stations continents apart
+	// — would ask for a cell per radius² of its bounding box. Doubling the
+	// side until the grid fits maxGridCells keeps every in-radius pair in
+	// adjacent cells, so it changes how many candidates are examined, never
+	// which.
+	for {
+		cols, rows := math.Floor((maxX-g.minX)*g.inv)+1, math.Floor((maxY-g.minY)*g.inv)+1
+		if cols*rows <= maxGridCells {
+			g.cols, g.rows = int(cols), int(rows)
+			break
+		}
+		g.inv /= 2
+	}
 
 	// Counting sort into CSR buckets.
 	cells := make([]int32, len(positions))
