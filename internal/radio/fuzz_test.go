@@ -51,11 +51,11 @@ func fuzzSeeds() [][]byte {
 			data = append(data, byte(rng.IntN(256)), byte(rng.IntN(256)))
 		}
 		for i := range int(c.n) + 1 {
-			m := byte(rng.IntN(256)) &^ 1
-			if i%int(c.moverEvery) == 0 {
-				m |= 1
+			if i%int(c.moverEvery) != 0 {
+				data = append(data, byte(rng.IntN(256))&^1)
+				continue
 			}
-			data = append(data, m, byte(rng.IntN(256)))
+			data = append(data, byte(rng.IntN(256))|1, byte(rng.IntN(256)))
 		}
 		seeds = append(seeds, data)
 	}
