@@ -12,6 +12,7 @@ import (
 
 	"ripple/internal/campaign/pool"
 	"ripple/internal/experiments"
+	"ripple/internal/israce"
 	"ripple/internal/sim"
 )
 
@@ -100,6 +101,9 @@ func TestSetupAllocationBudgets(t *testing.T) {
 	}
 	if os.Getenv("RIPPLE_AUDIT") != "" {
 		t.Skip("the deep audit quarantines released frames instead of reusing them")
+	}
+	if israce.Enabled {
+		t.Skip("the race detector allocates per goroutine: the counts are its, not the program's")
 	}
 	mallocs := func(f func()) uint64 {
 		var before, after runtime.MemStats

@@ -72,9 +72,9 @@ func assertEmptied(t *testing.T, after string, r *run) {
 		}
 	}
 	check("run", reflect.ValueOf(r).Elem(), []string{"arena"}, nil)
-	check("eng", reflect.ValueOf(&r.eng).Elem(), []string{"heap", "free"}, nil)
+	check("eng", reflect.ValueOf(&r.eng).Elem(), []string{"heap", "lane", "free"}, nil)
 	medium := reflect.ValueOf(&r.medium).Elem()
-	check("medium", medium, []string{"stations", "freeTx", "freeAir", "frames", "pOKByBits", "down", "noiseDB"},
+	check("medium", medium, []string{"stations", "freeAir", "frames", "pOKByBits", "down", "noiseDB"},
 		[]string{"slabOf", "pktOKBuf"})
 	check("medium.frames", medium.FieldByName("frames"), []string{"free"}, nil)
 	check("pool", reflect.ValueOf(&r.pool).Elem(), []string{"free"}, nil)

@@ -183,7 +183,7 @@ func TestReceptionsFireInDelayOrder(t *testing.T) {
 }
 
 // The slab and the record are reused across transmissions, and the engine
-// holds two entries per transmission however many stations sense it.
+// holds two series entries per transmission however many stations sense it.
 func TestTransmissionRecordsAreReused(t *testing.T) {
 	eng, m, _ := testMedium(t, idealConfig(), []Pos{{0, 0}, {50, 0}, {100, 0}, {150, 0}})
 	for i := 0; i < 5; i++ {
@@ -191,7 +191,7 @@ func TestTransmissionRecordsAreReused(t *testing.T) {
 		if m.OnAir() != 1 {
 			t.Fatalf("OnAir = %d with one frame on the air", m.OnAir())
 		}
-		// tx-done, 3 begins, 3 ends — behind three heap entries.
+		// tx-done, 3 begins, 3 ends — behind the two cursors.
 		if eng.Pending() != 7 {
 			t.Fatalf("Pending = %d, want 7 logical events", eng.Pending())
 		}
@@ -200,12 +200,17 @@ func TestTransmissionRecordsAreReused(t *testing.T) {
 			t.Fatalf("after the drain: OnAir %d, %d records pooled; want 0 and the one record", m.OnAir(), m.freeAir.Len())
 		}
 	}
-	// A transmission nobody senses takes no record and no sequence numbers
-	// beyond its tx-done.
+	// A transmission nobody senses holds its record until its tx-done, the
+	// one event of its end cursor, and takes no sequence numbers beyond it.
 	eng2, far, _ := testMedium(t, idealConfig(), []Pos{{0, 0}, {5000, 0}})
 	far.Transmit(dataFrame(0, 1, 100*sim.Microsecond))
-	if far.OnAir() != 0 || eng2.Pending() != 1 {
-		t.Fatalf("unsensed transmission: OnAir %d, Pending %d; want 0 and 1", far.OnAir(), eng2.Pending())
+	if far.OnAir() != 1 || eng2.Pending() != 1 {
+		t.Fatalf("unsensed transmission: OnAir %d, Pending %d; want 1 and 1", far.OnAir(), eng2.Pending())
+	}
+	eng2.Run(eng2.Now() + sim.Millisecond)
+	if far.OnAir() != 0 || eng2.Pending() != 0 || far.freeAir.Len() != 1 {
+		t.Fatalf("unsensed transmission drained: OnAir %d, Pending %d, %d records pooled; want 0, 0 and 1",
+			far.OnAir(), eng2.Pending(), far.freeAir.Len())
 	}
 }
 

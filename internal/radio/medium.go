@@ -86,15 +86,18 @@ func (r *reception) corrupted(captureDB float64) bool {
 
 // transmission is the pooled record of one frame on the air. rx is the slab
 // of its scheduled receptions, in the transmitter's row order — the order
-// the shadowing samples are drawn in. Reception i begins at start+delay
-// with sequence number base+2i and ends at end+delay with base+2i+1: the
-// keys two engine events per receiver, scheduled in row order, would have
-// had. The engine holds two entries for all of them, the begin and the end
-// cursor, each walking the slab in (delay, index) order — which is
+// the shadowing samples are drawn in. The transmitter's tx-done has key
+// (end, base); reception i begins at start+delay with sequence number
+// base+1+2i and ends at end+delay with base+2+2i: the keys a tx-done event
+// and two engine events per receiver, scheduled in that order, would have
+// had. The engine holds two series entries for all of them, the begin and
+// the end cursor, each walking the slab in (delay, index) order — which is
 // ascending key order, since the sequence numbers ascend with the index.
+// The end cursor fires the tx-done first: it is at end with the smallest
+// sequence number of the block.
 //
 // The medium owns the record from Transmit until the end cursor has fired
-// its last reception; station.current points into the slab only between a
+// its last event; station.current points into the slab only between a
 // reception's begin and its end, so by then nothing does, and the record
 // goes back to the pool with its slab's capacity.
 type transmission struct {
@@ -119,9 +122,10 @@ func (t *transmission) at(pos int) int {
 	return pos
 }
 
-// beginCursor and endCursor are a transmission's two reception phases as
-// sim.Series, embedded so that &t.begin / &t.done convert to the interface
-// without allocating.
+// beginCursor and endCursor are a transmission's two phases as sim.Series,
+// embedded so that &t.begin / &t.done convert to the interface without
+// allocating: the begin cursor walks the reception begins, the end cursor
+// the tx-done and then the reception ends.
 type beginCursor struct {
 	t   *transmission
 	pos int
@@ -136,9 +140,11 @@ func (c *beginCursor) Fire() (sim.Time, uint64, bool) {
 		return 0, 0, false
 	}
 	i := t.at(c.pos)
-	return t.start + t.rx[i].delay, t.base + 2*uint64(i), true
+	return t.start + t.rx[i].delay, t.base + 1 + 2*uint64(i), true
 }
 
+// endCursor's pos counts the events it has fired: pos 0 is the tx-done,
+// pos k ≥ 1 the end of the (k-1)-th reception in firing order.
 type endCursor struct {
 	t   *transmission
 	pos int
@@ -146,28 +152,25 @@ type endCursor struct {
 
 func (c *endCursor) Fire() (sim.Time, uint64, bool) {
 	t := c.t
-	r := &t.rx[t.at(c.pos)]
-	t.m.endReception(r.dst, r, t.frame)
-	c.pos++
+	if c.pos == 0 {
+		t.m.endTransmission(t.frame)
+	} else {
+		r := &t.rx[t.at(c.pos-1)]
+		t.m.endReception(r.dst, r, t.frame)
+	}
 	if c.pos == len(t.rx) {
 		t.m.recycleTransmission(t)
 		return 0, 0, false
 	}
 	i := t.at(c.pos)
-	return t.end + t.rx[i].delay, t.base + 2*uint64(i) + 1, true
+	c.pos++
+	return t.end + t.rx[i].delay, t.base + 2 + 2*uint64(i), true
 }
 
-// txDone is the pooled end-of-own-transmission event.
-type txDone struct {
-	m     *Medium
-	src   *station
-	frame *pkt.Frame
-}
-
-func (a *txDone) Run() {
-	src, f, m := a.src, a.frame, a.m
-	m.recycleTxDone(a)
+// endTransmission is the tx-done: f has left the air at its transmitter.
+func (m *Medium) endTransmission(f *pkt.Frame) {
 	f.AssertLive("radio: transmission end")
+	src := &m.stations[f.Tx]
 	src.txing = false
 	if src.busyRefs() == 0 {
 		src.mac.ChannelIdle()
@@ -206,8 +209,8 @@ type Medium struct {
 	cfg Config
 	phy phys.Params
 	rng *sim.RNG
-	// stations is one slab, held by value: receptions and tx-done records
-	// point into it, so it is only ever replaced by Init, when nothing does.
+	// stations is one slab, held by value: receptions point into it, so it
+	// is only ever replaced by Init, when nothing does.
 	stations []station
 	Counters Counters
 
@@ -219,14 +222,13 @@ type Medium struct {
 	plan *LinkPlan
 	n    int
 
-	// freeTx and freeAir recycle tx-done events and transmission records;
-	// onAir counts the records out of the pool. slabOf is Transmit's
-	// scratch map from plan-row position to slab index. pOKByBits memoizes
-	// the bitsSurvive survival probability per distinct bit length (the BER
-	// is fixed for the run), searched linearly: a run has a handful of
-	// packet sizes; pktOKBuf is the per-reception sub-packet CRC
-	// scratch handed to MAC.FrameReceived (valid only during the upcall).
-	freeTx    sim.FreeList[txDone]
+	// freeAir recycles transmission records; onAir counts the records out
+	// of the pool. slabOf is Transmit's scratch map from plan-row position
+	// to slab index. pOKByBits memoizes the bitsSurvive survival
+	// probability per distinct bit length (the BER is fixed for the run),
+	// searched linearly: a run has a handful of packet sizes; pktOKBuf is
+	// the per-reception sub-packet CRC scratch handed to MAC.FrameReceived
+	// (valid only during the upcall).
 	freeAir   sim.FreeList[transmission]
 	onAir     int
 	slabOf    []int32
@@ -313,19 +315,18 @@ func (m *Medium) Init(eng *sim.Engine, plan *LinkPlan, p phys.Params, rng *sim.R
 
 // Reset takes the medium off its engine, plan and stream and empties it,
 // keeping only capacity: the station slab with each station's in-progress
-// list, the tx-done and transmission records it ever allocated (recalled
-// from wherever the run left them, reception slabs and all), the frame
-// pool's frames, and the scratch buffers. Counters, the transmission serial,
-// the trace hook, the link veto, quarantine and the memoised survival
-// probabilities (the next run's BER may differ) start over. The engine must
-// be Reset too: it may still hold the recalled records' events.
+// list, the transmission records it ever allocated (recalled from wherever
+// the run left them, reception slabs and all), the frame pool's frames, and
+// the scratch buffers. Counters, the transmission serial, the trace hook,
+// the link veto, quarantine and the memoised survival probabilities (the
+// next run's BER may differ) start over. The engine must be Reset too: it
+// may still hold the recalled records' cursors.
 func (m *Medium) Reset() {
-	m.freeTx.Recall((*txDone).wipe)
 	m.freeAir.Recall((*transmission).wipe)
 	m.frames.Reset()
 	*m = Medium{
 		stations: m.stations[:0],
-		freeTx:   m.freeTx, freeAir: m.freeAir, frames: m.frames,
+		freeAir:  m.freeAir, frames: m.frames,
 		slabOf: m.slabOf, pktOKBuf: m.pktOKBuf, pOKByBits: m.pOKByBits[:0],
 		down: m.down[:0], noiseDB: m.noiseDB[:0],
 	}
@@ -387,22 +388,6 @@ func (m *Medium) assertCurrent(dst *station) {
 	}
 }
 
-func (m *Medium) newTxDone(src *station, f *pkt.Frame) *txDone {
-	if t := m.freeTx.Get(); t != nil {
-		t.src, t.frame = src, f
-		return t
-	}
-	return m.freeTx.Own(&txDone{m: m, src: src, frame: f})
-}
-
-// wipe returns the record to its pooled state: its medium and nothing else.
-func (t *txDone) wipe() { *t = txDone{m: t.m} }
-
-func (m *Medium) recycleTxDone(t *txDone) {
-	t.wipe()
-	m.freeTx.Put(t)
-}
-
 // NewFrame returns a zeroed frame from the run's pool, its one reference
 // held by the caller. Transmit takes that reference over; a frame that is
 // never transmitted is released by whoever gives up on it.
@@ -411,8 +396,9 @@ func (m *Medium) NewFrame() *pkt.Frame { return m.frames.Get() }
 // Frames returns the run's frame pool (the audit plane reads its counters).
 func (m *Medium) Frames() *pkt.FramePool { return &m.frames }
 
-// OnAir reports how many transmissions still have receptions to end: the
-// records out of the medium's pool. Zero once the air has drained.
+// OnAir reports how many transmissions have not ended everywhere: the
+// records out of the medium's pool, each held until its tx-done and its
+// last reception end. Zero once the air has drained.
 func (m *Medium) OnAir() int { return m.onAir }
 
 // Quarantine makes the medium never reuse what it recycles — frames
@@ -566,7 +552,6 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 			r.blocked = true
 		}
 	}
-	m.eng.Do(end, m.newTxDone(src, f))
 
 	plan := m.plan
 	sigma := m.cfg.ShadowSigmaDB
@@ -633,11 +618,7 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 	// late duplicate deliveries even after the source has abandoned them.
 	f.BeginAir(len(rx) + 1)
 	t.rx = rx
-	if len(rx) == 0 {
-		m.recycleTransmission(t)
-	} else {
-		m.schedule(t, f, now, end, plan.delayOrder(int(f.Tx)))
-	}
+	m.schedule(t, f, now, end, plan.delayOrder(int(f.Tx)))
 	if plan.pruned {
 		// Pruned stations never drew a shadowing sample, but an addressed
 		// receiver that was pruned is still a shadowing loss — keep the
@@ -656,16 +637,17 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 	return end
 }
 
-// schedule puts t's slab on the engine: the block of sequence numbers its
-// receptions would have taken as two events each, and the two cursors,
-// keyed to the nearest receiver. perm is the plan's delay order of the
-// transmitter's row, nil when the row — and so the slab, a subsequence of
-// it — is in delay order as it stands.
+// schedule puts t on the engine: the block of sequence numbers its tx-done
+// and its receptions would have taken as one event and two events each, the
+// begin cursor keyed to the nearest receiver and the end cursor to the
+// tx-done. perm is the plan's delay order of the transmitter's row, nil when
+// the row — and so the slab, a subsequence of it — is in delay order as it
+// stands. A transmission nobody senses is a one-event end series.
 func (m *Medium) schedule(t *transmission, f *pkt.Frame, now, end sim.Time, perm []int32) {
 	t.frame, t.start, t.end = f, now, end
 	n := len(t.rx)
-	t.base = m.eng.Reserve(2 * n)
-	if perm != nil {
+	t.base = m.eng.Reserve(2*n + 1)
+	if perm != nil && n > 0 {
 		// Row position → slab index, then the slab indices in the order the
 		// plan sorted the row positions in.
 		if cap(m.slabOf) < len(perm) {
@@ -684,10 +666,11 @@ func (m *Medium) schedule(t *transmission, f *pkt.Frame, now, end sim.Time, perm
 			}
 		}
 	}
-	first := t.at(0)
-	delay := t.rx[first].delay
-	m.eng.DoSeries(now+delay, t.base+2*uint64(first), n, &t.begin)
-	m.eng.DoSeries(end+delay, t.base+2*uint64(first)+1, n, &t.done)
+	if n > 0 {
+		first := t.at(0)
+		m.eng.DoSeries(now+t.rx[first].delay, t.base+1+2*uint64(first), n, &t.begin)
+	}
+	m.eng.DoSeries(end, t.base, n+1, &t.done)
 }
 
 func (m *Medium) beginReception(dst *station, r *reception) {

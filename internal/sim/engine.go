@@ -6,11 +6,12 @@ package sim
 // implementations in pooled structs and schedule them with Engine.Do.
 type Action interface{ Run() }
 
-// Series is a run of logical events that share one heap entry: the fan-out
-// of one transmission's reception phase is a few hundred events microseconds
-// apart, and keeping them all queued is what makes the heap deep. The
-// series keeps its events itself, in ascending (time, sequence) order, and
-// the engine keeps only the key of the next one.
+// Series is a run of logical events that share one queued entry: the
+// fan-out of one transmission's reception phase is a few hundred events
+// microseconds apart, and keeping them all queued is what makes the heap
+// deep. The series keeps its events itself, in ascending (time, sequence)
+// order, and the engine keeps only the key of the next one — in its series
+// lane, not the heap (see Engine).
 //
 // Fire runs the logical event the entry is currently keyed to, then returns
 // the key of the series' next logical event, or ok == false when that was
@@ -38,7 +39,7 @@ type Event struct {
 	seq      uint64
 	fn       func()
 	act      Action // non-nil for pooled (Do-scheduled) events
-	ser      Series // non-nil for a pooled series entry (DoSeries)
+	ser      Series // non-nil for a pooled series entry (DoSeries), which lives in the lane
 	index    int    // heap index; -1 once popped or cancelled
 	canceled bool
 }
@@ -169,8 +170,18 @@ func (h eventHeap) siftDown(i0 int) bool {
 // Engine is a single-threaded discrete-event scheduler. The zero value is
 // ready to use. Engines are not safe for concurrent use; run independent
 // simulations on independent Engines (one per goroutine) instead.
+//
+// Pending entries live in one of two queues. The heap holds At/After/Do
+// events and timers. The series lane holds the DoSeries entries, sorted by
+// (at, seq): a reception series is a few logical events nanoseconds apart
+// that would sit at the heap's root, sifted down on every re-key and
+// removed from the root when it ends, where in the lane a re-key is a
+// compare with its successor and a retirement a copy. Run fires the smaller
+// of the two heads; keys are unique across both queues, so the fire order
+// is the (at, seq) total order whichever queue an entry is in.
 type Engine struct {
 	heap    eventHeap
+	lane    []*Event
 	now     Time
 	seq     uint64
 	stopped bool
@@ -197,21 +208,26 @@ func (e *Engine) SetCheck(fn func()) { e.check = fn }
 func NewEngine() *Engine { return &Engine{} }
 
 // Reset returns the engine to time zero with nothing scheduled, keeping the
-// heap's capacity and the pooled events: a run arena resets its engine
-// between runs. Every pending entry leaves the heap — a pooled one (Do,
-// DoSeries) goes back to the free list, a timer's reads as not armed, an
-// At/After event is dropped — so nothing the last run scheduled is reachable
-// from the next.
+// heap's and the lane's capacity and the pooled events: a run arena resets
+// its engine between runs. Every pending entry leaves its queue — a pooled
+// one (Do, DoSeries) goes back to the free list, a timer's reads as not
+// armed, an At/After event is dropped — so nothing the last run scheduled is
+// reachable from the next.
 func (e *Engine) Reset() {
 	for i, ev := range e.heap {
 		e.heap[i] = nil
 		ev.index = -1
-		if ev.act != nil || ev.ser != nil {
-			ev.act, ev.ser = nil, nil
+		if ev.act != nil {
+			ev.act = nil
 			e.free.Put(ev)
 		}
 	}
-	*e = Engine{heap: e.heap[:0], free: e.free}
+	for i, ev := range e.lane {
+		e.lane[i] = nil
+		ev.ser = nil
+		e.free.Put(ev)
+	}
+	*e = Engine{heap: e.heap[:0], lane: e.lane[:0], free: e.free}
 }
 
 // Now returns the current simulated time.
@@ -274,11 +290,11 @@ func (e *Engine) Reserve(n int) uint64 {
 	return base
 }
 
-// DoSeries schedules the n logical events of s behind one pooled heap
+// DoSeries schedules the n logical events of s behind one pooled lane
 // entry. (t, seq) is the key of the first; each Fire returns the next,
 // which must sort after it, and the n-th Fire must report the end. The
-// entry is re-keyed in place after each logical event, so the heap holds
-// one node for the series however long it is, while Processed, Pending,
+// entry is re-keyed in place after each logical event, so the lane holds
+// one entry for the series however long it is, while Processed, Pending,
 // the check hook and the fire order are those of n separate Do events with
 // the same keys.
 func (e *Engine) DoSeries(t Time, seq uint64, n int, s Series) {
@@ -290,7 +306,25 @@ func (e *Engine) DoSeries(t Time, seq uint64, n int, s Series) {
 	ev.seq = seq
 	ev.ser = s
 	e.extra += n - 1
-	e.heap.push(ev)
+	i := e.after(ev, 0)
+	e.lane = append(e.lane, nil)
+	copy(e.lane[i+1:], e.lane[i:])
+	e.lane[i] = ev
+}
+
+// after returns the index, from lo on, of the first lane entry that sorts
+// after ev, or the lane's length: the lane is sorted, so a binary search.
+func (e *Engine) after(ev *Event, lo int) int {
+	hi := len(e.lane)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if lessEv(e.lane[mid], ev) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Cancel removes a pending event. Cancelling a nil, already-fired or
@@ -334,16 +368,47 @@ func (e *Engine) Stop() { e.stopped = true }
 // then, so it stays at the last one fired and a later Run resumes there.
 func (e *Engine) Run(until Time) {
 	e.stopped = false
-	for len(e.heap) > 0 && !e.stopped {
-		next := e.heap[0]
-		if next.at > until {
+	for !e.stopped {
+		var next *Event
+		if len(e.heap) > 0 {
+			next = e.heap[0]
+		}
+		if len(e.lane) > 0 && (next == nil || lessEv(e.lane[0], next)) {
+			next = e.lane[0]
+		}
+		if next == nil || next.at > until {
 			break
 		}
 		e.now = next.at
 		e.processed++
 		switch {
 		case next.ser != nil:
-			e.fireSeries(next)
+			// The lane's head fires one logical event and is re-keyed to
+			// the next, or retired after the last; this is the hottest
+			// path of a run, so it is written out here rather than called.
+			// The entry stays at the head while its event runs: whatever
+			// the event schedules is at or after now with a fresh sequence
+			// number, so it sorts after the key being fired. Afterwards
+			// the entry moves behind the lane entries it now sorts after —
+			// none, in the common case of a fan-out whose receptions are
+			// nanoseconds apart and every other transmission's a slot time
+			// away, where it costs one compare with the entry behind it.
+			e.extra-- // the event being fired is no longer pending
+			at, seq, more := next.ser.Fire()
+			if !more {
+				e.retire(next)
+				break
+			}
+			if at < next.at || (at == next.at && seq <= next.seq) {
+				panic("sim: series keys out of order")
+			}
+			next.at, next.seq = at, seq
+			// Read after Fire: a DoSeries inside it may have grown the lane.
+			if lane := e.lane; len(lane) > 1 && lessEv(lane[1], next) {
+				i := e.after(next, 2) - 1
+				copy(lane[:i], lane[1:i+1])
+				lane[i] = next
+			}
 		case next.act != nil:
 			e.heap.popMin()
 			// Recycle before running: the action may schedule more Do
@@ -365,30 +430,17 @@ func (e *Engine) Run(until Time) {
 	}
 }
 
-// fireSeries fires one logical event of the series entry at the root and
-// re-keys the entry to the next, or retires it after the last. The entry
-// stays at the root while its event runs: whatever the event schedules is
-// at or after now with a fresh sequence number, so it sorts after the key
-// being fired. Afterwards the entry sinks from the root to where its new
-// key belongs — nowhere, in the common case of a fan-out whose receptions
-// are nanoseconds apart and everything else a slot time away.
-func (e *Engine) fireSeries(ev *Event) {
-	e.extra-- // the event being fired is no longer pending
-	at, seq, more := ev.ser.Fire()
-	if !more {
-		e.extra++ // ... and was the entry itself, not one behind it
-		e.heap.remove(ev.index)
-		ev.ser = nil
-		e.free.Put(ev)
-		return
-	}
-	if at < ev.at || (at == ev.at && seq <= ev.seq) {
-		panic("sim: series keys out of order")
-	}
-	ev.at, ev.seq = at, seq
-	e.heap.siftDown(ev.index)
+// retire takes the series entry at the head of the lane, whose last event
+// has fired, back to the free list.
+func (e *Engine) retire(ev *Event) {
+	e.extra++ // the event fired was the entry itself, not one behind it
+	n := copy(e.lane, e.lane[1:])
+	e.lane[n] = nil
+	e.lane = e.lane[:n]
+	ev.ser = nil
+	e.free.Put(ev)
 }
 
-// Pending returns the number of logical events still queued: every heap
-// entry, plus what each series holds behind the event it is keyed to.
-func (e *Engine) Pending() int { return len(e.heap) + e.extra }
+// Pending returns the number of logical events still queued: every heap and
+// lane entry, plus what each series holds behind the event it is keyed to.
+func (e *Engine) Pending() int { return len(e.heap) + len(e.lane) + e.extra }

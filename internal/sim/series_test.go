@@ -63,8 +63,9 @@ func TestSeriesFiresInKeyOrderAmongOtherEvents(t *testing.T) {
 	if e.Pending() != 8 {
 		t.Fatalf("Pending = %d with 4 callbacks and a 4-event series queued, want 8", e.Pending())
 	}
-	if len(e.heap) != 5 {
-		t.Fatalf("%d heap entries, want 5: the series is one", len(e.heap))
+	if len(e.heap) != 4 || len(e.lane) != 1 || e.lane[0].at != 5 || e.lane[0].seq != 2 {
+		t.Fatalf("%d heap and %d lane entries, want 4 and 1: the callbacks in the heap, the series one lane entry keyed to s1 (5, 2)",
+			len(e.heap), len(e.lane))
 	}
 	e.Run(100)
 	want := "[a@5 s1@5 s2@5 b@5 s0@7 c@7 d@8 s3@9]"
@@ -161,9 +162,9 @@ func TestEngineStopInsideSeries(t *testing.T) {
 		t.Fatalf("after Stop in the series: fired %v, Now %d, Pending %d, Processed %d; want [0 1], 20, 4, 2",
 			fired, e.Now(), e.Pending(), e.Processed())
 	}
-	if len(e.heap) != 2 || e.heap[0].at != 25 {
-		t.Fatalf("heap holds %d entries, root at %d: want the callback at 25 ahead of the series re-keyed to 30",
-			len(e.heap), e.heap[0].at)
+	if len(e.heap) != 1 || e.heap[0].at != 25 || len(e.lane) != 1 || e.lane[0].at != 30 {
+		t.Fatalf("heap holds %d entries, lane %d: want the callback at 25 in the heap and the series, re-keyed to 30, in the lane",
+			len(e.heap), len(e.lane))
 	}
 	e.Run(Second)
 	if fmt.Sprint(fired) != "[0 1 -1 2 3 4]" || e.Pending() != 0 {
@@ -179,15 +180,35 @@ func TestEngineStopInsideSeries(t *testing.T) {
 // moment the sequence numbers are reserved, into one Do event per logical
 // event.
 type diffWorld struct {
-	e        *Engine
-	seed     uint64
-	expand   bool // reference: a series is n Do events
-	freshSeq bool // mutation, series side only
-	nextID   int
-	handles  []*Event
-	log      []string
-	checks   int
+	e       *Engine
+	seed    uint64
+	expand  bool     // reference: a series is n Do events
+	mut     mutation // series side only
+	nextID  int
+	bursts  int
+	handles []*Event
+	log     []string
+	checks  int
+	// maxLane is the most series entries the lane has held at once.
+	maxLane int
+	// rekeyed is the series whose event fired last, for fifoTies.
+	rekeyed *listSeries
 }
+
+// mutation is a deliberate engine bug the differential test must notice.
+type mutation int
+
+const (
+	noMutation mutation = iota
+	// freshSeq re-keys a series with a new sequence number instead of the
+	// reserved one.
+	freshSeq
+	// fifoTies orders the lane by time alone: an entry inserted or re-keyed
+	// goes after every entry at its time, whatever their sequence numbers.
+	// The test emulates it by moving the entry there after the engine has
+	// placed it.
+	fifoTies
+)
 
 type diffAction struct {
 	w  *diffWorld
@@ -197,6 +218,10 @@ type diffAction struct {
 func (a *diffAction) Run() { a.w.fired(a.id) }
 
 func (w *diffWorld) id() int { w.nextID++; return w.nextID }
+
+// intn is where a program's choices come from: a seeded RNG, or the
+// fuzzer's bytes.
+type intn interface{ IntN(n int) int }
 
 // fired logs one logical event and lets it act: schedule more work of every
 // kind, cancel or move a timer, stop the run.
@@ -217,7 +242,7 @@ const diffBudget = 400
 
 // act performs one random operation among the first `kinds` kinds: 12 for
 // an event, 11 — all but Stop — from outside a run.
-func (w *diffWorld) act(rng *RNG, kinds int) {
+func (w *diffWorld) act(rng intn, kinds int) {
 	// Small offsets: ties between a series' events and everything else are
 	// the point.
 	at := w.e.Now() + Time(rng.IntN(6))
@@ -231,22 +256,7 @@ func (w *diffWorld) act(rng *RNG, kinds int) {
 	case 3, 4:
 		w.e.Do(at, &diffAction{w, w.id()})
 	case 5, 6, 7:
-		n := 1 + rng.IntN(7)
-		times := make([]Time, n)
-		ids := make([]int, n)
-		for i := range times {
-			times[i] = w.e.Now() + Time(rng.IntN(8))
-			ids[i] = w.id()
-		}
-		if w.expand {
-			for i := range times {
-				w.e.Do(times[i], &diffAction{w, ids[i]})
-			}
-			return
-		}
-		s := newListSeries(w.e, times, func(i int) { w.fired(ids[i]) })
-		s.freshSeq = w.freshSeq
-		s.schedule()
+		w.series(rng, 8)
 	case 8:
 		if len(w.handles) > 0 {
 			w.e.Cancel(w.handles[rng.IntN(len(w.handles))])
@@ -260,23 +270,192 @@ func (w *diffWorld) act(rng *RNG, kinds int) {
 	}
 }
 
-// diffProgram runs one random program on a series engine and on the
-// reference and returns the first divergence, or "".
-func diffProgram(seed uint64, freshSeq bool) string {
+// series schedules one series of 1 to 7 logical events within span of now.
+func (w *diffWorld) series(rng intn, span int) {
+	n := 1 + rng.IntN(7)
+	times := make([]Time, n)
+	ids := make([]int, n)
+	for i := range times {
+		times[i] = w.e.Now() + Time(rng.IntN(span))
+		ids[i] = w.id()
+	}
+	if w.expand {
+		for i := range times {
+			w.e.Do(times[i], &diffAction{w, ids[i]})
+		}
+		return
+	}
+	var s *listSeries
+	s = newListSeries(w.e, times, func(i int) {
+		w.rekeyed = s
+		w.fired(ids[i])
+	})
+	s.freshSeq = w.mut == freshSeq
+	s.schedule()
+	w.placed(s)
+}
+
+// burst schedules 16 to 24 series at once over the next 40 ticks: a city's
+// depth of overlapping transmissions, each series a reception phase. Their
+// shapes come from the world's seed, so a fuzzed program spends one byte on
+// a burst.
+func (w *diffWorld) burst(src intn) {
+	w.bursts++
+	rng := NewRNG(w.seed, 2<<32|uint64(w.bursts))
+	for k := 16 + src.IntN(9); k > 0; k-- {
+		w.series(rng, 40)
+	}
+}
+
+// placed notes the lane's depth after s was inserted or re-keyed and, under
+// fifoTies, moves s behind every other entry at its time.
+func (w *diffWorld) placed(s *listSeries) {
+	lane := w.e.lane
+	w.maxLane = max(w.maxLane, len(lane))
+	if w.mut != fifoTies {
+		return
+	}
+	i := slices.IndexFunc(lane, func(ev *Event) bool { return ev.ser == s })
+	if i < 0 {
+		return // retired
+	}
+	ev := lane[i]
+	for i+1 < len(lane) && lane[i+1].at <= ev.at {
+		lane[i] = lane[i+1]
+		i++
+	}
+	lane[i] = ev
+}
+
+// check is the world's check hook: it counts logical events and, after a
+// series event, sees the series placed.
+func (w *diffWorld) check() {
+	w.checks++
+	if s := w.rekeyed; s != nil {
+		w.rekeyed = nil
+		w.placed(s)
+	}
+}
+
+// reset resets the engine and reports how it drained, or "": every queue
+// empty, the clock and the counts at zero, and every pooled entry — Do
+// events, series entries — back on the free list.
+func (w *diffWorld) reset() string {
+	pooled := len(w.e.lane)
+	for _, ev := range w.e.heap {
+		if ev.act != nil {
+			pooled++
+		}
+	}
+	free := w.e.free.Len()
+	w.e.Reset()
+	w.e.SetCheck(w.check)
+	if len(w.e.heap) != 0 || len(w.e.lane) != 0 || w.e.Pending() != 0 || w.e.Now() != 0 || w.e.Processed() != 0 {
+		return fmt.Sprintf("after Reset: %d heap and %d lane entries, Pending %d, Now %d, Processed %d",
+			len(w.e.heap), len(w.e.lane), w.e.Pending(), w.e.Now(), w.e.Processed())
+	}
+	if got := w.e.free.Len() - free; got != pooled {
+		return fmt.Sprintf("Reset pooled %d entries, want the %d pending", got, pooled)
+	}
+	return ""
+}
+
+// A step of a program is what both worlds do between runs.
+const (
+	opRun   = iota // run for up to 9 ticks
+	opAct          // one operation of any kind but Stop
+	opBurst        // 16 to 24 series at once
+	opReset        // Engine.Reset
+)
+
+// program is the outside of one differential program: step k's kind, and
+// the source of its arguments, or ok == false after the last step. Each
+// world gets a program of its own, so both replay the same choices.
+type program interface {
+	step(k int) (op int, src intn, ok bool)
+}
+
+// seeded is a 60-step program drawn from a seed. A wide one bursts at steps
+// 5, 25 and 45; a resetting one resets at step 30.
+type seeded struct {
+	seed         uint64
+	wide, resets bool
+}
+
+func (p seeded) step(k int) (int, intn, bool) {
+	if k == 60 {
+		return 0, nil, false
+	}
+	rng := NewRNG(p.seed, 1<<32|uint64(k))
+	switch {
+	case p.wide && k%20 == 5:
+		return opBurst, rng, true
+	case p.resets && k == 30:
+		return opReset, rng, true
+	case rng.IntN(3) == 0:
+		return opRun, rng, true
+	}
+	return opAct, rng, true
+}
+
+// seededProgram is seed's program: every second seed wide, every third
+// resetting.
+func seededProgram(seed uint64) func() program {
+	return func() program { return seeded{seed: seed, wide: seed%2 == 0, resets: seed%3 == 0} }
+}
+
+// fuzzed is a program read from bytes, one step kind per byte followed by
+// its arguments; bytes past the end read as zero, and the program ends with
+// its bytes or at step 60.
+type fuzzed struct {
+	data []byte
+	pos  int
+}
+
+func (p *fuzzed) IntN(n int) int {
+	if p.pos >= len(p.data) {
+		return 0
+	}
+	p.pos++
+	return int(p.data[p.pos-1]) % n
+}
+
+func (p *fuzzed) step(k int) (int, intn, bool) {
+	if k == 60 || p.pos >= len(p.data) {
+		return 0, nil, false
+	}
+	// Of eight values: three run, three act, one bursts and one resets.
+	return [...]int{opRun, opRun, opRun, opAct, opAct, opAct, opBurst, opReset}[p.IntN(8)], p, true
+}
+
+// diffProgram runs one program on a series engine and on the reference and
+// returns the first divergence, or "", and the series side's deepest lane.
+func diffProgram(seed uint64, newProgram func() program, mut mutation) (string, int) {
 	worlds := [2]*diffWorld{
-		{e: NewEngine(), seed: seed, freshSeq: freshSeq},
+		{e: NewEngine(), seed: seed, mut: mut},
 		{e: NewEngine(), seed: seed, expand: true},
 	}
+	programs := [2]program{newProgram(), newProgram()}
 	for _, w := range worlds {
-		w.e.SetCheck(func() { w.checks++ })
+		w.e.SetCheck(w.check)
 	}
-	for step := 0; step < 60; step++ {
-		for _, w := range worlds {
-			rng := NewRNG(seed, 1<<32|uint64(step))
-			if rng.IntN(3) == 0 {
-				w.e.Run(w.e.Now() + Time(rng.IntN(10)))
-			} else {
-				w.act(rng, 11) // every kind but Stop, which only an event may call
+	for step := 0; ; step++ {
+		for i, w := range worlds {
+			op, src, ok := programs[i].step(step)
+			if !ok {
+				return "", worlds[0].maxLane
+			}
+			switch op {
+			case opRun:
+				w.e.Run(w.e.Now() + Time(src.IntN(10)))
+			case opAct:
+				w.act(src, 11) // every kind but Stop, which only an event may call
+			case opBurst:
+				w.burst(src)
+			case opReset:
+				if d := w.reset(); d != "" {
+					return fmt.Sprintf("step %d, world %d: %s", step, i, d), worlds[0].maxLane
+				}
 			}
 		}
 		a, b := worlds[0], worlds[1]
@@ -285,38 +464,80 @@ func diffProgram(seed uint64, freshSeq bool) string {
 			for n < len(a.log) && n < len(b.log) && a.log[n] == b.log[n] {
 				n++
 			}
-			return fmt.Sprintf("step %d: fire %d differs:\n series    %v\n reference %v", step, n, a.log[n:], b.log[n:])
+			return fmt.Sprintf("step %d: fire %d differs:\n series    %v\n reference %v", step, n, a.log[n:], b.log[n:]), a.maxLane
 		}
 		if a.e.Now() != b.e.Now() || a.e.Processed() != b.e.Processed() || a.e.Pending() != b.e.Pending() {
 			return fmt.Sprintf("step %d: Now %d/%d, Processed %d/%d, Pending %d/%d", step,
-				a.e.Now(), b.e.Now(), a.e.Processed(), b.e.Processed(), a.e.Pending(), b.e.Pending())
+				a.e.Now(), b.e.Now(), a.e.Processed(), b.e.Processed(), a.e.Pending(), b.e.Pending()), a.maxLane
 		}
 		if a.checks != len(a.log) || b.checks != len(b.log) {
 			return fmt.Sprintf("step %d: check hook ran %d/%d times for %d/%d logical events", step,
-				a.checks, b.checks, len(a.log), len(b.log))
+				a.checks, b.checks, len(a.log), len(b.log)), a.maxLane
 		}
 	}
-	return ""
 }
 
 func TestSeriesDifferentialAgainstExpandedEvents(t *testing.T) {
 	for seed := uint64(1); seed <= 400; seed++ {
-		if d := diffProgram(seed, false); d != "" {
+		d, lane := diffProgram(seed, seededProgram(seed), noMutation)
+		if d != "" {
 			t.Fatalf("seed %d: %s", seed, d)
 		}
-	}
-	// The programs are worth something: they fire events, and the
-	// mutation — a fresh sequence number at each re-key instead of the
-	// reserved one — is caught on many of them.
-	caught := 0
-	for seed := uint64(1); seed <= 400; seed++ {
-		if diffProgram(seed, true) != "" {
-			caught++
+		// A wide program holds a city's depth of series at once.
+		if seed%2 == 0 && lane < 16 {
+			t.Fatalf("seed %d: wide program's lane held at most %d series, want at least 16", seed, lane)
 		}
 	}
-	if caught < 300 {
-		t.Fatalf("the fresh-sequence-number mutation diverged on %d of 400 programs, want at least 300", caught)
+	// The programs are worth something: they fire events, and each mutation
+	// is caught on many of them.
+	for _, m := range []struct {
+		mut  mutation
+		name string
+		want int
+	}{
+		{freshSeq, "fresh-sequence-number", 300},
+		{fifoTies, "time-only lane", 360},
+	} {
+		caught := 0
+		for seed := uint64(1); seed <= 400; seed++ {
+			if d, _ := diffProgram(seed, seededProgram(seed), m.mut); d != "" {
+				caught++
+			}
+		}
+		t.Logf("the %s mutation diverged on %d of 400 programs", m.name, caught)
+		if caught < m.want {
+			t.Fatalf("the %s mutation diverged on %d of 400 programs, want at least %d", m.name, caught, m.want)
+		}
 	}
+}
+
+// FuzzEngineSeries: any program the bytes spell — runs, operations of every
+// kind, bursts of series, resets — fires the same logical events in the same
+// order, with the same clock and counts, on the series engine as on the
+// reference that expands each series into Do events.
+func FuzzEngineSeries(f *testing.F) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		rng := NewRNG(seed, 3<<32)
+		data := make([]byte, 8, 128)
+		for i := range data {
+			data[i] = byte(seed >> (8 * i))
+		}
+		for range 120 {
+			data = append(data, byte(rng.IntN(256)))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The first eight bytes seed what events do when they fire.
+		var seed uint64
+		for i := 0; i < 8 && i < len(data); i++ {
+			seed |= uint64(data[i]) << (8 * i)
+		}
+		rest := data[min(8, len(data)):]
+		if d, _ := diffProgram(seed, func() program { return &fuzzed{data: rest} }, noMutation); d != "" {
+			t.Fatal(d)
+		}
+	})
 }
 
 // hold is the event of the classic hold model: firing schedules itself
@@ -362,11 +583,11 @@ func BenchmarkDoRun(b *testing.B) {
 	}
 }
 
-// benchSeries is fanout logical events a nanosecond apart, re-armed by the
-// benchmark loop.
+// benchSeries is fanout logical events step nanoseconds apart, re-armed by
+// the benchmark loop.
 type benchSeries struct {
 	base        uint64
-	start       Time
+	start, step Time
 	pos, fanout int
 	fired       *int
 }
@@ -377,36 +598,49 @@ func (s *benchSeries) Fire() (Time, uint64, bool) {
 	if s.pos == s.fanout {
 		return 0, 0, false
 	}
-	return s.start + Time(s.pos), s.base + uint64(s.pos), true
+	return s.start + Time(s.pos)*s.step, s.base + uint64(s.pos), true
 }
 
-// BenchmarkSeries is one series of fanout logical events scheduled and
-// drained on an engine that holds 64 other events, all later: the engine's
-// share of a transmission's reception phase by receiver count. ns/event
-// divides it by the fan-out, for comparison with BenchmarkDoRun — a re-key
-// that leaves the entry at the root against a push and a pop.
+// BenchmarkSeries is concurrent series of fanout logical events each
+// scheduled and drained on an engine that holds 64 other events, all later:
+// the engine's share of a transmission's reception phase by receiver count.
+// With concurrent=1 every re-key leaves the entry at the head of the lane;
+// with concurrent=32 — a city's depth of overlapping transmissions — the
+// series' events interleave round robin, so each re-key moves the entry
+// behind the 31 others and each op inserts and retires 32 entries. ns/event
+// divides the op by its logical events, for comparison with BenchmarkDoRun's
+// push and pop.
 func BenchmarkSeries(b *testing.B) {
 	for _, fanout := range []int{3, 30, 230} {
-		b.Run(fmt.Sprintf("fanout=%d", fanout), func(b *testing.B) {
-			e := NewEngine()
-			for i := 0; i < 64; i++ {
-				e.Do(1<<62+Time(i), &hold{})
-			}
-			fired := 0
-			s := &benchSeries{fanout: fanout, fired: &fired}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.start, s.pos = e.Now()+1, 0
-				s.base = e.Reserve(fanout)
-				e.DoSeries(s.start, s.base, fanout, s)
-				e.Run(s.start + Time(fanout))
-			}
-			b.StopTimer()
-			if fired != b.N*fanout {
-				b.Fatalf("%d logical events fired, want %d", fired, b.N*fanout)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/event")
-		})
+		for _, concurrent := range []int{1, 32} {
+			b.Run(fmt.Sprintf("fanout=%d/concurrent=%d", fanout, concurrent), func(b *testing.B) {
+				e := NewEngine()
+				for i := 0; i < 64; i++ {
+					e.Do(1<<62+Time(i), &hold{})
+				}
+				fired := 0
+				series := make([]benchSeries, concurrent)
+				for j := range series {
+					series[j] = benchSeries{step: Time(concurrent), fanout: fanout, fired: &fired}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					now := e.Now()
+					for j := range series {
+						s := &series[j]
+						s.start, s.pos = now+1+Time(j), 0
+						s.base = e.Reserve(fanout)
+						e.DoSeries(s.start, s.base, fanout, s)
+					}
+					e.Run(now + Time(concurrent*fanout))
+				}
+				b.StopTimer()
+				if fired != b.N*fanout*concurrent {
+					b.Fatalf("%d logical events fired, want %d", fired, b.N*fanout*concurrent)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fired), "ns/event")
+			})
+		}
 	}
 }

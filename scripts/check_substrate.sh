@@ -40,6 +40,12 @@
 # pipeline of BuildWorld (internal/network/epoch.go) build immutable worlds
 # whose bytes do not depend on it.
 #
+# or if internal/radio/medium.go schedules an event with .Do(: a
+# transmission's tx-done and receptions are the logical events of its two
+# cursors (sim.Series, in the engine's series lane), and a per-transmission
+# heap event that grows back there would not change a byte of output, only
+# the profile.
+#
 # Usage: sh scripts/check_substrate.sh   (from the repo root)
 set -eu
 
@@ -71,6 +77,10 @@ fi
 packetpath="$(find internal/core -name '*.go' ! -name '*_test.go') internal/radio/medium.go internal/network/run.go"
 if grep -n 'map\[' $packetpath; then
     echo "check_substrate: a map on the packet path — index by stream or flow slot" >&2
+    fail=1
+fi
+if grep -n '\.Do(' internal/radio/medium.go; then
+    echo "check_substrate: an engine event scheduled in radio/medium.go — make it a cursor's logical event" >&2
     fail=1
 fi
 runpath="$(find internal/sim internal/core internal/mac internal/forward internal/transport internal/pkt \
