@@ -221,7 +221,9 @@ func TestNetFlowToBadEndpointsErrorAtRun(t *testing.T) {
 
 // TestBadPositionsErrorAtRun: a station whose coordinate is NaN or
 // infinite, or that puts two stations further apart than a propagation
-// delay can span, fails the run with an error naming it instead of a panic.
+// delay can span, fails the run with an error naming it instead of a panic
+// — and Validate, NewRouter and NewNet refuse the same layout with the
+// same error.
 func TestBadPositionsErrorAtRun(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -230,18 +232,31 @@ func TestBadPositionsErrorAtRun(t *testing.T) {
 	}{
 		{"NaN", 1, Position{X: 100, Y: math.NaN()}},
 		{"+Inf", 0, Position{X: math.Inf(1), Y: 0}},
+		{"-Inf", 1, Position{X: 0, Y: math.Inf(-1)}},
 		{"span", 2, Position{X: 0, Y: -7e8}},
 	} {
 		top, path := LineTopology(2)
 		top.Positions[tc.station] = tc.pos
-		_, err := Run(Scenario{
+		sc := Scenario{
 			Topology: top,
 			Scheme:   SchemeRIPPLE,
 			Flows:    []Flow{{Path: path, Traffic: FTP{}}},
 			Duration: 100 * Millisecond,
-		})
-		if want := fmt.Sprintf("station %d at", tc.station); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: Run returned %v, want an error naming station %d", tc.name, err, tc.station)
+		}
+		_, runErr := Run(sc)
+		_, routerErr := NewRouter(top, DefaultRadio())
+		_, netErr := NewNet(top, IdealRadio())
+		want := fmt.Sprintf("station %d at", tc.station)
+		for _, c := range []struct {
+			call string
+			err  error
+		}{{"Run", runErr}, {"Validate", sc.Validate()}, {"NewRouter", routerErr}, {"NewNet", netErr}} {
+			if c.err == nil || !strings.Contains(c.err.Error(), want) {
+				t.Errorf("%s: %s returned %v, want an error naming station %d", tc.name, c.call, c.err, tc.station)
+			}
+		}
+		if v := sc.Validate(); v != nil && runErr != nil && v.Error() != runErr.Error() {
+			t.Errorf("%s: Validate says %q, Run %q", tc.name, v, runErr)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"ripple/internal/pkt"
 	"ripple/internal/radio"
 	"ripple/internal/routing"
-	"ripple/internal/sim"
 	"ripple/internal/topology"
 )
 
@@ -52,7 +51,8 @@ func AblationAggLimit(opt Options) (*Table, error) {
 	}.run(opt)
 }
 
-// flow0Mbps is the ablations' common metric: the first flow's throughput.
+// flow0Mbps is the first flow's throughput: the metric of the per-flow
+// figures and of most ablations.
 func flow0Mbps(_, _ int, res *network.Result) float64 {
 	return res.Flows[0].ThroughputMbps
 }
@@ -156,8 +156,7 @@ func AblationTwoWay(opt Options) (*Table, error) {
 // interpretation this implementation defaults to, under hidden interferers
 // (see docs/model.md, "The relay rule", on the ambiguity in §III-A).
 func AblationRelayDefer(opt Options) (*Table, error) {
-	rc := topology.HiddenRadio()
-	rc.BitErrorRate = 1e-6
+	rc := hiddenRadio()
 	counts := []int{0, 2, 4}
 	rows := make([]string, len(counts))
 	for i, n := range counts {
@@ -170,16 +169,9 @@ func AblationRelayDefer(opt Options) (*Table, error) {
 		Rows:  rows,
 		Cols:  []string{"defer", "strict"},
 		Config: func(r, c int) (network.Config, error) {
-			top, main, hidden := topology.Hidden(counts[r])
-			flows := []network.FlowSpec{{ID: 1, Path: main, Kind: network.FTP}}
-			for i, p := range hidden {
-				flows = append(flows, network.FlowSpec{
-					ID: i + 2, Path: p, Kind: network.CBRTraffic,
-					Start: 50 * sim.Millisecond,
-				})
-			}
+			positions, flows := hiddenScenario(counts[r])
 			cfg := network.Config{
-				Positions: top.Positions,
+				Positions: positions,
 				Radio:     rc,
 				Scheme:    network.Ripple,
 				Flows:     flows,
@@ -224,8 +216,7 @@ func AblationMultiRate(opt Options) (*Table, error) {
 // terminals; the comparison shows how much of the problem it recovers
 // relative to RIPPLE's opportunistic forwarding.
 func AblationRTS(opt Options) (*Table, error) {
-	rc := topology.HiddenRadio()
-	rc.BitErrorRate = 1e-6
+	rc := hiddenRadio()
 	counts := []int{0, 3, 6, 9}
 	rows := make([]string, len(counts))
 	for i, n := range counts {
@@ -242,16 +233,9 @@ func AblationRTS(opt Options) (*Table, error) {
 		Rows:  rows,
 		Cols:  []string{"DCF", "DCF+RTS", "RIPPLE"},
 		Config: func(r, c int) (network.Config, error) {
-			top, main, hidden := topology.Hidden(counts[r])
-			flows := []network.FlowSpec{{ID: 1, Path: main, Kind: network.FTP}}
-			for i, p := range hidden {
-				flows = append(flows, network.FlowSpec{
-					ID: i + 2, Path: p, Kind: network.CBRTraffic,
-					Start: 50 * sim.Millisecond,
-				})
-			}
+			positions, flows := hiddenScenario(counts[r])
 			return network.Config{
-				Positions:    top.Positions,
+				Positions:    positions,
 				Radio:        rc,
 				Scheme:       variants[c].kind,
 				RTSThreshold: variants[c].rts,

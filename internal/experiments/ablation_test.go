@@ -6,8 +6,8 @@ import (
 	"ripple/internal/sim"
 )
 
-// The ablation shape tests assert the directional claims EXPERIMENTS.md
-// records, under the quick budget.
+// The ablation shape tests assert directional claims about the ablations
+// docs/model.md lists, under the quick budget.
 
 func TestAblationAggLimitMonotone(t *testing.T) {
 	tab, err := AblationAggLimit(quick2())

@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
 	"ripple/internal/network"
-	"ripple/internal/pkt"
 	"ripple/internal/radio"
 	"ripple/internal/routing"
 	"ripple/internal/sim"
@@ -13,28 +10,15 @@ import (
 
 // AblationETXRoutes compares the Table II predetermined routes against
 // ETX-discovered routes on the Fig. 1 topology (§III-B1: forwarder
-// selection is orthogonal to RIPPLE; ExOR/MORE use ETX). Both DCF and
+// selection is orthogonal to RIPPLE; ExOR/MORE use ETX). Both rows declare
+// the ROUTE0 flows; the ETX row routes their endpoints under RouteETX, so
+// the world's own link table and policy discover the routes. Both DCF and
 // RIPPLE run all three flows.
 func AblationETXRoutes(opt Options) (*Table, error) {
 	top := topology.Fig1()
 	rc := radio.DefaultConfig()
 	rc.BitErrorRate = 1e-6
-
-	// Discover ETX routes for the three flow endpoint pairs.
-	tab := routing.NewTable(len(top.Positions), func(a, b pkt.NodeID) float64 {
-		return 1 - rc.LossProb(radio.Dist(top.Positions[a], top.Positions[b]))
-	}, 0.1)
-	pairs := [][2]pkt.NodeID{{0, 3}, {0, 4}, {5, 7}}
-	etxPaths := make([]routing.Path, 0, len(pairs))
-	for _, pr := range pairs {
-		p, err := tab.ShortestPath(pr[0], pr[1])
-		if err != nil {
-			return nil, fmt.Errorf("ablation-etx: %w", err)
-		}
-		etxPaths = append(etxPaths, p)
-	}
-
-	routeSets := [][]routing.Path{routing.Route0().Flows(), etxPaths}
+	routes := []network.RoutingSpec{{}, {Kind: network.RouteETX}}
 	kinds := []network.SchemeKind{network.DCF, network.Ripple}
 	return tableGrid{
 		ID:    "ablation-etx",
@@ -44,7 +28,7 @@ func AblationETXRoutes(opt Options) (*Table, error) {
 		Cols:  []string{"DCF", "RIPPLE"},
 		Config: func(r, c int) (network.Config, error) {
 			flows := make([]network.FlowSpec, 0, 3)
-			for i, p := range routeSets[r] {
+			for i, p := range routing.Route0().Flows() {
 				flows = append(flows, network.FlowSpec{
 					ID: i + 1, Path: p, Kind: network.FTP,
 					Start: sim.Time(i) * 100 * sim.Millisecond,
@@ -54,6 +38,7 @@ func AblationETXRoutes(opt Options) (*Table, error) {
 				Positions: top.Positions,
 				Radio:     rc,
 				Scheme:    kinds[c],
+				Routing:   routes[r],
 				Flows:     flows,
 			}, nil
 		},

@@ -1,81 +1,20 @@
 package experiments
 
-import (
-	"ripple/internal/network"
-	"ripple/internal/phys"
-	"ripple/internal/sim"
-	"ripple/internal/topology"
-)
+import "ripple/internal/topology"
 
 // Fig10 regenerates Fig. 10 as four (station pair × scheme) grids:
 // per-flow TCP throughput for eight station pairs of the Wigle topology,
 // at 6 and 216 Mbps PHY rates, with and without the hidden S→R TCP flow.
-// Each station pair runs on its own, as in the paper's per-flow bars.
 func Fig10(opt Options) ([]*Table, error) {
-	top, flows, hiddenPath := topology.Wigle()
-	cols := loadColumns()
-	rows := make([]string, len(flows))
-	for i, p := range flows {
-		rows[i] = topology.WigleFlowLabel(p)
+	top, paths, hidden := topology.Wigle()
+	labels := make([]string, len(paths))
+	for i, p := range paths {
+		labels[i] = topology.WigleFlowLabel(p)
 	}
-
-	variant := func(id string, lowRate, hidden bool) (*Table, error) {
-		title := "Wigle topology per-flow TCP throughput, "
-		if lowRate {
-			title += "6 Mbps"
-		} else {
-			title += "216 Mbps"
-		}
-		if hidden {
-			title += ", with hidden terminals"
-		}
-		rc := topology.HiddenRadio()
-		rc.BitErrorRate = 1e-6
-		return tableGrid{
-			ID: id, Title: title, Unit: "Mbps",
-			Rows: rows,
-			Cols: columnLabels(cols),
-			Config: func(r, c int) (network.Config, error) {
-				specs := []network.FlowSpec{{ID: 1, Path: flows[r], Kind: network.FTP}}
-				if hidden {
-					specs = append(specs, network.FlowSpec{
-						ID: 2, Path: hiddenPath, Kind: network.FTP,
-						Start: 30 * sim.Millisecond,
-					})
-				}
-				cfg := network.Config{
-					Positions: top.Positions,
-					Radio:     rc,
-					Scheme:    cols[c].kind,
-					Flows:     specs,
-				}
-				if lowRate {
-					cfg.Phy = phys.LowRate()
-				}
-				return cfg, nil
-			},
-			Metric: func(_, _ int, res *network.Result) float64 {
-				return res.Flows[0].ThroughputMbps
-			},
-		}.run(opt)
-	}
-
-	var out []*Table
-	for _, v := range []struct {
-		id      string
-		lowRate bool
-		hidden  bool
-	}{
-		{"fig10a", true, false},
-		{"fig10b", true, true},
-		{"fig10c", false, false},
-		{"fig10d", false, true},
-	} {
-		t, err := variant(v.id, v.lowRate, v.hidden)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
+	return meshFigure{
+		id: "fig10", mesh: "Wigle",
+		// The hidden pair is part of the Wigle layout.
+		positions: top.Positions, hiddenPositions: top.Positions,
+		paths: paths, labels: labels, hidden: hidden,
+	}.run(opt)
 }

@@ -2,11 +2,6 @@ package experiments
 
 import (
 	"ripple/internal/network"
-	"ripple/internal/phys"
-	"ripple/internal/pkt"
-	"ripple/internal/radio"
-	"ripple/internal/routing"
-	"ripple/internal/sim"
 	"ripple/internal/topology"
 )
 
@@ -15,94 +10,29 @@ import (
 // Roofnet topology, at 6 and 216 Mbps, with and without a hidden-terminal
 // pair near the mesh. Flows run one at a time as in Fig. 10.
 func Fig12(opt Options) ([]*Table, error) {
-	rc := topology.HiddenRadio()
-	rc.BitErrorRate = 1e-6
-
-	// Build the ETX table over the base mesh to select the paper's flows.
+	// The paper's flows are selected on the ETX table of the base mesh.
 	base := topology.Roofnet()
-	etx := routing.NewTable(len(base.Positions), func(a, b pkt.NodeID) float64 {
-		return 1 - rc.LossProb(radioDist(base, a, b))
-	}, 0.1)
+	etx, err := network.LinkTable(hiddenRadio(), base.Positions)
+	if err != nil {
+		return nil, err
+	}
 	flows, err := topology.RoofnetFlows(etx)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]string, len(flows))
-	for i, f := range flows {
-		rows[i] = f.Label
-	}
-	cols := loadColumns()
-
 	// The hidden pair is appended to a copy of the topology.
 	withHidden := topology.Roofnet()
-	hiddenPath := topology.RoofnetHiddenPair(&withHidden)
-
-	variant := func(id string, lowRate, hidden bool) (*Table, error) {
-		title := "Roofnet topology per-flow TCP throughput, "
-		if lowRate {
-			title += "6 Mbps"
-		} else {
-			title += "216 Mbps"
-		}
-		if hidden {
-			title += ", with hidden terminals"
-		}
-		top := base
-		if hidden {
-			top = withHidden
-		}
-		return tableGrid{
-			ID: id, Title: title, Unit: "Mbps",
-			Rows: rows,
-			Cols: columnLabels(cols),
-			Config: func(r, c int) (network.Config, error) {
-				specs := []network.FlowSpec{{ID: 1, Path: flows[r].Path, Kind: network.FTP}}
-				if hidden {
-					specs = append(specs, network.FlowSpec{
-						ID: 2, Path: hiddenPath, Kind: network.FTP,
-						Start: 30 * sim.Millisecond,
-					})
-				}
-				cfg := network.Config{
-					Positions: top.Positions,
-					Radio:     rc,
-					Scheme:    cols[c].kind,
-					Flows:     specs,
-					// Fig. 12 paths reach 5 hops; allow the §IV-C cap.
-					MaxForwarders: 7,
-				}
-				if lowRate {
-					cfg.Phy = phys.LowRate()
-				}
-				return cfg, nil
-			},
-			Metric: func(_, _ int, res *network.Result) float64 {
-				return res.Flows[0].ThroughputMbps
-			},
-		}.run(opt)
+	hidden := topology.RoofnetHiddenPair(&withHidden)
+	m := meshFigure{
+		id: "fig12", mesh: "Roofnet",
+		positions: base.Positions, hiddenPositions: withHidden.Positions,
+		hidden: hidden,
+		// Fig. 12 paths reach 5 hops; allow the §IV-C cap.
+		maxForwarders: 7,
 	}
-
-	var out []*Table
-	for _, v := range []struct {
-		id      string
-		lowRate bool
-		hidden  bool
-	}{
-		{"fig12a", true, false},
-		{"fig12b", true, true},
-		{"fig12c", false, false},
-		{"fig12d", false, true},
-	} {
-		t, err := variant(v.id, v.lowRate, v.hidden)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
+	for _, f := range flows {
+		m.paths = append(m.paths, f.Path)
+		m.labels = append(m.labels, f.Label)
 	}
-	return out, nil
-}
-
-// radioDist returns the distance between two stations of a topology.
-func radioDist(t topology.Topology, a, b pkt.NodeID) float64 {
-	return radio.Dist(t.Positions[a], t.Positions[b])
+	return m.run(opt)
 }

@@ -62,8 +62,7 @@ func Fig6a(opt Options) (*Table, error) {
 // be carrier-sensed by flow 1's source but do interfere at its forwarders
 // and destination. BER 1e-6.
 func Fig6b(opt Options) (*Table, error) {
-	rc := topology.HiddenRadio()
-	rc.BitErrorRate = 1e-6
+	rc := hiddenRadio()
 	cols := loadColumns()
 	rows := make([]string, 10)
 	for n := range rows {
@@ -76,23 +75,14 @@ func Fig6b(opt Options) (*Table, error) {
 		Rows:  rows,
 		Cols:  columnLabels(cols),
 		Config: func(r, c int) (network.Config, error) {
-			top, main, hidden := topology.Hidden(r)
-			flows := []network.FlowSpec{{ID: 1, Path: main, Kind: network.FTP}}
-			for i, p := range hidden {
-				flows = append(flows, network.FlowSpec{
-					ID: i + 2, Path: p, Kind: network.CBRTraffic,
-					Start: 50 * sim.Millisecond,
-				})
-			}
+			positions, flows := hiddenScenario(r)
 			return network.Config{
-				Positions: top.Positions,
+				Positions: positions,
 				Radio:     rc,
 				Scheme:    cols[c].kind,
 				Flows:     flows,
 			}, nil
 		},
-		Metric: func(_, _ int, res *network.Result) float64 {
-			return res.Flows[0].ThroughputMbps
-		},
+		Metric: flow0Mbps,
 	}.run(opt)
 }

@@ -26,10 +26,18 @@ type tableGrid struct {
 	Metric func(row, col int, res *network.Result) float64
 }
 
-// run expands the declaration into a campaign.Grid, executes it and folds
-// the cells into a Table. With more than one seed every cell also carries
-// its 95% confidence half-width.
+// run executes the grid and folds its cells into a Table.
 func (tg tableGrid) run(opt Options) (*Table, error) {
+	res, err := tg.execute(opt)
+	if err != nil {
+		return nil, err
+	}
+	return tg.fold(opt, res), nil
+}
+
+// execute expands the declaration into a campaign.Grid and runs it, through
+// Options.RunGrid when that is set.
+func (tg tableGrid) execute(opt Options) (*campaign.Result, error) {
 	opt = opt.normalize()
 	axes := []campaign.Axis{campaign.A("row", tg.Rows...)}
 	if !tg.PerRow {
@@ -60,17 +68,16 @@ func (tg tableGrid) run(opt Options) (*Table, error) {
 			return cfg, err
 		},
 	}
-	var res *campaign.Result
-	var err error
 	if opt.RunGrid != nil {
-		res, err = opt.RunGrid(&g)
-	} else {
-		res, err = g.Run()
+		return opt.RunGrid(&g)
 	}
-	if err != nil {
-		return nil, err
-	}
-	multiSeed := len(opt.Seeds) > 1
+	return g.Run()
+}
+
+// fold reads the declaration's metric off every cell of a result the grid
+// was executed into, so one result can fold into several tables. With more
+// than one seed every cell also carries its 95% confidence half-width.
+func (tg tableGrid) fold(opt Options, res *campaign.Result) *Table {
 	tab := &Table{ID: tg.ID, Title: tg.Title, Unit: tg.Unit, Columns: tg.Cols}
 	if res == nil {
 		// Worker side of a distributed run: the cells were executed and
@@ -79,8 +86,9 @@ func (tg tableGrid) run(opt Options) (*Table, error) {
 		for r := range tg.Rows {
 			tab.Rows = append(tab.Rows, Row{Label: tg.Rows[r], Cells: make([]float64, len(tg.Cols))})
 		}
-		return tab, nil
+		return tab
 	}
+	multiSeed := len(opt.normalize().Seeds) > 1
 	for r := range tg.Rows {
 		row := Row{Label: tg.Rows[r]}
 		for c := range tg.Cols {
@@ -98,5 +106,5 @@ func (tg tableGrid) run(opt Options) (*Table, error) {
 		}
 		tab.Rows = append(tab.Rows, row)
 	}
-	return tab, nil
+	return tab
 }

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"ripple/internal/network"
-	"ripple/internal/pkt"
-	"ripple/internal/routing"
 	"ripple/internal/sim"
 	"ripple/internal/topology"
 )
@@ -24,26 +22,8 @@ func AblationMobility(opt Options) (*Table, error) {
 	top, p := topology.CityN(60, 3)
 	rc := topology.CityRadio()
 
-	const nFlows = 2
-	span := 3 // ≈3 blocks: a genuinely multi-hop route
-	if span > p.Cols-1 {
-		span = p.Cols - 1
-	}
-	flows := make([]network.FlowSpec, nFlows)
-	for i := range flows {
-		gr := (i * p.Rows) / nFlows
-		sc := (i * 3) % (p.Cols - span)
-		src := pkt.NodeID(gr*p.Cols + sc)
-		dst := pkt.NodeID(gr*p.Cols + sc + span)
-		flows[i] = network.FlowSpec{
-			ID:             i + 1,
-			Path:           routing.Path{src, dst},
-			Kind:           network.CBRTraffic,
-			CBRInterval:    20 * sim.Millisecond,
-			CBRPacketBytes: 1000,
-			Start:          sim.Time(i) * 50 * sim.Millisecond,
-		}
-	}
+	// Two flows ≈3 blocks long: genuinely multi-hop routes.
+	flows := cityFlows(p, 2, 3, 50*sim.Millisecond)
 
 	mobs := []network.MobilityKind{
 		network.MobilityStatic, network.MobilityWaypoint, network.MobilityMarkov,

@@ -3,9 +3,7 @@ package experiments
 import (
 	"ripple/internal/fault"
 	"ripple/internal/network"
-	"ripple/internal/pkt"
 	"ripple/internal/radio"
-	"ripple/internal/routing"
 	"ripple/internal/sim"
 	"ripple/internal/topology"
 )
@@ -78,25 +76,7 @@ func AblationResilience(opt Options) ([]*Table, error) {
 	// flows on distinct rows of a pruned 60-station grid.
 	city, p := topology.CityN(60, 3)
 	cityRadio := topology.CityRadio()
-	span := 3
-	if span > p.Cols-1 {
-		span = p.Cols - 1
-	}
-	cityFlows := make([]network.FlowSpec, 2)
-	for i := range cityFlows {
-		gr := (i * p.Rows) / 2
-		sc := (i * 3) % (p.Cols - span)
-		src := pkt.NodeID(gr*p.Cols + sc)
-		dst := pkt.NodeID(gr*p.Cols + sc + span)
-		cityFlows[i] = network.FlowSpec{
-			ID:             i + 1,
-			Path:           routing.Path{src, dst},
-			Kind:           network.CBRTraffic,
-			CBRInterval:    20 * sim.Millisecond,
-			CBRPacketBytes: 1000,
-			Start:          sim.Time(i) * 50 * sim.Millisecond,
-		}
-	}
+	cityCBR := cityFlows(p, 2, 3, 50*sim.Millisecond)
 
 	// deliveryRatio divides delivered packets by the offered count each
 	// paced flow generates over the run.
@@ -116,7 +96,7 @@ func AblationResilience(opt Options) ([]*Table, error) {
 		}
 	}
 
-	fig1Tab, err := tableGrid{
+	lineGrid := tableGrid{
 		ID:    "ablation-resilience",
 		Title: "Station failure rate × route policy, 1 paced CBR on a 5-hop line, RIPPLE",
 		Unit:  "delivery %",
@@ -133,7 +113,8 @@ func AblationResilience(opt Options) ([]*Table, error) {
 			}, nil
 		},
 		Metric: deliveryRatio(lineFlows),
-	}.run(opt)
+	}
+	lineRes, err := lineGrid.execute(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -151,48 +132,33 @@ func AblationResilience(opt Options) ([]*Table, error) {
 				Scheme:    network.Ripple,
 				Routing:   network.RoutingSpec{Kind: pols[c]},
 				Faults:    churn(cityMtbfs[r]),
-				Flows:     cityFlows,
+				Flows:     cityCBR,
 			}, nil
 		},
-		Metric: deliveryRatio(cityFlows),
+		Metric: deliveryRatio(cityCBR),
 	}.run(opt)
 	if err != nil {
 		return nil, err
 	}
 
-	delayTab, err := tableGrid{
-		ID:    "ablation-resilience-delay",
-		Title: "Delivery delay under station churn, 1 paced CBR on a 5-hop line, RIPPLE",
-		Unit:  "ms mean",
-		Rows:  rows,
-		Cols:  cols,
-		Config: func(r, c int) (network.Config, error) {
-			return network.Config{
-				Positions: line.Positions,
-				Radio:     lineRadio,
-				Scheme:    network.Ripple,
-				Routing:   network.RoutingSpec{Kind: pols[c]},
-				Faults:    churn(mtbfs[r]),
-				Flows:     lineFlows,
-			}, nil
-		},
-		Metric: func(_, _ int, res *network.Result) float64 {
-			var sum float64
-			var n int
-			for _, fr := range res.Flows {
-				if fr.PktsDelivered > 0 {
-					sum += fr.MeanDelay.Milliseconds()
-					n++
-				}
+	// The delay table reads a second metric off the line grid's cells.
+	delay := lineGrid
+	delay.ID = "ablation-resilience-delay"
+	delay.Title = "Delivery delay under station churn, 1 paced CBR on a 5-hop line, RIPPLE"
+	delay.Unit = "ms mean"
+	delay.Metric = func(_, _ int, res *network.Result) float64 {
+		var sum float64
+		var n int
+		for _, fr := range res.Flows {
+			if fr.PktsDelivered > 0 {
+				sum += fr.MeanDelay.Milliseconds()
+				n++
 			}
-			if n == 0 {
-				return 0
-			}
-			return sum / float64(n)
-		},
-	}.run(opt)
-	if err != nil {
-		return nil, err
+		}
+		if n == 0 {
+			return 0
+		}
+		return sum / float64(n)
 	}
-	return []*Table{fig1Tab, cityTab, delayTab}, nil
+	return []*Table{lineGrid.fold(opt, lineRes), cityTab, delay.fold(opt, lineRes)}, nil
 }

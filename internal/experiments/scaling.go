@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"ripple/internal/network"
-	"ripple/internal/pkt"
-	"ripple/internal/routing"
 	"ripple/internal/sim"
 	"ripple/internal/topology"
 )
@@ -69,41 +67,16 @@ func Scaling(opt Options) (*Table, error) {
 // cityConfig builds the scaling scenario for one city size: an n-station
 // jittered block grid under the city radio profile (PruneSigma 3), RIPPLE
 // forwarding, ETX routes resolved from endpoint pairs, and one paced CBR
-// flow per ~500 stations so offered load grows with the city instead of
-// saturating it.
+// flow per ~500 stations (at least four), each ≈5 blocks ≈ 750 m long — a
+// genuinely multi-hop route — so offered load grows with the city instead
+// of saturating it.
 func cityConfig(n int) (network.Config, error) {
 	top, p := topology.CityN(n, 7)
-	nFlows := n / 500
-	if nFlows < 4 {
-		nFlows = 4
-	}
-	span := 5 // ≈5 blocks ≈ 750 m: a genuinely multi-hop route
-	if span > p.Cols-1 {
-		span = p.Cols - 1
-	}
-	flows := make([]network.FlowSpec, nFlows)
-	for i := range flows {
-		// Spread sources over distinct grid rows and stagger the columns so
-		// the flows tile the city instead of piling onto one corridor. The
-		// layout is a pure function of (n, i) — rerunning a row is
-		// deterministic.
-		gr := (i * p.Rows) / nFlows
-		sc := (i * 3) % (p.Cols - span)
-		src := pkt.NodeID(gr*p.Cols + sc)
-		dst := pkt.NodeID(gr*p.Cols + sc + span)
-		flows[i] = network.FlowSpec{
-			ID:             i + 1,
-			Path:           routing.Path{src, dst},
-			Kind:           network.CBRTraffic,
-			CBRInterval:    20 * sim.Millisecond,
-			CBRPacketBytes: 1000,
-		}
-	}
 	return network.Config{
 		Positions: top.Positions,
 		Radio:     topology.CityRadio(),
 		Scheme:    network.Ripple,
-		Flows:     flows,
+		Flows:     cityFlows(p, max(n/500, 4), 5, 0),
 		Routing:   network.RoutingSpec{Kind: network.RouteETX},
 	}, nil
 }

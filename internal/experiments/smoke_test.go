@@ -10,8 +10,7 @@ import (
 // figures and ablations) on a micro budget, checking only structural
 // soundness: tables render, every row has a cell per column, and values are
 // finite and non-negative. The shape assertions live in the dedicated
-// tests; the full-budget numbers in EXPERIMENTS.md come from
-// cmd/experiments.
+// tests; full-budget numbers come from cmd/experiments.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micro-budget sweep still takes ~a minute")

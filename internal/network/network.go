@@ -373,6 +373,11 @@ func validate(cfg *Config) error {
 		if seen[f.ID] {
 			return fmt.Errorf("network: duplicate flow id %d", f.ID)
 		}
+		if f.ID < 0 && (f.Kind == Web || f.Kind == VoIPTraffic) {
+			// The ID numbers the flow's traffic stream; a negative one would
+			// wrap into the stations' streams.
+			return fmt.Errorf("network: flow %d: a Web or VoIP flow's ID seeds its traffic stream and must not be negative", f.ID)
+		}
 		seen[f.ID] = true
 		for _, n := range f.Path {
 			if int(n) < 0 || int(n) >= len(cfg.Positions) {

@@ -220,6 +220,20 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// A run's random draws come from disjoint streams of the run's seed:
+// stream 1 is the shadowing, stationStream(i) station i's backoff and
+// flowStream(n, id) a Web or VoIP flow's traffic in a world of n stations.
+
+// stationStream is the RNG stream of station i's backoff draws.
+func stationStream(i int) uint64 { return 100 + uint64(i) }
+
+// flowStream is the RNG stream of the traffic draws of the flow with ID id
+// in a world of n stations (validate refuses a negative ID on a flow that
+// draws from it): counted from 10000, or from just past the last station's
+// stream in a world of more than 9,900 stations, so no station replays a
+// flow's draws.
+func flowStream(n, id int) uint64 { return max(10000, stationStream(n)) + uint64(id) }
+
 // build is the build phase: medium, route book, auditor and one
 // forwarding-scheme agent per station, each initialised in place.
 func (r *run) build(cfg *Config, world *World) {
@@ -265,7 +279,7 @@ func (r *run) build(cfg *Config, world *World) {
 	}
 	for i := range cfg.Positions {
 		id := pkt.NodeID(i)
-		r.rngs[i].Seed(cfg.Seed, 100+uint64(i))
+		r.rngs[i].Seed(cfg.Seed, stationStream(i))
 		env := forward.Env{
 			Eng:     &r.eng,
 			Med:     &r.medium,
@@ -556,7 +570,7 @@ func (r *run) startFlows() error {
 				}
 				web := &r.webs[nWeb]
 				nWeb++
-				rng.Seed(cfg.Seed, 10000+uint64(f.ID))
+				rng.Seed(cfg.Seed, flowStream(len(cfg.Positions), f.ID))
 				web.Init(eng, webCfg, conn, tcpCfg.MSS, rng)
 				start.source = web
 			}
@@ -567,7 +581,7 @@ func (r *run) startFlows() error {
 			}
 			v := &r.voips[nVoIP]
 			nVoIP++
-			rng.Seed(cfg.Seed, 10000+uint64(f.ID))
+			rng.Seed(cfg.Seed, flowStream(len(cfg.Positions), f.ID))
 			v.Init(eng, voipCfg, f.ID, src, dst, r.send[src], fs, rng)
 			v.SetPool(&r.pool)
 			v.SetSlot(i)

@@ -197,12 +197,44 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	if _, err := Run(bad); err == nil {
 		t.Error("unknown traffic kind must error")
 	}
+
+	for _, kind := range []TrafficKind{Web, VoIPTraffic} {
+		bad = base
+		bad.Flows = []FlowSpec{{ID: -1, Path: path, Kind: kind}}
+		if _, err := Run(bad); err == nil {
+			t.Errorf("a negative ID on a flow of kind %d seeds a station's stream and must error", kind)
+		}
+	}
+}
+
+// TestRNGStreamsAreDisjoint: no station's backoff stream is a flow's
+// traffic stream or the shadowing stream, in a world beyond 9,900 stations
+// too, where flow streams counted from 10000 would meet the stations'.
+func TestRNGStreamsAreDisjoint(t *testing.T) {
+	const n = 20000
+	owner := map[uint64]string{1: "shadowing"}
+	claim := func(stream uint64, who string) {
+		if prev, ok := owner[stream]; ok {
+			t.Fatalf("stream %d is both %s's and %s's", stream, prev, who)
+		}
+		owner[stream] = who
+	}
+	for i := range n {
+		claim(stationStream(i), fmt.Sprintf("station %d", i))
+	}
+	for id := range 65 {
+		claim(flowStream(n, id), fmt.Sprintf("flow %d", id))
+	}
+	// A world of at most 9,900 stations keeps the streams it always had.
+	if got := flowStream(9900, 3); got != 10003 {
+		t.Fatalf("flow 3's stream among 9,900 stations is %d, want 10003", got)
+	}
 }
 
 // TestBadPositionsAreErrors: a coordinate that is not finite, or a layout
 // so wide that a propagation delay across it would overflow the link plan's
 // int32 nanoseconds, is a configuration error naming the station, returned
-// by Run and BuildWorld before anything is built from it.
+// by Run, BuildWorld and LinkTable before anything is built from it.
 func TestBadPositionsAreErrors(t *testing.T) {
 	top, path := topology.Line(2)
 	for _, tc := range []struct {
@@ -228,6 +260,9 @@ func TestBadPositionsAreErrors(t *testing.T) {
 		}
 		if _, err := BuildWorld(cfg); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: BuildWorld returned %v, want an error naming station %d", tc.name, err, tc.station)
+		}
+		if _, err := LinkTable(radio.DefaultConfig(), positions); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: LinkTable returned %v, want an error naming station %d", tc.name, err, tc.station)
 		}
 	}
 }

@@ -101,7 +101,7 @@ func BuildWorld(cfg Config) (*World, error) {
 }
 
 // minLinkProb is the delivery-probability floor below which a link is not
-// a link for routing (it matches the public Router).
+// a link for routing.
 const minLinkProb = 0.1
 
 // lineage is what deriving an epoch world takes from the epochs before it
@@ -255,6 +255,18 @@ func linkProb(rc radio.Config) func(d float64) float64 {
 		}
 		return 1 - rc.LossProb(d)
 	}
+}
+
+// LinkTable is the clean ETX link table a World over positions under rc
+// routes on, from the same builder: the usable links of the link plan's
+// neighbor graph, in O(N·k) for N stations of k neighbors each where the
+// all-pairs reference, routing.NewTable, probes N² pairs. It refuses the
+// layouts BuildWorld refuses.
+func LinkTable(rc radio.Config, positions []radio.Pos) (*routing.Table, error) {
+	if err := radio.CheckPositions(positions); err != nil {
+		return nil, fmt.Errorf("network: %w", err)
+	}
+	return linkTable(radio.NewLinkPlan(rc, positions), linkProb(rc)), nil
 }
 
 // linkTable builds a world's clean ETX table from the link-probability func

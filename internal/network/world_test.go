@@ -130,12 +130,20 @@ func TestWorldCheckRejectsMismatch(t *testing.T) {
 }
 
 // TestSparseWorldTableMatchesDense pins the candidate-graph equivalence at
-// the world level: the table BuildWorld derives from a pruned link plan
-// must be the all-pairs reference built over the same radio model, link for
-// link. Fig. 1 checks the small-world case (pruning active but nothing in range
-// to prune); the 500-station city checks real pruning.
+// the world level: the table BuildWorld derives from a pruned link plan,
+// and LinkTable over the same stations, must be the all-pairs reference
+// built over the same radio model, link for link. Fig. 1 checks the
+// small-world case (pruning active but nothing in range to prune); the
+// 500-station city checks real pruning; Roofnet under the hidden-terminal
+// profile at BER 1e-6 is Fig. 12's flow-selection table, and the line
+// without shadowing the public IdealRadio's.
 func TestSparseWorldTableMatchesDense(t *testing.T) {
 	cityTop, _ := topology.CityN(500, 3)
+	hidden := topology.HiddenRadio()
+	hidden.BitErrorRate = 1e-6
+	ideal := radio.DefaultConfig()
+	ideal.ShadowSigmaDB, ideal.BitErrorRate = 0, 0
+	line, _ := topology.Line(7)
 	cases := []struct {
 		name      string
 		positions []radio.Pos
@@ -143,6 +151,8 @@ func TestSparseWorldTableMatchesDense(t *testing.T) {
 	}{
 		{"fig1", topology.Fig1().Positions, radio.DefaultConfig()},
 		{"city500", cityTop.Positions, topology.CityRadio()},
+		{"roofnet", topology.Roofnet().Positions, hidden},
+		{"line-ideal", line.Positions, ideal},
 	}
 	for _, tc := range cases {
 		cfg := Config{
@@ -166,6 +176,14 @@ func TestSparseWorldTableMatchesDense(t *testing.T) {
 		if !reflect.DeepEqual(dense, sparse) {
 			t.Fatalf("%s: world table (%d links) differs from the all-pairs reference (%d links)",
 				tc.name, sparse.Links(), dense.Links())
+		}
+		linked, err := LinkTable(tc.rc, tc.positions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(dense, linked) {
+			t.Fatalf("%s: LinkTable (%d links) differs from the all-pairs reference (%d links)",
+				tc.name, linked.Links(), dense.Links())
 		}
 	}
 }

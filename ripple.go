@@ -25,6 +25,7 @@ import (
 
 	"ripple/internal/network"
 	"ripple/internal/phys"
+	"ripple/internal/radio"
 	"ripple/internal/routing"
 	"ripple/internal/sim"
 )
@@ -83,7 +84,8 @@ type Position struct{ X, Y float64 }
 type Flow struct {
 	// ID labels the flow in results. Zero is auto-assigned the smallest
 	// unused positive integer in declaration order (explicit IDs are
-	// never reused).
+	// never reused). A Web or VoIP flow's ID also seeds its traffic
+	// stream, and Run refuses a negative one.
 	ID int
 	// Path runs source..destination; for opportunistic schemes it doubles
 	// as the prioritised forwarder list.
@@ -258,9 +260,11 @@ func kindOf(k Scheme) network.SchemeKind {
 // Validate reports what would make the scenario fail before its first
 // event: an unknown scheme, an invalid radio or traffic parameter, a
 // negative Duration, Flow.Start, MaxForwarders, MaxAggregation or
-// RTSThreshold, a flow without a route — and any Routing, Mobility or
-// Faults option that the selected policy, model or fault set would
-// silently ignore. Run, RunBatch and Distribute return the same error.
+// RTSThreshold, a station at a non-finite coordinate or stations spread
+// wider than a link plan can span, a flow without a route — and any
+// Routing, Mobility or Faults option that the selected policy, model or
+// fault set would silently ignore. Run, RunBatch and Distribute return the
+// same error.
 func (s Scenario) Validate() error {
 	_, err := s.toConfig()
 	return err
@@ -316,6 +320,9 @@ func (s Scenario) toConfig() (*network.Config, error) {
 	cfg.Positions = make([]radioPos, len(s.Topology.Positions))
 	for i, p := range s.Topology.Positions {
 		cfg.Positions[i] = radioPos{X: p.X, Y: p.Y}
+	}
+	if err := radio.CheckPositions(cfg.Positions); err != nil {
+		return nil, fmt.Errorf("ripple: %w", err)
 	}
 	// Auto-assigned IDs (Flow.ID zero) take the smallest unused positive
 	// integers in declaration order, skipping explicitly set IDs so mixing

@@ -3,6 +3,7 @@ package ripple
 import (
 	"fmt"
 
+	"ripple/internal/network"
 	"ripple/internal/pkt"
 	"ripple/internal/radio"
 	"ripple/internal/routing"
@@ -22,9 +23,11 @@ type Router struct {
 }
 
 // NewRouter builds the ETX link table for a topology under the given
-// radio (the zero Radio is DefaultRadio()). The link model is resolved by
-// the same profile→config mapping the simulator uses, so routes are
-// computed over exactly the channel the packets will see.
+// radio (the zero Radio is DefaultRadio()): the table a simulated world
+// over the same stations routes on, so routes are computed over exactly
+// the channel the packets will see. It costs O(N·k) for N stations of k
+// neighbours each, and it refuses a layout Run would refuse (a non-finite
+// coordinate, or stations spread wider than a link plan can span).
 func NewRouter(top Topology, r Radio) (*Router, error) {
 	rc, err := r.config()
 	if err != nil {
@@ -34,9 +37,10 @@ func NewRouter(top Topology, r Radio) (*Router, error) {
 	for i, p := range top.Positions {
 		positions[i] = radio.Pos{X: p.X, Y: p.Y}
 	}
-	tab := routing.NewTable(len(positions), func(a, b pkt.NodeID) float64 {
-		return 1 - rc.LossProb(radio.Dist(positions[a], positions[b]))
-	}, 0.1)
+	tab, err := network.LinkTable(rc, positions)
+	if err != nil {
+		return nil, fmt.Errorf("ripple: %w", err)
+	}
 	return &Router{table: tab, radio: rc, positions: positions}, nil
 }
 

@@ -46,6 +46,12 @@
 # heap event that grows back there would not change a byte of output, only
 # the profile.
 #
+# or if a non-test .go file outside internal/routing and bench/ calls
+# routing.NewTable(: that is the all-pairs ETX reference, an N² probe of the
+# link model kept for the tests and the benchmark to compare against. Every
+# ETX table a program routes on comes from network.LinkTable or a World,
+# which build it over the link plan's neighbour graph in O(N·k).
+#
 # Usage: sh scripts/check_substrate.sh   (from the repo root)
 set -eu
 
@@ -87,6 +93,12 @@ runpath="$(find internal/sim internal/core internal/mac internal/forward interna
     -name '*.go' ! -name '*_test.go') internal/radio/medium.go internal/network/run.go"
 if grep -nE '^[[:space:]]*go[[:space:]]+[A-Za-z_(]' $runpath; then
     echo "check_substrate: a go statement on the per-run path — a run is one goroutine" >&2
+    fail=1
+fi
+etx=$(find . -name '*.go' ! -name '*_test.go' \
+    ! -path './internal/routing/*' ! -path './bench/*' ! -path './.bench_build/*')
+if grep -n 'routing\.NewTable(' $etx; then
+    echo "check_substrate: routing.NewTable( outside internal/routing and bench/ — build the table with network.LinkTable" >&2
     fail=1
 fi
 exit $fail
