@@ -123,6 +123,9 @@ type gridRun struct {
 	cellEWMA time.Duration
 	watchdog *time.Timer // armed for the earliest deadline among grants
 	races    int         // grants whose deadline passed
+	// journalled is how many distinct cells of the grid the journal holds
+	// that no checkpoint does: the cells a resume would replay from it.
+	journalled int
 }
 
 // grant is one cell out with one connection. It ends when the cell is
@@ -253,6 +256,7 @@ func (c *Coordinator) RunGrid(spec GridSpec) (*GridOutput, error) {
 		if replayed > 0 {
 			c.logf("dist: grid %s: replayed %d cells from WAL", spec.Fingerprint, replayed)
 		}
+		gr.journalled = replayed
 	}
 	for i := 0; i < spec.NumCells; i++ {
 		if !gr.done[i] {
@@ -359,10 +363,18 @@ func (c *Coordinator) commitLoop() {
 		// A journal that cannot be written is logged, not fatal: the
 		// campaign's in-memory state is intact, only resumability is
 		// degraded.
-		if err := c.opt.WAL.appendBatch(recs); err != nil {
+		err := c.opt.WAL.appendBatch(recs)
+		if err != nil {
 			c.logf("dist: %v", err)
 		}
 		c.mu.Lock()
+		for _, d := range batch {
+			// record queues a cell once and no more after it is done, so
+			// each delivery is a cell the journal did not hold.
+			if err == nil && d.gr == c.cur {
+				d.gr.journalled++
+			}
+		}
 		for i, d := range batch {
 			c.markDoneLocked(d.gr, d.m)
 			batch[i] = delivery{}
@@ -381,18 +393,23 @@ func (c *Coordinator) commitLoop() {
 // Committer only. Called with c.mu held, which it releases while the files
 // are written. Failures are logged, not fatal, like the journal's.
 func (c *Coordinator) snapshotLocked() {
-	ck := c.opt.Checkpoint
-	if gr := c.cur; gr != nil && gr.doneCount > 0 {
+	ck, gr := c.opt.Checkpoint, c.cur
+	if gr != nil && gr.doneCount > 0 {
 		ck.put(gr.fp, gr.numCells, gr.done, gr.cells)
 	}
 	c.mu.Unlock()
-	defer c.mu.Lock()
-	if err := ck.write(); err != nil {
+	written := ck.write()
+	if written != nil {
+		c.logf("dist: %v", written)
+	} else if err := c.opt.WAL.compact(ck.covers); err != nil {
 		c.logf("dist: %v", err)
-		return
 	}
-	if err := c.opt.WAL.compact(ck.covers); err != nil {
-		c.logf("dist: %v", err)
+	c.mu.Lock()
+	if written == nil && gr != nil {
+		// Every cell journalled so far was done when the snapshot was
+		// taken, and the committer, which alone journals, is here: a resume
+		// finds them all in the checkpoint, whatever became of the journal.
+		gr.journalled = 0
 	}
 }
 
@@ -645,8 +662,10 @@ func (c *Coordinator) markDoneLocked(gr *gridRun, m *Message) {
 	c.recorded++
 	if c.crashAfter > 0 && c.recorded >= c.crashAfter {
 		// Simulated hard crash: no snapshot, no cleanup. The cells recorded
-		// since the last one survive only in the WAL.
-		fmt.Fprintf(os.Stderr, "dist: %s=%d reached, crashing\n", crashAfterEnv, c.crashAfter)
+		// since the last one survive only in the WAL, with any the
+		// committer journalled in the same batch and has not counted yet.
+		fmt.Fprintf(os.Stderr, "dist: %s=%d reached with %d cells of grid %s in the journal, crashing\n",
+			crashAfterEnv, c.crashAfter, gr.journalled, gr.fp)
 		os.Exit(killExitCode)
 	}
 	if gr.doneCount == gr.numCells {

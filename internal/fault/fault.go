@@ -9,6 +9,7 @@
 package fault
 
 import (
+	"slices"
 	"sort"
 
 	"ripple/internal/pkt"
@@ -186,13 +187,32 @@ type flapPeer struct {
 	row  int32
 }
 
-// Build materialises the schedule for a run of the given duration.
+// Links is a candidate set for link flaps: Len pairs in a fixed order,
+// the i-th of which is Pair(i). A flap picks pairs by their index, so two
+// sets that list the same pairs in the same order give the same schedule.
+type Links interface {
+	Len() int
+	Pair(i int) [2]pkt.NodeID
+}
+
+// PairList is a candidate set listed pair by pair.
+type PairList [][2]pkt.NodeID
+
+func (l PairList) Len() int                 { return len(l) }
+func (l PairList) Pair(i int) [2]pkt.NodeID { return l[i] }
+
+// Build is BuildOn over a listed candidate set.
+func Build(spec Spec, duration sim.Time, positions []radio.Pos, exempt []bool, links [][2]pkt.NodeID) *Schedule {
+	return BuildOn(spec, duration, positions, exempt, PairList(links))
+}
+
+// BuildOn materialises the schedule for a run of the given duration.
 // exempt (optional, nil for none) flags stations immune to churn — the
 // network layer exempts flow endpoints so degradation curves measure
 // relay failures, not source/sink death. links is the candidate set for
 // flaps, typically the initial plan's neighbor pairs (a < b). The result
 // depends only on the arguments — never on wall clock or scenario seed.
-func Build(spec Spec, duration sim.Time, positions []radio.Pos, exempt []bool, links [][2]pkt.NodeID) *Schedule {
+func BuildOn(spec Spec, duration sim.Time, positions []radio.Pos, exempt []bool, links Links) *Schedule {
 	s := &Schedule{n: len(positions), threshold: spec.Threshold()}
 	seed := spec.seed()
 
@@ -208,7 +228,7 @@ func Build(spec Spec, duration sim.Time, positions []radio.Pos, exempt []bool, l
 		}
 	}
 
-	if spec.FlapLinks > 0 && len(links) > 0 {
+	if spec.FlapLinks > 0 && links.Len() > 0 {
 		up := orDefault(spec.FlapUp, DefaultFlapUp)
 		down := orDefault(spec.FlapDown, DefaultFlapDown)
 		rng := sim.NewRNG(seed, 2)
@@ -298,18 +318,33 @@ func toggleTimes(rng *sim.RNG, up, down sim.Time, duration sim.Time) []sim.Time 
 	}
 }
 
-// pickLinks chooses k distinct links by partial Fisher-Yates over a copy
-// of the candidate list.
-func pickLinks(rng *sim.RNG, links [][2]pkt.NodeID, k int) [][2]pkt.NodeID {
-	c := append([][2]pkt.NodeID(nil), links...)
-	if k > len(c) {
-		k = len(c)
+// pickLinks chooses k distinct links by a partial Fisher-Yates shuffle of
+// the candidates' indices: the i-th pick swaps index i with a uniform one at
+// or above it. The shuffled array is the identity except where a swap put
+// another index, so only those k places are kept — moved, searched linearly
+// — and a candidate set of a million pairs costs no more than one of k.
+func pickLinks(rng *sim.RNG, links Links, k int) [][2]pkt.NodeID {
+	n := links.Len()
+	k = min(k, n)
+	type place struct{ at, index int }
+	moved := make([]place, 0, k)
+	find := func(at int) int { return slices.IndexFunc(moved, func(p place) bool { return p.at == at }) }
+	picked := make([][2]pkt.NodeID, k)
+	for i := range picked {
+		j := i + rng.IntN(n-i)
+		vi, vj := i, j
+		if s := find(i); s >= 0 {
+			vi = moved[s].index
+		}
+		// Place i is never read again; place j takes i's index.
+		if s := find(j); s >= 0 {
+			vj, moved[s].index = moved[s].index, vi
+		} else {
+			moved = append(moved, place{j, vi})
+		}
+		picked[i] = links.Pair(vj)
 	}
-	for i := 0; i < k; i++ {
-		j := i + rng.IntN(len(c)-i)
-		c[i], c[j] = c[j], c[i]
-	}
-	return c[:k]
+	return picked
 }
 
 func bounds(positions []radio.Pos) (minX, minY, maxX, maxY float64) {

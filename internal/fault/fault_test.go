@@ -305,7 +305,7 @@ func TestLinkVetoIndexMatchesBruteForce(t *testing.T) {
 		s := Build(spec, dur, pos, nil, links)
 		var picked [][2]pkt.NodeID
 		if spec.FlapLinks > 0 {
-			picked = pickLinks(sim.NewRNG(spec.seed(), 2), links, spec.FlapLinks)
+			picked = pickLinks(sim.NewRNG(spec.seed(), 2), PairList(links), spec.FlapLinks)
 		}
 		flapping := make([]bool, n)
 		for _, l := range picked {
@@ -383,4 +383,37 @@ func BenchmarkLinkBlockedAt(b *testing.B) {
 		}
 	}
 	sinkBlocked = blocked
+}
+
+// copyShuffled is the reference pickLinks: a partial Fisher-Yates shuffle of
+// a copy of the whole candidate list.
+func copyShuffled(rng *sim.RNG, links [][2]pkt.NodeID, k int) [][2]pkt.NodeID {
+	c := append([][2]pkt.NodeID(nil), links...)
+	k = min(k, len(c))
+	for i := 0; i < k; i++ {
+		j := i + rng.IntN(len(c)-i)
+		c[i], c[j] = c[j], c[i]
+	}
+	return c[:k]
+}
+
+// pickLinks keeps only the places its swaps moved, and picks what shuffling
+// a copy of the whole list picks: the same draws, the same pairs in the same
+// order, from one candidate to thousands and from one pick to all of them.
+func TestPickLinksMatchesCopyShuffle(t *testing.T) {
+	gen := sim.NewRNG(5, 0)
+	for trial := 0; trial < 300; trial++ {
+		links := make([][2]pkt.NodeID, 1+gen.IntN(3000))
+		for i := range links {
+			links[i] = [2]pkt.NodeID{pkt.NodeID(i), pkt.NodeID(gen.IntN(1 << 20))}
+		}
+		k := 1 + gen.IntN(40)
+		if trial%10 == 0 {
+			k = len(links) + gen.IntN(3)
+		}
+		want := copyShuffled(sim.NewRNG(uint64(trial), 2), links, k)
+		if got := pickLinks(sim.NewRNG(uint64(trial), 2), PairList(links), k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d, %d of %d candidates: picked %v, the copy shuffle %v", trial, k, len(links), got, want)
+		}
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"ripple/internal/golden"
 	"ripple/internal/israce"
 	"ripple/internal/pkt"
+	"ripple/internal/radio"
 	"ripple/internal/sim"
 	"ripple/internal/topology"
 )
@@ -52,7 +53,9 @@ func arenaCases(t *testing.T) []pinCase {
 // a result: an insertion sequence or a transmission serial that carried over
 // would not, a trace hook or a link plan left in place pins what the caller
 // lent — except the capacity named here, and the parts of that which a run
-// fills are empty.
+// fills are empty. The medium's row cache is kept whole: it holds the
+// transmit rows of the plans it ran on, filed by their serials, which keep
+// no plan alive.
 func assertEmptied(t *testing.T, after string, r *run) {
 	t.Helper()
 	// Every field of v reads zero, except the kept ones, which are empty, and
@@ -74,7 +77,7 @@ func assertEmptied(t *testing.T, after string, r *run) {
 	check("run", reflect.ValueOf(r).Elem(), []string{"arena"}, nil)
 	check("eng", reflect.ValueOf(&r.eng).Elem(), []string{"heap", "lane", "free"}, nil)
 	medium := reflect.ValueOf(&r.medium).Elem()
-	check("medium", medium, []string{"stations", "freeAir", "frames", "pOKByBits", "down", "noiseDB"},
+	check("medium", medium, []string{"stations", "freeAir", "frames", "pOKByBits", "down", "noiseDB", "rows"},
 		[]string{"slabOf", "pktOKBuf"})
 	check("medium.frames", medium.FieldByName("frames"), []string{"free"}, nil)
 	check("pool", reflect.ValueOf(&r.pool).Elem(), []string{"free"}, nil)
@@ -85,11 +88,39 @@ func assertEmptied(t *testing.T, after string, r *run) {
 	}
 }
 
-// Which arena a run is assembled on is invisible: every pinned scenario, run
-// twice on one arena in a shuffled order — scheme after scheme on the same
-// slabs, a 200-station city before a five-station line, runs that end with
-// stations down, exchanges open and receptions on the air, audit on then
-// off, traced then not — gives byte for byte what it gives on a new arena.
+// twinCities is two mobile, faulty 200-station cities, the benchmark's in
+// miniature, run until every epoch world has been in effect: the second the
+// first shrunk by a tenth, so the two have the same station count and
+// different rows under every plan — what a row cache keyed by anything
+// less than the plan would mix up.
+func twinCities(t *testing.T) [2]pinCase {
+	var twins [2]pinCase
+	for i, name := range []string{"mobile-faulty city", "mobile-faulty city shrunk"} {
+		cfg := cityBenchConfig(true, 1500*sim.Millisecond)
+		if i == 1 {
+			cfg.Positions = slices.Clone(cfg.Positions)
+			for k := range cfg.Positions {
+				cfg.Positions[k].X *= 0.9
+				cfg.Positions[k].Y *= 0.9
+			}
+		}
+		world, err := BuildWorld(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cfg.World = world
+		twins[i] = pinCase{name: name, cfg: cfg}
+	}
+	return twins
+}
+
+// Which arena a run is assembled on is invisible: every pinned scenario and
+// the twin cities, run twice on one arena in a shuffled order — scheme after
+// scheme on the same slabs, a 200-station city before a five-station line,
+// runs that end with stations down, exchanges open and receptions on the
+// air, audit on then off, traced then not — gives byte for byte what it
+// gives on a new arena; and so do the twin cities run one after the other,
+// each on the rows the other left.
 func TestArenaReuseIsInvisible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every pinned scenario three times")
@@ -97,7 +128,8 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("one goroutine, 170 runs: three minutes under the race detector, which has nothing to find here")
 	}
-	cases := arenaCases(t)
+	twins := twinCities(t)
+	cases := append(arenaCases(t), twins[:]...)
 	want := make([][]byte, len(cases))
 	for i, c := range cases {
 		want[i] = golden.Marshal(t, pinOf(t, new(run), c.cfg, c.traced))
@@ -112,6 +144,64 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 					pass, cases[i].name, golden.Diff(want[i], got))
 			}
 			assertEmptied(t, cases[i].name, shared)
+		}
+	}
+	twin := len(cases) - 2
+	for k := 0; k < 4; k++ {
+		i := twin + k%2
+		if got := golden.Marshal(t, pinOf(t, shared, cases[i].cfg, false)); !bytes.Equal(got, want[i]) {
+			t.Fatalf("run %d of the alternation: %s differs on a reused arena (new → reused):\n%s",
+				k, cases[i].name, golden.Diff(want[i], got))
+		}
+	}
+}
+
+// rowBuilds is how many transmit rows the arena's medium has built.
+func rowBuilds(r *run) int64 {
+	return reflect.ValueOf(&r.medium).Elem().FieldByName("rows").FieldByName("builds").Int()
+}
+
+// The row cache builds a transmitter's row once per plan and arena: the
+// first run of a world builds exactly one row for each plan a station
+// transmitted under — the root's and each epoch's, told apart at the
+// moment of the transmission — and a second run of it on the same arena
+// builds none. The twin city, of the same station count, is a new world:
+// it builds its own rows, and the first city's, run again after it, are
+// built anew.
+func TestArenaBuildsEachRowOnce(t *testing.T) {
+	twins := twinCities(t)
+	arena := new(run)
+	type use struct {
+		plan *radio.LinkPlan
+		tx   pkt.NodeID
+	}
+	for k, c := range []struct {
+		twin  int
+		build bool
+	}{{0, true}, {0, false}, {1, true}, {0, true}} {
+		cfg := twins[c.twin].cfg
+		used := map[use]bool{}
+		cfg.Trace = func(_ sim.Time, event string, node pkt.NodeID, _ *pkt.Frame) {
+			if event == "tx" {
+				used[use{arena.medium.Plan(), node}] = true
+			}
+		}
+		before := rowBuilds(arena)
+		if _, err := runOn(arena, cfg); err != nil {
+			t.Fatal(err)
+		}
+		plans := map[*radio.LinkPlan]bool{}
+		for u := range used {
+			plans[u.plan] = true
+		}
+		if len(plans) < 3 {
+			t.Fatalf("run %d transmitted under %d plans: the epochs are not exercised", k, len(plans))
+		}
+		built, distinct := rowBuilds(arena)-before, int64(len(used))
+		if c.build && built != distinct || !c.build && built != 0 {
+			t.Errorf("run %d (%s) built %d rows for %d (plan, transmitter) pairs", k, twins[c.twin].name, built, distinct)
+		} else {
+			t.Logf("run %d (%s): %d rows built, %d (plan, transmitter) pairs", k, twins[c.twin].name, built, distinct)
 		}
 	}
 }

@@ -134,7 +134,7 @@ func TestMaskedTableIsFilteredCleanTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	links := planLinks(root.plan)
+	links := listPairs(root.plan)
 	flaps := fault.Build(flapsOnly, cfg.Duration, cfg.Positions, exemptEndpoints(&cfg), links)
 	together, noisyLinks := 0, 0
 	checkEpochTables(t, "combined", cfg, &prov, func(at sim.Time, fs *fault.Schedule) {

@@ -89,8 +89,8 @@ func BuildWorld(cfg Config) (*World, error) {
 		return nil, err
 	}
 	if cfg.Faults.Active() {
-		w.faults = fault.Build(cfg.Faults, cfg.Duration, cfg.Positions,
-			exemptEndpoints(&cfg), planLinks(w.plan))
+		w.faults = fault.BuildOn(cfg.Faults, cfg.Duration, cfg.Positions,
+			exemptEndpoints(&cfg), newPlanPairs(w.plan))
 	}
 	if cfg.Mobility.active() || w.faults != nil {
 		if err := w.buildEpochs(&cfg); err != nil {
@@ -373,18 +373,38 @@ func exemptEndpoints(cfg *Config) []bool {
 	return ex
 }
 
-// planLinks enumerates the plan's neighbor pairs (a < b), the candidate
-// set for link flaps: one of the two directed links the plan stores per pair.
-func planLinks(plan *radio.LinkPlan) [][2]pkt.NodeID {
-	out := make([][2]pkt.NodeID, 0, plan.Links()/2)
-	for a := 0; a < plan.Stations(); a++ {
-		for _, j := range plan.AscNeighbors(a) {
-			if int(j) > a {
-				out = append(out, [2]pkt.NodeID{pkt.NodeID(a), pkt.NodeID(j)})
-			}
-		}
+// planPairs is the plan's neighbor pairs (a, b), a < b — one of the two
+// directed links the plan stores per pair — as the candidate set for link
+// flaps, without listing them: pair i is in row a, where first[a] ≤ i <
+// first[a+1], at offset i − first[a] past the row's neighbors up to a. The
+// pairs are in row order, each row ascending.
+type planPairs struct {
+	plan  *radio.LinkPlan
+	first []int // first[a]: the index of row a's first pair; first[n] the count
+}
+
+func newPlanPairs(plan *radio.LinkPlan) planPairs {
+	p := planPairs{plan: plan, first: make([]int, plan.Stations()+1)}
+	for a := range plan.Stations() {
+		row := plan.AscNeighbors(a)
+		p.first[a+1] = p.first[a] + len(row) - above(row, a)
 	}
-	return out
+	return p
+}
+
+// above is the index of row's first neighbor above a.
+func above(row []int32, a int) int {
+	k, _ := slices.BinarySearch(row, int32(a)+1)
+	return k
+}
+
+func (p planPairs) Len() int { return p.first[len(p.first)-1] }
+
+func (p planPairs) Pair(i int) [2]pkt.NodeID {
+	k, _ := slices.BinarySearch(p.first, i+1)
+	a := k - 1
+	row := p.plan.AscNeighbors(a)
+	return [2]pkt.NodeID{pkt.NodeID(a), pkt.NodeID(row[above(row, a)+i-p.first[a]])}
 }
 
 // epochLenFor resolves the epoch length of a time-varying config: an

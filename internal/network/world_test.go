@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ripple/internal/campaign/pool"
+	"ripple/internal/fault"
 	"ripple/internal/pkt"
 	"ripple/internal/radio"
 	"ripple/internal/routing"
@@ -196,5 +197,60 @@ func TestBuildWorldReportsRouteErrors(t *testing.T) {
 	cfg.Positions[len(cfg.Positions)-1].X = 1e9
 	if _, err := BuildWorld(cfg); err == nil {
 		t.Fatal("BuildWorld must surface unreachable-route errors")
+	}
+}
+
+// listPairs lists the plan's neighbor pairs (a < b) row by row, each row
+// ascending: the enumeration planPairs indexes without listing.
+func listPairs(plan *radio.LinkPlan) [][2]pkt.NodeID {
+	var out [][2]pkt.NodeID
+	for a := 0; a < plan.Stations(); a++ {
+		for _, j := range plan.AscNeighbors(a) {
+			if int(j) > a {
+				out = append(out, [2]pkt.NodeID{pkt.NodeID(a), pkt.NodeID(j)})
+			}
+		}
+	}
+	return out
+}
+
+// Link flaps pick from the plan's pairs by index, without listing them: pair
+// i of planPairs is entry i of the list, on the fan-out city, on a random
+// pruned layout and on a dense one, and a fault
+// schedule built over either — flaps drawn from a few pairs to more than
+// there are — is the same schedule.
+func TestFlapPairsMatchListedPairs(t *testing.T) {
+	rng := sim.NewRNG(13, 0)
+	scattered := make([]radio.Pos, 300)
+	for i := range scattered {
+		scattered[i] = radio.Pos{X: rng.Float64() * 6000, Y: rng.Float64() * 6000}
+	}
+	dense := radio.DefaultConfig()
+	dense.PruneSigma = 0
+	city := fanoutCityConfig(Ripple)
+	for _, c := range []struct {
+		name string
+		plan *radio.LinkPlan
+	}{
+		{"fan-out city", radio.NewLinkPlan(city.Radio, city.Positions)},
+		{"random layout", radio.NewLinkPlan(radio.DefaultConfig(), scattered)},
+		{"dense", radio.NewLinkPlan(dense, scattered[:40])},
+	} {
+		listed, pairs := listPairs(c.plan), newPlanPairs(c.plan)
+		if pairs.Len() != len(listed) || len(listed) < 100 {
+			t.Fatalf("%s: %d pairs indexed, %d listed", c.name, pairs.Len(), len(listed))
+		}
+		for i, want := range listed {
+			if got := pairs.Pair(i); got != want {
+				t.Fatalf("%s: pair %d is %v, the list has %v", c.name, i, got, want)
+			}
+		}
+		for _, flaps := range []int{1, 20, 400, len(listed) + 1} {
+			spec := fault.Spec{Seed: uint64(flaps), FlapLinks: flaps}
+			want := fault.Build(spec, 5*sim.Second, c.plan.Positions(), nil, listed)
+			if got := fault.BuildOn(spec, 5*sim.Second, c.plan.Positions(), nil, pairs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, %d flaps: the schedule over the indexed pairs differs from the one over the list", c.name, flaps)
+			}
+		}
 	}
 }

@@ -13,11 +13,15 @@ import (
 // sameBits reports whether two floats are the same value bit for bit.
 func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
-// TestPlanAttributesArePositionFunctions: every attribute a plan holds or
-// hands out for a link is a function of the two stations' positions and the
-// radio config alone — the distance is Dist(pos a, pos b), the mean power
-// MeanRxPowerDBm of it and the delay propDelay of it, bit for bit — and the
-// pair accessors are symmetric. It covers a pruned city, three patched
+// transmitRow is station i's transmit row and its delay order (nil when the
+// row is in delay order), as a Medium derives them.
+func transmitRow(pl *LinkPlan, i int) ([]link, []int32) { return pl.appendRow(nil, nil, i) }
+
+// TestPlanAttributesArePositionFunctions: every attribute a plan hands out
+// or derives for a link is a function of the two stations' positions and
+// the radio config alone — the distance is Dist(pos a, pos b), the mean
+// power MeanRxPowerDBm of it and the delay propDelay of it, bit for bit —
+// and the pair accessors are symmetric. It covers a pruned city, three patched
 // epochs of a mobile one and a dense Fig. 1-size plan. It is what lets a plan
 // recompute a link's distance instead of storing it.
 func TestPlanAttributesArePositionFunctions(t *testing.T) {
@@ -42,13 +46,14 @@ func TestPlanAttributesArePositionFunctions(t *testing.T) {
 		links := 0
 		pl := c.pl
 		for a := 0; a < pl.n; a++ {
-			ids, dbm, pd := pl.row(a)
-			for k, b := range ids {
+			row, _ := transmitRow(pl, a)
+			for _, l := range row {
+				b := l.id
 				d := Dist(pl.positions[a], pl.positions[b])
-				if !sameBits(pl.Distance(a, int(b)), d) || !sameBits(dbm[k], pl.cfg.MeanRxPowerDBm(d)) ||
-					!sameBits(pl.MeanDBm(a, int(b)), dbm[k]) || sim.Time(pd[k]) != propDelay(d) {
+				if !sameBits(pl.Distance(a, int(b)), d) || !sameBits(l.dbm, pl.cfg.MeanRxPowerDBm(d)) ||
+					!sameBits(pl.MeanDBm(a, int(b)), l.dbm) || sim.Time(l.pd) != propDelay(d) {
 					t.Fatalf("%s: link %d→%d reads (%v m, %v dBm, %v ns), positions give (%v m, %v dBm, %v)", c.name, a, b,
-						pl.Distance(a, int(b)), dbm[k], pd[k], d, pl.cfg.MeanRxPowerDBm(d), propDelay(d))
+						pl.Distance(a, int(b)), l.dbm, l.pd, d, pl.cfg.MeanRxPowerDBm(d), propDelay(d))
 				}
 				links++
 			}
@@ -84,14 +89,13 @@ func linkBytes(pl *LinkPlan) int {
 	return total
 }
 
-// TestLinkPlanBytesPerLink holds the plan to the attributes Transmit reads
-// per frame: an int32 ID, a float64 mean power and an int32 delay per link,
-// plus a pruned plan's int32 lookup ID — 20 bytes per stored link pruned,
-// built or patched, and 16 dense. A pruned plan's arrays are sized by its
-// in-radius candidates, of which the power predicate turns a few away, so
-// they may hold up to 1 % more than its links (TestRebuildSizesItsArraysOnce
-// holds that slack; a 2000-station city reads 20.04 bytes). A float64
-// distance or a slot index back in LinkPlan reads 24 or more and fails.
+// TestLinkPlanBytesPerLink holds the plan to who hears whom: an int32
+// neighbour ID per link — 4 bytes per stored link pruned, built or patched,
+// and dense. A pruned plan's array is sized by its in-radius candidates, of
+// which the power predicate turns a few away, so it may hold up to 1 % more
+// than its links (TestRebuildSizesItsArraysOnce holds that slack). A mean
+// power, a delay or a second ID array back in LinkPlan reads 8 or more and
+// fails: what a transmitter reads per frame is derived by the Medium.
 func TestLinkPlanBytesPerLink(t *testing.T) {
 	dense := DefaultConfig()
 	dense.PruneSigma = 0
@@ -102,10 +106,10 @@ func TestLinkPlanBytesPerLink(t *testing.T) {
 		pl    *LinkPlan
 		limit int
 	}{
-		{"pruned city", NewLinkPlan(DefaultConfig(), randomCity(2000, 20000, 5)), 20},
-		{"pruned mobile city", built, 20},
-		{"patched epoch", built.Rebuild(step(0, 0.05)), 20},
-		{"dense", NewLinkPlan(dense, randomCity(60, 600, 3)), 16},
+		{"pruned city", NewLinkPlan(DefaultConfig(), randomCity(2000, 20000, 5)), 4},
+		{"pruned mobile city", built, 4},
+		{"patched epoch", built.Rebuild(step(0, 0.05)), 4},
+		{"dense", NewLinkPlan(dense, randomCity(60, 600, 3)), 4},
 	} {
 		links := c.pl.Links()
 		if links <= c.pl.Stations()+1 {

@@ -67,3 +67,20 @@ func BenchmarkTransmit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTransmitRow is what a station's first transmission under a plan
+// adds to Transmit: deriving its row (LinkPlan.appendRow) into the medium's
+// row cache — here one reused slab — on a pruned 2000-station layout of
+// about 235 neighbours per station, a city_mobile_faulty transmitter's
+// degree.
+func BenchmarkTransmitRow(b *testing.B) {
+	pl := NewLinkPlan(DefaultConfig(), randomCity(2000, 20000, 5))
+	var links []link
+	var ord []int32
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		links, ord = pl.appendRow(links[:0], ord[:0], i%pl.n)
+	}
+	b.ReportMetric(float64(pl.Links())/float64(pl.n), "links/row")
+}

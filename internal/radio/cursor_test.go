@@ -11,16 +11,16 @@ import (
 	"ripple/internal/sim"
 )
 
-// bruteDelayOrder is the reference for LinkPlan.delayOrder: row i's
+// bruteDelayOrder is the reference for appendRow's delay order: row i's
 // positions stably sorted by propagation delay, or nil when that is the
 // identity.
 func bruteDelayOrder(pl *LinkPlan, i int) []int32 {
-	_, _, pd := pl.row(i)
-	ord := make([]int32, len(pd))
+	row, _ := transmitRow(pl, i)
+	ord := make([]int32, len(row))
 	for k := range ord {
 		ord[k] = int32(k)
 	}
-	slices.SortStableFunc(ord, func(a, b int32) int { return int(pd[a] - pd[b]) })
+	slices.SortStableFunc(ord, func(a, b int32) int { return int(row[a].pd - row[b].pd) })
 	for k, v := range ord {
 		if int32(k) != v {
 			return ord
@@ -29,22 +29,20 @@ func bruteDelayOrder(pl *LinkPlan, i int) []int32 {
 	return nil
 }
 
-// checkDelayOrder compares every row's stored delay order with the brute
+// checkDelayOrder compares every row's derived delay order with the brute
 // force and returns how many rows have one.
 func checkDelayOrder(t *testing.T, what string, pl *LinkPlan) int {
 	t.Helper()
 	rows := 0
 	for i := 0; i < pl.n; i++ {
-		want, got := bruteDelayOrder(pl, i), pl.delayOrder(i)
+		want := bruteDelayOrder(pl, i)
+		_, got := transmitRow(pl, i)
 		if !slices.Equal(want, got) {
 			t.Fatalf("%s: row %d delay order %v, brute force %v", what, i, got, want)
 		}
 		if got != nil {
 			rows++
 		}
-	}
-	if rows == 0 && pl.delayOrd != nil {
-		t.Fatalf("%s: a delay-order slice with no out-of-order row", what)
 	}
 	return rows
 }
@@ -62,7 +60,7 @@ func TestDelayOrderMatchesBruteForce(t *testing.T) {
 	// scattered city needs no permutation at all, built, patched or copied.
 	cfg, initial, step := mobileCity(400, 2500, 77)
 	pl := NewLinkPlan(cfg, initial)
-	if rows := checkDelayOrder(t, "pruned build", pl); rows != 0 || pl.delayOrd != nil {
+	if rows := checkDelayOrder(t, "pruned build", pl); rows != 0 {
 		t.Fatalf("%d power-sorted rows out of delay order on a scattered city", rows)
 	}
 	for epoch := 0; epoch < 4; epoch++ {
@@ -73,19 +71,18 @@ func TestDelayOrderMatchesBruteForce(t *testing.T) {
 
 // Below one metre the mean power is clamped, so stations 0.9 m and 0.3 m
 // away tie in power and sort by ID, while their delays (3 ns and 1 ns) do
-// not: the one kind of pruned row that is out of delay order. It must be
-// indexed when the row is built, when a patch merges a mover into it, and
+// not: the one kind of pruned row that is out of delay order. Its order must
+// be derived when the row is built, when a patch merges a mover into it, and
 // when an epoch copies it untouched.
 func TestDelayOrderSubMetrePair(t *testing.T) {
 	cfg := DefaultConfig() // pruned
 	pos := []Pos{{0, 0}, {0.9, 0}, {0, 0.3}, {50, 0}, {120, 40}, {400, 300}, {2000, 2000}, {2100, 2000}}
 	pl := NewLinkPlan(cfg, pos)
-	ids, dbm, pd := pl.row(0)
-	if ids[0] != 1 || ids[1] != 2 || dbm[0] != dbm[1] || pd[0] <= pd[1] {
-		t.Fatalf("row 0 starts %v at %v dBm, %v ns: want stations 1 then 2, tied in power, delays descending",
-			ids[:2], dbm[:2], pd[:2])
+	row, got := transmitRow(pl, 0)
+	if row[0].id != 1 || row[1].id != 2 || row[0].dbm != row[1].dbm || row[0].pd <= row[1].pd {
+		t.Fatalf("row 0 starts %v: want stations 1 then 2, tied in power, delays descending", row[:2])
 	}
-	if got := pl.delayOrder(0); got == nil || got[0] != 1 || got[1] != 0 {
+	if got == nil || got[0] != 1 || got[1] != 0 {
 		t.Fatalf("row 0 delay order %v, want it to start 1, 0", got)
 	}
 	if rows := checkDelayOrder(t, "built", pl); rows != 1 {
@@ -98,7 +95,7 @@ func TestDelayOrderSubMetrePair(t *testing.T) {
 	moved[4] = Pos{90, 10}
 	patched := pl.Rebuild(moved)
 	plansEqual(t, NewLinkPlan(cfg, moved), patched)
-	if checkDelayOrder(t, "patched", patched) != 1 || patched.delayOrder(0) == nil {
+	if _, ord := transmitRow(patched, 0); checkDelayOrder(t, "patched", patched) != 1 || ord == nil {
 		t.Fatal("the patched row 0 lost its delay order")
 	}
 
@@ -107,7 +104,7 @@ func TestDelayOrderSubMetrePair(t *testing.T) {
 	moved2[7] = Pos{2050, 2010}
 	copied := patched.Rebuild(moved2)
 	plansEqual(t, NewLinkPlan(cfg, moved2), copied)
-	if checkDelayOrder(t, "copied", copied) != 1 || copied.delayOrder(0) == nil {
+	if _, ord := transmitRow(copied, 0); checkDelayOrder(t, "copied", copied) != 1 || ord == nil {
 		t.Fatal("the copied row 0 lost its delay order")
 	}
 }
@@ -129,7 +126,7 @@ func (b *busyLog) ChannelIdle() {
 }
 
 // A transmission's receptions begin and end in (delay, row position) order
-// whatever order the row is stored in: an unpruned row visits a lattice's
+// whatever order the row is drawn in: an unpruned row visits a lattice's
 // equidistant stations by ID, the sub-metre row visits them by tied power.
 func TestReceptionsFireInDelayOrder(t *testing.T) {
 	lattice := make([]Pos, 16)
@@ -153,25 +150,25 @@ func TestReceptionsFireInDelayOrder(t *testing.T) {
 		for i := range c.pos {
 			m.Attach(pkt.NodeID(i), &busyLog{id: i, log: &log, eng: eng})
 		}
-		if m.plan.delayOrder(c.tx) == nil {
+		row, ord := transmitRow(m.plan, c.tx)
+		if ord == nil {
 			t.Fatalf("%s: row %d is in delay order; the test needs one that is not", c.name, c.tx)
 		}
 		const air = 100 * sim.Microsecond
 		m.Transmit(&pkt.Frame{Kind: pkt.Data, Tx: pkt.NodeID(c.tx), Rx: pkt.Broadcast, Duration: air})
 		eng.Run(sim.Second)
 
-		ids, _, pd := m.plan.row(c.tx)
 		var want []string
 		want = append(want, fmt.Sprintf("busy %d@0", c.tx))
-		ord := bruteDelayOrder(m.plan, c.tx)
+		ord = bruteDelayOrder(m.plan, c.tx)
 		for _, k := range ord {
-			want = append(want, fmt.Sprintf("busy %d@%d", ids[k], pd[k]))
+			want = append(want, fmt.Sprintf("busy %d@%d", row[k].id, row[k].pd))
 		}
 		// Every delay here is far below the airtime: all begins, then the
 		// transmitter's own idle, then all ends.
 		want = append(want, fmt.Sprintf("idle %d@%d", c.tx, air))
 		for _, k := range ord {
-			want = append(want, fmt.Sprintf("idle %d@%d", ids[k], air+sim.Time(pd[k])))
+			want = append(want, fmt.Sprintf("idle %d@%d", row[k].id, air+sim.Time(row[k].pd)))
 		}
 		if !slices.Equal(log, want) {
 			t.Fatalf("%s: carrier upcalls\n got  %v\n want %v", c.name, log, want)

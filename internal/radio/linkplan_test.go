@@ -92,8 +92,8 @@ func randomCity(n int, side float64, seed uint64) []Pos {
 
 // TestPrunedPlanMatchesBruteForce pits the grid-built sparse plan against a
 // brute-force all-pairs reference on a 500-station random world: the kept
-// neighbor sets, their power ordering and every stored value must be
-// identical — the spatial grid is a candidate filter, never an
+// neighbor sets, the transmit rows' power ordering and every derived value
+// must be identical — the spatial grid is a candidate filter, never an
 // approximation. The accessors must also agree with the dense (unpruned)
 // plan on every pair, including pruned ones (computed on demand).
 func TestPrunedPlanMatchesBruteForce(t *testing.T) {
@@ -132,15 +132,15 @@ func TestPrunedPlanMatchesBruteForce(t *testing.T) {
 				}
 				return want[i].id < want[j].id
 			})
-			ids, dbm, _ := plan.row(a)
-			if len(ids) != len(want) {
+			row, _ := transmitRow(plan, a)
+			if len(row) != len(want) {
 				t.Fatalf("sigma %v: station %d keeps %d neighbors, brute force says %d",
-					sigma, a, len(ids), len(want))
+					sigma, a, len(row), len(want))
 			}
 			for k := range want {
-				if ids[k] != want[k].id || dbm[k] != want[k].dbm {
+				if row[k].id != want[k].id || row[k].dbm != want[k].dbm {
 					t.Fatalf("sigma %v: station %d slot %d = (%d, %g), want (%d, %g)",
-						sigma, a, k, ids[k], dbm[k], want[k].id, want[k].dbm)
+						sigma, a, k, row[k].id, row[k].dbm, want[k].id, want[k].dbm)
 				}
 			}
 			asc := plan.AscNeighbors(a)

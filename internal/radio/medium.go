@@ -107,8 +107,8 @@ type transmission struct {
 	base       uint64
 	rx         []reception
 	// order is the slab indices in (delay, index) order, or empty when the
-	// slab is already in that order (every row the plan has no delay
-	// permutation for: pruned rows, sorted by mean power).
+	// slab is already in that order (every row with no delay order: nearly
+	// every pruned row, drawn in mean-power order).
 	order []int32
 	begin beginCursor
 	done  endCursor
@@ -214,13 +214,17 @@ type Medium struct {
 	stations []station
 	Counters Counters
 
-	// plan is the immutable link precomputation (per-neighbor link
-	// attributes in CSR layout): Transmit performs no math.Hypot/math.Log10
-	// per frame. The plan may be shared read-only with other Mediums running
+	// plan is the immutable link precomputation (who hears whom, in CSR
+	// layout). The plan may be shared read-only with other Mediums running
 	// concurrently (see LinkPlan); everything this Medium mutates lives on
-	// the Medium itself.
+	// the Medium itself, the transmit rows it derives from the plan
+	// included: rows holds them, per plan, and cur is the current plan's,
+	// so that Transmit performs no math.Hypot/math.Log10 per frame past a
+	// station's first under a plan.
 	plan *LinkPlan
 	n    int
+	rows rowCache
+	cur  *planRows
 
 	// freeAir recycles transmission records; onAir counts the records out
 	// of the pool. slabOf is Transmit's scratch map from plan-row position
@@ -303,6 +307,8 @@ func NewMediumOn(eng *sim.Engine, plan *LinkPlan, p phys.Params, rng *sim.RNG) *
 func (m *Medium) Init(eng *sim.Engine, plan *LinkPlan, p phys.Params, rng *sim.RNG) {
 	m.eng, m.cfg, m.phy, m.rng = eng, plan.cfg, p, rng
 	m.plan, m.n = plan, plan.n
+	m.rows.adopt(plan)
+	m.cur = m.rows.of(plan)
 	if cap(m.stations) < plan.n {
 		m.stations = make([]station, plan.n)
 	}
@@ -314,10 +320,11 @@ func (m *Medium) Init(eng *sim.Engine, plan *LinkPlan, p phys.Params, rng *sim.R
 }
 
 // Reset takes the medium off its engine, plan and stream and empties it,
-// keeping only capacity: the station slab with each station's in-progress
+// keeping only capacity — the station slab with each station's in-progress
 // list, the transmission records it ever allocated (recalled from wherever
 // the run left them, reception slabs and all), the frame pool's frames, and
-// the scratch buffers. Counters, the transmission serial, the trace hook,
+// the scratch buffers — and the row cache, for the next Init over the same
+// plans to read. Counters, the transmission serial, the trace hook,
 // the link veto, quarantine and the memoised survival probabilities (the
 // next run's BER may differ) start over. The engine must be Reset too: it
 // may still hold the recalled records' cursors.
@@ -326,7 +333,7 @@ func (m *Medium) Reset() {
 	m.frames.Reset()
 	*m = Medium{
 		stations: m.stations[:0],
-		freeAir:  m.freeAir, frames: m.frames,
+		freeAir:  m.freeAir, frames: m.frames, rows: m.rows,
 		slabOf: m.slabOf, pktOKBuf: m.pktOKBuf, pOKByBits: m.pOKByBits[:0],
 		down: m.down[:0], noiseDB: m.noiseDB[:0],
 	}
@@ -433,10 +440,10 @@ func (m *Medium) Distance(a, b pkt.NodeID) float64 {
 // Neighbors returns the station's audible-candidate list (tests and
 // diagnostics). With pruning off it is every other station in ID order.
 func (m *Medium) Neighbors(id pkt.NodeID) []pkt.NodeID {
-	ids, _, _ := m.plan.row(int(id))
-	out := make([]pkt.NodeID, len(ids))
-	for i, j := range ids {
-		out[i] = pkt.NodeID(j)
+	row, _ := m.row(int(id))
+	out := make([]pkt.NodeID, len(row))
+	for i, l := range row {
+		out[i] = pkt.NodeID(l.id)
 	}
 	return out
 }
@@ -456,7 +463,7 @@ func (m *Medium) SetPlan(plan *LinkPlan) {
 	if plan.n != m.n {
 		panic("radio: SetPlan with a different station count")
 	}
-	m.plan = plan
+	m.plan, m.cur = plan, m.rows.of(plan)
 	for i := range m.stations {
 		m.stations[i].pos = plan.positions[i]
 	}
@@ -553,7 +560,6 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 		}
 	}
 
-	plan := m.plan
 	sigma := m.cfg.ShadowSigmaDB
 	rxThresh := m.cfg.RXThreshDBm
 	if f.RateBps > 0 {
@@ -578,8 +584,10 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 	}
 	t := m.newTransmission()
 	rx := t.rx
-	nbrIDs, nbrDBm, nbrPD := plan.row(int(f.Tx))
-	for k, j := range nbrIDs {
+	row, order := m.row(int(f.Tx))
+	for k := range row {
+		l := &row[k]
+		j := l.id
 		dst := &m.stations[j]
 		if dst.mac == nil {
 			continue
@@ -590,7 +598,7 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 		if veto != nil && veto.LinkBlockedAt(f.Tx, dst.id, now) {
 			continue // flapped or partitioned link
 		}
-		power := nbrDBm[k]
+		power := l.dbm
 		if len(m.noiseDB) != 0 {
 			power -= m.noiseDB[j]
 		}
@@ -609,7 +617,7 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 		if !decodable && dst.addressedBy == serial {
 			m.Counters.FramesShadowed++
 		}
-		rx = append(rx, reception{dst: dst, powerDBm: power, delay: sim.Time(nbrPD[k]),
+		rx = append(rx, reception{dst: dst, powerDBm: power, delay: sim.Time(l.pd),
 			row: int32(k), decodable: decodable})
 	}
 	// Hold the frame and its packets for its airtime: the tx-done event plus
@@ -618,8 +626,8 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 	// late duplicate deliveries even after the source has abandoned them.
 	f.BeginAir(len(rx) + 1)
 	t.rx = rx
-	m.schedule(t, f, now, end, plan.delayOrder(int(f.Tx)))
-	if plan.pruned {
+	m.schedule(t, f, now, end, order)
+	if plan := m.plan; plan.pruned {
 		// Pruned stations never drew a shadowing sample, but an addressed
 		// receiver that was pruned is still a shadowing loss — keep the
 		// counter semantics of the unpruned medium. A pair is pruned
@@ -640,7 +648,7 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 // schedule puts t on the engine: the block of sequence numbers its tx-done
 // and its receptions would have taken as one event and two events each, the
 // begin cursor keyed to the nearest receiver and the end cursor to the
-// tx-done. perm is the plan's delay order of the transmitter's row, nil when
+// tx-done. perm is the delay order of the transmitter's row, nil when
 // the row — and so the slab, a subsequence of it — is in delay order as it
 // stands. A transmission nobody senses is a one-event end series.
 func (m *Medium) schedule(t *transmission, f *pkt.Frame, now, end sim.Time, perm []int32) {
@@ -812,4 +820,98 @@ func (m *Medium) bitsSurvive(bits int, ber float64) bool {
 type survival struct {
 	bits int
 	pOK  float64
+}
+
+// rowCache is a medium's transmit rows: for each link plan it ran on, the
+// row of every station that transmitted under it (LinkPlan.appendRow), built
+// the first time that station transmitted. A row is a pure function of its
+// plan and station, so a row built in one run is the row the next run over
+// the same plan would build, and the cache outlives Reset: a run arena that
+// runs one World seed after seed builds each row once. Entries are filed
+// under the plan's serial, not its address — an idle medium must not keep a
+// dropped World's plans alive, and a collected plan's address can come back
+// as another plan's — and there is one per plan of the World the medium ran
+// last, root and epochs: at most epochs + 1, searched linearly.
+type rowCache struct {
+	plans []planRows
+	// builds counts the rows built, over the medium's life.
+	builds int
+}
+
+// planRows is the rows one plan has given its transmitters: span[i] locates
+// station i's row in links, and its delay order, if it has one, in ord.
+type planRows struct {
+	serial uint64 // the plan's; 0 for an entry emptied for reuse
+	span   []rowSpan
+	links  []link
+	ord    []int32
+}
+
+// rowSpan is where a built row lies in its entry: links[lo:lo+n], and its
+// delay order at ord[ord-1:ord-1+n], or none when ord is 0 (the row is in
+// delay order as it stands).
+type rowSpan struct {
+	lo, ord int
+	n       int32
+	built   bool
+}
+
+// adopt keeps the cache's entries when one of them is pl's — the medium is
+// put on the World it ran last — and otherwise empties every entry, keeping
+// its capacity for the new World's plans.
+func (c *rowCache) adopt(pl *LinkPlan) {
+	for i := range c.plans {
+		if c.plans[i].serial == pl.serial {
+			return
+		}
+	}
+	for i := range c.plans {
+		e := &c.plans[i]
+		*e = planRows{span: e.span[:0], links: e.links[:0], ord: e.ord[:0]}
+	}
+}
+
+// of returns pl's entry, taking an emptied one, or adding one, for a plan
+// the cache has no rows of yet.
+func (c *rowCache) of(pl *LinkPlan) *planRows {
+	free := -1
+	for i := range c.plans {
+		switch c.plans[i].serial {
+		case pl.serial:
+			return &c.plans[i]
+		case 0:
+			if free < 0 {
+				free = i
+			}
+		}
+	}
+	if free < 0 {
+		free = len(c.plans)
+		c.plans = append(c.plans, planRows{})
+	}
+	e := &c.plans[free]
+	e.serial, e.span = pl.serial, zeroed(e.span, pl.n)
+	return e
+}
+
+// row returns station i's transmit row under the current plan and its
+// delay order (nil when the row is in delay order), building both the first
+// time i transmits under the plan.
+func (m *Medium) row(i int) ([]link, []int32) {
+	e := m.cur
+	s := &e.span[i]
+	if !s.built {
+		lo, olo := len(e.links), len(e.ord)
+		e.links, e.ord = m.plan.appendRow(e.links, e.ord, i)
+		*s = rowSpan{lo: lo, n: int32(len(e.links) - lo), built: true}
+		if len(e.ord) > olo {
+			s.ord = olo + 1
+		}
+		m.rows.builds++
+	}
+	row := e.links[s.lo : s.lo+int(s.n)]
+	if s.ord == 0 {
+		return row, nil
+	}
+	return row, e.ord[s.ord-1 : s.ord-1+int(s.n)]
 }

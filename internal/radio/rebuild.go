@@ -1,6 +1,9 @@
 package radio
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // Rebuild returns the LinkPlan for the same radio Config over new station
 // positions, reusing this plan's rows wherever it can. It is the epoch
@@ -8,19 +11,19 @@ import "slices"
 // bit-identical coordinates each epoch, so most CSR rows survive
 // unchanged and only rows touching a moved station are recomputed.
 //
-// The result is exactly NewLinkPlan(cfg, positions) — same kept pairs,
-// same attributes, same row order, bit for bit (the rebuild equivalence
-// test diffs every array to keep it that way). The receiving plan is not
-// modified; when no station moved at all it is returned as-is (both
-// plans are immutable, so sharing is safe).
+// The result is exactly NewLinkPlan(cfg, positions) — same kept pairs, same
+// rows, bit for bit (the rebuild equivalence test diffs every array, and
+// every transmit row derived from them, to keep it that way). The receiving
+// plan is not modified; when no station moved at all it is returned as-is
+// (both plans are immutable, so sharing is safe).
 //
-// For an unmoved station the patch is a single merge: its old row minus
-// entries whose neighbor moved, interleaved (in the row's power order)
-// with freshly computed entries for moved stations now in range. Moved
-// stations' own rows rebuild from scratch through the spatial grid. When
-// more than a quarter of the population moved the patch has no advantage
-// and Rebuild falls back to a full build, as it does for unpruned plans
-// (dense worlds are small enough that a full O(N²) build is cheap).
+// A row is a membership list, so patching one is a single merge: an unmoved
+// station's old row minus its moved neighbours, interleaved in ID order
+// with the moved stations now in range. Moved stations' own rows rebuild
+// from scratch through the spatial grid. When more than a quarter of the
+// population moved the patch has no advantage and Rebuild falls back to a
+// full build, as it does for unpruned plans (dense worlds are small enough
+// that a full O(N²) build is cheap).
 func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
 	return pl.rebuild(positions, 0)
 }
@@ -51,25 +54,23 @@ func (pl *LinkPlan) rebuild(positions []Pos, chunks int) *LinkPlan {
 		cfg:         pl.cfg,
 		positions:   append([]Pos(nil), positions...),
 		n:           pl.n,
+		serial:      serials.Add(1),
 		pruned:      true,
 		pruneCutoff: pl.pruneCutoff,
 	}
-	radius := np.cfg.rangeFor(np.pruneCutoff) * 1.001
-	if radius < 1 {
-		radius = 1 // matches buildPruned's sub-metre clamp
-	}
+	radius := np.pruneRadius()
 	rsq := radius * radius
 	grid := newPosGrid(np.positions, radius)
 
 	// Dirty pass: for every moved station j, every station within the
-	// candidate radius of j's NEW position may now need a row entry for j.
-	// (Entries for j's old neighborhood need no lookup: the merge below
-	// drops every entry pointing at a moved station and re-adds only those
-	// the predicate still keeps.) Candidates are symmetric-by-distance, so
-	// querying around j finds exactly the rows whose candidate set gained
-	// j. Stored as a CSR over rows; each row's dirty list is in ascending
-	// moved-station order because movedIdx is ascending. The same pass
-	// counts each mover's candidates: the bound on its own row.
+	// candidate radius of j's NEW position may now need j in its row.
+	// (j's old neighbourhood needs no lookup: the merge below drops every
+	// moved neighbour and re-adds only those the predicate still keeps.)
+	// Candidates are symmetric-by-distance, so querying around j finds
+	// exactly the rows whose candidate set gained j. Stored as a CSR over
+	// rows; each row's dirty list is in ascending moved-station order
+	// because movedIdx is ascending. The same pass counts each mover's
+	// candidates: the bound on its own row.
 	bound := make([]int32, pl.n)
 	dirtyOff := make([]int32, pl.n+1)
 	for _, j := range movedIdx {
@@ -94,18 +95,18 @@ func (pl *LinkPlan) rebuild(positions []Pos, chunks int) *LinkPlan {
 		})
 	}
 
-	// movedNbrs[i] is how many of unmoved row i's old entries point at a
-	// mover, the entries the merge drops; the rest survive as they are. An
-	// unmoved row holds at most its survivors plus its dirty candidates —
-	// the exact predicate can only reject boundary candidates, as in
-	// buildPruned — so however far a step densifies the graph, no row
-	// outgrows its bound and the row pass never reallocates.
+	// movedNbrs[i] is how many of unmoved row i's old neighbours moved, the
+	// entries the merge drops; the rest survive as they are. An unmoved row
+	// holds at most its survivors plus its dirty candidates — the exact
+	// predicate can only reject boundary candidates, as in buildPruned — so
+	// however far a step densifies the graph, no row outgrows its bound and
+	// the row pass never reallocates.
 	movedNbrs := make([]int32, pl.n)
 	for i := 0; i < pl.n; i++ {
 		if moved[i] {
 			continue
 		}
-		row := pl.nbrID[pl.off[i]:pl.off[i+1]]
+		row := pl.AscNeighbors(i)
 		for _, id := range row {
 			if moved[id] {
 				movedNbrs[i]++
@@ -115,36 +116,25 @@ func (pl *LinkPlan) rebuild(positions []Pos, chunks int) *LinkPlan {
 	}
 
 	np.off = make([]int64, pl.n+1)
-	np.buildRows(bound, chunks, func(v *LinkPlan, i int, s *rowScratch) {
+	np.buildRows(bound, chunks, func(v *LinkPlan, i int) {
 		if moved[i] {
-			v.appendScratchRow(i, grid, rsq, s)
+			v.appendScratchRow(i, grid, rsq)
 			return
 		}
 		dirty := dirtyJ[dirtyOff[i]:dirtyOff[i+1]]
 		if len(dirty) == 0 && movedNbrs[i] == 0 {
 			// Untouched row: no mover entered the candidate radius and no
-			// existing neighbor moved, so the row — entries, order, lookup —
-			// is the old one verbatim. On a high-stay world this is nearly
-			// every row, and the bulk copy is what keeps the per-epoch cost
-			// proportional to the motion instead of the population.
-			v.appendCopiedRow(i, pl)
+			// existing neighbor moved, so the row is the old one verbatim.
+			// On a high-stay world this is nearly every row, and the bulk
+			// copy is what keeps the per-epoch cost proportional to the
+			// motion instead of the population.
+			v.ids = append(v.ids, pl.AscNeighbors(i)...)
+			v.off[i+1] = int64(len(v.ids))
 			return
 		}
-		v.appendPatchedRow(i, pl, moved, dirty, s)
+		v.appendPatchedRow(i, pl, moved, dirty)
 	})
-	np.indexDelayOrder()
 	return np
-}
-
-// appendCopiedRow appends station i's row — primary arrays and lookup —
-// copied verbatim from old.
-func (np *LinkPlan) appendCopiedRow(i int, old *LinkPlan) {
-	lo, hi := old.off[i], old.off[i+1]
-	np.nbrID = append(np.nbrID, old.nbrID[lo:hi]...)
-	np.nbrDBm = append(np.nbrDBm, old.nbrDBm[lo:hi]...)
-	np.nbrPD = append(np.nbrPD, old.nbrPD[lo:hi]...)
-	np.lookID = append(np.lookID, old.lookID[lo:hi]...)
-	np.off[i+1] = int64(len(np.nbrID))
 }
 
 // RowEqual reports whether station i's row is the same link for link in pl
@@ -157,10 +147,8 @@ func (np *LinkPlan) appendCopiedRow(i int, old *LinkPlan) {
 // row it does not call equal may still be: recomputing it gives the same
 // values.
 func (pl *LinkPlan) RowEqual(other *LinkPlan, i int) bool {
-	lo, hi := pl.off[i], pl.off[i+1]
-	olo, ohi := other.off[i], other.off[i+1]
-	ids := pl.nbrID[lo:hi]
-	if pl.positions[i] != other.positions[i] || !slices.Equal(ids, other.nbrID[olo:ohi]) {
+	ids := pl.AscNeighbors(i)
+	if pl.positions[i] != other.positions[i] || !slices.Equal(ids, other.AscNeighbors(i)) {
 		return false
 	}
 	for _, j := range ids {
@@ -171,78 +159,28 @@ func (pl *LinkPlan) RowEqual(other *LinkPlan, i int) bool {
 	return true
 }
 
-// appendPatchedRow rebuilds unmoved station i's row by merging the old
-// row (minus entries whose neighbor moved) with freshly computed entries
-// for the dirty moved stations that still clear the power predicate. Both
-// inputs are sorted by the row order (power desc, ID asc) — surviving old
-// entries keep their relative order, fresh ones are sorted here — so one
-// merge reproduces the full build's sort exactly, and each run of
-// survivors between two fresh entries is appended in bulk. The lookup
-// index is a second merge rather than appendScratchRow's sort: the
-// surviving old lookup is in ascending ID order, so are the fresh IDs (the
-// dirty list is), and the two can never collide (dirty IDs are moved
-// stations, survivors are not), so the O(k log k) per-row sort becomes an
-// O(k) zip.
-func (np *LinkPlan) appendPatchedRow(i int, old *LinkPlan, moved []bool, dirty []int32, s *rowScratch) {
-	s.ent, s.fresh = s.ent[:0], s.fresh[:0]
+// appendPatchedRow rebuilds unmoved station i's row by merging the old row
+// minus its moved neighbours with the dirty moved stations that clear the
+// power predicate. Both are in ascending ID order — the dirty list is — and
+// they can never collide (dirty IDs are moved stations, survivors are not),
+// so one O(k) zip reproduces the full build's sorted row.
+func (np *LinkPlan) appendPatchedRow(i int, old *LinkPlan, moved []bool, dirty []int32) {
+	row, t := old.AscNeighbors(i), 0
+	survivors := func(below int32) {
+		for ; t < len(row) && row[t] < below; t++ {
+			if !moved[row[t]] {
+				np.ids = append(np.ids, row[t])
+			}
+		}
+	}
 	for _, j := range dirty {
-		if e, ok := np.entry(i, j); ok {
-			s.ent = append(s.ent, e)
-			s.fresh = append(s.fresh, j)
+		if np.keeps(i, j) {
+			survivors(j)
+			np.ids = append(np.ids, j)
 		}
 	}
-	slices.SortFunc(s.ent, rowOrder)
-
-	lo, hi := old.off[i], old.off[i+1]
-	k, m := lo, 0
-	for k < hi || m < len(s.ent) {
-		if k < hi && moved[old.nbrID[k]] {
-			k++
-			continue
-		}
-		// The run of survivors from k that precede fresh entry m.
-		k2 := k
-		for k2 < hi && !moved[old.nbrID[k2]] && (m == len(s.ent) || oldFirst(old, k2, s.ent[m])) {
-			k2++
-		}
-		if k2 > k {
-			np.nbrID = append(np.nbrID, old.nbrID[k:k2]...)
-			np.nbrDBm = append(np.nbrDBm, old.nbrDBm[k:k2]...)
-			np.nbrPD = append(np.nbrPD, old.nbrPD[k:k2]...)
-			k = k2
-			continue
-		}
-		// Entry k, if any, is a survivor that follows fresh entry m.
-		e := s.ent[m]
-		m++
-		np.nbrID = append(np.nbrID, e.id)
-		np.nbrDBm = append(np.nbrDBm, e.dbm)
-		np.nbrPD = append(np.nbrPD, e.pd)
-	}
-
-	t, f := lo, 0
-	for t < hi || f < len(s.fresh) {
-		if t < hi && moved[old.lookID[t]] {
-			t++
-			continue
-		}
-		if t < hi && (f == len(s.fresh) || old.lookID[t] < s.fresh[f]) {
-			np.lookID = append(np.lookID, old.lookID[t])
-			t++
-		} else {
-			np.lookID = append(np.lookID, s.fresh[f])
-			f++
-		}
-	}
-	np.off[i+1] = int64(len(np.nbrID))
-}
-
-// oldFirst reports whether old's entry k precedes e in the row order.
-func oldFirst(old *LinkPlan, k int64, e rowEntry) bool {
-	if old.nbrDBm[k] != e.dbm {
-		return old.nbrDBm[k] > e.dbm
-	}
-	return old.nbrID[k] < e.id
+	survivors(math.MaxInt32)
+	np.off[i+1] = int64(len(np.ids))
 }
 
 // Positions returns the station positions the plan was built over. The

@@ -8,8 +8,9 @@ import (
 	"ripple/internal/sim"
 )
 
-// plansEqual diffs every CSR array of two plans; any mismatch fails the
-// test with the first differing row.
+// plansEqual diffs every CSR array of two plans and every station's
+// derived transmit row — IDs, mean powers, delays and delay order; any
+// mismatch fails the test.
 func plansEqual(t *testing.T, want, got *LinkPlan) {
 	t.Helper()
 	if want.n != got.n || want.pruned != got.pruned || want.pruneCutoff != got.pruneCutoff {
@@ -22,20 +23,20 @@ func plansEqual(t *testing.T, want, got *LinkPlan) {
 	if !slices.Equal(want.off, got.off) {
 		t.Fatal("row offsets differ")
 	}
-	if !slices.Equal(want.nbrID, got.nbrID) {
+	if !slices.Equal(want.ids, got.ids) {
 		t.Fatal("neighbor IDs differ")
 	}
-	if !slices.Equal(want.nbrDBm, got.nbrDBm) {
-		t.Fatal("neighbor powers differ")
-	}
-	if !slices.Equal(want.nbrPD, got.nbrPD) {
-		t.Fatal("propagation delays differ")
-	}
-	if !slices.Equal(want.lookID, got.lookID) {
-		t.Fatal("lookup IDs differ")
-	}
-	if !slices.EqualFunc(want.delayOrd, got.delayOrd, func(a, b []int32) bool { return slices.Equal(a, b) }) {
-		t.Fatal("delay orders differ")
+	for i := 0; i < want.n; i++ {
+		wrow, word := transmitRow(want, i)
+		grow, gord := transmitRow(got, i)
+		if !slices.EqualFunc(wrow, grow, func(a, b link) bool {
+			return a.id == b.id && a.pd == b.pd && sameBits(a.dbm, b.dbm)
+		}) {
+			t.Fatalf("station %d's transmit rows differ", i)
+		}
+		if !slices.Equal(word, gord) || (word == nil) != (gord == nil) {
+			t.Fatalf("station %d's delay orders differ: %v, %v", i, word, gord)
+		}
 	}
 }
 
@@ -148,11 +149,11 @@ func TestSetPlanSwapsPositions(t *testing.T) {
 
 // TestRebuildSizesItsArraysOnce: a Markov step in which movers converge on
 // one place adds links by the tens of thousands, and the row pass must not
-// pay for them by reallocating: Rebuild sizes its four link arrays and its
-// row scratch once, from what its dirty pass counted, so however many links
-// a step adds it makes the same few dozen allocations and the arrays it
-// leaves are as long as their contents, give or take the boundary
-// candidates the power predicate turned away.
+// pay for them by reallocating: Rebuild sizes its link array once, from
+// what its dirty pass counted, so however many links a step adds it makes
+// the same few dozen allocations and the array it leaves is as long as its
+// contents, give or take the boundary candidates the power predicate turned
+// away.
 func TestRebuildSizesItsArraysOnce(t *testing.T) {
 	cfg, initial, _ := mobileCity(800, 4000, 21)
 	pl := NewLinkPlan(cfg, initial)
@@ -171,10 +172,8 @@ func TestRebuildSizesItsArraysOnce(t *testing.T) {
 		if allocs > base+2 {
 			t.Errorf("%d movers, %d links added: %.0f allocations, %.0f with 10 movers", movers, added, allocs, base)
 		}
-		for _, c := range []int{cap(np.nbrID), cap(np.nbrDBm), cap(np.nbrPD), cap(np.lookID)} {
-			if c < np.Links() || c > np.Links()+np.Links()/100 {
-				t.Errorf("%d movers: an array of capacity %d for %d links", movers, c, np.Links())
-			}
+		if c := cap(np.ids); c < np.Links() || c > np.Links()+np.Links()/100 {
+			t.Errorf("%d movers: an array of capacity %d for %d links", movers, c, np.Links())
 		}
 		if movers == 190 && added < pl.Links()/4 {
 			t.Fatalf("190 movers added %d links to %d: the step does not densify", added, pl.Links())

@@ -5,7 +5,14 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
+
+// serials numbers link plans as they are built, from 1: a plan's serial is
+// the name a Medium's row cache knows it by. Plans are built on many
+// goroutines at once — an epoch pipeline, pool workers — so the counter is
+// atomic: it is the one variable that builds share.
+var serials atomic.Uint64
 
 // rowChunkFloor is the size, in bounded links, below which a pruned plan's
 // rows are built on the calling goroutine. Measured on a two-core Xeon, two
@@ -17,15 +24,15 @@ import (
 // serial and keep their allocation counts.
 const rowChunkFloor = 64 << 10
 
-// buildRows fills a pruned plan's four link arrays with rows 0..n-1 in
-// order, calling row(v, i, s) to append row i to v. bound[i] is an upper
-// bound on row i's links, and the arrays are allocated once, with the
-// bounds' sum as capacity.
+// buildRows fills a pruned plan's link array with rows 0..n-1 in order,
+// calling row(v, i) to append row i to v. bound[i] is an upper bound on row
+// i's links, and the array is allocated once, with the bounds' sum as
+// capacity.
 //
 // The rows are split into chunks contiguous runs of about equal bound (0
 // picks 1 under rowChunkFloor links and GOMAXPROCS above it). Each chunk
-// appends into its own window of the one array — v is the plan with every
-// link array cut to a[base:base:end], where base is the sum of the bounds
+// appends into its own window of the one array — v is the plan with its
+// link array cut to ids[base:base:end], where base is the sum of the bounds
 // before the chunk and end the sum through it — so a chunk can neither
 // reach its neighbour's window nor grow a copy of its own. Rows record
 // their off entry relative to the window. Once every chunk is done, copy
@@ -40,15 +47,12 @@ const rowChunkFloor = 64 << 10
 // buildRows panics instead. A panic on a chunk goroutine is raised again on
 // the caller's, with that goroutine's stack, once every chunk is done, so a
 // set-up panic reaches the caller's recover as a serial one would.
-func (pl *LinkPlan) buildRows(bound []int32, chunks int, row func(v *LinkPlan, i int, s *rowScratch)) {
+func (pl *LinkPlan) buildRows(bound []int32, chunks int, row func(v *LinkPlan, i int)) {
 	total := 0
 	for _, b := range bound {
 		total += int(b)
 	}
-	pl.nbrID = make([]int32, 0, total)
-	pl.nbrDBm = make([]float64, 0, total)
-	pl.nbrPD = make([]int32, 0, total)
-	pl.lookID = make([]int32, 0, total)
+	pl.ids = make([]int32, 0, total)
 	if chunks <= 0 {
 		chunks = 1
 		if total >= rowChunkFloor {
@@ -81,13 +85,8 @@ func (pl *LinkPlan) buildRows(bound []int32, chunks int, row func(v *LinkPlan, i
 				p.crash = fmt.Sprintf("%v\n\n%s", r, debug.Stack())
 			}
 		}()
-		widest := int32(0)
-		for _, b := range bound[p.lo:p.hi] {
-			widest = max(widest, b)
-		}
-		s := rowScratch{ent: make([]rowEntry, 0, widest), fresh: make([]int32, 0, widest)}
 		for i := p.lo; i < p.hi; i++ {
-			row(&p.v, i, &s)
+			row(&p.v, i)
 		}
 	}
 	var wg sync.WaitGroup
@@ -104,49 +103,29 @@ func (pl *LinkPlan) buildRows(bound []int32, chunks int, row func(v *LinkPlan, i
 		if p.crash != nil {
 			panic(p.crash)
 		}
-		if len(p.v.nbrID) > p.end-p.base {
-			panic(fmt.Sprintf("radio: rows [%d, %d) hold %d links, over their bound of %d", p.lo, p.hi, len(p.v.nbrID), p.end-p.base))
+		if len(p.v.ids) > p.end-p.base {
+			panic(fmt.Sprintf("radio: rows [%d, %d) hold %d links, over their bound of %d", p.lo, p.hi, len(p.v.ids), p.end-p.base))
 		}
 	}
 
 	used := 0
 	for _, p := range parts {
-		n := len(p.v.nbrID)
+		n := len(p.v.ids)
 		if p.base != used {
-			pl.moveLinks(used, p.base, n)
+			copy(pl.ids[used:used+n], pl.ids[p.base:p.base+n])
 		}
 		for i := p.lo; i < p.hi; i++ {
 			pl.off[i+1] += int64(used)
 		}
 		used += n
 	}
-	pl.nbrID = pl.nbrID[:used]
-	pl.nbrDBm = pl.nbrDBm[:used]
-	pl.nbrPD = pl.nbrPD[:used]
-	pl.lookID = pl.lookID[:used]
+	pl.ids = pl.ids[:used]
 }
 
-// window returns the plan with every link array cut to the empty window
+// window returns the plan with its link array cut to the empty window
 // [base, end) of its capacity, for one chunk of buildRows to append into.
 func (pl *LinkPlan) window(base, end int) LinkPlan {
 	v := *pl
-	v.nbrID = pl.nbrID[base:base:end]
-	v.nbrDBm = pl.nbrDBm[base:base:end]
-	v.nbrPD = pl.nbrPD[base:base:end]
-	v.lookID = pl.lookID[base:base:end]
+	v.ids = pl.ids[base:base:end]
 	return v
-}
-
-// moveLinks copies n links of every link array from slot from down to slot
-// to (to < from; the ranges may overlap).
-func (pl *LinkPlan) moveLinks(to, from, n int) {
-	move(pl.nbrID, to, from, n)
-	move(pl.nbrDBm, to, from, n)
-	move(pl.nbrPD, to, from, n)
-	move(pl.lookID, to, from, n)
-}
-
-func move[T any](a []T, to, from, n int) {
-	a = a[:cap(a)]
-	copy(a[to:to+n], a[from:from+n])
 }

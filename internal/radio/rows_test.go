@@ -44,20 +44,20 @@ func TestRowChunksPanicOnCaller(t *testing.T) {
 	bound := []int32{2, 2, 2, 2, 2, 2}
 	for _, tc := range []struct {
 		name string
-		row  func(v *LinkPlan, i int, s *rowScratch)
+		row  func(v *LinkPlan, i int)
 		want string
 	}{
-		{"overflow", func(v *LinkPlan, i int, s *rowScratch) {
+		{"overflow", func(v *LinkPlan, i int) {
 			k := 2
 			if i == 4 {
 				k = 3
 			}
 			for range k {
-				v.nbrID = append(v.nbrID, int32(i))
+				v.ids = append(v.ids, int32(i))
 			}
-			v.off[i+1] = int64(len(v.nbrID))
+			v.off[i+1] = int64(len(v.ids))
 		}, "rows [3, 6) hold 7 links, over their bound of 6"},
-		{"panic", func(v *LinkPlan, i int, s *rowScratch) {
+		{"panic", func(v *LinkPlan, i int) {
 			if i == 5 {
 				panic("row 5")
 			}
@@ -88,8 +88,8 @@ func TestRowChunksPanicOnCaller(t *testing.T) {
 
 // TestRowChunksAllocateNoCopy holds the chunked build to the serial build's
 // memory: chunks append into windows of the one presized array and close
-// the gaps in place, so splitting the rows in two adds a goroutine and a
-// row scratch, never a second set of link arrays. A design that built
+// the gaps in place, so splitting the rows in two adds a goroutine, never
+// a second link array. A design that built
 // chunks apart and copied them out would read about double.
 func TestRowChunksAllocateNoCopy(t *testing.T) {
 	if israce.Enabled {

@@ -52,6 +52,14 @@
 # ETX table a program routes on comes from network.LinkTable or a World,
 # which build it over the link plan's neighbour graph in O(N·k).
 #
+# or if internal/radio/linkplan.go or rebuild.go imports sync or
+# sync/atomic: a LinkPlan is immutable once built and shared by every run of
+# its World, and a plan filled in lazily after it is shared — transmit rows
+# computed on first use, say — would need a lock or an atomic there. What a
+# run derives from a plan is the run's own, in its Medium's row cache. The
+# chunked row builder (rows.go) keeps its WaitGroup and the plans' serial
+# counter: both are set-up.
+#
 # Usage: sh scripts/check_substrate.sh   (from the repo root)
 set -eu
 
@@ -99,6 +107,10 @@ etx=$(find . -name '*.go' ! -name '*_test.go' \
     ! -path './internal/routing/*' ! -path './bench/*' ! -path './.bench_build/*')
 if grep -n 'routing\.NewTable(' $etx; then
     echo "check_substrate: routing.NewTable( outside internal/routing and bench/ — build the table with network.LinkTable" >&2
+    fail=1
+fi
+if grep -nE '"sync(/atomic)?"' internal/radio/linkplan.go internal/radio/rebuild.go; then
+    echo "check_substrate: sync in the link plan — a plan is immutable once built; derive per-run state in the Medium" >&2
     fail=1
 fi
 exit $fail
