@@ -84,6 +84,15 @@ func run() int {
 		supervise  = flag.Bool("supervise", false, "run the coordinator as a supervised child and auto-restart it with -resume after a crash (requires -ckpt or -resume)")
 	)
 	flag.Parse()
+	dur := sim.Time(*durSec * float64(sim.Second))
+	switch {
+	case *seeds < 1:
+		fmt.Fprintf(os.Stderr, "-seeds %d: need at least one seed\n", *seeds)
+		return 2
+	case dur <= 0:
+		fmt.Fprintf(os.Stderr, "-dur %g: need a positive number of simulated seconds\n", *durSec)
+		return 2
+	}
 
 	isWorker := *workerMode || *connect != ""
 	isCoord := *workers > 0 || *listen != ""
@@ -129,7 +138,7 @@ func run() int {
 		return 0
 	}
 
-	opt := experiments.Options{Duration: sim.Time(*durSec * float64(sim.Second))}
+	opt := experiments.Options{Duration: dur}
 	for s := 1; s <= *seeds; s++ {
 		opt.Seeds = append(opt.Seeds, uint64(s))
 	}

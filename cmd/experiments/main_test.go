@@ -102,6 +102,25 @@ func TestRemovedFlagsAreUsageErrors(t *testing.T) {
 	}
 }
 
+// TestBadRunLengthsAreUsageErrors: a seed count below one or a duration
+// that is not positive would run the defaults, or nothing, without a word;
+// the command refuses it with the usage error's exit code and names the
+// flag.
+func TestBadRunLengthsAreUsageErrors(t *testing.T) {
+	for _, c := range []struct{ argv, want string }{
+		{"-seeds 0", "-seeds 0: need at least one seed"},
+		{"-seeds -2", "-seeds -2: need at least one seed"},
+		{"-dur 0", "-dur 0: need a positive number of simulated seconds"},
+		{"-dur -1", "-dur -1: need a positive number of simulated seconds"},
+		{"-dur 1e-12", "-dur 1e-12: need a positive number of simulated seconds"},
+	} {
+		code, stderr := runCommand(t, "-run fig3 "+c.argv)
+		if code != 2 || !strings.Contains(stderr, c.want) {
+			t.Errorf("%s: exit %d, want 2 and %q on stderr:\n%s", c.argv, code, c.want, stderr)
+		}
+	}
+}
+
 // TestSuperviseOnceRemovesItsBuffer: an incarnation's buffered stdout is
 // gone when the incarnation is, emitted if its exit code propagates and
 // discarded if it crashed.

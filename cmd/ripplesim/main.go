@@ -80,6 +80,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	switch {
+	case *seeds < 1:
+		fmt.Fprintf(stderr, "-seeds %d: need at least one seed\n", *seeds)
+		return 2
+	case *hops < 1:
+		fmt.Fprintf(stderr, "-hops %d: a line needs at least one hop\n", *hops)
+		return 2
+	case ripple.Time(*durSec*float64(ripple.Second)) <= 0:
+		fmt.Fprintf(stderr, "-dur %g: need a positive number of simulated seconds\n", *durSec)
+		return 2
+	}
 	if *workers > 0 && *traceOut != "" {
 		// The trace pass runs in the coordinator, but every spawned worker
 		// re-executes this argv and would truncate the trace file on start.
@@ -387,7 +398,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if sc.Faults.Active() {
 		header += " " + sc.Faults.String()
 	}
-	fmt.Fprintf(stdout, "%s dur=%.0fs seeds=%d\n", header, *durSec, *seeds)
+	fmt.Fprintf(stdout, "%s dur=%gs seeds=%d\n", header, *durSec, *seeds)
 	for _, f := range res.Flows {
 		line := fmt.Sprintf("flow %2d: %8.3f Mbps  delay %8.2fms  reorder %5.2f%%",
 			f.ID, f.Throughput.Mean, f.Delay.Mean, 100*f.Reorder.Mean)

@@ -12,9 +12,9 @@ import (
 
 // TestGoldenStdout runs the program in-process over one flag set per output
 // shape — seed-averaged text with a CI, multi-flow text, the routing /
-// mobility / fault banner with its degradation line, JSON, and the Roofnet
-// topology through the public Router — and compares stdout with the file
-// under testdata byte for byte.
+// mobility / fault banner with its degradation line, JSON, the Roofnet
+// topology through the public Router, and a duration under a second in the
+// header — and compares stdout with the file under testdata byte for byte.
 func TestGoldenStdout(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden numbers are amd64 values: other targets may fuse float operations differently")
@@ -25,6 +25,7 @@ func TestGoldenStdout(t *testing.T) {
 		{"markov_churn_etx", "-hops 4 -mobility markov -mtbf 2 -routing etx -faults partition=1000+1500 -dur 4"},
 		{"json", "-dur 1 -json"},
 		{"roofnet", "-topo roofnet -flows 2 -scheme mcexor -dur 1"},
+		{"fractional_dur", "-hops 1 -scheme dcf -dur 0.2"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -62,7 +63,12 @@ func TestUsageErrors(t *testing.T) {
 		{"-scheme zzz", `unknown scheme "zzz"`},
 		{"-alpha 0.5", "Routing.WithAlpha only applies to CongestionRouting"},
 		{"-maxspeed 20", "Mobility options need a mobility model"},
-		{"-dur -1", "Scenario.Duration must not be negative"},
+		{"-dur -1", "-dur -1: need a positive number"},
+		{"-dur 0", "-dur 0: need a positive number"},
+		{"-seeds 0", "-seeds 0: need at least one seed"},
+		{"-seeds -2", "-seeds -2: need at least one seed"},
+		{"-hops 0", "-hops 0: a line needs at least one hop"},
+		{"-hops -2", "-hops -2: a line needs at least one hop"},
 		{"-trace " + filepath.Join(t.TempDir(), "t.jsonl") + " -workers 2", "-trace and -workers are mutually exclusive"},
 		{"-nosuchflag", "flag provided but not defined"},
 	}

@@ -350,7 +350,12 @@ type Result struct {
 	PoolInUse int
 }
 
-func validate(cfg *Config) error {
+// Validate reports the first thing that makes cfg unrunnable: no stations,
+// a station CheckPositions refuses, no flows, an unknown mobility kind, or
+// a flow whose path is too short, repeats a station, leaves the topology,
+// or whose ID is taken or, for Web and VoIP traffic, negative. Run and
+// BuildWorld return its error before building anything.
+func Validate(cfg *Config) error {
 	if len(cfg.Positions) == 0 {
 		return fmt.Errorf("network: no station positions")
 	}

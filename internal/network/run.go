@@ -164,7 +164,7 @@ func Run(cfg Config) (*Result, error) {
 // prepare normalises and validates cfg and returns the World to run it on.
 func prepare(cfg *Config) (*World, error) {
 	cfg.Normalize()
-	if err := validate(cfg); err != nil {
+	if err := Validate(cfg); err != nil {
 		return nil, err
 	}
 	if cfg.World == nil {
@@ -345,7 +345,7 @@ func (r *run) agent(env forward.Env) forward.Scheme {
 		a.Init(env, opt)
 		return a
 	default:
-		// validate() runs first; reaching this is a programming error.
+		// Validate runs first; reaching this is a programming error.
 		panic(fmt.Sprintf("network: unknown scheme %d", int(cfg.Scheme)))
 	}
 }

@@ -81,7 +81,7 @@ type World struct {
 // attach it via Config.World to share it across runs.
 func BuildWorld(cfg Config) (*World, error) {
 	cfg.Normalize()
-	if err := validate(&cfg); err != nil {
+	if err := Validate(&cfg); err != nil {
 		return nil, err
 	}
 	w, err := derive(&cfg, nil, radio.NewLinkPlan(cfg.Radio, cfg.Positions), 0)

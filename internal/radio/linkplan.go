@@ -61,12 +61,6 @@ type LinkPlan struct {
 // configuration and station positions. It panics on positions
 // CheckPositions refuses.
 func NewLinkPlan(cfg Config, positions []Pos) *LinkPlan {
-	return newLinkPlan(cfg, positions, 0)
-}
-
-// newLinkPlan is NewLinkPlan with the row builder's chunk count (see
-// buildRows; 0 lets the plan's size choose it).
-func newLinkPlan(cfg Config, positions []Pos, chunks int) *LinkPlan {
 	mustHold(positions)
 	pl := &LinkPlan{
 		cfg:       cfg,
@@ -77,7 +71,7 @@ func newLinkPlan(cfg Config, positions []Pos, chunks int) *LinkPlan {
 	pl.pruned = cfg.PruneSigma > 0
 	pl.pruneCutoff = cfg.CSThreshDBm - cfg.PruneSigma*cfg.ShadowSigmaDB
 	if pl.pruned {
-		pl.buildPruned(chunks)
+		pl.buildPruned()
 	} else {
 		pl.buildFull()
 	}
@@ -154,7 +148,7 @@ func (pl *LinkPlan) pruneRadius() float64 {
 // those whose mean power clears the pruning cutoff. The exact power
 // predicate is applied per candidate, so the kept set is identical to what
 // a full N² sweep with the same predicate would keep.
-func (pl *LinkPlan) buildPruned(chunks int) {
+func (pl *LinkPlan) buildPruned() {
 	n := pl.n
 	pl.off = make([]int64, n+1)
 	if n == 0 {
@@ -174,9 +168,7 @@ func (pl *LinkPlan) buildPruned(chunks int) {
 	}
 
 	// Pass 2: keep the candidates that clear the cutoff, each row ascending.
-	pl.buildRows(bound, chunks, func(v *LinkPlan, i int) {
-		v.appendScratchRow(i, grid, rsq)
-	})
+	pl.buildRows(bound, func(i int) { pl.appendScratchRow(i, grid, rsq) })
 }
 
 // keeps reports whether the power predicate keeps the a→b link.

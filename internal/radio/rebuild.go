@@ -25,12 +25,6 @@ import (
 // full build, as it does for unpruned plans (dense worlds are small enough
 // that a full O(N²) build is cheap).
 func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
-	return pl.rebuild(positions, 0)
-}
-
-// rebuild is Rebuild with the row builder's chunk count (see buildRows; 0
-// lets the plan's size choose it).
-func (pl *LinkPlan) rebuild(positions []Pos, chunks int) *LinkPlan {
 	if len(positions) != pl.n {
 		panic("radio: Rebuild with a different station count")
 	}
@@ -47,7 +41,7 @@ func (pl *LinkPlan) rebuild(positions []Pos, chunks int) *LinkPlan {
 		return pl
 	}
 	if !pl.pruned || len(movedIdx)*4 > pl.n {
-		return newLinkPlan(pl.cfg, positions, chunks)
+		return NewLinkPlan(pl.cfg, positions)
 	}
 
 	np := &LinkPlan{
@@ -116,9 +110,9 @@ func (pl *LinkPlan) rebuild(positions []Pos, chunks int) *LinkPlan {
 	}
 
 	np.off = make([]int64, pl.n+1)
-	np.buildRows(bound, chunks, func(v *LinkPlan, i int) {
+	np.buildRows(bound, func(i int) {
 		if moved[i] {
-			v.appendScratchRow(i, grid, rsq)
+			np.appendScratchRow(i, grid, rsq)
 			return
 		}
 		dirty := dirtyJ[dirtyOff[i]:dirtyOff[i+1]]
@@ -128,11 +122,11 @@ func (pl *LinkPlan) rebuild(positions []Pos, chunks int) *LinkPlan {
 			// On a high-stay world this is nearly every row, and the bulk
 			// copy is what keeps the per-epoch cost proportional to the
 			// motion instead of the population.
-			v.ids = append(v.ids, pl.AscNeighbors(i)...)
-			v.off[i+1] = int64(len(v.ids))
+			np.ids = append(np.ids, pl.AscNeighbors(i)...)
+			np.off[i+1] = int64(len(np.ids))
 			return
 		}
-		v.appendPatchedRow(i, pl, moved, dirty)
+		np.appendPatchedRow(i, pl, moved, dirty)
 	})
 	return np
 }

@@ -153,7 +153,10 @@ func TestSetPlanSwapsPositions(t *testing.T) {
 // what its dirty pass counted, so however many links a step adds it makes
 // the same few dozen allocations and the array it leaves is as long as its
 // contents, give or take the boundary candidates the power predicate turned
-// away.
+// away. NewLinkPlan over the same positions sizes its array once as well,
+// from its candidate count, and is held to the same bound: a row bound that
+// undercounted would make an append reallocate, and one that overcounted
+// would leave the array far longer than its links.
 func TestRebuildSizesItsArraysOnce(t *testing.T) {
 	cfg, initial, _ := mobileCity(800, 4000, 21)
 	pl := NewLinkPlan(cfg, initial)
@@ -172,8 +175,13 @@ func TestRebuildSizesItsArraysOnce(t *testing.T) {
 		if allocs > base+2 {
 			t.Errorf("%d movers, %d links added: %.0f allocations, %.0f with 10 movers", movers, added, allocs, base)
 		}
-		if c := cap(np.ids); c < np.Links() || c > np.Links()+np.Links()/100 {
-			t.Errorf("%d movers: an array of capacity %d for %d links", movers, c, np.Links())
+		for _, p := range []struct {
+			name string
+			pl   *LinkPlan
+		}{{"Rebuild", np}, {"NewLinkPlan", NewLinkPlan(cfg, pos)}} {
+			if c := cap(p.pl.ids); c < p.pl.Links() || c > p.pl.Links()+p.pl.Links()/100 {
+				t.Errorf("%d movers: %s left an array of capacity %d for %d links", movers, p.name, c, p.pl.Links())
+			}
 		}
 		if movers == 190 && added < pl.Links()/4 {
 			t.Fatalf("190 movers added %d links to %d: the step does not densify", added, pl.Links())

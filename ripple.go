@@ -25,7 +25,6 @@ import (
 
 	"ripple/internal/network"
 	"ripple/internal/phys"
-	"ripple/internal/radio"
 	"ripple/internal/routing"
 	"ripple/internal/sim"
 )
@@ -260,11 +259,13 @@ func kindOf(k Scheme) network.SchemeKind {
 // Validate reports what would make the scenario fail before its first
 // event: an unknown scheme, an invalid radio or traffic parameter, a
 // negative Duration, Flow.Start, MaxForwarders, MaxAggregation or
-// RTSThreshold, a station at a non-finite coordinate or stations spread
-// wider than a link plan can span, a flow without a route — and any
-// Routing, Mobility or Faults option that the selected policy, model or
-// fault set would silently ignore. Run, RunBatch and Distribute return the
-// same error.
+// RTSThreshold, no stations, a station at a non-finite coordinate or
+// stations spread wider than a link plan can span, no flows, a flow without
+// a route or with a path that is shorter than two stations, repeats one or
+// leaves the topology, a duplicate Flow.ID or a negative one on Web or VoIP
+// traffic — and any Routing, Mobility or Faults option that the selected
+// policy, model or fault set would silently ignore. Run, RunBatch and
+// Distribute return the same error, before any run starts.
 func (s Scenario) Validate() error {
 	_, err := s.toConfig()
 	return err
@@ -321,9 +322,6 @@ func (s Scenario) toConfig() (*network.Config, error) {
 	for i, p := range s.Topology.Positions {
 		cfg.Positions[i] = radioPos{X: p.X, Y: p.Y}
 	}
-	if err := radio.CheckPositions(cfg.Positions); err != nil {
-		return nil, fmt.Errorf("ripple: %w", err)
-	}
 	// Auto-assigned IDs (Flow.ID zero) take the smallest unused positive
 	// integers in declaration order, skipping explicitly set IDs so mixing
 	// the two styles cannot manufacture a duplicate.
@@ -361,6 +359,9 @@ func (s Scenario) toConfig() (*network.Config, error) {
 			return nil, fmt.Errorf("ripple: flow %d: %w", id, err)
 		}
 		cfg.Flows = append(cfg.Flows, spec)
+	}
+	if err := network.Validate(cfg); err != nil {
+		return nil, err
 	}
 	return cfg, nil
 }

@@ -156,6 +156,39 @@ func TestToConfigRejectsNegativeFields(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesWhatRunRefuses: a scenario the network layer cannot
+// run is refused by Validate, and Run returns that same error before any
+// campaign cell starts — not the cell's wrapped failure.
+func TestValidateRefusesWhatRunRefuses(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Scenario)
+		want string
+	}{
+		{"duplicate ID", func(s *Scenario) {
+			s.Flows = []Flow{{ID: 5, Path: Path{0, 1}, Traffic: FTP{}}, {ID: 5, Path: Path{1, 2}, Traffic: FTP{}}}
+		}, "duplicate flow id 5"},
+		{"station outside", func(s *Scenario) { s.Flows[0].Path = Path{0, 9} }, "station 9 outside topology"},
+		{"negative station", func(s *Scenario) { s.Flows[0].Path = Path{0, -1} }, "station -1 outside topology"},
+		{"one-station path", func(s *Scenario) { s.Flows[0].Path = Path{0} }, "too short"},
+		{"negative VoIP ID", func(s *Scenario) { s.Flows[0].ID, s.Flows[0].Traffic = -3, VoIP{} }, "must not be negative"},
+		{"no flows", func(s *Scenario) { s.Flows = nil }, "no flows"},
+		{"empty topology", func(s *Scenario) { s.Topology = Topology{} }, "no station positions"},
+	} {
+		s := validScenario()
+		s.Topology, _ = LineTopology(3)
+		tc.set(&s)
+		err := s.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate returned %v, want an error containing %q", tc.name, err, tc.want)
+			continue
+		}
+		if _, rerr := Run(s); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("%s: Run returned %v; want Validate's %q", tc.name, rerr, err)
+		}
+	}
+}
+
 func TestToConfigAcceptsEveryDeclaredSchemeAndRadio(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeDCF, SchemeAFR, SchemePreExOR, SchemeMCExOR, SchemeRIPPLE, SchemeRIPPLENoAgg} {
 		for _, r := range []Radio{{}, DefaultRadio(), HiddenRadio(), IdealRadio(), DefaultRadio().WithBER(1e-5)} {

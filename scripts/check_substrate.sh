@@ -35,10 +35,10 @@
 # internal/sim, internal/core, internal/mac, internal/forward,
 # internal/transport, internal/pkt, internal/radio/medium.go or
 # internal/network/run.go. A run is one goroutine — its event order, and so
-# its Result, is that of one engine draining one heap. Set-up may use more:
-# the link plan's chunked row builder (internal/radio/rows.go) and the epoch
-# pipeline of BuildWorld (internal/network/epoch.go) build immutable worlds
-# whose bytes do not depend on it.
+# its Result, is that of one engine draining one heap. Set-up has one
+# concurrent stage, the epoch pipeline of BuildWorld
+# (internal/network/epoch.go), which builds immutable worlds whose bytes do
+# not depend on it;
 #
 # or if internal/radio/medium.go schedules an event with .Do(: a
 # transmission's tx-done and receptions are the logical events of its two
@@ -52,13 +52,14 @@
 # ETX table a program routes on comes from network.LinkTable or a World,
 # which build it over the link plan's neighbour graph in O(N·k).
 #
-# or if internal/radio/linkplan.go or rebuild.go imports sync or
-# sync/atomic: a LinkPlan is immutable once built and shared by every run of
-# its World, and a plan filled in lazily after it is shared — transmit rows
-# computed on first use, say — would need a lock or an atomic there. What a
-# run derives from a plan is the run's own, in its Medium's row cache. The
-# chunked row builder (rows.go) keeps its WaitGroup and the plans' serial
-# counter: both are set-up.
+# or if a non-test file of internal/radio, set-up included, has a go
+# statement, imports sync, or uses sync/atomic for anything but the plans'
+# serial counter (rows.go). A link plan's rows are built serially, inside
+# whichever epoch stage or pool worker builds the plan; a LinkPlan is
+# immutable once built and shared by every run of its World, and a plan
+# filled in lazily after it is shared — transmit rows computed on first
+# use, say — would need a lock or an atomic. What a run derives from a plan
+# is the run's own, in its Medium's row cache.
 #
 # Usage: sh scripts/check_substrate.sh   (from the repo root)
 set -eu
@@ -109,8 +110,17 @@ if grep -n 'routing\.NewTable(' $etx; then
     echo "check_substrate: routing.NewTable( outside internal/routing and bench/ — build the table with network.LinkTable" >&2
     fail=1
 fi
-if grep -nE '"sync(/atomic)?"' internal/radio/linkplan.go internal/radio/rebuild.go; then
-    echo "check_substrate: sync in the link plan — a plan is immutable once built; derive per-run state in the Medium" >&2
+radio=$(find internal/radio -name '*.go' ! -name '*_test.go')
+if grep -nHE '^[[:space:]]*go[[:space:]]+[A-Za-z_(]' $radio; then
+    echo "check_substrate: a go statement in internal/radio — set-up has one concurrent stage, BuildWorld's epoch pipeline" >&2
+    fail=1
+fi
+if grep -nHE '"sync"|sync\.[A-Z]' $radio; then
+    echo "check_substrate: sync in internal/radio — a plan is built serially and immutable once built; derive per-run state in the Medium" >&2
+    fail=1
+fi
+if grep -nH 'atomic\.' $radio | grep -v '^internal/radio/rows.go:[0-9]*:var serials atomic\.Uint64$'; then
+    echo "check_substrate: sync/atomic in internal/radio beyond the plans' serial counter" >&2
     fail=1
 fi
 exit $fail
