@@ -84,6 +84,20 @@ func run() int {
 		supervise  = flag.Bool("supervise", false, "run the coordinator as a supervised child and auto-restart it with -resume after a crash (requires -ckpt or -resume)")
 	)
 	flag.Parse()
+	if *quick {
+		// -quick is a run length of its own; a length set beside it would
+		// be dropped without a word.
+		var set []string
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "seeds" || f.Name == "dur" {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			fmt.Fprintf(os.Stderr, "-quick and %s are mutually exclusive (-quick is 1 seed, 2 simulated seconds)\n", strings.Join(set, ", "))
+			return 2
+		}
+	}
 	dur := sim.Time(*durSec * float64(sim.Second))
 	switch {
 	case *seeds < 1:

@@ -102,10 +102,10 @@ func TestRemovedFlagsAreUsageErrors(t *testing.T) {
 	}
 }
 
-// TestBadRunLengthsAreUsageErrors: a seed count below one or a duration
-// that is not positive would run the defaults, or nothing, without a word;
-// the command refuses it with the usage error's exit code and names the
-// flag.
+// TestBadRunLengthsAreUsageErrors: a seed count below one, a duration
+// that is not positive, or either set beside -quick would run the defaults,
+// or nothing, without a word; the command refuses it with the usage error's
+// exit code and names the flags.
 func TestBadRunLengthsAreUsageErrors(t *testing.T) {
 	for _, c := range []struct{ argv, want string }{
 		{"-seeds 0", "-seeds 0: need at least one seed"},
@@ -113,6 +113,9 @@ func TestBadRunLengthsAreUsageErrors(t *testing.T) {
 		{"-dur 0", "-dur 0: need a positive number of simulated seconds"},
 		{"-dur -1", "-dur -1: need a positive number of simulated seconds"},
 		{"-dur 1e-12", "-dur 1e-12: need a positive number of simulated seconds"},
+		{"-quick -seeds 3", "-quick and -seeds are mutually exclusive"},
+		{"-dur 1 -quick", "-quick and -dur are mutually exclusive"},
+		{"-quick -seeds 1 -dur 2", "-quick and -dur, -seeds are mutually exclusive"},
 	} {
 		code, stderr := runCommand(t, "-run fig3 "+c.argv)
 		if code != 2 || !strings.Contains(stderr, c.want) {

@@ -205,14 +205,19 @@ func TestGridRunErrorNamesPointAndSeed(t *testing.T) {
 		Seeds: []uint64{7},
 		Pool:  pool.New(2),
 		Build: func(pt Point) (network.Config, error) {
-			// An unknown traffic kind passes world construction but makes
-			// network.Run fail once the unit executes.
+			// The cell brings a World built for one station more, which
+			// passes the plan's world stage and makes network.Run fail
+			// once the unit executes.
 			top, path := topology.Line(2)
-			return network.Config{
-				Positions: top.Positions,
+			longer, _ := topology.Line(3)
+			cfg := network.Config{
+				Positions: longer.Positions,
 				Scheme:    network.DCF,
-				Flows:     []network.FlowSpec{{ID: 1, Path: path, Kind: network.TrafficKind(99)}},
-			}, nil
+				Flows:     []network.FlowSpec{{ID: 1, Path: path, Kind: network.FTP}},
+			}
+			w, err := network.BuildWorld(cfg)
+			cfg.Positions, cfg.World = top.Positions, w
+			return cfg, err
 		},
 	}
 	_, err := g.Run()

@@ -113,7 +113,7 @@ func TestBlacklistClearedByRouteUpdate(t *testing.T) {
 	if !b.Blacklisted(1, 0, 1) {
 		t.Fatal("setup: not blacklisted")
 	}
-	b.Update(1, routing.Path{0, 1, 2, 3, 4})
+	b.Add(1, routing.Path{0, 1, 2, 3, 4})
 	if b.Blacklisted(1, 0, 1) {
 		t.Fatal("blacklist survived a route update")
 	}

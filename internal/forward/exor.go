@@ -1,6 +1,8 @@
 package forward
 
 import (
+	"slices"
+
 	"ripple/internal/phys"
 	"ripple/internal/pkt"
 	"ripple/internal/sim"
@@ -18,8 +20,8 @@ type ExOR struct {
 	acks  ackSchedule
 	heard bool // some forwarder acknowledged the open exchange
 
-	rxSeen SeenSet            // packet UIDs delivered or taken into custody
-	pend   map[uint64]*exorRx // receptions awaiting their custody decision, by TxopID
+	rxSeen SeenSet   // packet UIDs delivered or taken into custody
+	pend   []*exorRx // receptions awaiting their custody decision, in arrival order
 	freeRx sim.FreeList[exorRx]
 }
 
@@ -81,19 +83,16 @@ func NewMCExOR(env Env) *ExOR {
 // Init makes x, in place, the agent NewPreExOR returns, or NewMCExOR with
 // compressed acknowledgements: every field zero or set from the arguments,
 // except the chassis (see Station.Init), the emptied seen-set and pending
-// map, and the reception records, recalled from the events that held them.
+// list, and the reception records, recalled from the events that held them.
 func (x *ExOR) Init(env Env, compressed bool) {
 	var acks ackSchedule = sequentialAcks{}
 	if compressed {
 		acks = compressedAcks{}
 	}
-	if x.pend == nil {
-		x.pend = make(map[uint64]*exorRx)
-	}
 	clear(x.pend)
 	x.rxSeen.Reset()
 	x.freeRx.Recall((*exorRx).wipe)
-	*x = ExOR{Station: x.Station, acks: acks, rxSeen: x.rxSeen, pend: x.pend, freeRx: x.freeRx}
+	*x = ExOR{Station: x.Station, acks: acks, rxSeen: x.rxSeen, pend: x.pend[:0], freeRx: x.freeRx}
 	x.Station.Init(env, x)
 }
 
@@ -156,8 +155,10 @@ func (x *ExOR) Receive(f *pkt.Frame, pktOK []bool) {
 			x.heard = true
 		}
 		// Forwarder overhearing a higher-priority ACK for a pending reception.
-		if rx, ok := x.pend[f.TxopID]; ok && f.AckerRank < rx.rank {
-			rx.covered = true
+		for _, rx := range x.pend {
+			if rx.txop == f.TxopID && f.AckerRank < rx.rank {
+				rx.covered = true
+			}
 		}
 	case pkt.Data:
 		rank := f.RankOf(x.ID)
@@ -230,9 +231,10 @@ func (x *ExOR) ack(rx *exorRx) *pkt.Frame {
 }
 
 // hold parks a reception until its custody decision, with its own
-// reference on the packet (the source may abandon it meanwhile).
+// reference on the packet (the source may abandon it meanwhile). A station
+// holds a few receptions at once, each of its own mTXOP.
 func (x *ExOR) hold(rx *exorRx) {
-	x.pend[rx.txop] = rx
+	x.pend = append(x.pend, rx)
 	rx.packet.Ref()
 }
 
@@ -240,10 +242,11 @@ func (x *ExOR) hold(rx *exorRx) {
 // already: decision events cannot be cancelled, so they check identity —
 // which holds because a record stays out of the pool until its event fires.
 func (x *ExOR) unhold(rx *exorRx) bool {
-	if x.pend[rx.txop] != rx {
+	i := slices.Index(x.pend, rx)
+	if i < 0 {
 		return false
 	}
-	delete(x.pend, rx.txop)
+	x.pend = slices.Delete(x.pend, i, i+1)
 	return true
 }
 
@@ -269,14 +272,16 @@ func (x *ExOR) takeCustody(rx *exorRx) {
 	x.MaybeRequest() // custody taken: the caller's ref becomes the queue's
 }
 
-// ReleaseCustody implements Protocol: drop the pending receptions. Their
-// decision events fire later and find the hold gone (see unhold).
+// ReleaseCustody implements Protocol: drop the pending receptions, in
+// arrival order. Their decision events fire later and find the hold gone
+// (see unhold).
 func (x *ExOR) ReleaseCustody() uint64 {
 	n := uint64(len(x.pend))
-	for txop, rx := range x.pend {
+	for _, rx := range x.pend {
 		rx.packet.Release()
-		delete(x.pend, txop)
 	}
+	clear(x.pend)
+	x.pend = x.pend[:0]
 	return n
 }
 

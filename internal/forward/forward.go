@@ -12,6 +12,7 @@ package forward
 
 import (
 	"math/bits"
+	"slices"
 
 	"ripple/internal/audit"
 	"ripple/internal/phys"
@@ -85,50 +86,53 @@ func (c *Counters) Add(b Counters) {
 // lists are capped at MaxForwarders intermediate stations (paper Remark 4).
 //
 // A flow is named by its slot, its index in the run's flow list
-// (pkt.Packet.FlowSlot), never by its ID: the per-flow state is slices
-// indexed by slot, grown to the highest slot added, so the per-packet
-// questions cost no hashing.
+// (pkt.Packet.FlowSlot), never by its ID: the book is one record per flow in
+// a slice indexed by slot, grown to the highest slot added, so the
+// per-packet questions cost no hashing.
 type RouteBook struct {
-	paths         []routing.Path
+	flows         []flowRoute
 	maxForwarders int
-	// fwdCache memoizes FwdList per slot and (from, toward): schemes ask
-	// for the same list on every transmission of a flow, and building it is
-	// a per-frame allocation otherwise. A flow has few such pairs — two per
-	// station on its path — so each slot's entries are searched linearly.
-	// Cached slices are immutable — a route update drops the entries, it
-	// never rewrites them — so frames may carry them by reference.
-	fwdCache [][]fwdEntry
-
-	// Failure-aware degradation, active only under fault injection.
-	// failThreshold gates everything: 0 (the default) makes every Note*
-	// call a no-op, so fault-free runs pay nothing. Streaks and blacklists
-	// are scoped per (flow, sender): a station that keeps abandoning
-	// packets suspects its *own* path next hop, and only its own forwarder
-	// list loses that hop — a flow-global blacklist would knock a live
-	// relay out of every other station's list. Entries last until the next
-	// route Update (the next epoch re-decides from the fault-masked
-	// table).
+	// failThreshold gates failure-aware degradation, active only under fault
+	// injection: 0 (the default) makes every Note* call a no-op, so
+	// fault-free runs pay nothing.
 	failThreshold int
-	consecFails   map[blKey]int
-	blacklist     map[blKey]map[pkt.NodeID]bool
-	// unreachable flags flows whose destination the current epoch world
-	// cannot reach; schemes drop such traffic at the source (counted as
+}
+
+// route is a path and its reversal, made on the first list asked for toward
+// the destination: every forwarder list is a prefix of one of the two, so
+// FwdList answers with a view and builds nothing per station.
+type route struct {
+	path, rev routing.Path
+}
+
+// flowRoute is everything the book holds for one flow.
+type flowRoute struct {
+	route
+	// unreachable flags a flow whose destination the current epoch world
+	// cannot reach; schemes drop its traffic at the source (counted as
 	// Counters.Unreachable) instead of burning retries. unreachDrops
-	// attributes those drops per flow for FlowResult.
-	unreachable  []bool
-	unreachDrops []int64
+	// attributes those drops to the flow for FlowResult.
+	unreachable  bool
+	unreachDrops int64
+	// senders holds the failure state of the flow's senders, a few at most,
+	// searched linearly. Streaks and blacklists are scoped per sender: a
+	// station that keeps abandoning packets suspects its *own* path next hop,
+	// and only its own view of the route loses that hop — a flow-global
+	// blacklist would knock a live relay out of every other station's list.
+	// Records last until the flow's next Add (the next epoch re-decides from
+	// the fault-masked table).
+	senders []senderRoute
 }
 
-// fwdEntry is one memoized forwarder list of a flow.
-type fwdEntry struct {
-	from, toward pkt.NodeID
-	list         []pkt.NodeID
-}
-
-// blKey scopes failure streaks and blacklists to one sender of one flow.
-type blKey struct {
-	slot int
-	from pkt.NodeID
+// senderRoute is one sender's failure state on a flow.
+type senderRoute struct {
+	from   pkt.NodeID
+	fails  int          // consecutive abandoned packets
+	banned []pkt.NodeID // stations from has blacklisted, never an endpoint
+	// route is the flow's route without the banned stations, the sender's own
+	// view once it bans one: remade in a new array, never rewritten, when
+	// banned grows.
+	route
 }
 
 // NewRouteBook creates a route book; maxForwarders caps forwarder lists
@@ -140,73 +144,58 @@ func NewRouteBook(maxForwarders int) *RouteBook {
 }
 
 // Init makes b, in place, an empty book capped at maxForwarders: every
-// field zero but the slices and maps, which are emptied and keep their
+// field zero but the flow records, which are emptied and keep their
 // capacity. A run arena re-initialises its book between runs.
 func (b *RouteBook) Init(maxForwarders int) {
-	clear(b.paths)
-	for i := range b.fwdCache {
-		b.invalidate(i)
-	}
-	clear(b.consecFails)
-	clear(b.blacklist)
-	*b = RouteBook{
-		maxForwarders: maxForwarders,
-		paths:         b.paths[:0], fwdCache: b.fwdCache[:0],
-		consecFails: b.consecFails, blacklist: b.blacklist,
-		unreachable: b.unreachable[:0], unreachDrops: b.unreachDrops[:0],
-	}
+	clear(b.flows)
+	*b = RouteBook{maxForwarders: maxForwarders, flows: b.flows[:0]}
 }
 
-// Add registers the path for the flow at slot (source to destination
-// order). The forwarder cap follows the paper's convention: the
+// Add registers or replaces the path for the flow at slot (source to
+// destination order). The forwarder cap follows the paper's convention: the
 // destination counts as the highest-priority forwarder, so a cap of 5
 // allows the destination plus four intermediate stations.
-func (b *RouteBook) Add(slot int, p routing.Path) {
-	b.paths = pkt.Extend(b.paths, slot)
-	b.unreachable = pkt.Extend(b.unreachable, slot)
-	b.unreachDrops = pkt.Extend(b.unreachDrops, slot)
-	if slot >= len(b.fwdCache) {
-		// Reslice first: the lists past the length keep their capacity.
-		b.fwdCache = pkt.Extend(b.fwdCache[:min(slot+1, cap(b.fwdCache))], slot)
-	}
-	b.paths[slot] = p.Limit(b.maxForwarders - 1)
-	b.invalidate(slot)
-	// A fresh route absolves the flow's blacklists and failure streaks: the
-	// route decision already accounts for the current fault overlay.
-	for k := range b.blacklist {
-		if k.slot == slot {
-			delete(b.blacklist, k)
-		}
-	}
-	for k := range b.consecFails {
-		if k.slot == slot {
-			delete(b.consecFails, k)
-		}
-	}
-}
-
-// invalidate drops a flow's cached forwarder lists (in-flight frames keep
-// the old slices; they are never mutated).
-func (b *RouteBook) invalidate(slot int) {
-	clear(b.fwdCache[slot])
-	b.fwdCache[slot] = b.fwdCache[slot][:0]
-}
-
-// Update replaces a flow's path mid-run (route policies recompute routes
-// each epoch). The forwarder cap applies exactly as in Add. Schemes read
+//
+// Route policies replace a flow's path mid-run, each epoch. Schemes read
 // the book per transmission, so traffic still at the source or at stations
 // shared by both routes follows the new path from its next transmission;
 // packets already queued at a station the new route drops have no next hop
 // any more and are dropped there (counted as MACDrops) — re-routing under
 // load is not free, and loss/MoS results reflect that.
-func (b *RouteBook) Update(slot int, p routing.Path) { b.Add(slot, p) }
+func (b *RouteBook) Add(slot int, p routing.Path) {
+	b.flows = pkt.Extend(b.flows, slot)
+	fr := &b.flows[slot]
+	// Epoch swaps and re-route ticks re-add every flow, mostly unchanged:
+	// an equal route keeps its reversal.
+	if p = p.Limit(b.maxForwarders - 1); !slices.Equal(fr.path, p) {
+		fr.path, fr.rev = p, nil
+	}
+	// A fresh route absolves the flow's blacklists and failure streaks: the
+	// route decision already accounts for the current fault overlay.
+	fr.senders = fr.senders[:0]
+}
 
 // Path returns the registered path for the flow at slot (nil if unknown).
 func (b *RouteBook) Path(slot int) routing.Path {
-	if slot >= len(b.paths) {
+	if slot >= len(b.flows) {
 		return nil
 	}
-	return b.paths[slot]
+	return b.flows[slot].path
+}
+
+// view is the route sender `from` sees on the flow at slot: its own once it
+// has banned a station, the flow's otherwise; nil past the highest slot
+// added. A slot below it that was never added has a nil path, on which
+// every question finds no station.
+func (b *RouteBook) view(slot int, from pkt.NodeID) *route {
+	if slot >= len(b.flows) {
+		return nil
+	}
+	fr := &b.flows[slot]
+	if s := fr.sender(from); s != nil && s.banned != nil {
+		return &s.route
+	}
+	return &fr.route
 }
 
 // NextHop returns the next hop for a packet of the flow at slot currently
@@ -214,76 +203,64 @@ func (b *RouteBook) Path(slot int) routing.Path {
 // are skipped over — the packet is handed to the next station down the
 // path (never past dst, which is exempt from blacklisting).
 func (b *RouteBook) NextHop(slot int, from, dst pkt.NodeID) (pkt.NodeID, bool) {
-	p := b.Path(slot)
-	if p == nil {
-		return 0, false
+	if r := b.view(slot, from); r != nil {
+		return r.path.NextHop(from, dst)
 	}
-	hop, ok := p.NextHop(from, dst)
-	if !ok {
-		return hop, ok
-	}
-	if bl := b.blacklisted(slot, from); bl != nil {
-		for hop != dst && bl[hop] {
-			next, ok := p.NextHop(hop, dst)
-			if !ok {
-				return hop, false
-			}
-			hop = next
-		}
-	}
-	return hop, true
-}
-
-// blacklisted returns the stations sender `from` blacklists for the flow at
-// slot, nil when it blacklists none.
-func (b *RouteBook) blacklisted(slot int, from pkt.NodeID) map[pkt.NodeID]bool {
-	if len(b.blacklist) == 0 {
-		return nil
-	}
-	return b.blacklist[blKey{slot: slot, from: from}]
+	return 0, false
 }
 
 // FwdList returns the destination-first prioritised forwarder list for a
-// transmission by `from` toward endpoint `dst` on the flow at slot. The
-// returned slice is owned by the RouteBook and must be treated as
-// immutable (frames embed it directly).
+// transmission by `from` toward endpoint `dst` on the flow at slot: the
+// stations between them that `from` has not blacklisted, nearest to dst
+// first, dst included and `from` excluded; nil when `from` is not on the
+// path, is dst, or dst is not an endpoint. The returned slice is owned by
+// the RouteBook and never rewritten, and its capacity is its length, so
+// frames embed it directly and an append to it copies.
 func (b *RouteBook) FwdList(slot int, from, dst pkt.NodeID) []pkt.NodeID {
-	p := b.Path(slot)
-	if p == nil {
-		return nil
+	if r := b.view(slot, from); r != nil {
+		return r.list(from, dst)
 	}
-	for _, e := range b.fwdCache[slot] {
-		if e.from == from && e.toward == dst {
-			return e.list
-		}
-	}
-	list := p.FwdList(from, dst)
-	if bl := b.blacklisted(slot, from); len(bl) > 0 {
-		filtered := make([]pkt.NodeID, 0, len(list))
-		for _, n := range list {
-			if n != dst && bl[n] {
-				continue
-			}
-			filtered = append(filtered, n)
-		}
-		list = filtered
-	}
-	b.fwdCache[slot] = append(b.fwdCache[slot], fwdEntry{from: from, toward: dst, list: list})
-	return list
+	return nil
 }
 
-// EnableFailureDetection turns on forwarder blacklisting: after
-// `threshold` consecutive abandoned packets on a flow (retry budget
+// list is the forwarder list from `from` toward endpoint `toward`: a
+// capacity-capped view of the path toward the source, of its reversal
+// toward the destination.
+func (r *route) list(from, toward pkt.NodeID) []pkt.NodeID {
+	p := r.path
+	i := slices.Index(p, from)
+	if i < 0 || from == toward {
+		return nil
+	}
+	switch last := len(p) - 1; toward {
+	case p[last]:
+		if r.rev == nil {
+			r.rev = p.Reverse()
+		}
+		return r.rev[: last-i : last-i]
+	case p[0]:
+		return p[:i:i]
+	}
+	return nil
+}
+
+// sender returns the failure record of `from` on the flow, nil if it has
+// none.
+func (fr *flowRoute) sender(from pkt.NodeID) *senderRoute {
+	for i := range fr.senders {
+		if fr.senders[i].from == from {
+			return &fr.senders[i]
+		}
+	}
+	return nil
+}
+
+// EnableFailureDetection turns on forwarder blacklisting: after `threshold`
+// (positive) consecutive abandoned packets on a flow (retry budget
 // exhausted, with no successful acknowledgement in between) the flow's
 // preferred forwarder is blacklisted until the next route update.
-// threshold <= 0 selects 3.
 // Left unenabled — the default — every failure-detection hook is a no-op.
-func (b *RouteBook) EnableFailureDetection(threshold int) {
-	if threshold <= 0 {
-		threshold = 3
-	}
-	b.failThreshold = threshold
-}
+func (b *RouteBook) EnableFailureDetection(threshold int) { b.failThreshold = threshold }
 
 // NoteTxFailure records one abandoned packet by `from` for the flow at
 // slot — MACs call it at the terminal drop, not per ACK timeout, because
@@ -299,24 +276,21 @@ func (b *RouteBook) EnableFailureDetection(threshold int) {
 // next epoch's fault-masked route instead. No-op unless
 // EnableFailureDetection was called.
 func (b *RouteBook) NoteTxFailure(slot int, from, dst pkt.NodeID) {
-	if b.failThreshold == 0 {
+	if b.failThreshold == 0 || slot >= len(b.flows) {
 		return
 	}
-	key := blKey{slot: slot, from: from}
-	if b.consecFails == nil {
-		b.consecFails = make(map[blKey]int)
+	fr := &b.flows[slot]
+	s := fr.sender(from)
+	if s == nil {
+		fr.senders = append(fr.senders, senderRoute{from: from})
+		s = &fr.senders[len(fr.senders)-1]
 	}
-	b.consecFails[key]++
-	if b.consecFails[key] < b.failThreshold {
+	if s.fails++; s.fails < b.failThreshold {
 		return
 	}
-	b.consecFails[key] = 0
-	p := b.Path(slot)
-	if p == nil {
-		return
-	}
-	target, ok := p.NextHop(from, dst)
-	if !ok || target == dst {
+	s.fails = 0
+	target, ok := fr.path.NextHop(from, dst)
+	if !ok || target == dst || slices.Contains(s.banned, target) {
 		return
 	}
 	relays := 0
@@ -325,20 +299,11 @@ func (b *RouteBook) NoteTxFailure(slot int, from, dst pkt.NodeID) {
 			relays++
 		}
 	}
-	if relays < 1 {
-		return
-	}
-	if b.blacklist == nil {
-		b.blacklist = make(map[blKey]map[pkt.NodeID]bool)
-	}
-	m := b.blacklist[key]
-	if m == nil {
-		m = make(map[pkt.NodeID]bool)
-		b.blacklist[key] = m
-	}
-	if !m[target] {
-		m[target] = true
-		b.invalidate(slot)
+	if relays >= 1 {
+		s.banned = append(s.banned, target)
+		s.route = route{path: slices.DeleteFunc(slices.Clone(fr.path), func(n pkt.NodeID) bool {
+			return slices.Contains(s.banned, n)
+		})}
 	}
 }
 
@@ -346,40 +311,46 @@ func (b *RouteBook) NoteTxFailure(slot int, from, dst pkt.NodeID) {
 // flow at slot (an acknowledged exchange proves its forwarder set alive).
 // No-op unless failure detection is enabled.
 func (b *RouteBook) NoteTxSuccess(slot int, from pkt.NodeID) {
-	if b.failThreshold == 0 || len(b.consecFails) == 0 {
+	if b.failThreshold == 0 || slot >= len(b.flows) {
 		return
 	}
-	delete(b.consecFails, blKey{slot: slot, from: from})
+	if s := b.flows[slot].sender(from); s != nil {
+		s.fails = 0
+	}
 }
 
 // Blacklisted reports whether sender `from` currently blacklists station
 // n for the flow at slot (tests and diagnostics).
 func (b *RouteBook) Blacklisted(slot int, from, n pkt.NodeID) bool {
-	return b.blacklisted(slot, from)[n]
+	if slot >= len(b.flows) {
+		return false
+	}
+	s := b.flows[slot].sender(from)
+	return s != nil && slices.Contains(s.banned, n)
 }
 
 // SetUnreachable flags or clears the flow at slot as one whose destination
 // the current epoch world cannot reach. Schemes consult Unreachable at
 // their send and grant points and drop the flow's traffic immediately
 // (counted as Counters.Unreachable) instead of looping retries at the MAC.
-func (b *RouteBook) SetUnreachable(slot int, v bool) { b.unreachable[slot] = v }
+func (b *RouteBook) SetUnreachable(slot int, v bool) { b.flows[slot].unreachable = v }
 
 // Unreachable reports whether the flow at slot is currently flagged
 // unreachable.
 func (b *RouteBook) Unreachable(slot int) bool {
-	return slot < len(b.unreachable) && b.unreachable[slot]
+	return slot < len(b.flows) && b.flows[slot].unreachable
 }
 
 // NoteUnreachableDrop attributes one unreachable-destination drop to the
 // flow at slot (surfaced as FlowResult.Unreachable).
-func (b *RouteBook) NoteUnreachableDrop(slot int) { b.unreachDrops[slot]++ }
+func (b *RouteBook) NoteUnreachableDrop(slot int) { b.flows[slot].unreachDrops++ }
 
 // UnreachableDrops returns the flow's unreachable-destination drop count.
 func (b *RouteBook) UnreachableDrops(slot int) int64 {
-	if slot >= len(b.unreachDrops) {
+	if slot >= len(b.flows) {
 		return 0
 	}
-	return b.unreachDrops[slot]
+	return b.flows[slot].unreachDrops
 }
 
 // Env bundles the per-station dependencies a scheme instance needs.

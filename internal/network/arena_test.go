@@ -22,7 +22,7 @@ func runOn(r *run, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.execute(&cfg, world)
+	return r.execute(&cfg, world), nil
 }
 
 // arenaCases is the pin corpus, each case on a World built once, with deep
@@ -82,7 +82,7 @@ func assertEmptied(t *testing.T, after string, r *run) {
 	check("medium.frames", medium.FieldByName("frames"), []string{"free"}, nil)
 	check("pool", reflect.ValueOf(&r.pool).Elem(), []string{"free"}, nil)
 	check("routes", reflect.ValueOf(&r.routes).Elem(),
-		[]string{"paths", "fwdCache", "consecFails", "blacklist", "unreachable", "unreachDrops"}, nil)
+		[]string{"flows"}, nil)
 	if len(r.endpoints) != 0 {
 		t.Errorf("after %s: %d endpoints left", after, len(r.endpoints))
 	}

@@ -351,10 +351,11 @@ type Result struct {
 }
 
 // Validate reports the first thing that makes cfg unrunnable: no stations,
-// a station CheckPositions refuses, no flows, an unknown mobility kind, or
-// a flow whose path is too short, repeats a station, leaves the topology,
-// or whose ID is taken or, for Web and VoIP traffic, negative. Run and
-// BuildWorld return its error before building anything.
+// a station CheckPositions refuses, no flows, an unknown scheme or mobility
+// kind, or a flow of an unknown traffic kind, whose path is too short,
+// repeats a station, leaves the topology, or whose ID is taken or, for Web
+// and VoIP traffic, negative. Run and BuildWorld return its error before
+// building anything.
 func Validate(cfg *Config) error {
 	if len(cfg.Positions) == 0 {
 		return fmt.Errorf("network: no station positions")
@@ -365,6 +366,9 @@ func Validate(cfg *Config) error {
 	if len(cfg.Flows) == 0 {
 		return fmt.Errorf("network: no flows")
 	}
+	if cfg.Scheme < DCF || cfg.Scheme > RippleNoAgg {
+		return fmt.Errorf("network: unknown scheme %d", int(cfg.Scheme))
+	}
 	switch cfg.Mobility.Kind {
 	case MobilityStatic, MobilityWaypoint, MobilityMarkov:
 	default:
@@ -374,6 +378,9 @@ func Validate(cfg *Config) error {
 	for _, f := range cfg.Flows {
 		if err := f.Path.Validate(); err != nil {
 			return fmt.Errorf("network: flow %d: %w", f.ID, err)
+		}
+		if f.Kind < FTP || f.Kind > CBRTraffic {
+			return fmt.Errorf("network: flow %d has unknown traffic kind %d", f.ID, f.Kind)
 		}
 		if seen[f.ID] {
 			return fmt.Errorf("network: duplicate flow id %d", f.ID)

@@ -94,6 +94,7 @@ func TestLinkDeliveryMatchesModel(t *testing.T) {
 		w, err := BuildWorld(Config{
 			Positions: positions,
 			Radio:     rc,
+			Scheme:    DCF,
 			Flows:     []FlowSpec{{ID: 1, Path: routing.Path{0, 1}, Kind: FTP}},
 			Routing:   RoutingSpec{K: 1},
 		})

@@ -150,13 +150,10 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	r := takeArena()
-	res, err := r.execute(&cfg, world)
-	if err != nil {
-		// The arena is left to the collector, as it is when the run panics
-		// (the campaign pool recovers and carries on): whatever state the
-		// run died in, no other run sees it.
-		return nil, err
-	}
+	res := r.execute(&cfg, world)
+	// A run that panics leaves its arena to the collector (the campaign pool
+	// recovers and carries on): whatever state it died in, no other run
+	// sees it.
 	keepArena(r)
 	return res, nil
 }
@@ -173,8 +170,8 @@ func prepare(cfg *Config) (*World, error) {
 	return cfg.World, cfg.World.check(cfg)
 }
 
-// execute runs cfg on world on an empty arena — a new one, or one execute
-// has returned from without error — and leaves it empty.
+// execute runs cfg, which Validate accepted, on world on an empty arena — a
+// new one, or one execute has returned from — and leaves it empty.
 //
 // The phases schedule their first events in a fixed order — epoch swap,
 // re-route tick, fault events, flow starts — and events at equal
@@ -182,18 +179,16 @@ func prepare(cfg *Config) (*World, error) {
 // re-route already sees the new world. Everything then runs inside the
 // engine's single-threaded loop, so results are bit-identical at any pool
 // parallelism.
-func (r *run) execute(cfg *Config, world *World) (*Result, error) {
+func (r *run) execute(cfg *Config, world *World) *Result {
 	r.build(cfg, world)
 	r.armEpochs()
 	r.armReroute()
 	r.armFaults()
-	if err := r.startFlows(); err != nil {
-		return nil, err
-	}
+	r.startFlows()
 	r.eng.Run(cfg.Duration)
 	res := r.fold()
 	r.reset()
-	return res, nil
+	return res
 }
 
 // reset empties the arena after a run: the engine drops or recycles every
@@ -379,9 +374,9 @@ func (r *run) armEpochs() {
 		return
 	}
 	// With faults active, routes must be refreshed every epoch even under
-	// static routing: the epoch worlds carry crash-masked paths, and the
-	// Update also resets forwarder blacklists and consecutive-failure
-	// streaks ("blacklisted until the next epoch").
+	// static routing: the epoch worlds carry crash-masked paths, and
+	// re-adding a route also resets forwarder blacklists and
+	// consecutive-failure streaks ("blacklisted until the next epoch").
 	routeUpdates := r.cfg.Routing.active() || world.faults != nil
 	next := 0
 	r.epochTimer.Bind(&r.eng, func() {
@@ -390,7 +385,7 @@ func (r *run) armEpochs() {
 		r.policy = ew.policy
 		if routeUpdates {
 			for i := range r.cfg.Flows {
-				r.routes.Update(i, ew.routes[i])
+				r.routes.Add(i, ew.routes[i])
 			}
 		}
 		for i, f := range r.cfg.Flows {
@@ -451,7 +446,7 @@ func (r *run) armReroute() {
 		for i, f := range r.cfg.Flows {
 			p, err := r.policy.Route(f.Path.Src(), f.Path.Dst(), backlog)
 			if err == nil {
-				r.routes.Update(i, p)
+				r.routes.Add(i, p)
 			}
 		}
 		clear(depthSum)
@@ -516,7 +511,7 @@ func (r *run) armFaults() {
 
 // startFlows initialises each flow's transport endpoints and traffic source,
 // in the slab of its kind, and schedules its start.
-func (r *run) startFlows() error {
+func (r *run) startFlows() {
 	cfg, eng := r.cfg, &r.eng
 	var nTCP, nWeb, nVoIP, nCBR int
 	for _, f := range cfg.Flows {
@@ -530,8 +525,6 @@ func (r *run) startFlows() error {
 			nVoIP++
 		case CBRTraffic:
 			nCBR++
-		default:
-			return fmt.Errorf("network: flow %d has unknown traffic kind %d", f.ID, f.Kind)
 		}
 	}
 	r.tcps, r.webs = grown(r.tcps, nTCP), grown(r.webs, nWeb)
@@ -603,7 +596,6 @@ func (r *run) startFlows() error {
 		}
 		eng.Do(f.Start, start)
 	}
-	return nil
 }
 
 // fold runs the end-of-run audit — the deep catalogue once more at

@@ -205,6 +205,23 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 			t.Errorf("a negative ID on a flow of kind %d seeds a station's stream and must error", kind)
 		}
 	}
+
+	// Validate itself refuses what no run could execute, so a run never
+	// meets an unknown kind.
+	for _, scheme := range []SchemeKind{0, 99} {
+		bad = base
+		bad.Scheme = scheme
+		if err := Validate(&bad); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+			t.Errorf("Validate of scheme %d = %v, want an unknown-scheme error", scheme, err)
+		}
+	}
+	for _, kind := range []TrafficKind{0, 99} {
+		bad = base
+		bad.Flows = []FlowSpec{{ID: 1, Path: path, Kind: kind}}
+		if err := Validate(&bad); err == nil || !strings.Contains(err.Error(), "unknown traffic kind") {
+			t.Errorf("Validate of traffic kind %d = %v, want an unknown-traffic-kind error", kind, err)
+		}
+	}
 }
 
 // TestRNGStreamsAreDisjoint: no station's backoff stream is a flow's

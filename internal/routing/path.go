@@ -1,5 +1,5 @@
-// Package routing provides route representations (node paths and forwarder
-// lists), the static Table II routes for the Fig. 1 topology, an ETX link
+// Package routing provides the route representation (a node path), the
+// static Table II routes for the Fig. 1 topology, an ETX link
 // table (De Couto et al.) with pluggable-cost Dijkstra over the radio link
 // model, and the Policy interface with its implementations: static
 // minimum-ETX discovery, ORCD-style congestion-diversity routing that folds
@@ -14,8 +14,8 @@ import (
 )
 
 // Path is an ordered node sequence from a flow's source to its destination.
-// It serves both predetermined schemes (hop-by-hop) and opportunistic ones
-// (as the prioritised forwarder list).
+// It serves both predetermined schemes (hop-by-hop) and opportunistic ones,
+// whose forwarder lists forward.RouteBook reads off it.
 type Path []pkt.NodeID
 
 // Src returns the first node of the path.
@@ -68,31 +68,6 @@ func (p Path) NextHop(from, toward pkt.NodeID) (pkt.NodeID, bool) {
 		}
 	}
 	return 0, false
-}
-
-// FwdList builds the prioritised forwarder list for a transmission from
-// `from` toward endpoint `toward`: the destination first, then forwarders in
-// decreasing priority (closest to the destination first), excluding `from`
-// itself. Returns nil if `from` is not on the path.
-func (p Path) FwdList(from, toward pkt.NodeID) []pkt.NodeID {
-	i := p.indexOf(from)
-	if i < 0 || from == toward {
-		return nil
-	}
-	var list []pkt.NodeID
-	switch toward {
-	case p.Dst():
-		for j := len(p) - 1; j > i; j-- {
-			list = append(list, p[j])
-		}
-	case p.Src():
-		for j := 0; j < i; j++ {
-			list = append(list, p[j])
-		}
-	default:
-		return nil
-	}
-	return list
 }
 
 // Limit caps the number of intermediate forwarders at max, keeping evenly

@@ -37,50 +37,6 @@ func TestNextHopForward(t *testing.T) {
 	}
 }
 
-func TestFwdListDestinationFirst(t *testing.T) {
-	p := Path{0, 1, 2, 3}
-	got := p.FwdList(0, 3)
-	want := []pkt.NodeID{3, 2, 1}
-	if len(got) != len(want) {
-		t.Fatalf("FwdList = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FwdList = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestFwdListReverseDirection(t *testing.T) {
-	p := Path{0, 1, 2, 3}
-	got := p.FwdList(3, 0)
-	want := []pkt.NodeID{0, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("reverse FwdList = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestFwdListFromIntermediate(t *testing.T) {
-	p := Path{0, 1, 2, 3}
-	got := p.FwdList(1, 3)
-	want := []pkt.NodeID{3, 2}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("FwdList(1→3) = %v, want %v", got, want)
-	}
-}
-
-func TestFwdListOffPathNil(t *testing.T) {
-	p := Path{0, 1, 2}
-	if p.FwdList(9, 2) != nil {
-		t.Fatal("off-path station must get nil forwarder list")
-	}
-	if p.FwdList(0, 9) != nil {
-		t.Fatal("unknown endpoint must get nil forwarder list")
-	}
-}
-
 func TestReverse(t *testing.T) {
 	p := Path{0, 1, 2}
 	r := p.Reverse()

@@ -24,10 +24,12 @@
 # is an Example in example_test.go, whose output `go test` checks;
 #
 # or if a map type appears on the packet path: the non-test files of
-# internal/core, internal/radio/medium.go or internal/network/run.go. Map
-# lookups there were a sixth of a saturated TCP run's samples; per-stream
-# and per-flow state is a slice indexed by pkt.Packet.Stream or its flow
-# slot, and the other memos are short slices searched linearly. A map that
+# internal/core and internal/forward, internal/radio/medium.go or
+# internal/network/run.go. Map lookups there were a sixth of a saturated TCP
+# run's samples; per-stream and per-flow state is a slice indexed by
+# pkt.Packet.Stream or its flow slot (the route book is one record per flow
+# slot), and the other memos — a sender's blacklist, an ExOR station's held
+# receptions — are short slices searched linearly. A map that
 # grows back there would not change a byte of output, only the profile, so
 # no test would notice it.
 #
@@ -89,7 +91,7 @@ if grep -l '^package main$' $(find . -name '*.go' ! -name '*_test.go' \
     echo "check_substrate: package main outside cmd/ and bench/ — make it an Example" >&2
     fail=1
 fi
-packetpath="$(find internal/core -name '*.go' ! -name '*_test.go') internal/radio/medium.go internal/network/run.go"
+packetpath="$(find internal/core internal/forward -name '*.go' ! -name '*_test.go') internal/radio/medium.go internal/network/run.go"
 if grep -n 'map\[' $packetpath; then
     echo "check_substrate: a map on the packet path — index by stream or flow slot" >&2
     fail=1
