@@ -4,7 +4,11 @@
 #
 #   cli_flags      flag definitions in the non-test .go files under cmd/
 #   env_names      distinct RIPPLE_[A-Z_]+ names in non-test .go files
-#   <pkg>.<Type>   fields of the four option structs
+#   <pkg>.<Type>   fields of the option structs: the run config
+#                  (network.Config) and the structs nested in it or set
+#                  beside it (routing, mobility, flows, faults, RIPPLE's
+#                  options), a campaign grid, the experiment options, the
+#                  public Scenario and the distributed-run options
 #
 # and compares the counts with the committed scripts/options.txt. Any
 # difference fails: a PR that adds or removes an option changes that file in
@@ -32,6 +36,14 @@ got=$(cat <<EOF
 cli_flags $((flags))
 env_names $(echo $envs | wc -w | tr -d ' ') $(echo $envs)
 network.Config $(fields internal/network Config)
+network.RoutingSpec $(fields internal/network RoutingSpec)
+network.MobilitySpec $(fields internal/network MobilitySpec)
+network.FlowSpec $(fields internal/network FlowSpec)
+fault.Spec $(fields internal/fault Spec)
+core.Options $(fields internal/core Options)
+campaign.Grid $(fields internal/campaign Grid)
+experiments.Options $(fields internal/experiments Options)
+ripple.Scenario $(fields . Scenario)
 dist.Options $(fields internal/dist Options)
 ripple.DistributeOptions $(fields . DistributeOptions)
 dist.RedialOptions $(fields internal/dist RedialOptions)
