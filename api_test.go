@@ -1,10 +1,14 @@
 package ripple
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"ripple/internal/golden"
 )
 
 func TestRouteSetsExposed(t *testing.T) {
@@ -67,6 +71,38 @@ func TestScenarioMaxAggregationOverride(t *testing.T) {
 	if limited.Total.Mean >= full.Total.Mean {
 		t.Fatalf("agg=2 (%.1f) should underperform agg=16 (%.1f)",
 			limited.Total.Mean, full.Total.Mean)
+	}
+}
+
+// TestScenarioDefaultMaxAggregationIsTheDefault: spelling out the default
+// aggregation limit changes nothing, for every scheme. Setting it must not
+// reset RIPPLE's other options (Rq, the relay rule) to their zero values.
+func TestScenarioDefaultMaxAggregationIsTheDefault(t *testing.T) {
+	top, path := LineTopology(3)
+	for k := SchemeDCF; k <= SchemeRIPPLENoAgg; k++ {
+		t.Run(k.String(), func(t *testing.T) {
+			base := Scenario{
+				Topology: top,
+				Scheme:   k,
+				Flows:    []Flow{{ID: 1, Path: path, Traffic: FTP{}}},
+				Duration: Second,
+			}
+			explicit := base
+			explicit.MaxAggregation = 16
+			var out [2][]byte
+			for i, sc := range []Scenario{base, explicit} {
+				res, err := Run(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out[i], err = json.Marshal(res); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(out[0], out[1]) {
+				t.Fatalf("MaxAggregation 16 differs from the default:\n%s", golden.Diff(out[0], out[1]))
+			}
+		})
 	}
 }
 

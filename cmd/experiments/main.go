@@ -163,9 +163,8 @@ func run() int {
 		opt.PruneSigma = prune
 	}
 	if *parallel > 0 {
-		// Resize the process-wide pool: every experiment's grid drains
-		// through the one shared pool.
-		pool.SetSharedWorkers(*parallel)
+		// Every experiment's grid drains through this one pool.
+		opt.Pool = pool.New(*parallel)
 	}
 
 	if isWorker {
@@ -185,7 +184,7 @@ func run() int {
 				return 1
 			}
 			closeConn = func() { w.Close() }
-			opt.RunGrid = dist.WorkerRunGrid(w, nil)
+			opt.RunGrid = dist.WorkerRunGrid(w, opt.Pool)
 		} else {
 			// Stdout carries the protocol stream, so nothing else in this
 			// process may print to it.
@@ -194,7 +193,7 @@ func run() int {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
 			}
-			opt.RunGrid = dist.WorkerRunGrid(w, nil)
+			opt.RunGrid = dist.WorkerRunGrid(w, opt.Pool)
 		}
 		defer func() {
 			if closeConn != nil {

@@ -120,13 +120,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unknown routing policy %q\n", *routing)
 		return 2
 	}
-	if *alpha > 0 {
+	if *alpha != 0 {
 		sc.Routing = sc.Routing.WithAlpha(*alpha)
 	}
-	if *epochMs > 0 {
+	if *epochMs != 0 {
 		sc.Routing = sc.Routing.WithEpoch(ripple.Time(*epochMs * float64(ripple.Millisecond)))
 	}
-	if *kRelays > 0 {
+	if *kRelays != 0 {
 		sc.Routing = sc.Routing.WithForwarders(*kRelays)
 	}
 	switch strings.ToLower(*priority) {
@@ -149,13 +149,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unknown mobility model %q\n", *mobility)
 		return 2
 	}
-	if *maxSpeed > 0 {
+	if *maxSpeed != 0 {
 		sc.Mobility = sc.Mobility.WithSpeed(0, *maxSpeed)
 	}
-	if *stay > 0 {
+	if *stay != 0 {
 		sc.Mobility = sc.Mobility.WithStay(*stay)
 	}
-	if *mobEpoch > 0 {
+	if *mobEpoch != 0 {
 		sc.Mobility = sc.Mobility.WithEpoch(ripple.Time(*mobEpoch * float64(ripple.Millisecond)))
 	}
 	if *mobSeed > 0 {
@@ -163,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Fault injection: -mtbf enables station churn; -faults adds link
 	// flaps, noise bursts and a partition window.
-	if *mtbf > 0 || *mttr > 0 {
+	if *mtbf != 0 || *mttr != 0 {
 		sc.Faults = sc.Faults.WithStationMTBF(
 			ripple.Time(*mtbf*float64(ripple.Second)),
 			ripple.Time(*mttr*float64(ripple.Second)))

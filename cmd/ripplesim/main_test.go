@@ -63,6 +63,10 @@ func TestUsageErrors(t *testing.T) {
 		{"-scheme zzz", `unknown scheme "zzz"`},
 		{"-alpha 0.5", "Routing.WithAlpha only applies to CongestionRouting"},
 		{"-maxspeed 20", "Mobility options need a mobility model"},
+		{"-mobility markov -stay 1.5", "Mobility.WithStay wants a probability with 0 < stay < 1 (got 1.5)"},
+		{"-mobility waypoint -maxspeed -3", "Mobility.WithSpeed wants 0 <= min <= max (got 0, -3)"},
+		{"-routing congestion -alpha -0.5", "Routing.WithAlpha must not be negative (got -0.5)"},
+		{"-mtbf 1 -mttr -2", "Faults MTTR must not be negative (got -2s)"},
 		{"-dur -1", "-dur -1: need a positive number"},
 		{"-dur 0", "-dur 0: need a positive number"},
 		{"-seeds 0", "-seeds 0: need at least one seed"},

@@ -27,7 +27,6 @@ import (
 
 	"ripple/internal/campaign/pool"
 	"ripple/internal/network"
-	"ripple/internal/sim"
 	"ripple/internal/stats"
 )
 
@@ -85,8 +84,6 @@ type Grid struct {
 	Axes []Axis
 	// Seeds runs every cell once per seed; empty means seed 1 only.
 	Seeds []uint64
-	// Duration, when non-zero, overrides each cell's run duration.
-	Duration sim.Time
 	// Build maps a grid point to its scenario. It is called once per cell,
 	// in cell order, before any unit runs; an error aborts the whole grid.
 	Build func(Point) (network.Config, error)
@@ -183,9 +180,6 @@ func (g *Grid) Plan() (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("campaign %s [%s]: %w", g.Name, p.points[c], err)
 		}
-		if g.Duration != 0 {
-			cfg.Duration = g.Duration
-		}
 		p.cfgs[c] = cfg
 		p.seeds[c] = seeds
 	}
@@ -234,9 +228,8 @@ func (p *Plan) Seeds(c int) []uint64 { return p.seeds[c] }
 // identically. The hash covers the name, the axes, and for every cell its
 // seed list and its whole scenario config in canonical (JSON) form, minus
 // what is not part of the scenario: Seed (the seed list stands for it),
-// World and Trace. A custom Routing.Policy is an interface value and
-// enters by its type name only; Build functions cannot be hashed at all,
-// but whatever they compute is in the configs.
+// World and Trace. Build functions cannot be hashed at all, but whatever
+// they compute is in the configs.
 func (p *Plan) Fingerprint() string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)
@@ -245,8 +238,8 @@ func (p *Plan) Fingerprint() string {
 		fmt.Fprintf(h, "axis %q %q\n", a.Name, a.Labels)
 	}
 	for c, cfg := range p.cfgs {
-		fmt.Fprintf(h, "cell %d seeds %v policy %T\n", c, p.seeds[c], cfg.Routing.Policy)
-		cfg.Seed, cfg.World, cfg.Trace, cfg.Routing.Policy = 0, nil, nil, nil
+		fmt.Fprintf(h, "cell %d seeds %v\n", c, p.seeds[c])
+		cfg.Seed, cfg.World, cfg.Trace = 0, nil, nil
 		if err := enc.Encode(&cfg); err != nil {
 			// Only a NaN or infinite parameter is unencodable; both sides
 			// of a campaign then hash the same error text.

@@ -26,15 +26,15 @@ func lineGrid(p *pool.Pool, seeds []uint64) Grid {
 			A("scheme", "DCF", "RIPPLE"),
 			A("hops", "2", "3"),
 		},
-		Seeds:    seeds,
-		Duration: 300 * sim.Millisecond,
-		Pool:     p,
+		Seeds: seeds,
+		Pool:  p,
 		Build: func(pt Point) (network.Config, error) {
 			top, path := topology.Line(hops[pt.Index("hops")])
 			return network.Config{
 				Positions: top.Positions,
 				Scheme:    schemes[pt.Index("scheme")],
 				Flows:     []network.FlowSpec{{ID: 1, Path: path, Kind: network.FTP}},
+				Duration:  300 * sim.Millisecond,
 			}, nil
 		},
 	}
@@ -137,14 +137,14 @@ func TestGridProgressCountsEveryUnit(t *testing.T) {
 func TestGridNoAxesIsOneCell(t *testing.T) {
 	top, path := topology.Line(2)
 	g := Grid{
-		Name:     "single",
-		Duration: 200 * sim.Millisecond,
-		Pool:     pool.New(2),
+		Name: "single",
+		Pool: pool.New(2),
 		Build: func(Point) (network.Config, error) {
 			return network.Config{
 				Positions: top.Positions,
 				Scheme:    network.Ripple,
 				Flows:     []network.FlowSpec{{ID: 1, Path: path, Kind: network.FTP}},
+				Duration:  200 * sim.Millisecond,
 			}, nil
 		},
 	}

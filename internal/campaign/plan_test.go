@@ -9,7 +9,6 @@ import (
 	"ripple/internal/network"
 	"ripple/internal/pkt"
 	"ripple/internal/radio"
-	"ripple/internal/routing"
 	"ripple/internal/sim"
 	"ripple/internal/topology"
 	"ripple/internal/transport"
@@ -110,7 +109,7 @@ func TestPlanFingerprint(t *testing.T) {
 	for name, mutate := range map[string]func(*Grid){
 		"name":     func(g *Grid) { g.Name = "other" },
 		"seeds":    func(g *Grid) { g.Seeds = []uint64{1, 2, 3} },
-		"duration": func(g *Grid) { g.Duration = 400 * sim.Millisecond },
+		"duration": tweak(func(cfg *network.Config) { cfg.Duration = 400 * sim.Millisecond }),
 		"axes":     func(g *Grid) { g.Axes[1] = A("hops", "2") },
 		"BER": tweak(func(cfg *network.Config) {
 			cfg.Radio = radio.DefaultConfig()
@@ -126,8 +125,7 @@ func TestPlanFingerprint(t *testing.T) {
 			tcp.MaxCwnd = 8
 			cfg.Flows[0].TCP = &tcp
 		}),
-		"fault seed":    tweak(func(cfg *network.Config) { cfg.Faults.Seed = 9 }),
-		"custom policy": tweak(func(cfg *network.Config) { cfg.Routing.Policy = routing.NewETXPolicy(nil) }),
+		"fault seed": tweak(func(cfg *network.Config) { cfg.Faults.Seed = 9 }),
 	} {
 		if mk(mutate) == base {
 			t.Errorf("fingerprint ignores %s", name)

@@ -64,24 +64,9 @@ func New(workers int) *Pool {
 // Workers reports the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
 
-var shared atomic.Pointer[Pool]
-
-// Shared returns the process-wide default pool, sized to GOMAXPROCS.
-func Shared() *Pool {
-	if p := shared.Load(); p != nil {
-		return p
-	}
-	// Benign race: two callers may both construct; one wins, both are valid.
-	p := New(runtime.GOMAXPROCS(0))
-	shared.CompareAndSwap(nil, p)
-	return shared.Load()
-}
-
-// SetSharedWorkers resizes the process-wide default pool (e.g. from a
-// -parallel flag). Batches already in flight keep their old bound.
-func SetSharedWorkers(workers int) {
-	shared.Store(New(workers))
-}
+// Shared returns the process-wide default pool, sized to GOMAXPROCS. A
+// caller that wants another bound passes its own pool instead.
+var Shared = sync.OnceValue(func() *Pool { return New(runtime.GOMAXPROCS(0)) })
 
 // Do runs fn(0)..fn(n-1) with at most Workers() of them executing at once
 // and returns after all have completed. The calling goroutine participates

@@ -96,14 +96,15 @@ func TestDoZeroJobsAndMinWorkers(t *testing.T) {
 	}
 }
 
-func TestSharedPoolResize(t *testing.T) {
-	defer SetSharedWorkers(runtime.GOMAXPROCS(0))
-	if Shared() == nil || Shared().Workers() < 1 {
-		t.Fatal("shared pool missing")
+// TestSharedPoolIsOneGOMAXPROCSPool: every caller gets the same pool, bounded
+// by GOMAXPROCS.
+func TestSharedPoolIsOneGOMAXPROCSPool(t *testing.T) {
+	p := Shared()
+	if p != Shared() {
+		t.Fatal("Shared returned two pools")
 	}
-	SetSharedWorkers(3)
-	if got := Shared().Workers(); got != 3 {
-		t.Fatalf("resized shared pool workers = %d, want 3", got)
+	if got, want := p.Workers(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("shared pool workers = %d, want GOMAXPROCS %d", got, want)
 	}
 }
 

@@ -33,15 +33,15 @@ func testGrid(seeds []uint64) campaign.Grid {
 			campaign.A("scheme", "DCF", "RIPPLE"),
 			campaign.A("hops", "2", "3"),
 		},
-		Seeds:    seeds,
-		Duration: 200 * sim.Millisecond,
-		Pool:     pool.New(1),
+		Seeds: seeds,
+		Pool:  pool.New(1),
 		Build: func(pt campaign.Point) (network.Config, error) {
 			top, path := topology.Line(hops[pt.Index("hops")])
 			return network.Config{
 				Positions: top.Positions,
 				Scheme:    schemes[pt.Index("scheme")],
 				Flows:     []network.FlowSpec{{ID: 1, Path: path, Kind: network.FTP}},
+				Duration:  200 * sim.Millisecond,
 			}, nil
 		},
 	}

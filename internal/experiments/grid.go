@@ -47,7 +47,6 @@ func (tg tableGrid) execute(opt Options) (*campaign.Result, error) {
 		Name:     tg.ID,
 		Axes:     axes,
 		Seeds:    opt.Seeds,
-		Duration: opt.Duration,
 		Pool:     opt.Pool,
 		Progress: opt.Progress,
 		Build: func(pt campaign.Point) (network.Config, error) {
@@ -56,6 +55,7 @@ func (tg tableGrid) execute(opt Options) (*campaign.Result, error) {
 				col = pt.Index("col")
 			}
 			cfg, err := tg.Config(pt.Index("row"), col)
+			cfg.Duration = opt.Duration
 			if opt.PruneSigma != nil {
 				// Resolve the radio default first: network.Run's Normalize
 				// replaces a zero-valued Radio wholesale, which would

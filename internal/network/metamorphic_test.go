@@ -12,7 +12,8 @@ import (
 )
 
 // Metamorphic properties: a change to a scenario that the model must not
-// see leaves the Result JSON byte-identical. docs/model.md lists them.
+// see leaves the Result JSON byte-identical, and one it must see moves the
+// Result the way the change says. docs/model.md lists them.
 
 // relabelConfig is Fig. 1's three ROUTE0 paths carrying two FTP flows and a
 // paced CBR flow. Web and VoIP flows are left out: their traffic streams
@@ -126,5 +127,39 @@ func TestIdleFarStationIsInvisible(t *testing.T) {
 	cfg.Positions = append(cfg.Positions[:len(cfg.Positions):len(cfg.Positions)], radio.Pos{X: 1e6, Y: 1e6})
 	if got := runJSON(t, cfg, nil); !bytes.Equal(got, want) {
 		t.Fatalf("an idle station at (10⁶, 10⁶) moves the Result:\n%s", golden.Diff(want, got))
+	}
+}
+
+// Raising the bit error rate loses frames, so it lowers delivery. The
+// seeds are common random numbers: each BER runs the same three seeds, and
+// the sums fall strictly across BER 0 > 3e-5 > 1e-4 for every scheme.
+// Finer steps are not ordered over three seeds (DCF delivers 3250 packets
+// at BER 0 and 3259 at 1e-6).
+func TestRaisingBERLowersDelivery(t *testing.T) {
+	top, path := topology.Line(3)
+	bers := []float64{0, 3e-5, 1e-4}
+	for _, kind := range allKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			sums := make([]int64, len(bers))
+			for i, ber := range bers {
+				rc := radio.DefaultConfig()
+				rc.BitErrorRate = ber
+				for seed := uint64(1); seed <= 3; seed++ {
+					res, err := Run(Config{Positions: top.Positions, Radio: rc, Scheme: kind,
+						Flows: []FlowSpec{{ID: 1, Path: path, Kind: FTP}}, Duration: sim.Second, Seed: seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sums[i] += res.Flows[0].PktsDelivered
+				}
+			}
+			t.Logf("packets delivered over seeds 1-3 at BER %v: %v", bers, sums)
+			for i := 1; i < len(bers); i++ {
+				if sums[i] >= sums[i-1] {
+					t.Errorf("BER %g delivers %d packets, BER %g %d: want fewer at the higher BER",
+						bers[i], sums[i], bers[i-1], sums[i-1])
+				}
+			}
+		})
 	}
 }

@@ -85,9 +85,10 @@ type FlowSpec struct {
 	CBRInterval sim.Time
 	// CBRPacketBytes overrides the CBR payload size (0 = Phy.PacketBytes).
 	CBRPacketBytes int
-	// TCP, VoIP and Web, when non-nil, override the scenario-wide model
-	// configs for this flow only. Overrides are used as-is — callers must
-	// supply complete configs (Normalize does not touch them).
+	// TCP, VoIP and Web, when non-nil, set this flow's traffic model; nil
+	// selects the paper's (transport.DefaultTCPConfig, DefaultVoIPConfig,
+	// traffic.DefaultWebConfig). A set config is used as-is — callers must
+	// supply a complete one.
 	TCP  *transport.TCPConfig
 	VoIP *transport.VoIPConfig
 	Web  *traffic.WebConfig
@@ -103,9 +104,6 @@ type Config struct {
 	Flows         []FlowSpec
 	Duration      sim.Time
 	Seed          uint64
-	TCP           transport.TCPConfig
-	VoIP          transport.VoIPConfig
-	Web           traffic.WebConfig
 	RippleOpts    core.Options // used by Ripple/RippleNoAgg
 	UnicastMaxAgg int          // aggregation for AFR (default 16)
 	// Routing selects the route policy (see RoutingSpec). The zero value
@@ -225,43 +223,32 @@ type RoutingSpec struct {
 	K int
 	// Rule orders relays when K truncates (default routing.SizeSpaced).
 	Rule routing.SizingRule
-	// Policy, when non-nil, overrides Kind with a custom routing.Policy
-	// (the K/Rule sizing wrapper still applies).
-	Policy routing.Policy
 }
 
 // active reports whether the spec changes routing at all.
 func (s RoutingSpec) active() bool {
-	return s.Kind != RouteStatic || s.Policy != nil || s.K > 0
-}
-
-// needsPolicy reports whether the spec resolves to a routing.Policy
-// (RouteStatic with K sizes declared paths in place, without one).
-func (s RoutingSpec) needsPolicy() bool {
-	return s.Kind != RouteStatic || s.Policy != nil
+	return s.Kind != RouteStatic || s.K > 0
 }
 
 // build resolves the spec into a routing.Policy over the run's link table
 // and station positions (the positions feed geographic forwarding; other
 // kinds ignore them).
 func (s RoutingSpec) build(t *routing.Table, pos []radio.Pos) (routing.Policy, error) {
-	pol := s.Policy
-	if pol == nil {
-		switch s.Kind {
-		case RouteStatic:
-			// Static means "declared paths, never recomputed" — Run sizes
-			// those in place without a policy; resolving one here would
-			// silently break that contract.
-			return nil, fmt.Errorf("network: RouteStatic does not resolve to a policy")
-		case RouteETX:
-			pol = routing.NewETXPolicy(t)
-		case RouteCongestion:
-			pol = routing.NewCongestionPolicy(t, s.Alpha)
-		case RouteGeo:
-			pol = routing.NewGeoPolicy(t, pos)
-		default:
-			return nil, fmt.Errorf("network: unknown route policy kind %d", int(s.Kind))
-		}
+	var pol routing.Policy
+	switch s.Kind {
+	case RouteStatic:
+		// Static means "declared paths, never recomputed" — Run sizes
+		// those in place without a policy; resolving one here would
+		// silently break that contract.
+		return nil, fmt.Errorf("network: RouteStatic does not resolve to a policy")
+	case RouteETX:
+		pol = routing.NewETXPolicy(t)
+	case RouteCongestion:
+		pol = routing.NewCongestionPolicy(t, s.Alpha)
+	case RouteGeo:
+		pol = routing.NewGeoPolicy(t, pos)
+	default:
+		return nil, fmt.Errorf("network: unknown route policy kind %d", int(s.Kind))
 	}
 	if s.K > 0 {
 		pol = routing.Sized(pol, t, s.K, s.Rule)
@@ -276,15 +263,6 @@ func (c *Config) Normalize() {
 	}
 	if c.Duration == 0 {
 		c.Duration = 10 * sim.Second
-	}
-	if c.TCP.MSS == 0 {
-		c.TCP = transport.DefaultTCPConfig()
-	}
-	if c.VoIP.BitsPerSecond == 0 {
-		c.VoIP = transport.DefaultVoIPConfig()
-	}
-	if c.Web.MeanTransferBytes == 0 {
-		c.Web = traffic.DefaultWebConfig()
 	}
 	if c.RippleOpts.MaxAgg == 0 {
 		c.RippleOpts = core.DefaultOptions()

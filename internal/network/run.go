@@ -543,7 +543,7 @@ func (r *run) startFlows() {
 		start := &r.starts[i]
 		switch f.Kind {
 		case FTP, Web:
-			tcpCfg := cfg.TCP
+			tcpCfg := transport.DefaultTCPConfig()
 			if f.TCP != nil {
 				tcpCfg = *f.TCP
 			}
@@ -557,7 +557,7 @@ func (r *run) startFlows() {
 			if f.Kind == FTP {
 				start.source = conn
 			} else {
-				webCfg := cfg.Web
+				webCfg := traffic.DefaultWebConfig()
 				if f.Web != nil {
 					webCfg = *f.Web
 				}
@@ -568,7 +568,7 @@ func (r *run) startFlows() {
 				start.source = web
 			}
 		case VoIPTraffic:
-			voipCfg := cfg.VoIP
+			voipCfg := transport.DefaultVoIPConfig()
 			if f.VoIP != nil {
 				voipCfg = *f.VoIP
 			}

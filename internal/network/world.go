@@ -26,13 +26,11 @@ import (
 // returns, and network.Run only reads it. Per-run mutable derivatives —
 // the RouteBook (routes change each epoch under dynamic policies), the
 // Medium (counters, station PHY state) — are created fresh per run *from*
-// the World. The policy is shared too: every built-in policy is a stateless
-// view of the immutable table (a dynamic one is handed the run's backlog
-// per call), and a custom RoutingSpec.Policy is one instance across all
-// runs of a Config to begin with. Sharing one World across any number of
-// concurrent runs is therefore safe; the shared-world tests in this
-// package hammer one instance from many goroutines under -race to enforce
-// the contract.
+// the World. The policy is shared too: every policy is a stateless view of
+// the immutable table (a dynamic one is handed the run's backlog per
+// call). Sharing one World across any number of concurrent runs is
+// therefore safe; the shared-world tests in this package hammer one
+// instance from many goroutines under -race to enforce the contract.
 //
 // Seed independence is equally load-bearing: nothing in the World depends
 // on Config.Seed, and building it draws no random numbers, so a run on a
@@ -190,7 +188,9 @@ func derive(cfg *Config, ln *lineage, plan *radio.LinkPlan, at sim.Time) (*World
 		if w.masked {
 			w.table = maskLinkTable(clean, w.plan, cfg.Radio, fs, at, down, noise)
 		}
-		if cfg.Routing.needsPolicy() {
+		// RouteStatic with K sizes the declared paths in place, without a
+		// policy.
+		if cfg.Routing.Kind != RouteStatic {
 			pol, err := cfg.Routing.build(w.table, w.plan.Positions())
 			if err != nil {
 				return nil, err
@@ -433,7 +433,7 @@ func (w *World) check(cfg *Config) error {
 	if w.table == nil && cfg.Routing.active() {
 		return fmt.Errorf("network: World built without a link table, config routing is active")
 	}
-	if (w.policy != nil) != cfg.Routing.needsPolicy() {
+	if (w.policy != nil) != (cfg.Routing.Kind != RouteStatic) {
 		return fmt.Errorf("network: World route policy (%v) does not match config routing %s",
 			w.policy != nil, cfg.Routing.Kind)
 	}

@@ -35,6 +35,8 @@ func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) 
 // String formats the time with an adaptive unit, e.g. "34µs" or "1.25s".
 func (t Time) String() string {
 	switch {
+	case t < 0:
+		return "-" + (-t).String()
 	case t >= Second:
 		return fmt.Sprintf("%.6gs", t.Seconds())
 	case t >= Millisecond:

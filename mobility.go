@@ -1,6 +1,7 @@
 package ripple
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -70,7 +71,8 @@ func (m Mobility) WithSeed(seed uint64) Mobility {
 	return m
 }
 
-// WithSpeed returns a copy with the waypoint leg-speed range set, in m/s.
+// WithSpeed returns a copy with the waypoint leg-speed range set, in m/s
+// (0 <= min <= max; a min of 0 selects 5 m/s, a max of 0 selects 15 m/s).
 // Only valid for WaypointMobility.
 func (m Mobility) WithSpeed(min, max float64) Mobility {
 	m.minSpeed, m.maxSpeed = min, max
@@ -130,9 +132,14 @@ func (m Mobility) String() string {
 	return name + "(" + strings.Join(opts, ",") + ")"
 }
 
-// validate rejects an option the selected model would silently ignore.
+// validate rejects an out-of-range option and an option the selected
+// model would silently ignore.
 func (m Mobility) validate() error {
 	switch {
+	case m.minSpeed < 0 || m.maxSpeed < 0 || m.maxSpeed > 0 && m.minSpeed > m.maxSpeed:
+		return fmt.Errorf("ripple: Mobility.WithSpeed wants 0 <= min <= max (got %g, %g)", m.minSpeed, m.maxSpeed)
+	case m.stay < 0 || m.stay >= 1:
+		return fmt.Errorf("ripple: Mobility.WithStay wants a probability with 0 < stay < 1 (got %g)", m.stay)
 	case !m.Active() && m != (Mobility{}):
 		return fmt.Errorf("ripple: Mobility options need a mobility model (WaypointMobility or MarkovMobility)")
 	case (m.minSpeed != 0 || m.maxSpeed != 0 || m.pause != 0) && m.kind != network.MobilityWaypoint:
@@ -140,7 +147,11 @@ func (m Mobility) validate() error {
 	case (m.places != 0 || m.stay != 0) && m.kind != network.MobilityMarkov:
 		return fmt.Errorf("ripple: Mobility.WithPlaces and WithStay only apply to MarkovMobility (got %s)", m.kind)
 	}
-	return nil
+	return errors.Join(
+		nonNegative("Mobility.WithEpoch", m.epoch),
+		nonNegative("Mobility.WithPause", m.pause),
+		nonNegative("Mobility.WithPlaces", m.places),
+	)
 }
 
 // spec resolves the public options into the simulator's mobility spec.

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 
+	"ripple/internal/core"
 	"ripple/internal/network"
 	"ripple/internal/phys"
 	"ripple/internal/routing"
@@ -263,12 +264,20 @@ func kindOf(k Scheme) network.SchemeKind {
 // stations spread wider than a link plan can span, no flows, a flow without
 // a route or with a path that is shorter than two stations, repeats one or
 // leaves the topology, a duplicate Flow.ID or a negative one on Web or VoIP
-// traffic — and any Routing, Mobility or Faults option that the selected
-// policy, model or fault set would silently ignore. Run, RunBatch and
-// Distribute return the same error, before any run starts.
+// traffic — and any Routing, Mobility or Faults option that is out of range
+// or that the selected policy, model or fault set would silently ignore.
+// Run, RunBatch and Distribute return the same error, before any run starts.
 func (s Scenario) Validate() error {
 	_, err := s.toConfig()
 	return err
+}
+
+// nonNegative reports a negative value of the named option.
+func nonNegative[T ~int | ~int64 | ~float64](option string, v T) error {
+	if v < 0 {
+		return fmt.Errorf("ripple: %s must not be negative (got %v)", option, v)
+	}
+	return nil
 }
 
 func (s Scenario) toConfig() (*network.Config, error) {
@@ -286,18 +295,13 @@ func (s Scenario) toConfig() (*network.Config, error) {
 	if s.Mobility.Active() && s.Faults.epoch != 0 {
 		return nil, fmt.Errorf("ripple: Faults.WithEpoch has no effect with a mobility model — fault overlays ride the mobility epochs; set the length with Mobility.WithEpoch")
 	}
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{
-		{"Duration", int64(s.Duration)},
-		{"MaxForwarders", int64(s.MaxForwarders)},
-		{"MaxAggregation", int64(s.MaxAggregation)},
-		{"RTSThreshold", int64(s.RTSThreshold)},
-	} {
-		if f.v < 0 {
-			return nil, fmt.Errorf("ripple: Scenario.%s must not be negative (got %d)", f.name, f.v)
-		}
+	if err := errors.Join(
+		nonNegative("Scenario.Duration", s.Duration),
+		nonNegative("Scenario.MaxForwarders", s.MaxForwarders),
+		nonNegative("Scenario.MaxAggregation", s.MaxAggregation),
+		nonNegative("Scenario.RTSThreshold", s.RTSThreshold),
+	); err != nil {
+		return nil, err
 	}
 	cfg := &network.Config{
 		Radio:         rc,
@@ -313,7 +317,10 @@ func (s Scenario) toConfig() (*network.Config, error) {
 		cfg.Phy = phys.LowRate()
 	}
 	if s.MaxAggregation > 0 {
+		// Normalize keeps RippleOpts whole once MaxAgg is set, so the
+		// other options must start at RIPPLE's defaults.
 		cfg.UnicastMaxAgg = s.MaxAggregation
+		cfg.RippleOpts = core.DefaultOptions()
 		cfg.RippleOpts.MaxAgg = s.MaxAggregation
 	}
 	cfg.MultiRate = s.MultiRate

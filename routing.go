@@ -1,6 +1,7 @@
 package ripple
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -137,9 +138,9 @@ func (r Routing) String() string {
 	return name + "(" + strings.Join(opts, ",") + ")"
 }
 
-// validate rejects an option the selected policy would silently ignore,
-// so a label like "etx(alpha=0.5)" can never claim an inert knob was in
-// force. Scenario.Validate and every run report it.
+// validate rejects a negative option and an option the selected policy
+// would silently ignore, so a label like "etx(alpha=0.5)" can never claim
+// an inert knob was in force. Scenario.Validate and every run report it.
 func (r Routing) validate() error {
 	switch {
 	case r.alpha != 0 && r.kind != network.RouteCongestion:
@@ -149,7 +150,11 @@ func (r Routing) validate() error {
 	case r.rule != routing.SizeSpaced && r.k <= 0:
 		return fmt.Errorf("ripple: Routing.WithPriority only applies together with WithForwarders")
 	}
-	return nil
+	return errors.Join(
+		nonNegative("Routing.WithAlpha", r.alpha),
+		nonNegative("Routing.WithEpoch", r.epoch),
+		nonNegative("Routing.WithForwarders", r.k),
+	)
 }
 
 // spec resolves the public options into the simulator's routing spec.

@@ -90,6 +90,7 @@ func TestScenarioRoutingRuns(t *testing.T) {
 // cmd/ripplesim used to check on its own flags: an option the selected
 // route policy, mobility model or fault set would silently ignore fails
 // the scenario, in any chaining order, and the valid counterpart passes.
+// So does every out-of-range builder value.
 func TestValidateRejectsInertOptions(t *testing.T) {
 	top, path := LineTopology(2)
 	base := Scenario{Topology: top, Scheme: SchemeRIPPLE, Flows: []Flow{{Path: path, Traffic: FTP{}}}}
@@ -130,6 +131,30 @@ func TestValidateRejectsInertOptions(t *testing.T) {
 			s.Mobility = MarkovMobility().WithEpoch(Second)
 			s.Faults = LinkFlaps(1)
 		}, ""},
+		// Out-of-range values, which the simulator would otherwise replace
+		// with a default or use as they are.
+		{"stay above one", func(s *Scenario) { s.Mobility = MarkovMobility().WithStay(1.5) }, "WithStay"},
+		{"stay one", func(s *Scenario) { s.Mobility = MarkovMobility().WithStay(1) }, "WithStay"},
+		{"negative stay", func(s *Scenario) { s.Mobility = MarkovMobility().WithStay(-0.2) }, "WithStay"},
+		{"min speed above max", func(s *Scenario) { s.Mobility = WaypointMobility().WithSpeed(10, 5) }, "WithSpeed"},
+		{"negative min speed", func(s *Scenario) { s.Mobility = WaypointMobility().WithSpeed(-3, 5) }, "WithSpeed"},
+		{"default min speed", func(s *Scenario) { s.Mobility = WaypointMobility().WithSpeed(0, 20) }, ""},
+		{"negative places", func(s *Scenario) { s.Mobility = MarkovMobility().WithPlaces(-4) }, "WithPlaces"},
+		{"negative pause", func(s *Scenario) { s.Mobility = WaypointMobility().WithPause(-Second) }, "WithPause"},
+		{"negative mobility epoch", func(s *Scenario) { s.Mobility = MarkovMobility().WithEpoch(-Second) }, "Mobility.WithEpoch"},
+		{"negative alpha", func(s *Scenario) { s.Routing = CongestionRouting().WithAlpha(-0.5) }, "WithAlpha"},
+		{"negative routing epoch", func(s *Scenario) { s.Routing = CongestionRouting().WithEpoch(-Second) }, "Routing.WithEpoch"},
+		{"negative forwarders", func(s *Scenario) { s.Routing = ETXRouting().WithForwarders(-2) }, "WithForwarders"},
+		{"negative noise penalty", func(s *Scenario) { s.Faults = NoiseBursts(1).WithNoisePenalty(-20, 0) }, "WithNoisePenalty penalty"},
+		{"negative noise radius", func(s *Scenario) { s.Faults = NoiseBursts(1).WithNoisePenalty(0, -250) }, "WithNoisePenalty radius"},
+		{"negative MTBF", func(s *Scenario) { s.Faults = LinkFlaps(1).WithStationMTBF(-Second, 0) }, "MTBF"},
+		{"negative MTTR", func(s *Scenario) { s.Faults = StationChurn(Second, -Second) }, "MTTR"},
+		{"negative threshold", func(s *Scenario) { s.Faults = LinkFlaps(1).WithThreshold(-1) }, "WithThreshold"},
+		{"negative flap up time", func(s *Scenario) { s.Faults = LinkFlaps(1).WithFlapTimes(-Second, 0) }, "WithFlapTimes up"},
+		{"negative flap down time", func(s *Scenario) { s.Faults = LinkFlaps(1).WithFlapTimes(0, -Second) }, "WithFlapTimes down"},
+		{"negative partition start", func(s *Scenario) { s.Faults = LinkFlaps(1).WithPartition(-Second, Second) }, "WithPartition at"},
+		{"negative partition length", func(s *Scenario) { s.Faults = LinkFlaps(1).WithPartition(Second, -Second) }, "WithPartition duration"},
+		{"negative fault epoch", func(s *Scenario) { s.Faults = LinkFlaps(1).WithEpoch(-Second) }, "Faults.WithEpoch"},
 	}
 	for _, c := range cases {
 		sc := base
