@@ -2,7 +2,6 @@ package ripple
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -95,9 +94,7 @@ func TestScenarioDefaultMaxAggregationIsTheDefault(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if out[i], err = json.Marshal(res); err != nil {
-					t.Fatal(err)
-				}
+				out[i] = golden.Marshal(t, res)
 			}
 			if !bytes.Equal(out[0], out[1]) {
 				t.Fatalf("MaxAggregation 16 differs from the default:\n%s", golden.Diff(out[0], out[1]))
