@@ -1,8 +1,10 @@
 package radio
 
 import (
+	"slices"
 	"testing"
 
+	"ripple/internal/phys"
 	"ripple/internal/pkt"
 	"ripple/internal/sim"
 )
@@ -129,5 +131,61 @@ func TestMediumPoolingIsDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("pooled medium runs diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestPrunedShadowCountPinned pins the counters of a pruned run in which
+// addressed receivers — forwarder-list members and unicast receivers — are
+// pruned from the transmitter's row often, so the count of such shadowing
+// losses, which Transmit keeps apart from its row loop, is exercised
+// frame after frame. pruned, the number of (frame, addressed receiver)
+// pairs the power predicate prunes, is asserted above zero, so the pin
+// cannot hold for want of the case it is about.
+func TestPrunedShadowCountPinned(t *testing.T) {
+	cfg := DefaultConfig()
+	pos := randomCity(300, 8000, 8)
+	pl := NewLinkPlan(cfg, pos)
+	eng := sim.NewEngine()
+	m := NewMediumOn(eng, pl, phys.Default(), sim.NewRNG(3, 1))
+	for i := range pos {
+		m.Attach(pkt.NodeID(i), &nullMAC{})
+	}
+	rng := sim.NewRNG(4, 0)
+	keeps := func(a, b pkt.NodeID) bool {
+		return cfg.MeanRxPowerDBm(Dist(pos[a], pos[b])) >= pl.pruneCutoff
+	}
+	pruned := 0
+	for k := range 600 {
+		tx := pkt.NodeID(rng.IntN(len(pos)))
+		rx := pkt.Broadcast
+		if k%2 == 1 {
+			rx = pkt.NodeID(rng.IntN(len(pos)))
+		}
+		// Four distinct forwarders, the transmitter among them at times.
+		var fwd []pkt.NodeID
+		for len(fwd) < 4 {
+			if id := pkt.NodeID(rng.IntN(len(pos))); !slices.Contains(fwd, id) {
+				fwd = append(fwd, id)
+			}
+		}
+		for _, id := range fwd {
+			if id != tx && !keeps(tx, id) {
+				pruned++
+			}
+		}
+		if rx >= 0 && rx != tx && !slices.Contains(fwd, rx) && !keeps(tx, rx) {
+			pruned++
+		}
+		f := dataFrame(tx, rx, 50*sim.Microsecond)
+		f.FwdList = fwd
+		eng.At(sim.Time(k)*sim.Millisecond, func() { m.Transmit(f) })
+	}
+	eng.Run(sim.Second)
+	if pruned == 0 {
+		t.Fatal("no addressed receiver was pruned: the pin checks nothing")
+	}
+	want := Counters{FramesSent: 600, FramesDelivered: 719, FramesShadowed: 2671}
+	if pruned != 1249 || m.Counters != want {
+		t.Fatalf("pruned addressed receivers %d, counters %+v; pinned %d, %+v", pruned, m.Counters, 1249, want)
 	}
 }
