@@ -61,15 +61,17 @@ var builtWorld *World
 // root world and nine epoch worlds, every one of them moved in and
 // fault-masked. What is counted is what the worlds keep (ten link plans, a
 // clean and a masked link table each, routes) and what deriving them drops:
-// a position grid and dirty lists per plan, three per-station arrays and a
-// heap per route. The counts repeat to within a dozen objects and a few
-// kilobytes; each budget is the measured number (1,318 objects, 3.84 MB) ×
-// 1.25. The bytes are the sharper of the two: link plans that stored each
-// link's mean power and delay, and a pruned row's IDs twice, read 9.60 MB
-// (and 1,376 objects); storing its distance and a slot index besides, 14.98
-// MB (and 1,648 objects); with every masked epoch's table probed from
-// nothing and the link arrays regrown in the row pass the same build read
-// 24.72 MB, and a closure per patched table row adds some 3,000 objects.
+// a position grid, dirty lists and a scratch row array per plan, three
+// per-station arrays and a heap per route. The counts repeat to within a
+// dozen objects and a few kilobytes; each budget is the measured number
+// (1,298 objects, 3.22 MB) × 1.25. The bytes are the sharper of the two:
+// link plans that stored an int32 ID per link read 3.84 MB (and 1,278
+// objects); storing each link's mean power and delay besides, and a pruned
+// row's IDs twice, 9.60 MB (and 1,376 objects); storing its distance and a
+// slot index besides, 14.98 MB (and 1,648 objects); with every masked
+// epoch's table probed from nothing and the link arrays regrown in the row
+// pass the same build read 24.72 MB, and a closure per patched table row
+// adds some 3,000 objects.
 func TestBuildWorldAllocationBudget(t *testing.T) {
 	cfg := cityBenchConfig(true, 5*sim.Second)
 	var before, after runtime.MemStats
@@ -88,7 +90,7 @@ func TestBuildWorldAllocationBudget(t *testing.T) {
 		}
 	}
 	objects, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-	const objectBudget, byteBudget = 1_648, 4_805_000
+	const objectBudget, byteBudget = 1_623, 4_024_000
 	if objects > objectBudget || bytes > byteBudget {
 		t.Errorf("BuildWorld allocated %d objects (budget %d), %d bytes (budget %d)", objects, objectBudget, bytes, byteBudget)
 	} else {

@@ -297,13 +297,13 @@ func patchLinkTable(prevPlan *radio.LinkPlan, prevClean *routing.Table, plan *ra
 	}
 	return routing.RebuildSparseTableSym(prevClean, moved, unchanged,
 		func(a pkt.NodeID, yield func(int32, float64)) {
-			for _, j := range plan.AscNeighbors(int(a)) {
+			plan.EachAscNeighborID(int(a), func(j int32) {
 				d := 0.0
 				if moved[a] || moved[j] {
 					d = radio.Dist(newPos[a], newPos[j])
 				}
 				yield(j, d)
-			}
+			})
 		}, prob, minLinkProb)
 }
 
@@ -376,7 +376,7 @@ func exemptEndpoints(cfg *Config) []bool {
 // planPairs is the plan's neighbor pairs (a, b), a < b — one of the two
 // directed links the plan stores per pair — as the candidate set for link
 // flaps, without listing them: pair i is in row a, where first[a] ≤ i <
-// first[a+1], at offset i − first[a] past the row's neighbors up to a. The
+// first[a+1], the (i − first[a])-th of the row's neighbors above a. The
 // pairs are in row order, each row ascending.
 type planPairs struct {
 	plan  *radio.LinkPlan
@@ -386,16 +386,15 @@ type planPairs struct {
 func newPlanPairs(plan *radio.LinkPlan) planPairs {
 	p := planPairs{plan: plan, first: make([]int, plan.Stations()+1)}
 	for a := range plan.Stations() {
-		row := plan.AscNeighbors(a)
-		p.first[a+1] = p.first[a] + len(row) - above(row, a)
+		above := 0
+		plan.EachAscNeighborID(a, func(j int32) {
+			if int(j) > a {
+				above++
+			}
+		})
+		p.first[a+1] = p.first[a] + above
 	}
 	return p
-}
-
-// above is the index of row's first neighbor above a.
-func above(row []int32, a int) int {
-	k, _ := slices.BinarySearch(row, int32(a)+1)
-	return k
 }
 
 func (p planPairs) Len() int { return p.first[len(p.first)-1] }
@@ -403,8 +402,16 @@ func (p planPairs) Len() int { return p.first[len(p.first)-1] }
 func (p planPairs) Pair(i int) [2]pkt.NodeID {
 	k, _ := slices.BinarySearch(p.first, i+1)
 	a := k - 1
-	row := p.plan.AscNeighbors(a)
-	return [2]pkt.NodeID{pkt.NodeID(a), pkt.NodeID(row[above(row, a)+i-p.first[a]])}
+	skip, b := i-p.first[a], int32(0)
+	p.plan.EachAscNeighborID(a, func(j int32) {
+		if int(j) > a {
+			if skip == 0 {
+				b = j
+			}
+			skip--
+		}
+	})
+	return [2]pkt.NodeID{pkt.NodeID(a), pkt.NodeID(b)}
 }
 
 // epochLenFor resolves the epoch length of a time-varying config: an

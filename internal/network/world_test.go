@@ -205,11 +205,11 @@ func TestBuildWorldReportsRouteErrors(t *testing.T) {
 func listPairs(plan *radio.LinkPlan) [][2]pkt.NodeID {
 	var out [][2]pkt.NodeID
 	for a := 0; a < plan.Stations(); a++ {
-		for _, j := range plan.AscNeighbors(a) {
+		plan.EachAscNeighborID(a, func(j int32) {
 			if int(j) > a {
 				out = append(out, [2]pkt.NodeID{pkt.NodeID(a), pkt.NodeID(j)})
 			}
-		}
+		})
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,27 +76,30 @@ func TestPlanAttributesArePositionFunctions(t *testing.T) {
 	}
 }
 
-// linkBytes sums element size × capacity over the plan's per-link arrays:
-// every slice field as long as the plan has links, whatever its name, so a
-// per-link array added back to LinkPlan is counted too.
+// linkBytes sums element size × capacity over the plan's link-sized
+// arrays: every slice field longer than the plan's per-station arrays,
+// whatever its name and element type, so an array of bytes is counted as
+// surely as one of IDs, and a per-link array added back to LinkPlan is
+// counted too.
 func linkBytes(pl *LinkPlan) int {
 	v := reflect.ValueOf(pl).Elem()
 	total := 0
 	for i := 0; i < v.NumField(); i++ {
-		if f := v.Field(i); f.Kind() == reflect.Slice && f.Len() == pl.Links() {
+		if f := v.Field(i); f.Kind() == reflect.Slice && f.Len() > pl.Stations()+1 {
 			total += f.Cap() * int(f.Type().Elem().Size())
 		}
 	}
 	return total
 }
 
-// TestLinkPlanBytesPerLink holds the plan to who hears whom: an int32
-// neighbour ID per link — 4 bytes per stored link pruned, built or patched,
-// and dense. A pruned plan's array is sized by its in-radius candidates, of
-// which the power predicate turns a few away, so it may hold up to 1 % more
-// than its links (TestRebuildSizesItsArraysOnce holds that slack). A mean
-// power, a delay or a second ID array back in LinkPlan reads 8 or more and
-// fails: what a transmitter reads per frame is derived by the Medium.
+// TestLinkPlanBytesPerLink holds the plan to who hears whom, at the bytes
+// per stored link the cases measure, rounded up to the third decimal (the
+// pruned city reads 1.00005, the others 1.00000): a row stores the gaps between its
+// ascending neighbour IDs, nearly all of which fit one byte, pruned, built
+// or patched, and dense. A random layout's rows are dense in ID order, a
+// dense plan's gaps are 1. An int32 ID per link reads 4, and a mean power,
+// a delay or a second ID array back in LinkPlan 5 or more: what a
+// transmitter reads per frame is derived by the Medium.
 func TestLinkPlanBytesPerLink(t *testing.T) {
 	dense := DefaultConfig()
 	dense.PruneSigma = 0
@@ -104,21 +108,62 @@ func TestLinkPlanBytesPerLink(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		pl    *LinkPlan
-		limit int
+		limit float64
 	}{
-		{"pruned city", NewLinkPlan(DefaultConfig(), randomCity(2000, 20000, 5)), 4},
-		{"pruned mobile city", built, 4},
-		{"patched epoch", built.Rebuild(step(0, 0.05)), 4},
-		{"dense", NewLinkPlan(dense, randomCity(60, 600, 3)), 4},
+		{"pruned city", NewLinkPlan(DefaultConfig(), randomCity(2000, 20000, 5)), 1.001},
+		{"pruned mobile city", built, 1.001},
+		{"patched epoch", built.Rebuild(step(0, 0.05)), 1.001},
+		{"dense", NewLinkPlan(dense, randomCity(60, 600, 3)), 1.001},
 	} {
 		links := c.pl.Links()
 		if links <= c.pl.Stations()+1 {
 			t.Fatalf("%s: %d links for %d stations: too few to tell link arrays from station arrays", c.name, links, c.pl.Stations())
 		}
-		if per := float64(linkBytes(c.pl)) / float64(links); per > 1.01*float64(c.limit) {
-			t.Errorf("%s: %.2f bytes per stored link, over %d", c.name, per, c.limit)
+		if per := float64(linkBytes(c.pl)) / float64(links); per > c.limit {
+			t.Errorf("%s: %.5f bytes per stored link, over %.3f", c.name, per, c.limit)
 		} else {
-			t.Logf("%s: %d links, %.2f bytes each", c.name, links, per)
+			t.Logf("%s: %d links, %.5f bytes each", c.name, links, per)
+		}
+	}
+}
+
+// TestRowCodecGapBoundaries: a row encodes and decodes its IDs exactly
+// across the gaps where a uvarint grows a byte — 127 and 128, 16383 and
+// 16384, 2²¹ — from a first ID of 0 up to the largest int32 ID, each gap
+// costing the bytes its size says, within the bound the plan builders size
+// their arrays by. Plans of a few dozen stations only ever have one-byte
+// gaps.
+func TestRowCodecGapBoundaries(t *testing.T) {
+	for _, c := range []struct {
+		gaps  []int32
+		bytes int
+	}{
+		{[]int32{0}, 1},
+		{[]int32{0, 127, 128}, 1 + 1 + 2},
+		{[]int32{127, 16383, 16384}, 1 + 2 + 3},
+		{[]int32{128, 1<<21 - 1, 1 << 21}, 2 + 3 + 4},
+		{[]int32{1<<28 - 1, 1 << 28}, 4 + 5},
+		{[]int32{math.MaxInt32}, 5},
+		{[]int32{0, 1, math.MaxInt32 - 1}, 1 + 1 + 5},
+	} {
+		var ids []int32
+		id := int32(0)
+		for _, g := range c.gaps {
+			id += g
+			ids = append(ids, id)
+		}
+		pl := &LinkPlan{off: []int64{0, 0}}
+		pl.appendIDs(ids)
+		pl.off[1] = int64(len(pl.rows))
+		if len(pl.rows) != c.bytes || pl.Links() != len(ids) {
+			t.Errorf("gaps %v: %d bytes for %d links, want %d for %d", c.gaps, len(pl.rows), pl.Links(), c.bytes, len(ids))
+		}
+		if got := ascNeighbors(pl, 0); !slices.Equal(got, ids) {
+			t.Errorf("gaps %v: encoded %v, decoded %v", c.gaps, ids, got)
+		}
+		if n := int(id) + 1; rowBytes(len(ids), n) < len(pl.rows) {
+			t.Errorf("gaps %v: %d bytes, over the %d rowBytes bounds a row of %d IDs below %d by",
+				c.gaps, len(pl.rows), rowBytes(len(ids), n), len(ids), n)
 		}
 	}
 }

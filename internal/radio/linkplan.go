@@ -13,16 +13,22 @@ import (
 // seeds it is the dominant per-run setup cost, so NewMediumOn accepts a
 // prebuilt plan and shares it by reference across runs.
 //
-// Storage is CSR-style sparse: one flat array of neighbour IDs, with
-// station i's neighbours in ascending order at ids[off[i]:off[i+1]] — four
-// bytes per directed link, whatever the pruning. Everything else about a
-// link is recomputed from the positions when it is asked for: its distance,
-// its mean power and its propagation delay are functions of the two
-// positions alone, so the recomputed values are the ones a stored copy
-// would hold, bit for bit. What a transmitter reads per frame — its row
-// with the mean power and delay of every link, in shadowing-draw order, and
-// the order its receptions fire in — is a view of the plan a Medium derives
-// for the stations that transmit (appendRow) and keeps in its row cache.
+// Storage is CSR-style sparse and delta-encoded: station i's neighbours,
+// in ascending ID order, are rows[off[i]:off[i+1]], each stored as the
+// uvarint of its gap from the one before it (the first's gap is from 0).
+// Neighbours lie close together in ID order — a random layout's rows are
+// dense in it, a grid city's are a few runs of adjacent IDs — so nearly
+// every gap fits one byte: about one byte per directed link, pruned or
+// dense, built or patched. The format is private to this package; other
+// packages read a row through EachAscNeighbor or EachAscNeighborID, never
+// as a slice. Everything else about a link is recomputed from the positions
+// when it is asked for: its distance, its mean power and its propagation
+// delay are functions of the two positions alone, so the recomputed values
+// are the ones a stored copy would hold, bit for bit. What a transmitter
+// reads per frame — its row with the mean power and delay of every link, in
+// shadowing-draw order, and the order its receptions fire in — is a view of
+// the plan a Medium derives for the stations that transmit (appendRow) and
+// keeps in its row cache.
 // With Config.PruneSigma == 0 every ordered pair is kept (the "dense" plan:
 // O(N²) memory, rows drawn in ID order, preserving the unpruned RNG stream
 // bit for bit). With PruneSigma > 0 a uniform spatial grid (posGrid)
@@ -45,10 +51,11 @@ type LinkPlan struct {
 	// built: the name a Medium's row cache files the plan's rows under.
 	serial uint64
 
-	// CSR link storage: station i's neighbours are ids[off[i]:off[i+1]],
-	// in ascending ID order.
-	off []int64
-	ids []int32
+	// CSR link storage: station i's neighbours, ascending, are encoded in
+	// rows[off[i]:off[i+1]] (rows.go); links counts them all.
+	off   []int64
+	rows  []byte
+	links int
 
 	// pruned reports whether neighbor pruning is active; pruneCutoff is
 	// the mean-power floor (dBm) below which a pair is pruned, so
@@ -118,15 +125,18 @@ func mustHold(positions []Pos) {
 func (pl *LinkPlan) buildFull() {
 	n := pl.n
 	pl.off = make([]int64, n+1)
-	pl.ids = make([]int32, 0, n*(n-1))
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
+	bound := make([]int32, n)
+	for i := range bound {
+		bound[i] = int32(n - 1)
+	}
+	pl.buildRows(bound, func(i int, ids []int32) {
+		for j := range n {
 			if j != i {
-				pl.ids = append(pl.ids, int32(j))
+				ids = append(ids, int32(j))
 			}
 		}
-		pl.off[i+1] = int64(len(pl.ids))
-	}
+		pl.appendIDs(ids)
+	})
 }
 
 // pruneRadius is the side of a pruned plan's candidate grid: every kept
@@ -168,7 +178,7 @@ func (pl *LinkPlan) buildPruned() {
 	}
 
 	// Pass 2: keep the candidates that clear the cutoff, each row ascending.
-	pl.buildRows(bound, func(i int) { pl.appendScratchRow(i, grid, rsq) })
+	pl.buildRows(bound, func(i int, ids []int32) { pl.appendScratchRow(i, grid, rsq, ids) })
 }
 
 // keeps reports whether the power predicate keeps the a→b link.
@@ -176,17 +186,16 @@ func (pl *LinkPlan) keeps(a int, b int32) bool {
 	return pl.cfg.MeanRxPowerDBm(Dist(pl.positions[a], pl.positions[b])) >= pl.pruneCutoff
 }
 
-// appendScratchRow computes station i's row from scratch via the grid and
-// appends it in ascending order, with its off entry.
-func (pl *LinkPlan) appendScratchRow(i int, grid *posGrid, rsq float64) {
-	rowStart := len(pl.ids)
+// appendScratchRow computes station i's row from scratch via the grid,
+// into ids, and appends it in ascending order.
+func (pl *LinkPlan) appendScratchRow(i int, grid *posGrid, rsq float64, ids []int32) {
 	grid.eachCandidate(i, pl.positions, rsq, func(j int32) {
 		if pl.keeps(i, j) {
-			pl.ids = append(pl.ids, j)
+			ids = append(ids, j)
 		}
 	})
-	slices.Sort(pl.ids[rowStart:])
-	pl.off[i+1] = int64(len(pl.ids))
+	slices.Sort(ids)
+	pl.appendIDs(ids)
 }
 
 // link is one link of a transmitter's row: the receiver, the mean received
@@ -226,8 +235,9 @@ func byDelay(a, b link) int { return cmp.Compare(a.pd, b.pd) }
 // for bit, so a row draws each shadowing sample with the same mean in the
 // same place whichever plan, of two over the same positions, it comes from.
 func (pl *LinkPlan) appendRow(links []link, ord []int32, i int) ([]link, []int32) {
-	lo, pi := len(links), pl.positions[i]
-	for _, j := range pl.AscNeighbors(i) {
+	lo, pi, ids := len(links), pl.positions[i], pl.row(i)
+	for k, j := 0, int32(0); k < len(ids); {
+		k, j = nextID(ids, k, j)
 		d := Dist(pi, pl.positions[j])
 		links = append(links, link{id: j, pd: int32(propDelay(d)), dbm: pl.cfg.MeanRxPowerDBm(d)})
 	}
@@ -246,19 +256,6 @@ func (pl *LinkPlan) appendRow(links []link, ord []int32, i int) ([]link, []int32
 	return links, ord
 }
 
-// has reports whether the plan stores the a→b link: b is not a and, in a
-// pruned plan, cleared the pruning cutoff.
-func (pl *LinkPlan) has(a, b int) bool {
-	if a == b {
-		return false
-	}
-	if !pl.pruned {
-		return true
-	}
-	_, ok := slices.BinarySearch(pl.AscNeighbors(a), int32(b))
-	return ok
-}
-
 // Stations returns the number of stations the plan covers.
 func (pl *LinkPlan) Stations() int { return pl.n }
 
@@ -268,23 +265,26 @@ func (pl *LinkPlan) Pruned() bool { return pl.pruned }
 
 // Links returns the number of directed links the plan stores — n·(n−1)
 // unpruned, the in-range link count with pruning on.
-func (pl *LinkPlan) Links() int { return len(pl.ids) }
-
-// AscNeighbors returns station i's neighbor IDs in ascending order. The
-// returned slice aliases the plan and must not be modified. The routing
-// layer iterates it to build its sparse link table over exactly the pairs
-// the plan kept.
-func (pl *LinkPlan) AscNeighbors(i int) []int32 {
-	return pl.ids[pl.off[i]:pl.off[i+1]]
-}
+func (pl *LinkPlan) Links() int { return pl.links }
 
 // EachAscNeighbor calls yield for every stored neighbor of station i in
-// ascending ID order, with the link distance: AscNeighbors for callers that
-// need the distance of every link.
+// ascending ID order, with the link distance. The routing layer iterates it
+// to build its sparse link table over exactly the pairs the plan kept.
 func (pl *LinkPlan) EachAscNeighbor(i int, yield func(id int32, dist float64)) {
-	pi := pl.positions[i]
-	for _, j := range pl.AscNeighbors(i) {
+	pi, row := pl.positions[i], pl.row(i)
+	for k, j := 0, int32(0); k < len(row); {
+		k, j = nextID(row, k, j)
 		yield(j, Dist(pi, pl.positions[j]))
+	}
+}
+
+// EachAscNeighborID calls yield for every stored neighbor of station i in
+// ascending ID order: EachAscNeighbor for callers that need no distance.
+func (pl *LinkPlan) EachAscNeighborID(i int, yield func(id int32)) {
+	row := pl.row(i)
+	for k, j := 0, int32(0); k < len(row); {
+		k, j = nextID(row, k, j)
+		yield(j)
 	}
 }
 

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -79,6 +80,20 @@ func TestSharedPlanRunIsRNGBitIdentical(t *testing.T) {
 	}
 }
 
+// ascNeighbors is station i's decoded row: its neighbour IDs, ascending.
+func ascNeighbors(pl *LinkPlan, i int) []int32 {
+	var ids []int32
+	pl.EachAscNeighborID(i, func(j int32) { ids = append(ids, j) })
+	return ids
+}
+
+// has reports whether the plan stores the a→b link: b is not a and, in a
+// pruned plan, cleared the pruning cutoff.
+func (pl *LinkPlan) has(a, b int) bool {
+	_, ok := slices.BinarySearch(ascNeighbors(pl, a), int32(b))
+	return ok
+}
+
 // randomCity spreads n stations uniformly over a side×side square with a
 // deterministic RNG (layout is a pure function of the arguments).
 func randomCity(n int, side float64, seed uint64) []Pos {
@@ -143,9 +158,9 @@ func TestPrunedPlanMatchesBruteForce(t *testing.T) {
 						sigma, a, k, row[k].id, row[k].dbm, want[k].id, want[k].dbm)
 				}
 			}
-			asc := plan.AscNeighbors(a)
+			asc := ascNeighbors(plan, a)
 			if len(asc) != len(want) || !sort.SliceIsSorted(asc, func(i, j int) bool { return asc[i] < asc[j] }) {
-				t.Fatalf("sigma %v: AscNeighbors(%d) not the sorted kept set: %v", sigma, a, asc)
+				t.Fatalf("sigma %v: EachAscNeighborID(%d) not the sorted kept set: %v", sigma, a, asc)
 			}
 			for b := 0; b < n; b++ {
 				if plan.MeanDBm(a, b) != dense.MeanDBm(a, b) {

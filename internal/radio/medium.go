@@ -188,9 +188,14 @@ type station struct {
 	txing   bool // transmitting right now
 	current []*reception
 	// addressedBy is the serial of the last transmission that named this
-	// station as a forwarder or as its unicast receiver (see Transmit).
+	// station as a forwarder or as its unicast receiver, with metStamp set
+	// once that transmission's row met the station (see Transmit).
 	addressedBy uint64
 }
+
+// metStamp marks a station's addressedBy stamp as met by the transmitter's
+// row. Serials never reach it, so a met stamp equals no serial.
+const metStamp = 1 << 63
 
 func (s *station) busyRefs() int {
 	n := s.sensed
@@ -255,7 +260,9 @@ type Medium struct {
 
 	// txSerial numbers transmissions; Transmit stamps it on the stations
 	// the frame addresses, so the receiver loop tests "addressed?" with one
-	// compare instead of scanning the forwarder list.
+	// compare instead of scanning the forwarder list, and the pruned-
+	// shadowing count tests "not met by the row?" with one more instead of
+	// searching the row.
 	txSerial uint64
 
 	// Fault-injection state, all inert by default: down stations receive
@@ -567,9 +574,11 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 		rxThresh += phys.ThresholdDeltaDB(f.RateBps, m.phy.DataBps)
 	}
 	// Stamp the addressed receivers — forwarder-list members and the
-	// unicast receiver — for the shadowing-loss accounting below.
+	// unicast receiver — for the shadowing-loss accounting below; the row
+	// loop restamps each one it meets as met.
 	m.txSerial++
 	serial := m.txSerial
+	met := serial | metStamp
 	for _, id := range f.FwdList {
 		m.stations[id].addressedBy = serial
 	}
@@ -592,6 +601,10 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 		if dst.mac == nil {
 			continue
 		}
+		addressed := dst.addressedBy == serial
+		if addressed {
+			dst.addressedBy = met
+		}
 		if len(m.down) != 0 && m.down[j] {
 			continue // crashed receiver: off the air entirely
 		}
@@ -608,13 +621,13 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 		if power < m.cfg.CSThreshDBm {
 			// Too weak even to sense: invisible at this receiver. If the
 			// receiver was in the forwarder list, record the shadowing loss.
-			if dst.addressedBy == serial {
+			if addressed {
 				m.Counters.FramesShadowed++
 			}
 			continue
 		}
 		decodable := power >= rxThresh
-		if !decodable && dst.addressedBy == serial {
+		if !decodable && addressed {
 			m.Counters.FramesShadowed++
 		}
 		rx = append(rx, reception{dst: dst, powerDBm: power, delay: sim.Time(l.pd),
@@ -627,18 +640,19 @@ func (m *Medium) Transmit(f *pkt.Frame) sim.Time {
 	f.BeginAir(len(rx) + 1)
 	t.rx = rx
 	m.schedule(t, f, now, end, order)
-	if plan := m.plan; plan.pruned {
+	if m.plan.pruned {
 		// Pruned stations never drew a shadowing sample, but an addressed
 		// receiver that was pruned is still a shadowing loss — keep the
 		// counter semantics of the unpruned medium. A pair is pruned
-		// exactly when it is absent from the plan.
+		// exactly when it is absent from the plan, so exactly when the row
+		// loop did not meet its receiver: its stamp is still serial.
 		for _, id := range f.FwdList {
-			if id != f.Tx && !plan.has(int(f.Tx), int(id)) && m.stations[id].mac != nil {
+			if id != f.Tx && m.stations[id].addressedBy == serial && m.stations[id].mac != nil {
 				m.Counters.FramesShadowed++
 			}
 		}
 		if rx := f.Rx; rx >= 0 && rx != f.Tx && f.RankOf(rx) < 0 &&
-			!plan.has(int(f.Tx), int(rx)) && m.stations[rx].mac != nil {
+			m.stations[rx].addressedBy == serial && m.stations[rx].mac != nil {
 			m.Counters.FramesShadowed++
 		}
 	}

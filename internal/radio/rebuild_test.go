@@ -8,9 +8,10 @@ import (
 	"ripple/internal/sim"
 )
 
-// plansEqual diffs every CSR array of two plans and every station's
-// derived transmit row — IDs, mean powers, delays and delay order; any
-// mismatch fails the test.
+// plansEqual diffs two plans: their link counts, every station's decoded
+// row, the encoded rows byte for byte and every station's derived transmit
+// row — IDs, mean powers, delays and delay order; any mismatch fails the
+// test. Each plan's link count is its decoded rows' as well.
 func plansEqual(t *testing.T, want, got *LinkPlan) {
 	t.Helper()
 	if want.n != got.n || want.pruned != got.pruned || want.pruneCutoff != got.pruneCutoff {
@@ -20,11 +21,22 @@ func plansEqual(t *testing.T, want, got *LinkPlan) {
 	if !slices.Equal(want.positions, got.positions) {
 		t.Fatal("positions differ")
 	}
-	if !slices.Equal(want.off, got.off) {
-		t.Fatal("row offsets differ")
+	if want.Links() != got.Links() {
+		t.Fatalf("link counts differ: %d, %d", want.Links(), got.Links())
 	}
-	if !slices.Equal(want.ids, got.ids) {
-		t.Fatal("neighbor IDs differ")
+	decoded := 0
+	for i := 0; i < want.n; i++ {
+		wids, gids := ascNeighbors(want, i), ascNeighbors(got, i)
+		if !slices.Equal(wids, gids) {
+			t.Fatalf("station %d's neighbours differ: %v, %v", i, wids, gids)
+		}
+		decoded += len(gids)
+	}
+	if decoded != got.Links() {
+		t.Fatalf("%d links decoded, Links() says %d", decoded, got.Links())
+	}
+	if !slices.Equal(want.off, got.off) || !slices.Equal(want.rows, got.rows) {
+		t.Fatal("encoded rows differ")
 	}
 	for i := 0; i < want.n; i++ {
 		wrow, word := transmitRow(want, i)
@@ -151,12 +163,11 @@ func TestSetPlanSwapsPositions(t *testing.T) {
 // one place adds links by the tens of thousands, and the row pass must not
 // pay for them by reallocating: Rebuild sizes its link array once, from
 // what its dirty pass counted, so however many links a step adds it makes
-// the same few dozen allocations and the array it leaves is as long as its
-// contents, give or take the boundary candidates the power predicate turned
-// away. NewLinkPlan over the same positions sizes its array once as well,
-// from its candidate count, and is held to the same bound: a row bound that
-// undercounted would make an append reallocate, and one that overcounted
-// would leave the array far longer than its links.
+// the same few dozen allocations, and the array it keeps is exactly as long
+// as its contents. NewLinkPlan over the same positions sizes its array once
+// as well, from its candidate count, and is held to the same: a row bound
+// that undercounted would make an append reallocate, and an array kept as
+// it was sized would be longer than its rows.
 func TestRebuildSizesItsArraysOnce(t *testing.T) {
 	cfg, initial, _ := mobileCity(800, 4000, 21)
 	pl := NewLinkPlan(cfg, initial)
@@ -179,8 +190,8 @@ func TestRebuildSizesItsArraysOnce(t *testing.T) {
 			name string
 			pl   *LinkPlan
 		}{{"Rebuild", np}, {"NewLinkPlan", NewLinkPlan(cfg, pos)}} {
-			if c := cap(p.pl.ids); c < p.pl.Links() || c > p.pl.Links()+p.pl.Links()/100 {
-				t.Errorf("%d movers: %s left an array of capacity %d for %d links", movers, p.name, c, p.pl.Links())
+			if c := cap(p.pl.rows); c != len(p.pl.rows) {
+				t.Errorf("%d movers: %s left an array of capacity %d for %d bytes of rows", movers, p.name, c, len(p.pl.rows))
 			}
 		}
 		if movers == 190 && added < pl.Links()/4 {

@@ -63,6 +63,13 @@
 # use, say — would need a lock or an atomic. What a run derives from a plan
 # is the run's own, in its Medium's row cache.
 #
+# or if a non-test .go file outside internal/radio and bench/ reads a link
+# plan's row as a slice — calls AscNeighbors(, the accessor that handed out
+# a row aliasing the plan. A plan stores its rows as delta-encoded bytes
+# (internal/radio/rows.go), and other packages read a row through
+# LinkPlan.EachAscNeighbor or EachAscNeighborID, so the row format is known
+# to one package and can change without touching another.
+#
 # Usage: sh scripts/check_substrate.sh   (from the repo root)
 set -eu
 
@@ -123,6 +130,12 @@ if grep -nHE '"sync"|sync\.[A-Z]' $radio; then
 fi
 if grep -nH 'atomic\.' $radio | grep -v '^internal/radio/rows.go:[0-9]*:var serials atomic\.Uint64$'; then
     echo "check_substrate: sync/atomic in internal/radio beyond the plans' serial counter" >&2
+    fail=1
+fi
+planrow=$(find . -name '*.go' ! -name '*_test.go' \
+    ! -path './internal/radio/*' ! -path './bench/*' ! -path './.bench_build/*')
+if grep -n 'AscNeighbors(' $planrow; then
+    echo "check_substrate: a link plan row read as a slice outside internal/radio — use LinkPlan.EachAscNeighbor or EachAscNeighborID" >&2
     fail=1
 fi
 exit $fail
