@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ripple/internal/radio"
@@ -70,5 +71,44 @@ func TestLinkPlanRowsPinned(t *testing.T) {
 		if got := rowsDigest(pl); pl.Links() != want[k].links || got != want[k].digest {
 			t.Errorf("plan %d: %d links, rows %s; pinned %d, %s", k, pl.Links(), got, want[k].links, want[k].digest)
 		}
+	}
+}
+
+// TestCityLinkPlanBytesPerLink holds the benchmark's 2000-station city to
+// the bytes per stored link its ten link plans measure together over five
+// seconds (1.0064), rounded up to the third decimal. It is the layout the
+// benchmark runs: its stations are numbered along the rows of a grid, so
+// most rows' first ID lies 128 or more above 0 and costs a two-byte gap,
+// where random layouts read 1.000 (internal/radio's
+// TestLinkPlanBytesPerLink). Bytes are counted as that test counts them:
+// element size × capacity of every slice field longer than the plan's
+// per-station arrays, whatever its name and element type.
+func TestCityLinkPlanBytesPerLink(t *testing.T) {
+	w, err := BuildWorld(cityBenchConfig(false, 5*sim.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := []*radio.LinkPlan{w.plan}
+	for _, ew := range w.epochs {
+		plans = append(plans, ew.plan)
+	}
+	if len(plans) != 10 {
+		t.Fatalf("%d plans, want the root and nine epochs", len(plans))
+	}
+	bytes, links := 0, 0
+	for _, pl := range plans {
+		v := reflect.ValueOf(pl).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Slice && f.Len() > pl.Stations()+1 {
+				bytes += f.Cap() * int(f.Type().Elem().Size())
+			}
+		}
+		links += pl.Links()
+	}
+	const limit = 1.007
+	if per := float64(bytes) / float64(links); per > limit {
+		t.Errorf("%d links in ten plans: %.5f bytes per stored link, over %.3f", links, per, limit)
+	} else {
+		t.Logf("%d links in ten plans, %.5f bytes each", links, per)
 	}
 }

@@ -165,31 +165,37 @@ func TestSetPlanSwapsPositions(t *testing.T) {
 // what its dirty pass counted, so however many links a step adds it makes
 // the same few dozen allocations, and the array it keeps is exactly as long
 // as its contents. NewLinkPlan over the same positions sizes its array once
-// as well, from its candidate count, and is held to the same: a row bound
-// that undercounted would make an append reallocate, and an array kept as
-// it was sized would be longer than its rows.
+// as well, from its candidate count, and makes the same allocations at
+// every density. Both are held to their row bounds outright: buildRows
+// panics on a row longer than its bound, so a dirty pass or candidate count
+// that undercounted a single row fails here (rowBytes, which turns the
+// bounds into bytes, is held by TestRowCodecGapBoundaries).
 func TestRebuildSizesItsArraysOnce(t *testing.T) {
 	cfg, initial, _ := mobileCity(800, 4000, 21)
 	pl := NewLinkPlan(cfg, initial)
-	var base float64
+	var base, built float64
 	for _, movers := range []int{10, 40, 100, 190} {
 		pos := append([]Pos(nil), initial...)
 		for i := 0; i < movers; i++ {
 			pos[i*4] = Pos{X: 2000 + float64(i%10), Y: 2000 + float64(i/10)}
 		}
-		var np *LinkPlan
+		var np, fresh *LinkPlan
 		allocs := testing.AllocsPerRun(3, func() { np = pl.Rebuild(pos) })
+		freshAllocs := testing.AllocsPerRun(3, func() { fresh = NewLinkPlan(cfg, pos) })
 		if base == 0 {
-			base = allocs
+			base, built = allocs, freshAllocs
 		}
 		added := np.Links() - pl.Links()
 		if allocs > base+2 {
 			t.Errorf("%d movers, %d links added: %.0f allocations, %.0f with 10 movers", movers, added, allocs, base)
 		}
+		if freshAllocs != built {
+			t.Errorf("%d movers: NewLinkPlan made %.0f allocations, %.0f with 10 movers", movers, freshAllocs, built)
+		}
 		for _, p := range []struct {
 			name string
 			pl   *LinkPlan
-		}{{"Rebuild", np}, {"NewLinkPlan", NewLinkPlan(cfg, pos)}} {
+		}{{"Rebuild", np}, {"NewLinkPlan", fresh}} {
 			if c := cap(p.pl.rows); c != len(p.pl.rows) {
 				t.Errorf("%d movers: %s left an array of capacity %d for %d bytes of rows", movers, p.name, c, len(p.pl.rows))
 			}

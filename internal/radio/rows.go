@@ -2,6 +2,7 @@ package radio
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sync/atomic"
 )
 
@@ -22,7 +23,8 @@ var serials atomic.Uint64
 // links, and ids is an empty scratch list with room for bound[i] IDs. The
 // bounds size the rows once (rowBytes), so no row's append reallocates
 // them; the rows kept are then copied into an array exactly as long as
-// they are.
+// they are. A row longer than its bound is a builder's miscount, and
+// panics.
 func (pl *LinkPlan) buildRows(bound []int32, row func(i int, ids []int32)) {
 	total, most := 0, int32(0)
 	for _, b := range bound {
@@ -31,8 +33,12 @@ func (pl *LinkPlan) buildRows(bound []int32, row func(i int, ids []int32)) {
 	}
 	pl.rows = make([]byte, 0, total)
 	ids := make([]int32, 0, most)
-	for i := range bound {
+	for i, b := range bound {
+		links := pl.links
 		row(i, ids[:0])
+		if k := pl.links - links; k > int(b) {
+			panic(fmt.Sprintf("radio: link plan row %d holds %d links, over its bound of %d", i, k, b))
+		}
 		pl.off[i+1] = int64(len(pl.rows))
 	}
 	pl.rows = append(make([]byte, 0, len(pl.rows)), pl.rows...)
