@@ -106,6 +106,9 @@ func run() int {
 	case dur <= 0:
 		fmt.Fprintf(os.Stderr, "-dur %g: need a positive number of simulated seconds\n", *durSec)
 		return 2
+	case !(*prune >= 0) && *prune != -1:
+		fmt.Fprintf(os.Stderr, "-prunesigma %g: need 0 or more sigmas, or -1 for each experiment's default\n", *prune)
+		return 2
 	}
 
 	isWorker := *workerMode || *connect != ""
@@ -159,7 +162,7 @@ func run() int {
 	if *quick {
 		opt = experiments.Quick()
 	}
-	if *prune >= 0 {
+	if *prune != -1 {
 		opt.PruneSigma = prune
 	}
 	if *parallel > 0 {

@@ -113,6 +113,7 @@ func TestBadRunLengthsAreUsageErrors(t *testing.T) {
 		{"-dur 0", "-dur 0: need a positive number of simulated seconds"},
 		{"-dur -1", "-dur -1: need a positive number of simulated seconds"},
 		{"-dur 1e-12", "-dur 1e-12: need a positive number of simulated seconds"},
+		{"-prunesigma -2", "-prunesigma -2: need 0 or more sigmas, or -1 for each experiment's default"},
 		{"-quick -seeds 3", "-quick and -seeds are mutually exclusive"},
 		{"-dur 1 -quick", "-quick and -dur are mutually exclusive"},
 		{"-quick -seeds 1 -dur 2", "-quick and -dur, -seeds are mutually exclusive"},

@@ -1,7 +1,6 @@
 package ripple
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -182,8 +181,8 @@ func (f Faults) String() string {
 	return "faults(" + strings.Join(opts, ",") + ")"
 }
 
-// validate rejects a negative option and an option no configured fault
-// process would read.
+// validate rejects an option no configured fault process would read (the
+// ranges are network.Validate's).
 func (f Faults) validate() error {
 	switch {
 	case !f.Active() && f != (Faults{}):
@@ -191,20 +190,7 @@ func (f Faults) validate() error {
 	case f.mttr != 0 && f.mtbf == 0:
 		return fmt.Errorf("ripple: Faults: a repair time (MTTR) only applies together with an MTBF")
 	}
-	return errors.Join(
-		nonNegative("Faults MTBF", f.mtbf),
-		nonNegative("Faults MTTR", f.mttr),
-		nonNegative("Faults.WithLinkFlaps", f.flapLinks),
-		nonNegative("Faults.WithFlapTimes up", f.flapUp),
-		nonNegative("Faults.WithFlapTimes down", f.flapDown),
-		nonNegative("Faults.WithNoiseBursts", f.noiseBursts),
-		nonNegative("Faults.WithNoisePenalty penalty", f.noisePenaltyDB),
-		nonNegative("Faults.WithNoisePenalty radius", f.noiseRadius),
-		nonNegative("Faults.WithPartition at", f.partitionAt),
-		nonNegative("Faults.WithPartition duration", f.partitionDur),
-		nonNegative("Faults.WithThreshold", f.threshold),
-		nonNegative("Faults.WithEpoch", f.epoch),
-	)
+	return nil
 }
 
 // spec resolves the public options into the simulator's fault spec.

@@ -153,8 +153,9 @@ type Plan struct {
 }
 
 // Plan validates the grid and expands it into its cell set. Build is
-// called once per cell, in cell order, so errors surface deterministically
-// before any simulation runs.
+// called once per cell, in cell order, and each cell's config must pass
+// network.Validate, so the first bad cell fails the plan — on a
+// coordinator and on each worker alike — before any simulation runs.
 func (g *Grid) Plan() (*Plan, error) {
 	for _, a := range g.Axes {
 		if len(a.Labels) == 0 {
@@ -177,6 +178,9 @@ func (g *Grid) Plan() (*Plan, error) {
 	for c := 0; c < cells; c++ {
 		p.points[c] = g.point(c)
 		cfg, err := g.Build(p.points[c])
+		if err == nil {
+			err = network.Validate(&cfg)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("campaign %s [%s]: %w", g.Name, p.points[c], err)
 		}
@@ -196,7 +200,7 @@ type CellSpec struct {
 }
 
 // NewPlan builds a plan from explicit cells (at least one) along a single
-// "cell" axis.
+// "cell" axis; each cell's config must pass network.Validate.
 func NewPlan(name string, cells []CellSpec) (*Plan, error) {
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("campaign %s: no cells", name)
@@ -212,6 +216,12 @@ func NewPlan(name string, cells []CellSpec) (*Plan, error) {
 		p.points[c] = Point{axes: p.axes, idx: []int{c}}
 		p.cfgs[c] = cell.Config
 		p.seeds[c] = cell.Seeds
+	}
+	// The plan's shape first, then each cell's config.
+	for _, cell := range cells {
+		if err := network.Validate(&cell.Config); err != nil {
+			return nil, fmt.Errorf("campaign %s [%s]: %w", name, cell.Label, err)
+		}
 	}
 	return p, nil
 }

@@ -231,7 +231,7 @@ func TestGridRunErrorNamesPointAndSeed(t *testing.T) {
 	}
 }
 
-func TestGridInvalidConfigFailsAtWorldBuild(t *testing.T) {
+func TestGridInvalidConfigFailsAtPlan(t *testing.T) {
 	runs := 0
 	g := Grid{
 		Name:  "badcfg",
@@ -240,8 +240,8 @@ func TestGridInvalidConfigFailsAtWorldBuild(t *testing.T) {
 		Pool:  pool.New(2),
 		Build: func(pt Point) (network.Config, error) {
 			runs++
-			// No flows: rejected when the cell's world snapshot is built,
-			// before any seed-run is scheduled.
+			// No stations: network.Validate refuses the cell when the
+			// grid is planned, before any world is built or run scheduled.
 			return network.Config{}, nil
 		},
 	}
@@ -254,10 +254,10 @@ func TestGridInvalidConfigFailsAtWorldBuild(t *testing.T) {
 			t.Errorf("err %q missing %q", err, want)
 		}
 	}
-	// Build runs for every cell (in cell order) before the pooled world
-	// builds; the lowest-indexed broken cell then fails the whole grid.
-	if runs != 2 {
-		t.Errorf("Build called %d times, want once per cell", runs)
+	// Build runs in cell order and the plan stops at the first broken
+	// cell: cell 1 is never built.
+	if runs != 1 {
+		t.Errorf("Build called %d times, want once, for the first cell", runs)
 	}
 }
 

@@ -111,6 +111,44 @@ func (s Spec) Threshold() int {
 	return DefaultFailureThreshold
 }
 
+// Check passes the first field out of range to bad — its name, its value
+// and the rule it breaks — and returns bad's error, or nil: no duration,
+// count, penalty or radius may be negative (0 selects the default).
+func (s Spec) Check(bad func(field string, value any, rule string) error) error {
+	const rule = "must not be negative"
+	switch {
+	case s.Epoch < 0:
+		return bad("Epoch", s.Epoch, rule)
+	case s.MTBF < 0:
+		return bad("MTBF", s.MTBF, rule)
+	case s.MTTR < 0:
+		return bad("MTTR", s.MTTR, rule)
+	case s.FlapLinks < 0:
+		return bad("FlapLinks", s.FlapLinks, rule)
+	case s.FlapUp < 0:
+		return bad("FlapUp", s.FlapUp, rule)
+	case s.FlapDown < 0:
+		return bad("FlapDown", s.FlapDown, rule)
+	case s.NoiseBursts < 0:
+		return bad("NoiseBursts", s.NoiseBursts, rule)
+	case s.NoiseEvery < 0:
+		return bad("NoiseEvery", s.NoiseEvery, rule)
+	case s.NoiseLen < 0:
+		return bad("NoiseLen", s.NoiseLen, rule)
+	case s.NoisePenaltyDB < 0:
+		return bad("NoisePenaltyDB", s.NoisePenaltyDB, rule)
+	case s.NoiseRadius < 0:
+		return bad("NoiseRadius", s.NoiseRadius, rule)
+	case s.PartitionAt < 0:
+		return bad("PartitionAt", s.PartitionAt, rule)
+	case s.PartitionDur < 0:
+		return bad("PartitionDur", s.PartitionDur, rule)
+	case s.FailureThreshold < 0:
+		return bad("FailureThreshold", s.FailureThreshold, rule)
+	}
+	return nil
+}
+
 func (s Spec) seed() uint64 {
 	if s.Seed != 0 {
 		return s.Seed

@@ -72,6 +72,35 @@ type MobilitySpec struct {
 // active reports whether the spec produces motion at all.
 func (s MobilitySpec) active() bool { return s.Kind != MobilityStatic }
 
+// check passes the first field out of range to bad — its name, its value
+// and the rule it breaks — and returns bad's error, or nil. The rules hold
+// whatever the kind: the options a kind ignores are the public API's
+// concern (ripple.Scenario.Validate), not a range.
+func (s MobilitySpec) check(bad func(field string, value any, rule string) error) error {
+	const rule = "must not be negative"
+	switch {
+	case s.Kind != MobilityStatic && s.Kind != MobilityWaypoint && s.Kind != MobilityMarkov:
+		return bad("Kind", s.Kind, "unknown mobility kind")
+	case s.Epoch < 0:
+		return bad("Epoch", s.Epoch, rule)
+	case !(s.MinSpeed >= 0 && s.MaxSpeed >= 0 && (s.MaxSpeed == 0 || s.MinSpeed <= s.MaxSpeed)):
+		// One rule over two fields (a max of 0 selects the default): the
+		// value is the pair.
+		field := "MinSpeed"
+		if !(s.MaxSpeed >= 0) {
+			field = "MaxSpeed"
+		}
+		return bad(field, fmt.Sprintf("%g, %g", s.MinSpeed, s.MaxSpeed), "wants 0 <= min <= max")
+	case s.Pause < 0:
+		return bad("Pause", s.Pause, rule)
+	case s.Places < 0:
+		return bad("Places", s.Places, rule)
+	case !(s.Stay >= 0 && s.Stay < 1):
+		return bad("Stay", s.Stay, "wants a probability with 0 < stay < 1")
+	}
+	return nil
+}
+
 // epochLen resolves the epoch length.
 func (s MobilitySpec) epochLen() sim.Time {
 	if s.Epoch > 0 {

@@ -5,8 +5,10 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 
 	"ripple/internal/core"
@@ -225,6 +227,23 @@ type RoutingSpec struct {
 	Rule routing.SizingRule
 }
 
+// check passes the first field out of range to bad — its name, its value
+// and the rule it breaks — and returns bad's error, or nil.
+func (s RoutingSpec) check(bad func(field string, value any, rule string) error) error {
+	const rule = "must not be negative"
+	switch {
+	case s.Kind < RouteStatic || s.Kind > RouteGeo:
+		return bad("Kind", s.Kind, "unknown route policy kind")
+	case s.Alpha < 0:
+		return bad("Alpha", s.Alpha, rule)
+	case s.Epoch < 0:
+		return bad("Epoch", s.Epoch, rule)
+	case s.K < 0:
+		return bad("K", s.K, rule)
+	}
+	return nil
+}
+
 // active reports whether the spec changes routing at all.
 func (s RoutingSpec) active() bool {
 	return s.Kind != RouteStatic || s.K > 0
@@ -328,52 +347,147 @@ type Result struct {
 	PoolInUse int
 }
 
-// Validate reports the first thing that makes cfg unrunnable: no stations,
-// a station CheckPositions refuses, no flows, an unknown scheme or mobility
-// kind, or a flow of an unknown traffic kind, whose path is too short,
-// repeats a station, leaves the topology, or whose ID is taken or, for Web
-// and VoIP traffic, negative. Run and BuildWorld return its error before
-// building anything.
+// ConfigError is the one error Validate returns: a field of the Config
+// that breaks a rule.
+type ConfigError struct {
+	// Field is the field's path in the Config's JSON form: "Faults.MTTR",
+	// "Flows[2].Path".
+	Field string
+	// Value is what the field holds (for the waypoint speed rule, which
+	// spans two fields, both).
+	Value any
+	// Rule is what the value breaks, as the message states it: "must not
+	// be negative (got -2s)", "duplicate flow id 5".
+	Rule string
+}
+
+func (e *ConfigError) Error() string { return "network: " + e.Field + ": " + e.Rule }
+
+// at is where a struct sits in the Config's JSON form: the index of the
+// flow it belongs to (-1 for none) and its path below that. Its bad method
+// is the report func the struct's Check method takes.
+type at struct {
+	flow int
+	path string
+}
+
+// bad is the ConfigError on field below a, stating the rule with the value.
+func (a at) bad(field string, value any, rule string) error {
+	return a.error(field, value, fmt.Sprintf("%s (got %v)", rule, value))
+}
+
+// error is the ConfigError on field below a, with the rule as given.
+func (a at) error(field string, value any, rule string) *ConfigError {
+	field = a.path + field
+	if a.flow >= 0 {
+		field = fmt.Sprintf("Flows[%d].%s", a.flow, field)
+	}
+	return &ConfigError{Field: field, Value: value, Rule: rule}
+}
+
+// Validate reports the first thing that makes cfg unrunnable, as a
+// *ConfigError. Structure: no stations, a station CheckPositions refuses, no
+// flows, an unknown scheme, mobility kind, route policy kind or traffic
+// kind, or a flow whose path is too short, repeats a station or leaves the
+// topology, or whose ID is taken or, for Web and VoIP traffic, negative.
+// Range, through each struct's own rules: a negative Duration,
+// MaxForwarders, UnicastMaxAgg, RippleOpts.MaxAgg or RTSThreshold, and a
+// field of Radio (radio.Config.Check), Routing, Mobility, Faults
+// (fault.Spec.Check) or a flow (its Start, CBR fields and set TCP, VoIP or
+// Web config) out of range. It judges cfg as Run runs it, with Normalize's
+// defaults, so it refuses exactly what Run would. It is the one gate: Run
+// and BuildWorld return its error before building anything, and
+// campaign.Grid.Plan and campaign.NewPlan before any run. What it leaves to
+// the public API is which options a kind ignores (ripple.Scenario.Validate).
 func Validate(cfg *Config) error {
+	c := *cfg
+	c.Normalize()
+	return c.check()
+}
+
+// check is Validate on a normalised config.
+func (cfg *Config) check() error {
+	top := at{flow: -1}
 	if len(cfg.Positions) == 0 {
-		return fmt.Errorf("network: no station positions")
+		return top.error("Positions", cfg.Positions, "no station positions")
 	}
 	if err := radio.CheckPositions(cfg.Positions); err != nil {
-		return fmt.Errorf("network: %w", err)
+		return top.error("Positions", cfg.Positions, err.Error())
 	}
 	if len(cfg.Flows) == 0 {
-		return fmt.Errorf("network: no flows")
+		return top.error("Flows", cfg.Flows, "no flows")
 	}
-	if cfg.Scheme < DCF || cfg.Scheme > RippleNoAgg {
-		return fmt.Errorf("network: unknown scheme %d", int(cfg.Scheme))
+	const rule = "must not be negative"
+	switch {
+	case cfg.Scheme < DCF || cfg.Scheme > RippleNoAgg:
+		return top.bad("Scheme", cfg.Scheme, "unknown scheme")
+	case cfg.Duration < 0:
+		return top.bad("Duration", cfg.Duration, rule)
+	case cfg.MaxForwarders < 0:
+		return top.bad("MaxForwarders", cfg.MaxForwarders, rule)
+	case cfg.UnicastMaxAgg < 0:
+		return top.bad("UnicastMaxAgg", cfg.UnicastMaxAgg, rule)
+	case cfg.RippleOpts.MaxAgg < 0:
+		return top.bad("RippleOpts.MaxAgg", cfg.RippleOpts.MaxAgg, rule)
+	case cfg.RTSThreshold < 0:
+		return top.bad("RTSThreshold", cfg.RTSThreshold, rule)
 	}
-	switch cfg.Mobility.Kind {
-	case MobilityStatic, MobilityWaypoint, MobilityMarkov:
-	default:
-		return fmt.Errorf("network: unknown mobility kind %d", int(cfg.Mobility.Kind))
+	if err := cmp.Or(
+		cfg.Radio.Check(at{-1, "Radio."}.bad),
+		cfg.Routing.check(at{-1, "Routing."}.bad),
+		cfg.Mobility.check(at{-1, "Mobility."}.bad),
+		cfg.Faults.Check(at{-1, "Faults."}.bad),
+	); err != nil {
+		return err
 	}
-	seen := make(map[int]bool, len(cfg.Flows))
-	for _, f := range cfg.Flows {
-		if err := f.Path.Validate(); err != nil {
-			return fmt.Errorf("network: flow %d: %w", f.ID, err)
-		}
-		if f.Kind < FTP || f.Kind > CBRTraffic {
-			return fmt.Errorf("network: flow %d has unknown traffic kind %d", f.ID, f.Kind)
-		}
-		if seen[f.ID] {
-			return fmt.Errorf("network: duplicate flow id %d", f.ID)
-		}
-		if f.ID < 0 && (f.Kind == Web || f.Kind == VoIPTraffic) {
-			// The ID numbers the flow's traffic stream; a negative one would
-			// wrap into the stations' streams.
-			return fmt.Errorf("network: flow %d: a Web or VoIP flow's ID seeds its traffic stream and must not be negative", f.ID)
-		}
-		seen[f.ID] = true
-		for _, n := range f.Path {
-			if int(n) < 0 || int(n) >= len(cfg.Positions) {
-				return fmt.Errorf("network: flow %d references station %d outside topology", f.ID, n)
-			}
+	for i := range cfg.Flows {
+		if err := cfg.Flows[i].check(i, cfg.Flows[:i], len(cfg.Positions)); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// check applies a flow's rules; i is its index in Config.Flows, earlier
+// the flows before it and stations the topology's size.
+func (f *FlowSpec) check(i int, earlier []FlowSpec, stations int) error {
+	flow := at{flow: i}
+	if err := f.Path.Validate(); err != nil {
+		return flow.error("Path", f.Path, err.Error())
+	}
+	for _, n := range f.Path {
+		if int(n) < 0 || int(n) >= stations {
+			return flow.error("Path", f.Path, fmt.Sprintf("station %d outside topology (%d stations)", n, stations))
+		}
+	}
+	if j := slices.IndexFunc(earlier, func(e FlowSpec) bool { return e.ID == f.ID }); j >= 0 {
+		return flow.error("ID", f.ID, fmt.Sprintf("duplicate flow id %d, also Flows[%d]'s", f.ID, j))
+	}
+	bad := flow.bad
+	const rule = "must not be negative"
+	switch {
+	case f.Kind < FTP || f.Kind > CBRTraffic:
+		return bad("Kind", f.Kind, "unknown traffic kind")
+	case f.ID < 0 && (f.Kind == Web || f.Kind == VoIPTraffic):
+		// The ID numbers the flow's traffic stream; a negative one would
+		// wrap into the stations' streams.
+		return bad("ID", f.ID, "a Web or VoIP flow's ID seeds its traffic stream and must not be negative")
+	case f.Start < 0:
+		return bad("Start", f.Start, rule)
+	case f.CBRInterval < 0:
+		return bad("CBRInterval", f.CBRInterval, rule)
+	case f.CBRPacketBytes < 0:
+		return bad("CBRPacketBytes", f.CBRPacketBytes, rule)
+	}
+	var err error
+	if f.TCP != nil {
+		err = f.TCP.Check(at{i, "TCP."}.bad)
+	}
+	if f.VoIP != nil && err == nil {
+		err = f.VoIP.Check(at{i, "VoIP."}.bad)
+	}
+	if f.Web != nil && err == nil {
+		err = f.Web.Check(at{i, "Web."}.bad)
+	}
+	return err
 }

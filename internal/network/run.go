@@ -161,7 +161,7 @@ func Run(cfg Config) (*Result, error) {
 // prepare normalises and validates cfg and returns the World to run it on.
 func prepare(cfg *Config) (*World, error) {
 	cfg.Normalize()
-	if err := Validate(cfg); err != nil {
+	if err := cfg.check(); err != nil {
 		return nil, err
 	}
 	if cfg.World == nil {

@@ -79,7 +79,7 @@ type World struct {
 // attach it via Config.World to share it across runs.
 func BuildWorld(cfg Config) (*World, error) {
 	cfg.Normalize()
-	if err := Validate(&cfg); err != nil {
+	if err := cfg.check(); err != nil {
 		return nil, err
 	}
 	w, err := derive(&cfg, nil, radio.NewLinkPlan(cfg.Radio, cfg.Positions), 0)
@@ -261,10 +261,13 @@ func linkProb(rc radio.Config) func(d float64) float64 {
 // routes on, from the same builder: the usable links of the link plan's
 // neighbor graph, in O(N·k) for N stations of k neighbors each where the
 // all-pairs reference, routing.NewTable, probes N² pairs. It refuses the
-// layouts BuildWorld refuses.
+// layouts and radio configurations Validate refuses, with its error.
 func LinkTable(rc radio.Config, positions []radio.Pos) (*routing.Table, error) {
+	if err := rc.Check(at{-1, "Radio."}.bad); err != nil {
+		return nil, err
+	}
 	if err := radio.CheckPositions(positions); err != nil {
-		return nil, fmt.Errorf("network: %w", err)
+		return nil, at{flow: -1}.error("Positions", positions, err.Error())
 	}
 	return linkTable(radio.NewLinkPlan(rc, positions), linkProb(rc)), nil
 }

@@ -93,6 +93,20 @@ func DefaultConfig() Config {
 	return c
 }
 
+// Check passes the first field out of range to bad — its name, its value
+// and the rule it breaks — and returns bad's error, or nil: the bit error
+// rate is a probability below 1 and the pruning cutoff is not negative
+// (0 disables pruning).
+func (c Config) Check(bad func(field string, value any, rule string) error) error {
+	switch {
+	case !(c.BitErrorRate >= 0 && c.BitErrorRate < 1):
+		return bad("BitErrorRate", c.BitErrorRate, "must lie in [0, 1)")
+	case !(c.PruneSigma >= 0):
+		return bad("PruneSigma", c.PruneSigma, "must not be negative (0 disables pruning)")
+	}
+	return nil
+}
+
 // MeanRxPowerDBm returns the mean received power at distance d metres
 // (before the shadowing draw).
 func (c Config) MeanRxPowerDBm(d float64) float64 {

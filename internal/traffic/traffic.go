@@ -26,6 +26,22 @@ func DefaultWebConfig() WebConfig {
 	return WebConfig{MeanTransferBytes: 80e3, ParetoShape: 1.5, OffMean: sim.Second}
 }
 
+// Check passes the first field out of range to bad — its name, its value
+// and the rule it breaks — and returns bad's error, or nil: the mean
+// transfer size and think time may not be negative, and the Pareto shape
+// must exceed 1 for the mean to exist.
+func (c WebConfig) Check(bad func(field string, value any, rule string) error) error {
+	switch {
+	case c.MeanTransferBytes < 0:
+		return bad("MeanTransferBytes", c.MeanTransferBytes, "must not be negative")
+	case !(c.ParetoShape > 1):
+		return bad("ParetoShape", c.ParetoShape, "must exceed 1")
+	case c.OffMean < 0:
+		return bad("OffMean", c.OffMean, "must not be negative")
+	}
+	return nil
+}
+
 // Web drives one TCP connection through an endless ON/OFF transfer cycle.
 type Web struct {
 	cfg  WebConfig

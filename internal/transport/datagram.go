@@ -29,6 +29,26 @@ func DefaultVoIPConfig() VoIPConfig {
 	}
 }
 
+// Check passes the first field out of range to bad — its name, its value
+// and the rule it breaks — and returns bad's error, or nil: no field may be
+// negative.
+func (c VoIPConfig) Check(bad func(field string, value any, rule string) error) error {
+	const rule = "must not be negative"
+	switch {
+	case c.BitsPerSecond < 0:
+		return bad("BitsPerSecond", c.BitsPerSecond, rule)
+	case c.PacketInterval < 0:
+		return bad("PacketInterval", c.PacketInterval, rule)
+	case c.OnMean < 0:
+		return bad("OnMean", c.OnMean, rule)
+	case c.OffMean < 0:
+		return bad("OffMean", c.OffMean, rule)
+	case c.DelayBudget < 0:
+		return bad("DelayBudget", c.DelayBudget, rule)
+	}
+	return nil
+}
+
 // PacketBytes returns the payload size implied by rate and interval.
 func (c VoIPConfig) PacketBytes() int {
 	return int(c.BitsPerSecond * c.PacketInterval.Seconds() / 8)

@@ -49,6 +49,41 @@ func DefaultTCPConfig() TCPConfig {
 	}
 }
 
+// maxWindow bounds TCPConfig.MaxCwnd: a connection sizes its window rings
+// from it up front (65535 is TCP's unscaled window field, here in packets;
+// the 50-packet interface queue drops far earlier).
+const maxWindow = 1<<16 - 1
+
+// Check passes the first field out of range to bad — its name, its value
+// and the rule it breaks — and returns bad's error, or nil: no field may be
+// negative, and MaxCwnd may not exceed the window the rings can hold.
+func (c TCPConfig) Check(bad func(field string, value any, rule string) error) error {
+	const rule = "must not be negative"
+	switch {
+	case c.MSS < 0:
+		return bad("MSS", c.MSS, rule)
+	case c.AckBytes < 0:
+		return bad("AckBytes", c.AckBytes, rule)
+	case c.InitialCwnd < 0:
+		return bad("InitialCwnd", c.InitialCwnd, rule)
+	case c.MaxCwnd < 0:
+		return bad("MaxCwnd", c.MaxCwnd, rule)
+	case c.MaxCwnd > maxWindow:
+		return bad("MaxCwnd", c.MaxCwnd, fmt.Sprintf("must not exceed %d packets", maxWindow))
+	case c.SSThresh < 0:
+		return bad("SSThresh", c.SSThresh, rule)
+	case c.DupThresh < 0:
+		return bad("DupThresh", c.DupThresh, rule)
+	case c.RTOMin < 0:
+		return bad("RTOMin", c.RTOMin, rule)
+	case c.RTOInit < 0:
+		return bad("RTOInit", c.RTOInit, rule)
+	case c.RTOMax < 0:
+		return bad("RTOMax", c.RTOMax, rule)
+	}
+	return nil
+}
+
 // TCP is one bidirectional TCP connection: the sender half lives at Src,
 // the receiver half at Dst; ACKs flow back through the same network.
 type TCP struct {

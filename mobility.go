@@ -1,7 +1,6 @@
 package ripple
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -132,14 +131,10 @@ func (m Mobility) String() string {
 	return name + "(" + strings.Join(opts, ",") + ")"
 }
 
-// validate rejects an out-of-range option and an option the selected
-// model would silently ignore.
+// validate rejects an option the selected model would silently ignore (the
+// ranges are network.Validate's).
 func (m Mobility) validate() error {
 	switch {
-	case m.minSpeed < 0 || m.maxSpeed < 0 || m.maxSpeed > 0 && m.minSpeed > m.maxSpeed:
-		return fmt.Errorf("ripple: Mobility.WithSpeed wants 0 <= min <= max (got %g, %g)", m.minSpeed, m.maxSpeed)
-	case m.stay < 0 || m.stay >= 1:
-		return fmt.Errorf("ripple: Mobility.WithStay wants a probability with 0 < stay < 1 (got %g)", m.stay)
 	case !m.Active() && m != (Mobility{}):
 		return fmt.Errorf("ripple: Mobility options need a mobility model (WaypointMobility or MarkovMobility)")
 	case (m.minSpeed != 0 || m.maxSpeed != 0 || m.pause != 0) && m.kind != network.MobilityWaypoint:
@@ -147,11 +142,7 @@ func (m Mobility) validate() error {
 	case (m.places != 0 || m.stay != 0) && m.kind != network.MobilityMarkov:
 		return fmt.Errorf("ripple: Mobility.WithPlaces and WithStay only apply to MarkovMobility (got %s)", m.kind)
 	}
-	return errors.Join(
-		nonNegative("Mobility.WithEpoch", m.epoch),
-		nonNegative("Mobility.WithPause", m.pause),
-		nonNegative("Mobility.WithPlaces", m.places),
-	)
+	return nil
 }
 
 // spec resolves the public options into the simulator's mobility spec.

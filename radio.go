@@ -129,15 +129,9 @@ func (r Radio) config() (radio.Config, error) {
 		return radio.Config{}, fmt.Errorf("ripple: unknown radio profile %d", int(r.profile))
 	}
 	if r.berSet {
-		if r.ber < 0 || r.ber >= 1 {
-			return radio.Config{}, fmt.Errorf("ripple: bit error rate %g outside [0,1)", r.ber)
-		}
 		rc.BitErrorRate = r.ber
 	}
 	if r.pruneSet {
-		if r.prune < 0 {
-			return radio.Config{}, fmt.Errorf("ripple: prune sigma %g negative (0 disables pruning)", r.prune)
-		}
 		rc.PruneSigma = r.prune
 	}
 	return rc, nil

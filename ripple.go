@@ -22,6 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	"ripple/internal/core"
 	"ripple/internal/network"
@@ -258,26 +260,91 @@ func kindOf(k Scheme) network.SchemeKind {
 }
 
 // Validate reports what would make the scenario fail before its first
-// event: an unknown scheme, an invalid radio or traffic parameter, a
-// negative Duration, Flow.Start, MaxForwarders, MaxAggregation or
-// RTSThreshold, no stations, a station at a non-finite coordinate or
-// stations spread wider than a link plan can span, no flows, a flow without
-// a route or with a path that is shorter than two stations, repeats one or
-// leaves the topology, a duplicate Flow.ID or a negative one on Web or VoIP
-// traffic — and any Routing, Mobility or Faults option that is out of range
-// or that the selected policy, model or fault set would silently ignore.
-// Run, RunBatch and Distribute return the same error, before any run starts.
+// event. It adds to the simulator's own validator (network.Validate, which
+// every Config meets: structure and every range, such as a negative
+// Duration or Flow.Start, a bit error rate outside [0, 1) or a Markov stay
+// of 1) only what the public builders alone know: an unknown scheme, a flow
+// without a route or a traffic model, and any Routing, Mobility or Faults
+// option that the selected policy, model or fault set would silently
+// ignore. A range error names the option by its builder, as in
+// "Faults.WithThreshold" rather than "Faults.FailureThreshold". Run,
+// RunBatch and Distribute return the same error, before any run starts.
 func (s Scenario) Validate() error {
 	_, err := s.toConfig()
 	return err
 }
 
-// nonNegative reports a negative value of the named option.
-func nonNegative[T ~int | ~int64 | ~float64](option string, v T) error {
-	if v < 0 {
-		return fmt.Errorf("ripple: %s must not be negative (got %v)", option, v)
+// builderNames names each range-checked network.Config field, by its path
+// (a flow's with its index left out), after the public option that sets it.
+var builderNames = map[string]string{
+	"Duration":                    "Scenario.Duration",
+	"MaxForwarders":               "Scenario.MaxForwarders",
+	"UnicastMaxAgg":               "Scenario.MaxAggregation",
+	"RTSThreshold":                "Scenario.RTSThreshold",
+	"Radio.BitErrorRate":          "Radio.WithBER bit error rate",
+	"Radio.PruneSigma":            "Radio.WithPruneSigma prune sigma",
+	"Routing.Alpha":               "Routing.WithAlpha",
+	"Routing.Epoch":               "Routing.WithEpoch",
+	"Routing.K":                   "Routing.WithForwarders",
+	"Mobility.Epoch":              "Mobility.WithEpoch",
+	"Mobility.MinSpeed":           "Mobility.WithSpeed",
+	"Mobility.MaxSpeed":           "Mobility.WithSpeed",
+	"Mobility.Pause":              "Mobility.WithPause",
+	"Mobility.Places":             "Mobility.WithPlaces",
+	"Mobility.Stay":               "Mobility.WithStay",
+	"Faults.Epoch":                "Faults.WithEpoch",
+	"Faults.MTBF":                 "Faults MTBF",
+	"Faults.MTTR":                 "Faults MTTR",
+	"Faults.FlapLinks":            "Faults.WithLinkFlaps",
+	"Faults.FlapUp":               "Faults.WithFlapTimes up",
+	"Faults.FlapDown":             "Faults.WithFlapTimes down",
+	"Faults.NoiseBursts":          "Faults.WithNoiseBursts",
+	"Faults.NoisePenaltyDB":       "Faults.WithNoisePenalty penalty",
+	"Faults.NoiseRadius":          "Faults.WithNoisePenalty radius",
+	"Faults.PartitionAt":          "Faults.WithPartition at",
+	"Faults.PartitionDur":         "Faults.WithPartition duration",
+	"Faults.FailureThreshold":     "Faults.WithThreshold",
+	"Flows.Start":                 "Flow.Start",
+	"Flows.CBRInterval":           "CBR interval",
+	"Flows.CBRPacketBytes":        "CBR packet size",
+	"Flows.TCP.MSS":               "TCP parameter MSS",
+	"Flows.TCP.AckBytes":          "TCP parameter AckBytes",
+	"Flows.TCP.InitialCwnd":       "TCP parameter InitialCwnd",
+	"Flows.TCP.MaxCwnd":           "TCP parameter MaxCwnd",
+	"Flows.TCP.SSThresh":          "TCP parameter SSThresh",
+	"Flows.TCP.DupThresh":         "TCP parameter DupThresh",
+	"Flows.TCP.RTOMin":            "TCP parameter RTOMin",
+	"Flows.TCP.RTOInit":           "TCP parameter RTOInit",
+	"Flows.TCP.RTOMax":            "TCP parameter RTOMax",
+	"Flows.Web.MeanTransferBytes": "web parameter MeanTransferBytes",
+	"Flows.Web.ParetoShape":       "web Pareto shape",
+	"Flows.Web.OffMean":           "web parameter MeanOffTime",
+	"Flows.VoIP.BitsPerSecond":    "VoIP parameter BitrateKbps, in bit/s,",
+	"Flows.VoIP.PacketInterval":   "VoIP parameter PacketInterval",
+	"Flows.VoIP.OnMean":           "VoIP parameter MeanOnTime",
+	"Flows.VoIP.OffMean":          "VoIP parameter MeanOffTime",
+	"Flows.VoIP.DelayBudget":      "VoIP parameter DelayBudget",
+}
+
+// publicError restates a network.ConfigError on a field builderNames
+// knows in the public option's name, after the flow's ID for a flow's
+// field; any other error it returns as it is.
+func publicError(err error, cfg *network.Config) error {
+	var ce *network.ConfigError
+	if !errors.As(err, &ce) {
+		return err
 	}
-	return nil
+	field, flow := ce.Field, ""
+	if rest, ok := strings.CutPrefix(field, "Flows["); ok {
+		i, sub, _ := strings.Cut(rest, "].")
+		n, _ := strconv.Atoi(i)
+		field, flow = "Flows."+sub, fmt.Sprintf("flow %d: ", cfg.Flows[n].ID)
+	}
+	name, ok := builderNames[field]
+	if !ok {
+		return err
+	}
+	return fmt.Errorf("ripple: %s%s %s", flow, name, ce.Rule)
 }
 
 func (s Scenario) toConfig() (*network.Config, error) {
@@ -295,14 +362,6 @@ func (s Scenario) toConfig() (*network.Config, error) {
 	if s.Mobility.Active() && s.Faults.epoch != 0 {
 		return nil, fmt.Errorf("ripple: Faults.WithEpoch has no effect with a mobility model — fault overlays ride the mobility epochs; set the length with Mobility.WithEpoch")
 	}
-	if err := errors.Join(
-		nonNegative("Scenario.Duration", s.Duration),
-		nonNegative("Scenario.MaxForwarders", s.MaxForwarders),
-		nonNegative("Scenario.MaxAggregation", s.MaxAggregation),
-		nonNegative("Scenario.RTSThreshold", s.RTSThreshold),
-	); err != nil {
-		return nil, err
-	}
 	cfg := &network.Config{
 		Radio:         rc,
 		Scheme:        kind,
@@ -316,7 +375,7 @@ func (s Scenario) toConfig() (*network.Config, error) {
 	if s.Radio.lowRate {
 		cfg.Phy = phys.LowRate()
 	}
-	if s.MaxAggregation > 0 {
+	if s.MaxAggregation != 0 {
 		// Normalize keeps RippleOpts whole once MaxAgg is set, so the
 		// other options must start at RIPPLE's defaults.
 		cfg.UnicastMaxAgg = s.MaxAggregation
@@ -351,9 +410,6 @@ func (s Scenario) toConfig() (*network.Config, error) {
 		if f.err != nil {
 			return nil, fmt.Errorf("ripple: flow %d: %w", id, f.err)
 		}
-		if f.Start < 0 {
-			return nil, fmt.Errorf("ripple: flow %d: Flow.Start must not be negative (got %d)", id, int64(f.Start))
-		}
 		if f.Traffic == nil {
 			return nil, fmt.Errorf("ripple: flow %d: no traffic model (set Traffic to FTP{}, Web{}, VoIP{} or CBR{})", id)
 		}
@@ -362,13 +418,11 @@ func (s Scenario) toConfig() (*network.Config, error) {
 			path[j] = pktNode(n)
 		}
 		spec := network.FlowSpec{ID: id, Path: path, Start: f.Start}
-		if err := f.Traffic.applyTo(&spec); err != nil {
-			return nil, fmt.Errorf("ripple: flow %d: %w", id, err)
-		}
+		f.Traffic.applyTo(&spec)
 		cfg.Flows = append(cfg.Flows, spec)
 	}
 	if err := network.Validate(cfg); err != nil {
-		return nil, err
+		return nil, publicError(err, cfg)
 	}
 	return cfg, nil
 }

@@ -39,7 +39,7 @@ func NewRouter(top Topology, r Radio) (*Router, error) {
 	}
 	tab, err := network.LinkTable(rc, positions)
 	if err != nil {
-		return nil, fmt.Errorf("ripple: %w", err)
+		return nil, publicError(err, nil)
 	}
 	return &Router{table: tab, radio: rc, positions: positions}, nil
 }

@@ -1,7 +1,6 @@
 package ripple
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -138,23 +137,20 @@ func (r Routing) String() string {
 	return name + "(" + strings.Join(opts, ",") + ")"
 }
 
-// validate rejects a negative option and an option the selected policy
-// would silently ignore, so a label like "etx(alpha=0.5)" can never claim
-// an inert knob was in force. Scenario.Validate and every run report it.
+// validate rejects an option the selected policy would silently ignore, so
+// a label like "etx(alpha=0.5)" can never claim an inert knob was in force
+// (the ranges are network.Validate's). Scenario.Validate and every run
+// report it.
 func (r Routing) validate() error {
 	switch {
 	case r.alpha != 0 && r.kind != network.RouteCongestion:
 		return fmt.Errorf("ripple: Routing.WithAlpha only applies to CongestionRouting (got %s)", r.kind)
 	case r.epoch != 0 && r.kind != network.RouteCongestion:
 		return fmt.Errorf("ripple: Routing.WithEpoch only applies to policies that react to load (CongestionRouting; got %s)", r.kind)
-	case r.rule != routing.SizeSpaced && r.k <= 0:
+	case r.rule != routing.SizeSpaced && r.k == 0:
 		return fmt.Errorf("ripple: Routing.WithPriority only applies together with WithForwarders")
 	}
-	return errors.Join(
-		nonNegative("Routing.WithAlpha", r.alpha),
-		nonNegative("Routing.WithEpoch", r.epoch),
-		nonNegative("Routing.WithForwarders", r.k),
-	)
+	return nil
 }
 
 // spec resolves the public options into the simulator's routing spec.

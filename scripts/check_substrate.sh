@@ -70,6 +70,14 @@
 # LinkPlan.EachAscNeighbor or EachAscNeighborID, so the row format is known
 # to one package and can change without touching another.
 #
+# or if a non-test .go file of the root package (the public API) contains
+# nonNegative( or the words "must not be negative": every range rule on a
+# Config value lives with the struct it constrains and network.Validate is
+# the one gate that calls them; the builders pass what they are given
+# through, and the root keeps only the rules on options a kind ignores. A
+# range check that grows back in a builder would refuse nothing new, only
+# split the rules into two places again, so no test would notice it.
+#
 # Usage: sh scripts/check_substrate.sh   (from the repo root)
 set -eu
 
@@ -136,6 +144,10 @@ planrow=$(find . -name '*.go' ! -name '*_test.go' \
     ! -path './internal/radio/*' ! -path './bench/*' ! -path './.bench_build/*')
 if grep -n 'AscNeighbors(' $planrow; then
     echo "check_substrate: a link plan row read as a slice outside internal/radio — use LinkPlan.EachAscNeighbor or EachAscNeighborID" >&2
+    fail=1
+fi
+if grep -nE 'nonNegative\(|must not be negative' $(ls ./*.go | grep -v '_test\.go$'); then
+    echo "check_substrate: a range check in the root package — put the rule on the struct it constrains, for network.Validate" >&2
     fail=1
 fi
 exit $fail

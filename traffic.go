@@ -1,8 +1,6 @@
 package ripple
 
 import (
-	"fmt"
-
 	"ripple/internal/network"
 	"ripple/internal/traffic"
 	"ripple/internal/transport"
@@ -14,8 +12,8 @@ import (
 // public field, so sweep-style experiments can vary codec cadence, Pareto
 // shape, CBR rate or TCP windows per flow.
 type TrafficSpec interface {
-	// applyTo validates the spec and writes it into the flow.
-	applyTo(f *network.FlowSpec) error
+	// applyTo writes the spec into the flow; network.Validate checks it.
+	applyTo(f *network.FlowSpec)
 }
 
 // TCPParams tunes the TCP model of an FTP or Web flow. Zero fields keep
@@ -33,54 +31,41 @@ type TCPParams struct {
 	RTOMax      Time
 }
 
-// maxTCPWindow bounds TCPParams.MaxCwnd: a connection sizes its window
-// bookkeeping from it up front (65535 is TCP's unscaled window field, here
-// in packets; the 50-packet interface queue drops far earlier).
-const maxTCPWindow = 1<<16 - 1
-
 // toInternal resolves the params against the paper defaults, or returns
 // nil when every field is zero (use the scenario-wide default config).
-func (p TCPParams) toInternal() (*transport.TCPConfig, error) {
+func (p TCPParams) toInternal() *transport.TCPConfig {
 	if p == (TCPParams{}) {
-		return nil, nil
-	}
-	if p.MSS < 0 || p.AckBytes < 0 || p.InitialCwnd < 0 || p.MaxCwnd < 0 ||
-		p.SSThresh < 0 || p.DupThresh < 0 ||
-		p.RTOMin < 0 || p.RTOInit < 0 || p.RTOMax < 0 {
-		return nil, fmt.Errorf("negative TCP parameter: %+v", p)
-	}
-	if p.MaxCwnd > maxTCPWindow {
-		return nil, fmt.Errorf("TCP parameter MaxCwnd %g exceeds %d packets", p.MaxCwnd, maxTCPWindow)
+		return nil
 	}
 	c := transport.DefaultTCPConfig()
-	if p.MSS > 0 {
+	if p.MSS != 0 {
 		c.MSS = p.MSS
 	}
-	if p.AckBytes > 0 {
+	if p.AckBytes != 0 {
 		c.AckBytes = p.AckBytes
 	}
-	if p.InitialCwnd > 0 {
+	if p.InitialCwnd != 0 {
 		c.InitialCwnd = p.InitialCwnd
 	}
-	if p.MaxCwnd > 0 {
+	if p.MaxCwnd != 0 {
 		c.MaxCwnd = p.MaxCwnd
 	}
-	if p.SSThresh > 0 {
+	if p.SSThresh != 0 {
 		c.SSThresh = p.SSThresh
 	}
-	if p.DupThresh > 0 {
+	if p.DupThresh != 0 {
 		c.DupThresh = p.DupThresh
 	}
-	if p.RTOMin > 0 {
+	if p.RTOMin != 0 {
 		c.RTOMin = p.RTOMin
 	}
-	if p.RTOInit > 0 {
+	if p.RTOInit != 0 {
 		c.RTOInit = p.RTOInit
 	}
-	if p.RTOMax > 0 {
+	if p.RTOMax != 0 {
 		c.RTOMax = p.RTOMax
 	}
-	return &c, nil
+	return &c
 }
 
 // FTP is a long-lived backlogged TCP transfer (§IV-A).
@@ -89,14 +74,9 @@ type FTP struct {
 	TCP TCPParams
 }
 
-func (t FTP) applyTo(f *network.FlowSpec) error {
-	tcp, err := t.TCP.toInternal()
-	if err != nil {
-		return err
-	}
+func (t FTP) applyTo(f *network.FlowSpec) {
 	f.Kind = network.FTP
-	f.TCP = tcp
-	return nil
+	f.TCP = t.TCP.toInternal()
 }
 
 // Web is the ON/OFF short-transfer TCP workload (§IV-D): transfer sizes
@@ -113,31 +93,20 @@ type Web struct {
 	TCP TCPParams
 }
 
-func (t Web) applyTo(f *network.FlowSpec) error {
-	if t.MeanTransferBytes < 0 || t.MeanOffTime < 0 {
-		return fmt.Errorf("negative web parameter: %+v", t)
-	}
-	if t.ParetoShape != 0 && t.ParetoShape <= 1 {
-		return fmt.Errorf("web Pareto shape %g must exceed 1", t.ParetoShape)
-	}
-	tcp, err := t.TCP.toInternal()
-	if err != nil {
-		return err
-	}
+func (t Web) applyTo(f *network.FlowSpec) {
 	c := traffic.DefaultWebConfig()
-	if t.MeanTransferBytes > 0 {
+	if t.MeanTransferBytes != 0 {
 		c.MeanTransferBytes = t.MeanTransferBytes
 	}
-	if t.ParetoShape > 0 {
+	if t.ParetoShape != 0 {
 		c.ParetoShape = t.ParetoShape
 	}
-	if t.MeanOffTime > 0 {
+	if t.MeanOffTime != 0 {
 		c.OffMean = t.MeanOffTime
 	}
 	f.Kind = network.Web
 	f.Web = &c
-	f.TCP = tcp
-	return nil
+	f.TCP = t.TCP.toInternal()
 }
 
 // VoIP is the on-off voice stream (§IV-E), scored with the paper's
@@ -156,30 +125,25 @@ type VoIP struct {
 	DelayBudget Time
 }
 
-func (t VoIP) applyTo(f *network.FlowSpec) error {
-	if t.BitrateKbps < 0 || t.PacketInterval < 0 || t.MeanOnTime < 0 ||
-		t.MeanOffTime < 0 || t.DelayBudget < 0 {
-		return fmt.Errorf("negative VoIP parameter: %+v", t)
-	}
+func (t VoIP) applyTo(f *network.FlowSpec) {
 	c := transport.DefaultVoIPConfig()
-	if t.BitrateKbps > 0 {
+	if t.BitrateKbps != 0 {
 		c.BitsPerSecond = t.BitrateKbps * 1e3
 	}
-	if t.PacketInterval > 0 {
+	if t.PacketInterval != 0 {
 		c.PacketInterval = t.PacketInterval
 	}
-	if t.MeanOnTime > 0 {
+	if t.MeanOnTime != 0 {
 		c.OnMean = t.MeanOnTime
 	}
-	if t.MeanOffTime > 0 {
+	if t.MeanOffTime != 0 {
 		c.OffMean = t.MeanOffTime
 	}
-	if t.DelayBudget > 0 {
+	if t.DelayBudget != 0 {
 		c.DelayBudget = t.DelayBudget
 	}
 	f.Kind = network.VoIPTraffic
 	f.VoIP = &c
-	return nil
 }
 
 // CBR is a constant-bit-rate datagram stream.
@@ -192,15 +156,8 @@ type CBR struct {
 	PacketSize int
 }
 
-func (t CBR) applyTo(f *network.FlowSpec) error {
-	if t.Interval < 0 {
-		return fmt.Errorf("negative CBR interval %v", t.Interval)
-	}
-	if t.PacketSize < 0 {
-		return fmt.Errorf("negative CBR packet size %d", t.PacketSize)
-	}
+func (t CBR) applyTo(f *network.FlowSpec) {
 	f.Kind = network.CBRTraffic
 	f.CBRInterval = t.Interval
 	f.CBRPacketBytes = t.PacketSize
-	return nil
 }
