@@ -55,12 +55,6 @@ func main() {
 	os.Exit(run())
 }
 
-// jsonTable is one experiment's output in -json mode.
-type jsonTable struct {
-	Experiment string               `json:"experiment"`
-	Tables     []*experiments.Table `json:"tables"`
-}
-
 func run() int {
 	var (
 		runList   = flag.String("run", "", "comma-separated experiment names (default: all)")
@@ -272,7 +266,7 @@ func run() int {
 		}
 	}
 
-	var out []jsonTable
+	var out []experiments.Record
 	code := 0
 	selected := 0
 	for _, r := range all {
@@ -326,7 +320,7 @@ func run() int {
 		}
 		fmt.Fprintln(os.Stderr)
 		if *jsonOut {
-			out = append(out, jsonTable{Experiment: r.Name, Tables: tables})
+			out = append(out, experiments.Record{Experiment: r.Name, Tables: tables})
 			continue
 		}
 		for _, t := range tables {

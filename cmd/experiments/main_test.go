@@ -1,14 +1,20 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"ripple/internal/experiments"
 )
 
 // TestRewriteArgv: the one argv rewriter behind the worker command line,
@@ -70,31 +76,80 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runCommand runs the command in a child process and returns its exit code
-// and stderr.
-func runCommand(t *testing.T, argv string) (int, string) {
+// runCommand runs the command in a child process and returns its exit
+// code, stdout and stderr.
+func runCommand(t *testing.T, argv string) (code int, stdout, stderr string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), mainArgvEnv+"="+argv)
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
 	err := cmd.Run()
 	var exit *exec.ExitError
 	if err != nil && !errors.As(err, &exit) {
 		t.Fatal(err)
 	}
-	return cmd.ProcessState.ExitCode(), stderr.String()
+	return cmd.ProcessState.ExitCode(), out.String(), errOut.String()
+}
+
+// tableDir is internal/experiments' table corpus: one experiments.Record
+// per experiment at -quick, as -json writes it.
+var tableDir = filepath.Join("..", "..", "internal", "experiments", "testdata", "tables")
+
+// TestOutputIsTheTableCorpus: what the command prints for two quick
+// ablations, in text and in -json, is what the table corpus holds for
+// them — the JSON its records, the text those records' tables as Format
+// renders them, each followed by a blank line.
+func TestOutputIsTheTableCorpus(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the corpus holds amd64 values: other targets may fuse float operations differently")
+	}
+	const argv = "-quick -ablations -run ablation-rq,ablation-twoway"
+	var want []experiments.Record
+	var text strings.Builder
+	for _, name := range []string{"ablation-rq", "ablation-twoway"} {
+		blob, err := os.ReadFile(filepath.Join(tableDir, name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec experiments.Record
+		if err := json.Unmarshal(blob, &rec); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want = append(want, rec)
+		for _, tab := range rec.Tables {
+			text.WriteString(tab.Format() + "\n")
+		}
+	}
+	code, stdout, stderr := runCommand(t, argv)
+	if code != 0 {
+		t.Fatalf("%s: exit %d:\n%s", argv, code, stderr)
+	}
+	if stdout != text.String() {
+		t.Errorf("%s printed\n%s\nthe corpus renders\n%s", argv, stdout, text.String())
+	}
+	code, stdout, stderr = runCommand(t, argv+" -json")
+	if code != 0 {
+		t.Fatalf("%s -json: exit %d:\n%s", argv, code, stderr)
+	}
+	var got []experiments.Record
+	if err := json.Unmarshal([]byte(stdout), &got); err != nil {
+		t.Fatalf("%s -json: %v:\n%s", argv, err, stdout)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s -json printed records other than those in %s:\n%s", argv, tableDir, stdout)
+	}
 }
 
 // TestRemovedFlagsAreUsageErrors: the scheduling knobs are gone, not
 // shimmed — a command line that still passes one fails flag parsing like any
 // unknown flag.
 func TestRemovedFlagsAreUsageErrors(t *testing.T) {
-	if code, stderr := runCommand(t, "-list"); code != 0 {
+	if code, _, stderr := runCommand(t, "-list"); code != 0 {
 		t.Fatalf("-list exits %d:\n%s", code, stderr)
 	}
 	for _, argv := range []string{"-lease 4", "-lease-timeout 1m", "-cell-timeout 30s"} {
-		code, stderr := runCommand(t, "-run fig3 -quick -workers 2 "+argv)
+		code, _, stderr := runCommand(t, "-run fig3 -quick -workers 2 "+argv)
 		name := strings.Fields(argv)[0]
 		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+name) {
 			t.Errorf("%s: exit %d, want the usage error's 2:\n%s", argv, code, stderr)
@@ -118,7 +173,7 @@ func TestBadRunLengthsAreUsageErrors(t *testing.T) {
 		{"-dur 1 -quick", "-quick and -dur are mutually exclusive"},
 		{"-quick -seeds 1 -dur 2", "-quick and -dur, -seeds are mutually exclusive"},
 	} {
-		code, stderr := runCommand(t, "-run fig3 "+c.argv)
+		code, _, stderr := runCommand(t, "-run fig3 "+c.argv)
 		if code != 2 || !strings.Contains(stderr, c.want) {
 			t.Errorf("%s: exit %d, want 2 and %q on stderr:\n%s", c.argv, code, c.want, stderr)
 		}

@@ -1,20 +1,12 @@
 package experiments
 
-import (
-	"testing"
-
-	"ripple/internal/sim"
-)
+import "testing"
 
 // The ablation shape tests assert directional claims about the ablations
-// docs/model.md lists, under the quick budget.
+// docs/model.md lists, on the tables of the shared quick run.
 
 func TestAblationAggLimitMonotone(t *testing.T) {
-	tab, err := AblationAggLimit(quick2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tab.Format())
+	tab := quickTable(t, "ablation-agg")
 	prev := 0.0
 	for i, r := range tab.Rows {
 		v := r.Cells[0]
@@ -30,11 +22,7 @@ func TestAblationAggLimitMonotone(t *testing.T) {
 }
 
 func TestAblationRqPreventsReordering(t *testing.T) {
-	tab, err := AblationRq(quick2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tab.Format())
+	tab := quickTable(t, "ablation-rq")
 	onRe, _ := tab.Cell("Rq on", "reorder %")
 	offRe, _ := tab.Cell("Rq off", "reorder %")
 	if onRe > 1 {
@@ -51,10 +39,7 @@ func TestAblationRqPreventsReordering(t *testing.T) {
 }
 
 func TestAblationTwoWayMatters(t *testing.T) {
-	tab, err := AblationTwoWay(quick2())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "ablation-twoway")
 	two, _ := tab.Cell("two-way", "R")
 	one, _ := tab.Cell("one-way", "R")
 	if two < 2*one {
@@ -63,12 +48,7 @@ func TestAblationTwoWayMatters(t *testing.T) {
 }
 
 func TestAblationDeferBeatsStrict(t *testing.T) {
-	opt := Options{Seeds: []uint64{1}, Duration: 2 * sim.Second}
-	tab, err := AblationRelayDefer(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tab.Format())
+	tab := quickTable(t, "ablation-defer")
 	d, _ := tab.Cell("4 hidden", "defer")
 	s, _ := tab.Cell("4 hidden", "strict")
 	if d < 2*s {
@@ -83,10 +63,7 @@ func TestAblationDeferBeatsStrict(t *testing.T) {
 }
 
 func TestAblationMultiRateHelps(t *testing.T) {
-	tab, err := AblationMultiRate(quick2())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "ablation-multirate")
 	for _, col := range []string{"DCF", "RIPPLE"} {
 		fixed, _ := tab.Cell("fixed 6 Mbps", col)
 		multi, _ := tab.Cell("multi-rate", col)
@@ -97,11 +74,7 @@ func TestAblationMultiRateHelps(t *testing.T) {
 }
 
 func TestAblationETXRoutesRun(t *testing.T) {
-	tab, err := AblationETXRoutes(quick2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tab.Format())
+	tab := quickTable(t, "ablation-etx")
 	if len(tab.Rows) != 2 || len(tab.Rows[0].Cells) != 2 {
 		t.Fatalf("unexpected table shape: %+v", tab)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ripple/internal/campaign/pool"
+	"ripple/internal/israce"
 	"ripple/internal/routing"
 	"ripple/internal/sim"
 )
@@ -56,11 +57,10 @@ func TestMultiSeedTablesCarryCIs(t *testing.T) {
 	if out := multi.Format(); !strings.Contains(out, "±") {
 		t.Fatalf("multi-seed Format misses CIs:\n%s", out)
 	}
-	single, err := Motivation(quick2())
-	if err != nil {
-		t.Fatal(err)
+	if israce.Enabled {
+		return // the single-seed table is the shared quick run's
 	}
-	for _, r := range single.Rows {
+	for _, r := range quickTable(t, "motivation").Rows {
 		if r.CIs != nil {
 			t.Fatalf("single-seed row %s carries CIs", r.Label)
 		}

@@ -151,6 +151,14 @@ type Runner struct {
 	Run  func(Options) ([]*Table, error)
 }
 
+// Record is one experiment's output in its JSON form: an element of
+// cmd/experiments' -json array, and a file of the table corpus under
+// testdata/tables.
+type Record struct {
+	Experiment string   `json:"experiment"`
+	Tables     []*Table `json:"tables"`
+}
+
 // All returns every experiment in paper order.
 func All() []Runner {
 	return []Runner{

@@ -3,16 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"ripple/internal/routing"
-	"ripple/internal/sim"
 )
-
-// quick2 is the test budget: one seed, short runs. Shape assertions below
-// use wide margins accordingly.
-func quick2() Options {
-	return Options{Seeds: []uint64{1}, Duration: 1500 * sim.Millisecond}
-}
 
 func TestTableFormatAndCell(t *testing.T) {
 	tab := &Table{
@@ -35,15 +26,14 @@ func TestTableFormatAndCell(t *testing.T) {
 	}
 }
 
+// The shape tests assert the paper's qualitative claims on the tables of
+// the shared quick run (quickTable), with wide margins for its one seed.
+
 // TestMotivationShape asserts §II's qualitative claims: preExOR and MCExOR
 // reorder heavily (paper: 26.6% / 27.9%) while predetermined SPR does not,
 // and MCExOR does not beat SPR.
 func TestMotivationShape(t *testing.T) {
-	tab, err := Motivation(quick2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tab.Format())
+	tab := quickTable(t, "motivation")
 	sprTput, _ := tab.Cell("SPR", "Mbps")
 	sprRe, _ := tab.Cell("SPR", "reorder %")
 	preRe, _ := tab.Cell("preExOR", "reorder %")
@@ -64,11 +54,7 @@ func TestMotivationShape(t *testing.T) {
 // S ≪ D ≤ R1 and A < R16, with R16 the overall winner (the paper's
 // 100-300% gains).
 func TestFig3aShape(t *testing.T) {
-	tab, err := fig34("fig3a", routing.Route0(), 1e-6, quick2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tab.Format())
+	tab := quickTable(t, "fig3a")
 	row := "1 flow(s)"
 	s, _ := tab.Cell(row, "S")
 	d, _ := tab.Cell(row, "D")
@@ -92,12 +78,7 @@ func TestFig3aShape(t *testing.T) {
 // TestFig6aShape: total throughput must not grow as flows are added, and
 // RIPPLE must stay on top.
 func TestFig6aShape(t *testing.T) {
-	opt := quick2()
-	tab, err := Fig6a(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tab.Format())
+	tab := quickTable(t, "fig6a")
 	r1, _ := tab.Cell("1 flows", "RIPPLE")
 	r10, _ := tab.Cell("10 flows", "RIPPLE")
 	d10, _ := tab.Cell("10 flows", "DCF")
@@ -112,12 +93,7 @@ func TestFig6aShape(t *testing.T) {
 // TestTable3Shape: with 10 VoIP calls on a clear channel every scheme
 // scores ≈4.1; RIPPLE must not be worse than DCF under load.
 func TestTable3Shape(t *testing.T) {
-	opt := Options{Seeds: []uint64{1}, Duration: 3 * sim.Second}
-	tab, err := Table3(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + tab.Format())
+	tab := quickTable(t, "table3")
 	for _, scheme := range []string{"DCF", "AFR", "RIPPLE"} {
 		v, ok := tab.Cell(scheme, "1e-06/1..10")
 		if !ok {

@@ -9,11 +9,12 @@ import (
 // TestEveryExperimentRuns executes every registered experiment (paper
 // figures and ablations) on a micro budget, checking only structural
 // soundness: tables render, every row has a cell per column, and values are
-// finite and non-negative. The shape assertions live in the dedicated
-// tests; full-budget numbers come from cmd/experiments.
+// finite and non-negative. It is the every-driver sweep that runs under the
+// race detector, where the tests of the shared quick run skip; the values
+// are pinned by TestTablesPinned and the shapes asserted on that run.
 func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("micro-budget sweep still takes ~a minute")
+		t.Skip("sweeps every driver")
 	}
 	opt := Options{Seeds: []uint64{1}, Duration: 300 * sim.Millisecond}
 	all := append(All(), Ablations()...)

@@ -1,8 +1,9 @@
-// Package golden holds test output to files under testdata: one -update
-// flag that rewrites them, a byte comparison that reports the JSON paths
-// which differ instead of two blobs, a summary that stands in for a JSONL
-// trace too large to commit, and a ledger that makes every change to a pin
-// directory say why. Only _test.go files import it
+// Package golden holds test output to files under testdata — the Result
+// pins, the CLI goldens, the grid fingerprints and the experiment table
+// corpus: one -update flag that rewrites them, a byte comparison that
+// reports the JSON paths which differ instead of two blobs, a summary that
+// stands in for a JSONL trace too large to commit, and a ledger that makes
+// every change to a pin directory say why. Only _test.go files import it
 // (scripts/check_substrate.sh), so none of it ships in a binary.
 package golden
 

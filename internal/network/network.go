@@ -7,6 +7,7 @@ package network
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"os"
 	"slices"
 	"sync"
@@ -391,8 +392,9 @@ func (a at) error(field string, value any, rule string) *ConfigError {
 // kind, or a flow whose path is too short, repeats a station or leaves the
 // topology, or whose ID is taken or, for Web and VoIP traffic, negative.
 // Range, through each struct's own rules: a negative Duration,
-// MaxForwarders, UnicastMaxAgg, RippleOpts.MaxAgg or RTSThreshold, and a
-// field of Radio (radio.Config.Check), Routing, Mobility, Faults
+// MaxForwarders, UnicastMaxAgg, RippleOpts.MaxAgg or RTSThreshold, a
+// NodeMaxAgg station outside the topology or limit below 1, and a field of
+// Radio (radio.Config.Check), Routing, Mobility, Faults
 // (fault.Spec.Check) or a flow (its Start, CBR fields and set TCP, VoIP or
 // Web config) out of range. It judges cfg as Run runs it, with Normalize's
 // defaults, so it refuses exactly what Run would. It is the one gate: Run
@@ -431,6 +433,17 @@ func (cfg *Config) check() error {
 		return top.bad("RippleOpts.MaxAgg", cfg.RippleOpts.MaxAgg, rule)
 	case cfg.RTSThreshold < 0:
 		return top.bad("RTSThreshold", cfg.RTSThreshold, rule)
+	}
+	if len(cfg.NodeMaxAgg) > 0 { // a run without overrides allocates nothing here
+		for _, id := range slices.Sorted(maps.Keys(cfg.NodeMaxAgg)) {
+			field, v := fmt.Sprintf("NodeMaxAgg[%d]", id), cfg.NodeMaxAgg[id]
+			switch {
+			case int(id) < 0 || int(id) >= len(cfg.Positions):
+				return top.error(field, v, fmt.Sprintf("station %d outside topology (%d stations)", id, len(cfg.Positions)))
+			case v < 1:
+				return top.bad(field, v, "must be at least 1")
+			}
+		}
 	}
 	if err := cmp.Or(
 		cfg.Radio.Check(at{-1, "Radio."}.bad),

@@ -7,6 +7,7 @@ import (
 
 	"ripple/internal/campaign"
 	"ripple/internal/network"
+	"ripple/internal/pkt"
 	"ripple/internal/radio"
 	"ripple/internal/routing"
 	"ripple/internal/sim"
@@ -56,6 +57,9 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 		{"UnicastMaxAgg", func(c *network.Config) { c.UnicastMaxAgg = -16 }},
 		{"RippleOpts.MaxAgg", func(c *network.Config) { c.RippleOpts.MaxAgg = -1 }},
 		{"RTSThreshold", func(c *network.Config) { c.RTSThreshold = -1 }},
+		{"NodeMaxAgg[0]", func(c *network.Config) { c.NodeMaxAgg = map[pkt.NodeID]int{0: 0} }},
+		{"NodeMaxAgg[0]", func(c *network.Config) { c.NodeMaxAgg = map[pkt.NodeID]int{0: -3} }},
+		{"NodeMaxAgg[999]", func(c *network.Config) { c.NodeMaxAgg = map[pkt.NodeID]int{1: 4, 999: 4} }},
 		{"Radio.BitErrorRate", func(c *network.Config) { c.Radio.BitErrorRate = 2 }},
 		{"Radio.BitErrorRate", func(c *network.Config) { c.Radio.BitErrorRate = -1e-9 }},
 		{"Radio.PruneSigma", func(c *network.Config) { c.Radio.PruneSigma = -1 }},
