@@ -254,9 +254,9 @@ func TestNetFlowToBadEndpointsErrorAtRun(t *testing.T) {
 
 // TestBadPositionsErrorAtRun: a station whose coordinate is NaN or
 // infinite, or that puts two stations further apart than a propagation
-// delay can span, fails the run with an error naming it instead of a panic
-// — and Validate, NewRouter and NewNet refuse the same layout with the
-// same error.
+// delay can span, fails the run with an error naming it, Positions[i],
+// instead of a panic — and Validate, NewRouter and NewNet refuse the same
+// layout with the same error.
 func TestBadPositionsErrorAtRun(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -279,7 +279,7 @@ func TestBadPositionsErrorAtRun(t *testing.T) {
 		_, runErr := Run(sc)
 		_, routerErr := NewRouter(top, DefaultRadio())
 		_, netErr := NewNet(top, IdealRadio())
-		want := fmt.Sprintf("station %d at", tc.station)
+		want := fmt.Sprintf("Positions[%d]: ", tc.station)
 		for _, c := range []struct {
 			call string
 			err  error

@@ -59,19 +59,22 @@ var builtWorld *World
 // TestBuildWorldAllocationBudget holds what set-up of a time-varying world
 // allocates: one BuildWorld of the 200-station city over five seconds — the
 // root world and nine epoch worlds, every one of them moved in and
-// fault-masked. What is counted is what the worlds keep (ten link plans, a
-// clean and a masked link table each, routes) and what deriving them drops:
-// a position grid, dirty lists and a scratch row array per plan, three
-// per-station arrays and a heap per route. The counts repeat to within a
-// dozen objects and a few kilobytes; each budget is the measured number
-// (1,298 objects, 3.22 MB) × 1.25. The bytes are the sharper of the two:
-// link plans that stored an int32 ID per link read 3.84 MB (and 1,278
-// objects); storing each link's mean power and delay besides, and a pruned
-// row's IDs twice, 9.60 MB (and 1,376 objects); storing its distance and a
-// slot index besides, 14.98 MB (and 1,648 objects); with every masked
-// epoch's table probed from nothing and the link arrays regrown in the row
-// pass the same build read 24.72 MB, and a closure per patched table row
-// adds some 3,000 objects.
+// fault-masked. What is counted is what the worlds keep (ten link plans and
+// routes: under RouteETX no world keeps a table) and what deriving them
+// drops: a position grid, dirty lists and a scratch row array per plan, the
+// first clean and masked tables whose arrays the lineage builds the rest
+// over, and the paths of the routes. The counts repeat to within a dozen
+// objects and a few kilobytes; each budget is the measured number (875
+// objects, 1.41 MB) × 1.25. The bytes are the sharper of the two: with
+// every world keeping its masked table, a new table per patch and filter,
+// and three per-station arrays and a heap per route, the build read 3.22 MB
+// (and 1,298 objects); link plans that stored an int32 ID per link, 3.84 MB
+// (and 1,278 objects); storing each link's mean power and delay besides,
+// and a pruned row's IDs twice, 9.60 MB (and 1,376 objects); storing its
+// distance and a slot index besides, 14.98 MB (and 1,648 objects); with
+// every masked epoch's table probed from nothing and the link arrays
+// regrown in the row pass the same build read 24.72 MB, and a closure per
+// patched table row adds some 3,000 objects.
 func TestBuildWorldAllocationBudget(t *testing.T) {
 	cfg := cityBenchConfig(true, 5*sim.Second)
 	var before, after runtime.MemStats
@@ -90,7 +93,7 @@ func TestBuildWorldAllocationBudget(t *testing.T) {
 		}
 	}
 	objects, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-	const objectBudget, byteBudget = 1_623, 4_024_000
+	const objectBudget, byteBudget = 1_094, 1_765_000
 	if objects > objectBudget || bytes > byteBudget {
 		t.Errorf("BuildWorld allocated %d objects (budget %d), %d bytes (budget %d)", objects, objectBudget, bytes, byteBudget)
 	} else {

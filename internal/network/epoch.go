@@ -148,15 +148,18 @@ func (s MobilitySpec) model(initial []radio.Pos) (mobility.Model, error) {
 }
 
 // buildEpochs extends a freshly built initial World with its epoch
-// sequence: one derived World per epoch boundary strictly inside
+// sequence, continuing the lineage derive left at the root: one derived
+// World per epoch boundary strictly inside
 // (0, Duration). Each epoch world is derived incrementally from its
 // predecessor (see derive) — the link plan by radio's row-patching Rebuild,
 // the clean link table by routing.RebuildSparseTableSym — so on a city-scale
 // world with most stations parked, the per-epoch cost is proportional to
 // the motion, not the population. With fault injection, epochs under a
-// fault overlay carry a masked link table (dead stations and blocked
+// fault overlay route on a masked link table (dead stations and blocked
 // links removed, noise penalties applied), a filter of the clean one the
-// lineage carries on to the next epoch; consecutive epochs with
+// lineage carries on to the next epoch; a world keeps its table only under
+// a dynamic policy, and the lineage builds the next tables over the arrays
+// of those it does not keep; consecutive epochs with
 // identical positions and fault toggle counts share one World. Like
 // everything else in the World, the sequence is a pure function of the
 // Config's non-seed fields (the trajectory seed lives in MobilitySpec,
@@ -168,7 +171,7 @@ func (s MobilitySpec) model(initial []radio.Pos) (mobility.Model, error) {
 // plan arrives. Each stage is sequential in itself and a plan is immutable
 // once sent, so the worlds are those a single goroutine would build.
 // buildEpochs returns only after the plan goroutine has, on every path.
-func (w *World) buildEpochs(cfg *Config) error {
+func (w *World) buildEpochs(cfg *Config, ln *lineage) error {
 	var model mobility.Model
 	if cfg.Mobility.active() {
 		m, err := cfg.Mobility.model(cfg.Positions)
@@ -221,7 +224,7 @@ func (w *World) buildEpochs(cfg *Config) error {
 		}
 	}()
 
-	ln := &lineage{faults: w.faults, prev: w, clean: w.table}
+	ln.faults = w.faults
 	if w.faults != nil {
 		ln.counts = w.faults.ToggleCounts(0, nil)
 	}

@@ -140,7 +140,10 @@ func TestEpochWorldsPureAndSeedIndependent(t *testing.T) {
 // churn, whatever the epoch before it was: a masked epoch's table is the
 // build from nothing through the overlay (scratchEpochTable), and a clean
 // epoch after a masked one, whose table is patched from the clean table the
-// lineage carried through the masked epoch, is again the root build's.
+// lineage carried through the masked epoch, is again the root build's. The
+// tables are read from a RouteCongestion world, the one kind whose worlds
+// keep theirs (keptTable); the routes from the RouteETX world, whose worlds
+// keep none.
 func TestEpochIncrementalMatchesScratch(t *testing.T) {
 	var masked, cleanAfterMasked int
 	for _, churn := range []bool{false, true} {
@@ -153,7 +156,13 @@ func TestEpochIncrementalMatchesScratch(t *testing.T) {
 				cfg.Normalize()
 				cfg.Radio.PruneSigma = prune
 				name := fmt.Sprintf("churn %v prune %g %s", churn, prune, kind)
-				w, err := BuildWorld(cfg)
+				etx, err := BuildWorld(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cong := cfg
+				cong.Routing = RoutingSpec{Kind: RouteCongestion}
+				w, err := BuildWorld(cong)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -165,17 +174,18 @@ func TestEpochIncrementalMatchesScratch(t *testing.T) {
 				prevMasked := false
 				for e, ew := range w.epochs {
 					model.Step(pos)
-					want, err := derive(&cfg, nil, radio.NewLinkPlan(cfg.Radio, pos), 0)
+					want, err := derive(&cfg, new(lineage), radio.NewLinkPlan(cfg.Radio, pos), 0)
 					if err != nil {
 						t.Fatalf("%s epoch %d: %v", name, e, err)
 					}
 					if !reflect.DeepEqual(unnamed(ew).plan, unnamed(want).plan) {
 						t.Fatalf("%s epoch %d: incremental plan differs from scratch build", name, e)
 					}
+					table := keptTable(t, ew)
 					if ew.masked {
 						masked++
 						through, _ := scratchEpochTable(&cfg, w.faults, pos, sim.Time(e+1)*w.epochLen)
-						if !reflect.DeepEqual(ew.table, through) {
+						if !reflect.DeepEqual(table, through) {
 							t.Fatalf("%s epoch %d: masked table differs from the build from nothing through the overlay", name, e)
 						}
 						prevMasked = true
@@ -185,11 +195,15 @@ func TestEpochIncrementalMatchesScratch(t *testing.T) {
 						cleanAfterMasked++
 					}
 					prevMasked = false
-					if !reflect.DeepEqual(ew.table, want.table) {
+					clean, err := LinkTable(cfg.Radio, pos)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(table, clean) {
 						t.Fatalf("%s epoch %d: incremental table differs from scratch build", name, e)
 					}
-					if !reflect.DeepEqual(ew.routes, want.routes) {
-						t.Fatalf("%s epoch %d: routes %v, want %v", name, e, ew.routes, want.routes)
+					if got := etx.epochs[e].routes; !reflect.DeepEqual(got, want.routes) {
+						t.Fatalf("%s epoch %d: routes %v, want %v", name, e, got, want.routes)
 					}
 				}
 			}
@@ -249,7 +263,9 @@ func TestEpochWorldDeterministicAcrossPools(t *testing.T) {
 // table, policy or routes fails the test (the mobile analogue of
 // TestSharedWorldRace). The congestion case is the one whose shared
 // per-epoch policy is called mid-run — every run's re-route tick asks it for
-// routes under that run's own backlog — through the K-sizing wrapper.
+// routes under that run's own backlog — through the K-sizing wrapper, so
+// eight runs at a time run Dijkstra over one table, each in a workspace
+// taken from the routing package's shared idle list.
 func TestSharedEpochWorldRace(t *testing.T) {
 	for _, spec := range []RoutingSpec{
 		{Kind: RouteETX},
@@ -280,7 +296,8 @@ func TestSharedEpochWorldRace(t *testing.T) {
 // all pairs: on a pruned city-scale world the base snapshot and every
 // epoch's rebuild must keep the plan pruned and store only in-range links —
 // an unpruned link plan holds all n·(n−1) ordered pairs (36 MB at N=1000,
-// per epoch) — and the table only the usable ones among them.
+// per epoch) — and the table only the usable ones among them. The tables
+// are read from a RouteCongestion world, whose worlds keep theirs.
 func TestEpochTablesStaySparseCity(t *testing.T) {
 	top, _ := topology.CityN(1000, 3)
 	cfg := Config{
@@ -290,7 +307,7 @@ func TestEpochTablesStaySparseCity(t *testing.T) {
 		Flows: []FlowSpec{
 			{ID: 1, Path: endpointPath(0, 999), Kind: FTP},
 		},
-		Routing:  RoutingSpec{Kind: RouteETX},
+		Routing:  RoutingSpec{Kind: RouteCongestion},
 		Duration: 1200 * sim.Millisecond,
 		Mobility: MobilitySpec{Kind: MobilityMarkov},
 	}
@@ -313,9 +330,38 @@ func TestEpochTablesStaySparseCity(t *testing.T) {
 				name, table.Links(), plan.Links())
 		}
 	}
-	check("base world", w.plan, w.table)
+	check("base world", w.plan, keptTable(t, w))
 	for e, ew := range w.epochs {
-		check(fmt.Sprintf("epoch %d", e), ew.plan, ew.table)
+		check(fmt.Sprintf("epoch %d", e), ew.plan, keptTable(t, ew))
+	}
+}
+
+// TestWorldKeepsTableOnlyUnderDynamicPolicy: a world keeps what a run
+// reads. Under RouteETX the 200-station city's routes are all resolved at
+// build time, and no world of it, the root or an epoch's, keeps a policy or
+// a table; under RouteCongestion, whose runs re-route, every one keeps its
+// policy, and the policy its table.
+func TestWorldKeepsTableOnlyUnderDynamicPolicy(t *testing.T) {
+	cfg := cityBenchConfig(true, 5*sim.Second)
+	for _, kind := range []RoutePolicyKind{RouteETX, RouteCongestion} {
+		cfg.Routing = RoutingSpec{Kind: kind}
+		w, err := BuildWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Epochs() != 9 {
+			t.Fatalf("%s: %d epoch worlds, want 9", kind, w.Epochs())
+		}
+		for e, ew := range append([]*World{w}, w.epochs...) {
+			switch {
+			case kind == RouteCongestion:
+				if links := keptTable(t, ew).Links(); links == 0 {
+					t.Fatalf("%s world %d keeps an empty table", kind, e)
+				}
+			case ew.policy != nil:
+				t.Fatalf("%s world %d keeps policy %s", kind, e, ew.policy.Name())
+			}
+		}
 	}
 }
 
@@ -427,7 +473,7 @@ func TestEpochDeriveErrorLeavesNoGoroutine(t *testing.T) {
 	w.epochs = nil
 	bad := cfg
 	bad.Routing.Kind = RoutePolicyKind(99)
-	err = w.buildEpochs(&bad)
+	err = w.buildEpochs(&bad, rootLineage(t, w, &cfg))
 	if err == nil || !strings.Contains(err.Error(), "unknown route policy kind") {
 		t.Fatalf("buildEpochs = %v, want the epoch's route policy error", err)
 	}
@@ -463,6 +509,7 @@ func TestEpochPlanPanicReachesCaller(t *testing.T) {
 	w.epochs = nil
 	bad := cfg
 	bad.Positions = cfg.Positions[:len(cfg.Positions)-1]
+	ln := rootLineage(t, w, &cfg)
 	defer func() {
 		r := recover()
 		msg, _ := r.(string)
@@ -470,6 +517,17 @@ func TestEpochPlanPanicReachesCaller(t *testing.T) {
 			t.Fatalf("recovered %v, want the Rebuild panic with the plan goroutine's stack", r)
 		}
 	}()
-	err = w.buildEpochs(&bad)
+	err = w.buildEpochs(&bad, ln)
 	t.Fatalf("buildEpochs returned %v, want a panic", err)
+}
+
+// rootLineage is the lineage derive leaves at root, cfg's built world: the
+// root's clean table is LinkTable's, derive's builder.
+func rootLineage(t *testing.T, root *World, cfg *Config) *lineage {
+	t.Helper()
+	clean, err := LinkTable(cfg.Radio, cfg.Positions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &lineage{prev: root, clean: clean}
 }

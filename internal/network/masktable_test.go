@@ -46,25 +46,43 @@ func scratchEpochTable(cfg *Config, fs *fault.Schedule, positions []radio.Pos, a
 }
 
 // epochProvenance counts, over a chain of epochs, how each world's table
-// came about: by what it is (masked or clean) and what its predecessor was.
+// came about: by what it is (masked or clean) and what its predecessor was;
+// and, apart, the epochs in which nobody moved but a fault toggled (a world
+// of its own over its predecessor's plan and clean table) and the epochs
+// that moved next after one, whose clean table is patched from a table the
+// toggled world shared.
 type epochProvenance struct {
 	maskedAfterClean, maskedAfterMasked, cleanAfterMasked, cleanAfterClean int
+	sharedPlanToggled, movedAfterToggle                                    int
 }
 
-// checkEpochTables replays cfg's trajectories and holds every epoch world's
-// link table to scratchEpochTable at that epoch's positions and boundary,
-// off, adjID and adjETX bit for bit (a Table is those three and a count, no
-// stored value is a NaN, and ETX never yields a negative zero). each, when
+// checkEpochTables replays cfg's trajectories and holds the tables derive
+// builds to scratchEpochTable at each epoch's positions and boundary, off,
+// adjID and adjETX bit for bit (a Table is those three and a count, no
+// stored value is a NaN, and ETX never yields a negative zero). The tables
+// do not depend on the policy kind, and only a dynamic policy's world keeps
+// one, so they are read from a RouteCongestion world, after its whole build:
+// a table the lineage built over again while a world kept it would differ.
+// Every epoch world of the same config under RouteETX keeps none, and routes
+// each flow as ETX routing over the scratch table does, so the tables it
+// built over recycled arrays were right while it routed on them. each, when
 // set, is handed every epoch's boundary; prov is added to.
 func checkEpochTables(t *testing.T, name string, cfg Config, prov *epochProvenance, each func(at sim.Time, fs *fault.Schedule)) {
 	t.Helper()
 	cfg.Normalize()
+	cfg.Routing = RoutingSpec{Kind: RouteCongestion}
 	w, err := BuildWorld(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	if w.Epochs() == 0 {
 		t.Fatalf("%s: no epoch worlds", name)
+	}
+	etxCfg := cfg
+	etxCfg.Routing = RoutingSpec{Kind: RouteETX}
+	etx, err := BuildWorld(etxCfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
 	pos := append([]radio.Pos(nil), cfg.Positions...)
 	step := func([]radio.Pos) { /* fault-only worlds stand still */ }
@@ -75,7 +93,7 @@ func checkEpochTables(t *testing.T, name string, cfg Config, prov *epochProvenan
 		}
 		step = model.Step
 	}
-	prevMasked := false
+	prevMasked, prevToggled, prev := false, false, w
 	for e, ew := range w.epochs {
 		step(pos)
 		at := sim.Time(e+1) * w.epochLen
@@ -83,9 +101,31 @@ func checkEpochTables(t *testing.T, name string, cfg Config, prov *epochProvenan
 		if ew.masked != masked {
 			t.Fatalf("%s epoch %d: world masked %v, overlay in effect %v", name, e, ew.masked, masked)
 		}
-		if !reflect.DeepEqual(ew.table, want) {
+		if got := keptTable(t, ew); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s epoch %d (masked %v after masked %v): derived table (%d links) differs from the build from nothing (%d links)",
-				name, e, masked, prevMasked, ew.table.Links(), want.Links())
+				name, e, masked, prevMasked, got.Links(), want.Links())
+		}
+		ee := etx.epochs[e]
+		if ee.policy != nil {
+			t.Fatalf("%s epoch %d: a RouteETX world keeps its policy", name, e)
+		}
+		for i, f := range cfg.Flows {
+			p, err := want.ShortestPath(f.Path.Src(), f.Path.Dst())
+			switch {
+			case err != nil && !ee.stale[i] && !ee.unreach[i]:
+				t.Fatalf("%s epoch %d flow %d: no ETX route, yet route %v is neither stale nor unreachable", name, e, i, ee.routes[i])
+			case err == nil && !slices.Equal(ee.routes[i], p):
+				t.Fatalf("%s epoch %d flow %d: RouteETX route %v, ETX routing over the epoch's table %v", name, e, i, ee.routes[i], p)
+			}
+		}
+		switch {
+		case ew == prev: // nothing changed: the predecessor itself
+		case ew.plan == prev.plan:
+			prov.sharedPlanToggled++
+			prevToggled = true
+		case prevToggled:
+			prov.movedAfterToggle++
+			prevToggled = false
 		}
 		switch {
 		case masked && prevMasked:
@@ -97,7 +137,7 @@ func checkEpochTables(t *testing.T, name string, cfg Config, prov *epochProvenan
 		default:
 			prov.cleanAfterClean++
 		}
-		prevMasked = masked
+		prevMasked, prev = masked, ew
 		if each != nil {
 			each(at, w.faults)
 		}
@@ -105,13 +145,17 @@ func checkEpochTables(t *testing.T, name string, cfg Config, prov *epochProvenan
 }
 
 // TestMaskedTableIsFilteredCleanTable is the differential test of the
-// masked arm: in every epoch of the world-derivation matrix's scenarios —
-// pruned and unpruned, waypoint under the heavy fault profile (every epoch
-// masked) and Markov under the light one (clean and masked interleaved) —
-// and of a fault-only city in which noise bursts, the partition window and
-// flapped links are in effect together, the table derive stores — the clean
-// lineage's table, filtered through the overlay where one is in effect — is
-// the table probed from nothing through that overlay.
+// masked arm and of the lineage's recycling: in every epoch of the
+// world-derivation matrix's scenarios — pruned and unpruned, waypoint under
+// the heavy fault profile (every epoch masked) and Markov under the light
+// one (clean and masked interleaved) — of a Markov world that stands still
+// through most epochs while faults toggle, and of a fault-only city in
+// which noise bursts, the partition window and flapped links are in effect
+// together, the table derive builds — the clean lineage's table, filtered
+// through the overlay where one is in effect — is the table probed from
+// nothing through that overlay. Between them the scenarios build a table
+// after every provenance: masked after clean, clean after masked, and a
+// world over an unmoved plan with a fault toggled.
 func TestMaskedTableIsFilteredCleanTable(t *testing.T) {
 	var prov epochProvenance
 	for _, pruned := range []bool{false, true} {
@@ -120,8 +164,16 @@ func TestMaskedTableIsFilteredCleanTable(t *testing.T) {
 			checkEpochTables(t, name, worldPinConfig(pruned, mob, RoutingSpec{Kind: RouteETX}), &prov, nil)
 		}
 	}
-	if prov.maskedAfterClean == 0 || prov.maskedAfterMasked == 0 || prov.cleanAfterMasked == 0 || prov.cleanAfterClean == 0 {
-		t.Fatalf("the matrix misses a provenance: %+v", prov)
+	// Recycling: a clean table kept by an unmasked world, then filtered in
+	// an epoch nobody moved, must not be built over when the epochs after
+	// it move. 48 stations at stay 0.99 leave most of 29 epochs unmoved.
+	still := worldPinConfig(true, MobilityMarkov, RoutingSpec{Kind: RouteETX})
+	still.Mobility.Stay = 0.99
+	still.Duration = 6 * sim.Second
+	checkEpochTables(t, "still", still, &prov, nil)
+	if prov.maskedAfterClean == 0 || prov.maskedAfterMasked == 0 || prov.cleanAfterMasked == 0 || prov.cleanAfterClean == 0 ||
+		prov.sharedPlanToggled == 0 || prov.movedAfterToggle == 0 {
+		t.Fatalf("the mobile scenarios miss a provenance: %+v", prov)
 	}
 
 	// Everything at once: the same city and faults with the partition taken
@@ -131,6 +183,10 @@ func TestMaskedTableIsFilteredCleanTable(t *testing.T) {
 	flapsOnly := cfg.Faults
 	flapsOnly.PartitionDur = 0
 	root, err := BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := LinkTable(cfg.Radio, cfg.Positions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +202,7 @@ func TestMaskedTableIsFilteredCleanTable(t *testing.T) {
 			// The penalty has to bite: links of the clean table whose ends
 			// it reaches, re-evaluated, not only dropped.
 			for _, l := range links {
-				if max(noise[l[0]], noise[l[1]]) > 0 && root.table.LinkETX(l[0], l[1]) < 100 {
+				if max(noise[l[0]], noise[l[1]]) > 0 && clean.LinkETX(l[0], l[1]) < 100 {
 					noisyLinks++
 				}
 			}

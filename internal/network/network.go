@@ -386,6 +386,18 @@ func (a at) error(field string, value any, rule string) *ConfigError {
 	return &ConfigError{Field: field, Value: value, Rule: rule}
 }
 
+// checkPositions is radio.CheckPositions' refusal as the ConfigError on the
+// station's element of Positions. It allocates nothing on positions it
+// accepts: Validate runs once per cell at plan time and again per run.
+func checkPositions(positions []radio.Pos) error {
+	err := radio.CheckPositions(positions)
+	if err == nil {
+		return nil
+	}
+	pe := err.(*radio.PositionError) // its one error type
+	return at{flow: -1}.bad(fmt.Sprintf("Positions[%d]", pe.Station), pe.Pos, pe.Rule)
+}
+
 // Validate reports the first thing that makes cfg unrunnable, as a
 // *ConfigError. Structure: no stations, a station CheckPositions refuses, no
 // flows, an unknown scheme, mobility kind, route policy kind or traffic
@@ -413,8 +425,8 @@ func (cfg *Config) check() error {
 	if len(cfg.Positions) == 0 {
 		return top.error("Positions", cfg.Positions, "no station positions")
 	}
-	if err := radio.CheckPositions(cfg.Positions); err != nil {
-		return top.error("Positions", cfg.Positions, err.Error())
+	if err := checkPositions(cfg.Positions); err != nil {
+		return err
 	}
 	if len(cfg.Flows) == 0 {
 		return top.error("Flows", cfg.Flows, "no flows")

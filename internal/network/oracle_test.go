@@ -51,10 +51,10 @@ func binomialTails(n, k int, p float64) (below, above float64) {
 // the medium delivers intact must lie inside the 99.9 % binomial interval
 // of the model's own prediction, DeliveryProb(d, header + packet bits) —
 // the shadowing draw against the decode threshold, then the bit-error
-// process over the MAC header and the packet with its CRC. The world built
-// over the same pair must store the ETX the router derives from that
-// model, ETX(p, p) with p = 1 − LossProb(d), and no link where p is under
-// minLinkProb.
+// process over the MAC header and the packet with its CRC. The link table
+// a world over the same pair routes on (LinkTable, derive's builder) must
+// store the ETX the router derives from that model, ETX(p, p) with
+// p = 1 − LossProb(d), and no link where p is under minLinkProb.
 func TestLinkDeliveryMatchesModel(t *testing.T) {
 	const frames, packetBytes = 5000, 1000
 	const alpha = 0.001 // two-sided
@@ -91,18 +91,12 @@ func TestLinkDeliveryMatchesModel(t *testing.T) {
 			}
 		}
 
-		w, err := BuildWorld(Config{
-			Positions: positions,
-			Radio:     rc,
-			Scheme:    DCF,
-			Flows:     []FlowSpec{{ID: 1, Path: routing.Path{0, 1}, Kind: FTP}},
-			Routing:   RoutingSpec{K: 1},
-		})
+		table, err := LinkTable(rc, positions)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := 1 - rc.LossProb(d)
-		got := w.table.LinkETX(0, 1)
+		got := table.LinkETX(0, 1)
 		switch want := routing.ETX(p, p); {
 		case p < minLinkProb && !math.IsInf(got, 1):
 			t.Errorf("d = %.2f × RXRange: p = %.4f is under minLinkProb, but the table stores ETX %g", frac, p, got)

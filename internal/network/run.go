@@ -418,8 +418,8 @@ func (r *run) armEpochs() {
 // fails under the current backlog keeps its previous route — transient
 // congestion must not kill the flow.
 func (r *run) armReroute() {
-	if r.policy == nil || !r.policy.Dynamic() {
-		return
+	if r.policy == nil {
+		return // a world keeps its policy only when it is dynamic
 	}
 	epoch := r.cfg.Routing.Epoch
 	if epoch <= 0 {

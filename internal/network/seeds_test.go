@@ -250,8 +250,9 @@ func TestRNGStreamsAreDisjoint(t *testing.T) {
 
 // TestBadPositionsAreErrors: a coordinate that is not finite, or a layout
 // so wide that a propagation delay across it would overflow the link plan's
-// int32 nanoseconds, is a configuration error naming the station, returned
-// by Run, BuildWorld and LinkTable before anything is built from it.
+// int32 nanoseconds, is the *ConfigError on the station's element,
+// Positions[i], returned by Run, BuildWorld and LinkTable before anything is
+// built from it.
 func TestBadPositionsAreErrors(t *testing.T) {
 	top, path := topology.Line(2)
 	for _, tc := range []struct {
@@ -271,15 +272,14 @@ func TestBadPositionsAreErrors(t *testing.T) {
 			Flows:     []FlowSpec{{ID: 1, Path: path, Kind: FTP}},
 			Duration:  sim.Second,
 		}
-		want := fmt.Sprintf("station %d at", tc.station)
-		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: Run returned %v, want an error naming station %d", tc.name, err, tc.station)
-		}
-		if _, err := BuildWorld(cfg); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: BuildWorld returned %v, want an error naming station %d", tc.name, err, tc.station)
-		}
-		if _, err := LinkTable(radio.DefaultConfig(), positions); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: LinkTable returned %v, want an error naming station %d", tc.name, err, tc.station)
+		want := fmt.Sprintf("Positions[%d]", tc.station)
+		_, run := Run(cfg)
+		_, build := BuildWorld(cfg)
+		_, table := LinkTable(radio.DefaultConfig(), positions)
+		for gate, err := range map[string]error{"Run": run, "BuildWorld": build, "LinkTable": table} {
+			if ce, ok := err.(*ConfigError); !ok || ce.Field != want {
+				t.Errorf("%s: %s returned %v, want the ConfigError on %s", tc.name, gate, err, want)
+			}
 		}
 	}
 }

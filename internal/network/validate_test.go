@@ -2,7 +2,9 @@ package network_test
 
 import (
 	"errors"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"ripple/internal/campaign"
@@ -47,6 +49,12 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 	}
 	moves := func(m network.MobilitySpec) func(*network.Config) {
 		return func(c *network.Config) { c.Mobility = m }
+	}
+	place := func(i int, p radio.Pos) func(*network.Config) {
+		return func(c *network.Config) {
+			c.Positions = slices.Clone(c.Positions)
+			c.Positions[i] = p
+		}
 	}
 	rows := []struct {
 		field string
@@ -110,6 +118,8 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 		{"Flows[1].Web.MeanTransferBytes", web(func(p *traffic.WebConfig) { p.MeanTransferBytes = -1 })},
 		{"Flows[1].Web.ParetoShape", web(func(p *traffic.WebConfig) { p.ParetoShape = 1 })},
 		{"Flows[1].Web.OffMean", web(func(p *traffic.WebConfig) { p.OffMean = -1 })},
+		{"Positions[1]", place(1, radio.Pos{X: math.NaN()})},
+		{"Positions[2]", place(2, radio.Pos{X: 5e8, Y: 5e8})},
 	}
 	top, path := topology.Line(3)
 	base := func() network.Config {
@@ -132,13 +142,20 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 		row.set(&cfg)
 		grid := campaign.Grid{Name: "rule", Axes: []campaign.Axis{campaign.A("row", "0")},
 			Build: func(campaign.Point) (network.Config, error) { return cfg, nil }}
-		var err [5]error
+		var err [6]error
 		err[0] = network.Validate(&cfg)
 		_, err[1] = network.BuildWorld(cfg)
 		_, err[2] = network.Run(cfg)
 		_, err[3] = grid.Plan()
 		_, err[4] = campaign.NewPlan("rule", []campaign.CellSpec{{Label: row.field, Config: cfg, Seeds: []uint64{1}}})
-		for i, gate := range []string{"Validate", "BuildWorld", "Run", "Grid.Plan", "NewPlan"} {
+		gates := []string{"Validate", "BuildWorld", "Run", "Grid.Plan", "NewPlan"}
+		if strings.HasPrefix(row.field, "Positions") || strings.HasPrefix(row.field, "Radio.") {
+			// LinkTable takes what a link plan is built from, and refuses
+			// it as Validate does.
+			_, err[5] = network.LinkTable(cfg.Radio, cfg.Positions)
+			gates = append(gates, "LinkTable")
+		}
+		for i, gate := range gates {
 			var ce *network.ConfigError
 			if !errors.As(err[i], &ce) || ce.Field != row.field {
 				t.Errorf("%s: %s returned %v, want a *ConfigError on %s", row.field, gate, err[i], row.field)

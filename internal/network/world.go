@@ -14,35 +14,41 @@ import (
 
 // World is the immutable, seed-independent snapshot of a scenario: the
 // radio link plan (per-neighbor power and delay attributes and neighbor
-// lists, sparse when pruning is on), the ETX link table of the
-// routing layer (the usable links of the plan's neighbor graph), the route
-// policy over that table, and every flow's resolved initial route. All of
-// it is a pure function of the Config's non-seed fields, so a campaign cell
-// that fans S seed-runs of one scenario across the worker pool can build
-// the World once and share it by reference — the per-run cost collapses to
-// the mutable state (engine, medium, schemes, transports).
+// lists, sparse when pruning is on), every flow's resolved initial route,
+// and — under a dynamic route policy only — that policy over the ETX link
+// table of the routing layer (the usable links of the plan's neighbor
+// graph). A static policy's routes are resolved once, in derive, and
+// neither the policy nor its table outlives that: a world keeps only what a
+// run reads. All of it is a pure function of the Config's non-seed fields,
+// so a campaign cell that fans S seed-runs of one scenario across the
+// worker pool can build the World once and share it by reference — the
+// per-run cost collapses to the mutable state (engine, medium, schemes,
+// transports).
 //
 // Immutability contract: a World is never written after BuildWorld
 // returns, and network.Run only reads it. Per-run mutable derivatives —
 // the RouteBook (routes change each epoch under dynamic policies), the
 // Medium (counters, station PHY state) — are created fresh per run *from*
-// the World. The policy is shared too: every policy is a stateless view of
-// the immutable table (a dynamic one is handed the run's backlog per
-// call). Sharing one World across any number of concurrent runs is
-// therefore safe; the shared-world tests in this package hammer one
-// instance from many goroutines under -race to enforce the contract.
+// the World. The policy is shared too: it is a stateless view of the
+// immutable table, handed the run's backlog per call. Sharing one World
+// across any number of concurrent runs is therefore safe; the shared-world
+// tests in this package hammer one instance from many goroutines under
+// -race to enforce the contract.
 //
 // Seed independence is equally load-bearing: nothing in the World depends
 // on Config.Seed, and building it draws no random numbers, so a run on a
 // prebuilt World is RNG-bit-identical to a run that builds everything
 // itself.
 type World struct {
-	plan  *radio.LinkPlan
-	table *routing.Table // nil when the routing spec is inactive
-	// policy is the spec's routing.Policy over table and the plan's
-	// positions; nil when the spec resolves to none (inactive, or static
-	// paths sized in place).
+	plan *radio.LinkPlan
+	// policy is the spec's routing.Policy over the world's link table and
+	// the plan's positions when it is Dynamic — the one a run re-routes
+	// with, and the one holder of a table — and nil otherwise.
 	policy routing.Policy
+	// kind and routed are the routing spec the world was derived under: its
+	// policy kind, and whether it is active (check compares both).
+	kind   RoutePolicyKind
+	routed bool
 	// routes holds each flow's resolved initial path, indexed like
 	// Config.Flows. For static specs this is the declared (possibly
 	// K-sized) path; for policy specs it is the policy's unloaded route.
@@ -82,7 +88,8 @@ func BuildWorld(cfg Config) (*World, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	w, err := derive(&cfg, nil, radio.NewLinkPlan(cfg.Radio, cfg.Positions), 0)
+	ln := new(lineage)
+	w, err := derive(&cfg, ln, radio.NewLinkPlan(cfg.Radio, cfg.Positions), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +98,7 @@ func BuildWorld(cfg Config) (*World, error) {
 			exemptEndpoints(&cfg), newPlanPairs(w.plan))
 	}
 	if cfg.Mobility.active() || w.faults != nil {
-		if err := w.buildEpochs(&cfg); err != nil {
+		if err := w.buildEpochs(&cfg, ln); err != nil {
 			return nil, err
 		}
 	}
@@ -102,21 +109,29 @@ func BuildWorld(cfg Config) (*World, error) {
 // a link for routing.
 const minLinkProb = 0.1
 
-// lineage is what deriving an epoch world takes from the epochs before it
-// besides the predecessor World itself. It lives for one buildEpochs and is
+// lineage is what deriving a world takes from the worlds before it: the
+// predecessor, its clean link table, and the tables no world keeps, to be
+// built over again. The root's is empty. It lives for one BuildWorld and is
 // dropped with it, so no World carries any of it.
 type lineage struct {
 	faults *fault.Schedule // the root world's; nil without fault injection
-	prev   *World
-	// clean is prev's link table before any fault overlay: prev.table itself
-	// when prev is unmasked, and nil when routing is inactive.
-	clean *routing.Table
+	prev   *World          // nil while the root is derived
+	// clean is prev's link table before any fault overlay, nil when routing
+	// is inactive; cleanKept records that some world keeps it (an unmasked
+	// world under a dynamic policy), so it must never be built over.
+	clean     *routing.Table
+	cleanKept bool
+	// spareClean is a clean table the lineage has moved past and no world
+	// keeps, spareMasked a masked table whose world dropped it: the next
+	// patch and the next filter are built over their arrays. nil when there
+	// is none.
+	spareClean, spareMasked *routing.Table
 	// counts is the fault schedule's ToggleCounts at prev's boundary; spare
 	// is the buffer the next boundary's are written into.
 	counts, spare []int
 }
 
-// derive builds one world over its link plan: the root snapshot (ln nil,
+// derive builds one world over its link plan: the root snapshot (ln empty,
 // at 0) or the world of one epoch from its predecessor, the epoch's plan
 // (the predecessor's, row-patched by LinkPlan.Rebuild) and the fault overlay
 // in effect at the boundary, advancing ln to it.
@@ -138,6 +153,11 @@ type lineage struct {
 // the medium does to live transmissions; the clean one is carried forward
 // in ln all the same, so a masked epoch costs its successor nothing.
 //
+// Once the routes are resolved, only a dynamic policy is kept, and with it
+// its table. Every other table is recycled through ln: a masked table its
+// world dropped, and a clean table once its successor is patched, unless a
+// world keeps it.
+//
 // A flow whose route cannot be resolved is an error on the root world. On
 // an epoch world it keeps the previous epoch's route — flagged stale when
 // motion disconnected the endpoints, or unreachable when the fault overlay
@@ -145,12 +165,9 @@ type lineage struct {
 // one: a transient partition must not kill the run, and Run surfaces the
 // flags as Result.RouteStale and the unreachable machinery instead.
 func derive(cfg *Config, ln *lineage, plan *radio.LinkPlan, at sim.Time) (*World, error) {
-	w := &World{flows: len(cfg.Flows), plan: plan}
-	var prev *World
-	var fs *fault.Schedule
-	var clean *routing.Table
-	if ln != nil {
-		prev, fs = ln.prev, ln.faults
+	w := &World{flows: len(cfg.Flows), plan: plan, kind: cfg.Routing.Kind, routed: cfg.Routing.active()}
+	prev, fs := ln.prev, ln.faults
+	if prev != nil {
 		// Two instants with equal toggle counts have identical fault
 		// overlays, and prev is the world of one epoch earlier.
 		toggled := false
@@ -158,7 +175,7 @@ func derive(cfg *Config, ln *lineage, plan *radio.LinkPlan, at sim.Time) (*World
 			ln.counts, ln.spare = fs.ToggleCounts(at, ln.spare[:0]), ln.counts
 			toggled = !slices.Equal(ln.counts, ln.spare)
 		}
-		if w.plan == prev.plan && !toggled {
+		if plan == prev.plan && !toggled {
 			// Nobody moved and no fault toggled this epoch: the predecessor
 			// *is* this epoch's world, and both are immutable, so share it.
 			return prev, nil
@@ -168,48 +185,54 @@ func derive(cfg *Config, ln *lineage, plan *radio.LinkPlan, at sim.Time) (*World
 	var noise []float64
 	if fs != nil && fs.MaskedAt(at) {
 		w.masked = true
-		down = make([]bool, w.plan.Stations())
+		down = make([]bool, plan.Stations())
 		for i := range down {
 			down[i] = fs.StationDownAt(pkt.NodeID(i), at)
 		}
 		noise = fs.NoiseDBAt(at, nil)
 	}
-	if cfg.Routing.active() {
+	var table *routing.Table
+	var pol routing.Policy
+	if w.routed {
 		prob := linkProb(cfg.Radio)
 		switch {
-		case ln == nil:
-			clean = linkTable(w.plan, prob)
-		case w.plan == prev.plan:
-			clean = ln.clean
-		default:
-			clean = patchLinkTable(prev.plan, ln.clean, w.plan, prob)
+		case prev == nil:
+			ln.clean = linkTable(plan, prob)
+		case plan != prev.plan:
+			var spare *routing.Table
+			if !ln.cleanKept {
+				spare = ln.clean
+			}
+			ln.clean = patchLinkTable(ln.spareClean, prev.plan, ln.clean, plan, prob)
+			ln.spareClean, ln.cleanKept = spare, false
 		}
-		w.table = clean
+		table = ln.clean
 		if w.masked {
-			w.table = maskLinkTable(clean, w.plan, cfg.Radio, fs, at, down, noise)
+			table = maskLinkTable(ln.spareMasked, table, plan, cfg.Radio, fs, at, down, noise)
+			ln.spareMasked = nil
 		}
 		// RouteStatic with K sizes the declared paths in place, without a
 		// policy.
 		if cfg.Routing.Kind != RouteStatic {
-			pol, err := cfg.Routing.build(w.table, w.plan.Positions())
+			p, err := cfg.Routing.build(table, plan.Positions())
 			if err != nil {
 				return nil, err
 			}
-			w.policy = pol
+			pol = p
 		}
 	}
 	w.routes = make([]routing.Path, len(cfg.Flows))
-	if fs != nil || (prev != nil && w.policy != nil) {
+	if fs != nil || (prev != nil && pol != nil) {
 		w.stale = make([]bool, len(cfg.Flows))
 		w.unreach = make([]bool, len(cfg.Flows))
 	}
 	for i, f := range cfg.Flows {
 		switch {
-		case w.policy != nil:
-			p, err := w.policy.Route(f.Path.Src(), f.Path.Dst(), nil)
+		case pol != nil:
+			p, err := pol.Route(f.Path.Src(), f.Path.Dst(), nil)
 			if err != nil {
 				if prev == nil {
-					return nil, fmt.Errorf("network: flow %d: %s route: %w", f.ID, w.policy.Name(), err)
+					return nil, fmt.Errorf("network: flow %d: %s route: %w", f.ID, pol.Name(), err)
 				}
 				p = prev.routes[i]
 				// Distinguish "this policy could not route" (geo void, a
@@ -219,14 +242,14 @@ func derive(cfg *Config, ln *lineage, plan *radio.LinkPlan, at sim.Time) (*World
 				// drop at the source instead of burning airtime).
 				cut := false
 				if w.masked {
-					_, err := w.table.ShortestPath(f.Path.Src(), f.Path.Dst())
+					_, err := table.ShortestPath(f.Path.Src(), f.Path.Dst())
 					cut = err != nil
 				}
 				w.unreach[i], w.stale[i] = cut, !cut
 			}
 			w.routes[i] = p
-		case w.table != nil:
-			w.routes[i] = routing.Resize(w.table, maskPath(f.Path, down), cfg.Routing.K, cfg.Routing.Rule)
+		case table != nil:
+			w.routes[i] = routing.Resize(table, maskPath(f.Path, down), cfg.Routing.K, cfg.Routing.Rule)
 		default:
 			w.routes[i] = maskPath(f.Path, down)
 		}
@@ -234,9 +257,14 @@ func derive(cfg *Config, ln *lineage, plan *radio.LinkPlan, at sim.Time) (*World
 			w.unreach[i] = true
 		}
 	}
-	if ln != nil {
-		ln.prev, ln.clean = w, clean
+	switch {
+	case pol != nil && pol.Dynamic():
+		w.policy = pol
+		ln.cleanKept = ln.cleanKept || !w.masked
+	case w.masked:
+		ln.spareMasked = table
 	}
+	ln.prev = w
 	return w, nil
 }
 
@@ -266,8 +294,8 @@ func LinkTable(rc radio.Config, positions []radio.Pos) (*routing.Table, error) {
 	if err := rc.Check(at{-1, "Radio."}.bad); err != nil {
 		return nil, err
 	}
-	if err := radio.CheckPositions(positions); err != nil {
-		return nil, at{flow: -1}.error("Positions", positions, err.Error())
+	if err := checkPositions(positions); err != nil {
+		return nil, err
 	}
 	return linkTable(radio.NewLinkPlan(rc, positions), linkProb(rc)), nil
 }
@@ -289,8 +317,8 @@ func linkTable(plan *radio.LinkPlan, prob func(d float64) float64) *routing.Tabl
 // probability evaluation — the enumeration hands every other pair a
 // distance of 0, which RebuildSparseTableSym never reads. Whether the
 // predecessor world was fault-masked does not enter: its clean table is
-// what is patched.
-func patchLinkTable(prevPlan *radio.LinkPlan, prevClean *routing.Table, plan *radio.LinkPlan, prob func(d float64) float64) *routing.Table {
+// what is patched. The table is built over dst's arrays (nil allocates).
+func patchLinkTable(dst *routing.Table, prevPlan *radio.LinkPlan, prevClean *routing.Table, plan *radio.LinkPlan, prob func(d float64) float64) *routing.Table {
 	prevPos, newPos := prevPlan.Positions(), plan.Positions()
 	moved := make([]bool, plan.Stations())
 	unchanged := make([]bool, plan.Stations())
@@ -298,7 +326,7 @@ func patchLinkTable(prevPlan *radio.LinkPlan, prevClean *routing.Table, plan *ra
 		moved[i] = newPos[i] != prevPos[i]
 		unchanged[i] = !moved[i] && plan.RowEqual(prevPlan, i)
 	}
-	return routing.RebuildSparseTableSym(prevClean, moved, unchanged,
+	return routing.RebuildSparseTableSym(dst, prevClean, moved, unchanged,
 		func(a pkt.NodeID, yield func(int32, float64)) {
 			plan.EachAscNeighborID(int(a), func(j int32) {
 				d := 0.0
@@ -316,9 +344,10 @@ func patchLinkTable(prevPlan *radio.LinkPlan, prevClean *routing.Table, plan *ra
 // threshold raised by it. A penalty can only lower a delivery probability,
 // so no pair the clean table left out for falling short of minLinkProb can
 // clear it under the overlay: the filter of the clean table is the table a
-// build from nothing under the overlay would store, link for link.
-func maskLinkTable(clean *routing.Table, plan *radio.LinkPlan, rc radio.Config, fs *fault.Schedule, at sim.Time, down []bool, noise []float64) *routing.Table {
-	return clean.Filter(func(a, b pkt.NodeID, etx float64) float64 {
+// build from nothing under the overlay would store, link for link. The table
+// is built over dst's arrays (nil allocates).
+func maskLinkTable(dst, clean *routing.Table, plan *radio.LinkPlan, rc radio.Config, fs *fault.Schedule, at sim.Time, down []bool, noise []float64) *routing.Table {
+	return clean.Filter(dst, func(a, b pkt.NodeID, etx float64) float64 {
 		if down[a] || down[b] || fs.LinkBlockedAt(a, b, at) {
 			return math.Inf(1)
 		}
@@ -440,12 +469,9 @@ func (w *World) check(cfg *Config) error {
 		return fmt.Errorf("network: World built for %d flows, config has %d",
 			w.flows, len(cfg.Flows))
 	}
-	if w.table == nil && cfg.Routing.active() {
-		return fmt.Errorf("network: World built without a link table, config routing is active")
-	}
-	if (w.policy != nil) != (cfg.Routing.Kind != RouteStatic) {
-		return fmt.Errorf("network: World route policy (%v) does not match config routing %s",
-			w.policy != nil, cfg.Routing.Kind)
+	if w.kind != cfg.Routing.Kind || w.routed != cfg.Routing.active() {
+		return fmt.Errorf("network: World built for routing %s (active %v), config has %s (active %v)",
+			w.kind, w.routed, cfg.Routing.Kind, cfg.Routing.active())
 	}
 	if (w.faults != nil) != cfg.Faults.Active() {
 		return fmt.Errorf("network: World fault schedule (%v) does not match config faults (%v)",

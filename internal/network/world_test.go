@@ -28,6 +28,19 @@ func worldTestConfig() Config {
 	}
 }
 
+// keptTable is the link table w keeps: its congestion policy's. A world
+// keeps a table only under a dynamic policy, and derive builds the same
+// tables whatever the kind, so a test reads them through a RouteCongestion
+// world.
+func keptTable(t *testing.T, w *World) *routing.Table {
+	t.Helper()
+	p, ok := w.policy.(*routing.CongestionPolicy)
+	if !ok {
+		t.Fatalf("world keeps policy %T, want a *routing.CongestionPolicy", w.policy)
+	}
+	return p.Table()
+}
+
 // endpointPath builds a two-endpoint path (route-policy configs declare
 // endpoints; the concrete relays come from the policy).
 func endpointPath(src, dst pkt.NodeID) routing.Path { return routing.Path{src, dst} }
@@ -160,13 +173,13 @@ func TestSparseWorldTableMatchesDense(t *testing.T) {
 			Positions: tc.positions,
 			Radio:     tc.rc,
 			Flows:     []FlowSpec{{ID: 1, Path: endpointPath(0, 1), Kind: FTP}},
-			Routing:   RoutingSpec{Kind: RouteETX},
+			Routing:   RoutingSpec{Kind: RouteCongestion},
 		}
-		w, err := derive(&cfg, nil, radio.NewLinkPlan(cfg.Radio, cfg.Positions), 0)
+		w, err := derive(&cfg, new(lineage), radio.NewLinkPlan(cfg.Radio, cfg.Positions), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, sparse := w.plan, w.table
+		plan, sparse := w.plan, keptTable(t, w)
 		if !plan.Pruned() {
 			t.Fatalf("%s: plan not pruned — case set up wrong", tc.name)
 		}

@@ -89,16 +89,28 @@ func NewLinkPlan(cfg Config, positions []Pos) *LinkPlan {
 // are int32 nanoseconds, which reach about 644,000 km.
 const maxDelayNS = math.MaxInt32
 
+// PositionError is CheckPositions' report: the first station a link plan
+// cannot be built with, where it is, and the rule it breaks.
+type PositionError struct {
+	Station int
+	Pos     Pos
+	Rule    string
+}
+
+func (e *PositionError) Error() string {
+	return fmt.Sprintf("station %d at (%v, %v): %s", e.Station, e.Pos.X, e.Pos.Y, e.Rule)
+}
+
 // CheckPositions reports the first station a link plan cannot be built
-// with: one with a coordinate that is NaN or infinite, or one that
-// stretches the stations' bounding box so far that the propagation delay
-// across its diagonal — the longest any pair of stations can have —
-// overflows the plan's int32 nanoseconds.
+// with, as a *PositionError: one with a coordinate that is NaN or infinite,
+// or one that stretches the stations' bounding box so far that the
+// propagation delay across its diagonal — the longest any pair of stations
+// can have — overflows the plan's int32 nanoseconds.
 func CheckPositions(positions []Pos) error {
 	var lo, hi Pos
 	for i, p := range positions {
 		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
-			return fmt.Errorf("station %d at (%v, %v): a coordinate is not finite", i, p.X, p.Y)
+			return &PositionError{i, p, "a coordinate is not finite"}
 		}
 		if i == 0 {
 			lo, hi = p, p
@@ -106,8 +118,8 @@ func CheckPositions(positions []Pos) error {
 		lo = Pos{min(lo.X, p.X), min(lo.Y, p.Y)}
 		hi = Pos{max(hi.X, p.X), max(hi.Y, p.Y)}
 		if span := Dist(lo, hi); span/speedOfLight*1e9 >= maxDelayNS+1 {
-			return fmt.Errorf("station %d at (%v, %v) spreads the stations over %.0f km, more than the %.0f km a link plan's delays can span",
-				i, p.X, p.Y, span/1000, maxDelayNS/1e9*speedOfLight/1000)
+			return &PositionError{i, p, fmt.Sprintf("spreads the stations over %.0f km, more than the %.0f km a link plan's delays can span",
+				span/1000, maxDelayNS/1e9*speedOfLight/1000)}
 		}
 	}
 	return nil

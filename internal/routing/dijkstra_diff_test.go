@@ -131,7 +131,10 @@ func TestDijkstraMatchesContainerHeap(t *testing.T) {
 		}
 		for k := 0; k < 4; k++ {
 			src := pkt.NodeID(rng.IntN(n))
-			dist, prev := table.dijkstra(src, -1, cost)
+			ws := takeWorkspace(n)
+			table.dijkstra(ws, src, -1, cost)
+			dist, prev := slices.Clone(ws.dist), slices.Clone(ws.prev)
+			keepWorkspace(ws)
 			wantDist, wantPrev := dijkstraRef(table, src, cost)
 			if !slices.Equal(dist, wantDist) || !slices.Equal(prev, wantPrev) {
 				t.Fatalf("trial %d (n=%d) from %d: value heap and container/heap disagree\ndist %v\nwant %v\nprev %v\nwant %v",
@@ -168,13 +171,28 @@ func TestDijkstraMatchesContainerHeap(t *testing.T) {
 	}
 }
 
-// One call allocates its three per-station arrays and the heap, not an entry
-// per relaxation, whether it runs to completion or stops at a destination.
+// A call reuses an idle workspace, so what it allocates is what it returns:
+// ShortestPath the path alone and Distances the distance slice alone,
+// whether the table is the size of the last one searched or not.
 func TestDijkstraAllocations(t *testing.T) {
 	table := randomTieTable(rand.New(rand.NewPCG(3, 3)), 400, 6, 3)
-	for _, dst := range []pkt.NodeID{-1, 77} {
-		if a := testing.AllocsPerRun(20, func() { table.dijkstra(5, dst, nil) }); a > 4 {
-			t.Fatalf("dijkstra to %d allocates %.0f objects a call, want at most 4", dst, a)
+	small := randomTieTable(rand.New(rand.NewPCG(4, 4)), 50, 6, 3)
+	if _, err := table.ShortestPath(5, 77); err != nil {
+		t.Fatal(err)
+	}
+	noop := func(_, _ pkt.NodeID, etx float64) float64 { return etx }
+	for _, c := range []struct {
+		name string
+		want float64
+		call func()
+	}{
+		{"ShortestPath", 1, func() { table.ShortestPath(5, 77) }},
+		{"ShortestPathCost", 1, func() { table.ShortestPathCost(5, 77, noop) }},
+		{"Distances", 1, func() { table.Distances(5, nil) }},
+		{"ShortestPath on two sizes in turn", 2, func() { small.ShortestPath(1, 2); table.ShortestPath(5, 77) }},
+	} {
+		if a := testing.AllocsPerRun(20, c.call); a != c.want {
+			t.Errorf("%s allocates %.0f objects, want %.0f: the returned values only", c.name, a, c.want)
 		}
 	}
 }

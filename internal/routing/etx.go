@@ -4,8 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
+	"sync"
 
 	"ripple/internal/pkt"
+	"ripple/internal/sim"
 )
 
 // ErrNoRoute is the sentinel wrapped by every path computation that fails
@@ -175,58 +179,105 @@ func (t *Table) ShortestPath(src, dst pkt.NodeID) (Path, error) {
 // ShortestPathCost runs Dijkstra with a custom link cost (nil selects the
 // raw ETX metric) and returns the minimum-cost path from src to dst, or an
 // error when dst is unreachable. Only links the table considers usable
-// (finite ETX) are offered to the cost function.
+// (finite ETX) are offered to the cost function. The returned path is the
+// one allocation a call makes.
 func (t *Table) ShortestPathCost(src, dst pkt.NodeID, cost LinkCostFunc) (Path, error) {
-	dist, prev := t.dijkstra(src, dst, cost)
-	if math.IsInf(dist[dst], 1) {
+	ws := takeWorkspace(t.n)
+	defer keepWorkspace(ws)
+	t.dijkstra(ws, src, dst, cost)
+	if math.IsInf(ws.dist[dst], 1) {
 		return nil, fmt.Errorf("routing: %w %d -> %d", ErrNoRoute, src, dst)
 	}
-	var rev Path
-	for at := dst; at != -1; at = prev[at] {
-		rev = append(rev, at)
-		if at == src {
-			break
-		}
+	hops := 1
+	for at := dst; at != src; at = ws.prev[at] {
+		hops++
 	}
-	p := make(Path, len(rev))
-	for i, id := range rev {
-		p[len(rev)-1-i] = id
+	p := make(Path, hops)
+	for i, at := hops-1, dst; i >= 0; i, at = i-1, ws.prev[at] {
+		p[i] = at
 	}
 	return p, nil
 }
 
 // Distances returns the minimum-cost distance from src to every station
-// (nil cost selects raw ETX; +Inf marks unreachable stations). The ETX
-// metric is symmetric (1/(df·dr) does not depend on direction), so
-// Distances(dst, nil) also gives every station's distance *to* dst — the
-// "ETX progress" ordering opportunistic relay selection relies on.
+// (nil cost selects raw ETX; +Inf marks unreachable stations), in a slice
+// the caller owns. The ETX metric is symmetric (1/(df·dr) does not depend
+// on direction), so Distances(dst, nil) also gives every station's
+// distance *to* dst — the "ETX progress" ordering opportunistic relay
+// selection relies on.
 func (t *Table) Distances(src pkt.NodeID, cost LinkCostFunc) []float64 {
-	dist, _ := t.dijkstra(src, -1, cost)
-	return dist
+	ws := takeWorkspace(t.n)
+	defer keepWorkspace(ws)
+	t.dijkstra(ws, src, -1, cost)
+	return slices.Clone(ws.dist)
+}
+
+// workspace is what one Dijkstra run writes: a distance, a predecessor and
+// a settled flag per station, and the heap. A table is shared by every run
+// of its world, concurrent ones included, so the workspace cannot live in
+// it; a call takes one from the package's idle workspaces and puts it back.
+type workspace struct {
+	dist []float64
+	prev []pkt.NodeID
+	done []bool
+	q    pq
+}
+
+// workspaces holds the idle workspaces: a mutex and a last-in, first-out
+// sim.FreeList, at most GOMAXPROCS of them, so what a call allocates does
+// not depend on the scheduler or the collector, as it would with a
+// sync.Pool.
+var workspaces struct {
+	sync.Mutex
+	idle sim.FreeList[workspace]
+}
+
+// takeWorkspace returns an idle workspace, or a new one, sized for n
+// stations.
+func takeWorkspace(n int) *workspace {
+	workspaces.Lock()
+	ws := workspaces.idle.Get()
+	workspaces.Unlock()
+	if ws == nil {
+		ws = new(workspace)
+	}
+	ws.dist = slices.Grow(ws.dist[:0], n)[:n]
+	ws.prev = slices.Grow(ws.prev[:0], n)[:n]
+	ws.done = slices.Grow(ws.done[:0], n)[:n]
+	return ws
+}
+
+// keepWorkspace puts a workspace back for the next call.
+func keepWorkspace(ws *workspace) {
+	workspaces.Lock()
+	if workspaces.idle.Len() < runtime.GOMAXPROCS(0) {
+		workspaces.idle.Put(ws)
+	}
+	workspaces.Unlock()
 }
 
 // dijkstra computes single-source minimum-cost distances and predecessors
-// over the stored links. A popped node's neighbors are relaxed in ascending
-// ID order, which fixes the tie order among equal distances and hence the
-// paths: two tables holding the same links route identically.
+// over the stored links into ws. A popped node's neighbors are relaxed in
+// ascending ID order, which fixes the tie order among equal distances and
+// hence the paths: two tables holding the same links route identically.
 //
 // It stops once dst is settled (-1: no station is, and every distance is
 // final on return). A settled station's dist and prev never change, and every
 // station on the path to a settled one was settled before it, so the path
 // read back from prev is the one a run to completion leaves; the entries of
 // stations not yet settled are provisional and must not be read.
-func (t *Table) dijkstra(src, dst pkt.NodeID, cost LinkCostFunc) ([]float64, []pkt.NodeID) {
-	dist := make([]float64, t.n)
-	prev := make([]pkt.NodeID, t.n)
-	done := make([]bool, t.n)
+func (t *Table) dijkstra(ws *workspace, src, dst pkt.NodeID, cost LinkCostFunc) {
+	dist, prev, done := ws.dist, ws.prev, ws.done
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		prev[i] = -1
 	}
+	clear(done)
 	dist[src] = 0
-	// Room for one entry per station: more are queued at once only when many
-	// are reached again by a shorter way before they are settled.
-	q := make(pq, 0, t.n)
+	// The heap keeps the room earlier calls grew it to. It holds about one
+	// entry per station, more only when many are reached again by a shorter
+	// way before they are settled.
+	q := ws.q[:0]
 	q.push(pqItem{node: src, dist: 0})
 	for len(q) > 0 {
 		u := q.pop().node
@@ -256,7 +307,7 @@ func (t *Table) dijkstra(src, dst pkt.NodeID, cost LinkCostFunc) ([]float64, []p
 			}
 		}
 	}
-	return dist, prev
+	ws.q = q
 }
 
 // Stations returns the number of stations the table was built over.

@@ -95,6 +95,9 @@ func (p *CongestionPolicy) Route(src, dst pkt.NodeID, backlog BacklogFunc) (Path
 	return p.t.ShortestPathCost(src, dst, p.cost(dst, backlog))
 }
 
+// Table exposes the policy's link table (for wrappers and diagnostics).
+func (p *CongestionPolicy) Table() *Table { return p.t }
+
 // PathCost returns the policy's metric for a given path under a backlog:
 // the summed link ETX plus Alpha per queued packet at every traversed relay
 // (endpoints excluded). It is the quantity Route minimises, exposed for

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math"
+	"slices"
 
 	"ripple/internal/pkt"
 )
@@ -25,14 +26,12 @@ import (
 // sensible minProb and NewTable would exclude it too. The stored values are
 // NewTable's with prob(a,b) == prob(b,a): ETX(p, p) == 1/(p·p) bit for bit.
 func NewSparseTableSym(n int, links func(a pkt.NodeID, yield func(b int32, p float64)), minProb float64) *Table {
-	t := &Table{n: n, off: make([]int64, n+1)}
 	// Usable degree is typically far below candidate degree (decode range
 	// vs pruning range), so rows grow by append instead of reserving the
 	// full candidate count, and counting the usable ones first would pay
 	// every probability twice. A station anything can be routed to has a
 	// usable link, so one slot each is the floor the arrays start from.
-	t.adjID = make([]int32, 0, n)
-	t.adjETX = make([]float64, 0, n)
+	t := reuse(nil, n, n)
 	var a int
 	keep := func(b int32, p float64) {
 		if int(b) == a || p < minProb {
@@ -69,11 +68,12 @@ func NewSparseTableSym(n int, links func(a pkt.NodeID, yield func(b int32, p flo
 // exactly NewSparseTableSym over the new graph, bit for bit (the rebuild
 // equivalence test enforces it); prev is read-only throughout, so runs
 // still executing on the previous epoch are undisturbed.
-func RebuildSparseTableSym(prev *Table, moved, unchanged []bool, links func(a pkt.NodeID, yield func(b int32, d float64)), prob func(d float64) float64, minProb float64) *Table {
+//
+// dst, when not nil, is a table nobody will read again, never prev itself:
+// the result is built in it, over its arrays, and returned. nil allocates.
+func RebuildSparseTableSym(dst, prev *Table, moved, unchanged []bool, links func(a pkt.NodeID, yield func(b int32, d float64)), prob func(d float64) float64, minProb float64) *Table {
 	n := prev.n
-	t := &Table{n: n, off: make([]int64, n+1)}
-	t.adjID = make([]int32, 0, len(prev.adjID)+64)
-	t.adjETX = make([]float64, 0, len(prev.adjID)+64)
+	t := reuse(dst, n, len(prev.adjID)+64)
 	// The two row visitors are built once and read the row they serve from
 	// a, k and hi: a closure handed to links escapes, and one per row would
 	// be an allocation per row.
@@ -129,11 +129,11 @@ func RebuildSparseTableSym(prev *Table, moved, unchanged []bool, links func(a pk
 // one. mask is offered every stored link with its ETX, in row order, and
 // returns the ETX to store for it or +Inf to drop it; it must be symmetric
 // (mask(a, b, x) == mask(b, a, x)) and can only ever remove links, never add
-// one t does not store. t is read-only throughout.
-func (t *Table) Filter(mask LinkCostFunc) *Table {
-	f := &Table{n: t.n, off: make([]int64, t.n+1)}
-	f.adjID = make([]int32, 0, len(t.adjID))
-	f.adjETX = make([]float64, 0, len(t.adjID))
+// one t does not store. t is read-only throughout. dst, when not nil, is a
+// table nobody will read again, never t itself: the result is built in it,
+// over its arrays, and returned. nil allocates.
+func (t *Table) Filter(dst *Table, mask LinkCostFunc) *Table {
+	f := reuse(dst, t.n, len(t.adjID))
 	for a := 0; a < t.n; a++ {
 		for s := t.off[a]; s < t.off[a+1]; s++ {
 			if etx := mask(pkt.NodeID(a), pkt.NodeID(t.adjID[s]), t.adjETX[s]); !math.IsInf(etx, 1) {
@@ -144,4 +144,19 @@ func (t *Table) Filter(mask LinkCostFunc) *Table {
 		f.off[a+1] = int64(len(f.adjID))
 	}
 	return f
+}
+
+// reuse returns dst, or a new table when dst is nil, emptied for n stations
+// with room for links links: its arrays are kept where they are large
+// enough.
+func reuse(dst *Table, n, links int) *Table {
+	if dst == nil {
+		dst = new(Table)
+	}
+	dst.n = n
+	dst.off = slices.Grow(dst.off[:0], n+1)[:n+1]
+	dst.off[0] = 0
+	dst.adjID = slices.Grow(dst.adjID[:0], links)
+	dst.adjETX = slices.Grow(dst.adjETX[:0], links)
+	return dst
 }

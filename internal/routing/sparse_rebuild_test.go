@@ -72,7 +72,9 @@ func tablesEqual(t *testing.T, want, got *Table) {
 // property of the epoch table rebuild, across several motion fractions
 // and epochs of random motion, over a pruned candidate graph (400 m) and
 // an unpruned one that offers every pair: each patched table equals the
-// all-pairs reference, and so does a fresh NewSparseTableSym.
+// all-pairs reference, and so does a fresh NewSparseTableSym. From the
+// second epoch on each table is built over the arrays of the one two epochs
+// back, as an epoch lineage recycles them.
 func TestRebuildSparseTableSymMatchesFromScratch(t *testing.T) {
 	for _, radius := range []float64{400, math.Inf(1)} {
 		testRebuildMatchesFromScratch(t, radius)
@@ -91,6 +93,7 @@ func testRebuildMatchesFromScratch(t *testing.T, radius float64) {
 			pos[i] = radio.Pos{X: rng.Float64() * side, Y: rng.Float64() * side}
 		}
 		prev := symFromScratch(pos, radius)
+		var spare *Table
 		for epoch := 0; epoch < 6; epoch++ {
 			moved := make([]bool, n)
 			next := append([]radio.Pos(nil), pos...)
@@ -119,7 +122,7 @@ func testRebuildMatchesFromScratch(t *testing.T, radius float64) {
 				}
 				unchanged[a] = ok
 			}
-			got := RebuildSparseTableSym(prev, moved, unchanged, candGraph(next, radius), probFromDist, 0.1)
+			got := RebuildSparseTableSym(spare, prev, moved, unchanged, candGraph(next, radius), probFromDist, 0.1)
 			want := allPairs(next, radius)
 			tablesEqual(t, want, got)
 			tablesEqual(t, want, symFromScratch(next, radius))
@@ -132,7 +135,7 @@ func testRebuildMatchesFromScratch(t *testing.T, radius float64) {
 					t.Fatalf("radius %g frac %g epoch %d: routes diverge: %v/%v vs %v/%v", radius, frac, epoch, pw, errW, pg, errG)
 				}
 			}
-			prev, pos = got, next
+			spare, prev, pos = prev, got, next
 		}
 	}
 }
@@ -154,6 +157,34 @@ func TestRebuildSparseTableKeepsPrevIntact(t *testing.T) {
 		moved[i] = true
 		next[i] = radio.Pos{X: rng.Float64() * 800, Y: rng.Float64() * 800}
 	}
-	RebuildSparseTableSym(prev, moved, nil, candGraph(next, 300), probFromDist, 0.1)
+	RebuildSparseTableSym(symFromScratch(next, 300), prev, moved, nil, candGraph(next, 300), probFromDist, 0.1)
 	tablesEqual(t, snapshot, prev)
+}
+
+// TestFilterIntoSpareMatchesFresh: a filter built over the arrays of a
+// spare table — one with more links than the result and one with fewer —
+// equals the filter into a new table, and leaves the filtered table as it
+// was.
+func TestFilterIntoSpareMatchesFresh(t *testing.T) {
+	const n = 120
+	rng := sim.NewRNG(5, 5)
+	pos := make([]radio.Pos, n)
+	for i := range pos {
+		pos[i] = radio.Pos{X: rng.Float64() * 900, Y: rng.Float64() * 900}
+	}
+	clean, snapshot := symFromScratch(pos, 400), symFromScratch(pos, 400)
+	drop := func(a, b pkt.NodeID, etx float64) float64 {
+		if a%5 == 0 || b%5 == 0 || (a+b)%7 == 0 {
+			return math.Inf(1)
+		}
+		return etx * 1.5
+	}
+	want := clean.Filter(nil, drop)
+	if want.Links() == 0 || want.Links() == clean.Links() {
+		t.Fatalf("the mask keeps %d of %d links: it must drop some and keep some", want.Links(), clean.Links())
+	}
+	for _, spare := range []*Table{symFromScratch(pos, math.Inf(1)), symFromScratch(pos[:n/2], 200)} {
+		tablesEqual(t, want, clean.Filter(spare, drop))
+	}
+	tablesEqual(t, snapshot, clean)
 }
