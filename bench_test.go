@@ -88,9 +88,11 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // suite, its ~950 cells × 3 seeds at 50 ms, each run on the arena the one
 // before it left, plus the cells' worlds and the result fold. Which arena a
 // run gets depends on the order of the calls alone, so the counts repeat:
-// the suite reads 30,243 objects in a process that has run nothing else and
-// 25,26x on every pass after that. Each budget is the measured number ×
-// 1.25. A pool, a slab or a bound callback rebuilt per run costs the second
+// the suite read 30,243 objects in a process that had run nothing else and
+// 25,26x on every pass after that; then 20,238 and 80 for the run after a
+// run, before fault transitions, web transfers, NAV expiries and route
+// paths stopped allocating per run; now 19,553 and 79. Each budget is the
+// measured number × 1.25. A pool, a slab or a bound callback rebuilt per run costs the second
 // run hundreds of objects and the suite hundreds of thousands — it read
 // 577,538 before runs were kept — and fails here. What a run allocates on a
 // new arena is held where a new arena can be asked for:
@@ -120,15 +122,15 @@ func TestSetupAllocationBudgets(t *testing.T) {
 		}
 	}
 	// Whatever arena this run finds, the next finds the one it leaves. Of
-	// that run's 97 objects some 60 are the public API's — the line topology,
-	// the scenario's campaign plan and pool job, the public Result with its
-	// per-flow metrics and labels — 24 are the World network.Run builds when
-	// it is handed none (link plan, grid, route), and a dozen the run's own:
-	// its copy of the Config, validate's flow-ID set, five forwarder lists
-	// the route book caches per run, the Result and its flow slice.
+	// that run's 79 objects nearly all are the public API's — the line
+	// topology, the scenario's campaign plan and pool job, the public Result
+	// with its per-flow metrics and labels — and the World network.Run
+	// builds when it is handed none (link plan, grid, route); a few are the
+	// run's own: its copy of the Config, validate's flow-ID set, the Result
+	// and its flow slice.
 	engineRun(t)
-	check("one saturated 3-hop run on the arena the run before it left", mallocs(func() { engineRun(t) }), 125)
+	check("one saturated 3-hop run on the arena the run before it left", mallocs(func() { engineRun(t) }), 99)
 	// One worker, so one arena: every run of the suite on what the run
 	// before it left.
-	check("the figure suite at 50 ms", mallocs(func() { suitePass(t, 1, 50*sim.Millisecond) }), 38_000)
+	check("the figure suite at 50 ms", mallocs(func() { suitePass(t, 1, 50*sim.Millisecond) }), 24_441)
 }

@@ -11,7 +11,8 @@
 //     release as delivered or dropped, and network.Run verifies the
 //     conservation identity (allocated = delivered + dropped + in-flight)
 //     after every drain via CheckPoolConservation; pkt.FramePool's
-//     counters get the same check from CheckFramePool.
+//     counters get the same check from CheckFramePool, and each flow's
+//     delay histogram is held to its delay sum by CheckDelayHist.
 //
 //   - Deep mode (ripple.Scenario.Audit, `ripplesim -audit`, or the
 //     RIPPLE_AUDIT environment variable) attaches an Auditor: MAC queues
@@ -28,6 +29,9 @@ package audit
 import (
 	"fmt"
 	"strings"
+
+	"ripple/internal/sim"
+	"ripple/internal/stats"
 )
 
 // QueueBoundSlack is how far past its configured limit a MAC queue may
@@ -172,6 +176,29 @@ func CheckPoolConservation(gets, delivered, dropped, inUse int) {
 		"audit: invariant violated: packet conservation\n"+
 			"  detail: allocated %d != delivered %d + dropped %d + in-flight %d (= %d)",
 		gets, delivered, dropped, inUse, delivered+dropped+inUse))
+}
+
+// CheckDelayHist verifies that flow's delay histogram agrees with the sum
+// and count its delays were also accumulated in: it counted as many delays,
+// and unless a delay overflowed its range, the mean of its bucket midpoints
+// lies within one bucket of the exact mean. Always-on, like the pool
+// identities: it reads what the fold has in hand.
+func CheckDelayHist(flow int, h *stats.Hist, count int64, mean sim.Time) {
+	var detail string
+	switch {
+	case h.Count() != count:
+		detail = fmt.Sprintf("flow %d: the histogram counts %d delays, the sum %d", flow, h.Count(), count)
+	case h.Overflowed():
+		return
+	default:
+		got, want := stats.HistBucket(sim.Time(h.Mean())), stats.HistBucket(mean)
+		if got >= want-1 && got <= want+1 {
+			return
+		}
+		detail = fmt.Sprintf("flow %d: the histogram's mean %.0f ns is in bucket %d, the mean delay %d ns in bucket %d",
+			flow, h.Mean(), got, int64(mean), want)
+	}
+	panic("audit: invariant violated: delay histogram\n  detail: " + detail)
 }
 
 // CheckFramePool verifies the frame pool's identity — every frame handed

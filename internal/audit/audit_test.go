@@ -3,6 +3,9 @@ package audit
 import (
 	"strings"
 	"testing"
+
+	"ripple/internal/sim"
+	"ripple/internal/stats"
 )
 
 // mustViolate runs fn and requires it to panic with a report naming the
@@ -129,4 +132,24 @@ func TestCheckFramePool(t *testing.T) {
 	CheckFramePool(10, 7, 3)
 	mustViolate(t, "frame conservation", func() { CheckFramePool(10, 7, 2) })
 	mustViolate(t, "frame conservation", func() { CheckFramePool(10, 7, 4) })
+}
+
+// TestCheckDelayHist pins the delay histogram's identities against the sum
+// it shadows: the same count, and a mean within one bucket — a tolerance
+// that holds at a microsecond and at a second, and no wider.
+func TestCheckDelayHist(t *testing.T) {
+	var h stats.Hist
+	CheckDelayHist(1, &h, 0, 0)
+	var sum sim.Time
+	for _, d := range []sim.Time{3, 900, 1500 * sim.Microsecond, 40 * sim.Millisecond, sim.Second} {
+		h.Add(d)
+		sum += d
+	}
+	CheckDelayHist(1, &h, 5, sum/5)
+	mustViolate(t, "delay histogram", func() { CheckDelayHist(1, &h, 4, sum/5) })
+	mustViolate(t, "delay histogram", func() { CheckDelayHist(1, &h, 5, sum/5*21/20) })
+	mustViolate(t, "delay histogram", func() { CheckDelayHist(1, &h, 5, sum/5*19/20) })
+	// A delay past the last bucket leaves only the count to check.
+	h.Add(1 << 40)
+	CheckDelayHist(1, &h, 6, (sum+1<<40)/6)
 }

@@ -20,8 +20,6 @@
 package core
 
 import (
-	"slices"
-
 	"ripple/internal/forward"
 	"ripple/internal/phys"
 	"ripple/internal/pkt"
@@ -105,14 +103,17 @@ type Ripple struct {
 	// Hot-path scratch and free lists: okScratch collects the decoded
 	// sub-packets of one reception (valid only within the handler),
 	// freeRelays recycles pendingRelay structs (each keeps its timer and
-	// packet buffer), freeRq the resequencers, from one run of a run arena to
-	// the next.
-	okScratch  []*pkt.Packet
-	freeRelays sim.FreeList[pendingRelay]
-	freeRq     sim.FreeList[reseq]
+	// packet buffer), freeRq the resequencers and freeReclaims the
+	// piggyback reclaim events, from one run of a run arena to the next.
+	okScratch    []*pkt.Packet
+	freeRelays   sim.FreeList[pendingRelay]
+	freeRq       sim.FreeList[reseq]
+	freeReclaims sim.FreeList[piggyReclaim]
 }
 
 // piggyEntry is the local packets a forwarder added to one mTXOP's relay.
+// An entry dropped from piggy leaves its emptied buffer just past the end,
+// for the next one.
 type piggyEntry struct {
 	txop uint64
 	pkts []*pkt.Packet
@@ -129,24 +130,26 @@ func New(env forward.Env, opt Options) *Ripple {
 
 // Init makes r, in place, the agent New returns: every field zero or set
 // from the arguments, except the chassis (see forward.Station.Init), the
-// three per-stream and per-mTXOP slices and two seen-sets, emptied, the
-// scratch buffers, and the relay and resequencer records, recalled from
-// wherever the last run left them with their timers bound and their
-// buffers empty.
+// three per-stream and per-mTXOP slices and two seen-sets, emptied (the
+// piggyback entries keeping their buffers), the scratch buffers, and the
+// relay, resequencer and reclaim records, recalled from wherever the last
+// run left them with their timers bound and their buffers empty.
 func (r *Ripple) Init(env forward.Env, opt Options) {
 	if opt.MaxAgg < 1 {
 		opt.MaxAgg = 1
 	}
 	clear(r.rq)
-	clear(r.piggy)
+	r.emptyPiggy()
 	r.seenData.Reset()
 	r.seenAck.Reset()
 	r.freeRelays.Recall((*pendingRelay).wipe)
 	r.freeRq.Recall((*reseq).wipe)
+	r.freeReclaims.Recall((*piggyReclaim).wipe)
 	*r = Ripple{Station: r.Station, opt: opt,
 		relays: r.relays[:0], seenData: r.seenData, seenAck: r.seenAck,
-		rq: r.rq[:0], macSeq: r.macSeq[:0], piggy: r.piggy[:0],
-		okScratch: r.okScratch[:0], freeRelays: r.freeRelays, freeRq: r.freeRq}
+		rq: r.rq[:0], macSeq: r.macSeq[:0], piggy: r.piggy,
+		okScratch: r.okScratch[:0], freeRelays: r.freeRelays, freeRq: r.freeRq,
+		freeReclaims: r.freeReclaims}
 	r.Station.Init(env, r)
 }
 
@@ -274,8 +277,9 @@ func (r *Ripple) handleAck(f *pkt.Frame) {
 			}
 		}
 		if len(kept) == 0 {
-			r.piggy = slices.Delete(r.piggy, i, i+1)
+			r.dropPiggy(i)
 		} else {
+			clear(pending[len(kept):])
 			r.piggy[i].pkts = kept
 		}
 	}
@@ -416,24 +420,52 @@ func (r *Ripple) fireDataRelay(p *pendingRelay) {
 // piggyback tops a relayed frame up with local packets bound for the same
 // destination (Remark 3). They are reclaimed on ACK or timeout.
 func (r *Ripple) piggyback(relay *pkt.Frame) {
-	room := r.opt.MaxAgg - len(relay.Packets)
-	local := r.Queue.PopNWhere(room, func(p *pkt.Packet) bool {
+	n := len(relay.Packets)
+	relay.Packets = r.Queue.PopNWhereInto(relay.Packets, r.opt.MaxAgg-n, func(p *pkt.Packet) bool {
 		return p.Dst == relay.FinalDst
 	})
+	local := relay.Packets[n:]
 	if len(local) == 0 {
 		return
 	}
-	relay.Packets = append(relay.Packets, local...)
-	if i := r.findPiggy(relay.TxopID); i >= 0 {
-		r.piggy[i].pkts = append(r.piggy[i].pkts, local...)
-	} else {
-		r.piggy = append(r.piggy, piggyEntry{txop: relay.TxopID, pkts: local})
+	i := r.findPiggy(relay.TxopID)
+	if i < 0 {
+		i = len(r.piggy)
+		if i < cap(r.piggy) {
+			r.piggy = r.piggy[:i+1]
+		} else {
+			r.piggy = append(r.piggy, piggyEntry{})
+		}
+		r.piggy[i].txop = relay.TxopID
 	}
+	r.piggy[i].pkts = append(r.piggy[i].pkts, local...)
 	// If the mTXOP's ACK never comes back through us, reclaim the packets
 	// so they are retransmitted in our own transmission opportunity.
 	deadline := 4 * (r.P.SIFS + 5*r.P.Slot + r.dataDuration(relay))
-	txop := relay.TxopID // the relay frame is recycled long before the deadline
-	r.Eng.After(deadline, func() { r.reclaimPiggy(txop) })
+	c := r.freeReclaims.Get()
+	if c == nil {
+		c = r.freeReclaims.Own(&piggyReclaim{r: r})
+	}
+	c.txop = relay.TxopID // the relay frame is recycled long before the deadline
+	r.Eng.Do(r.Eng.Now()+deadline, c)
+}
+
+// piggyReclaim is the event of one piggyback's reclaim deadline, carrying
+// its mTXOP. Pooled per station, so a piggyback schedules without
+// allocating.
+type piggyReclaim struct {
+	r    *Ripple
+	txop uint64
+}
+
+// wipe returns the record to its pooled state: its station and no mTXOP.
+func (c *piggyReclaim) wipe() { *c = piggyReclaim{r: c.r} }
+
+func (c *piggyReclaim) Run() {
+	r, txop := c.r, c.txop
+	c.wipe()
+	r.freeReclaims.Put(c)
+	r.reclaimPiggy(txop)
 }
 
 // findPiggy returns the index of txop's piggyback entry, or -1.
@@ -453,11 +485,28 @@ func (r *Ripple) reclaimPiggy(txop uint64) {
 		return
 	}
 	pending := r.piggy[i].pkts
-	r.piggy = slices.Delete(r.piggy, i, i+1)
-	for i := len(pending) - 1; i >= 0; i-- {
-		r.Queue.PushFront(pending[i])
+	for k := len(pending) - 1; k >= 0; k-- {
+		r.Queue.PushFront(pending[k])
 	}
+	r.dropPiggy(i)
 	r.MaybeRequest()
+}
+
+// dropPiggy removes entry i, leaving its buffer emptied just past the end.
+func (r *Ripple) dropPiggy(i int) {
+	e := r.piggy[i]
+	clear(e.pkts)
+	last := len(r.piggy) - 1
+	copy(r.piggy[i:], r.piggy[i+1:])
+	r.piggy[last] = piggyEntry{pkts: e.pkts[:0]}
+	r.piggy = r.piggy[:last]
+}
+
+// emptyPiggy drops every entry.
+func (r *Ripple) emptyPiggy() {
+	for len(r.piggy) > 0 {
+		r.dropPiggy(len(r.piggy) - 1)
+	}
 }
 
 // dataRelayTag disambiguates data-relay timers from ACK-relay timers for
@@ -679,7 +728,7 @@ func (r *Ripple) ReleaseCustody() uint64 {
 		r.releaseRelay(p)
 	}
 	r.relays = r.relays[:0]
-	// Piggybacked custody, in the order it was taken; the reclaim timers
+	// Piggybacked custody, in the order it was taken; the reclaim events
 	// find no entry and return.
 	for _, e := range r.piggy {
 		for _, p := range e.pkts {
@@ -687,8 +736,7 @@ func (r *Ripple) ReleaseCustody() uint64 {
 			p.Release()
 		}
 	}
-	clear(r.piggy)
-	r.piggy = r.piggy[:0]
+	r.emptyPiggy()
 	// Destination-side resequencing buffers, in stream order.
 	for s, q := range r.rq {
 		if q == nil {

@@ -96,6 +96,47 @@ type RouteBook struct {
 	// injection: 0 (the default) makes every Note* call a no-op, so
 	// fault-free runs pay nothing.
 	failThreshold int
+	// paths is where the book's own paths are cut from.
+	paths pathSlab
+}
+
+// pathSlab is the array the route book cuts the paths it makes from:
+// reversals, routes capped at the forwarder count, and a sender's route
+// around the stations it banned. A frame carries a forwarder list that is a
+// view of one for as long as it is on the air, so nothing handed out is
+// written again until Init: paths are cut from the free tail only, and a
+// full array is left to its readers for a larger one. Init empties the slab
+// sized to what was cut since the last Init, so a book that repeats its
+// last run cuts every path from one array and allocates nothing.
+type pathSlab struct {
+	buf []pkt.NodeID // buf[:len] is handed out, buf[len:cap] is free
+	cut int          // nodes handed out since Init, over every array
+}
+
+// room returns the empty free tail, with room for n nodes: the caller
+// builds a path there and hands it out with take.
+func (s *pathSlab) room(n int) routing.Path {
+	if cap(s.buf)-len(s.buf) < n {
+		s.buf = make([]pkt.NodeID, 0, max(2*cap(s.buf), s.cut+n))
+	}
+	return s.buf[len(s.buf):len(s.buf)]
+}
+
+// take hands out p, a path built in room's tail, with its capacity capped
+// at its length.
+func (s *pathSlab) take(p routing.Path) routing.Path {
+	s.buf = s.buf[:len(s.buf)+len(p)]
+	s.cut += len(p)
+	return p[:len(p):len(p)]
+}
+
+// reset empties the slab, one array as large as everything cut since the
+// last reset.
+func (s *pathSlab) reset() {
+	if cap(s.buf) < s.cut {
+		s.buf = make([]pkt.NodeID, 0, s.cut)
+	}
+	*s = pathSlab{buf: s.buf[:0]}
 }
 
 // route is a path and its reversal, made on the first list asked for toward
@@ -126,13 +167,17 @@ type flowRoute struct {
 
 // senderRoute is one sender's failure state on a flow.
 type senderRoute struct {
-	from   pkt.NodeID
-	fails  int          // consecutive abandoned packets
-	banned []pkt.NodeID // stations from has blacklisted, never an endpoint
-	// route is the flow's route without the banned stations, the sender's own
-	// view once it bans one: remade in a new array, never rewritten, when
-	// banned grows.
+	from  pkt.NodeID
+	fails int // consecutive abandoned packets
+	// route is the sender's own view once it has banned a station, nil
+	// before: the flow's route without the stations it banned, never an
+	// endpoint. A ban cuts a new path, it never rewrites one.
 	route
+}
+
+// banned reports whether the sender has banned station n of the flow's path.
+func (s *senderRoute) banned(n pkt.NodeID) bool {
+	return s.path != nil && !slices.Contains(s.path, n)
 }
 
 // NewRouteBook creates a route book; maxForwarders caps forwarder lists
@@ -144,11 +189,15 @@ func NewRouteBook(maxForwarders int) *RouteBook {
 }
 
 // Init makes b, in place, an empty book capped at maxForwarders: every
-// field zero but the flow records, which are emptied and keep their
-// capacity. A run arena re-initialises its book between runs.
+// field zero but the flow records, emptied with the capacity of each one's
+// sender records kept, and the path slab, emptied. A run arena
+// re-initialises its book between runs, when no frame holds a list.
 func (b *RouteBook) Init(maxForwarders int) {
-	clear(b.flows)
-	*b = RouteBook{maxForwarders: maxForwarders, flows: b.flows[:0]}
+	for i := range b.flows {
+		b.flows[i] = flowRoute{senders: b.flows[i].senders[:0]}
+	}
+	b.paths.reset()
+	*b = RouteBook{maxForwarders: maxForwarders, flows: b.flows[:0], paths: b.paths}
 }
 
 // Add registers or replaces the path for the flow at slot (source to
@@ -163,11 +212,23 @@ func (b *RouteBook) Init(maxForwarders int) {
 // any more and are dropped there (counted as MACDrops) — re-routing under
 // load is not free, and loss/MoS results reflect that.
 func (b *RouteBook) Add(slot int, p routing.Path) {
+	if slot >= len(b.flows) && slot < cap(b.flows) {
+		b.flows = b.flows[:slot+1] // records past the end are emptied ones
+	}
 	b.flows = pkt.Extend(b.flows, slot)
 	fr := &b.flows[slot]
-	// Epoch swaps and re-route ticks re-add every flow, mostly unchanged:
-	// an equal route keeps its reversal.
-	if p = p.Limit(b.maxForwarders - 1); !slices.Equal(fr.path, p) {
+	// A path over the cap is capped in the slab's free tail, and cut only
+	// when it is new: epoch swaps and re-route ticks re-add every flow,
+	// mostly unchanged, and an equal route keeps its reversal.
+	interior := b.maxForwarders - 1
+	capped := len(p) >= 3 && len(p)-2 > interior
+	if capped {
+		p = p.AppendLimit(b.paths.room(len(p)), interior)
+	}
+	if !slices.Equal(fr.path, p) {
+		if capped {
+			p = b.paths.take(p)
+		}
 		fr.path, fr.rev = p, nil
 	}
 	// A fresh route absolves the flow's blacklists and failure streaks: the
@@ -192,7 +253,7 @@ func (b *RouteBook) view(slot int, from pkt.NodeID) *route {
 		return nil
 	}
 	fr := &b.flows[slot]
-	if s := fr.sender(from); s != nil && s.banned != nil {
+	if s := fr.sender(from); s != nil && s.path != nil {
 		return &s.route
 	}
 	return &fr.route
@@ -218,15 +279,15 @@ func (b *RouteBook) NextHop(slot int, from, dst pkt.NodeID) (pkt.NodeID, bool) {
 // frames embed it directly and an append to it copies.
 func (b *RouteBook) FwdList(slot int, from, dst pkt.NodeID) []pkt.NodeID {
 	if r := b.view(slot, from); r != nil {
-		return r.list(from, dst)
+		return b.list(r, from, dst)
 	}
 	return nil
 }
 
-// list is the forwarder list from `from` toward endpoint `toward`: a
+// list is the forwarder list on r from `from` toward endpoint `toward`: a
 // capacity-capped view of the path toward the source, of its reversal
-// toward the destination.
-func (r *route) list(from, toward pkt.NodeID) []pkt.NodeID {
+// toward the destination, cut from the slab when first asked for.
+func (b *RouteBook) list(r *route, from, toward pkt.NodeID) []pkt.NodeID {
 	p := r.path
 	i := slices.Index(p, from)
 	if i < 0 || from == toward {
@@ -235,7 +296,11 @@ func (r *route) list(from, toward pkt.NodeID) []pkt.NodeID {
 	switch last := len(p) - 1; toward {
 	case p[last]:
 		if r.rev == nil {
-			r.rev = p.Reverse()
+			rev := b.paths.room(len(p))
+			for k := last; k >= 0; k-- {
+				rev = append(rev, p[k])
+			}
+			r.rev = b.paths.take(rev)
 		}
 		return r.rev[: last-i : last-i]
 	case p[0]:
@@ -290,7 +355,7 @@ func (b *RouteBook) NoteTxFailure(slot int, from, dst pkt.NodeID) {
 	}
 	s.fails = 0
 	target, ok := fr.path.NextHop(from, dst)
-	if !ok || target == dst || slices.Contains(s.banned, target) {
+	if !ok || target == dst || s.banned(target) {
 		return
 	}
 	relays := 0
@@ -300,10 +365,15 @@ func (b *RouteBook) NoteTxFailure(slot int, from, dst pkt.NodeID) {
 		}
 	}
 	if relays >= 1 {
-		s.banned = append(s.banned, target)
-		s.route = route{path: slices.DeleteFunc(slices.Clone(fr.path), func(n pkt.NodeID) bool {
-			return slices.Contains(s.banned, n)
-		})}
+		// The sender's view so far, without the target.
+		view := b.view(slot, from).path
+		p := b.paths.room(len(view))
+		for _, n := range view {
+			if n != target {
+				p = append(p, n)
+			}
+		}
+		s.route = route{path: b.paths.take(p)}
 	}
 }
 
@@ -325,8 +395,9 @@ func (b *RouteBook) Blacklisted(slot int, from, n pkt.NodeID) bool {
 	if slot >= len(b.flows) {
 		return false
 	}
-	s := b.flows[slot].sender(from)
-	return s != nil && slices.Contains(s.banned, n)
+	fr := &b.flows[slot]
+	s := fr.sender(from)
+	return s != nil && slices.Contains(fr.path, n) && s.banned(n)
 }
 
 // SetUnreachable flags or clears the flow at slot as one whose destination

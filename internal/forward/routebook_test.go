@@ -130,9 +130,10 @@ func TestFwdListFollowsTheRule(t *testing.T) {
 	}
 }
 
-// A new route costs one allocation, its reversal, however many stations
-// then ask for their lists; an equal route re-added — as every epoch swap
-// and re-route tick does — costs none.
+// A new route costs at most one allocation — its reversal, cut from the
+// path slab, which allocates only when its array is full — however many
+// stations then ask for their lists; an equal route re-added — as every
+// epoch swap and re-route tick does — costs none.
 func TestRouteBookAllocations(t *testing.T) {
 	routes := []routing.Path{{0, 1, 2, 3, 4, 5}, {0, 6, 7, 8, 9, 5}}
 	b := NewRouteBook(5)
@@ -150,5 +151,52 @@ func TestRouteBookAllocations(t *testing.T) {
 	same := slices.Clone(b.Path(0))
 	if n := testing.AllocsPerRun(50, func() { b.Add(0, same); ask() }); n != 0 {
 		t.Errorf("Add of an equal route and every list: %v allocations, want 0", n)
+	}
+}
+
+// slabRun is a run's worth of route-book traffic: routes over the
+// forwarder cap, re-routes, lists toward both endpoints from every station,
+// and bans. It passes every list handed out to got, when got is not nil.
+func slabRun(b *RouteBook, got func([]pkt.NodeID)) {
+	b.EnableFailureDetection(1)
+	for k, p := range slabRoutes {
+		b.Add(k%2, p)
+		for _, from := range b.Path(k % 2) {
+			for _, toward := range []pkt.NodeID{p.Dst(), p.Src()} {
+				if l := b.FwdList(k%2, from, toward); got != nil {
+					got(l)
+				}
+				b.NoteTxFailure(k%2, from, toward)
+			}
+		}
+	}
+}
+
+var slabRoutes = []routing.Path{linePath(9), {3, 13, 23, 33}, linePath(7), linePath(9)}
+
+// The path slab never writes what it handed out: every list a run was given
+// reads the same at the run's end, after the re-routes and bans that cut
+// more paths behind it. Emptied by Init, the slab is sized to the whole run,
+// so the same run again allocates nothing at all.
+func TestRouteBookSlabKeepsWhatItHandedOut(t *testing.T) {
+	b := NewRouteBook(4)
+	var views, copies [][]pkt.NodeID
+	slabRun(b, func(l []pkt.NodeID) { views, copies = append(views, l), append(copies, slices.Clone(l)) })
+	banned := false
+	for _, from := range b.Path(1) {
+		for _, n := range b.Path(1) {
+			banned = banned || b.Blacklisted(1, from, n)
+		}
+	}
+	if !banned {
+		t.Fatal("no sender banned a relay: the bans' paths are not exercised")
+	}
+	for i := range views {
+		if !slices.Equal(views[i], copies[i]) {
+			t.Fatalf("list %d handed out as %v reads %v at the run's end", i, copies[i], views[i])
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { b.Init(4); slabRun(b, nil) }); n != 0 {
+		t.Fatalf("the same run again on the emptied book: %v allocations, want 0", n)
 	}
 }

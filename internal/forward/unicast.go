@@ -236,8 +236,14 @@ func (u *Unicast) setNAV(until sim.Time) {
 		u.navBusy = true
 		u.Cont.OnBusy()
 	}
-	u.Eng.At(until, u.navExpire)
+	u.Eng.Do(until, (*navExpiry)(u))
 }
+
+// navExpiry is a Unicast seen as the sim.Action of its NAV's expiry: a
+// pointer conversion, so scheduling one allocates nothing.
+type navExpiry Unicast
+
+func (n *navExpiry) Run() { (*Unicast)(n).navExpire() }
 
 func (u *Unicast) navExpire() {
 	if !u.navBusy || u.Eng.Now() < u.navUntil {

@@ -213,7 +213,7 @@ func TestQueuePopNWhere(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		q.Push(&pkt.Packet{Seq: int64(i), FlowID: i % 2})
 	}
-	got := q.PopNWhere(2, func(p *pkt.Packet) bool { return p.FlowID == 1 })
+	got := q.PopNWhereInto(nil, 2, func(p *pkt.Packet) bool { return p.FlowID == 1 })
 	if len(got) != 2 || got[0].Seq != 1 || got[1].Seq != 3 {
 		t.Fatalf("PopNWhere = %+v", got)
 	}

@@ -10,8 +10,8 @@ import (
 //
 // The implementation is a growable ring buffer, so every operation —
 // including PushFront, which the retransmission and piggyback-reclaim
-// paths hit per packet — runs in O(1) without allocating. PopN and
-// PopNWhere append into a caller-supplied slice, letting hot callers
+// paths hit per packet — runs in O(1) without allocating. PopNInto and
+// PopNWhereInto append into a caller-supplied slice, letting hot callers
 // recycle one scratch buffer across exchanges.
 type Queue struct {
 	limit   int
@@ -130,17 +130,10 @@ func (q *Queue) PopNInto(dst []*pkt.Packet, n int) []*pkt.Packet {
 	return dst
 }
 
-// PopNWhere removes and returns up to n head-most packets satisfying keep,
-// preserving the order of the remainder. Used by relays that aggregate only
-// packets bound for the same next hop.
-func (q *Queue) PopNWhere(n int, keep func(*pkt.Packet) bool) []*pkt.Packet {
-	if n == 0 || q.count == 0 {
-		return nil
-	}
-	return q.PopNWhereInto(nil, n, keep)
-}
-
-// PopNWhereInto is PopNWhere appending into a caller-supplied slice. The
+// PopNWhereInto removes up to n head-most packets satisfying keep,
+// appending them to dst (which may be a recycled scratch buffer, or the
+// frame they will ride on) and returning the extended slice. Used by
+// senders that aggregate only packets bound for the same next hop. The
 // remainder is compacted in place within the ring, so the non-selected
 // packets keep their order without allocation.
 func (q *Queue) PopNWhereInto(dst []*pkt.Packet, n int, keep func(*pkt.Packet) bool) []*pkt.Packet {

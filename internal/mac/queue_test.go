@@ -124,7 +124,7 @@ func TestQueuePopNWhereAcrossWrap(t *testing.T) {
 	q.Pop()
 	q.Push(&pkt.Packet{UID: 5})
 	q.Push(&pkt.Packet{UID: 6}) // ring has wrapped: [3 4 5 6]
-	got := q.PopNWhere(10, func(p *pkt.Packet) bool { return p.UID >= 5 })
+	got := q.PopNWhereInto(nil, 10, func(p *pkt.Packet) bool { return p.UID >= 5 })
 	if !eq(uids(got), 5, 6) {
 		t.Fatalf("selected %v, want [5 6]", uids(got))
 	}

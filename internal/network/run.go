@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 
 	"ripple/internal/audit"
@@ -77,6 +78,13 @@ type arena struct {
 	cbrs      []transport.CBR
 	starts    []flowStart
 	tputs     []float64 // fold's scratch
+
+	// noise is each station's summed noise-burst penalty in dB, while fault
+	// transitions run.
+	noise []float64
+	// epochTimer swaps in the next epoch world; bound to nextEpoch on the
+	// arena's first time-varying world and kept bound.
+	epochTimer sim.Timer
 }
 
 // flowStart is the event of one flow's start, scheduled with Engine.Do: a
@@ -100,10 +108,13 @@ type run struct {
 	// routeStale counts, over every epoch boundary, the flows that kept a
 	// stale route because their recompute failed.
 	routeStale uint64
-	// The run's periodic timers, each re-armed from its own callback: the
-	// epoch-world swap, and a dynamic policy's queue-depth sample and
-	// re-route tick.
-	epochTimer, sampleTimer, rerouteTimer sim.Timer
+	// epoch is the index of the next epoch world to swap in.
+	epoch int
+	// faults is the run's fault transitions, one series.
+	faults faultSeries
+	// A dynamic policy's periodic timers, each re-armed from its own
+	// callback: the queue-depth sample and the re-route tick.
+	sampleTimer, rerouteTimer sim.Timer
 }
 
 // arenas caches the arenas of finished runs, process-wide: Run takes the one
@@ -369,45 +380,48 @@ func (r *run) traceStation(event string, id pkt.NodeID) {
 // new geometry), the policy becomes the epoch's, and flow routes take the
 // epoch's precomputed resolution.
 func (r *run) armEpochs() {
-	world := r.world
-	if len(world.epochs) == 0 {
+	if len(r.world.epochs) == 0 {
 		return
 	}
+	if !r.epochTimer.Bound() {
+		r.epochTimer.Bind(&r.eng, r.nextEpoch)
+	}
+	r.epochTimer.Arm(r.world.epochLen)
+}
+
+// nextEpoch swaps in the next epoch world and arms the swap after it.
+func (r *run) nextEpoch() {
+	world := r.world
+	ew := world.epochs[r.epoch]
+	r.medium.SetPlan(ew.plan)
+	r.policy = ew.policy
 	// With faults active, routes must be refreshed every epoch even under
 	// static routing: the epoch worlds carry crash-masked paths, and
 	// re-adding a route also resets forwarder blacklists and
 	// consecutive-failure streaks ("blacklisted until the next epoch").
-	routeUpdates := r.cfg.Routing.active() || world.faults != nil
-	next := 0
-	r.epochTimer.Bind(&r.eng, func() {
-		ew := world.epochs[next]
-		r.medium.SetPlan(ew.plan)
-		r.policy = ew.policy
-		if routeUpdates {
-			for i := range r.cfg.Flows {
-				r.routes.Add(i, ew.routes[i])
+	if r.cfg.Routing.active() || world.faults != nil {
+		for i := range r.cfg.Flows {
+			r.routes.Add(i, ew.routes[i])
+		}
+	}
+	for i, f := range r.cfg.Flows {
+		if ew.stale != nil && ew.stale[i] {
+			// No silent fallback: a kept stale route is counted and
+			// traced every epoch it persists.
+			r.routeStale++
+			r.traceFlow("route-stale", f)
+		}
+		if ew.unreach != nil && ew.unreach[i] != r.routes.Unreachable(i) {
+			r.routes.SetUnreachable(i, ew.unreach[i])
+			if ew.unreach[i] {
+				r.traceFlow("unreachable", f)
 			}
 		}
-		for i, f := range r.cfg.Flows {
-			if ew.stale != nil && ew.stale[i] {
-				// No silent fallback: a kept stale route is counted and
-				// traced every epoch it persists.
-				r.routeStale++
-				r.traceFlow("route-stale", f)
-			}
-			if ew.unreach != nil && ew.unreach[i] != r.routes.Unreachable(i) {
-				r.routes.SetUnreachable(i, ew.unreach[i])
-				if ew.unreach[i] {
-					r.traceFlow("unreachable", f)
-				}
-			}
-		}
-		next++
-		if next < len(world.epochs) {
-			r.epochTimer.Arm(world.epochLen)
-		}
-	})
-	r.epochTimer.Arm(world.epochLen)
+	}
+	r.epoch++
+	if r.epoch < len(world.epochs) {
+		r.epochTimer.Arm(world.epochLen)
+	}
 }
 
 // armReroute schedules a dynamic policy's re-route tick: routes recomputed
@@ -462,6 +476,9 @@ func (r *run) armReroute() {
 // and the partition have no events — the medium asks the schedule once per
 // transmission whether the transmitter can be blocked at that instant, and
 // per candidate receiver only when it can.
+//
+// The events below Duration are one series, keyed by one block of sequence
+// numbers in list order: the keys they would take scheduled one by one.
 func (r *run) armFaults() {
 	fs := r.world.faults
 	if fs == nil {
@@ -470,41 +487,58 @@ func (r *run) armFaults() {
 	if fs.BlocksLinks() {
 		r.medium.SetLinkBlocked(fs)
 	}
-	noiseNow := make([]float64, len(r.cfg.Positions))
-	bursts := fs.Bursts()
-	for _, ev := range fs.Events() {
-		if ev.At >= r.cfg.Duration {
-			continue
+	r.noise = grown(r.noise, len(r.cfg.Positions))
+	clear(r.noise)
+	events := fs.Events() // sorted by time
+	n := sort.Search(len(events), func(i int) bool { return events[i].At >= r.cfg.Duration })
+	if n == 0 {
+		return
+	}
+	r.faults = faultSeries{r: r, events: events[:n], seq: r.eng.Reserve(n)}
+	r.eng.DoSeries(events[0].At, r.faults.seq, n, &r.faults)
+}
+
+// faultSeries is a run's fault transitions as a sim.Series: events fire in
+// list order, the k-th keyed (its time, seq + k).
+type faultSeries struct {
+	r      *run
+	events []fault.Event
+	seq    uint64
+	next   int
+}
+
+// Fire applies the next transition and returns the key of the one after.
+func (s *faultSeries) Fire() (sim.Time, uint64, bool) {
+	s.r.applyFault(s.events[s.next])
+	s.next++
+	if s.next == len(s.events) {
+		return 0, 0, false
+	}
+	return s.events[s.next].At, s.seq + uint64(s.next), true
+}
+
+// applyFault is one fault transition.
+func (r *run) applyFault(ev fault.Event) {
+	switch id := ev.Station; ev.Kind {
+	case fault.StationDown:
+		r.medium.SetDown(id, true)
+		r.schemes[id].Crash()
+		r.aud.StationDown(int(id))
+		r.traceStation("station-down", id)
+	case fault.StationUp:
+		r.medium.SetDown(id, false)
+		r.schemes[id].Recover()
+		r.aud.StationUp(int(id))
+		r.traceStation("station-up", id)
+	case fault.NoiseOn, fault.NoiseOff:
+		b := &r.world.faults.Bursts()[ev.Burst]
+		delta := b.PenaltyDB
+		if ev.Kind == fault.NoiseOff {
+			delta = -delta
 		}
-		switch ev.Kind {
-		case fault.StationDown:
-			id := ev.Station
-			r.eng.At(ev.At, func() {
-				r.medium.SetDown(id, true)
-				r.schemes[id].Crash()
-				r.aud.StationDown(int(id))
-				r.traceStation("station-down", id)
-			})
-		case fault.StationUp:
-			id := ev.Station
-			r.eng.At(ev.At, func() {
-				r.medium.SetDown(id, false)
-				r.schemes[id].Recover()
-				r.aud.StationUp(int(id))
-				r.traceStation("station-up", id)
-			})
-		case fault.NoiseOn, fault.NoiseOff:
-			b := bursts[ev.Burst]
-			delta := b.PenaltyDB
-			if ev.Kind == fault.NoiseOff {
-				delta = -delta
-			}
-			r.eng.At(ev.At, func() {
-				for _, id := range b.Covered {
-					noiseNow[id] += delta
-					r.medium.SetNoiseDB(id, noiseNow[id])
-				}
-			})
+		for _, id := range b.Covered {
+			r.noise[id] += delta
+			r.medium.SetNoiseDB(id, r.noise[id])
 		}
 	}
 }
@@ -623,6 +657,7 @@ func (r *run) fold() *Result {
 	r.tputs = r.tputs[:0]
 	for i, f := range cfg.Flows {
 		fs := &r.flowStats[i]
+		audit.CheckDelayHist(f.ID, &fs.Delay, fs.DelayCount, fs.MeanDelay())
 		fr := FlowResult{
 			ID:             f.ID,
 			Kind:           f.Kind,

@@ -39,16 +39,6 @@ func (p Path) indexOf(n pkt.NodeID) int {
 	return -1
 }
 
-// Reverse returns the path in the opposite direction (for two-way traffic
-// such as TCP ACKs).
-func (p Path) Reverse() Path {
-	r := make(Path, len(p))
-	for i, id := range p {
-		r[len(p)-1-i] = id
-	}
-	return r
-}
-
 // NextHop returns the neighbour of `from` in the direction of `toward`
 // (which must be one of the path's endpoints). ok is false if `from` is not
 // on the path or already equals `toward`.
@@ -75,23 +65,27 @@ func (p Path) NextHop(from, toward pkt.NodeID) (pkt.NodeID, bool) {
 // endpoints. (The paper's "maximum number of forwarders" counts the
 // destination too — RouteBook applies that convention.)
 func (p Path) Limit(max int) Path {
-	interior := len(p) - 2
-	if interior <= max || len(p) < 3 {
+	if len(p)-2 <= max || len(p) < 3 {
 		return p
 	}
-	out := make(Path, 0, max+2)
-	out = append(out, p[0])
+	return p.AppendLimit(make(Path, 0, max+2), max)
+}
+
+// AppendLimit appends to dst the path Limit returns for a path of more
+// than max interior nodes, for a caller that keeps its own array.
+func (p Path) AppendLimit(dst Path, max int) Path {
+	interior := len(p) - 2
+	dst = append(dst, p[0])
 	switch {
 	case max == 1:
-		out = append(out, p[(len(p)-1)/2])
+		dst = append(dst, p[(len(p)-1)/2])
 	case max > 1:
 		for k := 1; k <= max; k++ {
 			idx := 1 + (k-1)*(interior-1)/(max-1)
-			out = append(out, p[idx])
+			dst = append(dst, p[idx])
 		}
 	}
-	out = append(out, p[len(p)-1])
-	return out
+	return append(dst, p[len(p)-1])
 }
 
 // Validate checks structural invariants: at least two nodes, no repeats.

@@ -37,14 +37,6 @@ func TestNextHopForward(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	p := Path{0, 1, 2}
-	r := p.Reverse()
-	if r[0] != 2 || r[1] != 1 || r[2] != 0 {
-		t.Fatalf("Reverse = %v", r)
-	}
-}
-
 func TestLimitCapsForwarders(t *testing.T) {
 	p := Path{0, 1, 2, 3, 4, 5, 6, 7, 8, 9} // 8 interior nodes
 	lim := p.Limit(5)

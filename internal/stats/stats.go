@@ -20,9 +20,11 @@ type Flow struct {
 	// Duplicates counts repeated deliveries suppressed by the transport.
 	Duplicates int64
 
-	// Delay accounting over delivered packets (creation to delivery).
+	// Delay accounting over delivered packets (creation to delivery): the
+	// sum and count, and every delay in a histogram, for its tail.
 	DelaySum   sim.Time
 	DelayCount int64
+	Delay      Hist
 
 	// TransfersCompleted counts finished short transfers (web traffic).
 	TransfersCompleted int64
@@ -43,6 +45,7 @@ func (f *Flow) NoteArrival(seq int64, delay sim.Time) {
 	f.PktsDelivered++
 	f.DelaySum += delay
 	f.DelayCount++
+	f.Delay.Add(delay)
 	if f.started && seq < f.maxSeqSeen {
 		f.Reordered++
 	}

@@ -50,6 +50,7 @@ type Web struct {
 	mss  int
 	stop bool
 	off  sim.Timer // the reading period between transfers, bound to launch
+	done func()    // ends a transfer: bound to read, handed to every transfer
 }
 
 // NewWeb creates the generator over an existing TCP connection.
@@ -60,13 +61,15 @@ func NewWeb(eng *sim.Engine, cfg WebConfig, tcp *transport.TCP, mss int, rng *si
 }
 
 // Init makes w, in place, the generator NewWeb returns: every field zero or
-// set from the arguments, except the timer, which stays bound when w was
-// initialised before — at this address, on this engine, Reset since.
+// set from the arguments, except the timer and the completion callback,
+// which stay bound when w was initialised before — at this address, on this
+// engine, Reset since.
 func (w *Web) Init(eng *sim.Engine, cfg WebConfig, tcp *transport.TCP, mss int, rng *sim.RNG) {
 	if !w.off.Bound() {
 		w.off.Bind(eng, w.launch)
+		w.done = w.read
 	}
-	*w = Web{cfg: cfg, tcp: tcp, rng: rng, mss: mss, off: w.off}
+	*w = Web{cfg: cfg, tcp: tcp, rng: rng, mss: mss, off: w.off, done: w.done}
 }
 
 // Start launches the first transfer.
@@ -84,7 +87,8 @@ func (w *Web) launch() {
 	if pkts < 1 {
 		pkts = 1
 	}
-	w.tcp.StartTransfer(pkts, func() {
-		w.off.Arm(sim.Time(w.rng.Exp(float64(w.cfg.OffMean))))
-	})
+	w.tcp.StartTransfer(pkts, w.done)
 }
+
+// read starts the reading period after a transfer.
+func (w *Web) read() { w.off.Arm(sim.Time(w.rng.Exp(float64(w.cfg.OffMean)))) }

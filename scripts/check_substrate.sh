@@ -7,6 +7,10 @@
 #
 #   Reschedule(      reviving a kept *sim.Event in place
 #   [n-1] = nil      popping the last element of a hand-rolled free list
+#   .At( .After(     scheduling a closure: each call builds a closure and an
+#                    Event; a run schedules a pre-bound sim.Action with Do,
+#                    a series with DoSeries, or arms a sim.Timer, so that a
+#                    warm run allocates nothing but its Result
 #
 # or if a run's parts are constructed, not initialised in place, anywhere in
 # internal/network, internal/forward or internal/core — the arena calls each
@@ -86,6 +90,10 @@ files=$(find . -name '*.go' ! -name '*_test.go' \
 fail=0
 if grep -n 'Reschedule(' $files; then
     echo "check_substrate: Reschedule( outside internal/sim — use a sim.Timer" >&2
+    fail=1
+fi
+if grep -nE '\.(At|After)\(' $files; then
+    echo "check_substrate: Engine.At/After outside internal/sim — schedule a pre-bound sim.Action with Do, a series, or a sim.Timer" >&2
     fail=1
 fi
 if grep -nE '\[[A-Za-z]+ ?- ?1\] = nil' $files; then
