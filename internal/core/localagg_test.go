@@ -13,8 +13,7 @@ import (
 // LocalAggOnRelay its relays carry both multi-hop and local packets in one
 // transmission.
 func TestLocalAggOnRelay(t *testing.T) {
-	opt := DefaultOptions()
-	opt.LocalAggOnRelay = true
+	opt := Options{LocalAggOnRelay: true}
 	// Space stations so relays are mandatory (adjacent links only).
 	positions := linePositions(4)
 	for i := range positions {
@@ -61,7 +60,7 @@ func TestLocalAggOffKeepsFlowsSeparate(t *testing.T) {
 		1: {0, 1, 2, 3},
 		2: {1, 2, 3},
 	}
-	h := newHarness(t, positions, idealRadio(), paths, DefaultOptions())
+	h := newHarness(t, positions, idealRadio(), paths, Options{})
 	h.inject(0, 1, 20, 3)
 	h.inject(1, 2, 20, 3)
 	h.eng.Run(300 * sim.Millisecond)
@@ -86,8 +85,7 @@ func TestLocalAggOffKeepsFlowsSeparate(t *testing.T) {
 // TestLocalAggReclaimOnLostAck: piggybacked packets whose mTXOP dies are
 // reclaimed and eventually delivered via the forwarder's own TXOPs.
 func TestLocalAggReclaimOnLostAck(t *testing.T) {
-	opt := DefaultOptions()
-	opt.LocalAggOnRelay = true
+	opt := Options{LocalAggOnRelay: true}
 	// Lossy last hop: some mTXOPs fail end-to-end.
 	rc := idealRadio()
 	rc.ShadowSigmaDB = 8

@@ -55,7 +55,7 @@ func (q *reseq) search(seq int64) (int, bool) {
 
 // deliver routes a received packet through Rq (when enabled) to transport.
 func (r *Ripple) deliver(p *pkt.Packet) {
-	if !r.opt.RqEnabled {
+	if r.opt.RqOff {
 		r.Deliver(p)
 		return
 	}

@@ -39,7 +39,7 @@ func pooledRqPkt(pool *pkt.Pool, macSeq int64) *pkt.Packet {
 }
 
 func TestRqDeliversInOrder(t *testing.T) {
-	eng, r, got := newRqHarness(t, DefaultOptions())
+	eng, r, got := newRqHarness(t, Options{})
 	for _, s := range []int64{0, 1, 2, 3} {
 		r.deliver(rqPkt(s))
 	}
@@ -49,7 +49,7 @@ func TestRqDeliversInOrder(t *testing.T) {
 }
 
 func TestRqHoldsGapThenDrains(t *testing.T) {
-	eng, r, got := newRqHarness(t, DefaultOptions())
+	eng, r, got := newRqHarness(t, Options{})
 	r.deliver(rqPkt(0))
 	r.deliver(rqPkt(2)) // gap at 1
 	r.deliver(rqPkt(3))
@@ -62,8 +62,7 @@ func TestRqHoldsGapThenDrains(t *testing.T) {
 }
 
 func TestRqHoldTimeoutSkipsAbandonedGap(t *testing.T) {
-	opt := DefaultOptions()
-	opt.RqHold = 10 * sim.Millisecond
+	opt := Options{RqHold: 10 * sim.Millisecond}
 	eng, r, got := newRqHarness(t, opt)
 	r.deliver(rqPkt(0))
 	r.deliver(rqPkt(2))
@@ -73,9 +72,7 @@ func TestRqHoldTimeoutSkipsAbandonedGap(t *testing.T) {
 }
 
 func TestRqCapOverflowSkips(t *testing.T) {
-	opt := DefaultOptions()
-	opt.RqCap = 4
-	opt.RqHold = sim.Second * 100 // effectively never
+	opt := Options{RqCap: 4, RqHold: sim.Second * 100} // a hold of 100 s: effectively never
 	eng, r, got := newRqHarness(t, opt)
 	r.deliver(rqPkt(0))
 	for s := int64(2); s < 8; s++ { // 6 buffered > cap 4 forces a skip
@@ -94,7 +91,7 @@ func TestRqCapOverflowSkips(t *testing.T) {
 }
 
 func TestRqDropsDuplicates(t *testing.T) {
-	eng, r, got := newRqHarness(t, DefaultOptions())
+	eng, r, got := newRqHarness(t, Options{})
 	c := r.C
 	r.deliver(rqPkt(0))
 	r.deliver(rqPkt(0)) // dup of delivered
@@ -109,7 +106,7 @@ func TestRqDropsDuplicates(t *testing.T) {
 }
 
 func TestRqSeparateStreamsIndependent(t *testing.T) {
-	eng, r, got := newRqHarness(t, DefaultOptions())
+	eng, r, got := newRqHarness(t, Options{})
 	a := rqPkt(0)
 	b := &pkt.Packet{UID: 100, FlowID: 2, Stream: 2, MacSeq: 0, Src: 5, Dst: 3}
 	bGap := &pkt.Packet{UID: 101, FlowID: 2, Stream: 2, MacSeq: 2, Src: 5, Dst: 3}
@@ -125,8 +122,7 @@ func TestRqSeparateStreamsIndependent(t *testing.T) {
 }
 
 func TestRqDisabledPassesThrough(t *testing.T) {
-	opt := DefaultOptions()
-	opt.RqEnabled = false
+	opt := Options{RqOff: true}
 	eng, r, got := newRqHarness(t, opt)
 	r.deliver(rqPkt(2))
 	r.deliver(rqPkt(0))
@@ -149,7 +145,7 @@ func assertSeqs(t *testing.T, got, want []int64) {
 // A retransmission of a packet Rq already buffers is a duplicate: counted,
 // not buffered twice, and the buffer's one reference stays the only one.
 func TestRqDuplicateOfBufferedIsDropped(t *testing.T) {
-	eng, r, got := newRqHarness(t, DefaultOptions())
+	eng, r, got := newRqHarness(t, Options{})
 	var pool pkt.Pool
 	first, again := pooledRqPkt(&pool, 2), pooledRqPkt(&pool, 2)
 	r.deliver(rqPkt(0))
@@ -174,8 +170,7 @@ func TestRqDuplicateOfBufferedIsDropped(t *testing.T) {
 // A packet below expected — a late copy of one already delivered — is a
 // duplicate and leaves a buffered gap as it was.
 func TestRqDuplicateBelowExpectedLeavesGap(t *testing.T) {
-	opt := DefaultOptions()
-	opt.RqHold = 10 * sim.Millisecond
+	opt := Options{RqHold: 10 * sim.Millisecond}
 	eng, r, got := newRqHarness(t, opt)
 	r.deliver(rqPkt(0))
 	r.deliver(rqPkt(1))
@@ -193,7 +188,7 @@ func TestRqDuplicateBelowExpectedLeavesGap(t *testing.T) {
 // A crash releases every reference Rq holds, across streams, and withdraws
 // the hold timers: the pool balances and nothing is delivered afterwards.
 func TestRqReleaseCustodyReleasesBuffered(t *testing.T) {
-	eng, r, got := newRqHarness(t, DefaultOptions())
+	eng, r, got := newRqHarness(t, Options{})
 	var pool pkt.Pool
 	send := func(flow int, src pkt.NodeID, seq int64) {
 		p := pooledRqPkt(&pool, seq)
@@ -226,9 +221,7 @@ func TestRqReleaseCustodyReleasesBuffered(t *testing.T) {
 // expected, at the buffer's head. In-order delivery past it goes on, and
 // the next skip goes back for it.
 func TestRqOverflowKeepsLatePacketForNextSkip(t *testing.T) {
-	opt := DefaultOptions()
-	opt.RqCap = 4
-	opt.RqHold = 10 * sim.Millisecond
+	opt := Options{RqCap: 4, RqHold: 10 * sim.Millisecond}
 	eng, r, got := newRqHarness(t, opt)
 	for _, s := range []int64{0, 5, 6, 7, 8} {
 		r.deliver(rqPkt(s))

@@ -20,37 +20,42 @@
 package core
 
 import (
+	"cmp"
+
 	"ripple/internal/forward"
 	"ripple/internal/phys"
 	"ripple/internal/pkt"
 	"ripple/internal/sim"
 )
 
-// Options tunes RIPPLE behaviour; DefaultOptions matches the paper.
+// Options tunes RIPPLE behaviour. The zero value is the paper's
+// configuration: Normalize fills the zero MaxAgg, RqHold and RqCap with the
+// paper's values, and each flag's zero keeps the paper's behaviour (Rq on,
+// relays deferring, relays carrying only relayed packets).
 type Options struct {
-	// MaxAgg is the aggregation limit (paper: 16; 1 disables aggregation,
-	// which is the "R1" configuration of Figs. 3-4).
+	// MaxAgg is the aggregation limit: 0 is the paper's 16, and 1 disables
+	// aggregation, which is the "R1" configuration of Figs. 3-4.
 	MaxAgg int
-	// RqEnabled enables the destination resequencing queue (Remark 6).
-	RqEnabled bool
+	// RqOff turns off the destination resequencing queue (Remark 6).
+	RqOff bool
 	// RqHold bounds how long Rq withholds out-of-order packets waiting for
-	// an end-to-end retransmission to fill a gap. Needed because a packet
-	// dropped at the source after the retry limit would otherwise stall
-	// the stream forever.
+	// an end-to-end retransmission to fill a gap (0 is 25 ms). Needed
+	// because a packet dropped at the source after the retry limit would
+	// otherwise stall the stream forever.
 	RqHold sim.Time
-	// RqCap bounds the resequencing buffer per stream.
+	// RqCap bounds the resequencing buffer per stream (0 is 128).
 	RqCap int
-	// RelayDefer selects how a forwarder's "channel idle for T" relay rule
-	// treats unrelated carrier. When false (strict), any sensed carrier
-	// during the wait discards the overheard frame — the letter of §III-A.
-	// When true (default), the forwarder pauses while busy and restarts
+	// StrictRelay selects how a forwarder's "channel idle for T" relay rule
+	// treats unrelated carrier. When true, any sensed carrier during the
+	// wait discards the overheard frame — the letter of §III-A. When false
+	// (the default, deferral), the forwarder pauses while busy and restarts
 	// the T wait at the next idle, discarding only on evidence that a
 	// higher-priority station already covered the frame (a decoded relay
 	// or ACK of the same mTXOP) or when relayDeferLimit has passed. Without
 	// deferral, any background traffic breaks every mTXOP, contradicting
 	// the paper's Remark 3 that broken mTXOPs "are likely to be
 	// insignificant"; see docs/model.md, "The relay rule".
-	RelayDefer bool
+	StrictRelay bool
 	// LocalAggOnRelay lets a forwarder top up a relayed frame with its own
 	// queued packets bound for the same destination ("a forwarder
 	// aggregates local packets (if the frame is not large enough) so that
@@ -60,21 +65,32 @@ type Options struct {
 	LocalAggOnRelay bool
 }
 
+// Normalize fills each zero numeric field with the paper's value: MaxAgg
+// 16, RqHold 25 ms, RqCap 128.
+func (o *Options) Normalize() {
+	o.MaxAgg = cmp.Or(o.MaxAgg, 16)
+	o.RqHold = cmp.Or(o.RqHold, 25*sim.Millisecond)
+	o.RqCap = cmp.Or(o.RqCap, 128)
+}
+
+// Check applies the options' range rules, reporting a broken one through
+// bad: MaxAgg, RqHold and RqCap must not be negative.
+func (o Options) Check(bad func(field string, value any, rule string) error) error {
+	const rule = "must not be negative"
+	switch {
+	case o.MaxAgg < 0:
+		return bad("MaxAgg", o.MaxAgg, rule)
+	case o.RqHold < 0:
+		return bad("RqHold", o.RqHold, rule)
+	case o.RqCap < 0:
+		return bad("RqCap", o.RqCap, rule)
+	}
+	return nil
+}
+
 // relayDeferLimit bounds how long a deferred relay may wait before the
 // frame is discarded (the source's retry supersedes it anyway).
 const relayDeferLimit = 2 * sim.Millisecond
-
-// DefaultOptions returns the paper's configuration (aggregation 16, Rq on,
-// relay deferral on).
-func DefaultOptions() Options {
-	return Options{
-		MaxAgg:     16,
-		RqEnabled:  true,
-		RqHold:     25 * sim.Millisecond,
-		RqCap:      128,
-		RelayDefer: true,
-	}
-}
 
 // Ripple is the per-station RIPPLE agent: the mTXOP protocol on the shared
 // station chassis (one outstanding mTXOP per station; Station.Queue is Sq).
@@ -129,15 +145,13 @@ func New(env forward.Env, opt Options) *Ripple {
 }
 
 // Init makes r, in place, the agent New returns: every field zero or set
-// from the arguments, except the chassis (see forward.Station.Init), the
+// from the arguments (opt normalised), except the chassis (see forward.Station.Init), the
 // three per-stream and per-mTXOP slices and two seen-sets, emptied (the
 // piggyback entries keeping their buffers), the scratch buffers, and the
 // relay, resequencer and reclaim records, recalled from wherever the last
 // run left them with their timers bound and their buffers empty.
 func (r *Ripple) Init(env forward.Env, opt Options) {
-	if opt.MaxAgg < 1 {
-		opt.MaxAgg = 1
-	}
+	opt.Normalize()
 	clear(r.rq)
 	r.emptyPiggy()
 	r.seenData.Reset()
@@ -596,7 +610,7 @@ func (r *Ripple) dropRelay(p *pendingRelay) {
 func (r *Ripple) armRelay(key, txop uint64, isData bool, rank int, wait sim.Time,
 	f *pkt.Frame, okPkts []*pkt.Packet) {
 	busy := r.Med.CarrierBusy(r.ID)
-	if busy && !r.opt.RelayDefer {
+	if busy && r.opt.StrictRelay {
 		r.C.RelayCancels++
 		return
 	}
@@ -632,7 +646,7 @@ func (r *Ripple) relayTimer(p *pendingRelay) {
 	if r.Med.CarrierBusy(r.ID) || r.Med.Transmitting(r.ID) {
 		// Raced with a carrier transition in the same instant; the
 		// busy handler keeps or discards the pending state.
-		if !r.opt.RelayDefer {
+		if r.opt.StrictRelay {
 			r.dropRelay(p)
 			r.C.RelayCancels++
 			r.releaseRelay(p)
@@ -650,7 +664,7 @@ func (r *Ripple) relayTimer(p *pendingRelay) {
 
 // onCarrierBusy pauses (deferral) or discards (strict) every armed relay.
 func (r *Ripple) onCarrierBusy() {
-	if !r.opt.RelayDefer {
+	if r.opt.StrictRelay {
 		for _, p := range r.relays {
 			r.C.RelayCancels++
 			r.releaseRelay(p)
@@ -667,7 +681,7 @@ func (r *Ripple) onCarrierBusy() {
 // onCarrierIdle restarts deferred relay waits in arm order, expiring stale
 // ones.
 func (r *Ripple) onCarrierIdle() {
-	if !r.opt.RelayDefer {
+	if r.opt.StrictRelay {
 		return
 	}
 	now := r.Eng.Now()

@@ -103,7 +103,7 @@ func linePositions(n int) []radio.Pos {
 
 func TestRippleEndToEndDelivery(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1, 2, 3}}
-	h := newHarness(t, linePositions(4), idealRadio(), paths, DefaultOptions())
+	h := newHarness(t, linePositions(4), idealRadio(), paths, Options{})
 	h.inject(0, 1, 32, 3)
 	h.eng.Run(100 * sim.Millisecond)
 	if got := len(h.delivered[3]); got != 32 {
@@ -118,7 +118,7 @@ func TestRippleEndToEndDelivery(t *testing.T) {
 
 func TestRippleAggregatesSixteen(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1, 2, 3}}
-	h := newHarness(t, linePositions(4), idealRadio(), paths, DefaultOptions())
+	h := newHarness(t, linePositions(4), idealRadio(), paths, Options{})
 	h.inject(0, 1, 16, 3)
 	h.eng.Run(100 * sim.Millisecond)
 	if h.counters[0].TxData != 1 {
@@ -132,7 +132,7 @@ func TestRippleAggregatesSixteen(t *testing.T) {
 // sensed carrier, so station 1 never transmits a data relay.
 func TestRippleOpportunisticSkip(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1, 2, 3}}
-	h := newHarness(t, linePositions(4), idealRadio(), paths, DefaultOptions())
+	h := newHarness(t, linePositions(4), idealRadio(), paths, Options{})
 	h.inject(0, 1, 4, 3)
 	h.eng.Run(50 * sim.Millisecond)
 	if len(h.delivered[3]) != 4 {
@@ -154,7 +154,7 @@ func TestRippleRelayChainWhenFarLinkFails(t *testing.T) {
 	// 180 m spacing: adjacent 180 m < 258 m decodes; 360 m does not.
 	positions := []radio.Pos{{X: 0}, {X: 180}, {X: 360}, {X: 540}}
 	paths := map[int]routing.Path{1: {0, 1, 2, 3}}
-	h := newHarness(t, positions, idealRadio(), paths, DefaultOptions())
+	h := newHarness(t, positions, idealRadio(), paths, Options{})
 	h.inject(0, 1, 4, 3)
 	h.eng.Run(100 * sim.Millisecond)
 	if len(h.delivered[3]) != 4 {
@@ -181,7 +181,7 @@ func TestRippleRelayChainWhenFarLinkFails(t *testing.T) {
 // from the source only.
 func TestRippleNoForwarderCaching(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1, 2, 3}}
-	h := newHarness(t, linePositions(4), idealRadio(), paths, DefaultOptions())
+	h := newHarness(t, linePositions(4), idealRadio(), paths, Options{})
 	h.inject(0, 1, 8, 3)
 	h.eng.Run(100 * sim.Millisecond)
 	// Station 1 cancelled relays (station 2 outprioritised it); its queue
@@ -196,7 +196,7 @@ func TestRippleEndToEndRetryOnDeadPath(t *testing.T) {
 	// end-to-end and eventually drops.
 	positions := []radio.Pos{{X: 0}, {X: 600}}
 	paths := map[int]routing.Path{1: {0, 1}}
-	h := newHarness(t, positions, idealRadio(), paths, DefaultOptions())
+	h := newHarness(t, positions, idealRadio(), paths, Options{})
 	h.inject(0, 1, 2, 1)
 	h.eng.Run(2 * sim.Second)
 	p := phys.Default()
@@ -216,7 +216,7 @@ func TestRippleEndToEndRetryOnDeadPath(t *testing.T) {
 // from each other's mTXOPs.
 func TestRippleTwoWayTraffic(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1, 2, 3}}
-	h := newHarness(t, linePositions(4), idealRadio(), paths, DefaultOptions())
+	h := newHarness(t, linePositions(4), idealRadio(), paths, Options{})
 	h.inject(0, 1, 16, 3)
 	h.inject(3, 1, 16, 0)
 	h.eng.Run(200 * sim.Millisecond)
@@ -234,7 +234,7 @@ func TestRippleTwoWayTraffic(t *testing.T) {
 func TestRippleAckRelayedTowardSource(t *testing.T) {
 	positions := []radio.Pos{{X: 0}, {X: 180}, {X: 360}, {X: 540}}
 	paths := map[int]routing.Path{1: {0, 1, 2, 3}}
-	h := newHarness(t, positions, idealRadio(), paths, DefaultOptions())
+	h := newHarness(t, positions, idealRadio(), paths, Options{})
 	h.inject(0, 1, 1, 3)
 	h.eng.Run(50 * sim.Millisecond)
 	var acks int
@@ -256,8 +256,7 @@ func TestRippleAckRelayedTowardSource(t *testing.T) {
 
 // TestRippleNoAggSendsSinglePacketFrames checks the R1 configuration.
 func TestRippleNoAggSendsSinglePacketFrames(t *testing.T) {
-	opt := DefaultOptions()
-	opt.MaxAgg = 1
+	opt := Options{MaxAgg: 1}
 	paths := map[int]routing.Path{1: {0, 1, 2, 3}}
 	h := newHarness(t, linePositions(4), idealRadio(), paths, opt)
 	h.inject(0, 1, 8, 3)
@@ -279,7 +278,7 @@ func TestRipplePartialCorruptionRetransmitsOnlyLost(t *testing.T) {
 	rc := idealRadio()
 	rc.BitErrorRate = 3e-5 // 1000B packet: ≈22% corruption per packet
 	paths := map[int]routing.Path{1: {0, 1, 2, 3}}
-	h := newHarness(t, linePositions(4), rc, paths, DefaultOptions())
+	h := newHarness(t, linePositions(4), rc, paths, Options{})
 	h.inject(0, 1, 32, 3)
 	h.eng.Run(sim.Second)
 	if got := len(h.delivered[3]); got != 32 {
@@ -302,7 +301,7 @@ func TestRipplePartialCorruptionRetransmitsOnlyLost(t *testing.T) {
 // MAC sequence numbers (that would leave permanent Rq gaps).
 func TestRippleMacSeqAssignedOnAccept(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1}}
-	h := newHarness(t, linePositions(2), idealRadio(), paths, DefaultOptions())
+	h := newHarness(t, linePositions(2), idealRadio(), paths, Options{})
 	h.inject(0, 1, 60, 1) // 50-limit queue: 10 rejected
 	if h.counters[0].QueueDrops != 10 {
 		t.Fatalf("QueueDrops = %d", h.counters[0].QueueDrops)
@@ -325,16 +324,10 @@ func TestRippleMacSeqAssignedOnAccept(t *testing.T) {
 // and both relay modes.
 func TestRippleFramesReturnToPool(t *testing.T) {
 	for _, c := range []struct {
-		deferRelays bool
-		maxAgg      int // 1 is RIPPLE-noagg
-	}{{true, 0}, {false, 0}, {true, 1}} {
-		deferRelays := c.deferRelays
-		opt := DefaultOptions()
-		opt.RelayDefer = deferRelays
-		opt.LocalAggOnRelay = true
-		if c.maxAgg > 0 {
-			opt.MaxAgg = c.maxAgg
-		}
+		strict bool
+		maxAgg int // 1 is RIPPLE-noagg
+	}{{false, 0}, {true, 0}, {false, 1}} {
+		opt := Options{MaxAgg: c.maxAgg, StrictRelay: c.strict, LocalAggOnRelay: true}
 		rc := idealRadio()
 		rc.BitErrorRate = 2e-5
 		paths := map[int]routing.Path{1: {0, 1, 2, 3}, 2: {3, 2, 1, 0}, 3: {1, 2, 3}}
@@ -355,11 +348,11 @@ func TestRippleFramesReturnToPool(t *testing.T) {
 		}
 		gets, recycled := h.med.Frames().Counters()
 		if inUse := h.med.Frames().InUse(); gets == 0 || inUse != 0 || recycled != gets {
-			t.Fatalf("RelayDefer=%v: %d of %d frames never returned to the pool", deferRelays, inUse, gets)
+			t.Fatalf("StrictRelay=%v: %d of %d frames never returned to the pool", c.strict, inUse, gets)
 		}
 		if onAir := h.med.OnAir(); onAir != 0 {
-			t.Fatalf("RelayDefer=%v MaxAgg=%d: %d transmission records never returned to the medium's pool",
-				deferRelays, opt.MaxAgg, onAir)
+			t.Fatalf("StrictRelay=%v MaxAgg=%d: %d transmission records never returned to the medium's pool",
+				c.strict, c.maxAgg, onAir)
 		}
 	}
 }
@@ -372,8 +365,7 @@ func TestRippleRelayMemoryIsBounded(t *testing.T) {
 	// every ACK; MaxAgg 1 makes each packet an mTXOP of its own.
 	positions := []radio.Pos{{X: 0}, {X: 180}, {X: 360}}
 	paths := map[int]routing.Path{1: {0, 1, 2}}
-	opt := DefaultOptions()
-	opt.MaxAgg = 1
+	opt := Options{MaxAgg: 1}
 	h := newHarness(t, positions, idealRadio(), paths, opt)
 	h.med.Trace = nil // the harness' frame log would be the run's history
 	const mtxops = 3 * forward.SeenCap

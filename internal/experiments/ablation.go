@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"ripple/internal/core"
 	"ripple/internal/network"
 	"ripple/internal/phys"
-	"ripple/internal/pkt"
 	"ripple/internal/radio"
 	"ripple/internal/routing"
 	"ripple/internal/topology"
@@ -37,15 +37,13 @@ func AblationAggLimit(opt Options) (*Table, error) {
 		Rows:  rows,
 		Cols:  []string{"R"},
 		Config: func(r, _ int) (network.Config, error) {
-			cfg := network.Config{
-				Positions: top.Positions,
-				Radio:     rc,
-				Scheme:    network.Ripple,
-				Flows:     []network.FlowSpec{{ID: 1, Path: path, Kind: network.FTP}},
-			}
-			cfg.Normalize()
-			cfg.RippleOpts.MaxAgg = aggs[r]
-			return cfg, nil
+			return network.Config{
+				Positions:  top.Positions,
+				Radio:      rc,
+				Scheme:     network.Ripple,
+				Flows:      []network.FlowSpec{{ID: 1, Path: path, Kind: network.FTP}},
+				RippleOpts: core.Options{MaxAgg: aggs[r]},
+			}, nil
 		},
 		Metric: flow0Mbps,
 	}.run(opt)
@@ -102,15 +100,13 @@ func AblationRq(opt Options) (*Table, error) {
 		Cols:   []string{"Mbps", "reorder %"},
 		PerRow: true,
 		Config: func(r, _ int) (network.Config, error) {
-			cfg := network.Config{
-				Positions: top.Positions,
-				Radio:     rc,
-				Scheme:    network.Ripple,
-				Flows:     []network.FlowSpec{{ID: 1, Path: path, Kind: network.FTP}},
-			}
-			cfg.Normalize()
-			cfg.RippleOpts.RqEnabled = r == 0
-			return cfg, nil
+			return network.Config{
+				Positions:  top.Positions,
+				Radio:      rc,
+				Scheme:     network.Ripple,
+				Flows:      []network.FlowSpec{{ID: 1, Path: path, Kind: network.FTP}},
+				RippleOpts: core.Options{RqOff: r == 1},
+			}, nil
 		},
 		Metric: func(_, c int, res *network.Result) float64 {
 			if c == 0 {
@@ -136,16 +132,14 @@ func AblationTwoWay(opt Options) (*Table, error) {
 		Rows:  []string{"two-way", "one-way"},
 		Cols:  []string{"R"},
 		Config: func(r, _ int) (network.Config, error) {
-			cfg := network.Config{
+			// Row 1, one-way, holds the destination to one packet a frame;
+			// row 0 leaves it at the default limit.
+			return network.Config{
 				Positions: top.Positions,
 				Radio:     rc,
 				Scheme:    network.Ripple,
-				Flows:     []network.FlowSpec{{ID: 1, Path: path, Kind: network.FTP}},
-			}
-			if r == 1 {
-				cfg.NodeMaxAgg = map[pkt.NodeID]int{path.Dst(): 1}
-			}
-			return cfg, nil
+				Flows:     []network.FlowSpec{{ID: 1, Path: path, Kind: network.FTP, DstMaxAgg: r}},
+			}, nil
 		},
 		Metric: flow0Mbps,
 	}.run(opt)
@@ -170,15 +164,13 @@ func AblationRelayDefer(opt Options) (*Table, error) {
 		Cols:  []string{"defer", "strict"},
 		Config: func(r, c int) (network.Config, error) {
 			positions, flows := hiddenScenario(counts[r])
-			cfg := network.Config{
-				Positions: positions,
-				Radio:     rc,
-				Scheme:    network.Ripple,
-				Flows:     flows,
-			}
-			cfg.Normalize()
-			cfg.RippleOpts.RelayDefer = c == 0
-			return cfg, nil
+			return network.Config{
+				Positions:  positions,
+				Radio:      rc,
+				Scheme:     network.Ripple,
+				Flows:      flows,
+				RippleOpts: core.Options{StrictRelay: c == 1},
+			}, nil
 		},
 		Metric: flow0Mbps,
 	}.run(opt)

@@ -92,7 +92,7 @@ func TestDCFMatchesBianchi(t *testing.T) {
 		}
 		var share stats.Welford
 		for seed := uint64(1); seed <= 5; seed++ {
-			res, err := Run(Config{Positions: positions, Radio: ideal, Phy: phy, Scheme: DCF, UnicastMaxAgg: 1,
+			res, err := Run(Config{Positions: positions, Radio: ideal, Phy: phy, Scheme: DCF,
 				Flows: flows, Duration: dur, Seed: seed})
 			if err != nil {
 				t.Fatal(err)

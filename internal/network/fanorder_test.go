@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"ripple/internal/core"
 	"ripple/internal/fault"
 	"ripple/internal/phys"
 	"ripple/internal/pkt"
@@ -117,7 +116,6 @@ func localAggConfig() Config {
 	cfg := orderGridConfig(Ripple)
 	cfg.Flows = append(cfg.Flows, FlowSpec{ID: 5, Path: routing.Path{7, 14, 21},
 		Kind: CBRTraffic, CBRInterval: 2 * sim.Millisecond, CBRPacketBytes: 200})
-	cfg.RippleOpts = core.DefaultOptions()
 	cfg.RippleOpts.LocalAggOnRelay = true
 	return cfg
 }

@@ -7,7 +7,6 @@ package network
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"os"
 	"slices"
 	"sync"
@@ -30,9 +29,9 @@ type SchemeKind int
 
 const (
 	// DCF is predetermined routing over plain IEEE 802.11 ("D"; with a
-	// direct route it is SPR, "S").
+	// direct route it is SPR, "S"): AFR at aggregation limit 1.
 	DCF SchemeKind = iota + 1
-	// AFR is predetermined routing with 16-packet aggregation ("A").
+	// AFR is predetermined routing with packet aggregation ("A").
 	AFR
 	// PreExOR is the early ExOR with sequential per-forwarder ACKs.
 	PreExOR
@@ -40,7 +39,8 @@ const (
 	MCExOR
 	// Ripple is RIPPLE with two-way aggregation ("R16").
 	Ripple
-	// RippleNoAgg is RIPPLE with aggregation disabled ("R1").
+	// RippleNoAgg is RIPPLE with aggregation disabled ("R1"): Ripple at
+	// aggregation limit 1.
 	RippleNoAgg
 )
 
@@ -95,6 +95,14 @@ type FlowSpec struct {
 	TCP  *transport.TCPConfig
 	VoIP *transport.VoIPConfig
 	Web  *traffic.WebConfig
+	// DstMaxAgg, when set, is the aggregation limit of the flow's
+	// destination station, for everything that station sends (the
+	// two-way-aggregation ablation sets it to 1, so TCP ACKs travel one per
+	// frame); 0 leaves the station at RippleOpts.MaxAgg. Where flows that
+	// end at one station set different values, the smallest wins. A relay
+	// prices a frame by its own limit, so the limit is a station's, not a
+	// stream's. The DCF and RippleNoAgg kinds hold every station at 1.
+	DstMaxAgg int
 }
 
 // Config is a complete scenario description.
@@ -107,8 +115,11 @@ type Config struct {
 	Flows         []FlowSpec
 	Duration      sim.Time
 	Seed          uint64
-	RippleOpts    core.Options // used by Ripple/RippleNoAgg
-	UnicastMaxAgg int          // aggregation for AFR (default 16)
+	// RippleOpts tunes RIPPLE (see core.Options; the zero value is the
+	// paper's). Its MaxAgg is every scheme's per-frame packet limit: AFR's
+	// as well as RIPPLE's, 16 when zero, and 1 under the DCF and
+	// RippleNoAgg kinds.
+	RippleOpts core.Options
 	// Routing selects the route policy (see RoutingSpec). The zero value
 	// keeps declared flow paths untouched.
 	Routing RoutingSpec
@@ -123,10 +134,6 @@ type Config struct {
 	// MultiRate enables the paper's §V future-work extension: each
 	// transmitter picks a per-link PHY rate with phys.OracleRate.
 	MultiRate bool
-	// NodeMaxAgg overrides the aggregation limit for individual stations
-	// (used by the two-way-aggregation ablation: setting a flow's
-	// destination to 1 disables reverse-direction aggregation).
-	NodeMaxAgg map[pkt.NodeID]int
 	// RTSThreshold enables 802.11 RTS/CTS for the predetermined schemes
 	// (DCF/AFR): data frames with MAC payload of at least this many bytes
 	// are protected by an RTS/CTS handshake. 0 disables the option.
@@ -284,18 +291,29 @@ func (c *Config) Normalize() {
 	if c.Duration == 0 {
 		c.Duration = 10 * sim.Second
 	}
-	if c.RippleOpts.MaxAgg == 0 {
-		c.RippleOpts = core.DefaultOptions()
-	}
-	if c.UnicastMaxAgg == 0 {
-		c.UnicastMaxAgg = 16
-	}
+	c.RippleOpts.Normalize()
 	if c.Phy.SIFS == 0 {
 		c.Phy = phys.Default()
 	}
 	if c.Radio.PathLossExp == 0 {
 		c.Radio = radio.DefaultConfig()
 	}
+}
+
+// aggLimit is station id's per-frame packet limit in the normalised c: 1
+// under the DCF and RippleNoAgg kinds, else the smallest DstMaxAgg set by a
+// flow ending at id, else RippleOpts.MaxAgg.
+func (c *Config) aggLimit(id pkt.NodeID) int {
+	if c.Scheme == DCF || c.Scheme == RippleNoAgg {
+		return 1
+	}
+	limit := 0
+	for i := range c.Flows {
+		if f := &c.Flows[i]; f.DstMaxAgg > 0 && f.Path.Dst() == id && (limit == 0 || f.DstMaxAgg < limit) {
+			limit = f.DstMaxAgg
+		}
+	}
+	return cmp.Or(limit, c.RippleOpts.MaxAgg)
 }
 
 // FlowResult summarises one flow after a run.
@@ -404,15 +422,15 @@ func checkPositions(positions []radio.Pos) error {
 // kind, or a flow whose path is too short, repeats a station or leaves the
 // topology, or whose ID is taken or, for Web and VoIP traffic, negative.
 // Range, through each struct's own rules: a negative Duration,
-// MaxForwarders, UnicastMaxAgg, RippleOpts.MaxAgg or RTSThreshold, a
-// NodeMaxAgg station outside the topology or limit below 1, and a field of
-// Radio (radio.Config.Check), Routing, Mobility, Faults
-// (fault.Spec.Check) or a flow (its Start, CBR fields and set TCP, VoIP or
-// Web config) out of range. It judges cfg as Run runs it, with Normalize's
-// defaults, so it refuses exactly what Run would. It is the one gate: Run
-// and BuildWorld return its error before building anything, and
-// campaign.Grid.Plan and campaign.NewPlan before any run. What it leaves to
-// the public API is which options a kind ignores (ripple.Scenario.Validate).
+// MaxForwarders or RTSThreshold, and a field of RippleOpts
+// (core.Options.Check), Radio (radio.Config.Check), Routing, Mobility,
+// Faults (fault.Spec.Check) or a flow (its Start, CBR fields, DstMaxAgg
+// and set TCP, VoIP or Web config) out of range. It judges cfg as Run runs
+// it, with Normalize's defaults, so it refuses exactly what Run would. It
+// is the one gate: Run and BuildWorld return its error before building
+// anything, and campaign.Grid.Plan and campaign.NewPlan before any run.
+// What it leaves to the public API is which options a kind ignores
+// (ripple.Scenario.Validate).
 func Validate(cfg *Config) error {
 	c := *cfg
 	c.Normalize()
@@ -439,25 +457,11 @@ func (cfg *Config) check() error {
 		return top.bad("Duration", cfg.Duration, rule)
 	case cfg.MaxForwarders < 0:
 		return top.bad("MaxForwarders", cfg.MaxForwarders, rule)
-	case cfg.UnicastMaxAgg < 0:
-		return top.bad("UnicastMaxAgg", cfg.UnicastMaxAgg, rule)
-	case cfg.RippleOpts.MaxAgg < 0:
-		return top.bad("RippleOpts.MaxAgg", cfg.RippleOpts.MaxAgg, rule)
 	case cfg.RTSThreshold < 0:
 		return top.bad("RTSThreshold", cfg.RTSThreshold, rule)
 	}
-	if len(cfg.NodeMaxAgg) > 0 { // a run without overrides allocates nothing here
-		for _, id := range slices.Sorted(maps.Keys(cfg.NodeMaxAgg)) {
-			field, v := fmt.Sprintf("NodeMaxAgg[%d]", id), cfg.NodeMaxAgg[id]
-			switch {
-			case int(id) < 0 || int(id) >= len(cfg.Positions):
-				return top.error(field, v, fmt.Sprintf("station %d outside topology (%d stations)", id, len(cfg.Positions)))
-			case v < 1:
-				return top.bad(field, v, "must be at least 1")
-			}
-		}
-	}
 	if err := cmp.Or(
+		cfg.RippleOpts.Check(at{-1, "RippleOpts."}.bad),
 		cfg.Radio.Check(at{-1, "Radio."}.bad),
 		cfg.Routing.check(at{-1, "Routing."}.bad),
 		cfg.Mobility.check(at{-1, "Mobility."}.bad),
@@ -503,6 +507,8 @@ func (f *FlowSpec) check(i int, earlier []FlowSpec, stations int) error {
 		return bad("CBRInterval", f.CBRInterval, rule)
 	case f.CBRPacketBytes < 0:
 		return bad("CBRPacketBytes", f.CBRPacketBytes, rule)
+	case f.DstMaxAgg < 0:
+		return bad("DstMaxAgg", f.DstMaxAgg, rule)
 	}
 	var err error
 	if f.TCP != nil {

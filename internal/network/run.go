@@ -323,17 +323,9 @@ func (r *run) sizeAgents(n int) {
 func (r *run) agent(env forward.Env) forward.Scheme {
 	cfg := r.cfg
 	switch cfg.Scheme {
-	case DCF:
+	case DCF, AFR:
 		u := &r.unicasts[env.ID]
-		u.Init(env, 1, cfg.RTSThreshold)
-		return u
-	case AFR:
-		agg := cfg.UnicastMaxAgg
-		if v, ok := cfg.NodeMaxAgg[env.ID]; ok {
-			agg = v
-		}
-		u := &r.unicasts[env.ID]
-		u.Init(env, agg, cfg.RTSThreshold)
+		u.Init(env, cfg.aggLimit(env.ID), cfg.RTSThreshold)
 		return u
 	case PreExOR, MCExOR:
 		x := &r.exors[env.ID]
@@ -341,12 +333,7 @@ func (r *run) agent(env forward.Env) forward.Scheme {
 		return x
 	case Ripple, RippleNoAgg:
 		opt := cfg.RippleOpts
-		if v, ok := cfg.NodeMaxAgg[env.ID]; ok {
-			opt.MaxAgg = v
-		}
-		if cfg.Scheme == RippleNoAgg {
-			opt.MaxAgg = 1
-		}
+		opt.MaxAgg = cfg.aggLimit(env.ID)
 		a := &r.ripples[env.ID]
 		a.Init(env, opt)
 		return a

@@ -9,7 +9,6 @@ import (
 
 	"ripple/internal/campaign"
 	"ripple/internal/network"
-	"ripple/internal/pkt"
 	"ripple/internal/radio"
 	"ripple/internal/routing"
 	"ripple/internal/sim"
@@ -62,12 +61,10 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 	}{
 		{"Duration", func(c *network.Config) { c.Duration = -sim.Second }},
 		{"MaxForwarders", func(c *network.Config) { c.MaxForwarders = -3 }},
-		{"UnicastMaxAgg", func(c *network.Config) { c.UnicastMaxAgg = -16 }},
-		{"RippleOpts.MaxAgg", func(c *network.Config) { c.RippleOpts.MaxAgg = -1 }},
 		{"RTSThreshold", func(c *network.Config) { c.RTSThreshold = -1 }},
-		{"NodeMaxAgg[0]", func(c *network.Config) { c.NodeMaxAgg = map[pkt.NodeID]int{0: 0} }},
-		{"NodeMaxAgg[0]", func(c *network.Config) { c.NodeMaxAgg = map[pkt.NodeID]int{0: -3} }},
-		{"NodeMaxAgg[999]", func(c *network.Config) { c.NodeMaxAgg = map[pkt.NodeID]int{1: 4, 999: 4} }},
+		{"RippleOpts.MaxAgg", func(c *network.Config) { c.RippleOpts.MaxAgg = -1 }},
+		{"RippleOpts.RqHold", func(c *network.Config) { c.RippleOpts.RqHold = -sim.Millisecond }},
+		{"RippleOpts.RqCap", func(c *network.Config) { c.RippleOpts.RqCap = -1 }},
 		{"Radio.BitErrorRate", func(c *network.Config) { c.Radio.BitErrorRate = 2 }},
 		{"Radio.BitErrorRate", func(c *network.Config) { c.Radio.BitErrorRate = -1e-9 }},
 		{"Radio.PruneSigma", func(c *network.Config) { c.Radio.PruneSigma = -1 }},
@@ -100,6 +97,7 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 		{"Flows[1].Start", func(c *network.Config) { c.Flows[1].Start = -sim.Millisecond }},
 		{"Flows[1].CBRInterval", func(c *network.Config) { c.Flows[1].CBRInterval = -sim.Second }},
 		{"Flows[1].CBRPacketBytes", func(c *network.Config) { c.Flows[1].CBRPacketBytes = -1 }},
+		{"Flows[1].DstMaxAgg", func(c *network.Config) { c.Flows[1].DstMaxAgg = -1 }},
 		{"Flows[1].TCP.MSS", tcp(func(p *transport.TCPConfig) { p.MSS = -1 })},
 		{"Flows[1].TCP.AckBytes", tcp(func(p *transport.TCPConfig) { p.AckBytes = -1 })},
 		{"Flows[1].TCP.InitialCwnd", tcp(func(p *transport.TCPConfig) { p.InitialCwnd = -1 })},

@@ -279,7 +279,7 @@ func (s Scenario) Validate() error {
 var builderNames = map[string]string{
 	"Duration":                    "Scenario.Duration",
 	"MaxForwarders":               "Scenario.MaxForwarders",
-	"UnicastMaxAgg":               "Scenario.MaxAggregation",
+	"RippleOpts.MaxAgg":           "Scenario.MaxAggregation",
 	"RTSThreshold":                "Scenario.RTSThreshold",
 	"Radio.BitErrorRate":          "Radio.WithBER bit error rate",
 	"Radio.PruneSigma":            "Radio.WithPruneSigma prune sigma",
@@ -370,17 +370,11 @@ func (s Scenario) toConfig() (*network.Config, error) {
 		Routing:       s.Routing.spec(),
 		Mobility:      s.Mobility.spec(),
 		Faults:        s.Faults.spec(),
+		RippleOpts:    core.Options{MaxAgg: s.MaxAggregation},
 		Audit:         s.Audit,
 	}
 	if s.Radio.lowRate {
 		cfg.Phy = phys.LowRate()
-	}
-	if s.MaxAggregation != 0 {
-		// Normalize keeps RippleOpts whole once MaxAgg is set, so the
-		// other options must start at RIPPLE's defaults.
-		cfg.UnicastMaxAgg = s.MaxAggregation
-		cfg.RippleOpts = core.DefaultOptions()
-		cfg.RippleOpts.MaxAgg = s.MaxAggregation
 	}
 	cfg.MultiRate = s.MultiRate
 	cfg.RTSThreshold = s.RTSThreshold

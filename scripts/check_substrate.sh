@@ -80,7 +80,14 @@
 # the one gate that calls them; the builders pass what they are given
 # through, and the root keeps only the rules on options a kind ignores. A
 # range check that grows back in a builder would refuse nothing new, only
-# split the rules into two places again, so no test would notice it.
+# split the rules into two places again, so no test would notice it;
+#
+# or if a non-test .go file outside bench/ names UnicastMaxAgg or
+# NodeMaxAgg or calls DefaultOptions(: the per-frame packet limit is one
+# setting, RippleOpts.MaxAgg (a flow's DstMaxAgg lowers its destination's),
+# and the zero core.Options is the paper's configuration. A second limit or
+# a whole-struct default that grows back would split the setting again, and
+# a config that sets one field of it would silently lose the others.
 #
 # Usage: sh scripts/check_substrate.sh   (from the repo root)
 set -eu
@@ -156,6 +163,11 @@ if grep -n 'AscNeighbors(' $planrow; then
 fi
 if grep -nE 'nonNegative\(|must not be negative' $(ls ./*.go | grep -v '_test\.go$'); then
     echo "check_substrate: a range check in the root package — put the rule on the struct it constrains, for network.Validate" >&2
+    fail=1
+fi
+if grep -nE 'UnicastMaxAgg|NodeMaxAgg|DefaultOptions\(' $(find . -name '*.go' ! -name '*_test.go' \
+        ! -path './bench/*' ! -path './.bench_build/*'); then
+    echo "check_substrate: a second aggregation setting or a whole-struct RIPPLE default — set RippleOpts.MaxAgg or a flow's DstMaxAgg; the zero core.Options is the paper's" >&2
     fail=1
 fi
 exit $fail
