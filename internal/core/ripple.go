@@ -65,6 +65,10 @@ type Options struct {
 	LocalAggOnRelay bool
 }
 
+// relayDeferLimit bounds how long a deferred relay may wait before the
+// frame is discarded (the source's retry supersedes it anyway).
+const relayDeferLimit = 2 * sim.Millisecond
+
 // Normalize fills each zero numeric field with the paper's value: MaxAgg
 // 16, RqHold 25 ms, RqCap 128.
 func (o *Options) Normalize() {
@@ -87,10 +91,6 @@ func (o Options) Check(bad func(field string, value any, rule string) error) err
 	}
 	return nil
 }
-
-// relayDeferLimit bounds how long a deferred relay may wait before the
-// frame is discarded (the source's retry supersedes it anyway).
-const relayDeferLimit = 2 * sim.Millisecond
 
 // Ripple is the per-station RIPPLE agent: the mTXOP protocol on the shared
 // station chassis (one outstanding mTXOP per station; Station.Queue is Sq).
@@ -145,11 +145,12 @@ func New(env forward.Env, opt Options) *Ripple {
 }
 
 // Init makes r, in place, the agent New returns: every field zero or set
-// from the arguments (opt normalised), except the chassis (see forward.Station.Init), the
-// three per-stream and per-mTXOP slices and two seen-sets, emptied (the
-// piggyback entries keeping their buffers), the scratch buffers, and the
-// relay, resequencer and reclaim records, recalled from wherever the last
-// run left them with their timers bound and their buffers empty.
+// from the arguments (opt normalised), except the chassis (see
+// forward.Station.Init), the three per-stream and per-mTXOP slices and two
+// seen-sets, emptied (the piggyback entries keeping their buffers), the
+// scratch buffers, and the relay, resequencer and reclaim records, recalled
+// from wherever the last run left them with their timers bound and their
+// buffers empty.
 func (r *Ripple) Init(env forward.Env, opt Options) {
 	opt.Normalize()
 	clear(r.rq)

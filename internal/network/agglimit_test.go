@@ -72,19 +72,18 @@ func TestLocalAggAloneIsTheFullForm(t *testing.T) {
 	full.RippleOpts = core.Options{MaxAgg: 16, RqHold: 25 * sim.Millisecond, RqCap: 128, LocalAggOnRelay: true}
 	off := short
 	off.RippleOpts = core.Options{}
-	got := runJSON(t, short, nil)
-	if want := runJSON(t, full, nil); !bytes.Equal(got, want) {
+	res, err := Run(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := golden.Marshal(t, res), runJSON(t, full, nil); !bytes.Equal(got, want) {
 		t.Fatalf("RippleOpts{LocalAggOnRelay: true} differs from the full form:\n%s", golden.Diff(want, got))
 	}
-	a, err := Run(short)
+	without, err := Run(off)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.MAC == b.MAC {
+	if res.MAC == without.MAC {
 		t.Fatal("RippleOpts{LocalAggOnRelay: true} left the MAC counters unchanged: the option was dropped")
 	}
 }
@@ -109,7 +108,7 @@ func TestDstMaxAggSmallestSetValueWins(t *testing.T) {
 					t.Errorf("DstMaxAgg %d and %d differ from 2 alone:\n%s", c[0], c[1], golden.Diff(want, got))
 				}
 			}
-			if bytes.Equal(run(4, 0), want) || bytes.Equal(run(0, 0), run(4, 0)) {
+			if four := run(4, 0); bytes.Equal(four, want) || bytes.Equal(run(0, 0), four) {
 				t.Error("the destination's limit does not shape the run: limits 2, 4 and 16 are not told apart")
 			}
 		})

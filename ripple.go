@@ -129,7 +129,8 @@ type Scenario struct {
 	// MaxForwarders caps forwarder lists (default 5, paper Remark 4).
 	MaxForwarders int
 	// MaxAggregation caps packets per frame for RIPPLE and AFR
-	// (default 16).
+	// (default 16). SchemeDCF and SchemeRIPPLENoAgg are AFR and RIPPLE
+	// at 1, whatever it says.
 	MaxAggregation int
 	// MultiRate enables the paper's §V future-work extension: per-link
 	// PHY rate selection over the 802.11a ladder (6 Mbps base) or its ×4
