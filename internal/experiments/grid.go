@@ -57,9 +57,9 @@ func (tg tableGrid) execute(opt Options) (*campaign.Result, error) {
 			cfg, err := tg.Config(pt.Index("row"), col)
 			cfg.Duration = opt.Duration
 			if opt.PruneSigma != nil {
-				// Resolve the radio default first: network.Run's Normalize
-				// replaces a zero-valued Radio wholesale, which would
-				// silently clobber the override.
+				// Resolve the radio default first: Normalize defaults only
+				// a Radio with no field set, and Validate refuses one with
+				// PruneSigma alone.
 				if cfg.Radio.PathLossExp == 0 {
 					cfg.Radio = radio.DefaultConfig()
 				}

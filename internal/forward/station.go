@@ -85,8 +85,17 @@ func (s *Station) Init(env Env, p Protocol) {
 	if env.Audit != nil { // the queue is tapped only under deep audit
 		s.Queue.SetAudit(env.Audit.RegisterQueue(int(env.ID), env.P.QueueLimit, s.Queue.Len))
 	}
-	s.Cont.Init(env.Eng, env.P, env.RNG, p)
+	s.Cont.Init(env.Eng, env.P, env.RNG, (*granter)(s))
 }
+
+// granter is a Station as its contender's mac.Granter: it hands the grant to
+// the protocol. The contender is given the Station converted to it, not the
+// Protocol: a Protocol-to-Granter conversion is an interface-to-interface
+// one, whose runtime type cache is built, on one call in a thousand or so, by
+// an allocation — in whichever run that call falls.
+type granter Station
+
+func (g *granter) Grant() { g.proto.Grant() }
 
 // Send implements Scheme.
 func (s *Station) Send(p *pkt.Packet) bool {

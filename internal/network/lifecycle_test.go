@@ -53,12 +53,13 @@ func newLifecycleRig(kind SchemeKind) *lifecycleRig {
 	agents := &run{cfg: &cfg}
 	agents.sizeAgents(3)
 	for i := range r.schemes {
-		r.schemes[i] = agents.agent(forward.Env{
+		var mac radio.MAC
+		r.schemes[i], mac = agents.agent(forward.Env{
 			Eng: r.eng, Med: r.med, P: cfg.Phy, ID: pkt.NodeID(i),
 			RNG: sim.NewRNG(7, 100+uint64(i)), Routes: routes, C: &r.counters[i],
 			Deliver: func(p *pkt.Packet) { p.MarkDelivered() },
 		})
-		r.med.Attach(pkt.NodeID(i), r.schemes[i])
+		r.med.Attach(pkt.NodeID(i), mac)
 	}
 	r.med.Attach(lifecycleJammer, silentMAC{})
 	return r

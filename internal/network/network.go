@@ -283,7 +283,9 @@ func (s RoutingSpec) build(t *routing.Table, pos []radio.Pos) (routing.Policy, e
 	return pol, nil
 }
 
-// Normalize fills zero-valued fields with paper defaults.
+// Normalize fills zero-valued fields with paper defaults. Radio and Phy are
+// defaulted whole, and only when no field of theirs is set: a partial one is
+// kept as it is, for Validate to refuse.
 func (c *Config) Normalize() {
 	if c.MaxForwarders == 0 {
 		c.MaxForwarders = 5
@@ -292,10 +294,10 @@ func (c *Config) Normalize() {
 		c.Duration = 10 * sim.Second
 	}
 	c.RippleOpts.Normalize()
-	if c.Phy.SIFS == 0 {
+	if c.Phy == (phys.Params{}) {
 		c.Phy = phys.Default()
 	}
-	if c.Radio.PathLossExp == 0 {
+	if c.Radio == (radio.Config{}) {
 		c.Radio = radio.DefaultConfig()
 	}
 }
@@ -459,6 +461,9 @@ func (cfg *Config) check() error {
 		return top.bad("MaxForwarders", cfg.MaxForwarders, rule)
 	case cfg.RTSThreshold < 0:
 		return top.bad("RTSThreshold", cfg.RTSThreshold, rule)
+	case cfg.Phy.SIFS == 0:
+		// Normalize defaults only a Phy with no field set.
+		return top.bad("Phy.SIFS", cfg.Phy.SIFS, "must be set beside the other Phy fields")
 	}
 	if err := cmp.Or(
 		cfg.RippleOpts.Check(at{-1, "RippleOpts."}.bad),

@@ -302,8 +302,9 @@ func (r *run) build(cfg *Config, world *World) {
 				return phys.OracleRate(1-cfg.Radio.LossProb(r.medium.Distance(id, to)), cfg.Radio.ShadowSigmaDB, cfg.Phy)
 			}
 		}
-		r.schemes[i] = r.agent(env)
-		r.medium.Attach(id, r.schemes[i])
+		var mac radio.MAC
+		r.schemes[i], mac = r.agent(env)
+		r.medium.Attach(id, mac)
 	}
 }
 
@@ -319,24 +320,28 @@ func (r *run) sizeAgents(n int) {
 	}
 }
 
-// agent initialises station env.ID's agent for cfg.Scheme, in its slab.
-func (r *run) agent(env forward.Env) forward.Scheme {
+// agent initialises station env.ID's agent for cfg.Scheme, in its slab, and
+// returns it as a Scheme and as the medium's MAC. Both come from the concrete
+// agent: converting the Scheme to a MAC would be an interface-to-interface
+// conversion, whose runtime type cache is built, on one call in a thousand
+// or so, by an allocation — in whichever run that call falls.
+func (r *run) agent(env forward.Env) (forward.Scheme, radio.MAC) {
 	cfg := r.cfg
 	switch cfg.Scheme {
 	case DCF, AFR:
 		u := &r.unicasts[env.ID]
 		u.Init(env, cfg.aggLimit(env.ID), cfg.RTSThreshold)
-		return u
+		return u, u
 	case PreExOR, MCExOR:
 		x := &r.exors[env.ID]
 		x.Init(env, cfg.Scheme == MCExOR)
-		return x
+		return x, x
 	case Ripple, RippleNoAgg:
 		opt := cfg.RippleOpts
 		opt.MaxAgg = cfg.aggLimit(env.ID)
 		a := &r.ripples[env.ID]
 		a.Init(env, opt)
-		return a
+		return a, a
 	default:
 		// Validate runs first; reaching this is a programming error.
 		panic(fmt.Sprintf("network: unknown scheme %d", int(cfg.Scheme)))

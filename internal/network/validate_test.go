@@ -9,6 +9,7 @@ import (
 
 	"ripple/internal/campaign"
 	"ripple/internal/network"
+	"ripple/internal/phys"
 	"ripple/internal/radio"
 	"ripple/internal/routing"
 	"ripple/internal/sim"
@@ -68,6 +69,9 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 		{"Radio.BitErrorRate", func(c *network.Config) { c.Radio.BitErrorRate = 2 }},
 		{"Radio.BitErrorRate", func(c *network.Config) { c.Radio.BitErrorRate = -1e-9 }},
 		{"Radio.PruneSigma", func(c *network.Config) { c.Radio.PruneSigma = -1 }},
+		// A partial Radio or Phy is refused, not replaced by the defaults.
+		{"Radio.PathLossExp", func(c *network.Config) { c.Radio = radio.Config{BitErrorRate: 1e-4, PruneSigma: 2} }},
+		{"Phy.SIFS", func(c *network.Config) { c.Phy = phys.Params{DataBps: 6e6, BasicBps: 6e6} }},
 		{"Routing.Alpha", routes(network.RoutingSpec{Kind: network.RouteCongestion, Alpha: -0.5})},
 		{"Routing.Epoch", routes(network.RoutingSpec{Kind: network.RouteCongestion, Epoch: -1})},
 		{"Routing.K", routes(network.RoutingSpec{Kind: network.RouteETX, K: -2, Rule: routing.SizeNearDst})},

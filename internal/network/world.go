@@ -129,6 +129,10 @@ type lineage struct {
 	// counts is the fault schedule's ToggleCounts at prev's boundary; spare
 	// is the buffer the next boundary's are written into.
 	counts, spare []int
+	// moved and patch are the working memory of the clean table's patch,
+	// the arrays of one epoch's serving the next.
+	moved []bool
+	patch routing.PatchScratch
 }
 
 // derive builds one world over its link plan: the root snapshot (ln empty,
@@ -194,7 +198,7 @@ func derive(cfg *Config, ln *lineage, plan *radio.LinkPlan, at sim.Time) (*World
 	var table *routing.Table
 	var pol routing.Policy
 	if w.routed {
-		prob := linkProb(cfg.Radio)
+		prob := newLinkProb(cfg.Radio)
 		switch {
 		case prev == nil:
 			ln.clean = linkTable(plan, prob)
@@ -203,7 +207,7 @@ func derive(cfg *Config, ln *lineage, plan *radio.LinkPlan, at sim.Time) (*World
 			if !ln.cleanKept {
 				spare = ln.clean
 			}
-			ln.clean = patchLinkTable(ln.spareClean, prev.plan, ln.clean, plan, prob)
+			ln.clean = ln.patchLinkTable(ln.spareClean, prev.plan, ln.clean, plan, prob)
 			ln.spareClean, ln.cleanKept = spare, false
 		}
 		table = ln.clean
@@ -268,21 +272,44 @@ func derive(cfg *Config, ln *lineage, plan *radio.LinkPlan, at sim.Time) (*World
 	return w, nil
 }
 
-// linkProb returns the clean delivery probability of a link as a function
-// of its length. Past reach — where the mean power sits 1.5 shadowing
+// reachBand is the relative margin past reach beyond which linkProb answers
+// a pair by its squared distance: far wider than the few ulps by which the
+// root of a squared distance and Hypot can differ.
+const reachBand = 1e-9
+
+// linkProb is the clean delivery probability of a link between two
+// positions. Past reach — where the mean power sits 1.5 shadowing
 // deviations under the decode threshold, a probability of 0.067 — nothing
 // clears minLinkProb, and nine in ten of a pruned plan's pairs are that far
-// apart: they are answered by a comparison, not an erfc.
-func linkProb(rc radio.Config) func(d float64) float64 {
+// apart: those beyond reach by more than reachBand are answered by their
+// squared distance, with no square root, logarithm or erfc; the rest pay
+// the distance and, within reach, the probability.
+type linkProb struct {
+	rc    radio.Config
+	reach float64
+	far2  float64 // (reach·(1 + reachBand))²
+}
+
+func newLinkProb(rc radio.Config) linkProb {
 	far := rc
 	far.RXThreshDBm -= 1.5 * rc.ShadowSigmaDB
 	reach := far.RXRange() * 1.001
-	return func(d float64) float64 {
-		if d > reach {
-			return 0
-		}
-		return 1 - rc.LossProb(d)
+	band := reach * (1 + reachBand)
+	return linkProb{rc: rc, reach: reach, far2: band * band}
+}
+
+// between is the probability of the link from a to b; d is radio.Dist(a, b)
+// bit for bit, so it is the probability of the plan's link.
+func (lp linkProb) between(a, b radio.Pos) float64 {
+	dx, dy := a.X-b.X, a.Y-b.Y
+	if dx*dx+dy*dy > lp.far2 {
+		return 0
 	}
+	d := math.Hypot(dx, dy)
+	if d > lp.reach {
+		return 0
+	}
+	return 1 - lp.rc.LossProb(d)
 }
 
 // LinkTable is the clean ETX link table a World over positions under rc
@@ -297,45 +324,42 @@ func LinkTable(rc radio.Config, positions []radio.Pos) (*routing.Table, error) {
 	if err := checkPositions(positions); err != nil {
 		return nil, err
 	}
-	return linkTable(radio.NewLinkPlan(rc, positions), linkProb(rc)), nil
+	return linkTable(radio.NewLinkPlan(rc, positions), newLinkProb(rc)), nil
 }
 
-// linkTable builds a world's clean ETX table from the link-probability func
-// of a distance over the plan's neighbor graph.
-func linkTable(plan *radio.LinkPlan, prob func(d float64) float64) *routing.Table {
-	return routing.NewSparseTableSym(plan.Stations(), func(a pkt.NodeID, yield func(int32, float64)) {
-		plan.EachAscNeighbor(int(a), func(j int32, d float64) {
-			yield(j, prob(d))
+// linkTable builds a world's clean ETX table with the link probabilities of
+// prob over the plan's neighbor graph.
+func linkTable(plan *radio.LinkPlan, prob linkProb) *routing.Table {
+	return routing.NewSparseTableSym(plan.Stations(), planLinks(plan, prob), minLinkProb)
+}
+
+// planLinks enumerates a station's plan neighbours in ascending ID order with
+// the probability of each link: the candidate graph the table builders take.
+func planLinks(plan *radio.LinkPlan, prob linkProb) func(a pkt.NodeID, yield func(int32, float64)) {
+	pos := plan.Positions()
+	return func(a pkt.NodeID, yield func(int32, float64)) {
+		pa := pos[a]
+		plan.EachAscNeighborID(int(a), func(j int32) {
+			yield(j, prob.between(pa, pos[j]))
 		})
-	}, minLinkProb)
+	}
 }
 
 // patchLinkTable derives the clean link table of plan from the clean table
-// of prevPlan, the plan it was rebuilt from: rows whose neighborhood did
-// not change are copied, unmoved pairs of the others copy their stored
-// values, and only pairs with a moved endpoint pay a distance and a
-// probability evaluation — the enumeration hands every other pair a
-// distance of 0, which RebuildSparseTableSym never reads. Whether the
+// of prevPlan, the plan it was rebuilt from: only the stations that moved
+// between the two have their plan rows read and their links evaluated, and
+// every other row is its predecessor's without the movers, with the movers
+// now in reach merged in (routing.RebuildSparseTableSym). Whether the
 // predecessor world was fault-masked does not enter: its clean table is
-// what is patched. The table is built over dst's arrays (nil allocates).
-func patchLinkTable(dst *routing.Table, prevPlan *radio.LinkPlan, prevClean *routing.Table, plan *radio.LinkPlan, prob func(d float64) float64) *routing.Table {
+// what is patched. The table is built over dst's arrays (nil allocates), in
+// the lineage's scratch.
+func (ln *lineage) patchLinkTable(dst *routing.Table, prevPlan *radio.LinkPlan, prevClean *routing.Table, plan *radio.LinkPlan, prob linkProb) *routing.Table {
 	prevPos, newPos := prevPlan.Positions(), plan.Positions()
-	moved := make([]bool, plan.Stations())
-	unchanged := make([]bool, plan.Stations())
-	for i := range moved {
-		moved[i] = newPos[i] != prevPos[i]
-		unchanged[i] = !moved[i] && plan.RowEqual(prevPlan, i)
+	ln.moved = slices.Grow(ln.moved[:0], len(newPos))[:len(newPos)]
+	for i := range ln.moved {
+		ln.moved[i] = newPos[i] != prevPos[i]
 	}
-	return routing.RebuildSparseTableSym(dst, prevClean, moved, unchanged,
-		func(a pkt.NodeID, yield func(int32, float64)) {
-			plan.EachAscNeighborID(int(a), func(j int32) {
-				d := 0.0
-				if moved[a] || moved[j] {
-					d = radio.Dist(newPos[a], newPos[j])
-				}
-				yield(j, d)
-			})
-		}, prob, minLinkProb)
+	return routing.RebuildSparseTableSym(dst, prevClean, ln.moved, planLinks(plan, prob), minLinkProb, &ln.patch)
 }
 
 // maskLinkTable filters an epoch's clean table through the fault overlay at

@@ -59,9 +59,11 @@ type LinkPlan struct {
 
 	// pruned reports whether neighbor pruning is active; pruneCutoff is
 	// the mean-power floor (dBm) below which a pair is pruned, so
-	// MeanDBm(a, b) >= pruneCutoff ⇔ b ∈ neighbors(a).
+	// MeanDBm(a, b) >= pruneCutoff ⇔ b ∈ neighbors(a). keep decides most
+	// pairs of that test by their squared distance (keeps).
 	pruned      bool
 	pruneCutoff float64
+	keep        sqBand
 }
 
 // NewLinkPlan precomputes the neighbor lists for the given radio
@@ -77,6 +79,7 @@ func NewLinkPlan(cfg Config, positions []Pos) *LinkPlan {
 	}
 	pl.pruned = cfg.PruneSigma > 0
 	pl.pruneCutoff = cfg.CSThreshDBm - cfg.PruneSigma*cfg.ShadowSigmaDB
+	pl.keep = cfg.powerBand(pl.pruneCutoff)
 	if pl.pruned {
 		pl.buildPruned()
 	} else {
@@ -193,9 +196,20 @@ func (pl *LinkPlan) buildPruned() {
 	pl.buildRows(bound, func(i int, ids []int32) { pl.appendScratchRow(i, grid, rsq, ids) })
 }
 
-// keeps reports whether the power predicate keeps the a→b link.
+// keeps reports whether the power predicate keeps the a→b link: whether
+// MeanRxPowerDBm of their distance clears the cutoff. Outside the thin band
+// around the keep radius the squared distance answers; only a pair inside it
+// pays the distance, the logarithm and the comparison themselves.
 func (pl *LinkPlan) keeps(a int, b int32) bool {
-	return pl.cfg.MeanRxPowerDBm(Dist(pl.positions[a], pl.positions[b])) >= pl.pruneCutoff
+	pa, pb := pl.positions[a], pl.positions[b]
+	dx, dy := pa.X-pb.X, pa.Y-pb.Y
+	switch s := max(dx*dx+dy*dy, 1); {
+	case s < pl.keep.lo2:
+		return true
+	case s > pl.keep.hi2:
+		return false
+	}
+	return pl.cfg.MeanRxPowerDBm(math.Hypot(dx, dy)) >= pl.pruneCutoff
 }
 
 // appendScratchRow computes station i's row from scratch via the grid,

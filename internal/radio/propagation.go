@@ -95,14 +95,17 @@ func DefaultConfig() Config {
 
 // Check passes the first field out of range to bad — its name, its value
 // and the rule it breaks — and returns bad's error, or nil: the bit error
-// rate is a probability below 1 and the pruning cutoff is not negative
-// (0 disables pruning).
+// rate is a probability below 1, the pruning cutoff is not negative (0
+// disables pruning) and the path loss exponent is set, so that power falls
+// with distance (a network.Config defaults only a Radio with no field set).
 func (c Config) Check(bad func(field string, value any, rule string) error) error {
 	switch {
 	case !(c.BitErrorRate >= 0 && c.BitErrorRate < 1):
 		return bad("BitErrorRate", c.BitErrorRate, "must lie in [0, 1)")
 	case !(c.PruneSigma >= 0):
 		return bad("PruneSigma", c.PruneSigma, "must not be negative (0 disables pruning)")
+	case c.PathLossExp == 0:
+		return bad("PathLossExp", c.PathLossExp, "must be set beside the other Radio fields")
 	}
 	return nil
 }
@@ -149,6 +152,34 @@ func (c Config) RXRange() float64 {
 func (c Config) rangeFor(thresh float64) float64 {
 	// thresh = TxPower - RefLoss - 10*n*log10(d)  =>  solve for d.
 	return math.Pow(10, (c.TxPowerDBm-c.RefLossDB-thresh)/(10*c.PathLossExp))
+}
+
+// bandRel is the relative half-width of a sqBand: far wider than the few
+// ulps by which a squared distance's root and Hypot, or a computed power
+// and the threshold it is held to, can stray from the exact values, and far
+// thinner than any spacing of stations.
+const bandRel = 1e-9
+
+// sqBand decides a distance test by squared distance: a pair whose squared
+// distance, clamped to at least 1 m² as MeanRxPowerDBm clamps the distance,
+// is below lo2 passes it and one above hi2 fails it, for certain; a pair in
+// between must be tested exactly.
+type sqBand struct{ lo2, hi2 float64 }
+
+// powerBand is the sqBand of the test MeanRxPowerDBm(d) >= thresh: pairs
+// within bandRel of the radius rangeFor(thresh) are tested exactly. It relies
+// on what pruneRadius relies on, that power falls as distance grows. Where
+// the margin the band leaves in power does not clear the rounding of the
+// powers by far, it leaves every pair to the exact test.
+func (c Config) powerBand(thresh float64) sqBand {
+	r := c.rangeFor(thresh)
+	margin := 10 * c.PathLossExp * math.Log10(1+bandRel)
+	noise := 1e-12 * (1 + math.Abs(c.TxPowerDBm) + math.Abs(c.RefLossDB) + math.Abs(thresh))
+	if !(c.PathLossExp > 0 && margin > noise && r > 0 && !math.IsInf(r, 0)) {
+		return sqBand{lo2: -1, hi2: math.Inf(1)}
+	}
+	lo, hi := r*(1-bandRel), r*(1+bandRel)
+	return sqBand{lo2: lo * lo, hi2: hi * hi}
 }
 
 // propDelay returns the propagation delay over d metres.

@@ -1,7 +1,7 @@
 package radio
 
 import (
-	"bytes"
+	"encoding/binary"
 	"math"
 )
 
@@ -20,7 +20,8 @@ import (
 //
 // A row is a membership list, so patching one is a single merge: an unmoved
 // station's old row minus its moved neighbours, interleaved in ID order
-// with the moved stations now in range. Moved stations' own rows rebuild
+// with the moved stations now in range, spliced from the old row's bytes
+// at the movers that touch it (appendSplicedRow). Moved stations' own rows rebuild
 // from scratch through the spatial grid. When more than a quarter of the
 // population moved the patch has no advantage and Rebuild falls back to a
 // full build, as it does for unpruned plans (dense worlds are small enough
@@ -52,6 +53,7 @@ func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
 		serial:      serials.Add(1),
 		pruned:      true,
 		pruneCutoff: pl.pruneCutoff,
+		keep:        pl.keep,
 	}
 	radius := np.pruneRadius()
 	rsq := radius * radius
@@ -59,7 +61,7 @@ func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
 
 	// Dirty pass: for every moved station j, every station within the
 	// candidate radius of j's NEW position may now need j in its row.
-	// (j's old neighbourhood needs no lookup: the merge below drops every
+	// (j's old neighbourhood needs no lookup: the splice below drops every
 	// moved neighbour and re-adds only those the predicate still keeps.)
 	// Candidates are symmetric-by-distance, so querying around j finds
 	// exactly the rows whose candidate set gained j. Stored as a CSR over
@@ -90,24 +92,25 @@ func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
 		})
 	}
 
-	// movedNbrs[i] is how many of unmoved row i's old neighbours moved, the
-	// entries the merge drops; the rest survive as they are. An unmoved row
-	// holds at most its survivors plus its dirty candidates — the exact
-	// predicate can only reject boundary candidates, as in buildPruned — so
-	// however far a step densifies the graph, no row outgrows its bound and
-	// the row pass never reallocates.
-	movedNbrs := make([]int32, pl.n)
+	// An unmoved row holds at most its old links, less its moved
+	// neighbours, plus its dirty candidates — the exact predicate can only
+	// reject boundary candidates, as in buildPruned. Its old links are
+	// counted from its bytes without decoding them (rowLinks), and its moved
+	// neighbours are the rows the movers' old rows name, rows being
+	// symmetric. However far a step densifies the graph, no row outgrows its
+	// bound and the row pass never reallocates.
 	for i := 0; i < pl.n; i++ {
-		if moved[i] {
-			continue
+		if !moved[i] {
+			bound[i] = int32(rowLinks(pl.row(i))) + dirtyOff[i+1] - dirtyOff[i]
 		}
-		links, row := int32(0), pl.row(i)
-		for k, j := 0, int32(0); k < len(row); links++ {
-			if k, j = nextID(row, k, j); moved[j] {
-				movedNbrs[i]++
+	}
+	for _, j := range movedIdx {
+		row := pl.row(int(j))
+		for k, i := 0, int32(0); k < len(row); {
+			if k, i = nextID(row, k, i); !moved[i] {
+				bound[i]--
 			}
 		}
-		bound[i] = links - movedNbrs[i] + dirtyOff[i+1] - dirtyOff[i]
 	}
 
 	np.off = make([]int64, pl.n+1)
@@ -116,72 +119,64 @@ func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
 			np.appendScratchRow(i, grid, rsq, ids)
 			return
 		}
-		dirty := dirtyJ[dirtyOff[i]:dirtyOff[i+1]]
-		if len(dirty) == 0 && movedNbrs[i] == 0 {
-			// Untouched row: no mover entered the candidate radius and no
-			// existing neighbor moved, so the row is the old one verbatim,
-			// bound[i] links long, and its bytes are copied as they are.
-			// When few stations move this is most rows; Markov movers
-			// spread over a city leave almost none (1 of the 18,225 rows
-			// of the 2000-station benchmark city's nine epochs).
-			np.rows = append(np.rows, pl.row(i)...)
-			np.links += int(bound[i])
-			return
-		}
-		np.appendPatchedRow(i, pl, moved, dirty, ids)
+		np.appendSplicedRow(i, pl.row(i), moved, dirtyJ[dirtyOff[i]:dirtyOff[i+1]])
 	})
 	return np
 }
 
-// RowEqual reports whether station i's row is the same link for link in pl
-// and other (two plans over the same station count) because nothing it
-// depends on changed: it stores the same neighbors, and neither station i
-// nor any of them moved between the two plans. Every link attribute is a
-// function of its two positions, so such rows hold the same distances and
-// hence the same delivery probabilities — the epoch table rebuild uses this
-// to copy the table rows of stations whose neighborhood did not change. A
-// row it does not call equal may still be: recomputing it gives the same
-// values.
-func (pl *LinkPlan) RowEqual(other *LinkPlan, i int) bool {
-	row := pl.row(i)
-	if pl.positions[i] != other.positions[i] || !bytes.Equal(row, other.row(i)) {
-		return false
-	}
-	for k, j := 0, int32(0); k < len(row); {
-		if k, j = nextID(row, k, j); pl.positions[j] != other.positions[j] {
-			return false
+// appendSplicedRow appends unmoved station i's row, spliced from its old
+// encoded row: the old row minus its moved neighbours, merged in ID order
+// with the dirty movers the power predicate keeps. Both are ascending —
+// the dirty list is — and they never collide (dirty IDs are movers,
+// survivors are not), so one pass reproduces the full build's row. Between
+// two changes the survivors are copied as they are, gap bytes and all, but
+// for the first one's gap when the ID before it dropped out or an inserted
+// mover now precedes it: only that gap is encoded again. The row is decoded
+// once, to find where the changes fall, and a row no mover touches is its
+// old bytes verbatim. Markov movers spread over a city leave few such rows
+// (1 of the 18,225 rows of the 2000-station benchmark city's nine epochs).
+func (np *LinkPlan) appendSplicedRow(i int, row []byte, moved []bool, dirty []int32) {
+	// row[k:] holds the old IDs after id, the next of them j (decoded up to
+	// next) while k < len(row); last is the ID written last.
+	out, links := np.rows, 0
+	k, id, last := 0, int32(0), int32(0)
+	for {
+		m := int32(math.MaxInt32)
+		if len(dirty) > 0 {
+			m = dirty[0]
 		}
-	}
-	return true
-}
-
-// appendPatchedRow rebuilds unmoved station i's row, into ids, by merging
-// the old row minus its moved neighbours with the dirty moved stations that
-// clear the power predicate, and appends it. Both are in ascending ID order
-// — the dirty list is — and they can never collide (dirty IDs are moved
-// stations, survivors are not), so one O(k) zip reproduces the full build's
-// sorted row.
-func (np *LinkPlan) appendPatchedRow(i int, old *LinkPlan, moved []bool, dirty []int32, ids []int32) {
-	row, k, id := old.row(i), 0, int32(0)
-	survivors := func(below int32) {
+		from, base := k, id
+		next, j := k, int32(0)
 		for k < len(row) {
-			next, j := nextID(row, k, id)
-			if j >= below {
-				return
+			if next, j = nextID(row, k, id); j >= m || moved[j] {
+				break
 			}
-			if k, id = next, j; !moved[j] {
-				ids = append(ids, j)
+			k, id, links = next, j, links+1
+		}
+		if k > from {
+			if base != last {
+				at, first := nextID(row, from, base)
+				out, from = binary.AppendUvarint(out, uint64(first-last)), at
 			}
+			out, last = append(out, row[from:k]...), id
 		}
-	}
-	for _, j := range dirty {
-		if np.keeps(i, j) {
-			survivors(j)
-			ids = append(ids, j)
+		more := k < len(row)
+		if more && j < m {
+			k, id = next, j // a moved neighbour: it drops out
+			continue
 		}
+		if len(dirty) == 0 {
+			break
+		}
+		if more && j == m {
+			k, id = next, j // the mover's old place, if it had one
+		}
+		if np.keeps(i, m) {
+			out, last, links = binary.AppendUvarint(out, uint64(m-last)), m, links+1
+		}
+		dirty = dirty[1:]
 	}
-	survivors(math.MaxInt32)
-	np.appendIDs(ids)
+	np.rows, np.links = out, np.links+links
 }
 
 // Positions returns the station positions the plan was built over. The

@@ -3,6 +3,7 @@ package radio
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -64,6 +65,21 @@ func (pl *LinkPlan) appendIDs(ids []int32) {
 	}
 	pl.rows = rows
 	pl.links += len(ids)
+}
+
+// rowLinks counts the IDs of an encoded row without decoding it: the bytes
+// that end a uvarint, the ones below 0x80, eight at a time.
+func rowLinks(row []byte) int {
+	n := 0
+	for ; len(row) >= 8; row = row[8:] {
+		n += bits.OnesCount64(^binary.LittleEndian.Uint64(row) & 0x8080808080808080)
+	}
+	for _, c := range row {
+		if c < 0x80 {
+			n++
+		}
+	}
+	return n
 }
 
 // row returns station i's encoded row.

@@ -48,80 +48,135 @@ func NewSparseTableSym(n int, links func(a pkt.NodeID, yield func(b int32, p flo
 }
 
 // RebuildSparseTableSym derives the symmetric table of a changed world
-// from its predecessor — the epoch step of a time-varying world.
-// moved flags the stations whose position changed since prev was built;
-// links must enumerate the NEW candidate graph in ascending ID order with
-// the link distance attached, and prob maps a distance to the symmetric
-// delivery probability. Only the distance of a pair with a moved endpoint
-// is ever read, so links may hand any other pair a placeholder instead of
-// computing it.
+// from its predecessor — the epoch step of a time-varying world. moved flags
+// the stations whose position changed since prev was built; links must
+// enumerate a moved station's candidates in the NEW graph in ascending ID
+// order with the link probability, and is called for the moved stations
+// only, each once.
 //
-// unchanged (optional, nil for none) flags stations whose candidate row —
-// neighbor set and distances — is identical in the old and new graphs
-// (radio.LinkPlan.RowEqual: the same neighbors, and neither the station
-// nor any of them moved); their table rows are copied outright without
-// enumerating the graph at all, which on a high-stay world is nearly all
-// of them. Rows of the remaining unmoved stations are patched: an unmoved
-// pair's distance — hence probability, ETX and minProb verdict — is
-// unchanged, so its stored values are copied from prev and only pairs
-// with a moved endpoint pay a probability evaluation. The result is
-// exactly NewSparseTableSym over the new graph, bit for bit (the rebuild
-// equivalence test enforces it); prev is read-only throughout, so runs
-// still executing on the previous epoch are undisturbed.
+// The probability of a pair depends on its two positions alone, so a pair
+// with no moved end keeps its stored values — its ETX and its minProb
+// verdict — and only the movers' rows are evaluated. A moved row is its
+// links anew. An unmoved row is its row in prev without its moved
+// neighbours, merged in ID order with the movers whose new rows hold it:
+// each mover's kept entries are bucketed by the row they join, and since the
+// movers are taken in ascending order every bucket ascends. The work follows
+// the motion — the movers' candidates and the stored links of the rows they
+// touch — not the candidate degree of every row. The result is exactly
+// NewSparseTableSym over the new graph, bit for bit (the rebuild equivalence
+// test and FuzzLinkTablePatch in internal/network enforce it); prev is
+// read-only throughout, so runs still executing on the previous epoch are
+// undisturbed.
 //
 // dst, when not nil, is a table nobody will read again, never prev itself:
 // the result is built in it, over its arrays, and returned. nil allocates.
-func RebuildSparseTableSym(dst, prev *Table, moved, unchanged []bool, links func(a pkt.NodeID, yield func(b int32, d float64)), prob func(d float64) float64, minProb float64) *Table {
+// sc holds the movers' rows and buckets; a caller that patches one table
+// after another keeps one and hands it to every call, and the arrays of one
+// patch serve the next.
+func RebuildSparseTableSym(dst, prev *Table, moved []bool, links func(a pkt.NodeID, yield func(b int32, p float64)), minProb float64, sc *PatchScratch) *Table {
 	n := prev.n
-	t := reuse(dst, n, len(prev.adjID)+64)
-	// The two row visitors are built once and read the row they serve from
-	// a, k and hi: a closure handed to links escapes, and one per row would
-	// be an allocation per row.
-	var a, k, hi int
-	fresh := func(b int32, d float64) {
-		if int(b) == a {
-			return
+	// The movers, and how many stored links leave with them: each of a
+	// mover's old links, and the reverse link of each unmoved neighbour.
+	sc.movers = sc.movers[:0]
+	gone, held := 0, 0
+	for a := range n {
+		if !moved[a] {
+			continue
 		}
-		p := prob(d)
-		if p < minProb {
-			return
+		sc.movers = append(sc.movers, int32(a))
+		for _, b := range prev.adjID[prev.off[a]:prev.off[a+1]] {
+			gone, held = gone+1, held+1
+			if !moved[b] {
+				gone++
+			}
 		}
-		t.adjID = append(t.adjID, b)
-		t.adjETX = append(t.adjETX, ETX(p, p))
 	}
-	// Unmoved row: lockstep walk. prev's row and the new candidate stream
-	// are both ascending, and an unmoved pair offered now was offered before
-	// (same geometry), so "stored in prev" already encodes the minProb
-	// verdict — no probability evaluation needed.
-	patched := func(b int32, d float64) {
-		if moved[b] {
-			fresh(b, d)
+	// Their new rows, sized by the old ones with room to grow: a mover's
+	// row holds about as many links as it did.
+	sc.rowOff = append(sc.rowOff[:0], 0)
+	sc.rowID = slices.Grow(sc.rowID[:0], held+held/4)
+	sc.rowETX = slices.Grow(sc.rowETX[:0], held+held/4)
+	var a int
+	keep := func(b int32, p float64) {
+		if int(b) == a || p < minProb {
 			return
 		}
-		for k < hi && prev.adjID[k] < b {
+		sc.rowID = append(sc.rowID, b)
+		sc.rowETX = append(sc.rowETX, ETX(p, p))
+	}
+	for _, m := range sc.movers {
+		a = int(m)
+		links(pkt.NodeID(m), keep)
+		sc.rowOff = append(sc.rowOff, int32(len(sc.rowID)))
+	}
+	// Bucket each mover's link to an unmoved station into that station's
+	// row: counts in addOff[b+2], then starts in addOff[b+1] advanced as
+	// the bucket fills, which leaves row b's in addOff[b]:addOff[b+1].
+	sc.addOff = slices.Grow(sc.addOff[:0], n+2)[:n+2]
+	clear(sc.addOff)
+	for _, b := range sc.rowID {
+		if !moved[b] {
+			sc.addOff[b+2]++
+		}
+	}
+	for b := 2; b < n+2; b++ {
+		sc.addOff[b] += sc.addOff[b-1]
+	}
+	added := int(sc.addOff[n+1])
+	sc.addID = slices.Grow(sc.addID[:0], added)[:added]
+	sc.addETX = slices.Grow(sc.addETX[:0], added)[:added]
+	for k, m := range sc.movers {
+		for e := sc.rowOff[k]; e < sc.rowOff[k+1]; e++ {
+			if b := sc.rowID[e]; !moved[b] {
+				at := sc.addOff[b+1]
+				sc.addID[at], sc.addETX[at] = m, sc.rowETX[e]
+				sc.addOff[b+1]++
+			}
+		}
+	}
+
+	t := reuse(dst, n, len(prev.adjID)-gone+len(sc.rowID)+added+64)
+	ids, etx := t.adjID, t.adjETX
+	k := 0
+	for a := 0; a < n; a++ {
+		if moved[a] {
+			lo, hi := sc.rowOff[k], sc.rowOff[k+1]
+			ids = append(ids, sc.rowID[lo:hi]...)
+			etx = append(etx, sc.rowETX[lo:hi]...)
 			k++
+		} else {
+			s, hi := prev.off[a], prev.off[a+1]
+			for e := sc.addOff[a]; e < sc.addOff[a+1]; e++ {
+				for m := sc.addID[e]; s < hi && prev.adjID[s] < m; s++ {
+					if !moved[prev.adjID[s]] {
+						ids, etx = append(ids, prev.adjID[s]), append(etx, prev.adjETX[s])
+					}
+				}
+				ids, etx = append(ids, sc.addID[e]), append(etx, sc.addETX[e])
+			}
+			for ; s < hi; s++ {
+				if !moved[prev.adjID[s]] {
+					ids, etx = append(ids, prev.adjID[s]), append(etx, prev.adjETX[s])
+				}
+			}
 		}
-		if k < hi && prev.adjID[k] == b {
-			t.adjID = append(t.adjID, b)
-			t.adjETX = append(t.adjETX, prev.adjETX[k])
-			k++
-		}
+		t.off[a+1] = int64(len(ids))
 	}
-	for a = 0; a < n; a++ {
-		k, hi = int(prev.off[a]), int(prev.off[a+1])
-		switch {
-		case moved[a]:
-			// Every pair of a moved row changed distance: full recompute.
-			links(pkt.NodeID(a), fresh)
-		case unchanged != nil && unchanged[a]:
-			t.adjID = append(t.adjID, prev.adjID[k:hi]...)
-			t.adjETX = append(t.adjETX, prev.adjETX[k:hi]...)
-		default:
-			links(pkt.NodeID(a), patched)
-		}
-		t.off[a+1] = int64(len(t.adjID))
-	}
+	t.adjID, t.adjETX = ids, etx
 	return t
+}
+
+// PatchScratch is RebuildSparseTableSym's working memory: the movers, their
+// new rows, and those rows' links bucketed by the unmoved station each one
+// joins. The zero value is ready for use.
+type PatchScratch struct {
+	movers []int32
+	// Mover k's row is rowID/rowETX[rowOff[k]:rowOff[k+1]]; unmoved station
+	// b's bucket is addID/addETX[addOff[b]:addOff[b+1]].
+	rowOff, rowID []int32
+	rowETX        []float64
+	addOff, addID []int32
+	addETX        []float64
 }
 
 // Filter returns the table of a world in which some of t's links are gone

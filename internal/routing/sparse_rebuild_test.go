@@ -32,13 +32,19 @@ func candGraph(pos []radio.Pos, radius float64) func(a pkt.NodeID, yield func(b 
 	}
 }
 
+// probGraph is candGraph with each candidate's link probability instead of
+// its distance: what the table builders take.
+func probGraph(pos []radio.Pos, radius float64) func(a pkt.NodeID, yield func(b int32, p float64)) {
+	cands := candGraph(pos, radius)
+	return func(a pkt.NodeID, yield func(b int32, p float64)) {
+		cands(a, func(b int32, d float64) { yield(b, probFromDist(d)) })
+	}
+}
+
 // symFromScratch is NewSparseTableSym over the candidate graph with the
 // same link model: what an epoch world without a usable predecessor builds.
 func symFromScratch(pos []radio.Pos, radius float64) *Table {
-	cands := candGraph(pos, radius)
-	return NewSparseTableSym(len(pos), func(a pkt.NodeID, yield func(b int32, p float64)) {
-		cands(a, func(b int32, d float64) { yield(b, probFromDist(d)) })
-	}, 0.1)
+	return NewSparseTableSym(len(pos), probGraph(pos, radius), 0.1)
 }
 
 // allPairs is the reference: NewTable probing every pair, with pairs
@@ -74,7 +80,8 @@ func tablesEqual(t *testing.T, want, got *Table) {
 // an unpruned one that offers every pair: each patched table equals the
 // all-pairs reference, and so does a fresh NewSparseTableSym. From the
 // second epoch on each table is built over the arrays of the one two epochs
-// back, as an epoch lineage recycles them.
+// back, as an epoch lineage recycles them, and every patch works in the
+// scratch of the one before.
 func TestRebuildSparseTableSymMatchesFromScratch(t *testing.T) {
 	for _, radius := range []float64{400, math.Inf(1)} {
 		testRebuildMatchesFromScratch(t, radius)
@@ -94,6 +101,7 @@ func testRebuildMatchesFromScratch(t *testing.T, radius float64) {
 		}
 		prev := symFromScratch(pos, radius)
 		var spare *Table
+		var sc PatchScratch
 		for epoch := 0; epoch < 6; epoch++ {
 			moved := make([]bool, n)
 			next := append([]radio.Pos(nil), pos...)
@@ -103,26 +111,7 @@ func testRebuildMatchesFromScratch(t *testing.T, radius float64) {
 					next[i] = radio.Pos{X: rng.Float64() * side, Y: rng.Float64() * side}
 				}
 			}
-			// unchanged mirrors radio.LinkPlan.RowEqual: an unmoved station
-			// whose candidate row no mover was in (before or after) has an
-			// identical row in both graphs.
-			unchanged := make([]bool, n)
-			for a := range unchanged {
-				if moved[a] {
-					continue
-				}
-				ok := true
-				for b := 0; b < n && ok; b++ {
-					if b == a || !moved[b] {
-						continue
-					}
-					if radio.Dist(pos[a], pos[b]) <= radius || radio.Dist(next[a], next[b]) <= radius {
-						ok = false
-					}
-				}
-				unchanged[a] = ok
-			}
-			got := RebuildSparseTableSym(spare, prev, moved, unchanged, candGraph(next, radius), probFromDist, 0.1)
+			got := RebuildSparseTableSym(spare, prev, moved, probGraph(next, radius), 0.1, &sc)
 			want := allPairs(next, radius)
 			tablesEqual(t, want, got)
 			tablesEqual(t, want, symFromScratch(next, radius))
@@ -157,7 +146,7 @@ func TestRebuildSparseTableKeepsPrevIntact(t *testing.T) {
 		moved[i] = true
 		next[i] = radio.Pos{X: rng.Float64() * 800, Y: rng.Float64() * 800}
 	}
-	RebuildSparseTableSym(symFromScratch(next, 300), prev, moved, nil, candGraph(next, 300), probFromDist, 0.1)
+	RebuildSparseTableSym(symFromScratch(next, 300), prev, moved, probGraph(next, 300), 0.1, new(PatchScratch))
 	tablesEqual(t, snapshot, prev)
 }
 
