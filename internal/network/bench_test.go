@@ -2,9 +2,12 @@ package network
 
 import (
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"ripple/internal/fault"
+	"ripple/internal/radio"
 	"ripple/internal/sim"
 	"ripple/internal/topology"
 )
@@ -56,6 +59,78 @@ func BenchmarkBuildWorldCityEpochs(b *testing.B) {
 // builtWorld is the last world BenchmarkBuildWorldCityEpochs built.
 var builtWorld *World
 
+// BenchmarkBuildWorldCityStages times the stages of the build
+// BenchmarkBuildWorldCityEpochs makes, one after another on one goroutine:
+// the root plan, the plan chain (each epoch's Rebuild), the table chain
+// (the root's and each epoch's derive, routes excluded) and the routes
+// (each derive's Dijkstras, timed again on the table it routed on). It
+// reports each as ms per build. BuildWorld runs the plan chain beside the
+// other two, so a build costs about the root plan plus the longer chain.
+func BenchmarkBuildWorldCityStages(b *testing.B) {
+	cfg := cityBenchConfig(testing.Short(), 5*sim.Second)
+	cfg.Normalize()
+	epochLen := epochLenFor(&cfg)
+	var stage [4]time.Duration // root plan, plan chain, table chain, routes
+	since := func(s int, t0 time.Time) { stage[s] += time.Since(t0) }
+	// routes re-times the Dijkstras of the derive that just ran.
+	routes := func(w *World, ln *lineage) time.Duration {
+		table := ln.clean
+		if w.masked {
+			table = ln.spareMasked
+		}
+		t0 := time.Now()
+		for _, f := range cfg.Flows {
+			table.ShortestPath(f.Path.Src(), f.Path.Dst())
+		}
+		return time.Since(t0)
+	}
+	for b.Loop() {
+		t0 := time.Now()
+		plan := radio.NewLinkPlan(cfg.Radio, cfg.Positions)
+		since(0, t0)
+
+		model, err := cfg.Mobility.model(cfg.Positions)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pos := slices.Clone(cfg.Positions)
+		plans := make([]*radio.LinkPlan, int((cfg.Duration-1)/epochLen))
+		t0 = time.Now()
+		last := plan
+		for e := range plans {
+			model.Step(pos)
+			last = last.Rebuild(pos)
+			plans[e] = last
+		}
+		since(1, t0)
+
+		ln := new(lineage)
+		t0 = time.Now()
+		w, err := derive(&cfg, ln, plan, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		since(2, t0)
+		r := routes(w, ln)
+		w.faults = fault.BuildOn(cfg.Faults, cfg.Duration, cfg.Positions, exemptEndpoints(&cfg), newPlanPairs(plan))
+		ln.faults, ln.counts = w.faults, w.faults.ToggleCounts(0, nil)
+		for e, p := range plans {
+			t0 = time.Now()
+			ew, err := derive(&cfg, ln, p, sim.Time(e+1)*epochLen)
+			if err != nil {
+				b.Fatal(err)
+			}
+			since(2, t0)
+			r += routes(ew, ln)
+		}
+		stage[2] -= r
+		stage[3] += r
+	}
+	for s, unit := range []string{"root-ms/op", "plans-ms/op", "tables-ms/op", "routes-ms/op"} {
+		b.ReportMetric(float64(stage[s].Microseconds())/1e3/float64(b.N), unit)
+	}
+}
+
 // TestBuildWorldAllocationBudget holds what set-up of a time-varying world
 // allocates: one BuildWorld of the 200-station city over five seconds — the
 // root world and nine epoch worlds, every one of them moved in and
@@ -65,7 +140,7 @@ var builtWorld *World
 // first clean and masked tables whose arrays the lineage builds the rest
 // over, the scratch of the table patch, and the paths of the routes. The
 // counts repeat to within a dozen objects and a few kilobytes; each budget
-// is the measured number (813 objects, 1.37 MB) × 1.25. The bytes are the
+// is the measured number (814 objects, 1.36 MB) × 1.25. The bytes are the
 // sharper of the two: with each table patch walking every row's plan
 // neighbours and growing its table by append, the build read 1.41 MB (and
 // 875 objects); with every world keeping its masked table, a new table per patch and filter,
@@ -95,7 +170,7 @@ func TestBuildWorldAllocationBudget(t *testing.T) {
 		}
 	}
 	objects, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-	const objectBudget, byteBudget = 1_016, 1_708_000
+	const objectBudget, byteBudget = 1_018, 1_697_000
 	if objects > objectBudget || bytes > byteBudget {
 		t.Errorf("BuildWorld allocated %d objects (budget %d), %d bytes (budget %d)", objects, objectBudget, bytes, byteBudget)
 	} else {

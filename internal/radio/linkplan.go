@@ -2,8 +2,10 @@ package radio
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -144,7 +146,9 @@ func (pl *LinkPlan) buildFull() {
 	for i := range bound {
 		bound[i] = int32(n - 1)
 	}
-	pl.buildRows(bound, func(i int, ids []int32) {
+	ids := make([]int32, 0, max(n-1, 0))
+	pl.buildRows(bound, func(i int) {
+		ids = ids[:0]
 		for j := range n {
 			if j != i {
 				ids = append(ids, int32(j))
@@ -193,7 +197,8 @@ func (pl *LinkPlan) buildPruned() {
 	}
 
 	// Pass 2: keep the candidates that clear the cutoff, each row ascending.
-	pl.buildRows(bound, func(i int, ids []int32) { pl.appendScratchRow(i, grid, rsq, ids) })
+	seen := make([]uint64, (n+63)/64)
+	pl.buildRows(bound, func(i int) { pl.appendScratchRow(i, grid, rsq, seen) })
 }
 
 // keeps reports whether the power predicate keeps the a→b link: whether
@@ -212,16 +217,30 @@ func (pl *LinkPlan) keeps(a int, b int32) bool {
 	return pl.cfg.MeanRxPowerDBm(math.Hypot(dx, dy)) >= pl.pruneCutoff
 }
 
-// appendScratchRow computes station i's row from scratch via the grid,
-// into ids, and appends it in ascending order.
-func (pl *LinkPlan) appendScratchRow(i int, grid *posGrid, rsq float64, ids []int32) {
+// appendScratchRow computes station i's row from scratch via the grid and
+// appends it. The grid yields candidates cell by cell; the kept ones are
+// marked in seen, a bitmap over the stations that is all zero between rows,
+// and read back in ascending order, which sorts the row in one pass over
+// the words its IDs span.
+func (pl *LinkPlan) appendScratchRow(i int, grid *posGrid, rsq float64, seen []uint64) {
+	lo, hi := len(seen), -1
 	grid.eachCandidate(i, pl.positions, rsq, func(j int32) {
 		if pl.keeps(i, j) {
-			ids = append(ids, j)
+			w := int(j >> 6)
+			seen[w] |= 1 << (j & 63)
+			lo, hi = min(lo, w), max(hi, w)
 		}
 	})
-	slices.Sort(ids)
-	pl.appendIDs(ids)
+	rows, prev, links := pl.rows, int32(0), 0
+	for w := lo; w <= hi; w++ {
+		for set := seen[w]; set != 0; set &= set - 1 {
+			j := int32(w<<6 | bits.TrailingZeros64(set))
+			rows = binary.AppendUvarint(rows, uint64(j-prev))
+			prev, links = j, links+1
+		}
+		seen[w] = 0
+	}
+	pl.rows, pl.links = rows, pl.links+links
 }
 
 // link is one link of a transmitter's row: the receiver, the mean received

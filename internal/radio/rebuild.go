@@ -114,9 +114,10 @@ func (pl *LinkPlan) Rebuild(positions []Pos) *LinkPlan {
 	}
 
 	np.off = make([]int64, pl.n+1)
-	np.buildRows(bound, func(i int, ids []int32) {
+	seen := make([]uint64, (pl.n+63)/64)
+	np.buildRows(bound, func(i int) {
 		if moved[i] {
-			np.appendScratchRow(i, grid, rsq, ids)
+			np.appendScratchRow(i, grid, rsq, seen)
 			return
 		}
 		np.appendSplicedRow(i, pl.row(i), moved, dirtyJ[dirtyOff[i]:dirtyOff[i+1]])

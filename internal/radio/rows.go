@@ -18,25 +18,22 @@ var serials atomic.Uint64
 // ID's gap is from 0. Rows are independent of each other: an unchanged row
 // is copied byte for byte into a rebuilt plan.
 
-// buildRows fills a plan's rows 0..n-1 in order, calling row(i, ids) to
-// append row i through appendIDs (or a copy of an encoded row), and sets
-// each row's off entry after it. bound[i] is an upper bound on row i's
-// links, and ids is an empty scratch list with room for bound[i] IDs. The
-// bounds size the rows once (rowBytes), so no row's append reallocates
-// them; the rows kept are then copied into an array exactly as long as
-// they are. A row longer than its bound is a builder's miscount, and
-// panics.
-func (pl *LinkPlan) buildRows(bound []int32, row func(i int, ids []int32)) {
-	total, most := 0, int32(0)
+// buildRows fills a plan's rows 0..n-1 in order, calling row(i) to append
+// row i (through appendIDs, appendScratchRow or a splice of an encoded row),
+// and sets each row's off entry after it. bound[i] is an upper bound on row
+// i's links. The bounds size the rows once (rowBytes), so no row's append
+// reallocates them; the rows kept are then copied into an array exactly as
+// long as they are. A row longer than its bound is a builder's miscount,
+// and panics.
+func (pl *LinkPlan) buildRows(bound []int32, row func(i int)) {
+	total := 0
 	for _, b := range bound {
 		total += rowBytes(int(b), pl.n)
-		most = max(most, b)
 	}
 	pl.rows = make([]byte, 0, total)
-	ids := make([]int32, 0, most)
 	for i, b := range bound {
 		links := pl.links
-		row(i, ids[:0])
+		row(i)
 		if k := pl.links - links; k > int(b) {
 			panic(fmt.Sprintf("radio: link plan row %d holds %d links, over its bound of %d", i, k, b))
 		}
