@@ -21,8 +21,8 @@ import (
 // A row is a membership list, so patching one is a single merge: an unmoved
 // station's old row minus its moved neighbours, interleaved in ID order
 // with the moved stations now in range, spliced from the old row's bytes
-// at the movers that touch it (appendSplicedRow). Moved stations' own rows rebuild
-// from scratch through the spatial grid. When more than a quarter of the
+// (appendSplicedRow). Moved stations' own rows rebuild from scratch
+// through the spatial grid. When more than a quarter of the
 // population moved the patch has no advantage and Rebuild falls back to a
 // full build, as it does for unpruned plans (dense worlds are small enough
 // that a full O(N²) build is cheap).

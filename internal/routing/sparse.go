@@ -135,7 +135,7 @@ func RebuildSparseTableSym(dst, prev *Table, moved []bool, links func(a pkt.Node
 		}
 	}
 
-	t := reuse(dst, n, len(prev.adjID)-gone+len(sc.rowID)+added+64)
+	t := reuse(dst, n, len(prev.adjID)-gone+len(sc.rowID)+added)
 	ids, etx := t.adjID, t.adjETX
 	k := 0
 	for a := 0; a < n; a++ {
@@ -211,7 +211,17 @@ func reuse(dst *Table, n, links int) *Table {
 	dst.n = n
 	dst.off = slices.Grow(dst.off[:0], n+1)[:n+1]
 	dst.off[0] = 0
-	dst.adjID = slices.Grow(dst.adjID[:0], links)
-	dst.adjETX = slices.Grow(dst.adjETX[:0], links)
+	dst.adjID = room(dst.adjID, links)
+	dst.adjETX = room(dst.adjETX, links)
 	return dst
+}
+
+// room empties s with room for n elements, reallocating it only when it is
+// too small, and then with a quarter more: an epoch lineage's tables grow as
+// stations gather, and a spare sized exactly would be outgrown by the next.
+func room[S ~[]E, E any](s S, n int) S {
+	if cap(s) >= n {
+		return s[:0]
+	}
+	return make(S, 0, n+n/4)
 }
