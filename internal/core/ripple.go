@@ -165,7 +165,7 @@ func (r *Ripple) Init(env forward.Env, opt Options) {
 		rq: r.rq[:0], macSeq: r.macSeq[:0], piggy: r.piggy,
 		okScratch: r.okScratch[:0], freeRelays: r.freeRelays, freeRq: r.freeRq,
 		freeReclaims: r.freeReclaims}
-	r.Station.Init(env, r)
+	r.Station.Init(env, r, r)
 }
 
 // Send implements forward.Scheme: a locally originated packet that entered

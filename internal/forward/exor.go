@@ -93,7 +93,7 @@ func (x *ExOR) Init(env Env, compressed bool) {
 	x.rxSeen.Reset()
 	x.freeRx.Recall((*exorRx).wipe)
 	*x = ExOR{Station: x.Station, acks: acks, rxSeen: x.rxSeen, pend: x.pend[:0], freeRx: x.freeRx}
-	x.Station.Init(env, x)
+	x.Station.Init(env, x, x)
 }
 
 // Grant implements Protocol: broadcast the custody packet (or the next

@@ -73,8 +73,13 @@ type Station struct {
 // zero or set from env, except the capacity a chassis initialised before
 // keeps — the queue's ring, the in-service buffer, the delayed-transmission
 // records (recalled from the events that held them) and the timers, its own
-// and the contender's, whose callbacks are bound to this address.
-func (s *Station) Init(env Env, p Protocol) {
+// and the contender's, whose callbacks are bound to this address. grant is
+// p again, as the contender's mac.Granter, converted by the caller from the
+// scheme's own type: converting the Protocol instead would be an
+// interface-to-interface conversion, whose runtime type cache is built, on
+// one call in a thousand or so, by an allocation — in whichever run that
+// call falls.
+func (s *Station) Init(env Env, p Protocol, grant mac.Granter) {
 	s.freeTx.Recall((*delayedTx).wipe)
 	if !s.timer.Bound() {
 		s.timer.Bind(env.Eng, s.expire)
@@ -85,17 +90,8 @@ func (s *Station) Init(env Env, p Protocol) {
 	if env.Audit != nil { // the queue is tapped only under deep audit
 		s.Queue.SetAudit(env.Audit.RegisterQueue(int(env.ID), env.P.QueueLimit, s.Queue.Len))
 	}
-	s.Cont.Init(env.Eng, env.P, env.RNG, (*granter)(s))
+	s.Cont.Init(env.Eng, env.P, env.RNG, grant)
 }
-
-// granter is a Station as its contender's mac.Granter: it hands the grant to
-// the protocol. The contender is given the Station converted to it, not the
-// Protocol: a Protocol-to-Granter conversion is an interface-to-interface
-// one, whose runtime type cache is built, on one call in a thousand or so, by
-// an allocation — in whichever run that call falls.
-type granter Station
-
-func (g *granter) Grant() { g.proto.Grant() }
 
 // Send implements Scheme.
 func (s *Station) Send(p *pkt.Packet) bool {

@@ -58,7 +58,7 @@ func (u *Unicast) Init(env Env, maxAgg, rtsThreshold int) {
 	}
 	u.rxSeen.Reset()
 	*u = Unicast{Station: u.Station, maxAgg: maxAgg, rtsThresh: rtsThreshold, rxSeen: u.rxSeen}
-	u.Station.Init(env, u)
+	u.Station.Init(env, u, u)
 }
 
 // Grant implements Protocol: the contender won a transmission opportunity.

@@ -130,9 +130,10 @@ type lineage struct {
 	// is the buffer the next boundary's are written into.
 	counts, spare []int
 	// moved and patch are the working memory of the clean table's patch,
-	// the arrays of one epoch's serving the next.
+	// the arrays of one epoch's serving the next; patch is nil until the
+	// first patch.
 	moved []bool
-	patch routing.PatchScratch
+	patch *routing.PatchScratch
 }
 
 // derive builds one world over its link plan: the root snapshot (ln empty,
@@ -359,7 +360,10 @@ func (ln *lineage) patchLinkTable(dst *routing.Table, prevPlan *radio.LinkPlan, 
 	for i := range ln.moved {
 		ln.moved[i] = newPos[i] != prevPos[i]
 	}
-	return routing.RebuildSparseTableSym(dst, prevClean, ln.moved, planLinks(plan, prob), minLinkProb, &ln.patch)
+	if ln.patch == nil {
+		ln.patch = new(routing.PatchScratch)
+	}
+	return routing.RebuildSparseTableSym(dst, prevClean, ln.moved, planLinks(plan, prob), minLinkProb, ln.patch)
 }
 
 // maskLinkTable filters an epoch's clean table through the fault overlay at

@@ -77,7 +77,13 @@ func RebuildSparseTableSym(dst, prev *Table, moved []bool, links func(a pkt.Node
 	n := prev.n
 	// The movers, and how many stored links leave with them: each of a
 	// mover's old links, and the reverse link of each unmoved neighbour.
-	sc.movers = sc.movers[:0]
+	movers := 0
+	for _, m := range moved {
+		if m {
+			movers++
+		}
+	}
+	sc.movers = slices.Grow(sc.movers[:0], movers)
 	gone, held := 0, 0
 	for a := range n {
 		if !moved[a] {
@@ -93,7 +99,7 @@ func RebuildSparseTableSym(dst, prev *Table, moved []bool, links func(a pkt.Node
 	}
 	// Their new rows, sized by the old ones with room to grow: a mover's
 	// row holds about as many links as it did.
-	sc.rowOff = append(sc.rowOff[:0], 0)
+	sc.rowOff = append(slices.Grow(sc.rowOff[:0], movers+1), 0)
 	sc.rowID = slices.Grow(sc.rowID[:0], held+held/4)
 	sc.rowETX = slices.Grow(sc.rowETX[:0], held+held/4)
 	var a int
