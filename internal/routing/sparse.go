@@ -77,19 +77,12 @@ func RebuildSparseTableSym(dst, prev *Table, moved []bool, links func(a pkt.Node
 	n := prev.n
 	// The movers, and how many stored links leave with them: each of a
 	// mover's old links, and the reverse link of each unmoved neighbour.
-	movers := 0
-	for _, m := range moved {
-		if m {
-			movers++
-		}
-	}
-	sc.movers = slices.Grow(sc.movers[:0], movers)
-	gone, held := 0, 0
+	movers, gone, held := 0, 0, 0
 	for a := range n {
 		if !moved[a] {
 			continue
 		}
-		sc.movers = append(sc.movers, int32(a))
+		movers++
 		for _, b := range prev.adjID[prev.off[a]:prev.off[a+1]] {
 			gone, held = gone+1, held+1
 			if !moved[b] {
@@ -97,8 +90,8 @@ func RebuildSparseTableSym(dst, prev *Table, moved []bool, links func(a pkt.Node
 			}
 		}
 	}
-	// Their new rows, sized by the old ones with room to grow: a mover's
-	// row holds about as many links as it did.
+	// Their new rows, in ascending mover order, sized by the old ones with
+	// room to grow: a mover's row holds about as many links as it did.
 	sc.rowOff = append(slices.Grow(sc.rowOff[:0], movers+1), 0)
 	sc.rowID = slices.Grow(sc.rowID[:0], held+held/4)
 	sc.rowETX = slices.Grow(sc.rowETX[:0], held+held/4)
@@ -110,10 +103,11 @@ func RebuildSparseTableSym(dst, prev *Table, moved []bool, links func(a pkt.Node
 		sc.rowID = append(sc.rowID, b)
 		sc.rowETX = append(sc.rowETX, ETX(p, p))
 	}
-	for _, m := range sc.movers {
-		a = int(m)
-		links(pkt.NodeID(m), keep)
-		sc.rowOff = append(sc.rowOff, int32(len(sc.rowID)))
+	for a = range n {
+		if moved[a] {
+			links(pkt.NodeID(a), keep)
+			sc.rowOff = append(sc.rowOff, int32(len(sc.rowID)))
+		}
 	}
 	// Bucket each mover's link to an unmoved station into that station's
 	// row: counts in addOff[b+2], then starts in addOff[b+1] advanced as
@@ -131,14 +125,18 @@ func RebuildSparseTableSym(dst, prev *Table, moved []bool, links func(a pkt.Node
 	added := int(sc.addOff[n+1])
 	sc.addID = slices.Grow(sc.addID[:0], added)[:added]
 	sc.addETX = slices.Grow(sc.addETX[:0], added)[:added]
-	for k, m := range sc.movers {
+	for m, k := 0, 0; m < n; m++ {
+		if !moved[m] {
+			continue
+		}
 		for e := sc.rowOff[k]; e < sc.rowOff[k+1]; e++ {
 			if b := sc.rowID[e]; !moved[b] {
 				at := sc.addOff[b+1]
-				sc.addID[at], sc.addETX[at] = m, sc.rowETX[e]
+				sc.addID[at], sc.addETX[at] = int32(m), sc.rowETX[e]
 				sc.addOff[b+1]++
 			}
 		}
+		k++
 	}
 
 	t := reuse(dst, n, len(prev.adjID)-gone+len(sc.rowID)+added)
@@ -172,13 +170,13 @@ func RebuildSparseTableSym(dst, prev *Table, moved []bool, links func(a pkt.Node
 	return t
 }
 
-// PatchScratch is RebuildSparseTableSym's working memory: the movers, their
-// new rows, and those rows' links bucketed by the unmoved station each one
+// PatchScratch is RebuildSparseTableSym's working memory: the movers' new
+// rows, and those rows' links bucketed by the unmoved station each one
 // joins. The zero value is ready for use.
 type PatchScratch struct {
-	movers []int32
-	// Mover k's row is rowID/rowETX[rowOff[k]:rowOff[k+1]]; unmoved station
-	// b's bucket is addID/addETX[addOff[b]:addOff[b+1]].
+	// The k-th mover's row, in ID order, is
+	// rowID/rowETX[rowOff[k]:rowOff[k+1]]; unmoved station b's bucket is
+	// addID/addETX[addOff[b]:addOff[b+1]].
 	rowOff, rowID []int32
 	rowETX        []float64
 	addOff, addID []int32
