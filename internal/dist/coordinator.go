@@ -116,7 +116,7 @@ type gridRun struct {
 	done        []bool
 	pending     []bool // delivered and queued for the journal, not yet done
 	doneCount   int
-	cells       []cellRecord // payload+stats per completed cell
+	cells       []walRecord // the record of each completed cell
 	progress    func(done, total int)
 	// cellEWMA is the running average of grant-to-delivery times the
 	// deadline is derived from; 0 until a cell has been delivered.
@@ -210,7 +210,7 @@ func (c *Coordinator) RunGrid(spec GridSpec) (*GridOutput, error) {
 		grants:      map[int]*grant{},
 		done:        make([]bool, spec.NumCells),
 		pending:     make([]bool, spec.NumCells),
-		cells:       make([]cellRecord, spec.NumCells),
+		cells:       make([]walRecord, spec.NumCells),
 		progress:    spec.Progress,
 	}
 	if ck := c.opt.Checkpoint; ck != nil {
@@ -239,7 +239,7 @@ func (c *Coordinator) RunGrid(spec GridSpec) (*GridOutput, error) {
 		// Replay journal entries on top of the checkpoint: cells delivered
 		// after the last snapshot. The WAL may hold records the checkpoint
 		// covers too (a crash between the snapshot's rename and the
-		// journal's compaction); the done bitmap dedupes them.
+		// journal's compaction): a cell already done is not taken again.
 		replayed := 0
 		for _, r := range c.opt.WAL.Restored() {
 			if r.Grid != spec.Fingerprint || r.Cell < 0 || r.Cell >= spec.NumCells {
@@ -249,7 +249,7 @@ func (c *Coordinator) RunGrid(spec GridSpec) (*GridOutput, error) {
 				continue
 			}
 			gr.done[r.Cell] = true
-			gr.cells[r.Cell] = cellRecord{Payload: r.Payload, Stats: r.Stats}
+			gr.cells[r.Cell] = r
 			gr.doneCount++
 			replayed++
 		}
@@ -303,7 +303,7 @@ func (c *Coordinator) closeErrLocked() error {
 }
 
 // finalizeLocked assembles a completed grid's output, records it for
-// replays, and enters it in the checkpoint's document — in memory: every
+// replays, and enters its records in the checkpoint — in memory: every
 // cell of it is already in the journal, and the file catches up at the next
 // snapshot.
 func (c *Coordinator) finalizeLocked(gr *gridRun) *GridOutput {
@@ -328,7 +328,7 @@ func (c *Coordinator) finalizeLocked(gr *gridRun) *GridOutput {
 	}
 	c.completed[gr.fp] = out
 	if ck := c.opt.Checkpoint; ck != nil {
-		ck.put(gr.fp, gr.numCells, gr.done, gr.cells)
+		ck.put(gr.fp, gr.done, gr.cells)
 	}
 	return out
 }
@@ -395,7 +395,7 @@ func (c *Coordinator) commitLoop() {
 func (c *Coordinator) snapshotLocked() {
 	ck, gr := c.opt.Checkpoint, c.cur
 	if gr != nil && gr.doneCount > 0 {
-		ck.put(gr.fp, gr.numCells, gr.done, gr.cells)
+		ck.put(gr.fp, gr.done, gr.cells)
 	}
 	c.mu.Unlock()
 	written := ck.write()
@@ -649,12 +649,12 @@ func (c *Coordinator) record(conn *Conn, m *Message) {
 	c.commitCond.Signal()
 }
 
-// markDoneLocked is the one place a cell starts to count: the done bitmap,
+// markDoneLocked is the one place a cell starts to count: the done set,
 // Progress, the crash hook, the grid's completion. With a journal it runs
 // on the committer, after the fsync that covers the cell's record.
 func (c *Coordinator) markDoneLocked(gr *gridRun, m *Message) {
 	gr.done[m.Cell] = true
-	gr.cells[m.Cell] = cellRecord{Payload: m.Payload, Stats: m.Stats}
+	gr.cells[m.Cell] = walRecord{Grid: m.Grid, Cell: m.Cell, Payload: m.Payload, Stats: m.Stats}
 	gr.doneCount++
 	if gr.progress != nil {
 		gr.progress(gr.doneCount*gr.runsPerCell, gr.numCells*gr.runsPerCell)

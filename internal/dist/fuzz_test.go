@@ -67,12 +67,17 @@ func FuzzFrameDecode(f *testing.F) {
 	})
 }
 
-// FuzzWALDecode throws arbitrary journal images at decodeWAL. The crash
-// contract: a truncated tail is never an error (it is the expected shape
-// of a coordinator killed mid-append), the reported valid length never
-// exceeds the input, and the valid prefix is a fixed point — re-decoding
-// it reproduces exactly the same records and length. Everything else
-// malformed must be a diagnosed error, never a panic.
+// FuzzWALDecode throws arbitrary journal images at decodeWAL, and the same
+// bytes behind the version line at LoadCheckpoint, the one decoder of both
+// files. The journal's crash contract: a truncated tail is never an error
+// (it is the expected shape of a coordinator killed mid-append), the
+// reported valid length never exceeds the input, and the valid prefix is a
+// fixed point — re-decoding it reproduces exactly the same records and
+// length. The checkpoint's: it loads exactly when the whole image is valid
+// journal (a torn tail is corruption there), every grid either restores to
+// one non-empty record per done cell or is refused, and a write→load round
+// trip of a restored grid reproduces it. Everything else malformed must be
+// a diagnosed error, never a panic.
 func FuzzWALDecode(f *testing.F) {
 	rec := `{"grid":"g","cell":1,"payload":[1]}`
 	frame := []byte(fmt.Sprintf("%d\n%s\n", len(rec), rec))
@@ -86,9 +91,18 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte("9999999999999\n{}\n"))                               // oversized length
 	f.Add([]byte("2\n{}X"))                                            // wrong terminator
 	f.Add([]byte("3\nnop\n"))                                          // invalid JSON
+	for _, r := range []string{
+		`{"grid":"g","cell":-1,"payload":[0]}`,                  // negative cell
+		`{"grid":"g","cell":9223372036854775807,"payload":[0]}`, // cell far out of range
+		`{"grid":"g","cell":0}`,                                 // no payload
+		`{"grid":"g","cell":0,"payload":[0],"stats":{"v":{"n":-4,"mean":1e308,"m2":-1}}}`,
+	} {
+		f.Add(append(append([]byte{}, frame...), fmt.Sprintf("%d\n%s\n", len(r), r)...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, valid, err := decodeWAL(data)
+		checkpointLoads(t, data, err == nil && valid == len(data))
 		if err != nil {
 			return // diagnosed corruption
 		}
@@ -111,80 +125,73 @@ func FuzzWALDecode(f *testing.F) {
 	})
 }
 
-// FuzzCheckpointDecode throws arbitrary documents at LoadCheckpoint and
-// restore. The contract under corruption: never panic, never OOM on a
-// small input, and either reject the file with a descriptive error or
-// hand back internally consistent state — every done cell has exactly one
-// non-empty payload record, and a save→load round trip of that state
-// reproduces it exactly. The seeds cover the corruption classes resume
-// must survive: truncation, wrong version, null grid entries, negative
-// cell counts, bitmap/record mismatches, aliased and out-of-range cell
-// keys, empty payloads, and hostile Welford states.
-func FuzzCheckpointDecode(f *testing.F) {
-	valid := `{"version":1,"grids":{"fp":{"num_cells":3,"done":"Bw==",` +
-		`"cells":{"0":{"payload":[0]},"1":{"payload":[1]},"2":{"payload":[2]}}}}}`
-	f.Add([]byte(valid))
-	f.Add([]byte(valid[:len(valid)/2]))               // truncated JSON
-	f.Add([]byte(`{"version":99,"grids":{}}`))        // wrong version
-	f.Add([]byte(`{"version":1,"grids":{"x":null}}`)) // null grid entry
-	f.Add([]byte(`{"version":1,"grids":{"x":{"num_cells":-5,"done":"","cells":{}}}}`))
-	f.Add([]byte(`{"version":1,"grids":{"x":{"num_cells":3,"done":"!!!","cells":{}}}}`))
-	f.Add([]byte(`{"version":1,"grids":{"x":{"num_cells":3,"done":"Bw==","cells":{"0":{"payload":[0]}}}}}`))
-	f.Add([]byte(`{"version":1,"grids":{"x":{"num_cells":2,"done":"Aw==","cells":{"1":{"payload":[1]},"01":{"payload":[9]}}}}}`))
-	f.Add([]byte(`{"version":1,"grids":{"x":{"num_cells":2,"done":"AQ==","cells":{"7":{"payload":[0]}}}}}`))
-	f.Add([]byte(`{"version":1,"grids":{"x":{"num_cells":1,"done":"AQ==","cells":{"0":{}}}}}`))
-	f.Add([]byte(`{"version":1,"grids":{"x":{"num_cells":1,"done":"AQ==",` +
-		`"cells":{"0":{"payload":[0],"stats":{"v":{"n":-4,"mean":1e308,"m2":-1}}}}}}}`))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "ckpt.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
+// checkpointLoads loads frames behind the version line as a checkpoint,
+// which must succeed exactly when want says the frames are a whole journal,
+// and restores every grid of it: to at most the first maxFuzzCells cells,
+// so a hostile cell index is refused as out of range rather than allocated.
+// A grid that restores is written, loaded and restored again, and must come
+// back the same.
+func checkpointLoads(t *testing.T, frames []byte, want bool) {
+	const maxFuzzCells = 1 << 12
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckpt")
+	image := append([]byte(fmt.Sprintf("{\"version\":%d}\n", checkpointVersion)), frames...)
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadCheckpoint(path)
+	if (err == nil) != want {
+		t.Fatalf("LoadCheckpoint = %v, but the frames are a whole journal: %v", err, want)
+	}
+	if err != nil {
+		return
+	}
+	for fp, recs := range ck.grids {
+		numCells := 0
+		for _, r := range recs {
+			if r.Cell >= numCells {
+				numCells = min(r.Cell, maxFuzzCells) + 1
+			}
 		}
-		ck, err := LoadCheckpoint(path)
+		done, cells, err := ck.restore(fp, numCells)
 		if err != nil {
-			return // diagnosed corruption
+			continue // diagnosed: a repeated, out-of-range or empty record
 		}
-		for fp, g := range ck.doc.Grids {
-			done, cells, err := ck.restore(fp, g.NumCells)
-			if err != nil {
-				continue // diagnosed inconsistency
-			}
-			n := 0
-			for i, ok := range done {
-				if ok {
-					n++
-					if len(cells[i].Payload) == 0 {
-						t.Fatalf("grid %s: done cell %d restored with empty payload", fp, i)
-					}
-				} else if cells[i].Payload != nil || cells[i].Stats != nil {
-					t.Fatalf("grid %s: undone cell %d restored with data", fp, i)
-				}
-			}
-			// Round trip: saving the restored state and restoring it again
-			// must reproduce it exactly. Save may fail on hostile stats
-			// (NaN does not marshal) — an error, never a panic.
-			rt := NewCheckpoint(filepath.Join(dir, "rt.json"))
-			if err := rt.save(fp, g.NumCells, done, cells); err != nil {
+		n := 0
+		for i, ok := range done {
+			if !ok {
 				continue
 			}
-			rt2, err := LoadCheckpoint(rt.Path())
-			if err != nil {
-				t.Fatalf("grid %s: saved checkpoint does not reload: %v", fp, err)
-			}
-			done2, cells2, err := rt2.restore(fp, g.NumCells)
-			if err != nil {
-				t.Fatalf("grid %s: saved checkpoint does not restore: %v", fp, err)
-			}
-			if !reflect.DeepEqual(done, done2) {
-				t.Fatalf("grid %s: done bitmap changed across round trip", fp)
-			}
-			for i := range cells {
-				if !bytes.Equal(cells[i].Payload, cells2[i].Payload) {
-					t.Fatalf("grid %s: cell %d payload changed across round trip", fp, i)
-				}
+			n++
+			if len(cells[i].Payload) == 0 || cells[i].Cell != i || cells[i].Grid != fp {
+				t.Fatalf("grid %q: cell %d restored as %+v", fp, i, cells[i])
 			}
 		}
-	})
+		if n != len(recs) {
+			t.Fatalf("grid %q: %d records restored as %d done cells", fp, len(recs), n)
+		}
+		rt := NewCheckpoint(filepath.Join(dir, "rt"))
+		if err := rt.save(fp, done, cells); err != nil {
+			t.Fatalf("grid %q: restored cells do not write: %v", fp, err)
+		}
+		rt2, err := LoadCheckpoint(rt.Path())
+		if err != nil {
+			t.Fatalf("grid %q: written checkpoint does not load: %v", fp, err)
+		}
+		done2, cells2, err := rt2.restore(fp, numCells)
+		if err != nil {
+			t.Fatalf("grid %q: written checkpoint does not restore: %v", fp, err)
+		}
+		if !reflect.DeepEqual(done, done2) {
+			t.Fatalf("grid %q: done cells changed across the round trip", fp)
+		}
+		// Compare marshalled forms: writing compacts a payload's whitespace.
+		for i := range cells {
+			b1, err1 := json.Marshal(cells[i])
+			b2, err2 := json.Marshal(cells2[i])
+			if err1 != nil || err2 != nil || !bytes.Equal(b1, b2) {
+				t.Fatalf("grid %q: cell %d changed across the round trip:\n%s\n%s", fp, i, b1, b2)
+			}
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -108,16 +109,24 @@ func (w *WAL) Size() int64 {
 	return w.size
 }
 
-// encodeFrame appends one record's wire frame to buf.
-func encodeFrame(buf *bytes.Buffer, r walRecord) error {
+// frameWriter is what a record's frame is encoded into: the journal's
+// batch buffer or a snapshot's buffered writer.
+type frameWriter interface {
+	io.Writer
+	io.ByteWriter
+	AvailableBuffer() []byte
+}
+
+// encodeFrame appends one record's wire frame to w.
+func encodeFrame(w frameWriter, r walRecord) error {
 	b, err := json.Marshal(r)
 	if err != nil {
-		return fmt.Errorf("dist: wal: %w", err)
+		return err
 	}
-	buf.Write(strconv.AppendInt(buf.AvailableBuffer(), int64(len(b)), 10))
-	buf.WriteByte('\n')
-	buf.Write(b)
-	buf.WriteByte('\n')
+	w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(len(b)), 10))
+	w.WriteByte('\n')
+	w.Write(b)
+	w.WriteByte('\n')
 	return nil
 }
 
@@ -138,7 +147,7 @@ func (w *WAL) appendBatch(recs []walRecord) error {
 	w.buf.Reset()
 	for _, r := range recs {
 		if err := encodeFrame(&w.buf, r); err != nil {
-			return err
+			return fmt.Errorf("dist: wal: %w", err)
 		}
 	}
 	if _, err := w.f.Write(w.buf.Bytes()); err != nil {
@@ -182,7 +191,7 @@ func (w *WAL) compact(covered func(grid string, cell int) bool) error {
 	w.buf.Reset()
 	for _, r := range keep {
 		if err := encodeFrame(&w.buf, r); err != nil {
-			return err
+			return fmt.Errorf("dist: wal: %w", err)
 		}
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(w.path), ".wal-*")

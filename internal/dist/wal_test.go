@@ -102,9 +102,9 @@ func TestWALCompactKeepsOtherGrids(t *testing.T) {
 	r.Append("fp-a", 4, json.RawMessage(`[4]`), nil)
 	r.Append("fp-a", 5, json.RawMessage(`[5]`), nil)
 	ck := NewCheckpoint(filepath.Join(dir, "ckpt.json"))
-	cells := make([]cellRecord, 6)
+	cells := make([]walRecord, 6)
 	cells[0].Payload, cells[4].Payload = json.RawMessage(`[0]`), json.RawMessage(`[4]`)
-	if err := ck.save("fp-a", 6, []bool{0: true, 4: true, 5: false}, cells); err != nil {
+	if err := ck.save("fp-a", []bool{0: true, 4: true, 5: false}, cells); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.compact(ck.covers); err != nil {

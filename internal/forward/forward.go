@@ -434,21 +434,23 @@ type Env struct {
 	Routes  *RouteBook
 	Deliver func(*pkt.Packet) // hand packet to the local transport layer
 	C       *Counters
-	// RateFor, when non-nil, enables the multi-rate extension: it returns
-	// the PHY data rate to use toward a receiver (paper §V future work).
-	RateFor func(to pkt.NodeID) float64
+	// MultiRate enables the multi-rate extension (paper §V future work):
+	// Rate picks the PHY data rate toward each receiver.
+	MultiRate bool
 	// Audit is the deep-audit plane's auditor, nil unless the run enabled
 	// deep auditing; Station.Init taps the station's MAC queue with it.
 	Audit *audit.Auditor
 }
 
 // Rate returns the PHY rate toward `to`, or 0 (base rate) when the
-// multi-rate extension is off.
+// multi-rate extension is off: the oracle's pick for the link's analytic
+// delivery probability under the medium's propagation model.
 func (e *Env) Rate(to pkt.NodeID) float64 {
-	if e.RateFor == nil {
+	if !e.MultiRate {
 		return 0
 	}
-	return e.RateFor(to)
+	cfg := e.Med.Config()
+	return phys.OracleRate(1-cfg.LossProb(e.Med.Distance(e.ID, to)), cfg.ShadowSigmaDB, e.P)
 }
 
 // Acked reports whether uid appears in a frame's acknowledged-UID list.

@@ -10,7 +10,6 @@ import (
 	"ripple/internal/core"
 	"ripple/internal/fault"
 	"ripple/internal/forward"
-	"ripple/internal/phys"
 	"ripple/internal/pkt"
 	"ripple/internal/radio"
 	"ripple/internal/routing"
@@ -287,20 +286,16 @@ func (r *run) build(cfg *Config, world *World) {
 		id := pkt.NodeID(i)
 		r.rngs[i].Seed(cfg.Seed, stationStream(i))
 		env := forward.Env{
-			Eng:     &r.eng,
-			Med:     &r.medium,
-			P:       cfg.Phy,
-			ID:      id,
-			RNG:     &r.rngs[i],
-			Routes:  &r.routes,
-			Deliver: r.deliver[i],
-			C:       &r.counters[i],
-			Audit:   r.aud,
-		}
-		if cfg.MultiRate {
-			env.RateFor = func(to pkt.NodeID) float64 {
-				return phys.OracleRate(1-cfg.Radio.LossProb(r.medium.Distance(id, to)), cfg.Radio.ShadowSigmaDB, cfg.Phy)
-			}
+			Eng:       &r.eng,
+			Med:       &r.medium,
+			P:         cfg.Phy,
+			ID:        id,
+			RNG:       &r.rngs[i],
+			Routes:    &r.routes,
+			Deliver:   r.deliver[i],
+			C:         &r.counters[i],
+			MultiRate: cfg.MultiRate,
+			Audit:     r.aud,
 		}
 		var mac radio.MAC
 		r.schemes[i], mac = r.agent(env)

@@ -132,6 +132,12 @@ func webFig1Config(d sim.Time) Config {
 // resultObjects is what fold allocates: the Result and its Flows.
 const resultObjects = 2
 
+// multiRate is cfg with the multi-rate extension on.
+func multiRate(cfg Config) Config {
+	cfg.MultiRate = true
+	return cfg
+}
+
 // A warm run — the same (config, seed) again on an arena that has run it
 // over the same World — allocates its Result and nothing else, whatever the
 // scheme and the traffic: every event it schedules is a pooled record, a
@@ -165,6 +171,9 @@ func TestWarmRerunAllocatesOnlyItsResult(t *testing.T) {
 		// Local packets riding on relays, and their reclaim when the bitmap
 		// ACK does not come back through the relay.
 		{"local aggregation", localAggConfig()},
+		// A data rate picked per receiver.
+		{"ftp_chain/multirate", multiRate(chainConfig(Ripple, sim.Second))},
+		{"voip_fig1/multirate", multiRate(voipFig1Config(sim.Second))},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg
