@@ -125,14 +125,65 @@ func FuzzWALDecode(f *testing.F) {
 	})
 }
 
+// FuzzCheckpointDecode throws arbitrary files at LoadCheckpoint, version
+// line included (FuzzWALDecode always puts a valid one in front). The
+// contract under corruption: never panic, never allocate for a cell the
+// file does not hold, and either refuse the file with a descriptive error
+// or load exactly a current version line followed by a whole journal, whose
+// every grid restores consistently or is refused, and round-trips through a
+// write and a load. The seeds cover the corruption classes resume must
+// survive: truncation mid-frame, a pre-change JSON document, no or a junk
+// version line, an empty snapshot, negative, out-of-range and repeated cell
+// indices, an empty payload, and hostile Welford states.
+func FuzzCheckpointDecode(f *testing.F) {
+	head := fmt.Sprintf("{\"version\":%d}\n", checkpointVersion)
+	frame := func(r string) string { return fmt.Sprintf("%d\n%s\n", len(r), r) }
+	valid := head + frame(`{"grid":"fp","cell":0,"payload":[0]}`) +
+		frame(`{"grid":"fp","cell":1,"payload":[1]}`) + frame(`{"grid":"fp","cell":2,"payload":[2]}`)
+	f.Add([]byte(valid))
+	f.Add([]byte(valid[:len(valid)-5])) // truncated mid-frame
+	f.Add([]byte(`{"version":1,"grids":{"fp":{"num_cells":1,"done":"AQ==","cells":{"0":{"payload":[0]}}}}}`))
+	f.Add([]byte(frame(`{"grid":"fp","cell":0,"payload":[0]}`))) // no version line
+	f.Add([]byte("zap\n" + frame(`{"grid":"fp","cell":0,"payload":[0]}`)))
+	f.Add([]byte(head)) // an empty snapshot
+	for _, r := range []string{
+		`{"grid":"x","cell":-1,"payload":[0]}`,                  // negative cell
+		`{"grid":"x","cell":9223372036854775807,"payload":[0]}`, // cell far out of range
+		`{"grid":"fp","cell":1,"payload":[9]}`,                  // repeated cell
+		`{"grid":"x","cell":0}`,                                 // no payload
+		`{"grid":"x","cell":0,"payload":[0],"stats":{"v":{"n":-4,"mean":1e308,"m2":-1}}}`,
+	} {
+		f.Add([]byte(valid + frame(r)))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			return // diagnosed corruption
+		}
+		line, body, _ := bytes.Cut(data, []byte("\n"))
+		var v struct {
+			Version int `json:"version"`
+		}
+		if err := json.Unmarshal(line, &v); err != nil || v.Version != checkpointVersion {
+			t.Fatalf("loaded a file whose version line is %q", line)
+		}
+		if _, n, err := decodeWAL(body); err != nil || n != len(body) {
+			t.Fatalf("loaded a file whose body is not a whole journal: %d of %d bytes, %v", n, len(body), err)
+		}
+		checkRestoreRoundTrip(t, dir, ck)
+	})
+}
+
 // checkpointLoads loads frames behind the version line as a checkpoint,
 // which must succeed exactly when want says the frames are a whole journal,
-// and restores every grid of it: to at most the first maxFuzzCells cells,
-// so a hostile cell index is refused as out of range rather than allocated.
-// A grid that restores is written, loaded and restored again, and must come
-// back the same.
+// and checks the round trip of every grid of it.
 func checkpointLoads(t *testing.T, frames []byte, want bool) {
-	const maxFuzzCells = 1 << 12
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt")
 	image := append([]byte(fmt.Sprintf("{\"version\":%d}\n", checkpointVersion)), frames...)
@@ -146,6 +197,15 @@ func checkpointLoads(t *testing.T, frames []byte, want bool) {
 	if err != nil {
 		return
 	}
+	checkRestoreRoundTrip(t, dir, ck)
+}
+
+// checkRestoreRoundTrip restores every grid of a loaded checkpoint: to at
+// most the first maxFuzzCells cells, so a hostile cell index is refused as
+// out of range rather than allocated. A grid that restores is written (in
+// dir), loaded and restored again, and must come back the same.
+func checkRestoreRoundTrip(t *testing.T, dir string, ck *Checkpoint) {
+	const maxFuzzCells = 1 << 12
 	for fp, recs := range ck.grids {
 		numCells := 0
 		for _, r := range recs {
