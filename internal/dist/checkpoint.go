@@ -2,7 +2,7 @@ package dist
 
 import (
 	"bufio"
-	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,22 +10,26 @@ import (
 	"io/fs"
 	"maps"
 	"os"
-	"path/filepath"
 	"slices"
 	"sync"
 )
 
 // checkpointVersion is the on-disk format version, stated on the file's
 // first line; a mismatch is a hard error rather than a guess at migration.
-const checkpointVersion = 2
+// Version 3 states the file's frame count beside it.
+const checkpointVersion = 3
 
-// Checkpoint persists campaign progress: every completed cell of every grid
-// the campaign has finished or begun, and the file a snapshot of them is
-// written to. The file is the journal's own format, compacted: a version
-// line, then one WAL frame per completed cell, grids in fingerprint order
-// and each grid's cells in index order. A snapshot streams it to a temp file
-// through one reused buffered writer, fsyncs it and renames it into place,
-// so the file on disk is always a complete snapshot — a coordinator killed
+// Checkpoint persists campaign progress: which cells of every grid the
+// campaign has finished or begun are done, and the file a snapshot of them
+// is written to. The file is the journal's own format, compacted: a version
+// line that also states how many frames follow, then one WAL frame per done
+// cell, grids in fingerprint order and each grid's cells in index order.
+//
+// No cell's record is kept in memory, only where its frame lies: a snapshot
+// is a merge of the file as it stands and the journal, each done cell's
+// frame copied byte for byte from whichever holds it, streamed to a temp
+// file through one reused buffered writer, fsync'd and renamed into place —
+// the file on disk is always a complete snapshot, and a coordinator killed
 // mid-write leaves the previous one intact.
 //
 // put may be called from any goroutine; write from one at a time — the
@@ -33,37 +37,48 @@ const checkpointVersion = 2
 type Checkpoint struct {
 	path string
 	mu   sync.Mutex
-	// grids holds each grid's completed cells in index order. A grid's
-	// slice is replaced by put, never modified.
-	grids map[string][]walRecord
+	// grids holds each grid's done cells in index order. A grid's slice is
+	// replaced by put, never modified.
+	grids map[string][]int
 	// dirty: grids has changed since the file was written.
 	dirty bool
-	// disk is what the file holds: each grid's done cells as of the last
-	// snapshot written (or the load), for covers. size is its length.
-	disk map[string]map[int]bool
-	size int64
-	bw   *bufio.Writer // the one buffered writer every snapshot streams through
+	// disk is where the file holds each grid's cells: its frames, in cell
+	// order, as last written or loaded; replaced by a write, never modified.
+	// size is the file's length, loaded how many grids it held when it was
+	// loaded.
+	disk   map[string][]frame
+	size   int64
+	loaded int
+	cp     frameCopier // the snapshots'
 }
 
 // NewCheckpoint starts a fresh checkpoint at path. Nothing is written
 // until the first snapshot.
 func NewCheckpoint(path string) *Checkpoint {
-	return &Checkpoint{path: path, grids: map[string][]walRecord{}}
+	return &Checkpoint{path: path, grids: map[string][]int{}}
 }
 
 // LoadCheckpoint reads an existing checkpoint for resumption. A missing,
 // unparseable or wrong-version file is a loud error: resuming from a
-// corrupt checkpoint silently would discard or duplicate work. A torn last
-// frame, which the journal trims as a crash point, is corruption here: a
-// snapshot is renamed into place only once it is complete.
+// corrupt checkpoint silently would discard or duplicate work. So is a file
+// with a torn last frame, which the journal trims as a crash point, or one
+// cut on a frame boundary, which holds fewer frames than its version line
+// states: a snapshot is renamed into place only once it is complete. Every
+// record is decoded to be checked; what is kept is where each lies.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dist: resume: %w", err)
 	}
-	line, body, _ := bytes.Cut(data, []byte("\n"))
+	defer f.Close()
+	r := bufio.NewReaderSize(f, 64<<10)
+	line, err := r.ReadBytes('\n')
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("dist: resume: %w", err)
+	}
 	var head struct {
 		Version int `json:"version"`
+		Cells   int `json:"cells"`
 	}
 	if err := json.Unmarshal(line, &head); err != nil {
 		return nil, fmt.Errorf("dist: resume %s: corrupt checkpoint: version line: %w", path, err)
@@ -72,18 +87,35 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("dist: resume %s: checkpoint version %d, want %d",
 			path, head.Version, checkpointVersion)
 	}
-	recs, valid, err := decodeWAL(body)
-	if err == nil && valid < len(body) {
-		err = fmt.Errorf("truncated frame at offset %d", valid)
+	frames, valid, err := scanFrames(r, int64(len(line)))
+	var fi os.FileInfo
+	if err == nil {
+		fi, err = f.Stat()
+	}
+	if err == nil {
+		if valid < fi.Size() {
+			err = fmt.Errorf("truncated frame at offset %d", valid)
+		} else if len(frames) != head.Cells {
+			err = fmt.Errorf("%d frames, the version line states %d", len(frames), head.Cells)
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("dist: resume %s: corrupt checkpoint: %w", path, err)
 	}
 	ck := NewCheckpoint(path)
-	for _, r := range recs {
-		ck.grids[r.Grid] = append(ck.grids[r.Grid], r)
+	ck.disk = map[string][]frame{}
+	for _, fr := range frames {
+		ck.disk[fr.Grid] = append(ck.disk[fr.Grid], fr)
 	}
-	ck.disk, ck.size = doneSets(ck.grids), int64(len(data))
+	for fp, on := range ck.disk {
+		slices.SortStableFunc(on, func(a, b frame) int { return cmp.Compare(a.Cell, b.Cell) })
+		cells := make([]int, len(on))
+		for i, fr := range on {
+			cells[i] = fr.Cell
+		}
+		ck.grids[fp] = cells
+	}
+	ck.size, ck.loaded = valid, len(ck.disk)
 	return ck, nil
 }
 
@@ -91,7 +123,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // at path and the write-ahead journal beside it (path + ".wal"), for
 // Options.Checkpoint and Options.WAL. Without resume both start fresh,
 // discarding what the files hold. With resume the checkpoint is loaded and
-// the journal's records decoded for replay; a checkpoint file that does
+// the journal's records indexed for replay; a checkpoint file that does
 // not exist yet is a fresh one, not an error — a coordinator that crashed
 // before its first snapshot left everything it had in the journal. The
 // caller closes the WAL when the campaign is over, after the coordinator.
@@ -115,23 +147,21 @@ func OpenPersistence(path string, resume bool) (*Checkpoint, *WAL, error) {
 // Path returns the checkpoint's file path.
 func (ck *Checkpoint) Path() string { return ck.path }
 
-// numGrids returns how many grids the checkpoint holds.
-func (ck *Checkpoint) numGrids() int {
-	ck.mu.Lock()
-	defer ck.mu.Unlock()
-	return len(ck.grids)
-}
-
-// restore returns the completed cells recorded for grid fp, nil if it holds
+// restore reads back the cells the file holds of grid fp, nil if it holds
 // none. numCells is the resuming campaign's cell count for the same
 // fingerprint. A record whose cell is out of range, that repeats a cell or
 // that carries no payload is corruption: nothing of the grid is restored.
 func (ck *Checkpoint) restore(fp string, numCells int) (done []bool, cells []walRecord, err error) {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	recs, ok := ck.grids[fp]
+	on, ok := ck.disk[fp]
 	if !ok {
 		return nil, nil, nil
+	}
+	// The file and its index change together, under ck.mu.
+	recs, err := ck.read(on)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dist: resume %s: grid %s: %w", ck.path, fp, err)
 	}
 	done = make([]bool, numCells)
 	cells = make([]walRecord, numCells)
@@ -152,91 +182,130 @@ func (ck *Checkpoint) restore(fp string, numCells int) (done []bool, cells []wal
 	return done, cells, nil
 }
 
-// put records grid fp's done cells, in index order; the file is untouched
-// until the next write.
-func (ck *Checkpoint) put(fp string, done []bool, cells []walRecord) {
-	var recs []walRecord
+// read decodes the records at frames of the file.
+func (ck *Checkpoint) read(frames []frame) ([]walRecord, error) {
+	f, err := os.Open(ck.path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return readFrames(f, frames)
+}
+
+// put records grid fp's done cells; the file is untouched until the next
+// write.
+func (ck *Checkpoint) put(fp string, done []bool) {
+	var cells []int
 	for i, ok := range done {
 		if ok {
-			r := cells[i]
-			r.Grid, r.Cell = fp, i
-			recs = append(recs, r)
+			cells = append(cells, i)
 		}
 	}
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	ck.grids[fp] = recs
+	ck.grids[fp] = cells
 	ck.dirty = true
 }
 
-// write snapshots the checkpoint: streams it to a sibling temp file, fsyncs
-// and renames it over the checkpoint path. What the file already holds is
-// not written again. The lock is not held while the file is written — a
-// grid's records are never modified once put, only replaced — so put and
-// restore do not wait for the disk.
-func (ck *Checkpoint) write() error {
+// write snapshots the checkpoint: every done cell's frame, from the file
+// when it holds the cell and else from the journal, copied to a sibling
+// temp file, fsync'd and renamed over the checkpoint path. A done cell in
+// neither — its journal write failed — is left out, and runs again on
+// resume. The lock is not held while the file is written — a grid's cells
+// are never modified once put, only replaced — so put and restore do not
+// wait for the disk. The journal is held still while its frames are copied.
+func (ck *Checkpoint) write(wal *WAL) error {
 	ck.mu.Lock()
 	if !ck.dirty {
 		ck.mu.Unlock()
 		return nil
 	}
-	grids := maps.Clone(ck.grids)
+	grids, disk := maps.Clone(ck.grids), ck.disk
 	ck.dirty = false
 	ck.mu.Unlock()
 
-	size, err := ck.writeFile(grids)
+	wal.mu.Lock()
+	defer wal.mu.Unlock()
+	tmp, index, err := ck.writeTemp(grids, disk, wal)
+	if err == nil {
+		err = tmp.Close()
+	}
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	if err != nil {
-		ck.dirty = true
-		return fmt.Errorf("dist: checkpoint: %w", err)
-	}
-	ck.disk, ck.size = doneSets(grids), size
-	return nil
-}
-
-// writeFile replaces the checkpoint file with grids and returns its length.
-func (ck *Checkpoint) writeFile(grids map[string][]walRecord) (size int64, err error) {
-	tmp, err := os.CreateTemp(filepath.Dir(ck.path), filepath.Base(ck.path)+".tmp*")
-	if err != nil {
-		return 0, err
-	}
-	if ck.bw == nil {
-		ck.bw = bufio.NewWriterSize(tmp, 64<<10)
-	} else {
-		ck.bw.Reset(tmp)
-	}
-	fmt.Fprintf(ck.bw, "{\"version\":%d}\n", checkpointVersion)
-frames:
-	for _, fp := range slices.Sorted(maps.Keys(grids)) {
-		for _, r := range grids[fp] {
-			if err = encodeFrame(ck.bw, r); err != nil {
-				break frames
-			}
-		}
-	}
-	if err == nil {
-		// A bufio.Writer keeps its first error and returns it from Flush.
-		err = ck.bw.Flush()
-	}
-	if err == nil {
-		size, err = tmp.Seek(0, io.SeekCurrent)
-	}
-	if err == nil {
-		// The journal drops what this file holds as soon as it is in place.
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
 	if err == nil {
 		err = os.Rename(tmp.Name(), ck.path)
 	}
 	if err != nil {
-		os.Remove(tmp.Name())
-		return 0, err
+		if tmp != nil {
+			os.Remove(tmp.Name())
+		}
+		ck.dirty = true
+		return fmt.Errorf("dist: checkpoint: %w", err)
 	}
-	return size, nil
+	ck.disk, ck.size = index, ck.cp.off
+	return nil
+}
+
+// cellKey names one cell of one grid.
+type cellKey struct {
+	grid string
+	cell int
+}
+
+// writeTemp merges the file's frames and the journal's into a new
+// snapshot of grids, not yet in place, and returns it with its index.
+// Called with wal.mu held.
+func (ck *Checkpoint) writeTemp(grids map[string][]int, disk map[string][]frame, wal *WAL) (*os.File, map[string][]frame, error) {
+	journal := make(map[cellKey]frame, len(wal.frames))
+	for _, fr := range wal.frames {
+		if _, dup := journal[cellKey{fr.Grid, fr.Cell}]; !dup {
+			journal[cellKey{fr.Grid, fr.Cell}] = fr
+		}
+	}
+	var old *os.File
+	if len(disk) > 0 {
+		var err error
+		if old, err = os.Open(ck.path); err != nil {
+			return nil, nil, err
+		}
+		defer old.Close()
+	}
+	// Each done cell's frame and the file it is copied from, in file order.
+	type piece struct {
+		src io.ReaderAt
+		fr  frame
+	}
+	var pieces []piece
+	fps := slices.Sorted(maps.Keys(grids))
+	for _, fp := range fps {
+		on := disk[fp]
+		for _, cell := range grids[fp] {
+			for len(on) > 0 && on[0].Cell < cell {
+				on = on[1:]
+			}
+			if len(on) > 0 && on[0].Cell == cell {
+				pieces = append(pieces, piece{old, on[0]})
+				on = on[1:]
+			} else if fr, ok := journal[cellKey{fp, cell}]; ok {
+				fr.Grid = fp // one string per grid in the index
+				pieces = append(pieces, piece{wal.f, fr})
+			}
+		}
+	}
+	index := make(map[string][]frame, len(fps))
+	tmp, err := ck.cp.writeTemp(ck.path, func() error {
+		n, _ := fmt.Fprintf(ck.cp.bw, "{\"version\":%d,\"cells\":%d}\n", checkpointVersion, len(pieces))
+		ck.cp.off = int64(n)
+		for _, p := range pieces {
+			fr, err := ck.cp.copy(p.src, p.fr)
+			if err != nil {
+				return err
+			}
+			index[fr.Grid] = append(index[fr.Grid], fr)
+		}
+		return nil
+	})
+	return tmp, index, err
 }
 
 // covers reports whether the checkpoint file on disk holds cell of grid
@@ -244,7 +313,8 @@ frames:
 func (ck *Checkpoint) covers(fp string, cell int) bool {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	return ck.disk[fp][cell]
+	_, ok := slices.BinarySearchFunc(ck.disk[fp], cell, func(fr frame, cell int) int { return cmp.Compare(fr.Cell, cell) })
+	return ok
 }
 
 // Size is the length in bytes of the checkpoint file as last written or
@@ -253,17 +323,4 @@ func (ck *Checkpoint) Size() int64 {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 	return ck.size
-}
-
-// doneSets indexes the cells each grid's records hold.
-func doneSets(grids map[string][]walRecord) map[string]map[int]bool {
-	sets := make(map[string]map[int]bool, len(grids))
-	for fp, recs := range grids {
-		set := make(map[int]bool, len(recs))
-		for _, r := range recs {
-			set[r.Cell] = true
-		}
-		sets[fp] = set
-	}
-	return sets
 }

@@ -13,16 +13,36 @@ import (
 )
 
 // save is put and write — grid fp's progress, on disk when it returns — for
-// the tests and the fuzzer that build checkpoint files grid by grid.
+// the tests and the fuzzer that build checkpoint files grid by grid. The
+// done cells are journalled first, in a journal of their own, as the
+// coordinator journals every cell before it counts: a snapshot copies them
+// from there.
 func (ck *Checkpoint) save(fp string, done []bool, cells []walRecord) error {
-	ck.put(fp, done, cells)
-	return ck.write()
+	wal, err := CreateWAL(ck.path + ".save.wal")
+	if err != nil {
+		return err
+	}
+	defer wal.Close()
+	var recs []walRecord
+	for i, ok := range done {
+		if ok {
+			r := cells[i]
+			r.Grid, r.Cell = fp, i
+			recs = append(recs, r)
+		}
+	}
+	if err := wal.appendBatch(recs); err != nil {
+		return err
+	}
+	ck.put(fp, done)
+	return ck.write(wal)
 }
 
 // checkpointImage is a checkpoint file holding recs, each a record's JSON,
-// as they are and in order: the version line and one journal frame each.
+// as they are and in order: the version line stating their count and one
+// journal frame each.
 func checkpointImage(recs ...string) []byte {
-	image := fmt.Sprintf("{\"version\":%d}\n", checkpointVersion)
+	image := fmt.Sprintf("{\"version\":%d,\"cells\":%d}\n", checkpointVersion, len(recs))
 	for _, r := range recs {
 		image += fmt.Sprintf("%d\n%s\n", len(r), r)
 	}
@@ -31,10 +51,10 @@ func checkpointImage(recs ...string) []byte {
 
 // A snapshot is the version line and one journal frame per done cell, grids
 // in fingerprint order and cells in index order, whatever order the grids
-// were put in and the cells arrived in — so two writes of the same state are
-// the same bytes, and a loaded checkpoint writes back the file it was read
-// from. The file knows what it holds (covers, Size), and a state it already
-// holds is not written again.
+// were put in and the cells arrived in the journal in — so two writes of the
+// same state are the same bytes, and a loaded checkpoint writes back the
+// file it was read from. The file knows what it holds (covers, Size), and a
+// state it already holds is not written again.
 func TestCheckpointWriteIsOrderedAndDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	var w stats.Welford
@@ -49,9 +69,14 @@ func TestCheckpointWriteIsOrderedAndDeterministic(t *testing.T) {
 	fps = append(fps, "fp-\"a\"< >\\", "fp-empty")
 	// Grid fps[g] has cells 0..g%7+1, every one done but cell 0 (none of
 	// fp-empty's); build puts the grids in one order or the other and the
-	// cells in arrival order or its reverse.
+	// cells in arrival order or its reverse, journalling each as it arrives.
 	build := func(path string, reverse bool) *Checkpoint {
 		ck := NewCheckpoint(path)
+		wal, err := CreateWAL(path + ".wal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer wal.Close()
 		for g := range fps {
 			if reverse {
 				g = len(fps) - 1 - g
@@ -61,8 +86,7 @@ func TestCheckpointWriteIsOrderedAndDeterministic(t *testing.T) {
 				n = 1
 			}
 			done := make([]bool, n)
-			cells := make([]walRecord, n)
-			ck.put(fp, done, cells)
+			ck.put(fp, done)
 			for k := 1; k < n; k++ {
 				i := 1 + (k*3)%(n-1)
 				for done[i] {
@@ -75,14 +99,14 @@ func TestCheckpointWriteIsOrderedAndDeterministic(t *testing.T) {
 					}
 				}
 				done[i] = true
-				cells[i] = walRecord{
-					Payload: json.RawMessage(fmt.Sprintf(`{"cell":%d,"grid":%q,"html":"<&>"}`, i, fp)),
-					Stats:   map[string]stats.State{"tput": w.State(), "delay<ms>": w.State()},
+				if err := wal.Append(fp, i, json.RawMessage(fmt.Sprintf(`{"cell":%d,"grid":%q,"html":"<&>"}`, i, fp)),
+					map[string]stats.State{"tput": w.State(), "delay<ms>": w.State()}); err != nil {
+					t.Fatal(err)
 				}
-				ck.put(fp, done, cells) // after every cell, as the committer may
+				ck.put(fp, done) // after every cell, as the committer may
 			}
 		}
-		if err := ck.write(); err != nil {
+		if err := ck.write(wal); err != nil {
 			t.Fatal(err)
 		}
 		return ck
@@ -101,17 +125,17 @@ func TestCheckpointWriteIsOrderedAndDeterministic(t *testing.T) {
 		t.Fatal("two writes of the same state differ")
 	}
 
+	total := 0
+	for _, cells := range a.grids {
+		total += len(cells)
+	}
 	line, body, _ := bytes.Cut(fileA, []byte("\n"))
-	if want := fmt.Sprintf(`{"version":%d}`, checkpointVersion); string(line) != want {
+	if want := fmt.Sprintf(`{"version":%d,"cells":%d}`, checkpointVersion, total); string(line) != want {
 		t.Fatalf("first line %q, want %q", line, want)
 	}
 	recs, valid, err := decodeWAL(body)
 	if err != nil || valid != len(body) {
 		t.Fatalf("the records do not decode as journal frames: %d of %d bytes, %v", valid, len(body), err)
-	}
-	total := 0
-	for _, recs := range a.grids {
-		total += len(recs)
 	}
 	if len(recs) != total {
 		t.Fatalf("%d frames for %d done cells", len(recs), total)
@@ -124,22 +148,28 @@ func TestCheckpointWriteIsOrderedAndDeterministic(t *testing.T) {
 		}
 	}
 
-	// A loaded checkpoint written again is the same file.
+	// A loaded checkpoint written again, from nothing but its own file, is
+	// the same file.
 	loaded, err := LoadCheckpoint(a.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for fp, recs := range a.grids {
-		if len(recs) == 0 {
+	empty, err := CreateWAL(filepath.Join(dir, "empty.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer empty.Close()
+	for fp, cells := range a.grids {
+		if len(cells) == 0 {
 			continue // a grid with no done cell leaves no frame
 		}
-		done, cells, err := loaded.restore(fp, 9)
+		done, _, err := loaded.restore(fp, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded.put(fp, done, cells)
+		loaded.put(fp, done)
 	}
-	if err := loaded.write(); err != nil {
+	if err := loaded.write(empty); err != nil {
 		t.Fatal(err)
 	}
 	if again, err := os.ReadFile(a.Path()); err != nil || !bytes.Equal(again, fileA) {
@@ -156,7 +186,7 @@ func TestCheckpointWriteIsOrderedAndDeterministic(t *testing.T) {
 	if err := os.Remove(a.Path()); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.write(); err != nil {
+	if err := a.write(empty); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(a.Path()); !os.IsNotExist(err) {
@@ -166,28 +196,31 @@ func TestCheckpointWriteIsOrderedAndDeterministic(t *testing.T) {
 
 // A checkpoint written before the file became the journal's format is one
 // JSON document; its first line is that document, and the version it states
-// is refused by number.
+// is refused by number. So is a version-2 file, the journal's format with no
+// frame count on its version line.
 func TestCheckpointRefusesPreChangeFormat(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
-	for _, old := range []string{
-		`{"version":1,"grids":{}}`,
-		`{"version":1,"grids":{"fp":{"num_cells":1,"done":"AQ==","cells":{"0":{"payload":[0]}}}}}`,
+	rec := `{"grid":"fp","cell":0,"payload":[0]}`
+	for old, version := range map[string]string{
+		`{"version":1,"grids":{}}`: "version 1",
+		`{"version":1,"grids":{"fp":{"num_cells":1,"done":"AQ==","cells":{"0":{"payload":[0]}}}}}`: "version 1",
+		fmt.Sprintf("{\"version\":2}\n%d\n%s\n", len(rec), rec):                                    "version 2",
 	} {
 		if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err := OpenPersistence(path, true)
-		if err == nil || !strings.Contains(err.Error(), "version 1") {
-			t.Fatalf("a version-1 checkpoint was not refused by its version: %v", err)
+		if err == nil || !strings.Contains(err.Error(), version) {
+			t.Fatalf("a %s checkpoint was not refused by its version: %v", version, err)
 		}
 	}
 }
 
 // A snapshot is renamed into place only once complete, so a checkpoint cut
-// short is corrupt, not a crash point: cut anywhere inside a frame it is
-// refused. The same bytes as a journal are a crash point, trimmed to the
-// last whole frame. (A cut on a frame boundary leaves a shorter checkpoint
-// that still parses: its missing cells run again.)
+// short is corrupt, not a crash point: cut anywhere — inside a frame, or on
+// a frame boundary, where fewer frames follow than the version line states —
+// it is refused. The same bytes as a journal are a crash point, trimmed to
+// the last whole frame.
 func TestCheckpointTruncatedIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt.json")
@@ -198,13 +231,11 @@ func TestCheckpointTruncatedIsCorrupt(t *testing.T) {
 	data := checkpointImage(recs...)
 	head := bytes.IndexByte(data, '\n') + 1
 	boundary := map[int]bool{head: true}
-	for i := range recs {
-		boundary[len(checkpointImage(recs[:i+1]...))] = true
+	for i, off := 0, head; i < len(recs); i++ {
+		off += len(fmt.Sprintf("%d\n%s\n", len(recs[i]), recs[i]))
+		boundary[off] = true
 	}
-	for cut := head + 1; cut < len(data); cut++ {
-		if boundary[cut] {
-			continue
-		}
+	for cut := head; cut < len(data); cut++ {
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +249,7 @@ func TestCheckpointTruncatedIsCorrupt(t *testing.T) {
 		if err != nil {
 			t.Fatalf("journal cut at byte %d: %v", cut-head, err)
 		}
-		kept := len(w.Restored())
+		kept := len(w.frames)
 		w.Close()
 		if fi, err := os.Stat(path + ".wal"); err != nil || !boundary[head+int(fi.Size())] || kept == len(recs) {
 			t.Fatalf("journal cut at byte %d not trimmed to a frame boundary: %d records kept (%v)", cut-head, kept, err)
@@ -280,7 +311,7 @@ func TestOpenPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume with neither file: %v", err)
 	}
-	if ck.numGrids() != 0 || len(wal.Restored()) != 0 {
+	if len(ck.grids) != 0 || len(wal.frames) != 0 {
 		t.Fatal("resume with neither file restored something")
 	}
 	if err := wal.Append("g", 1, json.RawMessage(`{"v":1}`), nil); err != nil {
@@ -292,7 +323,7 @@ func TestOpenPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume before the first save: %v", err)
 	}
-	if recs := wal.Restored(); len(recs) != 1 || recs[0].Cell != 1 {
+	if recs := wal.frames; len(recs) != 1 || recs[0].Cell != 1 {
 		t.Fatalf("journal records %+v, want the one appended", recs)
 	}
 	if err := ck.save("g", []bool{false, true}, []walRecord{{}, {Payload: json.RawMessage(`{"v":1}`)}}); err != nil {
@@ -304,8 +335,8 @@ func TestOpenPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.numGrids() != 1 || len(wal.Restored()) != 1 {
-		t.Fatalf("resume restored %d grids and %d journal records, want 1 and 1", ck.numGrids(), len(wal.Restored()))
+	if len(ck.grids) != 1 || len(wal.frames) != 1 {
+		t.Fatalf("resume restored %d grids and %d journal records, want 1 and 1", len(ck.grids), len(wal.frames))
 	}
 	wal.Close()
 
@@ -313,7 +344,7 @@ func TestOpenPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.numGrids() != 0 || len(wal.Restored()) != 0 {
+	if len(ck.grids) != 0 || len(wal.frames) != 0 {
 		t.Fatal("a fresh start kept the previous campaign's state")
 	}
 	wal.Close()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -23,7 +24,8 @@ type Options struct {
 	// outgrown the last one (snapshotFloor and a doubling rule) and once
 	// more in Close, and each snapshot drops from the journal what it holds.
 	// RunGrid restores a grid from the checkpoint and replays the journal on
-	// top. Close the coordinator before the WAL.
+	// top — a grid the campaign finished before included. Close the
+	// coordinator before the WAL.
 	Checkpoint *Checkpoint
 	WAL        *WAL
 	// Logf reports worker churn (connects, losses, raced cells); nil
@@ -77,18 +79,23 @@ var ErrClosed = errors.New("dist: coordinator closed")
 // done, so a cell that counts — in Progress, towards its grid's
 // completion, in a snapshot — is already durable. It also writes the
 // snapshots, each followed by the journal's compaction. Close stops it.
+//
+// The coordinator holds in memory the payloads of the grid in flight and
+// nothing of a finished one: a finished cell lives in the files, or — when
+// nothing persists — nowhere, and a grid the campaign asks for again is
+// restored from the files or granted again; its results are deterministic.
 type Coordinator struct {
 	opt Options
 	// firstCellPatience and deadlineFloor; fields so that the package's
 	// tests can shorten them before RunGrid.
 	patience, floor time.Duration
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	completed map[string]*GridOutput // finished grids, by fingerprint
-	cur       *gridRun               // grid executing, or abandoned at Close
-	closed    bool
-	failure   error // first fatal worker error, poisons the campaign
+	mu       sync.Mutex
+	cond     *sync.Cond
+	finished []string // the grids finished, by fingerprint, in order
+	cur      *gridRun // grid executing, or abandoned at Close
+	closed   bool
+	failure  error // first fatal worker error, poisons the campaign
 
 	// The committer's inbox, under mu: deliveries awaiting the journal.
 	// committed is closed when the committer has exited; nil without one.
@@ -116,7 +123,7 @@ type gridRun struct {
 	done        []bool
 	pending     []bool // delivered and queued for the journal, not yet done
 	doneCount   int
-	cells       []walRecord // the record of each completed cell
+	cells       []walRecord // the record of each completed cell, until RunGrid returns
 	progress    func(done, total int)
 	// cellEWMA is the running average of grant-to-delivery times the
 	// deadline is derived from; 0 until a cell has been delivered.
@@ -151,8 +158,7 @@ func NewCoordinator(opt Options) *Coordinator {
 	if (opt.Checkpoint == nil) != (opt.WAL == nil) {
 		panic("dist: NewCoordinator: Options.Checkpoint and Options.WAL are set together or not at all; OpenPersistence opens the pair")
 	}
-	c := &Coordinator{opt: opt, patience: firstCellPatience, floor: deadlineFloor,
-		completed: map[string]*GridOutput{}}
+	c := &Coordinator{opt: opt, patience: firstCellPatience, floor: deadlineFloor}
 	c.cond = sync.NewCond(&c.mu)
 	c.commitCond = sync.NewCond(&c.mu)
 	if v := os.Getenv(crashAfterEnv); v != "" {
@@ -185,19 +191,14 @@ type GridSpec struct {
 
 // RunGrid executes one grid across the connected workers and returns its
 // output. Grids must be run sequentially, in the same order the workers
-// traverse them. Cells already recorded in the checkpoint are restored,
-// not re-executed; if every cell is restored no worker is needed at all.
+// traverse them. Cells already recorded in the checkpoint or the journal
+// are restored, not re-executed; if every cell is restored no worker is
+// needed at all.
 func (c *Coordinator) RunGrid(spec GridSpec) (*GridOutput, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, c.closeErrLocked()
-	}
-	if out, ok := c.completed[spec.Fingerprint]; ok {
-		// The same grid can appear twice in a campaign (e.g. an
-		// experiment run twice); its result is deterministic, so reuse it.
-		c.mu.Unlock()
-		return out, nil
 	}
 	if c.cur != nil {
 		c.mu.Unlock()
@@ -213,50 +214,11 @@ func (c *Coordinator) RunGrid(spec GridSpec) (*GridOutput, error) {
 		cells:       make([]walRecord, spec.NumCells),
 		progress:    spec.Progress,
 	}
-	if ck := c.opt.Checkpoint; ck != nil {
-		done, cells, err := ck.restore(spec.Fingerprint, spec.NumCells)
-		if err != nil {
+	if c.opt.Checkpoint != nil {
+		if err := c.restore(gr); err != nil {
 			c.mu.Unlock()
 			return nil, err
 		}
-		for i, ok := range done {
-			if ok {
-				gr.done[i] = true
-				gr.cells[i] = cells[i]
-				gr.doneCount++
-			}
-		}
-		if gr.doneCount > 0 {
-			c.logf("dist: grid %s: restored %d/%d cells from checkpoint",
-				spec.Fingerprint, gr.doneCount, spec.NumCells)
-		} else if n := ck.numGrids(); done == nil && n > 0 {
-			// Either the campaign had not reached this grid when the file
-			// was written, or the file belongs to another campaign (other
-			// flags, another version): say so rather than rerun silently.
-			c.logf("dist: grid %s: not among the %d grids of checkpoint %s, running all %d cells",
-				spec.Fingerprint, n, ck.Path(), spec.NumCells)
-		}
-		// Replay journal entries on top of the checkpoint: cells delivered
-		// after the last snapshot. The WAL may hold records the checkpoint
-		// covers too (a crash between the snapshot's rename and the
-		// journal's compaction): a cell already done is not taken again.
-		replayed := 0
-		for _, r := range c.opt.WAL.Restored() {
-			if r.Grid != spec.Fingerprint || r.Cell < 0 || r.Cell >= spec.NumCells {
-				continue
-			}
-			if gr.done[r.Cell] || len(r.Payload) == 0 {
-				continue
-			}
-			gr.done[r.Cell] = true
-			gr.cells[r.Cell] = r
-			gr.doneCount++
-			replayed++
-		}
-		if replayed > 0 {
-			c.logf("dist: grid %s: replayed %d cells from WAL", spec.Fingerprint, replayed)
-		}
-		gr.journalled = replayed
 	}
 	for i := 0; i < spec.NumCells; i++ {
 		if !gr.done[i] {
@@ -295,6 +257,53 @@ func (c *Coordinator) RunGrid(spec GridSpec) (*GridOutput, error) {
 	return out, nil
 }
 
+// restore takes what the files hold of gr's grid: the checkpoint's cells,
+// and the journal's on top — cells delivered after the last snapshot. The
+// journal may hold cells the checkpoint holds too (a crash between the
+// snapshot's rename and the journal's compaction): a cell already done is
+// not taken again. The journal is read first: a snapshot taken between the
+// two reads drops from the journal only what it put in the checkpoint file,
+// where the second read finds it.
+func (c *Coordinator) restore(gr *gridRun) error {
+	ck, fp := c.opt.Checkpoint, gr.fp
+	journal, err := c.opt.WAL.records(fp)
+	if err != nil {
+		return err
+	}
+	done, cells, err := ck.restore(fp, gr.numCells)
+	if err != nil {
+		return err
+	}
+	for i, ok := range done {
+		if ok {
+			gr.done[i], gr.cells[i] = true, cells[i]
+			gr.doneCount++
+		}
+	}
+	if gr.doneCount > 0 {
+		c.logf("dist: grid %s: restored %d/%d cells from checkpoint", fp, gr.doneCount, gr.numCells)
+	}
+	for _, r := range journal {
+		if r.Cell < 0 || r.Cell >= gr.numCells || gr.done[r.Cell] || len(r.Payload) == 0 {
+			continue
+		}
+		gr.done[r.Cell], gr.cells[r.Cell] = true, r
+		gr.doneCount++
+		gr.journalled++
+	}
+	if gr.journalled > 0 {
+		c.logf("dist: grid %s: replayed %d cells from WAL", fp, gr.journalled)
+	}
+	if gr.doneCount == 0 && ck.loaded > 0 {
+		// Either the campaign had not reached this grid when the file was
+		// written, or the file belongs to another campaign (other flags,
+		// another version): say so rather than rerun silently.
+		c.logf("dist: grid %s: not among the %d grids of checkpoint %s, running all %d cells",
+			fp, ck.loaded, ck.Path(), gr.numCells)
+	}
+	return nil
+}
+
 func (c *Coordinator) closeErrLocked() error {
 	if c.failure != nil {
 		return c.failure
@@ -302,8 +311,8 @@ func (c *Coordinator) closeErrLocked() error {
 	return ErrClosed
 }
 
-// finalizeLocked assembles a completed grid's output, records it for
-// replays, and enters its records in the checkpoint — in memory: every
+// finalizeLocked assembles a completed grid's output, records that the grid
+// finished, and enters its done cells in the checkpoint — in memory: every
 // cell of it is already in the journal, and the file catches up at the next
 // snapshot.
 func (c *Coordinator) finalizeLocked(gr *gridRun) *GridOutput {
@@ -326,9 +335,9 @@ func (c *Coordinator) finalizeLocked(gr *gridRun) *GridOutput {
 			out.Stats[name] = w.State()
 		}
 	}
-	c.completed[gr.fp] = out
+	c.finished = append(c.finished, gr.fp)
 	if ck := c.opt.Checkpoint; ck != nil {
-		ck.put(gr.fp, gr.done, gr.cells)
+		ck.put(gr.fp, gr.done)
 	}
 	return out
 }
@@ -367,6 +376,7 @@ func (c *Coordinator) commitLoop() {
 		if err != nil {
 			c.logf("dist: %v", err)
 		}
+		clear(recs) // no payload outlives its batch here
 		c.mu.Lock()
 		for _, d := range batch {
 			// record queues a cell once and no more after it is done, so
@@ -387,18 +397,19 @@ func (c *Coordinator) commitLoop() {
 }
 
 // snapshotLocked brings the checkpoint file up to date — every finished
-// grid and the done cells of the one in progress — and then drops from the
-// journal what the file now holds: the snapshot is renamed into place
-// first and the journal rewritten second, so no cell is ever in neither.
+// grid and the done cells of the one in progress, a merge of the file and
+// the journal — and then drops from the journal what the file now holds:
+// the snapshot is renamed into place first and the journal rewritten
+// second, so no cell is ever in neither.
 // Committer only. Called with c.mu held, which it releases while the files
 // are written. Failures are logged, not fatal, like the journal's.
 func (c *Coordinator) snapshotLocked() {
 	ck, gr := c.opt.Checkpoint, c.cur
 	if gr != nil && gr.doneCount > 0 {
-		ck.put(gr.fp, gr.done, gr.cells)
+		ck.put(gr.fp, gr.done)
 	}
 	c.mu.Unlock()
-	written := ck.write()
+	written := ck.write(c.opt.WAL)
 	if written != nil {
 		c.logf("dist: %v", written)
 	} else if err := c.opt.WAL.compact(ck.covers); err != nil {
@@ -505,6 +516,9 @@ func (c *Coordinator) Serve(conn *Conn) error {
 	}
 	c.logf("dist: %s connected", name)
 	defer c.dropConn(conn, name)
+	// How many of the grids finished the worker has passed: a connection
+	// starts at the campaign's beginning.
+	passed := 0
 
 	for {
 		m, err := conn.Recv()
@@ -522,7 +536,7 @@ func (c *Coordinator) Serve(conn *Conn) error {
 		}
 		switch m.Type {
 		case MsgReady:
-			reply := c.grant(conn, m.Grid)
+			reply := c.grant(conn, m.Grid, &passed)
 			if err := conn.Send(reply); err != nil {
 				return fmt.Errorf("dist: %s: %w", name, err)
 			}
@@ -576,21 +590,15 @@ func (c *Coordinator) dropConn(conn *Conn, name string) {
 // grant is the one place a cell is granted: it blocks until the coordinator
 // reaches grid fp and has a cell to hand out, the grid turns out to be
 // complete, or the campaign ends. On the wire a grant is a lease of one
-// cell, its id the cell's index.
-func (c *Coordinator) grant(conn *Conn, fp string) *Message {
+// cell, its id the cell's index. passed is how many of c.finished the
+// worker has passed: a grid the campaign runs twice is complete for a
+// worker that asks for it when the coordinator has finished the occurrence
+// it stands at, not an earlier one.
+func (c *Coordinator) grant(conn *Conn, fp string, passed *int) *Message {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		// Completed-grid check first: a worker lagging one ready behind
-		// the coordinator's Close still deserves grid_done for a grid that
-		// finished, so it can complete its sequence and exit cleanly.
-		if _, ok := c.completed[fp]; ok {
-			return &Message{Type: MsgGridDone, Grid: fp}
-		}
-		if c.closed {
-			return &Message{Type: MsgShutdown}
-		}
-		if gr := c.cur; gr != nil && gr.fp == fp {
+		if gr := c.cur; gr != nil && gr.fp == fp && !c.closed {
 			for len(gr.queue) > 0 {
 				cell := gr.queue[0]
 				gr.queue = gr.queue[1:]
@@ -601,6 +609,14 @@ func (c *Coordinator) grant(conn *Conn, fp string) *Message {
 				c.watchLocked(gr)
 				return &Message{Type: MsgLease, Grid: fp, Lease: cell, Cells: []int{cell}}
 			}
+		} else if i := slices.Index(c.finished[*passed:], fp); i >= 0 {
+			// A worker lagging one ready behind the coordinator's Close
+			// still deserves grid_done for a grid that finished, so it can
+			// complete its sequence and exit cleanly.
+			*passed += i + 1
+			return &Message{Type: MsgGridDone, Grid: fp}
+		} else if c.closed {
+			return &Message{Type: MsgShutdown}
 		}
 		// Either the coordinator hasn't reached this grid yet, or every
 		// remaining cell is out with a worker (we may still inherit one

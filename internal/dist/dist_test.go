@@ -505,7 +505,7 @@ func TestCheckpointResume(t *testing.T) {
 	if ck, wal, err = OpenPersistence(path, true); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(wal.Restored()); n != 0 {
+	if n := len(wal.frames); n != 0 {
 		t.Fatalf("the closed coordinator left %d records in the journal", n)
 	}
 	c2 := NewCoordinator(Options{Checkpoint: ck, WAL: wal, Logf: t.Logf})

@@ -7,12 +7,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"ripple/internal/stats"
 )
 
 // Where a finished cell lives: the tests of this file hold what a finished
@@ -206,5 +209,90 @@ func TestResumeAcrossCopiedSnapshot(t *testing.T) {
 	}
 	if strings.Contains(log.String(), "replayed") {
 		t.Errorf("the resume replayed cells from the journal:\n%s", log.String())
+	}
+}
+
+// pacedCells hands out its cells one at a time: RunCell waits until the
+// previous cell has counted (release, from Progress), so that the committer
+// journals one cell per batch and no buffer of the coordinator grows with
+// how many cells a batch happens to take.
+type pacedCells struct {
+	fatCells
+	turn chan struct{}
+}
+
+func (p pacedCells) RunCell(c int) (any, map[string]stats.State, error) {
+	<-p.turn
+	return p.fatCells.RunCell(c)
+}
+
+func (p pacedCells) release(done, total int) { p.turn <- struct{}{} }
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// The coordinator's invariant as a budget: a persisting coordinator keeps
+// no finished cell in memory. Grids of fat payloads run through it and an
+// in-process worker, past the snapshot floor several times; after a
+// collection the live heap has grown by less than 1 KiB per finished cell,
+// whatever the payload size — the index of where each cell lies, and no
+// byte of its record. A coordinator that kept the payloads would grow by
+// their size.
+func TestFinishedCellsLeaveTheHeap(t *testing.T) {
+	for _, size := range []int{64 << 10, 256 << 10} {
+		t.Run(fmt.Sprintf("payload=%dKiB", size>>10), func(t *testing.T) {
+			ck, wal, err := OpenPersistence(filepath.Join(t.TempDir(), "ckpt.json"), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := NewCoordinator(Options{Checkpoint: ck, WAL: wal})
+			// The warm-up reaches the first snapshot and compaction, which
+			// allocate the buffers they keep.
+			const cells = 12
+			warm, grids := (2<<20)/(cells*size)+1, (6<<20)/(cells*size)+2
+			turn := make(chan struct{}, 1)
+			turn <- struct{}{}
+			var sets []pacedCells
+			var all []CellSet
+			// One grid more than measured: the worker waits for it while
+			// the heap is read, as it waits for the first measured one.
+			for g := range warm + grids + 1 {
+				p := pacedCells{fatCells{fp: fmt.Sprintf("heap-%d", g), n: cells, size: size}, turn}
+				sets, all = append(sets, p), append(all, p)
+			}
+			worker := serveCells(c, "w", all...)
+			run := func(sets []pacedCells) {
+				for _, p := range sets {
+					if _, err := c.RunGrid(GridSpec{Fingerprint: p.fp, NumCells: p.n, RunsPerCell: 1, Progress: p.release}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			run(sets[:warm])
+			before := liveHeap()
+			run(sets[warm : warm+grids])
+			after := liveHeap()
+			run(sets[warm+grids:])
+			if err := <-worker; err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+			wal.Close()
+			if ck.Size() == 0 {
+				t.Fatal("no snapshot was taken: the campaign shows nothing")
+			}
+			n := grids * cells
+			perCell := (float64(after) - float64(before)) / float64(n)
+			t.Logf("%d cells of %d KiB: live heap %+.0f B per cell", n, size>>10, perCell)
+			if perCell >= 1024 {
+				t.Errorf("the live heap grew by %.0f B per finished cell of %d KiB, want under 1 KiB", perCell, size>>10)
+			}
+		})
 	}
 }

@@ -102,7 +102,7 @@ func FuzzWALDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, valid, err := decodeWAL(data)
-		checkpointLoads(t, data, err == nil && valid == len(data))
+		checkpointLoads(t, data, len(recs), err == nil && valid == len(data))
 		if err != nil {
 			return // diagnosed corruption
 		}
@@ -129,23 +129,26 @@ func FuzzWALDecode(f *testing.F) {
 // line included (FuzzWALDecode always puts a valid one in front). The
 // contract under corruption: never panic, never allocate for a cell the
 // file does not hold, and either refuse the file with a descriptive error
-// or load exactly a current version line followed by a whole journal, whose
-// every grid restores consistently or is refused, and round-trips through a
-// write and a load. The seeds cover the corruption classes resume must
-// survive: truncation mid-frame, a pre-change JSON document, no or a junk
-// version line, an empty snapshot, negative, out-of-range and repeated cell
-// indices, an empty payload, and hostile Welford states.
+// or load exactly a current version line followed by a whole journal of as
+// many frames as the line states, whose every grid restores consistently or
+// is refused, and round-trips through a write and a load. The seeds cover
+// the corruption classes resume must survive: truncation mid-frame, a
+// pre-change JSON document, no or a junk version line, an empty snapshot,
+// negative, out-of-range and repeated cell indices, an empty payload,
+// hostile Welford states, a version-2 file, and a count that disagrees with
+// the frames — a file cut on a frame boundary.
 func FuzzCheckpointDecode(f *testing.F) {
-	head := fmt.Sprintf("{\"version\":%d}\n", checkpointVersion)
 	frame := func(r string) string { return fmt.Sprintf("%d\n%s\n", len(r), r) }
-	valid := head + frame(`{"grid":"fp","cell":0,"payload":[0]}`) +
-		frame(`{"grid":"fp","cell":1,"payload":[1]}`) + frame(`{"grid":"fp","cell":2,"payload":[2]}`)
+	head := func(version, cells int) string { return fmt.Sprintf("{\"version\":%d,\"cells\":%d}\n", version, cells) }
+	last := frame(`{"grid":"fp","cell":2,"payload":[2]}`)
+	frames := frame(`{"grid":"fp","cell":0,"payload":[0]}`) + frame(`{"grid":"fp","cell":1,"payload":[1]}`) + last
+	valid := head(checkpointVersion, 3) + frames
 	f.Add([]byte(valid))
 	f.Add([]byte(valid[:len(valid)-5])) // truncated mid-frame
 	f.Add([]byte(`{"version":1,"grids":{"fp":{"num_cells":1,"done":"AQ==","cells":{"0":{"payload":[0]}}}}}`))
 	f.Add([]byte(frame(`{"grid":"fp","cell":0,"payload":[0]}`))) // no version line
 	f.Add([]byte("zap\n" + frame(`{"grid":"fp","cell":0,"payload":[0]}`)))
-	f.Add([]byte(head)) // an empty snapshot
+	f.Add([]byte(head(checkpointVersion, 0))) // an empty snapshot
 	for _, r := range []string{
 		`{"grid":"x","cell":-1,"payload":[0]}`,                  // negative cell
 		`{"grid":"x","cell":9223372036854775807,"payload":[0]}`, // cell far out of range
@@ -153,8 +156,11 @@ func FuzzCheckpointDecode(f *testing.F) {
 		`{"grid":"x","cell":0}`,                                 // no payload
 		`{"grid":"x","cell":0,"payload":[0],"stats":{"v":{"n":-4,"mean":1e308,"m2":-1}}}`,
 	} {
-		f.Add([]byte(valid + frame(r)))
+		f.Add([]byte(head(checkpointVersion, 4) + frames + frame(r)))
 	}
+	f.Add([]byte("{\"version\":2}\n" + frames))                                  // the previous version
+	f.Add([]byte(head(checkpointVersion, 3) + frames[:len(frames)-len(last)]))   // cut on a frame boundary
+	f.Add([]byte(fmt.Sprintf("{\"version\":%d}\n", checkpointVersion) + frames)) // no count
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -169,24 +175,29 @@ func FuzzCheckpointDecode(f *testing.F) {
 		line, body, _ := bytes.Cut(data, []byte("\n"))
 		var v struct {
 			Version int `json:"version"`
+			Cells   int `json:"cells"`
 		}
 		if err := json.Unmarshal(line, &v); err != nil || v.Version != checkpointVersion {
 			t.Fatalf("loaded a file whose version line is %q", line)
 		}
-		if _, n, err := decodeWAL(body); err != nil || n != len(body) {
+		frames, n, err := decodeWAL(body)
+		if err != nil || n != len(body) {
 			t.Fatalf("loaded a file whose body is not a whole journal: %d of %d bytes, %v", n, len(body), err)
+		}
+		if len(frames) != v.Cells {
+			t.Fatalf("loaded %d frames behind a version line stating %d", len(frames), v.Cells)
 		}
 		checkRestoreRoundTrip(t, dir, ck)
 	})
 }
 
-// checkpointLoads loads frames behind the version line as a checkpoint,
-// which must succeed exactly when want says the frames are a whole journal,
-// and checks the round trip of every grid of it.
-func checkpointLoads(t *testing.T, frames []byte, want bool) {
+// checkpointLoads loads frames behind a version line stating n of them as a
+// checkpoint, which must succeed exactly when want says the frames are a
+// whole journal, and checks the round trip of every grid of it.
+func checkpointLoads(t *testing.T, frames []byte, n int, want bool) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ckpt")
-	image := append([]byte(fmt.Sprintf("{\"version\":%d}\n", checkpointVersion)), frames...)
+	image := append([]byte(fmt.Sprintf("{\"version\":%d,\"cells\":%d}\n", checkpointVersion, n)), frames...)
 	if err := os.WriteFile(path, image, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +217,7 @@ func checkpointLoads(t *testing.T, frames []byte, want bool) {
 // dir), loaded and restored again, and must come back the same.
 func checkRestoreRoundTrip(t *testing.T, dir string, ck *Checkpoint) {
 	const maxFuzzCells = 1 << 12
-	for fp, recs := range ck.grids {
+	for fp, recs := range ck.disk {
 		numCells := 0
 		for _, r := range recs {
 			if r.Cell >= numCells {

@@ -415,8 +415,8 @@ func TestResumeAfterSnapshotLag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.numGrids() != 1 {
-		t.Fatalf("the checkpoint holds %d grids after the crash: a snapshot was taken since grid 1, the test shows nothing", loaded.numGrids())
+	if len(loaded.grids) != 1 {
+		t.Fatalf("the checkpoint holds %d grids after the crash: a snapshot was taken since grid 1, the test shows nothing", len(loaded.grids))
 	}
 
 	ck, wal, err = OpenPersistence(path, true)

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -28,17 +29,19 @@ import (
 // mid-append leaves a truncated tail frame, which Open treats as the
 // clean crash point — everything before it is intact — and trims. Frame
 // garbage anywhere else means corruption and is a loud error.
+//
+// The journal keeps no record in memory, only where each lies in the file:
+// a replay reads back the frames of one grid, and a compaction or a snapshot
+// copies frames byte for byte.
 type WAL struct {
 	mu   sync.Mutex
 	path string
 	f    *os.File
-	// recs is every record the file holds, in file order: compaction
-	// decides over them without reading the file back. The first restored
-	// of them were decoded at Open — what a resumed grid replays.
-	recs     []walRecord
-	restored int
-	size     int64
-	buf      bytes.Buffer // a batch's frames, written with one write
+	// frames is where each record the file holds lies, in file order.
+	frames []frame
+	size   int64
+	buf    bytes.Buffer // a batch's frames, written with one write
+	cp     frameCopier  // compaction's
 }
 
 // walRecord is one journalled cell: grid fingerprint, flat cell index,
@@ -51,6 +54,14 @@ type walRecord struct {
 	Stats   map[string]stats.State `json:"stats,omitempty"`
 }
 
+// frame locates one record in a file: its grid and cell, and the bytes of
+// its frame — length line, JSON and terminator — at off.
+type frame struct {
+	Grid   string
+	Cell   int
+	off, n int64
+}
+
 // CreateWAL starts a fresh journal at path, discarding any existing file.
 func CreateWAL(path string) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
@@ -60,7 +71,7 @@ func CreateWAL(path string) (*WAL, error) {
 	return &WAL{path: path, f: f}, nil
 }
 
-// OpenWAL opens the journal at path for resumption, decoding the records
+// OpenWAL opens the journal at path for resumption, indexing the records
 // already present. A missing file is an empty journal, not an error (a
 // campaign interrupted before its first delivery has written nothing). A
 // truncated tail frame — the coordinator died mid-append — marks the
@@ -71,35 +82,35 @@ func OpenWAL(path string) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: wal: %w", err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("dist: wal: %w", err)
-	}
-	recs, valid, err := decodeWAL(data)
+	frames, valid, err := scanFrames(bufio.NewReaderSize(f, 64<<10), 0)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("dist: wal %s: %w", path, err)
 	}
-	if valid < len(data) {
-		if err := f.Truncate(int64(valid)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("dist: wal: %w", err)
-		}
-	}
-	if _, err := f.Seek(int64(valid), 0); err != nil {
+	// Appends write at the end of what is valid.
+	if err := f.Truncate(valid); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("dist: wal: %w", err)
 	}
-	return &WAL{path: path, f: f, recs: recs, restored: len(recs), size: int64(valid)}, nil
+	return &WAL{path: path, f: f, frames: frames, size: valid}, nil
 }
 
-// Restored returns the records decoded at Open time that no compaction has
-// dropped since, in append order.
-func (w *WAL) Restored() []walRecord {
+// records reads back the records the journal holds of grid fp, in file
+// order — from every incarnation, this one included.
+func (w *WAL) records(fp string) ([]walRecord, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.recs[:w.restored:w.restored]
+	var of []frame
+	for _, fr := range w.frames {
+		if fr.Grid == fp {
+			of = append(of, fr)
+		}
+	}
+	recs, err := readFrames(w.f, of)
+	if err != nil {
+		return nil, fmt.Errorf("dist: wal %s: %w", w.path, err)
+	}
+	return recs, nil
 }
 
 // Size is the journal file's length in bytes.
@@ -109,16 +120,8 @@ func (w *WAL) Size() int64 {
 	return w.size
 }
 
-// frameWriter is what a record's frame is encoded into: the journal's
-// batch buffer or a snapshot's buffered writer.
-type frameWriter interface {
-	io.Writer
-	io.ByteWriter
-	AvailableBuffer() []byte
-}
-
 // encodeFrame appends one record's wire frame to w.
-func encodeFrame(w frameWriter, r walRecord) error {
+func encodeFrame(w *bytes.Buffer, r walRecord) error {
 	b, err := json.Marshal(r)
 	if err != nil {
 		return err
@@ -145,18 +148,30 @@ func (w *WAL) appendBatch(recs []walRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.buf.Reset()
+	frames := len(w.frames)
 	for _, r := range recs {
+		start := w.buf.Len()
 		if err := encodeFrame(&w.buf, r); err != nil {
+			w.frames = w.frames[:frames]
 			return fmt.Errorf("dist: wal: %w", err)
 		}
+		if k := len(w.frames); k > 0 && w.frames[k-1].Grid == r.Grid {
+			r.Grid = w.frames[k-1].Grid // one string per run of a grid's frames
+		}
+		w.frames = append(w.frames, frame{Grid: r.Grid, Cell: r.Cell,
+			off: w.size + int64(start), n: int64(w.buf.Len() - start)})
 	}
-	if _, err := w.f.Write(w.buf.Bytes()); err != nil {
+	_, err := w.f.WriteAt(w.buf.Bytes(), w.size)
+	if err == nil {
+		err = w.f.Sync()
+	}
+	if err != nil {
+		// The next batch lands where this one began; what this one left
+		// behind is cut, as far as the file lets it.
+		w.f.Truncate(w.size)
+		w.frames = w.frames[:frames]
 		return fmt.Errorf("dist: wal: %w", err)
 	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("dist: wal: %w", err)
-	}
-	w.recs = append(w.recs, recs...)
 	w.size += int64(w.buf.Len())
 	return nil
 }
@@ -166,53 +181,42 @@ func (w *WAL) appendBatch(recs []walRecord) error {
 // whichever incarnation wrote them: a previous incarnation's progress on a
 // grid the snapshot does not hold yet survives, as does anything delivered
 // that the snapshot missed. The caller writes the snapshot first and
-// compacts second, so at no moment is a cell in neither file. The rewrite
-// is atomic (temp file + fsync + rename): a crash mid-compaction leaves
-// either the old journal or the new one, never a torn file. Appends
-// continue on the new file.
+// compacts second, so at no moment is a cell in neither file. The kept
+// frames are copied byte for byte to a new file, which is fsync'd and
+// renamed into place: a crash mid-compaction leaves either the old journal
+// or the new one, never a torn file. Appends continue on the new file.
 func (w *WAL) compact(covered func(grid string, cell int) bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	// Into a new slice: a caller may still be reading Restored's.
-	var keep []walRecord
-	restored := 0
-	for i, r := range w.recs {
-		if covered(r.Grid, r.Cell) {
-			continue
-		}
-		keep = append(keep, r)
-		if i < w.restored {
-			restored++
+	var keep []frame
+	for _, fr := range w.frames {
+		if !covered(fr.Grid, fr.Cell) {
+			keep = append(keep, fr)
 		}
 	}
-	if len(keep) == len(w.recs) {
+	if len(keep) == len(w.frames) {
 		return nil
 	}
-	w.buf.Reset()
-	for _, r := range keep {
-		if err := encodeFrame(&w.buf, r); err != nil {
-			return fmt.Errorf("dist: wal: %w", err)
+	tmp, err := w.cp.writeTemp(w.path, func() error {
+		for i, fr := range keep {
+			var err error
+			if keep[i], err = w.cp.copy(w.f, fr); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err == nil {
+		if err = os.Rename(tmp.Name(), w.path); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
 		}
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(w.path), ".wal-*")
 	if err != nil {
-		return fmt.Errorf("dist: wal: %w", err)
-	}
-	_, err = tmp.Write(w.buf.Bytes())
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), w.path)
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
 		return fmt.Errorf("dist: wal: %w", err)
 	}
 	w.f.Close()
-	w.f = tmp
-	w.recs, w.restored, w.size = keep, restored, int64(w.buf.Len())
+	w.f, w.frames, w.size = tmp, keep, w.cp.off
 	return nil
 }
 
@@ -224,39 +228,129 @@ func (w *WAL) Close() error {
 	return w.f.Close()
 }
 
-// decodeWAL parses a journal image. It returns the complete records and
-// the byte length they span. A truncated tail — a header without its
-// newline at EOF, or a frame body shorter than its header promised — is
-// the expected shape of a crash mid-append: not an error, the records
-// before it are returned and validLen marks where the intact prefix ends.
-// Anything else malformed (junk where the length belongs, a complete
-// frame with a wrong terminator or invalid JSON) is corruption and
-// returns an error.
-func decodeWAL(data []byte) (recs []walRecord, validLen int, err error) {
-	off := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			return recs, off, nil // header cut short at EOF: crash point
+// scanFrames indexes the record frames r holds, the first at offset base.
+// It returns their frames and the offset their end lies at. A truncated
+// tail — a header without its newline at EOF, or a frame body shorter than
+// its header promised — is the expected shape of a crash mid-append: not an
+// error, the frames before it are returned and valid marks where the intact
+// prefix ends. Anything else malformed (junk where the length belongs, a
+// complete frame with a wrong terminator or a record that does not decode)
+// is corruption and returns an error. Each record is decoded to be checked,
+// and only its grid and cell are kept.
+func scanFrames(r *bufio.Reader, base int64) (frames []frame, valid int64, err error) {
+	off := base
+	var body bytes.Buffer
+	for {
+		header, err := r.ReadString('\n')
+		if err == io.EOF {
+			return frames, off, nil // header cut short at EOF, or none: crash point or end
 		}
-		header := strings.TrimSpace(string(data[off : off+nl]))
-		n, aerr := strconv.Atoi(header)
+		if err != nil {
+			return nil, 0, err
+		}
+		trimmed := strings.TrimSpace(header)
+		n, aerr := strconv.Atoi(trimmed)
 		if aerr != nil || n < 0 || n > maxFrame {
-			return nil, 0, fmt.Errorf("bad frame length %q at offset %d", header, off)
+			return nil, 0, fmt.Errorf("bad frame length %q at offset %d", trimmed, off)
 		}
-		body := off + nl + 1
-		if body+n+1 > len(data) {
-			return recs, off, nil // body cut short at EOF: crash point
+		// Grown as bytes arrive: a corrupt length fails as truncation, not
+		// as an allocation of its size.
+		body.Reset()
+		m, err := io.CopyN(&body, r, int64(n)+1)
+		if err == io.EOF {
+			return frames, off, nil // body cut short at EOF: crash point
 		}
-		if data[body+n] != '\n' {
+		if err != nil {
+			return nil, 0, err
+		}
+		b := body.Bytes()
+		if b[n] != '\n' {
 			return nil, 0, fmt.Errorf("frame at offset %d missing terminator", off)
 		}
-		var r walRecord
-		if uerr := json.Unmarshal(data[body:body+n], &r); uerr != nil {
+		var rec walRecord
+		if uerr := json.Unmarshal(b[:n], &rec); uerr != nil {
 			return nil, 0, fmt.Errorf("bad frame at offset %d: %w", off, uerr)
 		}
-		recs = append(recs, r)
-		off = body + n + 1
+		if k := len(frames); k > 0 && frames[k-1].Grid == rec.Grid {
+			rec.Grid = frames[k-1].Grid // one string per run of a grid's frames
+		}
+		frames = append(frames, frame{Grid: rec.Grid, Cell: rec.Cell, off: off, n: int64(len(header)) + m})
+		off += int64(len(header)) + m
 	}
-	return recs, off, nil
+}
+
+// readFrames reads and decodes the records at frames of f, in order.
+func readFrames(f io.ReaderAt, frames []frame) ([]walRecord, error) {
+	recs := make([]walRecord, len(frames))
+	var buf []byte
+	for i, fr := range frames {
+		if int64(cap(buf)) < fr.n {
+			buf = make([]byte, fr.n)
+		}
+		b := buf[:fr.n]
+		if _, err := f.ReadAt(b, fr.off); err != nil {
+			return nil, fmt.Errorf("frame at offset %d: %w", fr.off, err)
+		}
+		_, body, _ := bytes.Cut(b[:len(b)-1], []byte("\n"))
+		if err := json.Unmarshal(body, &recs[i]); err != nil {
+			return nil, fmt.Errorf("bad frame at offset %d: %w", fr.off, err)
+		}
+	}
+	return recs, nil
+}
+
+// frameCopier copies frames byte for byte from the files that hold them to
+// a new file, through one buffered writer and one read buffer that it keeps
+// for every copy. off is where the next frame lands.
+type frameCopier struct {
+	bw  *bufio.Writer
+	buf []byte
+	off int64
+}
+
+// writeTemp creates a temp file beside path and fills it by fill, which
+// writes through the copier: its copies and fc.bw. The file comes back
+// fsync'd, open and not yet in place; on error it is removed.
+func (fc *frameCopier) writeTemp(path string, fill func() error) (*os.File, error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return nil, err
+	}
+	if fc.bw == nil {
+		fc.bw, fc.buf = bufio.NewWriterSize(tmp, 64<<10), make([]byte, 64<<10)
+	} else {
+		fc.bw.Reset(tmp)
+	}
+	fc.off = 0
+	err = fill()
+	if err == nil {
+		// A bufio.Writer keeps its first error and returns it from Flush.
+		err = fc.bw.Flush()
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	fc.bw.Reset(nil)
+	if err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return nil, err
+	}
+	return tmp, nil
+}
+
+// copy appends frame fr of src to the new file and returns it as it lies
+// there.
+func (fc *frameCopier) copy(src io.ReaderAt, fr frame) (frame, error) {
+	for done := int64(0); done < fr.n; {
+		b := fc.buf[:min(fr.n-done, int64(len(fc.buf)))]
+		if _, err := src.ReadAt(b, fr.off+done); err != nil {
+			return frame{}, fmt.Errorf("frame at offset %d: %w", fr.off, err)
+		}
+		fc.bw.Write(b)
+		done += int64(len(b))
+	}
+	fr.off = fc.off
+	fc.off += fr.n
+	return fr, nil
 }

@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -12,6 +14,22 @@ import (
 
 	"ripple/internal/stats"
 )
+
+// decodeWAL indexes a journal image held in memory: scanFrames over data.
+func decodeWAL(data []byte) (frames []frame, validLen int, err error) {
+	frames, valid, err := scanFrames(bufio.NewReader(bytes.NewReader(data)), 0)
+	return frames, int(valid), err
+}
+
+// walRecords reads back every record the journal holds, in file order.
+func walRecords(t *testing.T, w *WAL) []walRecord {
+	t.Helper()
+	recs, err := readFrames(w.f, w.frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
 
 // TestWALAppendOpenRestore covers the journal's happy path: appended
 // records come back byte-identical through Open, appending continues an
@@ -43,7 +61,7 @@ func TestWALAppendOpenRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Restored(); !reflect.DeepEqual(got, recs) {
+	if got := walRecords(t, r); !reflect.DeepEqual(got, recs) {
 		t.Fatalf("restored records differ:\ngot  %+v\nwant %+v", got, recs)
 	}
 	// Appending to an opened journal continues it.
@@ -55,18 +73,18 @@ func TestWALAppendOpenRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r2.Restored(); len(got) != 4 || got[3].Cell != 9 {
+	if got := walRecords(t, r2); len(got) != 4 || got[3].Cell != 9 || string(got[3].Payload) != `[9]` {
 		t.Fatalf("after append-to-opened: %d records, want 4 ending in cell 9", len(got))
 	}
 	if fi, err := os.Stat(path); err != nil || fi.Size() != r2.Size() {
 		t.Fatalf("Size() = %d, file %v (%v)", r2.Size(), fi.Size(), err)
 	}
 	// A snapshot that holds every record empties the journal and its
-	// restored view.
+	// index.
 	if err := r2.compact(func(string, int) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	if got := r2.Restored(); len(got) != 0 || r2.Size() != 0 {
+	if got := r2.frames; len(got) != 0 || r2.Size() != 0 {
 		t.Fatalf("after a compaction covering everything: %d records, %d bytes", len(got), r2.Size())
 	}
 	r2.Close()
@@ -110,9 +128,12 @@ func TestWALCompactKeepsOtherGrids(t *testing.T) {
 	if err := r.compact(ck.covers); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Restored(); len(got) != 2 || got[0].Grid != "fp-b" || got[0].Cell != 1 ||
-		got[1].Grid != "fp-a" || got[1].Cell != 2 {
-		t.Fatalf("after compaction: restored = %+v, want fp-b cell 1 and fp-a cell 2", got)
+	var kept []string
+	for _, rec := range walRecords(t, r) {
+		kept = append(kept, fmt.Sprintf("%s/%d %s", rec.Grid, rec.Cell, rec.Payload))
+	}
+	if want := "fp-b/1 [1],fp-a/2 [2],fp-a/5 [5]"; strings.Join(kept, ",") != want {
+		t.Fatalf("after compaction: journal = %v, want %s", kept, want)
 	}
 	// Appends continue cleanly on the compacted journal.
 	if err := r.Append("fp-b", 3, json.RawMessage(`[3]`), nil); err != nil {
@@ -125,7 +146,7 @@ func TestWALCompactKeepsOtherGrids(t *testing.T) {
 	}
 	defer r2.Close()
 	var got []string
-	for _, rec := range r2.Restored() {
+	for _, rec := range r2.frames {
 		got = append(got, fmt.Sprintf("%s/%d", rec.Grid, rec.Cell))
 	}
 	if want := "fp-b/1 fp-a/2 fp-a/5 fp-b/3"; strings.Join(got, " ") != want {
@@ -150,8 +171,8 @@ func TestWALOpenMissingFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if got := w.Restored(); len(got) != 0 {
-		t.Fatalf("Restored = %d records, want 0", len(got))
+	if got := w.frames; len(got) != 0 {
+		t.Fatalf("%d records, want 0", len(got))
 	}
 	if err := w.Append("fp", 0, json.RawMessage(`[0]`), nil); err != nil {
 		t.Fatal(err)
@@ -186,7 +207,7 @@ func TestWALTruncatedTailTrimmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Restored(); len(got) != 2 || got[1].Cell != 1 {
+	if got := r.frames; len(got) != 2 || got[1].Cell != 1 {
 		t.Fatalf("restored %d records, want the 2 intact ones", len(got))
 	}
 	// The partial frame is gone; a new append lands on the intact prefix.
@@ -206,7 +227,7 @@ func TestWALTruncatedTailTrimmed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	if got := r2.Restored(); len(got) != 3 || got[2].Cell != 2 {
+	if got := r2.frames; len(got) != 3 || got[2].Cell != 2 {
 		t.Fatalf("after trim+append: %d records, want 3 ending in cell 2", len(got))
 	}
 }
@@ -325,7 +346,7 @@ func TestResumeFromWALOnly(t *testing.T) {
 	}
 	// What counted was journalled first; a batch may have journalled a
 	// cell more than the two that counted before the crash.
-	journalled := len(wal.Restored())
+	journalled := len(wal.frames)
 	if journalled < 2 {
 		t.Fatalf("journal restored %d records, want at least the 2 that counted", journalled)
 	}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/bits"
 
 	"ripple/internal/sim"
@@ -100,4 +101,22 @@ func (h *Hist) Mean() float64 {
 		}
 	}
 	return sum / float64(h.n)
+}
+
+// Quantile returns the q-quantile of the delays counted, in nanoseconds, by
+// nearest rank: the midpoint of the first bucket whose cumulative count
+// reaches ⌈q·n⌉ (at least 1), so the exact quantile of the delays lies in
+// that bucket's range. It returns 0 when empty.
+func (h *Hist) Quantile(q float64) float64 {
+	if h.n == 0 {
+		return 0
+	}
+	rank := min(max(int64(math.Ceil(q*float64(h.n))), 1), h.n)
+	var seen int64
+	for i, c := range h.counts {
+		if seen += c; seen >= rank {
+			return histMid(i)
+		}
+	}
+	panic("stats: Hist counts fall short of its total")
 }
