@@ -283,13 +283,16 @@ func (ck *Checkpoint) writeTemp(grids map[string][]int, disk map[string][]frame,
 			for len(on) > 0 && on[0].Cell < cell {
 				on = on[1:]
 			}
+			var p piece
 			if len(on) > 0 && on[0].Cell == cell {
-				pieces = append(pieces, piece{old, on[0]})
-				on = on[1:]
+				p, on = piece{old, on[0]}, on[1:]
 			} else if fr, ok := journal[cellKey{fp, cell}]; ok {
-				fr.Grid = fp // one string per grid in the index
-				pieces = append(pieces, piece{wal.f, fr})
+				p = piece{wal.f, fr}
+			} else {
+				continue // in neither file: its journal write failed
 			}
+			p.fr.Grid = fp // one string per grid in the index
+			pieces = append(pieces, p)
 		}
 	}
 	index := make(map[string][]frame, len(fps))

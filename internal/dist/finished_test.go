@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -228,13 +229,20 @@ func (p pacedCells) RunCell(c int) (any, map[string]stats.State, error) {
 
 func (p pacedCells) release(done, total int) { p.turn <- struct{}{} }
 
-// liveHeap is the heap in use after a full collection.
+// liveHeap is the least heap in use over six collections. A pooled buffer
+// survives the two collections after its last use, and the in-process
+// worker is still sending its next ready as the grid it served completes:
+// its encoder's pooled buffer, a payload's size, is live for the first of
+// them and freed by the last.
 func liveHeap() uint64 {
-	runtime.GC()
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.HeapAlloc
+	low := uint64(math.MaxUint64)
+	for range 6 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		low = min(low, m.HeapAlloc)
+	}
+	return low
 }
 
 // The coordinator's invariant as a budget: a persisting coordinator keeps
