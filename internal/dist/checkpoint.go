@@ -159,7 +159,12 @@ func (ck *Checkpoint) restore(fp string, numCells int) (done []bool, cells []wal
 		return nil, nil, nil
 	}
 	// The file and its index change together, under ck.mu.
-	recs, err := ck.read(on)
+	f, err := os.Open(ck.path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dist: resume: %w", err)
+	}
+	defer f.Close()
+	recs, err := readFrames(f, on)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dist: resume %s: grid %s: %w", ck.path, fp, err)
 	}
@@ -180,16 +185,6 @@ func (ck *Checkpoint) restore(fp string, numCells int) (done []bool, cells []wal
 		done[r.Cell], cells[r.Cell] = true, r
 	}
 	return done, cells, nil
-}
-
-// read decodes the records at frames of the file.
-func (ck *Checkpoint) read(frames []frame) ([]walRecord, error) {
-	f, err := os.Open(ck.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return readFrames(f, frames)
 }
 
 // put records grid fp's done cells; the file is untouched until the next
