@@ -297,8 +297,8 @@ func BuildOn(spec Spec, duration sim.Time, positions []radio.Pos, exempt []bool,
 			rng := sim.NewRNG(seed, 3_000_000+uint64(k))
 			b := Burst{
 				Center: radio.Pos{
-					X: minX + rng.Float64()*(maxX-minX),
-					Y: minY + rng.Float64()*(maxY-minY),
+					X: minX + float64(rng.Float64()*(maxX-minX)),
+					Y: minY + float64(rng.Float64()*(maxY-minY)),
 				},
 				Radius:    radius,
 				PenaltyDB: pen,

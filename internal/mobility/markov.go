@@ -71,8 +71,8 @@ func NewMarkov(initial []radio.Pos, cfg MarkovConfig, seed uint64) *Markov {
 	b := cfg.Bounds
 	for i := range m.places {
 		m.places[i] = radio.Pos{
-			X: b.MinX + (b.MaxX-b.MinX)*m.rng.Float64(),
-			Y: b.MinY + (b.MaxY-b.MinY)*m.rng.Float64(),
+			X: b.MinX + float64((b.MaxX-b.MinX)*m.rng.Float64()),
+			Y: b.MinY + float64((b.MaxY-b.MinY)*m.rng.Float64()),
 		}
 	}
 	for i := range m.offset {

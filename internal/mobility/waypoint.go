@@ -68,10 +68,10 @@ func (w *Waypoint) Name() string { return "waypoint" }
 func (w *Waypoint) drawLeg() (radio.Pos, float64) {
 	b := w.cfg.Bounds
 	p := radio.Pos{
-		X: b.MinX + (b.MaxX-b.MinX)*w.rng.Float64(),
-		Y: b.MinY + (b.MaxY-b.MinY)*w.rng.Float64(),
+		X: b.MinX + float64((b.MaxX-b.MinX)*w.rng.Float64()),
+		Y: b.MinY + float64((b.MaxY-b.MinY)*w.rng.Float64()),
 	}
-	v := w.cfg.MinSpeed + (w.cfg.MaxSpeed-w.cfg.MinSpeed)*w.rng.Float64()
+	v := w.cfg.MinSpeed + float64((w.cfg.MaxSpeed-w.cfg.MinSpeed)*w.rng.Float64())
 	return p, v
 }
 
@@ -106,8 +106,8 @@ func (w *Waypoint) advance(s *wpState) {
 		if travel < d {
 			// The leg outlasts the epoch: move partway and stop here.
 			f := travel / d
-			s.cur.X += dx * f
-			s.cur.Y += dy * f
+			s.cur.X += float64(dx * f)
+			s.cur.Y += float64(dy * f)
 			return
 		}
 		// Reach the waypoint inside the epoch: land exactly on it, consume

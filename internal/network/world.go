@@ -293,7 +293,7 @@ type linkProb struct {
 
 func newLinkProb(rc radio.Config) linkProb {
 	far := rc
-	far.RXThreshDBm -= 1.5 * rc.ShadowSigmaDB
+	far.RXThreshDBm -= float64(1.5 * rc.ShadowSigmaDB)
 	reach := far.RXRange() * 1.001
 	band := reach * (1 + reachBand)
 	return linkProb{rc: rc, reach: reach, far2: band * band}
@@ -303,7 +303,7 @@ func newLinkProb(rc radio.Config) linkProb {
 // bit for bit, so it is the probability of the plan's link.
 func (lp linkProb) between(a, b radio.Pos) float64 {
 	dx, dy := a.X-b.X, a.Y-b.Y
-	if dx*dx+dy*dy > lp.far2 {
+	if float64(dx*dx)+float64(dy*dy) > lp.far2 {
 		return 0
 	}
 	d := math.Hypot(dx, dy)

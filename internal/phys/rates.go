@@ -91,5 +91,5 @@ func probToMargin(p float64) float64 {
 
 // marginToProb is Φ(z).
 func marginToProb(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
+	return float64(0.5 * math.Erfc(-z/math.Sqrt2))
 }

@@ -127,7 +127,7 @@ func (g *posGrid) eachCandidate(i int, positions []Pos, rsq float64, visit func(
 				}
 				dx := pi.X - positions[j].X
 				dy := pi.Y - positions[j].Y
-				if dx*dx+dy*dy <= rsq {
+				if float64(dx*dx)+float64(dy*dy) <= rsq {
 					visit(j)
 				}
 			}

@@ -80,7 +80,7 @@ func NewLinkPlan(cfg Config, positions []Pos) *LinkPlan {
 		serial:    serials.Add(1),
 	}
 	pl.pruned = cfg.PruneSigma > 0
-	pl.pruneCutoff = cfg.CSThreshDBm - cfg.PruneSigma*cfg.ShadowSigmaDB
+	pl.pruneCutoff = cfg.CSThreshDBm - float64(cfg.PruneSigma*cfg.ShadowSigmaDB)
 	pl.keep = cfg.powerBand(pl.pruneCutoff)
 	if pl.pruned {
 		pl.buildPruned()
@@ -208,7 +208,7 @@ func (pl *LinkPlan) buildPruned() {
 func (pl *LinkPlan) keeps(a int, b int32) bool {
 	pa, pb := pl.positions[a], pl.positions[b]
 	dx, dy := pa.X-pb.X, pa.Y-pb.Y
-	switch s := max(dx*dx+dy*dy, 1); {
+	switch s := max(float64(dx*dx)+float64(dy*dy), 1); {
 	case s < pl.keep.lo2:
 		return true
 	case s > pl.keep.hi2:

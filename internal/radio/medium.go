@@ -81,7 +81,7 @@ func (r *reception) corrupted(captureDB float64) bool {
 	if r.interfMW <= 0 {
 		return false
 	}
-	return r.powerDBm-10*math.Log10(r.interfMW) < captureDB
+	return r.powerDBm-float64(10*math.Log10(r.interfMW)) < captureDB
 }
 
 // transmission is the pooled record of one frame on the air. rx is the slab

@@ -116,7 +116,7 @@ func (c Config) MeanRxPowerDBm(d float64) float64 {
 	if d < 1 {
 		d = 1
 	}
-	return c.TxPowerDBm - c.RefLossDB - 10*c.PathLossExp*math.Log10(d)
+	return c.TxPowerDBm - c.RefLossDB - float64(10*c.PathLossExp*math.Log10(d))
 }
 
 // LossProb returns the analytic probability that a frame transmitted over

@@ -123,7 +123,7 @@ func (p *CongestionPolicy) cost(dst pkt.NodeID, backlog BacklogFunc) LinkCostFun
 		if backlog == nil || v == dst {
 			return etx
 		}
-		return etx + p.Alpha*float64(backlog(v))
+		return etx + float64(p.Alpha*float64(backlog(v)))
 	}
 }
 

@@ -38,13 +38,14 @@ func (g *RNG) Seed(seed uint64, stream uint64) {
 // IntN returns a uniform integer in [0, n). n must be > 0.
 func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
 
-// Float64 returns a uniform float in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+// Float64 returns a uniform float in [0, 1). The conversion rounds the
+// draw's own scaling product, so no caller's arithmetic fuses with it.
+func (g *RNG) Float64() float64 { return float64(g.r.Float64()) }
 
 // Norm returns a normally distributed value with the given mean and standard
 // deviation.
 func (g *RNG) Norm(mean, stddev float64) float64 {
-	return mean + stddev*g.r.NormFloat64()
+	return mean + float64(stddev*g.r.NormFloat64())
 }
 
 // Exp returns an exponentially distributed value with the given mean.

@@ -97,7 +97,7 @@ func (h *Hist) Mean() float64 {
 	var sum float64
 	for i, c := range h.counts {
 		if c > 0 {
-			sum += float64(c) * histMid(i)
+			sum += float64(float64(c) * histMid(i))
 		}
 	}
 	return sum / float64(h.n)

@@ -10,9 +10,9 @@ import "math"
 // RFactor returns R = 94.2 − 0.024d − 0.11(d−177.3)·H(d−177.3) − 11 −
 // 40·log10(1+10e), where H is the unit step.
 func RFactor(delayMs, loss float64) float64 {
-	r := 94.2 - 0.024*delayMs - 11 - 40*math.Log10(1+10*loss)
+	r := 94.2 - float64(0.024*delayMs) - 11 - float64(40*math.Log10(1+float64(10*loss)))
 	if delayMs > 177.3 {
-		r -= 0.11 * (delayMs - 177.3)
+		r -= float64(0.11 * (delayMs - 177.3))
 	}
 	return r
 }
@@ -26,7 +26,7 @@ func MoS(r float64) float64 {
 	case r > 100:
 		return 4.5
 	default:
-		return 1 + 0.035*r + 7e-6*r*(r-60)*(100-r)
+		return 1 + float64(0.035*r) + float64(7e-6*r*(r-60)*(100-r))
 	}
 }
 

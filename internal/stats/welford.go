@@ -23,7 +23,7 @@ func (w *Welford) Add(x float64) {
 	}
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.m2 += float64(d * (x - w.mean))
 }
 
 // Merge folds another accumulator's state into w, exactly as if o's

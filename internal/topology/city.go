@@ -75,8 +75,8 @@ func City(p CityParams) Topology {
 	for r := 0; r < p.Rows; r++ {
 		for c := 0; c < p.Cols; c++ {
 			t.Positions = append(t.Positions, radio.Pos{
-				X: float64(c)*p.Spacing + (rng.Float64()*2-1)*p.Jitter,
-				Y: float64(r)*p.Spacing + (rng.Float64()*2-1)*p.Jitter,
+				X: float64(float64(c)*p.Spacing) + float64((rng.Float64()*2-1)*p.Jitter),
+				Y: float64(float64(r)*p.Spacing) + float64((rng.Float64()*2-1)*p.Jitter),
 			})
 		}
 	}
