@@ -120,11 +120,15 @@ func cellsOnDisk(t *testing.T, ckptPath, fp string, numCells int) int {
 	ck, err := LoadCheckpoint(ckptPath)
 	switch {
 	case err == nil:
-		done, _, err := ck.restore(fp, numCells)
-		if err != nil {
-			t.Errorf("checkpoint on disk: %v", err)
+		// Count from the index LoadCheckpoint built in its one read of the
+		// file, every record decoded and checked. restore would open the
+		// path again, and a snapshot renamed into place in between would
+		// hand it another file's bytes at this file's offsets.
+		for _, c := range ck.grids[fp] {
+			if c >= 0 && c < numCells {
+				have[c] = true
+			}
 		}
-		copy(have, done)
 	case !errors.Is(err, fs.ErrNotExist):
 		t.Errorf("checkpoint on disk: %v", err)
 	}
