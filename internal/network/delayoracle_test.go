@@ -130,7 +130,7 @@ func ksCritical(n int64) float64 { return math.Sqrt(-math.Log(0.001/2)/2) / math
 // of the law's support; (2) Hist.Quantile's p50, p95 and p99 each lie in a
 // bucket of the law's exact quantile; (3) the histogram passes a one-sample
 // Kolmogorov–Smirnov test against the law's CDF at α = 0.001, read at the
-// bucket bounds. A flow starting at 0 would pay DIFS once more on its first
+// last support point of each bucket. A flow starting at 0 would pay DIFS once more on its first
 // packet, since each station's medium counts as idle from time 0.
 func TestLightLoadDelayMatchesClosedForm(t *testing.T) {
 	const (
@@ -172,7 +172,7 @@ func TestLightLoadDelayMatchesClosedForm(t *testing.T) {
 			fs := driveFlowStats(t, Config{Positions: positions, Radio: ideal, Phy: phy, Scheme: scheme,
 				Flows:    []FlowSpec{{ID: 1, Path: path, Kind: CBRTraffic, CBRInterval: interval, Start: start}},
 				Duration: dur, Seed: 1})[0]
-			name := map[SchemeKind]string{DCF: "DCF", Ripple: "RIPPLE"}[scheme]
+			name := scheme.String()
 			n := fs.DelayCount
 			if want := int64((dur - start) / interval); n < want-1 {
 				t.Fatalf("%s, h = %d: %d packets delivered, want about %d", name, h, n, want)
