@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -368,5 +370,86 @@ func TestResumeFromWALOnly(t *testing.T) {
 	if n := atomic.LoadInt32(&ran); int(n) != plan.NumCells()-journalled {
 		t.Errorf("resume re-executed journalled cells: worker ran %d, want %d",
 			n, plan.NumCells()-journalled)
+	}
+}
+
+// TestWireAndJournalFramesAgree holds that the wire and the journal speak
+// one frame format: a frame Conn.Send writes is one scanFrames indexes, a
+// frame WAL.Append writes is one Conn.Recv reads back with the same grid,
+// cell, payload and stats, and the two readers agree on where a stream cut
+// at any offset stops being whole. Where the journal's valid prefix ends
+// exactly at the cut, the wire reports a clean io.EOF; anywhere else the
+// cut lies inside a frame, which the journal trims as its crash point and
+// the wire reports as a transport error wrapping io.ErrUnexpectedEOF.
+func TestWireAndJournalFramesAgree(t *testing.T) {
+	var wf stats.Welford
+	wf.Add(2.5)
+	wf.Add(4)
+	st := map[string]stats.State{"v": wf.State()}
+	payload := json.RawMessage(`{"seeds":[1,2]}`)
+
+	var wire bytes.Buffer
+	if err := NewConn(&wire).Send(&Message{Type: MsgCell, Grid: "fp-wire", Lease: 4, Cell: 3,
+		Payload: payload, Stats: st}); err != nil {
+		t.Fatal(err)
+	}
+	frames, valid, err := decodeWAL(wire.Bytes())
+	if err != nil || valid != wire.Len() || len(frames) != 1 ||
+		frames[0] != (frame{Grid: "fp-wire", Cell: 3, off: 0, n: int64(wire.Len())}) {
+		t.Fatalf("Send's frame scanned as %+v, valid %d of %d, err %v", frames, valid, wire.Len(), err)
+	}
+
+	path := filepath.Join(t.TempDir(), "run.wal")
+	w, err := CreateWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append("fp-wal", 5, payload, st); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewConn(bytes.NewBuffer(journal))
+	m, err := c.Recv()
+	if err != nil {
+		t.Fatalf("Recv of the journal's frame: %v", err)
+	}
+	if m.Grid != "fp-wal" || m.Cell != 5 || string(m.Payload) != string(payload) || !reflect.DeepEqual(m.Stats, st) {
+		t.Fatalf("Recv of the journal's frame = %+v", m)
+	}
+	if _, err := c.Recv(); err != io.EOF {
+		t.Fatalf("Recv after the journal's one frame = %v, want io.EOF", err)
+	}
+
+	stream := append(append(append([]byte(nil), wire.Bytes()...), journal...), wire.Bytes()...)
+	for cut := 0; cut <= len(stream); cut++ {
+		frames, valid, err := decodeWAL(stream[:cut])
+		if err != nil {
+			t.Fatalf("cut %d: scanFrames: %v", cut, err)
+		}
+		c := NewConn(bytes.NewBuffer(stream[:cut]))
+		got := 0
+		for {
+			if _, err = c.Recv(); err != nil {
+				break
+			}
+			got++
+		}
+		if got != len(frames) {
+			t.Fatalf("cut %d: Recv read %d frames, scanFrames indexed %d", cut, got, len(frames))
+		}
+		if valid == cut {
+			if err != io.EOF {
+				t.Fatalf("cut %d on a frame boundary: Recv = %v, want bare io.EOF", cut, err)
+			}
+		} else if err == io.EOF || !errors.Is(err, ErrTransport) || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut %d inside a frame (valid %d): Recv = %v, want a transport error wrapping io.ErrUnexpectedEOF",
+				cut, valid, err)
+		}
 	}
 }

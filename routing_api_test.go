@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ripple/internal/fault"
 	"ripple/internal/network"
 	"ripple/internal/routing"
 )
@@ -27,22 +28,106 @@ func TestRoutingStrings(t *testing.T) {
 	}
 }
 
+// TestRoutingSpecMapping holds what every constructor and With* option of
+// Routing, Mobility and Faults puts into the simulator's Config: each row
+// sets one builder on a valid scenario and compares the three specs
+// Scenario.toConfig hands the simulator with ones written out by hand. An
+// option that dropped or misplaced its value would still validate and run,
+// so only a direct comparison notices it.
 func TestRoutingSpecMapping(t *testing.T) {
-	r := CongestionRouting().WithAlpha(0.4).WithEpoch(250 * Millisecond).
-		WithForwarders(2).WithPriority(PriorityNearDst)
-	spec := r.spec()
-	want := network.RoutingSpec{
-		Kind:  network.RouteCongestion,
-		Alpha: 0.4,
-		Epoch: 250 * Millisecond,
-		K:     2,
-		Rule:  routing.SizeNearDst,
+	top, path := LineTopology(2)
+	cases := []struct {
+		name     string
+		set      func(*Scenario)
+		routing  network.RoutingSpec
+		mobility network.MobilitySpec
+		faults   fault.Spec
+	}{
+		{name: "zero", set: func(*Scenario) {}},
+		{name: "StaticRouting", set: func(s *Scenario) { s.Routing = StaticRouting() }},
+		{name: "ETXRouting", set: func(s *Scenario) { s.Routing = ETXRouting() },
+			routing: network.RoutingSpec{Kind: network.RouteETX}},
+		{name: "CongestionRouting", set: func(s *Scenario) { s.Routing = CongestionRouting() },
+			routing: network.RoutingSpec{Kind: network.RouteCongestion}},
+		{name: "GeoRouting", set: func(s *Scenario) { s.Routing = GeoRouting() },
+			routing: network.RoutingSpec{Kind: network.RouteGeo}},
+		{name: "Routing.WithAlpha", set: func(s *Scenario) { s.Routing = CongestionRouting().WithAlpha(0.4) },
+			routing: network.RoutingSpec{Kind: network.RouteCongestion, Alpha: 0.4}},
+		{name: "Routing.WithEpoch", set: func(s *Scenario) { s.Routing = CongestionRouting().WithEpoch(250 * Millisecond) },
+			routing: network.RoutingSpec{Kind: network.RouteCongestion, Epoch: 250 * Millisecond}},
+		{name: "Routing.WithForwarders", set: func(s *Scenario) { s.Routing = ETXRouting().WithForwarders(3) },
+			routing: network.RoutingSpec{Kind: network.RouteETX, K: 3}},
+		{name: "Routing.WithPriority neardst", set: func(s *Scenario) {
+			s.Routing = CongestionRouting().WithAlpha(0.4).WithEpoch(250 * Millisecond).
+				WithForwarders(2).WithPriority(PriorityNearDst)
+		}, routing: network.RoutingSpec{Kind: network.RouteCongestion, Alpha: 0.4,
+			Epoch: 250 * Millisecond, K: 2, Rule: routing.SizeNearDst}},
+		{name: "Routing.WithPriority nearsrc", set: func(s *Scenario) {
+			s.Routing = StaticRouting().WithForwarders(1).WithPriority(PriorityNearSrc)
+		}, routing: network.RoutingSpec{K: 1, Rule: routing.SizeNearSrc}},
+		{name: "Routing.WithPriority spaced", set: func(s *Scenario) {
+			s.Routing = ETXRouting().WithForwarders(1).WithPriority(PriorityNearSrc).WithPriority(PrioritySpaced)
+		}, routing: network.RoutingSpec{Kind: network.RouteETX, K: 1, Rule: routing.SizeSpaced}},
+		{name: "StaticMobility", set: func(s *Scenario) { s.Mobility = StaticMobility() }},
+		{name: "WaypointMobility", set: func(s *Scenario) { s.Mobility = WaypointMobility() },
+			mobility: network.MobilitySpec{Kind: network.MobilityWaypoint}},
+		{name: "MarkovMobility", set: func(s *Scenario) { s.Mobility = MarkovMobility() },
+			mobility: network.MobilitySpec{Kind: network.MobilityMarkov}},
+		{name: "Mobility.WithEpoch", set: func(s *Scenario) { s.Mobility = MarkovMobility().WithEpoch(250 * Millisecond) },
+			mobility: network.MobilitySpec{Kind: network.MobilityMarkov, Epoch: 250 * Millisecond}},
+		{name: "Mobility.WithSeed", set: func(s *Scenario) { s.Mobility = WaypointMobility().WithSeed(7) },
+			mobility: network.MobilitySpec{Kind: network.MobilityWaypoint, Seed: 7}},
+		{name: "Mobility.WithSpeed", set: func(s *Scenario) { s.Mobility = WaypointMobility().WithSpeed(1, 3) },
+			mobility: network.MobilitySpec{Kind: network.MobilityWaypoint, MinSpeed: 1, MaxSpeed: 3}},
+		{name: "Mobility.WithPause", set: func(s *Scenario) { s.Mobility = WaypointMobility().WithPause(2 * Second) },
+			mobility: network.MobilitySpec{Kind: network.MobilityWaypoint, Pause: 2 * Second}},
+		{name: "Mobility.WithPlaces", set: func(s *Scenario) { s.Mobility = MarkovMobility().WithPlaces(12) },
+			mobility: network.MobilitySpec{Kind: network.MobilityMarkov, Places: 12}},
+		{name: "Mobility.WithStay", set: func(s *Scenario) { s.Mobility = MarkovMobility().WithStay(0.8) },
+			mobility: network.MobilitySpec{Kind: network.MobilityMarkov, Stay: 0.8}},
+		{name: "NoFaults", set: func(s *Scenario) { s.Faults = NoFaults() }},
+		{name: "StationChurn", set: func(s *Scenario) { s.Faults = StationChurn(4*Second, Second) },
+			faults: fault.Spec{MTBF: 4 * Second, MTTR: Second}},
+		{name: "LinkFlaps", set: func(s *Scenario) { s.Faults = LinkFlaps(5) },
+			faults: fault.Spec{FlapLinks: 5}},
+		{name: "NoiseBursts", set: func(s *Scenario) { s.Faults = NoiseBursts(2) },
+			faults: fault.Spec{NoiseBursts: 2}},
+		{name: "Faults.WithStationMTBF", set: func(s *Scenario) { s.Faults = LinkFlaps(1).WithStationMTBF(3*Second, 500*Millisecond) },
+			faults: fault.Spec{FlapLinks: 1, MTBF: 3 * Second, MTTR: 500 * Millisecond}},
+		{name: "Faults.WithLinkFlaps", set: func(s *Scenario) { s.Faults = NoiseBursts(1).WithLinkFlaps(3) },
+			faults: fault.Spec{NoiseBursts: 1, FlapLinks: 3}},
+		{name: "Faults.WithFlapTimes", set: func(s *Scenario) { s.Faults = LinkFlaps(1).WithFlapTimes(2*Second, 100*Millisecond) },
+			faults: fault.Spec{FlapLinks: 1, FlapUp: 2 * Second, FlapDown: 100 * Millisecond}},
+		{name: "Faults.WithNoiseBursts", set: func(s *Scenario) { s.Faults = LinkFlaps(1).WithNoiseBursts(4) },
+			faults: fault.Spec{FlapLinks: 1, NoiseBursts: 4}},
+		{name: "Faults.WithNoisePenalty", set: func(s *Scenario) { s.Faults = NoiseBursts(1).WithNoisePenalty(12, 300) },
+			faults: fault.Spec{NoiseBursts: 1, NoisePenaltyDB: 12, NoiseRadius: 300}},
+		{name: "Faults.WithPartition", set: func(s *Scenario) { s.Faults = LinkFlaps(1).WithPartition(2*Second, 500*Millisecond) },
+			faults: fault.Spec{FlapLinks: 1, PartitionAt: 2 * Second, PartitionDur: 500 * Millisecond}},
+		{name: "Faults.WithThreshold", set: func(s *Scenario) { s.Faults = LinkFlaps(1).WithThreshold(5) },
+			faults: fault.Spec{FlapLinks: 1, FailureThreshold: 5}},
+		{name: "Faults.WithEpoch", set: func(s *Scenario) { s.Faults = LinkFlaps(1).WithEpoch(200 * Millisecond) },
+			faults: fault.Spec{FlapLinks: 1, Epoch: 200 * Millisecond}},
+		{name: "Faults.WithSeed", set: func(s *Scenario) { s.Faults = LinkFlaps(1).WithSeed(7) },
+			faults: fault.Spec{FlapLinks: 1, Seed: 7}},
 	}
-	if spec != want {
-		t.Fatalf("spec = %+v, want %+v", spec, want)
-	}
-	if z := (Routing{}).spec(); z != (network.RoutingSpec{}) {
-		t.Fatalf("zero Routing must map to the zero spec, got %+v", z)
+	for _, c := range cases {
+		sc := Scenario{Topology: top, Scheme: SchemeRIPPLE, Flows: []Flow{{Path: path, Traffic: FTP{}}}}
+		c.set(&sc)
+		cfg, err := sc.toConfig()
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if cfg.Routing != c.routing {
+			t.Errorf("%s: Routing = %+v, want %+v", c.name, cfg.Routing, c.routing)
+		}
+		if cfg.Mobility != c.mobility {
+			t.Errorf("%s: Mobility = %+v, want %+v", c.name, cfg.Mobility, c.mobility)
+		}
+		if cfg.Faults != c.faults {
+			t.Errorf("%s: Faults = %+v, want %+v", c.name, cfg.Faults, c.faults)
+		}
 	}
 }
 
