@@ -161,14 +161,14 @@ func foldResult(results []*network.Result, rec *trace.Recorder) *Result {
 	for i, f := range results[0].Flows {
 		out.Flows = append(out.Flows, FlowResult{
 			ID:          f.ID,
-			Throughput:  foldFlowMetric(results, i, func(f network.FlowResult) float64 { return f.ThroughputMbps }),
-			Delay:       foldFlowMetric(results, i, func(f network.FlowResult) float64 { return f.MeanDelay.Milliseconds() }),
-			Reorder:     foldFlowMetric(results, i, func(f network.FlowResult) float64 { return f.ReorderRate }),
-			Delivered:   foldFlowMetric(results, i, func(f network.FlowResult) float64 { return float64(f.PktsDelivered) }),
-			Transfers:   foldFlowMetric(results, i, func(f network.FlowResult) float64 { return float64(f.Transfers) }),
-			MoS:         foldFlowMetric(results, i, func(f network.FlowResult) float64 { return f.MoS }),
-			Loss:        foldFlowMetric(results, i, func(f network.FlowResult) float64 { return f.LossRate }),
-			Unreachable: foldFlowMetric(results, i, func(f network.FlowResult) float64 { return float64(f.Unreachable) }),
+			Throughput:  foldMetric(results, func(r *network.Result) float64 { return r.Flows[i].ThroughputMbps }),
+			Delay:       foldMetric(results, func(r *network.Result) float64 { return r.Flows[i].MeanDelay.Milliseconds() }),
+			Reorder:     foldMetric(results, func(r *network.Result) float64 { return r.Flows[i].ReorderRate }),
+			Delivered:   foldMetric(results, func(r *network.Result) float64 { return float64(r.Flows[i].PktsDelivered) }),
+			Transfers:   foldMetric(results, func(r *network.Result) float64 { return float64(r.Flows[i].Transfers) }),
+			MoS:         foldMetric(results, func(r *network.Result) float64 { return r.Flows[i].MoS }),
+			Loss:        foldMetric(results, func(r *network.Result) float64 { return r.Flows[i].LossRate }),
+			Unreachable: foldMetric(results, func(r *network.Result) float64 { return float64(r.Flows[i].Unreachable) }),
 		})
 	}
 	return out

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"ripple/internal/fault"
-	"ripple/internal/sim"
 )
 
 // Faults selects deterministic fault injection for a scenario, mirroring
@@ -37,20 +36,8 @@ import (
 // default 3) a flow's preferred forwarder is blacklisted until the next
 // epoch's route refresh, and flows whose destination is cut off drop at
 // the source, surfaced as Result.Unreachable rather than burnt airtime.
-type Faults struct {
-	mtbf, mttr     Time
-	flapLinks      int
-	flapUp         Time
-	flapDown       Time
-	noiseBursts    int
-	noisePenaltyDB float64
-	noiseRadius    float64
-	partitionAt    Time
-	partitionDur   Time
-	threshold      int
-	epoch          Time
-	seed           uint64
-}
+// A Faults is the simulator's fault.Spec, which a run receives as it is.
+type Faults struct{ spec fault.Spec }
 
 // NoFaults returns the default: no fault injection. Equivalent to the
 // zero Faults value.
@@ -61,21 +48,21 @@ func NoFaults() Faults { return Faults{} }
 // and Exp(mttr) down-time (mttr 0 selects 1 s). Flow sources and
 // destinations are exempt, so degradation measures relay failures rather
 // than trivial endpoint death.
-func StationChurn(mtbf, mttr Time) Faults { return Faults{mtbf: mtbf, mttr: mttr} }
+func StationChurn(mtbf, mttr Time) Faults { return Faults{fault.Spec{MTBF: mtbf, MTTR: mttr}} }
 
 // LinkFlaps returns fault injection with n flapping links (see
 // WithLinkFlaps).
-func LinkFlaps(n int) Faults { return Faults{flapLinks: n} }
+func LinkFlaps(n int) Faults { return Faults{fault.Spec{FlapLinks: n}} }
 
 // NoiseBursts returns fault injection with n regional noise sources (see
 // WithNoiseBursts).
-func NoiseBursts(n int) Faults { return Faults{noiseBursts: n} }
+func NoiseBursts(n int) Faults { return Faults{fault.Spec{NoiseBursts: n}} }
 
 // WithStationMTBF returns a copy with station churn enabled: Exp(mtbf)
 // up-time, Exp(mttr) down-time per non-endpoint station (mttr 0 selects
 // 1 s).
 func (f Faults) WithStationMTBF(mtbf, mttr Time) Faults {
-	f.mtbf, f.mttr = mtbf, mttr
+	f.spec.MTBF, f.spec.MTTR = mtbf, mttr
 	return f
 }
 
@@ -84,14 +71,14 @@ func (f Faults) WithStationMTBF(mtbf, mttr Time) Faults {
 // blocked link delivers nothing in either direction but leaves both
 // endpoints alive.
 func (f Faults) WithLinkFlaps(n int) Faults {
-	f.flapLinks = n
+	f.spec.FlapLinks = n
 	return f
 }
 
 // WithFlapTimes returns a copy with the mean link up/down durations set
 // (0 keeps the 1 s / 250 ms defaults).
 func (f Faults) WithFlapTimes(up, down Time) Faults {
-	f.flapUp, f.flapDown = up, down
+	f.spec.FlapUp, f.spec.FlapDown = up, down
 	return f
 }
 
@@ -100,14 +87,14 @@ func (f Faults) WithFlapTimes(up, down Time) Faults {
 // degrades every reception within 250 m by 20 dB for 200 ms, repeating.
 // Tune with WithNoisePenalty.
 func (f Faults) WithNoiseBursts(n int) Faults {
-	f.noiseBursts = n
+	f.spec.NoiseBursts = n
 	return f
 }
 
 // WithNoisePenalty returns a copy with the burst SNR penalty (dB) and
 // coverage radius (metres) set (0 keeps the 20 dB / 250 m defaults).
 func (f Faults) WithNoisePenalty(db, radius float64) Faults {
-	f.noisePenaltyDB, f.noiseRadius = db, radius
+	f.spec.NoisePenaltyDB, f.spec.NoiseRadius = db, radius
 	return f
 }
 
@@ -115,7 +102,7 @@ func (f Faults) WithNoisePenalty(db, radius float64) Faults {
 // topology's median-x split during [at, at+dur) — a transient area
 // partition.
 func (f Faults) WithPartition(at, dur Time) Faults {
-	f.partitionAt, f.partitionDur = at, dur
+	f.spec.PartitionAt, f.spec.PartitionDur = at, dur
 	return f
 }
 
@@ -123,7 +110,7 @@ func (f Faults) WithPartition(at, dur Time) Faults {
 // that many consecutive failed exchanges blacklist a flow's preferred
 // forwarder until the next epoch (default 3).
 func (f Faults) WithThreshold(n int) Faults {
-	f.threshold = n
+	f.spec.FailureThreshold = n
 	return f
 }
 
@@ -132,7 +119,7 @@ func (f Faults) WithThreshold(n int) Faults {
 // mobility epochs instead, so Validate rejects the combination: set the
 // length with Mobility.WithEpoch.
 func (f Faults) WithEpoch(epoch Time) Faults {
-	f.epoch = epoch
+	f.spec.Epoch = epoch
 	return f
 }
 
@@ -140,40 +127,40 @@ func (f Faults) WithEpoch(epoch Time) Faults {
 // It is independent of Scenario.Seeds on purpose: the failure timeline is
 // part of the world, shared by every seed-run.
 func (f Faults) WithSeed(seed uint64) Faults {
-	f.seed = seed
+	f.spec.Seed = seed
 	return f
 }
 
 // Active reports whether the configuration injects any fault at all.
-func (f Faults) Active() bool { return f.spec().Active() }
+func (f Faults) Active() bool { return f.spec.Active() }
 
 // String names the fault configuration for sweep labels, e.g.
 // "faults(mtbf=4s,flaps=3,seed=7)"; the inert value prints "none".
 func (f Faults) String() string {
 	var opts []string
-	if f.mtbf > 0 {
-		opts = append(opts, fmt.Sprintf("mtbf=%v", f.mtbf))
-		if f.mttr > 0 {
-			opts = append(opts, fmt.Sprintf("mttr=%v", f.mttr))
+	if f.spec.MTBF > 0 {
+		opts = append(opts, fmt.Sprintf("mtbf=%v", f.spec.MTBF))
+		if f.spec.MTTR > 0 {
+			opts = append(opts, fmt.Sprintf("mttr=%v", f.spec.MTTR))
 		}
 	}
-	if f.flapLinks > 0 {
-		opts = append(opts, fmt.Sprintf("flaps=%d", f.flapLinks))
+	if f.spec.FlapLinks > 0 {
+		opts = append(opts, fmt.Sprintf("flaps=%d", f.spec.FlapLinks))
 	}
-	if f.noiseBursts > 0 {
-		opts = append(opts, fmt.Sprintf("noise=%d", f.noiseBursts))
+	if f.spec.NoiseBursts > 0 {
+		opts = append(opts, fmt.Sprintf("noise=%d", f.spec.NoiseBursts))
 	}
-	if f.partitionDur > 0 {
-		opts = append(opts, fmt.Sprintf("partition=%v+%v", f.partitionAt, f.partitionDur))
+	if f.spec.PartitionDur > 0 {
+		opts = append(opts, fmt.Sprintf("partition=%v+%v", f.spec.PartitionAt, f.spec.PartitionDur))
 	}
-	if f.threshold > 0 {
-		opts = append(opts, fmt.Sprintf("threshold=%d", f.threshold))
+	if f.spec.FailureThreshold > 0 {
+		opts = append(opts, fmt.Sprintf("threshold=%d", f.spec.FailureThreshold))
 	}
-	if f.epoch > 0 {
-		opts = append(opts, fmt.Sprintf("epoch=%v", f.epoch))
+	if f.spec.Epoch > 0 {
+		opts = append(opts, fmt.Sprintf("epoch=%v", f.spec.Epoch))
 	}
-	if f.seed > 0 {
-		opts = append(opts, fmt.Sprintf("seed=%d", f.seed))
+	if f.spec.Seed > 0 {
+		opts = append(opts, fmt.Sprintf("seed=%d", f.spec.Seed))
 	}
 	if len(opts) == 0 {
 		return "none"
@@ -187,27 +174,8 @@ func (f Faults) validate() error {
 	switch {
 	case !f.Active() && f != (Faults{}):
 		return fmt.Errorf("ripple: Faults options need a fault process (station churn, link flaps, noise bursts or a partition)")
-	case f.mttr != 0 && f.mtbf == 0:
+	case f.spec.MTTR != 0 && f.spec.MTBF == 0:
 		return fmt.Errorf("ripple: Faults: a repair time (MTTR) only applies together with an MTBF")
 	}
 	return nil
-}
-
-// spec resolves the public options into the simulator's fault spec.
-func (f Faults) spec() fault.Spec {
-	return fault.Spec{
-		Seed:             f.seed,
-		Epoch:            sim.Time(f.epoch),
-		MTBF:             sim.Time(f.mtbf),
-		MTTR:             sim.Time(f.mttr),
-		FlapLinks:        f.flapLinks,
-		FlapUp:           sim.Time(f.flapUp),
-		FlapDown:         sim.Time(f.flapDown),
-		NoiseBursts:      f.noiseBursts,
-		NoisePenaltyDB:   f.noisePenaltyDB,
-		NoiseRadius:      f.noiseRadius,
-		PartitionAt:      sim.Time(f.partitionAt),
-		PartitionDur:     sim.Time(f.partitionDur),
-		FailureThreshold: f.threshold,
-	}
 }

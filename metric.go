@@ -46,12 +46,3 @@ func foldMetric(results []*network.Result, get func(*network.Result) float64) Me
 	}
 	return newMetric(w.Summary())
 }
-
-// foldFlowMetric folds one scalar of flow i across the per-seed results.
-func foldFlowMetric(results []*network.Result, i int, get func(network.FlowResult) float64) Metric {
-	var w stats.Welford
-	for _, r := range results {
-		w.Add(get(r.Flows[i]))
-	}
-	return newMetric(w.Summary())
-}

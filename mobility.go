@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"ripple/internal/network"
-	"ripple/internal/sim"
 )
 
 // Mobility selects how stations move during a run, mirroring the Routing
@@ -26,16 +25,9 @@ import (
 // immutable epoch worlds, so results stay bit-identical at any seed-pool
 // width or distributed worker count. Trajectories draw from the
 // mobility seed (WithSeed, default 1), never from the scenario's run
-// seeds, so every seed-run of a scenario sees the same motion.
-type Mobility struct {
-	kind               network.MobilityKind
-	epoch              Time
-	seed               uint64
-	minSpeed, maxSpeed float64
-	pause              Time
-	places             int
-	stay               float64
-}
+// seeds, so every seed-run of a scenario sees the same motion. A Mobility
+// is the simulator's MobilitySpec, which a run receives as it is.
+type Mobility struct{ spec network.MobilitySpec }
 
 // StaticMobility returns the default: no motion. Equivalent to the zero
 // Mobility value.
@@ -45,20 +37,22 @@ func StaticMobility() Mobility { return Mobility{} }
 // repeatedly draws a uniform target inside the topology's bounding box and
 // a uniform speed (default 5–15 m/s; see WithSpeed), travels there in a
 // straight line, optionally pauses (WithPause), and repeats.
-func WaypointMobility() Mobility { return Mobility{kind: network.MobilityWaypoint} }
+func WaypointMobility() Mobility {
+	return Mobility{network.MobilitySpec{Kind: network.MobilityWaypoint}}
+}
 
 // MarkovMobility returns place-transition mobility: stations hop between a
 // fixed set of gathering places (default ≈√N; see WithPlaces) under a
 // symmetric Markov chain, staying put each epoch with probability Stay
 // (default 0.9; see WithStay). Stations that stay keep bit-identical
 // coordinates, which keeps the incremental epoch-world rebuild cheap.
-func MarkovMobility() Mobility { return Mobility{kind: network.MobilityMarkov} }
+func MarkovMobility() Mobility { return Mobility{network.MobilitySpec{Kind: network.MobilityMarkov}} }
 
 // WithEpoch returns a copy with the epoch length set (default 500 ms):
 // the interval between world snapshots, at which positions, link tables
 // and routes change.
 func (m Mobility) WithEpoch(epoch Time) Mobility {
-	m.epoch = epoch
+	m.spec.Epoch = epoch
 	return m
 }
 
@@ -66,7 +60,7 @@ func (m Mobility) WithEpoch(epoch Time) Mobility {
 // independent of Scenario.Seeds on purpose: motion is part of the world,
 // shared by every seed-run.
 func (m Mobility) WithSeed(seed uint64) Mobility {
-	m.seed = seed
+	m.spec.Seed = seed
 	return m
 }
 
@@ -74,56 +68,56 @@ func (m Mobility) WithSeed(seed uint64) Mobility {
 // (0 <= min <= max; a min of 0 selects 5 m/s, a max of 0 selects 15 m/s).
 // Only valid for WaypointMobility.
 func (m Mobility) WithSpeed(min, max float64) Mobility {
-	m.minSpeed, m.maxSpeed = min, max
+	m.spec.MinSpeed, m.spec.MaxSpeed = min, max
 	return m
 }
 
 // WithPause returns a copy with the waypoint post-arrival pause set. Only
 // valid for WaypointMobility.
 func (m Mobility) WithPause(pause Time) Mobility {
-	m.pause = pause
+	m.spec.Pause = pause
 	return m
 }
 
 // WithPlaces returns a copy with the Markov place count set. Only
 // valid for MarkovMobility.
 func (m Mobility) WithPlaces(n int) Mobility {
-	m.places = n
+	m.spec.Places = n
 	return m
 }
 
 // WithStay returns a copy with the Markov per-epoch stay probability set
 // (0 < stay < 1). Only valid for MarkovMobility.
 func (m Mobility) WithStay(stay float64) Mobility {
-	m.stay = stay
+	m.spec.Stay = stay
 	return m
 }
 
 // Active reports whether the mobility makes the world time-varying.
-func (m Mobility) Active() bool { return m.kind != network.MobilityStatic }
+func (m Mobility) Active() bool { return m.spec.Kind != network.MobilityStatic }
 
 // String names the mobility configuration for sweep labels, e.g.
 // "waypoint(speed=1-3,pause=2s)" or "markov(stay=0.8,epoch=250ms)".
 func (m Mobility) String() string {
-	name := m.kind.String()
+	name := m.spec.Kind.String()
 	var opts []string
-	if m.minSpeed > 0 || m.maxSpeed > 0 {
-		opts = append(opts, fmt.Sprintf("speed=%g-%g", m.minSpeed, m.maxSpeed))
+	if m.spec.MinSpeed > 0 || m.spec.MaxSpeed > 0 {
+		opts = append(opts, fmt.Sprintf("speed=%g-%g", m.spec.MinSpeed, m.spec.MaxSpeed))
 	}
-	if m.pause > 0 {
-		opts = append(opts, fmt.Sprintf("pause=%v", m.pause))
+	if m.spec.Pause > 0 {
+		opts = append(opts, fmt.Sprintf("pause=%v", m.spec.Pause))
 	}
-	if m.places > 0 {
-		opts = append(opts, fmt.Sprintf("places=%d", m.places))
+	if m.spec.Places > 0 {
+		opts = append(opts, fmt.Sprintf("places=%d", m.spec.Places))
 	}
-	if m.stay > 0 {
-		opts = append(opts, fmt.Sprintf("stay=%g", m.stay))
+	if m.spec.Stay > 0 {
+		opts = append(opts, fmt.Sprintf("stay=%g", m.spec.Stay))
 	}
-	if m.epoch > 0 {
-		opts = append(opts, fmt.Sprintf("epoch=%v", m.epoch))
+	if m.spec.Epoch > 0 {
+		opts = append(opts, fmt.Sprintf("epoch=%v", m.spec.Epoch))
 	}
-	if m.seed > 0 {
-		opts = append(opts, fmt.Sprintf("seed=%d", m.seed))
+	if m.spec.Seed > 0 {
+		opts = append(opts, fmt.Sprintf("seed=%d", m.spec.Seed))
 	}
 	if len(opts) == 0 {
 		return name
@@ -137,24 +131,10 @@ func (m Mobility) validate() error {
 	switch {
 	case !m.Active() && m != (Mobility{}):
 		return fmt.Errorf("ripple: Mobility options need a mobility model (WaypointMobility or MarkovMobility)")
-	case (m.minSpeed != 0 || m.maxSpeed != 0 || m.pause != 0) && m.kind != network.MobilityWaypoint:
-		return fmt.Errorf("ripple: Mobility.WithSpeed and WithPause only apply to WaypointMobility (got %s)", m.kind)
-	case (m.places != 0 || m.stay != 0) && m.kind != network.MobilityMarkov:
-		return fmt.Errorf("ripple: Mobility.WithPlaces and WithStay only apply to MarkovMobility (got %s)", m.kind)
+	case (m.spec.MinSpeed != 0 || m.spec.MaxSpeed != 0 || m.spec.Pause != 0) && m.spec.Kind != network.MobilityWaypoint:
+		return fmt.Errorf("ripple: Mobility.WithSpeed and WithPause only apply to WaypointMobility (got %s)", m.spec.Kind)
+	case (m.spec.Places != 0 || m.spec.Stay != 0) && m.spec.Kind != network.MobilityMarkov:
+		return fmt.Errorf("ripple: Mobility.WithPlaces and WithStay only apply to MarkovMobility (got %s)", m.spec.Kind)
 	}
 	return nil
-}
-
-// spec resolves the public options into the simulator's mobility spec.
-func (m Mobility) spec() network.MobilitySpec {
-	return network.MobilitySpec{
-		Kind:     m.kind,
-		Epoch:    sim.Time(m.epoch),
-		Seed:     m.seed,
-		MinSpeed: m.minSpeed,
-		MaxSpeed: m.maxSpeed,
-		Pause:    sim.Time(m.pause),
-		Places:   m.places,
-		Stay:     m.stay,
-	}
 }

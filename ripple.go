@@ -52,23 +52,23 @@ type Path = []NodeID
 // Scheme selects the forwarding scheme, using the paper's labels.
 type Scheme int
 
-// The available schemes.
+// The available schemes, one for each of the simulator's.
 const (
 	// SchemeDCF is predetermined routing over plain IEEE 802.11 DCF ("D";
 	// with a direct source→destination path it is SPR, "S").
-	SchemeDCF Scheme = iota + 1
+	SchemeDCF = Scheme(network.DCF)
 	// SchemeAFR aggregates up to 16 packets per frame on a predetermined
 	// route with partial retransmission ("A").
-	SchemeAFR
+	SchemeAFR = Scheme(network.AFR)
 	// SchemePreExOR is the early ExOR with sequential per-forwarder ACKs.
-	SchemePreExOR
+	SchemePreExOR = Scheme(network.PreExOR)
 	// SchemeMCExOR is the compressed-ACK opportunistic scheme.
-	SchemeMCExOR
+	SchemeMCExOR = Scheme(network.MCExOR)
 	// SchemeRIPPLE is the paper's contribution: mTXOP forwarding with
 	// two-way aggregation ("R16").
-	SchemeRIPPLE
+	SchemeRIPPLE = Scheme(network.Ripple)
 	// SchemeRIPPLENoAgg is RIPPLE with aggregation disabled ("R1").
-	SchemeRIPPLENoAgg
+	SchemeRIPPLENoAgg = Scheme(network.RippleNoAgg)
 )
 
 // Topology is a set of station positions in metres.
@@ -241,23 +241,13 @@ func Compare(s Scenario, schemes ...Scheme) (map[string]*Result, error) {
 // String returns the paper's label for the scheme.
 func (k Scheme) String() string { return kindOf(k).String() }
 
+// kindOf is the simulator's scheme k names, or 0 when k is none of the
+// constants.
 func kindOf(k Scheme) network.SchemeKind {
-	switch k {
-	case SchemeDCF:
-		return network.DCF
-	case SchemeAFR:
-		return network.AFR
-	case SchemePreExOR:
-		return network.PreExOR
-	case SchemeMCExOR:
-		return network.MCExOR
-	case SchemeRIPPLE:
-		return network.Ripple
-	case SchemeRIPPLENoAgg:
-		return network.RippleNoAgg
-	default:
+	if k < SchemeDCF || k > SchemeRIPPLENoAgg {
 		return 0
 	}
+	return network.SchemeKind(k)
 }
 
 // Validate reports what would make the scenario fail before its first
@@ -360,7 +350,7 @@ func (s Scenario) toConfig() (*network.Config, error) {
 	if err := errors.Join(s.Routing.validate(), s.Mobility.validate(), s.Faults.validate()); err != nil {
 		return nil, err
 	}
-	if s.Mobility.Active() && s.Faults.epoch != 0 {
+	if s.Mobility.Active() && s.Faults.spec.Epoch != 0 {
 		return nil, fmt.Errorf("ripple: Faults.WithEpoch has no effect with a mobility model — fault overlays ride the mobility epochs; set the length with Mobility.WithEpoch")
 	}
 	cfg := &network.Config{
@@ -368,9 +358,9 @@ func (s Scenario) toConfig() (*network.Config, error) {
 		Scheme:        kind,
 		Duration:      s.Duration,
 		MaxForwarders: s.MaxForwarders,
-		Routing:       s.Routing.spec(),
-		Mobility:      s.Mobility.spec(),
-		Faults:        s.Faults.spec(),
+		Routing:       s.Routing.spec,
+		Mobility:      s.Mobility.spec,
+		Faults:        s.Faults.spec,
 		RippleOpts:    core.Options{MaxAgg: s.MaxAggregation},
 		Audit:         s.Audit,
 	}

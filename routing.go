@@ -6,7 +6,6 @@ import (
 
 	"ripple/internal/network"
 	"ripple/internal/routing"
-	"ripple/internal/sim"
 )
 
 // Routing selects how flow routes — and thus the prioritised forwarder
@@ -24,14 +23,9 @@ import (
 //	ripple.ETXRouting().WithForwarders(2).WithPriority(ripple.PriorityNearDst)
 //
 // The same radio drives the policy's link metric and the simulated medium,
-// so routes are always computed over the channel the packets will see.
-type Routing struct {
-	kind  network.RoutePolicyKind
-	alpha float64
-	epoch Time
-	k     int
-	rule  routing.SizingRule
-}
+// so routes are always computed over the channel the packets will see. A
+// Routing is the simulator's RoutingSpec, which a run receives as it is.
+type Routing struct{ spec network.RoutingSpec }
 
 // Priority selects which relays survive when WithForwarders resizes a
 // route's candidate set.
@@ -54,28 +48,28 @@ func StaticRouting() Routing { return Routing{} }
 // its endpoints at run start (De Couto et al.; the metric ExOR/MORE use).
 // For flows declared with Net.FlowTo this reproduces the declared path; it
 // matters when paths were written by hand or the radio changed.
-func ETXRouting() Routing { return Routing{kind: network.RouteETX} }
+func ETXRouting() Routing { return Routing{network.RoutingSpec{Kind: network.RouteETX}} }
 
 // CongestionRouting routes around queue buildup, after Bhorkar et al.'s
 // opportunistic routing with congestion diversity (ORCD): a link into a
 // relay costs its ETX plus alpha per packet sitting in the relay's MAC
 // queue, and routes are recomputed from live queue depths every epoch
 // (default 500 ms; see WithEpoch, WithAlpha).
-func CongestionRouting() Routing { return Routing{kind: network.RouteCongestion} }
+func CongestionRouting() Routing { return Routing{network.RoutingSpec{Kind: network.RouteCongestion}} }
 
 // GeoRouting selects each relay by greedy geographic progress (Li et al.):
 // from every hop, the next forwarder is the usable neighbor closest to the
 // destination, with minimum-ETX recovery when greed stalls in a void. Under
 // mobility the policy is rebuilt each epoch over that epoch's positions,
 // which makes it the natural partner of WaypointMobility/MarkovMobility.
-func GeoRouting() Routing { return Routing{kind: network.RouteGeo} }
+func GeoRouting() Routing { return Routing{network.RoutingSpec{Kind: network.RouteGeo}} }
 
 // WithAlpha returns a copy with the congestion backlog weight set, in ETX
 // units per queued packet (default 0.25). Only valid for
 // CongestionRouting; a scenario that sets it on another policy is
 // rejected.
 func (r Routing) WithAlpha(alpha float64) Routing {
-	r.alpha = alpha
+	r.spec.Alpha = alpha
 	return r
 }
 
@@ -83,7 +77,7 @@ func (r Routing) WithAlpha(alpha float64) Routing {
 // (default 500 ms). Only valid for policies that react to load
 // (CongestionRouting).
 func (r Routing) WithEpoch(epoch Time) Routing {
-	r.epoch = epoch
+	r.spec.Epoch = epoch
 	return r
 }
 
@@ -95,7 +89,7 @@ func (r Routing) WithEpoch(epoch Time) Routing {
 // relays should there be?") — primarily an opportunistic-scheme knob, since
 // padding lengthens the hop-by-hop walk of predetermined schemes.
 func (r Routing) WithForwarders(k int) Routing {
-	r.k = k
+	r.spec.K = k
 	return r
 }
 
@@ -104,11 +98,11 @@ func (r Routing) WithForwarders(k int) Routing {
 func (r Routing) WithPriority(p Priority) Routing {
 	switch p {
 	case PriorityNearDst:
-		r.rule = routing.SizeNearDst
+		r.spec.Rule = routing.SizeNearDst
 	case PriorityNearSrc:
-		r.rule = routing.SizeNearSrc
+		r.spec.Rule = routing.SizeNearSrc
 	default:
-		r.rule = routing.SizeSpaced
+		r.spec.Rule = routing.SizeSpaced
 	}
 	return r
 }
@@ -116,18 +110,18 @@ func (r Routing) WithPriority(p Priority) Routing {
 // String names the routing configuration for sweep labels, e.g.
 // "congestion(alpha=0.5,epoch=200ms)" or "etx(k=3/neardst)".
 func (r Routing) String() string {
-	name := r.kind.String()
+	name := r.spec.Kind.String()
 	var opts []string
-	if r.alpha > 0 {
-		opts = append(opts, fmt.Sprintf("alpha=%g", r.alpha))
+	if r.spec.Alpha > 0 {
+		opts = append(opts, fmt.Sprintf("alpha=%g", r.spec.Alpha))
 	}
-	if r.epoch > 0 {
-		opts = append(opts, fmt.Sprintf("epoch=%v", r.epoch))
+	if r.spec.Epoch > 0 {
+		opts = append(opts, fmt.Sprintf("epoch=%v", r.spec.Epoch))
 	}
-	if r.k > 0 {
-		k := fmt.Sprintf("k=%d", r.k)
-		if r.rule != routing.SizeSpaced {
-			k += "/" + r.rule.String()
+	if r.spec.K > 0 {
+		k := fmt.Sprintf("k=%d", r.spec.K)
+		if r.spec.Rule != routing.SizeSpaced {
+			k += "/" + r.spec.Rule.String()
 		}
 		opts = append(opts, k)
 	}
@@ -143,23 +137,12 @@ func (r Routing) String() string {
 // report it.
 func (r Routing) validate() error {
 	switch {
-	case r.alpha != 0 && r.kind != network.RouteCongestion:
-		return fmt.Errorf("ripple: Routing.WithAlpha only applies to CongestionRouting (got %s)", r.kind)
-	case r.epoch != 0 && r.kind != network.RouteCongestion:
-		return fmt.Errorf("ripple: Routing.WithEpoch only applies to policies that react to load (CongestionRouting; got %s)", r.kind)
-	case r.rule != routing.SizeSpaced && r.k == 0:
+	case r.spec.Alpha != 0 && r.spec.Kind != network.RouteCongestion:
+		return fmt.Errorf("ripple: Routing.WithAlpha only applies to CongestionRouting (got %s)", r.spec.Kind)
+	case r.spec.Epoch != 0 && r.spec.Kind != network.RouteCongestion:
+		return fmt.Errorf("ripple: Routing.WithEpoch only applies to policies that react to load (CongestionRouting; got %s)", r.spec.Kind)
+	case r.spec.Rule != routing.SizeSpaced && r.spec.K == 0:
 		return fmt.Errorf("ripple: Routing.WithPriority only applies together with WithForwarders")
 	}
 	return nil
-}
-
-// spec resolves the public options into the simulator's routing spec.
-func (r Routing) spec() network.RoutingSpec {
-	return network.RoutingSpec{
-		Kind:  r.kind,
-		Alpha: r.alpha,
-		Epoch: sim.Time(r.epoch),
-		K:     r.k,
-		Rule:  r.rule,
-	}
 }
