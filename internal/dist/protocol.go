@@ -74,6 +74,58 @@ type Message struct {
 // as a corrupt stream, not an allocation request.
 const maxFrame = 1 << 30
 
+// frameSink is where writeFrame writes: a bufio.Writer or a bytes.Buffer,
+// whose free space holds the length line without an allocation.
+type frameSink interface {
+	io.Writer
+	AvailableBuffer() []byte
+}
+
+// writeFrame writes one frame to w, the wire's or the journal's: the
+// record's length in ASCII decimal, '\n', then rec — JSON and the '\n' that
+// ends the frame, as a json.Encoder writes a record.
+func writeFrame(w frameSink, rec []byte) error {
+	_, err := w.Write(append(strconv.AppendInt(w.AvailableBuffer(), int64(len(rec)-1), 10), '\n'))
+	if err == nil {
+		_, err = w.Write(rec)
+	}
+	return err
+}
+
+// readFrame reads one frame from r and returns its record's JSON, which
+// lies in buf until the next read, and the frame's length. A stream that
+// ends before the frame returns bare io.EOF, one that ends inside it an
+// error wrapping io.ErrUnexpectedEOF. The body grows in buf as it arrives:
+// a corrupt length fails as truncation, not as an allocation of its size.
+func readFrame(r *bufio.Reader, buf *bytes.Buffer) (rec []byte, size int64, err error) {
+	line, err := r.ReadString('\n')
+	if err != nil {
+		if err == io.EOF {
+			if line == "" {
+				return nil, 0, io.EOF
+			}
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, 0, fmt.Errorf("truncated frame header: %w", err)
+	}
+	n, err := strconv.Atoi(strings.TrimSpace(line))
+	if err != nil || n < 0 || n > maxFrame {
+		return nil, 0, fmt.Errorf("bad frame length %q", strings.TrimSpace(line))
+	}
+	buf.Reset()
+	if _, err := io.CopyN(buf, r, int64(n)+1); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, 0, fmt.Errorf("truncated frame (%d bytes expected): %w", n, err)
+	}
+	b := buf.Bytes()
+	if b[n] != '\n' {
+		return nil, 0, fmt.Errorf("frame missing terminator")
+	}
+	return b[:n], int64(len(line) + n + 1), nil
+}
+
 // Conn frames Messages over an ordered byte stream as length-delimited
 // JSONL: an ASCII decimal byte count, '\n', the JSON record, '\n'. The
 // explicit length makes truncation — a worker killed mid-write —
@@ -103,18 +155,11 @@ func NewConn(rw io.ReadWriter) *Conn {
 func (c *Conn) Send(m *Message) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	// Encode writes json.Marshal's bytes and a newline: the record and its
-	// terminator.
 	c.wbuf.Reset()
 	if err := c.enc.Encode(m); err != nil {
 		return fmt.Errorf("dist: marshal %s: %w", m.Type, err)
 	}
-	b := c.wbuf.Bytes()
-	header := append(strconv.AppendInt(c.w.AvailableBuffer(), int64(len(b)-1), 10), '\n')
-	if _, err := c.w.Write(header); err != nil {
-		return &TransportError{Op: "send", Err: err}
-	}
-	if _, err := c.w.Write(b); err != nil {
+	if err := writeFrame(c.w, c.wbuf.Bytes()); err != nil {
 		return &TransportError{Op: "send", Err: err}
 	}
 	if err := c.w.Flush(); err != nil {
@@ -129,37 +174,17 @@ func (c *Conn) Send(m *Message) error {
 // io.ErrUnexpectedEOF, never io.EOF — a peer that died writing must not
 // be classifiable as a clean disconnect.
 func (c *Conn) Recv() (*Message, error) {
-	line, err := c.r.ReadString('\n')
+	rec, _, err := readFrame(c.r, &c.rbuf)
+	if err == io.EOF {
+		return nil, io.EOF
+	}
 	if err != nil {
-		if err == io.EOF {
-			if line == "" {
-				return nil, io.EOF
-			}
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, &TransportError{Op: "recv", Err: fmt.Errorf("truncated frame header: %w", err)}
+		return nil, &TransportError{Op: "recv", Err: err}
 	}
-	n, err := strconv.Atoi(strings.TrimSpace(line))
-	if err != nil || n < 0 || n > maxFrame {
-		return nil, &TransportError{Op: "recv", Err: fmt.Errorf("bad frame length %q", strings.TrimSpace(line))}
-	}
-	// Grow the buffer as bytes actually arrive rather than trusting the
-	// header: a corrupt length must fail as truncation, not allocate a
-	// frame-sized slab up front. json.Unmarshal copies what a Message
-	// keeps (a RawMessage included), so the next Recv may overwrite it.
-	c.rbuf.Reset()
-	if _, err := io.CopyN(&c.rbuf, c.r, int64(n)+1); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, &TransportError{Op: "recv", Err: fmt.Errorf("truncated frame (%d bytes expected): %w", n, err)}
-	}
-	b := c.rbuf.Bytes()
-	if b[n] != '\n' {
-		return nil, &TransportError{Op: "recv", Err: fmt.Errorf("frame missing terminator")}
-	}
+	// json.Unmarshal copies what a Message keeps (a RawMessage included),
+	// so the next Recv may overwrite rbuf.
 	m := new(Message)
-	if err := json.Unmarshal(b[:n], m); err != nil {
+	if err := json.Unmarshal(rec, m); err != nil {
 		return nil, &TransportError{Op: "recv", Err: fmt.Errorf("bad frame: %w", err)}
 	}
 	return m, nil

@@ -4,12 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 
 	"ripple/internal/stats"
@@ -23,8 +22,8 @@ import (
 // disk the journal drops exactly the records that snapshot holds. A resumed
 // run replays what is left on top of the restored checkpoint.
 //
-// Records use the same length-delimited JSON framing as the wire protocol
-// (decimal byte count, '\n', JSON, '\n'), appended to one flat file. The
+// Records are the wire protocol's frames (decimal byte count, '\n', JSON,
+// '\n'; writeFrame, readFrame), appended to one flat file. The
 // append-only discipline gives the crash semantics: a coordinator killed
 // mid-append leaves a truncated tail frame, which Open treats as the
 // clean crash point — everything before it is intact — and trims. Frame
@@ -40,8 +39,10 @@ type WAL struct {
 	// frames is where each record the file holds lies, in file order.
 	frames []frame
 	size   int64
-	buf    bytes.Buffer // a batch's frames, written with one write
-	cp     frameCopier  // compaction's
+	buf    bytes.Buffer  // a batch's frames, written with one write
+	rec    bytes.Buffer  // one record's JSON and terminator
+	enc    *json.Encoder // into rec
+	cp     frameCopier   // compaction's
 }
 
 // walRecord is one journalled cell: grid fingerprint, flat cell index,
@@ -120,19 +121,6 @@ func (w *WAL) Size() int64 {
 	return w.size
 }
 
-// encodeFrame appends one record's wire frame to w.
-func encodeFrame(w *bytes.Buffer, r walRecord) error {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(len(b)), 10))
-	w.WriteByte('\n')
-	w.Write(b)
-	w.WriteByte('\n')
-	return nil
-}
-
 // Append journals one delivered cell and fsyncs before returning: once
 // Append returns, the cell survives a crash.
 func (w *WAL) Append(grid string, cell int, payload json.RawMessage, st map[string]stats.State) error {
@@ -147,14 +135,19 @@ func (w *WAL) Append(grid string, cell int, payload json.RawMessage, st map[stri
 func (w *WAL) appendBatch(recs []walRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.enc == nil {
+		w.enc = json.NewEncoder(&w.rec)
+	}
 	w.buf.Reset()
 	frames := len(w.frames)
 	for _, r := range recs {
 		start := w.buf.Len()
-		if err := encodeFrame(&w.buf, r); err != nil {
+		w.rec.Reset()
+		if err := w.enc.Encode(r); err != nil {
 			w.frames = w.frames[:frames]
 			return fmt.Errorf("dist: wal: %w", err)
 		}
+		writeFrame(&w.buf, w.rec.Bytes()) // a bytes.Buffer's writes do not fail
 		if k := len(w.frames); k > 0 && w.frames[k-1].Grid == r.Grid {
 			r.Grid = w.frames[k-1].Grid // one string per run of a grid's frames
 		}
@@ -241,41 +234,22 @@ func scanFrames(r *bufio.Reader, base int64) (frames []frame, valid int64, err e
 	off := base
 	var body bytes.Buffer
 	for {
-		header, err := r.ReadString('\n')
-		if err == io.EOF {
-			return frames, off, nil // header cut short at EOF, or none: crash point or end
+		b, n, err := readFrame(r, &body)
+		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+			return frames, off, nil // the end, or a frame cut short by it: the crash point
 		}
 		if err != nil {
-			return nil, 0, err
-		}
-		trimmed := strings.TrimSpace(header)
-		n, aerr := strconv.Atoi(trimmed)
-		if aerr != nil || n < 0 || n > maxFrame {
-			return nil, 0, fmt.Errorf("bad frame length %q at offset %d", trimmed, off)
-		}
-		// Grown as bytes arrive: a corrupt length fails as truncation, not
-		// as an allocation of its size.
-		body.Reset()
-		m, err := io.CopyN(&body, r, int64(n)+1)
-		if err == io.EOF {
-			return frames, off, nil // body cut short at EOF: crash point
-		}
-		if err != nil {
-			return nil, 0, err
-		}
-		b := body.Bytes()
-		if b[n] != '\n' {
-			return nil, 0, fmt.Errorf("frame at offset %d missing terminator", off)
+			return nil, 0, fmt.Errorf("frame at offset %d: %w", off, err)
 		}
 		var rec walRecord
-		if uerr := json.Unmarshal(b[:n], &rec); uerr != nil {
+		if uerr := json.Unmarshal(b, &rec); uerr != nil {
 			return nil, 0, fmt.Errorf("bad frame at offset %d: %w", off, uerr)
 		}
 		if k := len(frames); k > 0 && frames[k-1].Grid == rec.Grid {
 			rec.Grid = frames[k-1].Grid // one string per run of a grid's frames
 		}
-		frames = append(frames, frame{Grid: rec.Grid, Cell: rec.Cell, off: off, n: int64(len(header)) + m})
-		off += int64(len(header)) + m
+		frames = append(frames, frame{Grid: rec.Grid, Cell: rec.Cell, off: off, n: n})
+		off += n
 	}
 }
 
