@@ -89,6 +89,20 @@
 # a whole-struct default that grows back would split the setting again, and
 # a config that sets one field of it would silently lose the others.
 #
+# or if a non-test file of internal/dist compares a frame length with
+# maxFrame, or writes one with strconv.AppendInt, in more than one place:
+# the wire (Conn) and the journal and checkpoint (WAL, scanFrames) read and
+# write one frame format through one codec, readFrame and writeFrame in
+# protocol.go. A second decoder or encoder that grows back would move no
+# byte of output until the two drift apart, so no test would notice it;
+#
+# or if the root package's Faults, Mobility or Routing declares any field
+# but its spec (fault.Spec, network.MobilitySpec, network.RoutingSpec): the
+# options set the simulator's fields and a run receives the spec as it is.
+# A mirrored private field that grows back would be one more place each
+# setting is written down, and one more field-by-field copy to keep in
+# step, while every result stayed the same.
+#
 # Usage: sh scripts/check_substrate.sh   (from the repo root)
 set -eu
 
@@ -168,6 +182,21 @@ fi
 if grep -nE 'UnicastMaxAgg|NodeMaxAgg|DefaultOptions\(' $(find . -name '*.go' ! -name '*_test.go' \
         ! -path './bench/*' ! -path './.bench_build/*'); then
     echo "check_substrate: a second aggregation setting or a whole-struct RIPPLE default — set RippleOpts.MaxAgg or a flow's DstMaxAgg; the zero core.Options is the paper's" >&2
+    fail=1
+fi
+distcodec=$(find internal/dist -name '*.go' ! -name '*_test.go')
+if [ "$(cat $distcodec | grep -cE '[<>]=? *maxFrame' || true)" -ne 1 ] ||
+        [ "$(cat $distcodec | grep -c 'strconv\.AppendInt(' || true)" -ne 1 ]; then
+    grep -nE '[<>]=? *maxFrame|strconv\.AppendInt\(' $distcodec >&2
+    echo "check_substrate: a frame length checked or written outside readFrame/writeFrame — the wire and the journal share one codec" >&2
+    fail=1
+fi
+builders=$(grep -hE '^type (Faults|Mobility|Routing) struct' $(ls ./*.go | grep -v '_test\.go$') | sort)
+if [ "$builders" != "type Faults struct{ spec fault.Spec }
+type Mobility struct{ spec network.MobilitySpec }
+type Routing struct{ spec network.RoutingSpec }" ]; then
+    printf '%s\n' "$builders" >&2
+    echo "check_substrate: a public builder declares a field beside its spec — set the spec's field in the option" >&2
     fail=1
 fi
 exit $fail
