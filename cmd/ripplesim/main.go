@@ -20,15 +20,12 @@ import (
 	"strings"
 
 	"ripple"
+	"ripple/internal/topology"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
-
-// roofnetPairs are the endpoint pairs of the six Fig. 12 flows: two ETX
-// routes each of 3, 4 and 5 hops across the rooftop mesh.
-var roofnetPairs = [][2]ripple.NodeID{{0, 8}, {1, 10}, {0, 12}, {1, 15}, {0, 16}, {1, 21}}
 
 // run is the program: it parses args, runs the scenario they describe and
 // returns the exit code (0 done, 1 run failure, 2 usage error).
@@ -308,9 +305,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		n := min(max(*nFlows, 1), len(roofnetPairs))
-		for i, pr := range roofnetPairs[:n] {
-			path, err := router.Path(pr[0], pr[1])
+		n := min(max(*nFlows, 1), len(topology.RoofnetPairs))
+		for i, pr := range topology.RoofnetPairs[:n] {
+			path, err := router.Path(int(pr.Src), int(pr.Dst))
 			if err != nil {
 				fmt.Fprintln(stderr, err)
 				return 1

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ripple/internal/golden"
+	"ripple/internal/topology"
 )
 
 // TestGoldenStdout runs the program in-process over one flag set per output
@@ -49,8 +50,8 @@ func TestRoofnetFlows(t *testing.T) {
 	if code := run(strings.Fields("-topo roofnet -flows 9 -scheme dcf -dur 1"), &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 	}
-	if n := strings.Count(stdout.String(), "\nflow "); n != len(roofnetPairs) {
-		t.Fatalf("%d flow lines, want %d:\n%s", n, len(roofnetPairs), stdout.String())
+	if n := strings.Count(stdout.String(), "\nflow "); n != len(topology.RoofnetPairs) {
+		t.Fatalf("%d flow lines, want %d:\n%s", n, len(topology.RoofnetPairs), stdout.String())
 	}
 }
 

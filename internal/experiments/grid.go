@@ -3,7 +3,6 @@ package experiments
 import (
 	"ripple/internal/campaign"
 	"ripple/internal/network"
-	"ripple/internal/radio"
 )
 
 // tableGrid declares one figure or table of the paper as a campaign grid:
@@ -57,12 +56,6 @@ func (tg tableGrid) execute(opt Options) (*campaign.Result, error) {
 			cfg, err := tg.Config(pt.Index("row"), col)
 			cfg.Duration = opt.Duration
 			if opt.PruneSigma != nil {
-				// Resolve the radio default first: Normalize defaults only
-				// a Radio with no field set, and Validate refuses one with
-				// PruneSigma alone.
-				if cfg.Radio.PathLossExp == 0 {
-					cfg.Radio = radio.DefaultConfig()
-				}
 				cfg.Radio.PruneSigma = *opt.PruneSigma
 			}
 			return cfg, err

@@ -11,9 +11,15 @@ import (
 // Contender runs the DCF contention procedure for one station. The owning
 // scheme forwards carrier transitions to OnBusy/OnIdle, requests a
 // transmission opportunity with Request, and is called back via grant when
-// it may transmit. Every grant is preceded by a DIFS (or EIFS) idle period
-// plus a fresh random backoff, matching the paper's per-packet
-// T_backoff + T_DIFS accounting.
+// it may transmit. A grant comes once the medium has been idle for DIFS (or
+// EIFS) and then the backoff has run out, as 802.11 reads it: the deferral
+// ends at idleAt + DIFS, when the carrier last went idle plus DIFS, clamped
+// to now. So a packet that reaches a station whose medium has already been
+// idle for DIFS waits its fresh backoff alone. idleAt starts at 0, so of a
+// flow that starts at time 0 only the first packet pays DIFS on an idle
+// medium: it finds the medium idle for no time yet. The paper's per-packet
+// T_backoff + T_DIFS counts DIFS every time; the light-load delay oracle
+// (TestLightLoadDelayMatchesClosedForm) holds this reading instead.
 type Contender struct {
 	eng   *sim.Engine
 	p     phys.Params
@@ -67,8 +73,10 @@ func (c *Contender) Init(eng *sim.Engine, p phys.Params, rng *sim.RNG, grant Gra
 }
 
 // Request asks for one transmission opportunity. It is idempotent while a
-// request is outstanding. The grant callback fires after the channel has
-// been idle for DIFS/EIFS plus the drawn backoff.
+// request is outstanding. The grant callback fires once the channel has
+// been idle for DIFS/EIFS, counted from when it last went idle rather than
+// from the request (a medium idle that long already defers no further),
+// and the drawn backoff has then run out.
 func (c *Contender) Request() {
 	if c.pending {
 		return

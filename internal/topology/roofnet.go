@@ -37,32 +37,33 @@ type RoofnetFlow struct {
 	Path  routing.Path
 }
 
-// RoofnetFlows picks the Fig. 12 flow set from the topology using the ETX
-// table: two examples each of 3, 4 and 5 hops ("transmissions between
-// stations that are 4 or 5 hops apart", plus the 3-hop examples the figure
-// labels). The hidden-terminal pair for the ±hidden variants is returned by
+// RoofnetPair names the endpoints of one Fig. 12 flow.
+type RoofnetPair struct {
+	Label    string
+	Src, Dst pkt.NodeID
+}
+
+// RoofnetPairs are the endpoints of the six Fig. 12 flows, chosen left to
+// right across the mesh: two examples each of 3, 4 and 5 ETX hops
+// ("transmissions between stations that are 4 or 5 hops apart", plus the
+// 3-hop examples the figure labels).
+var RoofnetPairs = []RoofnetPair{
+	{"3(1)", 0, 8}, {"3(2)", 1, 10},
+	{"4(1)", 0, 12}, {"4(2)", 1, 15},
+	{"5(1)", 0, 16}, {"5(2)", 1, 21},
+}
+
+// RoofnetFlows routes the Fig. 12 flow set, RoofnetPairs, on the ETX
+// table. The hidden-terminal pair for the ±hidden variants is returned by
 // RoofnetHiddenPair.
 func RoofnetFlows(tab *routing.Table) ([]RoofnetFlow, error) {
-	// Candidate endpoint pairs chosen left-to-right across the mesh.
-	wanted := []struct {
-		label    string
-		src, dst pkt.NodeID
-		hops     int
-	}{
-		{"3(1)", 0, 8, 3},
-		{"3(2)", 1, 10, 3},
-		{"4(1)", 0, 12, 4},
-		{"4(2)", 1, 15, 4},
-		{"5(1)", 0, 16, 5},
-		{"5(2)", 1, 21, 5},
-	}
-	flows := make([]RoofnetFlow, 0, len(wanted))
-	for _, w := range wanted {
-		p, err := tab.ShortestPath(w.src, w.dst)
+	flows := make([]RoofnetFlow, 0, len(RoofnetPairs))
+	for _, w := range RoofnetPairs {
+		p, err := tab.ShortestPath(w.Src, w.Dst)
 		if err != nil {
-			return nil, fmt.Errorf("topology: roofnet flow %s: %w", w.label, err)
+			return nil, fmt.Errorf("topology: roofnet flow %s: %w", w.Label, err)
 		}
-		flows = append(flows, RoofnetFlow{Label: w.label, Path: p})
+		flows = append(flows, RoofnetFlow{Label: w.Label, Path: p})
 	}
 	return flows, nil
 }
