@@ -1,10 +1,14 @@
 package ripple
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"ripple/internal/network"
 	"ripple/internal/radio"
+	"ripple/internal/traffic"
+	"ripple/internal/transport"
 )
 
 // The toConfig error paths: a scenario with an unknown scheme, an invalid
@@ -267,5 +271,68 @@ func TestToConfigPerFlowTrafficParams(t *testing.T) {
 	c := cfg.Flows[3]
 	if c.CBRInterval != 5*Millisecond || c.CBRPacketBytes != 200 {
 		t.Fatalf("per-flow CBR config = %+v", c)
+	}
+}
+
+// TestTrafficSpecMapping: each public traffic model, with every field zero
+// and with every field set, becomes the FlowSpec written out here by hand —
+// the paper's values where a field is zero, the field's own value where it
+// is set. A zero TCPParams leaves the flow's TCP config nil (the run's
+// default); a zero Web or VoIP still sets the paper's config.
+func TestTrafficSpecMapping(t *testing.T) {
+	paperTCP := transport.TCPConfig{
+		MSS: 1000, AckBytes: 40, InitialCwnd: 2, MaxCwnd: 42, SSThresh: 42, DupThresh: 3,
+		RTOMin: 200 * Millisecond, RTOInit: Second, RTOMax: 60 * Second,
+	}
+	setTCP := TCPParams{
+		MSS: 500, AckBytes: 60, InitialCwnd: 4, MaxCwnd: 20, SSThresh: 10, DupThresh: 5,
+		RTOMin: 100 * Millisecond, RTOInit: 2 * Second, RTOMax: 30 * Second,
+	}
+	setTCPConfig := transport.TCPConfig{
+		MSS: 500, AckBytes: 60, InitialCwnd: 4, MaxCwnd: 20, SSThresh: 10, DupThresh: 5,
+		RTOMin: 100 * Millisecond, RTOInit: 2 * Second, RTOMax: 30 * Second,
+	}
+	rtoMax := paperTCP
+	rtoMax.RTOMax = 10 * Second
+	ptr := func(c transport.TCPConfig) *transport.TCPConfig { return &c }
+	for _, c := range []struct {
+		name    string
+		traffic TrafficSpec
+		want    network.FlowSpec
+	}{
+		{"FTP zero", FTP{}, network.FlowSpec{Kind: network.FTP}},
+		{"FTP set", FTP{TCP: setTCP}, network.FlowSpec{Kind: network.FTP, TCP: ptr(setTCPConfig)}},
+		{"FTP one field", FTP{TCP: TCPParams{RTOMax: 10 * Second}},
+			network.FlowSpec{Kind: network.FTP, TCP: ptr(rtoMax)}},
+		{"Web zero", Web{}, network.FlowSpec{Kind: network.Web,
+			Web: &traffic.WebConfig{MeanTransferBytes: 80e3, ParetoShape: 1.5, OffMean: Second}}},
+		{"Web set", Web{MeanTransferBytes: 20e3, ParetoShape: 2.5, MeanOffTime: 3 * Second, TCP: setTCP},
+			network.FlowSpec{Kind: network.Web, TCP: ptr(setTCPConfig),
+				Web: &traffic.WebConfig{MeanTransferBytes: 20e3, ParetoShape: 2.5, OffMean: 3 * Second}}},
+		{"VoIP zero", VoIP{}, network.FlowSpec{Kind: network.VoIPTraffic,
+			VoIP: &transport.VoIPConfig{BitsPerSecond: 96e3, PacketInterval: 20 * Millisecond,
+				OnMean: 1500 * Millisecond, OffMean: 1500 * Millisecond, DelayBudget: 52 * Millisecond}}},
+		{"VoIP set", VoIP{BitrateKbps: 64, PacketInterval: 10 * Millisecond, MeanOnTime: Second,
+			MeanOffTime: 2 * Second, DelayBudget: 100 * Millisecond},
+			network.FlowSpec{Kind: network.VoIPTraffic,
+				VoIP: &transport.VoIPConfig{BitsPerSecond: 64e3, PacketInterval: 10 * Millisecond,
+					OnMean: Second, OffMean: 2 * Second, DelayBudget: 100 * Millisecond}}},
+		{"CBR zero", CBR{}, network.FlowSpec{Kind: network.CBRTraffic}},
+		{"CBR set", CBR{Interval: 5 * Millisecond, PacketSize: 200},
+			network.FlowSpec{Kind: network.CBRTraffic, CBRInterval: 5 * Millisecond, CBRPacketBytes: 200}},
+	} {
+		s := validScenario()
+		s.Flows[0].Traffic = c.traffic
+		cfg, err := s.toConfig()
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		c.want.ID, c.want.Path = 1, cfg.Flows[0].Path
+		got, _ := json.Marshal(cfg.Flows[0])
+		want, _ := json.Marshal(c.want)
+		if string(got) != string(want) {
+			t.Errorf("%s: FlowSpec\n got %s\nwant %s", c.name, got, want)
+		}
 	}
 }
