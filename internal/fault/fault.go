@@ -37,9 +37,13 @@ const (
 	// DefaultFailureThreshold is the number of consecutive failed
 	// exchanges before routing blacklists the preferred forwarder.
 	DefaultFailureThreshold = 3
-	// DefaultEpoch is the fault-overlay epoch length of an otherwise
-	// static world; it matches the mobility default so the two kinds of
-	// time-varying world share boundary semantics.
+	// DefaultEpoch is the one default epoch length: of a fault overlay on
+	// an otherwise static world, of a mobile world
+	// (network.MobilitySpec.Epoch) and of a dynamic route policy's
+	// recompute (network.RoutingSpec.Epoch). One length, so the two kinds
+	// of time-varying world share boundary semantics, and under dynamic
+	// routing a topology change and the re-route that reacts to it land on
+	// the same boundary (the swap is scheduled first).
 	DefaultEpoch = 500 * sim.Millisecond
 )
 

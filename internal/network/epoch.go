@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime/debug"
 
+	"ripple/internal/fault"
 	"ripple/internal/mobility"
 	"ripple/internal/radio"
 	"ripple/internal/sim"
@@ -38,19 +39,13 @@ func (k MobilityKind) String() string {
 	}
 }
 
-// DefaultMobilityEpoch is the default epoch length of a time-varying
-// world. It matches DefaultRouteEpoch so that, under dynamic routing, a
-// topology change and the re-route that reacts to it land on the same
-// boundary (the swap is scheduled first).
-const DefaultMobilityEpoch = 500 * sim.Millisecond
-
 // MobilitySpec configures station motion. The zero value is
 // MobilityStatic: no motion, no epoch worlds, bit-identical behaviour to
 // a config without the field.
 type MobilitySpec struct {
 	Kind MobilityKind
 	// Epoch is the interval between world snapshots (0 selects
-	// DefaultMobilityEpoch). Positions change only at epoch boundaries:
+	// fault.DefaultEpoch, 500 ms). Positions change only at epoch boundaries:
 	// within an epoch the world is as immutable as a static one.
 	Epoch sim.Time
 	// Seed drives the trajectories. It is deliberately separate from
@@ -106,7 +101,7 @@ func (s MobilitySpec) epochLen() sim.Time {
 	if s.Epoch > 0 {
 		return s.Epoch
 	}
-	return DefaultMobilityEpoch
+	return fault.DefaultEpoch
 }
 
 // seed resolves the trajectory seed.

@@ -88,10 +88,9 @@ type FlowSpec struct {
 	CBRInterval sim.Time
 	// CBRPacketBytes overrides the CBR payload size (0 = Phy.PacketBytes).
 	CBRPacketBytes int
-	// TCP, VoIP and Web, when non-nil, set this flow's traffic model; nil
-	// selects the paper's (transport.DefaultTCPConfig, DefaultVoIPConfig,
-	// traffic.DefaultWebConfig). A set config is used as-is — callers must
-	// supply a complete one.
+	// TCP, VoIP and Web set this flow's traffic model. Each config's zero
+	// fields select the paper's values, filled by its own Normalize, so a
+	// config sets only what it changes; nil is the zero config.
 	TCP  *transport.TCPConfig
 	VoIP *transport.VoIPConfig
 	Web  *traffic.WebConfig
@@ -203,12 +202,6 @@ func (k RoutePolicyKind) String() string {
 	}
 }
 
-// DefaultRouteEpoch is the default recompute interval of dynamic route
-// policies: long enough for queues to reflect sustained load rather than a
-// single aggregation burst, short enough to re-route several times within
-// the paper's 10 s runs.
-const DefaultRouteEpoch = 500 * sim.Millisecond
-
 // routeSamplesPerEpoch is how many queue-depth samples feed each epoch's
 // congestion measure; the mean over the epoch stands in for ORCD's
 // time-averaged backlog.
@@ -222,8 +215,10 @@ type RoutingSpec struct {
 	// Alpha is the congestion-diversity backlog weight in ETX units per
 	// queued packet (0 selects routing.DefaultCongestionAlpha).
 	Alpha float64
-	// Epoch is the recompute interval for dynamic policies
-	// (0 selects DefaultRouteEpoch).
+	// Epoch is the recompute interval for dynamic policies (0 selects
+	// fault.DefaultEpoch, 500 ms: long enough for queues to reflect
+	// sustained load rather than a single aggregation burst, short enough
+	// to re-route several times within the paper's 10 s runs).
 	Epoch sim.Time
 	// K, when positive, forces every route to carry exactly min(K,
 	// available) intermediate relays — truncating by Rule, padding with
@@ -287,12 +282,8 @@ func (s RoutingSpec) build(t *routing.Table, pos []radio.Pos) (routing.Policy, e
 // defaulted whole, and only when no field of theirs is set: a partial one is
 // kept as it is, for Validate to refuse.
 func (c *Config) Normalize() {
-	if c.MaxForwarders == 0 {
-		c.MaxForwarders = 5
-	}
-	if c.Duration == 0 {
-		c.Duration = 10 * sim.Second
-	}
+	c.MaxForwarders = cmp.Or(c.MaxForwarders, 5)
+	c.Duration = cmp.Or(c.Duration, 10*sim.Second)
 	c.RippleOpts.Normalize()
 	if c.Phy == (phys.Params{}) {
 		c.Phy = phys.Default()

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"sort"
@@ -422,10 +423,7 @@ func (r *run) armReroute() {
 	if r.policy == nil {
 		return // a world keeps its policy only when it is dynamic
 	}
-	epoch := r.cfg.Routing.Epoch
-	if epoch <= 0 {
-		epoch = DefaultRouteEpoch
-	}
+	epoch := cmp.Or(r.cfg.Routing.Epoch, fault.DefaultEpoch)
 	interval := max(epoch/routeSamplesPerEpoch, 1)
 	depthSum := make([]int, len(r.schemes))
 	sampled := 0
@@ -564,13 +562,9 @@ func (r *run) startFlows() {
 		start := &r.starts[i]
 		switch f.Kind {
 		case FTP, Web:
-			tcpCfg := transport.DefaultTCPConfig()
-			if f.TCP != nil {
-				tcpCfg = *f.TCP
-			}
 			conn := &r.tcps[nTCP]
 			nTCP++
-			conn.Init(eng, tcpCfg, f.ID, src, dst, r.send[src], r.send[dst], fs)
+			conn.Init(eng, orZero(f.TCP), f.ID, src, dst, r.send[src], r.send[dst], fs)
 			conn.SetPool(&r.pool)
 			conn.SetSlot(i)
 			r.endpoints[pkt.StreamOf(i, 0)] = endpoint{dst, conn}
@@ -578,25 +572,17 @@ func (r *run) startFlows() {
 			if f.Kind == FTP {
 				start.source = conn
 			} else {
-				webCfg := traffic.DefaultWebConfig()
-				if f.Web != nil {
-					webCfg = *f.Web
-				}
 				web := &r.webs[nWeb]
 				nWeb++
 				rng.Seed(cfg.Seed, flowStream(len(cfg.Positions), f.ID))
-				web.Init(eng, webCfg, conn, tcpCfg.MSS, rng)
+				web.Init(eng, orZero(f.Web), conn, rng)
 				start.source = web
 			}
 		case VoIPTraffic:
-			voipCfg := transport.DefaultVoIPConfig()
-			if f.VoIP != nil {
-				voipCfg = *f.VoIP
-			}
 			v := &r.voips[nVoIP]
 			nVoIP++
 			rng.Seed(cfg.Seed, flowStream(len(cfg.Positions), f.ID))
-			v.Init(eng, voipCfg, f.ID, src, dst, r.send[src], fs, rng)
+			v.Init(eng, orZero(f.VoIP), f.ID, src, dst, r.send[src], fs, rng)
 			v.SetPool(&r.pool)
 			v.SetSlot(i)
 			r.endpoints[pkt.StreamOf(i, 0)] = endpoint{dst, v}
@@ -617,6 +603,16 @@ func (r *run) startFlows() {
 		}
 		eng.Do(f.Start, start)
 	}
+}
+
+// orZero is *p, or T's zero value when p is nil: a flow's nil traffic
+// config is the zero config, which the transport normalises to the paper's.
+func orZero[T any](p *T) T {
+	if p == nil {
+		var zero T
+		return zero
+	}
+	return *p
 }
 
 // fold runs the end-of-run audit — the deep catalogue once more at

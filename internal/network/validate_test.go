@@ -1,13 +1,18 @@
 package network_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"ripple/internal/campaign"
+	"ripple/internal/golden"
 	"ripple/internal/network"
 	"ripple/internal/phys"
 	"ripple/internal/radio"
@@ -163,5 +168,80 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 				t.Errorf("%s: %s returned %v, want a *ConfigError on %s", row.field, gate, err[i], row.field)
 			}
 		}
+	}
+}
+
+// TestZeroTrafficFieldIsThePapersValue: a TCP, VoIP or Web config that is
+// the paper's but for one zero field runs the Result of the same flow with
+// no config at all — a zero field selects the paper's value. Each run has a
+// wall-clock bound, because a zero RTO or packet interval once passed
+// Validate and then re-armed its timer for the current instant forever, so
+// Run never returned.
+func TestZeroTrafficFieldIsThePapersValue(t *testing.T) {
+	const bound = 10 * time.Second
+	top, path := topology.Line(3)
+	run := func(t *testing.T, f network.FlowSpec) []byte {
+		t.Helper()
+		cfg := network.Config{Positions: top.Positions, Scheme: network.Ripple,
+			Duration: sim.Second, Seed: 1, Flows: []network.FlowSpec{f}}
+		type outcome struct {
+			json []byte
+			err  error
+		}
+		done := make(chan outcome, 1) // a run past the bound is abandoned
+		go func() {
+			res, err := network.Run(cfg)
+			if err != nil {
+				done <- outcome{nil, err}
+				return
+			}
+			b, err := json.Marshal(res)
+			done <- outcome{b, err}
+		}()
+		select {
+		case o := <-done:
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			return o.json
+		case <-time.After(bound):
+			t.Fatalf("Run did not return within %v of wall time", bound)
+			return nil
+		}
+	}
+	// each adds one case per field of the paper's config def, with that
+	// field zeroed; set puts a config into a flow of kind.
+	type zeroCase struct {
+		name string
+		flow network.FlowSpec
+	}
+	var cases []zeroCase
+	each := func(prefix string, kind network.TrafficKind, def any, set func(*network.FlowSpec, any)) {
+		v := reflect.ValueOf(def)
+		for i := range v.NumField() {
+			c := reflect.New(v.Type())
+			c.Elem().Set(v)
+			c.Elem().Field(i).SetZero()
+			f := network.FlowSpec{ID: 1, Path: path, Kind: kind}
+			set(&f, c.Interface())
+			cases = append(cases, zeroCase{prefix + v.Type().Field(i).Name, f})
+		}
+	}
+	each("TCP.", network.FTP, transport.DefaultTCPConfig(),
+		func(f *network.FlowSpec, c any) { f.TCP = c.(*transport.TCPConfig) })
+	each("VoIP.", network.VoIPTraffic, transport.DefaultVoIPConfig(),
+		func(f *network.FlowSpec, c any) { f.VoIP = c.(*transport.VoIPConfig) })
+	each("Web.", network.Web, traffic.DefaultWebConfig(),
+		func(f *network.FlowSpec, c any) { f.Web = c.(*traffic.WebConfig) })
+	want := map[network.TrafficKind][]byte{}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if want[c.flow.Kind] == nil {
+				want[c.flow.Kind] = run(t, network.FlowSpec{ID: 1, Path: path, Kind: c.flow.Kind})
+			}
+			if got := run(t, c.flow); !bytes.Equal(got, want[c.flow.Kind]) {
+				t.Errorf("Result differs from the nil config's:\n%s", golden.Diff(want[c.flow.Kind], got))
+			}
+		})
 	}
 }

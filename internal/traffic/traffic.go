@@ -6,6 +6,7 @@
 package traffic
 
 import (
+	"cmp"
 	"math"
 
 	"ripple/internal/sim"
@@ -13,24 +14,36 @@ import (
 )
 
 // WebConfig models the paper's short-transfer workload: transfer sizes
-// follow a Pareto distribution with mean 80 KB and shape 1.5; OFF (reading)
-// periods are exponential with mean one second.
+// follow a Pareto distribution, OFF (reading) periods are exponential. A
+// zero field selects the paper's value (Normalize); a negative or NaN
+// field is refused (Check).
 type WebConfig struct {
 	MeanTransferBytes float64
 	ParetoShape       float64
 	OffMean           sim.Time
 }
 
-// DefaultWebConfig returns §IV-D's parameters.
+// DefaultWebConfig returns §IV-D's parameters: the zero config, normalised.
 func DefaultWebConfig() WebConfig {
-	return WebConfig{MeanTransferBytes: 80e3, ParetoShape: 1.5, OffMean: sim.Second}
+	var c WebConfig
+	c.Normalize()
+	return c
+}
+
+// Normalize fills each zero field with §IV-D's value: a mean transfer of
+// 80 KB, Pareto shape 1.5, and a mean reading period of one second.
+func (c *WebConfig) Normalize() {
+	c.MeanTransferBytes = cmp.Or(c.MeanTransferBytes, 80e3)
+	c.ParetoShape = cmp.Or(c.ParetoShape, 1.5)
+	c.OffMean = cmp.Or(c.OffMean, sim.Second)
 }
 
 // Check passes the first field out of range to bad — its name, its value
-// and the rule it breaks — and returns bad's error, or nil: the mean
-// transfer size and think time may not be negative, and the Pareto shape
-// must exceed 1 for the mean to exist.
+// and the rule it breaks — and returns bad's error, or nil. It judges c as
+// Init runs it, normalised: the mean transfer size and think time may not
+// be negative, and the Pareto shape must exceed 1 for the mean to exist.
 func (c WebConfig) Check(bad func(field string, value any, rule string) error) error {
+	c.Normalize()
 	switch {
 	case c.MeanTransferBytes < 0:
 		return bad("MeanTransferBytes", c.MeanTransferBytes, "must not be negative")
@@ -47,29 +60,30 @@ type Web struct {
 	cfg  WebConfig
 	tcp  *transport.TCP
 	rng  *sim.RNG
-	mss  int
 	stop bool
 	off  sim.Timer // the reading period between transfers, bound to launch
 	done func()    // ends a transfer: bound to read, handed to every transfer
 }
 
-// NewWeb creates the generator over an existing TCP connection.
-func NewWeb(eng *sim.Engine, cfg WebConfig, tcp *transport.TCP, mss int, rng *sim.RNG) *Web {
+// NewWeb creates the generator over an existing TCP connection, whose MSS
+// turns transfer sizes into packets.
+func NewWeb(eng *sim.Engine, cfg WebConfig, tcp *transport.TCP, rng *sim.RNG) *Web {
 	w := &Web{}
-	w.Init(eng, cfg, tcp, mss, rng)
+	w.Init(eng, cfg, tcp, rng)
 	return w
 }
 
 // Init makes w, in place, the generator NewWeb returns: every field zero or
-// set from the arguments, except the timer and the completion callback,
-// which stay bound when w was initialised before — at this address, on this
-// engine, Reset since.
-func (w *Web) Init(eng *sim.Engine, cfg WebConfig, tcp *transport.TCP, mss int, rng *sim.RNG) {
+// set from the arguments (cfg normalised), except the timer and the
+// completion callback, which stay bound when w was initialised before — at
+// this address, on this engine, Reset since.
+func (w *Web) Init(eng *sim.Engine, cfg WebConfig, tcp *transport.TCP, rng *sim.RNG) {
+	cfg.Normalize()
 	if !w.off.Bound() {
 		w.off.Bind(eng, w.launch)
 		w.done = w.read
 	}
-	*w = Web{cfg: cfg, tcp: tcp, rng: rng, mss: mss, off: w.off, done: w.done}
+	*w = Web{cfg: cfg, tcp: tcp, rng: rng, off: w.off, done: w.done}
 }
 
 // Start launches the first transfer.
@@ -83,7 +97,7 @@ func (w *Web) launch() {
 		return
 	}
 	size := w.rng.ParetoWithMean(w.cfg.ParetoShape, w.cfg.MeanTransferBytes)
-	pkts := int64(math.Ceil(size / float64(w.mss)))
+	pkts := int64(math.Ceil(size / float64(w.tcp.MSS())))
 	if pkts < 1 {
 		pkts = 1
 	}

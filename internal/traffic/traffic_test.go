@@ -28,7 +28,7 @@ func TestWebGeneratesSuccessiveTransfers(t *testing.T) {
 	lb.conn = conn
 	cfg := DefaultWebConfig()
 	cfg.OffMean = 50 * sim.Millisecond // fast think times for the test
-	w := NewWeb(eng, cfg, conn, 1000, sim.NewRNG(1, 1))
+	w := NewWeb(eng, cfg, conn, sim.NewRNG(1, 1))
 	w.Start()
 	eng.Run(30 * sim.Second)
 	if fs.TransfersCompleted < 5 {
@@ -53,7 +53,7 @@ func TestWebStopEndsCycle(t *testing.T) {
 	lb.conn = conn
 	cfg := DefaultWebConfig()
 	cfg.OffMean = 10 * sim.Millisecond
-	w := NewWeb(eng, cfg, conn, 1000, sim.NewRNG(2, 1))
+	w := NewWeb(eng, cfg, conn, sim.NewRNG(2, 1))
 	w.Start()
 	eng.Run(2 * sim.Second)
 	w.Stop()

@@ -1,15 +1,18 @@
 package transport
 
 import (
+	"cmp"
+
 	"ripple/internal/pkt"
 	"ripple/internal/sim"
 	"ripple/internal/stats"
 )
 
-// VoIPConfig models the paper's VoIP stream (§IV-E): a 96 kbps on-off
-// source with exponentially distributed on and off periods of mean 1.5 s,
-// packetised at 20 ms intervals (240-byte payloads), with a 52 ms wireless
-// delay budget after which arrivals count as losses.
+// VoIPConfig models the paper's VoIP stream (§IV-E): an on-off source
+// with exponentially distributed on and off periods, packetised at a fixed
+// interval, whose arrivals count as losses past a wireless delay budget. A
+// zero field selects the paper's value (Normalize); a negative or NaN
+// field is refused (Check).
 type VoIPConfig struct {
 	BitsPerSecond  float64
 	PacketInterval sim.Time
@@ -18,15 +21,23 @@ type VoIPConfig struct {
 	DelayBudget    sim.Time
 }
 
-// DefaultVoIPConfig returns the paper's parameters.
+// DefaultVoIPConfig returns the paper's parameters: the zero config,
+// normalised.
 func DefaultVoIPConfig() VoIPConfig {
-	return VoIPConfig{
-		BitsPerSecond:  96e3,
-		PacketInterval: 20 * sim.Millisecond,
-		OnMean:         1500 * sim.Millisecond,
-		OffMean:        1500 * sim.Millisecond,
-		DelayBudget:    52 * sim.Millisecond,
-	}
+	var c VoIPConfig
+	c.Normalize()
+	return c
+}
+
+// Normalize fills each zero field with the paper's value: 96 kbps,
+// packetised every 20 ms (240-byte payloads), on and off periods of mean
+// 1.5 s, and a 52 ms delay budget.
+func (c *VoIPConfig) Normalize() {
+	c.BitsPerSecond = cmp.Or(c.BitsPerSecond, 96e3)
+	c.PacketInterval = cmp.Or(c.PacketInterval, 20*sim.Millisecond)
+	c.OnMean = cmp.Or(c.OnMean, 1500*sim.Millisecond)
+	c.OffMean = cmp.Or(c.OffMean, 1500*sim.Millisecond)
+	c.DelayBudget = cmp.Or(c.DelayBudget, 52*sim.Millisecond)
 }
 
 // Check passes the first field out of range to bad — its name, its value
@@ -84,10 +95,12 @@ func NewVoIP(eng *sim.Engine, cfg VoIPConfig, flow int, src, dst pkt.NodeID,
 }
 
 // Init makes v, in place, the stream NewVoIP returns: every field zero or
-// set from the arguments, except the timer, which stays bound when v was
-// initialised before — at this address, on this engine, Reset since.
+// set from the arguments (cfg normalised), except the timer, which stays
+// bound when v was initialised before — at this address, on this engine,
+// Reset since.
 func (v *VoIP) Init(eng *sim.Engine, cfg VoIPConfig, flow int, src, dst pkt.NodeID,
 	send SendFunc, fs *stats.Flow, rng *sim.RNG) {
+	cfg.Normalize()
 	if !v.timer.Bound() {
 		v.timer.Bind(eng, v.wake)
 	}

@@ -6,6 +6,7 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
 
 	"ripple/internal/pkt"
@@ -17,8 +18,10 @@ import (
 // when the interface queue was full and the packet was dropped.
 type SendFunc func(*pkt.Packet) bool
 
-// TCPConfig tunes the TCP model. DefaultTCPConfig matches the NS-2 style
-// agent used by the paper (1000-byte packets, 40-byte ACKs).
+// TCPConfig tunes the TCP model: the NS-2 style agent the paper drives its
+// schemes with. A zero field selects the paper's value (Normalize), so a
+// config sets only the fields it changes; a negative or NaN field is
+// refused (Check).
 type TCPConfig struct {
 	MSS         int     // data packet payload bytes
 	AckBytes    int     // ACK packet bytes
@@ -31,22 +34,31 @@ type TCPConfig struct {
 	RTOMax      sim.Time
 }
 
-// DefaultTCPConfig returns the configuration used by all experiments.
+// DefaultTCPConfig returns the configuration used by all experiments: the
+// zero config, normalised.
 func DefaultTCPConfig() TCPConfig {
-	return TCPConfig{
-		MSS:         1000,
-		AckBytes:    40,
-		InitialCwnd: 2,
-		// The receiver window stays below the 50-packet interface queue
-		// (Table I) so a single flow does not tail-drop its own queue; it
-		// is still deep enough to fill 16-packet aggregate frames.
-		MaxCwnd:   42,
-		SSThresh:  42,
-		DupThresh: 3,
-		RTOMin:    200 * sim.Millisecond,
-		RTOInit:   1 * sim.Second,
-		RTOMax:    60 * sim.Second,
-	}
+	var c TCPConfig
+	c.Normalize()
+	return c
+}
+
+// Normalize fills each zero field with the paper's value: 1000-byte
+// packets, 40-byte ACKs, an initial window of 2 packets, a receiver window
+// and initial slow-start threshold of 42, fast retransmit at 3 dupacks, and
+// a retransmission timeout starting at 1 s, kept within 200 ms and 60 s.
+func (c *TCPConfig) Normalize() {
+	c.MSS = cmp.Or(c.MSS, 1000)
+	c.AckBytes = cmp.Or(c.AckBytes, 40)
+	c.InitialCwnd = cmp.Or(c.InitialCwnd, 2)
+	// The receiver window stays below the 50-packet interface queue
+	// (Table I) so a single flow does not tail-drop its own queue; it is
+	// still deep enough to fill 16-packet aggregate frames.
+	c.MaxCwnd = cmp.Or(c.MaxCwnd, 42)
+	c.SSThresh = cmp.Or(c.SSThresh, 42)
+	c.DupThresh = cmp.Or(c.DupThresh, 3)
+	c.RTOMin = cmp.Or(c.RTOMin, 200*sim.Millisecond)
+	c.RTOInit = cmp.Or(c.RTOInit, sim.Second)
+	c.RTOMax = cmp.Or(c.RTOMax, 60*sim.Second)
 }
 
 // maxWindow bounds TCPConfig.MaxCwnd: a connection sizes its window rings
@@ -158,11 +170,13 @@ func NewTCP(eng *sim.Engine, cfg TCPConfig, flow int, src, dst pkt.NodeID,
 }
 
 // Init makes t, in place, the connection NewTCP returns: every field zero
-// or set from the arguments, except the two rings, kept when they are the
-// size cfg asks for, and the retransmission timer, which stays bound when t
-// was initialised before — at this address, on this engine, Reset since.
+// or set from the arguments (cfg normalised), except the two rings, kept
+// when they are the size cfg asks for, and the retransmission timer, which
+// stays bound when t was initialised before — at this address, on this
+// engine, Reset since.
 func (t *TCP) Init(eng *sim.Engine, cfg TCPConfig, flow int, src, dst pkt.NodeID,
 	sendSrc, sendDst SendFunc, fs *stats.Flow) {
+	cfg.Normalize()
 	size := 1
 	for size <= int(cfg.MaxCwnd) {
 		size <<= 1
@@ -462,6 +476,9 @@ func (t *TCP) emitAck() {
 	p.TCP = pkt.TCPHeader{IsAck: true, Ack: t.rcvExpected}
 	t.sendDst(p)
 }
+
+// MSS is the connection's data packet payload in bytes.
+func (t *TCP) MSS() int { return t.cfg.MSS }
 
 // Cwnd exposes the current congestion window (packets) for tests.
 func (t *TCP) Cwnd() float64 { return t.cwnd }

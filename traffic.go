@@ -8,9 +8,10 @@ import (
 
 // TrafficSpec configures a flow's workload. The implementations are the
 // traffic model structs FTP, Web, VoIP and CBR; their zero values select
-// the paper's parameters, and every knob the internal models expose is a
-// public field, so sweep-style experiments can vary codec cadence, Pareto
-// shape, CBR rate or TCP windows per flow.
+// the paper's parameters — each zero field the paper's value, filled by the
+// internal model's own Normalize — and every knob the internal models
+// expose is a public field, so sweep-style experiments can vary codec
+// cadence, Pareto shape, CBR rate or TCP windows per flow.
 type TrafficSpec interface {
 	// applyTo writes the spec into the flow; network.Validate checks it.
 	applyTo(f *network.FlowSpec)
@@ -18,7 +19,8 @@ type TrafficSpec interface {
 
 // TCPParams tunes the TCP model of an FTP or Web flow. Zero fields keep
 // the paper's defaults (1000-byte MSS, 42-packet receiver window, NewReno
-// fast retransmit at 3 dupacks).
+// fast retransmit at 3 dupacks). Its fields are transport.TCPConfig's, one
+// for one.
 type TCPParams struct {
 	MSS         int     // data packet payload bytes
 	AckBytes    int     // ACK packet bytes
@@ -31,40 +33,14 @@ type TCPParams struct {
 	RTOMax      Time
 }
 
-// toInternal resolves the params against the paper defaults, or returns
-// nil when every field is zero (use the scenario-wide default config).
+// toInternal returns the params as a normalised TCP config, or nil when
+// every field is zero (use the scenario-wide default config).
 func (p TCPParams) toInternal() *transport.TCPConfig {
 	if p == (TCPParams{}) {
 		return nil
 	}
-	c := transport.DefaultTCPConfig()
-	if p.MSS != 0 {
-		c.MSS = p.MSS
-	}
-	if p.AckBytes != 0 {
-		c.AckBytes = p.AckBytes
-	}
-	if p.InitialCwnd != 0 {
-		c.InitialCwnd = p.InitialCwnd
-	}
-	if p.MaxCwnd != 0 {
-		c.MaxCwnd = p.MaxCwnd
-	}
-	if p.SSThresh != 0 {
-		c.SSThresh = p.SSThresh
-	}
-	if p.DupThresh != 0 {
-		c.DupThresh = p.DupThresh
-	}
-	if p.RTOMin != 0 {
-		c.RTOMin = p.RTOMin
-	}
-	if p.RTOInit != 0 {
-		c.RTOInit = p.RTOInit
-	}
-	if p.RTOMax != 0 {
-		c.RTOMax = p.RTOMax
-	}
+	c := transport.TCPConfig(p)
+	c.Normalize()
 	return &c
 }
 
@@ -94,16 +70,8 @@ type Web struct {
 }
 
 func (t Web) applyTo(f *network.FlowSpec) {
-	c := traffic.DefaultWebConfig()
-	if t.MeanTransferBytes != 0 {
-		c.MeanTransferBytes = t.MeanTransferBytes
-	}
-	if t.ParetoShape != 0 {
-		c.ParetoShape = t.ParetoShape
-	}
-	if t.MeanOffTime != 0 {
-		c.OffMean = t.MeanOffTime
-	}
+	c := traffic.WebConfig{MeanTransferBytes: t.MeanTransferBytes, ParetoShape: t.ParetoShape, OffMean: t.MeanOffTime}
+	c.Normalize()
 	f.Kind = network.Web
 	f.Web = &c
 	f.TCP = t.TCP.toInternal()
@@ -126,22 +94,9 @@ type VoIP struct {
 }
 
 func (t VoIP) applyTo(f *network.FlowSpec) {
-	c := transport.DefaultVoIPConfig()
-	if t.BitrateKbps != 0 {
-		c.BitsPerSecond = t.BitrateKbps * 1e3
-	}
-	if t.PacketInterval != 0 {
-		c.PacketInterval = t.PacketInterval
-	}
-	if t.MeanOnTime != 0 {
-		c.OnMean = t.MeanOnTime
-	}
-	if t.MeanOffTime != 0 {
-		c.OffMean = t.MeanOffTime
-	}
-	if t.DelayBudget != 0 {
-		c.DelayBudget = t.DelayBudget
-	}
+	c := transport.VoIPConfig{BitsPerSecond: t.BitrateKbps * 1e3, PacketInterval: t.PacketInterval,
+		OnMean: t.MeanOnTime, OffMean: t.MeanOffTime, DelayBudget: t.DelayBudget}
+	c.Normalize()
 	f.Kind = network.VoIPTraffic
 	f.VoIP = &c
 }
