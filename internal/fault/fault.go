@@ -117,7 +117,8 @@ func (s Spec) Threshold() int {
 
 // Check passes the first field out of range to bad — its name, its value
 // and the rule it breaks — and returns bad's error, or nil: no duration,
-// count, penalty or radius may be negative (0 selects the default).
+// count, penalty or radius may be negative, nor a penalty or radius NaN (0
+// selects the default).
 func (s Spec) Check(bad func(field string, value any, rule string) error) error {
 	const rule = "must not be negative"
 	switch {
@@ -139,9 +140,9 @@ func (s Spec) Check(bad func(field string, value any, rule string) error) error 
 		return bad("NoiseEvery", s.NoiseEvery, rule)
 	case s.NoiseLen < 0:
 		return bad("NoiseLen", s.NoiseLen, rule)
-	case s.NoisePenaltyDB < 0:
+	case !(s.NoisePenaltyDB >= 0):
 		return bad("NoisePenaltyDB", s.NoisePenaltyDB, rule)
-	case s.NoiseRadius < 0:
+	case !(s.NoiseRadius >= 0):
 		return bad("NoiseRadius", s.NoiseRadius, rule)
 	case s.PartitionAt < 0:
 		return bad("PartitionAt", s.PartitionAt, rule)

@@ -237,7 +237,7 @@ func (s RoutingSpec) check(bad func(field string, value any, rule string) error)
 	switch {
 	case s.Kind < RouteStatic || s.Kind > RouteGeo:
 		return bad("Kind", s.Kind, "unknown route policy kind")
-	case s.Alpha < 0:
+	case !(s.Alpha >= 0):
 		return bad("Alpha", s.Alpha, rule)
 	case s.Epoch < 0:
 		return bad("Epoch", s.Epoch, rule)

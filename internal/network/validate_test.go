@@ -78,6 +78,7 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 		{"Radio.PathLossExp", func(c *network.Config) { c.Radio = radio.Config{BitErrorRate: 1e-4, PruneSigma: 2} }},
 		{"Phy.SIFS", func(c *network.Config) { c.Phy = phys.Params{DataBps: 6e6, BasicBps: 6e6} }},
 		{"Routing.Alpha", routes(network.RoutingSpec{Kind: network.RouteCongestion, Alpha: -0.5})},
+		{"Routing.Alpha", routes(network.RoutingSpec{Kind: network.RouteCongestion, Alpha: math.NaN()})},
 		{"Routing.Epoch", routes(network.RoutingSpec{Kind: network.RouteCongestion, Epoch: -1})},
 		{"Routing.K", routes(network.RoutingSpec{Kind: network.RouteETX, K: -2, Rule: routing.SizeNearDst})},
 		{"Mobility.Epoch", moves(network.MobilitySpec{Kind: network.MobilityMarkov, Epoch: -sim.Second})},
@@ -100,6 +101,8 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 		{"Faults.NoiseLen", func(c *network.Config) { c.Faults.NoiseBursts, c.Faults.NoiseLen = 1, -1 }},
 		{"Faults.NoisePenaltyDB", func(c *network.Config) { c.Faults.NoiseBursts, c.Faults.NoisePenaltyDB = 1, -20 }},
 		{"Faults.NoiseRadius", func(c *network.Config) { c.Faults.NoiseBursts, c.Faults.NoiseRadius = 1, -250 }},
+		{"Faults.NoisePenaltyDB", func(c *network.Config) { c.Faults.NoiseBursts, c.Faults.NoisePenaltyDB = 1, math.NaN() }},
+		{"Faults.NoiseRadius", func(c *network.Config) { c.Faults.NoiseBursts, c.Faults.NoiseRadius = 1, math.NaN() }},
 		{"Faults.PartitionAt", func(c *network.Config) { c.Faults.PartitionAt, c.Faults.PartitionDur = -1, sim.Second }},
 		{"Faults.PartitionDur", func(c *network.Config) { c.Faults.FlapLinks, c.Faults.PartitionDur = 1, -1 }},
 		{"Faults.FailureThreshold", func(c *network.Config) { c.Faults.FlapLinks, c.Faults.FailureThreshold = 1, -1 }},
@@ -113,6 +116,9 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 		{"Flows[1].TCP.MaxCwnd", tcp(func(p *transport.TCPConfig) { p.MaxCwnd = -1 })},
 		{"Flows[1].TCP.MaxCwnd", tcp(func(p *transport.TCPConfig) { p.MaxCwnd = 1 << 16 })},
 		{"Flows[1].TCP.SSThresh", tcp(func(p *transport.TCPConfig) { p.SSThresh = -1 })},
+		{"Flows[1].TCP.InitialCwnd", tcp(func(p *transport.TCPConfig) { p.InitialCwnd = math.NaN() })},
+		{"Flows[1].TCP.MaxCwnd", tcp(func(p *transport.TCPConfig) { p.MaxCwnd = math.NaN() })},
+		{"Flows[1].TCP.SSThresh", tcp(func(p *transport.TCPConfig) { p.SSThresh = math.NaN() })},
 		{"Flows[1].TCP.DupThresh", tcp(func(p *transport.TCPConfig) { p.DupThresh = -1 })},
 		{"Flows[1].TCP.RTOMin", tcp(func(p *transport.TCPConfig) { p.RTOMin = -1 })},
 		{"Flows[1].TCP.RTOInit", tcp(func(p *transport.TCPConfig) { p.RTOInit = -1 })},
@@ -122,9 +128,11 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 		{"Flows[1].VoIP.OnMean", voip(func(p *transport.VoIPConfig) { p.OnMean = -1 })},
 		{"Flows[1].VoIP.OffMean", voip(func(p *transport.VoIPConfig) { p.OffMean = -1 })},
 		{"Flows[1].VoIP.DelayBudget", voip(func(p *transport.VoIPConfig) { p.DelayBudget = -1 })},
+		{"Flows[1].VoIP.BitsPerSecond", voip(func(p *transport.VoIPConfig) { p.BitsPerSecond = math.NaN() })},
 		{"Flows[1].Web.MeanTransferBytes", web(func(p *traffic.WebConfig) { p.MeanTransferBytes = -1 })},
 		{"Flows[1].Web.ParetoShape", web(func(p *traffic.WebConfig) { p.ParetoShape = 1 })},
 		{"Flows[1].Web.OffMean", web(func(p *traffic.WebConfig) { p.OffMean = -1 })},
+		{"Flows[1].Web.MeanTransferBytes", web(func(p *traffic.WebConfig) { p.MeanTransferBytes = math.NaN() })},
 		{"Positions[1]", place(1, radio.Pos{X: math.NaN()})},
 		{"Positions[2]", place(2, radio.Pos{X: 5e8, Y: 5e8})},
 	}

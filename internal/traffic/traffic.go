@@ -40,12 +40,13 @@ func (c *WebConfig) Normalize() {
 
 // Check passes the first field out of range to bad — its name, its value
 // and the rule it breaks — and returns bad's error, or nil. It judges c as
-// Init runs it, normalised: the mean transfer size and think time may not
-// be negative, and the Pareto shape must exceed 1 for the mean to exist.
+// Init runs it, normalised: the mean transfer size may not be negative or
+// NaN, nor the think time negative, and the Pareto shape must exceed 1 for
+// the mean to exist.
 func (c WebConfig) Check(bad func(field string, value any, rule string) error) error {
 	c.Normalize()
 	switch {
-	case c.MeanTransferBytes < 0:
+	case !(c.MeanTransferBytes >= 0):
 		return bad("MeanTransferBytes", c.MeanTransferBytes, "must not be negative")
 	case !(c.ParetoShape > 1):
 		return bad("ParetoShape", c.ParetoShape, "must exceed 1")

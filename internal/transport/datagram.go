@@ -42,11 +42,11 @@ func (c *VoIPConfig) Normalize() {
 
 // Check passes the first field out of range to bad — its name, its value
 // and the rule it breaks — and returns bad's error, or nil: no field may be
-// negative.
+// negative or NaN.
 func (c VoIPConfig) Check(bad func(field string, value any, rule string) error) error {
 	const rule = "must not be negative"
 	switch {
-	case c.BitsPerSecond < 0:
+	case !(c.BitsPerSecond >= 0):
 		return bad("BitsPerSecond", c.BitsPerSecond, rule)
 	case c.PacketInterval < 0:
 		return bad("PacketInterval", c.PacketInterval, rule)

@@ -68,7 +68,7 @@ const maxWindow = 1<<16 - 1
 
 // Check passes the first field out of range to bad — its name, its value
 // and the rule it breaks — and returns bad's error, or nil: no field may be
-// negative, and MaxCwnd may not exceed the window the rings can hold.
+// negative or NaN, and MaxCwnd may not exceed the window the rings can hold.
 func (c TCPConfig) Check(bad func(field string, value any, rule string) error) error {
 	const rule = "must not be negative"
 	switch {
@@ -76,13 +76,13 @@ func (c TCPConfig) Check(bad func(field string, value any, rule string) error) e
 		return bad("MSS", c.MSS, rule)
 	case c.AckBytes < 0:
 		return bad("AckBytes", c.AckBytes, rule)
-	case c.InitialCwnd < 0:
+	case !(c.InitialCwnd >= 0):
 		return bad("InitialCwnd", c.InitialCwnd, rule)
-	case c.MaxCwnd < 0:
+	case !(c.MaxCwnd >= 0):
 		return bad("MaxCwnd", c.MaxCwnd, rule)
 	case c.MaxCwnd > maxWindow:
 		return bad("MaxCwnd", c.MaxCwnd, fmt.Sprintf("must not exceed %d packets", maxWindow))
-	case c.SSThresh < 0:
+	case !(c.SSThresh >= 0):
 		return bad("SSThresh", c.SSThresh, rule)
 	case c.DupThresh < 0:
 		return bad("DupThresh", c.DupThresh, rule)

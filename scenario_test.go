@@ -2,6 +2,7 @@ package ripple
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -176,6 +177,7 @@ func TestValidateRefusesWhatRunRefuses(t *testing.T) {
 		{"negative station", func(s *Scenario) { s.Flows[0].Path = Path{0, -1} }, "station -1 outside topology"},
 		{"one-station path", func(s *Scenario) { s.Flows[0].Path = Path{0} }, "too short"},
 		{"negative VoIP ID", func(s *Scenario) { s.Flows[0].ID, s.Flows[0].Traffic = -3, VoIP{} }, "must not be negative"},
+		{"NaN TCP window", func(s *Scenario) { s.Flows[0].Traffic = FTP{TCP: TCPParams{MaxCwnd: math.NaN()}} }, "MaxCwnd must not be negative (got NaN)"},
 		{"no flows", func(s *Scenario) { s.Flows = nil }, "no flows"},
 		{"empty topology", func(s *Scenario) { s.Topology = Topology{} }, "no station positions"},
 	} {
