@@ -103,6 +103,12 @@ func run() int {
 	case !(*prune >= 0) && *prune != -1:
 		fmt.Fprintf(os.Stderr, "-prunesigma %g: need 0 or more sigmas, or -1 for each experiment's default\n", *prune)
 		return 2
+	case *parallel < 0 || *workers < 0:
+		fmt.Fprintf(os.Stderr, "-parallel %d -workers %d: need 0 (the default) or more of each\n", *parallel, *workers)
+		return 2
+	case *reconnect < 1:
+		fmt.Fprintf(os.Stderr, "-reconnect %d: need at least one dial\n", *reconnect)
+		return 2
 	}
 
 	isWorker := *workerMode || *connect != ""

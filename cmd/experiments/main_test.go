@@ -172,6 +172,10 @@ func TestBadRunLengthsAreUsageErrors(t *testing.T) {
 		{"-quick -seeds 3", "-quick and -seeds are mutually exclusive"},
 		{"-dur 1 -quick", "-quick and -dur are mutually exclusive"},
 		{"-quick -seeds 1 -dur 2", "-quick and -dur, -seeds are mutually exclusive"},
+		{"-parallel -1", "-parallel -1 -workers 0: need 0 (the default) or more of each"},
+		{"-workers -2", "-parallel 0 -workers -2: need 0 (the default) or more of each"},
+		{"-reconnect 0", "-reconnect 0: need at least one dial"},
+		{"-reconnect -4", "-reconnect -4: need at least one dial"},
 	} {
 		code, _, stderr := runCommand(t, "-run fig3 "+c.argv)
 		if code != 2 || !strings.Contains(stderr, c.want) {

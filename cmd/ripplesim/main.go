@@ -87,6 +87,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case ripple.Time(*durSec*float64(ripple.Second)) <= 0:
 		fmt.Fprintf(stderr, "-dur %g: need a positive number of simulated seconds\n", *durSec)
 		return 2
+	case *parallel < 0 || *workers < 0:
+		fmt.Fprintf(stderr, "-parallel %d -workers %d: need 0 (the default) or more of each\n", *parallel, *workers)
+		return 2
 	}
 	if *workers > 0 && *traceOut != "" {
 		// The trace pass runs in the coordinator, but every spawned worker

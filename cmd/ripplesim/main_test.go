@@ -74,6 +74,8 @@ func TestUsageErrors(t *testing.T) {
 		{"-seeds -2", "-seeds -2: need at least one seed"},
 		{"-hops 0", "-hops 0: a line needs at least one hop"},
 		{"-hops -2", "-hops -2: a line needs at least one hop"},
+		{"-parallel -1", "-parallel -1 -workers 0: need 0 (the default) or more of each"},
+		{"-workers -3", "-parallel 0 -workers -3: need 0 (the default) or more of each"},
 		{"-trace " + filepath.Join(t.TempDir(), "t.jsonl") + " -workers 2", "-trace and -workers are mutually exclusive"},
 		{"-nosuchflag", "flag provided but not defined"},
 	}
