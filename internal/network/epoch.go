@@ -1,6 +1,7 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
 	"runtime/debug"
 
@@ -96,13 +97,8 @@ func (s MobilitySpec) check(bad func(field string, value any, rule string) error
 	return nil
 }
 
-// epochLen resolves the epoch length.
-func (s MobilitySpec) epochLen() sim.Time {
-	if s.Epoch > 0 {
-		return s.Epoch
-	}
-	return fault.DefaultEpoch
-}
+// epochLen resolves the epoch length of a checked spec.
+func (s MobilitySpec) epochLen() sim.Time { return cmp.Or(s.Epoch, fault.DefaultEpoch) }
 
 // seed resolves the trajectory seed.
 func (s MobilitySpec) seed() uint64 {

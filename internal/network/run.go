@@ -589,10 +589,7 @@ func (r *run) startFlows() {
 			start.source = v
 		case CBRTraffic:
 			// CBRInterval zero selects backlogged (saturating) mode.
-			bytes := cfg.Phy.PacketBytes
-			if f.CBRPacketBytes > 0 {
-				bytes = f.CBRPacketBytes
-			}
+			bytes := cmp.Or(f.CBRPacketBytes, cfg.Phy.PacketBytes)
 			c := &r.cbrs[nCBR]
 			nCBR++
 			c.Init(eng, f.ID, src, dst, bytes, f.CBRInterval, r.send[src], fs)
@@ -607,12 +604,11 @@ func (r *run) startFlows() {
 
 // orZero is *p, or T's zero value when p is nil: a flow's nil traffic
 // config is the zero config, which the transport normalises to the paper's.
-func orZero[T any](p *T) T {
-	if p == nil {
-		var zero T
-		return zero
+func orZero[T any](p *T) (v T) {
+	if p != nil {
+		v = *p
 	}
-	return *p
+	return v
 }
 
 // fold runs the end-of-run audit — the deep catalogue once more at
