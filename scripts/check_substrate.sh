@@ -101,7 +101,15 @@
 # options set the simulator's fields and a run receives the spec as it is.
 # A mirrored private field that grows back would be one more place each
 # setting is written down, and one more field-by-field copy to keep in
-# step, while every result stayed the same.
+# step, while every result stayed the same;
+#
+# or if a non-test .go file outside internal/transport, internal/traffic and
+# bench/ calls DefaultTCPConfig(, DefaultVoIPConfig( or DefaultWebConfig(:
+# a traffic config's zero field selects the paper's value, filled by the
+# config's own Normalize when its transport or source is initialised, and a
+# flow's nil config is the zero config. A whole-config default that grows
+# back in a caller would write the paper's values down a second time, and
+# the field-by-field copy onto it would move no byte of output.
 #
 # Usage: sh scripts/check_substrate.sh   (from the repo root)
 set -eu
@@ -197,6 +205,11 @@ type Mobility struct{ spec network.MobilitySpec }
 type Routing struct{ spec network.RoutingSpec }" ]; then
     printf '%s\n' "$builders" >&2
     echo "check_substrate: a public builder declares a field beside its spec — set the spec's field in the option" >&2
+    fail=1
+fi
+if grep -nE 'Default(TCP|VoIP|Web)Config\(' $(find . -name '*.go' ! -name '*_test.go' \
+        ! -path './internal/transport/*' ! -path './internal/traffic/*' ! -path './bench/*' ! -path './.bench_build/*'); then
+    echo "check_substrate: a whole traffic-config default outside its package — leave the fields zero, the config's Normalize fills them" >&2
     fail=1
 fi
 exit $fail
