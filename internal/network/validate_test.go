@@ -182,9 +182,9 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 // TestZeroTrafficFieldIsThePapersValue: a TCP, VoIP or Web config that is
 // the paper's but for one zero field runs the Result of the same flow with
 // no config at all — a zero field selects the paper's value. Each run has a
-// wall-clock bound, because a zero RTO or packet interval once passed
-// Validate and then re-armed its timer for the current instant forever, so
-// Run never returned.
+// wall-clock bound: a zero RTO or packet interval that reached a transport
+// would re-arm its timer for the current instant forever, and Run would
+// never return.
 func TestZeroTrafficFieldIsThePapersValue(t *testing.T) {
 	const bound = 10 * time.Second
 	top, path := topology.Line(3)
