@@ -37,13 +37,10 @@ const (
 	// DefaultFailureThreshold is the number of consecutive failed
 	// exchanges before routing blacklists the preferred forwarder.
 	DefaultFailureThreshold = 3
-	// DefaultEpoch is the one default epoch length: of a fault overlay on
-	// an otherwise static world, of a mobile world
-	// (network.MobilitySpec.Epoch) and of a dynamic route policy's
-	// recompute (network.RoutingSpec.Epoch). One length, so the two kinds
-	// of time-varying world share boundary semantics, and under dynamic
-	// routing a topology change and the re-route that reacts to it land on
-	// the same boundary (the swap is scheduled first).
+	// DefaultEpoch is the default epoch of a fault overlay, a mobile world
+	// and a dynamic route policy's recompute (network.MobilitySpec and
+	// RoutingSpec): one length, so a topology change and the re-route that
+	// reacts to it land on the same boundary (the swap is scheduled first).
 	DefaultEpoch = 500 * sim.Millisecond
 )
 

@@ -46,8 +46,8 @@ func (k MobilityKind) String() string {
 type MobilitySpec struct {
 	Kind MobilityKind
 	// Epoch is the interval between world snapshots (0 selects
-	// fault.DefaultEpoch, 500 ms). Positions change only at epoch boundaries:
-	// within an epoch the world is as immutable as a static one.
+	// fault.DefaultEpoch). Positions change only at epoch boundaries: within
+	// an epoch the world is as immutable as a static one.
 	Epoch sim.Time
 	// Seed drives the trajectories. It is deliberately separate from
 	// Config.Seed — worlds must stay seed-independent so one World serves

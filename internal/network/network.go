@@ -216,9 +216,8 @@ type RoutingSpec struct {
 	// queued packet (0 selects routing.DefaultCongestionAlpha).
 	Alpha float64
 	// Epoch is the recompute interval for dynamic policies (0 selects
-	// fault.DefaultEpoch, 500 ms: long enough for queues to reflect
-	// sustained load rather than a single aggregation burst, short enough
-	// to re-route several times within the paper's 10 s runs).
+	// fault.DefaultEpoch: long enough for queues to reflect sustained load,
+	// short enough to re-route several times within the paper's 10 s runs).
 	Epoch sim.Time
 	// K, when positive, forces every route to carry exactly min(K,
 	// available) intermediate relays — truncating by Rule, padding with
@@ -282,8 +281,12 @@ func (s RoutingSpec) build(t *routing.Table, pos []radio.Pos) (routing.Policy, e
 // defaulted whole, and only when no field of theirs is set: a partial one is
 // kept as it is, for Validate to refuse.
 func (c *Config) Normalize() {
-	c.MaxForwarders = cmp.Or(c.MaxForwarders, 5)
-	c.Duration = cmp.Or(c.Duration, 10*sim.Second)
+	if c.MaxForwarders == 0 {
+		c.MaxForwarders = 5
+	}
+	if c.Duration == 0 {
+		c.Duration = 10 * sim.Second
+	}
 	c.RippleOpts.Normalize()
 	if c.Phy == (phys.Params{}) {
 		c.Phy = phys.Default()
