@@ -56,16 +56,6 @@ func (p Point) Index(axis string) int {
 	panic(fmt.Sprintf("campaign: grid has no axis %q", axis))
 }
 
-// Label returns the point's label along the named axis.
-func (p Point) Label(axis string) string {
-	for i, a := range p.axes {
-		if a.Name == axis {
-			return a.Labels[p.idx[i]]
-		}
-	}
-	panic(fmt.Sprintf("campaign: grid has no axis %q", axis))
-}
-
 // String renders the point as "axis=label/axis=label".
 func (p Point) String() string {
 	parts := make([]string, len(p.axes))

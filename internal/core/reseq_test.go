@@ -24,7 +24,9 @@ func newRqHarness(t *testing.T, opt Options) (*sim.Engine, *Ripple, *[]int64) {
 			*delivered = append(*delivered, p.MacSeq)
 		},
 	}
-	return eng, New(env, opt), delivered
+	r := new(Ripple)
+	r.Init(env, opt)
+	return eng, r, delivered
 }
 
 func rqPkt(macSeq int64) *pkt.Packet {

@@ -137,15 +137,8 @@ type piggyEntry struct {
 
 var _ forward.Scheme = (*Ripple)(nil)
 
-// New creates the RIPPLE agent for one station.
-func New(env forward.Env, opt Options) *Ripple {
-	r := &Ripple{}
-	r.Init(env, opt)
-	return r
-}
-
-// Init makes r, in place, the agent New returns: every field zero or set
-// from the arguments (opt normalised), except the chassis (see
+// Init makes r, in place, the RIPPLE agent of one station: every field zero
+// or set from the arguments (opt normalised), except the chassis (see
 // forward.Station.Init), the three per-stream and per-mTXOP slices and two
 // seen-sets, emptied (the piggyback entries keeping their buffers), the
 // scratch buffers, and the relay, resequencer and reclaim records, recalled

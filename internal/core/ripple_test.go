@@ -19,7 +19,7 @@ type harness struct {
 	counters  []forward.Counters
 	delivered [][]*pkt.Packet
 	frames    []pkt.Frame // all transmissions, copied out of the medium trace
-	routes    *forward.RouteBook
+	paths     map[int]routing.Path
 }
 
 func idealRadio() radio.Config {
@@ -32,8 +32,8 @@ func idealRadio() radio.Config {
 func newHarness(t *testing.T, positions []radio.Pos, rc radio.Config,
 	paths map[int]routing.Path, opt Options) *harness {
 	t.Helper()
-	h := &harness{eng: sim.NewEngine()}
-	h.med = radio.NewMedium(h.eng, rc, phys.Default(), positions, sim.NewRNG(1, 1))
+	h := &harness{eng: sim.NewEngine(), paths: paths}
+	h.med = radio.NewMediumOn(h.eng, radio.NewLinkPlan(rc, positions), phys.Default(), sim.NewRNG(1, 1))
 	h.med.Trace = func(_ sim.Time, ev string, node pkt.NodeID, f *pkt.Frame) {
 		if ev == "tx" {
 			// The frame is valid only during the call: it is recycled once
@@ -48,7 +48,6 @@ func newHarness(t *testing.T, positions []radio.Pos, rc radio.Config,
 	for id, p := range paths {
 		routes.Add(id, p)
 	}
-	h.routes = routes
 	h.agents = make([]*Ripple, len(positions))
 	h.counters = make([]forward.Counters, len(positions))
 	h.delivered = make([][]*pkt.Packet, len(positions))
@@ -66,7 +65,8 @@ func newHarness(t *testing.T, positions []radio.Pos, rc radio.Config,
 				h.delivered[i] = append(h.delivered[i], p)
 			},
 		}
-		h.agents[i] = New(env, opt)
+		h.agents[i] = new(Ripple)
+		h.agents[i].Init(env, opt)
 		h.med.Attach(pkt.NodeID(i), h.agents[i])
 	}
 	return h
@@ -87,7 +87,7 @@ func (h *harness) inject(from pkt.NodeID, flow, n int, dst pkt.NodeID) {
 // stream is the stream of flow's packets sent from `from`: forward from the
 // path's source, reverse from anywhere else.
 func (h *harness) stream(flow int, from pkt.NodeID) int32 {
-	if from == h.routes.Path(flow).Src() {
+	if from == h.paths[flow].Src() {
 		return pkt.StreamOf(flow, 0)
 	}
 	return pkt.StreamOf(flow, 1)

@@ -261,7 +261,7 @@ func (w *handWorker) take(fp string) int {
 }
 
 // deliver runs a cell and sends its result.
-func (w *handWorker) deliver(src CellSet, cell int) {
+func (w *handWorker) deliver(src sizedCells, cell int) {
 	w.t.Helper()
 	payload, st, err := src.RunCell(cell)
 	if err != nil {
@@ -450,13 +450,13 @@ func TestHalfPersistencePanics(t *testing.T) {
 
 // countingCells wraps a CellSet and counts executed cells.
 type countingCells struct {
-	CellSet
+	sizedCells
 	n *int32
 }
 
 func (c countingCells) RunCell(i int) (any, map[string]stats.State, error) {
 	atomic.AddInt32(c.n, 1)
-	return c.CellSet.RunCell(i)
+	return c.sizedCells.RunCell(i)
 }
 
 // TestCheckpointResume interrupts a checkpointing campaign after two

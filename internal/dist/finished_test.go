@@ -25,7 +25,7 @@ import (
 
 // runCampaign runs grids in order on c with workers in-process workers,
 // each traversing the same sequence, and returns every grid's output.
-func runCampaign(t *testing.T, c *Coordinator, workers int, grids ...CellSet) []*GridOutput {
+func runCampaign(t *testing.T, c *Coordinator, workers int, grids ...sizedCells) []*GridOutput {
 	t.Helper()
 	var errs []chan error
 	for i := range workers {
@@ -92,10 +92,10 @@ func TestFinishedGridRunAgain(t *testing.T) {
 // wantFrames is what a checkpoint holds for the grids, every cell done:
 // one journal frame per cell, the JSON of its record, grids in fingerprint
 // order and cells in index order.
-func wantFrames(t *testing.T, grids ...CellSet) []byte {
+func wantFrames(t *testing.T, grids ...sizedCells) []byte {
 	t.Helper()
 	grids = slices.Clone(grids)
-	slices.SortFunc(grids, func(a, b CellSet) int { return strings.Compare(a.Fingerprint(), b.Fingerprint()) })
+	slices.SortFunc(grids, func(a, b sizedCells) int { return strings.Compare(a.Fingerprint(), b.Fingerprint()) })
 	var frames bytes.Buffer
 	for _, src := range grids {
 		for i := range src.NumCells() {
@@ -125,12 +125,12 @@ func wantFrames(t *testing.T, grids ...CellSet) []byte {
 // fingerprints whose order is not the order they ran in.
 func TestCheckpointFramesAreTheJournals(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
-	grids := []CellSet{
+	grids := []sizedCells{
 		fatCells{fp: "frames-c", n: 14, size: 64 << 10},
 		fatCells{fp: "frames-a\"<&>", n: 9, size: 64 << 10},
 		fakeCells{fp: "frames-b", n: 6, fail: -1},
 	}
-	phase := func(resume bool, grids ...CellSet) {
+	phase := func(resume bool, grids ...sizedCells) {
 		ck, wal, err := OpenPersistence(path, resume)
 		if err != nil {
 			t.Fatal(err)
@@ -164,7 +164,7 @@ func TestCheckpointFramesAreTheJournals(t *testing.T) {
 // returns the outputs of the first run.
 func TestResumeAcrossCopiedSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
-	var grids []CellSet
+	var grids []sizedCells
 	for i := range 3 {
 		grids = append(grids, fatCells{fp: fmt.Sprintf("copied-%d", i), n: 14, size: 64 << 10})
 	}
@@ -189,7 +189,7 @@ func TestResumeAcrossCopiedSnapshot(t *testing.T) {
 	var log strings.Builder
 	c = NewCoordinator(Options{Checkpoint: ck, WAL: wal, Logf: logTo(&log)})
 	var ran int32
-	counted := make([]CellSet, len(grids))
+	counted := make([]sizedCells, len(grids))
 	for i, src := range grids {
 		counted[i] = countingCells{src, &ran}
 	}
@@ -267,7 +267,7 @@ func TestFinishedCellsLeaveTheHeap(t *testing.T) {
 			turn := make(chan struct{}, 1)
 			turn <- struct{}{}
 			var sets []pacedCells
-			var all []CellSet
+			var all []sizedCells
 			// One grid more than measured: the worker waits for it while
 			// the heap is read, as it waits for the first measured one.
 			for g := range warm + grids + 1 {

@@ -23,9 +23,6 @@ type GridCells struct {
 // Fingerprint implements CellSet.
 func (g GridCells) Fingerprint() string { return g.Plan.Fingerprint() }
 
-// NumCells implements CellSet.
-func (g GridCells) NumCells() int { return g.Plan.NumCells() }
-
 // RunCell implements CellSet: all seeds of one cell, plus the metric
 // summary states the coordinator merges across cells.
 func (g GridCells) RunCell(c int) (any, map[string]stats.State, error) {

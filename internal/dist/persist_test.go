@@ -90,7 +90,7 @@ func crashCoordinator(t *testing.T, ckptPath string, grids, after int) {
 // cells it executes.
 func countingWorker(t *testing.T, c *Coordinator, ran *int32, grids []*campaign.Grid) chan error {
 	t.Helper()
-	var sets []CellSet
+	var sets []sizedCells
 	for _, g := range grids {
 		plan, err := g.Plan()
 		if err != nil {
@@ -164,7 +164,7 @@ func (f fatCells) payload(c int) string { return strings.Repeat(string(rune('a'+
 
 // serveCells runs a well-behaved worker over an in-process pipe through the
 // given cell sets in order.
-func serveCells(c *Coordinator, name string, sets ...CellSet) chan error {
+func serveCells(c *Coordinator, name string, sets ...sizedCells) chan error {
 	errc := make(chan error, 1)
 	cli, srv := net.Pipe()
 	go c.Serve(NewConn(srv))
@@ -199,7 +199,7 @@ func TestCellCountsOnlyOnceDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCoordinator(Options{Checkpoint: ck, WAL: wal, Logf: t.Logf})
-	var sets []CellSet
+	var sets []sizedCells
 	for i := 1; i <= 6; i++ {
 		sets = append(sets, fatCells{fp: fmt.Sprintf("fat-%d", i), n: 14, size: 64 << 10})
 	}
@@ -305,7 +305,7 @@ func TestCellCountsOnlyOnceDurable(t *testing.T) {
 // checkpoint and an empty journal, and resuming it leases nothing.
 func TestFinishedCampaignAtRest(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
-	sets := []CellSet{
+	sets := []sizedCells{
 		fakeCells{fp: "rest-1", n: 5, fail: -1},
 		fakeCells{fp: "rest-2", n: 9, fail: -1},
 		fakeCells{fp: "rest-3", n: 3, fail: -1},
@@ -322,7 +322,7 @@ func TestFinishedCampaignAtRest(t *testing.T) {
 			defer mu.Unlock()
 			fmt.Fprintf(&sb, format+"\n", args...)
 		}})
-		counted := make([]CellSet, len(sets))
+		counted := make([]sizedCells, len(sets))
 		for i, src := range sets {
 			counted[i] = countingCells{src, &ran}
 		}
@@ -472,7 +472,7 @@ func TestResumeAfterSnapshotLag(t *testing.T) {
 // dupWorker speaks the protocol by hand and delivers every cell it is leased
 // twice, back to back — the second copy arrives while the first is still
 // queued for the journal — and then once more under a lease id nobody holds.
-func dupWorker(c *Coordinator, name string, src CellSet) chan error {
+func dupWorker(c *Coordinator, name string, src sizedCells) chan error {
 	errc := make(chan error, 1)
 	cli, srv := net.Pipe()
 	go c.Serve(NewConn(srv))

@@ -19,8 +19,6 @@ type CellSet interface {
 	// worker must compute identical fingerprints from identical
 	// definitions.
 	Fingerprint() string
-	// NumCells is the flat cell count.
-	NumCells() int
 	// RunCell executes one cell, returning its payload (marshalled and
 	// shipped verbatim to the coordinator) and per-metric Welford states.
 	RunCell(c int) (payload any, st map[string]stats.State, err error)

@@ -114,26 +114,6 @@ func (t *Table) Format() string {
 	return b.String()
 }
 
-// Cell returns the value at (rowLabel, column), with ok=false when absent.
-func (t *Table) Cell(rowLabel, column string) (float64, bool) {
-	ci := -1
-	for i, c := range t.Columns {
-		if c == column {
-			ci = i
-			break
-		}
-	}
-	if ci < 0 {
-		return 0, false
-	}
-	for _, r := range t.Rows {
-		if r.Label == rowLabel && ci < len(r.Cells) {
-			return r.Cells[ci], true
-		}
-	}
-	return 0, false
-}
-
 // totalTCP sums throughput over all TCP flows in a result.
 func totalTCP(res *network.Result) float64 {
 	var sum float64

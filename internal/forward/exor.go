@@ -60,30 +60,16 @@ type exorRx struct {
 
 var _ Scheme = (*ExOR)(nil)
 
-// NewPreExOR creates the per-station agent of the early ExOR (Biswas &
+// Init makes x, in place, the per-station agent of the early ExOR (Biswas &
 // Morris, HotNets 2003): every forwarder that received the packet transmits
 // a MAC ACK in its own reserved, sequential slot, and slots of silent
-// "shadowed" ACKs are still waited out.
-func NewPreExOR(env Env) *ExOR {
-	x := &ExOR{}
-	x.Init(env, false)
-	return x
-}
-
-// NewMCExOR creates the per-station agent of MCExOR (Zubow et al., European
-// Wireless 2007): a forwarder of rank i waits i+1 SIFS intervals and
-// transmits a MAC ACK only if it detected no ACK (no carrier) during its
-// wait — so exactly one ACK is sent, by the best actual receiver.
-func NewMCExOR(env Env) *ExOR {
-	x := &ExOR{}
-	x.Init(env, true)
-	return x
-}
-
-// Init makes x, in place, the agent NewPreExOR returns, or NewMCExOR with
-// compressed acknowledgements: every field zero or set from the arguments,
-// except the chassis (see Station.Init), the emptied seen-set and pending
-// list, and the reception records, recalled from the events that held them.
+// "shadowed" ACKs are still waited out. With compressed acknowledgements it
+// is MCExOR's (Zubow et al., European Wireless 2007): a forwarder of rank i
+// waits i+1 SIFS intervals and transmits a MAC ACK only if it detected no
+// ACK (no carrier) during its wait, so exactly one ACK is sent, by the best
+// actual receiver. Every field is zero or set from the arguments, except the
+// chassis (see Station.Init), the emptied seen-set and pending list, and the
+// reception records, recalled from the events that held them.
 func (x *ExOR) Init(env Env, compressed bool) {
 	var acks ackSchedule = sequentialAcks{}
 	if compressed {

@@ -236,14 +236,6 @@ func (b *RouteBook) Add(slot int, p routing.Path) {
 	fr.senders = fr.senders[:0]
 }
 
-// Path returns the registered path for the flow at slot (nil if unknown).
-func (b *RouteBook) Path(slot int) routing.Path {
-	if slot >= len(b.flows) {
-		return nil
-	}
-	return b.flows[slot].path
-}
-
 // view is the route sender `from` sees on the flow at slot: its own once it
 // has banned a station, the flow's otherwise; nil past the highest slot
 // added. A slot below it that was never added has a nil path, on which
@@ -387,17 +379,6 @@ func (b *RouteBook) NoteTxSuccess(slot int, from pkt.NodeID) {
 	if s := b.flows[slot].sender(from); s != nil {
 		s.fails = 0
 	}
-}
-
-// Blacklisted reports whether sender `from` currently blacklists station
-// n for the flow at slot (tests and diagnostics).
-func (b *RouteBook) Blacklisted(slot int, from, n pkt.NodeID) bool {
-	if slot >= len(b.flows) {
-		return false
-	}
-	fr := &b.flows[slot]
-	s := fr.sender(from)
-	return s != nil && slices.Contains(fr.path, n) && s.banned(n)
 }
 
 // SetUnreachable flags or clears the flow at slot as one whose destination

@@ -35,7 +35,7 @@ func newHarness(t *testing.T, positions []radio.Pos, rc radio.Config,
 	paths map[int]routing.Path, mk func(Env) Scheme) *harness {
 	t.Helper()
 	h := &harness{eng: sim.NewEngine()}
-	h.med = radio.NewMedium(h.eng, rc, phys.Default(), positions, sim.NewRNG(1, 1))
+	h.med = radio.NewMediumOn(h.eng, radio.NewLinkPlan(rc, positions), phys.Default(), sim.NewRNG(1, 1))
 	// A flow's ID doubles as its slot in the route book.
 	routes := NewRouteBook(5)
 	for id, p := range paths {
@@ -63,6 +63,15 @@ func newHarness(t *testing.T, positions []radio.Pos, rc radio.Config,
 		h.med.Attach(pkt.NodeID(i), h.schemes[i])
 	}
 	return h
+}
+
+// unicast and exor make each station's scheme in place, as the run does.
+func unicast(maxAgg, rtsThreshold int) func(Env) Scheme {
+	return func(e Env) Scheme { u := new(Unicast); u.Init(e, maxAgg, rtsThreshold); return u }
+}
+
+func exor(compressed bool) func(Env) Scheme {
+	return func(e Env) Scheme { x := new(ExOR); x.Init(e, compressed); return x }
 }
 
 func (h *harness) inject(from pkt.NodeID, flow int, n int, dst pkt.NodeID) {
@@ -102,9 +111,7 @@ func linePositions(n int) []radio.Pos {
 
 func TestUnicastSingleHopExchange(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1}}
-	h := newHarness(t, linePositions(2), idealRadio(), paths, func(e Env) Scheme {
-		return NewUnicast(e, 1)
-	})
+	h := newHarness(t, linePositions(2), idealRadio(), paths, unicast(1, 0))
 	h.inject(0, 1, 5, 1)
 	h.eng.Run(50 * sim.Millisecond)
 	if got := len(h.delivered[1]); got != 5 {
@@ -123,9 +130,7 @@ func TestUnicastSingleHopExchange(t *testing.T) {
 
 func TestUnicastMultiHopRelay(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1, 2, 3}}
-	h := newHarness(t, linePositions(4), idealRadio(), paths, func(e Env) Scheme {
-		return NewUnicast(e, 1)
-	})
+	h := newHarness(t, linePositions(4), idealRadio(), paths, unicast(1, 0))
 	h.inject(0, 1, 10, 3)
 	h.eng.Run(100 * sim.Millisecond)
 	if got := len(h.delivered[3]); got != 10 {
@@ -138,9 +143,7 @@ func TestUnicastMultiHopRelay(t *testing.T) {
 
 func TestAFRAggregatesIntoOneFrame(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1}}
-	h := newHarness(t, linePositions(2), idealRadio(), paths, func(e Env) Scheme {
-		return NewUnicast(e, 16)
-	})
+	h := newHarness(t, linePositions(2), idealRadio(), paths, unicast(16, 0))
 	h.inject(0, 1, 16, 1)
 	h.eng.Run(50 * sim.Millisecond)
 	if got := len(h.delivered[1]); got != 16 {
@@ -153,9 +156,7 @@ func TestAFRAggregatesIntoOneFrame(t *testing.T) {
 
 func TestDCFSendsOneFramePerPacket(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1}}
-	h := newHarness(t, linePositions(2), idealRadio(), paths, func(e Env) Scheme {
-		return NewUnicast(e, 1)
-	})
+	h := newHarness(t, linePositions(2), idealRadio(), paths, unicast(1, 0))
 	h.inject(0, 1, 8, 1)
 	h.eng.Run(50 * sim.Millisecond)
 	if h.counters[0].TxData != 8 {
@@ -168,9 +169,7 @@ func TestUnicastRetryAndDropWhenPeerSilent(t *testing.T) {
 	// packet is dropped after the retry limit.
 	paths := map[int]routing.Path{1: {0, 1}}
 	positions := []radio.Pos{{X: 0}, {X: 600}} // beyond CS and RX
-	h := newHarness(t, positions, idealRadio(), paths, func(e Env) Scheme {
-		return NewUnicast(e, 1)
-	})
+	h := newHarness(t, positions, idealRadio(), paths, unicast(1, 0))
 	h.inject(0, 1, 1, 1)
 	h.eng.Run(sim.Second)
 	p := phys.Default()
@@ -187,9 +186,7 @@ func TestUnicastRetryAndDropWhenPeerSilent(t *testing.T) {
 
 func TestUnicastQueueOverflowDrops(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1}}
-	h := newHarness(t, linePositions(2), idealRadio(), paths, func(e Env) Scheme {
-		return NewUnicast(e, 1)
-	})
+	h := newHarness(t, linePositions(2), idealRadio(), paths, unicast(1, 0))
 	h.inject(0, 1, 60, 1) // queue limit is 50
 	if h.counters[0].QueueDrops != 10 {
 		t.Fatalf("QueueDrops = %d, want 10", h.counters[0].QueueDrops)
@@ -198,9 +195,7 @@ func TestUnicastQueueOverflowDrops(t *testing.T) {
 
 func TestPreExOROpportunisticDelivery(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1, 2, 3}}
-	h := newHarness(t, linePositions(4), idealRadio(), paths, func(e Env) Scheme {
-		return NewPreExOR(e)
-	})
+	h := newHarness(t, linePositions(4), idealRadio(), paths, exor(false))
 	h.inject(0, 1, 10, 3)
 	h.eng.Run(200 * sim.Millisecond)
 	if got := len(h.delivered[3]); got != 10 {
@@ -219,9 +214,7 @@ func TestPreExOROpportunisticDelivery(t *testing.T) {
 
 func TestMCExORSingleCompressedAck(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1, 2, 3}}
-	h := newHarness(t, linePositions(4), idealRadio(), paths, func(e Env) Scheme {
-		return NewMCExOR(e)
-	})
+	h := newHarness(t, linePositions(4), idealRadio(), paths, exor(true))
 	h.inject(0, 1, 10, 3)
 	h.eng.Run(200 * sim.Millisecond)
 	if got := len(h.delivered[3]); got != 10 {

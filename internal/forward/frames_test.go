@@ -30,11 +30,11 @@ func TestFramesReturnToPoolOnceTheAirDrains(t *testing.T) {
 	lossy := idealRadio()
 	lossy.BitErrorRate = 2e-5 // some exchanges fail and retry
 	schemes := map[string]func(Env) Scheme{
-		"DCF":     func(e Env) Scheme { return NewUnicast(e, 1) },
-		"AFR":     func(e Env) Scheme { return NewUnicast(e, 16) },
-		"DCF/RTS": func(e Env) Scheme { return NewUnicastRTS(e, 1, 1) },
-		"PreExOR": func(e Env) Scheme { return NewPreExOR(e) },
-		"MCExOR":  func(e Env) Scheme { return NewMCExOR(e) },
+		"DCF":     unicast(1, 0),
+		"AFR":     unicast(16, 0),
+		"DCF/RTS": unicast(1, 1),
+		"PreExOR": exor(false),
+		"MCExOR":  exor(true),
 	}
 	for name, mk := range schemes {
 		t.Run(name, func(t *testing.T) {
@@ -55,9 +55,7 @@ func TestFramesReturnToPoolOnceTheAirDrains(t *testing.T) {
 // data frame parked for after the handshake.
 func TestRTSTimeoutReleasesParkedDataFrame(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1}}
-	h := newHarness(t, linePositions(2), idealRadio(), paths, func(e Env) Scheme {
-		return NewUnicastRTS(e, 1, 1)
-	})
+	h := newHarness(t, linePositions(2), idealRadio(), paths, unicast(1, 1))
 	h.schemes[1].Crash()
 	h.med.SetDown(1, true)
 	h.inject(0, 1, 2, 1)
@@ -83,9 +81,7 @@ func TestDelayedTxSkipReleasesFrame(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			paths := map[int]routing.Path{1: {0, 1}}
-			h := newHarness(t, linePositions(2), idealRadio(), paths, func(e Env) Scheme {
-				return NewUnicastRTS(e, 1, 1)
-			})
+			h := newHarness(t, linePositions(2), idealRadio(), paths, unicast(1, 1))
 			fired := false
 			h.med.Trace = func(_ sim.Time, ev string, node pkt.NodeID, f *pkt.Frame) {
 				if fired || ev != "rx" || node != c.at || f.Kind != c.on {

@@ -22,11 +22,11 @@ func TestSchemeInvariantsUnderLoss(t *testing.T) {
 		name string
 		mk   func(Env) Scheme
 	}{
-		{"DCF", func(e Env) Scheme { return NewUnicast(e, 1) }},
-		{"AFR", func(e Env) Scheme { return NewUnicast(e, 16) }},
-		{"AFR+RTS", func(e Env) Scheme { return NewUnicastRTS(e, 16, 1) }},
-		{"preExOR", func(e Env) Scheme { return NewPreExOR(e) }},
-		{"MCExOR", func(e Env) Scheme { return NewMCExOR(e) }},
+		{"DCF", unicast(1, 0)},
+		{"AFR", unicast(16, 0)},
+		{"AFR+RTS", unicast(16, 1)},
+		{"preExOR", exor(false)},
+		{"MCExOR", exor(true)},
 	}
 	for _, s := range schemes {
 		s := s
@@ -92,10 +92,10 @@ func TestSchemeDeterminismPerSeed(t *testing.T) {
 		name string
 		mk   func(Env) Scheme
 	}{
-		{"DCF", func(e Env) Scheme { return NewUnicast(e, 1) }},
-		{"AFR", func(e Env) Scheme { return NewUnicast(e, 16) }},
-		{"preExOR", func(e Env) Scheme { return NewPreExOR(e) }},
-		{"MCExOR", func(e Env) Scheme { return NewMCExOR(e) }},
+		{"DCF", unicast(1, 0)},
+		{"AFR", unicast(16, 0)},
+		{"preExOR", exor(false)},
+		{"MCExOR", exor(true)},
 	}
 	for _, s := range schemes {
 		s := s

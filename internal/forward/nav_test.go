@@ -13,9 +13,7 @@ import (
 // existing longer one short.
 func TestNAVExtendsNotShrinks(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1}}
-	h := newHarness(t, linePositions(2), idealRadio(), paths, func(e Env) Scheme {
-		return NewUnicastRTS(e, 1, 1)
-	})
+	h := newHarness(t, linePositions(2), idealRadio(), paths, unicast(1, 1))
 	u, ok := h.schemes[0].(*Unicast)
 	if !ok {
 		t.Fatal("scheme is not *Unicast")
@@ -35,9 +33,7 @@ func TestNAVExtendsNotShrinks(t *testing.T) {
 // the station's pending transmission proceeds.
 func TestNAVExpiryReleasesContender(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1}}
-	h := newHarness(t, linePositions(2), idealRadio(), paths, func(e Env) Scheme {
-		return NewUnicastRTS(e, 1, 0) // no RTS for own frames; NAV still honoured
-	})
+	h := newHarness(t, linePositions(2), idealRadio(), paths, unicast(1, 0)) // no RTS for own frames; NAV still honoured
 	u := h.schemes[0].(*Unicast)
 	// NAV set externally (as if an RTS was overheard), then traffic queued.
 	u.setNAV(5 * sim.Millisecond)
@@ -56,9 +52,7 @@ func TestNAVExpiryReleasesContender(t *testing.T) {
 func TestCTSNavDurCoversRest(t *testing.T) {
 	p := phys.Default()
 	paths := map[int]routing.Path{1: {0, 1}}
-	h := newHarness(t, linePositions(2), idealRadio(), paths, func(e Env) Scheme {
-		return NewUnicastRTS(e, 1, 1)
-	})
+	h := newHarness(t, linePositions(2), idealRadio(), paths, unicast(1, 1))
 	// Copies: a traced frame is valid only during the call.
 	var rts, cts *pkt.Frame
 	h.med.Trace = func(_ sim.Time, ev string, _ pkt.NodeID, f *pkt.Frame) {
@@ -94,9 +88,7 @@ func TestCTSNavDurCoversRest(t *testing.T) {
 // TestRTSMultiHopRelay: RTS/CTS composes with multi-hop forwarding.
 func TestRTSMultiHopRelay(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1, 2, 3}}
-	h := newHarness(t, linePositions(4), idealRadio(), paths, func(e Env) Scheme {
-		return NewUnicastRTS(e, 16, 1)
-	})
+	h := newHarness(t, linePositions(4), idealRadio(), paths, unicast(16, 1))
 	h.inject(0, 1, 20, 3)
 	h.eng.Run(200 * sim.Millisecond)
 	if got := len(h.delivered[3]); got != 20 {
@@ -108,9 +100,7 @@ func TestRTSMultiHopRelay(t *testing.T) {
 // incoming data frame with its ACK (only contention is deferred).
 func TestNAVDoesNotBlockSIFSResponses(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1}}
-	h := newHarness(t, linePositions(2), idealRadio(), paths, func(e Env) Scheme {
-		return NewUnicastRTS(e, 1, 0)
-	})
+	h := newHarness(t, linePositions(2), idealRadio(), paths, unicast(1, 0))
 	// Receiver's NAV set; the sender's data must still be ACKed.
 	h.schemes[1].(*Unicast).setNAV(50 * sim.Millisecond)
 	h.inject(0, 1, 3, 1)

@@ -10,9 +10,7 @@ import (
 
 func TestRTSCTSExchangeDelivers(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1}}
-	h := newHarness(t, linePositions(2), idealRadio(), paths, func(e Env) Scheme {
-		return NewUnicastRTS(e, 1, 1) // protect every frame
-	})
+	h := newHarness(t, linePositions(2), idealRadio(), paths, unicast(1, 1)) // protect every frame
 	h.inject(0, 1, 5, 1)
 	h.eng.Run(100 * sim.Millisecond)
 	if got := len(h.delivered[1]); got != 5 {
@@ -32,9 +30,7 @@ func TestRTSCTSExchangeDelivers(t *testing.T) {
 
 func TestRTSThresholdSkipsSmallFrames(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1}}
-	h := newHarness(t, linePositions(2), idealRadio(), paths, func(e Env) Scheme {
-		return NewUnicastRTS(e, 1, 100000) // threshold far above any frame
-	})
+	h := newHarness(t, linePositions(2), idealRadio(), paths, unicast(1, 100000)) // threshold far above any frame
 	h.inject(0, 1, 5, 1)
 	h.eng.Run(100 * sim.Millisecond)
 	if got := len(h.delivered[1]); got != 5 {
@@ -59,9 +55,7 @@ func TestRTSCTSMitigatesHiddenTerminals(t *testing.T) {
 	paths := map[int]routing.Path{1: {0, 1}, 2: {2, 1}}
 
 	run := func(rtsThresh int) (delivered int) {
-		h := newHarness(t, positions, rc, paths, func(e Env) Scheme {
-			return NewUnicastRTS(e, 16, rtsThresh)
-		})
+		h := newHarness(t, positions, rc, paths, unicast(16, rtsThresh))
 		// Saturate both senders with far more than fits in the run, and
 		// keep refilling so the queues never drain.
 		refill := func() {}
@@ -94,9 +88,7 @@ func TestNAVSilencesOverhearingStation(t *testing.T) {
 	// All three stations in range of each other.
 	positions := []radio.Pos{{X: 0}, {X: 100}, {X: 100, Y: 100}}
 	paths := map[int]routing.Path{1: {0, 1}, 2: {2, 1}}
-	h := newHarness(t, positions, idealRadio(), paths, func(e Env) Scheme {
-		return NewUnicastRTS(e, 1, 1)
-	})
+	h := newHarness(t, positions, idealRadio(), paths, unicast(1, 1))
 	h.inject(0, 1, 20, 1)
 	h.inject(2, 2, 20, 1)
 	h.eng.Run(100 * sim.Millisecond)

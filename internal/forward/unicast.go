@@ -34,24 +34,13 @@ type Unicast struct {
 
 var _ Scheme = (*Unicast)(nil)
 
-// NewUnicast creates the scheme instance for one station. maxAgg is the
-// aggregation limit (1 = plain DCF, 16 = AFR as in the paper).
-func NewUnicast(env Env, maxAgg int) *Unicast {
-	return NewUnicastRTS(env, maxAgg, 0)
-}
-
-// NewUnicastRTS creates a unicast scheme with the 802.11 RTS/CTS option:
-// data frames whose MAC payload is at least rtsThreshold bytes are preceded
-// by an RTS/CTS handshake, and overhearing stations honour the carried NAV.
-func NewUnicastRTS(env Env, maxAgg, rtsThreshold int) *Unicast {
-	u := &Unicast{}
-	u.Init(env, maxAgg, rtsThreshold)
-	return u
-}
-
-// Init makes u, in place, the agent NewUnicastRTS returns: every field zero
-// or set from the arguments, except the chassis (see Station.Init) and the
-// emptied seen-set, which keep their capacity.
+// Init makes u, in place, the unicast agent of one station. maxAgg is the
+// aggregation limit (1 = plain DCF, 16 = AFR as in the paper). With the
+// 802.11 RTS/CTS option (rtsThreshold > 0), data frames whose MAC payload is
+// at least rtsThreshold bytes are preceded by an RTS/CTS handshake, and
+// overhearing stations honour the carried NAV. Every field is zero or set
+// from the arguments, except the chassis (see Station.Init) and the emptied
+// seen-set, which keep their capacity.
 func (u *Unicast) Init(env Env, maxAgg, rtsThreshold int) {
 	if maxAgg < 1 {
 		maxAgg = 1

@@ -145,9 +145,6 @@ func (c *Contender) OnIdle() {
 	}
 }
 
-// Busy reports the carrier state as last seen by the contender.
-func (c *Contender) Busy() bool { return c.busy }
-
 func (c *Contender) startDefer() {
 	ifs := c.p.DIFS()
 	if c.eifs {

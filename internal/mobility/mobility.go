@@ -69,8 +69,3 @@ func BoundsOf(positions []radio.Pos) Rect {
 	}
 	return r
 }
-
-// contains reports whether p lies inside the rectangle (inclusive).
-func (r Rect) contains(p radio.Pos) bool {
-	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
-}

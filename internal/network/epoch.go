@@ -237,7 +237,3 @@ func (w *World) buildEpochs(cfg *Config, ln *lineage) error {
 // Epochs returns the number of epoch worlds beyond the initial snapshot
 // (0 for a static world).
 func (w *World) Epochs() int { return len(w.epochs) }
-
-// EpochLen returns the epoch length of a time-varying world (0 for a
-// static one).
-func (w *World) EpochLen() sim.Time { return w.epochLen }

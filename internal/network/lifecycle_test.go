@@ -45,7 +45,7 @@ func newLifecycleRig(kind SchemeKind) *lifecycleRig {
 	cfg := Config{Scheme: kind, Radio: noLossRadio()}
 	cfg.Normalize()
 	r := &lifecycleRig{eng: sim.NewEngine(), pool: &pkt.Pool{}}
-	r.med = radio.NewMedium(r.eng, cfg.Radio, cfg.Phy, top.Positions, sim.NewRNG(1, 1))
+	r.med = radio.NewMediumOn(r.eng, radio.NewLinkPlan(cfg.Radio, top.Positions), cfg.Phy, sim.NewRNG(1, 1))
 	routes := forward.NewRouteBook(cfg.MaxForwarders)
 	routes.Add(0, path[:3]) // flow 1 is the rig's only flow: slot 0
 	r.schemes = make([]forward.Scheme, 3)

@@ -69,7 +69,7 @@ func TestLinkDeliveryMatchesModel(t *testing.T) {
 			cfg := rc
 			cfg.BitErrorRate = ber
 			eng := sim.NewEngine()
-			m := radio.NewMedium(eng, cfg, phys.Default(), positions, sim.NewRNG(uint64(7+i), 1))
+			m := radio.NewMediumOn(eng, radio.NewLinkPlan(cfg, positions), phys.Default(), sim.NewRNG(uint64(7+i), 1))
 			rx := &deliveryCounter{}
 			m.Attach(0, &deliveryCounter{})
 			m.Attach(1, rx)
@@ -159,7 +159,7 @@ func TestAnyPathDeliveryMatchesProduct(t *testing.T) {
 			}
 			want := 1 - miss
 			eng := sim.NewEngine()
-			m := radio.NewMedium(eng, rc, phys.Default(), positions, sim.NewRNG(uint64(31+10*r+len(fracs)), 1))
+			m := radio.NewMediumOn(eng, radio.NewLinkPlan(rc, positions), phys.Default(), sim.NewRNG(uint64(31+10*r+len(fracs)), 1))
 			m.Attach(0, &anyCandidate{})
 			cands := make([]*anyCandidate, len(fracs))
 			for i := range cands {

@@ -135,7 +135,7 @@ func checkLinkTablePatch(t *testing.T, data []byte) (wide int) {
 			if got, want := planRow(next, a), planRow(fresh, a); !slices.Equal(got, want) {
 				t.Fatalf("step %d: station %d's plan row is %v, built from nothing %v", e, a, got, want)
 			}
-			if step[a] == plan.Pos(a) {
+			if step[a] == plan.Positions()[a] {
 				wide += wideMoverGaps(planRow(plan, a), step, plan) + wideMoverGaps(planRow(next, a), step, plan)
 			}
 		}
@@ -162,7 +162,7 @@ func planRow(plan *radio.LinkPlan, a int) []int32 {
 func wideMoverGaps(row []int32, step []radio.Pos, prev *radio.LinkPlan) int {
 	wide := 0
 	for k, j := range row {
-		if step[j] == prev.Pos(int(j)) {
+		if step[j] == prev.Positions()[j] {
 			continue
 		}
 		if (k > 0 && j-row[k-1] >= 128) || (k+1 < len(row) && row[k+1]-j >= 128) || (k == 0 && j >= 128) {

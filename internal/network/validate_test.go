@@ -44,7 +44,8 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 	}
 	web := func(f func(*traffic.WebConfig)) func(*network.Config) {
 		return func(c *network.Config) {
-			cfg := traffic.DefaultWebConfig()
+			var cfg traffic.WebConfig
+			cfg.Normalize()
 			f(&cfg)
 			c.Flows[1].Kind, c.Flows[1].Web = network.Web, &cfg
 		}
@@ -115,6 +116,7 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 		{"Flows[1].TCP.InitialCwnd", tcp(func(p *transport.TCPConfig) { p.InitialCwnd = -1 })},
 		{"Flows[1].TCP.MaxCwnd", tcp(func(p *transport.TCPConfig) { p.MaxCwnd = -1 })},
 		{"Flows[1].TCP.MaxCwnd", tcp(func(p *transport.TCPConfig) { p.MaxCwnd = 1 << 16 })},
+		{"Flows[1].TCP.MaxCwnd", tcp(func(p *transport.TCPConfig) { p.MaxCwnd = 0.5 })},
 		{"Flows[1].TCP.SSThresh", tcp(func(p *transport.TCPConfig) { p.SSThresh = -1 })},
 		{"Flows[1].TCP.InitialCwnd", tcp(func(p *transport.TCPConfig) { p.InitialCwnd = math.NaN() })},
 		{"Flows[1].TCP.MaxCwnd", tcp(func(p *transport.TCPConfig) { p.MaxCwnd = math.NaN() })},
@@ -129,6 +131,7 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 		{"Flows[1].VoIP.OffMean", voip(func(p *transport.VoIPConfig) { p.OffMean = -1 })},
 		{"Flows[1].VoIP.DelayBudget", voip(func(p *transport.VoIPConfig) { p.DelayBudget = -1 })},
 		{"Flows[1].VoIP.BitsPerSecond", voip(func(p *transport.VoIPConfig) { p.BitsPerSecond = math.NaN() })},
+		{"Flows[1].VoIP.BitsPerSecond", voip(func(p *transport.VoIPConfig) { p.BitsPerSecond = 100 })},
 		{"Flows[1].Web.MeanTransferBytes", web(func(p *traffic.WebConfig) { p.MeanTransferBytes = -1 })},
 		{"Flows[1].Web.ParetoShape", web(func(p *traffic.WebConfig) { p.ParetoShape = 1 })},
 		{"Flows[1].Web.OffMean", web(func(p *traffic.WebConfig) { p.OffMean = -1 })},
@@ -239,7 +242,9 @@ func TestZeroTrafficFieldIsThePapersValue(t *testing.T) {
 		func(f *network.FlowSpec, c any) { f.TCP = c.(*transport.TCPConfig) })
 	each("VoIP.", network.VoIPTraffic, transport.DefaultVoIPConfig(),
 		func(f *network.FlowSpec, c any) { f.VoIP = c.(*transport.VoIPConfig) })
-	each("Web.", network.Web, traffic.DefaultWebConfig(),
+	var web traffic.WebConfig
+	web.Normalize()
+	each("Web.", network.Web, web,
 		func(f *network.FlowSpec, c any) { f.Web = c.(*traffic.WebConfig) })
 	want := map[network.TrafficKind][]byte{}
 	for _, c := range cases {

@@ -132,10 +132,3 @@ func (p Params) RTSTime() sim.Time {
 func (p Params) CTSTime() sim.Time {
 	return p.PHYHdr + airtime(CTSFrameBytes, p.BasicBps)
 }
-
-// ACKTimeout returns how long a transmitter waits for the first bit of an
-// ACK after its data frame ends before declaring failure: SIFS + one slot
-// of scheduling slack + PLCP header detection time.
-func (p Params) ACKTimeout() sim.Time {
-	return p.SIFS + p.Slot + p.PHYHdr + p.ACKTime()
-}

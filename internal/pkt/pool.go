@@ -66,9 +66,6 @@ func (pl *Pool) Reset() {
 	*pl = Pool{free: pl.free}
 }
 
-// Free reports how many packets are currently pooled (tests).
-func (pl *Pool) Free() int { return pl.free.Len() }
-
 // InUse reports how many packets are currently out of the pool — Get
 // calls not yet balanced by a final Release. A quiescent network must
 // read 0 here, even after stations crashed while holding custody.

@@ -145,7 +145,7 @@ func TestReceptionsFireInDelayOrder(t *testing.T) {
 		{"sub-metre row", idealConfig(), []Pos{{0, 0}, {0.9, 0}, {0, 0.3}, {50, 0}, {120, 40}}, 0},
 	} {
 		eng := sim.NewEngine()
-		m := NewMedium(eng, c.cfg, phys.Default(), c.pos, sim.NewRNG(1, 1))
+		m := NewMediumOn(eng, NewLinkPlan(c.cfg, c.pos), phys.Default(), sim.NewRNG(1, 1))
 		var log []string
 		for i := range c.pos {
 			m.Attach(pkt.NodeID(i), &busyLog{id: i, log: &log, eng: eng})

@@ -339,13 +339,3 @@ func (pl *LinkPlan) EachAscNeighborID(i int, yield func(id int32)) {
 func (pl *LinkPlan) Distance(a, b int) float64 {
 	return Dist(pl.positions[a], pl.positions[b])
 }
-
-// MeanDBm returns the mean received power of the a→b link in dBm (0 when
-// a == b, matching the dense matrix diagonal), stored link or not; a stored
-// link's power is this value.
-func (pl *LinkPlan) MeanDBm(a, b int) float64 {
-	if a == b {
-		return 0
-	}
-	return pl.cfg.MeanRxPowerDBm(pl.Distance(a, b))
-}

@@ -24,7 +24,7 @@ func TestLinkPlanMatchesPrivateBuild(t *testing.T) {
 
 		eng := sim.NewEngine()
 		rng := sim.NewRNG(7, 1)
-		private := NewMedium(eng, cfg, phys.Default(), planPositions(), rng)
+		private := NewMediumOn(eng, NewLinkPlan(cfg, planPositions()), phys.Default(), rng)
 		shared := NewMediumOn(sim.NewEngine(), plan, phys.Default(), sim.NewRNG(7, 1))
 
 		for a := 0; a < len(planPositions()); a++ {
@@ -72,7 +72,7 @@ func TestSharedPlanRunIsRNGBitIdentical(t *testing.T) {
 	}
 
 	engA := sim.NewEngine()
-	a := run(NewMedium(engA, cfg, phys.Default(), planPositions(), sim.NewRNG(3, 1)), engA)
+	a := run(NewMediumOn(engA, NewLinkPlan(cfg, planPositions()), phys.Default(), sim.NewRNG(3, 1)), engA)
 	engB := sim.NewEngine()
 	b := run(NewMediumOn(engB, plan, phys.Default(), sim.NewRNG(3, 1)), engB)
 	if a != b {

@@ -205,7 +205,7 @@ func (s *station) busyRefs() int {
 	return n
 }
 
-// Medium is the shared wireless channel. Create one with NewMedium, or Init
+// Medium is the shared wireless channel. Create one with NewMediumOn, or Init
 // one in place; it is not safe for concurrent use (drive it from the
 // Engine). Between runs a run arena Resets its medium and Inits it again:
 // what a Medium keeps across that — and nothing else — is listed in Reset.
@@ -289,19 +289,12 @@ type LinkBlocker interface {
 	LinkBlockedAt(tx, rx pkt.NodeID, t sim.Time) bool
 }
 
-// NewMedium creates a medium over the given station positions, building a
-// private LinkPlan. MACs must be attached with Attach before the first
-// transmission.
-func NewMedium(eng *sim.Engine, cfg Config, p phys.Params, positions []Pos, rng *sim.RNG) *Medium {
-	return NewMediumOn(eng, NewLinkPlan(cfg, positions), p, rng)
-}
-
 // NewMediumOn creates a medium over a prebuilt — possibly shared — link
 // plan, skipping the O(N²) precomputation. The plan is read-only to the
 // medium; per-run mutable state (station PHY state, counters, RNG, pools)
 // is private, so any number of mediums can run concurrently on one plan.
-// A medium on a shared plan is RNG-bit-identical to one built by NewMedium
-// from the same Config and positions.
+// A medium on a shared plan is RNG-bit-identical to one on a plan of its own
+// built from the same Config and positions.
 func NewMediumOn(eng *sim.Engine, plan *LinkPlan, p phys.Params, rng *sim.RNG) *Medium {
 	m := &Medium{}
 	m.Init(eng, plan, p, rng)
@@ -427,9 +420,6 @@ func (m *Medium) Quarantine() {
 // Attach registers the MAC upcall handler for a station.
 func (m *Medium) Attach(id pkt.NodeID, mac MAC) { m.stations[id].mac = mac }
 
-// NumStations returns the number of stations on the medium.
-func (m *Medium) NumStations() int { return len(m.stations) }
-
 // CarrierBusy reports whether station id currently senses the medium busy
 // (including its own transmission).
 func (m *Medium) CarrierBusy(id pkt.NodeID) bool {
@@ -442,17 +432,6 @@ func (m *Medium) Transmitting(id pkt.NodeID) bool { return m.stations[id].txing 
 // Distance returns the distance in metres between two stations.
 func (m *Medium) Distance(a, b pkt.NodeID) float64 {
 	return m.plan.Distance(int(a), int(b))
-}
-
-// Neighbors returns the station's audible-candidate list (tests and
-// diagnostics). With pruning off it is every other station in ID order.
-func (m *Medium) Neighbors(id pkt.NodeID) []pkt.NodeID {
-	row, _ := m.row(int(id))
-	out := make([]pkt.NodeID, len(row))
-	for i, l := range row {
-		out[i] = pkt.NodeID(l.id)
-	}
-	return out
 }
 
 // Plan returns the link plan the medium runs on.
@@ -491,9 +470,6 @@ func (m *Medium) SetDown(id pkt.NodeID, down bool) {
 	}
 	m.down[id] = down
 }
-
-// Down reports whether a station is currently marked crashed.
-func (m *Medium) Down(id pkt.NodeID) bool { return len(m.down) != 0 && m.down[id] }
 
 // zeroed returns n zero values in s's array when it is large enough.
 func zeroed[T any](s []T, n int) []T {

@@ -36,7 +36,7 @@ func idealConfig() Config {
 func testMedium(t *testing.T, cfg Config, positions []Pos) (*sim.Engine, *Medium, []*recorderMAC) {
 	t.Helper()
 	eng := sim.NewEngine()
-	m := NewMedium(eng, cfg, phys.Default(), positions, sim.NewRNG(1, 1))
+	m := NewMediumOn(eng, NewLinkPlan(cfg, positions), phys.Default(), sim.NewRNG(1, 1))
 	macs := make([]*recorderMAC, len(positions))
 	for i := range positions {
 		macs[i] = &recorderMAC{}

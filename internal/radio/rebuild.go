@@ -184,6 +184,3 @@ func (np *LinkPlan) appendSplicedRow(i int, row []byte, moved []bool, dirty []in
 // returned slice aliases the plan's immutable storage: callers must treat
 // it as read-only.
 func (pl *LinkPlan) Positions() []Pos { return pl.positions }
-
-// Pos returns station i's position.
-func (pl *LinkPlan) Pos(i int) Pos { return pl.positions[i] }

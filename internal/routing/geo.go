@@ -42,9 +42,6 @@ func (p *GeoPolicy) Name() string { return "geo" }
 // backlog sample, so in-run recomputation buys nothing.
 func (p *GeoPolicy) Dynamic() bool { return false }
 
-// Table exposes the policy's link table (for wrappers and diagnostics).
-func (p *GeoPolicy) Table() *Table { return p.t }
-
 // Route implements Policy.
 func (p *GeoPolicy) Route(src, dst pkt.NodeID, _ BacklogFunc) (Path, error) {
 	path := Path{src}

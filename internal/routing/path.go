@@ -24,9 +24,6 @@ func (p Path) Src() pkt.NodeID { return p[0] }
 // Dst returns the last node of the path.
 func (p Path) Dst() pkt.NodeID { return p[len(p)-1] }
 
-// Hops returns the number of links on the path.
-func (p Path) Hops() int { return len(p) - 1 }
-
 // Contains reports whether node n appears on the path.
 func (p Path) Contains(n pkt.NodeID) bool { return p.indexOf(n) >= 0 }
 

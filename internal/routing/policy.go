@@ -51,9 +51,6 @@ func (p *ETXPolicy) Route(src, dst pkt.NodeID, _ BacklogFunc) (Path, error) {
 	return p.t.ShortestPath(src, dst)
 }
 
-// Table exposes the policy's link table (for wrappers and diagnostics).
-func (p *ETXPolicy) Table() *Table { return p.t }
-
 // DefaultCongestionAlpha is the default backlog weight of the
 // congestion-diversity policy, in ETX units per queued packet. At 0.25 a
 // relay sitting on four queued packets looks one extra transmission worse —
@@ -97,26 +94,6 @@ func (p *CongestionPolicy) Route(src, dst pkt.NodeID, backlog BacklogFunc) (Path
 
 // Table exposes the policy's link table (for wrappers and diagnostics).
 func (p *CongestionPolicy) Table() *Table { return p.t }
-
-// PathCost returns the policy's metric for a given path under a backlog:
-// the summed link ETX plus Alpha per queued packet at every traversed relay
-// (endpoints excluded). It is the quantity Route minimises, exposed for
-// tests and diagnostics.
-func (p *CongestionPolicy) PathCost(path Path, backlog BacklogFunc) float64 {
-	if len(path) < 2 {
-		return 0
-	}
-	cost := p.cost(path.Dst(), backlog)
-	var sum float64
-	for i := 0; i+1 < len(path); i++ {
-		etx := p.t.LinkETX(path[i], path[i+1])
-		if math.IsInf(etx, 1) {
-			return math.Inf(1)
-		}
-		sum += cost(path[i], path[i+1], etx)
-	}
-	return sum
-}
 
 func (p *CongestionPolicy) cost(dst pkt.NodeID, backlog BacklogFunc) LinkCostFunc {
 	return func(_, v pkt.NodeID, etx float64) float64 {

@@ -10,7 +10,7 @@ import (
 
 func TestPathEndpoints(t *testing.T) {
 	p := Path{0, 1, 2, 3}
-	if p.Src() != 0 || p.Dst() != 3 || p.Hops() != 3 {
+	if p.Src() != 0 || p.Dst() != 3 || len(p) != 4 {
 		t.Fatalf("endpoints/hops wrong: %v", p)
 	}
 }

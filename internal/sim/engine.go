@@ -44,13 +44,6 @@ type Event struct {
 	canceled bool
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e == nil || e.canceled }
-
-// Pending reports whether the event is scheduled and has neither fired nor
-// been cancelled since.
-func (e *Event) Pending() bool { return e != nil && e.index >= 0 }
-
 // eventHeap is a hand-rolled 4-ary min-heap of pending events ordered by
 // (at, seq). The wider fan-out roughly halves the tree depth of the binary
 // container/heap it replaces, and inlining the comparisons avoids its

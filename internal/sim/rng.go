@@ -70,6 +70,3 @@ func (g *RNG) ParetoWithMean(shape, mean float64) float64 {
 	scale := mean * (shape - 1) / shape
 	return g.Pareto(shape, scale)
 }
-
-// Bool returns true with probability p.
-func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }

@@ -62,9 +62,6 @@ func (w *Welford) Merge(o Welford) {
 	w.n = n
 }
 
-// N returns the number of samples folded in so far.
-func (w *Welford) N() int64 { return w.n }
-
 // Mean returns the running mean (0 with no samples).
 func (w *Welford) Mean() float64 { return w.mean }
 

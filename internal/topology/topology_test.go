@@ -66,8 +66,8 @@ func TestLineWithCrossIntersects(t *testing.T) {
 	if err := cross.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cross.Hops() != 3 {
-		t.Fatalf("cross flow hops = %d, want 3", cross.Hops())
+	if len(cross)-1 != 3 {
+		t.Fatalf("cross flow hops = %d, want 3", len(cross)-1)
 	}
 	// The cross path's second node is on the main line.
 	shared := cross[1]
@@ -96,8 +96,8 @@ func TestRegularAllWithinCarrierSense(t *testing.T) {
 		t.Fatalf("paths = %d", len(paths))
 	}
 	for _, p := range paths {
-		if p.Hops() != 3 {
-			t.Fatalf("regular flow hops = %d, want 3", p.Hops())
+		if len(p)-1 != 3 {
+			t.Fatalf("regular flow hops = %d, want 3", len(p)-1)
 		}
 	}
 }
@@ -159,8 +159,8 @@ func TestWigleFlows(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if p.Hops() < 1 || p.Hops() > 3 {
-			t.Errorf("wigle flow %v has %d hops, want 1-3", p, p.Hops())
+		if len(p)-1 < 1 || len(p)-1 > 3 {
+			t.Errorf("wigle flow %v has %d hops, want 1-3", p, len(p)-1)
 		}
 		for i := 0; i+1 < len(p); i++ {
 			d := dist(top, int(p[i]), int(p[i+1]))
@@ -195,8 +195,8 @@ func TestRoofnetFlowsHaveLabelledHopCounts(t *testing.T) {
 		if err := f.Path.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if f.Path.Hops() != want[f.Label] {
-			t.Errorf("flow %s has %d hops, want %d (path %v)", f.Label, f.Path.Hops(), want[f.Label], f.Path)
+		if len(f.Path)-1 != want[f.Label] {
+			t.Errorf("flow %s has %d hops, want %d (path %v)", f.Label, len(f.Path)-1, want[f.Label], f.Path)
 		}
 	}
 }

@@ -23,13 +23,6 @@ type WebConfig struct {
 	OffMean           sim.Time
 }
 
-// DefaultWebConfig returns §IV-D's parameters: the zero config, normalised.
-func DefaultWebConfig() WebConfig {
-	var c WebConfig
-	c.Normalize()
-	return c
-}
-
 // Normalize fills each zero field with §IV-D's value: a mean transfer of
 // 80 KB, Pareto shape 1.5, and a mean reading period of one second.
 func (c *WebConfig) Normalize() {
@@ -61,23 +54,15 @@ type Web struct {
 	cfg  WebConfig
 	tcp  *transport.TCP
 	rng  *sim.RNG
-	stop bool
 	off  sim.Timer // the reading period between transfers, bound to launch
 	done func()    // ends a transfer: bound to read, handed to every transfer
 }
 
-// NewWeb creates the generator over an existing TCP connection, whose MSS
-// turns transfer sizes into packets.
-func NewWeb(eng *sim.Engine, cfg WebConfig, tcp *transport.TCP, rng *sim.RNG) *Web {
-	w := &Web{}
-	w.Init(eng, cfg, tcp, rng)
-	return w
-}
-
-// Init makes w, in place, the generator NewWeb returns: every field zero or
-// set from the arguments (cfg normalised), except the timer and the
-// completion callback, which stay bound when w was initialised before — at
-// this address, on this engine, Reset since.
+// Init makes w, in place, the generator over an existing TCP connection,
+// whose MSS turns transfer sizes into packets: every field zero or set from
+// the arguments (cfg normalised), except the timer and the completion
+// callback, which stay bound when w was initialised before — at this
+// address, on this engine, Reset since.
 func (w *Web) Init(eng *sim.Engine, cfg WebConfig, tcp *transport.TCP, rng *sim.RNG) {
 	cfg.Normalize()
 	if !w.off.Bound() {
@@ -90,13 +75,7 @@ func (w *Web) Init(eng *sim.Engine, cfg WebConfig, tcp *transport.TCP, rng *sim.
 // Start launches the first transfer.
 func (w *Web) Start() { w.launch() }
 
-// Stop ends the cycle after the current transfer.
-func (w *Web) Stop() { w.stop = true }
-
 func (w *Web) launch() {
-	if w.stop {
-		return
-	}
 	size := w.rng.ParetoWithMean(w.cfg.ParetoShape, w.cfg.MeanTransferBytes)
 	pkts := int64(math.Ceil(size / float64(w.tcp.MSS())))
 	if pkts < 1 {

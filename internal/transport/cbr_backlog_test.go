@@ -20,7 +20,8 @@ func TestCBRBackloggedKeepsQueueFull(t *testing.T) {
 		queued++
 		return true
 	}
-	c := NewCBR(eng, 1, 0, 1, 1000, 0, send, fs)
+	c := new(CBR)
+	c.Init(eng, 1, 0, 1, 1000, 0, send, fs)
 	c.Start()
 	eng.Run(10 * sim.Millisecond)
 	if queued != limit {
@@ -37,7 +38,8 @@ func TestCBRBackloggedKeepsQueueFull(t *testing.T) {
 func TestCBRBackloggedEventRateIsBounded(t *testing.T) {
 	eng := sim.NewEngine()
 	fs := &stats.Flow{ID: 1}
-	c := NewCBR(eng, 1, 0, 1, 1000, 0, func(*pkt.Packet) bool { return false }, fs)
+	c := new(CBR)
+	c.Init(eng, 1, 0, 1, 1000, 0, func(*pkt.Packet) bool { return false }, fs)
 	c.Start()
 	eng.Run(sim.Second)
 	// One refill event per millisecond, not per would-be packet.

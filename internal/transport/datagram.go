@@ -42,9 +42,12 @@ func (c *VoIPConfig) Normalize() {
 
 // Check passes the first field out of range to bad — its name, its value
 // and the rule it breaks — and returns bad's error, or nil: no field may be
-// negative or NaN.
+// negative or NaN, and a packet of the normalised config carries at least
+// one byte.
 func (c VoIPConfig) Check(bad func(field string, value any, rule string) error) error {
 	const rule = "must not be negative"
+	n := c
+	n.Normalize()
 	switch {
 	case !(c.BitsPerSecond >= 0):
 		return bad("BitsPerSecond", c.BitsPerSecond, rule)
@@ -56,6 +59,8 @@ func (c VoIPConfig) Check(bad func(field string, value any, rule string) error) 
 		return bad("OffMean", c.OffMean, rule)
 	case c.DelayBudget < 0:
 		return bad("DelayBudget", c.DelayBudget, rule)
+	case n.PacketBytes() < 1:
+		return bad("BitsPerSecond", c.BitsPerSecond, "must fill a packet of at least one byte per packet interval")
 	}
 	return nil
 }
@@ -81,7 +86,6 @@ type VoIP struct {
 	on    bool
 	onEnd sim.Time  // when the current on period ends
 	timer sim.Timer // the stream's one timer, bound to wake
-	stop  bool
 	pool  *pkt.Pool
 	slot  int // see SetSlot
 }
@@ -119,13 +123,7 @@ func (v *VoIP) SetSlot(i int) { v.slot = i }
 // Start begins the on-off cycle.
 func (v *VoIP) Start() { v.beginOn() }
 
-// Stop halts packet generation.
-func (v *VoIP) Stop() { v.stop = true }
-
 func (v *VoIP) beginOn() {
-	if v.stop {
-		return
-	}
 	v.on = true
 	dur := sim.Time(v.rng.Exp(float64(v.cfg.OnMean)))
 	v.onEnd = v.eng.Now() + dur
@@ -143,9 +141,6 @@ func (v *VoIP) wake() {
 }
 
 func (v *VoIP) tick() {
-	if v.stop {
-		return
-	}
 	if v.eng.Now() >= v.onEnd {
 		v.on = false
 		off := sim.Time(v.rng.Exp(float64(v.cfg.OffMean)))
@@ -208,7 +203,6 @@ type CBR struct {
 	seq   int64
 	uid   uint64
 	timer sim.Timer // the source's one timer, bound to emit
-	stop  bool
 	pool  *pkt.Pool
 	slot  int // see SetSlot
 }
@@ -219,18 +213,11 @@ const backlogRefill = sim.Millisecond
 // backlogBurst caps packets pushed per refill.
 const backlogBurst = 64
 
-// NewCBR creates a CBR source emitting `bytes`-sized packets every
-// interval, or a backlogged (saturating) source when interval is zero.
-func NewCBR(eng *sim.Engine, flow int, src, dst pkt.NodeID, bytes int,
-	interval sim.Time, send SendFunc, fs *stats.Flow) *CBR {
-	c := &CBR{}
-	c.Init(eng, flow, src, dst, bytes, interval, send, fs)
-	return c
-}
-
-// Init makes c, in place, the source NewCBR returns: every field zero or
-// set from the arguments, except the timer, which stays bound when c was
-// initialised before — at this address, on this engine, Reset since.
+// Init makes c, in place, a CBR source emitting `bytes`-sized packets every
+// interval, or a backlogged (saturating) source when interval is zero: every
+// field zero or set from the arguments, except the timer, which stays bound
+// when c was initialised before — at this address, on this engine, Reset
+// since.
 func (c *CBR) Init(eng *sim.Engine, flow int, src, dst pkt.NodeID, bytes int,
 	interval sim.Time, send SendFunc, fs *stats.Flow) {
 	if !c.timer.Bound() {
@@ -263,21 +250,12 @@ func (c *CBR) emit() {
 	c.tick()
 }
 
-// Stop halts emission.
-func (c *CBR) Stop() { c.stop = true }
-
 func (c *CBR) tick() {
-	if c.stop {
-		return
-	}
 	c.send(c.packet())
 	c.timer.Arm(c.interval)
 }
 
 func (c *CBR) refill() {
-	if c.stop {
-		return
-	}
 	for i := 0; i < backlogBurst; i++ {
 		if !c.send(c.packet()) {
 			break // queue full: the MAC is saturated

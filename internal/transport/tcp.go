@@ -80,6 +80,8 @@ func (c TCPConfig) Check(bad func(field string, value any, rule string) error) e
 		return bad("InitialCwnd", c.InitialCwnd, rule)
 	case !(c.MaxCwnd >= 0):
 		return bad("MaxCwnd", c.MaxCwnd, rule)
+	case c.MaxCwnd != 0 && c.MaxCwnd < 1:
+		return bad("MaxCwnd", c.MaxCwnd, "must be 0 (the paper's value) or at least 1 packet")
 	case c.MaxCwnd > maxWindow:
 		return bad("MaxCwnd", c.MaxCwnd, fmt.Sprintf("must not exceed %d packets", maxWindow))
 	case !(c.SSThresh >= 0):
@@ -479,15 +481,6 @@ func (t *TCP) emitAck() {
 
 // MSS is the connection's data packet payload in bytes.
 func (t *TCP) MSS() int { return t.cfg.MSS }
-
-// Cwnd exposes the current congestion window (packets) for tests.
-func (t *TCP) Cwnd() float64 { return t.cwnd }
-
-// SeqUna exposes the first unacknowledged sequence number for tests.
-func (t *TCP) SeqUna() int64 { return t.seqUna }
-
-// Done reports whether a bounded transfer has completed.
-func (t *TCP) Done() bool { return t.done }
 
 func maxf(a, b float64) float64 {
 	if a > b {

@@ -321,11 +321,11 @@ func (s tcpScript) run(build func(eng *sim.Engine, sendSrc, sendDst SendFunc) en
 	send := func(p *pkt.Packet) bool {
 		isAck, seq, ack := tcpHeader(p)
 		trace = append(trace, tcpState{now: eng.Now(), emitAck: isAck, emitSeq: seq, emitAckNumber: ack})
-		if channel.Bool(s.loss) {
+		if channel.Float64() < s.loss {
 			return true
 		}
 		copies := 1
-		if channel.Bool(s.dup) {
+		if channel.Float64() < s.dup {
 			copies = 2
 		}
 		for i := 0; i < copies; i++ {

@@ -178,6 +178,8 @@ func TestValidateRefusesWhatRunRefuses(t *testing.T) {
 		{"one-station path", func(s *Scenario) { s.Flows[0].Path = Path{0} }, "too short"},
 		{"negative VoIP ID", func(s *Scenario) { s.Flows[0].ID, s.Flows[0].Traffic = -3, VoIP{} }, "must not be negative"},
 		{"NaN TCP window", func(s *Scenario) { s.Flows[0].Traffic = FTP{TCP: TCPParams{MaxCwnd: math.NaN()}} }, "MaxCwnd must not be negative (got NaN)"},
+		{"sub-1 TCP window", func(s *Scenario) { s.Flows[0].Traffic = FTP{TCP: TCPParams{MaxCwnd: 0.5}} }, "MaxCwnd must be 0 (the paper's value) or at least 1 packet (got 0.5)"},
+		{"sub-byte VoIP packet", func(s *Scenario) { s.Flows[0].Traffic = VoIP{BitrateKbps: 0.1} }, "BitrateKbps, in bit/s, must fill a packet of at least one byte per packet interval (got 100)"},
 		{"no flows", func(s *Scenario) { s.Flows = nil }, "no flows"},
 		{"empty topology", func(s *Scenario) { s.Topology = Topology{} }, "no station positions"},
 	} {
