@@ -8,6 +8,15 @@ import (
 	"ripple/internal/sim"
 )
 
+// rqHold bounds how long Rq withholds out-of-order packets waiting for an
+// end-to-end retransmission to fill a gap. Needed because a packet dropped
+// at the source after the retry limit would otherwise stall the stream
+// forever. rqCap bounds the resequencing buffer per stream.
+const (
+	rqHold = 25 * sim.Millisecond
+	rqCap  = 128
+)
+
 // reseq is the receive queue Rq of the paper's Remark 6: with aggregation,
 // packets of one frame can be partially corrupted, so a correct packet with
 // a higher sequence number may arrive before the retransmission of a
@@ -18,7 +27,7 @@ import (
 // Buffered packets carry a reference (pkt.Pool): the buffer may outlive
 // the source's own hold on a packet, so Rq refs on insert and releases
 // after in-order delivery. The buffer is a slice kept sorted by MacSeq, at
-// most RqCap long, and the hold timer is one per stream, so buffering
+// most rqCap long, and the hold timer is one per stream, so buffering
 // allocates nothing after warm-up.
 type reseq struct {
 	expected int64
@@ -79,14 +88,14 @@ func (r *Ripple) deliver(p *pkt.Packet) {
 			r.C.Duplicates++
 			return
 		}
-		if len(q.buf) >= r.opt.RqCap {
+		if len(q.buf) >= rqCap {
 			r.skipGap(q)
 		}
 		i, _ := q.search(p.MacSeq)
 		q.buf = slices.Insert(q.buf, i, p)
 		p.Ref() // the buffer may outlive the source's hold on the packet
 		if !q.hold.Armed() {
-			q.hold.Arm(r.opt.RqHold)
+			q.hold.Arm(rqHold)
 		}
 	}
 }
@@ -108,7 +117,7 @@ func (r *Ripple) drain(q *reseq) {
 	if len(q.buf) == 0 {
 		q.hold.Stop()
 	} else {
-		q.hold.Arm(r.opt.RqHold)
+		q.hold.Arm(rqHold)
 	}
 }
 

@@ -64,26 +64,27 @@ func TestRqHoldsGapThenDrains(t *testing.T) {
 }
 
 func TestRqHoldTimeoutSkipsAbandonedGap(t *testing.T) {
-	opt := Options{RqHold: 10 * sim.Millisecond}
-	eng, r, got := newRqHarness(t, opt)
+	eng, r, got := newRqHarness(t, Options{})
 	r.deliver(rqPkt(0))
 	r.deliver(rqPkt(2))
 	r.deliver(rqPkt(3))
+	eng.Run(rqHold - 1)
+	assertSeqs(t, *got, []int64{0})
 	eng.Run(sim.Second) // hold expires; seq 1 never comes
 	assertSeqs(t, *got, []int64{0, 2, 3})
 }
 
 func TestRqCapOverflowSkips(t *testing.T) {
-	opt := Options{RqCap: 4, RqHold: sim.Second * 100} // a hold of 100 s: effectively never
-	eng, r, got := newRqHarness(t, opt)
+	eng, r, got := newRqHarness(t, Options{})
 	r.deliver(rqPkt(0))
-	for s := int64(2); s < 8; s++ { // 6 buffered > cap 4 forces a skip
+	for s := int64(2); s < rqCap+3; s++ { // rqCap+1 buffered > cap forces a skip
 		r.deliver(rqPkt(s))
 	}
-	eng.Run(sim.Second)
-	if len(*got) < 5 {
+	// The skip needs no hold timer: the engine has not run.
+	if len(*got) < rqCap+1 {
 		t.Fatalf("cap overflow did not skip: delivered %v", *got)
 	}
+	eng.Run(sim.Second)
 	// Order must still be non-decreasing in MacSeq.
 	for i := 1; i < len(*got); i++ {
 		if (*got)[i] < (*got)[i-1] {
@@ -172,8 +173,7 @@ func TestRqDuplicateOfBufferedIsDropped(t *testing.T) {
 // A packet below expected — a late copy of one already delivered — is a
 // duplicate and leaves a buffered gap as it was.
 func TestRqDuplicateBelowExpectedLeavesGap(t *testing.T) {
-	opt := Options{RqHold: 10 * sim.Millisecond}
-	eng, r, got := newRqHarness(t, opt)
+	eng, r, got := newRqHarness(t, Options{})
 	r.deliver(rqPkt(0))
 	r.deliver(rqPkt(1))
 	r.deliver(rqPkt(3)) // gap at 2
@@ -223,15 +223,19 @@ func TestRqReleaseCustodyReleasesBuffered(t *testing.T) {
 // expected, at the buffer's head. In-order delivery past it goes on, and
 // the next skip goes back for it.
 func TestRqOverflowKeepsLatePacketForNextSkip(t *testing.T) {
-	opt := Options{RqCap: 4, RqHold: 10 * sim.Millisecond}
-	eng, r, got := newRqHarness(t, opt)
-	for _, s := range []int64{0, 5, 6, 7, 8} {
+	eng, r, got := newRqHarness(t, Options{})
+	want := []int64{0}
+	r.deliver(rqPkt(0))
+	last := int64(5 + rqCap - 1)
+	for s := int64(5); s <= last; s++ { // fills the buffer
 		r.deliver(rqPkt(s))
+		want = append(want, s)
 	}
-	r.deliver(rqPkt(2))  // full: the skip delivers 5..8, then 2 is buffered
-	r.deliver(rqPkt(10)) // a gap at 9, buffered behind 2
-	r.deliver(rqPkt(9))  // in order: 9, and 10 drains past the late 2
-	assertSeqs(t, *got, []int64{0, 5, 6, 7, 8, 9, 10})
+	r.deliver(rqPkt(2))        // full: the skip delivers 5..last, then 2 is buffered
+	r.deliver(rqPkt(last + 2)) // a gap at last+1, buffered behind 2
+	r.deliver(rqPkt(last + 1)) // in order: last+1, and last+2 drains past the late 2
+	want = append(want, last+1, last+2)
+	assertSeqs(t, *got, want)
 	eng.Run(sim.Second) // the hold expires: the skip goes back to 2
-	assertSeqs(t, *got, []int64{0, 5, 6, 7, 8, 9, 10, 2})
+	assertSeqs(t, *got, append(want, 2))
 }

@@ -29,22 +29,15 @@ import (
 )
 
 // Options tunes RIPPLE behaviour. The zero value is the paper's
-// configuration: Normalize fills the zero MaxAgg, RqHold and RqCap with the
-// paper's values, and each flag's zero keeps the paper's behaviour (Rq on,
-// relays deferring, relays carrying only relayed packets).
+// configuration: Normalize fills a zero MaxAgg with the paper's value, and
+// each flag's zero keeps the paper's behaviour (Rq on, relays deferring,
+// relays carrying only relayed packets).
 type Options struct {
 	// MaxAgg is the aggregation limit: 0 is the paper's 16, and 1 disables
 	// aggregation, which is the "R1" configuration of Figs. 3-4.
 	MaxAgg int
 	// RqOff turns off the destination resequencing queue (Remark 6).
 	RqOff bool
-	// RqHold bounds how long Rq withholds out-of-order packets waiting for
-	// an end-to-end retransmission to fill a gap (0 is 25 ms). Needed
-	// because a packet dropped at the source after the retry limit would
-	// otherwise stall the stream forever.
-	RqHold sim.Time
-	// RqCap bounds the resequencing buffer per stream (0 is 128).
-	RqCap int
 	// StrictRelay selects how a forwarder's "channel idle for T" relay rule
 	// treats unrelated carrier. When true, any sensed carrier during the
 	// wait discards the overheard frame — the letter of §III-A. When false
@@ -69,25 +62,16 @@ type Options struct {
 // frame is discarded (the source's retry supersedes it anyway).
 const relayDeferLimit = 2 * sim.Millisecond
 
-// Normalize fills each zero numeric field with the paper's value: MaxAgg
-// 16, RqHold 25 ms, RqCap 128.
+// Normalize fills a zero MaxAgg with the paper's 16.
 func (o *Options) Normalize() {
 	o.MaxAgg = cmp.Or(o.MaxAgg, 16)
-	o.RqHold = cmp.Or(o.RqHold, 25*sim.Millisecond)
-	o.RqCap = cmp.Or(o.RqCap, 128)
 }
 
-// Check applies the options' range rules, reporting a broken one through
-// bad: MaxAgg, RqHold and RqCap must not be negative.
+// Check applies the options' range rule, reporting a broken one through
+// bad: MaxAgg must not be negative.
 func (o Options) Check(bad func(field string, value any, rule string) error) error {
-	const rule = "must not be negative"
-	switch {
-	case o.MaxAgg < 0:
-		return bad("MaxAgg", o.MaxAgg, rule)
-	case o.RqHold < 0:
-		return bad("RqHold", o.RqHold, rule)
-	case o.RqCap < 0:
-		return bad("RqCap", o.RqCap, rule)
+	if o.MaxAgg < 0 {
+		return bad("MaxAgg", o.MaxAgg, "must not be negative")
 	}
 	return nil
 }
@@ -329,14 +313,14 @@ func (r *Ripple) handleAck(f *pkt.Frame) {
 	if myAck >= txAck || r.seenAck.Has(f.TxopID) {
 		return
 	}
-	r.armRelay(f.TxopID, f.TxopID, false, myAck,
+	r.armRelay(f.TxopID, false, myAck,
 		sim.Time(myAck-1)*r.P.Slot+r.P.SIFS, f, nil)
 }
 
 // fireAckRelay relays a decoded MAC ACK toward the source.
 func (r *Ripple) fireAckRelay(p *pendingRelay) {
 	f := p.frame
-	r.seenAck.Add(f.TxopID)
+	r.seenAck.Seen(f.TxopID)
 	relay := f.Clone()
 	relay.Tx = r.ID
 	relay.Duration = r.ackDuration(len(relay.FwdList))
@@ -380,7 +364,6 @@ func (r *Ripple) handleData(f *pkt.Frame, pktOK []bool) {
 		for _, p := range okPkts {
 			ack.AckedUIDs = append(ack.AckedUIDs, p.UID)
 		}
-		ack.Acker, ack.AckerRank = r.ID, 0
 		ack.FlowID = f.FlowID
 		ack.Duration = r.ackDuration(len(ack.FwdList))
 		r.TransmitAfter(r.P.SIFS, ack)
@@ -403,14 +386,14 @@ func (r *Ripple) handleData(f *pkt.Frame, pktOK []bool) {
 	if myRank >= txRank || r.seenData.Has(f.TxopID) {
 		return
 	}
-	r.armRelay(f.TxopID^dataRelayTag, f.TxopID, true, myRank,
+	r.armRelay(f.TxopID^dataRelayTag, true, myRank,
 		sim.Time(myRank)*r.P.Slot+r.P.SIFS, f, okPkts)
 }
 
 // fireDataRelay relays the decoded sub-packets of an overheard data frame.
 func (r *Ripple) fireDataRelay(p *pendingRelay) {
 	f := p.frame
-	r.seenData.Add(f.TxopID)
+	r.seenData.Seen(f.TxopID)
 	relay := f.Clone()
 	relay.Tx = r.ID
 	// The relay carries the sub-packets decoded here, in its own list: the
@@ -533,7 +516,6 @@ const dataRelayTag = 0x8000000000000000
 // would be recycled — before the relay fires.
 type pendingRelay struct {
 	key      uint64
-	txop     uint64
 	isData   bool
 	rank     int // my relay rank in the frame's direction
 	wait     sim.Time
@@ -601,7 +583,7 @@ func (r *Ripple) dropRelay(p *pendingRelay) {
 // the defer deadline, and decoded evidence of higher-priority coverage
 // (suppressRelay) discards it. okPkts (data relays) is copied into the
 // relay's own buffer with a reference per packet.
-func (r *Ripple) armRelay(key, txop uint64, isData bool, rank int, wait sim.Time,
+func (r *Ripple) armRelay(key uint64, isData bool, rank int, wait sim.Time,
 	f *pkt.Frame, okPkts []*pkt.Packet) {
 	busy := r.Med.CarrierBusy(r.ID)
 	if busy && r.opt.StrictRelay {
@@ -613,7 +595,7 @@ func (r *Ripple) armRelay(key, txop uint64, isData bool, rank int, wait sim.Time
 		r.releaseRelay(old)
 	}
 	p := r.newRelay()
-	p.key, p.txop, p.isData, p.rank = key, txop, isData, rank
+	p.key, p.isData, p.rank = key, isData, rank
 	p.wait = wait
 	p.paused = true // until scheduled
 	p.deadline = r.Eng.Now() + relayDeferLimit

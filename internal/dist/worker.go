@@ -36,12 +36,11 @@ type GridServer interface {
 // same order the coordinator runs them.
 type Worker struct {
 	conn *Conn
-	name string
 }
 
 // NewWorker performs the hello handshake over rw and returns the worker.
 func NewWorker(rw io.ReadWriter, name string) (*Worker, error) {
-	w := &Worker{conn: NewConn(rw), name: name}
+	w := &Worker{conn: NewConn(rw)}
 	err := w.conn.Send(&Message{Type: MsgHello, Proto: ProtoVersion, Worker: name})
 	if err != nil {
 		if errors.Is(err, ErrTransport) {

@@ -194,11 +194,10 @@ type Event struct {
 // Burst is one regional noise source.
 type Burst struct {
 	Center    radio.Pos
-	Radius    float64
 	PenaltyDB float64
-	// Covered lists the stations within Radius of Center, by the initial
-	// positions (burst regions are fixed in space; a mobile station is
-	// affected per its initial-epoch location).
+	// Covered lists the stations within the Spec's NoiseRadius of Center,
+	// by the initial positions (burst regions are fixed in space; a mobile
+	// station is affected per its initial-epoch location).
 	Covered []pkt.NodeID
 	toggles []sim.Time // even index: burst turns on; odd: off
 }
@@ -302,7 +301,6 @@ func BuildOn(spec Spec, duration sim.Time, positions []radio.Pos, exempt []bool,
 					X: minX + float64(rng.Float64()*(maxX-minX)),
 					Y: minY + float64(rng.Float64()*(maxY-minY)),
 				},
-				Radius:    radius,
 				PenaltyDB: pen,
 			}
 			for i, p := range positions {

@@ -210,7 +210,7 @@ func (x *ExOR) ack(rx *exorRx) *pkt.Frame {
 	f.Origin, f.FinalDst = x.ID, rx.tx
 	f.TxopID = rx.txop
 	f.AckedUIDs = append(f.AckedUIDs, rx.packet.UID)
-	f.Acker, f.AckerRank = x.ID, rx.rank
+	f.AckerRank = rx.rank
 	f.FlowID = rx.flow
 	f.Duration = x.P.ACKTime()
 	return f

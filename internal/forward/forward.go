@@ -564,9 +564,6 @@ func (s *SeenSet) forget(id uint64) {
 	}
 }
 
-// Add remembers id.
-func (s *SeenSet) Add(id uint64) { s.Seen(id) }
-
 // Len reports how many identifiers are remembered.
 func (s *SeenSet) Len() int { return len(s.ring) }
 

@@ -264,16 +264,16 @@ func TestSeenSetEvictsInInsertionOrderAtCapacity(t *testing.T) {
 		t.Fatal("the zero value must be an empty set")
 	}
 	for id := uint64(1); id <= SeenCap; id++ {
-		s.Add(id)
+		s.Seen(id)
 	}
-	s.Add(2) // already a member: neither refreshed nor inserted twice
+	s.Seen(2) // already a member: neither refreshed nor inserted twice
 	if s.Len() != SeenCap {
 		t.Fatalf("Len %d after SeenCap distinct identifiers, want %d", s.Len(), SeenCap)
 	}
 	// Each insertion past capacity evicts exactly the oldest member, across
 	// more than two laps of the ring.
 	for id := uint64(SeenCap + 1); id <= 3*SeenCap+5; id++ {
-		s.Add(id)
+		s.Seen(id)
 		if s.Len() != SeenCap {
 			t.Fatalf("Len %d after adding %d, want %d", s.Len(), id, SeenCap)
 		}
@@ -290,7 +290,7 @@ func TestSeenSetEvictsInInsertionOrderAtCapacity(t *testing.T) {
 	}
 	// After Reset the set fills from empty again, oldest first.
 	for id := uint64(1); id <= SeenCap+1; id++ {
-		s.Add(id)
+		s.Seen(id)
 	}
 	if s.Has(1) || !s.Has(2) || !s.Has(SeenCap+1) || s.Len() != SeenCap {
 		t.Fatal("eviction order wrong after Reset")
@@ -306,7 +306,7 @@ func TestSeenSetAllocations(t *testing.T) {
 		s = SeenSet{}
 		ringSteps = 0
 		for id, last := uint64(0), 0; id < SeenCap; id++ {
-			s.Add(id)
+			s.Seen(id)
 			if c := cap(s.ring); c != last {
 				ringSteps, last = ringSteps+1, c
 			}
@@ -334,7 +334,7 @@ func TestSeenSetAllocations(t *testing.T) {
 	s.Reset()
 	if a := testing.AllocsPerRun(1, func() {
 		for id := uint64(0); id < SeenCap; id++ {
-			s.Add(id * 977)
+			s.Seen(id * 977)
 		}
 		s.Reset()
 	}); a != 0 {

@@ -114,10 +114,9 @@ func (s *Station) Send(p *pkt.Packet) bool {
 	return true
 }
 
-// Enqueue stamps p and appends it to the interface queue, counting the drop
-// when the queue is full. The caller owns the reference either way.
+// Enqueue appends p to the interface queue, counting the drop when the
+// queue is full. The caller owns the reference either way.
 func (s *Station) Enqueue(p *pkt.Packet) bool {
-	p.EnqueuedAt = s.Eng.Now()
 	if !s.Queue.Push(p) {
 		s.C.QueueDrops++
 		return false

@@ -22,11 +22,5 @@ func (q *Queue) PopNInto(dst []*pkt.Packet, n int) []*pkt.Packet {
 	return dst
 }
 
-// Drops returns the number of packets rejected because the queue was full.
-func (q *Queue) Drops() uint64 { return q.drops }
-
-// MaxDepth returns the high-water mark of the queue depth.
-func (q *Queue) MaxDepth() int { return q.maxSeen }
-
 // Busy reports the carrier state as last seen by the contender.
 func (c *Contender) Busy() bool { return c.busy }

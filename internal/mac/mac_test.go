@@ -165,8 +165,8 @@ func TestQueuePushPopFIFO(t *testing.T) {
 	if q.Push(&pkt.Packet{Seq: 3}) {
 		t.Fatal("push beyond limit must fail")
 	}
-	if q.Drops() != 1 {
-		t.Fatalf("drops = %d, want 1", q.Drops())
+	if q.Len() != 3 {
+		t.Fatalf("Len = %d after a rejected push, want 3", q.Len())
 	}
 	for i := 0; i < 3; i++ {
 		p := q.Pop()
@@ -223,18 +223,6 @@ func TestQueuePopNWhere(t *testing.T) {
 		if p := q.Pop(); p.Seq != w {
 			t.Fatalf("remaining order broken: got %d, want %d", p.Seq, w)
 		}
-	}
-}
-
-func TestQueueMaxDepth(t *testing.T) {
-	q := NewQueue(10)
-	for i := 0; i < 4; i++ {
-		q.Push(&pkt.Packet{})
-	}
-	q.Pop()
-	q.Pop()
-	if q.MaxDepth() != 4 {
-		t.Fatalf("MaxDepth = %d, want 4", q.MaxDepth())
 	}
 }
 
@@ -295,14 +283,16 @@ func TestQueueInitAgainIsAnEmptyQueue(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		q.Push(&pkt.Packet{UID: uint64(i)})
 	}
-	q.Push(&pkt.Packet{}) // dropped
+	if q.Push(&pkt.Packet{}) {
+		t.Fatal("a push past the limit was taken")
+	}
 	for i := 0; i < 6; i++ {
 		q.PushFront(&pkt.Packet{}) // grows the ring past the limit
 	}
 	ring := &q.buf[0]
 	q.Init(8)
-	if q.Len() != 0 || q.Drops() != 0 || q.MaxDepth() != 0 || q.Peek() != nil || q.Pop() != nil {
-		t.Fatalf("after Init: len %d, drops %d, max depth %d", q.Len(), q.Drops(), q.MaxDepth())
+	if q.Len() != 0 || q.Peek() != nil || q.Pop() != nil {
+		t.Fatalf("after Init: len %d", q.Len())
 	}
 	if &q.buf[0] != ring {
 		t.Fatal("Init replaced a ring that was large enough")

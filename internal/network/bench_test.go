@@ -203,3 +203,65 @@ func BenchmarkCityRun(b *testing.B) {
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
+
+// The workloads ftp_chain, voip_fig1 and web_fig1 of bench/workloads.go, as
+// pprof entry points for scripts/layers.sh: the same configs at the same
+// durations (bench's -quick durations under -short), the world built once
+// outside the timer, and op i run under the seed bench gives it at its
+// default -seed 1. So -benchtime 20x runs bench's twenty digest ops, and
+// events/op is bench's sim.events_per_op. Numbers for a performance claim
+// come from bench/, not from here.
+
+func BenchmarkFTPChain(b *testing.B) {
+	benchWorkload(b, chainConfig(Ripple, benchDur(5*sim.Second, 50*sim.Millisecond)))
+}
+
+func BenchmarkVoIPFig1(b *testing.B) {
+	benchWorkload(b, voipFig1Config(benchDur(10*sim.Second, 400*sim.Millisecond)))
+}
+
+func BenchmarkWebFig1(b *testing.B) {
+	benchWorkload(b, webFig1Config(benchDur(20*sim.Second, 400*sim.Millisecond)))
+}
+
+// benchDur is bench's duration: full, or quick under -short.
+func benchDur(full, quick sim.Time) sim.Time {
+	if testing.Short() {
+		return quick
+	}
+	return full
+}
+
+// benchWorkload builds cfg's world once, then runs op i under bench's seed
+// for it and reports the mean events per op.
+func benchWorkload(b *testing.B, cfg Config) {
+	world, err := BuildWorld(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.World = world
+	var events uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = benchSeed(uint64(i))
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += res.Events
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
+// benchSeed is the run seed of bench's op i at -seed 1: splitmix64 of
+// (1, 4+i), 4 being bench's first run tag.
+func benchSeed(i uint64) uint64 {
+	z := 0x9E3779B97F4A7C15 + (4+i)*0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	z ^= z >> 31
+	if z == 0 {
+		z = 1
+	}
+	return z
+}

@@ -70,8 +70,6 @@ func TestEveryGateRefusesEachRangeRule(t *testing.T) {
 		{"MaxForwarders", func(c *network.Config) { c.MaxForwarders = -3 }},
 		{"RTSThreshold", func(c *network.Config) { c.RTSThreshold = -1 }},
 		{"RippleOpts.MaxAgg", func(c *network.Config) { c.RippleOpts.MaxAgg = -1 }},
-		{"RippleOpts.RqHold", func(c *network.Config) { c.RippleOpts.RqHold = -sim.Millisecond }},
-		{"RippleOpts.RqCap", func(c *network.Config) { c.RippleOpts.RqCap = -1 }},
 		{"Radio.BitErrorRate", func(c *network.Config) { c.Radio.BitErrorRate = 2 }},
 		{"Radio.BitErrorRate", func(c *network.Config) { c.Radio.BitErrorRate = -1e-9 }},
 		{"Radio.PruneSigma", func(c *network.Config) { c.Radio.PruneSigma = -1 }},

@@ -48,9 +48,6 @@ type Packet struct {
 	// TCP is the transport header of a TCP packet; datagram packets (VoIP,
 	// CBR) leave it zero.
 	TCP TCPHeader
-	// EnqueuedAt records when the packet most recently entered a MAC
-	// queue, for queueing-delay statistics.
-	EnqueuedAt sim.Time
 	// Retries counts MAC-layer (re)transmissions of this packet so far.
 	Retries int
 
@@ -165,11 +162,10 @@ type Frame struct {
 
 	// AckedUIDs lists the packet UIDs acknowledged by a bitmap Ack frame.
 	AckedUIDs []uint64
-	// Acker is the station that generated an Ack frame (opportunistic
-	// schemes need to distinguish which forwarder acknowledged).
-	Acker NodeID
-	// AckerRank is the acker's priority rank in the forwarder list of the
-	// acknowledged data frame (0 = destination).
+	// AckerRank is the priority rank, in the forwarder list of the
+	// acknowledged data frame, of the station that generated an Ack frame
+	// (0 = destination): opportunistic schemes need to distinguish which
+	// forwarder acknowledged.
 	AckerRank int
 
 	// FlowID tags the frame with the flow whose TXOP this is (stats).

@@ -182,7 +182,6 @@ func (m *Medium) endTransmission(f *pkt.Frame) {
 // station is the per-node PHY state.
 type station struct {
 	id      pkt.NodeID
-	pos     Pos
 	mac     MAC
 	sensed  int  // external frames currently above CS threshold
 	txing   bool // transmitting right now
@@ -313,9 +312,9 @@ func (m *Medium) Init(eng *sim.Engine, plan *LinkPlan, p phys.Params, rng *sim.R
 		m.stations = make([]station, plan.n)
 	}
 	m.stations = m.stations[:plan.n]
-	for i, pos := range plan.positions {
+	for i := range m.stations {
 		s := &m.stations[i]
-		*s = station{id: pkt.NodeID(i), pos: pos, current: s.current[:0]}
+		*s = station{id: pkt.NodeID(i), current: s.current[:0]}
 	}
 }
 
@@ -450,9 +449,6 @@ func (m *Medium) SetPlan(plan *LinkPlan) {
 		panic("radio: SetPlan with a different station count")
 	}
 	m.plan, m.cur = plan, m.rows.of(plan)
-	for i := range m.stations {
-		m.stations[i].pos = plan.positions[i]
-	}
 }
 
 // Config returns the radio configuration the medium was built with.

@@ -25,9 +25,9 @@
 #
 # or if a non-test .go file outside cmd/ and bench/ is a package main: a
 # program nothing runs is code CI only compiles — a walkthrough of the API
-# is an Example in example_test.go, whose output `go test` checks. The one
-# exception is scripts/reach, the lister check_reach.sh runs in CI, and its
-# fixture;
+# is an Example in example_test.go, whose output `go test` checks. The two
+# exceptions are scripts/reach, the lister check_reach.sh runs in CI, and its
+# fixture, and scripts/layers, the profile parser layers.sh runs in CI;
 #
 # or if a map type appears on the packet path: the non-test files of
 # internal/core and internal/forward, internal/radio/medium.go or
@@ -141,7 +141,7 @@ if grep -ln '"ripple/internal/golden"' $(find . -name '*.go' ! -name '*_test.go'
     fail=1
 fi
 if grep -l '^package main$' $(find . -name '*.go' ! -name '*_test.go' \
-        ! -path './cmd/*' ! -path './bench/*' ! -path './.bench_build/*' ! -path './scripts/reach/*'); then
+        ! -path './cmd/*' ! -path './bench/*' ! -path './.bench_build/*' ! -path './scripts/reach/*' ! -path './scripts/layers/*'); then
     echo "check_substrate: package main outside cmd/ and bench/ — make it an Example" >&2
     fail=1
 fi

@@ -1,5 +1,6 @@
 // Command reach lists the funcs and methods of non-test Go under internal/
-// and cmd/ that no given binary links, and fails on each one that the
+// and cmd/ that no given binary links, and the unexported fields under
+// internal/ that no non-test code reads, and fails on each one that the
 // allow-list does not name with a reason. scripts/check_reach.sh builds the
 // shipped binaries with inlining off, so that a function inlined at every
 // call still has a symbol, and runs it from the module root:
@@ -12,6 +13,12 @@
 // arguments, nested brackets and all
 // (routing.room[go.shape.[]float64,go.shape.float64]); every bracketed
 // group is cut before matching, so a declaration matches any instance.
+//
+// A second pass, which the linker cannot do, type-checks the non-test Go of
+// each package under internal/ against the export data that `go list
+// -export -deps` builds, and fails on each unexported struct field that no
+// non-test code of its package reads, unless the allow-list names it (see
+// fields).
 package main
 
 import (
@@ -29,14 +36,19 @@ import (
 	"strings"
 )
 
-// list returns, for every func and method in the non-test Go files under
-// each root/dir that the default build compiles, its symbol without type
-// arguments (module/dir.F, module/dir.T.M or module/dir.(*T).M) mapped to
-// its file:line. It leaves out init functions, testdata and the directory
-// skip.
-func list(root, module, skip string, dirs ...string) (map[string]string, error) {
-	out := map[string]string{}
-	fset := token.NewFileSet()
+// source is the parsed non-test Go that the default build compiles under
+// some directories of a module, by package import path.
+type source struct {
+	root string
+	fset *token.FileSet
+	pkgs map[string][]*ast.File
+}
+
+// parse reads the non-test Go files under each root/dir that the default
+// build compiles, leaving out testdata and the directory skip; module is the
+// import path of root.
+func parse(root, module, skip string, dirs ...string) (*source, error) {
+	src := &source{root: root, fset: token.NewFileSet(), pkgs: map[string][]*ast.File{}}
 	walk := func(p string, e fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -52,16 +64,12 @@ func list(root, module, skip string, dirs ...string) (map[string]string, error) 
 		if ok, err := build.Default.MatchFile(filepath.Dir(p), e.Name()); !ok {
 			return err
 		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(src.fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
 		pkg := module + "/" + path.Dir(rel)
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && (fd.Recv != nil || fd.Name.Name != "init") {
-				out[symbol(pkg, fd)] = fmt.Sprintf("%s:%d", rel, fset.Position(fd.Pos()).Line)
-			}
-		}
+		src.pkgs[pkg] = append(src.pkgs[pkg], f)
 		return nil
 	}
 	for _, d := range dirs {
@@ -69,7 +77,31 @@ func list(root, module, skip string, dirs ...string) (map[string]string, error) 
 			return nil, err
 		}
 	}
-	return out, nil
+	return src, nil
+}
+
+// pos is n's file:line, the file relative to the source root.
+func (src *source) pos(n ast.Node) string {
+	p := src.fset.Position(n.Pos())
+	rel, _ := filepath.Rel(src.root, p.Filename)
+	return fmt.Sprintf("%s:%d", filepath.ToSlash(rel), p.Line)
+}
+
+// list returns, for every func and method of src, its symbol without type
+// arguments (module/dir.F, module/dir.T.M or module/dir.(*T).M) mapped to
+// its file:line. It leaves out init functions.
+func list(src *source) map[string]string {
+	out := map[string]string{}
+	for pkg, files := range src.pkgs {
+		for _, f := range files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && (fd.Recv != nil || fd.Name.Name != "init") {
+					out[symbol(pkg, fd)] = src.pos(fd)
+				}
+			}
+		}
+	}
+	return out
 }
 
 // symbol is the linker's name of fd in package pkg, without type arguments.
@@ -118,13 +150,21 @@ func cut(sym string) string {
 	return b.String()
 }
 
-// check returns the lines to report: each declaration that no binary links
-// and the allow-list does not name, and each allow-list line whose name is
-// linked, declared nowhere or given no reason. An allow-list line is a name
-// as check prints it, without the module prefix, then its reason; # starts
-// a comment.
-func check(decls map[string]string, linked map[string]bool, allow, module string) []string {
+// check returns the lines to report: each func or method of funcs that no
+// binary links and each field of fields that no non-test code reads, where
+// used holds the linked and the read, unless the allow-list names it; and
+// each allow-list line whose name is used, declared nowhere or given no
+// reason. funcs and fields map a name to its file:line. An allow-list line
+// is a name as check prints it, without the module prefix, then its reason;
+// # starts a comment.
+func check(funcs, fields map[string]string, used map[string]bool, allow, module string) []string {
 	var out []string
+	verb := func(sym string) string {
+		if fields[sym] != "" {
+			return "read"
+		}
+		return "linked"
+	}
 	allowed := map[string]bool{}
 	for _, line := range strings.Split(allow, "\n") {
 		name, reason, _ := strings.Cut(strings.TrimSpace(line), " ")
@@ -133,17 +173,22 @@ func check(decls map[string]string, linked map[string]bool, allow, module string
 		case name == "" || name[0] == '#':
 		case strings.TrimSpace(reason) == "":
 			out = append(out, "allow-list: "+name+" gives no reason")
-		case decls[sym] == "":
+		case funcs[sym] == "" && fields[sym] == "":
 			out = append(out, "allow-list: "+name+" is declared nowhere")
-		case linked[sym]:
-			out = append(out, "allow-list: "+name+" is linked; remove its line")
+		case used[sym]:
+			out = append(out, "allow-list: "+name+" is "+verb(sym)+"; remove its line")
 		default:
 			allowed[sym] = true
 		}
 	}
-	for sym, pos := range decls {
-		if !linked[sym] && !allowed[sym] {
+	for sym, pos := range funcs {
+		if !used[sym] && !allowed[sym] {
 			out = append(out, pos+": "+strings.TrimPrefix(sym, module+"/")+" is linked by no binary")
+		}
+	}
+	for sym, pos := range fields {
+		if !used[sym] && !allowed[sym] {
+			out = append(out, pos+": "+strings.TrimPrefix(sym, module+"/")+" is read by no non-test code")
 		}
 	}
 	sort.Strings(out)
@@ -151,23 +196,31 @@ func check(decls map[string]string, linked map[string]bool, allow, module string
 }
 
 func main() {
-	linked := map[string]bool{}
+	used := map[string]bool{}
 	for _, spec := range os.Args[2:] {
 		pkg, file, _ := strings.Cut(spec, "=")
 		data, err := os.ReadFile(file)
 		exitOn(err)
-		link(string(data), pkg, linked)
+		link(string(data), pkg, used)
 	}
-	decls, err := list(".", "ripple", "internal/golden", "internal", "cmd")
+	src, err := parse(".", "ripple", "internal/golden", "internal", "cmd")
 	exitOn(err)
+	imp, err := exports(src.fset, "./internal/...")
+	exitOn(err)
+	fieldDecls, read, err := fields(src, "ripple/internal/", imp)
+	exitOn(err)
+	for name := range read {
+		used[name] = true
+	}
 	allow, err := os.ReadFile(os.Args[1])
 	exitOn(err)
-	bad := check(decls, linked, string(allow), "ripple")
+	funcs := list(src)
+	bad := check(funcs, fieldDecls, used, string(allow), "ripple")
 	for _, l := range bad {
 		fmt.Println(l)
 	}
 	if len(bad) > 0 {
-		exitOn(fmt.Errorf("%d functions of %d are unreached or wrongly allowed; delete each one, move it into its package's export_test.go, or give it a line and a reason in %s", len(bad), len(decls), os.Args[1]))
+		exitOn(fmt.Errorf("%d of %d functions and %d fields are unused or wrongly allowed; delete each one, move a function into its package's export_test.go, or give it a line and a reason in %s", len(bad), len(funcs), len(fieldDecls), os.Args[1]))
 	}
 }
 

@@ -10,11 +10,17 @@ import (
 // directory internal/skip left out by name, and a command cmd/tool whose
 // nm listing, built with inlining off, is testdata/nm.txt.
 
-func TestListNamesEachDeclarationAsTheLinkerDoes(t *testing.T) {
-	got, err := list("testdata", "fix", "internal/skip", "internal", "cmd")
+func parseFixture(t *testing.T) *source {
+	t.Helper()
+	src, err := parse("testdata", "fix", "internal/skip", "internal", "cmd")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return src
+}
+
+func TestListNamesEachDeclarationAsTheLinkerDoes(t *testing.T) {
+	got := list(parseFixture(t))
 	want := map[string]string{
 		"fix/internal/a.T.Value":      "internal/a/a.go:8",
 		"fix/internal/a.(*T).Ptr":     "internal/a/a.go:10",
@@ -76,33 +82,84 @@ func TestLinkReadsTextSymbolsAndMapsMain(t *testing.T) {
 	}
 }
 
-func TestCheckReportsUnreachedAndWrongAllowLines(t *testing.T) {
-	decls, err := list("testdata", "fix", "internal/skip", "internal", "cmd")
+// The field pass declares every unexported named field of package a,
+// generic types' included, and reads one only where non-test code uses it
+// other than as an assignment's target or a composite-literal key.
+func TestFieldsFindsEachFieldNonTestCodeReads(t *testing.T) {
+	src := parseFixture(t)
+	decls, read, err := fields(src, "fix/internal/", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantDecls := map[string]string{
+		"fix/internal/a.T.n":               "internal/a/a.go:6",
+		"fix/internal/a.Ring.s":            "internal/a/a.go:17",
+		"fix/internal/a.counts.written":    "internal/a/fields.go:6",
+		"fix/internal/a.counts.bumped":     "internal/a/fields.go:7",
+		"fix/internal/a.counts.tested":     "internal/a/fields.go:8",
+		"fix/internal/a.counts.kept":       "internal/a/fields.go:9",
+		"fix/internal/a.counts.inner":      "internal/a/fields.go:11",
+		"fix/internal/a.counts.inner.deep": "internal/a/fields.go:12",
+		"fix/internal/a.key.grid":          "internal/a/fields.go:18",
+		"fix/internal/a.key.cell":          "internal/a/fields.go:18",
+		"fix/internal/a.stale.n":           "internal/a/fields.go:21",
+	}
+	// Not declared: the exported Public, Pair's K and V, and anything of
+	// cmd/tool or internal/skip.
+	if !reflect.DeepEqual(decls, wantDecls) {
+		t.Errorf("declared:\n got %v\nwant %v", decls, wantDecls)
+	}
+	wantRead := map[string]bool{
+		"fix/internal/a.T.n":               true,
+		"fix/internal/a.Ring.s":            true, // through an instance, Ring[string]
+		"fix/internal/a.counts.kept":       true,
+		"fix/internal/a.counts.inner":      true, // by c.inner.deep = 6
+		"fix/internal/a.counts.inner.deep": true,
+		"fix/internal/a.stale.n":           true,
+	}
+	if !reflect.DeepEqual(read, wantRead) {
+		t.Errorf("read:\n got %v\nwant %v", read, wantRead)
+	}
+}
+
+func TestCheckReportsUnreachedAndWrongAllowLines(t *testing.T) {
+	src := parseFixture(t)
 	data, err := os.ReadFile("testdata/nm.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	linked := map[string]bool{}
-	link(string(data), "fix/cmd/tool", linked)
+	used := map[string]bool{}
+	link(string(data), "fix/cmd/tool", used)
+	fieldDecls, read, err := fields(src, "fix/internal/", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range read {
+		used[name] = true
+	}
 	allow := `# a comment, then a blank line
 
 internal/a.Unused        kept for a named item
 internal/a.(*Ring).Drop
 internal/a.Gone          no such function
 internal/a.T.Value       linked all along
+internal/a.key.grid      a map key
+internal/a.key.cell      a map key
+internal/a.stale.n       read all along
 `
-	got := check(decls, linked, allow, "fix")
+	got := check(list(src), fieldDecls, used, allow, "fix")
 	want := []string{
 		"allow-list: internal/a.(*Ring).Drop gives no reason",
 		"allow-list: internal/a.Gone is declared nowhere",
 		"allow-list: internal/a.T.Value is linked; remove its line",
+		"allow-list: internal/a.stale.n is read; remove its line",
 		"cmd/tool/main.go:19: cmd/tool.unused is linked by no binary",
 		"internal/a/a.go:12: internal/a.T.DeadValue is linked by no binary",
 		"internal/a/a.go:14: internal/a.(*T).DeadPtr is linked by no binary",
 		"internal/a/a.go:21: internal/a.(*Ring).Drop is linked by no binary",
+		"internal/a/fields.go:6: internal/a.counts.written is read by no non-test code",
+		"internal/a/fields.go:7: internal/a.counts.bumped is read by no non-test code",
+		"internal/a/fields.go:8: internal/a.counts.tested is read by no non-test code",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("check:\n got %q\nwant %q", got, want)
